@@ -14,7 +14,7 @@ use bsoap_bench::ablations::{
 };
 use bsoap_bench::plot::render_loglog;
 use bsoap_bench::scenarios::{
-    fig_ablation, fig_content_match, fig_kernel_parallel, fig_overlay, fig_psm, fig_shift_partial,
+    fig_ablation, fig_content_match, fig_kernel, fig_overlay, fig_psm, fig_shift_partial,
     fig_shift_worst, fig_stuffing, Table,
 };
 use bsoap_bench::workload::{Kind, PAPER_SIZES, QUICK_SIZES};
@@ -63,8 +63,7 @@ fn parse_args() -> Result<Opts, String> {
                      figures: 0 = §2 ablation, 1-12 = the paper's figures,\n\
                      13-21 = design-space ablations (chunk size, stealing,\n\
                      reserve, growth policy, differential deser, HTTP framing,\n\
-                     pipelined send, server dispatch, conversion kernel +\n\
-                     parallel flush)"
+                     pipelined send, server dispatch, conversion kernel)"
                 );
                 std::process::exit(0);
             }
@@ -117,7 +116,7 @@ fn run_figure(fig: u32, sizes: &[usize], reps: usize) -> Option<Table> {
         18 => ablation_http_framing(sizes, reps),
         19 => ablation_pipelined(sizes, reps),
         20 => ablation_server_dispatch(sizes, reps),
-        21 => fig_kernel_parallel(Kind::Doubles, sizes, reps),
+        21 => fig_kernel(Kind::Doubles, sizes, reps),
         _ => return None,
     })
 }

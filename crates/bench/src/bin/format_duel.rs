@@ -33,7 +33,7 @@ use bsoap_baseline::GSoapLike;
 use bsoap_bench::measure_batched;
 use bsoap_bench::workload::Kind;
 use bsoap_chunks::ChunkConfig;
-use bsoap_core::{Client, EngineConfig, FlushMode, OpDesc, Value, WidthPolicy, WireFormat};
+use bsoap_core::{Client, EngineConfig, OpDesc, Value, WidthPolicy, WireFormat};
 use bsoap_deser::parse_binary_envelope;
 use bsoap_obs::{Counter, Metrics};
 use bsoap_xml::strip_pad;
@@ -105,14 +105,13 @@ const SCENARIOS: [Scenario; 7] = [
 ];
 
 fn config(format: WireFormat) -> EngineConfig {
-    // Exact widths + planned flush: the XML lane pays the full shifting
-    // machinery for width growth, the binary lane has nothing to shift.
+    // Exact widths: the XML lane pays the full shifting machinery for
+    // width growth, the binary lane has nothing to shift.
     // The explicit format override keeps the duel deterministic even
     // under a CI `BSOAP_WIRE_FORMAT` environment override.
     EngineConfig::paper_default()
         .with_chunk(ChunkConfig::k32())
         .with_width(WidthPolicy::Exact)
-        .with_flush_mode(FlushMode::Planned)
         .with_wire_format(format)
 }
 

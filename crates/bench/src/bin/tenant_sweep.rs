@@ -8,9 +8,9 @@
 //!          --p99-ratio R --smoke --out FILE]
 //! ```
 //!
-//! Every sweep point drives one differential client in
-//! `StoreMode::Shared` against one [`TemplateStore`], cycling the tenant
-//! id across the population so each tenant owns its own template key.
+//! Every sweep point drives one differential client against one
+//! [`TemplateStore`], cycling the tenant id across the population so each
+//! tenant owns its own template key.
 //! Without the store's budget the resident template bytes would grow
 //! linearly with the tenant count; with it, the cost-aware eviction
 //! (cheapest `rebuild_estimate` first) must hold the line.
@@ -30,7 +30,7 @@
 //! Writes `BENCH_tenants.json`.
 
 use bsoap_convert::ScalarKind;
-use bsoap_core::{Client, EngineConfig, OpDesc, StoreMode, TemplateStore, TypeDesc, Value};
+use bsoap_core::{Client, EngineConfig, OpDesc, TemplateStore, TypeDesc, Value};
 use bsoap_obs::{Counter, EngineStats, Level, Metrics};
 use std::sync::Arc;
 use std::time::Instant;
@@ -74,7 +74,7 @@ fn run_point(tenants: u64, calls: u64, budget: usize, quota: usize) -> Row {
     let metrics = Metrics::shared();
     store.set_metrics(Arc::clone(&metrics));
 
-    let mut client = Client::new(EngineConfig::paper_default().with_store_mode(StoreMode::Shared));
+    let mut client = Client::new(EngineConfig::paper_default());
     client.set_template_store(Arc::clone(&store));
 
     let mut xs = vec![0.5f64; 16];

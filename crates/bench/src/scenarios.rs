@@ -431,33 +431,20 @@ pub fn fig_overlay(sizes: &[usize], reps: usize) -> Table {
 }
 
 // ---------------------------------------------------------------------
-// Beyond the paper: conversion kernel and parallel flush.
+// Beyond the paper: conversion kernel.
 // ---------------------------------------------------------------------
 
-/// Conversion-kernel and flush-parallelism operating points on the
-/// paper's 100%-re-serialization PSM workload (every value dirty, all
-/// rewrites in-width). Series: the paper's Exact2004 kernel sequential,
-/// the Grisu3 fast kernel sequential, and the fast kernel with 2 and 4
-/// flush workers. Output bytes are identical across all four — only the
-/// conversion and rewrite cost move.
-pub fn fig_kernel_parallel(kind: Kind, sizes: &[usize], reps: usize) -> Table {
+/// Conversion-kernel operating points on the paper's
+/// 100%-re-serialization PSM workload (every value dirty, all rewrites
+/// in-width). Series: the paper's Exact2004 kernel and the Grisu3 fast
+/// kernel. Output bytes are identical — only the conversion cost moves.
+pub fn fig_kernel(kind: Kind, sizes: &[usize], reps: usize) -> Table {
     use bsoap_core::FloatFormatter;
     let op = kind.op();
-    let series = vec![
-        "Exact2004 kernel, sequential".to_owned(),
-        "Fast kernel, sequential".to_owned(),
-        "Fast kernel, 2 workers".to_owned(),
-        "Fast kernel, 4 workers".to_owned(),
-    ];
+    let series = vec!["Exact2004 kernel".to_owned(), "Fast kernel".to_owned()];
     let configs = [
         EngineConfig::paper_default(),
         EngineConfig::paper_default().with_float(FloatFormatter::Fast),
-        EngineConfig::paper_default()
-            .with_float(FloatFormatter::Fast)
-            .with_parallel_workers(2),
-        EngineConfig::paper_default()
-            .with_float(FloatFormatter::Fast)
-            .with_parallel_workers(4),
     ];
     let mut rows = Vec::new();
     for &n in sizes {
@@ -474,11 +461,8 @@ pub fn fig_kernel_parallel(kind: Kind, sizes: &[usize], reps: usize) -> Table {
         rows.push((n, cells));
     }
     Table {
-        id: "Kernel/parallel".to_owned(),
-        title: format!(
-            "Conversion kernel and parallel flush, 100% re-serialization: {}",
-            kind.name()
-        ),
+        id: "Kernel".to_owned(),
+        title: format!("Conversion kernel, 100% re-serialization: {}", kind.name()),
         series,
         rows,
     }
@@ -563,7 +547,7 @@ mod tests {
             fig_stuffing(Kind::Doubles, TINY, 2),
             fig_overlay(TINY, 2),
             fig_ablation(TINY, 2),
-            fig_kernel_parallel(Kind::Doubles, TINY, 2),
+            fig_kernel(Kind::Doubles, TINY, 2),
         ];
         for t in &tables {
             assert_eq!(t.rows.len(), TINY.len(), "{}", t.id);

@@ -185,20 +185,6 @@ impl ChunkStore {
         self.chunks.iter()
     }
 
-    /// Mutable views of every chunk's used bytes, in message order.
-    ///
-    /// Each slice is independently borrowed, so callers can hand different
-    /// chunks to different threads (the parallel dirty-flush shards work by
-    /// chunk boundary). In-place writes only: lengths cannot change through
-    /// these views, which is exactly the invariant that keeps concurrent
-    /// in-width rewrites byte-equivalent to sequential ones.
-    pub fn chunk_bufs_mut(&mut self) -> Vec<&mut [u8]> {
-        self.chunks
-            .iter_mut()
-            .map(|c| c.buf.as_mut_slice())
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Sequential building (first-time send)
     // ------------------------------------------------------------------

@@ -1,31 +1,18 @@
-//! Template caches: per-`(endpoint, structure)` saved messages, the §6
-//! multi-template extension, and the cross-endpoint sharing index.
+//! Template identity and per-key variant sets: the [`TemplateKey`] a saved
+//! message is filed under and the §6 multi-template [`TemplateSet`] the
+//! [`crate::store::TemplateStore`] keeps per key.
 //!
-//! The base design is the paper's: "Currently, each remote Web Service
-//! has its own saved template" — one [`MessageTemplate`] per
-//! [`TemplateKey`]. Section 6 proposes two refinements, both implemented
-//! here:
-//!
-//! * "It also may be useful to store multiple different message templates
-//!   for the same remote service, rather than one per call type" —
-//!   [`TemplateSet`] keeps up to *k* templates per key and serves the one
-//!   whose array geometry is closest to the outgoing arguments, so
-//!   workloads that alternate between a few message shapes never pay for
-//!   resizing.
-//! * "For applications that send the same (or similar) data to different
-//!   remote services, we plan to investigate the extent to which it would
-//!   be beneficial for them to share message chunks across templates" —
-//!   [`TemplateCache::find_shareable`] locates a same-structure template
-//!   saved for *another* endpoint, which the client clones instead of
-//!   serializing from scratch (sharing by copy: safe under Rust
-//!   ownership, and it amortizes the expensive conversion work the same
-//!   way shared chunks would).
+//! "It also may be useful to store multiple different message templates
+//! for the same remote service, rather than one per call type" (§6) —
+//! [`TemplateSet`] keeps up to *k* templates per key and serves the one
+//! whose array geometry is closest to the outgoing arguments, so
+//! workloads that alternate between a few message shapes never pay for
+//! resizing.
 
 use crate::config::WireFormat;
 use crate::schema::OpDesc;
 use crate::template::MessageTemplate;
 use crate::value::Value;
-use std::collections::HashMap;
 
 /// Cache key: endpoint plus structural signature plus wire format.
 ///
@@ -134,29 +121,15 @@ impl TemplateSet {
             .map(|(i, _, dist)| (i, dist))
     }
 
-    /// Move template `idx` to the front (MRU) and return it mutably.
-    pub fn promote(&mut self, idx: usize) -> &mut MessageTemplate {
-        let t = self.templates.remove(idx);
-        self.templates.insert(0, t);
-        &mut self.templates[0]
-    }
-
-    /// Remove and return template `idx` (cost-gate fallback discards the
-    /// template it just priced).
+    /// Remove and return template `idx` (a store checkout moves the
+    /// template out by value).
     pub fn remove(&mut self, idx: usize) -> MessageTemplate {
         self.templates.remove(idx)
     }
 
-    /// Insert a template at the MRU position, evicting the LRU entry when
-    /// the set exceeds `cap`.
-    pub fn insert(&mut self, template: MessageTemplate, cap: usize) {
-        self.templates.insert(0, template);
-        self.templates.truncate(cap.max(1));
-    }
-
-    /// Like [`TemplateSet::insert`], but hands back what the cap pushed
-    /// out — the shared store needs every evicted template to return its
-    /// bytes to the budget.
+    /// Insert a template at the MRU position and hand back what `cap`
+    /// pushed out (LRU first to go) — the store needs every evicted
+    /// template to return its bytes to the budget.
     pub fn insert_evicting(
         &mut self,
         template: MessageTemplate,
@@ -179,107 +152,6 @@ impl TemplateSet {
     /// Total serialized bytes held.
     pub fn total_bytes(&self) -> usize {
         self.templates.iter().map(|t| t.message_len()).sum()
-    }
-
-    /// Most recently used template.
-    pub fn front_mut(&mut self) -> Option<&mut MessageTemplate> {
-        self.templates.first_mut()
-    }
-}
-
-/// Saved-template store.
-#[derive(Debug, Default)]
-pub struct TemplateCache {
-    map: HashMap<TemplateKey, TemplateSet>,
-}
-
-impl TemplateCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of keys with at least one saved template.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Total templates across all keys.
-    pub fn template_count(&self) -> usize {
-        self.map.values().map(TemplateSet::len).sum()
-    }
-
-    /// True when no templates are saved.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The template set for a key, creating it if absent.
-    pub fn set_mut(&mut self, key: &TemplateKey) -> &mut TemplateSet {
-        self.map.entry(key.clone()).or_default()
-    }
-
-    /// Most recently used template for a key (the paper's base design).
-    pub fn get_mut(&mut self, key: &TemplateKey) -> Option<&mut MessageTemplate> {
-        self.map.get_mut(key).and_then(TemplateSet::front_mut)
-    }
-
-    /// Whether any template exists for the key.
-    pub fn contains(&self, key: &TemplateKey) -> bool {
-        self.map.get(key).is_some_and(|s| !s.is_empty())
-    }
-
-    /// Save a template as the MRU entry for `key`, keeping at most
-    /// `cap` templates there.
-    pub fn insert_with_cap(&mut self, key: TemplateKey, template: MessageTemplate, cap: usize) {
-        self.map.entry(key).or_default().insert(template, cap);
-    }
-
-    /// Save a template, replacing any previous one for the key (cap 1 —
-    /// the paper's base behaviour).
-    pub fn insert(&mut self, key: TemplateKey, template: MessageTemplate) {
-        self.insert_with_cap(key, template, 1);
-    }
-
-    /// Drop all templates for a key; returns the MRU one if any existed.
-    pub fn remove(&mut self, key: &TemplateKey) -> Option<MessageTemplate> {
-        self.map.remove(key).and_then(|mut s| {
-            if s.templates.is_empty() {
-                None
-            } else {
-                Some(s.templates.remove(0))
-            }
-        })
-    }
-
-    /// Best match for `args` among the key's templates without mutating:
-    /// `(index, distance, set size)`.
-    pub fn match_for(&self, key: &TemplateKey, args: &[Value]) -> Option<(usize, usize, usize)> {
-        let set = self.map.get(key)?;
-        let (idx, dist) = set.best_match(args)?;
-        Some((idx, dist, set.len()))
-    }
-
-    /// Find a same-structure, same-format template saved for a *different*
-    /// endpoint — the §6 cross-endpoint sharing candidate.
-    pub fn find_shareable(&self, key: &TemplateKey) -> Option<&MessageTemplate> {
-        self.map
-            .iter()
-            .filter(|(k, _)| {
-                k.signature == key.signature && k.format == key.format && k.endpoint != key.endpoint
-            })
-            .find_map(|(_, set)| set.templates.first())
-    }
-
-    /// Total bytes held across all saved templates (memory accounting —
-    /// the cost §3.3 motivates chunk overlaying with).
-    pub fn total_bytes(&self) -> usize {
-        self.map.values().map(TemplateSet::total_bytes).sum()
-    }
-
-    /// Drop everything.
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 }
 
@@ -328,29 +200,14 @@ mod tests {
     }
 
     #[test]
-    fn cache_round_trip() {
-        let mut cache = TemplateCache::new();
-        let o = op("f");
-        let key = TemplateKey::new("ep", &o);
-        assert!(!cache.contains(&key));
-        let t =
-            MessageTemplate::build(EngineConfig::paper_default(), &o, &[Value::Int(7)]).unwrap();
-        let bytes = t.message_len();
-        cache.insert(key.clone(), t);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.total_bytes(), bytes);
-        assert!(cache.get_mut(&key).is_some());
-        assert!(cache.remove(&key).is_some());
-        assert!(cache.is_empty());
-    }
-
-    #[test]
     fn set_keeps_mru_order_and_cap() {
         let mut set = TemplateSet::default();
-        set.insert(arr_tpl(1), 2);
-        set.insert(arr_tpl(5), 2);
+        assert!(set.insert_evicting(arr_tpl(1), 2).is_empty());
+        assert!(set.insert_evicting(arr_tpl(5), 2).is_empty());
         assert_eq!(set.len(), 2);
-        set.insert(arr_tpl(9), 2); // evicts the n=1 template
+        let out = set.insert_evicting(arr_tpl(9), 2); // evicts the n=1 template
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].array_len(0), 1);
         assert_eq!(set.len(), 2);
         let lens: Vec<usize> = set.templates.iter().map(|t| t.array_len(0)).collect();
         assert_eq!(lens, vec![9, 5]);
@@ -359,9 +216,9 @@ mod tests {
     #[test]
     fn best_match_prefers_matching_lengths() {
         let mut set = TemplateSet::default();
-        set.insert(arr_tpl(10), 3);
-        set.insert(arr_tpl(100), 3);
-        set.insert(arr_tpl(1000), 3);
+        for n in [10, 100, 1000] {
+            set.insert_evicting(arr_tpl(n), 3);
+        }
         let (idx, dist) = set
             .best_match(&[Value::DoubleArray(vec![0.5; 100])])
             .unwrap();
@@ -372,48 +229,5 @@ mod tests {
             .unwrap();
         assert_eq!(dist, 10);
         assert_eq!(set.templates[idx].array_len(0), 100);
-    }
-
-    #[test]
-    fn promote_moves_to_front() {
-        let mut set = TemplateSet::default();
-        set.insert(arr_tpl(1), 3);
-        set.insert(arr_tpl(2), 3);
-        set.insert(arr_tpl(3), 3); // order: 3, 2, 1
-        let t = set.promote(2);
-        assert_eq!(t.array_len(0), 1);
-        let lens: Vec<usize> = set.templates.iter().map(|t| t.array_len(0)).collect();
-        assert_eq!(lens, vec![1, 3, 2]);
-    }
-
-    #[test]
-    fn find_shareable_requires_same_structure_other_endpoint() {
-        let mut cache = TemplateCache::new();
-        let o = arr_op();
-        let key_a = TemplateKey::new("http://a", &o);
-        cache.insert(key_a.clone(), arr_tpl(5));
-
-        // Same endpoint: not shareable (already a direct hit).
-        assert!(cache.find_shareable(&key_a).is_none());
-        // Other endpoint, same structure: shareable.
-        let key_b = TemplateKey::new("http://b", &o);
-        assert!(cache.find_shareable(&key_b).is_some());
-        // Other structure: not shareable.
-        let key_c = TemplateKey::new("http://b", &op("f"));
-        assert!(cache.find_shareable(&key_c).is_none());
-        // Other wire format: not shareable (the bytes are a different lane).
-        let key_d = TemplateKey::for_format("http://b", &o, WireFormat::CompactBinary);
-        assert!(cache.find_shareable(&key_d).is_none());
-    }
-
-    #[test]
-    fn template_count_spans_sets() {
-        let mut cache = TemplateCache::new();
-        let o = arr_op();
-        let key = TemplateKey::new("ep", &o);
-        cache.insert_with_cap(key.clone(), arr_tpl(1), 4);
-        cache.insert_with_cap(key, arr_tpl(2), 4);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.template_count(), 2);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! "When called upon to make an outcall, the client stub determines
 //! whether parts or all of the last copy of the same message type can be
-//! reused" (§3.1). [`Client::call`] is that stub: it consults the template
-//! cache, diffs the new arguments against the saved copy, resizes on a
-//! length mismatch, and sends through the cheapest tier.
+//! reused" (§3.1). [`Client::call`] is that stub: it checks the saved
+//! template out of the [`TemplateStore`], diffs the new arguments against
+//! it, resizes on a length mismatch, and sends through the cheapest tier.
 //!
 //! Two §6 ("Future Work") refinements are opt-in:
 //!
@@ -16,8 +16,8 @@
 //!   endpoint clone a same-structure template saved for another service
 //!   and merely diff it, amortizing serialization across services.
 
-use crate::cache::{TemplateCache, TemplateKey};
-use crate::config::{EngineConfig, FlushMode, StoreMode, WireFormat};
+use crate::cache::TemplateKey;
+use crate::config::{EngineConfig, WireFormat};
 use crate::error::EngineError;
 use crate::overlay::{max_element_bytes, OverlayReport, OverlaySender};
 use crate::schema::{OpDesc, TypeDesc};
@@ -94,7 +94,6 @@ pub enum OverlaidOutcome {
 #[derive(Debug)]
 pub struct Client {
     config: EngineConfig,
-    cache: TemplateCache,
     stats: ClientStats,
     templates_per_key: usize,
     share_across_endpoints: bool,
@@ -104,9 +103,9 @@ pub struct Client {
     /// is the overlaid region's "saved copy", so keeping the sender across
     /// calls is what preserves DUT/tier semantics between streamed sends.
     overlays: HashMap<TemplateKey, OverlaySender>,
-    /// [`StoreMode::Shared`] template ownership: the shared store handle
-    /// (injected via [`Client::set_template_store`], or a private one
-    /// created lazily from the config's budget knobs).
+    /// Template ownership: the store handle (injected via
+    /// [`Client::set_template_store`], or a private one created lazily
+    /// from the config's budget knobs).
     store: Option<Arc<TemplateStore>>,
     /// Tenant this client's templates are charged to in the shared store.
     tenant: u64,
@@ -129,7 +128,6 @@ impl Client {
     pub fn new(config: EngineConfig) -> Self {
         Client {
             config,
-            cache: TemplateCache::new(),
             stats: ClientStats::default(),
             templates_per_key: 1,
             share_across_endpoints: false,
@@ -159,17 +157,10 @@ impl Client {
         self.stats
     }
 
-    /// The per-client template cache — populated only under
-    /// [`StoreMode::PerClient`]; see [`Client::template_count`] /
-    /// [`Client::cached_keys`] for mode-agnostic accounting.
-    pub fn cache(&self) -> &TemplateCache {
-        &self.cache
-    }
-
     /// Route template ownership through `store` (shared across clients,
-    /// server cores, even processes' worth of tenants). Only consulted
-    /// under [`StoreMode::Shared`]; without an injected store the client
-    /// lazily creates a private one from the config's budget knobs.
+    /// server cores, even processes' worth of tenants). Without an
+    /// injected store the client lazily creates a private one from the
+    /// config's budget knobs.
     pub fn set_template_store(&mut self, store: Arc<TemplateStore>) {
         if let Some(m) = &self.metrics {
             store.set_metrics(Arc::clone(m));
@@ -208,38 +199,27 @@ impl Client {
         StoreKey::new(self.tenant, key.clone())
     }
 
-    /// Total templates saved for this client, whichever mode owns them.
-    /// Under [`StoreMode::Shared`] with an injected store this counts the
-    /// whole store (other clients' templates included) plus this client's
-    /// outstanding leases.
+    /// Total templates saved for this client. With an injected store this
+    /// counts the whole store (other clients' templates included) plus
+    /// this client's outstanding leases.
     pub fn template_count(&self) -> usize {
-        match self.config.store_mode {
-            StoreMode::PerClient => self.cache.template_count(),
-            StoreMode::Shared => {
-                self.store.as_ref().map_or(0, |s| s.template_count()) + self.leases.len()
-            }
-        }
+        self.store.as_ref().map_or(0, |s| s.template_count()) + self.leases.len()
     }
 
     /// Distinct `(endpoint, structure)` keys with at least one saved
-    /// template, whichever mode owns them.
+    /// template (stored or leased out).
     pub fn cached_keys(&self) -> usize {
-        match self.config.store_mode {
-            StoreMode::PerClient => self.cache.len(),
-            StoreMode::Shared => {
-                let in_store = self.store.as_ref().map_or(0, |s| s.len());
-                let leased_only = self
-                    .leases
-                    .keys()
-                    .filter(|k| {
-                        self.store
-                            .as_ref()
-                            .is_none_or(|s| !s.contains(&StoreKey::new(self.tenant, (*k).clone())))
-                    })
-                    .count();
-                in_store + leased_only
-            }
-        }
+        let in_store = self.store.as_ref().map_or(0, |s| s.len());
+        let leased_only = self
+            .leases
+            .keys()
+            .filter(|k| {
+                self.store
+                    .as_ref()
+                    .is_none_or(|s| !s.contains(&StoreKey::new(self.tenant, (*k).clone())))
+            })
+            .count();
+        in_store + leased_only
     }
 
     /// Attach an observability registry. Every subsequent call records its
@@ -292,11 +272,6 @@ impl Client {
             .unwrap_or(self.config.wire_format)
     }
 
-    /// The engine config with `endpoint`'s negotiated wire format applied.
-    fn effective_config(&self, endpoint: &str) -> EngineConfig {
-        self.config.with_wire_format(self.endpoint_format(endpoint))
-    }
-
     /// Template key for `(endpoint, op)` under the endpoint's format.
     fn key_for(&self, endpoint: &str, op: &OpDesc) -> TemplateKey {
         TemplateKey::for_format(endpoint, op, self.endpoint_format(endpoint))
@@ -331,13 +306,32 @@ impl Client {
     where
         F: FnOnce(&[std::io::IoSlice<'_>]) -> std::io::Result<usize>,
     {
-        let out = if self.is_degraded(endpoint) {
-            self.degraded_call(self.effective_config(endpoint), op, args, send)
+        let call_start = self.metrics.as_ref().map(|m| m.now_ns());
+        // Degraded mode: stateless full serialization every call, no
+        // template retained. Counted as a first-time send plus
+        // `DegradedSends`.
+        let degraded = self.is_degraded(endpoint);
+        let out = if degraded {
+            self.full_send(self.endpoint_format(endpoint), op, args, send, None)
         } else {
             self.call_tiered(endpoint, op, args, send)
         };
         match &out {
-            Ok(_) => self.note_send_success(endpoint),
+            Ok(report) => {
+                self.stats.record(report);
+                if degraded {
+                    self.stats.degraded_sends += 1;
+                }
+                if let Some(m) = &self.metrics {
+                    if degraded {
+                        m.add(Counter::DegradedSends, 1);
+                    }
+                    m.add(Counter::BytesSent, report.bytes as u64);
+                    let elapsed = m.now_ns().saturating_sub(call_start.unwrap_or(0));
+                    m.observe_ns(HistId::send(report.tier.obs()), elapsed);
+                }
+                self.note_send_success(endpoint);
+            }
             // Transport failures — I/O and deadline expiry alike — drive
             // the degraded-mode ladder. `DeadlinesExceeded` is counted
             // (and traced) by the layer that *detected* the expiry (the
@@ -457,21 +451,19 @@ impl Client {
                     let elapsed = m.now_ns().saturating_sub(call_start.unwrap_or(0));
                     m.observe_ns(HistId::send(report.tier.obs()), elapsed);
                 }
-                // Charge the cached window fragment to the shared store's
-                // budget (reserved, non-evictable — it is the overlaid
-                // region's saved copy), reconciling as the peak moves.
-                if self.config.store_mode == StoreMode::Shared {
-                    let window_now = report.window_bytes as u64;
-                    let reserved = self.overlay_reserved.get(&key).copied().unwrap_or(0);
-                    if window_now != reserved {
-                        let store = self.store_handle();
-                        if window_now > reserved {
-                            store.reserve(self.tenant, window_now - reserved);
-                        } else {
-                            store.release(self.tenant, reserved - window_now);
-                        }
-                        self.overlay_reserved.insert(key.clone(), window_now);
+                // Charge the cached window fragment to the store's budget
+                // (reserved, non-evictable — it is the overlaid region's
+                // saved copy), reconciling as the peak moves.
+                let window_now = report.window_bytes as u64;
+                let reserved = self.overlay_reserved.get(&key).copied().unwrap_or(0);
+                if window_now != reserved {
+                    let store = self.store_handle();
+                    if window_now > reserved {
+                        store.reserve(self.tenant, window_now - reserved);
+                    } else {
+                        store.release(self.tenant, reserved - window_now);
                     }
+                    self.overlay_reserved.insert(key.clone(), window_now);
                 }
                 self.note_send_success(endpoint);
             }
@@ -527,7 +519,6 @@ impl Client {
             // any overlay window fragment) so a possibly
             // poisoned-by-the-peer diff state can't linger.
             let key = self.key_for(endpoint, op);
-            self.cache.remove(&key);
             self.leases.remove(&key);
             // Overlay senders always live on the XML lane (streamed sends
             // are not negotiated), so their bookkeeping is keyed XML.
@@ -545,53 +536,11 @@ impl Client {
         }
     }
 
-    /// Degraded-mode send: full serialization every call, template
-    /// discarded immediately. Counted as a first-time send plus
-    /// `DegradedSends`.
-    fn degraded_call<F>(
-        &mut self,
-        config: EngineConfig,
-        op: &OpDesc,
-        args: &[Value],
-        send: F,
-    ) -> Result<SendReport, EngineError>
-    where
-        F: FnOnce(&[std::io::IoSlice<'_>]) -> std::io::Result<usize>,
-    {
-        let call_start = self.metrics.as_ref().map(|m| m.now_ns());
-        let tpl = MessageTemplate::build(config, op, args)?;
-        let bytes = send(&tpl.io_slices())?;
-        let report = SendReport {
-            tier: SendTier::FirstTime,
-            bytes,
-            values_written: tpl.leaf_count(),
-            shifts: 0,
-            steals: 0,
-            splits: 0,
-            fell_back: false,
-        };
-        drop(tpl);
-        self.stats.record(&report);
-        self.stats.degraded_sends += 1;
-        if let Some(m) = &self.metrics {
-            m.add(Counter::send(bsoap_obs::Tier::FirstTime), 1);
-            m.add(format_counter(config.wire_format), 1);
-            m.add(Counter::SimdKernelHits, bsoap_kernels::take_simd_hits());
-            m.add(Counter::ValuesWritten, report.values_written as u64);
-            m.add(Counter::DegradedSends, 1);
-            m.add(Counter::BytesSent, report.bytes as u64);
-            let elapsed = m.now_ns().saturating_sub(call_start.unwrap_or(0));
-            m.observe_ns(HistId::send(report.tier.obs()), elapsed);
-        }
-        Ok(report)
-    }
-
-    /// The four-tier differential path (the pre-fault-tolerance
-    /// [`Client::call_via`] body), routed by [`StoreMode`]. Both routes
-    /// produce byte-identical wire output and identical engine counters;
-    /// only template *ownership* differs (plus the store's own
-    /// hit/miss/eviction accounting, which exists only under
-    /// [`StoreMode::Shared`]).
+    /// The four-tier differential path. Templates move through the store
+    /// by value — checkout (bytes leave the budget), diff + send, admit
+    /// back (budget re-charged, evicting if over). Every exit path after a
+    /// hit re-admits the template except the cost fallback, which discards
+    /// it (its bytes already left the budget at the `checkout`).
     fn call_tiered<F>(
         &mut self,
         endpoint: &str,
@@ -602,112 +551,8 @@ impl Client {
     where
         F: FnOnce(&[std::io::IoSlice<'_>]) -> std::io::Result<usize>,
     {
-        let call_start = self.metrics.as_ref().map(|m| m.now_ns());
-        let report = match self.config.store_mode {
-            StoreMode::PerClient => self.call_tiered_cache(endpoint, op, args, send)?,
-            StoreMode::Shared => self.call_tiered_store(endpoint, op, args, send)?,
-        };
-        self.stats.record(&report);
-        if let Some(m) = &self.metrics {
-            m.add(Counter::BytesSent, report.bytes as u64);
-            let elapsed = m.now_ns().saturating_sub(call_start.unwrap_or(0));
-            m.observe_ns(HistId::send(report.tier.obs()), elapsed);
-        }
-        Ok(report)
-    }
-
-    /// [`StoreMode::PerClient`]: the paper's ownership — templates live in
-    /// this client's own cache. Kept verbatim as the differential oracle.
-    fn call_tiered_cache<F>(
-        &mut self,
-        endpoint: &str,
-        op: &OpDesc,
-        args: &[Value],
-        send: F,
-    ) -> Result<SendReport, EngineError>
-    where
-        F: FnOnce(&[std::io::IoSlice<'_>]) -> std::io::Result<usize>,
-    {
         let key = self.key_for(endpoint, op);
         let cap = self.templates_per_key;
-        let config = self.config.with_wire_format(key.format);
-
-        // Can an existing template for this key serve the call? With a
-        // multi-template set, a nonzero distance means a resize; prefer
-        // building a new variant while the set has room.
-        let matched = self.cache.match_for(&key, args);
-        let use_existing = matches!(matched, Some((_, dist, len)) if dist == 0 || len >= cap);
-
-        let report = if use_existing {
-            let mut send = Some(send);
-            let (idx, _, _) = matched.expect("checked above");
-            let metrics = self.metrics.clone();
-            let gated = {
-                let tpl = self.cache.set_mut(&key).promote(idx);
-                if let (Some(m), None) = (metrics, tpl.metrics()) {
-                    // Template predates set_metrics: attach lazily.
-                    tpl.set_metrics(m);
-                }
-                diff_and_send(&config, tpl, args, &mut send)?
-            };
-            match gated {
-                Some(report) => report,
-                None => {
-                    // Fallback: drop the (promoted-to-front) template and
-                    // take the FirstTime path, which saves a fresh one.
-                    self.cache.set_mut(&key).remove(0);
-                    if let Some(m) = &self.metrics {
-                        m.add(Counter::CostFallbacks, 1);
-                    }
-                    let send = send.take().expect("send unused");
-                    let mut report = self.first_time(key, op, args, send)?;
-                    report.fell_back = true;
-                    report
-                }
-            }
-        } else if self.share_across_endpoints && matched.is_none() {
-            if let Some(sibling) = self.cache.find_shareable(&key) {
-                // §6 sharing: clone the sibling's serialized bytes + DUT
-                // and diff — the conversion work done for the other
-                // endpoint is reused wholesale.
-                let mut tpl = sibling.clone();
-                if let (Some(m), None) = (self.metrics.clone(), tpl.metrics()) {
-                    tpl.set_metrics(m);
-                }
-                tpl.update_args(args)?;
-                let mut report = tpl.flush();
-                report.bytes = send(&tpl.io_slices())?;
-                self.stats.shared_clones += 1;
-                self.cache.insert_with_cap(key, tpl, cap);
-                report
-            } else {
-                self.first_time(key, op, args, send)?
-            }
-        } else {
-            self.first_time(key, op, args, send)?
-        };
-        Ok(report)
-    }
-
-    /// [`StoreMode::Shared`]: templates move through the shared store by
-    /// value — checkout (bytes leave the budget), diff + send, admit back
-    /// (budget re-charged, evicting if over). Every exit path after a hit
-    /// re-admits the template except the cost fallback, which discards it
-    /// — exactly the per-client semantics, with the freed bytes returned
-    /// to the budget at the `checkout` that removed them.
-    fn call_tiered_store<F>(
-        &mut self,
-        endpoint: &str,
-        op: &OpDesc,
-        args: &[Value],
-        send: F,
-    ) -> Result<SendReport, EngineError>
-    where
-        F: FnOnce(&[std::io::IoSlice<'_>]) -> std::io::Result<usize>,
-    {
-        let key = self.key_for(endpoint, op);
-        let cap = self.templates_per_key;
-        let config = self.config.with_wire_format(key.format);
         let store = self.store_handle();
         let skey = self.store_key(&key);
 
@@ -718,34 +563,31 @@ impl Client {
         }
 
         let mut send = Some(send);
-        let report = match store.checkout(&skey, args, cap) {
+        let mut fell_back = false;
+        match store.checkout(&skey, args, cap) {
             Checkout::Hit(mut tpl) => {
                 if let (Some(m), None) = (self.metrics.clone(), tpl.metrics()) {
                     // Template predates set_metrics: attach lazily.
                     tpl.set_metrics(m);
                 }
-                match diff_and_send(&config, &mut tpl, args, &mut send) {
+                match diff_and_send(&self.config, &mut tpl, args, &mut send) {
                     Ok(Some(report)) => {
                         store.admit(skey, tpl, cap);
-                        report
+                        return Ok(report);
                     }
                     Ok(None) => {
                         // Cost fallback: the checkout already returned the
                         // template's bytes to the budget; the discard only
                         // records the eviction.
                         store.note_discard(&tpl);
-                        drop(tpl);
                         if let Some(m) = &self.metrics {
                             m.add(Counter::CostFallbacks, 1);
                         }
-                        let send = send.take().expect("send unused");
-                        let mut report = self.first_time_store(&store, skey, op, args, send)?;
-                        report.fell_back = true;
-                        report
+                        fell_back = true;
                     }
                     Err(e) => {
                         // Semantic and transport errors alike leave the
-                        // template saved (the per-client path's behaviour).
+                        // template saved.
                         store.admit(skey, tpl, cap);
                         return Err(e);
                     }
@@ -754,7 +596,7 @@ impl Client {
             Checkout::MissEmpty if self.share_across_endpoints => {
                 if let Some(mut tpl) = store.find_shareable(&skey) {
                     // §6 sharing: clone the sibling's serialized bytes +
-                    // DUT and diff (tenant-scoped in the shared store).
+                    // DUT and diff (tenant- and format-scoped).
                     if let (Some(m), None) = (self.metrics.clone(), tpl.metrics()) {
                         tpl.set_metrics(m);
                     }
@@ -763,101 +605,67 @@ impl Client {
                     report.bytes = (send.take().expect("send unused"))(&tpl.io_slices())?;
                     self.stats.shared_clones += 1;
                     store.admit(skey, tpl, cap);
-                    report
-                } else {
-                    let send = send.take().expect("send unused");
-                    self.first_time_store(&store, skey, op, args, send)?
+                    return Ok(report);
                 }
             }
-            Checkout::MissEmpty | Checkout::MissVariant => {
-                let send = send.take().expect("send unused");
-                self.first_time_store(&store, skey, op, args, send)?
+            Checkout::MissEmpty | Checkout::MissVariant => {}
+        }
+        // First-Time Send: nothing saved serves the call (or the cost gate
+        // just discarded what was).
+        let send = send.take().expect("send unused");
+        let mut report = self.full_send(key.format, op, args, send, Some((&store, skey)))?;
+        report.fell_back = fell_back;
+        Ok(report)
+    }
+
+    /// Full serialization: build, send, report `FirstTime`, tick. With
+    /// `save` this is the First-Time Send — the fresh template is admitted
+    /// into the store, "the negligible overhead of checking to see if a
+    /// stored copy exists and saving a pointer to it after it has been
+    /// created" (§3); without, the degraded-mode stateless send, which
+    /// drops it.
+    fn full_send<F>(
+        &mut self,
+        format: WireFormat,
+        op: &OpDesc,
+        args: &[Value],
+        send: F,
+        save: Option<(&TemplateStore, StoreKey)>,
+    ) -> Result<SendReport, EngineError>
+    where
+        F: FnOnce(&[std::io::IoSlice<'_>]) -> std::io::Result<usize>,
+    {
+        let mut tpl = MessageTemplate::build(self.config.with_wire_format(format), op, args)?;
+        let bytes = send(&tpl.io_slices())?;
+        let report = SendReport {
+            tier: SendTier::FirstTime,
+            bytes,
+            values_written: tpl.leaf_count(),
+            shifts: 0,
+            steals: 0,
+            splits: 0,
+            fell_back: false,
+        };
+        if let Some(m) = &self.metrics {
+            m.add(Counter::send(bsoap_obs::Tier::FirstTime), 1);
+            m.add(format.send_counter(), 1);
+            m.add(Counter::SimdKernelHits, bsoap_kernels::take_simd_hits());
+            m.add(Counter::ValuesWritten, report.values_written as u64);
+        }
+        if let Some((store, skey)) = save {
+            if let Some(m) = &self.metrics {
+                tpl.set_metrics(Arc::clone(m));
             }
-        };
-        Ok(report)
-    }
-
-    /// First-Time Send: full serialization, then save the template — "the
-    /// negligible overhead of checking to see if a stored copy exists and
-    /// saving a pointer to it after it has been created" (§3).
-    fn first_time<F>(
-        &mut self,
-        key: TemplateKey,
-        op: &OpDesc,
-        args: &[Value],
-        send: F,
-    ) -> Result<SendReport, EngineError>
-    where
-        F: FnOnce(&[std::io::IoSlice<'_>]) -> std::io::Result<usize>,
-    {
-        let config = self.config.with_wire_format(key.format);
-        let mut tpl = MessageTemplate::build(config, op, args)?;
-        if let Some(m) = &self.metrics {
-            tpl.set_metrics(Arc::clone(m));
+            store.admit(skey, tpl, self.templates_per_key);
         }
-        let bytes = send(&tpl.io_slices())?;
-        let report = SendReport {
-            tier: SendTier::FirstTime,
-            bytes,
-            values_written: tpl.leaf_count(),
-            shifts: 0,
-            steals: 0,
-            splits: 0,
-            fell_back: false,
-        };
-        if let Some(m) = &self.metrics {
-            m.add(Counter::send(bsoap_obs::Tier::FirstTime), 1);
-            m.add(format_counter(key.format), 1);
-            m.add(Counter::SimdKernelHits, bsoap_kernels::take_simd_hits());
-            m.add(Counter::ValuesWritten, report.values_written as u64);
-        }
-        self.cache.insert_with_cap(key, tpl, self.templates_per_key);
-        Ok(report)
-    }
-
-    /// First-Time Send under [`StoreMode::Shared`]: full serialization,
-    /// send, then admit the fresh template into the shared store.
-    fn first_time_store<F>(
-        &mut self,
-        store: &Arc<TemplateStore>,
-        skey: StoreKey,
-        op: &OpDesc,
-        args: &[Value],
-        send: F,
-    ) -> Result<SendReport, EngineError>
-    where
-        F: FnOnce(&[std::io::IoSlice<'_>]) -> std::io::Result<usize>,
-    {
-        let config = self.config.with_wire_format(skey.key.format);
-        let mut tpl = MessageTemplate::build(config, op, args)?;
-        if let Some(m) = &self.metrics {
-            tpl.set_metrics(Arc::clone(m));
-        }
-        let bytes = send(&tpl.io_slices())?;
-        let report = SendReport {
-            tier: SendTier::FirstTime,
-            bytes,
-            values_written: tpl.leaf_count(),
-            shifts: 0,
-            steals: 0,
-            splits: 0,
-            fell_back: false,
-        };
-        if let Some(m) = &self.metrics {
-            m.add(Counter::send(bsoap_obs::Tier::FirstTime), 1);
-            m.add(format_counter(skey.key.format), 1);
-            m.add(Counter::SimdKernelHits, bsoap_kernels::take_simd_hits());
-            m.add(Counter::ValuesWritten, report.values_written as u64);
-        }
-        store.admit(skey, tpl, self.templates_per_key);
         Ok(report)
     }
 
     /// Get (building if necessary) the template for `(endpoint, op)` — the
     /// manual fast path: mutate leaves directly with `set_*`, then
-    /// [`MessageTemplate::send`]. Under [`StoreMode::Shared`] the template
-    /// is leased out of the store (bytes leave the budget) until the next
-    /// tiered call on the same key returns it.
+    /// [`MessageTemplate::send`]. The template is leased out of the store
+    /// (bytes leave the budget) until the next tiered call on the same key
+    /// returns it.
     ///
     /// Note: sends made directly on the returned template are counted in
     /// the template's own stats, not the client's.
@@ -868,59 +676,35 @@ impl Client {
         args: &[Value],
     ) -> Result<&mut MessageTemplate, EngineError> {
         let key = self.key_for(endpoint, op);
-        let config = self.config.with_wire_format(key.format);
-        match self.config.store_mode {
-            StoreMode::PerClient => {
-                if !self.cache.contains(&key) {
-                    let mut tpl = MessageTemplate::build(config, op, args)?;
-                    if let Some(m) = &self.metrics {
-                        tpl.set_metrics(Arc::clone(m));
-                    }
-                    self.cache
-                        .insert_with_cap(key.clone(), tpl, self.templates_per_key);
-                }
-                Ok(self.cache.get_mut(&key).expect("just inserted"))
+        if self.lease(&key).is_none() {
+            let config = self.config.with_wire_format(key.format);
+            let mut tpl = MessageTemplate::build(config, op, args)?;
+            if let Some(m) = &self.metrics {
+                tpl.set_metrics(Arc::clone(m));
             }
-            StoreMode::Shared => {
-                if !self.leases.contains_key(&key) {
-                    let store = self.store_handle();
-                    let skey = self.store_key(&key);
-                    let tpl = match store.lease_front(&skey) {
-                        Some(t) => t,
-                        None => {
-                            let mut t = MessageTemplate::build(config, op, args)?;
-                            if let Some(m) = &self.metrics {
-                                t.set_metrics(Arc::clone(m));
-                            }
-                            t
-                        }
-                    };
-                    self.leases.insert(key.clone(), tpl);
-                }
-                Ok(self.leases.get_mut(&key).expect("just inserted"))
-            }
+            self.leases.insert(key.clone(), tpl);
         }
+        Ok(self.leases.get_mut(&key).expect("just leased"))
     }
 
     /// Look up an existing template without building (the most recently
-    /// used one, when several variants are kept). Under
-    /// [`StoreMode::Shared`] this leases the template out of the store;
-    /// the next tiered call on the same key returns it.
+    /// used one, when several variants are kept). This leases the template
+    /// out of the store; the next tiered call on the same key returns it.
     pub fn template_mut(&mut self, endpoint: &str, op: &OpDesc) -> Option<&mut MessageTemplate> {
         let key = self.key_for(endpoint, op);
-        match self.config.store_mode {
-            StoreMode::PerClient => self.cache.get_mut(&key),
-            StoreMode::Shared => {
-                if !self.leases.contains_key(&key) {
-                    let store = self.store_handle();
-                    let skey = self.store_key(&key);
-                    if let Some(t) = store.lease_front(&skey) {
-                        self.leases.insert(key.clone(), t);
-                    }
-                }
-                self.leases.get_mut(&key)
+        self.lease(&key)
+    }
+
+    /// The outstanding lease for `key`, taking one from the store's MRU
+    /// variant if none is held yet.
+    fn lease(&mut self, key: &TemplateKey) -> Option<&mut MessageTemplate> {
+        if !self.leases.contains_key(key) {
+            let store = self.store_handle();
+            if let Some(t) = store.lease_front(&self.store_key(key)) {
+                self.leases.insert(key.clone(), t);
             }
         }
+        self.leases.get_mut(key)
     }
 
     /// Drop the saved template(s) for `(endpoint, op)` (memory
@@ -928,16 +712,11 @@ impl Client {
     pub fn evict(&mut self, endpoint: &str, op: &OpDesc) -> bool {
         let key = self.key_for(endpoint, op);
         let leased = self.leases.remove(&key).is_some();
-        match self.config.store_mode {
-            StoreMode::PerClient => self.cache.remove(&key).is_some() || leased,
-            StoreMode::Shared => {
-                let purged = match &self.store {
-                    Some(store) => store.purge(&StoreKey::new(self.tenant, key)) > 0,
-                    None => false,
-                };
-                purged || leased
-            }
-        }
+        let purged = match &self.store {
+            Some(store) => store.purge(&StoreKey::new(self.tenant, key)) > 0,
+            None => false,
+        };
+        purged || leased
     }
 }
 
@@ -954,20 +733,12 @@ impl Drop for Client {
     }
 }
 
-/// The per-lane send counter for a wire format.
-fn format_counter(format: WireFormat) -> Counter {
-    match format {
-        WireFormat::SoapXml => Counter::SendsXml,
-        WireFormat::CompactBinary => Counter::SendsBinary,
-    }
-}
-
-/// Diff a checked-out (or promoted-in-place) template against `args` and
-/// send: the tier-2/3/4 body shared by both [`StoreMode`] routes.
-/// `Ok(None)` means the §5 break-even gate priced the patch above
-/// `fallback_ratio ×` the rebuild estimate and the caller should discard
-/// the template and take the FirstTime path; errors propagate with the
-/// template intact (the caller decides where it lives).
+/// Diff a checked-out template against `args` and send: the tier-2/3/4
+/// body — plan, optional §5 gate, execute. `Ok(None)` means the break-even
+/// gate priced the patch above `fallback_ratio ×` the rebuild estimate
+/// before any byte moved, and the caller should discard the template and
+/// take the FirstTime path; errors propagate with the template intact (the
+/// caller decides where it lives).
 fn diff_and_send<F>(
     config: &EngineConfig,
     tpl: &mut MessageTemplate,
@@ -978,21 +749,13 @@ where
     F: FnOnce(&[std::io::IoSlice<'_>]) -> std::io::Result<usize>,
 {
     tpl.update_args(args)?;
-    // §5 break-even gate: price the differential send before any byte
-    // moves; `None` means patching would cost more than a rebuild and the
-    // template should be discarded.
-    if config.cost_fallback && config.flush_mode == FlushMode::Planned {
-        let plan = tpl.plan()?;
-        let rebuild = tpl.rebuild_estimate() as f64;
-        if plan.cost().total() as f64 > config.fallback_ratio * rebuild {
-            return Ok(None);
-        }
-        let mut report = tpl.flush_planned(&plan)?;
-        report.bytes = (send.take().expect("send unused"))(&tpl.io_slices())?;
-        Ok(Some(report))
-    } else {
-        let mut report = tpl.flush();
-        report.bytes = (send.take().expect("send unused"))(&tpl.io_slices())?;
-        Ok(Some(report))
+    let plan = tpl.plan()?;
+    if config.cost_fallback
+        && plan.cost().total() as f64 > config.fallback_ratio * tpl.rebuild_estimate() as f64
+    {
+        return Ok(None);
     }
+    let mut report = tpl.flush_planned(&plan)?;
+    report.bytes = (send.take().expect("send unused"))(&tpl.io_slices())?;
+    Ok(Some(report))
 }

@@ -62,22 +62,6 @@ pub enum GrowthPolicy {
     ToMax,
 }
 
-/// How `flush`/`send` apply dirty values and queued array resizes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum FlushMode {
-    /// Plan/execute split: compute a read-only [`crate::plan::SendPlan`]
-    /// first, then apply it with one coalesced right-to-left shift pass per
-    /// chunk and a single batched DUT fixup. Array resizes queue at
-    /// `update_args` time and are applied by the executor, so a planning
-    /// error leaves the template bytes untouched.
-    #[default]
-    Planned,
-    /// The original interleaved path: each dirty field is patched in place
-    /// as it is visited, shifting its chunk tail immediately when it grows.
-    /// Kept as the differential-testing oracle and for A/B benchmarks.
-    Legacy,
-}
-
 /// Which connection-handling core the hosted server runs (§ DESIGN 3.13).
 ///
 /// Mirrors `bsoap-transport`'s `ServerCore` (this crate sits below the
@@ -124,7 +108,7 @@ impl ServerCore {
 /// tracked value locations — so the same engine can speak the paper's
 /// SOAP XML or a Bebop-inspired compact binary framing. Binary leaves are
 /// fixed-width little-endian (ints/longs/doubles/bools never change
-/// serialized length), so `flush_dirty` degenerates to in-place
+/// serialized length), so `flush` degenerates to in-place
 /// overwrites and the planner never emits shifts or steals for numeric
 /// workloads: tier 3 collapses into tier 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -162,6 +146,15 @@ impl WireFormat {
         }
     }
 
+    /// The per-lane send counter every send on this format ticks (client
+    /// sends and server responses alike).
+    pub fn send_counter(self) -> bsoap_obs::Counter {
+        match self {
+            WireFormat::SoapXml => bsoap_obs::Counter::SendsXml,
+            WireFormat::CompactBinary => bsoap_obs::Counter::SendsBinary,
+        }
+    }
+
     /// Process-wide default: `BSOAP_WIRE_FORMAT` when set to a valid
     /// format name, otherwise [`WireFormat::SoapXml`]. Only
     /// [`EngineConfig::paper_default`] consults this — an explicitly built
@@ -174,46 +167,14 @@ impl WireFormat {
     }
 }
 
-/// Who owns saved templates (§ DESIGN 3.14).
-///
-/// The paper keeps one saved template per client stub; a server fleet
-/// wants the inverse — one shared, budgeted store. Both live behind this
-/// knob so the per-client path stays available as a differential oracle.
+/// Who owns saved templates (§ DESIGN 3.14): always the sharded,
+/// byte-budgeted [`crate::store::TemplateStore`] keyed by
+/// `(tenant, endpoint, op)`. Clients without an injected store lazily
+/// create a private one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StoreMode {
-    /// Templates live in a sharded, byte-budgeted
-    /// [`crate::store::TemplateStore`] keyed by `(tenant, endpoint, op)`.
-    /// Clients without an injected store lazily create a private one, so
-    /// single-client behaviour is unchanged while multi-client processes
-    /// can share one store across cores.
+    /// The only ownership mode.
     Shared,
-    /// The paper's original ownership: each client keeps its own
-    /// [`crate::TemplateCache`] with no byte budget. Kept as the
-    /// differential oracle — wire bytes must match [`StoreMode::Shared`].
-    PerClient,
-}
-
-impl StoreMode {
-    /// Parse a mode name as accepted by the `BSOAP_STORE_MODE`
-    /// environment variable (case-insensitive, separators optional).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "shared" => Some(StoreMode::Shared),
-            "per_client" | "perclient" | "per-client" => Some(StoreMode::PerClient),
-            _ => None,
-        }
-    }
-
-    /// Process-wide default: `BSOAP_STORE_MODE` when set to a valid mode
-    /// name, otherwise [`StoreMode::Shared`]. Only
-    /// [`EngineConfig::paper_default`] consults this — an explicitly built
-    /// config is never overridden by the environment.
-    pub fn default_from_env() -> Self {
-        std::env::var("BSOAP_STORE_MODE")
-            .ok()
-            .and_then(|v| Self::from_name(&v))
-            .unwrap_or(StoreMode::Shared)
-    }
 }
 
 /// Full engine configuration.
@@ -232,10 +193,6 @@ pub struct EngineConfig {
     /// conversion cost model, [`FloatFormatter::Fast`] is the Grisu3
     /// fast path (see `bsoap-convert::grisu`).
     pub float: FloatFormatter,
-    /// Worker threads for the dirty-field flush. `0` (and `1`) keep the
-    /// sequential path; `≥ 2` rewrites in-width dirty values concurrently,
-    /// sharded by chunk boundary, with byte-identical output.
-    pub parallel_workers: usize,
     /// Client side: maximum idle keep-alive connections a per-endpoint
     /// connection pool retains (`bsoap-transport`'s `PoolConfig::max_idle`).
     pub pool_size: usize,
@@ -257,13 +214,10 @@ pub struct EngineConfig {
     /// in the kernel backlog rather than being refused). Ignored by the
     /// worker-pool core, whose bounded queue plays the same role.
     pub max_connections: usize,
-    /// Which flush path applies dirty values (plan/execute vs. legacy
-    /// in-place patching).
-    pub flush_mode: FlushMode,
     /// Enable the §5 break-even gate: before patching a saved template the
     /// client compares the plan's estimated cost against a from-scratch
     /// rebuild estimate and falls back to the FirstTime path when patching
-    /// would be dearer. Requires [`FlushMode::Planned`].
+    /// would be dearer.
     pub cost_fallback: bool,
     /// Break-even multiplier for the cost gate: fall back when
     /// `plan.cost() > fallback_ratio × rebuild_estimate`. `1.0` switches at
@@ -316,11 +270,6 @@ pub struct EngineConfig {
     /// template machinery (overlay framing costs more than it saves for
     /// small arrays). `0` streams every eligible call.
     pub overlay_threshold_bytes: usize,
-    /// Who owns saved templates: the shared budgeted store or the paper's
-    /// per-client cache (the differential oracle). Defaults from the
-    /// `BSOAP_STORE_MODE` environment variable (see
-    /// [`StoreMode::default_from_env`]).
-    pub store_mode: StoreMode,
     /// Hard global byte budget for the shared template store (resident
     /// template bytes plus reserved overlay-window bytes). Admitting past
     /// it evicts the cheapest-to-rebuild templates first. `0` = unlimited.
@@ -337,8 +286,8 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// Paper-default configuration: 32 KiB chunks, exact widths, stealing
-    /// on, the 2004-era exact conversion kernel, sequential flush. This is
-    /// the operating point the figure reproductions pin.
+    /// on, the 2004-era exact conversion kernel. This is the operating
+    /// point the figure reproductions pin.
     pub fn paper_default() -> Self {
         EngineConfig {
             chunk: ChunkConfig::k32(),
@@ -346,13 +295,11 @@ impl EngineConfig {
             growth: GrowthPolicy::Exact,
             steal: true,
             float: FloatFormatter::Exact2004,
-            parallel_workers: 0,
             pool_size: 4,
             server_workers: 4,
             server_core: ServerCore::default_from_env(),
             event_loop_threads: 2,
             max_connections: 8192,
-            flush_mode: FlushMode::Planned,
             cost_fallback: false,
             fallback_ratio: 1.0,
             deadline: None,
@@ -366,7 +313,6 @@ impl EngineConfig {
             kernel: KernelPolicy::Auto,
             window_elems: 0,
             overlay_threshold_bytes: 1 << 20,
-            store_mode: StoreMode::default_from_env(),
             store_budget_bytes: 0,
             tenant_quota_bytes: 0,
             wire_format: WireFormat::default_from_env(),
@@ -411,12 +357,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style flush-parallelism override.
-    pub fn with_parallel_workers(mut self, workers: usize) -> Self {
-        self.parallel_workers = workers;
-        self
-    }
-
     /// Builder-style client connection-pool size override.
     pub fn with_pool_size(mut self, pool_size: usize) -> Self {
         self.pool_size = pool_size;
@@ -446,12 +386,6 @@ impl EngineConfig {
     /// Builder-style open-connection cap for the event-loop core.
     pub fn with_max_connections(mut self, max: usize) -> Self {
         self.max_connections = max;
-        self
-    }
-
-    /// Builder-style flush-mode override.
-    pub fn with_flush_mode(mut self, mode: FlushMode) -> Self {
-        self.flush_mode = mode;
         self
     }
 
@@ -522,9 +456,9 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style template-ownership override.
-    pub fn with_store_mode(mut self, mode: StoreMode) -> Self {
-        self.store_mode = mode;
+    /// No-op kept only for `benchmark/src/spec.rs`, which PR 13 could not edit.
+    #[doc(hidden)]
+    pub fn with_store_mode(self, _: StoreMode) -> Self {
         self
     }
 
@@ -603,23 +537,13 @@ mod tests {
     }
 
     #[test]
-    fn paper_default_pins_exact_kernel_and_sequential_flush() {
+    fn paper_default_pins_exact_kernel() {
         let p = EngineConfig::paper_default();
         assert_eq!(p.float, FloatFormatter::Exact2004);
-        assert_eq!(p.parallel_workers, 0);
         // Default differs only in the (byte-identical) conversion kernel.
         let d = EngineConfig::default();
         assert_eq!(d.float, FloatFormatter::Fast);
         assert_eq!(d.with_float(FloatFormatter::Exact2004), p);
-    }
-
-    #[test]
-    fn builder_float_and_workers() {
-        let c = EngineConfig::paper_default()
-            .with_float(FloatFormatter::Fast)
-            .with_parallel_workers(4);
-        assert_eq!(c.float, FloatFormatter::Fast);
-        assert_eq!(c.parallel_workers, 4);
     }
 
     #[test]
@@ -637,14 +561,9 @@ mod tests {
     #[test]
     fn builder_plan_knobs() {
         let d = EngineConfig::paper_default();
-        assert_eq!(d.flush_mode, FlushMode::Planned);
         assert!(!d.cost_fallback);
         assert_eq!(d.fallback_ratio, 1.0);
-        let c = d
-            .with_flush_mode(FlushMode::Legacy)
-            .with_cost_fallback(true)
-            .with_fallback_ratio(0.5);
-        assert_eq!(c.flush_mode, FlushMode::Legacy);
+        let c = d.with_cost_fallback(true).with_fallback_ratio(0.5);
         assert!(c.cost_fallback);
         assert_eq!(c.fallback_ratio, 0.5);
     }
@@ -677,31 +596,13 @@ mod tests {
     }
 
     #[test]
-    fn store_mode_knobs() {
+    fn store_budget_knobs() {
         let d = EngineConfig::paper_default();
-        // The default is env-derived (CI parameterizes the oracle leg via
-        // BSOAP_STORE_MODE), so compute the expectation the same way.
-        assert_eq!(d.store_mode, StoreMode::default_from_env());
         assert_eq!(d.store_budget_bytes, 0, "budget unlimited by default");
         assert_eq!(d.tenant_quota_bytes, 0, "quota unlimited by default");
-        let c = d
-            .with_store_mode(StoreMode::PerClient)
-            .with_store_budget(1 << 20)
-            .with_tenant_quota(64 << 10);
-        assert_eq!(c.store_mode, StoreMode::PerClient);
+        let c = d.with_store_budget(1 << 20).with_tenant_quota(64 << 10);
         assert_eq!(c.store_budget_bytes, 1 << 20);
         assert_eq!(c.tenant_quota_bytes, 64 << 10);
-    }
-
-    #[test]
-    fn store_mode_names_parse() {
-        for name in ["shared", "Shared", " SHARED "] {
-            assert_eq!(StoreMode::from_name(name), Some(StoreMode::Shared));
-        }
-        for name in ["per_client", "PerClient", "per-client"] {
-            assert_eq!(StoreMode::from_name(name), Some(StoreMode::PerClient));
-        }
-        assert_eq!(StoreMode::from_name("global"), None);
     }
 
     #[test]

@@ -165,19 +165,10 @@ impl DutTable {
 
     /// Settle the aggregate count after `n` dirty bits were cleared
     /// directly on entries obtained via [`Self::entries_mut_raw`] (the
-    /// parallel flush workers do this on their disjoint slices).
+    /// executor's write phase does this).
     pub(crate) fn note_bits_cleared(&mut self, n: usize) {
         debug_assert!(n <= self.dirty_count);
         self.dirty_count -= n;
-    }
-
-    /// Clear one dirty bit after the value has been written to the buffer.
-    pub(crate) fn clear_dirty(&mut self, idx: usize) {
-        let entry = &mut self.entries[idx];
-        if entry.dirty {
-            entry.dirty = false;
-            self.dirty_count -= 1;
-        }
     }
 
     /// Splice new entries in at `at` (array growth) — entries must already
@@ -272,7 +263,8 @@ mod tests {
         t.set_value(1, Scalar::Int(1)); // same as stored → no-op
         assert_eq!(t.dirty_count(), 1);
 
-        t.clear_dirty(0);
+        t.entries_mut_raw()[0].dirty = false;
+        t.note_bits_cleared(1);
         assert_eq!(t.dirty_count(), 0);
         t.assert_invariants();
     }

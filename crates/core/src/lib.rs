@@ -29,7 +29,7 @@
 //!
 //! ## Entry points
 //!
-//! [`Client`] gives the automatic four-tier behavior with a template cache;
+//! [`Client`] gives the automatic four-tier behavior over a [`TemplateStore`];
 //! [`MessageTemplate`] is the manual, zero-re-walk API for hot loops.
 
 pub mod cache;
@@ -48,11 +48,11 @@ pub mod template;
 pub mod value;
 pub mod wire;
 
-pub use cache::{TemplateCache, TemplateKey};
+pub use cache::TemplateKey;
 pub use client::{Client, ClientStats, OverlaidOutcome};
 pub use config::{
-    EngineConfig, FloatFormatter, FlushMode, GrowthPolicy, KernelPolicy, ServerCore, StoreMode,
-    WidthPolicy, WireFormat,
+    EngineConfig, FloatFormatter, GrowthPolicy, KernelPolicy, ServerCore, StoreMode, WidthPolicy,
+    WireFormat,
 };
 pub use dut::{DutEntry, DutTable};
 pub use error::EngineError;

@@ -44,14 +44,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// rarely collides on one lock.
 const SHARDS: usize = 16;
 
-/// Store key: tenant plus the per-client cache key. Tenant `0` is the
+/// Store key: tenant plus the template key. Tenant `0` is the
 /// single-tenant default, so a lone client pays nothing for the extra
 /// dimension.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct StoreKey {
     /// Tenant identity (billing/isolation domain).
     pub tenant: u64,
-    /// Endpoint + structural signature, as in the per-client cache.
+    /// Endpoint + structural signature + wire format.
     pub key: TemplateKey,
 }
 
@@ -151,8 +151,7 @@ impl TemplateStore {
         }
     }
 
-    /// Unbudgeted store (both limits off) — the drop-in replacement for a
-    /// per-client cache.
+    /// Unbudgeted store (both limits off).
     pub fn unbounded() -> Self {
         Self::new(0, 0)
     }
@@ -400,16 +399,18 @@ impl TemplateStore {
         n
     }
 
-    /// Clone a same-structure template saved for a *different* endpoint of
-    /// the *same tenant* — the §6 cross-endpoint sharing candidate,
-    /// tenant-scoped so sharing never leaks bytes across isolation
-    /// domains.
+    /// Clone a same-structure, same-format template saved for a
+    /// *different* endpoint of the *same tenant* — the §6 cross-endpoint
+    /// sharing candidate, tenant-scoped so sharing never leaks bytes
+    /// across isolation domains, format-scoped so one lane's bytes never
+    /// reach the other lane.
     pub fn find_shareable(&self, key: &StoreKey) -> Option<MessageTemplate> {
         for shard in &self.shards {
             let g = shard.map.lock().unwrap();
             let found = g.iter().find_map(|(k, set)| {
                 (k.tenant == key.tenant
                     && k.key.signature == key.key.signature
+                    && k.key.format == key.key.format
                     && k.key.endpoint != key.key.endpoint)
                     .then(|| set.templates().first().cloned())
                     .flatten()
@@ -713,6 +714,14 @@ mod tests {
         assert!(
             store.find_shareable(&skey(7, "a")).is_none(),
             "same endpoint is a direct hit, not a share"
+        );
+        let other_lane = StoreKey::new(
+            7,
+            TemplateKey::for_format("b", &arr_op(), crate::config::WireFormat::CompactBinary),
+        );
+        assert!(
+            store.find_shareable(&other_lane).is_none(),
+            "the saved bytes are a different lane"
         );
     }
 

@@ -219,8 +219,6 @@ impl MessageTemplate {
             store: b.store,
             dut: b.dut,
             arrays: b.arrays,
-            scratch: b.scratch,
-            region_scratch: b.region,
             stats,
             structure_changed: false,
             pending_resizes: Vec::new(),
@@ -232,17 +230,15 @@ impl MessageTemplate {
 
 #[cfg(test)]
 mod tests {
-    use crate::config::{EngineConfig, FlushMode, WireFormat};
+    use crate::config::{EngineConfig, WireFormat};
     use crate::schema::{OpDesc, ParamDesc, TypeDesc};
     use crate::template::{MessageTemplate, SendTier};
     use crate::value::Value;
     use crate::wire;
     use bsoap_convert::ScalarKind;
 
-    fn bin_cfg(mode: FlushMode) -> EngineConfig {
-        EngineConfig::paper_default()
-            .with_wire_format(WireFormat::CompactBinary)
-            .with_flush_mode(mode)
+    fn bin_cfg() -> EngineConfig {
+        EngineConfig::paper_default().with_wire_format(WireFormat::CompactBinary)
     }
 
     fn mesh_op() -> OpDesc {
@@ -277,7 +273,7 @@ mod tests {
     #[test]
     fn binary_build_is_framed_and_compact() {
         let t = MessageTemplate::build(
-            bin_cfg(FlushMode::Planned),
+            bin_cfg(),
             &mesh_op(),
             &mesh_args(1, &[1.0, 2.5, -3.0], "run"),
         )
@@ -296,66 +292,53 @@ mod tests {
 
     #[test]
     fn numeric_rewrites_are_pure_overwrites() {
-        for mode in [FlushMode::Planned, FlushMode::Legacy] {
-            let mut t = MessageTemplate::build(
-                bin_cfg(mode),
-                &mesh_op(),
-                &mesh_args(1, &[1.0, 2.5, -3.0], "run"),
-            )
+        let mut t = MessageTemplate::build(
+            bin_cfg(),
+            &mesh_op(),
+            &mesh_args(1, &[1.0, 2.5, -3.0], "run"),
+        )
+        .unwrap();
+        let len0 = t.message_len();
+        let tier = t
+            .update_args(&mesh_args(2, &[9.0, f64::MIN_POSITIVE, 1e300], "run"))
             .unwrap();
-            let len0 = t.message_len();
-            let tier = t
-                .update_args(&mesh_args(2, &[9.0, f64::MIN_POSITIVE, 1e300], "run"))
-                .unwrap();
-            assert_eq!(tier, SendTier::PerfectStructural);
-            let report = t.flush();
-            assert_eq!(report.shifts, 0, "{mode:?}");
-            assert_eq!(report.steals, 0, "{mode:?}");
-            assert_eq!(t.message_len(), len0);
-            // The patched bytes equal a from-scratch build of the new args.
-            let fresh = MessageTemplate::build(
-                bin_cfg(mode),
-                &mesh_op(),
-                &mesh_args(2, &[9.0, f64::MIN_POSITIVE, 1e300], "run"),
-            )
-            .unwrap();
-            assert_eq!(t.to_bytes(), fresh.to_bytes());
-        }
+        assert_eq!(tier, SendTier::PerfectStructural);
+        let report = t.flush();
+        assert_eq!(report.shifts, 0);
+        assert_eq!(report.steals, 0);
+        assert_eq!(t.message_len(), len0);
+        // The patched bytes equal a from-scratch build of the new args.
+        let fresh = MessageTemplate::build(
+            bin_cfg(),
+            &mesh_op(),
+            &mesh_args(2, &[9.0, f64::MIN_POSITIVE, 1e300], "run"),
+        )
+        .unwrap();
+        assert_eq!(t.to_bytes(), fresh.to_bytes());
     }
 
     #[test]
     fn resize_matches_fresh_build_bytes() {
-        for mode in [FlushMode::Planned, FlushMode::Legacy] {
-            let mut t =
-                MessageTemplate::build(bin_cfg(mode), &mesh_op(), &mesh_args(1, &[1.0, 2.0], "t"))
-                    .unwrap();
-            // Grow.
-            let grown = mesh_args(1, &[1.0, 2.0, 3.0, 4.0, 5.0], "t");
-            assert_eq!(
-                t.update_args(&grown).unwrap(),
-                SendTier::PartialStructural,
-                "{mode:?}"
-            );
-            t.flush();
-            let fresh = MessageTemplate::build(bin_cfg(mode), &mesh_op(), &grown).unwrap();
-            assert_eq!(t.to_bytes(), fresh.to_bytes(), "grow {mode:?}");
-            // Shrink back below the original length.
-            let shrunk = mesh_args(1, &[7.0], "t");
-            t.update_args(&shrunk).unwrap();
-            t.flush();
-            let fresh = MessageTemplate::build(bin_cfg(mode), &mesh_op(), &shrunk).unwrap();
-            assert_eq!(t.to_bytes(), fresh.to_bytes(), "shrink {mode:?}");
-        }
+        let mut t =
+            MessageTemplate::build(bin_cfg(), &mesh_op(), &mesh_args(1, &[1.0, 2.0], "t")).unwrap();
+        // Grow.
+        let grown = mesh_args(1, &[1.0, 2.0, 3.0, 4.0, 5.0], "t");
+        assert_eq!(t.update_args(&grown).unwrap(), SendTier::PartialStructural);
+        t.flush();
+        let fresh = MessageTemplate::build(bin_cfg(), &mesh_op(), &grown).unwrap();
+        assert_eq!(t.to_bytes(), fresh.to_bytes(), "grow");
+        // Shrink back below the original length.
+        let shrunk = mesh_args(1, &[7.0], "t");
+        t.update_args(&shrunk).unwrap();
+        t.flush();
+        let fresh = MessageTemplate::build(bin_cfg(), &mesh_op(), &shrunk).unwrap();
+        assert_eq!(t.to_bytes(), fresh.to_bytes(), "shrink");
     }
 
     #[test]
     fn string_shrink_pads_in_place_growth_reflows() {
-        let mut t = MessageTemplate::build(
-            bin_cfg(FlushMode::Planned),
-            &mesh_op(),
-            &mesh_args(1, &[1.0], "abcdef"),
-        )
-        .unwrap();
+        let mut t =
+            MessageTemplate::build(bin_cfg(), &mesh_op(), &mesh_args(1, &[1.0], "abcdef")).unwrap();
         let len0 = t.message_len();
         // Shrink: the string record rewrites inside its width, padding the
         // slack with spaces; total length is unchanged.
@@ -368,12 +351,9 @@ mod tests {
         // Growth past the width shifts, like an XML string.
         t.update_args(&mesh_args(1, &[1.0], "abcdefghij")).unwrap();
         t.flush();
-        let fresh = MessageTemplate::build(
-            bin_cfg(FlushMode::Planned),
-            &mesh_op(),
-            &mesh_args(1, &[1.0], "abcdefghij"),
-        )
-        .unwrap();
+        let fresh =
+            MessageTemplate::build(bin_cfg(), &mesh_op(), &mesh_args(1, &[1.0], "abcdefghij"))
+                .unwrap();
         assert_eq!(t.to_bytes(), fresh.to_bytes());
     }
 
@@ -392,15 +372,14 @@ mod tests {
                     .collect(),
             )
         };
-        let mut t = MessageTemplate::build(bin_cfg(FlushMode::Planned), &op, &[mios(4)]).unwrap();
+        let mut t = MessageTemplate::build(bin_cfg(), &op, &[mios(4)]).unwrap();
         let bytes = t.to_bytes();
         assert!(wire::is_binary(&bytes));
         // Resize down then up; bytes must always match a fresh build.
         for n in [2usize, 6, 1] {
             t.update_args(&[mios(n)]).unwrap();
             t.flush();
-            let fresh =
-                MessageTemplate::build(bin_cfg(FlushMode::Planned), &op, &[mios(n)]).unwrap();
+            let fresh = MessageTemplate::build(bin_cfg(), &op, &[mios(n)]).unwrap();
             assert_eq!(t.to_bytes(), fresh.to_bytes(), "n={n}");
         }
     }
@@ -413,14 +392,12 @@ mod tests {
         // a binary rebuild cheaper — the lane needs no special casing.
         let op = mesh_op();
         let args = mesh_args(6, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "tag");
-        let bin = MessageTemplate::build(bin_cfg(FlushMode::Planned), &op, &args).unwrap();
+        let bin = MessageTemplate::build(bin_cfg(), &op, &args).unwrap();
         // Pin the twin to the XML lane explicitly: under a process-wide
         // `BSOAP_WIRE_FORMAT=binary` override, `paper_default()` would
         // otherwise build a second binary template.
         let xml = MessageTemplate::build(
-            EngineConfig::paper_default()
-                .with_wire_format(WireFormat::SoapXml)
-                .with_flush_mode(FlushMode::Planned),
+            EngineConfig::paper_default().with_wire_format(WireFormat::SoapXml),
             &op,
             &args,
         )

@@ -385,8 +385,6 @@ impl MessageTemplate {
             store: b.store,
             dut: b.dut,
             arrays: b.arrays,
-            scratch: b.scratch,
-            region_scratch: b.region,
             stats,
             structure_changed: false,
             pending_resizes: Vec::new(),
@@ -414,8 +412,6 @@ impl MessageTemplate {
             store: b.store,
             dut: b.dut,
             arrays: Vec::new(),
-            scratch: b.scratch,
-            region_scratch: b.region,
             stats: TemplateStats::default(),
             structure_changed: false,
             pending_resizes: Vec::new(),

@@ -13,7 +13,7 @@ mod patch;
 mod planner;
 mod resize;
 
-use crate::config::{EngineConfig, FlushMode};
+use crate::config::EngineConfig;
 use crate::dut::DutTable;
 use crate::error::EngineError;
 use crate::plan::InjectedFault;
@@ -143,14 +143,10 @@ pub struct MessageTemplate {
     pub(crate) store: ChunkStore,
     pub(crate) dut: DutTable,
     pub(crate) arrays: Vec<ArrayInfo>,
-    /// Scratch for value serialization (reused across flushes).
-    pub(crate) scratch: Vec<u8>,
-    /// Scratch for region composition.
-    pub(crate) region_scratch: Vec<u8>,
     pub(crate) stats: TemplateStats,
     /// Set when the current update cycle changed array sizes.
     pub(crate) structure_changed: bool,
-    /// Array resizes queued by `update_args` under [`FlushMode::Planned`]
+    /// Array resizes queued by `update_args`
     /// (`(array index, pending value)`, ascending, at most one per array).
     /// The executor applies them at flush time; until then the template
     /// bytes and DUT stay untouched, which is what makes a failed send
@@ -325,7 +321,7 @@ impl MessageTemplate {
     }
 
     /// The tier the next flush will take, given current dirty/structure
-    /// state (queued planned-mode resizes count as structural change).
+    /// state (queued resizes count as structural change).
     pub fn pending_tier(&self) -> SendTier {
         if self.structure_changed || !self.pending_resizes.is_empty() {
             SendTier::PartialStructural
@@ -393,21 +389,14 @@ impl MessageTemplate {
         // Diff the common prefix.
         self.diff_elements(array_idx, value, 0, common)?;
         if new_len != old_len {
-            match self.config.flush_mode {
-                // Legacy path resizes eagerly, mutating the template here.
-                FlushMode::Legacy => self.resize_array(array_idx, value)?,
-                // Planned path defers: validate the new tail now (so the
-                // flush-time resize cannot fail), then queue the value for
-                // the executor. `old_len` stays the template's length until
-                // the flush applies the resize.
-                FlushMode::Planned => {
-                    if new_len > old_len {
-                        let item_desc = self.arrays[array_idx].item_desc.clone();
-                        planner::validate_elements(&item_desc, value, old_len, new_len)?;
-                    }
-                    self.queue_resize(array_idx, value.clone());
-                }
+            // Validate the new tail now (so the flush-time resize cannot
+            // fail), then queue the value for the executor. `old_len` stays
+            // the template's length until the flush applies the resize.
+            if new_len > old_len {
+                let item_desc = self.arrays[array_idx].item_desc.clone();
+                planner::validate_elements(&item_desc, value, old_len, new_len)?;
             }
+            self.queue_resize(array_idx, value.clone());
         } else {
             // Back to the template's length: any queued resize is moot.
             self.cancel_resize(array_idx);
@@ -415,7 +404,7 @@ impl MessageTemplate {
         Ok(())
     }
 
-    /// Queue (or replace) a planned-mode resize for `array_idx`.
+    /// Queue (or replace) a resize for `array_idx`.
     fn queue_resize(&mut self, array_idx: usize, value: Value) {
         match self
             .pending_resizes
@@ -515,17 +504,22 @@ impl MessageTemplate {
         }
     }
 
-    /// Re-serialize all dirty leaves into the stored bytes (no I/O).
+    /// Re-serialize all dirty leaves into the stored bytes (no I/O): plan,
+    /// then execute.
     ///
     /// Returns the tier this flush realized plus patch statistics.
     pub fn flush(&mut self) -> SendReport {
-        self.flush_dirty()
+        let plan = self
+            .plan()
+            .expect("planning is infallible without injected faults");
+        self.flush_planned(&plan)
+            .expect("a freshly computed plan cannot be stale")
     }
 
     /// Flush dirty leaves, then write the whole message to `sink` with
     /// vectored I/O. This is the paper's measured "Send Time" operation.
     pub fn send(&mut self, sink: &mut impl Write) -> Result<SendReport, EngineError> {
-        let mut report = self.flush_dirty();
+        let mut report = self.flush();
         let slices = self.store.io_slices();
         let n = crate::sendv::write_all_vectored_metered(sink, &slices, self.metrics.as_deref())?;
         report.bytes = n;

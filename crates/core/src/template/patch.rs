@@ -1,12 +1,12 @@
 //! Differential flush: rewrite only dirty values, expanding fields on
 //! demand via stealing and shifting (§3.2).
 //!
-//! ## Plan/execute split (default, [`crate::config::FlushMode::Planned`])
+//! ## Plan/execute split
 //!
 //! The planner (`planner.rs`) computes a read-only [`SendPlan`]; this
-//! module's executor applies it in three phases, each byte-equivalent to
-//! the legacy interleaved order because steals never change a region's end
-//! position and shifts only move bytes at-or-past a region end:
+//! module's executor applies it in three phases. The order is sound
+//! because steals never change a region's end position and shifts only
+//! move bytes at-or-past a region end:
 //!
 //! 1. **Steals** (ascending): move each steal span right, narrow the
 //!    neighbor. The plan's simulated widths match live geometry exactly.
@@ -15,43 +15,16 @@
 //!    and one batched DUT fixup — O(chunk) per chunk instead of
 //!    O(shifts × chunk). When a chunk cannot grow, it splits at the first
 //!    gap and the remaining gaps re-group in the new tail chunk.
-//! 3. **Writes** (ascending, parallelizable by chunk): every region's final
-//!    location and width are settled, so writing `[value][suffix][pad]`
-//!    from the plan blob is embarrassingly parallel — no contagion rule.
-//!
-//! ## Parallel flush (legacy path)
-//!
-//! With [`crate::EngineConfig::parallel_workers`] ≥ 2 the flush shards
-//! work by *chunk boundary*: each chunk's dirty entries form a run, runs
-//! are distributed over scoped worker threads, and every worker rewrites
-//! the in-width dirty values of its chunks concurrently. This is safe —
-//! and byte-identical to the sequential flush — because an in-width
-//! rewrite only touches bytes inside its own field region of its own
-//! chunk and never changes the chunk's length or any field's location.
-//!
-//! Entries whose new value exceeds the field width need stealing or
-//! shifting, which rearranges chunk bytes and downstream DUT locations;
-//! those are *deferred* and replayed sequentially, in ascending entry
-//! order, after the workers join — exactly the order and state the
-//! sequential path would have seen. One subtlety: stealing from entry `i`
-//! inspects entry `i+1`'s pre-patch geometry, so when stealing is enabled
-//! an entry directly following a deferred entry in the same chunk is
-//! deferred too (contagion) rather than rewritten concurrently.
+//! 3. **Writes** (ascending): every region's final location and width are
+//!    settled, so each write lays down `[value][suffix][pad]` from the
+//!    plan blob and touches only its own region's bytes.
 
 use super::{MessageTemplate, SendReport, SendTier};
-use crate::config::{FlushMode, GrowthPolicy, KernelPolicy};
+use crate::config::KernelPolicy;
 use crate::dut::DutEntry;
 use crate::error::EngineError;
 use crate::plan::{InjectedFault, OpKind, PlannedOp, SendPlan};
 use bsoap_obs::{Counter, Recorder, TraceKind};
-
-/// One parallel-flush work unit: the global index of the run's first
-/// entry, the run's DUT entries, and the chunk buffer they live in.
-type FlushRun<'a> = (usize, &'a mut [DutEntry], &'a mut [u8]);
-
-/// One parallel-write work unit (planned executor): the run's ops, its
-/// first entry's global index, the run's DUT entries, and their chunk.
-type WriteRun<'a, 'p> = (&'p [PlannedOp], usize, &'a mut [DutEntry], &'a mut [u8]);
 
 /// Counters for one flush. [`MessageTemplate::finish_flush`] is the single
 /// fold that turns these into lifetime stats, obs counters, the trace span,
@@ -68,30 +41,6 @@ struct PatchCounters {
 }
 
 impl MessageTemplate {
-    /// Re-serialize all dirty leaves into the stored message, via the
-    /// configured flush path.
-    pub(crate) fn flush_dirty(&mut self) -> SendReport {
-        match self.config.flush_mode {
-            FlushMode::Planned => {
-                let plan = self
-                    .plan()
-                    .expect("planning is infallible without injected faults");
-                self.flush_planned(&plan)
-                    .expect("a freshly computed plan cannot be stale")
-            }
-            FlushMode::Legacy => {
-                let tier = self.pending_tier();
-                let dirty = self.dut.dirty_count();
-                let flush_start = self.metrics.as_ref().map(|m| m.now_ns());
-                let mut counters = PatchCounters::default();
-                if dirty > 0 && !self.try_flush_parallel(&mut counters) {
-                    self.flush_sequential(&mut counters);
-                }
-                self.finish_flush(tier, dirty, flush_start, counters)
-            }
-        }
-    }
-
     /// Apply a previously computed [`SendPlan`] (the execute half of the
     /// plan/execute split). The template must not have been mutated since
     /// the plan was computed; a drifted stamp returns
@@ -111,10 +60,9 @@ impl MessageTemplate {
         Ok(self.finish_flush(tier, dirty, flush_start, counters))
     }
 
-    /// The single counter fold shared by every flush path: lifetime stats,
-    /// obs counters (including chunk-store churn scooped since the last
-    /// flush — resize work included), the per-send trace span, and the
-    /// report.
+    /// The single counter fold of a flush: lifetime stats, obs counters
+    /// (including chunk-store churn scooped since the last flush — resize
+    /// work included), the per-send trace span, and the report.
     fn finish_flush(
         &mut self,
         tier: SendTier,
@@ -139,13 +87,7 @@ impl MessageTemplate {
         let simd_hits = bsoap_kernels::take_simd_hits();
         if let Some(m) = &self.metrics {
             m.add(Counter::send(tier.obs()), 1);
-            m.add(
-                match self.config.wire_format {
-                    crate::config::WireFormat::SoapXml => Counter::SendsXml,
-                    crate::config::WireFormat::CompactBinary => Counter::SendsBinary,
-                },
-                1,
-            );
+            m.add(self.config.wire_format.send_counter(), 1);
             m.add(Counter::SimdKernelHits, simd_hits);
             m.add(Counter::ChunkGrows, churn.grows);
             m.add(Counter::ChunkMerges, churn.merges);
@@ -183,7 +125,7 @@ impl MessageTemplate {
     }
 
     // ------------------------------------------------------------------
-    // Planned executor
+    // Executor
     // ------------------------------------------------------------------
 
     /// Apply a validated plan: queued resizes first (re-planning the leaf
@@ -242,20 +184,50 @@ impl MessageTemplate {
         self.execute_writes(&plan.ops, &plan.blob, counters);
     }
 
-    /// Apply one planned steal (the mutation half of [`Self::try_steal`];
-    /// feasibility was proven by the planner against the same geometry).
+    /// Apply one planned steal (§3.2: "stealing extra space from
+    /// neighboring fields, instead of shifting entire portions of message
+    /// chunks"; feasibility was proven by the planner against the same
+    /// geometry): move the span between this region's end and the
+    /// neighbor's value+suffix end right by `delta` (a handful of tag
+    /// bytes), narrowing the neighbor.
     fn execute_steal(&mut self, i: usize, delta: u32) {
+        let j = i + 1;
         let e = self.dut.entry(i);
-        let n = self.dut.entry(i + 1);
+        let n = self.dut.entry(j);
         debug_assert_eq!(n.loc.chunk, e.loc.chunk);
         debug_assert!(n.pad() >= delta && n.width - delta >= n.ser_len);
-        self.do_steal(i, delta);
+        let span_start = e.region_end();
+        let span_end = n.loc.offset + n.ser_len + n.suffix_len;
+        debug_assert!(span_start <= n.loc.offset);
+        let chunk = e.loc.chunk;
+
+        self.store.move_range_right(
+            chunk as usize,
+            span_start as usize,
+            span_end as usize,
+            delta as usize,
+        );
+
+        // Fix the neighbor's geometry.
+        {
+            let n = self.dut.entry_mut_raw(j);
+            n.loc.offset += delta;
+            n.width -= delta;
+        }
+        // Markers inside or at the start of the moved span ride along.
+        for a in &mut self.arrays {
+            for m in [&mut a.content_start, &mut a.content_end] {
+                if m.chunk == chunk && m.offset >= span_start && m.offset < span_end {
+                    m.offset += delta;
+                }
+            }
+        }
     }
 
     /// Open every planned gap of one chunk. The fast path is a single
     /// right-to-left pass; when the chunk cannot grow to hold all the gaps
-    /// it splits at the first gap (bounding future shift work, as the
-    /// legacy path does) and the remaining gaps re-group in the tail chunk.
+    /// it splits at the first gap (bounding future shift work to the chunk
+    /// size) and the remaining gaps re-group in the tail chunk.
     fn execute_shift_group(&mut self, group: &[(usize, u32)], counters: &mut PatchCounters) {
         let mut rest = group;
         while !rest.is_empty() {
@@ -303,13 +275,11 @@ impl MessageTemplate {
     /// Batched DUT/marker fixup after [`bsoap_chunks::ChunkStore::open_gaps_right`]:
     /// everything in `chunk` after the first gap's entry moves right by the
     /// sum of the deltas of gaps at-or-before its offset (positions in
-    /// pre-pass coordinates, ascending). One sweep replaces the per-gap
-    /// sweeps of the legacy path.
+    /// pre-pass coordinates, ascending), in one sweep for all gaps.
     ///
     /// Entries within a chunk sit at ascending offsets (document order), so
     /// the entry sweep and the ascending gap list merge with two pointers —
-    /// O(entries + gaps) where the former `take_while` rescan was
-    /// O(entries × gaps). Array markers are few and unsorted; they use a
+    /// O(entries + gaps). Array markers are few and unsorted; they use a
     /// binary search over the same prefix sums.
     fn apply_multi_gap_fixups(
         &mut self,
@@ -355,17 +325,11 @@ impl MessageTemplate {
     }
 
     /// Phase 3: write every planned region `[value][suffix][pad]` from the
-    /// plan blob. Regions are disjoint and fully settled, so with ≥ 2
-    /// workers and dirt in ≥ 2 chunks the writes shard by chunk with no
-    /// deferral or contagion.
+    /// plan blob. Regions are disjoint and fully settled.
     fn execute_writes(&mut self, ops: &[PlannedOp], blob: &[u8], counters: &mut PatchCounters) {
         counters.values_written += ops.len();
-        if self.config.parallel_workers >= 2 && self.try_write_parallel(ops, blob) {
-            return;
-        }
         let kernel = self.config.kernel;
         let MessageTemplate { store, dut, .. } = &mut *self;
-        let mut cleared = 0usize;
         for op in ops {
             let e = &mut dut.entries_mut_raw()[op.entry];
             apply_write(
@@ -375,444 +339,8 @@ impl MessageTemplate {
                 blob,
                 kernel,
             );
-            cleared += 1;
         }
-        dut.note_bits_cleared(cleared);
-    }
-
-    /// Chunk-sharded parallel writes. Returns `false` when the op set does
-    /// not span multiple chunks (the sequential loop is cheaper).
-    fn try_write_parallel(&mut self, ops: &[PlannedOp], blob: &[u8]) -> bool {
-        // Per-chunk runs of ops (ops are in ascending entry order, entries
-        // in document order, so each chunk's ops are contiguous).
-        let mut runs: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            let chunk = self.dut.entry(op.entry).loc.chunk as usize;
-            match runs.last_mut() {
-                Some((c, r)) if *c == chunk => r.end = i + 1,
-                _ => runs.push((chunk, i..i + 1)),
-            }
-        }
-        if runs.len() < 2 {
-            return false;
-        }
-        let nworkers = self.config.parallel_workers.min(runs.len());
-        let kernel = self.config.kernel;
-
-        let MessageTemplate { store, dut, .. } = &mut *self;
-        let mut bufs: Vec<Option<&mut [u8]>> =
-            store.chunk_bufs_mut().into_iter().map(Some).collect();
-        let mut tail: &mut [DutEntry] = dut.entries_mut_raw();
-        let mut consumed = 0usize;
-        let mut sliced: Vec<WriteRun> = Vec::with_capacity(runs.len());
-        for (chunk, r) in runs {
-            let run_ops = &ops[r.clone()];
-            let first_entry = run_ops[0].entry;
-            let last_entry = run_ops[run_ops.len() - 1].entry;
-            let (_, rest) = std::mem::take(&mut tail).split_at_mut(first_entry - consumed);
-            let (entries, rest) = rest.split_at_mut(last_entry + 1 - first_entry);
-            tail = rest;
-            consumed = last_entry + 1;
-            let buf = bufs[chunk].take().expect("one run per chunk");
-            sliced.push((run_ops, first_entry, entries, buf));
-        }
-
-        // Greedy least-loaded assignment, largest runs first.
-        sliced.sort_by_key(|(run_ops, ..)| std::cmp::Reverse(run_ops.len()));
-        let mut buckets: Vec<Vec<WriteRun>> = (0..nworkers).map(|_| Vec::new()).collect();
-        let mut load = vec![0usize; nworkers];
-        for item in sliced {
-            let w = (0..nworkers)
-                .min_by_key(|&w| load[w])
-                .expect("nworkers >= 2");
-            load[w] += item.0.len();
-            buckets[w].push(item);
-        }
-
-        let cleared: usize = std::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|bucket| {
-                    scope.spawn(move || {
-                        let mut cleared = 0usize;
-                        for (run_ops, first_entry, entries, buf) in bucket {
-                            for op in run_ops {
-                                let e = &mut entries[op.entry - first_entry];
-                                apply_write(buf, e, op, blob, kernel);
-                                cleared += 1;
-                            }
-                        }
-                        cleared
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("write worker panicked"))
-                .sum()
-        });
-        self.dut.note_bits_cleared(cleared);
-        true
-    }
-
-    // ------------------------------------------------------------------
-    // Legacy interleaved flush
-    // ------------------------------------------------------------------
-
-    /// The classic sequential flush: serialize and patch each dirty leaf
-    /// in ascending entry order.
-    fn flush_sequential(&mut self, counters: &mut PatchCounters) {
-        // Serialize into a detached scratch to sidestep borrow overlap
-        // with the DUT entry we read the value from.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let float = self.config.float;
-        let kernel = self.config.kernel;
-        let format = self.config.wire_format;
-        let n = self.dut.len();
-        for i in 0..n {
-            if !self.dut.entry(i).dirty {
-                continue;
-            }
-            self.dut
-                .entry(i)
-                .value
-                .serialize_wire(&mut scratch, float, kernel, format);
-            self.patch_entry(i, &scratch, counters);
-            self.dut.clear_dirty(i);
-        }
-        self.scratch = scratch;
-    }
-
-    /// Chunk-sharded parallel flush. Returns `false` (without touching
-    /// anything) when the configuration or dirty-set shape does not
-    /// warrant threads; the caller then runs the sequential path.
-    fn try_flush_parallel(&mut self, counters: &mut PatchCounters) -> bool {
-        if self.config.parallel_workers < 2 {
-            return false;
-        }
-
-        // Find per-chunk runs of dirty work. Entries are stored in
-        // document order, so each chunk's entries occupy one contiguous
-        // index range; a run is the `first_dirty..=last_dirty` span of a
-        // chunk that has any dirt (clean entries inside are skipped by the
-        // worker). Ranges instead of index lists keep this pre-pass
-        // allocation-light and let workers own their entries mutably.
-        let mut runs: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-        for (i, e) in self.dut.entries().iter().enumerate() {
-            if !e.dirty {
-                continue;
-            }
-            let chunk = e.loc.chunk as usize;
-            match runs.last_mut() {
-                Some((c, r)) if *c == chunk => r.end = i + 1,
-                other => {
-                    debug_assert!(other.is_none_or(|(c, _)| *c < chunk), "document order");
-                    runs.push((chunk, i..i + 1));
-                }
-            }
-        }
-        if runs.len() < 2 {
-            return false; // all dirt in one chunk: threads cannot help
-        }
-
-        let nworkers = self.config.parallel_workers.min(runs.len());
-        let float = self.config.float;
-        let steal = self.config.steal;
-        let kernel = self.config.kernel;
-        let format = self.config.wire_format;
-
-        // Split the borrow: each worker owns disjoint slices of the DUT
-        // table and disjoint chunk buffers; `self` is untouched until they
-        // join. Slicing the table mutably lets workers commit `ser_len`
-        // and dirty bits themselves, so the post-join pass is O(deferred)
-        // rather than O(dirty).
-        let MessageTemplate { store, dut, .. } = &mut *self;
-        let mut bufs: Vec<Option<&mut [u8]>> =
-            store.chunk_bufs_mut().into_iter().map(Some).collect();
-        let mut tail: &mut [DutEntry] = dut.entries_mut_raw();
-        let mut consumed = 0usize;
-        // (global index of run start, the run's entries, its chunk buffer)
-        let mut sliced: Vec<FlushRun> = Vec::with_capacity(runs.len());
-        for (chunk, r) in runs {
-            let (_, rest) = std::mem::take(&mut tail).split_at_mut(r.start - consumed);
-            let (run, rest) = rest.split_at_mut(r.end - r.start);
-            tail = rest;
-            consumed = r.end;
-            let buf = bufs[chunk].take().expect("one run per chunk");
-            sliced.push((r.start, run, buf));
-        }
-
-        // Greedy least-loaded assignment of runs (largest first) so one
-        // hot chunk does not serialize the whole flush behind it.
-        sliced.sort_by_key(|(_, run, _)| std::cmp::Reverse(run.len()));
-        let mut buckets: Vec<Vec<FlushRun>> = (0..nworkers).map(|_| Vec::new()).collect();
-        let mut load = vec![0usize; nworkers];
-        for item in sliced {
-            let w = (0..nworkers)
-                .min_by_key(|&w| load[w])
-                .expect("nworkers >= 2");
-            load[w] += item.1.len();
-            buckets[w].push(item);
-        }
-
-        // Each worker returns (entries written, deferred global indices).
-        let results: Vec<(usize, Vec<usize>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|bucket| {
-                    scope.spawn(move || {
-                        let mut scratch: Vec<u8> = Vec::with_capacity(64);
-                        let mut cleared = 0usize;
-                        let mut deferred: Vec<usize> = Vec::new();
-                        for (start, run, buf) in bucket {
-                            let mut prev_deferred = false;
-                            for (i, e) in run.iter_mut().enumerate() {
-                                if !e.dirty {
-                                    prev_deferred = false;
-                                    continue;
-                                }
-                                // Contagion: a steal by the deferred
-                                // predecessor will read this entry's
-                                // pre-patch geometry — keep it pristine.
-                                if steal && prev_deferred {
-                                    deferred.push(start + i);
-                                    continue;
-                                }
-                                e.value.serialize_wire(&mut scratch, float, kernel, format);
-                                if scratch.len() as u32 > e.width {
-                                    deferred.push(start + i);
-                                    prev_deferred = true;
-                                    continue;
-                                }
-                                write_in_width_kern(buf, e, &scratch, kernel);
-                                e.ser_len = scratch.len() as u32;
-                                e.dirty = false;
-                                cleared += 1;
-                                prev_deferred = false;
-                            }
-                        }
-                        (cleared, deferred)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("flush worker panicked"))
-                .collect()
-        });
-
-        // Workers cleared dirty bits directly; settle the aggregate count,
-        // then replay deferred (expanding) entries in ascending order —
-        // sequential semantics.
-        let mut deferred_all: Vec<usize> = Vec::new();
-        for (cleared, deferred) in results {
-            counters.values_written += cleared;
-            self.dut.note_bits_cleared(cleared);
-            deferred_all.extend(deferred);
-        }
-        deferred_all.sort_unstable();
-        if !deferred_all.is_empty() {
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let float = self.config.float;
-            let kernel = self.config.kernel;
-            let format = self.config.wire_format;
-            for idx in deferred_all {
-                self.dut
-                    .entry(idx)
-                    .value
-                    .serialize_wire(&mut scratch, float, kernel, format);
-                self.patch_entry(idx, &scratch, counters);
-                self.dut.clear_dirty(idx);
-            }
-            self.scratch = scratch;
-        }
-        true
-    }
-
-    /// Write the (already serialized) bytes of leaf `i` into its field,
-    /// expanding the field if required.
-    fn patch_entry(&mut self, i: usize, bytes: &[u8], counters: &mut PatchCounters) {
-        counters.values_written += 1;
-        let e = self.dut.entry(i);
-        let new_len = bytes.len() as u32;
-
-        if new_len == e.ser_len {
-            // Same length: overwrite the value bytes only; tags and padding
-            // are untouched (the cheapest dirty-write path).
-            self.store.write_at(e.loc, bytes);
-            return;
-        }
-
-        if new_len <= e.width {
-            // Fits in the allocated field: rewrite value + closing tag +
-            // whitespace pad (§3.2's "closing tag shift").
-            self.rewrite_region(i, bytes, None);
-            return;
-        }
-
-        // Expansion required: the new serialized form exceeds field width.
-        let target_width = match self.config.growth {
-            GrowthPolicy::Exact => new_len,
-            GrowthPolicy::ToMax => e
-                .kind
-                .max_width()
-                .map(|m| (m as u32).max(new_len))
-                .unwrap_or(new_len),
-        };
-        let delta = target_width - e.width;
-
-        if self.config.steal && self.try_steal(i, delta) {
-            counters.steals += 1;
-            self.rewrite_region(i, bytes, Some(target_width));
-            return;
-        }
-
-        self.make_gap_at_region_end(i, delta, counters);
-        counters.shifts += 1;
-        self.rewrite_region(i, bytes, Some(target_width));
-    }
-
-    /// Compose and write the full field region `[value][suffix][pad]`.
-    ///
-    /// `new_width` updates the field width first (after a steal/shift made
-    /// room); `None` keeps the current width.
-    fn rewrite_region(&mut self, i: usize, bytes: &[u8], new_width: Option<u32>) {
-        let e = self.dut.entry(i);
-        let (loc, old_ser, suffix_len) = (e.loc, e.ser_len, e.suffix_len);
-        let width = new_width.unwrap_or(e.width);
-        debug_assert!(bytes.len() as u32 <= width);
-
-        let mut region = std::mem::take(&mut self.region_scratch);
-        region.clear();
-        region.extend_from_slice(bytes);
-        // The closing tag still sits after the OLD value length; carry it over.
-        let suffix_loc = bsoap_chunks::Loc {
-            chunk: loc.chunk,
-            offset: loc.offset + old_ser,
-        };
-        region.extend_from_slice(self.store.read_at(suffix_loc, suffix_len as usize));
-        region.resize((width + suffix_len) as usize, b' ');
-        self.store.write_at(loc, &region);
-        self.region_scratch = region;
-
-        let e = self.dut.entry_mut_raw(i);
-        e.ser_len = bytes.len() as u32;
-        e.width = width;
-    }
-
-    /// Try to satisfy a `delta`-byte expansion of leaf `i` by stealing
-    /// padding from the next leaf in the same chunk (§3.2: "stealing extra
-    /// space from neighboring fields, instead of shifting entire portions
-    /// of message chunks").
-    ///
-    /// On success the span between this field's region end and the
-    /// neighbor's value+suffix end is moved right by `delta` (a handful of
-    /// tag bytes), the neighbor's width shrinks, and this field's region
-    /// gains `delta` bytes.
-    fn try_steal(&mut self, i: usize, delta: u32) -> bool {
-        let j = i + 1;
-        if j >= self.dut.len() {
-            return false;
-        }
-        let e = self.dut.entry(i);
-        let n = self.dut.entry(j);
-        if n.loc.chunk != e.loc.chunk {
-            return false;
-        }
-        if n.pad() < delta || n.width - delta < n.ser_len {
-            return false;
-        }
-        self.do_steal(i, delta);
-        true
-    }
-
-    /// The steal mutation itself (shared by the legacy path, which checks
-    /// feasibility live, and the planned executor, which proved it at plan
-    /// time): move the span between this region's end and the neighbor's
-    /// value+suffix end right by `delta`, narrowing the neighbor.
-    fn do_steal(&mut self, i: usize, delta: u32) {
-        let j = i + 1;
-        let e = self.dut.entry(i);
-        let n = self.dut.entry(j);
-        let span_start = e.region_end();
-        let span_end = n.loc.offset + n.ser_len + n.suffix_len;
-        debug_assert!(span_start <= n.loc.offset);
-        let chunk = e.loc.chunk;
-
-        self.store.move_range_right(
-            chunk as usize,
-            span_start as usize,
-            span_end as usize,
-            delta as usize,
-        );
-
-        // Fix the neighbor's geometry.
-        {
-            let n = self.dut.entry_mut_raw(j);
-            n.loc.offset += delta;
-            n.width -= delta;
-        }
-        // Markers inside or at the start of the moved span ride along.
-        for a in &mut self.arrays {
-            for m in [&mut a.content_start, &mut a.content_end] {
-                if m.chunk == chunk && m.offset >= span_start && m.offset < span_end {
-                    m.offset += delta;
-                }
-            }
-        }
-    }
-
-    /// Open a `delta`-byte gap at the end of leaf `i`'s field region by
-    /// shifting the chunk tail, growing or splitting the chunk as the
-    /// config allows. Fixes all downstream DUT pointers and markers.
-    fn make_gap_at_region_end(&mut self, i: usize, delta: u32, counters: &mut PatchCounters) {
-        let e = self.dut.entry(i);
-        let chunk = e.loc.chunk as usize;
-        let gap_at = e.region_end();
-
-        if !self.store.try_grow(chunk, delta as usize) {
-            // Split at this field's region end: the whole tail moves to a
-            // fresh chunk; this bounds future shifting to the chunk size.
-            self.store.split_chunk(chunk, gap_at as usize);
-            counters.splits += 1;
-            counters.dut_fixups += self.apply_split_fixups(i, chunk as u32, gap_at);
-            if !self.store.try_grow(chunk, delta as usize) {
-                // A single region larger than the threshold: correctness
-                // over policy.
-                self.store.grow_unbounded(chunk, delta as usize);
-            }
-        }
-
-        let tail = self.store.chunk(chunk).len() as u32 - gap_at;
-        counters.shifted_bytes += tail as u64;
-        self.store
-            .shift_tail_right(chunk, gap_at as usize, delta as usize);
-        counters.dut_fixups += self.apply_shift_fixups(i, chunk as u32, gap_at, delta);
-    }
-
-    /// After inserting `delta` bytes at `(chunk, from)`: move every later
-    /// entry and marker at-or-past the insertion point right by `delta`.
-    /// Returns the number of DUT entries whose location was adjusted.
-    fn apply_shift_fixups(&mut self, after_entry: usize, chunk: u32, from: u32, delta: u32) -> u64 {
-        let mut fixed = 0u64;
-        let entries = self.dut.entries_mut_raw();
-        for e in entries.iter_mut().skip(after_entry + 1) {
-            if e.loc.chunk != chunk {
-                break; // document order: once past this chunk, done
-            }
-            if e.loc.offset >= from {
-                e.loc.offset += delta;
-                fixed += 1;
-            }
-        }
-        for a in &mut self.arrays {
-            for m in [&mut a.content_start, &mut a.content_end] {
-                if m.chunk == chunk && m.offset >= from {
-                    m.offset += delta;
-                }
-            }
-        }
-        fixed
+        dut.note_bits_cleared(ops.len());
     }
 
     /// After splitting `chunk` at `split_at`: rehome entries and markers in
@@ -849,8 +377,7 @@ impl MessageTemplate {
 
 /// Apply one planned write to its entry and chunk buffer: commit the new
 /// width (room was made in phases 1–2), lay down `[value][suffix][pad]`
-/// from the plan blob, and settle the entry's bookkeeping. Safe to run
-/// concurrently across chunks — it touches only this region's bytes.
+/// from the plan blob, and settle the entry's bookkeeping.
 fn apply_write(
     buf: &mut [u8],
     e: &mut DutEntry,
@@ -867,10 +394,10 @@ fn apply_write(
     e.dirty = false;
 }
 
-/// In-place region rewrite on a raw chunk buffer: the thread-safe subset
-/// of [`MessageTemplate::rewrite_region`] for values that fit their field.
+/// In-place region rewrite on a raw chunk buffer, for a value that fits
+/// its field (§3.2's "closing tag shift").
 ///
-/// Produces the identical `[value][suffix][pad]` layout: the closing tag
+/// Produces the `[value][suffix][pad]` layout: the closing tag
 /// is slid from its old position (after `ser_len` bytes) to the new value
 /// end, then the remainder of the region is padded with spaces. The
 /// suffix move runs first because the regions may overlap; the trailing

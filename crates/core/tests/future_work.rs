@@ -2,7 +2,8 @@
 //! cross-endpoint template sharing.
 
 use bsoap_convert::ScalarKind;
-use bsoap_core::{Client, EngineConfig, OpDesc, SendTier, TypeDesc, Value};
+use bsoap_core::{wire, Client, EngineConfig, OpDesc, SendTier, TypeDesc, Value, WireFormat};
+use bsoap_deser::parse_binary_envelope;
 use std::io::sink;
 
 fn doubles_op() -> OpDesc {
@@ -189,6 +190,27 @@ fn endpoint_sharing_respects_structure() {
         .unwrap();
     assert_eq!(r.tier, SendTier::FirstTime);
     assert_eq!(client.stats().shared_clones, 0);
+}
+
+#[test]
+fn endpoint_sharing_respects_wire_format() {
+    // Endpoint A speaks XML, endpoint B is pinned to the compact binary
+    // lane: A's saved bytes are the wrong lane for B, so B's first send is
+    // a full binary serialization, never a clone of the XML sibling.
+    let op = doubles_op();
+    let mut client =
+        Client::new(EngineConfig::paper_default().with_wire_format(WireFormat::SoapXml));
+    client.set_endpoint_sharing(true);
+    client.set_endpoint_format("http://b", WireFormat::CompactBinary);
+    let args = xs(50);
+
+    client.call("http://a", &op, &args, &mut sink()).unwrap();
+    let mut wire_b = Vec::new();
+    let r = client.call("http://b", &op, &args, &mut wire_b).unwrap();
+    assert_eq!(r.tier, SendTier::FirstTime, "no same-format sibling exists");
+    assert_eq!(client.stats().shared_clones, 0);
+    assert!(wire::is_binary(&wire_b), "B's lane carries BSB1 frames");
+    assert_eq!(parse_binary_envelope(&wire_b, &op).unwrap(), args);
 }
 
 #[test]

@@ -1,14 +1,18 @@
 //! On-the-fly expansion mechanics: shifting, stealing, splitting, growth
-//! policies (§3.2, §4.3, §4.4).
+//! policies (§3.2, §4.3, §4.4) — including multi-round, multi-chunk
+//! scenarios checked against the independent `GSoapLike` full serializer.
 
 // 3.14159 below is a 7-character growth payload, not an approximation of pi.
 #![allow(clippy::approx_constant)]
 
+use bsoap_baseline::GSoapLike;
 use bsoap_chunks::ChunkConfig;
 use bsoap_convert::ScalarKind;
 use bsoap_core::{
     EngineConfig, GrowthPolicy, MessageTemplate, OpDesc, TypeDesc, Value, WidthPolicy,
 };
+use bsoap_xml::strip_pad;
+use proptest::prelude::*;
 
 fn doubles_op() -> OpDesc {
     OpDesc::single(
@@ -344,4 +348,236 @@ fn intermediate_stuffing_absorbs_moderate_growth() {
     let r = tpl.flush();
     assert_eq!(r.shifts, 50);
     tpl.assert_invariants();
+}
+
+// ---------------------------------------------------------------------
+// Multi-round scenarios against the full-serialization reference
+// ---------------------------------------------------------------------
+
+/// The template's bytes must be pad-equal to a from-scratch `GSoapLike`
+/// serialization of `vals`, with every internal invariant intact.
+fn assert_matches_full(tpl: &MessageTemplate, vals: &[f64], what: &str) {
+    tpl.assert_invariants();
+    let full = GSoapLike::new()
+        .serialize(&doubles_op(), &[Value::DoubleArray(vals.to_vec())])
+        .unwrap()
+        .to_vec();
+    assert_eq!(
+        strip_pad(&tpl.to_bytes()),
+        strip_pad(&full),
+        "{what}: differential bytes drifted from full serialization"
+    );
+}
+
+/// Build from all-ones, then drive the template through `rounds` of
+/// whole-array updates, checking against the reference after every flush.
+fn assert_rounds_match_full(config: EngineConfig, rounds: &[Vec<f64>]) {
+    let n = rounds.first().map_or(0, Vec::len);
+    let mut tpl =
+        MessageTemplate::build(config, &doubles_op(), &[Value::DoubleArray(vec![1.0; n])]).unwrap();
+    for (round, vals) in rounds.iter().enumerate() {
+        tpl.update_args(&[Value::DoubleArray(vals.clone())])
+            .unwrap();
+        let dirty = tpl.dirty_count();
+        let report = tpl.flush();
+        assert_eq!(report.values_written, dirty, "round {round}");
+        assert_matches_full(&tpl, vals, &format!("round {round}"));
+    }
+}
+
+/// Value classes of distinct serialized lengths: 1 char ("1"), 8 chars
+/// ("3.141592"-ish), 17 chars, 24 chars (forces growth under Exact widths).
+fn value_of_class(class: u8, salt: usize) -> f64 {
+    match class % 4 {
+        0 => 1.0 + (salt % 9) as f64,
+        1 => 3.25 + salt as f64,
+        2 => 1.234567890123456 * (1.0 + salt as f64),
+        _ => -2.2250738585072014e-308 * (1.0 + salt as f64),
+    }
+}
+
+#[test]
+fn all_dirty_in_width_many_chunks() {
+    // 100% dirty, all rewrites in-width (Max stuffing), dozens of chunks.
+    let n = 400;
+    let config = EngineConfig::stuffed_max()
+        .with_wire_format(bsoap_core::WireFormat::SoapXml)
+        .with_chunk(small_chunks());
+    let rounds: Vec<Vec<f64>> = (0..4)
+        .map(|r| {
+            (0..n)
+                .map(|i| (i as f64 + 1.0) * 1.234567 * (r + 1) as f64)
+                .collect()
+        })
+        .collect();
+    assert_rounds_match_full(config, &rounds);
+}
+
+#[test]
+fn growth_mix_shifts_and_splits() {
+    // Mixed in-width rewrites and width-growing values (Exact widths):
+    // steals, coalesced shifts and splits in the same flush.
+    let n = 300;
+    let config = EngineConfig::paper_default()
+        .with_wire_format(bsoap_core::WireFormat::SoapXml)
+        .with_chunk(small_chunks());
+    let rounds: Vec<Vec<f64>> = (0..3)
+        .map(|r| {
+            (0..n)
+                .map(|i| value_of_class((i % 4) as u8, i + r * n))
+                .collect()
+        })
+        .collect();
+    assert_rounds_match_full(config, &rounds);
+}
+
+#[test]
+fn steal_with_adjacent_dirty_neighbors() {
+    // Adjacent dirty entries where the left one grows (steals from the
+    // right neighbor's pad) and the right one is an in-width rewrite: the
+    // planner must price the neighbor at its post-steal width.
+    let n = 200;
+    let config = EngineConfig::paper_default()
+        .with_wire_format(bsoap_core::WireFormat::SoapXml)
+        .with_chunk(small_chunks())
+        .with_width(WidthPolicy::Fixed {
+            double: 18,
+            int: 11,
+            long: 20,
+        })
+        .with_steal(true);
+    let alternating = |grow_parity: usize, small: f64| -> Vec<f64> {
+        (0..n)
+            .map(|i| {
+                if i % 2 == grow_parity {
+                    value_of_class(3, i)
+                } else {
+                    small
+                }
+            })
+            .collect()
+    };
+    // Every even field grows past 18 chars and every odd field shrinks;
+    // then the pattern flips.
+    assert_rounds_match_full(config, &[alternating(0, 1.0), alternating(1, 2.0)]);
+}
+
+#[test]
+fn sparse_dirty_subset() {
+    // Only a scattered subset dirty per round: per-chunk op runs of very
+    // different sizes.
+    let n = 500;
+    let config = EngineConfig::stuffed_max()
+        .with_wire_format(bsoap_core::WireFormat::SoapXml)
+        .with_chunk(small_chunks());
+    let rounds: Vec<Vec<f64>> = (0..5)
+        .map(|r| {
+            (0..n)
+                .map(|i| {
+                    if (i * 7 + r * 13) % 11 == 0 {
+                        value_of_class((i % 3) as u8, i + r)
+                    } else {
+                        1.0 // unchanged → clean
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    assert_rounds_match_full(config, &rounds);
+}
+
+#[test]
+fn growth_on_last_leaf_of_a_chunk_stays_in_its_chunk() {
+    // A width-growing entry that is the LAST leaf of chunk i, next to a
+    // same-width overwrite on the first leaf of chunk i+1: exactly the two
+    // dirty values are written and the shift stops at the chunk boundary.
+    let n = 120;
+    let config = EngineConfig::paper_default()
+        .with_wire_format(bsoap_core::WireFormat::SoapXml)
+        .with_chunk(ChunkConfig {
+            initial_size: 256,
+            split_threshold: 512,
+            reserve: 48,
+        })
+        .with_width(WidthPolicy::Exact)
+        .with_steal(false);
+    let mut vals = vec![1.0; n];
+    let mut tpl =
+        MessageTemplate::build(config, &doubles_op(), &[Value::DoubleArray(vals.clone())]).unwrap();
+    assert!(tpl.chunk_count() >= 2, "setup must span chunks");
+
+    // Find a chunk boundary between two double leaves: entry b-1 ends
+    // chunk i, entry b starts chunk i+1.
+    let entries = tpl.dut().entries();
+    let b = (1..entries.len())
+        .find(|&i| {
+            entries[i].loc.chunk != entries[i - 1].loc.chunk
+                && entries[i].kind == ScalarKind::Double
+                && entries[i - 1].kind == ScalarKind::Double
+        })
+        .expect("no double/double chunk boundary");
+    let loc_of_b = |tpl: &MessageTemplate| tpl.dut().entries()[b].loc;
+    let before = loc_of_b(&tpl);
+
+    // b-1 grows far past its exact 1-char width (forced shift); b is a
+    // same-width overwrite.
+    let first = tpl.array_leaf(0, 0, 0);
+    vals[b - 1 - first] = 1.234567890123456e100;
+    vals[b - first] = 2.0;
+    tpl.set_double(b - 1, vals[b - 1 - first]).unwrap();
+    tpl.set_double(b, vals[b - first]).unwrap();
+    let report = tpl.flush();
+    assert_eq!(report.values_written, 2, "only the dirty pair is written");
+    assert!(report.shifts > 0, "the growth must have shifted");
+    assert_eq!(
+        loc_of_b(&tpl),
+        before,
+        "growth at the end of chunk i moved the first leaf of chunk i+1"
+    );
+    assert_matches_full(&tpl, &vals, "chunk-boundary growth");
+}
+
+#[test]
+fn single_chunk_rounds() {
+    // Everything in one 32 KiB chunk: one op run, one coalesced pass.
+    let config = EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml);
+    assert_rounds_match_full(config, &[vec![3.25; 20], vec![1.0; 20]]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Randomized mixed scenario: arbitrary dirty subsets, value classes
+    /// (including width growth), steal on/off and growth policy on tiny
+    /// chunks — the flush stays pad-equal to the full serialization.
+    #[test]
+    fn mixed_growth_matches_full_serialization(
+        classes in proptest::collection::vec((0u8..4, 0u8..3), 40..160),
+        steal in any::<bool>(),
+        to_max in any::<bool>(),
+        rounds in 1usize..4,
+    ) {
+        let config = EngineConfig::paper_default()
+            .with_wire_format(bsoap_core::WireFormat::SoapXml)
+            .with_chunk(ChunkConfig { initial_size: 256, split_threshold: 512, reserve: 48 })
+            .with_steal(steal)
+            .with_growth(if to_max { GrowthPolicy::ToMax } else { GrowthPolicy::Exact });
+        let n = classes.len();
+        let rounds: Vec<Vec<f64>> = (0..rounds)
+            .map(|r| {
+                classes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(class, dirty_mod))| {
+                        if (i + r) % (dirty_mod as usize + 1) == 0 {
+                            value_of_class(class, i + r * n + 1)
+                        } else {
+                            1.0 // stays clean after round 0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_rounds_match_full(config, &rounds);
+    }
 }

@@ -3,9 +3,9 @@
 //!
 //! * the rendered CDF is monotone and exhaustive;
 //! * percentiles are monotone in `p` (so p50 ≤ p99, always);
-//! * merging is associative and commutative — flush-worker shards can be
+//! * merging is associative and commutative — per-thread shards can be
 //!   combined in any order and agree with a single shared histogram;
-//! * concurrent recording (`parallel_workers > 1`) loses nothing: the
+//! * concurrent recording (several server or client threads) loses nothing: the
 //!   post-quiesce snapshot accounts for every observation exactly once.
 
 use bsoap_obs::{HistSnapshot, Histogram};
@@ -115,8 +115,8 @@ proptest! {
 }
 
 /// Concurrent recording from several workers, then a quiesced snapshot:
-/// nothing lost, nothing double-counted. This is the `parallel_workers > 1`
-/// consistency guarantee the flush shards rely on.
+/// nothing lost, nothing double-counted — the consistency guarantee every
+/// multi-threaded recorder (server workers, pooled clients) relies on.
 #[test]
 fn concurrent_recording_snapshot_is_exact() {
     use std::sync::Arc;

@@ -322,7 +322,7 @@ impl Service {
                     if let Some(m) = &self.metrics {
                         tpl.set_metrics(Arc::clone(m));
                         m.add(Counter::send(bsoap_obs::Tier::FirstTime), 1);
-                        m.add(format_counter(format), 1);
+                        m.add(format.send_counter(), 1);
                     }
                     let bytes = tpl.to_bytes();
                     *tpl_slot = Some(tpl);
@@ -385,7 +385,7 @@ impl Service {
                 if let Some(m) = &self.metrics {
                     tpl.set_metrics(Arc::clone(m));
                     m.add(Counter::send(bsoap_obs::Tier::FirstTime), 1);
-                    m.add(format_counter(format), 1);
+                    m.add(format.send_counter(), 1);
                 }
                 let bytes = tpl.to_bytes();
                 store.admit(skey, tpl, 1);
@@ -407,17 +407,6 @@ impl Service {
         out.extend_from_slice(b"</faultstring></SOAP-ENV:Fault>\n");
         out.extend_from_slice(bsoap_core::soap::CLOSES.as_bytes());
         out
-    }
-}
-
-/// Per-lane first-time send counter. Tiers 2–4 tick theirs inside the
-/// template's own `finish_flush`; first-time builds happen before the
-/// metrics handle is attached to the template, so the build sites tick
-/// it directly.
-fn format_counter(format: WireFormat) -> Counter {
-    match format {
-        WireFormat::SoapXml => Counter::SendsXml,
-        WireFormat::CompactBinary => Counter::SendsBinary,
     }
 }
 

@@ -62,9 +62,9 @@ pub mod rpc;
 
 pub use bsoap_core::{
     soap, Checkout, Client, ClientStats, DutEntry, DutTable, EngineConfig, EngineError,
-    FloatFormatter, FlushMode, GrowthPolicy, InjectedFault, KernelPolicy, MessageTemplate, OpDesc,
+    FloatFormatter, GrowthPolicy, InjectedFault, KernelPolicy, MessageTemplate, OpDesc,
     OverlaidOutcome, ParamDesc, PlanCost, Scalar, SendPlan, SendReport, SendTier, StoreKey,
-    StoreMode, TemplateCache, TemplateKey, TemplateStore, TypeDesc, Value, WidthPolicy, WireFormat,
+    StoreMode, TemplateKey, TemplateStore, TypeDesc, Value, WidthPolicy, WireFormat,
 };
 
 /// Fault-tolerance surface: retry/breaker policy, per-call deadlines,

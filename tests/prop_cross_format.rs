@@ -4,9 +4,8 @@
 //! Two clients — one pinned to the SOAP/XML lane, one to the compact
 //! binary lane — are driven in lockstep through randomized schedules of
 //! value updates, array resizes, string churn, injected transport
-//! faults (the degraded-mode ladder), endpoint switches (§6 sharing),
-//! under both store modes and both flush modes. After every successful
-//! send the two wire images must decode to exactly the model arguments,
+//! faults (the degraded-mode ladder) and endpoint switches (§6 sharing).
+//! After every successful send the two wire images must decode to exactly the model arguments,
 //! the tier trajectories must agree exactly (tiers are decided by value
 //! dirtiness and structural change, which are format-independent), the
 //! binary lane must realize every numeric rewrite with *zero* shift
@@ -18,8 +17,8 @@
 use bsoap::convert::ScalarKind;
 use bsoap::deser::{parse_binary_envelope, parse_envelope};
 use bsoap::{
-    mio, ChunkConfig, Client, ClientStats, EngineConfig, EngineError, FlushMode, OpDesc, ParamDesc,
-    SendReport, SendTier, StoreMode, TypeDesc, Value, WidthPolicy, WireFormat,
+    mio, ChunkConfig, Client, ClientStats, EngineConfig, EngineError, OpDesc, ParamDesc,
+    SendReport, SendTier, TypeDesc, Value, WidthPolicy, WireFormat,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -160,14 +159,10 @@ fn config_strategy() -> impl Strategy<Value = EngineConfig> {
         }),
     ];
     let width = prop_oneof![Just(WidthPolicy::Exact), Just(WidthPolicy::Max)];
-    let flush = prop_oneof![Just(FlushMode::Legacy), Just(FlushMode::Planned)];
-    let store = prop_oneof![Just(StoreMode::PerClient), Just(StoreMode::Shared)];
-    (chunk, width, flush, store, any::<bool>()).prop_map(|(chunk, width, flush, store, steal)| {
+    (chunk, width, any::<bool>()).prop_map(|(chunk, width, steal)| {
         EngineConfig::paper_default()
             .with_chunk(chunk)
             .with_width(width)
-            .with_flush_mode(flush)
-            .with_store_mode(store)
             .with_steal(steal)
             .with_degraded(2, 2)
     })
@@ -404,9 +399,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// ≥256 randomized schedules over dirty fractions, resizes, string
-    /// churn, degradation, §6 sharing, both store modes, both flush
-    /// modes: the binary lane is a faithful compact image of the XML
-    /// lane.
+    /// churn, degradation, §6 sharing: the binary lane is a faithful
+    /// compact image of the XML lane.
     #[test]
     fn binary_lane_mirrors_xml_lane(
         initial in model_strategy(),

@@ -11,8 +11,7 @@ use bsoap::convert::ScalarKind;
 use bsoap::deser::parse_envelope;
 use bsoap::xml::strip_pad;
 use bsoap::{
-    mio, ChunkConfig, Client, EngineConfig, FlushMode, MessageTemplate, OpDesc, TypeDesc, Value,
-    WidthPolicy,
+    mio, ChunkConfig, Client, EngineConfig, MessageTemplate, OpDesc, TypeDesc, Value, WidthPolicy,
 };
 use proptest::prelude::*;
 
@@ -171,11 +170,11 @@ proptest! {
 
     /// Plan/execute split theorem: for any update sequence (dirty
     /// fractions, width growth, array resizes) and any engine
-    /// configuration, plan-then-apply produces bytes identical — padding
-    /// included — to the legacy sequential flush of a twin template, and
-    /// pad-equivalent to a from-scratch full serialization.
+    /// configuration, plan-then-apply leaves the template coherent and its
+    /// bytes pad-equivalent to a from-scratch full serialization, and they
+    /// parse back to the arguments.
     #[test]
-    fn planned_flush_equals_legacy_and_full(
+    fn planned_flush_equals_full(
         initial in prop::collection::vec(small_f64(), 0..40),
         updates in prop::collection::vec(update_strategy(), 1..10),
         config in config_strategy(),
@@ -185,34 +184,28 @@ proptest! {
             TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
         );
         let mut xs = initial;
-        let args = [Value::DoubleArray(xs.clone())];
-        let mut planned = MessageTemplate::build(
-            config.with_flush_mode(FlushMode::Planned), &op, &args).unwrap();
-        let mut legacy = MessageTemplate::build(
-            config.with_flush_mode(FlushMode::Legacy), &op, &args).unwrap();
+        let mut tpl =
+            MessageTemplate::build(config, &op, &[Value::DoubleArray(xs.clone())]).unwrap();
         let mut baseline = GSoapLike::new();
 
         for u in &updates {
             apply(&mut xs, u);
             let args = [Value::DoubleArray(xs.clone())];
-            planned.update_args(&args).unwrap();
-            legacy.update_args(&args).unwrap();
+            let tier = tpl.update_args(&args).unwrap();
             // Drive the public plan/execute seam explicitly rather than
             // through flush(), so a stale or mis-costed plan shows up here.
-            let plan = planned.plan().unwrap();
-            let rp = planned.flush_planned(&plan).unwrap();
-            let rl = legacy.flush();
-            planned.assert_invariants();
-            legacy.assert_invariants();
-            prop_assert_eq!(rp.tier, rl.tier, "tier diverged after {:?}", u);
+            let plan = tpl.plan().unwrap();
+            let report = tpl.flush_planned(&plan).unwrap();
+            tpl.assert_invariants();
+            prop_assert_eq!(report.tier, tier, "tier diverged after {:?}", u);
+            let full = baseline.serialize(&op, &args).unwrap().to_vec();
             prop_assert_eq!(
-                planned.to_bytes(),
-                legacy.to_bytes(),
-                "planned executor bytes diverged from legacy flush after {:?}",
+                strip_pad(&tpl.to_bytes()),
+                strip_pad(&full),
+                "planned executor bytes diverged from full serialization after {:?}",
                 u
             );
-            let full = baseline.serialize(&op, &args).unwrap().to_vec();
-            prop_assert_eq!(strip_pad(&planned.to_bytes()), strip_pad(&full));
+            prop_assert_eq!(parse_envelope(&tpl.to_bytes(), &op).unwrap(), args.to_vec());
         }
     }
 }

@@ -5,15 +5,18 @@
 //!    the resident gauge equals a from-scratch recount, the global budget
 //!    and per-tenant quotas hold, and the hit/miss counters reconcile
 //!    exactly with the number of lookups issued.
-//! 2. **Mode equivalence**: a client running `StoreMode::Shared` is
-//!    byte-for-byte and tier-for-tier indistinguishable from the
-//!    per-client oracle (`StoreMode::PerClient`) over any call schedule.
+//! 2. **Eviction transparency**: a client whose store budget holds about
+//!    two templates stays pad-equal to a full serialization on every call
+//!    of any schedule, within budget, and pays `FirstTime` exactly when
+//!    its template was evicted.
 
+use bsoap::baseline::GSoapLike;
 use bsoap::convert::ScalarKind;
 use bsoap::obs::{Counter, EngineStats, Level, Metrics};
+use bsoap::xml::strip_pad;
 use bsoap::{
-    Client, EngineConfig, MessageTemplate, OpDesc, StoreKey, StoreMode, TemplateKey, TemplateStore,
-    TypeDesc, Value,
+    Client, EngineConfig, MessageTemplate, OpDesc, SendTier, StoreKey, TemplateKey, TemplateStore,
+    TypeDesc, Value, WireFormat,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -149,22 +152,26 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The shared store is a drop-in for the per-client cache: identical
-    /// call schedules produce identical wire bytes per call, the same
-    /// tier per call, and identical cumulative tier counters.
+    /// A store budget of about two templates, schedules over 1–3
+    /// endpoints, so evictions happen mid-schedule: every call's wire
+    /// stays pad-equal to a full serialization, the byte accounting holds
+    /// after every call, and a call pays `FirstTime` exactly when no
+    /// template for its endpoint is resident.
     #[test]
-    fn shared_mode_matches_per_client_oracle(
+    fn budgeted_store_matches_full_serialization(
         initial in prop::collection::vec(-1e6f64..1e6, 1..32),
         steps in prop::collection::vec(step_strategy(), 1..16),
-        endpoints in 1usize..3,
+        endpoints in 1usize..4,
     ) {
         let op = arr_op();
-        let mut shared = Client::new(
-            EngineConfig::paper_default().with_store_mode(StoreMode::Shared),
-        );
-        let mut oracle = Client::new(
-            EngineConfig::paper_default().with_store_mode(StoreMode::PerClient),
-        );
+        let config = EngineConfig::paper_default().with_wire_format(WireFormat::SoapXml);
+        let budget = 2 * MessageTemplate::build(
+            config, &op, &[Value::DoubleArray(initial.clone())],
+        ).unwrap().message_len();
+        let store = TemplateStore::shared(budget, 0);
+        let mut client = Client::new(config);
+        client.set_template_store(Arc::clone(&store));
+        let mut baseline = GSoapLike::new();
 
         let mut xs = initial;
         for (i, step) in steps.iter().enumerate() {
@@ -178,19 +185,22 @@ proptest! {
             }
             let endpoint = format!("http://svc/{}", i % endpoints);
             let args = [Value::DoubleArray(xs.clone())];
+            let resident = store.contains(&StoreKey::new(0, TemplateKey::new(&endpoint, &op)));
 
-            let mut wire_shared = Vec::new();
-            let mut wire_oracle = Vec::new();
-            let a = shared.call(&endpoint, &op, &args, &mut wire_shared).unwrap();
-            let b = oracle.call(&endpoint, &op, &args, &mut wire_oracle).unwrap();
+            let mut wire = Vec::new();
+            let report = client.call(&endpoint, &op, &args, &mut wire).unwrap();
 
+            let full = baseline.serialize(&op, &args).unwrap().to_vec();
             prop_assert_eq!(
-                &wire_shared, &wire_oracle,
+                strip_pad(&wire), strip_pad(&full),
                 "wire bytes diverged at step {} ({:?})", i, step
             );
-            prop_assert_eq!(a.tier, b.tier, "tier diverged at step {}", i);
-            prop_assert_eq!(a.fell_back, b.fell_back);
+            prop_assert_eq!(
+                report.tier == SendTier::FirstTime, !resident,
+                "tier {:?} with template resident={} at step {}", report.tier, resident, i
+            );
+            prop_assert!(store.resident_bytes() <= budget as u64);
+            prop_assert_eq!(store.resident_bytes(), store.recount_bytes());
         }
-        prop_assert_eq!(shared.stats(), oracle.stats());
     }
 }
