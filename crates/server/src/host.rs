@@ -1,56 +1,77 @@
 //! Loopback HTTP host for a [`Service`].
 //!
-//! Runs on either of `bsoap-transport`'s server cores, selected by
-//! `EngineConfig::server_core`:
-//!
-//! * **Worker pool** — blocking accepts feed a fixed number of workers
-//!   (`EngineConfig::server_workers`), excess connections queue rather
-//!   than spawn threads, and stop drains in-flight requests.
-//! * **Event loop** — a few epoll loop threads
-//!   (`EngineConfig::event_loop_threads`) multiplex every connection as a
-//!   sans-io state machine; complete requests dispatch to
-//!   `server_workers` CPU workers. Falls back to the worker pool on
-//!   platforms without epoll.
-//!
-//! Both cores route through the same [`respond_to`] dispatch: a keep-alive
-//! loop parsing SOAP POSTs (`Content-Length` or chunked) and routing by
-//! `SOAPAction` (`"namespace#operation"`), with fallback to the first
-//! operation for action-less callers. Responses go out through the
-//! vectored send path (head and dispatched body as separate `IoSlice`s —
-//! no flattening), so the observable bytes are identical on either core.
+//! The host is one [`Handler`](bsoap_transport::Handler) closure —
+//! [`respond_to`]: route a parsed SOAP POST (`Content-Length` or chunked)
+//! by `SOAPAction` (`"namespace#operation"`, falling back to the first
+//! operation for action-less callers) and render the reply — handed to
+//! [`bsoap_transport::serve`], which owns everything about connections:
+//! framing, caps, 400s, timeouts, keep-alive, drain. [`server_options`]
+//! is the one place the service's `EngineConfig` becomes transport
+//! [`ServerOptions`], including which core (`EngineConfig::server_core`)
+//! drives the connections.
 
 use crate::dispatch::{HandlerError, Service, ServiceStats};
-use bsoap_core::WireFormat;
-use bsoap_obs::{Counter, HistId, Metrics, Recorder, TraceKind};
-use bsoap_transport::accept::{serve_with_metrics, PoolOptions, WorkerPool};
-use bsoap_transport::http::{
-    render_response_head_extra, write_response_vectored, RequestHead, RequestReader,
-};
+use bsoap_core::{EngineConfig, WireFormat};
+use bsoap_obs::{Counter, Metrics, Recorder};
+use bsoap_transport::http::RequestHead;
 use bsoap_transport::negotiate::{HDR_ACCEPT, HDR_FORMAT, HDR_FORMAT_LOWER, TOKEN_BINARY};
-use bsoap_transport::{
-    poller, ConnConfig, EventLoopOptions, EventLoopServer, ReqBody, Response, ServeMode,
-};
-use std::io::{self, IoSlice, Write};
-use std::net::{SocketAddr, TcpStream};
+use bsoap_transport::{ReqBody, Response, ServeMode, Server, ServerCore, ServerOptions};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::Arc;
-
-/// The running core behind an [`HttpServer`].
-enum CoreHandle {
-    Pool(WorkerPool),
-    Loop(EventLoopServer),
-}
 
 /// A running HTTP SOAP server.
 pub struct HttpServer {
     service: Arc<Service>,
-    core: CoreHandle,
+    server: Server,
+}
+
+/// The transport options a service's engine configuration asks for.
+fn server_options(cfg: &EngineConfig) -> ServerOptions {
+    ServerOptions {
+        core: match cfg.server_core {
+            bsoap_core::ServerCore::WorkerPool => ServerCore::WorkerPool,
+            bsoap_core::ServerCore::EventLoop => ServerCore::EventLoop,
+        },
+        workers: cfg.server_workers,
+        event_loop_threads: cfg.event_loop_threads,
+        max_connections: cfg.max_connections,
+        // The call deadline doubles as the read-stall timeout: a peer
+        // dribbling a request slower than one call budget is a
+        // slow-loris, not a client.
+        read_timeout: cfg.deadline,
+        max_head_bytes: cfg.max_head_bytes,
+        max_body_bytes: cfg.max_body_bytes,
+        ..ServerOptions::default()
+    }
 }
 
 impl HttpServer {
     /// Bind an ephemeral loopback port and serve `service` on the core
     /// selected by `service.config().server_core`.
     pub fn spawn(service: Service) -> io::Result<Self> {
-        Self::spawn_inner(service)
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
+        let service = Arc::new(service);
+        let handler_service = Arc::clone(&service);
+        let mode = ServeMode::Http {
+            handler: Arc::new(move |head, body| {
+                let bytes = match &body {
+                    ReqBody::Full(b) => &b[..],
+                    // The host never installs a body sink, so a streamed
+                    // body cannot reach us; answer defensively anyway.
+                    ReqBody::Streamed { .. } => &[],
+                };
+                respond_to(&handler_service, head, bytes)
+            }),
+        };
+        let server = bsoap_transport::serve(
+            listener,
+            &server_options(&service.config()),
+            service.metrics().cloned(),
+            None,
+            mode,
+        )?;
+        Ok(HttpServer { service, server })
     }
 
     /// [`HttpServer::spawn`] with an observability registry attached to the
@@ -59,69 +80,12 @@ impl HttpServer {
     /// answers `GET /metrics` with the Prometheus text rendering.
     pub fn spawn_with_metrics(mut service: Service, metrics: Arc<Metrics>) -> io::Result<Self> {
         service.set_metrics(metrics);
-        Self::spawn_inner(service)
-    }
-
-    fn spawn_inner(service: Service) -> io::Result<Self> {
-        let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
-        let service = Arc::new(service);
-        let cfg = service.config();
-        let use_event_loop =
-            cfg.server_core == bsoap_core::ServerCore::EventLoop && poller::supported();
-        let core = if use_event_loop {
-            let handler_service = Arc::clone(&service);
-            let handler: bsoap_transport::Handler = Arc::new(move |head, body| {
-                let bytes = match &body {
-                    ReqBody::Full(b) => &b[..],
-                    // The host never installs a body sink, so a streamed
-                    // body cannot reach us; answer defensively anyway.
-                    ReqBody::Streamed { .. } => &[],
-                };
-                respond_to(&handler_service, head, bytes)
-            });
-            let server = EventLoopServer::serve(
-                listener,
-                EventLoopOptions {
-                    loops: cfg.event_loop_threads.max(1),
-                    dispatchers: cfg.server_workers.max(1),
-                    max_connections: cfg.max_connections,
-                    conn: ConnConfig {
-                        max_head: cfg.max_head_bytes,
-                        max_body: cfg.max_body_bytes,
-                        // The worker-pool core uses the call deadline as
-                        // the per-connection socket read timeout; the
-                        // sliding read-stall timer is its equivalent here.
-                        read_timeout: cfg.deadline,
-                        ..ConnConfig::default()
-                    },
-                    ..EventLoopOptions::default()
-                },
-                service.metrics().cloned(),
-                ServeMode::Http { handler },
-            )?;
-            CoreHandle::Loop(server)
-        } else {
-            let conn_service = Arc::clone(&service);
-            let pool = serve_with_metrics(
-                listener,
-                PoolOptions {
-                    workers: cfg.server_workers,
-                    ..PoolOptions::default()
-                },
-                service.metrics().cloned(),
-                move |stream| serve_connection(stream, &conn_service),
-            )?;
-            CoreHandle::Pool(pool)
-        };
-        Ok(HttpServer { service, core })
+        Self::spawn(service)
     }
 
     /// Address clients should POST to.
     pub fn addr(&self) -> SocketAddr {
-        match &self.core {
-            CoreHandle::Pool(p) => p.addr(),
-            CoreHandle::Loop(l) => l.addr(),
-        }
+        self.server.addr()
     }
 
     /// Live statistics view.
@@ -137,10 +101,7 @@ impl HttpServer {
 
     /// Stop accepting, drain in-flight requests, return final statistics.
     pub fn stop(mut self) -> ServiceStats {
-        match &mut self.core {
-            CoreHandle::Pool(p) => p.stop(),
-            CoreHandle::Loop(l) => l.stop(),
-        }
+        self.server.stop();
         self.service.stats()
     }
 }
@@ -172,27 +133,11 @@ fn content_type_for(format: WireFormat) -> &'static str {
     }
 }
 
-/// One parsed request in, one response out — the dispatch shared by both
-/// server cores, so routing, fault mapping, the `/metrics` endpoint, and
-/// every counter tick behave identically regardless of which core framed
-/// the bytes.
+/// One parsed request in, one response out: routing, fault mapping, the
+/// `/metrics` endpoint and the negotiation echo.
 fn respond_to(service: &Service, head: &RequestHead, body: &[u8]) -> Response {
     if head.method == "GET" && head.path == "/metrics" {
-        let (status, reason, text) = match service.metrics() {
-            Some(m) => {
-                m.add(Counter::MetricsScrapes, 1);
-                (200, "OK", m.render_prometheus())
-            }
-            None => (404, "Not Found", String::from("no metrics registry\n")),
-        };
-        return Response {
-            status,
-            reason,
-            content_type: "text/plain; version=0.0.4; charset=utf-8",
-            body: text.into_bytes(),
-            measure: false,
-            extra_headers: Vec::new(),
-        };
+        return Response::metrics_scrape(service.metrics().map(|m| m.as_ref()));
     }
     let req_format = request_format(head, body);
     let op_name = head
@@ -259,83 +204,6 @@ fn respond_to(service: &Service, head: &RequestHead, body: &[u8]) -> Response {
     resp
 }
 
-fn serve_connection(mut stream: TcpStream, service: &Service) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    // Hardening knobs ride the service's EngineConfig: head/body caps bound
-    // per-request memory, and the `deadline` knob doubles as the
-    // per-connection read timeout (a peer dribbling a request slower than
-    // one call budget is a slow-loris, not a client).
-    let cfg = service.config();
-    if stream.set_read_timeout(cfg.deadline).is_err() {
-        return;
-    }
-    let mut reader = RequestReader::with_limits(read_half, cfg.max_head_bytes, cfg.max_body_bytes);
-    let mut head_scratch = Vec::new();
-    loop {
-        let (head, body) = match reader.next_request() {
-            Ok(Some(req)) => req,
-            Ok(None) => break, // clean EOF between requests
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                if let Some(m) = service.metrics() {
-                    m.add(Counter::ServerBadRequests, 1);
-                }
-                let reason = e.to_string();
-                let _ = write_response_vectored(
-                    &mut stream,
-                    400,
-                    "Bad Request",
-                    &[IoSlice::new(reason.as_bytes())],
-                    &mut head_scratch,
-                );
-                break;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                ) =>
-            {
-                if let Some(m) = service.metrics() {
-                    m.add(Counter::ServerTimeouts, 1);
-                }
-                break;
-            }
-            Err(_) => break,
-        };
-        let start = service.metrics().map(|m| m.now_ns());
-        let resp = respond_to(service, &head, &body);
-        render_response_head_extra(
-            &mut head_scratch,
-            resp.status,
-            resp.reason,
-            resp.content_type,
-            resp.body.len(),
-            &resp.extra_headers,
-        );
-        let list = [IoSlice::new(&head_scratch), IoSlice::new(&resp.body)];
-        let sent = match bsoap_transport::write_gather(&mut stream, &list).and_then(|n| {
-            stream.flush()?;
-            Ok(n)
-        }) {
-            Ok(n) => n,
-            Err(_) => break,
-        };
-        if resp.measure {
-            if let Some(m) = service.metrics() {
-                let elapsed_ns = m.now_ns().saturating_sub(start.unwrap_or(0));
-                m.add(Counter::ServerBytesOut, sent as u64);
-                m.observe_ns(HistId::ServerRequest, elapsed_ns);
-                m.trace(TraceKind::Request {
-                    bytes: sent as u64,
-                    elapsed_ns,
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,8 +211,11 @@ mod tests {
     use bsoap_core::{
         EngineConfig, MessageTemplate, OpDesc, ParamDesc, ServerCore, TypeDesc, Value,
     };
+    use bsoap_obs::HistId;
     use bsoap_transport::http::{post_gather, read_response, HttpVersion, RequestConfig};
-    use std::io::IoSlice;
+    use bsoap_transport::poller;
+    use std::io::{IoSlice, Write};
+    use std::net::TcpStream;
 
     /// Cores to exercise: both when the platform has epoll, else just the
     /// worker pool (the event loop would silently fall back anyway).
@@ -859,6 +730,36 @@ mod tests {
             );
             assert_eq!(status, 200, "core {core:?}");
             server.stop();
+        }
+    }
+
+    /// `BSOAP_SERVER_CORE` is read by both `EngineConfig::paper_default`
+    /// (→ `HttpServer`) and `ServerOptions::default` (→ `TestServer`):
+    /// one name table, both parsers, so a value can never pick different
+    /// cores in the two.
+    #[test]
+    fn server_core_names_parse_alike_in_core_and_transport() {
+        use bsoap_transport::ServerCore as TransportCore;
+        let table = [
+            ("worker_pool", Some(ServerCore::WorkerPool)),
+            ("WorkerPool", Some(ServerCore::WorkerPool)),
+            ("worker-pool", Some(ServerCore::WorkerPool)),
+            ("event_loop", Some(ServerCore::EventLoop)),
+            ("eventloop", Some(ServerCore::EventLoop)),
+            ("Event-Loop", Some(ServerCore::EventLoop)),
+            (" event_loop", Some(ServerCore::EventLoop)),
+            ("\tWORKER_POOL \n", Some(ServerCore::WorkerPool)),
+            ("", None),
+            ("event loop", None),
+            ("threads", None),
+        ];
+        for (name, want) in table {
+            assert_eq!(ServerCore::from_name(name), want, "core: {name:?}");
+            let mapped = TransportCore::from_name(name).map(|c| match c {
+                TransportCore::WorkerPool => ServerCore::WorkerPool,
+                TransportCore::EventLoop => ServerCore::EventLoop,
+            });
+            assert_eq!(mapped, want, "transport: {name:?}");
         }
     }
 

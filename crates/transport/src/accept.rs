@@ -1,4 +1,6 @@
-//! Bounded worker-pool accept loop shared by the loopback servers.
+//! Bounded worker-pool accept loop: the thread side of the worker-pool
+//! core (what each worker *does* with a connection is the caller's
+//! closure — for HTTP, [`crate::conn::drive_blocking`]).
 //!
 //! The seed servers spawned one unbounded thread per connection and
 //! sleep-polled a nonblocking listener every millisecond — fine for unit
@@ -22,25 +24,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Tuning for [`serve`].
-#[derive(Clone, Copy, Debug)]
-pub struct PoolOptions {
-    /// Fixed number of worker threads handling connections.
-    pub workers: usize,
-    /// How long [`WorkerPool::stop`] waits for in-flight connections to
-    /// drain before force-closing them.
-    pub drain_deadline: Duration,
-}
-
-impl Default for PoolOptions {
-    fn default() -> Self {
-        PoolOptions {
-            workers: 4,
-            drain_deadline: Duration::from_secs(2),
-        }
-    }
-}
 
 /// Accepted-connection queue plus worker bookkeeping, all under one lock
 /// so the drain wait can be a plain condvar wait (no sleep polling).
@@ -208,35 +191,33 @@ struct PoolShared {
 /// (with the configured drain deadline).
 pub struct WorkerPool {
     addr: SocketAddr,
-    opts: PoolOptions,
+    workers_wanted: usize,
+    drain_deadline: Duration,
     shared: Arc<PoolShared>,
     accept_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
-/// Serve `listener` with a fixed pool of `opts.workers` threads; `handler`
-/// is invoked once per accepted connection and owns it until it returns
-/// (keep-alive loops live inside the handler).
-pub fn serve<F>(listener: TcpListener, opts: PoolOptions, handler: F) -> io::Result<WorkerPool>
-where
-    F: Fn(TcpStream) + Send + Sync + 'static,
-{
-    serve_with_metrics(listener, opts, None, handler)
-}
-
-/// [`serve`] with an observability registry attached: every accepted
-/// connection ticks [`Counter::ServerConnections`], and each enqueue
-/// publishes the observed queue depth as a [`Gauge::QueueDepthPeak`]
-/// observation plus a [`TraceKind::QueueDepth`] event. (A separate entry
-/// point because [`PoolOptions`] is `Copy` and cannot carry an `Arc`.)
+/// Serve `listener` with a fixed pool of `workers` threads; `handler` is
+/// invoked once per accepted connection and owns it until it returns
+/// (keep-alive loops live inside the handler). Its second argument is the
+/// pool's stop flag, raised when [`WorkerPool::stop`] begins: a handler
+/// that polls it can finish its in-flight request and hang up instead of
+/// idling into the drain deadline.
+///
+/// With a registry attached, every accepted connection ticks
+/// [`Counter::ServerConnections`], and each enqueue publishes the observed
+/// queue depth as a [`Gauge::QueueDepthPeak`] observation plus a
+/// [`TraceKind::QueueDepth`] event.
 pub fn serve_with_metrics<F>(
     listener: TcpListener,
-    opts: PoolOptions,
+    workers: usize,
+    drain_deadline: Duration,
     metrics: Option<Arc<Metrics>>,
     handler: F,
 ) -> io::Result<WorkerPool>
 where
-    F: Fn(TcpStream) + Send + Sync + 'static,
+    F: Fn(TcpStream, &AtomicBool) + Send + Sync + 'static,
 {
     let addr = listener.local_addr()?;
     let shared = Arc::new(PoolShared {
@@ -248,7 +229,7 @@ where
         next_id: AtomicU64::new(0),
     });
     let handler = Arc::new(handler);
-    let workers = (0..opts.workers.max(1))
+    let worker_threads = (0..workers.max(1))
         .map(|_| {
             let shared = Arc::clone(&shared);
             let handler = Arc::clone(&handler);
@@ -256,7 +237,7 @@ where
                 while let Some(stream) = shared.queue.pop() {
                     let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
                     shared.registry.insert(id, &stream);
-                    handler(stream);
+                    handler(stream, &shared.stop);
                     shared.registry.remove(id);
                     shared.queue.done();
                 }
@@ -297,10 +278,11 @@ where
     });
     Ok(WorkerPool {
         addr,
-        opts,
+        workers_wanted: workers.max(1),
+        drain_deadline,
         shared,
         accept_thread: Some(accept_thread),
-        workers,
+        workers: worker_threads,
     })
 }
 
@@ -322,7 +304,7 @@ impl WorkerPool {
 
     /// Number of worker threads (stable across [`WorkerPool::stop`]).
     pub fn workers(&self) -> usize {
-        self.opts.workers.max(1)
+        self.workers_wanted
     }
 
     /// Stop accepting, drain in-flight connections (bounded by the drain
@@ -344,7 +326,7 @@ impl WorkerPool {
         let _ = accept.join();
         drop(sentinel);
         self.shared.queue.close();
-        if !self.shared.queue.wait_drained(self.opts.drain_deadline) {
+        if !self.shared.queue.wait_drained(self.drain_deadline) {
             // Deadline passed: force-close active connections to unblock
             // workers parked in read(), and drop still-queued ones.
             self.shared.queue.abandon();
@@ -370,13 +352,12 @@ mod tests {
 
     fn echo_pool(workers: usize) -> WorkerPool {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        serve(
+        serve_with_metrics(
             listener,
-            PoolOptions {
-                workers,
-                ..PoolOptions::default()
-            },
-            |mut s| {
+            workers,
+            Duration::from_secs(2),
+            None,
+            |mut s, _stop| {
                 let mut buf = [0u8; 1024];
                 loop {
                     match s.read(&mut buf) {
@@ -439,13 +420,12 @@ mod tests {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let served = Arc::new(AtomicUsize::new(0));
         let served_h = Arc::clone(&served);
-        let mut pool = serve(
+        let mut pool = serve_with_metrics(
             listener,
-            PoolOptions {
-                workers: 1,
-                drain_deadline: Duration::from_secs(5),
-            },
-            move |mut s| {
+            1,
+            Duration::from_secs(5),
+            None,
+            move |mut s, _stop| {
                 let mut buf = [0u8; 4];
                 if s.read_exact(&mut buf).is_ok() {
                     let _ = s.write_all(b"ok");
@@ -481,13 +461,12 @@ mod tests {
     #[test]
     fn stop_with_idle_keepalive_connection_times_out_cleanly() {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let mut pool = serve(
+        let mut pool = serve_with_metrics(
             listener,
-            PoolOptions {
-                workers: 1,
-                drain_deadline: Duration::from_millis(50),
-            },
-            |mut s| {
+            1,
+            Duration::from_millis(50),
+            None,
+            |mut s, _stop| {
                 let mut buf = [0u8; 1024];
                 while !matches!(s.read(&mut buf), Ok(0) | Err(_)) {}
             },

@@ -1,5 +1,5 @@
-//! Readiness-driven server core: nonblocking listener + epoll loops +
-//! per-connection state machines + a small dispatch pool.
+//! Readiness-driven server core: nonblocking listener + epoll loops
+//! driving per-connection [`Conn`] machines + a small dispatch pool.
 //!
 //! Topology: `loops` threads each own a [`Poller`], a [`TimerWheel`], and
 //! a map of connections. Loop 0 additionally owns the listener and
@@ -8,25 +8,24 @@
 //! onto one shared bounded-pending dispatch queue feeding `dispatchers`
 //! CPU workers that run the handler — overload therefore stays
 //! queued-not-refused exactly like the worker-pool core, but idle
-//! keep-alive connections now cost a map entry instead of a pinned
-//! thread.
+//! keep-alive connections cost a map entry instead of a pinned thread.
 //!
-//! All protocol logic lives in [`Conn`] (sans-io); this module only moves
-//! bytes, timers, and queue entries. Timer deadlines read the metrics
+//! All protocol logic lives in [`Conn`] (sans-io); this module is one of
+//! its two drivers and only moves bytes, timers, and queue entries. Timer deadlines read the metrics
 //! clock, so a `VirtualClock` drives eviction in tests; `epoll_wait` is
 //! capped at 50 ms real time so virtual-clock advances are observed
 //! promptly.
 //!
 //! Graceful drain (`stop`): stop accepting, close idle connections,
 //! finish in-flight requests, then force-close whatever remains at the
-//! drain deadline — the worker-pool contract, re-implemented on
-//! readiness.
+//! drain deadline — the worker-pool contract on readiness.
 
 use crate::conn::{Conn, ConnAction, ConnConfig, ReqBody, Response};
 use crate::http::RequestHead;
 use crate::poller::{Interest, PollEvent, Poller, WakeFd};
+use crate::server::{ServeMode, ServerOptions};
 use crate::timer::{TimerKind, TimerWheel};
-use bsoap_obs::{Counter, Gauge, HistId, Metrics, NullRecorder, Recorder, TraceKind};
+use bsoap_obs::{Counter, Gauge, Metrics, Recorder, TraceKind};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -41,53 +40,6 @@ const TOKEN_LISTEN: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
 /// First connection token.
 const TOKEN_CONN_BASE: u64 = 2;
-
-/// Request handler run on the dispatch pool.
-pub type Handler = Arc<dyn Fn(&RequestHead, ReqBody) -> Response + Send + Sync>;
-
-/// What the loops do with connection bytes.
-#[derive(Clone)]
-pub enum ServeMode {
-    /// Parse HTTP requests and dispatch them to `handler`.
-    Http {
-        /// Produces the response for each complete request.
-        handler: Handler,
-    },
-    /// No protocol: count every byte read (the `ServerMode::Discard`
-    /// contract).
-    Discard {
-        /// Called with each read's byte count.
-        on_bytes: Arc<dyn Fn(u64) + Send + Sync>,
-    },
-}
-
-/// Tuning for [`EventLoopServer::serve`].
-#[derive(Clone)]
-pub struct EventLoopOptions {
-    /// Event-loop threads (≥ 1).
-    pub loops: usize,
-    /// Dispatch workers running the handler.
-    pub dispatchers: usize,
-    /// Accept cap: beyond this, new connections wait in the listen
-    /// backlog (queued, not refused).
-    pub max_connections: usize,
-    /// How long `stop` waits for in-flight work before force-closing.
-    pub drain_deadline: Duration,
-    /// Per-connection limits, timeouts, and optional body sink.
-    pub conn: ConnConfig,
-}
-
-impl Default for EventLoopOptions {
-    fn default() -> Self {
-        EventLoopOptions {
-            loops: 2,
-            dispatchers: 4,
-            max_connections: 8192,
-            drain_deadline: Duration::from_secs(2),
-            conn: ConnConfig::default(),
-        }
-    }
-}
 
 fn relock<'a, T>(
     r: Result<MutexGuard<'a, T>, std::sync::PoisonError<MutexGuard<'a, T>>>,
@@ -197,21 +149,28 @@ pub struct EventLoopServer {
 }
 
 impl EventLoopServer {
-    /// Start the loops and (for [`ServeMode::Http`]) the dispatch pool.
-    /// Fails with `Unsupported` where epoll is unavailable.
+    /// Start `opts.event_loop_threads` loops and (for [`ServeMode::Http`])
+    /// `opts.workers` dispatch workers; every connection runs a [`Conn`]
+    /// configured by `conn`. Fails with `Unsupported` where epoll is
+    /// unavailable.
     pub fn serve(
         listener: TcpListener,
-        opts: EventLoopOptions,
+        opts: &ServerOptions,
+        conn: ConnConfig,
         metrics: Option<Arc<Metrics>>,
         mode: ServeMode,
     ) -> io::Result<EventLoopServer> {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let nloops = opts.loops.max(1);
-        let rec: Arc<dyn Recorder> = match &metrics {
-            Some(m) => m.clone(),
-            None => Arc::new(NullRecorder),
-        };
+        let nloops = opts.event_loop_threads.max(1);
+        // The timer wheel runs on the recorder's clock, so even a server
+        // without a registry needs one that tells time: a switched-off
+        // `Metrics` records nothing but still reads the monotonic clock.
+        let rec: Arc<dyn Recorder> = metrics.unwrap_or_else(|| {
+            let off = Metrics::new();
+            off.set_enabled(false);
+            Arc::new(off)
+        });
 
         let mut loops = Vec::with_capacity(nloops);
         let mut pollers = Vec::with_capacity(nloops);
@@ -246,7 +205,7 @@ impl EventLoopServer {
         for (idx, poller) in pollers.into_iter().enumerate() {
             let shared = shared.clone();
             let mode = mode.clone();
-            let conn_cfg = opts.conn.clone();
+            let conn_cfg = conn.clone();
             let listener = if idx == 0 { listener_slot.take() } else { None };
             loop_threads.push(
                 thread::Builder::new()
@@ -263,7 +222,7 @@ impl EventLoopServer {
 
         let mut dispatch_threads = Vec::new();
         if let ServeMode::Http { handler } = &mode {
-            for i in 0..opts.dispatchers.max(1) {
+            for i in 0..opts.workers.max(1) {
                 let shared = shared.clone();
                 let handler = handler.clone();
                 dispatch_threads.push(
@@ -363,8 +322,6 @@ enum Entry {
         conn: Box<Conn>,
         sock: TcpStream,
         interest: Interest,
-        /// Clock reading when the current request was dispatched.
-        start_ns: u64,
     },
     Discard {
         sock: TcpStream,
@@ -382,6 +339,8 @@ struct LoopThread {
     conns: HashMap<u64, Entry>,
     wheel: TimerWheel,
     stop_seen: bool,
+    /// Reused action list: filled by one `Conn` call, drained by `apply`.
+    actions: Vec<ConnAction>,
 }
 
 impl LoopThread {
@@ -404,6 +363,7 @@ impl LoopThread {
             conns: HashMap::new(),
             wheel: TimerWheel::new(),
             stop_seen: false,
+            actions: Vec::new(),
         }
     }
 
@@ -574,21 +534,19 @@ impl LoopThread {
         }
         if matches!(self.mode, ServeMode::Http { .. }) {
             let mut conn = Box::new(Conn::new(token, self.conn_cfg.clone()));
-            let mut actions = Vec::new();
-            conn.on_accept(&mut actions);
-            if self.stop_seen {
-                conn.set_draining(&*self.shared.rec, &mut actions);
-            }
+            conn.on_accept(&mut self.actions);
             self.conns.insert(
                 token,
                 Entry::Http {
                     conn,
                     sock,
                     interest: Interest::READ,
-                    start_ns: 0,
                 },
             );
-            self.apply(token, actions);
+            self.apply(token);
+            if self.stop_seen {
+                self.drain_conn(token);
+            }
         } else {
             // Discard connections drain by waiting for client EOF; the
             // abandon deadline bounds them.
@@ -628,16 +586,17 @@ impl LoopThread {
                 }
             }
             Some(Entry::Http { conn, sock, .. }) => {
-                let mut actions = Vec::new();
                 let rec = &*self.shared.rec;
                 if ev.readable || ev.hangup {
-                    conn.on_readable(sock, rec, &mut actions);
+                    // One read per readiness event: level-triggered epoll
+                    // reports the socket again while bytes remain.
+                    conn.on_readable(sock, rec, &mut self.actions);
                 }
                 if (ev.writable || ev.hangup) && !conn.is_closing() {
-                    conn.on_writable(sock, rec, &mut actions);
+                    conn.on_writable(sock, rec, &mut self.actions);
                 }
                 let closing = conn.is_closing();
-                self.apply(token, actions);
+                self.apply(token);
                 if ev.hangup && !closing && self.conns.contains_key(&token) {
                     // Error'd socket that produced no state change: drop it.
                     self.teardown(token);
@@ -657,11 +616,10 @@ impl LoopThread {
             };
             let rec = &*self.shared.rec;
             conn.on_dispatch_done(resp, rec);
-            let mut actions = Vec::new();
             // Optimistic write: usually completes without an EPOLLOUT
             // round trip.
-            conn.on_writable(sock, rec, &mut actions);
-            self.apply(token, actions);
+            conn.on_writable(sock, rec, &mut self.actions);
+            self.apply(token);
         }
     }
 
@@ -672,17 +630,19 @@ impl LoopThread {
             let Some(Entry::Http { conn, .. }) = self.conns.get_mut(&token) else {
                 continue;
             };
-            let mut actions = Vec::new();
-            conn.on_timer(kind, &*self.shared.rec, &mut actions);
-            self.apply(token, actions);
+            conn.on_timer(kind, &*self.shared.rec, &mut self.actions);
+            self.apply(token);
         }
     }
 
-    fn apply(&mut self, token: u64, actions: Vec<ConnAction>) {
-        let now_ns = self.rec().now_ns();
-        for action in actions {
+    /// Carry out (and clear) the actions the last `Conn` call left in
+    /// `self.actions`.
+    fn apply(&mut self, token: u64) {
+        let mut actions = std::mem::take(&mut self.actions);
+        for action in actions.drain(..) {
             match action {
                 ConnAction::Arm(kind, after) => {
+                    let now_ns = self.rec().now_ns();
                     self.wheel
                         .arm(token, kind, now_ns.saturating_add(after.as_nanos() as u64));
                 }
@@ -696,9 +656,6 @@ impl LoopThread {
                     }
                 }
                 ConnAction::Dispatch(head, body) => {
-                    if let Some(Entry::Http { start_ns, .. }) = self.conns.get_mut(&token) {
-                        *start_ns = now_ns;
-                    }
                     let depth = self.shared.dispatch.push(Job {
                         loop_idx: self.idx,
                         token,
@@ -711,25 +668,10 @@ impl LoopThread {
                         depth: depth as u64,
                     });
                 }
-                ConnAction::Responded { bytes, measure } => {
-                    if measure {
-                        let start = match self.conns.get(&token) {
-                            Some(Entry::Http { start_ns, .. }) => *start_ns,
-                            _ => now_ns,
-                        };
-                        let rec = self.rec();
-                        rec.add(Counter::ServerBytesOut, bytes);
-                        let elapsed = now_ns.saturating_sub(start);
-                        rec.observe_ns(HistId::ServerRequest, elapsed);
-                        rec.trace(TraceKind::Request {
-                            bytes,
-                            elapsed_ns: elapsed,
-                        });
-                    }
-                }
                 ConnAction::Close(_reason) => self.teardown(token),
             }
         }
+        self.actions = actions;
     }
 
     fn teardown(&mut self, token: u64) {
@@ -771,14 +713,19 @@ impl LoopThread {
         // connections drain on client EOF (bounded by abandon).
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
-            let is_http = matches!(self.conns.get(&token), Some(Entry::Http { .. }));
-            if is_http {
-                let mut actions = Vec::new();
-                if let Some(Entry::Http { conn, .. }) = self.conns.get_mut(&token) {
-                    conn.set_draining(&*self.shared.rec, &mut actions);
-                }
-                self.apply(token, actions);
-            }
+            self.drain_conn(token);
+        }
+    }
+
+    /// Start draining one HTTP connection. Like the blocking driver, read
+    /// first: bytes the peer already sent are a request in flight, not an
+    /// idle connection to hang up on.
+    fn drain_conn(&mut self, token: u64) {
+        if let Some(Entry::Http { conn, sock, .. }) = self.conns.get_mut(&token) {
+            let rec = &*self.shared.rec;
+            conn.on_readable(sock, rec, &mut self.actions);
+            conn.set_draining(rec, &mut self.actions);
+            self.apply(token);
         }
     }
 }
@@ -789,16 +736,21 @@ mod tests {
     use crate::http::{read_response, render_response, RequestConfig};
     use std::io::Write;
 
-    fn handler_ack() -> Handler {
+    fn handler_ack() -> crate::conn::Handler {
         Arc::new(|_head, body| Response::xml(200, "OK", format!("len={}", body.len()).into_bytes()))
     }
 
-    fn opts() -> EventLoopOptions {
-        EventLoopOptions {
-            loops: 2,
-            dispatchers: 2,
-            ..EventLoopOptions::default()
+    fn opts() -> ServerOptions {
+        ServerOptions {
+            event_loop_threads: 2,
+            workers: 2,
+            ..ServerOptions::default()
         }
+    }
+
+    fn serve(opts: &ServerOptions, mode: ServeMode) -> EventLoopServer {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        EventLoopServer::serve(listener, opts, ConnConfig::default(), None, mode).unwrap()
     }
 
     fn post(addr: SocketAddr, body: &[u8]) -> (u16, Vec<u8>) {
@@ -813,16 +765,12 @@ mod tests {
 
     #[test]
     fn serves_concurrent_keep_alive_clients() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut server = EventLoopServer::serve(
-            listener,
-            opts(),
-            None,
+        let mut server = serve(
+            &opts(),
             ServeMode::Http {
                 handler: handler_ack(),
             },
-        )
-        .unwrap();
+        );
         let addr = server.addr();
         let mut handles = Vec::new();
         for _ in 0..8 {
@@ -850,16 +798,12 @@ mod tests {
 
     #[test]
     fn responses_match_plain_rendering() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut server = EventLoopServer::serve(
-            listener,
-            opts(),
-            None,
+        let mut server = serve(
+            &opts(),
             ServeMode::Http {
                 handler: handler_ack(),
             },
-        )
-        .unwrap();
+        );
         let (status, body) = post(server.addr(), b"hello");
         assert_eq!((status, body.as_slice()), (200, b"len=5".as_slice()));
         let mut expect = Vec::new();
@@ -869,16 +813,12 @@ mod tests {
 
     #[test]
     fn stop_without_traffic_is_clean() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut server = EventLoopServer::serve(
-            listener,
-            opts(),
-            None,
+        let mut server = serve(
+            &opts(),
             ServeMode::Http {
                 handler: handler_ack(),
             },
-        )
-        .unwrap();
+        );
         server.stop();
         server.stop(); // idempotent
     }
@@ -887,18 +827,14 @@ mod tests {
     fn discard_mode_counts_bytes() {
         let counted = Arc::new(AtomicU64::new(0));
         let c = counted.clone();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut server = EventLoopServer::serve(
-            listener,
-            opts(),
-            None,
+        let mut server = serve(
+            &opts(),
             ServeMode::Discard {
                 on_bytes: Arc::new(move |n| {
                     c.fetch_add(n, Ordering::Relaxed);
                 }),
             },
-        )
-        .unwrap();
+        );
         {
             let mut s = TcpStream::connect(server.addr()).unwrap();
             s.write_all(&vec![7u8; 10_000]).unwrap();
@@ -913,18 +849,14 @@ mod tests {
 
     #[test]
     fn max_connections_queues_not_refuses() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut o = opts();
         o.max_connections = 2;
-        let mut server = EventLoopServer::serve(
-            listener,
-            o,
-            None,
+        let mut server = serve(
+            &o,
             ServeMode::Http {
                 handler: handler_ack(),
             },
-        )
-        .unwrap();
+        );
         let addr = server.addr();
         // Two admitted + two waiting in the backlog.
         let mut held: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();

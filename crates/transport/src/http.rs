@@ -14,6 +14,7 @@
 
 use std::fmt;
 use std::io::{self, IoSlice, Read, Write};
+use std::ops::Range;
 
 /// HTTP version / framing strategy for the SOAP POST.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -323,21 +324,342 @@ pub enum BodyFraming {
     Chunked,
 }
 
-/// Incremental reader of HTTP requests off a stream.
+/// Bytes asked of the socket per `read`: one call takes a whole small
+/// request, two take a 100 KB one.
+pub const READ_SIZE: usize = 64 * 1024;
+
+/// Longest permitted chunk-size line (hex digits + extensions, without
+/// its CRLF). Anything longer is an attack or corruption, never a size.
+pub const MAX_SIZE_LINE: usize = 256;
+
+/// Longest permitted trailer section (every trailer line and the closing
+/// blank line, CRLFs included). The same figure as [`MAX_SIZE_LINE`], so
+/// a fixed decode window of `MAX_SIZE_LINE + 2` bytes always holds the
+/// line the decoder is waiting on.
+pub const MAX_TRAILERS: usize = MAX_SIZE_LINE;
+
+/// What one [`BodyDecoder::step`] found at the front of the window.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Decoded {
+    /// The window ends inside a framing element or holds no payload yet:
+    /// consume what was reported and read more.
+    Starved,
+    /// Payload bytes at this range of the window (the consumed count ends
+    /// where the range does).
+    Payload(Range<usize>),
+    /// The body is complete; nothing past the consumed count belongs to it.
+    Done,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum BodyPhase {
+    /// Payload bytes left in the `Content-Length` body or current chunk.
+    Data {
+        remaining: usize,
+        chunked: bool,
+    },
+    /// Expecting a `{len:x}[;ext]\r\n` size line.
+    SizeLine,
+    /// Expecting the CRLF that closes a chunk's data.
+    DataCrlf,
+    /// Past the `0` chunk: skipping trailer lines until the blank one;
+    /// `seen` bytes of the section are already consumed.
+    Trailers {
+        seen: usize,
+    },
+    Done,
+}
+
+/// Sans-io body decoder: the one place that knows `Content-Length`
+/// counting, the chunked grammar and their caps. Feed it the unconsumed
+/// window; it answers how many bytes to consume and what they were.
 ///
-/// Owns a buffer; reads repeatedly until a full head + body is available.
-/// Suited to the loopback servers (one connection per thread).
+/// Every server core, the client's response reader and
+/// [`ChunkedBodyReader`](crate::stream::ChunkedBodyReader) decode through
+/// it, so a bound holds on all of them or on none:
+/// * a `Content-Length` above `max_body`, or a chunk that would take the
+///   body past it (`size > max_body - seen`, saturating) →
+///   [`HttpError::TooLarge`]
+/// * a size line over [`MAX_SIZE_LINE`] or a trailer section over
+///   [`MAX_TRAILERS`] → [`HttpError::TooLarge`]
+/// * a size that is not bare hex digits before an optional `;extension`
+///   (no whitespace is trimmed), or chunk data not followed by CRLF →
+///   [`HttpError::BadChunk`]
+#[derive(Clone, Debug)]
+pub struct BodyDecoder {
+    phase: BodyPhase,
+    /// Payload bytes yielded so far.
+    seen: usize,
+    max_body: usize,
+}
+
+impl BodyDecoder {
+    /// Decoder for a body framed as `framing`, capped at `max_body`.
+    pub fn new(framing: BodyFraming, max_body: usize) -> Result<Self, HttpError> {
+        let phase = match framing {
+            BodyFraming::Length(n) if n > max_body => {
+                return Err(HttpError::TooLarge("declared content-length"))
+            }
+            BodyFraming::Length(n) => BodyPhase::Data {
+                remaining: n,
+                chunked: false,
+            },
+            BodyFraming::Chunked => BodyPhase::SizeLine,
+        };
+        Ok(BodyDecoder {
+            phase,
+            seen: 0,
+            max_body,
+        })
+    }
+
+    /// Decoder for a chunked body (which has no up-front length to refuse).
+    pub fn chunked(max_body: usize) -> Self {
+        BodyDecoder {
+            phase: BodyPhase::SizeLine,
+            seen: 0,
+            max_body,
+        }
+    }
+
+    /// Payload bytes yielded so far.
+    pub fn seen(&self) -> usize {
+        self.seen
+    }
+
+    /// The error an EOF at this point of the body is.
+    pub fn eof_error(&self) -> HttpError {
+        match self.phase {
+            BodyPhase::Data { chunked: false, .. } => {
+                HttpError::BadFraming("EOF inside length-framed body")
+            }
+            _ => HttpError::BadChunk("EOF inside chunked body"),
+        }
+    }
+
+    /// Skip the framing at the front of `window` and report the first
+    /// payload run, the end of the body, or starvation. Returns the bytes
+    /// to consume and what they held.
+    pub fn step(&mut self, window: &[u8]) -> Result<(usize, Decoded), HttpError> {
+        let mut at = 0;
+        loop {
+            let rest = &window[at..];
+            match self.phase {
+                BodyPhase::Data {
+                    remaining: 0,
+                    chunked,
+                } => {
+                    self.phase = if chunked {
+                        BodyPhase::DataCrlf
+                    } else {
+                        BodyPhase::Done
+                    };
+                }
+                BodyPhase::Data { remaining, chunked } => {
+                    let take = remaining.min(rest.len());
+                    if take == 0 {
+                        return Ok((at, Decoded::Starved));
+                    }
+                    self.phase = BodyPhase::Data {
+                        remaining: remaining - take,
+                        chunked,
+                    };
+                    self.seen += take;
+                    return Ok((at + take, Decoded::Payload(at..at + take)));
+                }
+                BodyPhase::SizeLine => {
+                    let Some(p) = find(rest, b"\r\n") else {
+                        // The last byte may be the CR of a CRLF still in
+                        // flight, hence the `+ 1`.
+                        if rest.len() > MAX_SIZE_LINE + 1 {
+                            return Err(HttpError::TooLarge("chunk size line"));
+                        }
+                        return Ok((at, Decoded::Starved));
+                    };
+                    if p > MAX_SIZE_LINE {
+                        return Err(HttpError::TooLarge("chunk size line"));
+                    }
+                    let line = &rest[..p];
+                    let digits = line.split(|&b| b == b';').next().unwrap_or(line);
+                    let size =
+                        parse_hex(digits).ok_or(HttpError::BadChunk("bad chunk size line"))?;
+                    at += p + 2;
+                    self.phase = if size == 0 {
+                        BodyPhase::Trailers { seen: 0 }
+                    } else if size > self.max_body.saturating_sub(self.seen) {
+                        return Err(HttpError::TooLarge("chunked body"));
+                    } else {
+                        BodyPhase::Data {
+                            remaining: size,
+                            chunked: true,
+                        }
+                    };
+                }
+                BodyPhase::DataCrlf => {
+                    if rest.len() < 2 {
+                        return Ok((at, Decoded::Starved));
+                    }
+                    if &rest[..2] != b"\r\n" {
+                        return Err(HttpError::BadChunk("missing CRLF after chunk data"));
+                    }
+                    at += 2;
+                    self.phase = BodyPhase::SizeLine;
+                }
+                BodyPhase::Trailers { seen } => {
+                    let line = find(rest, b"\r\n");
+                    let seen = seen + line.map_or(rest.len(), |p| p + 2);
+                    if seen > MAX_TRAILERS {
+                        return Err(HttpError::TooLarge("trailer section"));
+                    }
+                    let Some(p) = line else {
+                        return Ok((at, Decoded::Starved));
+                    };
+                    at += p + 2;
+                    self.phase = if p == 0 {
+                        BodyPhase::Done
+                    } else {
+                        BodyPhase::Trailers { seen }
+                    };
+                }
+                BodyPhase::Done => return Ok((at, Decoded::Done)),
+            }
+        }
+    }
+}
+
+/// What one [`RequestParser::step`] found at the front of the window.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Parsed {
+    /// Nothing more can be parsed until more bytes arrive.
+    Starved,
+    /// A complete head, and how the body after it is framed.
+    Head(RequestHead, BodyFraming),
+    /// Body payload at this range of the window.
+    Body(Range<usize>),
+    /// The request is complete; the parser expects a new head next.
+    Done,
+}
+
+/// Sans-io request parser: head splitting and its cap, head parsing,
+/// framing detection, then the [`BodyDecoder`]. [`Conn`](crate::conn::Conn)
+/// runs every served request through it; [`RequestReader`] is a blocking
+/// loop over the same steps.
+#[derive(Debug)]
+pub struct RequestParser {
+    max_head: usize,
+    max_body: usize,
+    /// `None` while expecting a head.
+    body: Option<BodyDecoder>,
+}
+
+impl RequestParser {
+    /// Parser enforcing head/body size caps: a head that does not
+    /// terminate within `max_head` bytes, a `Content-Length` above
+    /// `max_body`, or a chunked body accumulating past `max_body` all fail
+    /// with [`HttpError::TooLarge`] instead of growing buffers without
+    /// bound.
+    pub fn new(max_head: usize, max_body: usize) -> Self {
+        RequestParser {
+            max_head,
+            max_body,
+            body: None,
+        }
+    }
+
+    /// Parse the next element at the front of `window`. Returns the bytes
+    /// to consume and what they held.
+    pub fn step(&mut self, window: &[u8]) -> Result<(usize, Parsed), HttpError> {
+        let Some(body) = self.body.as_mut() else {
+            let Some(end) = capped_head_end(window, self.max_head, "request head")? else {
+                return Ok((0, Parsed::Starved));
+            };
+            let head = parse_request_head(&window[..end])?;
+            let framing = head.body_framing()?;
+            self.body = Some(BodyDecoder::new(framing, self.max_body)?);
+            return Ok((end, Parsed::Head(head, framing)));
+        };
+        let (n, step) = body.step(window)?;
+        let parsed = match step {
+            Decoded::Starved => Parsed::Starved,
+            Decoded::Payload(range) => Parsed::Body(range),
+            Decoded::Done => {
+                self.body = None;
+                Parsed::Done
+            }
+        };
+        Ok((n, parsed))
+    }
+
+    /// The error an EOF at this point of the request is.
+    pub fn eof_error(&self) -> HttpError {
+        match &self.body {
+            None => HttpError::BadHead("EOF inside request head"),
+            Some(body) => body.eof_error(),
+        }
+    }
+}
+
+/// A reusable read buffer with a parse window over its filled part. Reads
+/// land straight in the free tail — no per-read scratch, no zeroing —
+/// and a fully consumed window rewinds for free.
+#[derive(Debug, Default)]
+pub struct ParseBuf {
+    /// Always fully initialized; `start..end` is the unparsed window.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl ParseBuf {
+    /// The unparsed bytes.
+    pub fn window(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// Drop the first `n` bytes of the window.
+    pub fn consume(&mut self, n: usize) {
+        self.start += n;
+        debug_assert!(self.start <= self.end);
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+    }
+
+    /// One successful `read` into at least [`READ_SIZE`] bytes of free
+    /// tail, retrying `Interrupted`. Unparsed bytes are kept (slid to the
+    /// front if room is short); the buffer grows only when a partial
+    /// element is still too large for it.
+    pub fn read_from(&mut self, io: &mut impl Read) -> io::Result<usize> {
+        if self.buf.is_empty() {
+            self.buf = vec![0; READ_SIZE];
+        } else if self.buf.len() - self.end < READ_SIZE {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            if self.buf.len() - self.end < READ_SIZE {
+                self.buf.resize(self.end + READ_SIZE, 0);
+            }
+        }
+        loop {
+            match io.read(&mut self.buf[self.end..]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// Blocking reader of HTTP requests off a stream: read, feed the
+/// [`RequestParser`], repeat until a request is whole.
 pub struct RequestReader<R> {
     stream: R,
-    buf: Vec<u8>,
-    /// Bytes of `buf` that are valid.
-    filled: usize,
-    /// Consumed prefix (start of the next request).
-    consumed: usize,
-    /// Cap on a single request head (and any chunk-size line).
-    max_head: usize,
-    /// Cap on a single request body.
-    max_body: usize,
+    buf: ParseBuf,
+    parser: RequestParser,
 }
 
 impl<R: Read> RequestReader<R> {
@@ -346,147 +668,48 @@ impl<R: Read> RequestReader<R> {
         Self::with_limits(stream, usize::MAX, usize::MAX)
     }
 
-    /// Wrap a stream enforcing head/body size caps: a head that does not
-    /// terminate within `max_head` bytes, a `Content-Length` above
-    /// `max_body`, or a chunked body accumulating past `max_body` all fail
-    /// with [`HttpError::TooLarge`] instead of growing buffers without
-    /// bound — the hardened server's answer to memory-exhaustion requests.
+    /// Wrap a stream enforcing the caps of [`RequestParser::new`].
     pub fn with_limits(stream: R, max_head: usize, max_body: usize) -> Self {
         RequestReader {
             stream,
-            buf: vec![0; 64 * 1024],
-            filled: 0,
-            consumed: 0,
-            max_head: max_head.max(1),
-            max_body,
+            buf: ParseBuf::default(),
+            parser: RequestParser::new(max_head, max_body),
         }
-    }
-
-    /// The wrapped stream. Server loops use this to re-arm per-request
-    /// read budgets at request boundaries.
-    pub fn stream_mut(&mut self) -> &mut R {
-        &mut self.stream
     }
 
     /// Read one full request. Returns `Ok(None)` on clean EOF before any
     /// bytes of a next request.
     pub fn next_request(&mut self) -> io::Result<Option<(RequestHead, Vec<u8>)>> {
-        // Find the head terminator, reading as needed.
-        let head_end = loop {
-            if let Some(e) = head_end(&self.buf[self.consumed..self.filled]) {
-                break self.consumed + e;
-            }
-            if self.filled - self.consumed > self.max_head {
-                return Err(HttpError::TooLarge("request head").into());
-            }
-            if !self.fill()? {
-                if self.consumed == self.filled {
-                    return Ok(None);
-                }
-                return Err(HttpError::BadHead("EOF inside request head").into());
-            }
-        };
-        if head_end - self.consumed > self.max_head {
-            return Err(HttpError::TooLarge("request head").into());
-        }
-        let head = parse_request_head(&self.buf[self.consumed..head_end])?;
-        self.consumed = head_end;
-        let body = match head.body_framing()? {
-            BodyFraming::Length(n) => {
-                if n > self.max_body {
-                    return Err(HttpError::TooLarge("declared content-length").into());
-                }
-                self.read_exact_body(n)?
-            }
-            BodyFraming::Chunked => self.read_chunked_body()?,
-        };
-        Ok(Some((head, body)))
-    }
-
-    fn fill(&mut self) -> io::Result<bool> {
-        if self.filled == self.buf.len() {
-            if self.consumed > 0 {
-                self.buf.copy_within(self.consumed..self.filled, 0);
-                self.filled -= self.consumed;
-                self.consumed = 0;
-            } else {
-                self.buf.resize(self.buf.len() * 2, 0);
-            }
-        }
-        // Retry EINTR here rather than propagating it: a signal landing
-        // mid-`read` would otherwise surface as a framing error to every
-        // caller above (`read_line` would see a chunk-size line "split" by
-        // the interruption and the body readers would misreport EOF).
-        let n = loop {
-            match self.stream.read(&mut self.buf[self.filled..]) {
-                Ok(n) => break n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        };
-        self.filled += n;
-        Ok(n > 0)
-    }
-
-    fn read_exact_body(&mut self, n: usize) -> io::Result<Vec<u8>> {
-        // Capacity is clamped so a forged Content-Length cannot force a
-        // huge up-front allocation; the Vec grows only as bytes arrive.
-        let mut body = Vec::with_capacity(n.min(64 * 1024));
-        while body.len() < n {
-            if self.consumed == self.filled && !self.fill()? {
-                return Err(HttpError::BadFraming("EOF inside length-framed body").into());
-            }
-            let take = (n - body.len()).min(self.filled - self.consumed);
-            body.extend_from_slice(&self.buf[self.consumed..self.consumed + take]);
-            self.consumed += take;
-        }
-        Ok(body)
-    }
-
-    fn read_chunked_body(&mut self) -> io::Result<Vec<u8>> {
+        let mut head = None;
         let mut body = Vec::new();
         loop {
-            let line = self.read_line()?;
-            let size_text = line.split(|&b| b == b';').next().unwrap_or(&line);
-            let size = parse_hex(size_text).ok_or(HttpError::BadChunk("bad chunk size line"))?;
-            if size == 0 {
-                // Trailer section: skip lines until the blank one.
-                loop {
-                    let l = self.read_line()?;
-                    if l.is_empty() {
-                        break;
+            let (n, parsed) = self.parser.step(self.buf.window())?;
+            match parsed {
+                Parsed::Head(h, framing) => {
+                    if let BodyFraming::Length(len) = framing {
+                        // Clamped so a forged Content-Length cannot force
+                        // a huge up-front allocation.
+                        body.reserve(len.min(READ_SIZE));
                     }
+                    head = Some(h);
                 }
-                return Ok(body);
+                Parsed::Body(range) => body.extend_from_slice(&self.buf.window()[range]),
+                Parsed::Done => {
+                    self.buf.consume(n);
+                    return Ok(head.map(|h| (h, body)));
+                }
+                Parsed::Starved => {
+                    self.buf.consume(n);
+                    if self.buf.read_from(&mut self.stream)? == 0 {
+                        if head.is_none() && self.buf.window().is_empty() {
+                            return Ok(None);
+                        }
+                        return Err(self.parser.eof_error().into());
+                    }
+                    continue;
+                }
             }
-            if size > self.max_body.saturating_sub(body.len()) {
-                return Err(HttpError::TooLarge("chunked body").into());
-            }
-            let chunk = self.read_exact_body(size)?;
-            body.extend_from_slice(&chunk);
-            let crlf = self.read_line()?;
-            if !crlf.is_empty() {
-                return Err(HttpError::BadChunk("missing CRLF after chunk data").into());
-            }
-        }
-    }
-
-    /// Read one CRLF-terminated line (excluding the CRLF).
-    fn read_line(&mut self) -> io::Result<Vec<u8>> {
-        loop {
-            if let Some(p) = find(&self.buf[self.consumed..self.filled], b"\r\n") {
-                let line = self.buf[self.consumed..self.consumed + p].to_vec();
-                self.consumed += p + 2;
-                return Ok(line);
-            }
-            // A chunk-size line or trailer that never terminates would
-            // otherwise grow the buffer without bound.
-            if self.filled - self.consumed > self.max_head {
-                return Err(HttpError::TooLarge("chunk size line").into());
-            }
-            if !self.fill()? {
-                return Err(HttpError::BadChunk("EOF inside chunked body").into());
-            }
+            self.buf.consume(n);
         }
     }
 }
@@ -521,27 +744,23 @@ pub fn parse_request_head(head: &[u8]) -> Result<RequestHead, HttpError> {
     })
 }
 
-/// Render a minimal response head (through the blank line) for a body of
-/// `content_len` bytes into `out` (cleared first).
+/// Render a minimal `text/xml` response head (through the blank line) for
+/// a body of `content_len` bytes into `out` (cleared first).
 pub fn render_response_head(out: &mut Vec<u8>, status: u16, reason: &str, content_len: usize) {
-    render_response_head_typed(out, status, reason, "text/xml; charset=utf-8", content_len);
+    render_response_head_extra(
+        out,
+        status,
+        reason,
+        "text/xml; charset=utf-8",
+        content_len,
+        &[],
+    );
 }
 
 /// [`render_response_head`] with an explicit `Content-Type` (the
-/// `/metrics` endpoint answers in `text/plain`, not SOAP's `text/xml`).
-pub fn render_response_head_typed(
-    out: &mut Vec<u8>,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    content_len: usize,
-) {
-    render_response_head_extra(out, status, reason, content_type, content_len, &[]);
-}
-
-/// [`render_response_head_typed`] plus extra `(name, value)` headers —
-/// the negotiation echo (`X-BSOAP-Accept` / `X-BSOAP-Format`) rides
-/// here on both server cores.
+/// `/metrics` endpoint answers in `text/plain`, not SOAP's `text/xml`)
+/// plus extra `(name, value)` headers — the negotiation echo
+/// (`X-BSOAP-Accept` / `X-BSOAP-Format`) rides here.
 pub fn render_response_head_extra(
     out: &mut Vec<u8>,
     status: u16,
@@ -617,16 +836,11 @@ pub fn read_response(stream: &mut impl Read) -> io::Result<(u16, Vec<u8>)> {
     read_response_limited(stream, usize::MAX, usize::MAX)
 }
 
-/// [`read_response`] with head/body caps and chunked-response support.
-///
-/// Historically the client reader accepted only `Content-Length` framing
-/// and buffered without bound; a hardened client wants the same defenses
-/// the server's [`RequestReader::with_limits`] has (a hostile or buggy
-/// server must not be able to balloon client RSS), and the streaming
-/// overlay path answers with chunked replies. The chunked branch rides the
-/// same `read_chunked_body` as the server, so the `max_body` cap applies
-/// to chunk-framed responses too and a size line split across short
-/// `read()`s is reassembled rather than misread.
+/// [`read_response`] with head/body caps and chunked-response support: a
+/// hostile or buggy server must not be able to balloon client RSS. The
+/// body rides the same [`BodyDecoder`] the server side uses, so the
+/// `max_body` cap applies to chunk-framed responses too and a size line
+/// split across short `read()`s is reassembled rather than misread.
 pub fn read_response_limited(
     stream: &mut impl Read,
     max_head: usize,
@@ -646,16 +860,13 @@ pub fn read_response_headers_limited(
     max_head: usize,
     max_body: usize,
 ) -> io::Result<ResponseParts> {
-    let mut reader = RequestReader::with_limits(stream, max_head, max_body);
+    let mut buf = ParseBuf::default();
     let head_end = loop {
-        if let Some(e) = crate::http::head_end(&reader.buf[..reader.filled]) {
+        if let Some(e) = capped_head_end(buf.window(), max_head, "response head")? {
             break e;
         }
-        if reader.filled > reader.max_head {
-            return Err(HttpError::TooLarge("response head").into());
-        }
-        if !reader.fill()? {
-            if reader.filled == 0 {
+        if buf.read_from(stream)? == 0 {
+            if buf.window().is_empty() {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed before any response byte",
@@ -664,10 +875,7 @@ pub fn read_response_headers_limited(
             return Err(HttpError::BadHead("EOF inside response head").into());
         }
     };
-    if head_end > reader.max_head {
-        return Err(HttpError::TooLarge("response head").into());
-    }
-    let text = std::str::from_utf8(&reader.buf[..head_end])
+    let text = std::str::from_utf8(&buf.window()[..head_end])
         .map_err(|_| HttpError::BadHead("non-UTF-8 head"))?;
     let status: u16 = text
         .split(' ')
@@ -695,20 +903,32 @@ pub fn read_response_headers_limited(
         }
         headers.push((n.to_ascii_lowercase(), v.to_owned()));
     }
-    reader.consumed = head_end;
-    let body = if chunked {
-        reader.read_chunked_body()?
+    let framing = if chunked {
+        BodyFraming::Chunked
     } else {
-        let n = cl.ok_or(HttpError::BadFraming("response missing content-length"))?;
-        if n > reader.max_body {
-            return Err(HttpError::TooLarge("declared content-length").into());
-        }
-        reader.read_exact_body(n)?
+        BodyFraming::Length(cl.ok_or(HttpError::BadFraming("response missing content-length"))?)
     };
-    Ok((status, headers, body))
+    let mut decoder = BodyDecoder::new(framing, max_body)?;
+    buf.consume(head_end);
+    let mut body = Vec::new();
+    loop {
+        let (n, step) = decoder.step(buf.window())?;
+        match step {
+            Decoded::Payload(range) => body.extend_from_slice(&buf.window()[range]),
+            Decoded::Done => return Ok((status, headers, body)),
+            Decoded::Starved => {
+                buf.consume(n);
+                if buf.read_from(stream)? == 0 {
+                    return Err(decoder.eof_error().into());
+                }
+                continue;
+            }
+        }
+        buf.consume(n);
+    }
 }
 
-pub(crate) fn parse_hex(s: &[u8]) -> Option<usize> {
+fn parse_hex(s: &[u8]) -> Option<usize> {
     if s.is_empty() {
         return None;
     }
@@ -725,7 +945,7 @@ pub(crate) fn parse_hex(s: &[u8]) -> Option<usize> {
     Some(n)
 }
 
-pub(crate) fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     if needle.len() > haystack.len() {
         return None;
     }
@@ -735,13 +955,28 @@ pub(crate) fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 /// The one head splitter: index one past a complete head's terminating
 /// blank line (`\r\n\r\n`), or `None` while the head is still partial.
 ///
-/// Every head-hunting path — [`RequestReader::next_request`],
-/// [`read_response_limited`], `stream::read_head`, and the event-loop
-/// connection state machine — delegates here, so random fragmentation
-/// cannot make two paths disagree about where a head ends (proven by the
+/// Every head-hunting path — [`RequestParser`] (and so every server core
+/// and [`RequestReader`]), [`read_response_limited`] and
+/// `stream::read_head` — delegates here, so random fragmentation cannot
+/// make two paths disagree about where a head ends (proven by the
 /// fragmentation proptest in `tests/prop_http.rs`).
 pub fn head_end(buf: &[u8]) -> Option<usize> {
     find(buf, b"\r\n\r\n").map(|p| p + 4)
+}
+
+/// [`head_end`] under the `max_head` cap: a complete head longer than the
+/// cap, or a partial one already past it, is [`HttpError::TooLarge`]
+/// (`what` names the head in the message) instead of more buffering.
+pub fn capped_head_end(
+    window: &[u8],
+    max_head: usize,
+    what: &'static str,
+) -> Result<Option<usize>, HttpError> {
+    match head_end(window) {
+        Some(e) if e <= max_head => Ok(Some(e)),
+        None if window.len() <= max_head => Ok(None),
+        _ => Err(HttpError::TooLarge(what)),
+    }
 }
 
 #[cfg(test)]
@@ -869,7 +1104,7 @@ mod tests {
     #[test]
     fn typed_response_head_carries_content_type() {
         let mut head = Vec::new();
-        render_response_head_typed(&mut head, 200, "OK", "text/plain; version=0.0.4", 12);
+        render_response_head_extra(&mut head, 200, "OK", "text/plain; version=0.0.4", 12, &[]);
         let text = std::str::from_utf8(&head).unwrap();
         assert!(text.contains("Content-Type: text/plain; version=0.0.4\r\n"));
         assert!(text.contains("Content-Length: 12\r\n"));
@@ -882,13 +1117,6 @@ mod tests {
         assert!(reader.next_request().is_err());
 
         let wire = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nab";
-        let mut reader = RequestReader::new(&wire[..]);
-        assert!(reader.next_request().is_err());
-    }
-
-    #[test]
-    fn bad_chunk_sizes_error() {
-        let wire = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\nabc\r\n0\r\n\r\n";
         let mut reader = RequestReader::new(&wire[..]);
         assert!(reader.next_request().is_err());
     }
@@ -986,64 +1214,6 @@ mod tests {
         assert_eq!(parse_hex(b"1A"), Some(26));
         assert_eq!(parse_hex(b""), None);
         assert_eq!(parse_hex(b"xyz"), None);
-    }
-
-    fn is_too_large(e: &io::Error) -> bool {
-        e.kind() == io::ErrorKind::InvalidData
-            && e.get_ref()
-                .and_then(|inner| inner.downcast_ref::<HttpError>())
-                .is_some_and(|h| matches!(h, HttpError::TooLarge(_)))
-    }
-
-    #[test]
-    fn oversized_head_is_rejected_not_buffered() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(b"POST / HTTP/1.1\r\n");
-        let big = "x".repeat(10_000);
-        wire.extend_from_slice(format!("X-Pad: {big}\r\n").as_bytes());
-        wire.extend_from_slice(b"Content-Length: 2\r\n\r\nhi");
-        let mut reader = RequestReader::with_limits(&wire[..], 4096, 1 << 20);
-        let err = reader.next_request().unwrap_err();
-        assert!(is_too_large(&err), "{err}");
-    }
-
-    #[test]
-    fn oversized_content_length_rejected_before_reading_body() {
-        // The declared length alone trips the cap; no body bytes needed.
-        let wire = b"POST / HTTP/1.1\r\nContent-Length: 999999\r\n\r\n";
-        let mut reader = RequestReader::with_limits(&wire[..], 4096, 1024);
-        let err = reader.next_request().unwrap_err();
-        assert!(is_too_large(&err), "{err}");
-    }
-
-    #[test]
-    fn oversized_chunked_body_rejected_at_the_cap() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
-        for _ in 0..4 {
-            wire.extend_from_slice(b"200\r\n");
-            wire.extend_from_slice(&vec![b'a'; 0x200]);
-            wire.extend_from_slice(b"\r\n");
-        }
-        wire.extend_from_slice(b"0\r\n\r\n");
-        let mut reader = RequestReader::with_limits(&wire[..], 4096, 1024);
-        let err = reader.next_request().unwrap_err();
-        assert!(is_too_large(&err), "{err}");
-        // The same wire parses fine under a roomier cap.
-        let mut reader = RequestReader::with_limits(&wire[..], 4096, 1 << 20);
-        let (_, body) = reader.next_request().unwrap().unwrap();
-        assert_eq!(body.len(), 4 * 0x200);
-    }
-
-    #[test]
-    fn endless_chunk_size_line_rejected() {
-        // No CRLF ever arrives: the reader must not buffer forever.
-        let mut wire = Vec::new();
-        wire.extend_from_slice(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
-        wire.extend_from_slice(&vec![b'1'; 10_000]);
-        let mut reader = RequestReader::with_limits(&wire[..], 4096, 1 << 20);
-        let err = reader.next_request().unwrap_err();
-        assert!(is_too_large(&err), "{err}");
     }
 
     #[test]

@@ -12,27 +12,33 @@
 //!   serialization + buffer-walk cost, which is what the paper's
 //!   client-side measurements isolate.
 //! * [`http`] — HTTP/1.0 (`Content-Length`) and HTTP/1.1
-//!   (`Transfer-Encoding: chunked`) request framing, header parsing, and
-//!   chunked encode/decode. HTTP 1.1 chunking is what makes chunk
-//!   overlaying stream-as-you-serialize (§3.3).
+//!   (`Transfer-Encoding: chunked`) request framing and header parsing,
+//!   plus the one place the receive-side grammar and its caps live: the
+//!   sans-io [`http::BodyDecoder`] and [`http::RequestParser`]. HTTP 1.1
+//!   chunking is what makes chunk overlaying stream-as-you-serialize
+//!   (§3.3).
 //! * [`tcp`] — a real TCP client with the paper's socket options
 //!   (`TCP_NODELAY`, keep-alive) and a [`Transport`] implementation.
 //! * [`pool`] — a per-endpoint pool of persistent keep-alive connections
 //!   ([`pool::ConnectionPool`]) and a pooled HTTP client
 //!   ([`pool::HttpPoolClient`]) with health-checked checkout, idle
 //!   reaping, and transparent reconnect-and-retry on stale sockets.
-//! * [`accept`] — a bounded worker pool fed by blocking accepts
-//!   ([`accept::serve`]): the server-side counterpart of the pool, with
+//! * [`conn`] — the one server-side request path: [`conn::Conn`], an
+//!   explicit sans-io state machine per connection (parse, dispatch,
+//!   respond, timeouts, caps, drain), and [`conn::drive_blocking`], the
+//!   driver that runs it on one blocking thread.
+//! * [`server`] — [`server::serve`], the one entry point that picks a
+//!   core ([`server::ServerCore`]) to drive those machines, and the
+//!   loopback [`server::TestServer`] built on it: the paper's discard
+//!   server plus a collecting server that hands complete request bodies
+//!   to tests.
+//! * [`accept`] — the worker-pool core's threads: blocking accepts
+//!   feeding a bounded pool ([`accept::serve_with_metrics`]), with
 //!   graceful drain on shutdown.
-//! * [`server`] — loopback servers: the paper's discard server plus a
-//!   collecting server that hands complete request bodies to tests,
-//!   running on either core selected by [`server::ServerCore`].
-//! * [`event_loop`] / [`conn`] / [`timer`] / [`poller`] — the
-//!   readiness-driven server core: an epoll loop
-//!   ([`event_loop::EventLoopServer`]) multiplexing many connections over
-//!   a few threads, each connection an explicit sans-io state machine
-//!   ([`conn::Conn`]) with timer-wheel deadlines ([`timer::TimerWheel`])
-//!   replacing per-thread socket timeouts.
+//! * [`event_loop`] / [`timer`] / [`poller`] — the readiness core: epoll
+//!   loops ([`event_loop::EventLoopServer`]) multiplexing many `Conn`s
+//!   over a few threads, with timer-wheel deadlines
+//!   ([`timer::TimerWheel`]) in place of per-thread socket timeouts.
 //!
 //! The [`Transport`] trait is the seam between the serialization engine
 //! and the wire: one SOAP message (as a gather list of chunk slices) in,
@@ -52,15 +58,19 @@ pub mod stream;
 pub mod tcp;
 pub mod timer;
 
-pub use accept::{serve, serve_with_metrics, PoolOptions, WorkerPool};
-pub use conn::{BodySink, Conn, ConnAction, ConnConfig, ConnState, ReqBody, Response, SinkFactory};
-pub use event_loop::{EventLoopOptions, EventLoopServer, Handler, ServeMode};
+pub use accept::{serve_with_metrics, WorkerPool};
+pub use conn::{
+    drive_blocking, BlockingIo, BodySink, CloseReason, Conn, ConnAction, ConnConfig, ConnState,
+    Handler, ReqBody, Response, SinkFactory,
+};
+pub use event_loop::EventLoopServer;
 pub use fault::{AttemptFailure, CircuitBreaker, FaultPolicy, Resilience};
 pub use http::{render_get_request, HttpError, HttpVersion, PostScratch, RequestConfig};
 pub use negotiate::{NegotiationState, Negotiator};
 pub use pool::{ConnectionPool, HttpPoolClient, HttpReply, PoolConfig, PoolStats, PooledConn};
 pub use server::{
-    CollectedRequest, ServerCore, ServerMode, ServerOptions, ServerStats, TestServer,
+    serve, CollectedRequest, ServeMode, Server, ServerCore, ServerMode, ServerOptions, ServerStats,
+    TestServer,
 };
 pub use sink::{ProvenanceSink, SinkTransport};
 pub use stream::{read_head, ChunkedBodyReader, ChunkedBodyWriter};

@@ -1,4 +1,21 @@
-//! Loopback servers for tests, examples and measurements.
+//! The one server entry point, and loopback servers for tests, examples
+//! and measurements built on it.
+//!
+//! [`serve`] starts a server on a bound listener: it derives the
+//! per-connection [`ConnConfig`] from [`ServerOptions`], picks a core, and
+//! returns one [`Server`] handle. A core is a *driver* of the
+//! [`Conn`](crate::conn::Conn) state machine — every protocol rule (caps,
+//! 400s, evictions, idle reaping, body sinks, server counters) is `Conn`'s
+//! and therefore identical on both:
+//!
+//! * [`ServerCore::WorkerPool`] — the bounded pool from [`crate::accept`]:
+//!   blocking accepts, a fixed worker count ([`ServerOptions::workers`]),
+//!   queueing (not refusal) beyond it, graceful drain on stop; each worker
+//!   runs one connection through [`drive_blocking`].
+//! * [`ServerCore::EventLoop`] — [`crate::event_loop`]: a few epoll loop
+//!   threads multiplex every connection, so thousands of idle keep-alive
+//!   clients cost map entries instead of pinned threads. Linux only; other
+//!   platforms get the worker pool.
 //!
 //! [`TestServer`] reproduces the paper's measurement endpoint — "a dummy
 //! SOAP server … \[that\] does not deserialize or parse the incoming SOAP
@@ -6,36 +23,17 @@
 //! bodies back to the test so integration tests can assert exact
 //! bytes-on-the-wire, and `Ack` parses and responds without storing, so
 //! throughput benchmarks can sustain millions of requests without
-//! accumulating memory.
-//!
-//! Two interchangeable cores serve the same modes ([`ServerCore`]):
-//!
-//! * [`ServerCore::WorkerPool`] — the seed's thread-per-connection core
-//!   on the bounded pool from [`crate::accept`]: blocking accepts, a
-//!   fixed worker count ([`ServerOptions::workers`]), queueing (not
-//!   refusal) beyond it, and graceful drain on stop.
-//! * [`ServerCore::EventLoop`] — the readiness-driven core from
-//!   [`crate::event_loop`]: a few epoll loop threads multiplex every
-//!   connection as a sans-io state machine ([`crate::conn::Conn`]), so
-//!   thousands of idle keep-alive clients cost map entries instead of
-//!   pinned threads. Timeout semantics, overload queueing, `/metrics`,
-//!   and drain behavior match the worker pool; responses are
-//!   byte-identical.
-//!
-//! Both cores answer requests through one shared handler
-//! ([`handle_one`]), which is what keeps their observable behavior in
-//! lock-step.
+//! accumulating memory. It is a [`Handler`] closure ([`handle_one`]) handed
+//! to [`serve`].
 
-use crate::accept::{serve_with_metrics, PoolOptions, WorkerPool};
-use crate::conn::{ConnConfig, ReqBody, Response, SinkFactory};
-use crate::event_loop::{EventLoopOptions, EventLoopServer, ServeMode};
-use crate::http::{
-    render_response_head_typed, write_response_vectored, RequestHead, RequestReader,
-};
-use bsoap_obs::{Counter, HistId, Metrics, Recorder, TraceKind};
+use crate::accept::{serve_with_metrics, WorkerPool};
+use crate::conn::{drive_blocking, Conn, ConnConfig, Handler, ReqBody, Response, SinkFactory};
+use crate::event_loop::EventLoopServer;
+use crate::http::{RequestHead, READ_SIZE};
+use bsoap_obs::{Counter, Metrics, NullRecorder, Recorder};
 use parking_lot::Mutex;
-use std::io::{self, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,30 +53,24 @@ pub enum ServerMode {
 /// Which connection-handling core runs the server.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ServerCore {
-    /// Thread-per-connection on the bounded worker pool
-    /// ([`crate::accept`]); the seed behavior.
+    /// One blocking worker thread per connection on the bounded worker
+    /// pool ([`crate::accept`]).
     WorkerPool,
-    /// Readiness-driven epoll loops + per-connection state machines
+    /// Epoll loops multiplexing every connection
     /// ([`crate::event_loop`]). Falls back to [`ServerCore::WorkerPool`]
     /// on platforms without epoll (see [`crate::poller::supported`]).
     EventLoop,
 }
 
 impl ServerCore {
-    /// Parse a core name (`BSOAP_SERVER_CORE` values).
+    /// Parse a core name as accepted by `BSOAP_SERVER_CORE`
+    /// (case-insensitive, surrounding whitespace ignored, separators
+    /// optional) — the same table as `bsoap_core::ServerCore::from_name`.
     pub fn from_name(name: &str) -> Option<ServerCore> {
-        if name.eq_ignore_ascii_case("event_loop")
-            || name.eq_ignore_ascii_case("eventloop")
-            || name.eq_ignore_ascii_case("event-loop")
-        {
-            Some(ServerCore::EventLoop)
-        } else if name.eq_ignore_ascii_case("worker_pool")
-            || name.eq_ignore_ascii_case("workerpool")
-            || name.eq_ignore_ascii_case("worker-pool")
-        {
-            Some(ServerCore::WorkerPool)
-        } else {
-            None
+        match name.trim().to_ascii_lowercase().as_str() {
+            "worker_pool" | "workerpool" | "worker-pool" => Some(ServerCore::WorkerPool),
+            "event_loop" | "eventloop" | "event-loop" => Some(ServerCore::EventLoop),
+            _ => None,
         }
     }
 
@@ -100,8 +92,8 @@ pub struct ServerOptions {
     /// Which core serves connections. Defaults per
     /// [`ServerCore::default_from_env`].
     pub core: ServerCore,
-    /// Worker threads handling connections (see [`PoolOptions::workers`]).
-    /// On the event-loop core this sizes the dispatch pool instead.
+    /// Worker threads: each drives one connection on the worker pool; on
+    /// the event-loop core they are the dispatch pool running the handler.
     pub workers: usize,
     /// Event-loop threads (event-loop core only).
     pub event_loop_threads: usize,
@@ -120,20 +112,18 @@ pub struct ServerOptions {
     /// default) lets each read wait forever.
     pub read_timeout: Option<Duration>,
     /// Per-*request* time budget (Collect/Ack modes): opened at the first
-    /// byte of a request head, it caps head + body read time in total —
-    /// each read's socket timeout is shrunk to the remaining budget, so
+    /// byte of a request head, it caps head + body read time in total, so
     /// the slow-loris dribbler that defeats `read_timeout` alone is still
     /// evicted (counted under [`Counter::ServerTimeouts`]). Idle
     /// keep-alive gaps *between* requests are not on this budget. `None`
     /// leaves request duration unbounded.
     pub request_timeout: Option<Duration>,
-    /// Idle keep-alive reaper (event-loop core only): a connection
-    /// sitting in `Idle` with no request in flight for this long is
-    /// closed and counted under [`Counter::ServerIdleReaped`]. The
-    /// worker pool can only approximate this with `read_timeout`.
+    /// Idle keep-alive reaper: a connection sitting in `Idle` with no
+    /// request in flight for this long is closed and counted under
+    /// [`Counter::ServerIdleReaped`].
     pub idle_timeout: Option<Duration>,
     /// Cap on one request head; larger heads get a `400` and the
-    /// connection closed (see [`crate::http::RequestReader::with_limits`]).
+    /// connection closed (see [`crate::http::RequestParser::new`]).
     pub max_head_bytes: usize,
     /// Cap on one request body (declared or chunk-accumulated).
     pub max_body_bytes: usize,
@@ -141,13 +131,12 @@ pub struct ServerOptions {
 
 impl Default for ServerOptions {
     fn default() -> Self {
-        let d = PoolOptions::default();
         ServerOptions {
             core: ServerCore::default_from_env(),
-            workers: d.workers,
+            workers: 4,
             event_loop_threads: 2,
             max_connections: 8192,
-            drain_deadline: d.drain_deadline,
+            drain_deadline: Duration::from_secs(2),
             read_timeout: None,
             request_timeout: None,
             idle_timeout: None,
@@ -181,22 +170,131 @@ pub struct CollectedRequest {
     pub body: Vec<u8>,
 }
 
+/// What a server does with connection bytes.
+#[derive(Clone)]
+pub enum ServeMode {
+    /// Parse HTTP requests and answer each through `handler`.
+    Http {
+        /// Produces the response for each complete request.
+        handler: Handler,
+    },
+    /// No protocol: count every byte read until EOF (the
+    /// [`ServerMode::Discard`] contract).
+    Discard {
+        /// Called with each read's byte count.
+        on_bytes: Arc<dyn Fn(u64) + Send + Sync>,
+    },
+}
+
+enum Running {
+    Pool(WorkerPool),
+    Loop(EventLoopServer),
+}
+
+/// A running server on whichever core [`serve`] picked. Dropping it stops
+/// the server (with the configured drain deadline).
+pub struct Server(Running);
+
+/// Serve `listener`: the one entry point behind [`TestServer`] and
+/// `bsoap-server`'s host. Picks the core (`opts.core`, falling back to the
+/// worker pool where epoll is unavailable), maps `opts` onto the
+/// per-connection [`ConnConfig`] once, and starts it. `sinks`, when given,
+/// chooses per request whether the body streams into a
+/// [`BodySink`](crate::conn::BodySink) instead of being buffered.
+pub fn serve(
+    listener: TcpListener,
+    opts: &ServerOptions,
+    metrics: Option<Arc<Metrics>>,
+    sinks: Option<SinkFactory>,
+    mode: ServeMode,
+) -> io::Result<Server> {
+    let conn_cfg = ConnConfig {
+        max_head: opts.max_head_bytes,
+        max_body: opts.max_body_bytes,
+        read_timeout: opts.read_timeout,
+        request_timeout: opts.request_timeout,
+        idle_timeout: opts.idle_timeout,
+        sink_factory: sinks,
+    };
+    if opts.core == ServerCore::EventLoop && crate::poller::supported() {
+        let server = EventLoopServer::serve(listener, opts, conn_cfg, metrics, mode)?;
+        return Ok(Server(Running::Loop(server)));
+    }
+    let rec: Arc<dyn Recorder> = match &metrics {
+        Some(m) => m.clone(),
+        None => Arc::new(NullRecorder),
+    };
+    let next_id = AtomicU64::new(0);
+    let pool = serve_with_metrics(
+        listener,
+        opts.workers,
+        opts.drain_deadline,
+        metrics,
+        move |mut stream, stop| match &mode {
+            ServeMode::Http { handler } => {
+                let id = next_id.fetch_add(1, Ordering::Relaxed);
+                let mut conn = Conn::new(id, conn_cfg.clone());
+                drive_blocking(&mut conn, &mut stream, &*rec, &**handler, stop);
+            }
+            ServeMode::Discard { on_bytes } => {
+                // On the heap: a stack array here would sit (probed, so
+                // resident) in every HTTP worker's frame too.
+                let mut buf = vec![0u8; READ_SIZE];
+                while let Ok(n @ 1..) = stream.read(&mut buf) {
+                    on_bytes(n as u64);
+                }
+            }
+        },
+    )?;
+    Ok(Server(Running::Pool(pool)))
+}
+
+impl Server {
+    /// The address clients should connect to.
+    pub fn addr(&self) -> SocketAddr {
+        match &self.0 {
+            Running::Pool(p) => p.addr(),
+            Running::Loop(l) => l.addr(),
+        }
+    }
+
+    /// Connections accepted so far.
+    pub fn connections(&self) -> u64 {
+        match &self.0 {
+            Running::Pool(p) => p.connections(),
+            Running::Loop(l) => l.connections(),
+        }
+    }
+
+    /// High-water mark of connections (worker pool) or requests (event
+    /// loop) queued awaiting a worker.
+    pub fn peak_queue_depth(&self) -> usize {
+        match &self.0 {
+            Running::Pool(p) => p.peak_queue_depth(),
+            Running::Loop(l) => l.peak_queue_depth(),
+        }
+    }
+
+    /// Stop accepting, drain in-flight requests (bounded by the drain
+    /// deadline), join every thread. Idempotent.
+    pub fn stop(&mut self) {
+        match &mut self.0 {
+            Running::Pool(p) => p.stop(),
+            Running::Loop(l) => l.stop(),
+        }
+    }
+}
+
 struct Shared {
     bytes: AtomicU64,
     requests: AtomicU64,
     collected: Mutex<Vec<CollectedRequest>>,
 }
 
-/// The running core behind a [`TestServer`].
-enum CoreHandle {
-    Pool(WorkerPool),
-    Loop(EventLoopServer),
-}
-
 /// A loopback server running on either core (see [`ServerCore`]).
 pub struct TestServer {
     shared: Arc<Shared>,
-    core: CoreHandle,
+    server: Server,
 }
 
 impl TestServer {
@@ -227,8 +325,7 @@ impl TestServer {
     /// chooser: requests the factory claims stream their decoded bodies
     /// through the returned [`crate::conn::BodySink`] as chunks arrive,
     /// instead of buffering them whole — the server-side half of chunk
-    /// overlaying. Honored by the event-loop core only (the worker-pool
-    /// core always buffers, so pick [`ServerCore::EventLoop`]).
+    /// overlaying.
     pub fn spawn_streaming(
         mode: ServerMode,
         opts: ServerOptions,
@@ -250,91 +347,30 @@ impl TestServer {
             requests: AtomicU64::new(0),
             collected: Mutex::new(Vec::new()),
         });
-        let core = if opts.core == ServerCore::EventLoop && crate::poller::supported() {
-            ServerCore::EventLoop
-        } else {
-            ServerCore::WorkerPool
+        let s = Arc::clone(&shared);
+        let serve_mode = match mode {
+            ServerMode::Discard => ServeMode::Discard {
+                on_bytes: Arc::new(move |n| {
+                    s.bytes.fetch_add(n, Ordering::Relaxed);
+                }),
+            },
+            ServerMode::Collect | ServerMode::Ack => {
+                let store = mode == ServerMode::Collect;
+                let m = metrics.clone();
+                ServeMode::Http {
+                    handler: Arc::new(move |head, body| {
+                        handle_one(head, body, &s, store, m.as_deref())
+                    }),
+                }
+            }
         };
-        match core {
-            ServerCore::EventLoop => {
-                let serve_mode = match mode {
-                    ServerMode::Discard => {
-                        let s = Arc::clone(&shared);
-                        ServeMode::Discard {
-                            on_bytes: Arc::new(move |n| {
-                                s.bytes.fetch_add(n, Ordering::Relaxed);
-                            }),
-                        }
-                    }
-                    ServerMode::Collect | ServerMode::Ack => {
-                        let store = mode == ServerMode::Collect;
-                        let s = Arc::clone(&shared);
-                        let m = metrics.clone();
-                        ServeMode::Http {
-                            handler: Arc::new(move |head, body| {
-                                handle_one(head, body, &s, store, &m)
-                            }),
-                        }
-                    }
-                };
-                let server = EventLoopServer::serve(
-                    listener,
-                    EventLoopOptions {
-                        loops: opts.event_loop_threads.max(1),
-                        dispatchers: opts.workers.max(1),
-                        max_connections: opts.max_connections,
-                        drain_deadline: opts.drain_deadline,
-                        conn: ConnConfig {
-                            max_head: opts.max_head_bytes,
-                            max_body: opts.max_body_bytes,
-                            read_timeout: opts.read_timeout,
-                            request_timeout: opts.request_timeout,
-                            idle_timeout: opts.idle_timeout,
-                            sink_factory: sinks,
-                        },
-                    },
-                    metrics,
-                    serve_mode,
-                )?;
-                Ok(TestServer {
-                    shared,
-                    core: CoreHandle::Loop(server),
-                })
-            }
-            ServerCore::WorkerPool => {
-                let handler_shared = Arc::clone(&shared);
-                let handler_metrics = metrics.clone();
-                let pool = serve_with_metrics(
-                    listener,
-                    PoolOptions {
-                        workers: opts.workers,
-                        drain_deadline: opts.drain_deadline,
-                    },
-                    metrics,
-                    move |stream| match mode {
-                        ServerMode::Discard => drain(stream, &handler_shared),
-                        ServerMode::Collect => {
-                            respond(stream, &handler_shared, true, &handler_metrics, &opts)
-                        }
-                        ServerMode::Ack => {
-                            respond(stream, &handler_shared, false, &handler_metrics, &opts)
-                        }
-                    },
-                )?;
-                Ok(TestServer {
-                    shared,
-                    core: CoreHandle::Pool(pool),
-                })
-            }
-        }
+        let server = serve(listener, &opts, metrics, sinks, serve_mode)?;
+        Ok(TestServer { shared, server })
     }
 
     /// The address clients should connect to.
     pub fn addr(&self) -> SocketAddr {
-        match &self.core {
-            CoreHandle::Pool(p) => p.addr(),
-            CoreHandle::Loop(l) => l.addr(),
-        }
+        self.server.addr()
     }
 
     /// Bytes drained so far (live view).
@@ -349,68 +385,36 @@ impl TestServer {
 
     /// Stop the server and return its counters.
     pub fn stop(mut self) -> ServerStats {
-        let (connections, peak_queue_depth) = match &mut self.core {
-            CoreHandle::Pool(p) => {
-                p.stop();
-                (p.connections(), p.peak_queue_depth())
-            }
-            CoreHandle::Loop(l) => {
-                l.stop();
-                (l.connections(), l.peak_queue_depth())
-            }
-        };
+        self.server.stop();
         ServerStats {
             bytes_received: self.shared.bytes.load(Ordering::Relaxed),
-            connections,
+            connections: self.server.connections(),
             requests: self.shared.requests.load(Ordering::Relaxed),
-            peak_queue_depth,
+            peak_queue_depth: self.server.peak_queue_depth(),
         }
     }
 
     /// Stop the server and return everything it collected (Collect mode).
     pub fn stop_collecting(mut self) -> Vec<CollectedRequest> {
-        match &mut self.core {
-            CoreHandle::Pool(p) => p.stop(),
-            CoreHandle::Loop(l) => l.stop(),
-        }
+        self.server.stop();
         std::mem::take(&mut *self.shared.collected.lock())
     }
 }
 
-/// The one request handler both cores share: route `GET /metrics` to the
-/// registry's Prometheus rendering (a scrape, `measure: false`), count
-/// and optionally store everything else, answer `200 OK <ack/>`.
-/// Counters tick *before* the response goes out, so a scrape racing the
-/// final response on another connection still sees the request.
+/// [`TestServer`]'s request handler: answer `GET /metrics` with the
+/// registry scrape, count and optionally store everything else, answer
+/// `200 OK <ack/>`. Counters tick *before* the response goes out, so a
+/// scrape racing the final response on another connection still sees the
+/// request.
 fn handle_one(
     head: &RequestHead,
     body: ReqBody,
     shared: &Shared,
     store: bool,
-    metrics: &Option<Arc<Metrics>>,
+    metrics: Option<&Metrics>,
 ) -> Response {
     if head.method == "GET" && head.path == "/metrics" {
-        return match metrics {
-            Some(m) => {
-                m.add(Counter::MetricsScrapes, 1);
-                Response {
-                    status: 200,
-                    reason: "OK",
-                    content_type: "text/plain; version=0.0.4; charset=utf-8",
-                    body: m.render_prometheus().into_bytes(),
-                    measure: false,
-                    extra_headers: Vec::new(),
-                }
-            }
-            None => Response {
-                status: 404,
-                reason: "Not Found",
-                content_type: "text/plain; version=0.0.4; charset=utf-8",
-                body: b"no metrics registry\n".to_vec(),
-                measure: false,
-                extra_headers: Vec::new(),
-            },
-        };
+        return Response::metrics_scrape(metrics);
     }
     shared.bytes.fetch_add(body.len() as u64, Ordering::Relaxed);
     shared.requests.fetch_add(1, Ordering::Relaxed);
@@ -428,196 +432,16 @@ fn handle_one(
     Response::xml(200, "OK", b"<ack/>".to_vec())
 }
 
-/// Drain one rendered [`Response`] onto a blocking stream (worker-pool
-/// write path). Byte-identical to the event-loop core's rendering in
-/// [`crate::conn::Conn`]: same head builder, same body.
-fn write_response(
-    stream: &mut TcpStream,
-    resp: &Response,
-    head_scratch: &mut Vec<u8>,
-) -> io::Result<usize> {
-    render_response_head_typed(
-        head_scratch,
-        resp.status,
-        resp.reason,
-        resp.content_type,
-        resp.body.len(),
-    );
-    let list = [IoSlice::new(head_scratch), IoSlice::new(&resp.body)];
-    let n = crate::write_gather(stream, &list)?;
-    stream.flush()?;
-    Ok(n)
-}
-
-/// Discard mode: read until EOF, counting bytes — never parsing, exactly
-/// like the paper's measurement server.
-fn drain(mut stream: TcpStream, shared: &Shared) {
-    let mut buf = [0u8; 64 * 1024];
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => {
-                shared.bytes.fetch_add(n as u64, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// Collect/Ack modes on the worker pool: parse framed requests off a
-/// keep-alive connection and answer each through [`handle_one`].
-///
-/// Hardened per [`ServerOptions`]: a malformed or over-cap request draws a
-/// `400` before the connection closes (so a well-behaved-but-buggy client
-/// learns why), and a read that outlasts `read_timeout` — or a whole
-/// request that outlasts `request_timeout` — evicts the connection: one
-/// stalled (or dribbling) peer cannot pin a worker forever.
-fn respond(
-    mut stream: TcpStream,
-    shared: &Shared,
-    store: bool,
-    metrics: &Option<Arc<Metrics>>,
-    opts: &ServerOptions,
-) {
-    let read_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = RequestReader::with_limits(
-        BudgetedRead::new(read_half, opts.read_timeout, opts.request_timeout),
-        opts.max_head_bytes,
-        opts.max_body_bytes,
-    );
-    let mut head_scratch = Vec::new();
-    loop {
-        let (head, body) = match reader.next_request() {
-            Ok(Some(req)) => {
-                // Request boundary: the next request opens a fresh budget.
-                reader.stream_mut().rearm();
-                req
-            }
-            Ok(None) => break, // clean EOF between requests
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Malformed or over-cap request: explain, then hang up
-                // (framing is unrecoverable once desynced).
-                if let Some(m) = metrics {
-                    m.add(Counter::ServerBadRequests, 1);
-                }
-                let reason = e.to_string();
-                let _ = write_response_vectored(
-                    &mut stream,
-                    400,
-                    "Bad Request",
-                    &[IoSlice::new(reason.as_bytes())],
-                    &mut head_scratch,
-                );
-                break;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                ) =>
-            {
-                // Slow-loris eviction: the peer held the socket open
-                // without completing a request within the read timeout.
-                if let Some(m) = metrics {
-                    m.add(Counter::ServerTimeouts, 1);
-                }
-                break;
-            }
-            Err(_) => break,
-        };
-        let start = metrics.as_ref().map(|m| m.now_ns());
-        let resp = handle_one(&head, ReqBody::Full(body), shared, store, metrics);
-        let sent = match write_response(&mut stream, &resp, &mut head_scratch) {
-            Ok(n) => n,
-            Err(_) => break,
-        };
-        if resp.measure {
-            if let Some(m) = metrics {
-                let elapsed_ns = m.now_ns().saturating_sub(start.unwrap_or(0));
-                m.add(Counter::ServerBytesOut, sent as u64);
-                m.observe_ns(HistId::ServerRequest, elapsed_ns);
-                m.trace(TraceKind::Request {
-                    bytes: sent as u64,
-                    elapsed_ns,
-                });
-            }
-        }
-    }
-}
-
-/// Read half with a per-request time budget layered over the per-read
-/// socket timeout. The budget opens at the first byte of a request and
-/// every subsequent fill shrinks the socket timeout to the remaining
-/// budget, so a slow-loris peer dribbling one byte per interval — each
-/// individual read succeeding just under `per_read` — still cannot hold
-/// a worker past `budget`. [`BudgetedRead::rearm`] marks a request
-/// boundary: idle keep-alive gaps between requests are not on the budget
-/// (only `per_read`, if any, applies there).
-struct BudgetedRead {
-    stream: TcpStream,
-    per_read: Option<Duration>,
-    budget: Option<Duration>,
-    /// When the current request's first byte arrived; `None` between
-    /// requests.
-    started: Option<std::time::Instant>,
-}
-
-impl BudgetedRead {
-    fn new(stream: TcpStream, per_read: Option<Duration>, budget: Option<Duration>) -> Self {
-        BudgetedRead {
-            stream,
-            per_read,
-            budget,
-            started: None,
-        }
-    }
-
-    /// Request boundary: the next request gets a fresh budget.
-    fn rearm(&mut self) {
-        self.started = None;
-    }
-}
-
-impl Read for BudgetedRead {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.per_read.is_none() && self.budget.is_none() {
-            return self.stream.read(buf);
-        }
-        let timeout = match (self.budget, self.started) {
-            (Some(b), Some(t0)) => {
-                let left = b.saturating_sub(t0.elapsed());
-                if left.is_zero() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "request budget exhausted",
-                    ));
-                }
-                Some(self.per_read.map_or(left, |p| p.min(left)))
-            }
-            // Between requests (or with no budget configured) only the
-            // per-read timeout applies.
-            _ => self.per_read,
-        };
-        self.stream.set_read_timeout(timeout)?;
-        let n = self.stream.read(buf)?;
-        if n > 0 && self.budget.is_some() && self.started.is_none() {
-            self.started = Some(std::time::Instant::now());
-        }
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::http::{post_gather, HttpVersion, RequestConfig};
-    use std::io::IoSlice;
+    use bsoap_obs::HistId;
+    use std::io::{IoSlice, Write};
     use std::net::TcpStream;
 
-    /// Every core available on this platform: the whole legacy suite runs
-    /// against each, proving the event loop is a drop-in replacement.
+    /// Every core available on this platform: the whole suite runs against
+    /// each, since a core only drives the `Conn` machine.
     fn cores() -> Vec<ServerCore> {
         if crate::poller::supported() {
             vec![ServerCore::WorkerPool, ServerCore::EventLoop]
@@ -939,6 +763,38 @@ mod tests {
     }
 
     #[test]
+    fn timeouts_fire_without_a_metrics_registry() {
+        // The deadline rules are the machine's, not the registry's: a
+        // server spawned without metrics still evicts a stalled peer.
+        for core in cores() {
+            let server = TestServer::spawn_with(
+                ServerMode::Ack,
+                ServerOptions {
+                    read_timeout: Some(Duration::from_millis(40)),
+                    ..opts_on(core)
+                },
+            )
+            .unwrap();
+            let mut c = TcpStream::connect(server.addr()).unwrap();
+            c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            c.write_all(b"POST / HTTP/1.1\r\nHost: lo").unwrap();
+            let mut probe = [0u8; 64];
+            match c.read(&mut probe) {
+                Ok(n) => assert_eq!(n, 0, "server closed on us (core {core:?})"),
+                Err(e) => assert!(
+                    !matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ),
+                    "never evicted (core {core:?})"
+                ),
+            }
+            drop(c);
+            server.stop();
+        }
+    }
+
+    #[test]
     fn dribbling_slow_loris_is_evicted_by_the_request_budget() {
         // A peer sending one byte per interval just under `read_timeout`
         // keeps every individual read succeeding — the per-read timeout
@@ -1047,65 +903,123 @@ mod tests {
         }
     }
 
-    /// Idle reaping is an event-loop-only knob: a keep-alive connection
-    /// with no request in flight is closed by the idle timer after
-    /// `idle_timeout`, ticking [`Counter::ServerIdleReaped`] — and the
-    /// gap is *not* billed to the request budget.
-    #[cfg(target_os = "linux")]
+    /// A keep-alive connection with no request in flight is closed by the
+    /// idle timer after `idle_timeout`, ticking
+    /// [`Counter::ServerIdleReaped`] — and the gap is *not* billed to the
+    /// request budget.
     #[test]
     fn idle_keep_alive_connection_is_reaped() {
-        use bsoap_obs::Gauge;
-        let metrics = Metrics::shared();
-        let server = TestServer::spawn_with_metrics(
-            ServerMode::Ack,
-            ServerOptions {
-                idle_timeout: Some(Duration::from_millis(60)),
-                request_timeout: Some(Duration::from_secs(30)),
-                ..opts_on(ServerCore::EventLoop)
-            },
-            Arc::clone(&metrics),
-        )
-        .unwrap();
-        let mut c = TcpStream::connect(server.addr()).unwrap();
-        // Serve one request so the connection re-enters Idle (proving the
-        // reaper re-arms after a request, not just at accept).
-        let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
-        let body = b"<m>1</m>".to_vec();
-        let mut scratch = Vec::new();
-        post_gather(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
-        let (status, _) = crate::http::read_response(&mut c).unwrap();
-        assert_eq!(status, 200);
-        // Now idle: the reaper must close us within the timeout (plus
-        // loop latency), counted as a reap — not a timeout/eviction.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while metrics.snapshot().get(Counter::ServerIdleReaped) == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "idle connection never reaped"
+        for core in cores() {
+            let metrics = Metrics::shared();
+            let server = TestServer::spawn_with_metrics(
+                ServerMode::Ack,
+                ServerOptions {
+                    idle_timeout: Some(Duration::from_millis(60)),
+                    request_timeout: Some(Duration::from_secs(30)),
+                    ..opts_on(core)
+                },
+                Arc::clone(&metrics),
+            )
+            .unwrap();
+            let mut c = TcpStream::connect(server.addr()).unwrap();
+            // Serve one request so the connection re-enters Idle (proving
+            // the reaper re-arms after a request, not just at accept).
+            let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
+            let body = b"<m>1</m>".to_vec();
+            let mut scratch = Vec::new();
+            post_gather(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
+            let (status, _) = crate::http::read_response(&mut c).unwrap();
+            assert_eq!(status, 200, "core {core:?}");
+            // Now idle: the reaper must close us within the timeout (plus
+            // driver latency), counted as a reap — not a timeout/eviction.
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while metrics.snapshot().get(Counter::ServerIdleReaped) == 0 {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "idle connection never reaped (core {core:?})"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let mut probe = [0u8; 8];
+            if let Ok(n) = c.read(&mut probe) {
+                assert_eq!(n, 0, "reaped connection is closed (core {core:?})");
+            }
+            drop(c);
+            let stats = server.stop();
+            assert_eq!(stats.requests, 1, "core {core:?}");
+            let snap = metrics.snapshot();
+            assert_eq!(snap.get(Counter::ServerIdleReaped), 1, "core {core:?}");
+            assert_eq!(
+                snap.get(Counter::ServerTimeouts),
+                0,
+                "a reap is not an eviction (core {core:?})"
             );
-            std::thread::sleep(Duration::from_millis(5));
+            if core == ServerCore::EventLoop {
+                // The loop also publishes how many connections it held.
+                assert!(snap.gauge(bsoap_obs::Gauge::ConnectionsOpenPeak) >= 1);
+            }
         }
-        let mut probe = [0u8; 8];
-        if let Ok(n) = c.read(&mut probe) {
-            assert_eq!(n, 0, "reaped connection is closed");
-        }
-        drop(c);
-        let stats = server.stop();
-        assert_eq!(stats.requests, 1);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.get(Counter::ServerIdleReaped), 1);
-        assert_eq!(
-            snap.get(Counter::ServerTimeouts),
-            0,
-            "a reap is not an eviction"
-        );
-        assert!(snap.gauge(Gauge::ConnectionsOpenPeak) >= 1);
     }
 
-    /// Timer deadlines read the metrics clock: with a frozen
-    /// `VirtualClock` an idle connection outlives its `idle_timeout` in
-    /// real time, and is reaped only once the virtual clock advances past
-    /// the deadline.
+    /// A request the sink factory claims streams its decoded body through
+    /// the sink as it arrives and reaches the handler as a byte count; one
+    /// it declines is buffered as usual.
+    #[test]
+    fn claimed_bodies_stream_into_the_sink_on_every_core() {
+        use crate::conn::BodySink;
+        struct Tally(Arc<Mutex<(usize, bool)>>);
+        impl BodySink for Tally {
+            fn on_slice(&mut self, slice: &[u8]) -> io::Result<()> {
+                self.0.lock().0 += slice.len();
+                Ok(())
+            }
+            fn finish(&mut self) -> io::Result<()> {
+                self.0.lock().1 = true;
+                Ok(())
+            }
+        }
+        for core in cores() {
+            let tally = Arc::new(Mutex::new((0usize, false)));
+            let sink_tally = Arc::clone(&tally);
+            let server = TestServer::spawn_streaming(
+                ServerMode::Collect,
+                opts_on(core),
+                None,
+                Arc::new(move |head: &RequestHead| {
+                    (head.path == "/stream")
+                        .then(|| Box::new(Tally(Arc::clone(&sink_tally))) as Box<dyn BodySink>)
+                }),
+            )
+            .unwrap();
+            let mut c = TcpStream::connect(server.addr()).unwrap();
+            let mut scratch = Vec::new();
+            let parts = [vec![b'x'; 70_000], vec![b'y'; 30_000]];
+            let slices: Vec<IoSlice<'_>> = parts.iter().map(|p| IoSlice::new(p)).collect();
+            for path in ["/stream", "/buffered"] {
+                let cfg = RequestConfig {
+                    path: path.to_owned(),
+                    ..RequestConfig::loopback(HttpVersion::Http11Chunked)
+                };
+                post_gather(&mut c, &cfg, &slices, &mut scratch).unwrap();
+                let (status, _) = crate::http::read_response(&mut c).unwrap();
+                assert_eq!(status, 200, "core {core:?}");
+            }
+            drop(c);
+            assert_eq!(server.bytes_received(), 200_000, "core {core:?}");
+            let collected = server.stop_collecting();
+            assert_eq!(*tally.lock(), (100_000, true), "core {core:?}");
+            // Only the buffered request has a body to collect.
+            assert_eq!(collected.len(), 1, "core {core:?}");
+            assert_eq!(collected[0].head.path, "/buffered", "core {core:?}");
+            assert_eq!(collected[0].body.len(), 100_000, "core {core:?}");
+        }
+    }
+
+    /// The event loop's timer wheel reads the metrics clock (the blocking
+    /// driver's deadlines are its socket timeouts, so real time): with a
+    /// frozen `VirtualClock` an idle connection outlives its
+    /// `idle_timeout` in real time, and is reaped only once the virtual
+    /// clock advances past the deadline.
     #[cfg(target_os = "linux")]
     #[test]
     fn frozen_virtual_clock_defers_the_idle_reaper() {

@@ -20,12 +20,15 @@
 //!   the head eagerly and feed everything after it to the body reader.
 //!
 //! Both directions reuse the framing grammar of `http.rs`
-//! (`render_chunk_size`, `parse_hex`) so the wire bytes are identical to
-//! the buffered [`post_gather_vectored`](crate::http::post_gather_vectored)
+//! (`render_chunk_size`, [`BodyDecoder`]) so the wire bytes are identical
+//! to the buffered [`post_gather_vectored`](crate::http::post_gather_vectored)
 //! path — the overlay pipeline changes *when* bytes move, never *what*
 //! bytes move.
 
-use crate::http::{parse_hex, render_chunk_size, HttpError, RequestConfig};
+use crate::http::{
+    capped_head_end, render_chunk_size, BodyDecoder, Decoded, HttpError, RequestConfig,
+    MAX_SIZE_LINE,
+};
 use bsoap_obs::Deadline;
 use std::io::{self, IoSlice, Read, Write};
 
@@ -33,10 +36,6 @@ use std::io::{self, IoSlice, Read, Write};
 /// receiver's memory bound. 64 KiB matches the socket-buffer-sized reads
 /// the blocking server already performs.
 pub const DEFAULT_STREAM_BUF: usize = 64 * 1024;
-
-/// Cap on one chunk-size line (hex digits + extensions). Anything longer
-/// is an attack or corruption, never a legitimate size.
-const MAX_SIZE_LINE: usize = 256;
 
 /// Incremental HTTP/1.1 chunked-body writer for overlay streaming.
 ///
@@ -143,21 +142,6 @@ impl<'a, W: Write> ChunkedBodyWriter<'a, W> {
     }
 }
 
-/// Decoder state between [`ChunkedBodyReader::next_slice`] calls.
-#[derive(Debug)]
-enum DecodeState {
-    /// Expecting a `{len:x}[;ext]\r\n` size line.
-    SizeLine,
-    /// Inside a chunk's data with this many payload bytes left.
-    Data { remaining: usize },
-    /// Expecting the CRLF that closes a chunk's data.
-    DataCrlf,
-    /// Past the `0` chunk: skipping trailer lines until the blank one.
-    Trailers,
-    /// Body fully decoded.
-    Done,
-}
-
 /// Incremental chunked-body decoder over a fixed-capacity buffer.
 ///
 /// The dual of [`ChunkedBodyWriter`]: call
@@ -168,23 +152,18 @@ enum DecodeState {
 /// the receiver's memory bound. Peak residency is observable via
 /// [`capacity`](Self::capacity).
 ///
-/// Defenses, all typed (no panics, no unbounded buffering, no hangs on
-/// malformed input beyond what the underlying socket timeout allows):
-/// * cumulative payload past `max_body` → [`HttpError::TooLarge`]
-/// * a size line longer than 256 bytes → [`HttpError::TooLarge`]
-/// * non-hex size, missing CRLFs, EOF mid-body → [`HttpError::BadChunk`]
-/// * `ErrorKind::Interrupted` from the stream is retried, so a size line
-///   split across short reads reassembles instead of erroring.
+/// The grammar and its defenses are [`BodyDecoder`]'s (typed errors, no
+/// panics, no unbounded buffering); EOF mid-body is a typed
+/// [`HttpError::BadChunk`], and `ErrorKind::Interrupted` from the stream
+/// is retried, so a size line split across short reads reassembles
+/// instead of erroring.
 pub struct ChunkedBodyReader<R> {
     stream: R,
     buf: Box<[u8]>,
     /// Valid window is `buf[start..end]`.
     start: usize,
     end: usize,
-    state: DecodeState,
-    /// Cumulative decoded payload bytes.
-    body_seen: usize,
-    max_body: usize,
+    decoder: BodyDecoder,
 }
 
 impl<R: Read> ChunkedBodyReader<R> {
@@ -206,9 +185,7 @@ impl<R: Read> ChunkedBodyReader<R> {
             end: leftover.len(),
             buf,
             start: 0,
-            state: DecodeState::SizeLine,
-            body_seen: 0,
-            max_body,
+            decoder: BodyDecoder::chunked(max_body),
         }
     }
 
@@ -219,7 +196,7 @@ impl<R: Read> ChunkedBodyReader<R> {
 
     /// Cumulative decoded payload bytes yielded so far.
     pub fn body_bytes(&self) -> usize {
-        self.body_seen
+        self.decoder.seen()
     }
 
     /// Give back the wrapped stream (e.g. to write a response on it).
@@ -232,83 +209,25 @@ impl<R: Read> ChunkedBodyReader<R> {
     /// invalidated by the next call.
     pub fn next_slice(&mut self) -> io::Result<Option<&[u8]>> {
         loop {
-            match self.state {
-                DecodeState::SizeLine => {
-                    let line_end = self.require_line()?;
-                    let line = &self.buf[self.start..line_end];
-                    let size_text = line.split(|&b| b == b';').next().unwrap_or(line);
-                    let size =
-                        parse_hex(size_text).ok_or(HttpError::BadChunk("bad chunk size line"))?;
-                    self.start = line_end + 2;
-                    if size == 0 {
-                        self.state = DecodeState::Trailers;
-                    } else {
-                        if size > self.max_body.saturating_sub(self.body_seen) {
-                            return Err(HttpError::TooLarge("chunked body").into());
-                        }
-                        self.state = DecodeState::Data { remaining: size };
-                    }
+            let (n, step) = self.decoder.step(&self.buf[self.start..self.end])?;
+            let at = self.start;
+            self.start += n;
+            match step {
+                Decoded::Payload(range) => {
+                    return Ok(Some(&self.buf[at + range.start..at + range.end]))
                 }
-                DecodeState::Data { remaining } => {
-                    if self.start == self.end {
-                        self.compact();
-                        self.fill()?;
-                    }
-                    let take = remaining.min(self.end - self.start);
-                    let at = self.start;
-                    self.start += take;
-                    self.body_seen += take;
-                    self.state = if remaining == take {
-                        DecodeState::DataCrlf
-                    } else {
-                        DecodeState::Data {
-                            remaining: remaining - take,
-                        }
-                    };
-                    return Ok(Some(&self.buf[at..at + take]));
+                Decoded::Done => return Ok(None),
+                Decoded::Starved => {
+                    self.compact();
+                    self.fill()?;
                 }
-                DecodeState::DataCrlf => {
-                    while self.end - self.start < 2 {
-                        self.compact();
-                        self.fill()?;
-                    }
-                    if &self.buf[self.start..self.start + 2] != b"\r\n" {
-                        return Err(HttpError::BadChunk("missing CRLF after chunk data").into());
-                    }
-                    self.start += 2;
-                    self.state = DecodeState::SizeLine;
-                }
-                DecodeState::Trailers => {
-                    let line_end = self.require_line()?;
-                    let blank = line_end == self.start;
-                    self.start = line_end + 2;
-                    if blank {
-                        self.state = DecodeState::Done;
-                    }
-                }
-                DecodeState::Done => return Ok(None),
             }
-        }
-    }
-
-    /// Ensure a full CRLF-terminated line is buffered at `start`; returns
-    /// the index of its `\r`. Lines are capped at [`MAX_SIZE_LINE`].
-    fn require_line(&mut self) -> io::Result<usize> {
-        loop {
-            if let Some(p) = crate::http::find(&self.buf[self.start..self.end], b"\r\n") {
-                return Ok(self.start + p);
-            }
-            if self.end - self.start > MAX_SIZE_LINE {
-                return Err(HttpError::TooLarge("chunk size line").into());
-            }
-            self.compact();
-            self.fill()?;
         }
     }
 
     /// Slide the unconsumed window to the buffer's front so `fill` has
-    /// room. The buffer itself never grows: a line that cannot fit after
-    /// compaction is already past [`MAX_SIZE_LINE`].
+    /// room. The buffer itself never grows: a framing line that cannot fit
+    /// after compaction is already past the decoder's line cap.
     fn compact(&mut self) {
         if self.start > 0 {
             self.buf.copy_within(self.start..self.end, 0);
@@ -329,7 +248,7 @@ impl<R: Read> ChunkedBodyReader<R> {
             }
         };
         if n == 0 {
-            return Err(HttpError::BadChunk("EOF inside chunked body").into());
+            return Err(self.decoder.eof_error().into());
         }
         self.end += n;
         Ok(())
@@ -351,15 +270,9 @@ pub fn read_head(
     let mut buf = Vec::with_capacity(2048);
     let mut scratch = [0u8; 2048];
     loop {
-        if let Some(head_end) = crate::http::head_end(&buf) {
-            if head_end > max_head {
-                return Err(HttpError::TooLarge("request head").into());
-            }
+        if let Some(head_end) = capped_head_end(&buf, max_head, "request head")? {
             let leftover = buf.split_off(head_end);
             return Ok(Some((buf, leftover)));
-        }
-        if buf.len() > max_head {
-            return Err(HttpError::TooLarge("request head").into());
         }
         let n = loop {
             match stream.read(&mut scratch) {

@@ -29,7 +29,8 @@ pub enum TimerKind {
 }
 
 impl TimerKind {
-    const ALL: [TimerKind; 3] = [
+    /// Every kind, in declaration order (so `kind as usize` indexes it).
+    pub(crate) const ALL: [TimerKind; 3] = [
         TimerKind::ReadStall,
         TimerKind::RequestBudget,
         TimerKind::IdleReap,

@@ -1,0 +1,367 @@
+//! One table of request-framing bounds, each attacked by one over-by-one
+//! row, through every consumer of the one decoder.
+//!
+//! A row is a request that sits exactly *at* a bound (accepted, body
+//! delivered intact) and its twin one step *past* it (refused with one
+//! typed [`HttpError`]). Every row runs through:
+//!
+//! * the sans-io [`RequestParser`] (and so the [`BodyDecoder`]) directly,
+//! * the blocking [`RequestReader`],
+//! * [`ChunkedBodyReader`], for rows whose bound is inside a chunked body,
+//! * a [`TestServer`] on every core this platform has — where the refusal
+//!   must be a `400` whose body is that error's text, one
+//!   `ServerBadRequests` tick, then a closed connection, byte-identical
+//!   across cores.
+//!
+//! All consumers must agree on the variant *and* the message: the bound is
+//! stated once, so it cannot hold on one path and not on another.
+
+use bsoap_obs::{Counter, Metrics};
+use bsoap_transport::http::{
+    HttpError, Parsed, RequestParser, RequestReader, MAX_SIZE_LINE, MAX_TRAILERS,
+};
+use bsoap_transport::{
+    poller, ChunkedBodyReader, ServerCore, ServerMode, ServerOptions, TestServer,
+};
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::Arc;
+
+const MAX_HEAD: usize = 256;
+const MAX_BODY: usize = 64;
+
+struct Row {
+    name: &'static str,
+    /// At the bound: accepted, and decodes to this body.
+    ok: Vec<u8>,
+    ok_body: Vec<u8>,
+    /// One past the bound: refused with `err`.
+    bad: Vec<u8>,
+    err: HttpError,
+    /// Bytes a hostile peer keeps sending after `bad` (they must change
+    /// nothing: the refusal is already decided).
+    flood: usize,
+}
+
+const CHUNKED: &[u8] = b"POST /s HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
+
+fn chunked(body: &[u8]) -> Vec<u8> {
+    [CHUNKED, body].concat()
+}
+
+fn with_length(declared: usize, body: &[u8]) -> Vec<u8> {
+    let head = format!("POST /s HTTP/1.1\r\nContent-Length: {declared}\r\n\r\n");
+    [head.as_bytes(), body].concat()
+}
+
+/// A bodiless request whose head is exactly `len` bytes.
+fn head_of(len: usize) -> Vec<u8> {
+    let frame = "POST /s HTTP/1.1\r\nX-Pad: \r\nContent-Length: 0\r\n\r\n";
+    let pad = "p".repeat(len - frame.len());
+    format!("POST /s HTTP/1.1\r\nX-Pad: {pad}\r\nContent-Length: 0\r\n\r\n").into_bytes()
+}
+
+/// `5;xxx…\r\nhello\r\n0\r\n\r\n` with a size line of exactly `len` bytes.
+fn size_line_of(len: usize) -> Vec<u8> {
+    chunked(format!("5;{}\r\nhello\r\n0\r\n\r\n", "x".repeat(len - 2)).as_bytes())
+}
+
+/// A chunked body whose trailer section (blank line included) is exactly
+/// `len` bytes.
+fn trailers_of(len: usize) -> Vec<u8> {
+    let line = format!("X-T: {}\r\n", "t".repeat(len - 2 - 7));
+    chunked(format!("5\r\nhello\r\n0\r\n{line}\r\n").as_bytes())
+}
+
+fn rows() -> Vec<Row> {
+    let full = vec![b'b'; MAX_BODY];
+    let row = |name, ok: Vec<u8>, ok_body: &[u8], bad: Vec<u8>, err| Row {
+        name,
+        ok,
+        ok_body: ok_body.to_vec(),
+        bad,
+        err,
+        flood: 0,
+    };
+    vec![
+        row(
+            "max_head",
+            head_of(MAX_HEAD),
+            b"",
+            head_of(MAX_HEAD + 1),
+            HttpError::TooLarge("request head"),
+        ),
+        row(
+            "max_body via Content-Length",
+            with_length(MAX_BODY, &full),
+            &full,
+            with_length(MAX_BODY + 1, &[]),
+            HttpError::TooLarge("declared content-length"),
+        ),
+        row(
+            "max_body accumulated over chunks",
+            chunked(format!("20\r\n{0}\r\n20\r\n{0}\r\n0\r\n\r\n", "c".repeat(32)).as_bytes()),
+            &[b'c'; 64],
+            chunked(format!("20\r\n{0}\r\n21\r\n", "c".repeat(32)).as_bytes()),
+            HttpError::TooLarge("chunked body"),
+        ),
+        Row {
+            // The cap test must not overflow: `seen + size` would.
+            flood: 100_000,
+            ..row(
+                "chunk size near usize::MAX after a first chunk",
+                chunked(format!("1\r\nA\r\n3f\r\n{}\r\n0\r\n\r\n", "c".repeat(63)).as_bytes()),
+                &[&b"A"[..], &[b'c'; 63]].concat(),
+                chunked(b"1\r\nA\r\nffffffffffffffff\r\n"),
+                HttpError::TooLarge("chunked body"),
+            )
+        },
+        row(
+            "MAX_SIZE_LINE",
+            size_line_of(MAX_SIZE_LINE),
+            b"hello",
+            size_line_of(MAX_SIZE_LINE + 1),
+            HttpError::TooLarge("chunk size line"),
+        ),
+        row(
+            "a size line that never ends",
+            size_line_of(MAX_SIZE_LINE),
+            b"hello",
+            chunked(&[b'1'; 10_000]),
+            HttpError::TooLarge("chunk size line"),
+        ),
+        row(
+            "trailer section length",
+            trailers_of(MAX_TRAILERS),
+            b"hello",
+            trailers_of(MAX_TRAILERS + 1),
+            HttpError::TooLarge("trailer section"),
+        ),
+        row(
+            "a trailer line that never ends",
+            trailers_of(MAX_TRAILERS),
+            b"hello",
+            chunked(format!("5\r\nhello\r\n0\r\n{}", "j".repeat(10_000)).as_bytes()),
+            HttpError::TooLarge("trailer section"),
+        ),
+        row(
+            "chunk size: extension yes, whitespace no",
+            chunked(b"5;x\r\nhello\r\n0\r\n\r\n"),
+            b"hello",
+            chunked(b"5 ;x\r\nhello\r\n0\r\n\r\n"),
+            HttpError::BadChunk("bad chunk size line"),
+        ),
+        row(
+            "chunk size: hex digits only",
+            chunked(b"A\r\n0123456789\r\n0\r\n\r\n"),
+            b"0123456789",
+            chunked(b"zz\r\nab\r\n0\r\n\r\n"),
+            HttpError::BadChunk("bad chunk size line"),
+        ),
+        row(
+            "CRLF after chunk data",
+            chunked(b"5\r\nhello\r\n0\r\n\r\n"),
+            b"hello",
+            chunked(b"5\r\nhelloXX0\r\n\r\n"),
+            HttpError::BadChunk("missing CRLF after chunk data"),
+        ),
+        row(
+            "EOF in head",
+            with_length(0, &[]),
+            b"",
+            b"POST /s HTTP/1.1\r\nContent-Le".to_vec(),
+            HttpError::BadHead("EOF inside request head"),
+        ),
+        row(
+            "EOF in length-framed body",
+            with_length(5, b"hello"),
+            b"hello",
+            with_length(5, b"hell"),
+            HttpError::BadFraming("EOF inside length-framed body"),
+        ),
+        row(
+            "EOF in chunked body",
+            chunked(b"5\r\nhello\r\n0\r\n\r\n"),
+            b"hello",
+            chunked(b"5\r\nhello\r\n0\r\n"),
+            HttpError::BadChunk("EOF inside chunked body"),
+        ),
+    ]
+}
+
+fn typed(e: io::Error) -> HttpError {
+    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+    e.get_ref()
+        .and_then(|inner| inner.downcast_ref::<HttpError>())
+        .unwrap_or_else(|| panic!("untyped error: {e}"))
+        .clone()
+}
+
+/// The sans-io parser over the whole wire as one window, then EOF.
+fn through_parser(wire: &[u8]) -> Result<Vec<u8>, HttpError> {
+    let mut parser = RequestParser::new(MAX_HEAD, MAX_BODY);
+    let mut body = Vec::new();
+    let mut at = 0;
+    loop {
+        let (n, parsed) = parser.step(&wire[at..])?;
+        match parsed {
+            Parsed::Head(..) => {}
+            Parsed::Body(range) => body.extend_from_slice(&wire[at..][range]),
+            Parsed::Done => return Ok(body),
+            Parsed::Starved => return Err(parser.eof_error()),
+        }
+        at += n;
+    }
+}
+
+fn through_request_reader(wire: &[u8]) -> Result<Vec<u8>, HttpError> {
+    match RequestReader::with_limits(wire, MAX_HEAD, MAX_BODY).next_request() {
+        Ok(Some((_, body))) => Ok(body),
+        Ok(None) => panic!("no request in a non-empty wire"),
+        Err(e) => Err(typed(e)),
+    }
+}
+
+/// `ChunkedBodyReader` over what follows the head, through the smallest
+/// buffer it allows itself.
+fn through_chunked_body_reader(wire: &[u8]) -> Result<Vec<u8>, HttpError> {
+    let mut reader =
+        ChunkedBodyReader::with_capacity(&wire[CHUNKED.len()..], Vec::new(), 0, MAX_BODY);
+    let mut body = Vec::new();
+    loop {
+        match reader.next_slice() {
+            Ok(Some(slice)) => body.extend_from_slice(slice),
+            Ok(None) => return Ok(body),
+            Err(e) => return Err(typed(e)),
+        }
+    }
+}
+
+#[test]
+fn every_bound_holds_at_the_limit_and_breaks_one_past_it_in_memory() {
+    type Consumer = fn(&[u8]) -> Result<Vec<u8>, HttpError>;
+    let consumers: [(&str, Consumer); 2] = [
+        ("RequestParser", through_parser),
+        ("RequestReader", through_request_reader),
+    ];
+    for row in rows() {
+        let mut bad = row.bad.clone();
+        bad.extend(std::iter::repeat_n(b'f', row.flood));
+        for (who, consume) in consumers {
+            assert_eq!(
+                consume(&row.ok).as_ref(),
+                Ok(&row.ok_body),
+                "{who}: {} at the limit",
+                row.name
+            );
+            assert_eq!(
+                consume(&bad),
+                Err(row.err.clone()),
+                "{who}: {} past it",
+                row.name
+            );
+        }
+        let in_chunked_body = row.bad.starts_with(CHUNKED) && row.ok.starts_with(CHUNKED);
+        if in_chunked_body {
+            assert_eq!(
+                through_chunked_body_reader(&row.ok).as_ref(),
+                Ok(&row.ok_body),
+                "ChunkedBodyReader: {} at the limit",
+                row.name
+            );
+            assert_eq!(
+                through_chunked_body_reader(&bad),
+                Err(row.err.clone()),
+                "ChunkedBodyReader: {} past it",
+                row.name
+            );
+        }
+    }
+}
+
+fn cores() -> Vec<ServerCore> {
+    if poller::supported() {
+        vec![ServerCore::WorkerPool, ServerCore::EventLoop]
+    } else {
+        vec![ServerCore::WorkerPool]
+    }
+}
+
+/// Send `wire` (then our FIN, so a truncated request reads as EOF rather
+/// than as a stall) and return everything the server answers until it
+/// closes. A `flood` is sent only once the answer ends with `tail`: the
+/// refusal must not wait for it, and unread flood bytes turn the server's
+/// close into a reset that could otherwise race the answer.
+fn exchange(server: &TestServer, wire: &[u8], flood: usize, tail: &[u8]) -> Vec<u8> {
+    let mut c = TcpStream::connect(server.addr()).unwrap();
+    c.write_all(wire).unwrap();
+    let mut answer = Vec::new();
+    if flood > 0 {
+        let mut buf = [0u8; 1024];
+        while !answer.ends_with(tail) {
+            let n = c.read(&mut buf).unwrap();
+            assert!(n > 0, "closed before refusing");
+            answer.extend_from_slice(&buf[..n]);
+        }
+        let _ = c.write_all(&vec![b'f'; flood]);
+    }
+    let _ = c.shutdown(Shutdown::Write);
+    let _ = c.read_to_end(&mut answer);
+    answer
+}
+
+#[test]
+fn every_bound_holds_on_every_server_core() {
+    for row in rows() {
+        let mut refusals = Vec::new();
+        for core in cores() {
+            let metrics = Metrics::shared();
+            let server = TestServer::spawn_with_metrics(
+                ServerMode::Collect,
+                ServerOptions {
+                    core,
+                    max_head_bytes: MAX_HEAD,
+                    max_body_bytes: MAX_BODY,
+                    ..ServerOptions::default()
+                },
+                Arc::clone(&metrics),
+            )
+            .unwrap();
+            let what = format!("{core:?}: {}", row.name);
+
+            let answer = exchange(&server, &row.ok, 0, b"");
+            assert!(
+                answer.starts_with(b"HTTP/1.1 200 OK\r\n"),
+                "{what} at the limit"
+            );
+
+            let tail = format!("\r\n\r\n{}", io::Error::from(row.err.clone()));
+            let answer = exchange(&server, &row.bad, row.flood, tail.as_bytes());
+            assert!(
+                answer.starts_with(b"HTTP/1.1 400 Bad Request\r\n")
+                    && answer.ends_with(tail.as_bytes()),
+                "{what} past it: {:?}",
+                String::from_utf8_lossy(&answer)
+            );
+            refusals.push(answer);
+
+            let collected = server.stop_collecting();
+            assert_eq!(
+                collected.len(),
+                1,
+                "{what}: only the at-limit request is served"
+            );
+            assert_eq!(collected[0].body, row.ok_body, "{what}");
+            assert_eq!(
+                metrics.snapshot().get(Counter::ServerBadRequests),
+                1,
+                "{what}"
+            );
+        }
+        assert!(
+            refusals.windows(2).all(|w| w[0] == w[1]),
+            "{}: cores answered different bytes",
+            row.name
+        );
+    }
+}

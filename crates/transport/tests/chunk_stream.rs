@@ -1,10 +1,10 @@
 //! Streaming chunk transport: writer/reader round trips under hostile
 //! fragmentation, adversarial chunked-decoder fuzz (typed errors, never a
-//! panic or unbounded buffer), and the hardened response reader.
+//! panic or unbounded buffer), and the hardened response reader. The
+//! decoder's bounds themselves are attacked in `cap_table.rs`.
 
 use bsoap_transport::http::{
     parse_request_head, read_response, read_response_limited, HttpVersion, RequestConfig,
-    RequestReader,
 };
 use bsoap_transport::stream::{read_head, ChunkedBodyReader, ChunkedBodyWriter};
 use proptest::prelude::*;
@@ -165,28 +165,6 @@ fn response_caps_enforced_on_chunked_and_length_framed() {
 }
 
 #[test]
-fn server_reader_caps_chunked_request_bodies() {
-    // Satellite 1: the server-side cap applies to chunk-accumulated
-    // bodies, not just Content-Length, and surfaces as the typed
-    // TooLarge (-> 400) rather than unbounded buffering.
-    let req = b"POST /s HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n\
-                20\r\naaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n\
-                20\r\naaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n0\r\n\r\n";
-    let mut reader = RequestReader::with_limits(io::Cursor::new(req.to_vec()), 1 << 16, 48);
-    let err = reader.next_request().unwrap_err();
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("size cap"), "{err}");
-}
-
-#[test]
-fn reader_cumulative_cap_spans_chunks() {
-    // Each chunk is under the cap; their sum is not.
-    let body = b"8\r\naaaaaaaa\r\n8\r\nbbbbbbbb\r\n0\r\n\r\n";
-    let err = decode_all(body, 256, 12).unwrap_err();
-    assert!(err.to_string().contains("size cap"), "{err}");
-}
-
-#[test]
 fn fixed_buffer_never_grows() {
     // A body far larger than the buffer streams through it.
     let payload = vec![b'x'; 1 << 16];
@@ -235,15 +213,6 @@ fn missing_final_zero_chunk_is_typed_error() {
 }
 
 #[test]
-fn oversized_size_line_is_typed_error() {
-    // A "size line" that never terminates must be cut off at the line
-    // cap, not buffered forever.
-    let body = vec![b'a'; 4096];
-    let err = decode_adversarial(&body).unwrap_err();
-    assert!(err.to_string().contains("size cap"), "{err}");
-}
-
-#[test]
 fn garbage_size_lines_are_typed_errors() {
     for body in [
         &b"zz\r\nxx\r\n0\r\n\r\n"[..],   // non-hex
@@ -253,12 +222,6 @@ fn garbage_size_lines_are_typed_errors() {
         let err = decode_adversarial(body).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{body:?}");
     }
-}
-
-#[test]
-fn missing_data_crlf_is_typed_error() {
-    let err = decode_adversarial(b"4\r\nwikiXX0\r\n\r\n").unwrap_err();
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 }
 
 #[test]
@@ -274,12 +237,6 @@ fn garbage_trailers_skipped_or_rejected_cleanly() {
     // ...and EOF inside the trailer section is a typed error too.
     let err = decode_adversarial(b"4\r\nwiki\r\n0\r\nX-Junk: v\r\n").unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-}
-
-#[test]
-fn chunk_extensions_tolerated() {
-    let got = decode_adversarial(b"4;ext=1\r\nwiki\r\n0\r\n\r\n").unwrap();
-    assert_eq!(got, b"wiki".to_vec());
 }
 
 #[test]

@@ -1,36 +1,44 @@
-//! Model-checked connection-lifecycle suite for the event-loop core's
-//! per-connection state machine ([`bsoap_transport::Conn`]).
+//! Model-checked connection-lifecycle suite for the one server-side
+//! request path: the [`bsoap_transport::Conn`] state machine, under both
+//! of its drivers' input styles.
 //!
 //! `ConnModel` is an independent re-statement of the lifecycle spec
 //! (DESIGN §3.13): it predicts every state transition, timer arm/cancel,
-//! epoll-interest change, dispatch hand-off, and counter tick — not by
-//! re-parsing HTTP, but from *generative* knowledge: the harness builds
+//! readiness-interest change, dispatch hand-off, and counter tick — not
+//! by re-parsing HTTP, but from *generative* knowledge: the harness builds
 //! each request itself, so the model knows exactly where every head and
-//! body boundary falls on the wire. A seeded LCG then drives both the
-//! real `Conn` (with scripted, syscall-free I/O) and the model through
-//! the same randomized event schedule — fragmented reads, EINTR, partial
-//! writes, timer firings, EOF truncation, graceful drain — and after
-//! every single event the harness asserts:
+//! body boundary falls on the wire. A seeded LCG draws one randomized
+//! event schedule per seed — fragmented reads, EINTR, partial writes,
+//! timer firings, EOF, graceful drain — and runs it twice:
 //!
-//! * the real machine's state equals the model's,
-//! * the full `(from, to)` transition trace matches exactly,
-//! * the set of armed timers matches (the harness plays the timer wheel,
-//!   fed only by the real machine's `Arm`/`Cancel` actions),
-//! * the last requested epoll interest matches,
-//! * every dispatched request's path and body bytes match what was sent.
+//! * **Direct leg** (how the event loop drives the machine): one `read`
+//!   per `on_readable` call with scripted, syscall-free I/O; the harness
+//!   plays the timer wheel and, after every single event, asserts that
+//!   state, transition trace, armed timers, requested interest and every
+//!   dispatched request's path and body equal the model's.
+//! * **Blocking leg** (the worker-pool core): the same schedule replayed
+//!   through [`bsoap_transport::drive_blocking`] over a scripted socket
+//!   whose reads return the schedule's fragments and time out where the
+//!   schedule fires a timer, whose writes accept what the schedule's
+//!   partial writes accepted, and whose drain flag rises where the
+//!   schedule drains.
 //!
-//! At the end of each schedule the two metrics registries — one ticked by
-//! the real machine, one by the model — must produce identical
-//! [`EngineStats`] snapshots and identical trace-event sequences.
+//! Both legs must end with the model's transition trace, close reason,
+//! dispatched requests, response bytes, [`EngineStats`] snapshot and
+//! trace-event sequence.
 //!
-//! 256 schedules (≥ the 200 the acceptance criteria require), all seeds
-//! fixed, no wall-clock dependence: failures replay exactly.
+//! 256 schedules, all seeds fixed, clocks frozen: failures replay exactly.
 
-use bsoap_obs::{Counter, EngineStats, Metrics, Recorder, TraceKind};
-use bsoap_transport::http::{render_response_head_typed, HttpError};
-use bsoap_transport::{Conn, ConnAction, ConnConfig, ConnState, ReqBody, Response, TimerKind};
-use std::collections::BTreeSet;
+use bsoap_obs::{Counter, EngineStats, HistId, Metrics, Recorder, TraceKind, VirtualClock};
+use bsoap_transport::http::{render_response_head_extra, HttpError, RequestHead};
+use bsoap_transport::{
+    drive_blocking, BlockingIo, CloseReason, Conn, ConnAction, ConnConfig, ConnState, ReqBody,
+    Response, TimerKind,
+};
+use std::collections::{BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -157,16 +165,35 @@ fn gen_requests(rng: &mut Lcg) -> (Vec<u8>, Vec<ReqSpec>) {
 }
 
 // ---------------------------------------------------------------------------
-// Scripted I/O: one fragment per readiness event, then WouldBlock.
+// The schedule, and scripted I/O for each leg.
 // ---------------------------------------------------------------------------
 
+#[derive(Clone, Debug)]
 enum Frag {
     Bytes(Vec<u8>),
     Eof,
 }
 
-/// Reader that yields optional EINTR noise, then one fragment, then
-/// `WouldBlock` — exactly one readiness event's worth of input.
+/// One step of a schedule, as drawn by the direct leg and replayed by the
+/// blocking leg.
+#[derive(Clone, Debug)]
+enum Ev {
+    /// One successful `read` (preceded by an `Interrupted` one if `eintr`).
+    Feed { frag: Frag, eintr: bool },
+    /// The nearest armed timer fires.
+    Timer(TimerKind),
+    /// The handler answers with a body of this many bytes.
+    DispatchDone(usize),
+    /// The socket accepts this many response bytes, then would block.
+    Writable(usize),
+    /// The socket's write side fails.
+    WriteError,
+    /// Graceful drain begins.
+    Drain,
+}
+
+/// Direct-leg reader: optional EINTR noise, then one fragment — exactly
+/// one `on_readable` call's worth of input.
 struct OneShot {
     eintr: bool,
     frag: Option<Frag>,
@@ -180,25 +207,25 @@ impl Read for OneShot {
         }
         match self.frag.take() {
             Some(Frag::Bytes(b)) => {
-                assert!(b.len() <= buf.len(), "fragment exceeds scratch");
+                assert!(b.len() <= buf.len(), "fragment exceeds the read buffer");
                 buf[..b.len()].copy_from_slice(&b);
                 Ok(b.len())
             }
             Some(Frag::Eof) => Ok(0),
-            None => Err(io::ErrorKind::WouldBlock.into()),
+            None => panic!("one read per on_readable call"),
         }
     }
 }
 
-/// Writer accepting `cap` bytes this event, then `WouldBlock` (never
-/// `Ok(0)`), or failing outright.
-struct CapWriter {
+/// Direct-leg writer accepting `cap` bytes this event, then `WouldBlock`
+/// (never `Ok(0)`), or failing outright.
+struct CapWriter<'a> {
     cap: usize,
     fail: bool,
-    sunk: Vec<u8>,
+    sunk: &'a mut Vec<u8>,
 }
 
-impl Write for CapWriter {
+impl Write for CapWriter<'_> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         if self.fail {
             return Err(io::ErrorKind::BrokenPipe.into());
@@ -212,6 +239,113 @@ impl Write for CapWriter {
         Ok(n)
     }
     fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Blocking-leg script: the recorded schedule, consumed by the scripted
+/// socket's reads and writes and by the handler.
+struct Script {
+    events: VecDeque<Ev>,
+    /// Bytes the current `Writable` event may still accept.
+    write_cap: Option<usize>,
+    draining: Arc<AtomicBool>,
+    sunk: Vec<u8>,
+    dispatched: Vec<(String, Vec<u8>)>,
+}
+
+impl Script {
+    /// A `Drain` takes effect as soon as the event before it has run.
+    fn absorb_drains(&mut self) {
+        while matches!(self.events.front(), Some(Ev::Drain)) {
+            self.events.pop_front();
+            self.draining.store(true, Ordering::Release);
+        }
+    }
+
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.write_cap = None;
+        let res = match self.events.pop_front() {
+            Some(Ev::Feed { frag, eintr: true }) => {
+                self.events.push_front(Ev::Feed { frag, eintr: false });
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            Some(Ev::Feed {
+                frag: Frag::Bytes(b),
+                ..
+            }) => {
+                assert!(b.len() <= buf.len(), "fragment exceeds the read buffer");
+                buf[..b.len()].copy_from_slice(&b);
+                Ok(b.len())
+            }
+            Some(Ev::Feed {
+                frag: Frag::Eof, ..
+            }) => Ok(0),
+            Some(Ev::Timer(_)) => Err(io::ErrorKind::TimedOut.into()),
+            // The direct leg ended here by closing an idle connection on
+            // drain; nothing more ever arrives.
+            None if self.draining.load(Ordering::Acquire) => Err(io::ErrorKind::WouldBlock.into()),
+            other => panic!("driver read, schedule has {other:?}"),
+        };
+        self.absorb_drains();
+        res
+    }
+
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.write_cap.is_none() {
+            let ev = self.events.pop_front();
+            self.absorb_drains();
+            match ev {
+                Some(Ev::Writable(cap)) => self.write_cap = Some(cap),
+                Some(Ev::WriteError) => return Err(io::ErrorKind::BrokenPipe.into()),
+                other => panic!("driver wrote, schedule has {other:?}"),
+            }
+        }
+        let cap = self.write_cap.expect("set above");
+        if cap == 0 {
+            self.write_cap = None;
+            return Err(io::ErrorKind::WouldBlock.into());
+        }
+        let n = buf.len().min(cap);
+        self.write_cap = Some(cap - n);
+        self.sunk.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn handle(&mut self, head: &RequestHead, body: ReqBody) -> Response {
+        self.write_cap = None;
+        let Some(Ev::DispatchDone(len)) = self.events.pop_front() else {
+            panic!("driver dispatched off schedule");
+        };
+        let ReqBody::Full(bytes) = body else {
+            panic!("no sink configured");
+        };
+        self.dispatched.push((head.path.clone(), bytes));
+        self.absorb_drains();
+        Response::xml(200, "OK", vec![b'x'; len])
+    }
+}
+
+/// The blocking leg's socket.
+struct ScriptedIo(Arc<Mutex<Script>>);
+
+impl Read for ScriptedIo {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.0.lock().unwrap().read(buf)
+    }
+}
+
+impl Write for ScriptedIo {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.lock().unwrap().write(buf)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl BlockingIo for ScriptedIo {
+    fn set_read_timeout(&mut self, _: Option<Duration>) -> io::Result<()> {
         Ok(())
     }
 }
@@ -233,6 +367,9 @@ struct ConnModel {
     next_req: usize,
     /// Response bytes still to drain (None = not writing).
     write_remaining: Option<usize>,
+    /// Total length of the response being written if it is a measured one
+    /// (a handler's answer, not a 400).
+    measured: Option<usize>,
     close_after_write: bool,
     draining: bool,
     closed: bool,
@@ -256,6 +393,20 @@ enum Fate {
     WriteFailed,
 }
 
+impl Fate {
+    fn reason(self) -> Option<CloseReason> {
+        match self {
+            Fate::Open | Fate::Completed => None,
+            Fate::Evicted => Some(CloseReason::Evicted),
+            Fate::IdleReaped => Some(CloseReason::IdleReaped),
+            Fate::BadRequest => Some(CloseReason::BadRequest),
+            Fate::CleanEof => Some(CloseReason::CleanEof),
+            Fate::Drained => Some(CloseReason::Drained),
+            Fate::WriteFailed => Some(CloseReason::WriteFailed),
+        }
+    }
+}
+
 impl ConnModel {
     fn new(cfg: &ConnConfig, specs: Vec<ReqSpec>) -> ConnModel {
         ConnModel {
@@ -266,6 +417,7 @@ impl ConnModel {
             fed: 0,
             next_req: 0,
             write_remaining: None,
+            measured: None,
             close_after_write: false,
             draining: false,
             closed: false,
@@ -305,12 +457,13 @@ impl ConnModel {
     /// The length of the 400 response `bad_request` renders for `err`.
     fn response_len(status: u16, reason: &'static str, body_len: usize) -> usize {
         let mut scratch = Vec::new();
-        render_response_head_typed(
+        render_response_head_extra(
             &mut scratch,
             status,
             reason,
             "text/xml; charset=utf-8",
             body_len,
+            &[],
         );
         scratch.len() + body_len
     }
@@ -324,6 +477,7 @@ impl ConnModel {
             "Bad Request",
             ioe.to_string().len(),
         ));
+        self.measured = None;
         self.close_after_write = true;
         self.goto(ConnState::Writing, rec);
         self.interest = Some((false, true));
@@ -403,8 +557,12 @@ impl ConnModel {
                 self.bad_request(HttpError::BadHead("EOF inside request head"), rec);
                 Fate::Open
             }
-            ConnState::ReadingBody | ConnState::ReadingChunked => {
-                self.bad_request(HttpError::BadFraming("EOF inside request body"), rec);
+            ConnState::ReadingBody => {
+                self.bad_request(HttpError::BadFraming("EOF inside length-framed body"), rec);
+                Fate::Open
+            }
+            ConnState::ReadingChunked => {
+                self.bad_request(HttpError::BadChunk("EOF inside chunked body"), rec);
                 Fate::Open
             }
             _ => Fate::Open,
@@ -413,11 +571,9 @@ impl ConnModel {
 
     fn on_dispatch_done(&mut self, resp: &Response, rec: &Metrics) {
         assert_eq!(self.state, ConnState::Dispatching);
-        self.write_remaining = Some(Self::response_len(
-            resp.status,
-            resp.reason,
-            resp.body.len(),
-        ));
+        let total = Self::response_len(resp.status, resp.reason, resp.body.len());
+        self.write_remaining = Some(total);
+        self.measured = resp.measure.then_some(total);
         self.goto(ConnState::Writing, rec);
     }
 
@@ -434,8 +590,18 @@ impl ConnModel {
             self.interest = Some((false, true));
             return Fate::Open;
         }
-        // Response fully drained.
+        // Response fully drained: the machine accounts for it (the clock
+        // is frozen, so the request took no time).
         self.write_remaining = None;
+        if let Some(bytes) = self.measured.take() {
+            let bytes = bytes as u64;
+            rec.add(Counter::ServerBytesOut, bytes);
+            rec.observe_ns(HistId::ServerRequest, 0);
+            rec.trace(TraceKind::Request {
+                bytes,
+                elapsed_ns: 0,
+            });
+        }
         if self.close_after_write {
             self.goto(ConnState::Closing, rec);
             self.close();
@@ -526,9 +692,19 @@ impl ConnModel {
     }
 
     fn close(&mut self) {
-        // The event loop's teardown cancels every pending deadline.
+        // A driver's teardown cancels every pending deadline.
         self.armed.clear();
         self.closed = true;
+    }
+
+    /// Which armed timer fires first: they were all armed within the same
+    /// instant (no time passes in a schedule), so the shortest one.
+    fn nearest_timer(&self) -> Option<TimerKind> {
+        self.armed.iter().copied().min_by_key(|kind| match kind {
+            TimerKind::ReadStall => self.cfg_read,
+            TimerKind::RequestBudget => self.cfg_request,
+            TimerKind::IdleReap => self.cfg_idle,
+        })
     }
 }
 
@@ -536,18 +712,18 @@ impl ConnModel {
 // Harness: drives Conn + ConnModel through one schedule and checks parity.
 // ---------------------------------------------------------------------------
 
-/// Apply the real machine's actions to the harness's wheel/interest
-/// mirrors and collect dispatches; panics on spec violations.
+/// The direct leg's driver stand-in: applies the real machine's actions
+/// to wheel/interest mirrors and collects dispatches.
 struct Harness {
     wheel: BTreeSet<TimerKind>,
     interest: Option<(bool, bool)>,
     dispatched: Vec<(String, Vec<u8>)>,
-    closed: bool,
+    closed: Option<CloseReason>,
 }
 
 impl Harness {
-    fn apply(&mut self, actions: Vec<ConnAction>, cfg: &ConnConfig, seed: u64, step: usize) {
-        for a in actions {
+    fn apply(&mut self, actions: &mut Vec<ConnAction>, cfg: &ConnConfig, seed: u64, step: usize) {
+        for a in actions.drain(..) {
             match a {
                 ConnAction::Arm(kind, dur) => {
                     let expect = match kind {
@@ -575,11 +751,10 @@ impl Harness {
                     };
                     self.dispatched.push((head.path, bytes));
                 }
-                ConnAction::Responded { .. } => {}
-                ConnAction::Close(_) => {
-                    // Loop teardown cancels everything for this conn.
+                ConnAction::Close(reason) => {
+                    // Driver teardown cancels everything for this conn.
                     self.wheel.clear();
-                    self.closed = true;
+                    self.closed = Some(reason);
                 }
             }
         }
@@ -594,7 +769,7 @@ fn check_parity(seed: u64, step: usize, conn: &Conn, model: &ConnModel, h: &Harn
     );
     assert_eq!(
         conn.transitions(),
-        &model.transitions[..],
+        model.transitions,
         "seed {seed} step {step}: transition trace diverged"
     );
     assert_eq!(
@@ -603,54 +778,76 @@ fn check_parity(seed: u64, step: usize, conn: &Conn, model: &ConnModel, h: &Harn
     );
     assert_eq!(
         h.interest, model.interest,
-        "seed {seed} step {step}: epoll interest diverged"
+        "seed {seed} step {step}: readiness interest diverged"
     );
     assert_eq!(
         h.dispatched, model.dispatched,
         "seed {seed} step {step}: dispatched requests diverged"
     );
     assert_eq!(
-        h.closed, model.closed,
+        h.closed.is_some(),
+        model.closed,
         "seed {seed} step {step}: close disagreement"
     );
 }
 
-/// Run one randomized schedule; returns the terminal fate plus whether
-/// any request made it all the way to a fully written response.
+fn frozen_metrics() -> Metrics {
+    Metrics::with_clock(Arc::new(VirtualClock::new()))
+}
+
+fn assert_same_observations(seed: u64, leg: &str, real: &Metrics, model: &Metrics) {
+    assert_eq!(
+        EngineStats::snapshot(real),
+        EngineStats::snapshot(model),
+        "seed {seed}, {leg} leg: metrics snapshots diverged"
+    );
+    let kinds = |m: &Metrics| -> Vec<TraceKind> {
+        let (events, _) = m.trace_ring().snapshot();
+        events.into_iter().map(|e| e.kind).collect()
+    };
+    assert_eq!(
+        kinds(real),
+        kinds(model),
+        "seed {seed}, {leg} leg: trace sequences diverged"
+    );
+}
+
+/// Run one randomized schedule through both legs; returns the terminal
+/// fate plus whether any request made it all the way to a fully written
+/// response.
 fn run_schedule(seed: u64) -> (Fate, bool) {
     let mut rng = Lcg::new(seed);
+    // Three deadlines an hour apart, in a random order, each present or
+    // not: which timer is nearest varies by schedule, and no run is slow
+    // enough to blur the order for the blocking leg's real clock.
+    let mut hours = [1u64, 2, 3];
+    for i in (1..hours.len()).rev() {
+        hours.swap(i, rng.below(i + 1));
+    }
+    let mut timeout = |present_in: usize, hours: u64| {
+        (!rng.chance(present_in)).then(|| Duration::from_secs(hours * 3600))
+    };
     let cfg = ConnConfig {
-        read_timeout: Some(Duration::from_millis(10)),
-        request_timeout: if rng.chance(2) {
-            Some(Duration::from_millis(20))
-        } else {
-            None
-        },
-        idle_timeout: if rng.chance(2) {
-            Some(Duration::from_millis(15))
-        } else {
-            None
-        },
+        read_timeout: timeout(4, hours[0]),
+        request_timeout: timeout(2, hours[1]),
+        idle_timeout: timeout(2, hours[2]),
         ..ConnConfig::default()
     };
 
     let (mut wire, specs) = gen_requests(&mut rng);
 
-    // Truncation: cut the wire and end with EOF. A cut exactly on a
-    // request boundary lands while Idle (clean EOF); anywhere else it is
-    // mid-request and must draw a 400.
-    let truncated = rng.chance(4);
-    let mut frags: Vec<Frag> = Vec::new();
-    if truncated {
+    // The client always hangs up in the end. One time in four it does so
+    // early: a cut exactly on a request boundary lands while Idle (clean
+    // EOF); anywhere else it is mid-request and must draw a 400.
+    if rng.chance(4) {
         let cut = if rng.chance(3) {
-            // Exactly at the end of some request: clean-EOF coverage.
             specs[rng.below(specs.len())].end()
         } else {
             1 + rng.below(wire.len().saturating_sub(1).max(1))
         };
         wire.truncate(cut);
     }
-    // Fragment the wire.
+    let mut frags: Vec<Frag> = Vec::new();
     let mut off = 0;
     while off < wire.len() {
         let take = (1 + rng.below(wire.len() - off)).min(1 + rng.below(64) * 8);
@@ -658,25 +855,26 @@ fn run_schedule(seed: u64) -> (Fate, bool) {
         frags.push(Frag::Bytes(wire[off..off + take].to_vec()));
         off += take;
     }
-    if truncated {
-        frags.push(Frag::Eof);
-    }
+    frags.push(Frag::Eof);
     frags.reverse(); // pop from the back
 
-    let real_metrics = Metrics::new();
-    let model_metrics = Metrics::new();
+    // ---- Direct leg: draw the schedule, checking parity at every step.
+    let real_metrics = frozen_metrics();
+    let model_metrics = frozen_metrics();
     let mut conn = Conn::new(7, cfg.clone());
     let mut model = ConnModel::new(&cfg, specs.clone());
     let mut h = Harness {
         wheel: BTreeSet::new(),
         interest: None,
         dispatched: Vec::new(),
-        closed: false,
+        closed: None,
     };
+    let mut schedule: Vec<Ev> = Vec::new();
+    let mut sunk = Vec::new();
 
     let mut out = Vec::new();
     conn.on_accept(&mut out);
-    h.apply(std::mem::take(&mut out), &cfg, seed, 0);
+    h.apply(&mut out, &cfg, seed, 0);
     model.on_accept();
     check_parity(seed, 0, &conn, &model, &h);
 
@@ -690,7 +888,7 @@ fn run_schedule(seed: u64) -> (Fate, bool) {
         // Build the weighted choice list from the model's view (parity
         // with the real machine is asserted each step).
         #[derive(Clone, Copy)]
-        enum Ev {
+        enum Choice {
             Feed,
             Timer,
             DispatchDone,
@@ -698,131 +896,152 @@ fn run_schedule(seed: u64) -> (Fate, bool) {
             WriteError,
             Drain,
         }
-        let mut choices: Vec<Ev> = Vec::new();
+        let mut choices: Vec<Choice> = Vec::new();
         if model.reading() && !frags.is_empty() {
-            choices.extend([Ev::Feed; 6]);
+            choices.extend([Choice::Feed; 6]);
         }
         if model.state == ConnState::Dispatching {
-            choices.extend([Ev::DispatchDone; 6]);
+            choices.extend([Choice::DispatchDone; 6]);
         }
         if model.state == ConnState::Writing {
-            choices.extend([Ev::Writable; 6]);
+            choices.extend([Choice::Writable; 6]);
             if rng.chance(12) {
-                choices.push(Ev::WriteError);
+                choices.push(Choice::WriteError);
             }
         }
-        if !h.wheel.is_empty() {
-            choices.push(Ev::Timer);
+        if !model.armed.is_empty() {
+            choices.push(Choice::Timer);
         }
         if !drained_once && rng.chance(40) {
-            choices.push(Ev::Drain);
+            choices.push(Choice::Drain);
         }
-        if choices.is_empty() {
-            break; // nothing left to do and no timer to fire
-        }
-        let ev = choices[rng.below(choices.len())];
-        match ev {
-            Ev::Feed => {
-                let frag = frags.pop().unwrap();
-                let n = match &frag {
-                    Frag::Bytes(b) => b.len(),
-                    Frag::Eof => 0,
-                };
-                let is_eof = matches!(frag, Frag::Eof);
+        let ev = match choices[rng.below(choices.len())] {
+            Choice::Feed => Ev::Feed {
+                frag: frags.pop().unwrap(),
+                eintr: rng.chance(6),
+            },
+            Choice::Timer => Ev::Timer(model.nearest_timer().unwrap()),
+            Choice::DispatchDone => Ev::DispatchDone(rng.below(61)),
+            Choice::Writable => Ev::Writable(match rng.below(3) {
+                0 => 1 + rng.below(16),
+                1 => 64,
+                _ => usize::MAX,
+            }),
+            Choice::WriteError => Ev::WriteError,
+            Choice::Drain => Ev::Drain,
+        };
+        schedule.push(ev.clone());
+        let f = match ev {
+            Ev::Feed { frag, eintr } => {
                 let mut io = OneShot {
-                    eintr: rng.chance(6),
-                    frag: Some(frag),
+                    eintr,
+                    frag: Some(frag.clone()),
                 };
-                conn.on_readable(&mut io, &real_metrics, &mut out);
-                h.apply(std::mem::take(&mut out), &cfg, seed, step);
-                if is_eof {
-                    let f = model.on_eof(&model_metrics);
-                    if model.closed {
-                        fate = f;
+                let timed_out = conn.on_readable(&mut io, &real_metrics, &mut out);
+                assert!(
+                    !timed_out,
+                    "seed {seed} step {step}: a read that found bytes"
+                );
+                match frag {
+                    Frag::Eof => model.on_eof(&model_metrics),
+                    Frag::Bytes(b) => {
+                        model.on_readable_bytes(b.len(), &model_metrics);
+                        Fate::Open
                     }
-                } else {
-                    model.on_readable_bytes(n, &model_metrics);
                 }
             }
-            Ev::Timer => {
-                let armed: Vec<TimerKind> = h.wheel.iter().copied().collect();
-                let kind = armed[rng.below(armed.len())];
+            Ev::Timer(kind) => {
                 // A fired deadline leaves the wheel before delivery.
                 h.wheel.remove(&kind);
                 model.armed.remove(&kind);
                 conn.on_timer(kind, &real_metrics, &mut out);
-                h.apply(std::mem::take(&mut out), &cfg, seed, step);
-                let f = model.on_timer(kind, &model_metrics);
-                if model.closed {
-                    fate = f;
-                }
+                model.on_timer(kind, &model_metrics)
             }
-            Ev::DispatchDone => {
-                let len = rng.below(61);
-                let body: Vec<u8> = std::iter::repeat_n(b'x', len).collect();
-                let resp = Response::xml(200, "OK", body);
+            Ev::DispatchDone(len) => {
+                let resp = Response::xml(200, "OK", vec![b'x'; len]);
                 conn.on_dispatch_done(resp.clone(), &real_metrics);
                 model.on_dispatch_done(&resp, &model_metrics);
+                Fate::Open
             }
-            Ev::Writable => {
-                let cap = match rng.below(3) {
-                    0 => 1 + rng.below(16),
-                    1 => 64,
-                    _ => usize::MAX,
-                };
+            Ev::Writable(cap) => {
                 let mut w = CapWriter {
                     cap,
                     fail: false,
-                    sunk: Vec::new(),
+                    sunk: &mut sunk,
                 };
                 conn.on_writable(&mut w, &real_metrics, &mut out);
-                h.apply(std::mem::take(&mut out), &cfg, seed, step);
                 let f = model.on_writable(cap, false, &model_metrics);
-                if f == Fate::Completed {
-                    any_completed = true;
-                }
-                if model.closed {
-                    fate = f;
-                }
+                any_completed |= f == Fate::Completed;
+                f
             }
             Ev::WriteError => {
                 let mut w = CapWriter {
                     cap: 0,
                     fail: true,
-                    sunk: Vec::new(),
+                    sunk: &mut sunk,
                 };
                 conn.on_writable(&mut w, &real_metrics, &mut out);
-                h.apply(std::mem::take(&mut out), &cfg, seed, step);
-                fate = model.on_writable(0, true, &model_metrics);
+                model.on_writable(0, true, &model_metrics)
             }
             Ev::Drain => {
                 drained_once = true;
                 conn.set_draining(&real_metrics, &mut out);
-                h.apply(std::mem::take(&mut out), &cfg, seed, step);
-                let f = model.set_draining(&model_metrics);
-                if model.closed {
-                    fate = f;
-                }
+                model.set_draining(&model_metrics)
             }
+        };
+        if model.closed {
+            fate = f;
         }
+        h.apply(&mut out, &cfg, seed, step);
         check_parity(seed, step, &conn, &model, &h);
     }
+    assert!(model.closed, "seed {seed}: schedule never closed");
+    assert_eq!(h.closed, fate.reason(), "seed {seed}: close reason");
+    assert_same_observations(seed, "direct", &real_metrics, &model_metrics);
 
-    // Final oracle: identical metrics snapshots and trace sequences.
-    let real_snap = EngineStats::snapshot(&real_metrics);
-    let model_snap = EngineStats::snapshot(&model_metrics);
-    assert_eq!(
-        real_snap, model_snap,
-        "seed {seed}: metrics snapshots diverged"
+    // ---- Blocking leg: the same schedule through `drive_blocking`.
+    let draining = Arc::new(AtomicBool::new(false));
+    let mut script = Script {
+        events: schedule.into(),
+        write_cap: None,
+        draining: draining.clone(),
+        sunk: Vec::new(),
+        dispatched: Vec::new(),
+    };
+    script.absorb_drains();
+    let script = Arc::new(Mutex::new(script));
+    let blocking_metrics = frozen_metrics();
+    let mut conn = Conn::new(7, cfg);
+    let handler_script = script.clone();
+    let reason = drive_blocking(
+        &mut conn,
+        &mut ScriptedIo(script.clone()),
+        &blocking_metrics,
+        &move |head: &RequestHead, body: ReqBody| handler_script.lock().unwrap().handle(head, body),
+        &draining,
     );
-    let (real_trace, _) = real_metrics.trace_ring().snapshot();
-    let (model_trace, _) = model_metrics.trace_ring().snapshot();
-    let real_kinds: Vec<TraceKind> = real_trace.into_iter().map(|e| e.kind).collect();
-    let model_kinds: Vec<TraceKind> = model_trace.into_iter().map(|e| e.kind).collect();
-    assert_eq!(
-        real_kinds, model_kinds,
-        "seed {seed}: trace sequences diverged"
+    let script = script.lock().unwrap();
+    assert!(
+        script.events.is_empty(),
+        "seed {seed}: blocking leg left {:?} unplayed",
+        script.events
     );
+    assert_eq!(
+        Some(reason),
+        fate.reason(),
+        "seed {seed}: blocking close reason"
+    );
+    assert_eq!(
+        conn.transitions(),
+        model.transitions,
+        "seed {seed}: blocking leg's transition trace diverged"
+    );
+    assert_eq!(script.dispatched, model.dispatched, "seed {seed}");
+    assert_eq!(
+        script.sunk, sunk,
+        "seed {seed}: the legs wrote different bytes"
+    );
+    assert_same_observations(seed, "blocking", &blocking_metrics, &model_metrics);
     (fate, any_completed)
 }
 
@@ -886,10 +1105,11 @@ fn scripted_keep_alive_lifecycle_matches_spec_trace() {
     };
     conn.on_readable(&mut io, &rec, &mut out);
     conn.on_dispatch_done(Response::xml(200, "OK", b"<ok/>".to_vec()), &rec);
+    let mut sunk = Vec::new();
     let mut w = CapWriter {
         cap: usize::MAX,
         fail: false,
-        sunk: Vec::new(),
+        sunk: &mut sunk,
     };
     conn.on_writable(&mut w, &rec, &mut out);
     let mut io2 = OneShot {
@@ -900,7 +1120,7 @@ fn scripted_keep_alive_lifecycle_matches_spec_trace() {
     use ConnState::*;
     assert_eq!(
         conn.transitions(),
-        &[
+        [
             (Idle, ReadingHead),
             (ReadingHead, ReadingBody),
             (ReadingBody, Dispatching),
@@ -909,8 +1129,8 @@ fn scripted_keep_alive_lifecycle_matches_spec_trace() {
             (Idle, Closing),
         ]
     );
-    assert!(w.sunk.starts_with(b"HTTP/1.1 200 OK\r\n"));
-    assert!(w.sunk.ends_with(b"<ok/>"));
+    assert!(sunk.starts_with(b"HTTP/1.1 200 OK\r\n"));
+    assert!(sunk.ends_with(b"<ok/>"));
     let snap = EngineStats::snapshot(&rec);
     assert_eq!(snap.get(Counter::ConnStateTransitions), 6);
     assert_eq!(snap.get(Counter::ServerBadRequests), 0);

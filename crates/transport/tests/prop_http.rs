@@ -179,33 +179,57 @@ proptest! {
         prop_assert_eq!(w.out, flat);
     }
 
-    /// One head splitter, three consumers: the buffered `RequestReader`,
-    /// the streaming `read_head` + `parse_request_head` pair, and the
-    /// event-loop core's incremental `Conn` machine must all split and
-    /// parse the same head identically no matter how the wire is
-    /// fragmented (all three route through `http::head_end`).
+    /// One head splitter and one body decoder, three consumers: the
+    /// blocking `RequestReader`, the `Conn` machine every server core
+    /// drives, and the streaming `read_head` + `ChunkedBodyReader` pair
+    /// must agree on a whole request — head, then chunked body — no matter
+    /// how the wire is fragmented: the same head and body bytes, or, when
+    /// the body is corrupted or cut short, the same typed error.
     #[test]
-    fn head_fragmentation_parses_identically_on_all_paths(
+    fn whole_request_fragmentation_parses_identically_on_all_paths(
         path_seg in "[a-zA-Z0-9]{1,12}",
         headers in proptest::collection::vec(
             ("[a-zA-Z][a-zA-Z0-9-]{0,10}", "[a-zA-Z0-9 ._-]{0,20}"),
             0..4
         ),
-        body in proptest::collection::vec(any::<u8>(), 0..256),
-        caps in proptest::collection::vec(1usize..8, 1..12),
+        chunks in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 1..64), 0..6),
+        caps in proptest::collection::vec(1usize..40, 1..12),
         eintr_every in prop_oneof![Just(0usize), 2usize..5],
+        damage in prop_oneof![
+            Just(None),
+            Just(None),
+            (any::<usize>(), any::<u8>()).prop_map(|(at, to)| Some((at, Some(to)))),
+            any::<usize>().prop_map(|at| Some((at, None))),
+        ],
     ) {
-        use bsoap_transport::http::parse_request_head;
-        use bsoap_transport::{read_head, Conn, ConnAction, ConnConfig, ReqBody};
+        use bsoap_transport::http::{parse_request_head, read_response, RequestHead};
+        use bsoap_transport::{read_head, ChunkedBodyReader, Conn, ConnAction, ConnConfig, ReqBody};
         use bsoap_obs::NullRecorder;
         use std::io::Read;
 
+        const MAX_BODY: usize = 200;
         let mut wire = format!("POST /{path_seg} HTTP/1.1\r\nHost: prop\r\n").into_bytes();
         for (name, value) in &headers {
             wire.extend_from_slice(format!("x-{name}: {value}\r\n").as_bytes());
         }
-        wire.extend_from_slice(format!("Content-Length: {}\r\n\r\n", body.len()).as_bytes());
-        wire.extend_from_slice(&body);
+        wire.extend_from_slice(b"Transfer-Encoding: chunked\r\n\r\n");
+        let head_len = wire.len();
+        for c in &chunks {
+            wire.extend_from_slice(format!("{:x}\r\n", c.len()).as_bytes());
+            wire.extend_from_slice(c);
+            wire.extend_from_slice(b"\r\n");
+        }
+        wire.extend_from_slice(b"0\r\n\r\n");
+        // Damage lands in the body only: flip one byte, or cut the wire.
+        match damage {
+            Some((at, Some(to))) => {
+                let at = head_len + at % (wire.len() - head_len);
+                wire[at] = to;
+            }
+            Some((at, None)) => wire.truncate(head_len + at % (wire.len() - head_len)),
+            None => {}
+        }
 
         /// Reads at most `caps[i % len]` bytes per call with EINTR noise.
         struct Dribbler {
@@ -228,59 +252,64 @@ proptest! {
                 Ok(n)
             }
         }
-
-        // Path 1: buffered RequestReader.
-        let mut reader = RequestReader::new(&wire[..]);
-        let (head1, body1) = reader.next_request().unwrap().expect("one request");
-        prop_assert_eq!(&body1, &body);
-
-        // Path 2: streaming read_head + parse_request_head over a
-        // dribbling, EINTR-injecting reader.
-        let mut d = Dribbler {
-            data: wire.clone(),
+        let dribble = |data: &[u8]| Dribbler {
+            data: data.to_vec(),
             pos: 0,
             caps: caps.clone(),
             calls: 0,
             eintr_every,
         };
-        let (head_bytes, leftover) = read_head(&mut d, 1 << 20).unwrap().expect("head present");
-        let head2 = parse_request_head(&head_bytes).unwrap();
-        prop_assert_eq!(&head1, &head2, "streaming vs buffered head split");
-        // Leftover + remaining stream reconstitutes the body exactly.
-        let mut rest = leftover;
-        loop {
-            let mut scratch = [0u8; 512];
-            match d.read(&mut scratch) {
-                Ok(0) => break,
-                Ok(n) => rest.extend_from_slice(&scratch[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => panic!("body read failed: {e}"),
-            }
-        }
-        prop_assert_eq!(&rest, &body);
+        type Outcome = (RequestHead, Result<Vec<u8>, String>);
 
-        // Path 3: the event-loop core's incremental Conn machine, fed the
-        // same fragmentation.
-        let rec = NullRecorder;
-        let mut conn = Conn::new(1, ConnConfig::default());
-        let mut out = Vec::new();
-        let mut d2 = Dribbler {
-            data: wire,
-            pos: 0,
-            caps,
-            calls: 0,
-            eintr_every,
+        // Path 1: the blocking RequestReader, wire in one piece.
+        let want_head = parse_request_head(&wire[..head_len]).unwrap();
+        let path1: Outcome = (
+            want_head.clone(),
+            RequestReader::with_limits(&wire[..], 1 << 20, MAX_BODY)
+                .next_request()
+                .map(|req| req.expect("one request").1)
+                .map_err(|e| e.to_string()),
+        );
+
+        // Path 2: streaming read_head + ChunkedBodyReader over a dribbling,
+        // EINTR-injecting reader.
+        let mut d = dribble(&wire);
+        let (head_bytes, leftover) = read_head(&mut d, 1 << 20).unwrap().expect("head present");
+        let mut reader = ChunkedBodyReader::with_capacity(d, leftover, 0, MAX_BODY);
+        let mut body = Vec::new();
+        let streamed = loop {
+            match reader.next_slice() {
+                Ok(Some(slice)) => body.extend_from_slice(slice),
+                Ok(None) => break Ok(body),
+                Err(e) => break Err(e.to_string()),
+            }
         };
-        conn.on_readable(&mut d2, &rec, &mut out);
-        let (head3, body3) = out
-            .into_iter()
-            .find_map(|a| match a {
-                ConnAction::Dispatch(h, ReqBody::Full(b)) => Some((h, b)),
-                _ => None,
-            })
-            .expect("conn dispatched the request");
-        prop_assert_eq!(&head1, &head3, "conn vs buffered head split");
-        prop_assert_eq!(&body3, &body);
+        let path2: Outcome = (parse_request_head(&head_bytes).unwrap(), streamed);
+        prop_assert_eq!(&path1, &path2, "RequestReader vs read_head + ChunkedBodyReader");
+
+        // Path 3: the Conn machine, one dribbled read per step; a refusal
+        // is read back off the 400 it writes.
+        let rec = NullRecorder;
+        let cfg = ConnConfig { max_body: MAX_BODY, ..ConnConfig::default() };
+        let mut conn = Conn::new(1, cfg);
+        let mut out = Vec::new();
+        let mut d = dribble(&wire);
+        let path3: Outcome = loop {
+            conn.on_readable(&mut d, &rec, &mut out);
+            if let Some(ConnAction::Dispatch(h, ReqBody::Full(b))) =
+                out.drain(..).find(|a| matches!(a, ConnAction::Dispatch(..)))
+            {
+                break (h, Ok(b));
+            }
+            if conn.state() == bsoap_transport::ConnState::Writing {
+                let mut refusal = Vec::new();
+                conn.on_writable(&mut refusal, &rec, &mut out);
+                let (status, text) = read_response(&mut &refusal[..]).unwrap();
+                prop_assert_eq!(status, 400);
+                break (want_head, Err(String::from_utf8(text).unwrap()));
+            }
+        };
+        prop_assert_eq!(&path1, &path3, "RequestReader vs Conn");
     }
 
     #[test]
