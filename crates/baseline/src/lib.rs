@@ -111,12 +111,7 @@ mod tests {
     fn gsoap_matches_bsoap_full_serialization() {
         let mut g = GSoapLike::new();
         for (op, args) in ops_and_args() {
-            let tpl = MessageTemplate::build(
-                EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-                &op,
-                &args,
-            )
-            .unwrap();
+            let tpl = MessageTemplate::build(EngineConfig::paper_default(), &op, &args).unwrap();
             let baseline = g.serialize(&op, &args).unwrap().to_vec();
             assert_eq!(
                 String::from_utf8(strip_pad(&baseline)).unwrap(),

@@ -108,7 +108,7 @@ fn escape_bench(c: &mut Criterion) {
     for &(label, text) in &[("text_clean", clean), ("text_dirty", dirty)] {
         for &(kernel, policy) in &[
             ("scalar", KernelPolicy::Scalar),
-            ("simd", KernelPolicy::ForcedSimd),
+            ("simd", KernelPolicy::Auto),
         ] {
             group.bench_function(BenchmarkId::new(kernel, label), |b| {
                 b.iter(|| {

@@ -38,9 +38,7 @@ pub fn ablation_chunk_size(kind: Kind, sizes: &[usize], reps: usize) -> Table {
                 split_threshold: cs * 2,
                 reserve: cs / 16,
             };
-            let config = EngineConfig::paper_default()
-                .with_wire_format(bsoap_core::WireFormat::SoapXml)
-                .with_chunk(chunk);
+            let config = EngineConfig::paper_default().with_chunk(chunk);
             let mut sink = SinkTransport::new();
             let t = measure_batched(
                 WARMUP,
@@ -92,7 +90,6 @@ pub fn ablation_stealing(sizes: &[usize], reps: usize) -> Table {
         let mut cells = Vec::new();
         for steal in [true, false] {
             let config = EngineConfig::paper_default()
-                .with_wire_format(bsoap_core::WireFormat::SoapXml)
                 .with_width(WidthPolicy::Fixed {
                     double: 18,
                     int: 9,
@@ -156,9 +153,7 @@ pub fn ablation_reserve(sizes: &[usize], reps: usize) -> Table {
                 split_threshold: 64 * 1024,
                 reserve,
             };
-            let config = EngineConfig::paper_default()
-                .with_wire_format(bsoap_core::WireFormat::SoapXml)
-                .with_chunk(chunk);
+            let config = EngineConfig::paper_default().with_chunk(chunk);
             let mut sink = SinkTransport::new();
             let t = measure_batched(
                 WARMUP,
@@ -193,9 +188,7 @@ pub fn ablation_growth_policy(sizes: &[usize], reps: usize) -> Table {
         let max_args = vec![pinned(kind, n, WidthClass::Max)];
         let mut cells = Vec::new();
         for growth in [GrowthPolicy::Exact, GrowthPolicy::ToMax] {
-            let config = EngineConfig::paper_default()
-                .with_wire_format(bsoap_core::WireFormat::SoapXml)
-                .with_growth(growth);
+            let config = EngineConfig::paper_default().with_growth(growth);
             let mut sink = SinkTransport::new();
             // Two-step growth: min → mid (shifts), then mid → max. Under
             // ToMax the first shift already widened to 24 chars, so the
@@ -259,7 +252,7 @@ pub fn ablation_pipelined(sizes: &[usize], reps: usize) -> Table {
 
     let kind = Kind::Doubles;
     let op = kind.op();
-    let config = EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml);
+    let config = EngineConfig::paper_default();
     let mut rows = Vec::new();
     for &n in sizes {
         let args = values(kind, n);
@@ -303,9 +296,7 @@ pub fn ablation_diff_deser(sizes: &[usize], reps: usize) -> Table {
     let op = kind.op();
     // Stuffed widths keep messages byte-stable under value changes so the
     // differential path stays live (the §6 interplay with stuffing).
-    let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
-        .with_width(WidthPolicy::Max);
+    let config = EngineConfig::paper_default().with_width(WidthPolicy::Max);
     let mut rows = Vec::new();
     for &n in sizes {
         let args = vec![values(kind, n)];
@@ -367,7 +358,7 @@ pub fn ablation_http_framing(sizes: &[usize], reps: usize) -> Table {
     use bsoap_transport::http::{post_gather, HttpVersion, RequestConfig};
     let kind = Kind::Doubles;
     let op = kind.op();
-    let config = EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml);
+    let config = EngineConfig::paper_default();
     let mut rows = Vec::new();
     for &n in sizes {
         let args = vec![values(kind, n)];
@@ -455,23 +446,16 @@ pub fn ablation_server_dispatch(sizes: &[usize], reps: usize) -> Table {
         // Pre-serialized request stream (4 hot keys, repeated).
         let requests: Vec<Vec<u8>> = (0..8)
             .map(|k| {
-                MessageTemplate::build(
-                    EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-                    &op(),
-                    &[Value::Int(k % 4)],
-                )
-                .unwrap()
-                .to_bytes()
+                MessageTemplate::build(EngineConfig::paper_default(), &op(), &[Value::Int(k % 4)])
+                    .unwrap()
+                    .to_bytes()
             })
             .collect();
 
         let mut cells = Vec::new();
         {
             // Differential host.
-            let mut svc = Service::new(
-                "urn:bench",
-                EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-            );
+            let mut svc = Service::new("urn:bench", EngineConfig::paper_default());
             svc.register(op(), response_params(), handler);
             let mut i = 0usize;
             let t = measure(WARMUP, reps, || {

@@ -107,8 +107,6 @@ const SCENARIOS: [Scenario; 7] = [
 fn config(format: WireFormat) -> EngineConfig {
     // Exact widths: the XML lane pays the full shifting machinery for
     // width growth, the binary lane has nothing to shift.
-    // The explicit format override keeps the duel deterministic even
-    // under a CI `BSOAP_WIRE_FORMAT` environment override.
     EngineConfig::paper_default()
         .with_chunk(ChunkConfig::k32())
         .with_width(WidthPolicy::Exact)

@@ -10,7 +10,7 @@
 //!
 //! `--kernel` (default `both`) controls the byte-kernel rows: `simd` and
 //! `both` add a `planned_simd` leg — the coalesced executor under
-//! `KernelPolicy::ForcedSimd` — next to the scalar `planned` row,
+//! `KernelPolicy::Auto` — next to the scalar `planned` row,
 //! byte-identity-checked against it; `scalar` suppresses it (the
 //! scalar-only CI leg).
 //!
@@ -259,7 +259,7 @@ fn main() {
     };
 
     let mut planned = run_counters(KernelPolicy::Scalar, elems);
-    let mut planned_simd = with_simd_leg.then(|| run_counters(KernelPolicy::ForcedSimd, elems));
+    let mut planned_simd = with_simd_leg.then(|| run_counters(KernelPolicy::Auto, elems));
 
     // Interleave the legs across several rounds and keep each leg's best
     // round: background load hits all alike, so the comparison is between
@@ -269,7 +269,7 @@ fn main() {
     for _ in 0..ROUNDS {
         let mut legs = vec![(&mut planned, KernelPolicy::Scalar)];
         if let Some(leg) = planned_simd.as_mut() {
-            legs.push((leg, KernelPolicy::ForcedSimd));
+            legs.push((leg, KernelPolicy::Auto));
         }
         for (leg, k) in legs {
             let t = time_leg(k, elems, reps_per_round);

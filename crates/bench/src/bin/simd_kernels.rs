@@ -116,7 +116,7 @@ fn escape_leg(reps: usize) -> Pair {
     let mut out = Vec::with_capacity(4096);
     duel(INNER as f64, |wide| {
         let policy = if wide {
-            KernelPolicy::ForcedSimd
+            KernelPolicy::Auto
         } else {
             KernelPolicy::Scalar
         };
@@ -176,7 +176,7 @@ fn shift_leg(reps: usize) -> Pair {
     };
     duel(1.0, |wide| {
         let policy = if wide {
-            KernelPolicy::ForcedSimd
+            KernelPolicy::Auto
         } else {
             KernelPolicy::Scalar
         };
@@ -213,14 +213,14 @@ fn main() {
     }
 
     let level = detected_level();
-    // Honor a BSOAP_KERNEL=scalar override the same way the engine does:
-    // the forced-simd leg would silently run scalar code and report 1.0x.
-    let forced_runs_simd = bsoap_kernels::resolve(KernelPolicy::ForcedSimd).is_simd();
-    if level == SimdLevel::None || !forced_runs_simd {
+    // Honor BSOAP_KERNEL=scalar through the engine's own resolution: the
+    // simd leg would silently run scalar code and report 1.0x.
+    let auto_runs_simd = bsoap_kernels::resolve(KernelPolicy::Auto).is_simd();
+    if level == SimdLevel::None || !auto_runs_simd {
         let why = if level == SimdLevel::None {
             "no SIMD level detected on this host"
         } else {
-            "BSOAP_KERNEL forces scalar kernels"
+            "BSOAP_KERNEL=scalar forces scalar kernels"
         };
         println!("simd kernels: skipped — {why}");
         let json = format!(

@@ -47,8 +47,7 @@ pub struct ThroughputConfig {
     pub requests_per_client: usize,
     /// Array elements per message (doubles).
     pub elems: usize,
-    /// Client pool size (`PoolConfig::max_idle`), from
-    /// `EngineConfig::pool_size` by default.
+    /// Client pool size (`PoolConfig::max_idle`, and its default).
     pub pool_size: usize,
     /// Server worker threads, from `EngineConfig::server_workers` by
     /// default.
@@ -66,7 +65,7 @@ impl Default for ThroughputConfig {
             clients: 4,
             requests_per_client: 250,
             elems: 100,
-            pool_size: e.pool_size,
+            pool_size: PoolConfig::default().max_idle,
             workers: e.server_workers,
             dirty_percents: vec![0, 50, 100],
             sweep: SweepConfig::default(),

@@ -794,10 +794,7 @@ mod tests {
         let len_before = store.total_len();
         assert_eq!(store.open_gaps_right(0, &[]), 0);
         assert_eq!(store.open_gaps_right_with(0, &[], KernelPolicy::Scalar), 0);
-        assert_eq!(
-            store.open_gaps_right_with(0, &[], KernelPolicy::ForcedSimd),
-            0
-        );
+        assert_eq!(store.open_gaps_right_with(0, &[], KernelPolicy::Auto), 0);
         assert_eq!(store.flatten(), bytes_before);
         assert_eq!(store.counters(), counters_before);
         assert_eq!(store.total_len(), len_before);
@@ -829,7 +826,7 @@ mod tests {
             let mut wide = ChunkStore::new(ChunkConfig::k8());
             wide.append_region(&payload);
             assert!(wide.try_grow(0, total));
-            let moved_w = wide.open_gaps_right_with(0, gaps, KernelPolicy::ForcedSimd);
+            let moved_w = wide.open_gaps_right_with(0, gaps, KernelPolicy::Auto);
 
             assert_eq!(moved_s, moved_w, "moved accounting for {gaps:?}");
             assert_eq!(

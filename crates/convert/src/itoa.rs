@@ -353,7 +353,7 @@ mod tests {
         let mut b = [0u8; 24];
         for v in [0i32, -5, 13902, i32::MIN, i32::MAX] {
             let na = write_i32_with(&mut a, v, KernelPolicy::Scalar);
-            let nb = write_i32_with(&mut b, v, KernelPolicy::ForcedSimd);
+            let nb = write_i32_with(&mut b, v, KernelPolicy::Auto);
             assert_eq!(&a[..na], &b[..nb], "value {v}");
         }
     }

@@ -13,6 +13,7 @@ use crate::config::WireFormat;
 use crate::schema::OpDesc;
 use crate::template::MessageTemplate;
 use crate::value::Value;
+use std::sync::Arc;
 
 /// Cache key: endpoint plus structural signature plus wire format.
 ///
@@ -20,12 +21,16 @@ use crate::value::Value;
 /// binary template of the same call share nothing byte-wise — a client
 /// that negotiates the binary lane for one endpoint must never patch an
 /// XML template saved for another lane.
+///
+/// The strings are shared (`Arc<str>`), so a key built once — a server
+/// operation's response key, say — re-enters the store on every
+/// [`crate::store::TemplateStore::admit`] by reference count, not by copy.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct TemplateKey {
     /// Endpoint identity (URL or logical service name).
-    pub endpoint: String,
+    pub endpoint: Arc<str>,
     /// Structural signature from [`OpDesc::signature`].
-    pub signature: String,
+    pub signature: Arc<str>,
     /// Wire format the saved bytes are encoded in.
     pub format: WireFormat,
 }
@@ -40,8 +45,8 @@ impl TemplateKey {
     /// format.
     pub fn for_format(endpoint: &str, op: &OpDesc, format: WireFormat) -> Self {
         TemplateKey {
-            endpoint: endpoint.to_owned(),
-            signature: op.signature(),
+            endpoint: endpoint.into(),
+            signature: op.signature().into(),
             format,
         }
     }

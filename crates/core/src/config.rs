@@ -4,7 +4,7 @@ pub use bsoap_chunks::ChunkConfig;
 pub use bsoap_convert::FloatFormatter;
 use bsoap_convert::ScalarKind;
 pub use bsoap_kernels::KernelPolicy;
-use std::time::Duration;
+pub use bsoap_obs::ServerCore;
 
 /// Initial field-width policy — the *stuffing* knob (§3.2, §4.4).
 ///
@@ -62,46 +62,6 @@ pub enum GrowthPolicy {
     ToMax,
 }
 
-/// Which connection-handling core the hosted server runs (§ DESIGN 3.13).
-///
-/// Mirrors `bsoap-transport`'s `ServerCore` (this crate sits below the
-/// transport in the crate graph, same precedent as `BreakerState`): the
-/// server crate maps this knob onto the transport enum at spawn time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ServerCore {
-    /// Thread-per-connection bounded accept pool: one blocking worker
-    /// drives each connection end to end.
-    WorkerPool,
-    /// Readiness-driven epoll loop: a few loop threads multiplex all
-    /// connections as sans-io state machines, dispatching complete
-    /// requests to a small CPU worker pool. Falls back to
-    /// [`ServerCore::WorkerPool`] on platforms without epoll.
-    EventLoop,
-}
-
-impl ServerCore {
-    /// Parse a core name as accepted by the `BSOAP_SERVER_CORE`
-    /// environment variable (case-insensitive, separators optional).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "worker_pool" | "workerpool" | "worker-pool" => Some(ServerCore::WorkerPool),
-            "event_loop" | "eventloop" | "event-loop" => Some(ServerCore::EventLoop),
-            _ => None,
-        }
-    }
-
-    /// Process-wide default: `BSOAP_SERVER_CORE` when set to a valid core
-    /// name, otherwise [`ServerCore::WorkerPool`]. Only
-    /// [`EngineConfig::paper_default`] consults this — an explicitly built
-    /// config is never overridden by the environment.
-    pub fn default_from_env() -> Self {
-        std::env::var("BSOAP_SERVER_CORE")
-            .ok()
-            .and_then(|v| Self::from_name(&v))
-            .unwrap_or(ServerCore::WorkerPool)
-    }
-}
-
 /// Which wire framing templates serialize into (§ DESIGN 3.15).
 ///
 /// The DUT/tier machinery is format-agnostic — a template is bytes plus
@@ -123,8 +83,10 @@ pub enum WireFormat {
 }
 
 impl WireFormat {
-    /// Parse a format name as accepted by the `BSOAP_WIRE_FORMAT`
-    /// environment variable (case-insensitive, separators optional).
+    /// Both lanes, in the order tests and benches loop over them.
+    pub const ALL: [WireFormat; 2] = [WireFormat::SoapXml, WireFormat::CompactBinary];
+
+    /// Parse a format name (case-insensitive, separators optional).
     /// `bin1` is the on-the-wire negotiation token and parses too.
     pub fn from_name(name: &str) -> Option<Self> {
         match name.trim().to_ascii_lowercase().as_str() {
@@ -154,17 +116,6 @@ impl WireFormat {
             WireFormat::CompactBinary => bsoap_obs::Counter::SendsBinary,
         }
     }
-
-    /// Process-wide default: `BSOAP_WIRE_FORMAT` when set to a valid
-    /// format name, otherwise [`WireFormat::SoapXml`]. Only
-    /// [`EngineConfig::paper_default`] consults this — an explicitly built
-    /// config is never overridden by the environment.
-    pub fn default_from_env() -> Self {
-        std::env::var("BSOAP_WIRE_FORMAT")
-            .ok()
-            .and_then(|v| Self::from_name(&v))
-            .unwrap_or(WireFormat::SoapXml)
-    }
 }
 
 /// Who owns saved templates (§ DESIGN 3.14): always the sharded,
@@ -193,17 +144,12 @@ pub struct EngineConfig {
     /// conversion cost model, [`FloatFormatter::Fast`] is the Grisu3
     /// fast path (see `bsoap-convert::grisu`).
     pub float: FloatFormatter,
-    /// Client side: maximum idle keep-alive connections a per-endpoint
-    /// connection pool retains (`bsoap-transport`'s `PoolConfig::max_idle`).
-    pub pool_size: usize,
     /// Server side: worker threads handling connections in the bounded
     /// accept pool (`bsoap-transport`'s `PoolOptions::workers`), or CPU
     /// dispatcher threads when [`EngineConfig::server_core`] is
     /// [`ServerCore::EventLoop`].
     pub server_workers: usize,
     /// Server side: which connection-handling core hosts connections.
-    /// Defaults from the `BSOAP_SERVER_CORE` environment variable (see
-    /// [`ServerCore::default_from_env`]).
     pub server_core: ServerCore,
     /// Server side: event-loop threads multiplexing connection readiness
     /// when [`EngineConfig::server_core`] is [`ServerCore::EventLoop`].
@@ -224,21 +170,6 @@ pub struct EngineConfig {
     /// the model's break-even point; larger values keep differential sends
     /// longer, smaller values fall back sooner.
     pub fallback_ratio: f64,
-    /// Per-call time budget covering pool checkout, connect, writev, and
-    /// response read. `None` (the default) leaves every step unbounded —
-    /// the paper's cooperative-receiver assumption. Expiry surfaces as
-    /// [`crate::EngineError::DeadlineExceeded`] with the template intact.
-    pub deadline: Option<Duration>,
-    /// Transport retries per call beyond the first attempt (decorrelated
-    /// jitter backoff between attempts). `0` keeps only the pool's free
-    /// single retry on a reused-stale socket.
-    pub max_retries: u32,
-    /// Consecutive transport failures that trip the per-endpoint circuit
-    /// breaker open. `0` disables the breaker.
-    pub breaker_threshold: u32,
-    /// How long an open breaker fails fast before letting one half-open
-    /// probe through.
-    pub breaker_cooldown: Duration,
     /// Consecutive transport failures after which the client demotes the
     /// endpoint to degraded mode: stateless full-serialization sends, no
     /// template retained. `0` disables demotion.
@@ -255,9 +186,9 @@ pub struct EngineConfig {
     /// Which byte-kernel implementations the engine's hot loops use
     /// (escape scanning, stuffed integer encoding, coalesced gap
     /// shifting): `Auto` dispatches on runtime CPU detection, `Scalar`
-    /// pins the portable oracle, `ForcedSimd` always takes the wide path.
-    /// All settings produce byte-identical messages; the `BSOAP_KERNEL`
-    /// environment variable overrides this knob process-wide.
+    /// pins the portable oracle. Both produce byte-identical messages;
+    /// `BSOAP_KERNEL=scalar` in the environment forces the scalar kernels
+    /// process-wide (it can only narrow this knob, never widen it).
     pub kernel: KernelPolicy,
     /// Chunk-overlay window size in array elements (§3.3): how many
     /// elements the reused window fragment holds per streamed portion.
@@ -278,9 +209,7 @@ pub struct EngineConfig {
     /// cannot evict everyone else. `0` = unlimited.
     pub tenant_quota_bytes: usize,
     /// Which wire framing templates serialize into: the paper's SOAP XML
-    /// or the negotiated compact binary lane. Defaults from the
-    /// `BSOAP_WIRE_FORMAT` environment variable (see
-    /// [`WireFormat::default_from_env`]).
+    /// or the negotiated compact binary lane.
     pub wire_format: WireFormat,
 }
 
@@ -295,17 +224,12 @@ impl EngineConfig {
             growth: GrowthPolicy::Exact,
             steal: true,
             float: FloatFormatter::Exact2004,
-            pool_size: 4,
             server_workers: 4,
-            server_core: ServerCore::default_from_env(),
+            server_core: ServerCore::WorkerPool,
             event_loop_threads: 2,
             max_connections: 8192,
             cost_fallback: false,
             fallback_ratio: 1.0,
-            deadline: None,
-            max_retries: 0,
-            breaker_threshold: 0,
-            breaker_cooldown: Duration::from_secs(1),
             degrade_after: 0,
             recover_after: 2,
             max_head_bytes: 1 << 20,
@@ -315,7 +239,7 @@ impl EngineConfig {
             overlay_threshold_bytes: 1 << 20,
             store_budget_bytes: 0,
             tenant_quota_bytes: 0,
-            wire_format: WireFormat::default_from_env(),
+            wire_format: WireFormat::SoapXml,
         }
     }
 
@@ -354,12 +278,6 @@ impl EngineConfig {
     /// Builder-style float-kernel override.
     pub fn with_float(mut self, float: FloatFormatter) -> Self {
         self.float = float;
-        self
-    }
-
-    /// Builder-style client connection-pool size override.
-    pub fn with_pool_size(mut self, pool_size: usize) -> Self {
-        self.pool_size = pool_size;
         self
     }
 
@@ -404,26 +322,6 @@ impl EngineConfig {
     /// Builder-style break-even ratio override.
     pub fn with_fallback_ratio(mut self, ratio: f64) -> Self {
         self.fallback_ratio = ratio;
-        self
-    }
-
-    /// Builder-style per-call deadline budget (`None` = unbounded).
-    pub fn with_deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Builder-style transport retry cap.
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// Builder-style circuit-breaker settings (`threshold` consecutive
-    /// failures open it; `cooldown` before a half-open probe).
-    pub fn with_breaker(mut self, threshold: u32, cooldown: Duration) -> Self {
-        self.breaker_threshold = threshold;
-        self.breaker_cooldown = cooldown;
         self
     }
 
@@ -548,14 +446,9 @@ mod tests {
 
     #[test]
     fn builder_transport_knobs() {
-        let c = EngineConfig::paper_default()
-            .with_pool_size(8)
-            .with_server_workers(2);
-        assert_eq!(c.pool_size, 8);
+        let c = EngineConfig::paper_default().with_server_workers(2);
         assert_eq!(c.server_workers, 2);
-        let d = EngineConfig::paper_default();
-        assert_eq!(d.pool_size, 4);
-        assert_eq!(d.server_workers, 4);
+        assert_eq!(EngineConfig::paper_default().server_workers, 4);
     }
 
     #[test]
@@ -571,9 +464,7 @@ mod tests {
     #[test]
     fn server_core_knobs() {
         let d = EngineConfig::paper_default();
-        // The default is env-derived (CI parameterizes suites via
-        // BSOAP_SERVER_CORE), so compute the expectation the same way.
-        assert_eq!(d.server_core, ServerCore::default_from_env());
+        assert_eq!(d.server_core, ServerCore::WorkerPool);
         assert_eq!(d.event_loop_threads, 2);
         assert_eq!(d.max_connections, 8192);
         let c = d.with_event_loop(3).with_max_connections(64);
@@ -582,17 +473,6 @@ mod tests {
         assert_eq!(c.max_connections, 64);
         let back = c.with_server_core(ServerCore::WorkerPool);
         assert_eq!(back.server_core, ServerCore::WorkerPool);
-    }
-
-    #[test]
-    fn server_core_names_parse() {
-        for name in ["event_loop", "EventLoop", "event-loop", " EVENTLOOP "] {
-            assert_eq!(ServerCore::from_name(name), Some(ServerCore::EventLoop));
-        }
-        for name in ["worker_pool", "WorkerPool", "worker-pool"] {
-            assert_eq!(ServerCore::from_name(name), Some(ServerCore::WorkerPool));
-        }
-        assert_eq!(ServerCore::from_name("green_threads"), None);
     }
 
     #[test]
@@ -608,13 +488,16 @@ mod tests {
     #[test]
     fn wire_format_knobs() {
         let d = EngineConfig::paper_default();
-        // The default is env-derived (CI parameterizes the binary leg via
-        // BSOAP_WIRE_FORMAT), so compute the expectation the same way.
-        assert_eq!(d.wire_format, WireFormat::default_from_env());
+        assert_eq!(d.wire_format, WireFormat::SoapXml);
         let c = d.with_wire_format(WireFormat::CompactBinary);
         assert_eq!(c.wire_format, WireFormat::CompactBinary);
         let back = c.with_wire_format(WireFormat::SoapXml);
         assert_eq!(back.wire_format, WireFormat::SoapXml);
+        // `ALL` is in discriminant order, so `format as usize` indexes
+        // per-lane tables built by `ALL.map(..)`.
+        for (i, f) in WireFormat::ALL.into_iter().enumerate() {
+            assert_eq!(f as usize, i);
+        }
     }
 
     #[test]
@@ -631,22 +514,10 @@ mod tests {
     #[test]
     fn fault_knobs_default_off_and_build() {
         let d = EngineConfig::paper_default();
-        assert_eq!(d.deadline, None);
-        assert_eq!(d.max_retries, 0);
-        assert_eq!(d.breaker_threshold, 0, "breaker off by default");
         assert_eq!(d.degrade_after, 0, "degraded mode off by default");
         assert_eq!(d.max_head_bytes, 1 << 20);
         assert_eq!(d.max_body_bytes, 64 << 20);
-        let c = d
-            .with_deadline(Some(Duration::from_millis(250)))
-            .with_max_retries(3)
-            .with_breaker(5, Duration::from_secs(2))
-            .with_degraded(4, 2)
-            .with_http_caps(8 << 10, 1 << 20);
-        assert_eq!(c.deadline, Some(Duration::from_millis(250)));
-        assert_eq!(c.max_retries, 3);
-        assert_eq!(c.breaker_threshold, 5);
-        assert_eq!(c.breaker_cooldown, Duration::from_secs(2));
+        let c = d.with_degraded(4, 2).with_http_caps(8 << 10, 1 << 20);
         assert_eq!(c.degrade_after, 4);
         assert_eq!(c.recover_after, 2);
         assert_eq!(c.max_head_bytes, 8 << 10);

@@ -73,7 +73,7 @@ impl OverlaySender {
         // The overlay windows address the XML text layout of the array
         // region; the fixed-slot binary lane (§3.15) has no equivalent
         // streaming path yet, so overlaid sends always ride XML — even
-        // under a process-wide `BSOAP_WIRE_FORMAT=binary` default.
+        // when the caller's config prefers the binary lane.
         let config = config.with_wire_format(crate::config::WireFormat::SoapXml);
         if op.params.len() != 1 {
             return Err(EngineError::StructureMismatch {

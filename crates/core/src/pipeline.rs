@@ -267,11 +267,7 @@ mod tests {
     #[test]
     fn pipelined_stream_equals_template() {
         let op = doubles_op();
-        // Overlaid sends always ride the XML lane (see OverlaySender::new),
-        // so the comparison template must too — even under a process-wide
-        // `BSOAP_WIRE_FORMAT=binary` default.
-        let config =
-            EngineConfig::paper_default().with_wire_format(crate::config::WireFormat::SoapXml);
+        let config = EngineConfig::paper_default();
         for n in [0usize, 1, 100, 5000] {
             let value = dvals(n);
             let mut sender = PipelinedSender::new(config, &op, 64, 2).unwrap();
@@ -290,8 +286,7 @@ mod tests {
         // pad-equivalent (not byte-identical) to each other and to a
         // fresh template.
         let op = doubles_op();
-        let config =
-            EngineConfig::paper_default().with_wire_format(crate::config::WireFormat::SoapXml);
+        let config = EngineConfig::paper_default();
         let mut sender = PipelinedSender::new(config, &op, 32, 3).unwrap();
         let mut first = Collect::default();
         sender.send(&dvals(500), &mut first).unwrap();
@@ -347,8 +342,7 @@ mod tests {
             }
         }
         let op = doubles_op();
-        let config =
-            EngineConfig::paper_default().with_wire_format(crate::config::WireFormat::SoapXml);
+        let config = EngineConfig::paper_default();
         let mut sender = PipelinedSender::new(config, &op, 128, 4).unwrap();
         sender.set_buffer_target(8 * 1024);
         let mut sink = Slow(1);

@@ -393,15 +393,7 @@ mod tests {
         let op = mesh_op();
         let args = mesh_args(6, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "tag");
         let bin = MessageTemplate::build(bin_cfg(), &op, &args).unwrap();
-        // Pin the twin to the XML lane explicitly: under a process-wide
-        // `BSOAP_WIRE_FORMAT=binary` override, `paper_default()` would
-        // otherwise build a second binary template.
-        let xml = MessageTemplate::build(
-            EngineConfig::paper_default().with_wire_format(WireFormat::SoapXml),
-            &op,
-            &args,
-        )
-        .unwrap();
+        let xml = MessageTemplate::build(EngineConfig::paper_default(), &op, &args).unwrap();
         assert!(
             bin.rebuild_estimate() < xml.rebuild_estimate(),
             "binary rebuild ({}) must be priced below XML rebuild ({})",

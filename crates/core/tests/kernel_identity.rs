@@ -1,7 +1,7 @@
 //! Byte-kernel differential harness: every kernel (escape scan, stuffed
 //! itoa, wide gap shift, wide pad) must produce byte-identical messages
 //! and identical engine-counter deltas under `KernelPolicy::Scalar` and
-//! `KernelPolicy::ForcedSimd` — the scalar path is the oracle, SIMD is
+//! `KernelPolicy::Auto` — the scalar path is the oracle, SIMD is
 //! only ever an acceleration (DESIGN.md §3.11).
 //!
 //! `SimdKernelHits` is the one counter allowed to differ: it *measures*
@@ -10,7 +10,9 @@
 
 use bsoap_chunks::ChunkConfig;
 use bsoap_convert::ScalarKind;
-use bsoap_core::{EngineConfig, KernelPolicy, MessageTemplate, OpDesc, ParamDesc, TypeDesc, Value};
+use bsoap_core::{
+    EngineConfig, KernelPolicy, MessageTemplate, OpDesc, ParamDesc, TypeDesc, Value, WireFormat,
+};
 use bsoap_obs::{Counter, Metrics};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -59,14 +61,20 @@ fn to_values(args: &Args) -> [Value; 3] {
     ]
 }
 
-/// Drive one engine end to end under `kernel`: build, then apply every
-/// update with a flush. Returns the wire bytes after each step and the
+/// Drive one engine end to end on `format` under `kernel`: build, then
+/// apply every update with a flush. Returns the wire bytes after each step and the
 /// final counter snapshot (indexed by `Counter::ALL`, SimdKernelHits
 /// masked to 0).
-fn run_engine(kernel: KernelPolicy, first: &Args, updates: &[Args]) -> (Vec<Vec<u8>>, Vec<u64>) {
+fn run_engine(
+    format: WireFormat,
+    kernel: KernelPolicy,
+    first: &Args,
+    updates: &[Args],
+) -> (Vec<Vec<u8>>, Vec<u64>) {
     let metrics = Arc::new(Metrics::new());
     let config = EngineConfig::paper_default()
         .with_chunk(small_chunks())
+        .with_wire_format(format)
         .with_kernel(kernel);
     let mut tpl =
         MessageTemplate::build(config, &mixed_op(), &to_values(first)).expect("build succeeds");
@@ -148,10 +156,12 @@ proptest! {
         first in args_strategy(),
         updates in proptest::collection::vec(args_strategy(), 1..4),
     ) {
-        let (bytes_s, counters_s) = run_engine(KernelPolicy::Scalar, &first, &updates);
-        let (bytes_f, counters_f) = run_engine(KernelPolicy::ForcedSimd, &first, &updates);
-        prop_assert_eq!(bytes_s, bytes_f, "wire bytes diverged between kernels");
-        prop_assert_eq!(counters_s, counters_f, "counter deltas diverged between kernels");
+        for format in WireFormat::ALL {
+            let (bytes_s, counters_s) = run_engine(format, KernelPolicy::Scalar, &first, &updates);
+            let (bytes_f, counters_f) = run_engine(format, KernelPolicy::Auto, &first, &updates);
+            prop_assert_eq!(bytes_s, bytes_f, "{:?}: wire bytes diverged between kernels", format);
+            prop_assert_eq!(counters_s, counters_f, "{:?}: counter deltas diverged", format);
+        }
     }
 }
 
@@ -170,39 +180,48 @@ fn expansion_storm_is_kernel_invariant() {
         ),
         (vec![7; n], "tiny\r".into(), vec![2.5; 8]),
     ];
-    let (bytes_s, counters_s) = run_engine(KernelPolicy::Scalar, &first, &updates);
-    let (bytes_f, counters_f) = run_engine(KernelPolicy::ForcedSimd, &first, &updates);
-    assert_eq!(bytes_s, bytes_f);
-    assert_eq!(counters_s, counters_f);
-    // The storm actually exercised the shift kernel.
-    let shifts = counters_s[Counter::Shifts.index()];
-    assert!(shifts > 0, "expected shifts, got none");
+    for format in WireFormat::ALL {
+        let (bytes_s, counters_s) = run_engine(format, KernelPolicy::Scalar, &first, &updates);
+        let (bytes_f, counters_f) = run_engine(format, KernelPolicy::Auto, &first, &updates);
+        assert_eq!(bytes_s, bytes_f, "{format:?}");
+        assert_eq!(counters_s, counters_f, "{format:?}");
+        // The storm actually exercised the shift kernel (on bin1 only the
+        // string changes length; the fixed-width numerics never shift).
+        let shifts = counters_s[Counter::Shifts.index()];
+        assert!(shifts > 0, "{format:?}: expected shifts, got none");
+    }
 }
 
 /// Satellite pin: a flush whose dirty values all fit their fields must not
-/// bump `CoalescedShiftPasses` (no gaps → no pass), and `ForcedSimd` does
+/// bump `CoalescedShiftPasses` (no gaps → no pass), and `Auto` does
 /// record kernel hits while `Scalar` records none of its own.
 #[test]
 fn no_gaps_means_no_coalesced_pass() {
     let first: Args = (vec![99999; 6], "steady".into(), vec![1.5; 4]);
     // Same digit counts → in-width overwrites only.
     let updates: Vec<Args> = vec![(vec![88888; 6], "stable".into(), vec![2.5; 4])];
-    for kernel in [KernelPolicy::Scalar, KernelPolicy::ForcedSimd] {
-        let metrics = Arc::new(Metrics::new());
-        let config = EngineConfig::paper_default()
-            .with_chunk(small_chunks())
-            .with_kernel(kernel);
-        let mut tpl = MessageTemplate::build(config, &mixed_op(), &to_values(&first)).unwrap();
-        tpl.set_metrics(Arc::clone(&metrics));
-        tpl.update_args(&to_values(&updates[0])).unwrap();
-        let report = tpl.flush();
-        assert_eq!(report.shifts, 0, "{kernel:?}: no value should shift");
-        let snap = metrics.snapshot();
-        assert_eq!(
-            snap.get(Counter::CoalescedShiftPasses),
-            0,
-            "{kernel:?}: empty gap sets must not count a coalesced pass"
-        );
-        assert_eq!(snap.get(Counter::Shifts), 0);
+    for format in WireFormat::ALL {
+        for kernel in [KernelPolicy::Scalar, KernelPolicy::Auto] {
+            let metrics = Arc::new(Metrics::new());
+            let config = EngineConfig::paper_default()
+                .with_chunk(small_chunks())
+                .with_wire_format(format)
+                .with_kernel(kernel);
+            let mut tpl = MessageTemplate::build(config, &mixed_op(), &to_values(&first)).unwrap();
+            tpl.set_metrics(Arc::clone(&metrics));
+            tpl.update_args(&to_values(&updates[0])).unwrap();
+            let report = tpl.flush();
+            assert_eq!(
+                report.shifts, 0,
+                "{format:?} {kernel:?}: no value should shift"
+            );
+            let snap = metrics.snapshot();
+            assert_eq!(
+                snap.get(Counter::CoalescedShiftPasses),
+                0,
+                "{format:?} {kernel:?}: empty gap sets must not count a coalesced pass"
+            );
+            assert_eq!(snap.get(Counter::Shifts), 0);
+        }
     }
 }

@@ -31,7 +31,7 @@ fn dvals(n: usize) -> Value {
 #[test]
 fn stream_is_pad_equivalent_to_template() {
     let op = doubles_op();
-    let config = EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml);
+    let config = EngineConfig::paper_default();
     for n in [0usize, 1, 7, 100, 3000] {
         let value = dvals(n);
         let mut sender = OverlaySender::new(config, &op, 64).unwrap();
@@ -49,12 +49,7 @@ fn stream_is_pad_equivalent_to_template() {
 #[test]
 fn window_memory_stays_bounded() {
     let op = doubles_op();
-    let mut sender = OverlaySender::new(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-        &op,
-        128,
-    )
-    .unwrap();
+    let mut sender = OverlaySender::new(EngineConfig::paper_default(), &op, 128).unwrap();
     let mut out = Vec::new();
     let small = sender.send(&dvals(256), &mut out).unwrap();
     out.clear();
@@ -77,12 +72,7 @@ fn tags_written_once_values_every_portion() {
     // Re-sending through the same sender reuses the window fragment:
     // every send after the first re-serializes values only.
     let op = doubles_op();
-    let mut sender = OverlaySender::new(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-        &op,
-        32,
-    )
-    .unwrap();
+    let mut sender = OverlaySender::new(EngineConfig::paper_default(), &op, 32).unwrap();
     let mut out = Vec::new();
     let n = 320usize;
     let r1 = sender.send(&dvals(n), &mut out).unwrap();
@@ -104,7 +94,7 @@ fn tags_written_once_values_every_portion() {
 #[test]
 fn changing_data_between_sends() {
     let op = doubles_op();
-    let config = EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml);
+    let config = EngineConfig::paper_default();
     let mut sender = OverlaySender::new(config, &op, 16).unwrap();
     let mut out1 = Vec::new();
     sender.send(&dvals(100), &mut out1).unwrap();
@@ -128,7 +118,7 @@ fn length_changes_between_sends() {
     // Growing and shrinking arrays re-portion correctly (tail fragment
     // rebuilt on size change).
     let op = doubles_op();
-    let config = EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml);
+    let config = EngineConfig::paper_default();
     let mut sender = OverlaySender::new(config, &op, 16).unwrap();
     for n in [100usize, 37, 160, 16, 15, 17, 0, 5] {
         let value = dvals(n);
@@ -142,7 +132,7 @@ fn length_changes_between_sends() {
 #[test]
 fn mio_overlay_round_trips() {
     let op = mios_op();
-    let config = EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml);
+    let config = EngineConfig::paper_default();
     let value = Value::Array(
         (0..200)
             .map(|i| bsoap_core::value::mio(i, -i, i as f64 * 1.5))
@@ -159,7 +149,7 @@ fn mio_overlay_round_trips() {
 #[test]
 fn auto_window_fills_one_chunk() {
     let op = mios_op();
-    let config = EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml);
+    let config = EngineConfig::paper_default();
     let sender = OverlaySender::auto_window(config, &op).unwrap();
     let elem_max = bsoap_core::overlay::max_element_bytes(&TypeDesc::mio());
     assert!(sender.window_elems() >= 1);
@@ -171,7 +161,7 @@ fn auto_window_fills_one_chunk() {
 
 #[test]
 fn invalid_shapes_rejected() {
-    let config = EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml);
+    let config = EngineConfig::paper_default();
     // Non-array parameter.
     let scalar_op = OpDesc::single("f", "urn:x", "v", TypeDesc::Scalar(ScalarKind::Int));
     assert!(OverlaySender::new(config, &scalar_op, 8).is_err());

@@ -1,6 +1,6 @@
 //! Satellite proof: overlaid send output vs the non-overlay full
 //! serialization, for random window sizes (including tails that don't
-//! divide the array) across `KernelPolicy::{Scalar, ForcedSimd}`.
+//! divide the array) across `KernelPolicy::{Scalar, Auto}`.
 //!
 //! Two equivalence strengths, by width policy:
 //!
@@ -86,10 +86,10 @@ proptest! {
     fn stuffed_overlay_is_byte_identical(
         n in 0usize..600,
         window in 1usize..97,
-        forced_simd in any::<bool>(),
+        simd in any::<bool>(),
     ) {
-        let kernel = if forced_simd { KernelPolicy::ForcedSimd } else { KernelPolicy::Scalar };
-        let config = EngineConfig::stuffed_max().with_wire_format(bsoap_core::WireFormat::SoapXml).with_kernel(kernel);
+        let kernel = if simd { KernelPolicy::Auto } else { KernelPolicy::Scalar };
+        let config = EngineConfig::stuffed_max().with_kernel(kernel);
         let op = doubles_op();
         let value = Value::DoubleArray((0..n).map(dval).collect());
         let (streamed, portions) = overlay_bytes(config, &op, window, &value);
@@ -104,10 +104,10 @@ proptest! {
     fn exact_overlay_is_strip_pad_identical(
         n in 0usize..600,
         window in 1usize..97,
-        forced_simd in any::<bool>(),
+        simd in any::<bool>(),
     ) {
-        let kernel = if forced_simd { KernelPolicy::ForcedSimd } else { KernelPolicy::Scalar };
-        let config = EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml).with_kernel(kernel);
+        let kernel = if simd { KernelPolicy::Auto } else { KernelPolicy::Scalar };
+        let config = EngineConfig::paper_default().with_kernel(kernel);
         let op = doubles_op();
         let value = Value::DoubleArray((0..n).map(dval).collect());
         let (streamed, _) = overlay_bytes(config, &op, window, &value);
@@ -121,10 +121,10 @@ proptest! {
     fn stuffed_struct_overlay_is_byte_identical(
         n in 0usize..200,
         window in 1usize..41,
-        forced_simd in any::<bool>(),
+        simd in any::<bool>(),
     ) {
-        let kernel = if forced_simd { KernelPolicy::ForcedSimd } else { KernelPolicy::Scalar };
-        let config = EngineConfig::stuffed_max().with_wire_format(bsoap_core::WireFormat::SoapXml).with_kernel(kernel);
+        let kernel = if simd { KernelPolicy::Auto } else { KernelPolicy::Scalar };
+        let config = EngineConfig::stuffed_max().with_kernel(kernel);
         let op = mios_op();
         let items: Vec<Value> = (0..n)
             .map(|i| bsoap_core::value::mio(i as i32, -(i as i32), dval(i)))
@@ -142,10 +142,10 @@ proptest! {
         n1 in 1usize..300,
         n2 in 1usize..300,
         window in 1usize..64,
-        forced_simd in any::<bool>(),
+        simd in any::<bool>(),
     ) {
-        let kernel = if forced_simd { KernelPolicy::ForcedSimd } else { KernelPolicy::Scalar };
-        let config = EngineConfig::stuffed_max().with_wire_format(bsoap_core::WireFormat::SoapXml).with_kernel(kernel);
+        let kernel = if simd { KernelPolicy::Auto } else { KernelPolicy::Scalar };
+        let config = EngineConfig::stuffed_max().with_kernel(kernel);
         let op = doubles_op();
         let mut sender = OverlaySender::new(config, &op, window).unwrap();
         for (round, n) in [n1, n2].into_iter().enumerate() {
@@ -163,7 +163,7 @@ fn non_dividing_tail_exact_boundaries() {
     // Deterministic spot-checks at the awkward boundaries: window larger
     // than array, window == array, off-by-one tails.
     let op = doubles_op();
-    let config = EngineConfig::stuffed_max().with_wire_format(bsoap_core::WireFormat::SoapXml);
+    let config = EngineConfig::stuffed_max();
     for (n, window) in [(1, 5), (5, 5), (6, 5), (9, 5), (10, 5), (11, 5), (0, 3)] {
         let value = Value::DoubleArray((0..n).map(dval).collect());
         let (streamed, portions) = overlay_bytes(config, &op, window, &value);

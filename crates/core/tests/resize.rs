@@ -52,9 +52,7 @@ fn mvals(n: usize) -> Value {
 
 /// Resize via update_args and verify byte equality with a fresh build.
 fn check_resize(op: &OpDesc, from: Value, to: Value) {
-    let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
-        .with_chunk(small_chunks());
+    let config = EngineConfig::paper_default().with_chunk(small_chunks());
     let mut tpl = MessageTemplate::build(config, op, std::slice::from_ref(&from)).unwrap();
     let tier = tpl.update_args(std::slice::from_ref(&to)).unwrap();
     assert_eq!(tier, SendTier::PartialStructural);
@@ -121,9 +119,7 @@ fn mio_grow_and_shrink() {
 
 #[test]
 fn repeated_resizes_stay_consistent() {
-    let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
-        .with_chunk(small_chunks());
+    let config = EngineConfig::paper_default().with_chunk(small_chunks());
     let op = doubles_op();
     let mut tpl = MessageTemplate::build(config, &op, &[dvals(5)]).unwrap();
     for n in [9usize, 2, 40, 1, 0, 17, 16, 18, 100, 3] {
@@ -165,9 +161,7 @@ fn resize_with_params_after_array() {
             },
         ],
     );
-    let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
-        .with_chunk(small_chunks());
+    let config = EngineConfig::paper_default().with_chunk(small_chunks());
     let args = |n: usize, s: &str| vec![Value::Int(1), dvals(n), Value::Str(s.to_owned())];
     let mut tpl = MessageTemplate::build(config, &op, &args(8, "alpha")).unwrap();
 
@@ -205,9 +199,7 @@ fn two_arrays_resize_independently() {
         ],
     );
     let ints = |n: usize| Value::IntArray((0..n as i32).collect());
-    let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
-        .with_chunk(small_chunks());
+    let config = EngineConfig::paper_default().with_chunk(small_chunks());
     let mut tpl = MessageTemplate::build(config, &op, &[ints(5), dvals(5)]).unwrap();
 
     for (na, nb) in [
@@ -231,7 +223,7 @@ fn two_arrays_resize_independently() {
 
 #[test]
 fn resize_updates_length_attribute() {
-    let config = EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml);
+    let config = EngineConfig::paper_default();
     let mut tpl = MessageTemplate::build(config, &doubles_op(), &[dvals(3)]).unwrap();
     tpl.update_args(&[dvals(12)]).unwrap();
     tpl.flush();
@@ -245,9 +237,7 @@ fn grow_with_changed_prefix_values() {
     // Prefix diff + growth in the same update. "9.5" and "8.5" are shorter
     // than the "0.25"/"2.25" they overwrite, so those fields pad instead of
     // contracting (§3.2's close-tag shift) — compare modulo pad.
-    let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
-        .with_chunk(small_chunks());
+    let config = EngineConfig::paper_default().with_chunk(small_chunks());
     let op = doubles_op();
     let mut tpl = MessageTemplate::build(config, &op, &[dvals(4)]).unwrap();
     let new = Value::DoubleArray(vec![9.5, 1.25, 8.5, 3.25, 100.0, 200.0]);

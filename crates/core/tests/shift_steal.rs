@@ -44,7 +44,6 @@ fn worst_case_expansion_all_values() {
         reserve: 64,
     };
     let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
         .with_chunk(tight)
         .with_steal(false);
     let min_vals = Value::DoubleArray(vec![1.0; n]); // "1": one char
@@ -76,9 +75,7 @@ fn worst_case_expansion_all_values() {
 fn stealing_avoids_tail_shifts() {
     // Neighbor fields stuffed to max have 23 spare chars; growing one value
     // should steal from the right neighbor instead of shifting.
-    let config = EngineConfig::stuffed_max()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
-        .with_chunk(small_chunks());
+    let config = EngineConfig::stuffed_max().with_chunk(small_chunks());
     let tpl = MessageTemplate::build(
         config,
         &doubles_op(),
@@ -91,7 +88,6 @@ fn stealing_avoids_tail_shifts() {
     drop(tpl);
 
     let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
         .with_chunk(small_chunks())
         .with_steal(true);
     // value0 short, value1 long (its field is wide), value2 short.
@@ -126,7 +122,6 @@ fn stealing_avoids_tail_shifts() {
 #[test]
 fn steal_disabled_forces_shift() {
     let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
         .with_chunk(small_chunks())
         .with_steal(false);
     let mut tpl = MessageTemplate::build(
@@ -149,7 +144,6 @@ fn steal_disabled_forces_shift() {
 #[test]
 fn growth_policy_to_max_prevents_second_shift() {
     let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
         .with_chunk(small_chunks())
         .with_growth(GrowthPolicy::ToMax)
         .with_steal(false);
@@ -173,7 +167,6 @@ fn growth_policy_to_max_prevents_second_shift() {
 #[test]
 fn growth_policy_exact_shifts_every_growth() {
     let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
         .with_chunk(small_chunks())
         .with_growth(GrowthPolicy::Exact)
         .with_steal(false);
@@ -192,9 +185,7 @@ fn growth_policy_exact_shifts_every_growth() {
 #[test]
 fn max_stuffing_never_shifts() {
     // Fig 10/11's operating point: all fields at max width.
-    let config = EngineConfig::stuffed_max()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
-        .with_chunk(small_chunks());
+    let config = EngineConfig::stuffed_max().with_chunk(small_chunks());
     let n = 100;
     let mut tpl =
         MessageTemplate::build(config, &doubles_op(), &[Value::DoubleArray(vec![1.0; n])]).unwrap();
@@ -225,7 +216,7 @@ fn full_closing_tag_shift_bytes_still_legal_xml() {
     // Fig 10/11 "Max Field Width: Full Closing Tag Shift": write the
     // smallest value over the largest. The closing tag moves 23 chars left
     // and whitespace fills the gap; the result must stay well-formed.
-    let config = EngineConfig::stuffed_max().with_wire_format(bsoap_core::WireFormat::SoapXml);
+    let config = EngineConfig::stuffed_max();
     let wide = -2.2250738585072014e-308;
     let mut tpl =
         MessageTemplate::build(config, &doubles_op(), &[Value::DoubleArray(vec![wide; 10])])
@@ -265,7 +256,6 @@ fn chunk_size_bounds_shift_cost() {
     let mut shifted = Vec::new();
     for chunk in [ChunkConfig::k8(), ChunkConfig::k32()] {
         let config = EngineConfig::paper_default()
-            .with_wire_format(bsoap_core::WireFormat::SoapXml)
             .with_chunk(chunk)
             .with_steal(false);
         let mut tpl =
@@ -286,9 +276,7 @@ fn chunk_size_bounds_shift_cost() {
 #[test]
 fn string_growth_and_shrink() {
     let op = OpDesc::single("tag", "urn:x", "s", TypeDesc::Scalar(ScalarKind::Str));
-    let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
-        .with_chunk(small_chunks());
+    let config = EngineConfig::paper_default().with_chunk(small_chunks());
     let mut tpl = MessageTemplate::build(config, &op, &[Value::Str("ab".into())]).unwrap();
 
     // Grow: strings have no max width; must shift by the exact delta.
@@ -321,7 +309,6 @@ fn intermediate_stuffing_absorbs_moderate_growth() {
     // Fig 8/9 shape: fields stuffed to 18 chars absorb values up to 18
     // chars without shifting; 24-char values force shifting.
     let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
         .with_chunk(small_chunks())
         .with_width(WidthPolicy::Fixed {
             double: 18,
@@ -400,9 +387,7 @@ fn value_of_class(class: u8, salt: usize) -> f64 {
 fn all_dirty_in_width_many_chunks() {
     // 100% dirty, all rewrites in-width (Max stuffing), dozens of chunks.
     let n = 400;
-    let config = EngineConfig::stuffed_max()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
-        .with_chunk(small_chunks());
+    let config = EngineConfig::stuffed_max().with_chunk(small_chunks());
     let rounds: Vec<Vec<f64>> = (0..4)
         .map(|r| {
             (0..n)
@@ -418,9 +403,7 @@ fn growth_mix_shifts_and_splits() {
     // Mixed in-width rewrites and width-growing values (Exact widths):
     // steals, coalesced shifts and splits in the same flush.
     let n = 300;
-    let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
-        .with_chunk(small_chunks());
+    let config = EngineConfig::paper_default().with_chunk(small_chunks());
     let rounds: Vec<Vec<f64>> = (0..3)
         .map(|r| {
             (0..n)
@@ -438,7 +421,6 @@ fn steal_with_adjacent_dirty_neighbors() {
     // planner must price the neighbor at its post-steal width.
     let n = 200;
     let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
         .with_chunk(small_chunks())
         .with_width(WidthPolicy::Fixed {
             double: 18,
@@ -467,9 +449,7 @@ fn sparse_dirty_subset() {
     // Only a scattered subset dirty per round: per-chunk op runs of very
     // different sizes.
     let n = 500;
-    let config = EngineConfig::stuffed_max()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
-        .with_chunk(small_chunks());
+    let config = EngineConfig::stuffed_max().with_chunk(small_chunks());
     let rounds: Vec<Vec<f64>> = (0..5)
         .map(|r| {
             (0..n)
@@ -493,7 +473,6 @@ fn growth_on_last_leaf_of_a_chunk_stays_in_its_chunk() {
     // dirty values are written and the shift stops at the chunk boundary.
     let n = 120;
     let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
         .with_chunk(ChunkConfig {
             initial_size: 256,
             split_threshold: 512,
@@ -540,7 +519,7 @@ fn growth_on_last_leaf_of_a_chunk_stays_in_its_chunk() {
 #[test]
 fn single_chunk_rounds() {
     // Everything in one 32 KiB chunk: one op run, one coalesced pass.
-    let config = EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml);
+    let config = EngineConfig::paper_default();
     assert_rounds_match_full(config, &[vec![3.25; 20], vec![1.0; 20]]);
 }
 
@@ -558,7 +537,6 @@ proptest! {
         rounds in 1usize..4,
     ) {
         let config = EngineConfig::paper_default()
-            .with_wire_format(bsoap_core::WireFormat::SoapXml)
             .with_chunk(ChunkConfig { initial_size: 256, split_threshold: 512, reserve: 48 })
             .with_steal(steal)
             .with_growth(if to_max { GrowthPolicy::ToMax } else { GrowthPolicy::Exact });

@@ -4,7 +4,7 @@ use bsoap_chunks::ChunkConfig;
 use bsoap_convert::ScalarKind;
 use bsoap_core::{
     value::mio, Client, EngineConfig, MessageTemplate, OpDesc, SendTier, TypeDesc, Value,
-    WidthPolicy,
+    WidthPolicy, WireFormat,
 };
 use bsoap_xml::{Event, PullParser};
 
@@ -63,7 +63,7 @@ fn well_formed(bytes: &[u8]) -> usize {
 fn build_produces_well_formed_soap() {
     let op = doubles_op();
     let tpl = MessageTemplate::build(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+        EngineConfig::paper_default(),
         &op,
         &[Value::DoubleArray(vec![1.5, 2.5, 3.5])],
     )
@@ -81,12 +81,8 @@ fn build_produces_well_formed_soap() {
 
 #[test]
 fn mio_build_structure() {
-    let tpl = MessageTemplate::build(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-        &mios_op(),
-        &[mio_array(2)],
-    )
-    .unwrap();
+    let tpl =
+        MessageTemplate::build(EngineConfig::paper_default(), &mios_op(), &[mio_array(2)]).unwrap();
     let text = String::from_utf8(tpl.to_bytes()).unwrap();
     assert!(text.contains("arrayType=\"ns1:mio[2"), "{text}");
     assert!(text.contains("<item xsi:type=\"ns1:mio\">"));
@@ -101,12 +97,7 @@ fn mio_build_structure() {
 fn content_match_resends_identical_bytes() {
     let op = doubles_op();
     let args = [Value::DoubleArray(vec![1.0, 2.0, 3.0])];
-    let mut tpl = MessageTemplate::build(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-        &op,
-        &args,
-    )
-    .unwrap();
+    let mut tpl = MessageTemplate::build(EngineConfig::paper_default(), &op, &args).unwrap();
     let first = tpl.to_bytes();
 
     // No updates → content match.
@@ -126,7 +117,7 @@ fn content_match_resends_identical_bytes() {
 fn perfect_structural_match_rewrites_only_dirty() {
     let op = doubles_op();
     let mut tpl = MessageTemplate::build(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+        EngineConfig::paper_default(),
         &op,
         &[Value::DoubleArray(vec![1.0, 2.0, 3.0, 4.0])],
     )
@@ -154,7 +145,7 @@ fn same_length_update_touches_value_only() {
     // closing tag untouched (the cheapest dirty path).
     let op = doubles_op();
     let mut tpl = MessageTemplate::build(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+        EngineConfig::paper_default(),
         &op,
         &[Value::DoubleArray(vec![2.5])],
     )
@@ -177,12 +168,8 @@ fn same_length_update_touches_value_only() {
 #[test]
 fn leaf_accessors_and_errors() {
     let op = mios_op();
-    let mut tpl = MessageTemplate::build(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-        &op,
-        &[mio_array(3)],
-    )
-    .unwrap();
+    let mut tpl =
+        MessageTemplate::build(EngineConfig::paper_default(), &op, &[mio_array(3)]).unwrap();
     // leaf 0 is the internal array-length field: rejected.
     assert!(tpl.set_int(0, 5).is_err());
     // element 1 field 2 (the double) via the indexing helper.
@@ -225,12 +212,7 @@ fn multi_param_messages() {
         Value::DoubleArray(vec![1.0, 2.0]),
         Value::Str("alpha".into()),
     ];
-    let mut tpl = MessageTemplate::build(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-        &op,
-        &args,
-    )
-    .unwrap();
+    let mut tpl = MessageTemplate::build(EngineConfig::paper_default(), &op, &args).unwrap();
     let text = String::from_utf8(tpl.to_bytes()).unwrap();
     assert!(text.contains("<id xsi:type=\"xsd:int\">7</id>"));
     assert!(text.contains("<tag xsi:type=\"xsd:string\">alpha</tag>"));
@@ -253,74 +235,76 @@ fn multi_param_messages() {
 
 #[test]
 fn client_tier_progression() {
-    let op = ints_op();
-    let mut client = Client::with_defaults();
-    let mut sink = Vec::new();
+    for format in WireFormat::ALL {
+        let op = ints_op();
+        let mut client = Client::new(EngineConfig::paper_default().with_wire_format(format));
+        let mut sink = Vec::new();
 
-    let r1 = client
-        .call(
-            "http://svc/a",
-            &op,
-            &[Value::IntArray(vec![1, 2, 3])],
-            &mut sink,
-        )
-        .unwrap();
-    assert_eq!(r1.tier, SendTier::FirstTime);
+        let r1 = client
+            .call(
+                "http://svc/a",
+                &op,
+                &[Value::IntArray(vec![1, 2, 3])],
+                &mut sink,
+            )
+            .unwrap();
+        assert_eq!(r1.tier, SendTier::FirstTime);
 
-    let r2 = client
-        .call(
-            "http://svc/a",
-            &op,
-            &[Value::IntArray(vec![1, 2, 3])],
-            &mut sink,
-        )
-        .unwrap();
-    assert_eq!(r2.tier, SendTier::ContentMatch);
+        let r2 = client
+            .call(
+                "http://svc/a",
+                &op,
+                &[Value::IntArray(vec![1, 2, 3])],
+                &mut sink,
+            )
+            .unwrap();
+        assert_eq!(r2.tier, SendTier::ContentMatch);
 
-    let r3 = client
-        .call(
-            "http://svc/a",
-            &op,
-            &[Value::IntArray(vec![1, 9, 3])],
-            &mut sink,
-        )
-        .unwrap();
-    assert_eq!(r3.tier, SendTier::PerfectStructural);
+        let r3 = client
+            .call(
+                "http://svc/a",
+                &op,
+                &[Value::IntArray(vec![1, 9, 3])],
+                &mut sink,
+            )
+            .unwrap();
+        assert_eq!(r3.tier, SendTier::PerfectStructural);
 
-    let r4 = client
-        .call(
-            "http://svc/a",
-            &op,
-            &[Value::IntArray(vec![1, 9, 3, 4])],
-            &mut sink,
-        )
-        .unwrap();
-    assert_eq!(r4.tier, SendTier::PartialStructural);
+        let r4 = client
+            .call(
+                "http://svc/a",
+                &op,
+                &[Value::IntArray(vec![1, 9, 3, 4])],
+                &mut sink,
+            )
+            .unwrap();
+        assert_eq!(r4.tier, SendTier::PartialStructural);
 
-    // A different endpoint gets its own template (first-time again).
-    let r5 = client
-        .call(
-            "http://svc/b",
-            &op,
-            &[Value::IntArray(vec![1, 2, 3])],
-            &mut sink,
-        )
-        .unwrap();
-    assert_eq!(r5.tier, SendTier::FirstTime);
+        // A different endpoint gets its own template (first-time again).
+        let r5 = client
+            .call(
+                "http://svc/b",
+                &op,
+                &[Value::IntArray(vec![1, 2, 3])],
+                &mut sink,
+            )
+            .unwrap();
+        assert_eq!(r5.tier, SendTier::FirstTime);
 
-    let stats = client.stats();
-    assert_eq!(stats.first_time, 2);
-    assert_eq!(stats.content_match, 1);
-    assert_eq!(stats.perfect_structural, 1);
-    assert_eq!(stats.partial_structural, 1);
-    assert_eq!(stats.calls(), 5);
+        let stats = client.stats();
+        assert_eq!(stats.first_time, 2);
+        assert_eq!(stats.content_match, 1);
+        assert_eq!(stats.perfect_structural, 1);
+        assert_eq!(stats.partial_structural, 1);
+        assert_eq!(stats.calls(), 5);
+    }
 }
 
 #[test]
 fn stuffed_max_widths_pad_with_whitespace() {
     let op = doubles_op();
     let tpl = MessageTemplate::build(
-        EngineConfig::stuffed_max().with_wire_format(bsoap_core::WireFormat::SoapXml),
+        EngineConfig::stuffed_max(),
         &op,
         &[Value::DoubleArray(vec![1.0])],
     )
@@ -336,13 +320,11 @@ fn stuffed_max_widths_pad_with_whitespace() {
 
 #[test]
 fn small_chunks_split_large_messages() {
-    let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
-        .with_chunk(ChunkConfig {
-            initial_size: 256,
-            split_threshold: 512,
-            reserve: 32,
-        });
+    let config = EngineConfig::paper_default().with_chunk(ChunkConfig {
+        initial_size: 256,
+        split_threshold: 512,
+        reserve: 32,
+    });
     let tpl = MessageTemplate::build(
         config,
         &doubles_op(),
@@ -369,12 +351,10 @@ fn rejected_shapes() {
         "a",
         TypeDesc::array_of(TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Int))),
     );
-    assert!(MessageTemplate::build(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-        &bad,
-        &[Value::Array(vec![])]
-    )
-    .is_err());
+    assert!(
+        MessageTemplate::build(EngineConfig::paper_default(), &bad, &[Value::Array(vec![])])
+            .is_err()
+    );
 
     // Array inside a struct.
     let bad2 = OpDesc::single(
@@ -390,7 +370,7 @@ fn rejected_shapes() {
         },
     );
     assert!(MessageTemplate::build(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+        EngineConfig::paper_default(),
         &bad2,
         &[Value::Struct(vec![Value::IntArray(vec![])])]
     )
@@ -413,12 +393,7 @@ fn nested_structs_supported() {
     let op = OpDesc::single("draw", "urn:x", "seg", outer);
     let point = |x: f64, y: f64| Value::Struct(vec![Value::Double(x), Value::Double(y)]);
     let args = [Value::Struct(vec![point(0.0, 1.0), point(2.0, 3.0)])];
-    let mut tpl = MessageTemplate::build(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-        &op,
-        &args,
-    )
-    .unwrap();
+    let mut tpl = MessageTemplate::build(EngineConfig::paper_default(), &op, &args).unwrap();
     assert_eq!(tpl.leaf_count(), 4);
     let t2 = [Value::Struct(vec![point(0.0, 1.0), point(2.0, 99.5)])];
     assert_eq!(tpl.update_args(&t2).unwrap(), SendTier::PerfectStructural);
@@ -446,7 +421,7 @@ fn bool_and_long_leaves() {
         ],
     );
     let mut tpl = MessageTemplate::build(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+        EngineConfig::paper_default(),
         &op,
         &[Value::Bool(true), Value::Long(1 << 40)],
     )
@@ -465,13 +440,11 @@ fn bool_and_long_leaves() {
 
 #[test]
 fn width_policy_intermediate() {
-    let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap_core::WireFormat::SoapXml)
-        .with_width(WidthPolicy::Fixed {
-            double: 18,
-            int: 6,
-            long: 20,
-        });
+    let config = EngineConfig::paper_default().with_width(WidthPolicy::Fixed {
+        double: 18,
+        int: 6,
+        long: 20,
+    });
     let tpl =
         MessageTemplate::build(config, &doubles_op(), &[Value::DoubleArray(vec![1.0])]).unwrap();
     // 1-char value stuffed to 18 → 17 pad spaces.

@@ -224,13 +224,9 @@ mod tests {
     fn identical_message_short_circuits() {
         let op = doubles_op();
         let args = vec![Value::DoubleArray(vec![1.5, 2.5])];
-        let bytes = MessageTemplate::build(
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-            &op,
-            &args,
-        )
-        .unwrap()
-        .to_bytes();
+        let bytes = MessageTemplate::build(EngineConfig::paper_default(), &op, &args)
+            .unwrap()
+            .to_bytes();
         let mut d = DiffDeserializer::new(op);
         let (got, o1) = d.deserialize(&bytes).unwrap();
         assert_eq!(o1, DiffOutcome::FullParse);
@@ -246,8 +242,7 @@ mod tests {
         // 1.5 -> 9.5: same serialized length, so the template's perfect
         // structural match leaves the skeleton untouched.
         let op = doubles_op();
-        let config =
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml);
+        let config = EngineConfig::paper_default();
         let mut tpl =
             MessageTemplate::build(config, &op, &[Value::DoubleArray(vec![1.5, 2.5])]).unwrap();
         let mut d = DiffDeserializer::new(op);
@@ -273,9 +268,7 @@ mod tests {
         // value with a different serialized length stays differential —
         // the answer to §6's stuffing-effect question.
         let op = doubles_op();
-        let config = EngineConfig::paper_default()
-            .with_wire_format(bsoap_core::WireFormat::SoapXml)
-            .with_width(WidthPolicy::Max);
+        let config = EngineConfig::paper_default().with_width(WidthPolicy::Max);
         let mut tpl =
             MessageTemplate::build(config, &op, &[Value::DoubleArray(vec![1.5, 2.5])]).unwrap();
         let mut d = DiffDeserializer::new(op);
@@ -302,8 +295,7 @@ mod tests {
         // differ, so the deserializer re-parses from scratch — and adopts
         // the new message as its reference.
         let op = doubles_op();
-        let config =
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml);
+        let config = EngineConfig::paper_default();
         let mut tpl =
             MessageTemplate::build(config, &op, &[Value::DoubleArray(vec![1.5, 2.5])]).unwrap();
         let mut d = DiffDeserializer::new(op);
@@ -322,7 +314,7 @@ mod tests {
     fn resize_falls_back_then_recovers() {
         let op = doubles_op();
         let mut tpl = MessageTemplate::build(
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+            EngineConfig::paper_default(),
             &op,
             &[Value::DoubleArray(vec![1.5, 2.5])],
         )
@@ -356,7 +348,7 @@ mod tests {
     fn all_leaves_changed() {
         let op = doubles_op();
         let mut tpl = MessageTemplate::build(
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+            EngineConfig::paper_default(),
             &op,
             &[Value::DoubleArray(vec![1.5, 2.5, 3.5, 4.5])],
         )
@@ -381,7 +373,7 @@ mod tests {
     fn corrupted_leaf_region_is_rejected_not_misparsed() {
         let op = doubles_op();
         let tpl = MessageTemplate::build(
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+            EngineConfig::paper_default(),
             &op,
             &[Value::DoubleArray(vec![1.5, 2.5])],
         )
@@ -398,7 +390,7 @@ mod tests {
     fn stats_accumulate() {
         let op = doubles_op();
         let mut tpl = MessageTemplate::build(
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+            EngineConfig::paper_default(),
             &op,
             &[Value::DoubleArray(vec![1.5, 2.5])],
         )

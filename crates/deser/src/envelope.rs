@@ -578,13 +578,9 @@ mod tests {
     }
 
     fn build_bytes(op: &OpDesc, args: &[Value]) -> Vec<u8> {
-        MessageTemplate::build(
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-            op,
-            args,
-        )
-        .unwrap()
-        .to_bytes()
+        MessageTemplate::build(EngineConfig::paper_default(), op, args)
+            .unwrap()
+            .to_bytes()
     }
 
     #[test]
@@ -647,13 +643,9 @@ mod tests {
         // Stuffed-width templates put whitespace after close tags.
         let op = doubles_op();
         let args = vec![Value::DoubleArray(vec![1.0, 2.5])];
-        let bytes = MessageTemplate::build(
-            EngineConfig::stuffed_max().with_wire_format(bsoap_core::WireFormat::SoapXml),
-            &op,
-            &args,
-        )
-        .unwrap()
-        .to_bytes();
+        let bytes = MessageTemplate::build(EngineConfig::stuffed_max(), &op, &args)
+            .unwrap()
+            .to_bytes();
         assert_eq!(parse_envelope(&bytes, &op).unwrap(), args);
     }
 

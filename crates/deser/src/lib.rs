@@ -27,7 +27,7 @@
 //! );
 //! // Stuffed sender: value changes never move tags, so the receiver's
 //! // differential path stays available.
-//! let config = EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml).with_width(WidthPolicy::Max);
+//! let config = EngineConfig::paper_default().with_width(WidthPolicy::Max);
 //! let mut tpl =
 //!     MessageTemplate::build(config, &op, &[Value::DoubleArray(vec![1.5, 2.5])]).unwrap();
 //!

@@ -113,9 +113,9 @@ proptest! {
     ) {
         let op = doubles_op();
         let config = if stuffed {
-            EngineConfig::stuffed_max().with_wire_format(bsoap_core::WireFormat::SoapXml)
+            EngineConfig::stuffed_max()
         } else {
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml)
+            EngineConfig::paper_default()
         };
         let mut values = initial;
         let mut tpl =
@@ -186,9 +186,9 @@ proptest! {
     ) {
         let op = doubles_op();
         let config = if stuffed {
-            EngineConfig::stuffed_max().with_wire_format(bsoap_core::WireFormat::SoapXml)
+            EngineConfig::stuffed_max()
         } else {
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml)
+            EngineConfig::paper_default()
         };
         let tpl = MessageTemplate::build(config, &op, &[Value::DoubleArray(initial)]).unwrap();
         let mut bytes = tpl.to_bytes().to_vec();
@@ -218,7 +218,7 @@ proptest! {
         let _ = diff.deserialize(&bytes);
         // And it must still work afterwards.
         let tpl = MessageTemplate::build(
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+            EngineConfig::paper_default(),
             &op,
             &[Value::DoubleArray(vec![1.5, 2.5])],
         )

@@ -35,16 +35,14 @@ fn any_finite_f64() -> impl Strategy<Value = f64> {
 
 fn config_strategy() -> impl Strategy<Value = EngineConfig> {
     prop_oneof![
-        Just(EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml)),
-        Just(EngineConfig::stuffed_max().with_wire_format(bsoap_core::WireFormat::SoapXml)),
+        Just(EngineConfig::paper_default()),
+        Just(EngineConfig::stuffed_max()),
         Just(
-            EngineConfig::paper_default()
-                .with_wire_format(bsoap_core::WireFormat::SoapXml)
-                .with_width(WidthPolicy::Fixed {
-                    double: 18,
-                    int: 6,
-                    long: 12
-                })
+            EngineConfig::paper_default().with_width(WidthPolicy::Fixed {
+                double: 18,
+                int: 6,
+                long: 12
+            })
         ),
     ]
 }
@@ -94,9 +92,9 @@ proptest! {
     ) {
         let op = doubles_op();
         let config = if stuffed {
-            EngineConfig::stuffed_max().with_wire_format(bsoap_core::WireFormat::SoapXml)
+            EngineConfig::stuffed_max()
         } else {
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml)
+            EngineConfig::paper_default()
         };
         let mut current = initial.clone();
         let mut tpl =
@@ -124,7 +122,7 @@ proptest! {
     ) {
         let op = OpDesc::single("f", "urn:x", "s", TypeDesc::Scalar(ScalarKind::Str));
         let args = vec![Value::Str(s)];
-        let tpl = MessageTemplate::build(EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml), &op, &args).unwrap();
+        let tpl = MessageTemplate::build(EngineConfig::paper_default(), &op, &args).unwrap();
         let parsed = parse_envelope(&tpl.to_bytes(), &op).unwrap();
         prop_assert_eq!(&parsed, &args);
     }

@@ -67,7 +67,7 @@ fn whole_message_single_push() {
     let op = doubles_op();
     let vals: Vec<f64> = (0..50).map(|i| i as f64 * 1.5 - 3.0).collect();
     let bytes = message(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+        EngineConfig::paper_default(),
         &op,
         &Value::DoubleArray(vals.clone()),
     );
@@ -87,7 +87,7 @@ fn byte_at_a_time_push() {
     let op = doubles_op();
     let vals = vec![0.125, -7.5, 42.0];
     let bytes = message(
-        EngineConfig::stuffed_max().with_wire_format(bsoap_core::WireFormat::SoapXml),
+        EngineConfig::stuffed_max(),
         &op,
         &Value::DoubleArray(vals.clone()),
     );
@@ -103,7 +103,7 @@ fn struct_items_stream() {
     let op = mios_op();
     let items_in: Vec<Value> = (0..20).map(|i| mio(i, -i, i as f64 * 0.5)).collect();
     let bytes = message(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+        EngineConfig::paper_default(),
         &op,
         &Value::Array(items_in.clone()),
     );
@@ -117,7 +117,7 @@ fn struct_items_stream() {
 fn empty_array_streams() {
     let op = doubles_op();
     let bytes = message(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+        EngineConfig::paper_default(),
         &op,
         &Value::DoubleArray(vec![]),
     );
@@ -130,7 +130,7 @@ fn peak_carry_stays_bounded_by_item_not_message() {
     let op = doubles_op();
     let vals: Vec<f64> = (0..5000).map(|i| i as f64).collect();
     let bytes = message(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+        EngineConfig::paper_default(),
         &op,
         &Value::DoubleArray(vals),
     );
@@ -150,7 +150,7 @@ fn peak_carry_stays_bounded_by_item_not_message() {
 fn declared_length_undercount_is_error() {
     let op = doubles_op();
     let bytes = message(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+        EngineConfig::paper_default(),
         &op,
         &Value::DoubleArray(vec![1.0, 2.0, 3.0]),
     );
@@ -176,7 +176,7 @@ fn declared_length_undercount_is_error() {
 fn declared_length_overcount_is_error() {
     let op = doubles_op();
     let bytes = message(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+        EngineConfig::paper_default(),
         &op,
         &Value::DoubleArray(vec![1.0, 2.0, 3.0]),
     );
@@ -223,7 +223,7 @@ fn wrong_operation_tag_rejected() {
         TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
     );
     let bytes = message(
-        EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+        EngineConfig::paper_default(),
         &other,
         &Value::DoubleArray(vec![1.0]),
     );
@@ -246,9 +246,9 @@ proptest! {
     ) {
         let op = doubles_op();
         let config = if stuffed {
-            EngineConfig::stuffed_max().with_wire_format(bsoap_core::WireFormat::SoapXml)
+            EngineConfig::stuffed_max()
         } else {
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml).with_width(WidthPolicy::Exact)
+            EngineConfig::paper_default().with_width(WidthPolicy::Exact)
         };
         let bytes = message(config, &op, &Value::DoubleArray(vals.clone()));
         let mut cuts: Vec<usize> = cuts.iter().map(|&c| c as usize % bytes.len().max(1)).collect();
@@ -269,7 +269,7 @@ proptest! {
     ) {
         let op = mios_op();
         let items_in: Vec<Value> = (0..n).map(|i| mio(i as i32, -(i as i32), i as f64)).collect();
-        let bytes = message(EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml), &op, &Value::Array(items_in));
+        let bytes = message(EngineConfig::paper_default(), &op, &Value::Array(items_in));
         let batch = bsoap_deser::parse_envelope(&bytes, &op).unwrap();
         let mut cuts: Vec<usize> = cuts.iter().map(|&c| c as usize % bytes.len()).collect();
         cuts.sort_unstable();

@@ -9,12 +9,12 @@
 //!
 //! This crate owns the three pieces every kernel crate shares:
 //!
-//! * [`KernelPolicy`] — the engine-facing knob (`Auto` / `Scalar` /
-//!   `ForcedSimd`), carried on `EngineConfig` and threaded down to each
-//!   kernel call site;
+//! * [`KernelPolicy`] — the engine-facing knob (`Auto` / `Scalar`),
+//!   carried on `EngineConfig` and threaded down to each kernel call site;
 //! * [`resolve`] — policy → [`SimdLevel`], combining the policy with
-//!   cached CPU detection and the `BSOAP_KERNEL` environment override
-//!   (the CI lever that force-disables SIMD for a whole test run);
+//!   cached CPU detection and the `BSOAP_KERNEL=scalar` environment lever
+//!   (stands in for a build where only the scalar kernels exist; it can
+//!   only narrow a resolution, never widen one);
 //! * the process-global SIMD hit counter ([`record_simd_hits`] /
 //!   [`take_simd_hits`]) that `bsoap-core` folds into the
 //!   `SimdKernelHits` observability counter once per flush.
@@ -40,22 +40,6 @@ pub enum KernelPolicy {
     /// Scalar kernels only — the differential oracle and the safe
     /// operating point on any platform.
     Scalar,
-    /// Use SIMD even where the heuristics would not bother; still falls
-    /// back to scalar when the CPU offers nothing (correctness never
-    /// requires SIMD).
-    ForcedSimd,
-}
-
-impl KernelPolicy {
-    /// Parse the `BSOAP_KERNEL` environment value (`auto`/`scalar`/`simd`).
-    pub fn parse(s: &str) -> Option<KernelPolicy> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(KernelPolicy::Auto),
-            "scalar" => Some(KernelPolicy::Scalar),
-            "simd" | "forced" | "forced_simd" => Some(KernelPolicy::ForcedSimd),
-            _ => None,
-        }
-    }
 }
 
 /// The SIMD instruction level a resolved kernel call may use.
@@ -111,29 +95,35 @@ pub fn detected_level() -> SimdLevel {
     }
 }
 
-/// Cached `BSOAP_KERNEL` environment override (read once per process).
-fn env_override() -> Option<KernelPolicy> {
-    static ENV: OnceLock<Option<KernelPolicy>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("BSOAP_KERNEL")
-            .ok()
-            .and_then(|v| KernelPolicy::parse(&v))
+/// The process lever: `BSOAP_KERNEL=scalar` (read once per process;
+/// every other value is ignored) makes every resolution scalar.
+fn env_forces_scalar() -> bool {
+    static FORCED: OnceLock<bool> = OnceLock::new();
+    *FORCED.get_or_init(|| {
+        std::env::var("BSOAP_KERNEL").is_ok_and(|v| v.trim().eq_ignore_ascii_case("scalar"))
     })
 }
 
-/// Resolve a policy to the SIMD level a kernel call may use right now.
-///
-/// Precedence: the `BSOAP_KERNEL` environment variable (the CI
-/// force-disable lever) beats the policy, which beats detection. A
-/// `ForcedSimd` resolution on a CPU with no SIMD is still
-/// [`SimdLevel::None`] — no platform needs SIMD for correctness.
+/// The dispatch rule as a pure function: scalar when the process lever or
+/// the policy says so, otherwise whatever the CPU offers. Neither input
+/// can raise the level above `detected`.
+#[inline]
+fn resolve_with(force_scalar: bool, policy: KernelPolicy, detected: SimdLevel) -> SimdLevel {
+    if force_scalar || policy == KernelPolicy::Scalar {
+        SimdLevel::None
+    } else {
+        detected
+    }
+}
+
+/// Resolve a policy to the SIMD level a kernel call may use right now:
+/// scalar when `BSOAP_KERNEL=scalar` or the policy says so, otherwise the
+/// cached detection.
+/// The variable only narrows — an explicit [`KernelPolicy::Scalar`] (the
+/// oracle side of every differential suite) stays scalar whatever it says.
 #[inline]
 pub fn resolve(policy: KernelPolicy) -> SimdLevel {
-    let effective = env_override().unwrap_or(policy);
-    match effective {
-        KernelPolicy::Scalar => SimdLevel::None,
-        KernelPolicy::Auto | KernelPolicy::ForcedSimd => detected_level(),
-    }
+    resolve_with(env_forces_scalar(), policy, detected_level())
 }
 
 /// Process-global count of SIMD kernel invocations (escape scans, stuffed
@@ -171,31 +161,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalar_policy_always_resolves_none() {
-        assert_eq!(resolve(KernelPolicy::Scalar), SimdLevel::None);
+    fn resolve_table() {
+        use KernelPolicy::{Auto, Scalar};
+        for detected in [SimdLevel::None, SimdLevel::Sse2, SimdLevel::Avx2] {
+            for (force, policy, want) in [
+                (false, Auto, detected),
+                (false, Scalar, SimdLevel::None),
+                (true, Auto, SimdLevel::None),
+                (true, Scalar, SimdLevel::None),
+            ] {
+                let got = resolve_with(force, policy, detected);
+                assert_eq!(got, want, "{force} {policy:?} {detected:?}");
+            }
+        }
     }
 
     #[test]
-    fn auto_and_forced_resolve_to_detection() {
-        // With no env override these must agree with the cached detection.
-        if env_override().is_none() {
-            assert_eq!(resolve(KernelPolicy::Auto), detected_level());
-            assert_eq!(resolve(KernelPolicy::ForcedSimd), detected_level());
-        }
+    fn scalar_policy_resolves_none_under_any_environment() {
+        assert_eq!(resolve(KernelPolicy::Scalar), SimdLevel::None);
+        assert!(resolve(KernelPolicy::Auto) <= detected_level());
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn x86_64_detects_at_least_sse2() {
         assert!(detected_level() >= SimdLevel::Sse2);
-    }
-
-    #[test]
-    fn policy_parse() {
-        assert_eq!(KernelPolicy::parse("scalar"), Some(KernelPolicy::Scalar));
-        assert_eq!(KernelPolicy::parse("SIMD"), Some(KernelPolicy::ForcedSimd));
-        assert_eq!(KernelPolicy::parse("auto"), Some(KernelPolicy::Auto));
-        assert_eq!(KernelPolicy::parse("bogus"), None);
     }
 
     #[test]

@@ -41,6 +41,21 @@ pub use trace::{BreakerState, TraceEvent, TraceKind, TraceRing};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+/// Which connection-handling core a server runs (DESIGN.md §3.13). It
+/// lives in this leaf crate so `EngineConfig::server_core` (`bsoap-core`)
+/// and `ServerOptions::core` (`bsoap-transport`), which do not see each
+/// other, are one type rather than two mirrored ones.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ServerCore {
+    /// One blocking worker thread drives each connection end to end on
+    /// the bounded accept pool.
+    WorkerPool,
+    /// Epoll loops multiplex every connection as a sans-io state machine
+    /// and hand complete requests to a small dispatch pool. Falls back to
+    /// [`ServerCore::WorkerPool`] on platforms without epoll.
+    EventLoop,
+}
+
 /// The four send tiers of the paper's matching hierarchy, mirrored here so
 /// the observability layer stays a leaf crate (core depends on obs, not
 /// the other way around).

@@ -56,23 +56,12 @@ struct Operation {
     /// binary format land here, keeping each lane's retained reference
     /// message (and content-match fast path) independent.
     deser_bin: Mutex<BinaryDiffDeserializer>,
-    /// The shared response template (§3: one template serves "multiple
-    /// separate clients").
-    response_tpl: Mutex<Option<MessageTemplate>>,
-    /// Binary-lane response template. Never aliased with `response_tpl`:
-    /// the two lanes have different byte geometry, so each keeps its own
-    /// resident template (mirroring `TemplateKey::format` on the store
-    /// path).
-    response_tpl_bin: Mutex<Option<MessageTemplate>>,
-}
-
-impl Operation {
-    fn response_slot(&self, format: WireFormat) -> &Mutex<Option<MessageTemplate>> {
-        match format {
-            WireFormat::SoapXml => &self.response_tpl,
-            WireFormat::CompactBinary => &self.response_tpl_bin,
-        }
-    }
+    /// Where the response template lives in the service's store, one key
+    /// per lane in [`WireFormat::ALL`] order (the lanes have different
+    /// byte geometry, so each keeps its own resident template). §3: one
+    /// template serves "multiple separate clients". Built once here so a
+    /// served response builds no key.
+    response_keys: [StoreKey; 2],
 }
 
 /// Cumulative service statistics.
@@ -102,14 +91,15 @@ pub struct ServiceStats {
 pub struct Service {
     namespace: String,
     config: EngineConfig,
-    ops: HashMap<String, Arc<Operation>>,
+    ops: HashMap<String, Operation>,
     stats: Mutex<ServiceStats>,
     metrics: Option<Arc<Metrics>>,
-    /// When set, response templates live in this shared store (keyed by
-    /// `(tenant, namespace, response op)`) instead of the per-op slot, so
-    /// multiple server cores — worker-pool and event-loop alike — reuse
-    /// one another's serialized responses under one byte budget.
-    store: Option<Arc<TemplateStore>>,
+    /// Owner of every response template, keyed by `(tenant, namespace,
+    /// response op, lane)`: a private unbudgeted store unless
+    /// [`Service::set_template_store`] injects a shared one, so multiple
+    /// server cores — worker-pool and event-loop alike — reuse one
+    /// another's serialized responses under one byte budget.
+    store: Arc<TemplateStore>,
     tenant: u64,
     /// Whether this service accepts (and adverts) the compact binary
     /// lane. Flipping it off mid-flight makes in-flight binary requests
@@ -128,7 +118,7 @@ impl Service {
             ops: HashMap::new(),
             stats: Mutex::new(ServiceStats::default()),
             metrics: None,
-            store: None,
+            store: TemplateStore::shared(0, 0),
             tenant: 0,
             binary_enabled: AtomicBool::new(true),
         }
@@ -146,30 +136,31 @@ impl Service {
         self.binary_enabled.load(Ordering::SeqCst)
     }
 
-    /// Route response templates through `store` under `tenant` instead of
-    /// the per-op `Mutex` slot. Inject the same store into several
+    /// Keep response templates in `store` under `tenant` instead of the
+    /// service's private store. Inject the same store into several
     /// services (e.g. one per server core) to share response templates
     /// across them under one byte budget.
     pub fn set_template_store(&mut self, store: Arc<TemplateStore>, tenant: u64) {
         if let Some(m) = &self.metrics {
             store.set_metrics(Arc::clone(m));
         }
-        self.store = Some(store);
+        self.store = store;
         self.tenant = tenant;
+        for key in self.ops.values_mut().flat_map(|op| &mut op.response_keys) {
+            key.tenant = tenant;
+        }
     }
 
-    /// The injected shared template store, if any.
-    pub fn template_store(&self) -> Option<&Arc<TemplateStore>> {
-        self.store.as_ref()
+    /// The store that owns this service's response templates.
+    pub fn template_store(&self) -> &Arc<TemplateStore> {
+        &self.store
     }
 
     /// Attach an observability registry: response templates record their
     /// send tier, shift/steal/split work and DUT fix-ups into it, and the
     /// first-time serialization of each operation's response is counted.
     pub fn set_metrics(&mut self, metrics: Arc<Metrics>) {
-        if let Some(store) = &self.store {
-            store.set_metrics(Arc::clone(&metrics));
-        }
+        self.store.set_metrics(Arc::clone(&metrics));
         self.metrics = Some(metrics);
     }
 
@@ -205,17 +196,20 @@ impl Service {
         let name = request.name.clone();
         let deser = DiffDeserializer::new(request.clone());
         let deser_bin = BinaryDiffDeserializer::new(request.clone());
+        let response_keys = WireFormat::ALL.map(|format| {
+            let key = TemplateKey::for_format(&self.namespace, &response, format);
+            StoreKey::new(self.tenant, key)
+        });
         self.ops.insert(
             name,
-            Arc::new(Operation {
+            Operation {
                 request,
                 response,
                 handler: Box::new(handler),
                 deser: Mutex::new(deser),
                 deser_bin: Mutex::new(deser_bin),
-                response_tpl: Mutex::new(None),
-                response_tpl_bin: Mutex::new(None),
-            }),
+                response_keys,
+            },
         );
     }
 
@@ -302,35 +296,7 @@ impl Service {
 
         // 2. Differential serialization of the response, on the same
         //    lane the request arrived on.
-        let config = self.config.with_wire_format(format);
-        let (bytes, tier) = if let Some(store) = &self.store {
-            self.respond_via_store(store, op, &result, format, config)?
-        } else {
-            let mut tpl_slot = op.response_slot(format).lock();
-            let out = match tpl_slot.as_mut() {
-                Some(tpl) => {
-                    if let (Some(m), None) = (&self.metrics, tpl.metrics()) {
-                        tpl.set_metrics(Arc::clone(m));
-                    }
-                    tpl.update_args(&result).map_err(HandlerError::Response)?;
-                    let report = tpl.flush();
-                    (tpl.to_bytes(), report.tier)
-                }
-                None => {
-                    let mut tpl = MessageTemplate::build(config, &op.response, &result)
-                        .map_err(HandlerError::Response)?;
-                    if let Some(m) = &self.metrics {
-                        tpl.set_metrics(Arc::clone(m));
-                        m.add(Counter::send(bsoap_obs::Tier::FirstTime), 1);
-                        m.add(format.send_counter(), 1);
-                    }
-                    let bytes = tpl.to_bytes();
-                    *tpl_slot = Some(tpl);
-                    (bytes, SendTier::FirstTime)
-                }
-            };
-            out
-        };
+        let (bytes, tier) = self.respond(op, &result, format)?;
         {
             let mut stats = self.stats.lock();
             stats.requests += 1;
@@ -344,42 +310,36 @@ impl Service {
         Ok((bytes, format))
     }
 
-    /// Response serialization through the shared store: checkout the
-    /// response template (a cross-core hit if another service serialized
-    /// this response last), diff it, admit it back. Cap 1 mirrors the
-    /// per-op slot: one response shape per operation, resized in place.
-    fn respond_via_store(
+    /// Response serialization: checkout the response template from the
+    /// store (a cross-core hit if another service sharing the store
+    /// serialized this response last), diff it, admit it back. Cap 1: one
+    /// response shape per operation and lane, resized in place.
+    fn respond(
         &self,
-        store: &Arc<TemplateStore>,
         op: &Operation,
         result: &[Value],
         format: WireFormat,
-        config: EngineConfig,
     ) -> Result<(Vec<u8>, SendTier), HandlerError> {
-        let skey = StoreKey::new(
-            self.tenant,
-            TemplateKey::for_format(&self.namespace, &op.response, format),
-        );
-        match store.checkout(&skey, result, 1) {
+        let skey = &op.response_keys[format as usize];
+        let (tpl, tier) = match self.store.checkout(skey, result, 1) {
             Checkout::Hit(mut tpl) => {
                 if let (Some(m), None) = (&self.metrics, tpl.metrics()) {
                     tpl.set_metrics(Arc::clone(m));
                 }
                 match tpl.update_args(result) {
                     Ok(_) => {
-                        let report = tpl.flush();
-                        let bytes = tpl.to_bytes();
-                        store.admit(skey, tpl, 1);
-                        Ok((bytes, report.tier))
+                        let tier = tpl.flush().tier;
+                        (tpl, tier)
                     }
                     Err(e) => {
-                        // Keep the template resident, as the slot path does.
-                        store.admit(skey, tpl, 1);
-                        Err(HandlerError::Response(e))
+                        // A rejected update leaves the template resident.
+                        self.store.admit(skey.clone(), tpl, 1);
+                        return Err(HandlerError::Response(e));
                     }
                 }
             }
             Checkout::MissEmpty | Checkout::MissVariant => {
+                let config = self.config.with_wire_format(format);
                 let mut tpl = MessageTemplate::build(config, &op.response, result)
                     .map_err(HandlerError::Response)?;
                 if let Some(m) = &self.metrics {
@@ -387,11 +347,12 @@ impl Service {
                     m.add(Counter::send(bsoap_obs::Tier::FirstTime), 1);
                     m.add(format.send_counter(), 1);
                 }
-                let bytes = tpl.to_bytes();
-                store.admit(skey, tpl, 1);
-                Ok((bytes, SendTier::FirstTime))
+                (tpl, SendTier::FirstTime)
             }
-        }
+        };
+        let bytes = tpl.to_bytes();
+        self.store.admit(skey.clone(), tpl, 1);
+        Ok((bytes, tier))
     }
 
     /// Render a minimal SOAP 1.1 fault envelope.
@@ -417,10 +378,7 @@ mod tests {
     use bsoap_core::{ParamDesc, TypeDesc};
 
     fn echo_service() -> Service {
-        let mut svc = Service::new(
-            "urn:echo",
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-        );
+        let mut svc = Service::new("urn:echo", EngineConfig::paper_default());
         let op = OpDesc::single(
             "echo",
             "urn:echo",
@@ -446,7 +404,7 @@ mod tests {
             TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
         );
         MessageTemplate::build(
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+            EngineConfig::paper_default(),
             &op,
             &[Value::DoubleArray(xs.to_vec())],
         )
@@ -501,10 +459,7 @@ mod tests {
 
     #[test]
     fn handler_fault_counted() {
-        let mut svc = Service::new(
-            "urn:f",
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-        );
+        let mut svc = Service::new("urn:f", EngineConfig::paper_default());
         let op = OpDesc::single("f", "urn:f", "v", TypeDesc::Scalar(ScalarKind::Int));
         svc.register(
             op.clone(),
@@ -514,13 +469,9 @@ mod tests {
             }],
             |_| Err("nope".to_owned()),
         );
-        let body = MessageTemplate::build(
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-            &op,
-            &[Value::Int(1)],
-        )
-        .unwrap()
-        .to_bytes();
+        let body = MessageTemplate::build(EngineConfig::paper_default(), &op, &[Value::Int(1)])
+            .unwrap()
+            .to_bytes();
         assert!(matches!(
             svc.dispatch("f", &body),
             Err(HandlerError::Fault(_))

@@ -15,7 +15,7 @@ use bsoap_core::{EngineConfig, WireFormat};
 use bsoap_obs::{Counter, Metrics, Recorder};
 use bsoap_transport::http::RequestHead;
 use bsoap_transport::negotiate::{HDR_ACCEPT, HDR_FORMAT, HDR_FORMAT_LOWER, TOKEN_BINARY};
-use bsoap_transport::{ReqBody, Response, ServeMode, Server, ServerCore, ServerOptions};
+use bsoap_transport::{ReqBody, Response, ServeMode, Server, ServerOptions};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -29,17 +29,10 @@ pub struct HttpServer {
 /// The transport options a service's engine configuration asks for.
 fn server_options(cfg: &EngineConfig) -> ServerOptions {
     ServerOptions {
-        core: match cfg.server_core {
-            bsoap_core::ServerCore::WorkerPool => ServerCore::WorkerPool,
-            bsoap_core::ServerCore::EventLoop => ServerCore::EventLoop,
-        },
+        core: cfg.server_core,
         workers: cfg.server_workers,
         event_loop_threads: cfg.event_loop_threads,
         max_connections: cfg.max_connections,
-        // The call deadline doubles as the read-stall timeout: a peer
-        // dribbling a request slower than one call budget is a
-        // slow-loris, not a client.
-        read_timeout: cfg.deadline,
         max_head_bytes: cfg.max_head_bytes,
         max_body_bytes: cfg.max_body_bytes,
         ..ServerOptions::default()
@@ -213,26 +206,14 @@ mod tests {
     };
     use bsoap_obs::HistId;
     use bsoap_transport::http::{post_gather, read_response, HttpVersion, RequestConfig};
-    use bsoap_transport::poller;
+    use bsoap_transport::supported_cores;
     use std::io::{IoSlice, Write};
     use std::net::TcpStream;
-
-    /// Cores to exercise: both when the platform has epoll, else just the
-    /// worker pool (the event loop would silently fall back anyway).
-    fn cores() -> Vec<ServerCore> {
-        if poller::supported() {
-            vec![ServerCore::WorkerPool, ServerCore::EventLoop]
-        } else {
-            vec![ServerCore::WorkerPool]
-        }
-    }
 
     fn sum_service_on(core: ServerCore) -> Service {
         let mut svc = Service::new(
             "urn:sum",
-            EngineConfig::paper_default()
-                .with_wire_format(bsoap_core::WireFormat::SoapXml)
-                .with_server_core(core),
+            EngineConfig::paper_default().with_server_core(core),
         );
         let op = OpDesc::single(
             "sum",
@@ -264,7 +245,7 @@ mod tests {
             TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
         );
         MessageTemplate::build(
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
+            EngineConfig::paper_default(),
             &op,
             &[Value::DoubleArray(xs.to_vec())],
         )
@@ -288,7 +269,7 @@ mod tests {
 
     #[test]
     fn end_to_end_sum() {
-        for core in cores() {
+        for &core in supported_cores() {
             let server = HttpServer::spawn(sum_service_on(core)).unwrap();
             let (status, resp) = post(
                 server.addr(),
@@ -313,7 +294,7 @@ mod tests {
 
     #[test]
     fn repeat_queries_hit_content_match_responses() {
-        for core in cores() {
+        for &core in supported_cores() {
             let server = HttpServer::spawn(sum_service_on(core)).unwrap();
             let body = request_bytes(&[4.0, 4.0]);
             for _ in 0..3 {
@@ -329,7 +310,7 @@ mod tests {
 
     #[test]
     fn unknown_action_is_404() {
-        for core in cores() {
+        for &core in supported_cores() {
             let server = HttpServer::spawn(sum_service_on(core)).unwrap();
             let (status, body) = post(server.addr(), "urn:sum#ghost", &request_bytes(&[1.0]));
             assert_eq!(status, 404, "core {core:?}");
@@ -340,7 +321,7 @@ mod tests {
 
     #[test]
     fn malformed_body_is_400() {
-        for core in cores() {
+        for &core in supported_cores() {
             let server = HttpServer::spawn(sum_service_on(core)).unwrap();
             let (status, _) = post(server.addr(), "urn:sum#sum", b"junk");
             assert_eq!(status, 400, "core {core:?}");
@@ -350,19 +331,16 @@ mod tests {
 
     #[test]
     fn both_cores_answer_byte_identical_responses() {
-        if !poller::supported() {
-            return;
-        }
         let body = request_bytes(&[2.0, 3.5, 4.5]);
         let mut replies = Vec::new();
-        for core in [ServerCore::WorkerPool, ServerCore::EventLoop] {
+        for &core in supported_cores() {
             let server = HttpServer::spawn(sum_service_on(core)).unwrap();
             replies.push(post(server.addr(), "urn:sum#sum", &body));
             server.stop();
         }
-        assert_eq!(
-            replies[0], replies[1],
-            "the two cores must be byte-for-byte indistinguishable"
+        assert!(
+            replies.windows(2).all(|w| w[0] == w[1]),
+            "the cores must be byte-for-byte indistinguishable"
         );
     }
 
@@ -387,12 +365,7 @@ mod tests {
         assert_eq!(stats_a.responses_first, 1);
         assert_eq!(store.len(), 1, "response template resident after stop");
 
-        let second_core = if poller::supported() {
-            ServerCore::EventLoop
-        } else {
-            ServerCore::WorkerPool
-        };
-        let mut second = sum_service_on(second_core);
+        let mut second = sum_service_on(*supported_cores().last().unwrap());
         second.set_template_store(Arc::clone(&store), 7);
         let server_b = HttpServer::spawn(second).unwrap();
         let (status, reply_b) = post(server_b.addr(), "urn:sum#sum", &body);
@@ -409,12 +382,10 @@ mod tests {
 
     #[test]
     fn handler_fault_is_500_fault_envelope() {
-        for core in cores() {
+        for &core in supported_cores() {
             let mut svc = Service::new(
                 "urn:f",
-                EngineConfig::paper_default()
-                    .with_wire_format(bsoap_core::WireFormat::SoapXml)
-                    .with_server_core(core),
+                EngineConfig::paper_default().with_server_core(core),
             );
             let op = OpDesc::single("f", "urn:f", "v", TypeDesc::Scalar(ScalarKind::Int));
             svc.register(
@@ -426,13 +397,9 @@ mod tests {
                 |_| Err("deliberate".into()),
             );
             let server = HttpServer::spawn(svc).unwrap();
-            let body = MessageTemplate::build(
-                EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml),
-                &op,
-                &[Value::Int(1)],
-            )
-            .unwrap()
-            .to_bytes();
+            let body = MessageTemplate::build(EngineConfig::paper_default(), &op, &[Value::Int(1)])
+                .unwrap()
+                .to_bytes();
             let (status, resp) = post(server.addr(), "urn:f#f", &body);
             assert_eq!(status, 500, "core {core:?}");
             assert!(String::from_utf8(resp).unwrap().contains("deliberate"));
@@ -442,7 +409,7 @@ mod tests {
 
     #[test]
     fn concurrent_clients() {
-        for core in cores() {
+        for &core in supported_cores() {
             let server = HttpServer::spawn(sum_service_on(core)).unwrap();
             let addr = server.addr();
             let handles: Vec<_> = (0..4)
@@ -464,7 +431,7 @@ mod tests {
 
     #[test]
     fn metrics_endpoint_mirrors_response_tiers() {
-        for core in cores() {
+        for &core in supported_cores() {
             let metrics = Metrics::shared();
             let server =
                 HttpServer::spawn_with_metrics(sum_service_on(core), Arc::clone(&metrics)).unwrap();
@@ -507,7 +474,7 @@ mod tests {
 
     #[test]
     fn non_http_garbage_draws_400_not_hang() {
-        for core in cores() {
+        for &core in supported_cores() {
             let server = HttpServer::spawn(sum_service_on(core)).unwrap();
             let mut c = TcpStream::connect(server.addr()).unwrap();
             c.write_all(b"GARBAGE THAT IS NOT HTTP\r\n\r\n").unwrap();
@@ -520,9 +487,8 @@ mod tests {
 
     #[test]
     fn oversized_body_draws_400_under_cap() {
-        for core in cores() {
+        for &core in supported_cores() {
             let cfg = EngineConfig::paper_default()
-                .with_wire_format(bsoap_core::WireFormat::SoapXml)
                 .with_http_caps(1 << 20, 64)
                 .with_server_core(core);
             let mut svc = Service::new("urn:sum", cfg);
@@ -600,7 +566,7 @@ mod tests {
     #[test]
     fn binary_round_trip_echoes_negotiation_headers() {
         use bsoap_transport::negotiate::{HDR_ACCEPT_LOWER, HDR_FORMAT_LOWER};
-        for core in cores() {
+        for &core in supported_cores() {
             let server = HttpServer::spawn(sum_service_on(core)).unwrap();
             let (status, headers, resp) = post_with_headers(
                 server.addr(),
@@ -637,7 +603,7 @@ mod tests {
     fn headerless_binary_body_is_sniffed() {
         // A peer that frames binary bodies but never sends X-BSOAP-Format:
         // the 4-byte magic carries the lane decision.
-        for core in cores() {
+        for &core in supported_cores() {
             let server = HttpServer::spawn(sum_service_on(core)).unwrap();
             let (status, headers, _) = post_with_headers(
                 server.addr(),
@@ -657,7 +623,7 @@ mod tests {
 
     #[test]
     fn xml_responses_advertise_the_binary_lane() {
-        for core in cores() {
+        for &core in supported_cores() {
             let server = HttpServer::spawn(sum_service_on(core)).unwrap();
             let (status, headers, _) = post_with_headers(
                 server.addr(),
@@ -685,7 +651,7 @@ mod tests {
         // A peer declaring a format we don't know (future rev, typo):
         // the body reads as XML — same behavior as an old server that
         // never heard of the header — so nothing is lost.
-        for core in cores() {
+        for &core in supported_cores() {
             let server = HttpServer::spawn(sum_service_on(core)).unwrap();
             let (status, headers, _) = post_with_headers(
                 server.addr(),
@@ -705,7 +671,7 @@ mod tests {
 
     #[test]
     fn disabled_binary_lane_draws_415_without_advert() {
-        for core in cores() {
+        for &core in supported_cores() {
             let svc = sum_service_on(core);
             svc.set_binary_enabled(false);
             let server = HttpServer::spawn(svc).unwrap();
@@ -730,36 +696,6 @@ mod tests {
             );
             assert_eq!(status, 200, "core {core:?}");
             server.stop();
-        }
-    }
-
-    /// `BSOAP_SERVER_CORE` is read by both `EngineConfig::paper_default`
-    /// (→ `HttpServer`) and `ServerOptions::default` (→ `TestServer`):
-    /// one name table, both parsers, so a value can never pick different
-    /// cores in the two.
-    #[test]
-    fn server_core_names_parse_alike_in_core_and_transport() {
-        use bsoap_transport::ServerCore as TransportCore;
-        let table = [
-            ("worker_pool", Some(ServerCore::WorkerPool)),
-            ("WorkerPool", Some(ServerCore::WorkerPool)),
-            ("worker-pool", Some(ServerCore::WorkerPool)),
-            ("event_loop", Some(ServerCore::EventLoop)),
-            ("eventloop", Some(ServerCore::EventLoop)),
-            ("Event-Loop", Some(ServerCore::EventLoop)),
-            (" event_loop", Some(ServerCore::EventLoop)),
-            ("\tWORKER_POOL \n", Some(ServerCore::WorkerPool)),
-            ("", None),
-            ("event loop", None),
-            ("threads", None),
-        ];
-        for (name, want) in table {
-            assert_eq!(ServerCore::from_name(name), want, "core: {name:?}");
-            let mapped = TransportCore::from_name(name).map(|c| match c {
-                TransportCore::WorkerPool => ServerCore::WorkerPool,
-                TransportCore::EventLoop => ServerCore::EventLoop,
-            });
-            assert_eq!(mapped, want, "transport: {name:?}");
         }
     }
 

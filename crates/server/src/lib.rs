@@ -26,7 +26,7 @@
 //! use bsoap_server::Service;
 //!
 //! let op = OpDesc::single("double", "urn:m", "x", TypeDesc::Scalar(ScalarKind::Int));
-//! let mut svc = Service::new("urn:m", EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml));
+//! let mut svc = Service::new("urn:m", EngineConfig::paper_default());
 //! svc.register(
 //!     op.clone(),
 //!     vec![ParamDesc { name: "y".into(), desc: TypeDesc::Scalar(ScalarKind::Int) }],
@@ -35,7 +35,7 @@
 //!         Ok(vec![Value::Int(x * 2)])
 //!     },
 //! );
-//! let request = MessageTemplate::build(EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::SoapXml), &op, &[Value::Int(21)])
+//! let request = MessageTemplate::build(EngineConfig::paper_default(), &op, &[Value::Int(21)])
 //!     .unwrap()
 //!     .to_bytes();
 //! let response = svc.dispatch("double", &request).unwrap();

@@ -69,8 +69,8 @@ pub use http::{render_get_request, HttpError, HttpVersion, PostScratch, RequestC
 pub use negotiate::{NegotiationState, Negotiator};
 pub use pool::{ConnectionPool, HttpPoolClient, HttpReply, PoolConfig, PoolStats, PooledConn};
 pub use server::{
-    serve, CollectedRequest, ServeMode, Server, ServerCore, ServerMode, ServerOptions, ServerStats,
-    TestServer,
+    serve, supported_cores, CollectedRequest, ServeMode, Server, ServerCore, ServerMode,
+    ServerOptions, ServerStats, TestServer,
 };
 pub use sink::{ProvenanceSink, SinkTransport};
 pub use stream::{read_head, ChunkedBodyReader, ChunkedBodyWriter};

@@ -50,47 +50,22 @@ pub enum ServerMode {
     Ack,
 }
 
-/// Which connection-handling core runs the server.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ServerCore {
-    /// One blocking worker thread per connection on the bounded worker
-    /// pool ([`crate::accept`]).
-    WorkerPool,
-    /// Epoll loops multiplexing every connection
-    /// ([`crate::event_loop`]). Falls back to [`ServerCore::WorkerPool`]
-    /// on platforms without epoll (see [`crate::poller::supported`]).
-    EventLoop,
-}
+pub use bsoap_obs::ServerCore;
 
-impl ServerCore {
-    /// Parse a core name as accepted by `BSOAP_SERVER_CORE`
-    /// (case-insensitive, surrounding whitespace ignored, separators
-    /// optional) — the same table as `bsoap_core::ServerCore::from_name`.
-    pub fn from_name(name: &str) -> Option<ServerCore> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "worker_pool" | "workerpool" | "worker-pool" => Some(ServerCore::WorkerPool),
-            "event_loop" | "eventloop" | "event-loop" => Some(ServerCore::EventLoop),
-            _ => None,
-        }
-    }
-
-    /// The default core, overridable via the `BSOAP_SERVER_CORE`
-    /// environment variable (CI runs whole suites on the event loop this
-    /// way). Only [`ServerOptions::default`] consults this — an explicit
-    /// `core:` setting always wins.
-    pub fn default_from_env() -> ServerCore {
-        std::env::var("BSOAP_SERVER_CORE")
-            .ok()
-            .and_then(|v| ServerCore::from_name(&v))
-            .unwrap_or(ServerCore::WorkerPool)
+/// The cores this platform can drive — what "on every core" means to a
+/// test or a bench: the event loop needs [`crate::poller::supported`].
+pub fn supported_cores() -> &'static [ServerCore] {
+    if crate::poller::supported() {
+        &[ServerCore::WorkerPool, ServerCore::EventLoop]
+    } else {
+        &[ServerCore::WorkerPool]
     }
 }
 
 /// Server tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerOptions {
-    /// Which core serves connections. Defaults per
-    /// [`ServerCore::default_from_env`].
+    /// Which core serves connections.
     pub core: ServerCore,
     /// Worker threads: each drives one connection on the worker pool; on
     /// the event-loop core they are the dispatch pool running the handler.
@@ -132,7 +107,7 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
-            core: ServerCore::default_from_env(),
+            core: ServerCore::WorkerPool,
             workers: 4,
             event_loop_threads: 2,
             max_connections: 8192,
@@ -440,16 +415,6 @@ mod tests {
     use std::io::{IoSlice, Write};
     use std::net::TcpStream;
 
-    /// Every core available on this platform: the whole suite runs against
-    /// each, since a core only drives the `Conn` machine.
-    fn cores() -> Vec<ServerCore> {
-        if crate::poller::supported() {
-            vec![ServerCore::WorkerPool, ServerCore::EventLoop]
-        } else {
-            vec![ServerCore::WorkerPool]
-        }
-    }
-
     fn opts_on(core: ServerCore) -> ServerOptions {
         ServerOptions {
             core,
@@ -458,25 +423,8 @@ mod tests {
     }
 
     #[test]
-    fn core_names_parse() {
-        assert_eq!(
-            ServerCore::from_name("event_loop"),
-            Some(ServerCore::EventLoop)
-        );
-        assert_eq!(
-            ServerCore::from_name("EventLoop"),
-            Some(ServerCore::EventLoop)
-        );
-        assert_eq!(
-            ServerCore::from_name("worker-pool"),
-            Some(ServerCore::WorkerPool)
-        );
-        assert_eq!(ServerCore::from_name("threads"), None);
-    }
-
-    #[test]
     fn discard_server_counts_bytes() {
-        for core in cores() {
+        for &core in supported_cores() {
             let server = TestServer::spawn_with(ServerMode::Discard, opts_on(core)).unwrap();
             let mut c = TcpStream::connect(server.addr()).unwrap();
             c.write_all(b"0123456789abcdef").unwrap();
@@ -497,7 +445,7 @@ mod tests {
 
     #[test]
     fn collect_server_parses_and_acks() {
-        for core in cores() {
+        for &core in supported_cores() {
             let server = TestServer::spawn_with(ServerMode::Collect, opts_on(core)).unwrap();
             let mut c = TcpStream::connect(server.addr()).unwrap();
             let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
@@ -516,7 +464,7 @@ mod tests {
 
     #[test]
     fn ack_server_counts_but_does_not_store() {
-        for core in cores() {
+        for &core in supported_cores() {
             let server = TestServer::spawn_with(ServerMode::Ack, opts_on(core)).unwrap();
             let mut c = TcpStream::connect(server.addr()).unwrap();
             let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
@@ -542,7 +490,7 @@ mod tests {
 
     #[test]
     fn multiple_connections() {
-        for core in cores() {
+        for &core in supported_cores() {
             let server = TestServer::spawn_with(ServerMode::Discard, opts_on(core)).unwrap();
             let mut handles = Vec::new();
             for i in 0..4 {
@@ -571,7 +519,7 @@ mod tests {
     fn connections_beyond_workers_queue_and_complete() {
         // 1 worker (1 dispatcher on the event loop), 3 concurrent HTTP
         // clients: all requests must be answered (queued, not refused).
-        for core in cores() {
+        for &core in supported_cores() {
             let server = TestServer::spawn_with(
                 ServerMode::Ack,
                 ServerOptions {
@@ -605,7 +553,7 @@ mod tests {
 
     #[test]
     fn metrics_endpoint_reports_server_counters() {
-        for core in cores() {
+        for &core in supported_cores() {
             let metrics = Metrics::shared();
             let server = TestServer::spawn_with_metrics(
                 ServerMode::Ack,
@@ -654,7 +602,7 @@ mod tests {
 
     #[test]
     fn metrics_scrape_without_registry_is_404() {
-        for core in cores() {
+        for &core in supported_cores() {
             let server = TestServer::spawn_with(ServerMode::Ack, opts_on(core)).unwrap();
             let mut c = TcpStream::connect(server.addr()).unwrap();
             let mut get = Vec::new();
@@ -669,7 +617,7 @@ mod tests {
 
     #[test]
     fn malformed_request_draws_400_then_close() {
-        for core in cores() {
+        for &core in supported_cores() {
             let metrics = Metrics::shared();
             let server = TestServer::spawn_with_metrics(
                 ServerMode::Ack,
@@ -701,7 +649,7 @@ mod tests {
 
     #[test]
     fn oversized_head_draws_400() {
-        for core in cores() {
+        for &core in supported_cores() {
             let metrics = Metrics::shared();
             let server = TestServer::spawn_with_metrics(
                 ServerMode::Ack,
@@ -732,7 +680,7 @@ mod tests {
 
     #[test]
     fn slow_loris_connection_is_evicted() {
-        for core in cores() {
+        for &core in supported_cores() {
             let metrics = Metrics::shared();
             let server = TestServer::spawn_with_metrics(
                 ServerMode::Ack,
@@ -766,7 +714,7 @@ mod tests {
     fn timeouts_fire_without_a_metrics_registry() {
         // The deadline rules are the machine's, not the registry's: a
         // server spawned without metrics still evicts a stalled peer.
-        for core in cores() {
+        for &core in supported_cores() {
             let server = TestServer::spawn_with(
                 ServerMode::Ack,
                 ServerOptions {
@@ -800,7 +748,7 @@ mod tests {
         // keeps every individual read succeeding — the per-read timeout
         // alone never fires (on the event loop, every byte slides the
         // stall timer). The per-request budget must evict it anyway.
-        for core in cores() {
+        for &core in supported_cores() {
             let metrics = Metrics::shared();
             let server = TestServer::spawn_with_metrics(
                 ServerMode::Ack,
@@ -851,7 +799,7 @@ mod tests {
         // The budget opens at the first byte of a request: a client that
         // idles between two requests longer than `request_timeout` must
         // still be served (only reads *within* a request are budgeted).
-        for core in cores() {
+        for &core in supported_cores() {
             let server = TestServer::spawn_with(
                 ServerMode::Ack,
                 ServerOptions {
@@ -884,7 +832,7 @@ mod tests {
 
     #[test]
     fn stop_without_traffic() {
-        for core in cores() {
+        for &core in supported_cores() {
             let server = TestServer::spawn_with(ServerMode::Discard, opts_on(core)).unwrap();
             let stats = server.stop();
             assert_eq!(stats.bytes_received, 0, "core {core:?}");
@@ -893,7 +841,7 @@ mod tests {
 
     #[test]
     fn drop_shuts_down_cleanly() {
-        for core in cores() {
+        for &core in supported_cores() {
             let server = TestServer::spawn_with(ServerMode::Collect, opts_on(core)).unwrap();
             let addr = server.addr();
             drop(server);
@@ -909,7 +857,7 @@ mod tests {
     /// request budget.
     #[test]
     fn idle_keep_alive_connection_is_reaped() {
-        for core in cores() {
+        for &core in supported_cores() {
             let metrics = Metrics::shared();
             let server = TestServer::spawn_with_metrics(
                 ServerMode::Ack,
@@ -978,7 +926,7 @@ mod tests {
                 Ok(())
             }
         }
-        for core in cores() {
+        for &core in supported_cores() {
             let tally = Arc::new(Mutex::new((0usize, false)));
             let sink_tally = Arc::clone(&tally);
             let server = TestServer::spawn_streaming(

@@ -20,9 +20,7 @@ use bsoap_obs::{Counter, Metrics};
 use bsoap_transport::http::{
     HttpError, Parsed, RequestParser, RequestReader, MAX_SIZE_LINE, MAX_TRAILERS,
 };
-use bsoap_transport::{
-    poller, ChunkedBodyReader, ServerCore, ServerMode, ServerOptions, TestServer,
-};
+use bsoap_transport::{supported_cores, ChunkedBodyReader, ServerMode, ServerOptions, TestServer};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
@@ -279,14 +277,6 @@ fn every_bound_holds_at_the_limit_and_breaks_one_past_it_in_memory() {
     }
 }
 
-fn cores() -> Vec<ServerCore> {
-    if poller::supported() {
-        vec![ServerCore::WorkerPool, ServerCore::EventLoop]
-    } else {
-        vec![ServerCore::WorkerPool]
-    }
-}
-
 /// Send `wire` (then our FIN, so a truncated request reads as EOF rather
 /// than as a stall) and return everything the server answers until it
 /// closes. A `flood` is sent only once the answer ends with `tail`: the
@@ -314,7 +304,7 @@ fn exchange(server: &TestServer, wire: &[u8], flood: usize, tail: &[u8]) -> Vec<
 fn every_bound_holds_on_every_server_core() {
     for row in rows() {
         let mut refusals = Vec::new();
-        for core in cores() {
+        for &core in supported_cores() {
             let metrics = Metrics::shared();
             let server = TestServer::spawn_with_metrics(
                 ServerMode::Collect,

@@ -321,15 +321,10 @@ fn breaker_half_open_admits_exactly_one_probe() {
 #[test]
 fn overloaded_server_queues_every_client_on_both_cores() {
     use bsoap_transport::http::{post_gather, read_response, HttpVersion, RequestConfig};
-    use bsoap_transport::{ServerCore, ServerMode, ServerOptions, TestServer};
+    use bsoap_transport::{supported_cores, ServerMode, ServerOptions, TestServer};
     use std::io::{IoSlice, Write};
 
-    let cores = if bsoap_transport::poller::supported() {
-        vec![ServerCore::WorkerPool, ServerCore::EventLoop]
-    } else {
-        vec![ServerCore::WorkerPool]
-    };
-    for core in cores {
+    for &core in supported_cores() {
         let server = TestServer::spawn_with(
             ServerMode::Ack,
             ServerOptions {

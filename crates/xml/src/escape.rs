@@ -371,7 +371,7 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_forced_simd_escapes_agree() {
+    fn scalar_and_simd_escapes_agree() {
         let samples: &[&str] = &[
             "",
             "short",
@@ -385,12 +385,12 @@ mod tests {
             let mut scalar = Vec::new();
             let mut simd = Vec::new();
             escape_text_into_with(&mut scalar, s, KernelPolicy::Scalar);
-            escape_text_into_with(&mut simd, s, KernelPolicy::ForcedSimd);
+            escape_text_into_with(&mut simd, s, KernelPolicy::Auto);
             assert_eq!(scalar, simd, "text kernels diverged on {s:?}");
             let mut scalar = Vec::new();
             let mut simd = Vec::new();
             escape_attr_into_with(&mut scalar, s, KernelPolicy::Scalar);
-            escape_attr_into_with(&mut simd, s, KernelPolicy::ForcedSimd);
+            escape_attr_into_with(&mut simd, s, KernelPolicy::Auto);
             assert_eq!(scalar, simd, "attr kernels diverged on {s:?}");
         }
     }

@@ -114,7 +114,7 @@ proptest! {
         let mut scalar = Vec::new();
         let mut simd = Vec::new();
         escape_text_into_with(&mut scalar, &text, KernelPolicy::Scalar);
-        escape_text_into_with(&mut simd, &text, KernelPolicy::ForcedSimd);
+        escape_text_into_with(&mut simd, &text, KernelPolicy::Auto);
         prop_assert_eq!(scalar, simd);
     }
 

@@ -209,17 +209,8 @@ mod tests {
     use crate::wsdl::{parse_wsdl, write_wsdl};
     use crate::{SendTier, TypeDesc};
 
-    /// Server cores to exercise: both when the platform has epoll, else
-    /// just the worker pool.
-    fn cores() -> Vec<bsoap_core::ServerCore> {
-        if crate::transport::poller::supported() {
-            vec![
-                bsoap_core::ServerCore::WorkerPool,
-                bsoap_core::ServerCore::EventLoop,
-            ]
-        } else {
-            vec![bsoap_core::ServerCore::WorkerPool]
-        }
+    fn lane_config(format: WireFormat) -> EngineConfig {
+        EngineConfig::paper_default().with_wire_format(format)
     }
 
     fn scale_service() -> (ServiceDesc, Service) {
@@ -267,15 +258,11 @@ mod tests {
         let server = HttpServer::spawn(svc).unwrap();
         // The client side bootstraps from the published WSDL document.
         let parsed = parse_wsdl(write_wsdl(&desc).as_bytes()).unwrap();
-        // Pinned to the XML lane: the tier trajectory below narrates the
-        // non-negotiating flow (a binary-default client's second call is
-        // the lane upgrade, a FirstTime rebuild).
-        let mut rpc = RpcClient::connect(
-            parsed,
-            server.addr(),
-            EngineConfig::paper_default().with_wire_format(WireFormat::SoapXml),
-        )
-        .unwrap();
+        // The XML lane's trajectory; `negotiated_binary_upgrade_round_trip`
+        // narrates the binary one (its second call is the lane upgrade, a
+        // FirstTime rebuild).
+        let mut rpc =
+            RpcClient::connect(parsed, server.addr(), EngineConfig::paper_default()).unwrap();
         rpc.declare_response(
             "scale",
             vec![ParamDesc {
@@ -307,7 +294,7 @@ mod tests {
     #[test]
     fn negotiated_binary_upgrade_round_trip() {
         use crate::transport::NegotiationState;
-        for core in cores() {
+        for &core in crate::transport::supported_cores() {
             let (desc, svc) = scale_service_on(core);
             let server = HttpServer::spawn(svc).unwrap();
             let mut rpc = RpcClient::connect(
@@ -368,12 +355,8 @@ mod tests {
         use crate::transport::NegotiationState;
         let (desc, svc) = scale_service();
         let server = HttpServer::spawn(svc).unwrap();
-        let mut rpc = RpcClient::connect(
-            desc,
-            server.addr(),
-            EngineConfig::paper_default().with_wire_format(WireFormat::SoapXml),
-        )
-        .unwrap();
+        let mut rpc =
+            RpcClient::connect(desc, server.addr(), EngineConfig::paper_default()).unwrap();
         rpc.call("scale", &[Value::DoubleArray(vec![1.0])]).unwrap();
         // The server adverts bin1, but a client that never offered
         // stays on XML.
@@ -384,7 +367,7 @@ mod tests {
     #[test]
     fn mid_keepalive_downgrade_loses_no_request() {
         use crate::transport::NegotiationState;
-        for core in cores() {
+        for &core in crate::transport::supported_cores() {
             let (desc, svc) = scale_service_on(core);
             let server = HttpServer::spawn(svc).unwrap();
             let mut rpc = RpcClient::connect(
@@ -434,15 +417,16 @@ mod tests {
 
     #[test]
     fn unknown_operation_rejected_client_side() {
-        let (desc, svc) = scale_service();
-        let server = HttpServer::spawn(svc).unwrap();
-        let mut rpc =
-            RpcClient::connect(desc, server.addr(), EngineConfig::paper_default()).unwrap();
-        assert!(matches!(
-            rpc.call("ghost", &[]),
-            Err(RpcError::UnknownOperation(_))
-        ));
-        server.stop();
+        for format in WireFormat::ALL {
+            let (desc, svc) = scale_service();
+            let server = HttpServer::spawn(svc).unwrap();
+            let mut rpc = RpcClient::connect(desc, server.addr(), lane_config(format)).unwrap();
+            assert!(matches!(
+                rpc.call("ghost", &[]),
+                Err(RpcError::UnknownOperation(_))
+            ));
+            server.stop();
+        }
     }
 
     #[test]
@@ -464,13 +448,15 @@ mod tests {
             |_| Err("boom".into()),
         );
         let server = HttpServer::spawn(svc).unwrap();
-        let mut rpc =
-            RpcClient::connect(desc, server.addr(), EngineConfig::paper_default()).unwrap();
-        match rpc.call("f", &[Value::Int(1)]) {
-            Err(RpcError::Status(500, body)) => {
-                assert!(String::from_utf8(body).unwrap().contains("boom"));
+        for format in WireFormat::ALL {
+            let mut rpc =
+                RpcClient::connect(desc.clone(), server.addr(), lane_config(format)).unwrap();
+            match rpc.call("f", &[Value::Int(1)]) {
+                Err(RpcError::Status(500, body)) => {
+                    assert!(String::from_utf8(body).unwrap().contains("boom"));
+                }
+                other => panic!("{format:?}: expected 500 fault, got {other:?}"),
             }
-            other => panic!("expected 500 fault, got {other:?}"),
         }
         server.stop();
     }
@@ -479,13 +465,18 @@ mod tests {
     fn missing_response_decl_yields_empty_values() {
         let (desc, svc) = scale_service();
         let server = HttpServer::spawn(svc).unwrap();
-        let mut rpc =
-            RpcClient::connect(desc, server.addr(), EngineConfig::paper_default()).unwrap();
-        let got = rpc.call("scale", &[Value::DoubleArray(vec![1.0])]).unwrap();
-        assert!(
-            got.is_empty(),
-            "no declared response schema → values skipped"
-        );
+        for format in WireFormat::ALL {
+            let mut rpc =
+                RpcClient::connect(desc.clone(), server.addr(), lane_config(format)).unwrap();
+            // Two calls: on the binary lane the second one rides bin1.
+            for _ in 0..2 {
+                let got = rpc.call("scale", &[Value::DoubleArray(vec![1.0])]).unwrap();
+                assert!(
+                    got.is_empty(),
+                    "{format:?}: no declared response schema → values skipped"
+                );
+            }
+        }
         server.stop();
     }
 }

@@ -839,7 +839,7 @@ fn chaos_smoke_fixed_schedule() {
         (Update::Resend, Fault::Clean),
         (Update::Resend, Fault::Clean),
     ];
-    for format in [WireFormat::SoapXml, WireFormat::CompactBinary] {
+    for format in WireFormat::ALL {
         for degrade_after in [0, 2] {
             run_schedule(vec![1.5, 2.5, 3.5, 4.5], &steps, degrade_after, format).unwrap_or_else(
                 |e| panic!("{} degrade_after {degrade_after}: {e:?}", format.name()),
@@ -856,22 +856,12 @@ fn chaos_smoke_fixed_schedule() {
 // and on the event loop's incremental per-connection state machine alike.
 // ---------------------------------------------------------------------
 
-/// Every server core available on this platform.
-fn cores() -> Vec<bsoap::transport::ServerCore> {
-    use bsoap::transport::ServerCore;
-    if bsoap::transport::poller::supported() {
-        vec![ServerCore::WorkerPool, ServerCore::EventLoop]
-    } else {
-        vec![ServerCore::WorkerPool]
-    }
-}
-
 #[test]
 fn fragmented_chaos_sends_round_trip_on_both_cores() {
     use bsoap::transport::http::{
         post_gather_vectored, read_response, HttpVersion, PostScratch, RequestConfig,
     };
-    use bsoap::transport::{ServerMode, ServerOptions, TestServer};
+    use bsoap::transport::{supported_cores, ServerMode, ServerOptions, TestServer};
     use std::net::TcpStream;
 
     /// Write shim over a real socket: at most `cap` bytes per call, with
@@ -897,9 +887,9 @@ fn fragmented_chaos_sends_round_trip_on_both_cores() {
         }
     }
 
-    for (core, format) in cores()
-        .into_iter()
-        .flat_map(|c| [WireFormat::SoapXml, WireFormat::CompactBinary].map(move |f| (c, f)))
+    for (&core, format) in supported_cores()
+        .iter()
+        .flat_map(|c| WireFormat::ALL.map(move |f| (c, f)))
     {
         let server = TestServer::spawn_with(
             ServerMode::Collect,

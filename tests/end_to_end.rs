@@ -11,9 +11,13 @@ use bsoap::convert::ScalarKind;
 use bsoap::deser::{parse_envelope, DiffDeserializer, DiffOutcome};
 use bsoap::transport::http::{HttpVersion, RequestConfig};
 use bsoap::transport::tcp::{Framing, TcpTransport};
-use bsoap::transport::{ServerCore, ServerMode, ServerOptions, TestServer, Transport};
+use bsoap::transport::{
+    supported_cores, ServerCore, ServerMode, ServerOptions, TestServer, Transport,
+};
 use bsoap::xml::strip_pad;
-use bsoap::{mio, Client, EngineConfig, OpDesc, SendTier, TypeDesc, Value, WidthPolicy};
+use bsoap::{
+    mio, Client, EngineConfig, OpDesc, SendTier, TypeDesc, Value, WidthPolicy, WireFormat,
+};
 
 fn doubles_op() -> OpDesc {
     OpDesc::single(
@@ -24,15 +28,13 @@ fn doubles_op() -> OpDesc {
     )
 }
 
-/// Every server core available on this platform: each end-to-end
-/// guarantee below is asserted against all of them from one test body,
-/// proving the event loop is a drop-in replacement for the worker pool.
-fn cores() -> Vec<ServerCore> {
-    if bsoap::transport::poller::supported() {
-        vec![ServerCore::WorkerPool, ServerCore::EventLoop]
-    } else {
-        vec![ServerCore::WorkerPool]
-    }
+/// Each end-to-end guarantee below is asserted on every core in
+/// `supported_cores()` from one test body, proving the event loop is a
+/// drop-in replacement for the worker pool.
+/// Tests that are about the transport, not the lane, take their client
+/// from here and run on both lanes.
+fn lane_client(format: WireFormat) -> Client {
+    Client::new(EngineConfig::paper_default().with_wire_format(format))
 }
 
 fn opts_on(core: ServerCore) -> ServerOptions {
@@ -44,34 +46,36 @@ fn opts_on(core: ServerCore) -> ServerOptions {
 
 #[test]
 fn raw_tcp_bytes_match_fresh_serialization() {
-    for core in cores() {
+    for &core in supported_cores() {
         let server = TestServer::spawn_with(ServerMode::Discard, opts_on(core)).unwrap();
-        let mut t = TcpTransport::connect(server.addr(), Framing::Raw).unwrap();
-        let op = doubles_op();
-        let mut client = Client::with_defaults();
-
-        let mut xs = vec![1.5, 2.5, 3.5];
         let mut expected_total = 0u64;
-        let mut g = GSoapLike::new();
-        for step in 0..5 {
-            xs[step % 3] += 1.0;
-            let r = client
-                .call("tcp://peer", &op, &[Value::DoubleArray(xs.clone())], &mut t)
-                .unwrap();
-            expected_total += r.bytes as u64;
-            // The differential message must parse to the same values a full
-            // serializer would produce.
-            let full = g
-                .serialize(&op, &[Value::DoubleArray(xs.clone())])
-                .unwrap()
-                .to_vec();
-            assert_eq!(
-                parse_envelope(&full, &op).unwrap(),
-                vec![Value::DoubleArray(xs.clone())]
-            );
+        // One connection per lane into the same byte-counting server.
+        for format in WireFormat::ALL {
+            let mut t = TcpTransport::connect(server.addr(), Framing::Raw).unwrap();
+            let op = doubles_op();
+            let mut client = lane_client(format);
+
+            let mut xs = vec![1.5, 2.5, 3.5];
+            let mut g = GSoapLike::new();
+            for step in 0..5 {
+                xs[step % 3] += 1.0;
+                let r = client
+                    .call("tcp://peer", &op, &[Value::DoubleArray(xs.clone())], &mut t)
+                    .unwrap();
+                expected_total += r.bytes as u64;
+                // The differential message must parse to the same values a full
+                // serializer would produce.
+                let full = g
+                    .serialize(&op, &[Value::DoubleArray(xs.clone())])
+                    .unwrap()
+                    .to_vec();
+                assert_eq!(
+                    parse_envelope(&full, &op).unwrap(),
+                    vec![Value::DoubleArray(xs.clone())]
+                );
+            }
+            t.finish().unwrap();
         }
-        t.finish().unwrap();
-        drop(t);
         let stats = server.stop();
         assert_eq!(stats.bytes_received, expected_total, "core {core:?}");
     }
@@ -79,13 +83,12 @@ fn raw_tcp_bytes_match_fresh_serialization() {
 
 #[test]
 fn http_collect_round_trip_all_tiers() {
-    for core in cores() {
+    for &core in supported_cores() {
         let server = TestServer::spawn_with(ServerMode::Collect, opts_on(core)).unwrap();
         let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
         let mut t = TcpTransport::connect(server.addr(), Framing::Http(cfg)).unwrap();
         let op = doubles_op();
-        let mut client =
-            Client::new(EngineConfig::paper_default().with_wire_format(bsoap::WireFormat::SoapXml));
+        let mut client = Client::new(EngineConfig::paper_default());
 
         let sequences: Vec<Vec<f64>> = vec![
             vec![1.5, 2.5, 3.5],      // first-time
@@ -128,17 +131,15 @@ fn http_collect_round_trip_all_tiers() {
 fn chunked_http_streams_multi_chunk_templates() {
     // Small chunks force a multi-chunk template; HTTP/1.1 chunked framing
     // maps each template chunk onto a wire chunk.
-    for core in cores() {
+    for &core in supported_cores() {
         let server = TestServer::spawn_with(ServerMode::Collect, opts_on(core)).unwrap();
         let cfg = RequestConfig::loopback(HttpVersion::Http11Chunked);
         let mut t = TcpTransport::connect(server.addr(), Framing::Http(cfg)).unwrap();
-        let config = EngineConfig::paper_default()
-            .with_wire_format(bsoap::WireFormat::SoapXml)
-            .with_chunk(bsoap::ChunkConfig {
-                initial_size: 1024,
-                split_threshold: 2048,
-                reserve: 64,
-            });
+        let config = EngineConfig::paper_default().with_chunk(bsoap::ChunkConfig {
+            initial_size: 1024,
+            split_threshold: 2048,
+            reserve: 64,
+        });
         let op = doubles_op();
         let mut client = Client::new(config);
 
@@ -169,16 +170,12 @@ fn chunked_http_streams_multi_chunk_templates() {
 fn client_server_differential_deserialization_pipeline() {
     // The full paper pipeline: differential client on one end,
     // differential deserializer on the other.
-    for core in cores() {
+    for &core in supported_cores() {
         let server = TestServer::spawn_with(ServerMode::Collect, opts_on(core)).unwrap();
         let cfg = RequestConfig::loopback(HttpVersion::Http10);
         let mut t = TcpTransport::connect(server.addr(), Framing::Http(cfg)).unwrap();
         let op = OpDesc::single("m", "urn:x", "a", TypeDesc::array_of(TypeDesc::mio()));
-        let mut client = Client::new(
-            EngineConfig::paper_default()
-                .with_wire_format(bsoap::WireFormat::SoapXml)
-                .with_width(WidthPolicy::Max),
-        );
+        let mut client = Client::new(EngineConfig::paper_default().with_width(WidthPolicy::Max));
 
         let mut elems: Vec<(i32, i32, f64)> = (0..50).map(|i| (i, -i, i as f64 * 0.5)).collect();
         let as_value =
@@ -222,7 +219,7 @@ fn client_server_differential_deserialization_pipeline() {
 fn overlay_wire_bytes_equal_template_bytes() {
     use bsoap::OverlaySender;
     let op = doubles_op();
-    let config = EngineConfig::paper_default().with_wire_format(bsoap::WireFormat::SoapXml);
+    let config = EngineConfig::paper_default();
     let xs: Vec<f64> = (0..5000).map(|i| (i as f64).sin()).collect();
     let value = Value::DoubleArray(xs);
 
@@ -260,137 +257,149 @@ fn pooled_keep_alive_scrape_reports_tier_counters_mid_load() {
     use bsoap::transport::{HttpPoolClient, PoolConfig, RequestConfig};
     use std::sync::Arc;
 
-    for core in cores() {
-        let metrics = Metrics::shared();
-        let server = bsoap::transport::TestServer::spawn_with_metrics(
-            ServerMode::Ack,
-            opts_on(core),
-            Arc::clone(&metrics),
-        )
-        .unwrap();
-        let mut pool = HttpPoolClient::new(
-            server.addr(),
-            RequestConfig::loopback(HttpVersion::Http11Length),
-            PoolConfig::default(),
-        );
-        pool.set_metrics(Arc::clone(&metrics));
+    for &core in supported_cores() {
+        for format in WireFormat::ALL {
+            let metrics = Metrics::shared();
+            let server = bsoap::transport::TestServer::spawn_with_metrics(
+                ServerMode::Ack,
+                opts_on(core),
+                Arc::clone(&metrics),
+            )
+            .unwrap();
+            let mut pool = HttpPoolClient::new(
+                server.addr(),
+                RequestConfig::loopback(HttpVersion::Http11Length),
+                PoolConfig::default(),
+            );
+            pool.set_metrics(Arc::clone(&metrics));
 
-        let op = doubles_op();
-        let mut client = Client::with_defaults();
-        client.set_metrics(Arc::clone(&metrics));
-        let endpoint = format!("http://{}/service", server.addr());
+            let op = doubles_op();
+            let mut client = lane_client(format);
+            client.set_metrics(Arc::clone(&metrics));
+            let endpoint = format!("http://{}/service", server.addr());
 
-        let tier_sum = |text: &str| -> u64 {
-            Tier::ALL
-                .iter()
-                .map(|t| {
-                    parse_value(
-                        text,
-                        &format!("bsoap_sends_total{{tier=\"{}\"}}", t.label()),
-                    )
-                    .unwrap_or_else(|| panic!("missing tier series {}", t.label()))
-                        as u64
-                })
-                .sum()
-        };
-        let scrape = |pool: &HttpPoolClient| -> String {
-            let reply = pool.get("/metrics").unwrap();
-            assert_eq!(reply.status, 200);
-            String::from_utf8(reply.body).unwrap()
-        };
+            let tier_sum = |text: &str| -> u64 {
+                Tier::ALL
+                    .iter()
+                    .map(|t| {
+                        parse_value(
+                            text,
+                            &format!("bsoap_sends_total{{tier=\"{}\"}}", t.label()),
+                        )
+                        .unwrap_or_else(|| panic!("missing tier series {}", t.label()))
+                            as u64
+                    })
+                    .sum()
+            };
+            let scrape = |pool: &HttpPoolClient| -> String {
+                let reply = pool.get("/metrics").unwrap();
+                assert_eq!(reply.status, 200);
+                String::from_utf8(reply.body).unwrap()
+            };
 
-        let total = 24usize;
-        let mut xs: Vec<f64> = (0..64).map(|i| i as f64 * 0.5).collect();
-        for i in 0..total {
-            if i > 0 {
-                xs[(i * 7) % 64] += 1.0; // a few dirty values per call
+            let total = 24usize;
+            let mut xs: Vec<f64> = (0..64).map(|i| i as f64 * 0.5).collect();
+            for i in 0..total {
+                if i > 0 {
+                    xs[(i * 7) % 64] += 1.0; // a few dirty values per call
+                }
+                client
+                    .call_via(&endpoint, &op, &[Value::DoubleArray(xs.clone())], |s| {
+                        let reply = pool.call(s)?;
+                        assert_eq!(reply.status, 200);
+                        Ok(reply.wire_bytes)
+                    })
+                    .unwrap();
+
+                if i + 1 == total / 2 {
+                    // Mid-load scrape over the live keep-alive connection.
+                    let text = scrape(&pool);
+                    let served =
+                        parse_value(&text, "bsoap_server_requests_total").unwrap() as usize;
+                    assert_eq!(
+                        served,
+                        i + 1,
+                        "server_requests mid-load, {core:?} {format:?}"
+                    );
+                    assert_eq!(
+                        tier_sum(&text) as usize,
+                        i + 1,
+                        "tier sum mid-load, {core:?} {format:?}"
+                    );
+                }
             }
-            client
-                .call_via(&endpoint, &op, &[Value::DoubleArray(xs.clone())], |s| {
-                    let reply = pool.call(s)?;
-                    assert_eq!(reply.status, 200);
-                    Ok(reply.wire_bytes)
-                })
-                .unwrap();
 
-            if i + 1 == total / 2 {
-                // Mid-load scrape over the live keep-alive connection.
-                let text = scrape(&pool);
-                let served = parse_value(&text, "bsoap_server_requests_total").unwrap() as usize;
-                assert_eq!(served, i + 1, "server_requests mid-load, core {core:?}");
-                assert_eq!(
-                    tier_sum(&text) as usize,
-                    i + 1,
-                    "tier sum mid-load, core {core:?}"
-                );
-            }
+            let text = scrape(&pool);
+            assert_eq!(
+                parse_value(&text, "bsoap_server_requests_total").unwrap() as usize,
+                total,
+                "scrapes must not count as served requests ({core:?} {format:?})"
+            );
+            assert_eq!(
+                tier_sum(&text) as usize,
+                total,
+                "tier sum after load, {core:?} {format:?}"
+            );
+            assert_eq!(
+                parse_value(&text, "bsoap_metrics_scrapes_total").unwrap() as usize,
+                2,
+                "{core:?} {format:?}"
+            );
+
+            let snap = metrics.snapshot();
+            assert_eq!(snap.total_sends() as usize, total);
+            assert_eq!(snap.tier_sends(Tier::FirstTime), 1);
+            assert_eq!(
+                snap.get(Counter::ServerRequests) as usize,
+                total,
+                "{core:?} {format:?}"
+            );
+            assert!(
+                snap.get(Counter::PoolReused) > 0,
+                "keep-alive reuse never happened ({core:?} {format:?})"
+            );
+
+            // Close the idle keep-alive connections so the stop below
+            // does not sit out its drain deadline waiting on them.
+            drop(pool);
+            let stats = server.stop();
+            assert_eq!(stats.requests as usize, total, "{core:?} {format:?}");
         }
-
-        let text = scrape(&pool);
-        assert_eq!(
-            parse_value(&text, "bsoap_server_requests_total").unwrap() as usize,
-            total,
-            "scrapes must not count as served requests (core {core:?})"
-        );
-        assert_eq!(
-            tier_sum(&text) as usize,
-            total,
-            "tier sum after load, core {core:?}"
-        );
-        assert_eq!(
-            parse_value(&text, "bsoap_metrics_scrapes_total").unwrap() as usize,
-            2,
-            "core {core:?}"
-        );
-
-        let snap = metrics.snapshot();
-        assert_eq!(snap.total_sends() as usize, total);
-        assert_eq!(snap.tier_sends(Tier::FirstTime), 1);
-        assert_eq!(
-            snap.get(Counter::ServerRequests) as usize,
-            total,
-            "core {core:?}"
-        );
-        assert!(
-            snap.get(Counter::PoolReused) > 0,
-            "keep-alive reuse never happened (core {core:?})"
-        );
-
-        let stats = server.stop();
-        assert_eq!(stats.requests as usize, total, "core {core:?}");
     }
 }
 
 #[test]
 fn two_endpoints_get_independent_templates() {
-    let op = doubles_op();
-    let mut client = Client::with_defaults();
-    let mut sink_a = bsoap::transport::SinkTransport::new();
-    let mut sink_b = bsoap::transport::SinkTransport::new();
+    for format in WireFormat::ALL {
+        let op = doubles_op();
+        let mut client = lane_client(format);
+        let mut sink_a = bsoap::transport::SinkTransport::new();
+        let mut sink_b = bsoap::transport::SinkTransport::new();
 
-    let xs = vec![1.5; 10];
-    client
-        .call(
-            "http://a",
-            &op,
-            &[Value::DoubleArray(xs.clone())],
-            &mut sink_a,
-        )
-        .unwrap();
-    // Same payload to a different endpoint: its own first-time send.
-    let r = client
-        .call(
-            "http://b",
-            &op,
-            &[Value::DoubleArray(xs.clone())],
-            &mut sink_b,
-        )
-        .unwrap();
-    assert_eq!(r.tier, SendTier::FirstTime);
-    assert_eq!(client.cached_keys(), 2);
-    // Back to endpoint A unchanged: content match survives interleaving.
-    let r = client
-        .call("http://a", &op, &[Value::DoubleArray(xs)], &mut sink_a)
-        .unwrap();
-    assert_eq!(r.tier, SendTier::ContentMatch);
+        let xs = vec![1.5; 10];
+        client
+            .call(
+                "http://a",
+                &op,
+                &[Value::DoubleArray(xs.clone())],
+                &mut sink_a,
+            )
+            .unwrap();
+        // Same payload to a different endpoint: its own first-time send.
+        let r = client
+            .call(
+                "http://b",
+                &op,
+                &[Value::DoubleArray(xs.clone())],
+                &mut sink_b,
+            )
+            .unwrap();
+        assert_eq!(r.tier, SendTier::FirstTime);
+        assert_eq!(client.cached_keys(), 2);
+        // Back to endpoint A unchanged: content match survives interleaving.
+        let r = client
+            .call("http://a", &op, &[Value::DoubleArray(xs)], &mut sink_a)
+            .unwrap();
+        assert_eq!(r.tier, SendTier::ContentMatch);
+    }
 }

@@ -10,7 +10,7 @@ use bsoap::convert::ScalarKind;
 use bsoap::xml::strip_pad;
 use bsoap::{
     Client, EngineConfig, EngineError, InjectedFault, MessageTemplate, OpDesc, SendTier, TypeDesc,
-    Value,
+    Value, WireFormat,
 };
 use std::io::{self, IoSlice, Write};
 
@@ -67,8 +67,7 @@ impl Write for FlakyWriter {
 #[test]
 fn send_error_surfaces_and_template_survives() {
     let op = doubles_op();
-    let mut client =
-        Client::new(EngineConfig::paper_default().with_wire_format(bsoap::WireFormat::SoapXml));
+    let mut client = Client::new(EngineConfig::paper_default());
     let xs = vec![Value::DoubleArray(vec![1.5; 100])];
 
     // First send into a writer that dies mid-message.
@@ -97,8 +96,7 @@ fn send_error_surfaces_and_template_survives() {
 #[test]
 fn failure_during_differential_send_keeps_bytes_consistent() {
     let op = doubles_op();
-    let mut client =
-        Client::new(EngineConfig::paper_default().with_wire_format(bsoap::WireFormat::SoapXml));
+    let mut client = Client::new(EngineConfig::paper_default());
     let mut ok = Vec::new();
     let mut xs = vec![1.5; 50];
     client
@@ -136,8 +134,7 @@ fn failure_during_differential_send_keeps_bytes_consistent() {
 #[test]
 fn failure_during_resize_send_keeps_template_coherent() {
     let op = doubles_op();
-    let mut client =
-        Client::new(EngineConfig::paper_default().with_wire_format(bsoap::WireFormat::SoapXml));
+    let mut client = Client::new(EngineConfig::paper_default());
     let mut ok = Vec::new();
     client
         .call("ep", &op, &[Value::DoubleArray(vec![1.5; 10])], &mut ok)
@@ -174,7 +171,7 @@ fn zero_byte_writer_reports_write_zero() {
     }
     let op = doubles_op();
     let mut tpl = MessageTemplate::build(
-        bsoap::EngineConfig::paper_default().with_wire_format(bsoap::WireFormat::SoapXml),
+        bsoap::EngineConfig::paper_default(),
         &op,
         &[Value::DoubleArray(vec![1.5])],
     )
@@ -188,28 +185,30 @@ fn zero_byte_writer_reports_write_zero() {
 
 #[test]
 fn interleaved_failures_across_endpoints_stay_isolated() {
-    let op = doubles_op();
-    let mut client = Client::with_defaults();
-    let args_a = vec![Value::DoubleArray(vec![1.5; 20])];
-    let args_b = vec![Value::DoubleArray(vec![2.5; 30])];
-    let mut ok = Vec::new();
-    client.call("a", &op, &args_a, &mut ok).unwrap();
-    client.call("b", &op, &args_b, &mut ok).unwrap();
+    for format in WireFormat::ALL {
+        let op = doubles_op();
+        let mut client = Client::new(EngineConfig::paper_default().with_wire_format(format));
+        let args_a = vec![Value::DoubleArray(vec![1.5; 20])];
+        let args_b = vec![Value::DoubleArray(vec![2.5; 30])];
+        let mut ok = Vec::new();
+        client.call("a", &op, &args_a, &mut ok).unwrap();
+        client.call("b", &op, &args_b, &mut ok).unwrap();
 
-    // Endpoint B's transport fails; endpoint A is unaffected.
-    let mut flaky = FlakyWriter::new(4);
-    assert!(client.call("b", &op, &args_b, &mut flaky).is_err());
-    let r = client.call("a", &op, &args_a, &mut Vec::new()).unwrap();
-    assert_eq!(r.tier, SendTier::ContentMatch);
-    let r = client.call("b", &op, &args_b, &mut Vec::new()).unwrap();
-    assert_eq!(r.tier, SendTier::ContentMatch);
+        // Endpoint B's transport fails; endpoint A is unaffected.
+        let mut flaky = FlakyWriter::new(4);
+        assert!(client.call("b", &op, &args_b, &mut flaky).is_err());
+        let r = client.call("a", &op, &args_a, &mut Vec::new()).unwrap();
+        assert_eq!(r.tier, SendTier::ContentMatch);
+        let r = client.call("b", &op, &args_b, &mut Vec::new()).unwrap();
+        assert_eq!(r.tier, SendTier::ContentMatch);
+    }
 }
 
 #[test]
 fn planner_error_leaves_template_bytes_untouched() {
     let op = doubles_op();
     let mut tpl = MessageTemplate::build(
-        EngineConfig::paper_default().with_wire_format(bsoap::WireFormat::SoapXml),
+        EngineConfig::paper_default(),
         &op,
         &[Value::DoubleArray(vec![1.5; 40])],
     )
@@ -249,7 +248,7 @@ fn executor_panic_leaves_template_bytes_untouched() {
     // pre-send bytes must survive the unwind intact.
     let op = doubles_op();
     let mut tpl = MessageTemplate::build(
-        EngineConfig::paper_default().with_wire_format(bsoap::WireFormat::SoapXml),
+        EngineConfig::paper_default(),
         &op,
         &[Value::DoubleArray(vec![1.5; 40])],
     )
@@ -293,7 +292,7 @@ fn executor_panic_leaves_template_bytes_untouched() {
 fn stale_plan_is_rejected_without_mutation() {
     let op = doubles_op();
     let mut tpl = MessageTemplate::build(
-        EngineConfig::paper_default().with_wire_format(bsoap::WireFormat::SoapXml),
+        EngineConfig::paper_default(),
         &op,
         &[Value::DoubleArray(vec![1.5; 20])],
     )
@@ -330,16 +329,18 @@ fn stale_plan_is_rejected_without_mutation() {
 
 #[test]
 fn arity_and_type_errors_leave_no_partial_template() {
-    let op = doubles_op();
-    let mut client = Client::with_defaults();
-    // Type error on the very first call: no template may be cached.
-    assert!(client
-        .call("ep", &op, &[Value::Int(1)], &mut Vec::new())
-        .is_err());
-    assert!(client.template_mut("ep", &op).is_none());
-    // A valid call then builds normally.
-    let r = client
-        .call("ep", &op, &[Value::DoubleArray(vec![1.5])], &mut Vec::new())
-        .unwrap();
-    assert_eq!(r.tier, SendTier::FirstTime);
+    for format in WireFormat::ALL {
+        let op = doubles_op();
+        let mut client = Client::new(EngineConfig::paper_default().with_wire_format(format));
+        // Type error on the very first call: no template may be cached.
+        assert!(client
+            .call("ep", &op, &[Value::Int(1)], &mut Vec::new())
+            .is_err());
+        assert!(client.template_mut("ep", &op).is_none());
+        // A valid call then builds normally.
+        let r = client
+            .call("ep", &op, &[Value::DoubleArray(vec![1.5])], &mut Vec::new())
+            .unwrap();
+        assert_eq!(r.tier, SendTier::FirstTime);
+    }
 }

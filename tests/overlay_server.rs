@@ -118,7 +118,6 @@ fn overlaid_calls_stream_into_the_event_loop_server() {
     .unwrap();
 
     let config = EngineConfig::stuffed_max()
-        .with_wire_format(bsoap::WireFormat::SoapXml)
         .with_window_elems(128)
         .with_overlay_threshold(0); // always stream
     let mut client = Client::new(config);
@@ -215,8 +214,7 @@ fn non_streamed_requests_still_buffer_on_the_streaming_server() {
 
     let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
     let pool = HttpPoolClient::new(server.addr(), cfg, PoolConfig::default());
-    let mut client =
-        Client::new(EngineConfig::paper_default().with_wire_format(bsoap::WireFormat::SoapXml));
+    let mut client = Client::new(EngineConfig::paper_default());
     let xs = vec![1.5, 2.5, 3.5];
     client
         .call_via(

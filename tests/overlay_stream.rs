@@ -111,7 +111,6 @@ fn overlaid_call_streams_end_to_end() {
     let (addr, rx) = spawn_streaming_server(op.clone());
 
     let config = EngineConfig::stuffed_max()
-        .with_wire_format(bsoap::WireFormat::SoapXml)
         .with_window_elems(128)
         .with_overlay_threshold(0); // always stream
     let mut client = Client::new(config);
@@ -185,9 +184,7 @@ fn overlaid_call_streams_end_to_end() {
 fn small_calls_fall_through_to_buffered_tiers() {
     let op = doubles_op();
     // Threshold far above what three doubles serialize to.
-    let config = EngineConfig::paper_default()
-        .with_wire_format(bsoap::WireFormat::SoapXml)
-        .with_overlay_threshold(1 << 20);
+    let config = EngineConfig::paper_default().with_overlay_threshold(1 << 20);
     let mut client = Client::new(config);
     let mut sink = Vec::new();
     let args = vec![Value::DoubleArray(vec![1.0, 2.0, 3.0])];
@@ -205,7 +202,7 @@ fn small_calls_fall_through_to_buffered_tiers() {
 #[test]
 fn large_calls_auto_engage() {
     let op = doubles_op();
-    let config = EngineConfig::stuffed_max().with_wire_format(bsoap::WireFormat::SoapXml); // paper-default 1 MiB threshold
+    let config = EngineConfig::stuffed_max(); // paper-default 1 MiB threshold
     let mut client = Client::new(config);
     let n = 200_000usize; // ~ 4.8 MB serialized at max double width
     let args = vec![Value::DoubleArray((0..n).map(|i| i as f64).collect())];
@@ -231,7 +228,6 @@ fn send_failure_demotes_overlay_window() {
     // mirroring template-cache demotion.
     let op = doubles_op();
     let config = EngineConfig::stuffed_max()
-        .with_wire_format(bsoap::WireFormat::SoapXml)
         .with_window_elems(32)
         .with_overlay_threshold(0)
         .with_degraded(1, 1);
@@ -272,7 +268,7 @@ fn send_failure_demotes_overlay_window() {
 #[test]
 fn wire_body_matches_full_serialization() {
     let op = doubles_op();
-    let config = EngineConfig::stuffed_max().with_wire_format(bsoap::WireFormat::SoapXml);
+    let config = EngineConfig::stuffed_max();
     let n = 5_000usize;
     let value = Value::DoubleArray((0..n).map(|i| i as f64 * 0.25).collect());
 

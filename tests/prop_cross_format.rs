@@ -288,8 +288,7 @@ fn run_schedule(
     sharing: bool,
 ) -> Result<(), TestCaseError> {
     let op = mesh_op();
-    let mut xml = Client::new(config.with_wire_format(WireFormat::SoapXml));
-    let mut bin = Client::new(config.with_wire_format(WireFormat::CompactBinary));
+    let [mut xml, mut bin] = WireFormat::ALL.map(|f| Client::new(config.with_wire_format(f)));
     xml.set_endpoint_sharing(sharing);
     bin.set_endpoint_sharing(sharing);
 
@@ -424,8 +423,7 @@ fn numeric_width_growth_collapses_tier3_to_tier2() {
         TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
     );
     let config = EngineConfig::paper_default().with_width(WidthPolicy::Exact);
-    let mut xml = Client::new(config.with_wire_format(WireFormat::SoapXml));
-    let mut bin = Client::new(config.with_wire_format(WireFormat::CompactBinary));
+    let [mut xml, mut bin] = WireFormat::ALL.map(|f| Client::new(config.with_wire_format(f)));
 
     // Short decimal images first, long ones second: every element's
     // XML width grows; its binary width (8 bytes) cannot.
@@ -485,16 +483,7 @@ fn cross_format_schedules_agree_end_to_end_on_both_cores() {
     use bsoap::transport::NegotiationState;
     use bsoap::wsdl::ServiceDesc;
 
-    let cores = if bsoap::transport::poller::supported() {
-        vec![
-            bsoap_core::ServerCore::WorkerPool,
-            bsoap_core::ServerCore::EventLoop,
-        ]
-    } else {
-        vec![bsoap_core::ServerCore::WorkerPool]
-    };
-
-    for core in cores {
+    for &core in bsoap::transport::supported_cores() {
         let op = OpDesc::single(
             "scale",
             "urn:vec",
@@ -528,18 +517,10 @@ fn cross_format_schedules_agree_end_to_end_on_both_cores() {
         );
         let server = HttpServer::spawn(svc).unwrap();
 
-        let mut bin_rpc = RpcClient::connect(
-            desc.clone(),
-            server.addr(),
-            EngineConfig::paper_default().with_wire_format(WireFormat::CompactBinary),
-        )
-        .unwrap();
-        let mut xml_rpc = RpcClient::connect(
-            desc,
-            server.addr(),
-            EngineConfig::paper_default().with_wire_format(WireFormat::SoapXml),
-        )
-        .unwrap();
+        let [mut xml_rpc, mut bin_rpc] = WireFormat::ALL.map(|f| {
+            let config = EngineConfig::paper_default().with_wire_format(f);
+            RpcClient::connect(desc.clone(), server.addr(), config).unwrap()
+        });
         for rpc in [&mut bin_rpc, &mut xml_rpc] {
             rpc.declare_response(
                 "scale",
@@ -626,8 +607,7 @@ fn cross_format_schedules_agree_end_to_end_on_both_cores() {
 fn degradation_ladder_is_format_blind() {
     let op = mesh_op();
     let config = EngineConfig::paper_default().with_degraded(2, 1);
-    let mut xml = Client::new(config.with_wire_format(WireFormat::SoapXml));
-    let mut bin = Client::new(config.with_wire_format(WireFormat::CompactBinary));
+    let [mut xml, mut bin] = WireFormat::ALL.map(|f| Client::new(config.with_wire_format(f)));
     let model = Model {
         step: 7,
         xs: vec![1.5, 2.5],

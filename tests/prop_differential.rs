@@ -59,7 +59,6 @@ fn config_strategy() -> impl Strategy<Value = EngineConfig> {
     ];
     (chunk, width, any::<bool>()).prop_map(|(chunk, width, steal)| {
         EngineConfig::paper_default()
-            .with_wire_format(bsoap::WireFormat::SoapXml)
             .with_chunk(chunk)
             .with_width(width)
             .with_steal(steal)

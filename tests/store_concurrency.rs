@@ -30,9 +30,9 @@ fn arr_op() -> OpDesc {
     )
 }
 
-fn arr_tpl(n: usize) -> MessageTemplate {
+fn arr_tpl(format: WireFormat, n: usize) -> MessageTemplate {
     MessageTemplate::build(
-        EngineConfig::paper_default(),
+        EngineConfig::paper_default().with_wire_format(format),
         &arr_op(),
         &[Value::DoubleArray(vec![0.5; n])],
     )
@@ -45,15 +45,18 @@ proptest! {
     /// N threads × M tenants × S steps of checkout/admit against one
     /// store. Every thread counts its own lookups; the store's counters
     /// must reconcile exactly, and every byte invariant must hold once
-    /// the threads join.
+    /// the threads join. The store counts bytes, not lanes: each case
+    /// stocks it with templates of one lane picked by the schedule.
     #[test]
     fn concurrent_store_accounting_holds(
+        lane in 0usize..WireFormat::ALL.len(),
         threads in 2usize..5,
         tenants in 1u64..5,
         steps in 4usize..24,
         budget_kb in prop_oneof![Just(0usize), 2usize..16],
         quota_kb in prop_oneof![Just(0usize), 1usize..8],
     ) {
+        let format = WireFormat::ALL[lane];
         let budget = budget_kb * 1024;
         let quota = quota_kb * 1024;
         let store = TemplateStore::shared(budget, quota);
@@ -82,13 +85,13 @@ proptest! {
                                 // one. Bytes must not strand.
                                 store.note_discard(&tpl);
                                 drop(tpl);
-                                store.admit(skey, arr_tpl(n), 2);
+                                store.admit(skey, arr_tpl(format, n), 2);
                             }
                             Some(tpl) => {
                                 store.admit(skey, tpl, 2);
                             }
                             None => {
-                                store.admit(skey, arr_tpl(n), 2);
+                                store.admit(skey, arr_tpl(format, n), 2);
                             }
                         }
                     }
@@ -164,7 +167,7 @@ proptest! {
         endpoints in 1usize..4,
     ) {
         let op = arr_op();
-        let config = EngineConfig::paper_default().with_wire_format(WireFormat::SoapXml);
+        let config = EngineConfig::paper_default();
         let budget = 2 * MessageTemplate::build(
             config, &op, &[Value::DoubleArray(initial.clone())],
         ).unwrap().message_len();

@@ -23,6 +23,12 @@ fn doubles_op() -> OpDesc {
     )
 }
 
+/// The tier ladder sits above the lane: the tests that take a client from
+/// here run on both.
+fn lane_client(format: WireFormat) -> Client {
+    Client::new(EngineConfig::paper_default().with_wire_format(format))
+}
+
 fn call(
     client: &mut Client,
     sink: &mut SinkTransport,
@@ -36,147 +42,157 @@ fn call(
 
 #[test]
 fn canonical_tier_sequence() {
-    let op = doubles_op();
-    let mut client = Client::with_defaults();
-    let mut sink = SinkTransport::new();
+    for format in WireFormat::ALL {
+        let op = doubles_op();
+        let mut client = lane_client(format);
+        let mut sink = SinkTransport::new();
 
-    let r = call(&mut client, &mut sink, &op, &[1.5, 2.5, 3.5]);
-    assert_eq!(r.tier, SendTier::FirstTime);
+        let r = call(&mut client, &mut sink, &op, &[1.5, 2.5, 3.5]);
+        assert_eq!(r.tier, SendTier::FirstTime);
 
-    let r = call(&mut client, &mut sink, &op, &[1.5, 2.5, 3.5]);
-    assert_eq!(r.tier, SendTier::ContentMatch);
-    assert_eq!(r.values_written, 0, "content match writes nothing");
+        let r = call(&mut client, &mut sink, &op, &[1.5, 2.5, 3.5]);
+        assert_eq!(r.tier, SendTier::ContentMatch);
+        assert_eq!(r.values_written, 0, "content match writes nothing");
 
-    let r = call(&mut client, &mut sink, &op, &[1.5, 9.5, 3.5]);
-    assert_eq!(r.tier, SendTier::PerfectStructural);
-    assert_eq!(r.values_written, 1, "only the changed value is written");
+        let r = call(&mut client, &mut sink, &op, &[1.5, 9.5, 3.5]);
+        assert_eq!(r.tier, SendTier::PerfectStructural);
+        assert_eq!(r.values_written, 1, "only the changed value is written");
 
-    let r = call(&mut client, &mut sink, &op, &[1.5, 9.5, 3.5, 4.5]);
-    assert_eq!(r.tier, SendTier::PartialStructural);
+        let r = call(&mut client, &mut sink, &op, &[1.5, 9.5, 3.5, 4.5]);
+        assert_eq!(r.tier, SendTier::PartialStructural);
 
-    let r = call(&mut client, &mut sink, &op, &[1.5, 9.5, 3.5, 4.5]);
-    assert_eq!(
-        r.tier,
-        SendTier::ContentMatch,
-        "resize settles back to content matches"
-    );
+        let r = call(&mut client, &mut sink, &op, &[1.5, 9.5, 3.5, 4.5]);
+        assert_eq!(
+            r.tier,
+            SendTier::ContentMatch,
+            "resize settles back to content matches"
+        );
 
-    let stats = client.stats();
-    assert_eq!(stats.calls(), 5);
-    assert_eq!(
-        (
-            stats.first_time,
-            stats.content_match,
-            stats.perfect_structural,
-            stats.partial_structural
-        ),
-        (1, 2, 1, 1)
-    );
+        let stats = client.stats();
+        assert_eq!(stats.calls(), 5);
+        assert_eq!(
+            (
+                stats.first_time,
+                stats.content_match,
+                stats.perfect_structural,
+                stats.partial_structural
+            ),
+            (1, 2, 1, 1)
+        );
+    }
 }
 
 #[test]
 fn same_bits_rewrite_is_content_match() {
-    // Writing the same f64 bits must not dirty the leaf (the DUT's
-    // bitwise comparison), including the NaN == NaN case.
-    let op = doubles_op();
-    let mut client = Client::with_defaults();
-    let mut sink = SinkTransport::new();
-    call(&mut client, &mut sink, &op, &[f64::NAN, 1.5]);
-    let r = call(&mut client, &mut sink, &op, &[f64::NAN, 1.5]);
-    assert_eq!(r.tier, SendTier::ContentMatch);
+    for format in WireFormat::ALL {
+        // Writing the same f64 bits must not dirty the leaf (the DUT's
+        // bitwise comparison), including the NaN == NaN case.
+        let op = doubles_op();
+        let mut client = lane_client(format);
+        let mut sink = SinkTransport::new();
+        call(&mut client, &mut sink, &op, &[f64::NAN, 1.5]);
+        let r = call(&mut client, &mut sink, &op, &[f64::NAN, 1.5]);
+        assert_eq!(r.tier, SendTier::ContentMatch);
 
-    // 0.0 vs -0.0 have different bits AND different lexical forms.
-    let r = call(&mut client, &mut sink, &op, &[f64::NAN, -0.0]);
-    assert_eq!(r.tier, SendTier::PerfectStructural);
-    assert_eq!(r.values_written, 1);
+        // 0.0 vs -0.0 have different bits AND different lexical forms.
+        let r = call(&mut client, &mut sink, &op, &[f64::NAN, -0.0]);
+        assert_eq!(r.tier, SendTier::PerfectStructural);
+        assert_eq!(r.values_written, 1);
+    }
 }
 
 #[test]
 fn zero_length_boundary_cases() {
-    let op = doubles_op();
-    let mut client = Client::with_defaults();
-    let mut sink = SinkTransport::new();
+    for format in WireFormat::ALL {
+        let op = doubles_op();
+        let mut client = lane_client(format);
+        let mut sink = SinkTransport::new();
 
-    let r = call(&mut client, &mut sink, &op, &[]);
-    assert_eq!(r.tier, SendTier::FirstTime);
-    let r = call(&mut client, &mut sink, &op, &[]);
-    assert_eq!(r.tier, SendTier::ContentMatch);
-    let r = call(&mut client, &mut sink, &op, &[1.5]);
-    assert_eq!(r.tier, SendTier::PartialStructural);
-    let r = call(&mut client, &mut sink, &op, &[]);
-    assert_eq!(r.tier, SendTier::PartialStructural);
-    let r = call(&mut client, &mut sink, &op, &[]);
-    assert_eq!(r.tier, SendTier::ContentMatch);
+        let r = call(&mut client, &mut sink, &op, &[]);
+        assert_eq!(r.tier, SendTier::FirstTime);
+        let r = call(&mut client, &mut sink, &op, &[]);
+        assert_eq!(r.tier, SendTier::ContentMatch);
+        let r = call(&mut client, &mut sink, &op, &[1.5]);
+        assert_eq!(r.tier, SendTier::PartialStructural);
+        let r = call(&mut client, &mut sink, &op, &[]);
+        assert_eq!(r.tier, SendTier::PartialStructural);
+        let r = call(&mut client, &mut sink, &op, &[]);
+        assert_eq!(r.tier, SendTier::ContentMatch);
+    }
 }
 
 #[test]
 fn multi_param_dirty_tracking_spans_params() {
-    let op = OpDesc::new(
-        "f",
-        "urn:x",
-        vec![
-            bsoap::ParamDesc {
-                name: "id".into(),
-                desc: TypeDesc::Scalar(ScalarKind::Int),
-            },
-            bsoap::ParamDesc {
-                name: "xs".into(),
-                desc: TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-            },
-            bsoap::ParamDesc {
-                name: "tag".into(),
-                desc: TypeDesc::Scalar(ScalarKind::Str),
-            },
-        ],
-    );
-    let mut client = Client::with_defaults();
-    let mut sink = SinkTransport::new();
-    let args = |id: i32, xs: Vec<f64>, s: &str| {
-        vec![Value::Int(id), Value::DoubleArray(xs), Value::Str(s.into())]
-    };
+    for format in WireFormat::ALL {
+        let op = OpDesc::new(
+            "f",
+            "urn:x",
+            vec![
+                bsoap::ParamDesc {
+                    name: "id".into(),
+                    desc: TypeDesc::Scalar(ScalarKind::Int),
+                },
+                bsoap::ParamDesc {
+                    name: "xs".into(),
+                    desc: TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
+                },
+                bsoap::ParamDesc {
+                    name: "tag".into(),
+                    desc: TypeDesc::Scalar(ScalarKind::Str),
+                },
+            ],
+        );
+        let mut client = lane_client(format);
+        let mut sink = SinkTransport::new();
+        let args = |id: i32, xs: Vec<f64>, s: &str| {
+            vec![Value::Int(id), Value::DoubleArray(xs), Value::Str(s.into())]
+        };
 
-    client
-        .call("ep", &op, &args(1, vec![1.5, 2.5], "abc"), &mut sink)
-        .unwrap();
-    // Change only the trailing string (same length → no shift).
-    let r = client
-        .call("ep", &op, &args(1, vec![1.5, 2.5], "xyz"), &mut sink)
-        .unwrap();
-    assert_eq!(r.tier, SendTier::PerfectStructural);
-    assert_eq!(r.values_written, 1);
-    // Change the leading int and one array element.
-    let r = client
-        .call("ep", &op, &args(2, vec![9.5, 2.5], "xyz"), &mut sink)
-        .unwrap();
-    assert_eq!(r.tier, SendTier::PerfectStructural);
-    assert_eq!(r.values_written, 2);
+        client
+            .call("ep", &op, &args(1, vec![1.5, 2.5], "abc"), &mut sink)
+            .unwrap();
+        // Change only the trailing string (same length → no shift).
+        let r = client
+            .call("ep", &op, &args(1, vec![1.5, 2.5], "xyz"), &mut sink)
+            .unwrap();
+        assert_eq!(r.tier, SendTier::PerfectStructural);
+        assert_eq!(r.values_written, 1);
+        // Change the leading int and one array element.
+        let r = client
+            .call("ep", &op, &args(2, vec![9.5, 2.5], "xyz"), &mut sink)
+            .unwrap();
+        assert_eq!(r.tier, SendTier::PerfectStructural);
+        assert_eq!(r.values_written, 2);
+    }
 }
 
 #[test]
 fn mio_partial_dirty_percentages() {
-    // The Figure 4 setup: vary what fraction of MIO doubles are dirty and
-    // confirm values_written tracks it exactly.
-    let op = OpDesc::single("m", "urn:x", "a", TypeDesc::array_of(TypeDesc::mio()));
-    let mut client = Client::with_defaults();
-    let mut sink = SinkTransport::new();
-    let n = 100usize;
-    let build = |bump: usize, round: f64| {
-        Value::Array(
-            (0..n)
-                .map(|i| mio(i as i32, -(i as i32), if i < bump { round } else { 0.5 }))
-                .collect(),
-        )
-    };
+    for format in WireFormat::ALL {
+        // The Figure 4 setup: vary what fraction of MIO doubles are dirty and
+        // confirm values_written tracks it exactly.
+        let op = OpDesc::single("m", "urn:x", "a", TypeDesc::array_of(TypeDesc::mio()));
+        let mut client = lane_client(format);
+        let mut sink = SinkTransport::new();
+        let n = 100usize;
+        let build = |bump: usize, round: f64| {
+            Value::Array(
+                (0..n)
+                    .map(|i| mio(i as i32, -(i as i32), if i < bump { round } else { 0.5 }))
+                    .collect(),
+            )
+        };
 
-    client.call("ep", &op, &[build(0, 0.5)], &mut sink).unwrap();
-    for (frac, expect) in [(25usize, 25usize), (50, 50), (75, 75), (100, 100)] {
-        // Use a fresh value per round so exactly `frac` doubles change.
-        let round = frac as f64 + 0.25;
-        let r = client
-            .call("ep", &op, &[build(frac, round)], &mut sink)
-            .unwrap();
-        assert_eq!(r.tier, SendTier::PerfectStructural);
-        assert_eq!(r.values_written, expect, "at {frac}%");
+        client.call("ep", &op, &[build(0, 0.5)], &mut sink).unwrap();
+        for (frac, expect) in [(25usize, 25usize), (50, 50), (75, 75), (100, 100)] {
+            // Use a fresh value per round so exactly `frac` doubles change.
+            let round = frac as f64 + 0.25;
+            let r = client
+                .call("ep", &op, &[build(frac, round)], &mut sink)
+                .unwrap();
+            assert_eq!(r.tier, SendTier::PerfectStructural);
+            assert_eq!(r.values_written, expect, "at {frac}%");
+        }
     }
 }
 
@@ -184,9 +200,7 @@ fn mio_partial_dirty_percentages() {
 fn shift_and_steal_counters_surface() {
     // Exact widths + growing values: expansion must happen and be counted.
     let op = doubles_op();
-    let config = EngineConfig::paper_default()
-        .with_width(WidthPolicy::Exact)
-        .with_wire_format(WireFormat::SoapXml);
+    let config = EngineConfig::paper_default().with_width(WidthPolicy::Exact);
     let mut client = Client::new(config);
     let mut sink = SinkTransport::new();
 
@@ -210,18 +224,20 @@ fn shift_and_steal_counters_surface() {
 
 #[test]
 fn evicting_forgets_the_template() {
-    let op = doubles_op();
-    let mut client = Client::with_defaults();
-    let mut sink = SinkTransport::new();
-    call(&mut client, &mut sink, &op, &[1.5]);
-    assert!(client.evict("ep", &op));
-    assert!(!client.evict("ep", &op), "double evict is a no-op");
-    let r = call(&mut client, &mut sink, &op, &[1.5]);
-    assert_eq!(
-        r.tier,
-        SendTier::FirstTime,
-        "evicted template forces re-serialization"
-    );
+    for format in WireFormat::ALL {
+        let op = doubles_op();
+        let mut client = lane_client(format);
+        let mut sink = SinkTransport::new();
+        call(&mut client, &mut sink, &op, &[1.5]);
+        assert!(client.evict("ep", &op));
+        assert!(!client.evict("ep", &op), "double evict is a no-op");
+        let r = call(&mut client, &mut sink, &op, &[1.5]);
+        assert_eq!(
+            r.tier,
+            SendTier::FirstTime,
+            "evicted template forces re-serialization"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -526,11 +542,7 @@ fn shift_counters_match_reports_exactly() {
     // counters must agree with the per-send reports, send after send.
     let op = doubles_op();
     let metrics = Arc::new(Metrics::new());
-    let mut client = Client::new(
-        EngineConfig::paper_default()
-            .with_width(WidthPolicy::Exact)
-            .with_wire_format(WireFormat::SoapXml),
-    );
+    let mut client = Client::new(EngineConfig::paper_default().with_width(WidthPolicy::Exact));
     client.set_metrics(Arc::clone(&metrics));
     let mut sink = SinkTransport::new();
 
@@ -573,64 +585,68 @@ fn shift_counters_match_reports_exactly() {
 
 #[test]
 fn cost_gate_fallback_is_counted_and_exact() {
-    // fallback_ratio = 0.0 makes the §5 gate maximally strict: any plan
-    // with nonzero cost is rejected in favor of a rebuild, while a
-    // zero-cost plan (content match) still passes (`0 > 0` is false).
-    let op = doubles_op();
-    let metrics = Arc::new(Metrics::with_clock(Arc::new(VirtualClock::new())));
-    let mut client = Client::new(
-        EngineConfig::paper_default()
-            .with_cost_fallback(true)
-            .with_fallback_ratio(0.0),
-    );
-    client.set_metrics(Arc::clone(&metrics));
-    let mut sink = SinkTransport::new();
+    for format in WireFormat::ALL {
+        // fallback_ratio = 0.0 makes the §5 gate maximally strict: any plan
+        // with nonzero cost is rejected in favor of a rebuild, while a
+        // zero-cost plan (content match) still passes (`0 > 0` is false).
+        let op = doubles_op();
+        let metrics = Arc::new(Metrics::with_clock(Arc::new(VirtualClock::new())));
+        let mut client = Client::new(
+            EngineConfig::paper_default()
+                .with_wire_format(format)
+                .with_cost_fallback(true)
+                .with_fallback_ratio(0.0),
+        );
+        client.set_metrics(Arc::clone(&metrics));
+        let mut sink = SinkTransport::new();
 
-    let r = call(&mut client, &mut sink, &op, &[1.5, 2.5, 3.5]);
-    assert_eq!(r.tier, SendTier::FirstTime);
-    assert!(!r.fell_back, "first-time builds never consult the gate");
+        let r = call(&mut client, &mut sink, &op, &[1.5, 2.5, 3.5]);
+        assert_eq!(r.tier, SendTier::FirstTime);
+        assert!(!r.fell_back, "first-time builds never consult the gate");
 
-    let r = call(&mut client, &mut sink, &op, &[1.5, 2.5, 3.5]);
-    assert_eq!(r.tier, SendTier::ContentMatch);
-    assert!(!r.fell_back);
-    let snap = metrics.snapshot();
-    assert_eq!(snap.get(Counter::PlansComputed), 1);
-    assert_eq!(snap.get(Counter::CostFallbacks), 0);
+        let r = call(&mut client, &mut sink, &op, &[1.5, 2.5, 3.5]);
+        assert_eq!(r.tier, SendTier::ContentMatch);
+        assert!(!r.fell_back);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.get(Counter::PlansComputed), 1);
+        assert_eq!(snap.get(Counter::CostFallbacks), 0);
 
-    // One dirty value → plan cost ≥ 1 → rejected at ratio 0.0: the send
-    // rebuilds from scratch and reports the fallback.
-    let r = call(&mut client, &mut sink, &op, &[1.5, 9.5, 3.5]);
-    assert_eq!(r.tier, SendTier::FirstTime);
-    assert!(r.fell_back);
-    let snap = metrics.snapshot();
-    assert_eq!(snap.get(Counter::PlansComputed), 2);
-    assert_eq!(snap.get(Counter::CostFallbacks), 1);
+        // One dirty value → plan cost ≥ 1 → rejected at ratio 0.0: the send
+        // rebuilds from scratch and reports the fallback.
+        let r = call(&mut client, &mut sink, &op, &[1.5, 9.5, 3.5]);
+        assert_eq!(r.tier, SendTier::FirstTime);
+        assert!(r.fell_back);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.get(Counter::PlansComputed), 2);
+        assert_eq!(snap.get(Counter::CostFallbacks), 1);
 
-    // A resize also prices nonzero → fallback again, from the template
-    // the previous fallback freshly saved.
-    let r = call(&mut client, &mut sink, &op, &[1.5, 9.5, 3.5, 4.5]);
-    assert_eq!(r.tier, SendTier::FirstTime);
-    assert!(r.fell_back);
-    let snap = metrics.snapshot();
-    assert_eq!(snap.get(Counter::PlansComputed), 3);
-    assert_eq!(snap.get(Counter::CostFallbacks), 2);
+        // A resize also prices nonzero → fallback again, from the template
+        // the previous fallback freshly saved.
+        let r = call(&mut client, &mut sink, &op, &[1.5, 9.5, 3.5, 4.5]);
+        assert_eq!(r.tier, SendTier::FirstTime);
+        assert!(r.fell_back);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.get(Counter::PlansComputed), 3);
+        assert_eq!(snap.get(Counter::CostFallbacks), 2);
 
-    // The discarded-and-rebuilt template keeps serving: an unchanged
-    // resend is a content match, not another rebuild.
-    let r = call(&mut client, &mut sink, &op, &[1.5, 9.5, 3.5, 4.5]);
-    assert_eq!(r.tier, SendTier::ContentMatch);
-    assert!(!r.fell_back);
+        // The discarded-and-rebuilt template keeps serving: an unchanged
+        // resend is a content match, not another rebuild.
+        let r = call(&mut client, &mut sink, &op, &[1.5, 9.5, 3.5, 4.5]);
+        assert_eq!(r.tier, SendTier::ContentMatch);
+        assert!(!r.fell_back);
 
-    // With a generous ratio the same kind of update patches in place.
-    let mut client = Client::new(
-        EngineConfig::paper_default()
-            .with_cost_fallback(true)
-            .with_fallback_ratio(10.0),
-    );
-    call(&mut client, &mut sink, &op, &[1.5, 2.5, 3.5]);
-    let r = call(&mut client, &mut sink, &op, &[1.5, 9.5, 3.5]);
-    assert_eq!(r.tier, SendTier::PerfectStructural);
-    assert!(!r.fell_back);
+        // With a generous ratio the same kind of update patches in place.
+        let mut client = Client::new(
+            EngineConfig::paper_default()
+                .with_wire_format(format)
+                .with_cost_fallback(true)
+                .with_fallback_ratio(10.0),
+        );
+        call(&mut client, &mut sink, &op, &[1.5, 2.5, 3.5]);
+        let r = call(&mut client, &mut sink, &op, &[1.5, 9.5, 3.5]);
+        assert_eq!(r.tier, SendTier::PerfectStructural);
+        assert!(!r.fell_back);
+    }
 }
 
 /// Writer that always fails with a fixed error kind.
@@ -671,7 +687,6 @@ fn degraded_ladder_walk_matches_reference_model() {
     let mut client = Client::new(
         EngineConfig::paper_default()
             .with_width(WidthPolicy::Max)
-            .with_wire_format(WireFormat::SoapXml)
             .with_degraded(2, 2),
     );
     client.set_metrics(Arc::clone(&metrics));
@@ -795,13 +810,15 @@ fn degraded_ladder_walk_matches_reference_model() {
 
 #[test]
 fn errors_do_not_poison_the_template() {
-    let op = doubles_op();
-    let mut client = Client::with_defaults();
-    let mut sink = SinkTransport::new();
-    call(&mut client, &mut sink, &op, &[1.5, 2.5]);
-    // Wrong arity errors out…
-    assert!(client.call("ep", &op, &[], &mut sink).is_err());
-    // …but the saved template still serves content matches.
-    let r = call(&mut client, &mut sink, &op, &[1.5, 2.5]);
-    assert_eq!(r.tier, SendTier::ContentMatch);
+    for format in WireFormat::ALL {
+        let op = doubles_op();
+        let mut client = lane_client(format);
+        let mut sink = SinkTransport::new();
+        call(&mut client, &mut sink, &op, &[1.5, 2.5]);
+        // Wrong arity errors out…
+        assert!(client.call("ep", &op, &[], &mut sink).is_err());
+        // …but the saved template still serves content matches.
+        let r = call(&mut client, &mut sink, &op, &[1.5, 2.5]);
+        assert_eq!(r.tier, SendTier::ContentMatch);
+    }
 }
