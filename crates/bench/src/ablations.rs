@@ -216,78 +216,6 @@ pub fn ablation_growth_policy(sizes: &[usize], reps: usize) -> Table {
     }
 }
 
-/// Pipelined send (companion paper: chunk-overlaying + pipelined-send):
-/// overlap serialization of window *i+1* with the transmission of window
-/// *i*. The win scales with how expensive the sink is, so the slow sink
-/// models a wire whose bandwidth is comparable to serialization speed.
-///
-/// Caveat: overlap needs a second core. On a single-CPU host the
-/// pipelined rows show only the pipeline's copy/synchronization overhead
-/// (a few percent) — the `max_in_flight` counter in
-/// [`bsoap_core::pipeline::PipelineReport`] still proves the pipeline
-/// fills, it just cannot run both stages at once.
-pub fn ablation_pipelined(sizes: &[usize], reps: usize) -> Table {
-    use bsoap_core::overlay::OverlaySender;
-    use bsoap_core::pipeline::PipelinedSender;
-    use std::io::Write;
-
-    /// Sink with per-byte work (several checksum passes), standing in for
-    /// a wire that cannot absorb bytes instantly.
-    struct SlowSink(u64);
-    impl Write for SlowSink {
-        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-            let mut h = self.0;
-            for _ in 0..16 {
-                for &x in b {
-                    h = h.wrapping_mul(0x100000001b3) ^ x as u64;
-                }
-            }
-            self.0 = h;
-            Ok(b.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    let kind = Kind::Doubles;
-    let op = kind.op();
-    let config = EngineConfig::paper_default();
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let args = values(kind, n);
-        let mut cells = Vec::new();
-        {
-            let mut overlay = OverlaySender::new(config, &op, 256).unwrap();
-            let mut sink = SlowSink(1);
-            let t = measure(WARMUP, reps, || {
-                overlay.send(&args, &mut sink).unwrap();
-            });
-            cells.push(t.mean_ms());
-        }
-        for depth in [2usize, 4] {
-            let mut pipelined = PipelinedSender::new(config, &op, 256, depth).unwrap();
-            pipelined.set_buffer_target(16 * 1024);
-            let mut sink = SlowSink(1);
-            let t = measure(WARMUP, reps, || {
-                pipelined.send(&args, &mut sink).unwrap();
-            });
-            cells.push(t.mean_ms());
-        }
-        rows.push((n, cells));
-    }
-    Table {
-        id: "Ablation: pipelined send".to_owned(),
-        title: "Overlay vs pipelined send against a slow sink (doubles)".to_owned(),
-        series: vec![
-            "overlay, sequential".to_owned(),
-            "pipelined, depth 2".to_owned(),
-            "pipelined, depth 4".to_owned(),
-        ],
-        rows,
-    }
-}
-
 /// Differential deserialization (§6): server-side cost of full parsing vs
 /// the skeleton-compare + leaf-reparse path, at 1% and 100% changed
 /// leaves.
@@ -509,7 +437,6 @@ mod tests {
             ablation_reserve(TINY, 2),
             ablation_growth_policy(TINY, 2),
             ablation_diff_deser(TINY, 2),
-            ablation_pipelined(TINY, 2),
             ablation_server_dispatch(TINY, 2),
             ablation_http_framing(TINY, 2),
         ];

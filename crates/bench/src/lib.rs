@@ -14,17 +14,18 @@
 //! | 12     | [`scenarios::fig_overlay`] — chunk overlaying vs full re-serialization |
 //! | §2     | [`scenarios::fig_ablation`] — conversion share of Send Time |
 //!
-//! Two front-ends share these scenarios:
+//! `cargo run --release -p bsoap-bench --bin figures -- --all` prints
+//! every table (mean Send Time in ms, the paper's unit) in seconds;
+//! `--ablations` adds the design-space sweeps of [`ablations`].
 //!
-//! * `cargo run --release -p bsoap-bench --bin figures -- --all` prints
-//!   every table (mean Send Time in ms, the paper's unit) in seconds;
-//! * `cargo bench -p bsoap-bench` runs the Criterion versions with proper
-//!   statistics.
-//!
-//! Beyond the paper's single-client figures, [`throughput`] measures the
-//! concurrent system — N pooled keep-alive clients vs connection-per-call
-//! against the bounded-worker-pool server — via
-//! `cargo run --release -p bsoap-bench --bin throughput`.
+//! What one RPC costs end to end — throughput, latency, bytes, memory,
+//! and every per-layer number — is measured by the pinned package in
+//! `benchmark/` (`cargo run --release --manifest-path
+//! benchmark/Cargo.toml -- --workload <name>`), not here; README
+//! "Benchmarks" maps each retired bin to the workload and metric that
+//! replaced it. What stays in this crate is what no workload isolates:
+//! the paper-figure reproduction, the `simd_kernels` kernel microbench
+//! and the criterion `convert` bench.
 //!
 //! Send Time follows the paper's definition: the clock starts before
 //! message preparation and stops after the last write to the transport —
@@ -35,7 +36,6 @@
 pub mod ablations;
 pub mod plot;
 pub mod scenarios;
-pub mod throughput;
 pub mod timing;
 pub mod workload;
 

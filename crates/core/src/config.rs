@@ -177,11 +177,14 @@ pub struct EngineConfig {
     /// Consecutive degraded-mode successes that promote the endpoint back
     /// to differential sends.
     pub recover_after: u32,
-    /// Server side: maximum bytes of HTTP head (request line + headers)
-    /// accepted before the connection is answered 400 and dropped.
+    /// Maximum bytes of HTTP head (start line + headers) read off the
+    /// wire. A server answers a larger request head 400 and drops the
+    /// connection; `RpcClient` fails a larger response head with a typed
+    /// `TooLarge` I/O error.
     pub max_head_bytes: usize,
-    /// Server side: maximum request body (`Content-Length` or summed
-    /// chunks) accepted before the connection is answered 400 and dropped.
+    /// Maximum HTTP body (`Content-Length` or summed chunks), enforced
+    /// the same way on both sides: 400 for a request, a typed `TooLarge`
+    /// I/O error for a response.
     pub max_body_bytes: usize,
     /// Which byte-kernel implementations the engine's hot loops use
     /// (escape scanning, stuffed integer encoding, coalesced gap
@@ -333,7 +336,8 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style server request caps (head bytes, body bytes).
+    /// Builder-style HTTP caps (head bytes, body bytes) for requests a
+    /// server reads and responses `RpcClient` reads.
     pub fn with_http_caps(mut self, max_head_bytes: usize, max_body_bytes: usize) -> Self {
         self.max_head_bytes = max_head_bytes;
         self.max_body_bytes = max_body_bytes;

@@ -38,7 +38,6 @@ pub mod config;
 pub mod dut;
 pub mod error;
 pub mod overlay;
-pub mod pipeline;
 pub mod plan;
 pub mod schema;
 pub mod sendv;
@@ -57,7 +56,6 @@ pub use config::{
 pub use dut::{DutEntry, DutTable};
 pub use error::EngineError;
 pub use overlay::{OverlayReport, OverlaySender};
-pub use pipeline::{PipelineReport, PipelinedSender};
 pub use plan::{InjectedFault, OpKind, PlanCost, PlannedOp, SendPlan};
 pub use schema::{OpDesc, ParamDesc, TypeDesc};
 pub use store::{Checkout, StoreKey, TemplateStore};

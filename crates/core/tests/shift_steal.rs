@@ -9,10 +9,12 @@ use bsoap_baseline::GSoapLike;
 use bsoap_chunks::ChunkConfig;
 use bsoap_convert::ScalarKind;
 use bsoap_core::{
-    EngineConfig, GrowthPolicy, MessageTemplate, OpDesc, TypeDesc, Value, WidthPolicy,
+    EngineConfig, GrowthPolicy, KernelPolicy, MessageTemplate, OpDesc, TypeDesc, Value, WidthPolicy,
 };
+use bsoap_obs::{Counter, Metrics};
 use bsoap_xml::strip_pad;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn doubles_op() -> OpDesc {
     OpDesc::single(
@@ -32,10 +34,12 @@ fn small_chunks() -> ChunkConfig {
 }
 
 /// Build with minimum-width values then rewrite every value to maximum
-/// width — the paper's worst-case shifting experiment (Fig. 6/7).
+/// width — the paper's worst-case shifting experiment (Fig. 6/7), every
+/// field outgrowing its exact width in one update. On tight chunks the
+/// growth must split; on 32 KiB chunks a shift near a chunk's head drags
+/// a long tail, so one chunk's bytes per coalesced pass is a real bound.
 #[test]
 fn worst_case_expansion_all_values() {
-    let n = 200;
     // Tight threshold: per-chunk growth (~23 bytes × ~12 items) exceeds the
     // headroom, forcing chunk splits.
     let tight = ChunkConfig {
@@ -43,32 +47,60 @@ fn worst_case_expansion_all_values() {
         split_threshold: 640,
         reserve: 64,
     };
-    let config = EngineConfig::paper_default()
-        .with_chunk(tight)
-        .with_steal(false);
-    let min_vals = Value::DoubleArray(vec![1.0; n]); // "1": one char
-    let mut tpl = MessageTemplate::build(config, &doubles_op(), &[min_vals]).unwrap();
-    let before_len = tpl.message_len();
-
     // −2.2250738585072014E−308-ish values: 24 characters each.
     let wide = -2.2250738585072014e-308;
     assert_eq!(bsoap_convert::format_f64(wide).len(), 24);
-    tpl.update_args(&[Value::DoubleArray(vec![wide; n])])
-        .unwrap();
-    let report = tpl.flush();
-    assert_eq!(report.values_written, n);
-    assert_eq!(report.shifts, n, "every value must shift");
-    assert!(
-        report.splits > 0,
-        "growth beyond threshold must split chunks"
-    );
-    assert_eq!(tpl.message_len(), before_len + n * 23);
-    tpl.assert_invariants();
 
-    // The patched message equals a fresh full serialization.
-    let fresh = MessageTemplate::build(config, &doubles_op(), &[Value::DoubleArray(vec![wide; n])])
-        .unwrap();
-    assert_eq!(tpl.to_bytes(), fresh.to_bytes());
+    for (chunk, n, must_split) in [(tight, 200, true), (ChunkConfig::k32(), 2000, false)] {
+        let storm = [Value::DoubleArray(vec![wide; n])];
+        let full = GSoapLike::new()
+            .serialize(&doubles_op(), &storm)
+            .unwrap()
+            .to_vec();
+        let mut per_kernel = Vec::new();
+        for kernel in [KernelPolicy::Scalar, KernelPolicy::Auto] {
+            let config = EngineConfig::paper_default()
+                .with_chunk(chunk)
+                .with_steal(false)
+                .with_kernel(kernel);
+            let min_vals = Value::DoubleArray(vec![1.0; n]); // "1": one char
+            let mut tpl = MessageTemplate::build(config, &doubles_op(), &[min_vals]).unwrap();
+            let metrics = Arc::new(Metrics::new());
+            tpl.set_metrics(Arc::clone(&metrics));
+            let before_len = tpl.message_len();
+
+            tpl.update_args(&storm).unwrap();
+            let report = tpl.flush();
+            assert_eq!(report.values_written, n);
+            assert_eq!(report.shifts, n, "every value must shift");
+            assert_eq!(
+                report.splits > 0,
+                must_split,
+                "growth beyond the tight threshold, and only that, must split chunks"
+            );
+            assert_eq!(tpl.message_len(), before_len + n * 23);
+            tpl.assert_invariants();
+
+            // The shifting is coalesced: at most one chunk's bytes move per
+            // pass, however many fields grew inside it.
+            let snap = metrics.snapshot();
+            let passes = snap.get(Counter::CoalescedShiftPasses);
+            assert!(passes >= 1, "{kernel:?}: no coalesced pass");
+            assert!(
+                snap.get(Counter::ShiftedBytes) <= passes * chunk.split_threshold as u64,
+                "{kernel:?}: {} bytes moved in {passes} passes",
+                snap.get(Counter::ShiftedBytes)
+            );
+
+            // The patched message equals a fresh full serialization, the
+            // engine's own and the independent baseline's.
+            let fresh = MessageTemplate::build(config, &doubles_op(), &storm).unwrap();
+            assert_eq!(tpl.to_bytes(), fresh.to_bytes());
+            assert_eq!(strip_pad(&tpl.to_bytes()), strip_pad(&full), "{kernel:?}");
+            per_kernel.push((tpl.to_bytes(), snap.get(Counter::ShiftedBytes), passes));
+        }
+        assert_eq!(per_kernel[0], per_kernel[1], "byte kernels diverged");
+    }
 }
 
 #[test]

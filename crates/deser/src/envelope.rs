@@ -118,18 +118,17 @@ impl<'a> Cursor<'a> {
     }
 }
 
-struct Parser<'a> {
+/// The one schema-directed grammar: [`parse_envelope`] runs it over a
+/// whole message, the streaming deserializer over the prologue and each
+/// item unit as they complete.
+pub(crate) struct Parser<'a> {
     cur: Cursor<'a>,
     mapped: bool,
     leaves: Vec<LeafRegion>,
 }
 
 fn parse_inner(bytes: &[u8], op: &OpDesc, mapped: bool) -> Result<MappedMessage, DeserError> {
-    let mut p = Parser {
-        cur: Cursor::new(bytes),
-        mapped,
-        leaves: Vec::new(),
-    };
+    let mut p = Parser::new(bytes, mapped);
 
     p.expect_start("SOAP-ENV:Envelope")?;
     p.expect_start("SOAP-ENV:Body")?;
@@ -154,11 +153,19 @@ fn parse_inner(bytes: &[u8], op: &OpDesc, mapped: bool) -> Result<MappedMessage,
 }
 
 impl<'a> Parser<'a> {
+    pub(crate) fn new(bytes: &'a [u8], mapped: bool) -> Self {
+        Parser {
+            cur: Cursor::new(bytes),
+            mapped,
+            leaves: Vec::new(),
+        }
+    }
+
     fn name_text(&self, r: &Range<usize>) -> &'a str {
         std::str::from_utf8(&self.cur.parser.input()[r.clone()]).unwrap_or("<non-utf8>")
     }
 
-    fn expect_start(&mut self, name: &str) -> Result<StartTag, DeserError> {
+    pub(crate) fn expect_start(&mut self, name: &str) -> Result<StartTag, DeserError> {
         match self.cur.next_significant()? {
             Event::Start {
                 name: n,
@@ -201,7 +208,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_eof(&mut self) -> Result<(), DeserError> {
+    pub(crate) fn expect_eof(&mut self) -> Result<(), DeserError> {
         match self.cur.next_significant()? {
             Event::Eof => Ok(()),
             other => Err(DeserError::shape(format!("trailing content: {other:?}"))),
@@ -219,7 +226,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parse a scalar or struct element named `name`.
-    fn plain(
+    pub(crate) fn plain(
         &mut self,
         pidx: u32,
         leaf_counter: &mut u32,
@@ -312,7 +319,9 @@ impl<'a> Parser<'a> {
         let declared = self.array_len_attr(&tag)?;
 
         let mut leaf_counter = 0u32;
-        let mut out = ArrayAccum::new(item, declared);
+        // Reserve for what the message can carry, not what it claims: no
+        // element is shorter than `<item/>`.
+        let mut out = ArrayAccum::new(item, declared.min(self.cur.input().len() / 7));
         loop {
             match self.cur.next_significant()? {
                 Event::Start { name: n, range, .. } => {
@@ -373,7 +382,7 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn array_len_attr(&self, tag: &StartTag) -> Result<usize, DeserError> {
+    pub(crate) fn array_len_attr(&self, tag: &StartTag) -> Result<usize, DeserError> {
         for a in &tag.attrs {
             if &self.cur.input()[a.name.clone()] == b"SOAP-ENC:arrayType" {
                 let v = &self.cur.input()[a.value.clone()];
@@ -386,12 +395,14 @@ impl<'a> Parser<'a> {
                     .position(|&b| b == b']')
                     .map(|p| p + open)
                     .ok_or_else(|| DeserError::shape("arrayType missing ']'"))?;
-                return lex::parse_i32(lex::trim_xml_ws(&v[open + 1..close]))
-                    .map(|n| n as usize)
-                    .map_err(|err| DeserError::Lexical {
+                let n = lex::parse_i32(lex::trim_xml_ws(&v[open + 1..close])).map_err(|err| {
+                    DeserError::Lexical {
                         at: "arrayType length".into(),
                         err,
-                    });
+                    }
+                })?;
+                return usize::try_from(n)
+                    .map_err(|_| DeserError::shape("arrayType length is negative"));
             }
         }
         Err(DeserError::shape(
@@ -400,10 +411,11 @@ impl<'a> Parser<'a> {
     }
 }
 
-struct StartTag {
+pub(crate) struct StartTag {
     attrs: Vec<bsoap_xml::pull::Attr>,
     name: Range<usize>,
-    tag_end: usize,
+    /// One past the tag's closing `>`.
+    pub(crate) tag_end: usize,
 }
 
 /// Accumulates array elements into the densest matching `Value` variant.

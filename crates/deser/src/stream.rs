@@ -17,11 +17,9 @@
 //! `<` — guaranteed for output of this engine (and any conforming XML
 //! writer), which escapes `<` in character data.
 
-use crate::envelope::parse_scalar;
+use crate::envelope::Parser;
 use crate::error::DeserError;
-use bsoap_convert::parse as lex;
 use bsoap_core::{OpDesc, TypeDesc, Value};
-use bsoap_xml::{Event, PullParser};
 
 /// Default cap on the carry buffer — the largest prologue, single item,
 /// or epilogue the streaming parser will reassemble across slices.
@@ -225,10 +223,17 @@ impl StreamingDeserializer {
 
     /// Try to consume the prologue (everything through the array open
     /// tag) starting at `pos`. Returns the end offset when complete.
+    ///
+    /// The substring probe only decides *when* enough bytes have arrived;
+    /// what they must be is decided by the grammar [`parse_envelope`]
+    /// runs, over exactly the probed slice. A probe that cuts early (the
+    /// parameter name inside a comment, a `>` inside an attribute value)
+    /// hands that grammar a truncated slice and is rejected, so this
+    /// parser accepts a subset of the oracle's envelopes, never more.
+    ///
+    /// [`parse_envelope`]: crate::parse_envelope
     fn try_prologue(&mut self, pos: usize) -> Result<Option<usize>, DeserError> {
         let buf = &self.carry[pos..];
-        // The array open tag is the last tag of the prologue; it is
-        // complete once `<{param} ... >` is closed.
         let mut probe = Vec::with_capacity(self.param_name.len() + 1);
         probe.push(b'<');
         probe.extend_from_slice(self.param_name.as_bytes());
@@ -238,21 +243,22 @@ impl StreamingDeserializer {
         let Some(gt) = buf[open_at..].iter().position(|&b| b == b'>') else {
             return Ok(None);
         };
-        let head = &buf[..open_at];
-        for tag in [
-            "<SOAP-ENV:Envelope",
-            "<SOAP-ENV:Body",
-            &format!("<{}", self.op_tag),
-        ] {
-            if find(head, tag.as_bytes()).is_none() {
-                return Err(DeserError::shape(format!(
-                    "prologue missing {tag} before the array open tag"
-                )));
-            }
+        let prologue = &buf[..open_at + gt + 1];
+        let mut p = Parser::new(prologue, false);
+        p.expect_start("SOAP-ENV:Envelope")?;
+        p.expect_start("SOAP-ENV:Body")?;
+        p.expect_start(&self.op_tag)?;
+        let tag = p.expect_start(&self.param_name)?;
+        // The oracle reads `<arr …/>` as an empty array; items after it
+        // would be siblings, not elements.
+        if prologue[..tag.tag_end].ends_with(b"/>") {
+            return Err(DeserError::shape(format!(
+                "array {} is an empty-element tag",
+                self.param_name
+            )));
         }
-        let open_tag = &buf[open_at..open_at + gt + 1];
-        self.declared = declared_len(open_tag)?;
-        Ok(Some(pos + open_at + gt + 1))
+        self.declared = p.array_len_attr(&tag)?;
+        Ok(Some(pos + tag.tag_end))
     }
 }
 
@@ -281,22 +287,6 @@ fn expect_tag<'a>(buf: &'a [u8], tag: &[u8]) -> Result<&'a [u8], DeserError> {
             String::from_utf8_lossy(tag)
         )))
     }
-}
-
-/// Declared length from an array open tag's `SOAP-ENC:arrayType="T[N]"`.
-fn declared_len(open_tag: &[u8]) -> Result<usize, DeserError> {
-    let attr = find(open_tag, b"SOAP-ENC:arrayType")
-        .ok_or_else(|| DeserError::shape("array element missing SOAP-ENC:arrayType"))?;
-    let rest = &open_tag[attr..];
-    let open = find(rest, b"[").ok_or_else(|| DeserError::shape("arrayType missing '['"))?;
-    let close =
-        find(&rest[open..], b"]").ok_or_else(|| DeserError::shape("arrayType missing ']'"))?;
-    lex::parse_i32(lex::trim_xml_ws(&rest[open + 1..open + close]))
-        .map(|n| n as usize)
-        .map_err(|err| DeserError::Lexical {
-            at: "arrayType length".into(),
-            err,
-        })
 }
 
 /// Length of the complete element starting at `buf[0] == b'<'`, or `None`
@@ -342,97 +332,10 @@ fn find_unit_end(buf: &[u8]) -> Result<Option<usize>, DeserError> {
 
 /// Parse one complete `<item>…</item>` unit into a [`Value`].
 fn parse_item_unit(bytes: &[u8], desc: &TypeDesc) -> Result<Value, DeserError> {
-    let mut parser = PullParser::new(bytes);
-    let v = parse_element(&mut parser, bytes, b"item", desc)?;
-    match next_significant(&mut parser, bytes)? {
-        Event::Eof => Ok(v),
-        other => Err(DeserError::shape(format!(
-            "trailing content in array item: {other:?}"
-        ))),
-    }
-}
-
-/// Next event skipping the XML declaration, comments, and whitespace text.
-fn next_significant(parser: &mut PullParser<'_>, input: &[u8]) -> Result<Event, DeserError> {
-    loop {
-        let e = parser.next_event()?;
-        match &e {
-            Event::Decl { .. } | Event::Comment { .. } => continue,
-            Event::Text { range } => {
-                if input[range.clone()].iter().all(|b| b.is_ascii_whitespace()) {
-                    continue;
-                }
-                return Ok(e);
-            }
-            _ => return Ok(e),
-        }
-    }
-}
-
-/// Recursive-descent parse of one element named `name` of shape `desc`.
-fn parse_element(
-    parser: &mut PullParser<'_>,
-    input: &[u8],
-    name: &[u8],
-    desc: &TypeDesc,
-) -> Result<Value, DeserError> {
-    match next_significant(parser, input)? {
-        Event::Start { name: n, .. } => {
-            if &input[n.clone()] != name {
-                return Err(DeserError::shape(format!(
-                    "expected <{}>, found <{}>",
-                    String::from_utf8_lossy(name),
-                    String::from_utf8_lossy(&input[n])
-                )));
-            }
-        }
-        other => {
-            return Err(DeserError::shape(format!(
-                "expected <{}>, found {other:?}",
-                String::from_utf8_lossy(name)
-            )))
-        }
-    }
-    match desc {
-        TypeDesc::Scalar(kind) => {
-            // Optional text, then the close tag.
-            let mut raw: &[u8] = b"";
-            let ev = parser.next_event()?;
-            let ev = if let Event::Text { range } = &ev {
-                raw = &input[range.clone()];
-                parser.next_event()?
-            } else {
-                ev
-            };
-            match ev {
-                Event::End { name: n, .. } if &input[n.clone()] == name => {}
-                other => {
-                    return Err(DeserError::shape(format!(
-                        "expected </{}>, found {other:?}",
-                        String::from_utf8_lossy(name)
-                    )))
-                }
-            }
-            parse_scalar(raw, *kind, &String::from_utf8_lossy(name))
-        }
-        TypeDesc::Struct { fields, .. } => {
-            let mut vals = Vec::with_capacity(fields.len());
-            for (fname, fdesc) in fields {
-                vals.push(parse_element(parser, input, fname.as_bytes(), fdesc)?);
-            }
-            match next_significant(parser, input)? {
-                Event::End { name: n, .. } if &input[n.clone()] == name => {}
-                other => {
-                    return Err(DeserError::shape(format!(
-                        "expected </{}>, found {other:?}",
-                        String::from_utf8_lossy(name)
-                    )))
-                }
-            }
-            Ok(Value::Struct(vals))
-        }
-        TypeDesc::Array { .. } => Err(DeserError::shape("nested arrays are not supported")),
-    }
+    let mut p = Parser::new(bytes, false);
+    let v = p.plain(0, &mut 0, "item", desc)?;
+    p.expect_eof()?;
+    Ok(v)
 }
 
 fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {

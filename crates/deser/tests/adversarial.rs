@@ -16,7 +16,7 @@
 
 use bsoap_convert::ScalarKind;
 use bsoap_core::{EngineConfig, MessageTemplate, OpDesc, TypeDesc, Value};
-use bsoap_deser::{parse_envelope, parse_envelope_mapped, DiffDeserializer};
+use bsoap_deser::{parse_envelope, parse_envelope_mapped, DiffDeserializer, StreamingDeserializer};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -96,6 +96,71 @@ fn mutation_strategy() -> impl Strategy<Value = Mutation> {
             digits: d.to_le_bytes(),
         }),
     ]
+}
+
+/// Prologues only a substring search could mistake for an envelope: the
+/// streaming parser must reject each, as `parse_envelope` does, before
+/// it emits an item.
+#[test]
+fn streaming_prologue_is_parsed_not_searched() {
+    let op = doubles_op();
+    let tail = "<item>1.5</item></arr></ns1:send></SOAP-ENV:Body></SOAP-ENV:Envelope>";
+    let head = "<SOAP-ENV:Envelope><SOAP-ENV:Body><ns1:send>";
+    for (what, bytes) in [
+        (
+            "the three open tags exist only inside a comment",
+            format!(
+                "<!--<SOAP-ENV:Envelope<SOAP-ENV:Body<ns1:send-->\
+                 <arr SOAP-ENC:arrayType=\"xsd:double[1]\">{tail}"
+            ),
+        ),
+        (
+            "the array element only starts with the parameter's name",
+            format!("{head}<arrX SOAP-ENC:arrayType=\"xsd:double[1]\">{tail}")
+                .replace("</arr>", "</arrX>"),
+        ),
+        (
+            "an empty-element array tag followed by sibling items",
+            format!("{head}<arr SOAP-ENC:arrayType=\"xsd:double[1]\"/>{tail}"),
+        ),
+    ] {
+        assert!(
+            parse_envelope(bytes.as_bytes(), &op).is_err(),
+            "{what}: the oracle must reject"
+        );
+        let mut d = StreamingDeserializer::new(&op).unwrap();
+        let mut items = 0usize;
+        let pushed = d.push(bytes.as_bytes(), |_, _| {
+            items += 1;
+            Ok(())
+        });
+        assert_eq!(items, 0, "{what}: emitted an item");
+        assert!(
+            pushed.is_err(),
+            "{what}: accepted by the streaming prologue"
+        );
+    }
+}
+
+/// A declared array length is a claim, not a size: a negative one is a
+/// typed error (it used to panic the reservation), an absurd one costs
+/// no more memory than the message itself.
+#[test]
+fn lying_array_lengths_are_typed_errors() {
+    let op = doubles_op();
+    for n in ["-1", "-2147483648", "2147483647"] {
+        let bytes = format!(
+            "<SOAP-ENV:Envelope><SOAP-ENV:Body><ns1:send>\
+             <arr SOAP-ENC:arrayType=\"xsd:double[{n}]\"><item>1.5</item></arr>\
+             </ns1:send></SOAP-ENV:Body></SOAP-ENV:Envelope>"
+        );
+        assert!(parse_envelope(bytes.as_bytes(), &op).is_err(), "[{n}]");
+        let mut d = StreamingDeserializer::new(&op).unwrap();
+        let streamed = d
+            .push(bytes.as_bytes(), |_, _| Ok(()))
+            .and_then(|()| d.finish().map(drop));
+        assert!(streamed.is_err(), "[{n}] streamed");
+    }
 }
 
 proptest! {

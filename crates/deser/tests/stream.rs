@@ -4,7 +4,9 @@
 
 use bsoap_convert::ScalarKind;
 use bsoap_core::value::mio;
-use bsoap_core::{EngineConfig, MessageTemplate, OpDesc, TypeDesc, Value, WidthPolicy};
+use bsoap_core::{
+    EngineConfig, MessageTemplate, OpDesc, OverlaySender, TypeDesc, Value, WidthPolicy,
+};
 use bsoap_deser::StreamingDeserializer;
 use proptest::prelude::*;
 
@@ -275,5 +277,136 @@ proptest! {
         cuts.sort_unstable();
         let (items, _) = stream_parse(&op, &bytes, &cuts).unwrap();
         prop_assert_eq!(Value::Array(items), batch[0].clone());
+    }
+}
+
+/// One corruption of a streamed envelope. The byte-level ones land
+/// anywhere; the last three aim at the prologue, where a parser that
+/// searches for tags instead of parsing them is fooled.
+#[derive(Clone, Debug)]
+enum Mutation {
+    Truncate(usize),
+    Flip {
+        pos: usize,
+        xor: u8,
+    },
+    Insert {
+        pos: usize,
+        byte: u8,
+    },
+    Delete(usize),
+    /// `<arr …>` becomes `<arr{byte} …>`.
+    ExtendArrayName(u8),
+    /// Everything before the array open tag becomes one comment.
+    CommentOutPrologue,
+    /// `<arr …>` becomes `<arr …/>`.
+    SelfCloseArrayTag,
+}
+
+fn array_open(bytes: &[u8]) -> Option<usize> {
+    bytes.windows(4).position(|w| w == b"<arr")
+}
+
+fn mutate(bytes: &mut Vec<u8>, m: &Mutation) {
+    match *m {
+        Mutation::Truncate(keep) => bytes.truncate(keep % (bytes.len() + 1)),
+        Mutation::Flip { pos, xor } => {
+            if !bytes.is_empty() {
+                let n = bytes.len();
+                bytes[pos % n] ^= xor;
+            }
+        }
+        Mutation::Insert { pos, byte } => bytes.insert(pos % (bytes.len() + 1), byte),
+        Mutation::Delete(pos) => {
+            if !bytes.is_empty() {
+                bytes.remove(pos % bytes.len());
+            }
+        }
+        Mutation::ExtendArrayName(byte) => {
+            if let Some(at) = array_open(bytes) {
+                bytes.insert(at + 4, byte);
+            }
+        }
+        Mutation::CommentOutPrologue => {
+            if let Some(at) = array_open(bytes) {
+                bytes.splice(at..at, *b"-->");
+                bytes.splice(0..0, *b"<!--");
+            }
+        }
+        Mutation::SelfCloseArrayTag => {
+            if let Some(at) = array_open(bytes) {
+                if let Some(gt) = bytes[at..].iter().position(|&b| b == b'>') {
+                    bytes.insert(at + gt, b'/');
+                }
+            }
+        }
+    }
+}
+
+fn mutation_strategy() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        (0usize..4096).prop_map(Mutation::Truncate),
+        (0usize..4096, 1u8..=255).prop_map(|(pos, xor)| Mutation::Flip { pos, xor }),
+        (0usize..4096, any::<u8>()).prop_map(|(pos, byte)| Mutation::Insert { pos, byte }),
+        (0usize..4096).prop_map(Mutation::Delete),
+        prop_oneof![Just(b'X'), Just(b' '), Just(b'-'), any::<u8>()]
+            .prop_map(Mutation::ExtendArrayName),
+        Just(Mutation::CommentOutPrologue),
+        Just(Mutation::SelfCloseArrayTag),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(384))]
+
+    /// Soundness against the oracle: whatever the streaming parser
+    /// accepts, under any fragmentation, `parse_envelope` accepts with
+    /// the same values — and what the overlay sender emits untouched is
+    /// always accepted.
+    #[test]
+    fn streaming_accepts_only_what_the_full_parser_accepts(
+        vals in prop::collection::vec(-1e9f64..1e9, 0..24),
+        window in 1usize..8,
+        mutations in prop::collection::vec(mutation_strategy(), 0..3),
+        cuts in prop::collection::vec(any::<u16>(), 0..16),
+    ) {
+        let op = doubles_op();
+        let mut bytes = Vec::new();
+        OverlaySender::new(EngineConfig::paper_default(), &op, window)
+            .unwrap()
+            .send(&Value::DoubleArray(vals.clone()), &mut bytes)
+            .unwrap();
+        for m in &mutations {
+            mutate(&mut bytes, m);
+        }
+        let mut cuts: Vec<usize> =
+            cuts.iter().map(|&c| c as usize % bytes.len().max(1)).collect();
+        cuts.sort_unstable();
+
+        let streamed = stream_parse(&op, &bytes, &cuts);
+        if mutations.is_empty() {
+            prop_assert!(streamed.is_ok(), "overlay output rejected: {:?}", streamed.err());
+        }
+        if let Ok((items, _)) = streamed {
+            let got: Vec<f64> = items
+                .iter()
+                .map(|v| match v {
+                    Value::Double(x) => *x,
+                    other => panic!("expected double, got {other:?}"),
+                })
+                .collect();
+            match bsoap_deser::parse_envelope(&bytes, &op) {
+                Ok(full) => prop_assert_eq!(&full[0], &Value::DoubleArray(got)),
+                Err(e) => prop_assert!(
+                    false,
+                    "streaming accepted {:?}, which the full parser rejects: {}",
+                    String::from_utf8_lossy(&bytes),
+                    e
+                ),
+            }
+            if mutations.is_empty() {
+                prop_assert_eq!(&items.len(), &vals.len());
+            }
+        }
     }
 }

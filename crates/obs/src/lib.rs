@@ -166,8 +166,6 @@ metric_enum! {
         ChunkMerges => "bsoap_chunk_merges_total",
         /// Bytes moved by intra-chunk range moves (stealing).
         ChunkMovedBytes => "bsoap_chunk_moved_bytes_total",
-        /// Portions handed to the pipelined sender.
-        PipelinePortions => "bsoap_pipeline_portions_total",
         /// Pool connections dialed fresh.
         PoolCreated => "bsoap_pool_created_total",
         /// Pool checkouts satisfied by an idle connection.
@@ -263,8 +261,6 @@ metric_enum! {
     Gauge {
         /// Deepest the server accept queue ever got.
         QueueDepthPeak => "bsoap_queue_depth_peak",
-        /// Most portions ever in flight in the pipelined sender.
-        PipelineMaxInFlight => "bsoap_pipeline_max_in_flight",
         /// Largest window fragment (template bytes) the overlay sender
         /// ever held — the sender's memory bound, flat in array size.
         OverlayWindowPeakBytes => "bsoap_overlay_window_peak_bytes",

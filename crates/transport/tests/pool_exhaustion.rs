@@ -377,6 +377,98 @@ fn overloaded_server_queues_every_client_on_both_cores() {
     }
 }
 
+/// What "queued" means for held keep-alive connections differs by core:
+/// the worker pool pins a thread to each live connection, so of N held
+/// open with a request on each exactly `workers` are answered while the
+/// rest wait their turn; the event loop answers on all N.
+#[test]
+fn connection_sweep_scales_on_the_event_loop_only() {
+    use bsoap_obs::{Counter, Metrics};
+    use bsoap_transport::http::{post_gather, read_response, HttpVersion, RequestConfig};
+    use bsoap_transport::{supported_cores, ServerCore, ServerMode, ServerOptions, TestServer};
+    use std::io::{IoSlice, Write};
+
+    const CONNS: usize = 12;
+    const WORKERS: usize = 3;
+    let mut probe = Vec::new();
+    post_gather(
+        &mut probe,
+        &RequestConfig::loopback(HttpVersion::Http11Length),
+        &[IoSlice::new(b"<probe/>")],
+        &mut Vec::new(),
+    )
+    .unwrap();
+
+    for &core in supported_cores() {
+        let metrics = Metrics::shared();
+        let server = TestServer::spawn_with_metrics(
+            ServerMode::Ack,
+            ServerOptions {
+                core,
+                workers: WORKERS,
+                event_loop_threads: 1,
+                max_connections: 2 * CONNS,
+                ..ServerOptions::default()
+            },
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let mut socks: Vec<TcpStream> = (0..CONNS)
+            .map(|_| TcpStream::connect(server.addr()).unwrap())
+            .collect();
+        for s in &mut socks {
+            s.write_all(&probe).unwrap();
+        }
+
+        let expected = match core {
+            ServerCore::WorkerPool => WORKERS,
+            ServerCore::EventLoop => CONNS,
+        };
+        // Every connection is accepted before the count is read, so none
+        // still in the listen backlog can be mistaken for "queued".
+        spin_until(
+            Duration::from_secs(20),
+            "all accepted, all due answered",
+            || {
+                metrics.snapshot().get(Counter::ServerConnections) == CONNS as u64
+                    && server.requests() == expected as u64
+            },
+        );
+
+        // Exactly `expected` connections carry a reply; on the worker
+        // pool the others have nothing to read.
+        for s in &socks {
+            s.set_nonblocking(true).unwrap();
+        }
+        let mut answered = Vec::new();
+        spin_until(Duration::from_secs(20), "replies readable", || {
+            for (i, s) in socks.iter().enumerate() {
+                let mut byte = [0u8; 1];
+                if !answered.contains(&i) && matches!(s.peek(&mut byte), Ok(1)) {
+                    answered.push(i);
+                }
+            }
+            answered.len() >= expected
+        });
+        assert_eq!(answered.len(), expected, "core {core:?}");
+
+        // The answered connections still own their server thread: a second
+        // request on one is served at once, while the count of first
+        // requests served has not moved.
+        let first = &mut socks[answered[0]];
+        first.set_nonblocking(false).unwrap();
+        let (status, _) = read_response(first).unwrap();
+        assert_eq!(status, 200);
+        first.write_all(&probe).unwrap();
+        let (status, _) = read_response(first).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(server.requests(), expected as u64 + 1, "core {core:?}");
+
+        drop(socks);
+        server.stop();
+    }
+}
+
 /// Scripted checkout/checkin/reap sequence with exact `PoolStats` at the
 /// end — every counter justified by a specific event, idle expiry driven
 /// by a virtual clock (no sleeps).

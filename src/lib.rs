@@ -55,8 +55,11 @@
 //! | [`baseline`] | gSOAP-like and XSOAP-like full serializers (the paper's comparison toolkits) |
 //! | [`deser`] | server-side parsing, incl. differential deserialization (§6) |
 //!
-//! The benchmark harness that regenerates every figure of the paper lives
-//! in the `bsoap-bench` crate (`cargo run -p bsoap-bench --bin figures`).
+//! The harness that regenerates every figure of the paper lives in the
+//! `bsoap-bench` crate (`cargo run -p bsoap-bench --bin figures`); what
+//! one RPC costs end to end and per layer is measured by the pinned
+//! package in `benchmark/` (`cargo run --release --manifest-path
+//! benchmark/Cargo.toml -- --workload <name>`; README "Benchmarks").
 
 pub mod rpc;
 
@@ -79,7 +82,6 @@ pub use bsoap_transport::{AttemptFailure, CircuitBreaker, FaultPolicy, Resilienc
 pub use bsoap_core::sendv::write_all_vectored;
 
 pub use bsoap_core::overlay::{OverlayReport, OverlaySender};
-pub use bsoap_core::pipeline::{PipelineReport, PipelinedSender};
 pub use bsoap_core::value::mio;
 
 /// Number ↔ ASCII conversion substrate.

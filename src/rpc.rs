@@ -183,9 +183,16 @@ impl RpcClient {
             .client
             .call_via(&endpoint, op, args, |slices| transport.send_message(slices))
             .map_err(RpcError::Send)?;
-        let (status, headers, body) =
-            read_response_headers_limited(self.transport.stream(), usize::MAX, usize::MAX)
-                .map_err(RpcError::Io)?;
+        // A reply is wire input like any request: past the caps it is a
+        // typed `TooLarge` (kind `InvalidData`), not a buffer that grows
+        // for as long as the peer keeps streaming.
+        let config = self.client.config();
+        let (status, headers, body) = read_response_headers_limited(
+            self.transport.stream(),
+            config.max_head_bytes,
+            config.max_body_bytes,
+        )
+        .map_err(RpcError::Io)?;
         Ok((status, headers, body, report))
     }
 
@@ -478,5 +485,66 @@ mod tests {
             }
         }
         server.stop();
+    }
+
+    /// A peer that answers every request on one keep-alive connection
+    /// with `body` under `Content-Length` framing.
+    fn spawn_fixed_reply_peer(body: Vec<u8>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        use crate::transport::http::RequestReader;
+        use std::io::Write;
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut requests = RequestReader::new(stream.try_clone().unwrap());
+            let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", body.len());
+            while let Ok(Some(_)) = requests.next_request() {
+                // The client hangs up without reading a body it has
+                // already refused; that is the point, not a peer failure.
+                if stream.write_all(head.as_bytes()).is_err() || stream.write_all(&body).is_err() {
+                    break;
+                }
+            }
+        });
+        (addr, peer)
+    }
+
+    #[test]
+    fn reply_past_the_body_cap_is_a_typed_error() {
+        const CAP: usize = 4096;
+        let (desc, _) = scale_service();
+        let ys = vec![ParamDesc {
+            name: "ys".into(),
+            desc: TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
+        }];
+        // A well-formed reply, padded with trailing whitespace (which the
+        // envelope grammar allows) to exactly the length under test.
+        let reply = crate::MessageTemplate::build(
+            EngineConfig::paper_default(),
+            &OpDesc::new("scaleResponse", "urn:vec", ys.clone()),
+            &[Value::DoubleArray(vec![2.0])],
+        )
+        .unwrap()
+        .to_bytes();
+        let config = EngineConfig::paper_default().with_http_caps(1 << 20, CAP);
+        for body_len in [CAP, CAP + 1] {
+            let mut body = reply.clone();
+            body.resize(body_len, b' ');
+            let (addr, peer) = spawn_fixed_reply_peer(body);
+            let mut rpc = RpcClient::connect(desc.clone(), addr, config).unwrap();
+            rpc.declare_response("scale", ys.clone());
+            match rpc.call("scale", &[Value::DoubleArray(vec![1.0])]) {
+                Ok(values) if body_len == CAP => {
+                    assert_eq!(values, vec![Value::DoubleArray(vec![2.0])]);
+                }
+                Err(RpcError::Io(e)) if body_len > CAP => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+                    assert!(e.to_string().contains("size cap"), "{e}");
+                }
+                other => panic!("{body_len}-byte reply under a {CAP}-byte cap: {other:?}"),
+            }
+            drop(rpc);
+            peer.join().unwrap();
+        }
     }
 }

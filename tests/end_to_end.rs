@@ -345,6 +345,11 @@ fn pooled_keep_alive_scrape_reports_tier_counters_mid_load() {
                 2,
                 "{core:?} {format:?}"
             );
+            assert!(
+                text.lines()
+                    .any(|l| l.starts_with("bsoap_send_latency_seconds_bucket")),
+                "send-latency histogram missing from the scrape ({core:?} {format:?})"
+            );
 
             let snap = metrics.snapshot();
             assert_eq!(snap.total_sends() as usize, total);

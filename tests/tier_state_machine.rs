@@ -647,6 +647,48 @@ fn cost_gate_fallback_is_counted_and_exact() {
         assert_eq!(r.tier, SendTier::PerfectStructural);
         assert!(!r.fell_back);
     }
+
+    // The gate on the input it exists for: a shift storm — every field
+    // of 2000 outgrows its exact width in one update — prices at about
+    // one rebuild, so a 0.75 break-even sends it down the rebuild path,
+    // and what that send then costs stays within 1.2x a FirstTime send
+    // of the same values. Cost is modelled from the work counters (the
+    // currency of bsoap-bench's `psm_orders_by_dirty_fraction`), so the
+    // bound holds on any machine.
+    let op = doubles_op();
+    let config = EngineConfig::paper_default()
+        .with_chunk(bsoap::chunks::ChunkConfig::k32())
+        .with_width(WidthPolicy::Exact)
+        .with_cost_fallback(true)
+        .with_fallback_ratio(0.75);
+    let calm: Vec<f64> = (0..2000).map(|i| (i % 10) as f64 + 0.5).collect();
+    let storm: Vec<f64> = (0..2000).map(|i| (i as f64 + 0.1) / 3.0).collect();
+    let modeled_send = |warm_up: Option<&[f64]>| {
+        let metrics = Arc::new(Metrics::new());
+        let mut client = Client::new(config);
+        client.set_metrics(Arc::clone(&metrics));
+        let mut sink = SinkTransport::new();
+        if let Some(xs) = warm_up {
+            call(&mut client, &mut sink, &op, xs);
+        }
+        let before = metrics.snapshot();
+        let r = call(&mut client, &mut sink, &op, &storm);
+        let after = metrics.snapshot();
+        let delta = |c: Counter| after.get(c) - before.get(c);
+        assert_eq!(r.tier, SendTier::FirstTime);
+        let cost = delta(Counter::ValuesWritten) * 60
+            + r.bytes as u64 * 2
+            + delta(Counter::ShiftedBytes) * 4
+            + delta(Counter::BytesSent);
+        (r.fell_back, cost)
+    };
+    let (fell_back, gated) = modeled_send(Some(&calm));
+    assert!(fell_back, "the gate admitted the storm at ratio 0.75");
+    let (_, first_time) = modeled_send(None);
+    assert!(
+        gated as f64 <= 1.2 * first_time as f64,
+        "gated storm modelled at {gated}, a first-time send at {first_time}"
+    );
 }
 
 /// Writer that always fails with a fixed error kind.
