@@ -6,6 +6,8 @@ use bsoap_convert::ScalarKind;
 pub use bsoap_kernels::KernelPolicy;
 pub use bsoap_obs::ServerCore;
 
+pub use crate::lane::WireFormat;
+
 /// Initial field-width policy — the *stuffing* knob (§3.2, §4.4).
 ///
 /// The field width is the number of characters allocated to a value in the
@@ -62,62 +64,6 @@ pub enum GrowthPolicy {
     ToMax,
 }
 
-/// Which wire framing templates serialize into (§ DESIGN 3.15).
-///
-/// The DUT/tier machinery is format-agnostic — a template is bytes plus
-/// tracked value locations — so the same engine can speak the paper's
-/// SOAP XML or a Bebop-inspired compact binary framing. Binary leaves are
-/// fixed-width little-endian (ints/longs/doubles/bools never change
-/// serialized length), so `flush` degenerates to in-place
-/// overwrites and the planner never emits shifts or steals for numeric
-/// workloads: tier 3 collapses into tier 2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum WireFormat {
-    /// The paper's SOAP 1.1 XML envelope (lexical values, stuffing,
-    /// stealing, shifting — the full §3 machinery).
-    SoapXml,
-    /// Compact binary framing: magic + tagged fixed-width LE scalars,
-    /// length-prefixed strings, count-prefixed arrays. Negotiated
-    /// per-endpoint via `X-BSOAP-Accept`/`X-BSOAP-Format`.
-    CompactBinary,
-}
-
-impl WireFormat {
-    /// Both lanes, in the order tests and benches loop over them.
-    pub const ALL: [WireFormat; 2] = [WireFormat::SoapXml, WireFormat::CompactBinary];
-
-    /// Parse a format name (case-insensitive, separators optional).
-    /// `bin1` is the on-the-wire negotiation token and parses too.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "xml" | "soap_xml" | "soapxml" | "soap-xml" => Some(WireFormat::SoapXml),
-            "binary" | "bin" | "bin1" | "compact_binary" | "compactbinary" | "compact-binary" => {
-                Some(WireFormat::CompactBinary)
-            }
-            _ => None,
-        }
-    }
-
-    /// The canonical on-the-wire token for this format, as carried in
-    /// `X-BSOAP-Accept` / `X-BSOAP-Format` headers. Round-trips through
-    /// [`WireFormat::from_name`].
-    pub fn name(self) -> &'static str {
-        match self {
-            WireFormat::SoapXml => "xml",
-            WireFormat::CompactBinary => "bin1",
-        }
-    }
-
-    /// The per-lane send counter every send on this format ticks (client
-    /// sends and server responses alike).
-    pub fn send_counter(self) -> bsoap_obs::Counter {
-        match self {
-            WireFormat::SoapXml => bsoap_obs::Counter::SendsXml,
-            WireFormat::CompactBinary => bsoap_obs::Counter::SendsBinary,
-        }
-    }
-}
-
 /// Who owns saved templates (§ DESIGN 3.14): always the sharded,
 /// byte-budgeted [`crate::store::TemplateStore`] keyed by
 /// `(tenant, endpoint, op)`. Clients without an injected store lazily
@@ -144,22 +90,8 @@ pub struct EngineConfig {
     /// conversion cost model, [`FloatFormatter::Fast`] is the Grisu3
     /// fast path (see `bsoap-convert::grisu`).
     pub float: FloatFormatter,
-    /// Server side: worker threads handling connections in the bounded
-    /// accept pool (`bsoap-transport`'s `PoolOptions::workers`), or CPU
-    /// dispatcher threads when [`EngineConfig::server_core`] is
-    /// [`ServerCore::EventLoop`].
-    pub server_workers: usize,
     /// Server side: which connection-handling core hosts connections.
     pub server_core: ServerCore,
-    /// Server side: event-loop threads multiplexing connection readiness
-    /// when [`EngineConfig::server_core`] is [`ServerCore::EventLoop`].
-    /// Ignored by the worker-pool core.
-    pub event_loop_threads: usize,
-    /// Server side: maximum simultaneously open connections the event-loop
-    /// core accepts before parking the listener (excess connections queue
-    /// in the kernel backlog rather than being refused). Ignored by the
-    /// worker-pool core, whose bounded queue plays the same role.
-    pub max_connections: usize,
     /// Enable the §5 break-even gate: before patching a saved template the
     /// client compares the plan's estimated cost against a from-scratch
     /// rebuild estimate and falls back to the FirstTime path when patching
@@ -227,10 +159,7 @@ impl EngineConfig {
             growth: GrowthPolicy::Exact,
             steal: true,
             float: FloatFormatter::Exact2004,
-            server_workers: 4,
             server_core: ServerCore::WorkerPool,
-            event_loop_threads: 2,
-            max_connections: 8192,
             cost_fallback: false,
             fallback_ratio: 1.0,
             degrade_after: 0,
@@ -284,29 +213,9 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style server worker-count override.
-    pub fn with_server_workers(mut self, workers: usize) -> Self {
-        self.server_workers = workers;
-        self
-    }
-
     /// Builder-style server-core override.
     pub fn with_server_core(mut self, core: ServerCore) -> Self {
         self.server_core = core;
-        self
-    }
-
-    /// Builder-style event-loop core selection: switches the server core
-    /// to [`ServerCore::EventLoop`] with `threads` loop threads.
-    pub fn with_event_loop(mut self, threads: usize) -> Self {
-        self.server_core = ServerCore::EventLoop;
-        self.event_loop_threads = threads.max(1);
-        self
-    }
-
-    /// Builder-style open-connection cap for the event-loop core.
-    pub fn with_max_connections(mut self, max: usize) -> Self {
-        self.max_connections = max;
         self
     }
 
@@ -449,13 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_transport_knobs() {
-        let c = EngineConfig::paper_default().with_server_workers(2);
-        assert_eq!(c.server_workers, 2);
-        assert_eq!(EngineConfig::paper_default().server_workers, 4);
-    }
-
-    #[test]
     fn builder_plan_knobs() {
         let d = EngineConfig::paper_default();
         assert!(!d.cost_fallback);
@@ -466,17 +368,11 @@ mod tests {
     }
 
     #[test]
-    fn server_core_knobs() {
+    fn server_core_knob() {
         let d = EngineConfig::paper_default();
         assert_eq!(d.server_core, ServerCore::WorkerPool);
-        assert_eq!(d.event_loop_threads, 2);
-        assert_eq!(d.max_connections, 8192);
-        let c = d.with_event_loop(3).with_max_connections(64);
+        let c = d.with_server_core(ServerCore::EventLoop);
         assert_eq!(c.server_core, ServerCore::EventLoop);
-        assert_eq!(c.event_loop_threads, 3);
-        assert_eq!(c.max_connections, 64);
-        let back = c.with_server_core(ServerCore::WorkerPool);
-        assert_eq!(back.server_core, ServerCore::WorkerPool);
     }
 
     #[test]
@@ -493,26 +389,9 @@ mod tests {
     fn wire_format_knobs() {
         let d = EngineConfig::paper_default();
         assert_eq!(d.wire_format, WireFormat::SoapXml);
-        let c = d.with_wire_format(WireFormat::CompactBinary);
-        assert_eq!(c.wire_format, WireFormat::CompactBinary);
-        let back = c.with_wire_format(WireFormat::SoapXml);
-        assert_eq!(back.wire_format, WireFormat::SoapXml);
-        // `ALL` is in discriminant order, so `format as usize` indexes
-        // per-lane tables built by `ALL.map(..)`.
-        for (i, f) in WireFormat::ALL.into_iter().enumerate() {
-            assert_eq!(f as usize, i);
+        for lane in WireFormat::ALL {
+            assert_eq!(d.with_wire_format(lane).wire_format, lane);
         }
-    }
-
-    #[test]
-    fn wire_format_names_parse() {
-        for name in ["xml", "soap_xml", "SoapXml", " SOAP-XML "] {
-            assert_eq!(WireFormat::from_name(name), Some(WireFormat::SoapXml));
-        }
-        for name in ["binary", "bin", "bin1", "compact_binary", "Compact-Binary"] {
-            assert_eq!(WireFormat::from_name(name), Some(WireFormat::CompactBinary));
-        }
-        assert_eq!(WireFormat::from_name("msgpack"), None);
     }
 
     #[test]

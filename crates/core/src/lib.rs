@@ -37,6 +37,7 @@ pub mod client;
 pub mod config;
 pub mod dut;
 pub mod error;
+pub mod lane;
 pub mod overlay;
 pub mod plan;
 pub mod schema;

@@ -53,11 +53,6 @@ pub fn elem_close(name: &str) -> String {
     format!("</{name}>")
 }
 
-/// Open tag `<name>` without attributes (struct wrappers).
-pub fn plain_open(name: &str) -> String {
-    format!("<{name}>")
-}
-
 /// SOAP-encoded array open tag, split around the length so the length can
 /// be a DUT-tracked field:
 /// returns `(prefix, suffix)` with the message form
@@ -103,7 +98,6 @@ mod tests {
             "<item xsi:type=\"xsd:int\">"
         );
         assert_eq!(elem_close("item"), "</item>");
-        assert_eq!(plain_open("mio"), "<mio>");
     }
 
     #[test]

@@ -9,37 +9,24 @@ use super::{ArrayInfo, MessageTemplate, TemplateStats};
 use crate::config::EngineConfig;
 use crate::dut::{DutEntry, DutTable};
 use crate::error::EngineError;
+use crate::lane::WireFormat;
 use crate::schema::{OpDesc, TypeDesc};
-use crate::soap;
+use crate::soap::ITEM_NAME;
 use crate::value::{Scalar, Value};
 use bsoap_chunks::{ChunkStore, Loc};
 use bsoap_convert::{ScalarKind, INT_MAX_WIDTH};
 
-/// Byte length of the fixed close-tag run after an element's last leaf
-/// region (0 for scalar items — their close tag is the leaf suffix).
-pub(crate) fn elem_close_run(item_desc: &TypeDesc) -> usize {
-    match item_desc {
-        TypeDesc::Scalar(_) => 0,
-        TypeDesc::Struct { .. } => {
-            last_field_close_run(item_desc) + soap::elem_close(soap::ITEM_NAME).len()
-        }
-        TypeDesc::Array { .. } => unreachable!("validated: no nested arrays"),
-    }
-}
-
-fn last_field_close_run(desc: &TypeDesc) -> usize {
+/// Byte length of the fixed close run after an element's last leaf region:
+/// the close of every struct still open there (0 for scalar items — their
+/// close is the leaf suffix).
+fn elem_close_run(lane: WireFormat, name: &str, desc: &TypeDesc) -> usize {
     match desc {
+        TypeDesc::Scalar(_) => 0,
         TypeDesc::Struct { fields, .. } => {
             let (fname, fdesc) = fields.last().expect("structs have fields");
-            match fdesc {
-                TypeDesc::Scalar(_) => 0,
-                TypeDesc::Struct { .. } => {
-                    last_field_close_run(fdesc) + soap::elem_close(fname).len()
-                }
-                TypeDesc::Array { .. } => unreachable!("validated: no nested arrays"),
-            }
+            elem_close_run(lane, fname, fdesc) + lane.struct_tags(name, desc).1.len()
         }
-        _ => 0,
+        TypeDesc::Array { .. } => unreachable!("validated: no nested arrays"),
     }
 }
 
@@ -111,44 +98,47 @@ impl Builder {
         }
     }
 
-    /// Append raw tag bytes.
-    pub(crate) fn raw(&mut self, s: &str) {
-        self.store.append_region(s.as_bytes());
+    /// The template holding everything appended so far.
+    pub(crate) fn finish(self, op: OpDesc, stats: TemplateStats) -> MessageTemplate {
+        MessageTemplate {
+            config: self.config,
+            op,
+            store: self.store,
+            dut: self.dut,
+            arrays: self.arrays,
+            stats,
+            structure_changed: false,
+            pending_resizes: Vec::new(),
+            fault: None,
+            metrics: None,
+        }
     }
 
-    /// Append raw marker bytes (the binary lane's tag runs).
-    pub(crate) fn raw_bytes(&mut self, bytes: &[u8]) {
-        self.store.append_region(bytes);
+    /// Append one framing region (an empty one appends nothing).
+    pub(crate) fn raw(&mut self, bytes: &[u8]) {
+        if !bytes.is_empty() {
+            self.store.append_region(bytes);
+        }
     }
 
-    /// Append one DUT-tracked leaf region `[value][close_tag][pad]`.
-    ///
-    /// `width_override` forces a specific minimum width (the array-length
-    /// field stuffs to `INT_MAX_WIDTH` so resizes never shift). On the
-    /// binary lane the width is always exactly the serialized length:
-    /// numeric records are fixed-width by construction, so stuffing buys
-    /// nothing, and string records carry their own length prefix.
-    pub(crate) fn leaf(&mut self, value: Scalar, close_tag: &str, width_override: Option<usize>) {
+    /// Append one DUT-tracked leaf region `[value][close][pad]`, as wide as
+    /// the lane's initial-width rule says (`width_floor` is the array
+    /// length field asking for room to grow in place).
+    pub(crate) fn leaf(&mut self, value: Scalar, close: &[u8], width_floor: Option<usize>) {
         let kind = value.kind();
-        value.serialize_wire(
+        let lane = self.config.wire_format;
+        lane.encode_leaf(
+            &value,
             &mut self.scratch,
             self.config.float,
             self.config.kernel,
-            self.config.wire_format,
         );
         let ser_len = self.scratch.len();
-        let width = if self.config.wire_format == crate::config::WireFormat::CompactBinary {
-            ser_len
-        } else {
-            match width_override {
-                Some(w) => w.max(ser_len),
-                None => self.config.width.initial_width(kind, ser_len),
-            }
-        };
+        let width = lane.initial_width(self.config.width, kind, ser_len, width_floor);
         self.region.clear();
         self.region.extend_from_slice(&self.scratch);
-        self.region.extend_from_slice(close_tag.as_bytes());
-        self.region.resize(width + close_tag.len(), b' ');
+        self.region.extend_from_slice(close);
+        self.region.resize(width + close.len(), b' ');
         let loc = self.store.append_region(&self.region);
         self.dut.push(DutEntry {
             kind,
@@ -156,7 +146,7 @@ impl Builder {
             loc,
             ser_len: ser_len as u32,
             width: width as u32,
-            suffix_len: close_tag.len() as u32,
+            suffix_len: close.len() as u32,
             value,
         });
     }
@@ -168,19 +158,22 @@ impl Builder {
         desc: &TypeDesc,
         value: &Value,
     ) -> Result<(), EngineError> {
+        let lane = self.config.wire_format;
         match (desc, value) {
             (TypeDesc::Scalar(kind), v) => {
                 let scalar = scalar_from_value(v, *kind)?;
-                self.raw(&soap::scalar_open(name, kind.xsi_type()));
-                self.leaf(scalar, &soap::elem_close(name), None);
+                let (open, close) = lane.scalar_tags(name, *kind);
+                self.raw(&open);
+                self.leaf(scalar, &close, None);
                 Ok(())
             }
             (TypeDesc::Struct { fields, .. }, Value::Struct(vals)) => {
-                self.raw(&format!("<{name} xsi:type=\"{}\">", desc.xsi_type()));
+                let (open, close) = lane.struct_tags(name, desc);
+                self.raw(&open);
                 for ((fname, fdesc), fval) in fields.iter().zip(vals) {
                     self.plain_value(fname, fdesc, fval)?;
                 }
-                self.raw(&soap::elem_close(name));
+                self.raw(&close);
                 Ok(())
             }
             (d, v) => Err(EngineError::TypeMismatch {
@@ -195,6 +188,15 @@ impl Builder {
         }
     }
 
+    /// A run of unboxed scalar elements under one hoisted tag pair.
+    fn scalar_run<T: Copy>(&mut self, kind: ScalarKind, xs: &[T], wrap: fn(T) -> Scalar) {
+        let (open, close) = self.config.wire_format.scalar_tags(ITEM_NAME, kind);
+        for &x in xs {
+            self.raw(&open);
+            self.leaf(wrap(x), &close, None);
+        }
+    }
+
     /// Serialize the elements of an array value; used both at build time
     /// and when growing an array (resize builds into a fresh `Builder`).
     pub(crate) fn elements(
@@ -204,31 +206,18 @@ impl Builder {
         from: usize,
         to: usize,
     ) -> Result<(), EngineError> {
-        if self.config.wire_format == crate::config::WireFormat::CompactBinary {
-            return self.binary_elements(item_desc, value, from, to);
-        }
         match (value, item_desc) {
             (Value::DoubleArray(v), TypeDesc::Scalar(ScalarKind::Double)) => {
-                let open = soap::scalar_open(soap::ITEM_NAME, "xsd:double");
-                let close = soap::elem_close(soap::ITEM_NAME);
-                for &x in &v[from..to] {
-                    self.raw(&open);
-                    self.leaf(Scalar::Double(x), &close, None);
-                }
+                self.scalar_run(ScalarKind::Double, &v[from..to], Scalar::Double);
                 Ok(())
             }
             (Value::IntArray(v), TypeDesc::Scalar(ScalarKind::Int)) => {
-                let open = soap::scalar_open(soap::ITEM_NAME, "xsd:int");
-                let close = soap::elem_close(soap::ITEM_NAME);
-                for &x in &v[from..to] {
-                    self.raw(&open);
-                    self.leaf(Scalar::Int(x), &close, None);
-                }
+                self.scalar_run(ScalarKind::Int, &v[from..to], Scalar::Int);
                 Ok(())
             }
             (Value::Array(elems), _) => {
                 for elem in &elems[from..to] {
-                    self.one_element(item_desc, elem)?;
+                    self.plain_value(ITEM_NAME, item_desc, elem)?;
                 }
                 Ok(())
             }
@@ -240,40 +229,8 @@ impl Builder {
         }
     }
 
-    /// Serialize a single `<item>` element.
-    fn one_element(&mut self, item_desc: &TypeDesc, elem: &Value) -> Result<(), EngineError> {
-        match (item_desc, elem) {
-            (TypeDesc::Scalar(kind), v) => {
-                let scalar = scalar_from_value(v, *kind)?;
-                self.raw(&soap::scalar_open(soap::ITEM_NAME, kind.xsi_type()));
-                self.leaf(scalar, &soap::elem_close(soap::ITEM_NAME), None);
-                Ok(())
-            }
-            (TypeDesc::Struct { fields, .. }, Value::Struct(vals)) => {
-                self.raw(&format!(
-                    "<{} xsi:type=\"{}\">",
-                    soap::ITEM_NAME,
-                    item_desc.xsi_type()
-                ));
-                for ((fname, fdesc), fval) in fields.iter().zip(vals) {
-                    self.plain_value(fname, fdesc, fval)?;
-                }
-                self.raw(&soap::elem_close(soap::ITEM_NAME));
-                Ok(())
-            }
-            (d, v) => Err(EngineError::TypeMismatch {
-                at: "array item".to_owned(),
-                expected: match d {
-                    TypeDesc::Struct { .. } => "Struct",
-                    _ => "scalar",
-                },
-                found: v.variant_name(),
-            }),
-        }
-    }
-
-    /// Serialize a full array parameter: open tag with DUT-tracked length,
-    /// elements, close tag. Registers the [`ArrayInfo`].
+    /// Serialize a full array parameter: open, the DUT-tracked element
+    /// count, elements, close. Registers the [`ArrayInfo`].
     pub(crate) fn array_param(
         &mut self,
         pidx: usize,
@@ -286,19 +243,20 @@ impl Builder {
             expected: "array value",
             found: value.variant_name(),
         })?;
-        let (prefix, suffix) = soap::array_open_parts(name, &item_desc.xsi_type());
-        self.raw(&prefix);
+        let lane = self.config.wire_format;
+        let ((open, close), len_close) = lane.array_tags(name, item_desc);
+        self.raw(&open);
         let len_leaf = self.dut.len();
-        // The length field is always stuffed to the full int width so a
-        // resize rewrites it in place, never shifting the array open tag.
-        self.leaf(Scalar::Int(len as i32), suffix, Some(INT_MAX_WIDTH));
-        self.raw("\n");
+        // The length field asks for the full int width so a resize
+        // rewrites it in place, never shifting the array open.
+        self.leaf(Scalar::Int(len as i32), len_close, Some(INT_MAX_WIDTH));
+        self.raw(lane.separator());
         let content_start = self.tell();
         let base_leaf = self.dut.len();
         self.elements(item_desc, value, 0, len)?;
         let content_end = self.tell();
-        self.raw(&soap::elem_close(name));
-        self.raw("\n");
+        self.raw(&close);
+        self.raw(lane.separator());
         self.arrays.push(ArrayInfo {
             param: pidx,
             base_leaf,
@@ -308,7 +266,7 @@ impl Builder {
             item_desc: item_desc.clone(),
             content_start,
             content_end,
-            elem_close_run: elem_close_run(item_desc) as u32,
+            elem_close_run: elem_close_run(lane, ITEM_NAME, item_desc) as u32,
         });
         Ok(())
     }
@@ -355,42 +313,25 @@ impl MessageTemplate {
         for p in &op.params {
             validate_param_type(&p.desc, true)?;
         }
-        if config.wire_format == crate::config::WireFormat::CompactBinary {
-            return Self::build_binary(config, op, args);
-        }
+        let lane = config.wire_format;
         let mut b = Builder::new(config);
-        b.raw(soap::XML_DECL);
-        b.raw(&soap::envelope_open(&op.namespace));
-        b.raw(soap::BODY_OPEN);
-        b.raw(&soap::op_open(&op.name));
+        lane.open_envelope(op, |region| b.raw(region));
         for (pidx, (param, arg)) in op.params.iter().zip(args).enumerate() {
             match &param.desc {
                 TypeDesc::Array { item } => b.array_param(pidx, &param.name, item, arg)?,
                 desc => {
                     b.plain_value(&param.name, desc, arg)?;
-                    b.raw("\n");
+                    b.raw(lane.separator());
                 }
             }
         }
-        b.raw(&soap::op_close(&op.name));
-        b.raw(soap::CLOSES);
+        lane.close_envelope(op, |region| b.raw(region));
 
         let stats = TemplateStats {
             first_time: 1,
             ..TemplateStats::default()
         };
-        Ok(MessageTemplate {
-            config,
-            op: op.clone(),
-            store: b.store,
-            dut: b.dut,
-            arrays: b.arrays,
-            stats,
-            structure_changed: false,
-            pending_resizes: Vec::new(),
-            fault: None,
-            metrics: None,
-        })
+        Ok(b.finish(op.clone(), stats))
     }
 
     /// Serialize elements `[from, to)` of an array value as a standalone
@@ -406,17 +347,7 @@ impl MessageTemplate {
     ) -> Result<MessageTemplate, EngineError> {
         let mut b = Builder::new(config);
         b.elements(item_desc, value, from, to)?;
-        Ok(MessageTemplate {
-            config,
-            op: OpDesc::new("__overlay_fragment", "", Vec::new()),
-            store: b.store,
-            dut: b.dut,
-            arrays: Vec::new(),
-            stats: TemplateStats::default(),
-            structure_changed: false,
-            pending_resizes: Vec::new(),
-            fault: None,
-            metrics: None,
-        })
+        let op = OpDesc::new("__overlay_fragment", "", Vec::new());
+        Ok(b.finish(op, TemplateStats::default()))
     }
 }

@@ -7,7 +7,6 @@
 //! through `set_*`/`update_*` accessors and re-sent with
 //! [`MessageTemplate::send`], which picks the cheapest matching tier.
 
-mod binary;
 mod build;
 mod patch;
 mod planner;

@@ -79,7 +79,7 @@ impl MessageTemplate {
 
         let float = self.config.float;
         let kernel = self.config.kernel;
-        let format = self.config.wire_format;
+        let lane = self.config.wire_format;
         let growth = self.config.growth;
         let steal_on = self.config.steal;
         let entries = self.dut.entries();
@@ -95,7 +95,7 @@ impl MessageTemplate {
             if !e.dirty {
                 continue;
             }
-            e.value.serialize_wire(&mut scratch, float, kernel, format);
+            lane.encode_leaf(&e.value, &mut scratch, float, kernel);
             let new_len = scratch.len() as u32;
             let lo = plan.blob.len() as u32;
             plan.blob.extend_from_slice(&scratch);
@@ -193,7 +193,7 @@ pub(crate) fn validate_elements(
     }
 }
 
-/// Mirror of `Builder::one_element` / `Builder::plain_value` checks.
+/// Mirror of `Builder::plain_value`'s checks.
 fn validate_element(desc: &TypeDesc, value: &Value) -> Result<(), EngineError> {
     match (desc, value) {
         (TypeDesc::Scalar(kind), v) => build::scalar_from_value(v, *kind).map(|_| ()),

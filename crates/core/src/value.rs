@@ -66,57 +66,6 @@ impl Scalar {
         self.serialize_into_kern(out, float, bsoap_kernels::KernelPolicy::Scalar);
     }
 
-    /// Serialize this scalar in the configured wire format: the XML
-    /// lexical form via [`Self::serialize_into_kern`], or the compact
-    /// binary tagged record via [`Self::serialize_binary_into`]. Every
-    /// template-internal serialization site routes through here so one
-    /// [`crate::config::WireFormat`] knob switches the whole engine.
-    pub fn serialize_wire(
-        &self,
-        out: &mut Vec<u8>,
-        float: FloatFormatter,
-        kernel: bsoap_kernels::KernelPolicy,
-        format: crate::config::WireFormat,
-    ) {
-        match format {
-            crate::config::WireFormat::SoapXml => self.serialize_into_kern(out, float, kernel),
-            crate::config::WireFormat::CompactBinary => self.serialize_binary_into(out),
-        }
-    }
-
-    /// Serialize this scalar as one tagged compact-binary record into
-    /// `out` (cleared first): fixed-width little-endian for numerics,
-    /// `[tag][u32 LE len][bytes]` for strings (see [`crate::wire`]).
-    ///
-    /// A numeric leaf's serialized length never varies with its value, so
-    /// a differential rewrite is always an in-place overwrite.
-    pub fn serialize_binary_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        match self {
-            Scalar::Int(v) => {
-                out.push(crate::wire::TAG_INT);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            Scalar::Long(v) => {
-                out.push(crate::wire::TAG_LONG);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            Scalar::Double(v) => {
-                out.push(crate::wire::TAG_DOUBLE);
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-            Scalar::Bool(v) => {
-                out.push(crate::wire::TAG_BOOL);
-                out.push(u8::from(*v));
-            }
-            Scalar::Str(s) => {
-                out.push(crate::wire::TAG_STR);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-        }
-    }
-
     /// [`Self::serialize_into_with`] plus byte-kernel dispatch: integers go
     /// through the branchless stuffed-itoa kernel and strings through the
     /// SIMD escape scanner when `kernel` resolves to a SIMD level. Output
@@ -223,29 +172,6 @@ mod tests {
         assert_eq!(lexical(&Scalar::Double(0.5)), "0.5");
         assert_eq!(lexical(&Scalar::Bool(true)), "true");
         assert_eq!(lexical(&Scalar::Str("a<b".into())), "a&lt;b");
-    }
-
-    #[test]
-    fn binary_serialization_is_fixed_width_for_numerics() {
-        let mut out = Vec::new();
-        for v in [0, 1, -1, i32::MIN, i32::MAX] {
-            Scalar::Int(v).serialize_binary_into(&mut out);
-            assert_eq!(out.len(), 5, "int {v}");
-            assert_eq!(out[0], crate::wire::TAG_INT);
-        }
-        for v in [0.0, -0.5, f64::NAN, f64::MAX] {
-            Scalar::Double(v).serialize_binary_into(&mut out);
-            assert_eq!(out.len(), 9, "double {v}");
-        }
-        Scalar::Long(i64::MIN).serialize_binary_into(&mut out);
-        assert_eq!(out.len(), 9);
-        Scalar::Bool(true).serialize_binary_into(&mut out);
-        assert_eq!(out, [crate::wire::TAG_BOOL, 1]);
-        Scalar::Str("a<b".into()).serialize_binary_into(&mut out);
-        // Strings are length-prefixed and NOT escaped on the binary lane.
-        assert_eq!(out[0], crate::wire::TAG_STR);
-        assert_eq!(out[1..5], 3u32.to_le_bytes());
-        assert_eq!(&out[5..], b"a<b");
     }
 
     #[test]

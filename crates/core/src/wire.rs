@@ -26,6 +26,8 @@
 //! decoder that skips pad bytes wherever a tag is expected is
 //! unambiguous.
 
+use crate::value::Scalar;
+
 /// Magic prefix of every binary envelope.
 pub const MAGIC: &[u8; 4] = b"BSB1";
 
@@ -55,15 +57,36 @@ pub const END: u8 = 0x0B;
 /// Decoders skip any run of these wherever a tag byte is expected.
 pub const PAD: u8 = b' ';
 
-/// Serialized length of one leaf of `kind` holding `payload` bytes of
-/// string data (ignored for numerics). Numeric leaves are fixed-width.
-pub fn leaf_len(kind: bsoap_convert::ScalarKind, str_payload: usize) -> usize {
-    match kind {
-        bsoap_convert::ScalarKind::Int => 1 + 4,
-        bsoap_convert::ScalarKind::Long => 1 + 8,
-        bsoap_convert::ScalarKind::Double => 1 + 8,
-        bsoap_convert::ScalarKind::Bool => 1 + 1,
-        bsoap_convert::ScalarKind::Str => 1 + 4 + str_payload,
+/// Write `value` as one tagged record into `out` (cleared first):
+/// fixed-width little-endian for numerics,
+/// `[tag][u32 LE len][bytes]` for strings (unescaped).
+///
+/// A numeric leaf's serialized length never varies with its value, so a
+/// differential rewrite is always an in-place overwrite.
+pub fn write_leaf(out: &mut Vec<u8>, value: &Scalar) {
+    out.clear();
+    match value {
+        Scalar::Int(v) => {
+            out.push(TAG_INT);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        Scalar::Long(v) => {
+            out.push(TAG_LONG);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        Scalar::Double(v) => {
+            out.push(TAG_DOUBLE);
+            out.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        Scalar::Bool(v) => {
+            out.push(TAG_BOOL);
+            out.push(u8::from(*v));
+        }
+        Scalar::Str(s) => {
+            out.push(TAG_STR);
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
     }
 }
 
@@ -78,16 +101,9 @@ pub fn write_prologue(out: &mut Vec<u8>, op_name: &str, params: usize) {
     out.push(params as u8);
 }
 
-/// Does `body` carry the binary magic? (Cheap format sniff used by
-/// dispatchers when no `X-BSOAP-Format` header arrived.)
-pub fn is_binary(body: &[u8]) -> bool {
-    body.len() >= MAGIC.len() && &body[..MAGIC.len()] == MAGIC
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsoap_convert::ScalarKind;
 
     #[test]
     fn no_marker_collides_with_pad() {
@@ -109,23 +125,34 @@ mod tests {
 
     #[test]
     fn numeric_leaves_are_fixed_width() {
-        assert_eq!(leaf_len(ScalarKind::Int, 0), 5);
-        assert_eq!(leaf_len(ScalarKind::Long, 0), 9);
-        assert_eq!(leaf_len(ScalarKind::Double, 0), 9);
-        assert_eq!(leaf_len(ScalarKind::Bool, 0), 2);
-        assert_eq!(leaf_len(ScalarKind::Str, 7), 12);
+        let mut out = Vec::new();
+        for v in [0, 1, -1, i32::MIN, i32::MAX] {
+            write_leaf(&mut out, &Scalar::Int(v));
+            assert_eq!(out.len(), 5, "int {v}");
+            assert_eq!(out[0], TAG_INT);
+        }
+        for v in [0.0, -0.5, f64::NAN, f64::MAX] {
+            write_leaf(&mut out, &Scalar::Double(v));
+            assert_eq!(out.len(), 9, "double {v}");
+        }
+        write_leaf(&mut out, &Scalar::Long(i64::MIN));
+        assert_eq!(out.len(), 9);
+        write_leaf(&mut out, &Scalar::Bool(true));
+        assert_eq!(out, [TAG_BOOL, 1]);
+        write_leaf(&mut out, &Scalar::Str("a<b".into()));
+        // Strings are length-prefixed and NOT escaped on the binary lane.
+        assert_eq!(out[0], TAG_STR);
+        assert_eq!(out[1..5], 3u32.to_le_bytes());
+        assert_eq!(&out[5..], b"a<b");
     }
 
     #[test]
-    fn prologue_and_sniff() {
+    fn prologue_layout() {
         let mut out = Vec::new();
         write_prologue(&mut out, "sum", 2);
-        assert!(is_binary(&out));
         assert_eq!(&out[..4], MAGIC);
         assert_eq!(out[4..6], 3u16.to_le_bytes());
         assert_eq!(&out[6..9], b"sum");
         assert_eq!(out[9], 2);
-        assert!(!is_binary(b"<?xml"));
-        assert!(!is_binary(b"BS"));
     }
 }

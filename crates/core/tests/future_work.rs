@@ -2,7 +2,7 @@
 //! cross-endpoint template sharing.
 
 use bsoap_convert::ScalarKind;
-use bsoap_core::{wire, Client, EngineConfig, OpDesc, SendTier, TypeDesc, Value, WireFormat};
+use bsoap_core::{Client, EngineConfig, OpDesc, SendTier, TypeDesc, Value, WireFormat};
 use bsoap_deser::parse_binary_envelope;
 use std::io::sink;
 
@@ -226,7 +226,11 @@ fn endpoint_sharing_respects_wire_format() {
     let r = client.call("http://b", &op, &args, &mut wire_b).unwrap();
     assert_eq!(r.tier, SendTier::FirstTime, "no same-format sibling exists");
     assert_eq!(client.stats().shared_clones, 0);
-    assert!(wire::is_binary(&wire_b), "B's lane carries BSB1 frames");
+    assert_eq!(
+        WireFormat::of_message(None, &wire_b),
+        WireFormat::CompactBinary,
+        "B's lane carries BSB1 frames"
+    );
     assert_eq!(parse_binary_envelope(&wire_b, &op).unwrap(), args);
 }
 

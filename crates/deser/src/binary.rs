@@ -14,7 +14,7 @@
 //! typed [`DeserError`]; the decoder never panics and never reads past
 //! the buffer (fuzzed in `tests/binary_fuzz.rs`).
 
-use crate::diff::DiffOutcome;
+use crate::diff::{DiffShell, Reference};
 use crate::error::DeserError;
 use bsoap_convert::ScalarKind;
 use bsoap_core::wire;
@@ -220,66 +220,27 @@ fn parse_leaf(c: &mut Cursor<'_>, kind: ScalarKind) -> Result<Value, DeserError>
     })
 }
 
-/// Differential deserializer for the binary lane: the byte-identical
-/// fast path mirrors [`crate::DiffDeserializer`]'s content-match
-/// shortcut; anything else is a full decode. Binary decoding is already
-/// a single schema walk over fixed-width records — there is no per-leaf
-/// lexical parse worth skipping, so the leaf-level differential tier
-/// intentionally does not exist on this lane.
-#[derive(Debug)]
-pub struct BinaryDiffDeserializer {
-    op: OpDesc,
-    prev_bytes: Vec<u8>,
-    prev_args: Vec<Value>,
-    stats: crate::DeserStats,
-}
-
-impl BinaryDiffDeserializer {
-    /// Deserializer expecting binary envelopes for `op`.
-    pub fn new(op: OpDesc) -> Self {
-        BinaryDiffDeserializer {
-            op,
-            prev_bytes: Vec::new(),
-            prev_args: Vec::new(),
-            stats: crate::DeserStats::default(),
-        }
+/// bin1 retains only the decoded arguments: decoding is already a single
+/// schema walk over fixed-width records, so there is no leaf tier yet —
+/// everything but a byte-identical message is a full decode. (The strided
+/// slot compare of ROADMAP 2(b) is a `patch` here.)
+impl Reference for Vec<Value> {
+    fn decode(bytes: &[u8], op: &OpDesc) -> Result<Self, DeserError> {
+        parse_binary_envelope(bytes, op)
     }
 
-    /// The operation this deserializer serves.
-    pub fn op(&self) -> &OpDesc {
-        &self.op
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> crate::DeserStats {
-        self.stats
-    }
-
-    /// Bytes retained as the reference message.
-    pub fn retained_bytes(&self) -> usize {
-        self.prev_bytes.len()
-    }
-
-    /// Decode `bytes`, short-circuiting when they are identical to the
-    /// previous message.
-    pub fn deserialize(&mut self, bytes: &[u8]) -> Result<(&[Value], DiffOutcome), DeserError> {
-        self.stats.messages += 1;
-        if !self.prev_bytes.is_empty() && self.prev_bytes == bytes {
-            self.stats.identical += 1;
-            return Ok((&self.prev_args, DiffOutcome::Identical));
-        }
-        let args = parse_binary_envelope(bytes, &self.op)?;
-        self.stats.full_parses += 1;
-        self.prev_bytes.clear();
-        self.prev_bytes.extend_from_slice(bytes);
-        self.prev_args = args;
-        Ok((&self.prev_args, DiffOutcome::FullParse))
+    fn args(&self) -> &[Value] {
+        self
     }
 }
+
+/// Differential deserializer for one operation's bin1 envelopes.
+pub type BinaryDiffDeserializer = DiffShell<Vec<Value>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DiffOutcome;
     use bsoap_core::value::mio;
     use bsoap_core::{EngineConfig, MessageTemplate, WireFormat};
 

@@ -1,20 +1,24 @@
 //! Differential deserialization (paper §6).
 //!
 //! The server-side mirror of the client's template: keep the previous
-//! message's bytes and the byte region of every leaf; when the next
+//! message's bytes and what the lane learned decoding them; when the next
 //! message arrives,
 //!
 //! 1. if it is byte-identical, reuse the previous values outright (the
 //!    deserialization analogue of a message content match);
-//! 2. if only leaf regions differ — same length, every inter-leaf
-//!    *skeleton* byte identical — re-parse just the changed leaves (the
-//!    analogue of a perfect structural match). A close tag that moved
-//!    within a stuffed field stays inside its leaf's region, so stuffing
-//!    on the sender makes this fast path *more* likely, answering the
-//!    paper's open question about how stuffing affects server-side
-//!    decoding;
-//! 3. otherwise fall back to a full parse and adopt the new message as
+//! 2. if the lane has a leaf tier and only leaf regions differ, re-decode
+//!    just the changed leaves (the analogue of a perfect structural
+//!    match). On XML that is "same length, every inter-leaf *skeleton*
+//!    byte identical": a close tag that moved within a stuffed field stays
+//!    inside its leaf's region, so stuffing on the sender makes this fast
+//!    path *more* likely, answering the paper's open question about how
+//!    stuffing affects server-side decoding;
+//! 3. otherwise fall back to a full decode and adopt the new message as
 //!    the reference.
+//!
+//! [`DiffShell`] is that procedure — message counter, retained reference,
+//! identical short-circuit, adopt-on-success — written once; a lane
+//! instantiates it with the [`Reference`] it retains.
 
 use crate::envelope::{apply_leaf, parse_envelope_mapped, parse_scalar, MappedMessage};
 use crate::error::DeserError;
@@ -53,33 +57,52 @@ pub struct DeserStats {
     pub leaves_skipped: u64,
 }
 
-/// Server-side differential deserializer for one operation.
+/// What a lane retains of the previous message beside its bytes.
+pub trait Reference: Sized {
+    /// Full decode of `bytes` against `op`.
+    fn decode(bytes: &[u8], op: &OpDesc) -> Result<Self, DeserError>;
+
+    /// The decoded argument values.
+    fn args(&self) -> &[Value];
+
+    /// The lane's leaf tier: bring `self`, decoded from `prev`, up to
+    /// `bytes` by re-decoding only the leaves that changed, returning
+    /// `(reparsed, skipped)`; `None` asks for a full decode. An `Err`
+    /// must leave `self` describing `prev`. A lane without a leaf tier
+    /// keeps this default.
+    fn patch(
+        &mut self,
+        _prev: &[u8],
+        _bytes: &[u8],
+        _op: &OpDesc,
+    ) -> Result<Option<(usize, usize)>, DeserError> {
+        Ok(None)
+    }
+}
+
+/// Differential deserializer for one operation on the lane that retains
+/// `R` — [`DiffDeserializer`] on XML, `BinaryDiffDeserializer` on bin1.
 #[derive(Debug)]
-pub struct DiffDeserializer {
+pub struct DiffShell<R> {
     op: OpDesc,
-    prev: Option<Prev>,
+    /// The last message that decoded, and what the lane kept of it. A
+    /// message that fails to decode never replaces it.
+    prev: Option<(Vec<u8>, R)>,
     stats: DeserStats,
 }
 
-#[derive(Debug)]
-struct Prev {
-    bytes: Vec<u8>,
-    mapped: MappedMessage,
-}
+/// Server-side differential deserializer for one operation's XML
+/// envelopes: retains the leaf map, re-parses changed leaves.
+pub type DiffDeserializer = DiffShell<MappedMessage>;
 
-impl DiffDeserializer {
+impl<R: Reference> DiffShell<R> {
     /// Deserializer expecting messages for `op`.
     pub fn new(op: OpDesc) -> Self {
-        DiffDeserializer {
+        DiffShell {
             op,
             prev: None,
             stats: DeserStats::default(),
         }
-    }
-
-    /// The operation this deserializer serves.
-    pub fn op(&self) -> &OpDesc {
-        &self.op
     }
 
     /// Cumulative statistics.
@@ -89,14 +112,14 @@ impl DiffDeserializer {
 
     /// Bytes retained as the reference message.
     pub fn retained_bytes(&self) -> usize {
-        self.prev.as_ref().map_or(0, |p| p.bytes.len())
+        self.prev.as_ref().map_or(0, |(bytes, _)| bytes.len())
     }
 
     /// Deserialize `bytes`, taking the cheapest sound path. Returns the
     /// argument values and the path taken.
     pub fn deserialize(&mut self, bytes: &[u8]) -> Result<(&[Value], DiffOutcome), DeserError> {
         self.stats.messages += 1;
-        let outcome = self.deserialize_inner(bytes)?;
+        let outcome = self.advance(bytes)?;
         match outcome {
             DiffOutcome::FullParse => self.stats.full_parses += 1,
             DiffOutcome::Identical => self.stats.identical += 1,
@@ -106,69 +129,85 @@ impl DiffDeserializer {
                 self.stats.leaves_skipped += skipped as u64;
             }
         }
-        Ok((
-            &self.prev.as_ref().expect("set by inner").mapped.args,
-            outcome,
-        ))
+        let (_, reference) = self.prev.as_ref().expect("set by advance");
+        Ok((reference.args(), outcome))
     }
 
-    fn deserialize_inner(&mut self, bytes: &[u8]) -> Result<DiffOutcome, DeserError> {
-        let Some(prev) = &mut self.prev else {
-            return self.full_parse(bytes);
-        };
-        if prev.bytes == bytes {
-            return Ok(DiffOutcome::Identical);
+    /// Move the reference on to `bytes`. On `Err` it still describes the
+    /// last message that decoded.
+    fn advance(&mut self, bytes: &[u8]) -> Result<DiffOutcome, DeserError> {
+        if let Some((prev, reference)) = &mut self.prev {
+            if prev.as_slice() == bytes {
+                return Ok(DiffOutcome::Identical);
+            }
+            if let Some((reparsed, skipped)) = reference.patch(prev, bytes, &self.op)? {
+                prev.clear();
+                prev.extend_from_slice(bytes);
+                return Ok(DiffOutcome::Differential { reparsed, skipped });
+            }
         }
-        if prev.bytes.len() != bytes.len() {
-            return self.full_parse(bytes);
-        }
+        let reference = R::decode(bytes, &self.op)?;
+        // Reuse the reference's buffer, growing it to exactly what the
+        // message needs: a service retains one of these per operation.
+        let mut kept = self.prev.take().map_or_else(Vec::new, |(prev, _)| prev);
+        kept.clear();
+        kept.reserve_exact(bytes.len());
+        kept.extend_from_slice(bytes);
+        self.prev = Some((kept, reference));
+        Ok(DiffOutcome::FullParse)
+    }
+}
 
+/// XML retains the leaf map: with the skeleton proven identical, only the
+/// leaf regions whose bytes changed are re-parsed.
+impl Reference for MappedMessage {
+    fn decode(bytes: &[u8], op: &OpDesc) -> Result<Self, DeserError> {
+        parse_envelope_mapped(bytes, op)
+    }
+
+    fn args(&self) -> &[Value] {
+        &self.args
+    }
+
+    fn patch(
+        &mut self,
+        prev: &[u8],
+        bytes: &[u8],
+        op: &OpDesc,
+    ) -> Result<Option<(usize, usize)>, DeserError> {
+        if prev.len() != bytes.len() {
+            return Ok(None);
+        }
         // Same length: compare the skeleton (everything outside leaf
         // regions). Any mismatch means the structure moved — full parse.
         let mut cursor = 0usize;
-        for leaf in &prev.mapped.leaves {
-            if prev.bytes[cursor..leaf.region.start] != bytes[cursor..leaf.region.start] {
-                return self.full_parse(bytes);
+        for leaf in &self.leaves {
+            if prev[cursor..leaf.region.start] != bytes[cursor..leaf.region.start] {
+                return Ok(None);
             }
             cursor = leaf.region.end;
         }
-        if prev.bytes[cursor..] != bytes[cursor..] {
-            return self.full_parse(bytes);
+        if prev[cursor..] != bytes[cursor..] {
+            return Ok(None);
         }
 
-        // Skeleton intact: re-parse only the changed leaf regions.
-        let mut reparsed = 0usize;
+        // Skeleton intact: re-parse only the changed leaf regions (which
+        // keep their spans). Every region parses before any value lands.
         let mut skipped = 0usize;
         let mut updates = Vec::new();
-        for (i, leaf) in prev.mapped.leaves.iter().enumerate() {
-            let old = &prev.bytes[leaf.region.clone()];
+        for leaf in &self.leaves {
             let new = &bytes[leaf.region.clone()];
-            if old == new {
+            if &prev[leaf.region.clone()] == new {
                 skipped += 1;
-                continue;
+            } else {
+                updates.push((leaf.slot, reparse_region(new, leaf, prev)?));
             }
-            let value = reparse_region(new, leaf, &prev.bytes)?;
-            updates.push((i, value));
-            reparsed += 1;
         }
-        for (i, value) in updates {
-            let slot = prev.mapped.leaves[i].slot;
-            apply_leaf(&mut prev.mapped.args, &self.op, slot, value)?;
+        let reparsed = updates.len();
+        for (slot, value) in updates {
+            apply_leaf(&mut self.args, op, slot, value)?;
         }
-        // Adopt the new bytes as the reference (regions keep their spans —
-        // the skeleton was proven identical).
-        prev.bytes.clear();
-        prev.bytes.extend_from_slice(bytes);
-        Ok(DiffOutcome::Differential { reparsed, skipped })
-    }
-
-    fn full_parse(&mut self, bytes: &[u8]) -> Result<DiffOutcome, DeserError> {
-        let mapped = parse_envelope_mapped(bytes, &self.op)?;
-        self.prev = Some(Prev {
-            bytes: bytes.to_vec(),
-            mapped,
-        });
-        Ok(DiffOutcome::FullParse)
+        Ok(Some((reparsed, skipped)))
     }
 }
 

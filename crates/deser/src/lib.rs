@@ -46,10 +46,12 @@ pub mod binary;
 pub mod diff;
 pub mod envelope;
 pub mod error;
+pub mod lane;
 pub mod stream;
 
 pub use binary::{parse_binary_envelope, BinaryDiffDeserializer};
-pub use diff::{DeserStats, DiffDeserializer, DiffOutcome};
+pub use diff::{DeserStats, DiffDeserializer, DiffOutcome, DiffShell, Reference};
 pub use envelope::{parse_envelope, parse_envelope_mapped, LeafRegion, MappedMessage};
 pub use error::DeserError;
+pub use lane::{decode, LaneDeserializer};
 pub use stream::{StreamSummary, StreamingDeserializer};

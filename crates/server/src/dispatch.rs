@@ -4,7 +4,7 @@ use bsoap_core::{
     Checkout, EngineConfig, MessageTemplate, OpDesc, SendTier, StoreKey, TemplateKey,
     TemplateStore, Value, WireFormat,
 };
-use bsoap_deser::{BinaryDiffDeserializer, DeserError, DiffDeserializer, DiffOutcome};
+use bsoap_deser::{DeserError, DiffOutcome, LaneDeserializer};
 use bsoap_obs::{Counter, Metrics, Recorder};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -51,17 +51,16 @@ struct Operation {
     request: OpDesc,
     response: OpDesc,
     handler: Box<Handler>,
-    deser: Mutex<DiffDeserializer>,
-    /// Binary-lane twin of `deser`: requests negotiated onto the compact
-    /// binary format land here, keeping each lane's retained reference
-    /// message (and content-match fast path) independent.
-    deser_bin: Mutex<BinaryDiffDeserializer>,
+    /// One request deserializer per lane, at [`WireFormat::index`]: each
+    /// lane keeps its own retained reference message (and content-match
+    /// fast path).
+    deser: [Mutex<LaneDeserializer>; WireFormat::ALL.len()],
     /// Where the response template lives in the service's store, one key
-    /// per lane in [`WireFormat::ALL`] order (the lanes have different
-    /// byte geometry, so each keeps its own resident template). §3: one
+    /// per lane at [`WireFormat::index`] (the lanes have different byte
+    /// geometry, so each keeps its own resident template). §3: one
     /// template serves "multiple separate clients". Built once here so a
     /// served response builds no key.
-    response_keys: [StoreKey; 2],
+    response_keys: [StoreKey; WireFormat::ALL.len()],
 }
 
 /// Cumulative service statistics.
@@ -101,10 +100,10 @@ pub struct Service {
     /// another's serialized responses under one byte budget.
     store: Arc<TemplateStore>,
     tenant: u64,
-    /// Whether this service accepts (and adverts) the compact binary
-    /// lane. Flipping it off mid-flight makes in-flight binary requests
-    /// fail with [`HandlerError::UnsupportedFormat`] — the 415 that
-    /// drives a client's mid-keep-alive downgrade back to XML.
+    /// Whether this service accepts (and adverts) the negotiated lanes.
+    /// Flipping it off mid-flight makes in-flight binary requests fail
+    /// with [`HandlerError::UnsupportedFormat`] — the 415 that drives a
+    /// client's mid-keep-alive downgrade back to XML.
     binary_enabled: AtomicBool,
 }
 
@@ -174,8 +173,7 @@ impl Service {
         &self.namespace
     }
 
-    /// The engine configuration (also carries transport knobs like
-    /// `server_workers`).
+    /// The engine configuration.
     pub fn config(&self) -> EngineConfig {
         self.config
     }
@@ -194,8 +192,8 @@ impl Service {
             response_params,
         );
         let name = request.name.clone();
-        let deser = DiffDeserializer::new(request.clone());
-        let deser_bin = BinaryDiffDeserializer::new(request.clone());
+        let deser =
+            WireFormat::ALL.map(|lane| Mutex::new(LaneDeserializer::new(lane, request.clone())));
         let response_keys = WireFormat::ALL.map(|format| {
             let key = TemplateKey::for_format(&self.namespace, &response, format);
             StoreKey::new(self.tenant, key)
@@ -206,8 +204,7 @@ impl Service {
                 request,
                 response,
                 handler: Box::new(handler),
-                deser: Mutex::new(deser),
-                deser_bin: Mutex::new(deser_bin),
+                deser,
                 response_keys,
             },
         );
@@ -254,7 +251,7 @@ impl Service {
         body: &[u8],
         format: WireFormat,
     ) -> Result<(Vec<u8>, WireFormat), HandlerError> {
-        if format == WireFormat::CompactBinary && !self.binary_enabled() {
+        if format.negotiated() && !self.binary_enabled() {
             return Err(HandlerError::UnsupportedFormat(format));
         }
         let op = self
@@ -266,17 +263,10 @@ impl Service {
         //    its own retained reference message; the handler runs under
         //    the lane's lock because args borrow the deserializer's
         //    state. Handlers are expected to be short.
-        let (result, outcome) = match format {
-            WireFormat::SoapXml => {
-                let mut deser = op.deser.lock();
-                let (args, outcome) = deser.deserialize(body).map_err(HandlerError::BadRequest)?;
-                ((op.handler)(args), outcome)
-            }
-            WireFormat::CompactBinary => {
-                let mut deser = op.deser_bin.lock();
-                let (args, outcome) = deser.deserialize(body).map_err(HandlerError::BadRequest)?;
-                ((op.handler)(args), outcome)
-            }
+        let (result, outcome) = {
+            let mut deser = op.deser[format.index()].lock();
+            let (args, outcome) = deser.deserialize(body).map_err(HandlerError::BadRequest)?;
+            ((op.handler)(args), outcome)
         };
         {
             let mut stats = self.stats.lock();
@@ -320,7 +310,7 @@ impl Service {
         result: &[Value],
         format: WireFormat,
     ) -> Result<(Vec<u8>, SendTier), HandlerError> {
-        let skey = &op.response_keys[format as usize];
+        let skey = &op.response_keys[format.index()];
         let (tpl, tier) = match self.store.checkout(skey, result, 1) {
             Checkout::Hit(mut tpl) => {
                 if let (Some(m), None) = (&self.metrics, tpl.metrics()) {
@@ -396,7 +386,7 @@ mod tests {
         svc
     }
 
-    fn request_bytes(xs: &[f64]) -> Vec<u8> {
+    fn lane_request_bytes(lane: WireFormat, xs: &[f64]) -> Vec<u8> {
         let op = OpDesc::single(
             "echo",
             "urn:echo",
@@ -404,7 +394,7 @@ mod tests {
             TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
         );
         MessageTemplate::build(
-            EngineConfig::paper_default(),
+            EngineConfig::paper_default().with_wire_format(lane),
             &op,
             &[Value::DoubleArray(xs.to_vec())],
         )
@@ -412,31 +402,36 @@ mod tests {
         .to_bytes()
     }
 
-    #[test]
-    fn dispatch_round_trip() {
-        let svc = echo_service();
-        let resp = svc.dispatch("echo", &request_bytes(&[1.5, 2.5])).unwrap();
-        let resp_op = svc.response_desc("echo").unwrap();
-        let parsed = bsoap_deser::parse_envelope(&resp, &resp_op).unwrap();
-        assert_eq!(parsed, vec![Value::DoubleArray(vec![1.5, 2.5])]);
+    fn request_bytes(xs: &[f64]) -> Vec<u8> {
+        lane_request_bytes(WireFormat::SoapXml, xs)
     }
 
     #[test]
-    fn response_tiers_progress() {
-        let svc = echo_service();
-        svc.dispatch("echo", &request_bytes(&[1.5, 2.5])).unwrap();
-        svc.dispatch("echo", &request_bytes(&[1.5, 2.5])).unwrap();
-        svc.dispatch("echo", &request_bytes(&[9.5, 2.5])).unwrap();
-        svc.dispatch("echo", &request_bytes(&[9.5, 2.5, 3.5]))
-            .unwrap();
-        let s = svc.stats();
-        assert_eq!(s.requests, 4);
-        assert_eq!(s.responses_first, 1);
-        assert_eq!(s.responses_content, 1);
-        assert_eq!(s.responses_perfect, 1);
-        assert_eq!(s.responses_partial, 1);
-        // Request side: identical second request skipped parsing.
-        assert_eq!(s.requests_identical, 1);
+    fn every_lane_round_trips_and_tiers_progress() {
+        for lane in WireFormat::ALL {
+            let svc = echo_service();
+            let resp_op = svc.response_desc("echo").unwrap();
+            let dispatch = |xs: &[f64]| {
+                svc.dispatch_formatted("echo", &lane_request_bytes(lane, xs), lane)
+                    .unwrap()
+            };
+            let (resp, fmt) = dispatch(&[1.5, 2.5]);
+            assert_eq!(fmt, lane);
+            let parsed = bsoap_deser::decode(lane, &resp, &resp_op).unwrap();
+            assert_eq!(parsed, vec![Value::DoubleArray(vec![1.5, 2.5])]);
+
+            dispatch(&[1.5, 2.5]);
+            dispatch(&[9.5, 2.5]);
+            dispatch(&[9.5, 2.5, 3.5]);
+            let s = svc.stats();
+            assert_eq!(s.requests, 4, "{lane:?}");
+            assert_eq!(s.responses_first, 1, "{lane:?}");
+            assert_eq!(s.responses_content, 1, "{lane:?}");
+            assert_eq!(s.responses_perfect, 1, "{lane:?}");
+            assert_eq!(s.responses_partial, 1, "{lane:?}");
+            // Request side: identical second request skipped parsing.
+            assert_eq!(s.requests_identical, 1, "{lane:?}");
+        }
     }
 
     #[test]
@@ -488,61 +483,7 @@ mod tests {
     }
 
     fn binary_request_bytes(xs: &[f64]) -> Vec<u8> {
-        let op = OpDesc::single(
-            "echo",
-            "urn:echo",
-            "xs",
-            TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-        );
-        MessageTemplate::build(
-            EngineConfig::paper_default().with_wire_format(WireFormat::CompactBinary),
-            &op,
-            &[Value::DoubleArray(xs.to_vec())],
-        )
-        .unwrap()
-        .to_bytes()
-    }
-
-    #[test]
-    fn binary_lane_round_trips_and_tiers_progress() {
-        let svc = echo_service();
-        let resp_op = svc.response_desc("echo").unwrap();
-        let (resp, fmt) = svc
-            .dispatch_formatted(
-                "echo",
-                &binary_request_bytes(&[1.5, 2.5]),
-                WireFormat::CompactBinary,
-            )
-            .unwrap();
-        assert_eq!(fmt, WireFormat::CompactBinary);
-        let parsed = bsoap_deser::parse_binary_envelope(&resp, &resp_op).unwrap();
-        assert_eq!(parsed, vec![Value::DoubleArray(vec![1.5, 2.5])]);
-
-        svc.dispatch_formatted(
-            "echo",
-            &binary_request_bytes(&[1.5, 2.5]),
-            WireFormat::CompactBinary,
-        )
-        .unwrap();
-        svc.dispatch_formatted(
-            "echo",
-            &binary_request_bytes(&[9.5, 2.5]),
-            WireFormat::CompactBinary,
-        )
-        .unwrap();
-        svc.dispatch_formatted(
-            "echo",
-            &binary_request_bytes(&[9.5, 2.5, 3.5]),
-            WireFormat::CompactBinary,
-        )
-        .unwrap();
-        let s = svc.stats();
-        assert_eq!(s.requests, 4);
-        assert_eq!(s.responses_first, 1);
-        assert_eq!(s.responses_content, 1);
-        assert_eq!(s.responses_perfect, 1);
-        assert_eq!(s.responses_partial, 1);
-        assert_eq!(s.requests_identical, 1);
+        lane_request_bytes(WireFormat::CompactBinary, xs)
     }
 
     #[test]

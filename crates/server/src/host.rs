@@ -7,14 +7,15 @@
 //! [`bsoap_transport::serve`], which owns everything about connections:
 //! framing, caps, 400s, timeouts, keep-alive, drain. [`server_options`]
 //! is the one place the service's `EngineConfig` becomes transport
-//! [`ServerOptions`], including which core (`EngineConfig::server_core`)
-//! drives the connections.
+//! [`ServerOptions`]: which core (`EngineConfig::server_core`) drives the
+//! connections and the two HTTP caps; the rest are the transport's
+//! defaults.
 
 use crate::dispatch::{HandlerError, Service, ServiceStats};
 use bsoap_core::{EngineConfig, WireFormat};
 use bsoap_obs::{Counter, Metrics, Recorder};
 use bsoap_transport::http::RequestHead;
-use bsoap_transport::negotiate::{HDR_ACCEPT, HDR_FORMAT, HDR_FORMAT_LOWER, TOKEN_BINARY};
+use bsoap_transport::negotiate::{HDR_ACCEPT, HDR_FORMAT, HDR_FORMAT_LOWER};
 use bsoap_transport::{ReqBody, Response, ServeMode, Server, ServerOptions};
 use std::io;
 use std::net::SocketAddr;
@@ -30,9 +31,6 @@ pub struct HttpServer {
 fn server_options(cfg: &EngineConfig) -> ServerOptions {
     ServerOptions {
         core: cfg.server_core,
-        workers: cfg.server_workers,
-        event_loop_threads: cfg.event_loop_threads,
-        max_connections: cfg.max_connections,
         max_head_bytes: cfg.max_head_bytes,
         max_body_bytes: cfg.max_body_bytes,
         ..ServerOptions::default()
@@ -106,33 +104,13 @@ fn operation_from_action(action: &str) -> Option<&str> {
     unquoted.rsplit_once('#').map(|(_, op)| op)
 }
 
-/// The wire format a request body arrived in: the `X-BSOAP-Format`
-/// header when present (unknown tokens read as XML — an old server
-/// ignoring the header entirely behaves the same way), else a sniff of
-/// the 4-byte binary magic as fallback for header-less peers.
-fn request_format(head: &RequestHead, body: &[u8]) -> WireFormat {
-    match head.header(HDR_FORMAT_LOWER) {
-        Some(token) => WireFormat::from_name(token).unwrap_or(WireFormat::SoapXml),
-        None if bsoap_core::wire::is_binary(body) => WireFormat::CompactBinary,
-        None => WireFormat::SoapXml,
-    }
-}
-
-/// Body `Content-Type` per lane.
-fn content_type_for(format: WireFormat) -> &'static str {
-    match format {
-        WireFormat::SoapXml => "text/xml; charset=utf-8",
-        WireFormat::CompactBinary => "application/x-bsoap-binary",
-    }
-}
-
 /// One parsed request in, one response out: routing, fault mapping, the
 /// `/metrics` endpoint and the negotiation echo.
 fn respond_to(service: &Service, head: &RequestHead, body: &[u8]) -> Response {
     if head.method == "GET" && head.path == "/metrics" {
         return Response::metrics_scrape(service.metrics().map(|m| m.as_ref()));
     }
-    let req_format = request_format(head, body);
+    let req_format = WireFormat::of_message(head.header(HDR_FORMAT_LOWER), body);
     let op_name = head
         .header("soapaction")
         .and_then(operation_from_action)
@@ -185,14 +163,14 @@ fn respond_to(service: &Service, head: &RequestHead, body: &[u8]) -> Response {
         m.add(Counter::ServerRequests, 1);
     }
     let mut resp = Response::xml(status, reason, payload);
-    resp.content_type = content_type_for(resp_format);
+    resp.content_type = resp_format.content_type();
     // Echo the negotiation headers on every SOAP response: the format
-    // this body is in, plus the capability advert while the binary lane
-    // is accepting (its absence after a toggle-off tells offering
+    // this body is in, plus the capability advert while the negotiated
+    // lanes are accepting (its absence after a toggle-off tells offering
     // clients to stop asking).
     resp = resp.with_header(HDR_FORMAT, resp_format.name().to_owned());
     if service.binary_enabled() {
-        resp = resp.with_header(HDR_ACCEPT, TOKEN_BINARY.to_owned());
+        resp = resp.with_header(HDR_ACCEPT, WireFormat::ADVERT.to_owned());
     }
     resp
 }
@@ -206,6 +184,7 @@ mod tests {
     };
     use bsoap_obs::HistId;
     use bsoap_transport::http::{post_gather, read_response, HttpVersion, RequestConfig};
+    use bsoap_transport::negotiate::TOKEN_BINARY;
     use bsoap_transport::supported_cores;
     use std::io::{IoSlice, Write};
     use std::net::TcpStream;
@@ -237,7 +216,7 @@ mod tests {
         svc
     }
 
-    fn request_bytes(xs: &[f64]) -> Vec<u8> {
+    fn lane_request_bytes(lane: WireFormat, xs: &[f64]) -> Vec<u8> {
         let op = OpDesc::single(
             "sum",
             "urn:sum",
@@ -245,12 +224,16 @@ mod tests {
             TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
         );
         MessageTemplate::build(
-            EngineConfig::paper_default(),
+            EngineConfig::paper_default().with_wire_format(lane),
             &op,
             &[Value::DoubleArray(xs.to_vec())],
         )
         .unwrap()
         .to_bytes()
+    }
+
+    fn request_bytes(xs: &[f64]) -> Vec<u8> {
+        lane_request_bytes(WireFormat::SoapXml, xs)
     }
 
     fn post(addr: std::net::SocketAddr, action: &str, body: &[u8]) -> (u16, Vec<u8>) {
@@ -521,19 +504,7 @@ mod tests {
     }
 
     fn binary_request_bytes(xs: &[f64]) -> Vec<u8> {
-        let op = OpDesc::single(
-            "sum",
-            "urn:sum",
-            "xs",
-            TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-        );
-        MessageTemplate::build(
-            EngineConfig::paper_default().with_wire_format(bsoap_core::WireFormat::CompactBinary),
-            &op,
-            &[Value::DoubleArray(xs.to_vec())],
-        )
-        .unwrap()
-        .to_bytes()
+        lane_request_bytes(WireFormat::CompactBinary, xs)
     }
 
     fn post_with_headers(

@@ -6,9 +6,9 @@
 //! deserialization. Every request rides the cheapest matching tier; every
 //! response is parsed against the operation's `{name}Response` schema.
 
-use crate::deser::{parse_binary_envelope, parse_envelope, DeserError};
+use crate::deser::DeserError;
 use crate::transport::http::{read_response_headers_limited, HttpVersion, RequestConfig};
-use crate::transport::negotiate::{Negotiator, HDR_FORMAT_LOWER, TOKEN_BINARY};
+use crate::transport::negotiate::{Negotiator, HDR_FORMAT_LOWER};
 use crate::transport::tcp::{Framing, TcpTransport};
 use crate::transport::Transport;
 use crate::wsdl::ServiceDesc;
@@ -55,8 +55,9 @@ pub struct RpcClient {
     /// `{op}Response` convention and are registered explicitly).
     response_descs: Vec<OpDesc>,
     /// Per-connection wire-format negotiation. Seeded from the config's
-    /// `wire_format`: an XML config never offers, a binary config starts
-    /// offering `bin1` and upgrades once the server adverts back.
+    /// `wire_format`: an XML config never offers, a config asking for a
+    /// negotiated lane starts offering it and upgrades once the server
+    /// adverts back.
     negotiator: Negotiator,
 }
 
@@ -84,7 +85,6 @@ impl RpcClient {
             extra_headers: Vec::new(),
         };
         let transport = TcpTransport::connect(addr, Framing::Http(cfg))?;
-        let offer_binary = config.wire_format == WireFormat::CompactBinary;
         // The engine's base lane stays XML; the negotiator upgrades the
         // endpoint via `set_endpoint_format` once the server agrees.
         Ok(RpcClient {
@@ -92,7 +92,7 @@ impl RpcClient {
             client: Client::new(config.with_wire_format(WireFormat::SoapXml)),
             transport,
             response_descs: Vec::new(),
-            negotiator: Negotiator::new(offer_binary),
+            negotiator: Negotiator::new(config.wire_format.negotiated()),
         })
     }
 
@@ -152,14 +152,14 @@ impl RpcClient {
             return Err(RpcError::Status(status, body));
         }
         let resp_name = format!("{}Response", op.name);
-        let resp_binary = headers
+        // The reply is decoded on the lane its own header names.
+        let token = headers
             .iter()
-            .any(|(n, v)| n == HDR_FORMAT_LOWER && v.eq_ignore_ascii_case(TOKEN_BINARY));
+            .find(|(n, _)| n == HDR_FORMAT_LOWER)
+            .map(|(_, v)| v.as_str());
+        let lane = WireFormat::of_message(token, &body);
         let values = match self.response_descs.iter().find(|d| d.name == resp_name) {
-            Some(desc) if resp_binary => {
-                parse_binary_envelope(&body, desc).map_err(RpcError::Response)?
-            }
-            Some(desc) => parse_envelope(&body, desc).map_err(RpcError::Response)?,
+            Some(desc) => crate::deser::decode(lane, &body, desc).map_err(RpcError::Response)?,
             None => Vec::new(),
         };
         Ok((values, report))
@@ -199,10 +199,8 @@ impl RpcClient {
     /// Keep the engine's per-endpoint lane in lockstep with the
     /// negotiator's verdict.
     fn sync_endpoint_format(&mut self) {
-        let format = match self.negotiator.body_token() {
-            t if t == TOKEN_BINARY => WireFormat::CompactBinary,
-            _ => WireFormat::SoapXml,
-        };
+        let format =
+            WireFormat::from_name(self.negotiator.body_token()).unwrap_or(WireFormat::SoapXml);
         self.client
             .set_endpoint_format(&self.service.endpoint, format);
     }

@@ -13,9 +13,14 @@
 //! can replay byte-for-byte — no `.proptest-regressions` file or seed
 //! hunting needed. The proptest block at the bottom adds randomized
 //! schedules on top (its failures print the generated case).
+//!
+//! `poisoned_frames_keep_the_reference_on_every_lane` attacks the
+//! differential shell both lanes' decoders share, so it runs on both.
 
 use bsoap::convert::ScalarKind;
-use bsoap::deser::{parse_binary_envelope, BinaryDiffDeserializer, DeserError, DiffOutcome};
+use bsoap::deser::{
+    parse_binary_envelope, BinaryDiffDeserializer, DeserError, DiffOutcome, LaneDeserializer,
+};
 use bsoap::{mio, EngineConfig, MessageTemplate, OpDesc, ParamDesc, TypeDesc, Value, WireFormat};
 use proptest::prelude::*;
 
@@ -92,18 +97,23 @@ fn frame(args: &[Value]) -> Vec<u8> {
         .to_bytes()
 }
 
-/// Valid frames the mutators start from — including one whose string
-/// shrank, so a pad run sits mid-message.
-fn corpus() -> Vec<Vec<u8>> {
-    let op = fuzz_op();
-    let base = vec![
+/// The arguments of the first corpus frame.
+fn corpus_args() -> Vec<Value> {
+    vec![
         Value::Int(-7),
         Value::Long(1 << 40),
         Value::Bool(true),
         Value::DoubleArray(vec![0.5, -1.25, 3.75]),
         Value::Array(vec![mio(1, -2, 0.125), mio(3, 4, -9.5)]),
         Value::Str("payload".into()),
-    ];
+    ]
+}
+
+/// Valid frames the mutators start from — including one whose string
+/// shrank, so a pad run sits mid-message.
+fn corpus() -> Vec<Vec<u8>> {
+    let op = fuzz_op();
+    let base = corpus_args();
     let mut frames = vec![
         frame(&base),
         frame(&[
@@ -276,25 +286,60 @@ fn length_lying_frames_are_rejected_without_overallocation() {
     assert!(parse_binary_envelope(&bad, &op).is_err());
 }
 
-/// A decode error must not poison the differential decoder's retained
-/// state: the content-match shortcut still fires for the last *good*
-/// message.
+/// A decode error must not poison the retained reference of the shared
+/// differential shell, on any lane: after a truncated, a bit-flipped and a
+/// wrong-lane body — each a typed error — the content-match shortcut still
+/// fires for the last *good* message, with its values.
 #[test]
-fn diff_decoder_state_survives_poison_frames() {
-    let mut diff = BinaryDiffDeserializer::new(fuzz_op());
-    let good = corpus().remove(0);
-    diff.deserialize(&good).unwrap();
+fn poisoned_frames_keep_the_reference_on_every_lane() {
+    let op = fuzz_op();
+    let args = corpus_args();
+    let frame_on = |lane| {
+        let config = EngineConfig::paper_default().with_wire_format(lane);
+        MessageTemplate::build(config, &op, &args)
+            .unwrap()
+            .to_bytes()
+    };
+    for lane in WireFormat::ALL {
+        let good = frame_on(lane);
+        let mut diff = LaneDeserializer::new(lane, op.clone());
+        diff.deserialize(&good).unwrap();
 
-    let mut poison = good.clone();
-    poison.truncate(poison.len() / 2);
-    assert!(diff.deserialize(&poison).is_err());
+        let mut truncated = good.clone();
+        truncated.truncate(good.len() / 2);
+        // Same length, one leaf byte off: on XML this dies inside the leaf
+        // tier (`-7` → `m7`), after the skeleton compare passed.
+        let mut flipped = good.clone();
+        let at = match lane {
+            WireFormat::SoapXml => good.windows(3).position(|w| w == b">-7").unwrap() + 1,
+            // The bool payload: `1` → `0x41`.
+            WireFormat::CompactBinary => good.windows(2).position(|w| w == [0x04, 1]).unwrap() + 1,
+        };
+        flipped[at] ^= 0x40;
+        let wrong_lane = WireFormat::ALL
+            .into_iter()
+            .find(|other| *other != lane)
+            .map(frame_on)
+            .unwrap();
+        for (what, poison) in [
+            ("truncated", truncated),
+            ("bit-flipped", flipped),
+            ("wrong-lane", wrong_lane),
+        ] {
+            assert!(
+                diff.deserialize(&poison).is_err(),
+                "{lane:?} accepted a {what} body"
+            );
+        }
 
-    let (_, outcome) = diff.deserialize(&good).unwrap();
-    assert_eq!(
-        outcome,
-        DiffOutcome::Identical,
-        "retained reference lost after a poison frame"
-    );
+        let (vals, outcome) = diff.deserialize(&good).unwrap();
+        assert_eq!(
+            outcome,
+            DiffOutcome::Identical,
+            "{lane:?}: retained reference lost after poison frames"
+        );
+        assert_eq!(vals, &args[..], "{lane:?}");
+    }
 }
 
 proptest! {

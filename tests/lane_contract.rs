@@ -1,0 +1,118 @@
+//! A wire lane is one module: what every lane owes its callers, checked
+//! as one table over `WireFormat::ALL`, and a source walk proving no layer
+//! outside the two lane modules (`bsoap-core`'s and `bsoap-deser`'s
+//! `lane.rs`) names a particular lane's machinery.
+
+use bsoap::convert::ScalarKind;
+use bsoap::deser::{decode, DiffOutcome, LaneDeserializer};
+use bsoap::{mio, EngineConfig, MessageTemplate, OpDesc, ParamDesc, TypeDesc, Value, WireFormat};
+
+mod common;
+
+fn contract_op() -> OpDesc {
+    let param = |name: &str, desc| ParamDesc {
+        name: name.into(),
+        desc,
+    };
+    OpDesc::new(
+        "contract",
+        "urn:lane",
+        vec![
+            param("step", TypeDesc::Scalar(ScalarKind::Int)),
+            param(
+                "xs",
+                TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
+            ),
+            param("mios", TypeDesc::array_of(TypeDesc::mio())),
+            param("tag", TypeDesc::Scalar(ScalarKind::Str)),
+        ],
+    )
+}
+
+fn contract_args(step: i32, xs: &[f64], tag: &str) -> Vec<Value> {
+    vec![
+        Value::Int(step),
+        Value::DoubleArray(xs.to_vec()),
+        Value::Array(vec![mio(1, -2, 0.5), mio(3, 4, -9.25)]),
+        Value::Str(tag.to_owned()),
+    ]
+}
+
+#[test]
+fn every_lane_keeps_the_contract() {
+    let op = contract_op();
+    let mut content_types = Vec::new();
+    for lane in WireFormat::ALL {
+        assert_eq!(WireFormat::from_name(lane.name()), Some(lane), "{lane:?}");
+        content_types.push(lane.content_type());
+
+        // build → sniff, one-shot decode.
+        let config = EngineConfig::paper_default().with_wire_format(lane);
+        let first = contract_args(1, &[1.5, 2.5, 3.5], "a<b&c");
+        let mut tpl = MessageTemplate::build(config, &op, &first).unwrap();
+        let bytes = tpl.to_bytes();
+        assert_eq!(WireFormat::of_message(None, &bytes), lane, "{lane:?} sniff");
+        assert_eq!(decode(lane, &bytes, &op).unwrap(), first, "{lane:?}");
+
+        // build → update → flush → differential decode, through a value
+        // patch, a resize and a resend.
+        let mut deser = LaneDeserializer::new(lane, op.clone());
+        let (got, outcome) = deser.deserialize(&bytes).unwrap();
+        assert_eq!((got, outcome), (&first[..], DiffOutcome::FullParse));
+        for next in [
+            contract_args(2, &[1.5, 9.5, 3.5], "a<b&c"),
+            contract_args(2, &[1.5, 9.5, 3.5, 4.5, 5.5], "longer tag"),
+            contract_args(2, &[7.5], ""),
+        ] {
+            tpl.update_args(&next).unwrap();
+            tpl.flush();
+            let bytes = tpl.to_bytes();
+            let (got, _) = deser.deserialize(&bytes).unwrap();
+            assert_eq!(got, &next[..], "{lane:?}");
+            let (got, outcome) = deser.deserialize(&bytes).unwrap();
+            assert_eq!((got, outcome), (&next[..], DiffOutcome::Identical));
+            assert_eq!(decode(lane, &bytes, &op).unwrap(), next, "{lane:?}");
+        }
+    }
+    content_types.sort_unstable();
+    content_types.dedup();
+    assert_eq!(content_types.len(), WireFormat::ALL.len());
+}
+
+#[test]
+fn a_lane_is_one_module() {
+    // The non-test part of every product file.
+    let sources: Vec<(String, String)> = common::product_sources()
+        .into_iter()
+        .map(|(path, text)| {
+            let product = text.split("#[cfg(test)]").next().unwrap().to_owned();
+            (path, product)
+        })
+        .collect();
+    // One variant's name stands for "code that knows which lane it is
+    // on"; the other three are the per-lane twins this layout replaced.
+    let needles = ["CompactBinary", "deser_bin", "is_binary(", "build_binary"];
+    let lane_modules = ["crates/core/src/lane.rs", "crates/deser/src/lane.rs"];
+    let strays: Vec<String> = sources
+        .iter()
+        .filter(|(path, _)| !lane_modules.iter().any(|m| path.ends_with(m)))
+        .flat_map(|(path, text)| {
+            needles
+                .iter()
+                .filter(|n| text.contains(**n))
+                .map(move |n| format!("{path}: {n}"))
+        })
+        .collect();
+    assert!(
+        strays.is_empty(),
+        "lane knowledge outside the lane modules: {strays:#?}"
+    );
+    for module in lane_modules {
+        assert!(
+            sources
+                .iter()
+                .any(|(path, text)| path.ends_with(module) && text.contains(needles[0])),
+            "{module} no longer decides the lane"
+        );
+    }
+}
