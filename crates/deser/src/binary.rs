@@ -14,7 +14,8 @@
 //! typed [`DeserError`]; the decoder never panics and never reads past
 //! the buffer (fuzzed in `tests/binary_fuzz.rs`).
 
-use crate::diff::{DiffShell, Reference};
+use crate::diff::{common_prefix, DiffShell, Reference};
+use crate::envelope::{apply_leaf, LeafSlot};
 use crate::error::DeserError;
 use bsoap_convert::ScalarKind;
 use bsoap_core::wire;
@@ -22,7 +23,11 @@ use bsoap_core::{OpDesc, TypeDesc, Value};
 
 /// Parse a compact-binary envelope into the operation's argument values.
 pub fn parse_binary_envelope(bytes: &[u8], op: &OpDesc) -> Result<Vec<Value>, DeserError> {
-    let mut c = Cursor { buf: bytes, pos: 0 };
+    decode(&mut Cursor::new(bytes, None), op)
+}
+
+/// The one decoder walk; `c.slots`, when set, collects the slot map.
+fn decode(c: &mut Cursor<'_>, op: &OpDesc) -> Result<Vec<Value>, DeserError> {
     let magic = c.take(wire::MAGIC.len(), "magic")?;
     if magic != wire::MAGIC {
         return Err(DeserError::binary("missing BSB1 magic"));
@@ -44,8 +49,12 @@ pub fn parse_binary_envelope(bytes: &[u8], op: &OpDesc) -> Result<Vec<Value>, De
         )));
     }
     let mut args = Vec::with_capacity(op.params.len());
-    for param in &op.params {
-        args.push(parse_value(&mut c, &param.desc)?);
+    for (pidx, param) in op.params.iter().enumerate() {
+        c.next = LeafSlot {
+            param: pidx as u32,
+            leaf: 0,
+        };
+        args.push(parse_value(c, &param.desc)?);
     }
     c.skip_pads();
     if c.byte("END marker")? != wire::END {
@@ -61,12 +70,35 @@ pub fn parse_binary_envelope(bytes: &[u8], op: &OpDesc) -> Result<Vec<Value>, De
     Ok(args)
 }
 
+/// One fixed-width scalar record the sender overwrites in place: its tag
+/// byte at `offset`, its payload behind it up to `end`.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    offset: usize,
+    end: usize,
+    kind: ScalarKind,
+    slot: LeafSlot,
+}
+
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Where the next leaf's value goes.
+    next: LeafSlot,
+    slots: Option<Vec<Slot>>,
 }
 
 impl<'a> Cursor<'a> {
+    fn new(buf: &'a [u8], slots: Option<Vec<Slot>>) -> Self {
+        let next = LeafSlot { param: 0, leaf: 0 };
+        Cursor {
+            buf,
+            pos: 0,
+            next,
+            slots,
+        }
+    }
+
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -122,7 +154,7 @@ fn parse_array(c: &mut Cursor<'_>, item: &TypeDesc) -> Result<Value, DeserError>
     if c.byte("ARRAY_BEGIN")? != wire::ARRAY_BEGIN {
         return Err(DeserError::binary("expected ARRAY_BEGIN"));
     }
-    let Value::Int(len) = parse_leaf(c, ScalarKind::Int)? else {
+    let Value::Int(len) = read_record(c, ScalarKind::Int)? else {
         unreachable!("int leaf parses to Int");
     };
     if len < 0 {
@@ -174,7 +206,28 @@ fn parse_array(c: &mut Cursor<'_>, item: &TypeDesc) -> Result<Value, DeserError>
     Ok(value)
 }
 
+/// Decode one of the operation's scalar leaves, noting where it sits if
+/// the sender can rewrite it in place (a string carries its own length, so
+/// it is framing, not a slot).
 fn parse_leaf(c: &mut Cursor<'_>, kind: ScalarKind) -> Result<Value, DeserError> {
+    c.skip_pads();
+    let (offset, slot) = (c.pos, c.next);
+    let value = read_record(c, kind)?;
+    c.next.leaf += 1;
+    let end = c.pos;
+    if let (Some(slots), false) = (&mut c.slots, kind == ScalarKind::Str) {
+        slots.push(Slot {
+            offset,
+            end,
+            kind,
+            slot,
+        });
+    }
+    Ok(value)
+}
+
+/// Decode one tagged record of `kind`.
+fn read_record(c: &mut Cursor<'_>, kind: ScalarKind) -> Result<Value, DeserError> {
     c.skip_pads();
     let tag = c.byte("leaf tag")?;
     let expected = match kind {
@@ -220,22 +273,75 @@ fn parse_leaf(c: &mut Cursor<'_>, kind: ScalarKind) -> Result<Value, DeserError>
     })
 }
 
-/// bin1 retains only the decoded arguments: decoding is already a single
-/// schema walk over fixed-width records, so there is no leaf tier yet —
-/// everything but a byte-identical message is a full decode. (The strided
-/// slot compare of ROADMAP 2(b) is a `patch` here.)
-impl Reference for Vec<Value> {
+/// What bin1 retains of a message: the decoded arguments and the slot map
+/// the decoder walk recorded — every fixed-width scalar record, in wire
+/// order. Numeric leaves never change width on this lane, so between two
+/// messages of one shape only slot bytes differ.
+#[derive(Debug)]
+pub struct BinaryReference {
+    args: Vec<Value>,
+    slots: Vec<Slot>,
+}
+
+impl Reference for BinaryReference {
     fn decode(bytes: &[u8], op: &OpDesc) -> Result<Self, DeserError> {
-        parse_binary_envelope(bytes, op)
+        let mut c = Cursor::new(bytes, Some(Vec::new()));
+        let args = decode(&mut c, op)?;
+        let slots = c.slots.take().unwrap_or_default();
+        Ok(BinaryReference { args, slots })
     }
 
     fn args(&self) -> &[Value] {
-        self
+        &self.args
+    }
+
+    /// The leaf tier: same length and every byte outside the slots' payloads
+    /// equal, so only the records whose bytes differ are decoded. A string
+    /// that changed, or an array that changed length, rewrote framing —
+    /// full decode.
+    fn patch(
+        &mut self,
+        prev: &[u8],
+        bytes: &[u8],
+        op: &OpDesc,
+    ) -> Result<Option<(usize, usize)>, DeserError> {
+        if prev.len() != bytes.len() {
+            return Ok(None);
+        }
+        let mut at = 0;
+        let mut slots = self.slots.iter().peekable();
+        let mut updates = Vec::new();
+        loop {
+            at += common_prefix(&prev[at..], &bytes[at..]);
+            if at == bytes.len() {
+                break;
+            }
+            // The differing byte must be payload of a slot; a tag byte or
+            // anything between slots is framing.
+            while slots.next_if(|s| s.end <= at).is_some() {}
+            let Some(s) = slots.next().filter(|s| s.offset < at) else {
+                return Ok(None);
+            };
+            let Some(record) = bytes.get(s.offset..s.end) else {
+                return Ok(None);
+            };
+            // A record the full decode would reject is its to report.
+            let Ok(value) = read_record(&mut Cursor::new(record, None), s.kind) else {
+                return Ok(None);
+            };
+            updates.push((s.slot, value));
+            at = s.end;
+        }
+        let reparsed = updates.len();
+        for (slot, value) in updates {
+            apply_leaf(&mut self.args, op, slot, value)?;
+        }
+        Ok(Some((reparsed, self.slots.len() - reparsed)))
     }
 }
 
 /// Differential deserializer for one operation's bin1 envelopes.
-pub type BinaryDiffDeserializer = DiffShell<Vec<Value>>;
+pub type BinaryDiffDeserializer = DiffShell<BinaryReference>;
 
 #[cfg(test)]
 mod tests {
@@ -349,10 +455,75 @@ mod tests {
             .unwrap();
         tpl.flush();
         let (got, o) = d.deserialize(&tpl.to_bytes()).unwrap();
-        assert_eq!(o, DiffOutcome::FullParse);
+        assert_eq!(
+            o,
+            DiffOutcome::Differential {
+                reparsed: 1,
+                skipped: 2
+            }
+        );
         assert_eq!(got, &[Value::Array(vec![mio(1, 2, 4.0)])]);
         assert_eq!(d.stats().messages, 3);
         assert!(d.retained_bytes() > 0);
+    }
+
+    #[test]
+    fn leaf_tier_decodes_changed_slots_and_leaves_framing_to_the_full_decode() {
+        let op = OpDesc::new(
+            "mix",
+            "urn:t",
+            vec![
+                bsoap_core::ParamDesc {
+                    name: "tag".into(),
+                    desc: TypeDesc::Scalar(ScalarKind::Str),
+                },
+                bsoap_core::ParamDesc {
+                    name: "on".into(),
+                    desc: TypeDesc::Scalar(ScalarKind::Bool),
+                },
+                bsoap_core::ParamDesc {
+                    name: "cells".into(),
+                    desc: TypeDesc::array_of(TypeDesc::mio()),
+                },
+            ],
+        );
+        let args = |tag: &str, on: bool, cells: &[(i32, i32, f64)]| {
+            vec![
+                Value::Str(tag.into()),
+                Value::Bool(on),
+                Value::Array(cells.iter().map(|&(x, y, v)| mio(x, y, v)).collect()),
+            ]
+        };
+        let first = args("ab", false, &[(1, 2, 0.5), (3, 4, 1.5)]);
+        let mut tpl = MessageTemplate::build(bin_cfg(), &op, &first).unwrap();
+        let mut d = BinaryDiffDeserializer::new(op.clone());
+        d.deserialize(&tpl.to_bytes()).unwrap();
+        let mut send = |next: Vec<Value>| {
+            tpl.update_args(&next).unwrap();
+            tpl.flush();
+            let bytes = tpl.to_bytes();
+            let (got, o) = d.deserialize(&bytes).unwrap();
+            assert_eq!(got, &next[..]);
+            assert_eq!(got, &parse_binary_envelope(&bytes, &op).unwrap()[..]);
+            o
+        };
+        let differential = |reparsed, skipped| DiffOutcome::Differential { reparsed, skipped };
+        // Numeric and bool records change in place; the string is framing.
+        assert_eq!(
+            send(args("ab", true, &[(1, 2, 0.5), (3, -4, 2.5)])),
+            differential(3, 4)
+        );
+        // A string of the same length still rewrites framing bytes.
+        assert_eq!(
+            send(args("cd", true, &[(1, 2, 0.5), (3, -4, 2.5)])),
+            DiffOutcome::FullParse
+        );
+        // So does a resize; the slot map then follows the new shape.
+        assert_eq!(
+            send(args("cd", true, &[(1, 2, 0.5)])),
+            DiffOutcome::FullParse
+        );
+        assert_eq!(send(args("cd", true, &[(9, 2, 0.5)])), differential(1, 3));
     }
 
     #[test]

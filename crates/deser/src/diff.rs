@@ -6,13 +6,49 @@
 //!
 //! 1. if it is byte-identical, reuse the previous values outright (the
 //!    deserialization analogue of a message content match);
-//! 2. if the lane has a leaf tier and only leaf regions differ, re-decode
-//!    just the changed leaves (the analogue of a perfect structural
-//!    match). On XML that is "same length, every inter-leaf *skeleton*
-//!    byte identical": a close tag that moved within a stuffed field stays
-//!    inside its leaf's region, so stuffing on the sender makes this fast
-//!    path *more* likely, answering the paper's open question about how
-//!    stuffing affects server-side decoding;
+//! 2. if the lane's leaf tier can prove that only rewritable regions
+//!    changed, re-decode just those (the analogue of a structural match,
+//!    perfect or partial). On XML that is one forward walk over the
+//!    retained region map (see [`crate::envelope`]) with two cursors, one
+//!    in each message, whose distance is the running offset of every width
+//!    change so far:
+//!    * everything up to the first differing byte is unchanged, so the
+//!      regions that end before it are stepped over without a second look;
+//!    * a difference inside a **leaf region** `text</name>pad` re-scans it
+//!      to its close tag (text free of `<`, the old close tag, whitespace
+//!      up to the next `<`), re-parses the text, and moves the cursors by
+//!      the old and the new width — a value that outgrew its field costs
+//!      one leaf, not a full parse, and a close tag that moved within a
+//!      stuffed field never leaves its region, so stuffing on the sender
+//!      keeps most changes at the same width (the paper's open question
+//!      about stuffing and server-side decoding);
+//!    * a difference inside an **array length region** `N]">pad` re-reads
+//!      the declared length the same way;
+//!    * a difference in the skeleton is provable in two places only. At an
+//!      element boundary of an array the new message may show the array's
+//!      closing skeleton early: the surplus elements are dropped. After
+//!      the last element it may **repeat the element's skeleton** — the
+//!      previous element's, byte for byte: each repeat is an appended
+//!      element, its leaves read by the same re-scan, until the closing
+//!      skeleton appears. An array with no element has no skeleton to
+//!      repeat, so growing from zero is a full parse;
+//!    * at the end, every array touched must carry exactly the elements
+//!      its length field declares.
+//!
+//!    Two rules make the walk sound. **It never invents an error:** every
+//!    byte of the new message is either compared equal to a skeleton byte
+//!    the oracle already accepted in the same parser state, or re-scanned
+//!    by the oracle's own leaf grammar; anything else — a skeleton byte
+//!    that differs, a `<` that is not the expected close tag, a comment,
+//!    a count that is not the declared length, an index past either
+//!    buffer — is `None`, and the full parse decides. The one `Err` is a
+//!    leaf's own lexical error, which the full parse meets in the same
+//!    text. **Nothing lands until everything parsed:** values, widths,
+//!    appended and dropped regions are staged and committed after the last
+//!    byte, so a refusal or an error leaves the reference describing the
+//!    previous message. The cursors only move forward, so the walk is
+//!    O(|prev| + |bytes|) on any input. On bin1 the tier is the same idea
+//!    without offsets: same length, only fixed-width slot payloads differ;
 //! 3. otherwise fall back to a full decode and adopt the new message as
 //!    the reference.
 //!
@@ -20,20 +56,25 @@
 //! identical short-circuit, adopt-on-success — written once; a lane
 //! instantiates it with the [`Reference`] it retains.
 
-use crate::envelope::{apply_leaf, parse_envelope_mapped, parse_scalar, MappedMessage};
+use crate::envelope::{
+    apply_leaf, parse_array_len, parse_envelope_mapped, parse_scalar, resize_array,
+    value_from_leaves, ArrayRegion, LeafSlot, MappedMessage, Region, RegionKind,
+};
 use crate::error::DeserError;
-use bsoap_core::{OpDesc, Value};
+use bsoap_convert::ScalarKind;
+use bsoap_core::{OpDesc, TypeDesc, Value};
 
 /// Which path a message took through the differential deserializer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiffOutcome {
-    /// First message, or structure changed: full parse.
+    /// First message, or a change the leaf tier could not prove: full parse.
     FullParse,
     /// Byte-identical to the previous message: nothing parsed.
     Identical,
-    /// Skeleton matched: only changed leaf regions were re-parsed.
+    /// Skeleton matched: only changed regions were re-parsed.
     Differential {
-        /// Leaves whose regions changed and were re-parsed.
+        /// Regions re-parsed: leaves whose bytes changed, leaves of
+        /// appended elements, and an array length field that changed.
         reparsed: usize,
         /// Leaves skipped because their bytes were unchanged.
         skipped: usize,
@@ -92,7 +133,7 @@ pub struct DiffShell<R> {
 }
 
 /// Server-side differential deserializer for one operation's XML
-/// envelopes: retains the leaf map, re-parses changed leaves.
+/// envelopes: retains the region map, re-parses what changed.
 pub type DiffDeserializer = DiffShell<MappedMessage>;
 
 impl<R: Reference> DiffShell<R> {
@@ -141,25 +182,28 @@ impl<R: Reference> DiffShell<R> {
                 return Ok(DiffOutcome::Identical);
             }
             if let Some((reparsed, skipped)) = reference.patch(prev, bytes, &self.op)? {
-                prev.clear();
-                prev.extend_from_slice(bytes);
+                adopt(prev, bytes);
                 return Ok(DiffOutcome::Differential { reparsed, skipped });
             }
         }
         let reference = R::decode(bytes, &self.op)?;
-        // Reuse the reference's buffer, growing it to exactly what the
-        // message needs: a service retains one of these per operation.
         let mut kept = self.prev.take().map_or_else(Vec::new, |(prev, _)| prev);
-        kept.clear();
-        kept.reserve_exact(bytes.len());
-        kept.extend_from_slice(bytes);
+        adopt(&mut kept, bytes);
         self.prev = Some((kept, reference));
         Ok(DiffOutcome::FullParse)
     }
 }
 
-/// XML retains the leaf map: with the skeleton proven identical, only the
-/// leaf regions whose bytes changed are re-parsed.
+/// Copy `bytes` over the retained message, reusing its buffer and growing
+/// it to exactly what the message needs: a service retains one of these
+/// per operation, and a differential message may be longer than the last.
+fn adopt(kept: &mut Vec<u8>, bytes: &[u8]) {
+    kept.clear();
+    kept.reserve_exact(bytes.len());
+    kept.extend_from_slice(bytes);
+}
+
+/// XML retains the region map and walks it against the next message.
 impl Reference for MappedMessage {
     fn decode(bytes: &[u8], op: &OpDesc) -> Result<Self, DeserError> {
         parse_envelope_mapped(bytes, op)
@@ -175,77 +219,463 @@ impl Reference for MappedMessage {
         bytes: &[u8],
         op: &OpDesc,
     ) -> Result<Option<(usize, usize)>, DeserError> {
-        if prev.len() != bytes.len() {
+        let Some(staged) = Walk::new(self, prev, bytes, op).run()? else {
             return Ok(None);
-        }
-        // Same length: compare the skeleton (everything outside leaf
-        // regions). Any mismatch means the structure moved — full parse.
-        let mut cursor = 0usize;
-        for leaf in &self.leaves {
-            if prev[cursor..leaf.region.start] != bytes[cursor..leaf.region.start] {
-                return Ok(None);
-            }
-            cursor = leaf.region.end;
-        }
-        if prev[cursor..] != bytes[cursor..] {
-            return Ok(None);
-        }
-
-        // Skeleton intact: re-parse only the changed leaf regions (which
-        // keep their spans). Every region parses before any value lands.
-        let mut skipped = 0usize;
-        let mut updates = Vec::new();
-        for leaf in &self.leaves {
-            let new = &bytes[leaf.region.clone()];
-            if &prev[leaf.region.clone()] == new {
-                skipped += 1;
-            } else {
-                updates.push((leaf.slot, reparse_region(new, leaf, prev)?));
-            }
-        }
-        let reparsed = updates.len();
-        for (slot, value) in updates {
-            apply_leaf(&mut self.args, op, slot, value)?;
-        }
-        Ok(Some((reparsed, skipped)))
+        };
+        let counts = (staged.reparsed, staged.skipped);
+        // Committing cannot fail while the map describes `prev`; were it
+        // ever to, the full parse rebuilds the whole reference.
+        Ok(self.commit(staged, op).ok().map(|()| counts))
     }
 }
 
-/// Re-parse one leaf region: `value</name>pad`. The close-tag name must
-/// match the element's open-tag name (skeleton equality only covered
-/// bytes outside the region); the open name is read from the retained
-/// skeleton, which differential adoptions never change.
-fn reparse_region(
-    region: &[u8],
-    leaf: &crate::envelope::LeafRegion,
-    prev_bytes: &[u8],
-) -> Result<Value, DeserError> {
-    let lt = region
+/// Everything one walk learned, held back until the whole message has
+/// walked so that a refusal or an error leaves the reference untouched.
+#[derive(Default)]
+struct Staged {
+    /// `(region, new width, value)` of every region whose bytes changed; a
+    /// length region has no value of its own.
+    rewrites: Vec<(usize, usize, Option<Value>)>,
+    /// `(array, length)` wherever the new message declares another length.
+    declared: Vec<(usize, usize)>,
+    /// Arrays that ended early or ran long, in document order.
+    resizes: Vec<Resize>,
+    reparsed: usize,
+    skipped: usize,
+}
+
+/// One array's new tail.
+struct Resize {
+    array: usize,
+    /// Old elements kept.
+    keep: usize,
+    /// Appended elements and their leaves' regions.
+    elements: Vec<Value>,
+    regions: Vec<Region>,
+}
+
+impl Staged {
+    /// Whether every array the walk touched carries exactly the elements
+    /// its length field now declares.
+    fn lengths_agree(&self, arrays: &[ArrayRegion]) -> bool {
+        let declared = |a: usize| {
+            let changed = self.declared.iter().find(|d| d.0 == a);
+            changed.map_or(arrays[a].elems, |d| d.1)
+        };
+        let carried = |a: usize| {
+            let resized = self.resizes.iter().find(|r| r.array == a);
+            resized.map_or(arrays[a].elems, |r| r.keep + r.elements.len())
+        };
+        let touched = self.declared.iter().map(|d| d.0);
+        touched
+            .chain(self.resizes.iter().map(|r| r.array))
+            .all(|a| declared(a) == carried(a))
+    }
+}
+
+/// One forward pass over the region map of `prev` against `bytes`.
+///
+/// `old` and `new` are the two cursors; `new - old` is the running offset
+/// every earlier width change has added up to. The walk proves, segment by
+/// segment, that `bytes` is `prev` with some regions rewritten and some
+/// array tails cut or extended — and stops with `None` at the first byte
+/// it cannot prove. Both cursors only move forward.
+struct Walk<'a> {
+    map: &'a MappedMessage,
+    prev: &'a [u8],
+    bytes: &'a [u8],
+    op: &'a OpDesc,
+    old: usize,
+    new: usize,
+    staged: Staged,
+}
+
+impl<'a> Walk<'a> {
+    fn new(map: &'a MappedMessage, prev: &'a [u8], bytes: &'a [u8], op: &'a OpDesc) -> Self {
+        Walk {
+            map,
+            prev,
+            bytes,
+            op,
+            old: 0,
+            new: 0,
+            staged: Staged::default(),
+        }
+    }
+
+    /// Skeleton bytes before region `i`; past the last region, the rest of
+    /// the old message.
+    fn skeleton(&self, i: usize) -> usize {
+        match self.map.regions.get(i) {
+            Some(region) => region.skeleton,
+            None => self.prev.len().saturating_sub(self.old),
+        }
+    }
+
+    /// Whether the next `len` bytes under both cursors are equal.
+    fn same(&self, len: usize) -> bool {
+        let old = self.prev.get(self.old..self.old + len);
+        old.is_some() && old == self.bytes.get(self.new..self.new + len)
+    }
+
+    /// Whether the new message continues with `expected`; consumes it.
+    fn take(&mut self, expected: &[u8]) -> bool {
+        let found = self.bytes.get(self.new..self.new + expected.len());
+        let taken = found == Some(expected);
+        if taken {
+            self.new += expected.len();
+        }
+        taken
+    }
+
+    /// Step both cursors over the rest of an unchanged `region`.
+    fn skip(&mut self, region: &Region, len: usize) {
+        self.old += len;
+        self.new += len;
+        self.staged.skipped += usize::from(matches!(region.kind, RegionKind::Leaf { .. }));
+    }
+
+    fn run(mut self) -> Result<Option<Staged>, DeserError> {
+        let regions = &self.map.regions;
+        let mut i = 0;
+        loop {
+            // Up to the first differing byte nothing changed: step over
+            // every region that ends before it. The byte after a region is
+            // the `<` that closes it, so it has to agree as well.
+            let Some(old_rest) = self.prev.get(self.old..) else {
+                return Ok(None);
+            };
+            let mut agree = common_prefix(old_rest, &self.bytes[self.new..]);
+            while let Some(region) = regions.get(i) {
+                let span = region.skeleton + region.width;
+                if span >= agree {
+                    break;
+                }
+                agree -= span;
+                self.skip(region, span);
+                i += 1;
+            }
+
+            // The difference lies in region `i` or in the skeleton before
+            // it. In the skeleton, the only thing left to prove is that an
+            // array ended early or ran long here — after which region `i`
+            // may be as it was.
+            let mut skeleton = self.skeleton(i);
+            let resized = agree < skeleton;
+            if resized {
+                let arrays = &self.map.arrays;
+                let Some(array) = arrays.partition_point(|a| a.len_at < i).checked_sub(1) else {
+                    return Ok(None);
+                };
+                match self.resize(array, &mut i)? {
+                    Some(closing) if self.same(closing) => skeleton = closing,
+                    _ => return Ok(None),
+                }
+            }
+            self.old += skeleton;
+            self.new += skeleton;
+            let Some(region) = regions.get(i) else {
+                break;
+            };
+            if resized && self.same(region.width + 1) {
+                self.skip(region, region.width);
+                i += 1;
+                continue;
+            }
+
+            let Some(old) = self.prev.get(self.old..self.old + region.width) else {
+                return Ok(None);
+            };
+            let rest = &self.bytes[self.new..];
+            let (width, value) = match region.kind {
+                RegionKind::Leaf { kind, .. } => match rescan_leaf(old, rest, kind)? {
+                    Some((width, value)) => (width, Some(value)),
+                    None => return Ok(None),
+                },
+                RegionKind::ArrayLen(array) => match rescan_len(old, rest) {
+                    Some((width, declared)) => {
+                        self.staged.declared.push((array, declared));
+                        (width, None)
+                    }
+                    None => return Ok(None),
+                },
+            };
+            self.staged.rewrites.push((i, width, value));
+            self.staged.reparsed += 1;
+            self.old += region.width;
+            self.new += width;
+            i += 1;
+        }
+        let walked = self.new == self.bytes.len() && self.staged.lengths_agree(&self.map.arrays);
+        Ok(walked.then_some(self.staged))
+    }
+
+    /// The skeleton before region `i` differs inside (or right after) the
+    /// open array: prove that the array closes early here, or that whole
+    /// elements were appended, and move on to the array's closing
+    /// skeleton, whose length is returned. `None` if neither can be shown.
+    fn resize(&mut self, array: usize, i: &mut usize) -> Result<Option<usize>, DeserError> {
+        let a = &self.map.arrays[array];
+        let lpe = a.leaves_per_elem;
+        let leaves = a.leaves();
+        if leaves.contains(i) && (*i - leaves.start).is_multiple_of(lpe) {
+            // Early close before the element that starts at region `i`:
+            // drop the surplus and let the offset absorb the removed span.
+            let keep = (*i - leaves.start) / lpe;
+            let dropped = &self.map.regions[*i..leaves.end];
+            self.old += dropped.iter().map(|r| r.skeleton + r.width).sum::<usize>();
+            *i = leaves.end;
+            // With no element left, none is closed before the array is.
+            let cut = if keep == 0 { a.elem_close } else { 0 };
+            let closing = self.skeleton(*i).checked_sub(cut);
+            self.old += cut;
+            self.staged.resizes.push(Resize {
+                array,
+                keep,
+                elements: Vec::new(),
+                regions: Vec::new(),
+            });
+            return Ok(closing);
+        }
+        if *i != leaves.end || a.elems == 0 {
+            return Ok(None);
+        }
+
+        // Past the last old element: further elements must repeat its
+        // skeleton byte for byte. `last` is where that element's leaves
+        // sit in `prev`; its open skeleton follows the previous element's
+        // close, unless it is the only one.
+        let last = &self.map.regions[leaves.end - lpe..leaves.end];
+        let span: usize = last.iter().map(|r| r.skeleton + r.width).sum();
+        let Some(mut at) = self.old.checked_sub(span) else {
+            return Ok(None);
+        };
+        let prev = self.prev;
+        let Some(close) = prev.get(self.old..self.old + a.elem_close) else {
+            return Ok(None);
+        };
+        // Per leaf of an element: the skeleton before it, its close tag and
+        // what it is.
+        let mut parts = Vec::with_capacity(lpe);
+        for (field, region) in last.iter().enumerate() {
+            let leaf = at + region.skeleton;
+            let (Some(mut skeleton), Some(leaf_close)) = (
+                prev.get(at..leaf),
+                prev.get(leaf..leaf + region.width)
+                    .and_then(|old| close_tag(old, 0)),
+            ) else {
+                return Ok(None);
+            };
+            if field == 0 && a.elems > 1 {
+                let Some(open_tags) = skeleton.strip_prefix(close) else {
+                    return Ok(None);
+                };
+                skeleton = open_tags;
+            }
+            parts.push((skeleton, leaf_close, region.kind));
+            at = leaf + region.width;
+        }
+
+        let item = match &self.op.params.get(a.param as usize).map(|p| &p.desc) {
+            Some(TypeDesc::Array { item }) => item,
+            _ => return Ok(None),
+        };
+        let mut resize = Resize {
+            array,
+            keep: a.elems,
+            elements: Vec::new(),
+            regions: Vec::new(),
+        };
+        loop {
+            let element_at = self.new;
+            if !(self.take(close) && self.take(parts[0].0)) {
+                self.new = element_at;
+                break;
+            }
+            let mut values = Vec::with_capacity(lpe);
+            for (field, &(skeleton, leaf_close, kind)) in parts.iter().enumerate() {
+                let RegionKind::Leaf { slot, kind } = kind else {
+                    return Ok(None);
+                };
+                let before = self.new;
+                if field > 0 && !self.take(skeleton) {
+                    return Ok(None);
+                }
+                let start = if field == 0 { element_at } else { before };
+                let rest = &self.bytes[self.new..];
+                let Some(text) = rest.iter().position(|&b| b == b'<') else {
+                    return Ok(None);
+                };
+                let Some((width, value)) = read_leaf(rest, text, leaf_close, kind)? else {
+                    return Ok(None);
+                };
+                resize.regions.push(Region {
+                    skeleton: self.new - start,
+                    width,
+                    kind: RegionKind::Leaf {
+                        slot: LeafSlot {
+                            leaf: slot.leaf + (lpe * (resize.elements.len() + 1)) as u32,
+                            ..slot
+                        },
+                        kind,
+                    },
+                });
+                values.push(value);
+                self.new += width;
+            }
+            let Some(element) = value_from_leaves(item, &mut values.into_iter()) else {
+                return Ok(None);
+            };
+            resize.elements.push(element);
+            self.staged.reparsed += lpe;
+        }
+        if resize.elements.is_empty() {
+            return Ok(None);
+        }
+        self.staged.resizes.push(resize);
+        Ok(Some(self.skeleton(*i)))
+    }
+}
+
+impl MappedMessage {
+    /// Land a finished walk: the map and the values move on to the new
+    /// message together.
+    fn commit(&mut self, staged: Staged, op: &OpDesc) -> Result<(), DeserError> {
+        for (i, width, value) in staged.rewrites {
+            self.regions[i].width = width;
+            if let (RegionKind::Leaf { slot, .. }, Some(value)) = (self.regions[i].kind, value) {
+                apply_leaf(&mut self.args, op, slot, value)?;
+            }
+        }
+        // Last array first, so the region indices of earlier ones hold.
+        for resize in staged.resizes.into_iter().rev() {
+            let a = self.arrays[resize.array];
+            let old = a.leaves();
+            let kept = old.start + resize.keep * a.leaves_per_elem;
+            if resize.keep == 0 {
+                // The closing skeleton no longer starts with an element's
+                // close.
+                if let Some(next) = self.regions.get_mut(old.end) {
+                    next.skeleton -= a.elem_close;
+                }
+            }
+            let elems = resize.keep + resize.elements.len();
+            let added = resize.regions.len();
+            self.regions.splice(kept..old.end, resize.regions);
+            resize_array(
+                &mut self.args[a.param as usize],
+                resize.keep,
+                resize.elements,
+            )?;
+            self.arrays[resize.array].elems = elems;
+            for later in &mut self.arrays[resize.array + 1..] {
+                later.len_at = later.len_at + added - (old.end - kept);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Re-read one leaf region at the head of `rest`, `old` being its bytes in
+/// the previous message: see [`read_leaf`].
+fn rescan_leaf(
+    old: &[u8],
+    rest: &[u8],
+    kind: ScalarKind,
+) -> Result<Option<(usize, Value)>, DeserError> {
+    let text = rest.iter().position(|&b| b == b'<');
+    match text.and_then(|text| Some((text, close_tag(old, text)?))) {
+        Some((text, close)) => read_leaf(rest, text, close, kind),
+        None => Ok(None),
+    }
+}
+
+/// The close tag in a leaf region's old bytes, `text</name>pad`. The oracle
+/// checked it against the open tag when the reference was parsed. The
+/// region holds one `<`; `guess` is where to look for it first — after a
+/// same-width rewrite it sits where the new one does.
+fn close_tag(old: &[u8], guess: usize) -> Option<&[u8]> {
+    let lt = match old.get(guess) {
+        Some(b'<') => guess,
+        _ => old.iter().position(|&b| b == b'<')?,
+    };
+    let tail = &old[lt..];
+    Some(&tail[..=tail.iter().position(|&b| b == b'>')?])
+}
+
+/// Read `text</name>pad<` at the head of `rest`, where `text` bytes come
+/// before the first `<` and `close` is the close tag to expect. Returns the
+/// region's width and value, `None` if the bytes do not have that form;
+/// the value's own lexical error is the one error the walk raises — the
+/// full parse meets the same text in the same place.
+fn read_leaf(
+    rest: &[u8],
+    text: usize,
+    close: &[u8],
+    kind: ScalarKind,
+) -> Result<Option<(usize, Value)>, DeserError> {
+    if !rest[text..].starts_with(close) {
+        return Ok(None);
+    }
+    let Some(width) = padded_width(rest, text + close.len()) else {
+        return Ok(None);
+    };
+    let value = parse_scalar(&rest[..text], kind, "leaf region")?;
+    Ok(Some((width, value)))
+}
+
+/// Re-read one array length region at the head of `rest`: `N]">pad<`, with
+/// `]">` taken from the region's old bytes.
+fn rescan_len(old: &[u8], rest: &[u8]) -> Option<(usize, usize)> {
+    let bracket = old.iter().position(|&b| b == b']')?;
+    let suffix = old.get(bracket..bracket + 3)?;
+    // An `i32` has at most ten digits.
+    let digits = rest
         .iter()
-        .position(|&b| b == b'<')
-        .ok_or_else(|| DeserError::shape("leaf region lost its close tag"))?;
-    let value_text = &region[..lt];
-    let rest = &region[lt..];
-    // "</name>"
-    let expected_name = &prev_bytes[leaf.open_name.clone()];
-    if rest.len() < expected_name.len() + 3
-        || &rest[..2] != b"</"
-        || &rest[2..2 + expected_name.len()] != expected_name
-        || rest[2 + expected_name.len()] != b'>'
-    {
-        return Err(DeserError::shape("leaf region close tag changed"));
+        .take(11)
+        .take_while(|b| b.is_ascii_digit())
+        .count();
+    if digits == 0 || !rest[digits..].starts_with(suffix) {
+        return None;
     }
-    let pad = &rest[3 + expected_name.len()..];
-    if !pad.iter().all(|&b| b.is_ascii_whitespace()) {
-        return Err(DeserError::shape("non-whitespace after leaf close tag"));
+    let width = padded_width(rest, digits + suffix.len())?;
+    Some((width, parse_array_len(&rest[..digits]).ok()?))
+}
+
+/// Length of the longest common prefix of `a` and `b`: whole blocks while
+/// they are equal, then a word at a time — the lowest set bit of the XOR
+/// of two little-endian words lies in their first differing byte.
+pub(crate) fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    const BLOCK: usize = 32;
+    let blocks = a.chunks_exact(BLOCK).zip(b.chunks_exact(BLOCK));
+    let mut at = BLOCK * blocks.take_while(|(x, y)| x == y).count();
+    for (x, y) in a[at..].chunks_exact(8).zip(b[at..].chunks_exact(8)) {
+        let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("chunks of eight"));
+        let differing = word(x) ^ word(y);
+        if differing != 0 {
+            return at + (differing.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
     }
-    parse_scalar(value_text, leaf.kind, "leaf region")
+    let bytes = a[at..].iter().zip(&b[at..]);
+    at + bytes.take_while(|(x, y)| x == y).count()
+}
+
+/// Width of a region whose content ends at `end`: through the whitespace
+/// pad, which must run up to a `<`.
+fn padded_width(rest: &[u8], end: usize) -> Option<usize> {
+    let pad = rest[end..]
+        .iter()
+        .take_while(|b| b.is_ascii_whitespace())
+        .count();
+    (rest.get(end + pad) == Some(&b'<')).then_some(end + pad)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bsoap_convert::ScalarKind;
+    use bsoap_core::value::mio;
     use bsoap_core::{
         EngineConfig, MessageTemplate, OpDesc, SendTier, TypeDesc, Value, WidthPolicy,
     };
@@ -329,28 +759,36 @@ mod tests {
     }
 
     #[test]
-    fn exact_width_length_change_falls_back_to_full_parse() {
-        // Without stuffing, a longer value shifts the message: lengths
-        // differ, so the deserializer re-parses from scratch — and adopts
-        // the new message as its reference.
+    fn exact_width_length_change_is_differential() {
+        // Without stuffing, a longer value shifts the rest of the message:
+        // the walk re-reads the widened leaf, folds its growth into the
+        // running offset and finds everything behind it where expected.
         let op = doubles_op();
         let config = EngineConfig::paper_default();
         let mut tpl =
             MessageTemplate::build(config, &op, &[Value::DoubleArray(vec![1.5, 2.5])]).unwrap();
         let mut d = DiffDeserializer::new(op);
+        let before = tpl.to_bytes().len();
         d.deserialize(&tpl.to_bytes()).unwrap();
 
         let new = vec![1.25e-300, 2.5];
         tpl.update_args(&[Value::DoubleArray(new.clone())]).unwrap();
         tpl.flush();
+        assert!(tpl.to_bytes().len() > before);
         let (got, outcome) = d.deserialize(&tpl.to_bytes()).unwrap();
-        assert_eq!(outcome, DiffOutcome::FullParse);
+        assert_eq!(
+            outcome,
+            DiffOutcome::Differential {
+                reparsed: 1,
+                skipped: 1
+            }
+        );
         assert_eq!(got, &[Value::DoubleArray(new)]);
-        assert_eq!(d.stats().full_parses, 2);
+        assert_eq!(d.stats().full_parses, 1);
     }
 
     #[test]
-    fn resize_falls_back_then_recovers() {
+    fn resize_is_differential() {
         let op = doubles_op();
         let mut tpl = MessageTemplate::build(
             EngineConfig::paper_default(),
@@ -361,14 +799,21 @@ mod tests {
         let mut d = DiffDeserializer::new(op);
         d.deserialize(&tpl.to_bytes()).unwrap();
 
-        // Grow: full parse.
+        // Grow: the length field and the appended element are re-read.
         tpl.update_args(&[Value::DoubleArray(vec![1.5, 2.5, 3.5])])
             .unwrap();
         tpl.flush();
-        let (_, o) = d.deserialize(&tpl.to_bytes()).unwrap();
-        assert_eq!(o, DiffOutcome::FullParse);
+        let (got, o) = d.deserialize(&tpl.to_bytes()).unwrap();
+        assert_eq!(
+            o,
+            DiffOutcome::Differential {
+                reparsed: 2,
+                skipped: 2
+            }
+        );
+        assert_eq!(got, &[Value::DoubleArray(vec![1.5, 2.5, 3.5])]);
 
-        // Same-shape change afterwards: differential again.
+        // Same-shape change afterwards walks the grown map.
         tpl.update_args(&[Value::DoubleArray(vec![1.5, 9.5, 3.5])])
             .unwrap();
         tpl.flush();
@@ -381,6 +826,82 @@ mod tests {
             }
         );
         assert_eq!(got, &[Value::DoubleArray(vec![1.5, 9.5, 3.5])]);
+
+        // Shrink: only the length field is re-read, the tail is dropped.
+        tpl.update_args(&[Value::DoubleArray(vec![1.5])]).unwrap();
+        tpl.flush();
+        let (got, o) = d.deserialize(&tpl.to_bytes()).unwrap();
+        assert_eq!(
+            o,
+            DiffOutcome::Differential {
+                reparsed: 1,
+                skipped: 1
+            }
+        );
+        assert_eq!(got, &[Value::DoubleArray(vec![1.5])]);
+        assert_eq!(d.stats().full_parses, 1);
+    }
+
+    #[test]
+    fn shrink_to_zero_is_differential_and_grow_from_zero_is_a_full_parse() {
+        // With no element left there is no skeleton for a new one to
+        // repeat, so growing an empty array is the oracle's to read.
+        let op = OpDesc::single("m", "urn:x", "a", TypeDesc::array_of(TypeDesc::mio()));
+        let cells = |n: i32| Value::Array((0..n).map(|i| mio(i, -i, 0.5)).collect());
+        let mut tpl =
+            MessageTemplate::build(EngineConfig::paper_default(), &op, &[cells(2)]).unwrap();
+        let mut d = DiffDeserializer::new(op);
+        d.deserialize(&tpl.to_bytes()).unwrap();
+
+        let mut send = |args: Value| {
+            tpl.update_args(std::slice::from_ref(&args)).unwrap();
+            tpl.flush();
+            let (got, o) = d.deserialize(&tpl.to_bytes()).unwrap();
+            assert_eq!(got, &[args]);
+            o
+        };
+        let differential = |reparsed, skipped| DiffOutcome::Differential { reparsed, skipped };
+        assert_eq!(send(cells(0)), differential(1, 0));
+        assert_eq!(send(cells(3)), DiffOutcome::FullParse);
+        assert_eq!(send(cells(5)), differential(7, 9));
+        assert_eq!(send(cells(1)), differential(1, 3));
+    }
+
+    #[test]
+    fn grow_cycle_never_parses_in_full_again() {
+        // The benchmark's `grow_cycle`: append narrow values, widen them,
+        // truncate — every step costs only what it changed.
+        let op = doubles_op();
+        let base: Vec<f64> = (0..20).map(|i| i as f64 + 0.5).collect();
+        let mut tpl = MessageTemplate::build(
+            EngineConfig::paper_default(),
+            &op,
+            &[Value::DoubleArray(base.clone())],
+        )
+        .unwrap();
+        let mut d = DiffDeserializer::new(op);
+        d.deserialize(&tpl.to_bytes()).unwrap();
+        let mut send = |xs: &[f64]| {
+            let args = [Value::DoubleArray(xs.to_vec())];
+            tpl.update_args(&args).unwrap();
+            tpl.flush();
+            let (got, o) = d.deserialize(&tpl.to_bytes()).unwrap();
+            assert_eq!(got, &args);
+            o
+        };
+        let differential = |reparsed, skipped| DiffOutcome::Differential { reparsed, skipped };
+        for round in 0..3 {
+            let mut xs = base.clone();
+            xs.extend((0..5).map(|i| (1 + i + round) as f64));
+            assert_eq!(send(&xs), differential(6, 20), "append, round {round}");
+            for (i, x) in xs[20..].iter_mut().enumerate() {
+                *x = 1.2345678901234567e-300 * (1 + i + round) as f64;
+            }
+            assert_eq!(send(&xs), differential(5, 20), "widen, round {round}");
+            assert_eq!(send(&base), differential(1, 20), "truncate, round {round}");
+        }
+        let s = d.stats();
+        assert_eq!((s.full_parses, s.differential), (1, 9));
     }
 
     #[test]

@@ -2,15 +2,23 @@
 //!
 //! [`parse_envelope`] turns the bytes of a SOAP 1.1 call into the argument
 //! [`Value`]s the operation declares. [`parse_envelope_mapped`] does the
-//! same while recording, for every scalar leaf, the byte region its value
-//! occupies — the structure the differential deserializer (§6) compares
-//! across messages.
+//! same while recording the message's *regions* — the byte spans a sender
+//! rewrites between two messages of one shape — which is the structure the
+//! differential deserializer (§6) walks.
 //!
-//! A leaf's *region* runs from the end of its open tag to the first `<` of
-//! the element that follows its close tag. That span contains the value,
-//! the close tag, and any whitespace pad — so a close tag that moved left
-//! inside a stuffed field (the client's "closing tag shift") changes only
-//! the leaf's own region, never the skeleton around it.
+//! The map is relative: each [`Region`] stores the length of the skeleton
+//! before it and its own width, so a region that widens moves nothing in
+//! the map behind it. Two kinds of region exist:
+//!
+//! * a **leaf region** runs from the end of a scalar's open tag to the
+//!   first `<` of whatever follows its close tag: `text</name>pad`. A close
+//!   tag that moved inside a stuffed field (the client's "closing tag
+//!   shift") changes only the leaf's own region, never the skeleton;
+//! * an **array length region** runs from just after the `[` of
+//!   `SOAP-ENC:arrayType="T[N]">` to the first `<` after the open tag:
+//!   `N]">pad`, the field a resizing client rewrites in place.
+//!
+//! Everything else is skeleton, and every skeleton segment starts at a `<`.
 
 use crate::error::DeserError;
 use bsoap_convert::parse as lex;
@@ -29,32 +37,86 @@ pub struct LeafSlot {
     pub leaf: u32,
 }
 
-/// One leaf's byte geometry in a parsed message.
-#[derive(Clone, Debug)]
-pub struct LeafRegion {
-    /// Where the parsed value goes.
-    pub slot: LeafSlot,
-    /// Scalar kind (drives re-parsing).
-    pub kind: ScalarKind,
-    /// Bytes from open-tag end to the next element's `<` (value + close
-    /// tag + pad).
-    pub region: Range<usize>,
-    /// Byte range of the *open*-tag name. The open tag is skeleton (it
-    /// precedes `region`), so this range stays valid across differential
-    /// adoptions — unlike the close tag, which moves inside the region
-    /// when a shorter value is written.
-    pub open_name: Range<usize>,
+/// What a [`Region`] holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RegionKind {
+    /// `text</name>pad` of a scalar leaf.
+    Leaf {
+        /// Where the parsed value goes.
+        slot: LeafSlot,
+        /// Scalar kind (drives re-parsing).
+        kind: ScalarKind,
+    },
+    /// `N]">pad` of the array at this index of the map's array table; its
+    /// elements' leaves are the regions that follow.
+    ArrayLen(usize),
 }
 
-/// A fully parsed message plus its leaf map.
+/// One rewritable span of a parsed message, located by widths: it starts
+/// `skeleton` bytes after the previous region ends.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Region {
+    /// Skeleton bytes between the previous region (or the message start)
+    /// and this one.
+    pub skeleton: usize,
+    /// Bytes of the region itself.
+    pub width: usize,
+    /// What the bytes are.
+    pub kind: RegionKind,
+}
+
+/// One array whose length the map can follow: its open tag ends in the
+/// canonical `[N]">`, so the declared length is a region of its own.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ArrayRegion {
+    /// Parameter index.
+    pub(crate) param: u32,
+    /// Index of the length region; the elements' leaves follow it.
+    pub(crate) len_at: usize,
+    /// Leaf regions per element (at least one).
+    pub(crate) leaves_per_elem: usize,
+    /// Elements carried, which is also the declared length.
+    pub(crate) elems: usize,
+    /// Skeleton bytes between the last element's last leaf region and the
+    /// array's close tag: `</item>` for struct elements, nothing for
+    /// scalar ones. Meaningful while `elems > 0`.
+    pub(crate) elem_close: usize,
+}
+
+impl ArrayRegion {
+    /// Region indices of the elements' leaves.
+    pub(crate) fn leaves(&self) -> Range<usize> {
+        let first = self.len_at + 1;
+        first..first + self.elems * self.leaves_per_elem
+    }
+}
+
+/// A fully parsed message plus its region map. The map describes exactly
+/// the bytes it was built from: skeleton lengths and region widths sum to
+/// the message length less its closing skeleton.
 #[derive(Clone, Debug)]
 pub struct MappedMessage {
+    pub(crate) args: Vec<Value>,
+    /// Regions in document order.
+    pub(crate) regions: Vec<Region>,
+    /// Resizable arrays in document order.
+    pub(crate) arrays: Vec<ArrayRegion>,
+}
+
+impl MappedMessage {
     /// Parsed argument values.
-    pub args: Vec<Value>,
-    /// Leaf regions in document order (regions are disjoint and sorted).
-    pub leaves: Vec<LeafRegion>,
-    /// Total message length the map was built against.
-    pub len: usize,
+    pub fn args(&self) -> &[Value] {
+        &self.args
+    }
+
+    /// Every region with its absolute byte range, in document order.
+    pub fn ranges(&self) -> impl Iterator<Item = (Range<usize>, RegionKind)> + '_ {
+        self.regions.iter().scan(0usize, |at, r| {
+            let start = *at + r.skeleton;
+            *at = start + r.width;
+            Some((start..*at, r.kind))
+        })
+    }
 }
 
 /// Parse an envelope into argument values (no mapping overhead).
@@ -124,7 +186,10 @@ impl<'a> Cursor<'a> {
 pub(crate) struct Parser<'a> {
     cur: Cursor<'a>,
     mapped: bool,
-    leaves: Vec<LeafRegion>,
+    regions: Vec<Region>,
+    arrays: Vec<ArrayRegion>,
+    /// Where the last recorded region ended.
+    mapped_to: usize,
 }
 
 fn parse_inner(bytes: &[u8], op: &OpDesc, mapped: bool) -> Result<MappedMessage, DeserError> {
@@ -147,8 +212,8 @@ fn parse_inner(bytes: &[u8], op: &OpDesc, mapped: bool) -> Result<MappedMessage,
     p.expect_eof()?;
     Ok(MappedMessage {
         args,
-        leaves: p.leaves,
-        len: bytes.len(),
+        regions: p.regions,
+        arrays: p.arrays,
     })
 }
 
@@ -157,8 +222,26 @@ impl<'a> Parser<'a> {
         Parser {
             cur: Cursor::new(bytes),
             mapped,
-            leaves: Vec::new(),
+            regions: Vec::new(),
+            arrays: Vec::new(),
+            mapped_to: 0,
         }
+    }
+
+    /// Record the region that starts at `start` and runs through `tail_end`
+    /// and the whitespace after it, up to the next `<`.
+    fn record(&mut self, start: usize, tail_end: usize, kind: RegionKind) {
+        let input = self.cur.input();
+        let mut end = tail_end.min(input.len());
+        while end < input.len() && input[end] != b'<' && input[end].is_ascii_whitespace() {
+            end += 1;
+        }
+        self.regions.push(Region {
+            skeleton: start - self.mapped_to,
+            width: end - start,
+            kind,
+        });
+        self.mapped_to = end;
     }
 
     fn name_text(&self, r: &Range<usize>) -> &'a str {
@@ -181,7 +264,6 @@ impl<'a> Parser<'a> {
                 }
                 Ok(StartTag {
                     attrs,
-                    name: n,
                     tag_end: range.end,
                 })
             }
@@ -236,7 +318,7 @@ impl<'a> Parser<'a> {
         match desc {
             TypeDesc::Scalar(kind) => {
                 let tag = self.expect_start(name)?;
-                self.scalar_body(pidx, leaf_counter, name, *kind, tag.name, tag.tag_end)
+                self.scalar_body(pidx, leaf_counter, name, *kind, tag.tag_end)
             }
             TypeDesc::Struct { fields, .. } => {
                 self.expect_start(name)?;
@@ -259,7 +341,6 @@ impl<'a> Parser<'a> {
         leaf_counter: &mut u32,
         name: &str,
         kind: ScalarKind,
-        open_name: Range<usize>,
         open_end: usize,
     ) -> Result<Value, DeserError> {
         // Value text (may be absent for the empty string).
@@ -271,15 +352,15 @@ impl<'a> Parser<'a> {
             }
             _ => open_end..open_end,
         };
-        let close_name = match self.cur.next()? {
-            Event::End { name: n, .. } => {
+        let close_end = match self.cur.next()? {
+            Event::End { name: n, range } => {
                 if &self.cur.input()[n.clone()] != name.as_bytes() {
                     return Err(DeserError::shape(format!(
                         "expected </{name}>, found </{}>",
                         self.name_text(&n)
                     )));
                 }
-                n
+                range.end
             }
             other => Err(DeserError::shape(format!(
                 "expected </{name}>, found {other:?}"
@@ -288,26 +369,11 @@ impl<'a> Parser<'a> {
         let raw = &self.cur.input()[text_range.clone()];
         let value = parse_scalar(raw, kind, name)?;
         if self.mapped {
-            let input = self.cur.input();
-            // Region extends past the close tag through any whitespace pad
-            // to the next '<'.
-            let mut end = close_name.end;
-            while end < input.len() && input[end] != b'>' {
-                end += 1;
-            }
-            end = (end + 1).min(input.len());
-            while end < input.len() && input[end] != b'<' && input[end].is_ascii_whitespace() {
-                end += 1;
-            }
-            self.leaves.push(LeafRegion {
-                slot: LeafSlot {
-                    param: pidx,
-                    leaf: *leaf_counter,
-                },
-                kind,
-                region: open_end..end,
-                open_name,
-            });
+            let slot = LeafSlot {
+                param: pidx,
+                leaf: *leaf_counter,
+            };
+            self.record(open_end, close_end, RegionKind::Leaf { slot, kind });
         }
         *leaf_counter += 1;
         Ok(value)
@@ -316,7 +382,26 @@ impl<'a> Parser<'a> {
     fn array(&mut self, pidx: u32, name: &str, item: &TypeDesc) -> Result<Value, DeserError> {
         let tag = self.expect_start(name)?;
         // Declared length from SOAP-ENC:arrayType="T[N]".
-        let declared = self.array_len_attr(&tag)?;
+        let len_text = self.array_len_text(&tag)?;
+        let declared = parse_array_len(&self.cur.input()[len_text.clone()])?;
+        // The length is a region only in the canonical form the walk can
+        // re-read: `]`, the closing quote and `>` end the open tag. Any
+        // other array stays skeleton, so its length cannot change
+        // differentially.
+        let leaves_per_elem = item.leaves_per_instance();
+        let array =
+            (self.mapped && len_text.end + 3 == tag.tag_end && leaves_per_elem > 0).then(|| {
+                let array = self.arrays.len();
+                self.record(len_text.start, tag.tag_end, RegionKind::ArrayLen(array));
+                self.arrays.push(ArrayRegion {
+                    param: pidx,
+                    len_at: self.regions.len() - 1,
+                    leaves_per_elem,
+                    elems: declared,
+                    elem_close: 0,
+                });
+                array
+            });
 
         let mut leaf_counter = 0u32;
         // Reserve for what the message can carry, not what it claims: no
@@ -338,7 +423,6 @@ impl<'a> Parser<'a> {
                                 &mut leaf_counter,
                                 "item",
                                 *kind,
-                                n.clone(),
                                 range.end,
                             )?;
                             out.push(v)?;
@@ -356,12 +440,15 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                Event::End { name: n, .. } => {
+                Event::End { name: n, range } => {
                     if &self.cur.input()[n.clone()] != name.as_bytes() {
                         return Err(DeserError::shape(format!(
                             "expected </{name}>, found </{}>",
                             self.name_text(&n)
                         )));
+                    }
+                    if let Some(array) = array {
+                        self.arrays[array].elem_close = range.start - self.mapped_to;
                     }
                     break;
                 }
@@ -383,6 +470,11 @@ impl<'a> Parser<'a> {
     }
 
     pub(crate) fn array_len_attr(&self, tag: &StartTag) -> Result<usize, DeserError> {
+        parse_array_len(&self.cur.input()[self.array_len_text(tag)?])
+    }
+
+    /// Byte range of the `N` in the tag's `SOAP-ENC:arrayType="T[N]"`.
+    fn array_len_text(&self, tag: &StartTag) -> Result<Range<usize>, DeserError> {
         for a in &tag.attrs {
             if &self.cur.input()[a.name.clone()] == b"SOAP-ENC:arrayType" {
                 let v = &self.cur.input()[a.value.clone()];
@@ -395,14 +487,7 @@ impl<'a> Parser<'a> {
                     .position(|&b| b == b']')
                     .map(|p| p + open)
                     .ok_or_else(|| DeserError::shape("arrayType missing ']'"))?;
-                let n = lex::parse_i32(lex::trim_xml_ws(&v[open + 1..close])).map_err(|err| {
-                    DeserError::Lexical {
-                        at: "arrayType length".into(),
-                        err,
-                    }
-                })?;
-                return usize::try_from(n)
-                    .map_err(|_| DeserError::shape("arrayType length is negative"));
+                return Ok(a.value.start + open + 1..a.value.start + close);
             }
         }
         Err(DeserError::shape(
@@ -413,7 +498,6 @@ impl<'a> Parser<'a> {
 
 pub(crate) struct StartTag {
     attrs: Vec<bsoap_xml::pull::Attr>,
-    name: Range<usize>,
     /// One past the tag's closing `>`.
     pub(crate) tag_end: usize,
 }
@@ -453,6 +537,15 @@ impl ArrayAccum {
             ArrayAccum::Boxed(v) => Value::Array(v),
         })
     }
+}
+
+/// Parse the `N` of `arrayType="T[N]"`.
+pub(crate) fn parse_array_len(text: &[u8]) -> Result<usize, DeserError> {
+    let n = lex::parse_i32(lex::trim_xml_ws(text)).map_err(|err| DeserError::Lexical {
+        at: "arrayType length".into(),
+        err,
+    })?;
+    usize::try_from(n).map_err(|_| DeserError::shape("arrayType length is negative"))
 }
 
 /// Parse one scalar's raw text (entities unresolved) as `kind`.
@@ -529,6 +622,58 @@ pub(crate) fn apply_leaf(
         }
         (desc, target) => set_nth_scalar(target, desc, slot.leaf as usize, value),
     }
+}
+
+/// Rebuild one `desc`-shaped value from its scalar leaves in document
+/// order; `None` if they run out.
+pub(crate) fn value_from_leaves(
+    desc: &TypeDesc,
+    leaves: &mut impl Iterator<Item = Value>,
+) -> Option<Value> {
+    match desc {
+        TypeDesc::Scalar(_) => leaves.next(),
+        TypeDesc::Struct { fields, .. } => fields
+            .iter()
+            .map(|(_, fdesc)| value_from_leaves(fdesc, leaves))
+            .collect::<Option<Vec<_>>>()
+            .map(Value::Struct),
+        TypeDesc::Array { .. } => None,
+    }
+}
+
+/// Cut the array `target` back to `keep` elements, then append `elements`.
+pub(crate) fn resize_array(
+    target: &mut Value,
+    keep: usize,
+    elements: Vec<Value>,
+) -> Result<(), DeserError> {
+    let drift = || DeserError::shape("array value variant drift");
+    match target {
+        Value::DoubleArray(v) => {
+            v.truncate(keep);
+            for e in elements {
+                let Value::Double(x) = e else {
+                    return Err(drift());
+                };
+                v.push(x);
+            }
+        }
+        Value::IntArray(v) => {
+            v.truncate(keep);
+            for e in elements {
+                let Value::Int(x) = e else {
+                    return Err(drift());
+                };
+                v.push(x);
+            }
+        }
+        Value::Array(v) => {
+            v.truncate(keep);
+            v.extend(elements);
+        }
+        _ => return Err(drift()),
+    }
+    Ok(())
 }
 
 /// Set the `n`th scalar leaf (document order) inside a non-array value.
@@ -720,24 +865,52 @@ mod tests {
         let bytes = build_bytes(&op, &args);
         let mapped = parse_envelope_mapped(&bytes, &op).unwrap();
         assert_eq!(mapped.args, args);
-        assert_eq!(mapped.leaves.len(), 3);
-        for (i, leaf) in mapped.leaves.iter().enumerate() {
-            let region = &bytes[leaf.region.clone()];
-            let text = std::str::from_utf8(region).unwrap();
-            assert!(text.starts_with(&format!("{}.5", i)), "{text}");
-            assert!(text.contains("</item>"), "{text}");
-            assert_eq!(
-                leaf.slot,
-                LeafSlot {
-                    param: 0,
-                    leaf: i as u32
-                }
-            );
+        let text = |range: Range<usize>| std::str::from_utf8(&bytes[range]).unwrap();
+        let mut ranges = mapped.ranges();
+        // The array's length field comes first: `N]">` and its pad.
+        let (range, kind) = ranges.next().unwrap();
+        assert_eq!(kind, RegionKind::ArrayLen(0));
+        assert!(text(range.clone()).starts_with("3]\">"), "{}", text(range));
+        for (i, (range, kind)) in ranges.enumerate() {
+            let region = text(range.clone());
+            assert_eq!(region, format!("{i}.5</item>"));
+            // Every region ends where the next tag starts.
+            assert_eq!(bytes[range.end], b'<');
+            let slot = LeafSlot {
+                param: 0,
+                leaf: i as u32,
+            };
+            let leaf = RegionKind::Leaf {
+                slot,
+                kind: ScalarKind::Double,
+            };
+            assert_eq!(kind, leaf);
         }
-        // Regions are disjoint and sorted.
-        for w in mapped.leaves.windows(2) {
-            assert!(w[0].region.end <= w[1].region.start);
-        }
+        assert_eq!(mapped.regions.len(), 4);
+        assert_eq!(
+            mapped.arrays,
+            [ArrayRegion {
+                param: 0,
+                len_at: 0,
+                leaves_per_elem: 1,
+                elems: 3,
+                elem_close: 0
+            }]
+        );
+    }
+
+    #[test]
+    fn non_canonical_array_tag_has_no_length_region() {
+        // An attribute after arrayType: the length stays skeleton, so the
+        // differential walk can never resize this array.
+        let op = doubles_op();
+        let bytes = "<SOAP-ENV:Envelope><SOAP-ENV:Body><ns1:send>\
+             <arr SOAP-ENC:arrayType=\"xsd:double[1]\" id=\"a\"><item>1.5</item></arr>\
+             </ns1:send></SOAP-ENV:Body></SOAP-ENV:Envelope>";
+        let mapped = parse_envelope_mapped(bytes.as_bytes(), &op).unwrap();
+        assert_eq!(mapped.args, [Value::DoubleArray(vec![1.5])]);
+        assert!(mapped.arrays.is_empty());
+        assert_eq!(mapped.regions.len(), 1);
     }
 
     #[test]
@@ -746,9 +919,13 @@ mod tests {
         let args = vec![Value::Array(vec![mio(1, 2, 3.5), mio(4, 5, 6.5)])];
         let bytes = build_bytes(&op, &args);
         let mapped = parse_envelope_mapped(&bytes, &op).unwrap();
-        assert_eq!(mapped.leaves.len(), 6);
-        assert_eq!(mapped.leaves[4].slot, LeafSlot { param: 0, leaf: 4 });
-        assert_eq!(mapped.leaves[5].kind, ScalarKind::Double);
+        assert_eq!(mapped.regions.len(), 7);
+        let slot = LeafSlot { param: 0, leaf: 5 };
+        let kind = ScalarKind::Double;
+        assert_eq!(mapped.regions[6].kind, RegionKind::Leaf { slot, kind });
+        // Struct elements close with `</item>` before the array does.
+        assert_eq!(mapped.arrays[0].elem_close, "</item>".len());
+        assert_eq!(mapped.arrays[0].leaves(), 1..7);
     }
 
     #[test]

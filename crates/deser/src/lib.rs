@@ -11,10 +11,11 @@
 //! future message arrivals. This could help avoid complete server-side
 //! parsing and improve performance, through **differential
 //! deserialization**." A [`DiffDeserializer`] keeps the previous message's
-//! bytes plus a map from every leaf to its byte region; when the next
-//! message lands with identical skeleton bytes (all tags in the same
-//! places), only the leaf regions whose bytes changed are re-parsed —
-//! the mirror image of the client's perfect structural match.
+//! bytes plus a map of the regions a sender rewrites (every leaf, every
+//! array length field); when the next message lands, one forward walk
+//! proves that only such regions changed — at any width, with array tails
+//! cut or extended — and re-parses just those: the mirror image of the
+//! client's structural matches, perfect and partial.
 //!
 //! ```
 //! use bsoap_core::{EngineConfig, MessageTemplate, OpDesc, TypeDesc, Value, WidthPolicy};
@@ -51,7 +52,7 @@ pub mod stream;
 
 pub use binary::{parse_binary_envelope, BinaryDiffDeserializer};
 pub use diff::{DeserStats, DiffDeserializer, DiffOutcome, DiffShell, Reference};
-pub use envelope::{parse_envelope, parse_envelope_mapped, LeafRegion, MappedMessage};
+pub use envelope::{parse_envelope, parse_envelope_mapped, MappedMessage, Region, RegionKind};
 pub use error::DeserError;
 pub use lane::{decode, LaneDeserializer};
 pub use stream::{StreamSummary, StreamingDeserializer};

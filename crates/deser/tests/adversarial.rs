@@ -1,22 +1,23 @@
 //! Adversarial deserialization: mutated, truncated, and
 //! boundary-straddling messages must never produce a *wrong* value.
 //!
-//! The differential deserializer trusts the previous message's skeleton
-//! map only when the new bytes justify it. An attacker (or a corrupted
-//! wire) handing it truncated bytes, flipped bytes, inserted bytes, or
-//! edits that straddle a leaf-region boundary must get one of exactly
-//! two outcomes:
+//! The differential deserializer trusts the previous message's region
+//! map only as far as the new bytes justify it. An attacker (or a
+//! corrupted wire) handing it truncated bytes, flipped bytes, inserted
+//! bytes, or edits that straddle a leaf-region boundary — after a message
+//! of another length, so the shift-tolerant walk is what meets them — must
+//! get exactly what a from-scratch full parse of those same bytes yields:
 //!
-//! * `Ok(values)` — in which case the values must be identical to what a
-//!   from-scratch full parse of those same mutated bytes yields (the
-//!   differential path never *invents* a reading the full parser would
-//!   not produce);
-//! * a typed [`DeserError`] — never a panic, and never a poisoned
-//!   deserializer: the next well-formed message must parse correctly.
+//! * the same values (the differential path never *invents* a reading the
+//!   full parser would not produce, and never keeps a stale one), or
+//! * a typed [`DeserError`] where the full parser raises one too — never
+//!   a panic, and never a poisoned deserializer: the previous good
+//!   message is still the reference, and the next well-formed message
+//!   parses correctly.
 
 use bsoap_convert::ScalarKind;
 use bsoap_core::{EngineConfig, MessageTemplate, OpDesc, TypeDesc, Value};
-use bsoap_deser::{parse_envelope, parse_envelope_mapped, DiffDeserializer, StreamingDeserializer};
+use bsoap_deser::{parse_envelope, DiffDeserializer, DiffOutcome, StreamingDeserializer};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -51,7 +52,7 @@ enum Mutation {
     StraddleLeaf { leaf: usize, digits: [u8; 4] },
 }
 
-fn apply_mutation(bytes: &mut Vec<u8>, m: &Mutation, op: &OpDesc) {
+fn apply_mutation(bytes: &mut Vec<u8>, m: &Mutation) {
     match m {
         Mutation::Truncate(keep) => {
             let keep = keep % (bytes.len() + 1);
@@ -68,18 +69,20 @@ fn apply_mutation(bytes: &mut Vec<u8>, m: &Mutation, op: &OpDesc) {
             bytes.insert(pos, *byte);
         }
         Mutation::StraddleLeaf { leaf, digits } => {
-            // Regions come from mapping the *current* bytes; if they no
-            // longer parse (earlier mutation), straddle nothing.
-            if let Ok(mapped) = parse_envelope_mapped(bytes, op) {
-                if mapped.leaves.is_empty() {
-                    return;
-                }
-                let r = &mapped.leaves[leaf % mapped.leaves.len()].region;
-                let start = r.start.saturating_sub(2);
-                for (i, d) in digits.iter().enumerate() {
-                    if let Some(b) = bytes.get_mut(start + i) {
-                        *b = b'0' + (d % 10);
-                    }
+            // A leaf region starts where an item's open tag ends, in the
+            // *current* bytes; if none is left (earlier mutation),
+            // straddle nothing.
+            let open = b"xsd:double\">";
+            let leaves: Vec<usize> = (open.len()..=bytes.len())
+                .filter(|&end| bytes[..end].ends_with(open))
+                .collect();
+            if leaves.is_empty() {
+                return;
+            }
+            let start = leaves[leaf % leaves.len()].saturating_sub(2);
+            for (i, d) in digits.iter().enumerate() {
+                if let Some(b) = bytes.get_mut(start + i) {
+                    *b = b'0' + (d % 10);
                 }
             }
         }
@@ -163,16 +166,135 @@ fn lying_array_lengths_are_typed_errors() {
     }
 }
 
+/// An array with a scalar behind it, so a leaf can fail *after* the walk
+/// has already cut or extended the array.
+fn doubles_then_scalar_op() -> OpDesc {
+    let param = |name: &str, desc| bsoap_core::ParamDesc {
+        name: name.into(),
+        desc,
+    };
+    OpDesc::new(
+        "send",
+        "urn:bench",
+        vec![
+            param(
+                "arr",
+                TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
+            ),
+            param("tail", TypeDesc::Scalar(ScalarKind::Double)),
+        ],
+    )
+}
+
+/// Hand-written attacks on a resized message, each fed to a deserializer
+/// primed with the good message of another length before it. The walk
+/// must answer as the full parse does — it may refuse, it may not invent
+/// an error or a value — and whatever it answered, the reference must
+/// still be the primed message: resending it is `Identical`, and the
+/// untampered resize still decodes differentially to the oracle's values.
+#[test]
+fn tampered_resizes_match_the_oracle_and_keep_the_reference() {
+    let op = doubles_then_scalar_op();
+    let args = |xs: &[f64], tail: f64| vec![Value::DoubleArray(xs.to_vec()), Value::Double(tail)];
+    let first = args(&[1.5, 2.5, 3.5], 9.5);
+    for config in [EngineConfig::paper_default(), EngineConfig::stuffed_max()] {
+        let tpl = MessageTemplate::build(config, &op, &first).unwrap();
+        let primed = tpl.to_bytes().to_vec();
+        let next = |values: Vec<Value>| {
+            let mut tpl = tpl.clone();
+            tpl.update_args(&values).unwrap();
+            tpl.flush();
+            String::from_utf8(tpl.to_bytes().to_vec()).unwrap()
+        };
+        let grown = next(args(&[1.5, 2.5, 3.5, 4.5, 5.5], 9.5));
+        let shrunk = next(args(&[1.5], 9.5));
+        let open = "<item xsi:type=\"xsd:double\">";
+        let cases: [(&str, &String, String); 8] = [
+            (
+                "`<` injected into leaf text",
+                &grown,
+                grown.replace("2.5</item>", "2<5</item>"),
+            ),
+            (
+                "close tag of an appended element renamed",
+                &grown,
+                grown.replace("4.5</item>", "4.5</itex>"),
+            ),
+            (
+                "declared length is not the carried count after an append",
+                &grown,
+                grown.replace("xsd:double[5]", "xsd:double[4]"),
+            ),
+            (
+                "message cut in the middle of an appended leaf",
+                &grown,
+                grown[..grown.find("4.5").unwrap() + 2].to_owned(),
+            ),
+            (
+                "appended element with a different open skeleton",
+                &grown,
+                grown.replace(&format!("{open}4.5"), "<item xsi:type=\"xsd:doubly\">4.5"),
+            ),
+            (
+                "lexical error in the middle of the walk",
+                &grown,
+                grown.replace("2.5</item>", "2x5</item>"),
+            ),
+            (
+                "lexical error in an appended element",
+                &grown,
+                grown.replace("5.5</item>", "5.x</item>"),
+            ),
+            (
+                "lexical error after a truncation",
+                &shrunk,
+                shrunk.replace("9.5</tail>", "9.z</tail>"),
+            ),
+        ];
+        for (what, good, tampered) in cases {
+            assert_ne!(&tampered, good, "{what}: the tamper did not apply");
+            assert_ne!(tampered.len(), primed.len(), "{what}: same length");
+            let mut diff = DiffDeserializer::new(op.clone());
+            diff.deserialize(&primed).unwrap();
+
+            let oracle = parse_envelope(tampered.as_bytes(), &op);
+            match (diff.deserialize(tampered.as_bytes()), &oracle) {
+                (Ok((got, _)), Ok(want)) => assert_eq!(got, &want[..], "{what}"),
+                (Err(_), Err(_)) => {}
+                (got, want) => panic!("{what}: walk {got:?}, oracle {want:?}"),
+            }
+            if oracle.is_ok() {
+                continue;
+            }
+            let (got, outcome) = diff.deserialize(&primed).unwrap();
+            assert_eq!(
+                (got, outcome),
+                (&first[..], DiffOutcome::Identical),
+                "{what}"
+            );
+            let want = parse_envelope(good.as_bytes(), &op).unwrap();
+            let (got, outcome) = diff.deserialize(good.as_bytes()).unwrap();
+            assert_eq!(got, &want[..], "{what}");
+            assert!(
+                matches!(outcome, DiffOutcome::Differential { .. }),
+                "{what}: {outcome:?}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Differential deserialization of corrupted bytes: either the exact
-    /// same reading as a full parse of those bytes, or a typed error —
-    /// and afterwards the deserializer still handles clean traffic.
+    /// Differential deserialization of corrupted bytes, primed with the
+    /// unmutated previous message of a different length: exactly the full
+    /// parse's reading of those bytes — same values or both a typed error
+    /// — and afterwards the deserializer still handles clean traffic.
     #[test]
     fn mutated_messages_never_yield_wrong_values(
         initial in prop::collection::vec(any_finite_f64(), 1..16),
         update in prop::collection::vec((0usize..16, any_finite_f64()), 0..4),
+        resize in prop_oneof![(1usize..4).prop_map(Ok), (1usize..16).prop_map(Err)],
         mutations in prop::collection::vec(mutation_strategy(), 1..4),
         stuffed in any::<bool>(),
     ) {
@@ -186,43 +308,60 @@ proptest! {
         let mut tpl =
             MessageTemplate::build(config, &op, &[Value::DoubleArray(values.clone())]).unwrap();
         let mut diff = DiffDeserializer::new(op.clone());
-        diff.deserialize(&tpl.to_bytes()).unwrap();
+        let primed = tpl.to_bytes().to_vec();
+        diff.deserialize(&primed).unwrap();
 
-        // A legitimate differential update, then corrupt it on the wire.
+        // A legitimate update that rewrites values and appends or drops
+        // elements, so the message changes length; then corrupt it on the
+        // wire.
         for (idx, v) in &update {
             let idx = idx % values.len();
             values[idx] = *v;
         }
+        match resize {
+            Ok(grow) => values.extend((0..grow).map(|i| i as f64 + 0.5)),
+            Err(drop) => values.truncate(values.len().saturating_sub(drop)),
+        }
         tpl.update_args(&[Value::DoubleArray(values.clone())]).unwrap();
         tpl.flush();
         let mut corrupted = tpl.to_bytes().to_vec();
+        prop_assume!(corrupted.len() != primed.len());
         for m in &mutations {
-            apply_mutation(&mut corrupted, m, &op);
+            apply_mutation(&mut corrupted, m);
         }
 
         let full = parse_envelope(&corrupted, &op);
-        // A typed rejection from the differential path is always fine;
-        // only an `Ok` must agree with the full parser.
-        if let Ok((vals, outcome)) = diff.deserialize(&corrupted) {
-            let vals = vals.to_vec();
-            match full {
-                Ok(full_vals) => prop_assert_eq!(
-                    &vals,
-                    &full_vals,
-                    "differential ({:?}) drifted from full parse of mutated bytes",
-                    outcome
-                ),
-                Err(e) => {
-                    return Err(TestCaseError::Fail(format!(
-                        "differential accepted ({outcome:?}) what the full \
-                         parser rejects ({e})"
-                    )));
-                }
+        match (diff.deserialize(&corrupted), full) {
+            (Ok((vals, outcome)), Ok(full_vals)) => prop_assert_eq!(
+                vals,
+                &full_vals[..],
+                "differential ({:?}) drifted from full parse of mutated bytes",
+                outcome
+            ),
+            (Err(_), Err(_)) => {
+                // Nothing landed: the primed message is still the reference.
+                let (_, outcome) = diff.deserialize(&primed).unwrap();
+                prop_assert_eq!(outcome, DiffOutcome::Identical);
+            }
+            (Ok((_, outcome)), Err(e)) => {
+                return Err(TestCaseError::Fail(format!(
+                    "differential accepted ({outcome:?}) what the full \
+                     parser rejects ({e})"
+                )));
+            }
+            (Err(e), Ok(_)) => {
+                return Err(TestCaseError::Fail(format!(
+                    "differential invented an error ({e}) for bytes the \
+                     full parser reads"
+                )));
             }
         }
 
         // Recovery: a fresh well-formed message must parse correctly and
         // identically on both paths — corruption never poisons state.
+        if values.is_empty() {
+            values.push(0.0);
+        }
         for (i, v) in values.iter_mut().enumerate() {
             *v = (i as f64) * 0.25 - 1.5;
         }
@@ -258,7 +397,7 @@ proptest! {
         let tpl = MessageTemplate::build(config, &op, &[Value::DoubleArray(initial)]).unwrap();
         let mut bytes = tpl.to_bytes().to_vec();
         for m in &mutations {
-            apply_mutation(&mut bytes, m, &op);
+            apply_mutation(&mut bytes, m);
         }
         if let Ok(args) = parse_envelope(&bytes, &op) {
             prop_assert_eq!(args.len(), 1, "shape violated: wrong arity accepted");

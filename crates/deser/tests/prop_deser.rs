@@ -3,9 +3,12 @@
 
 use bsoap_convert::ScalarKind;
 use bsoap_core::value::mio;
-use bsoap_core::{EngineConfig, MessageTemplate, OpDesc, TypeDesc, Value, WidthPolicy};
-use bsoap_deser::{parse_envelope, DiffDeserializer};
+use bsoap_core::{
+    EngineConfig, MessageTemplate, OpDesc, ParamDesc, TypeDesc, Value, WidthPolicy, WireFormat,
+};
+use bsoap_deser::{decode, parse_envelope, DiffDeserializer, DiffOutcome, LaneDeserializer};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn doubles_op() -> OpDesc {
     OpDesc::single(
@@ -47,8 +50,413 @@ fn config_strategy() -> impl Strategy<Value = EngineConfig> {
     ]
 }
 
+/// The operations the resize schedules run over: one array each of
+/// doubles, ints and MIOs, and a multi-parameter call with an escapable
+/// string, two arrays and a struct behind them.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    Doubles,
+    Ints,
+    Mios,
+    Mixed,
+}
+
+impl Shape {
+    fn op(self) -> OpDesc {
+        let param = |name: &str, desc| ParamDesc {
+            name: name.into(),
+            desc,
+        };
+        match self {
+            Shape::Doubles => doubles_op(),
+            Shape::Ints => OpDesc::single(
+                "sendI",
+                "urn:bench",
+                "arr",
+                TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Int)),
+            ),
+            Shape::Mios => mios_op(),
+            Shape::Mixed => OpDesc::new(
+                "mixed",
+                "urn:bench",
+                vec![
+                    param("id", TypeDesc::Scalar(ScalarKind::Int)),
+                    param("label", TypeDesc::Scalar(ScalarKind::Str)),
+                    param(
+                        "xs",
+                        TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
+                    ),
+                    param("cells", TypeDesc::array_of(TypeDesc::mio())),
+                    param("p", TypeDesc::mio()),
+                ],
+            ),
+        }
+    }
+
+    fn initial(self) -> Vec<Value> {
+        let array = |shape: Shape| {
+            let mut v = shape.empty();
+            for i in 0..3 {
+                push_element(&mut v, Width::Mid, i);
+            }
+            v
+        };
+        match self {
+            Shape::Mixed => vec![
+                Value::Int(7),
+                Value::Str("a<b&c".into()),
+                array(Shape::Doubles),
+                array(Shape::Mios),
+                mio(1, 2, 0.5),
+            ],
+            shape => vec![array(shape)],
+        }
+    }
+
+    fn empty(self) -> Value {
+        match self {
+            Shape::Doubles => Value::DoubleArray(Vec::new()),
+            Shape::Ints => Value::IntArray(Vec::new()),
+            Shape::Mios | Shape::Mixed => Value::Array(Vec::new()),
+        }
+    }
+}
+
+/// How wide a generated value serializes on the XML lane.
+#[derive(Clone, Copy, Debug)]
+enum Width {
+    Narrow,
+    Mid,
+    Wide,
+}
+
+fn double_of(width: Width, salt: u32) -> f64 {
+    let digit = (1 + salt % 9) as f64;
+    match width {
+        Width::Narrow => digit,
+        Width::Mid => digit + 0.5,
+        Width::Wide => -1.2345678901234567e-300 * digit,
+    }
+}
+
+fn int_of(width: Width, salt: u32) -> i32 {
+    let digit = 1 + (salt % 9) as i32;
+    match width {
+        Width::Narrow => digit,
+        Width::Mid => 100 * digit + 11,
+        Width::Wide => i32::MIN + digit,
+    }
+}
+
+fn push_element(array: &mut Value, width: Width, salt: u32) {
+    match array {
+        Value::DoubleArray(v) => v.push(double_of(width, salt)),
+        Value::IntArray(v) => v.push(int_of(width, salt)),
+        Value::Array(v) => v.push(mio(
+            int_of(width, salt),
+            int_of(Width::Narrow, salt / 9),
+            double_of(width, salt / 3),
+        )),
+        other => panic!("not an array: {other:?}"),
+    }
+}
+
+fn truncate(array: &mut Value, keep: usize) {
+    match array {
+        Value::DoubleArray(v) => v.truncate(keep),
+        Value::IntArray(v) => v.truncate(keep),
+        Value::Array(v) => v.truncate(keep),
+        other => panic!("not an array: {other:?}"),
+    }
+}
+
+/// One edit of the argument list between two sends. `array` picks among
+/// the operation's array parameters.
+#[derive(Clone, Debug)]
+enum Step {
+    /// Rewrite elements in place: at their width, wider (shift, or steal
+    /// from a neighbour's pad) or narrower.
+    Set {
+        array: usize,
+        at: Vec<usize>,
+        width: Width,
+        salt: u32,
+    },
+    Append {
+        array: usize,
+        count: usize,
+        width: Width,
+        salt: u32,
+    },
+    Truncate {
+        array: usize,
+        count: usize,
+    },
+    ShrinkToZero {
+        array: usize,
+    },
+    /// `Mixed` only: the scalar parameters around the arrays.
+    Scalars {
+        id: i32,
+        label: String,
+    },
+    /// Send the same values again.
+    Resend,
+}
+
+fn width_strategy() -> impl Strategy<Value = Width> {
+    prop_oneof![Just(Width::Narrow), Just(Width::Mid), Just(Width::Wide)]
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let set = (
+        0usize..2,
+        prop::collection::vec(0usize..64, 1..5),
+        width_strategy(),
+        any::<u32>(),
+    );
+    let append = (0usize..2, 1usize..5, width_strategy(), any::<u32>());
+    prop_oneof![
+        set.prop_map(|(array, at, width, salt)| Step::Set {
+            array,
+            at,
+            width,
+            salt
+        }),
+        append.prop_map(|(array, count, width, salt)| Step::Append {
+            array,
+            count,
+            width,
+            salt
+        }),
+        (0usize..2, 1usize..4).prop_map(|(array, count)| Step::Truncate { array, count }),
+        (0usize..2).prop_map(|array| Step::ShrinkToZero { array }),
+        (any::<i32>(), "[ -~]{0,24}").prop_map(|(id, label)| Step::Scalars { id, label }),
+        Just(Step::Resend),
+    ]
+}
+
+fn apply_step(args: &mut [Value], step: &Step) {
+    let mut arrays: Vec<&mut Value> = args
+        .iter_mut()
+        .filter(|v| v.array_len().is_some())
+        .collect();
+    let count = arrays.len();
+    match step {
+        Step::Set {
+            array,
+            at,
+            width,
+            salt,
+        } => {
+            let target = &mut *arrays[array % count];
+            let len = target.array_len().unwrap();
+            for (k, at) in at.iter().enumerate() {
+                if len == 0 {
+                    break;
+                }
+                // Rebuild the element in place: push a fresh one, swap it in.
+                push_element(target, *width, salt.wrapping_add(k as u32));
+                match target {
+                    Value::DoubleArray(v) => {
+                        v.swap_remove(at % len);
+                    }
+                    Value::IntArray(v) => {
+                        v.swap_remove(at % len);
+                    }
+                    Value::Array(v) => {
+                        v.swap_remove(at % len);
+                    }
+                    _ => unreachable!(),
+                }
+            }
+        }
+        Step::Append {
+            array,
+            count: n,
+            width,
+            salt,
+        } => {
+            for k in 0..*n {
+                push_element(arrays[array % count], *width, salt.wrapping_add(k as u32));
+            }
+        }
+        Step::Truncate { array, count: n } => {
+            let target = &mut *arrays[array % count];
+            let len = target.array_len().unwrap();
+            truncate(target, len.saturating_sub(*n));
+        }
+        Step::ShrinkToZero { array } => truncate(arrays[array % count], 0),
+        Step::Scalars { id, label } => {
+            if let [Value::Int(i), Value::Str(s), ..] = args {
+                *i = *id;
+                s.clone_from(label);
+            }
+        }
+        Step::Resend => {}
+    }
+}
+
+/// Scalar leaves of `args` in document order, in a comparable form.
+fn leaves(args: &[Value], out: &mut Vec<String>) {
+    for v in args {
+        match v {
+            Value::Struct(fields) | Value::Array(fields) => leaves(fields, out),
+            Value::DoubleArray(xs) => out.extend(xs.iter().map(|x| format!("d{:x}", x.to_bits()))),
+            Value::IntArray(xs) => out.extend(xs.iter().map(|x| format!("i{x}"))),
+            Value::Double(x) => out.push(format!("d{:x}", x.to_bits())),
+            Value::Str(s) => out.push(format!("s{s}")),
+            other => out.push(format!("{other:?}")),
+        }
+    }
+}
+
+/// The rewritable regions of a template-built envelope, found without the
+/// deserializer's help: `(key, bytes)` in document order. A scalar's region
+/// runs from its open tag's `>` through its close tag and pad to the next
+/// `<`; an array's length region from the `[` of its `arrayType` likewise.
+/// Array leaves are keyed by their position in the array.
+fn regions(bytes: &[u8]) -> Vec<(String, Vec<u8>)> {
+    let text = std::str::from_utf8(bytes).unwrap();
+    let padded_end = |from: usize| from + text[from..].find('<').unwrap();
+    let mut out = Vec::new();
+    let mut array: Option<(String, usize)> = None;
+    let mut pos = 0;
+    while let Some(lt) = text[pos..].find('<').map(|p| p + pos) {
+        let gt = lt + text[lt..].find('>').unwrap();
+        let tag = &text[lt..=gt];
+        let name = tag[1..].split([' ', '>']).next().unwrap();
+        pos = gt + 1;
+        if let Some(closed) = name.strip_prefix('/') {
+            if array.as_ref().is_some_and(|(open, _)| open == closed) {
+                array = None;
+            }
+        } else if let Some(bracket) = tag.find("SOAP-ENC:arrayType=").and_then(|_| tag.find('[')) {
+            let end = padded_end(pos);
+            out.push((format!("{name}.len"), bytes[lt + bracket + 1..end].to_vec()));
+            array = Some((name.to_owned(), 0));
+            pos = end;
+        } else if tag.contains("xsi:type=\"xsd:") {
+            let close = pos + text[pos..].find("</").unwrap();
+            let end = padded_end(close + 2);
+            let key = match &mut array {
+                Some((open, leaf)) => {
+                    *leaf += 1;
+                    format!("{open}[{}]", *leaf - 1)
+                }
+                None => name.to_owned(),
+            };
+            out.push((key, bytes[pos..end].to_vec()));
+            pos = end;
+        }
+    }
+    out
+}
+
+/// What the XML walk owes for `new` after `old`: every region of the new
+/// message that the old one does not hold byte for byte is re-read, every
+/// leaf it does hold is skipped — unless an array grew from nothing, which
+/// only the full parse can read.
+fn xml_expectation(old: &[u8], new: &[u8]) -> DiffOutcome {
+    if old == new {
+        return DiffOutcome::Identical;
+    }
+    let before: HashMap<String, Vec<u8>> = regions(old).into_iter().collect();
+    let (mut reparsed, mut skipped) = (0, 0);
+    for (key, bytes) in regions(new) {
+        let was = before.get(&key);
+        // A length region's pad can change without its length (a
+        // neighbour stole from it), so read the lengths themselves.
+        let empty = |region: &Vec<u8>| region.starts_with(b"0]");
+        if key.ends_with(".len") && was.is_some_and(empty) && !empty(&bytes) {
+            return DiffOutcome::FullParse;
+        }
+        if was != Some(&bytes) {
+            reparsed += 1;
+        } else if !key.ends_with(".len") {
+            skipped += 1;
+        }
+    }
+    DiffOutcome::Differential { reparsed, skipped }
+}
+
+/// What the bin1 leaf tier owes: same shape and same strings means only
+/// fixed-width records differ, and exactly those are decoded.
+fn bin1_expectation(old: &[Value], new: &[Value]) -> DiffOutcome {
+    let (mut was, mut now) = (Vec::new(), Vec::new());
+    leaves(old, &mut was);
+    leaves(new, &mut now);
+    let framing = |leaves: &[String]| -> Vec<Option<String>> {
+        let strings = leaves.iter().map(|l| l.starts_with('s').then(|| l.clone()));
+        strings.collect()
+    };
+    if framing(&was) != framing(&now) {
+        return DiffOutcome::FullParse;
+    }
+    let reparsed = was.iter().zip(&now).filter(|(a, b)| a != b).count();
+    if reparsed == 0 {
+        return DiffOutcome::Identical;
+    }
+    let slots = now.iter().filter(|l| !l.starts_with('s')).count();
+    DiffOutcome::Differential {
+        reparsed,
+        skipped: slots - reparsed,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Differential ≡ oracle on both lanes, over schedules that rewrite at
+    /// width, widen, narrow, append, truncate, empty and refill arrays:
+    /// after every send the values are the one-shot decode's, and the
+    /// outcome is the cheapest the change allows, with exact counts.
+    #[test]
+    fn differential_equals_oracle_over_resize_schedules(
+        shape in prop_oneof![
+            Just(Shape::Doubles),
+            Just(Shape::Ints),
+            Just(Shape::Mios),
+            Just(Shape::Mixed),
+        ],
+        steps in prop::collection::vec(step_strategy(), 1..12),
+        stuffed in any::<bool>(),
+    ) {
+        let op = shape.op();
+        for lane in WireFormat::ALL {
+            let config = if stuffed {
+                EngineConfig::stuffed_max()
+            } else {
+                EngineConfig::paper_default()
+            }
+            .with_wire_format(lane);
+            let mut args = shape.initial();
+            let mut tpl = MessageTemplate::build(config, &op, &args).unwrap();
+            let mut deser = LaneDeserializer::new(lane, op.clone());
+            let mut prev_bytes = tpl.to_bytes().to_vec();
+            let (_, first) = deser.deserialize(&prev_bytes).unwrap();
+            prop_assert_eq!(first, DiffOutcome::FullParse);
+
+            for step in &steps {
+                let prev_args = args.clone();
+                apply_step(&mut args, step);
+                tpl.update_args(&args).unwrap();
+                tpl.flush();
+                let bytes = tpl.to_bytes().to_vec();
+                let oracle = decode(lane, &bytes, &op).unwrap();
+                prop_assert_eq!(&oracle, &args, "{:?}: oracle lost the sent values", lane);
+
+                let (got, outcome) = deser.deserialize(&bytes).unwrap();
+                prop_assert_eq!(got, &oracle[..], "{:?} after {:?}", lane, step);
+                let expected = match lane {
+                    WireFormat::SoapXml => xml_expectation(&prev_bytes, &bytes),
+                    WireFormat::CompactBinary => bin1_expectation(&prev_args, &args),
+                };
+                prop_assert_eq!(outcome, expected, "{:?} after {:?}", lane, step);
+                prev_bytes = bytes;
+            }
+        }
+    }
 
     #[test]
     fn parse_inverts_build_doubles(
@@ -113,6 +521,90 @@ proptest! {
             let full = parse_envelope(&bytes, &op).unwrap();
             let (diffed, _) = diff.deserialize(&bytes).unwrap();
             prop_assert_eq!(diffed, &full[..], "differential drifted from full parse");
+        }
+    }
+
+    /// Two valid messages that share nothing but the operation — other
+    /// values, lengths, stuffing, even another serializer: whatever the
+    /// walk makes of the second after the first, it is the oracle's
+    /// reading.
+    #[test]
+    fn unrelated_valid_messages_agree_with_the_oracle(
+        shape in prop_oneof![Just(Shape::Mios), Just(Shape::Mixed)],
+        first in prop::collection::vec(step_strategy(), 0..6),
+        second in prop::collection::vec(step_strategy(), 0..6),
+        writers in (0usize..3, 0usize..3),
+    ) {
+        let op = shape.op();
+        let message = |steps: &[Step], writer: usize| {
+            let mut args = shape.initial();
+            for step in steps {
+                apply_step(&mut args, step);
+            }
+            let configs = [EngineConfig::paper_default(), EngineConfig::stuffed_max()];
+            match configs.get(writer) {
+                Some(config) => MessageTemplate::build(*config, &op, &args).unwrap().to_bytes(),
+                None => bsoap_baseline::GSoapLike::new().serialize(&op, &args).unwrap().to_vec(),
+            }
+        };
+        let (a, b) = (message(&first, writers.0), message(&second, writers.1));
+        let mut diff = DiffDeserializer::new(op.clone());
+        diff.deserialize(&a).unwrap();
+        let oracle = parse_envelope(&b, &op).unwrap();
+        let (got, outcome) = diff.deserialize(&b).unwrap();
+        prop_assert_eq!(got, &oracle[..], "{:?}", outcome);
+        // And the reference it leaves behind reads the first one again.
+        let oracle = parse_envelope(&a, &op).unwrap();
+        let (got, outcome) = diff.deserialize(&a).unwrap();
+        prop_assert_eq!(got, &oracle[..], "{:?}", outcome);
+    }
+
+    /// A resized message of struct elements and mixed parameters, damaged
+    /// on the wire, after the good message before it: the walk reads what
+    /// the oracle reads or fails where it fails, and the reference still
+    /// describes the good message.
+    #[test]
+    fn damaged_resizes_of_struct_arrays_agree_with_the_oracle(
+        shape in prop_oneof![Just(Shape::Mios), Just(Shape::Mixed)],
+        steps in prop::collection::vec(step_strategy(), 1..4),
+        damage in prop::collection::vec((0usize..4096, 0usize..4, any::<u8>()), 1..3),
+        stuffed in any::<bool>(),
+    ) {
+        let op = shape.op();
+        let config = if stuffed {
+            EngineConfig::stuffed_max()
+        } else {
+            EngineConfig::paper_default()
+        };
+        let mut args = shape.initial();
+        let mut tpl = MessageTemplate::build(config, &op, &args).unwrap();
+        let primed = tpl.to_bytes().to_vec();
+        let mut diff = DiffDeserializer::new(op.clone());
+        diff.deserialize(&primed).unwrap();
+        for step in &steps {
+            apply_step(&mut args, step);
+        }
+        tpl.update_args(&args).unwrap();
+        tpl.flush();
+        let mut damaged = tpl.to_bytes().to_vec();
+        for &(pos, how, byte) in &damage {
+            let pos = pos % damaged.len();
+            match how {
+                0 => damaged.truncate(pos),
+                1 => damaged.insert(pos, byte),
+                2 => drop(damaged.remove(pos)),
+                _ => damaged[pos] = byte,
+            }
+            prop_assume!(!damaged.is_empty());
+        }
+        match (diff.deserialize(&damaged), parse_envelope(&damaged, &op)) {
+            (Ok((got, outcome)), Ok(want)) => prop_assert_eq!(got, &want[..], "{:?}", outcome),
+            (Err(_), Err(_)) => {
+                let (got, outcome) = diff.deserialize(&primed).unwrap();
+                prop_assert_eq!(outcome, DiffOutcome::Identical);
+                prop_assert_eq!(got, &shape.initial()[..]);
+            }
+            (got, want) => prop_assert!(false, "walk {:?}, oracle {:?}", got, want),
         }
     }
 

@@ -55,20 +55,30 @@ fn every_lane_keeps_the_contract() {
         assert_eq!(decode(lane, &bytes, &op).unwrap(), first, "{lane:?}");
 
         // build → update → flush → differential decode, through a value
-        // patch, a resize and a resend.
+        // patch, a resize and a resend. Every lane's reference has a leaf
+        // tier: two values rewritten at their width cost two leaves.
         let mut deser = LaneDeserializer::new(lane, op.clone());
         let (got, outcome) = deser.deserialize(&bytes).unwrap();
         assert_eq!((got, outcome), (&first[..], DiffOutcome::FullParse));
-        for next in [
+        for (step, next) in [
             contract_args(2, &[1.5, 9.5, 3.5], "a<b&c"),
             contract_args(2, &[1.5, 9.5, 3.5, 4.5, 5.5], "longer tag"),
             contract_args(2, &[7.5], ""),
-        ] {
+        ]
+        .into_iter()
+        .enumerate()
+        {
             tpl.update_args(&next).unwrap();
             tpl.flush();
             let bytes = tpl.to_bytes();
-            let (got, _) = deser.deserialize(&bytes).unwrap();
+            let (got, outcome) = deser.deserialize(&bytes).unwrap();
             assert_eq!(got, &next[..], "{lane:?}");
+            if step == 0 {
+                assert!(
+                    matches!(outcome, DiffOutcome::Differential { reparsed: 2, .. }),
+                    "{lane:?} has no leaf tier: {outcome:?}"
+                );
+            }
             let (got, outcome) = deser.deserialize(&bytes).unwrap();
             assert_eq!((got, outcome), (&next[..], DiffOutcome::Identical));
             assert_eq!(decode(lane, &bytes, &op).unwrap(), next, "{lane:?}");
