@@ -283,7 +283,7 @@ pub fn ablation_diff_deser(sizes: &[usize], reps: usize) -> Table {
 /// HTTP framing overhead: raw bytes vs HTTP/1.1 content-length vs
 /// HTTP/1.1 chunked, into the sink (framing cost only, no kernel).
 pub fn ablation_http_framing(sizes: &[usize], reps: usize) -> Table {
-    use bsoap_transport::http::{post_gather, HttpVersion, RequestConfig};
+    use bsoap_transport::http::{post_gather_vectored, HttpVersion, PostScratch, RequestConfig};
     let kind = Kind::Doubles;
     let op = kind.op();
     let config = EngineConfig::paper_default();
@@ -302,9 +302,9 @@ pub fn ablation_http_framing(sizes: &[usize], reps: usize) -> Table {
         for version in [HttpVersion::Http11Length, HttpVersion::Http11Chunked] {
             let cfg = RequestConfig::loopback(version);
             let mut sink = SinkTransport::new();
-            let mut scratch = Vec::new();
+            let mut scratch = PostScratch::default();
             let t = measure(WARMUP, reps, || {
-                post_gather(&mut sink, &cfg, &tpl.io_slices(), &mut scratch).unwrap();
+                post_gather_vectored(&mut sink, &cfg, &tpl.io_slices(), &mut scratch).unwrap();
             });
             cells.push(t.mean_ms());
         }

@@ -16,7 +16,7 @@
 //! verification step guards against any non-monotonicity). At each `p` the
 //! nearest rounding is tried first, then its ulp neighbors — the rounding
 //! interval of a power of two is asymmetric, so the shortest form is
-//! occasionally *not* the nearest rounding (see [`best_at_precision`]).
+//! occasionally *not* the nearest rounding (see `best_at_precision`).
 //!
 //! This is a Dragon-style fixed-point scheme rather than Grisu/Ryu: it
 //! trades speed for unconditional exactness with no precomputed power

@@ -1,11 +1,11 @@
 //! Loopback HTTP host for a [`Service`].
 //!
 //! The host is one [`Handler`](bsoap_transport::Handler) closure —
-//! [`respond_to`]: route a parsed SOAP POST (`Content-Length` or chunked)
+//! `respond_to`: route a parsed SOAP POST (`Content-Length` or chunked)
 //! by `SOAPAction` (`"namespace#operation"`, falling back to the first
 //! operation for action-less callers) and render the reply — handed to
 //! [`bsoap_transport::serve`], which owns everything about connections:
-//! framing, caps, 400s, timeouts, keep-alive, drain. [`server_options`]
+//! framing, caps, 400s, timeouts, keep-alive, drain. `server_options`
 //! is the one place the service's `EngineConfig` becomes transport
 //! [`ServerOptions`]: which core (`EngineConfig::server_core`) drives the
 //! connections and the two HTTP caps; the rest are the transport's
@@ -183,7 +183,9 @@ mod tests {
         EngineConfig, MessageTemplate, OpDesc, ParamDesc, ServerCore, TypeDesc, Value,
     };
     use bsoap_obs::HistId;
-    use bsoap_transport::http::{post_gather, read_response, HttpVersion, RequestConfig};
+    use bsoap_transport::http::{
+        post_gather_vectored, read_response, HttpVersion, PostScratch, RequestConfig,
+    };
     use bsoap_transport::negotiate::TOKEN_BINARY;
     use bsoap_transport::supported_cores;
     use std::io::{IoSlice, Write};
@@ -245,8 +247,8 @@ mod tests {
             version: HttpVersion::Http11Length,
             extra_headers: Vec::new(),
         };
-        let mut scratch = Vec::new();
-        post_gather(&mut c, &cfg, &[IoSlice::new(body)], &mut scratch).unwrap();
+        let mut scratch = PostScratch::default();
+        post_gather_vectored(&mut c, &cfg, &[IoSlice::new(body)], &mut scratch).unwrap();
         read_response(&mut c).unwrap()
     }
 
@@ -521,8 +523,8 @@ mod tests {
             version: HttpVersion::Http11Length,
             extra_headers: extra,
         };
-        let mut scratch = Vec::new();
-        post_gather(&mut c, &cfg, &[IoSlice::new(body)], &mut scratch).unwrap();
+        let mut scratch = PostScratch::default();
+        post_gather_vectored(&mut c, &cfg, &[IoSlice::new(body)], &mut scratch).unwrap();
         bsoap_transport::http::read_response_headers_limited(&mut c, usize::MAX, usize::MAX)
             .unwrap()
     }

@@ -143,49 +143,6 @@ impl From<HttpError> for io::Error {
     }
 }
 
-/// Write one SOAP POST: head, then the body gather list, framed per
-/// `cfg.version`. Returns total bytes written (head + framing + payload).
-///
-/// `head_scratch` is reused across calls so repeated sends (the paper's
-/// workload) allocate nothing.
-pub fn post_gather(
-    stream: &mut impl Write,
-    cfg: &RequestConfig,
-    body: &[IoSlice<'_>],
-    head_scratch: &mut Vec<u8>,
-) -> io::Result<usize> {
-    let payload: usize = body.iter().map(|s| s.len()).sum();
-    let mut written = 0usize;
-    if cfg.version.is_chunked() {
-        cfg.render_head(head_scratch, None);
-        stream.write_all(head_scratch)?;
-        written += head_scratch.len();
-        // One HTTP chunk per message chunk: the store's natural gather
-        // granularity maps 1:1 onto wire chunks, so a template chunk hits
-        // the network the moment it is serialized.
-        let mut size_line = [0u8; 18];
-        for s in body {
-            if s.is_empty() {
-                continue;
-            }
-            let n = render_chunk_size(&mut size_line, s.len());
-            stream.write_all(&size_line[..n])?;
-            stream.write_all(s)?;
-            stream.write_all(b"\r\n")?;
-            written += n + s.len() + 2;
-        }
-        stream.write_all(b"0\r\n\r\n")?;
-        written += 5;
-    } else {
-        cfg.render_head(head_scratch, Some(payload));
-        stream.write_all(head_scratch)?;
-        written += head_scratch.len();
-        written += crate::write_gather(stream, body)?;
-    }
-    stream.flush()?;
-    Ok(written)
-}
-
 /// Render `{len:x}\r\n` into `buf`; returns byte count.
 pub(crate) fn render_chunk_size(buf: &mut [u8; 18], len: usize) -> usize {
     let s = format!("{len:x}\r\n");
@@ -206,14 +163,23 @@ pub struct PostScratch {
     spans: Vec<(usize, usize)>,
 }
 
+impl PostScratch {
+    /// The head buffer, for request forms that render a head but frame
+    /// no gather list (a streamed POST, a `GET`).
+    pub(crate) fn head_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.head
+    }
+}
+
 /// Write one SOAP POST with **zero body copies**: the head (and, for
 /// chunked framing, the size lines) are emitted as their own `IoSlice`s
 /// and the caller's gather list passes straight through to the vectored
 /// drain. A keep-alive POST of a non-contiguous template therefore costs
 /// one `writev` per socket-buffer fill and never flattens the payload.
 ///
-/// Byte-identical on the wire to [`post_gather`]; returns total bytes
-/// written (head + framing + payload).
+/// One HTTP chunk per message chunk: the store's natural gather
+/// granularity maps 1:1 onto wire chunks. Returns total bytes written
+/// (head + framing + payload).
 pub fn post_gather_vectored(
     stream: &mut impl Write,
     cfg: &RequestConfig,
@@ -616,6 +582,12 @@ impl ParseBuf {
         &self.buf[self.start..self.end]
     }
 
+    /// Size of the allocation behind the window (zero until the first
+    /// read).
+    pub fn capacity(&self) -> usize {
+        self.buf.len()
+    }
+
     /// Drop the first `n` bytes of the window.
     pub fn consume(&mut self, n: usize) {
         self.start += n;
@@ -826,7 +798,7 @@ pub fn write_response_vectored(
     Ok(n)
 }
 
-/// Read one length-framed HTTP response off a stream; returns the body.
+/// Read one HTTP response off a stream; returns status and body.
 ///
 /// EOF before *any* response byte maps to [`io::ErrorKind::UnexpectedEof`]
 /// rather than `InvalidData`: it is the signature of a stale keep-alive
@@ -836,11 +808,8 @@ pub fn read_response(stream: &mut impl Read) -> io::Result<(u16, Vec<u8>)> {
     read_response_limited(stream, usize::MAX, usize::MAX)
 }
 
-/// [`read_response`] with head/body caps and chunked-response support: a
-/// hostile or buggy server must not be able to balloon client RSS. The
-/// body rides the same [`BodyDecoder`] the server side uses, so the
-/// `max_body` cap applies to chunk-framed responses too and a size line
-/// split across short `read()`s is reassembled rather than misread.
+/// [`read_response`] with head/body caps: a hostile or buggy server must
+/// not be able to balloon client RSS.
 pub fn read_response_limited(
     stream: &mut impl Read,
     max_head: usize,
@@ -852,15 +821,30 @@ pub fn read_response_limited(
 /// Status code, response headers (names lowercased), and body.
 pub type ResponseParts = (u16, Vec<(String, String)>, Vec<u8>);
 
-/// [`read_response_limited`] that also returns the response headers
-/// (names lowercased) — how a negotiating client observes the server's
-/// `X-BSOAP-Accept` advert and `X-BSOAP-Format` echo.
+/// [`read_response_limited`] that also returns the response headers.
+/// One-shot: the buffer is dropped with whatever the last `read` pulled
+/// past the reply, so a keep-alive client reads through its
+/// [`ClientConn`](crate::client::ClientConn) instead.
 pub fn read_response_headers_limited(
     stream: &mut impl Read,
     max_head: usize,
     max_body: usize,
 ) -> io::Result<ResponseParts> {
-    let mut buf = ParseBuf::default();
+    read_reply(stream, &mut ParseBuf::default(), max_head, max_body)
+}
+
+/// Read one reply — length-framed or chunked — through `buf`, leaving in
+/// its window whatever the reads pulled past the reply's last byte (a
+/// window already holding a whole reply is answered without a `read`).
+/// The body rides the same [`BodyDecoder`] the server side uses, so the
+/// `max_body` cap applies to chunk-framed responses too and a size line
+/// split across short `read()`s is reassembled rather than misread.
+pub(crate) fn read_reply(
+    stream: &mut impl Read,
+    buf: &mut ParseBuf,
+    max_head: usize,
+    max_body: usize,
+) -> io::Result<ResponseParts> {
     let head_end = loop {
         if let Some(e) = capped_head_end(buf.window(), max_head, "response head")? {
             break e;
@@ -915,7 +899,10 @@ pub fn read_response_headers_limited(
         let (n, step) = decoder.step(buf.window())?;
         match step {
             Decoded::Payload(range) => body.extend_from_slice(&buf.window()[range]),
-            Decoded::Done => return Ok((status, headers, body)),
+            Decoded::Done => {
+                buf.consume(n);
+                return Ok((status, headers, body));
+            }
             Decoded::Starved => {
                 buf.consume(n);
                 if buf.read_from(stream)? == 0 {
@@ -987,8 +974,8 @@ mod tests {
         let cfg = RequestConfig::loopback(version);
         let mut wire = Vec::new();
         let slices: Vec<IoSlice<'_>> = body_parts.iter().map(|p| IoSlice::new(p)).collect();
-        let mut scratch = Vec::new();
-        let n = post_gather(&mut wire, &cfg, &slices, &mut scratch).unwrap();
+        let mut scratch = PostScratch::default();
+        let n = post_gather_vectored(&mut wire, &cfg, &slices, &mut scratch).unwrap();
         assert_eq!(n, wire.len());
         let mut reader = RequestReader::new(&wire[..]);
         let got = reader.next_request().unwrap().expect("one request");
@@ -1051,11 +1038,11 @@ mod tests {
     fn pipelined_requests_on_one_connection() {
         let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
         let mut wire = Vec::new();
-        let mut scratch = Vec::new();
+        let mut scratch = PostScratch::default();
         for i in 0..3 {
             let body = format!("<n>{i}</n>").into_bytes();
             let slices = [IoSlice::new(&body)];
-            post_gather(&mut wire, &cfg, &slices, &mut scratch).unwrap();
+            post_gather_vectored(&mut wire, &cfg, &slices, &mut scratch).unwrap();
         }
         let mut reader = RequestReader::new(&wire[..]);
         for i in 0..3 {
@@ -1132,23 +1119,47 @@ mod tests {
 
     /// Acceptance: a keep-alive POST of a non-contiguous template performs
     /// **zero body copies** — every payload byte reaching the sink still
-    /// points into the caller's buffers — while the wire bytes stay
-    /// identical to the flattened/sequential `post_gather` path.
+    /// points into the caller's buffers — and the wire bytes are the
+    /// literal request each framing prescribes, which `RequestReader`
+    /// decodes back to the payload.
     #[test]
     fn vectored_post_is_zero_copy_and_byte_identical() {
-        let parts: Vec<Vec<u8>> = (0..4).map(|i| vec![b'p' + i as u8; 64 * (i + 1)]).collect();
+        let parts = [
+            b"<a>".to_vec(),
+            Vec::new(),
+            b"0123456789".to_vec(),
+            b"</a>".to_vec(),
+        ];
         let slices: Vec<IoSlice<'_>> = parts.iter().map(|p| IoSlice::new(p)).collect();
-        let payload: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        for version in [
-            HttpVersion::Http10,
-            HttpVersion::Http11Length,
-            HttpVersion::Http11Chunked,
-        ] {
+        let payload = parts.concat();
+        let common = "Host: localhost\r\nContent-Type: text/xml; charset=utf-8\r\n\
+                      SOAPAction: \"urn:bench#send\"\r\n";
+        let expected = [
+            (
+                HttpVersion::Http10,
+                format!(
+                    "POST /service HTTP/1.0\r\n{common}Content-Length: 17\r\n\
+                     Connection: keep-alive\r\n\r\n<a>0123456789</a>"
+                ),
+            ),
+            (
+                HttpVersion::Http11Length,
+                format!(
+                    "POST /service HTTP/1.1\r\n{common}Content-Length: 17\r\n\r\n\
+                     <a>0123456789</a>"
+                ),
+            ),
+            (
+                // One HTTP chunk per non-empty slice.
+                HttpVersion::Http11Chunked,
+                format!(
+                    "POST /service HTTP/1.1\r\n{common}Transfer-Encoding: chunked\r\n\r\n\
+                     3\r\n<a>\r\na\r\n0123456789\r\n4\r\n</a>\r\n0\r\n\r\n"
+                ),
+            ),
+        ];
+        for (version, want) in expected {
             let cfg = RequestConfig::loopback(version);
-            let mut flat = Vec::new();
-            let mut head_scratch = Vec::new();
-            post_gather(&mut flat, &cfg, &slices, &mut head_scratch).unwrap();
-
             let mut sink = crate::sink::ProvenanceSink::new();
             for p in &parts {
                 sink.register(p);
@@ -1158,20 +1169,33 @@ mod tests {
             // corrupt framing or introduce copies.
             for _ in 0..2 {
                 let n = post_gather_vectored(&mut sink, &cfg, &slices, &mut scratch).unwrap();
-                assert_eq!(n, flat.len(), "{version:?}");
+                assert_eq!(n, want.len(), "{version:?}");
             }
             assert_eq!(
+                sink.bytes(),
+                want.repeat(2).as_bytes(),
+                "{version:?}: literal wire bytes"
+            );
+            assert_eq!(
                 sink.aliased_bytes(),
-                2 * payload,
+                2 * payload.len() as u64,
                 "{version:?}: every body byte arrived uncopied"
             );
-            let framing = 2 * (flat.len() as u64 - payload);
             assert_eq!(
                 sink.copied_bytes(),
-                framing,
+                2 * (want.len() - payload.len()) as u64,
                 "{version:?}: only head/framing bytes came from scratch"
             );
-            assert_eq!(sink.bytes(), [flat.as_slice(), &flat].concat());
+            let mut reader = RequestReader::new(sink.bytes());
+            for _ in 0..2 {
+                let (head, body) = reader.next_request().unwrap().expect("request");
+                assert_eq!(
+                    (head.method.as_str(), head.path.as_str()),
+                    ("POST", "/service")
+                );
+                assert_eq!(body, payload, "{version:?}");
+            }
+            assert!(reader.next_request().unwrap().is_none());
         }
     }
 
@@ -1179,8 +1203,8 @@ mod tests {
     fn vectored_response_matches_render_response() {
         let a = b"<res>".to_vec();
         let b = b"42</res>".to_vec();
-        let mut flat = Vec::new();
-        render_response(&mut flat, 200, "OK", b"<res>42</res>");
+        let want = b"HTTP/1.1 200 OK\r\nContent-Type: text/xml; charset=utf-8\r\n\
+                     Content-Length: 13\r\n\r\n<res>42</res>";
         let mut sink = crate::sink::ProvenanceSink::new();
         sink.register(&a);
         sink.register(&b);
@@ -1193,9 +1217,12 @@ mod tests {
             &mut head_scratch,
         )
         .unwrap();
-        assert_eq!(n, flat.len());
-        assert_eq!(sink.bytes(), flat);
+        assert_eq!(n, want.len());
+        assert_eq!(sink.bytes(), want);
         assert_eq!(sink.aliased_bytes(), (a.len() + b.len()) as u64);
+        let mut flat = Vec::new();
+        render_response(&mut flat, 200, "OK", b"<res>42</res>");
+        assert_eq!(flat, want);
     }
 
     #[test]

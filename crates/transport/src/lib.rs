@@ -17,9 +17,10 @@
 //!   sans-io [`http::BodyDecoder`] and [`http::RequestParser`]. HTTP 1.1
 //!   chunking is what makes chunk overlaying stream-as-you-serialize
 //!   (§3.3).
-//! * [`tcp`] — a real TCP client with the paper's socket options
-//!   (`TCP_NODELAY`, keep-alive) and a [`Transport`] implementation.
-//! * [`pool`] — a per-endpoint pool of persistent keep-alive connections
+//! * [`client`] — [`client::ClientConn`], the one client side of an
+//!   exchange: a `TCP_NODELAY` keep-alive socket, its request scratch and
+//!   its reply buffer; writes one request, reads one reply under caps.
+//! * [`pool`] — a per-endpoint pool of those connections
 //!   ([`pool::ConnectionPool`]) and a pooled HTTP client
 //!   ([`pool::HttpPoolClient`]) with health-checked checkout, idle
 //!   reaping, and transparent reconnect-and-retry on stale sockets.
@@ -40,11 +41,13 @@
 //!   over a few threads, with timer-wheel deadlines
 //!   ([`timer::TimerWheel`]) in place of per-thread socket timeouts.
 //!
-//! The [`Transport`] trait is the seam between the serialization engine
-//! and the wire: one SOAP message (as a gather list of chunk slices) in,
-//! bytes-on-the-wire count out.
+//! The seam between the serialization engine and the wire is a closure:
+//! one SOAP message (as a gather list of chunk slices) in, bytes-on-the-wire
+//! count out — `|s| conn.post(&cfg, s)` for HTTP, [`write_gather`] onto a
+//! `TcpStream` for the paper's raw measurement path.
 
 pub mod accept;
+pub mod client;
 pub mod conn;
 pub mod event_loop;
 pub mod fault;
@@ -55,10 +58,10 @@ pub mod pool;
 pub mod server;
 pub mod sink;
 pub mod stream;
-pub mod tcp;
 pub mod timer;
 
 pub use accept::{serve_with_metrics, WorkerPool};
+pub use client::ClientConn;
 pub use conn::{
     drive_blocking, BlockingIo, BodySink, CloseReason, Conn, ConnAction, ConnConfig, ConnState,
     Handler, ReqBody, Response, SinkFactory,
@@ -74,24 +77,9 @@ pub use server::{
 };
 pub use sink::{ProvenanceSink, SinkTransport};
 pub use stream::{read_head, ChunkedBodyReader, ChunkedBodyWriter};
-pub use tcp::TcpTransport;
 pub use timer::{TimerKind, TimerWheel};
 
 use std::io::{self, IoSlice};
-
-/// A place a serialized SOAP message can be sent.
-///
-/// Implementations receive the message as the chunk store's gather list so
-/// non-contiguous templates are sent without flattening (§3.2's
-/// "scatter-gather sends" consideration).
-pub trait Transport {
-    /// Send one complete SOAP message; returns total bytes written to the
-    /// underlying medium (including any framing overhead).
-    fn send_message(&mut self, message: &[IoSlice<'_>]) -> io::Result<usize>;
-
-    /// Total bytes accepted over this transport's lifetime.
-    fn bytes_sent(&self) -> u64;
-}
 
 /// Sum of a gather list's lengths.
 pub fn gather_len(slices: &[IoSlice<'_>]) -> usize {

@@ -13,7 +13,7 @@
 //! `conn.rs`) instead of relying on edge semantics.
 //!
 //! On non-Linux targets every constructor returns
-//! [`io::ErrorKind::Unsupported`] and [`supported`] reports `false`; the
+//! [`std::io::ErrorKind::Unsupported`] and [`supported`] reports `false`; the
 //! server falls back to the worker-pool core.
 
 /// Whether the readiness poller works on this target.

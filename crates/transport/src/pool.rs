@@ -10,17 +10,14 @@
 //! socket that died mid-exchange — transparent reconnect, visible only in
 //! [`PoolStats`].
 
+use crate::client::ClientConn;
 use crate::fault::{AttemptFailure, FaultPolicy, Resilience};
-use crate::http::{
-    post_gather_vectored, read_response_limited, render_get_request, HttpVersion, PostScratch,
-    RequestConfig,
-};
+use crate::http::{HttpVersion, RequestConfig};
 use crate::stream::ChunkedBodyWriter;
-use crate::Transport;
 use bsoap_obs::{Clock, Counter, Deadline, HistId, Metrics, MonotonicClock, Recorder, TraceKind};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::io::{self, IoSlice, Write};
+use std::io::{self, IoSlice};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -59,7 +56,8 @@ pub struct PoolStats {
     pub created: u64,
     /// Checkouts served by an idle pooled connection.
     pub reused: u64,
-    /// Idle connections discarded because the health check failed.
+    /// Connections discarded as unusable: the checkout health check
+    /// failed, or check-in found bytes read past the last reply.
     pub stale: u64,
     /// Idle connections discarded because they out-sat the idle timeout.
     pub expired: u64,
@@ -80,11 +78,10 @@ struct AtomicStats {
     waited: AtomicU64,
 }
 
-/// An idle pooled connection. The per-connection [`PostScratch`] travels
-/// with the socket so repeated sends through the pool allocate nothing.
+/// An idle pooled connection. Its request scratch and reply buffer travel
+/// with the socket, so repeated exchanges through the pool allocate nothing.
 struct Idle {
-    stream: TcpStream,
-    scratch: PostScratch,
+    conn: ClientConn,
     /// Pool-clock reading at checkin (drives idle-timeout reaping; on a
     /// `VirtualClock` expiry is testable without real sleeps).
     since_ns: u64,
@@ -179,36 +176,30 @@ impl ConnectionPool {
                 self.note(Counter::PoolExpired, 1);
                 continue;
             }
-            if !socket_is_live(&idle.stream) {
-                self.stats.stale.fetch_add(1, Ordering::Relaxed);
-                self.note(Counter::PoolStale, 1);
+            if !socket_is_live(idle.conn.stream()) {
+                self.note_stale();
                 continue;
             }
-            apply_socket_deadline(&idle.stream, deadline)?;
+            apply_socket_deadline(idle.conn.stream(), deadline)?;
             self.stats.reused.fetch_add(1, Ordering::Relaxed);
             self.note_checkout(Counter::PoolReused, start, true);
             return Ok(PooledConn {
                 pool: self,
-                conn: Some((idle.stream, idle.scratch)),
+                conn: Some(idle.conn),
                 reused: true,
             });
         }
-        let stream = match deadline.and_then(|d| d.remaining()) {
-            Some(budget) => {
-                if budget.is_zero() {
-                    return Err(Deadline::timed_out());
-                }
-                TcpStream::connect_timeout(&self.addr, budget)?
-            }
-            None => TcpStream::connect(self.addr)?,
-        };
-        stream.set_nodelay(true)?;
-        apply_socket_deadline(&stream, deadline)?;
+        let budget = deadline.and_then(|d| d.remaining());
+        if budget.is_some_and(|b| b.is_zero()) {
+            return Err(Deadline::timed_out());
+        }
+        let conn = ClientConn::connect(self.addr, budget)?;
+        apply_socket_deadline(conn.stream(), deadline)?;
         self.stats.created.fetch_add(1, Ordering::Relaxed);
         self.note_checkout(Counter::PoolCreated, start, false);
         Ok(PooledConn {
             pool: self,
-            conn: Some((stream, PostScratch::default())),
+            conn: Some(conn),
             reused: false,
         })
     }
@@ -278,6 +269,11 @@ impl ConnectionPool {
         *self.gate.live.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn note_stale(&self) {
+        self.stats.stale.fetch_add(1, Ordering::Relaxed);
+        self.note(Counter::PoolStale, 1);
+    }
+
     fn note(&self, c: Counter, delta: u64) {
         if let Some(m) = &self.metrics {
             m.add(c, delta);
@@ -325,15 +321,20 @@ impl ConnectionPool {
         }
     }
 
-    fn checkin(&self, stream: TcpStream, scratch: PostScratch) {
+    fn checkin(&self, conn: ClientConn) {
+        // Bytes read past the last reply are the buffered twin of what
+        // `socket_is_live` peeks for: unsolicited data, so not reusable.
+        if conn.in_step().is_err() {
+            self.note_stale();
+            return;
+        }
         // Clear per-call socket timeouts so a later unbounded call is not
         // haunted by a previous call's deadline.
-        let _ = stream.set_read_timeout(None);
-        let _ = stream.set_write_timeout(None);
+        let _ = conn.stream().set_read_timeout(None);
+        let _ = conn.stream().set_write_timeout(None);
         let mut idle = self.idle.lock();
         idle.push_back(Idle {
-            stream,
-            scratch,
+            conn,
             since_ns: self.clock.now_ns(),
         });
         while idle.len() > self.cfg.max_idle.max(1) {
@@ -374,21 +375,15 @@ fn socket_is_live(stream: &TcpStream) -> bool {
 /// never re-enters circulation.
 pub struct PooledConn<'a> {
     pool: &'a ConnectionPool,
-    conn: Option<(TcpStream, PostScratch)>,
+    conn: Option<ClientConn>,
     /// Whether this checkout was served from the pool (vs fresh connect).
     pub reused: bool,
 }
 
 impl PooledConn<'_> {
-    /// The socket and its send scratch.
-    pub fn parts(&mut self) -> (&mut TcpStream, &mut PostScratch) {
-        let (s, scratch) = self.conn.as_mut().expect("connection present until drop");
-        (s, scratch)
-    }
-
-    /// The socket alone.
-    pub fn stream(&mut self) -> &mut TcpStream {
-        self.parts().0
+    /// The checked-out connection.
+    pub fn conn(&mut self) -> &mut ClientConn {
+        self.conn.as_mut().expect("connection present until drop")
     }
 
     /// Consume without returning the connection to the pool.
@@ -399,8 +394,8 @@ impl PooledConn<'_> {
 
 impl Drop for PooledConn<'_> {
     fn drop(&mut self) {
-        if let Some((stream, scratch)) = self.conn.take() {
-            self.pool.checkin(stream, scratch);
+        if let Some(conn) = self.conn.take() {
+            self.pool.checkin(conn);
         }
         // Checked-out (even discarded) connections hold a max_live permit;
         // release after checkin so a queued waiter sees the idle socket.
@@ -425,7 +420,6 @@ pub struct HttpReply {
 pub struct HttpPoolClient {
     pool: ConnectionPool,
     cfg: RequestConfig,
-    bytes: AtomicU64,
     resilience: Resilience,
     /// `(max_head, max_body)` caps applied to every response read — the
     /// client-side mirror of the server's `RequestReader::with_limits`
@@ -451,7 +445,6 @@ impl HttpPoolClient {
         HttpPoolClient {
             pool: ConnectionPool::new(addr, pool_cfg),
             cfg,
-            bytes: AtomicU64::new(0),
             resilience: Resilience::new(policy),
             resp_caps: (usize::MAX, usize::MAX),
         }
@@ -510,8 +503,8 @@ impl HttpPoolClient {
     /// (the stale socket is the only thing replaced). Errors on a fresh
     /// connection propagate: the endpoint itself is down.
     pub fn call(&self, body: &[IoSlice<'_>]) -> io::Result<HttpReply> {
-        let caps = self.resp_caps;
-        self.with_retry(|conn| Self::exchange(conn, &self.cfg, body, caps))
+        let sent = self.exchange(|conn, _| conn.post(&self.cfg, body).map(|n| (n, ())))?;
+        Ok(sent.0)
     }
 
     /// POST a body produced *incrementally*: `produce` receives a
@@ -520,8 +513,8 @@ impl HttpPoolClient {
     /// stays bounded by the window fragment rather than the message.
     ///
     /// Runs under the same fault policy as [`call`](Self::call): the
-    /// writer carries the attempt's [`Deadline`](bsoap_obs::Deadline), and
-    /// on a retry `produce` is invoked again from the top (portions
+    /// writer carries the attempt's [`Deadline`], and on a retry
+    /// `produce` is invoked again from the top (portions
     /// already written to a dead socket were never seen by the server, so
     /// re-streaming from scratch is the correct replay). Framing is
     /// forced to chunked regardless of the client's configured version —
@@ -535,22 +528,40 @@ impl HttpPoolClient {
     ) -> io::Result<(HttpReply, T)> {
         let mut cfg = self.cfg.clone();
         cfg.version = HttpVersion::Http11Chunked;
+        self.exchange(|conn, deadline| conn.post_streamed(&cfg, Some(deadline), &mut produce))
+    }
+
+    /// Issue a bodiless keep-alive `GET` for `path` over a pooled
+    /// connection — how the throughput bench and integration tests scrape
+    /// `GET /metrics` mid-load without opening a fresh socket.
+    pub fn get(&self, path: &str) -> io::Result<HttpReply> {
+        let sent = self.exchange(|conn, _| conn.get(path, &self.cfg.host).map(|n| (n, ())))?;
+        Ok(sent.0)
+    }
+
+    /// One exchange under the fault policy: check a connection out, let
+    /// `write` put one request on it, read the reply under the response
+    /// caps. The legacy stale-socket retry survives as the *free* retry (a
+    /// reused connection that dies mid-exchange is replaced once without
+    /// consuming the policy budget); deadline propagation, policy retries
+    /// with backoff, and the circuit breaker all live in
+    /// [`Resilience::run_with`]. A checkout failure is a hard attempt
+    /// failure — the endpoint itself is unreachable, so it only retries if
+    /// the *policy* says so (seed default: it does not).
+    fn exchange<T>(
+        &self,
+        mut write: impl FnMut(&mut ClientConn, &Deadline) -> io::Result<(usize, T)>,
+    ) -> io::Result<(HttpReply, T)> {
         let (max_head, max_body) = self.resp_caps;
-        let out = self.resilience.run_with(
+        self.resilience.run_with(
             |deadline, _attempt| {
-                let mut conn = self
+                let mut pooled = self
                     .pool
                     .checkout_within(Some(deadline))
                     .map_err(AttemptFailure::hard)?;
-                let reused = conn.reused;
-                let attempt = (|| {
-                    let mut head = Vec::new();
-                    let stream = conn.stream();
-                    let mut writer =
-                        ChunkedBodyWriter::start(stream, &cfg, &mut head, Some(deadline))?;
-                    let produced = produce(&mut writer)?;
-                    let (wire_bytes, _, _) = writer.finish()?;
-                    let (status, body) = read_response_limited(stream, max_head, max_body)?;
+                let conn = pooled.conn();
+                let attempt = write(conn, deadline).and_then(|(wire_bytes, produced)| {
+                    let (status, _, body) = conn.read_reply(max_head, max_body)?;
                     Ok((
                         HttpReply {
                             status,
@@ -559,17 +570,12 @@ impl HttpPoolClient {
                         },
                         produced,
                     ))
-                })();
-                match attempt {
-                    Ok(v) => Ok(v),
-                    Err(e) => {
-                        conn.discard();
-                        Err(AttemptFailure {
-                            error: e,
-                            free_retry: reused,
-                        })
-                    }
-                }
+                });
+                attempt.map_err(|error| {
+                    let free_retry = pooled.reused;
+                    pooled.discard();
+                    AttemptFailure { error, free_retry }
+                })
             },
             || {
                 self.pool.stats.retries.fetch_add(1, Ordering::Relaxed);
@@ -578,105 +584,7 @@ impl HttpPoolClient {
                     m.trace(TraceKind::PoolReconnect);
                 }
             },
-        )?;
-        self.bytes
-            .fetch_add(out.0.wire_bytes as u64, Ordering::Relaxed);
-        Ok(out)
-    }
-
-    /// Issue a bodiless keep-alive `GET` for `path` over a pooled
-    /// connection — how the throughput bench and integration tests scrape
-    /// `GET /metrics` mid-load without opening a fresh socket.
-    pub fn get(&self, path: &str) -> io::Result<HttpReply> {
-        let (max_head, max_body) = self.resp_caps;
-        self.with_retry(|conn| {
-            let mut head = Vec::new();
-            render_get_request(&mut head, path, &self.cfg.host);
-            let stream = conn.stream();
-            stream.write_all(&head)?;
-            stream.flush()?;
-            let (status, resp) = read_response_limited(stream, max_head, max_body)?;
-            Ok(HttpReply {
-                status,
-                body: resp,
-                wire_bytes: head.len(),
-            })
-        })
-    }
-
-    /// Checkout/exchange under the fault policy. The legacy stale-socket
-    /// retry survives as the *free* retry (a reused connection that dies
-    /// mid-exchange is replaced once without consuming the policy budget);
-    /// deadline propagation, policy retries with backoff, and the circuit
-    /// breaker all live in [`Resilience::run_with`]. A checkout failure is
-    /// a hard attempt failure — the endpoint itself is unreachable, so it
-    /// only retries if the *policy* says so (seed default: it does not).
-    fn with_retry(
-        &self,
-        mut exchange: impl FnMut(&mut PooledConn<'_>) -> io::Result<HttpReply>,
-    ) -> io::Result<HttpReply> {
-        let reply = self.resilience.run_with(
-            |deadline, _attempt| {
-                let mut conn = self
-                    .pool
-                    .checkout_within(Some(deadline))
-                    .map_err(AttemptFailure::hard)?;
-                let reused = conn.reused;
-                match exchange(&mut conn) {
-                    Ok(reply) => Ok(reply),
-                    Err(e) => {
-                        conn.discard();
-                        Err(AttemptFailure {
-                            error: e,
-                            free_retry: reused,
-                        })
-                    }
-                }
-            },
-            || {
-                self.pool.stats.retries.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &self.pool.metrics {
-                    m.add(Counter::PoolRetries, 1);
-                    m.trace(TraceKind::PoolReconnect);
-                }
-            },
-        )?;
-        self.bytes
-            .fetch_add(reply.wire_bytes as u64, Ordering::Relaxed);
-        Ok(reply)
-    }
-
-    fn exchange(
-        conn: &mut PooledConn<'_>,
-        cfg: &RequestConfig,
-        body: &[IoSlice<'_>],
-        (max_head, max_body): (usize, usize),
-    ) -> io::Result<HttpReply> {
-        let (stream, scratch) = conn.parts();
-        let wire_bytes = post_gather_vectored(stream, cfg, body, scratch)?;
-        let (status, resp) = read_response_limited(stream, max_head, max_body)?;
-        Ok(HttpReply {
-            status,
-            body: resp,
-            wire_bytes,
-        })
-    }
-}
-
-impl Transport for HttpPoolClient {
-    fn send_message(&mut self, message: &[IoSlice<'_>]) -> io::Result<usize> {
-        let reply = self.call(message)?;
-        if reply.status != 200 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("HTTP {}", reply.status),
-            ));
-        }
-        Ok(reply.wire_bytes)
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        )
     }
 }
 
@@ -788,6 +696,42 @@ mod tests {
         let stats = client.pool().stats();
         assert_eq!(stats.created, 2);
         assert_eq!(stats.stale, 1);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn reply_with_trailing_junk_is_not_pooled() {
+        // First connection: the reply and four stray bytes leave in one
+        // write. Second connection: a clean reply.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            for (body, junk) in [(&b"<a/>"[..], &b"junk"[..]), (b"<b/>", b"")] {
+                let (mut s, _) = listener.accept().unwrap();
+                let mut reader = RequestReader::new(s.try_clone().unwrap());
+                let _ = reader.next_request().unwrap();
+                let mut resp = Vec::new();
+                render_response(&mut resp, 200, "OK", body);
+                resp.extend_from_slice(junk);
+                s.write_all(&resp).unwrap();
+                let _ = reader.next_request(); // wait for client close
+            }
+        });
+        let metrics = Metrics::shared();
+        let mut client = client_for(addr, PoolConfig::default());
+        client.set_metrics(Arc::clone(&metrics));
+        let body = b"<x/>".to_vec();
+        let first = client.call(&[IoSlice::new(&body)]).unwrap();
+        assert_eq!(first.body, b"<a/>", "the reply itself is whole");
+        assert_eq!(client.pool().idle_count(), 0, "desynchronised: not idled");
+        assert_eq!(client.pool().stats().stale, 1);
+        assert_eq!(metrics.snapshot().get(Counter::PoolStale), 1);
+        let second = client.call(&[IoSlice::new(&body)]).unwrap();
+        assert_eq!(second.body, b"<b/>");
+        let stats = client.pool().stats();
+        assert_eq!((stats.created, stats.reused, stats.retries), (2, 0, 0));
+        assert_eq!(client.pool().idle_count(), 1);
+        drop(client);
         server.join().unwrap();
     }
 

@@ -4,7 +4,7 @@
 //! [`serve`] starts a server on a bound listener: it derives the
 //! per-connection [`ConnConfig`] from [`ServerOptions`], picks a core, and
 //! returns one [`Server`] handle. A core is a *driver* of the
-//! [`Conn`](crate::conn::Conn) state machine — every protocol rule (caps,
+//! [`Conn`] state machine — every protocol rule (caps,
 //! 400s, evictions, idle reaping, body sinks, server counters) is `Conn`'s
 //! and therefore identical on both:
 //!
@@ -23,7 +23,7 @@
 //! bodies back to the test so integration tests can assert exact
 //! bytes-on-the-wire, and `Ack` parses and responds without storing, so
 //! throughput benchmarks can sustain millions of requests without
-//! accumulating memory. It is a [`Handler`] closure ([`handle_one`]) handed
+//! accumulating memory. It is a [`Handler`] closure (`handle_one`) handed
 //! to [`serve`].
 
 use crate::accept::{serve_with_metrics, WorkerPool};
@@ -410,7 +410,7 @@ fn handle_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{post_gather, HttpVersion, RequestConfig};
+    use crate::http::{post_gather_vectored, HttpVersion, PostScratch, RequestConfig};
     use bsoap_obs::HistId;
     use std::io::{IoSlice, Write};
     use std::net::TcpStream;
@@ -450,8 +450,8 @@ mod tests {
             let mut c = TcpStream::connect(server.addr()).unwrap();
             let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
             let body = b"<m>7</m>".to_vec();
-            let mut scratch = Vec::new();
-            post_gather(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
+            let mut scratch = PostScratch::default();
+            post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
             let (status, resp) = crate::http::read_response(&mut c).unwrap();
             assert_eq!(status, 200, "core {core:?}");
             assert_eq!(resp, b"<ack/>", "core {core:?}");
@@ -469,10 +469,10 @@ mod tests {
             let mut c = TcpStream::connect(server.addr()).unwrap();
             let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
             let body = b"<m>9</m>".to_vec();
-            let mut scratch = Vec::new();
+            let mut scratch = PostScratch::default();
             // Two keep-alive requests on one connection.
             for _ in 0..2 {
-                post_gather(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
+                post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
                 let (status, resp) = crate::http::read_response(&mut c).unwrap();
                 assert_eq!(status, 200, "core {core:?}");
                 assert_eq!(resp, b"<ack/>", "core {core:?}");
@@ -535,8 +535,9 @@ mod tests {
                         let mut c = TcpStream::connect(addr).unwrap();
                         let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
                         let body = b"<q/>".to_vec();
-                        let mut scratch = Vec::new();
-                        post_gather(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
+                        let mut scratch = PostScratch::default();
+                        post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch)
+                            .unwrap();
                         let (status, _) = crate::http::read_response(&mut c).unwrap();
                         assert_eq!(status, 200);
                     })
@@ -564,9 +565,9 @@ mod tests {
             let mut c = TcpStream::connect(server.addr()).unwrap();
             let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
             let body = b"<m>1</m>".to_vec();
-            let mut scratch = Vec::new();
+            let mut scratch = PostScratch::default();
             for _ in 0..3 {
-                post_gather(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
+                post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
                 let (status, _) = crate::http::read_response(&mut c).unwrap();
                 assert_eq!(status, 200, "core {core:?}");
             }
@@ -811,13 +812,13 @@ mod tests {
             let mut c = TcpStream::connect(server.addr()).unwrap();
             let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
             let body = b"<m>1</m>".to_vec();
-            let mut scratch = Vec::new();
-            post_gather(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
+            let mut scratch = PostScratch::default();
+            post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
             let (status, _) = crate::http::read_response(&mut c).unwrap();
             assert_eq!(status, 200, "core {core:?}");
             // Idle past the per-request budget, then send a second request.
             std::thread::sleep(Duration::from_millis(160));
-            post_gather(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
+            post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
             let (status, _) = crate::http::read_response(&mut c).unwrap();
             assert_eq!(status, 200, "core {core:?}");
             drop(c);
@@ -874,8 +875,8 @@ mod tests {
             // the reaper re-arms after a request, not just at accept).
             let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
             let body = b"<m>1</m>".to_vec();
-            let mut scratch = Vec::new();
-            post_gather(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
+            let mut scratch = PostScratch::default();
+            post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
             let (status, _) = crate::http::read_response(&mut c).unwrap();
             assert_eq!(status, 200, "core {core:?}");
             // Now idle: the reaper must close us within the timeout (plus
@@ -940,7 +941,7 @@ mod tests {
             )
             .unwrap();
             let mut c = TcpStream::connect(server.addr()).unwrap();
-            let mut scratch = Vec::new();
+            let mut scratch = PostScratch::default();
             let parts = [vec![b'x'; 70_000], vec![b'y'; 30_000]];
             let slices: Vec<IoSlice<'_>> = parts.iter().map(|p| IoSlice::new(p)).collect();
             for path in ["/stream", "/buffered"] {
@@ -948,7 +949,7 @@ mod tests {
                     path: path.to_owned(),
                     ..RequestConfig::loopback(HttpVersion::Http11Chunked)
                 };
-                post_gather(&mut c, &cfg, &slices, &mut scratch).unwrap();
+                post_gather_vectored(&mut c, &cfg, &slices, &mut scratch).unwrap();
                 let (status, _) = crate::http::read_response(&mut c).unwrap();
                 assert_eq!(status, 200, "core {core:?}");
             }

@@ -6,7 +6,6 @@
 //! sink accepts bytes at memory speed, counts them, and (optionally)
 //! touches every byte to model the copy into a socket buffer.
 
-use crate::Transport;
 use std::io::{self, IoSlice, Write};
 
 /// Byte-counting discard sink.
@@ -18,7 +17,6 @@ use std::io::{self, IoSlice, Write};
 #[derive(Debug)]
 pub struct SinkTransport {
     bytes: u64,
-    messages: u64,
     touch_bytes: bool,
     checksum: u64,
 }
@@ -28,7 +26,6 @@ impl SinkTransport {
     pub fn new() -> Self {
         SinkTransport {
             bytes: 0,
-            messages: 0,
             touch_bytes: true,
             checksum: 0,
         }
@@ -42,9 +39,9 @@ impl SinkTransport {
         }
     }
 
-    /// Messages accepted.
-    pub fn messages(&self) -> u64 {
-        self.messages
+    /// Total bytes accepted.
+    pub fn bytes_sent(&self) -> u64 {
+        self.bytes
     }
 
     /// Rolling checksum over all accepted bytes (prevents the optimizer
@@ -91,18 +88,6 @@ impl Write for SinkTransport {
 
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
-    }
-}
-
-impl Transport for SinkTransport {
-    fn send_message(&mut self, message: &[IoSlice<'_>]) -> io::Result<usize> {
-        let n = self.write_vectored(message)?;
-        self.messages += 1;
-        Ok(n)
-    }
-
-    fn bytes_sent(&self) -> u64 {
-        self.bytes
     }
 }
 
@@ -190,19 +175,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counts_bytes_and_messages() {
+    fn counts_gathered_bytes() {
         let mut s = SinkTransport::new();
         let a = b"hello".to_vec();
         let b = b" world".to_vec();
         let n = s
-            .send_message(&[IoSlice::new(&a), IoSlice::new(&b)])
+            .write_vectored(&[IoSlice::new(&a), IoSlice::new(&b)])
             .unwrap();
         assert_eq!(n, 11);
         assert_eq!(s.bytes_sent(), 11);
-        assert_eq!(s.messages(), 1);
-        s.send_message(&[IoSlice::new(&a)]).unwrap();
+        assert_eq!(s.write_vectored(&[IoSlice::new(&a)]).unwrap(), 5);
         assert_eq!(s.bytes_sent(), 16);
-        assert_eq!(s.messages(), 2);
     }
 
     #[test]

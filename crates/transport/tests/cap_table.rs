@@ -15,14 +15,24 @@
 //!
 //! All consumers must agree on the variant *and* the message: the bound is
 //! stated once, so it cannot hold on one path and not on another.
+//!
+//! The reply side has its own, shorter table (`reply_rows`): the three
+//! bounds a client puts on what a server may send back, through every
+//! holder of the one client connection — [`ClientConn`] itself,
+//! [`HttpPoolClient::call`] and `RpcClient::call` — against a scripted
+//! peer.
 
 use bsoap_obs::{Counter, Metrics};
 use bsoap_transport::http::{
-    HttpError, Parsed, RequestParser, RequestReader, MAX_SIZE_LINE, MAX_TRAILERS,
+    HttpError, HttpVersion, Parsed, RequestConfig, RequestParser, RequestReader, MAX_SIZE_LINE,
+    MAX_TRAILERS,
 };
-use bsoap_transport::{supported_cores, ChunkedBodyReader, ServerMode, ServerOptions, TestServer};
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use bsoap_transport::{
+    supported_cores, ChunkedBodyReader, ClientConn, HttpPoolClient, PoolConfig, ServerMode,
+    ServerOptions, TestServer,
+};
+use std::io::{self, IoSlice, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
 const MAX_HEAD: usize = 256;
@@ -43,20 +53,23 @@ struct Row {
 
 const CHUNKED: &[u8] = b"POST /s HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n";
 
+/// The start lines the two tables share their framing helpers over.
+const REQUEST: &str = "POST /s HTTP/1.1";
+const REPLY: &str = "HTTP/1.1 200 OK";
+
 fn chunked(body: &[u8]) -> Vec<u8> {
     [CHUNKED, body].concat()
 }
 
-fn with_length(declared: usize, body: &[u8]) -> Vec<u8> {
-    let head = format!("POST /s HTTP/1.1\r\nContent-Length: {declared}\r\n\r\n");
+fn with_length(start: &str, declared: usize, body: &[u8]) -> Vec<u8> {
+    let head = format!("{start}\r\nContent-Length: {declared}\r\n\r\n");
     [head.as_bytes(), body].concat()
 }
 
-/// A bodiless request whose head is exactly `len` bytes.
-fn head_of(len: usize) -> Vec<u8> {
-    let frame = "POST /s HTTP/1.1\r\nX-Pad: \r\nContent-Length: 0\r\n\r\n";
-    let pad = "p".repeat(len - frame.len());
-    format!("POST /s HTTP/1.1\r\nX-Pad: {pad}\r\nContent-Length: 0\r\n\r\n").into_bytes()
+/// A bodiless message whose head is exactly `len` bytes.
+fn head_of(start: &str, len: usize) -> Vec<u8> {
+    let head = |pad: &str| format!("{start}\r\nX-Pad: {pad}\r\nContent-Length: 0\r\n\r\n");
+    head(&"p".repeat(len - head("").len())).into_bytes()
 }
 
 /// `5;xxx…\r\nhello\r\n0\r\n\r\n` with a size line of exactly `len` bytes.
@@ -84,16 +97,16 @@ fn rows() -> Vec<Row> {
     vec![
         row(
             "max_head",
-            head_of(MAX_HEAD),
+            head_of(REQUEST, MAX_HEAD),
             b"",
-            head_of(MAX_HEAD + 1),
+            head_of(REQUEST, MAX_HEAD + 1),
             HttpError::TooLarge("request head"),
         ),
         row(
             "max_body via Content-Length",
-            with_length(MAX_BODY, &full),
+            with_length(REQUEST, MAX_BODY, &full),
             &full,
-            with_length(MAX_BODY + 1, &[]),
+            with_length(REQUEST, MAX_BODY + 1, &[]),
             HttpError::TooLarge("declared content-length"),
         ),
         row(
@@ -165,16 +178,16 @@ fn rows() -> Vec<Row> {
         ),
         row(
             "EOF in head",
-            with_length(0, &[]),
+            with_length(REQUEST, 0, &[]),
             b"",
             b"POST /s HTTP/1.1\r\nContent-Le".to_vec(),
             HttpError::BadHead("EOF inside request head"),
         ),
         row(
             "EOF in length-framed body",
-            with_length(5, b"hello"),
+            with_length(REQUEST, 5, b"hello"),
             b"hello",
-            with_length(5, b"hell"),
+            with_length(REQUEST, 5, b"hell"),
             HttpError::BadFraming("EOF inside length-framed body"),
         ),
         row(
@@ -353,5 +366,147 @@ fn every_bound_holds_on_every_server_core() {
             "{}: cores answered different bytes",
             row.name
         );
+    }
+}
+
+struct ReplyRow {
+    name: &'static str,
+    /// At the bound: accepted, and decodes to this body.
+    ok: Vec<u8>,
+    ok_body: Vec<u8>,
+    /// One past the bound: refused with `err`.
+    bad: Vec<u8>,
+    err: HttpError,
+}
+
+fn reply_chunked(body: &str) -> Vec<u8> {
+    format!("{REPLY}\r\nTransfer-Encoding: chunked\r\n\r\n{body}").into_bytes()
+}
+
+fn reply_rows() -> Vec<ReplyRow> {
+    let full = vec![b'b'; MAX_BODY];
+    vec![
+        ReplyRow {
+            name: "max_head",
+            ok: head_of(REPLY, MAX_HEAD),
+            ok_body: Vec::new(),
+            bad: head_of(REPLY, MAX_HEAD + 1),
+            err: HttpError::TooLarge("response head"),
+        },
+        ReplyRow {
+            name: "max_body via Content-Length",
+            ok: with_length(REPLY, MAX_BODY, &full),
+            ok_body: full,
+            bad: with_length(REPLY, MAX_BODY + 1, &[]),
+            err: HttpError::TooLarge("declared content-length"),
+        },
+        ReplyRow {
+            name: "max_body accumulated over chunks",
+            ok: reply_chunked(&format!(
+                "20\r\n{0}\r\n20\r\n{0}\r\n0\r\n\r\n",
+                "c".repeat(32)
+            )),
+            ok_body: vec![b'c'; 64],
+            bad: reply_chunked(&format!("20\r\n{0}\r\n21\r\n", "c".repeat(32))),
+            err: HttpError::TooLarge("chunked body"),
+        },
+    ]
+}
+
+/// A peer that accepts one connection and answers each request on it with
+/// `reply`, until the client hangs up.
+fn scripted_peer(reply: Vec<u8>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut requests = RequestReader::new(stream.try_clone().unwrap());
+        while let Ok(Some(_)) = requests.next_request() {
+            // A client that refused the reply may already be gone.
+            if stream.write_all(&reply).is_err() {
+                break;
+            }
+        }
+    });
+    (addr, peer)
+}
+
+/// The accepted reply's body — `None` where the holder hands back decoded
+/// values rather than bytes — or the typed refusal.
+type ReplyConsumer = fn(SocketAddr) -> Result<Option<Vec<u8>>, HttpError>;
+
+fn through_client_conn(addr: SocketAddr) -> Result<Option<Vec<u8>>, HttpError> {
+    let mut conn = ClientConn::connect(addr, None).unwrap();
+    let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
+    conn.post(&cfg, &[IoSlice::new(b"<q/>")]).unwrap();
+    let reply = conn.read_reply(MAX_HEAD, MAX_BODY);
+    reply.map(|(_, _, body)| Some(body)).map_err(typed)
+}
+
+/// Also holds the pool to its half of the bargain: an accepted reply idles
+/// the connection, a refused one leaves nothing behind to be reused.
+fn through_pool_client(addr: SocketAddr) -> Result<Option<Vec<u8>>, HttpError> {
+    let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
+    let mut client = HttpPoolClient::new(addr, cfg, PoolConfig::default());
+    client.set_response_caps(MAX_HEAD, MAX_BODY);
+    let reply = client.call(&[IoSlice::new(b"<q/>")]);
+    assert_eq!(client.pool().idle_count(), usize::from(reply.is_ok()));
+    assert_eq!(client.pool().stats().created, 1, "a refusal is not retried");
+    reply.map(|r| Some(r.body)).map_err(typed)
+}
+
+/// With no response declared, an accepted reply is an empty value list.
+fn through_rpc_client(addr: SocketAddr) -> Result<Option<Vec<u8>>, HttpError> {
+    use bsoap::rpc::{RpcClient, RpcError};
+    use bsoap::{wsdl::ServiceDesc, EngineConfig, OpDesc, TypeDesc, Value};
+    let kind = TypeDesc::Scalar(bsoap::convert::ScalarKind::Int);
+    let service = ServiceDesc {
+        name: "Caps".into(),
+        namespace: "urn:caps".into(),
+        endpoint: "http://peer/caps".into(),
+        operations: vec![OpDesc::single("q", "urn:caps", "v", kind)],
+    };
+    let config = EngineConfig::paper_default().with_http_caps(MAX_HEAD, MAX_BODY);
+    let mut rpc = RpcClient::connect(service, addr, config).unwrap();
+    match rpc.call("q", &[Value::Int(1)]) {
+        Ok(values) => {
+            assert!(values.is_empty());
+            Ok(None)
+        }
+        Err(RpcError::Io(e)) => Err(typed(e)),
+        Err(other) => panic!("untyped refusal: {other:?}"),
+    }
+}
+
+#[test]
+fn every_reply_bound_holds_through_every_holder_of_the_connection() {
+    let consumers: [(&str, ReplyConsumer); 3] = [
+        ("ClientConn", through_client_conn),
+        ("HttpPoolClient::call", through_pool_client),
+        ("RpcClient::call", through_rpc_client),
+    ];
+    for row in reply_rows() {
+        for (who, consume) in consumers {
+            let against = |reply: &[u8]| {
+                let (addr, peer) = scripted_peer(reply.to_vec());
+                let got = consume(addr);
+                peer.join().unwrap();
+                got
+            };
+            match against(&row.ok) {
+                Ok(body) => assert!(
+                    body.is_none_or(|b| b == row.ok_body),
+                    "{who}: {} at the limit decoded a different body",
+                    row.name
+                ),
+                Err(e) => panic!("{who}: {} at the limit: {e}", row.name),
+            }
+            assert_eq!(
+                against(&row.bad),
+                Err(row.err.clone()),
+                "{who}: {} past it",
+                row.name
+            );
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! decoder's bounds themselves are attacked in `cap_table.rs`.
 
 use bsoap_transport::http::{
-    parse_request_head, read_response, read_response_limited, HttpVersion, RequestConfig,
+    parse_request_head, post_gather_vectored, read_response, read_response_limited, HttpVersion,
+    PostScratch, RequestConfig,
 };
 use bsoap_transport::stream::{read_head, ChunkedBodyReader, ChunkedBodyWriter};
 use proptest::prelude::*;
@@ -103,13 +104,13 @@ fn writer_reader_round_trip() {
 #[test]
 fn wire_format_matches_buffered_encoder() {
     // The streaming writer must be byte-identical to what the buffered
-    // post_gather path would emit for the same portion list.
+    // post_gather_vectored path emits for the same portion list.
     let portions: &[&[u8]] = &[b"hello", b" ", b"world"];
     let wire = stream_out(portions);
     let cfg = RequestConfig::loopback(HttpVersion::Http11Chunked);
     let mut expect = Vec::new();
     let slices: Vec<IoSlice<'_>> = portions.iter().map(|p| IoSlice::new(p)).collect();
-    bsoap_transport::http::post_gather(&mut expect, &cfg, &slices, &mut Vec::new()).unwrap();
+    post_gather_vectored(&mut expect, &cfg, &slices, &mut PostScratch::default()).unwrap();
     assert_eq!(wire, expect);
 }
 

@@ -320,7 +320,9 @@ fn breaker_half_open_admits_exactly_one_probe() {
 /// connections wait in the listen backlog, none is refused or dropped.
 #[test]
 fn overloaded_server_queues_every_client_on_both_cores() {
-    use bsoap_transport::http::{post_gather, read_response, HttpVersion, RequestConfig};
+    use bsoap_transport::http::{
+        post_gather_vectored, read_response, HttpVersion, PostScratch, RequestConfig,
+    };
     use bsoap_transport::{supported_cores, ServerMode, ServerOptions, TestServer};
     use std::io::{IoSlice, Write};
 
@@ -348,8 +350,8 @@ fn overloaded_server_queues_every_client_on_both_cores() {
                         let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
                         for r in 0..reqs_per_conn {
                             let body = format!("<m>client {i} req {r}</m>");
-                            let mut scratch = Vec::new();
-                            post_gather(
+                            let mut scratch = PostScratch::default();
+                            post_gather_vectored(
                                 &mut s,
                                 &cfg,
                                 &[IoSlice::new(body.as_bytes())],
@@ -384,18 +386,20 @@ fn overloaded_server_queues_every_client_on_both_cores() {
 #[test]
 fn connection_sweep_scales_on_the_event_loop_only() {
     use bsoap_obs::{Counter, Metrics};
-    use bsoap_transport::http::{post_gather, read_response, HttpVersion, RequestConfig};
+    use bsoap_transport::http::{
+        post_gather_vectored, read_response, HttpVersion, PostScratch, RequestConfig,
+    };
     use bsoap_transport::{supported_cores, ServerCore, ServerMode, ServerOptions, TestServer};
     use std::io::{IoSlice, Write};
 
     const CONNS: usize = 12;
     const WORKERS: usize = 3;
     let mut probe = Vec::new();
-    post_gather(
+    post_gather_vectored(
         &mut probe,
         &RequestConfig::loopback(HttpVersion::Http11Length),
         &[IoSlice::new(b"<probe/>")],
-        &mut Vec::new(),
+        &mut PostScratch::default(),
     )
     .unwrap();
 

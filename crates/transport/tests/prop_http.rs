@@ -4,7 +4,7 @@
 //! against a pathological writer (1–3 bytes per call, injected EINTR).
 
 use bsoap_transport::http::{
-    post_gather, post_gather_vectored, HttpVersion, PostScratch, RequestConfig, RequestReader,
+    post_gather_vectored, HttpVersion, PostScratch, RequestConfig, RequestReader,
 };
 use proptest::prelude::*;
 use std::io::{self, IoSlice, Write};
@@ -102,8 +102,8 @@ proptest! {
         let slices: Vec<IoSlice<'_>> = parts.iter().map(|p| IoSlice::new(p)).collect();
         let cfg = RequestConfig::loopback(version);
         let mut wire = Vec::new();
-        let mut scratch = Vec::new();
-        post_gather(&mut wire, &cfg, &slices, &mut scratch).unwrap();
+        let mut scratch = PostScratch::default();
+        post_gather_vectored(&mut wire, &cfg, &slices, &mut scratch).unwrap();
 
         let mut reader = RequestReader::new(&wire[..]);
         let (head, got) = reader.next_request().unwrap().expect("one request");
@@ -122,10 +122,10 @@ proptest! {
     ) {
         let cfg = RequestConfig::loopback(version);
         let mut wire = Vec::new();
-        let mut scratch = Vec::new();
+        let mut scratch = PostScratch::default();
         for b in &bodies {
             let slices = [IoSlice::new(b.as_slice())];
-            post_gather(&mut wire, &cfg, &slices, &mut scratch).unwrap();
+            post_gather_vectored(&mut wire, &cfg, &slices, &mut scratch).unwrap();
         }
         let mut reader = RequestReader::new(&wire[..]);
         for want in &bodies {
@@ -135,10 +135,10 @@ proptest! {
         prop_assert!(reader.next_request().unwrap().is_none());
     }
 
-    /// The zero-copy vectored POST produces the exact bytes of the
-    /// flattened/sequential path for every body, split, and version —
-    /// even through a writer that takes 1–3 bytes per call and injects
-    /// `Interrupted` errors mid-drain.
+    /// The zero-copy vectored POST puts the same bytes on the wire through
+    /// a writer that takes 1–3 bytes per call and injects `Interrupted`
+    /// errors mid-drain as through one that takes everything at once, for
+    /// every body, split, and version — and they decode back to the body.
     #[test]
     fn vectored_post_byte_identical_under_dribble_and_eintr(
         body in proptest::collection::vec(any::<u8>(), 0..1024),
@@ -151,14 +151,15 @@ proptest! {
         let cfg = RequestConfig::loopback(version);
 
         let mut flat = Vec::new();
-        let mut head_scratch = Vec::new();
-        let want = post_gather(&mut flat, &cfg, &slices, &mut head_scratch).unwrap();
+        let mut scratch = PostScratch::default();
+        let want = post_gather_vectored(&mut flat, &cfg, &slices, &mut scratch).unwrap();
 
         let mut w = InterruptingDribbler::new(interrupt_every);
-        let mut scratch = PostScratch::default();
         let got = post_gather_vectored(&mut w, &cfg, &slices, &mut scratch).unwrap();
         prop_assert_eq!(got, want);
-        prop_assert_eq!(w.out, flat);
+        prop_assert_eq!(&w.out, &flat);
+        let (_, decoded) = RequestReader::new(&w.out[..]).next_request().unwrap().expect("request");
+        prop_assert_eq!(decoded, body);
     }
 
     #[test]
@@ -320,8 +321,8 @@ proptest! {
     ) {
         let cfg = RequestConfig::loopback(version);
         let mut wire = Vec::new();
-        let mut scratch = Vec::new();
-        post_gather(&mut wire, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
+        let mut scratch = PostScratch::default();
+        post_gather_vectored(&mut wire, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
         let keep = ((wire.len() as f64) * keep_fraction) as usize;
         let mut reader = RequestReader::new(&wire[..keep]);
         // Truncation yields Ok(None), Ok(Some) only when the cut landed

@@ -14,9 +14,9 @@
 //!
 //! Run with: `cargo run --release --example mesh_exchange`
 
-use bsoap::transport::tcp::{Framing, TcpTransport};
 use bsoap::transport::{ServerMode, TestServer};
 use bsoap::{mio, Client, OpDesc, TypeDesc, Value};
+use std::net::TcpStream;
 use std::time::Instant;
 
 const CELLS: usize = 5_000;
@@ -25,7 +25,10 @@ const STEPS: usize = 40;
 fn main() {
     let server = TestServer::spawn(ServerMode::Discard).expect("bind loopback");
     println!("dummy server on {}", server.addr());
-    let mut transport = TcpTransport::connect(server.addr(), Framing::Raw).expect("connect");
+    // Raw framing, as the paper measures it: message bytes back to back
+    // on a `TCP_NODELAY` socket.
+    let mut transport = TcpStream::connect(server.addr()).expect("connect");
+    transport.set_nodelay(true).expect("TCP_NODELAY");
 
     let op = OpDesc::single(
         "exchangeBoundary",
@@ -73,7 +76,6 @@ fn main() {
     }
     let elapsed = t_total.elapsed();
 
-    transport.finish().unwrap();
     drop(transport);
     let server_stats = server.stop();
     let stats = client.stats();

@@ -16,8 +16,7 @@
 use bsoap::convert::ScalarKind;
 use bsoap::deser::{DiffDeserializer, DiffOutcome};
 use bsoap::transport::http::{HttpVersion, RequestConfig};
-use bsoap::transport::tcp::{Framing, TcpTransport};
-use bsoap::transport::{ServerMode, TestServer, Transport};
+use bsoap::transport::{ClientConn, ServerMode, TestServer};
 use bsoap::{OpDesc, ParamDesc, TypeDesc, Value, WidthPolicy};
 
 fn mcs_op() -> OpDesc {
@@ -62,7 +61,7 @@ fn main() {
         version: HttpVersion::Http11Length,
         extra_headers: Vec::new(),
     };
-    let mut transport = TcpTransport::connect(server.addr(), Framing::Http(cfg)).expect("connect");
+    let mut conn = ClientConn::connect(server.addr(), None).expect("connect");
 
     // Stuff numeric fields to full width so every request is a perfect
     // structural match (names are kept fixed-length for the same reason —
@@ -81,16 +80,15 @@ fn main() {
         ];
         client
             .call_via("http://mcs/svc", &op, &args, |slices| {
-                transport.send_message(slices)
+                conn.post(&cfg, slices)
             })
             .unwrap();
-        // Each POST gets a 200 ack; drain it to keep the connection clean.
-        let (status, _) = bsoap::transport::http::read_response(transport.stream()).unwrap();
+        // Each POST gets a 200 ack; read it before the next request.
+        let (status, _, _) = conn.read_reply(usize::MAX, usize::MAX).unwrap();
         assert_eq!(status, 200);
     }
     let client_stats = client.stats();
-    transport.finish().unwrap();
-    drop(transport);
+    drop(conn);
 
     // --- server side: replay the collected bodies through the
     //     differential deserializer ---

@@ -16,10 +16,10 @@
 
 use bsoap::convert::ScalarKind;
 use bsoap::server::{HttpServer, Service};
-use bsoap::transport::http::{post_gather, read_response, HttpVersion, RequestConfig};
+use bsoap::transport::http::{HttpVersion, RequestConfig};
+use bsoap::transport::ClientConn;
 use bsoap::{EngineConfig, MessageTemplate, OpDesc, ParamDesc, TypeDesc, Value, WidthPolicy};
 use std::io::IoSlice;
-use std::net::TcpStream;
 
 const PAGE: usize = 25;
 const CLIENTS: usize = 6;
@@ -81,8 +81,7 @@ fn main() {
                     version: HttpVersion::Http11Length,
                     extra_headers: Vec::new(),
                 };
-                let mut conn = TcpStream::connect(addr).expect("connect");
-                let mut scratch = Vec::new();
+                let mut conn = ClientConn::connect(addr, None).expect("connect");
                 let client_config = EngineConfig::paper_default();
                 for q in 0..QUERIES_PER_CLIENT {
                     // 70% hot query, 30% variants.
@@ -103,9 +102,8 @@ fn main() {
                     )
                     .expect("request build")
                     .to_bytes();
-                    post_gather(&mut conn, &cfg, &[IoSlice::new(&body)], &mut scratch)
-                        .expect("post");
-                    let (status, _) = read_response(&mut conn).expect("response");
+                    conn.post(&cfg, &[IoSlice::new(&body)]).expect("post");
+                    let (status, _, _) = conn.read_reply(usize::MAX, usize::MAX).expect("response");
                     assert_eq!(status, 200);
                 }
             })

@@ -12,8 +12,7 @@
 use bsoap::convert::ScalarKind;
 use bsoap::deser::DiffDeserializer;
 use bsoap::transport::http::{HttpVersion, RequestConfig};
-use bsoap::transport::tcp::{Framing, TcpTransport};
-use bsoap::transport::{ServerMode, TestServer, Transport};
+use bsoap::transport::{ClientConn, ServerMode, TestServer};
 use bsoap::wsdl::{parse_wsdl, write_wsdl, ServiceDesc};
 use bsoap::{Client, OpDesc, TypeDesc, Value};
 
@@ -52,7 +51,7 @@ fn main() {
         version: HttpVersion::Http11Length,
         extra_headers: Vec::new(),
     };
-    let mut transport = TcpTransport::connect(server.addr(), Framing::Http(cfg)).expect("connect");
+    let mut conn = ClientConn::connect(server.addr(), None).expect("connect");
     let mut client = Client::with_defaults();
 
     let mut samples: Vec<f64> = (0..256).map(|i| (i as f64 * 0.1).sin()).collect();
@@ -63,14 +62,13 @@ fn main() {
                 &svc.endpoint,
                 &op,
                 &[Value::DoubleArray(samples.clone())],
-                |s| transport.send_message(s),
+                |s| conn.post(&cfg, s),
             )
             .unwrap();
-        let (status, _) = bsoap::transport::http::read_response(transport.stream()).unwrap();
+        let (status, _, _) = conn.read_reply(usize::MAX, usize::MAX).unwrap();
         assert_eq!(status, 200);
     }
-    transport.finish().unwrap();
-    drop(transport);
+    drop(conn);
 
     // --- 3. The server parses against the same description ---
     let requests = server.stop_collecting();

@@ -7,10 +7,9 @@
 //! response is parsed against the operation's `{name}Response` schema.
 
 use crate::deser::DeserError;
-use crate::transport::http::{read_response_headers_limited, HttpVersion, RequestConfig};
+use crate::transport::http::{HttpVersion, RequestConfig};
 use crate::transport::negotiate::{Negotiator, HDR_FORMAT_LOWER};
-use crate::transport::tcp::{Framing, TcpTransport};
-use crate::transport::Transport;
+use crate::transport::ClientConn;
 use crate::wsdl::ServiceDesc;
 use crate::{Client, EngineConfig, EngineError, OpDesc, ParamDesc, SendReport, Value, WireFormat};
 use std::fmt;
@@ -49,7 +48,10 @@ impl std::error::Error for RpcError {}
 pub struct RpcClient {
     service: ServiceDesc,
     client: Client,
-    transport: TcpTransport,
+    conn: ClientConn,
+    /// The POST target; `soap_action` and `extra_headers` are rewritten
+    /// per call (the operation's action, the negotiator's offer).
+    request: RequestConfig,
     /// Response descriptors supplied per operation (the WSDL subset in
     /// this stack describes requests; responses follow the
     /// `{op}Response` convention and are registered explicitly).
@@ -76,21 +78,20 @@ impl RpcClient {
         addr: SocketAddr,
         config: EngineConfig,
     ) -> std::io::Result<Self> {
-        let cfg = RequestConfig {
+        let request = RequestConfig {
             path: "/".to_owned(),
             host: addr.ip().to_string(),
-            // Rewritten per call with the operation's action.
             soap_action: String::new(),
             version: HttpVersion::Http11Length,
             extra_headers: Vec::new(),
         };
-        let transport = TcpTransport::connect(addr, Framing::Http(cfg))?;
         // The engine's base lane stays XML; the negotiator upgrades the
         // endpoint via `set_endpoint_format` once the server agrees.
         Ok(RpcClient {
             service,
             client: Client::new(config.with_wire_format(WireFormat::SoapXml)),
-            transport,
+            conn: ClientConn::connect(addr, None)?,
+            request,
             response_descs: Vec::new(),
             negotiator: Negotiator::new(config.wire_format.negotiated()),
         })
@@ -173,26 +174,24 @@ impl RpcClient {
         op: &OpDesc,
         args: &[Value],
     ) -> Result<(u16, Vec<(String, String)>, Vec<u8>, SendReport), RpcError> {
+        // Before the template is touched: a desynchronised stream cannot
+        // carry this call, and that is no verdict on the endpoint's lane.
+        self.conn.in_step().map_err(RpcError::Io)?;
         self.sync_endpoint_format();
-        let action = self.service.soap_action(&op.name);
-        let endpoint = self.service.endpoint.clone();
-        let transport = &mut self.transport;
-        transport.set_soap_action(&action);
-        transport.set_extra_headers(self.negotiator.request_headers());
+        self.request.soap_action = self.service.soap_action(&op.name);
+        self.request.extra_headers = self.negotiator.request_headers();
+        let (conn, request) = (&mut self.conn, &self.request);
         let report = self
             .client
-            .call_via(&endpoint, op, args, |slices| transport.send_message(slices))
+            .call_via(&self.service.endpoint, op, args, |s| conn.post(request, s))
             .map_err(RpcError::Send)?;
         // A reply is wire input like any request: past the caps it is a
         // typed `TooLarge` (kind `InvalidData`), not a buffer that grows
         // for as long as the peer keeps streaming.
         let config = self.client.config();
-        let (status, headers, body) = read_response_headers_limited(
-            self.transport.stream(),
-            config.max_head_bytes,
-            config.max_body_bytes,
-        )
-        .map_err(RpcError::Io)?;
+        let (status, headers, body) = conn
+            .read_reply(config.max_head_bytes, config.max_body_bytes)
+            .map_err(RpcError::Io)?;
         Ok((status, headers, body, report))
     }
 
@@ -486,8 +485,12 @@ mod tests {
     }
 
     /// A peer that answers every request on one keep-alive connection
-    /// with `body` under `Content-Length` framing.
-    fn spawn_fixed_reply_peer(body: Vec<u8>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    /// with `body` under `Content-Length` framing, then `junk`, in one
+    /// write.
+    fn spawn_fixed_reply_peer(
+        body: Vec<u8>,
+        junk: &'static [u8],
+    ) -> (SocketAddr, std::thread::JoinHandle<()>) {
         use crate::transport::http::RequestReader;
         use std::io::Write;
         let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -496,15 +499,60 @@ mod tests {
             let (mut stream, _) = listener.accept().unwrap();
             let mut requests = RequestReader::new(stream.try_clone().unwrap());
             let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", body.len());
+            let reply = [head.as_bytes(), &body, junk].concat();
             while let Ok(Some(_)) = requests.next_request() {
                 // The client hangs up without reading a body it has
                 // already refused; that is the point, not a peer failure.
-                if stream.write_all(head.as_bytes()).is_err() || stream.write_all(&body).is_err() {
+                if stream.write_all(&reply).is_err() {
                     break;
                 }
             }
         });
         (addr, peer)
+    }
+
+    #[test]
+    fn stray_bytes_after_a_reply_fail_the_next_call() {
+        let (desc, _) = scale_service();
+        let (addr, peer) = spawn_fixed_reply_peer(Vec::new(), b"junk");
+        let mut rpc = RpcClient::connect(desc, addr, EngineConfig::paper_default()).unwrap();
+        // The reply itself is whole (no declared response: no values).
+        let args = [Value::DoubleArray(vec![1.0])];
+        assert_eq!(rpc.call("scale", &args).unwrap(), vec![]);
+        match rpc.call("scale", &args) {
+            Err(RpcError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                assert_eq!(e.to_string(), "unsolicited bytes before request");
+            }
+            other => panic!("a desynchronised stream must not carry a call: {other:?}"),
+        }
+        drop(rpc);
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn reply_buffer_is_per_connection() {
+        let (desc, svc) = scale_service();
+        let server = HttpServer::spawn(svc).unwrap();
+        let mut rpc =
+            RpcClient::connect(desc, server.addr(), EngineConfig::paper_default()).unwrap();
+        let args = [Value::DoubleArray(vec![1.5, 2.5])];
+        assert_eq!(rpc.conn.reply_buf().capacity(), 0, "no reply, no buffer");
+        rpc.call("scale", &args).unwrap();
+        // A fully consumed window rewinds to the allocation's first byte.
+        let buffer = |rpc: &RpcClient| {
+            let buf = rpc.conn.reply_buf();
+            assert!(buf.window().is_empty());
+            (buf.window().as_ptr(), buf.capacity())
+        };
+        let first = buffer(&rpc);
+        assert!(first.1 > 0);
+        for call in 1..1000 {
+            rpc.call("scale", &args).unwrap();
+            assert_eq!(buffer(&rpc), first, "call {call}");
+        }
+        drop(rpc);
+        server.stop();
     }
 
     #[test]
@@ -528,7 +576,7 @@ mod tests {
         for body_len in [CAP, CAP + 1] {
             let mut body = reply.clone();
             body.resize(body_len, b' ');
-            let (addr, peer) = spawn_fixed_reply_peer(body);
+            let (addr, peer) = spawn_fixed_reply_peer(body, b"");
             let mut rpc = RpcClient::connect(desc.clone(), addr, config).unwrap();
             rpc.declare_response("scale", ys.clone());
             match rpc.call("scale", &[Value::DoubleArray(vec![1.0])]) {

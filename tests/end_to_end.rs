@@ -10,9 +10,8 @@ use bsoap::baseline::GSoapLike;
 use bsoap::convert::ScalarKind;
 use bsoap::deser::{parse_envelope, DiffDeserializer, DiffOutcome};
 use bsoap::transport::http::{HttpVersion, RequestConfig};
-use bsoap::transport::tcp::{Framing, TcpTransport};
 use bsoap::transport::{
-    supported_cores, ServerCore, ServerMode, ServerOptions, TestServer, Transport,
+    supported_cores, ClientConn, ServerCore, ServerMode, ServerOptions, TestServer,
 };
 use bsoap::xml::strip_pad;
 use bsoap::{
@@ -51,7 +50,8 @@ fn raw_tcp_bytes_match_fresh_serialization() {
         let mut expected_total = 0u64;
         // One connection per lane into the same byte-counting server.
         for format in WireFormat::ALL {
-            let mut t = TcpTransport::connect(server.addr(), Framing::Raw).unwrap();
+            let mut t = std::net::TcpStream::connect(server.addr()).unwrap();
+            t.set_nodelay(true).unwrap();
             let op = doubles_op();
             let mut client = lane_client(format);
 
@@ -74,7 +74,6 @@ fn raw_tcp_bytes_match_fresh_serialization() {
                     vec![Value::DoubleArray(xs.clone())]
                 );
             }
-            t.finish().unwrap();
         }
         let stats = server.stop();
         assert_eq!(stats.bytes_received, expected_total, "core {core:?}");
@@ -86,7 +85,7 @@ fn http_collect_round_trip_all_tiers() {
     for &core in supported_cores() {
         let server = TestServer::spawn_with(ServerMode::Collect, opts_on(core)).unwrap();
         let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
-        let mut t = TcpTransport::connect(server.addr(), Framing::Http(cfg)).unwrap();
+        let mut t = ClientConn::connect(server.addr(), None).unwrap();
         let op = doubles_op();
         let mut client = Client::new(EngineConfig::paper_default());
 
@@ -107,14 +106,13 @@ fn http_collect_round_trip_all_tiers() {
         for (xs, want) in sequences.iter().zip(expected_tiers) {
             let r = client
                 .call_via("http://svc", &op, &[Value::DoubleArray(xs.clone())], |s| {
-                    t.send_message(s)
+                    t.post(&cfg, s)
                 })
                 .unwrap();
             assert_eq!(r.tier, want, "core {core:?}");
-            let (status, _) = bsoap::transport::http::read_response(t.stream()).unwrap();
+            let (status, _, _) = t.read_reply(usize::MAX, usize::MAX).unwrap();
             assert_eq!(status, 200, "core {core:?}");
         }
-        t.finish().unwrap();
         drop(t);
 
         let requests = server.stop_collecting();
@@ -134,7 +132,7 @@ fn chunked_http_streams_multi_chunk_templates() {
     for &core in supported_cores() {
         let server = TestServer::spawn_with(ServerMode::Collect, opts_on(core)).unwrap();
         let cfg = RequestConfig::loopback(HttpVersion::Http11Chunked);
-        let mut t = TcpTransport::connect(server.addr(), Framing::Http(cfg)).unwrap();
+        let mut t = ClientConn::connect(server.addr(), None).unwrap();
         let config = EngineConfig::paper_default().with_chunk(bsoap::ChunkConfig {
             initial_size: 1024,
             split_threshold: 2048,
@@ -151,12 +149,11 @@ fn chunked_http_streams_multi_chunk_templates() {
                     "template should be multi-chunk, got {} slices",
                     s.len()
                 );
-                t.send_message(s)
+                t.post(&cfg, s)
             })
             .unwrap();
-        let (status, _) = bsoap::transport::http::read_response(t.stream()).unwrap();
+        let (status, _, _) = t.read_reply(usize::MAX, usize::MAX).unwrap();
         assert_eq!(status, 200, "core {core:?}");
-        t.finish().unwrap();
         drop(t);
 
         let requests = server.stop_collecting();
@@ -173,7 +170,7 @@ fn client_server_differential_deserialization_pipeline() {
     for &core in supported_cores() {
         let server = TestServer::spawn_with(ServerMode::Collect, opts_on(core)).unwrap();
         let cfg = RequestConfig::loopback(HttpVersion::Http10);
-        let mut t = TcpTransport::connect(server.addr(), Framing::Http(cfg)).unwrap();
+        let mut t = ClientConn::connect(server.addr(), None).unwrap();
         let op = OpDesc::single("m", "urn:x", "a", TypeDesc::array_of(TypeDesc::mio()));
         let mut client = Client::new(EngineConfig::paper_default().with_width(WidthPolicy::Max));
 
@@ -185,14 +182,11 @@ fn client_server_differential_deserialization_pipeline() {
                 elems[step * 7 % 50].2 += 1.0;
             }
             client
-                .call_via("http://svc", &op, &[as_value(&elems)], |s| {
-                    t.send_message(s)
-                })
+                .call_via("http://svc", &op, &[as_value(&elems)], |s| t.post(&cfg, s))
                 .unwrap();
-            let (status, _) = bsoap::transport::http::read_response(t.stream()).unwrap();
+            let (status, _, _) = t.read_reply(usize::MAX, usize::MAX).unwrap();
             assert_eq!(status, 200, "core {core:?}");
         }
-        t.finish().unwrap();
         drop(t);
 
         let requests = server.stop_collecting();
