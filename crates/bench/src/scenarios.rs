@@ -609,7 +609,7 @@ mod tests {
                     (Some(tpl), Some(p)) => {
                         touch_percent(tpl, Kind::Doubles, p);
                         let report = tpl.send(&mut sink).unwrap();
-                        (report.tier.obs(), 0u64)
+                        (report.tier, 0u64)
                     }
                     _ => {
                         // Full serialization: rebuild every time, which
@@ -617,7 +617,7 @@ mod tests {
                         let mut tpl = MessageTemplate::build(config, &op, &args).unwrap();
                         tpl.set_metrics(Arc::clone(&metrics));
                         let report = tpl.send(&mut sink).unwrap();
-                        (report.tier.obs(), report.bytes as u64)
+                        (report.tier, report.bytes as u64)
                     }
                 };
                 let after = metrics.snapshot();

@@ -2,9 +2,13 @@
 //!
 //! "When called upon to make an outcall, the client stub determines
 //! whether parts or all of the last copy of the same message type can be
-//! reused" (§3.1). [`Client::call`] is that stub: it checks the saved
-//! template out of the [`TemplateStore`], diffs the new arguments against
-//! it, resizes on a length mismatch, and sends through the cheapest tier.
+//! reused" (§3.1). [`Client::call`] is that stub, and it is thin: it names
+//! the template (tenant, endpoint, structure, lane), hands the call to the
+//! one tiered send ([`TemplateStore::send`], shared with the server's
+//! response path) and settles the outcome — `ClientStats`, `BytesSent`,
+//! the latency histogram and the degraded-mode ladder, all of which move
+//! only once the transport took the bytes ([`crate::send`] states the
+//! whole accounting rule).
 //!
 //! Two §6 ("Future Work") refinements are opt-in:
 //!
@@ -22,8 +26,8 @@ use crate::error::EngineError;
 use crate::overlay::{max_element_bytes, OverlayReport, OverlaySender};
 use crate::schema::{OpDesc, TypeDesc};
 use crate::sendv::write_all_vectored;
-use crate::store::{Checkout, StoreKey, TemplateStore};
-use crate::template::{MessageTemplate, SendReport, SendTier};
+use crate::store::{StoreKey, TemplateStore};
+use crate::template::{SendReport, SendTier};
 use crate::value::Value;
 use bsoap_obs::{Counter, HistId, Metrics, Recorder, TraceKind};
 use std::collections::HashMap;
@@ -58,14 +62,14 @@ impl ClientStats {
         self.first_time + self.content_match + self.perfect_structural + self.partial_structural
     }
 
-    fn record(&mut self, report: &SendReport) {
-        match report.tier {
+    fn record(&mut self, tier: SendTier, bytes: usize) {
+        match tier {
             SendTier::FirstTime => self.first_time += 1,
             SendTier::ContentMatch => self.content_match += 1,
             SendTier::PerfectStructural => self.perfect_structural += 1,
             SendTier::PartialStructural => self.partial_structural += 1,
         }
-        self.bytes_sent += report.bytes as u64;
+        self.bytes_sent += bytes as u64;
     }
 }
 
@@ -109,11 +113,6 @@ pub struct Client {
     store: Option<Arc<TemplateStore>>,
     /// Tenant this client's templates are charged to in the shared store.
     tenant: u64,
-    /// Templates checked out of the shared store for in-place mutation
-    /// ([`Client::template_mut`] / [`Client::prepare`]). Returned to the
-    /// store at the next tiered call on the same key; their bytes left
-    /// the store budget at lease time.
-    leases: HashMap<TemplateKey, MessageTemplate>,
     /// Overlay-window bytes currently reserved against the shared store's
     /// budget, per key.
     overlay_reserved: HashMap<TemplateKey, u64>,
@@ -136,7 +135,6 @@ impl Client {
             overlays: HashMap::new(),
             store: None,
             tenant: 0,
-            leases: HashMap::new(),
             overlay_reserved: HashMap::new(),
             endpoint_formats: HashMap::new(),
         }
@@ -195,31 +193,16 @@ impl Client {
         Arc::clone(self.store.as_ref().expect("just created"))
     }
 
-    fn store_key(&self, key: &TemplateKey) -> StoreKey {
-        StoreKey::new(self.tenant, key.clone())
-    }
-
     /// Total templates saved for this client. With an injected store this
-    /// counts the whole store (other clients' templates included) plus
-    /// this client's outstanding leases.
+    /// counts the whole store (other clients' templates included).
     pub fn template_count(&self) -> usize {
-        self.store.as_ref().map_or(0, |s| s.template_count()) + self.leases.len()
+        self.store.as_ref().map_or(0, |s| s.template_count())
     }
 
     /// Distinct `(endpoint, structure)` keys with at least one saved
-    /// template (stored or leased out).
+    /// template.
     pub fn cached_keys(&self) -> usize {
-        let in_store = self.store.as_ref().map_or(0, |s| s.len());
-        let leased_only = self
-            .leases
-            .keys()
-            .filter(|k| {
-                self.store
-                    .as_ref()
-                    .is_none_or(|s| !s.contains(&StoreKey::new(self.tenant, (*k).clone())))
-            })
-            .count();
-        in_store + leased_only
+        self.store.as_ref().map_or(0, |s| s.len())
     }
 
     /// Attach an observability registry. Every subsequent call records its
@@ -272,9 +255,10 @@ impl Client {
             .unwrap_or(self.config.wire_format)
     }
 
-    /// Template key for `(endpoint, op)` under the endpoint's format.
-    fn key_for(&self, endpoint: &str, op: &OpDesc) -> TemplateKey {
-        TemplateKey::for_format(endpoint, op, self.endpoint_format(endpoint))
+    /// Store key for `(endpoint, op)` under the endpoint's format.
+    fn key_for(&self, endpoint: &str, op: &OpDesc) -> StoreKey {
+        let format = self.endpoint_format(endpoint);
+        StoreKey::new(self.tenant, TemplateKey::for_format(endpoint, op, format))
     }
 
     /// Invoke `op` on `endpoint` with `args`, sending the message to
@@ -308,27 +292,52 @@ impl Client {
     {
         let call_start = self.metrics.as_ref().map(|m| m.now_ns());
         // Degraded mode: stateless full serialization every call, no
-        // template retained. Counted as a first-time send plus
-        // `DegradedSends`.
+        // template looked up or retained (`cap` 0). Counted as a
+        // first-time send plus `DegradedSends`.
         let degraded = self.is_degraded(endpoint);
-        let out = if degraded {
-            self.full_send(self.endpoint_format(endpoint), op, args, send, None)
-        } else {
-            self.call_tiered(endpoint, op, args, send)
-        };
-        match &out {
-            Ok(report) => {
-                self.stats.record(report);
-                if degraded {
-                    self.stats.degraded_sends += 1;
-                }
+        let cap = if degraded { 0 } else { self.templates_per_key };
+        let out = self.store_handle().send(
+            &self.key_for(endpoint, op),
+            &self.config,
+            self.metrics.as_ref(),
+            op,
+            args,
+            cap,
+            self.share_across_endpoints,
+            send,
+        );
+        let out = out.map(|(report, cloned)| {
+            self.stats.shared_clones += u64::from(cloned);
+            report
+        });
+        let sent = out.as_ref().map(|r| (r.tier, r.bytes));
+        self.settle(endpoint, op, call_start, degraded, sent);
+        out
+    }
+
+    /// The delivery half of the accounting rule ([`crate::send`]), shared
+    /// by tiered and overlaid calls: `ClientStats`, `BytesSent` and the
+    /// per-tier latency observation move only when the transport took the
+    /// bytes; a transport failure moves the degraded-mode ladder instead.
+    fn settle(
+        &mut self,
+        endpoint: &str,
+        op: &OpDesc,
+        call_start: Option<u64>,
+        degraded: bool,
+        sent: Result<(SendTier, usize), &EngineError>,
+    ) {
+        match sent {
+            Ok((tier, bytes)) => {
+                self.stats.record(tier, bytes);
+                self.stats.degraded_sends += u64::from(degraded);
                 if let Some(m) = &self.metrics {
                     if degraded {
                         m.add(Counter::DegradedSends, 1);
                     }
-                    m.add(Counter::BytesSent, report.bytes as u64);
+                    m.add(Counter::BytesSent, bytes as u64);
                     let elapsed = m.now_ns().saturating_sub(call_start.unwrap_or(0));
-                    m.observe_ns(HistId::send(report.tier.obs()), elapsed);
+                    m.observe_ns(HistId::send(tier), elapsed);
                 }
                 self.note_send_success(endpoint);
             }
@@ -344,7 +353,6 @@ impl Client {
             // endpoint's health.
             Err(_) => {}
         }
-        out
     }
 
     /// Whether the overlay path would engage for this call: a
@@ -433,45 +441,24 @@ impl Client {
             sender.set_metrics(m);
         }
         let out = sender.send_portions(&args[0], portion);
-        match &out {
-            Ok(report) => {
-                match report.tier {
-                    SendTier::FirstTime => self.stats.first_time += 1,
-                    SendTier::PerfectStructural => self.stats.perfect_structural += 1,
-                    // Overlay sends realize only the two tiers above.
-                    SendTier::ContentMatch => self.stats.content_match += 1,
-                    SendTier::PartialStructural => self.stats.partial_structural += 1,
+        if let Ok(report) = &out {
+            // Charge the cached window fragment to the store's budget
+            // (reserved, non-evictable — it is the overlaid region's
+            // saved copy), reconciling as the peak moves.
+            let window_now = report.window_bytes as u64;
+            let reserved = self.overlay_reserved.get(&key).copied().unwrap_or(0);
+            if window_now != reserved {
+                let store = self.store_handle();
+                if window_now > reserved {
+                    store.reserve(self.tenant, window_now - reserved);
+                } else {
+                    store.release(self.tenant, reserved - window_now);
                 }
-                self.stats.bytes_sent += report.bytes as u64;
-                if let Some(m) = &self.metrics {
-                    m.add(Counter::send(report.tier.obs()), 1);
-                    m.add(Counter::SimdKernelHits, bsoap_kernels::take_simd_hits());
-                    m.add(Counter::ValuesWritten, report.values_written as u64);
-                    m.add(Counter::BytesSent, report.bytes as u64);
-                    let elapsed = m.now_ns().saturating_sub(call_start.unwrap_or(0));
-                    m.observe_ns(HistId::send(report.tier.obs()), elapsed);
-                }
-                // Charge the cached window fragment to the store's budget
-                // (reserved, non-evictable — it is the overlaid region's
-                // saved copy), reconciling as the peak moves.
-                let window_now = report.window_bytes as u64;
-                let reserved = self.overlay_reserved.get(&key).copied().unwrap_or(0);
-                if window_now != reserved {
-                    let store = self.store_handle();
-                    if window_now > reserved {
-                        store.reserve(self.tenant, window_now - reserved);
-                    } else {
-                        store.release(self.tenant, reserved - window_now);
-                    }
-                    self.overlay_reserved.insert(key.clone(), window_now);
-                }
-                self.note_send_success(endpoint);
+                self.overlay_reserved.insert(key, window_now);
             }
-            Err(EngineError::Io(_) | EngineError::DeadlineExceeded) => {
-                self.note_send_failure(endpoint, op);
-            }
-            Err(_) => {}
         }
+        let sent = out.as_ref().map(|r| (r.tier, r.bytes));
+        self.settle(endpoint, op, call_start, false, sent);
         out
     }
 
@@ -519,12 +506,11 @@ impl Client {
             // any overlay window fragment) so a possibly
             // poisoned-by-the-peer diff state can't linger.
             let key = self.key_for(endpoint, op);
-            self.leases.remove(&key);
             // Overlay senders always live on the XML lane (streamed sends
             // are not negotiated), so their bookkeeping is keyed XML.
             let xml_key = TemplateKey::new(endpoint, op);
             if let Some(store) = &self.store {
-                store.purge(&StoreKey::new(self.tenant, key.clone()));
+                store.purge(&key);
                 if let Some(bytes) = self.overlay_reserved.remove(&xml_key) {
                     store.release(self.tenant, bytes);
                 }
@@ -536,226 +522,21 @@ impl Client {
         }
     }
 
-    /// The four-tier differential path. Templates move through the store
-    /// by value — checkout (bytes leave the budget), diff + send, admit
-    /// back (budget re-charged, evicting if over). Every exit path after a
-    /// hit re-admits the template except the cost fallback, which discards
-    /// it (its bytes already left the budget at the `checkout`).
-    fn call_tiered<F>(
-        &mut self,
-        endpoint: &str,
-        op: &OpDesc,
-        args: &[Value],
-        send: F,
-    ) -> Result<SendReport, EngineError>
-    where
-        F: FnOnce(&[std::io::IoSlice<'_>]) -> std::io::Result<usize>,
-    {
-        let key = self.key_for(endpoint, op);
-        let cap = self.templates_per_key;
-        let store = self.store_handle();
-        let skey = self.store_key(&key);
-
-        // Return any outstanding manual lease first so matching sees
-        // every variant.
-        if let Some(leased) = self.leases.remove(&key) {
-            store.admit(skey.clone(), leased, cap);
-        }
-
-        let mut send = Some(send);
-        let mut fell_back = false;
-        match store.checkout(&skey, args, cap) {
-            Checkout::Hit(mut tpl) => {
-                if let (Some(m), None) = (self.metrics.clone(), tpl.metrics()) {
-                    // Template predates set_metrics: attach lazily.
-                    tpl.set_metrics(m);
-                }
-                match diff_and_send(&self.config, &mut tpl, args, &mut send) {
-                    Ok(Some(report)) => {
-                        store.admit(skey, tpl, cap);
-                        return Ok(report);
-                    }
-                    Ok(None) => {
-                        // Cost fallback: the checkout already returned the
-                        // template's bytes to the budget; the discard only
-                        // records the eviction.
-                        store.note_discard(&tpl);
-                        if let Some(m) = &self.metrics {
-                            m.add(Counter::CostFallbacks, 1);
-                        }
-                        fell_back = true;
-                    }
-                    Err(e) => {
-                        // Semantic and transport errors alike leave the
-                        // template saved.
-                        store.admit(skey, tpl, cap);
-                        return Err(e);
-                    }
-                }
-            }
-            Checkout::MissEmpty if self.share_across_endpoints => {
-                if let Some(mut tpl) = store.find_shareable(&skey) {
-                    // §6 sharing: clone the sibling's serialized bytes +
-                    // DUT and diff (tenant- and format-scoped).
-                    if let (Some(m), None) = (self.metrics.clone(), tpl.metrics()) {
-                        tpl.set_metrics(m);
-                    }
-                    tpl.update_args(args)?;
-                    let mut report = tpl.flush();
-                    report.bytes = (send.take().expect("send unused"))(&tpl.io_slices())?;
-                    self.stats.shared_clones += 1;
-                    store.admit(skey, tpl, cap);
-                    return Ok(report);
-                }
-            }
-            Checkout::MissEmpty | Checkout::MissVariant => {}
-        }
-        // First-Time Send: nothing saved serves the call (or the cost gate
-        // just discarded what was).
-        let send = send.take().expect("send unused");
-        let mut report = self.full_send(key.format, op, args, send, Some((&store, skey)))?;
-        report.fell_back = fell_back;
-        Ok(report)
-    }
-
-    /// Full serialization: build, send, report `FirstTime`, tick. With
-    /// `save` this is the First-Time Send — the fresh template is admitted
-    /// into the store, "the negligible overhead of checking to see if a
-    /// stored copy exists and saving a pointer to it after it has been
-    /// created" (§3); without, the degraded-mode stateless send, which
-    /// drops it.
-    fn full_send<F>(
-        &mut self,
-        format: WireFormat,
-        op: &OpDesc,
-        args: &[Value],
-        send: F,
-        save: Option<(&TemplateStore, StoreKey)>,
-    ) -> Result<SendReport, EngineError>
-    where
-        F: FnOnce(&[std::io::IoSlice<'_>]) -> std::io::Result<usize>,
-    {
-        let mut tpl = MessageTemplate::build(self.config.with_wire_format(format), op, args)?;
-        let bytes = send(&tpl.io_slices())?;
-        let report = SendReport {
-            tier: SendTier::FirstTime,
-            bytes,
-            values_written: tpl.leaf_count(),
-            shifts: 0,
-            steals: 0,
-            splits: 0,
-            fell_back: false,
-        };
-        if let Some(m) = &self.metrics {
-            m.add(Counter::send(bsoap_obs::Tier::FirstTime), 1);
-            m.add(format.send_counter(), 1);
-            m.add(Counter::SimdKernelHits, bsoap_kernels::take_simd_hits());
-            m.add(Counter::ValuesWritten, report.values_written as u64);
-        }
-        if let Some((store, skey)) = save {
-            if let Some(m) = &self.metrics {
-                tpl.set_metrics(Arc::clone(m));
-            }
-            store.admit(skey, tpl, self.templates_per_key);
-        }
-        Ok(report)
-    }
-
-    /// Get (building if necessary) the template for `(endpoint, op)` — the
-    /// manual fast path: mutate leaves directly with `set_*`, then
-    /// [`MessageTemplate::send`]. The template is leased out of the store
-    /// (bytes leave the budget) until the next tiered call on the same key
-    /// returns it.
-    ///
-    /// Note: sends made directly on the returned template are counted in
-    /// the template's own stats, not the client's.
-    pub fn prepare(
-        &mut self,
-        endpoint: &str,
-        op: &OpDesc,
-        args: &[Value],
-    ) -> Result<&mut MessageTemplate, EngineError> {
-        let key = self.key_for(endpoint, op);
-        if self.lease(&key).is_none() {
-            let config = self.config.with_wire_format(key.format);
-            let mut tpl = MessageTemplate::build(config, op, args)?;
-            if let Some(m) = &self.metrics {
-                tpl.set_metrics(Arc::clone(m));
-            }
-            self.leases.insert(key.clone(), tpl);
-        }
-        Ok(self.leases.get_mut(&key).expect("just leased"))
-    }
-
-    /// Look up an existing template without building (the most recently
-    /// used one, when several variants are kept). This leases the template
-    /// out of the store; the next tiered call on the same key returns it.
-    pub fn template_mut(&mut self, endpoint: &str, op: &OpDesc) -> Option<&mut MessageTemplate> {
-        let key = self.key_for(endpoint, op);
-        self.lease(&key)
-    }
-
-    /// The outstanding lease for `key`, taking one from the store's MRU
-    /// variant if none is held yet.
-    fn lease(&mut self, key: &TemplateKey) -> Option<&mut MessageTemplate> {
-        if !self.leases.contains_key(key) {
-            let store = self.store_handle();
-            if let Some(t) = store.lease_front(&self.store_key(key)) {
-                self.leases.insert(key.clone(), t);
-            }
-        }
-        self.leases.get_mut(key)
-    }
-
     /// Drop the saved template(s) for `(endpoint, op)` (memory
     /// reclamation).
     pub fn evict(&mut self, endpoint: &str, op: &OpDesc) -> bool {
         let key = self.key_for(endpoint, op);
-        let leased = self.leases.remove(&key).is_some();
-        let purged = match &self.store {
-            Some(store) => store.purge(&StoreKey::new(self.tenant, key)) > 0,
-            None => false,
-        };
-        purged || leased
+        self.store.as_ref().is_some_and(|s| s.purge(&key) > 0)
     }
 }
 
 impl Drop for Client {
     fn drop(&mut self) {
-        // Return overlay-window reservations to a shared store's budget;
-        // leased templates were uncharged at lease time, so dropping them
-        // with the client leaks no accounting.
+        // Return overlay-window reservations to a shared store's budget.
         if let Some(store) = &self.store {
             for (_, bytes) in self.overlay_reserved.drain() {
                 store.release(self.tenant, bytes);
             }
         }
     }
-}
-
-/// Diff a checked-out template against `args` and send: the tier-2/3/4
-/// body — plan, optional §5 gate, execute. `Ok(None)` means the break-even
-/// gate priced the patch above `fallback_ratio ×` the rebuild estimate
-/// before any byte moved, and the caller should discard the template and
-/// take the FirstTime path; errors propagate with the template intact (the
-/// caller decides where it lives).
-fn diff_and_send<F>(
-    config: &EngineConfig,
-    tpl: &mut MessageTemplate,
-    args: &[Value],
-    send: &mut Option<F>,
-) -> Result<Option<SendReport>, EngineError>
-where
-    F: FnOnce(&[std::io::IoSlice<'_>]) -> std::io::Result<usize>,
-{
-    tpl.update_args(args)?;
-    let plan = tpl.plan()?;
-    if config.cost_fallback
-        && plan.cost().total() as f64 > config.fallback_ratio * tpl.rebuild_estimate() as f64
-    {
-        return Ok(None);
-    }
-    let mut report = tpl.flush_planned(&plan)?;
-    report.bytes = (send.take().expect("send unused"))(&tpl.io_slices())?;
-    Ok(Some(report))
 }

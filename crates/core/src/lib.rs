@@ -41,6 +41,7 @@ pub mod lane;
 pub mod overlay;
 pub mod plan;
 pub mod schema;
+pub mod send;
 pub mod sendv;
 pub mod soap;
 pub mod store;

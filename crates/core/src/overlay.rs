@@ -15,6 +15,7 @@
 use crate::config::EngineConfig;
 use crate::error::EngineError;
 use crate::schema::{OpDesc, TypeDesc};
+use crate::send::count_serialized;
 use crate::sendv::write_all_vectored;
 use crate::soap;
 use crate::template::{MessageTemplate, SendTier};
@@ -269,6 +270,10 @@ impl OverlaySender {
             },
         };
         if let Some(m) = &self.metrics {
+            // Every portion is serialized: the overlaid send counts like
+            // any other (the fragments carry no registry, so their
+            // flushes left tier, values and SIMD hits for this fold).
+            count_serialized(m, self.config.wire_format, report.tier, values_written);
             m.add(Counter::OverlayPortions, report.portions as u64);
             m.add(Counter::OverlayBytesStreamed, report.bytes as u64);
             m.gauge(Gauge::OverlayWindowPeakBytes, report.window_bytes as u64);

@@ -110,8 +110,12 @@ impl TypeDesc {
 
     /// Check that `value` is an instance of this type.
     pub fn check(&self, value: &Value, at: &str) -> Result<(), EngineError> {
+        self.check_at(value, &At::Root(at))
+    }
+
+    fn check_at(&self, value: &Value, at: &At<'_>) -> Result<(), EngineError> {
         let mismatch = |expected: &'static str| EngineError::TypeMismatch {
-            at: at.to_owned(),
+            at: at.to_string(),
             expected,
             found: value.variant_name(),
         };
@@ -148,7 +152,7 @@ impl TypeDesc {
                         });
                     }
                     for (i, ((fname, ftype), v)) in fields.iter().zip(vals).enumerate() {
-                        ftype.check(v, &format!("{at}.{fname}[{i}]"))?;
+                        ftype.check_at(v, &At::Field(at, fname, i))?;
                     }
                     Ok(())
                 }
@@ -159,12 +163,33 @@ impl TypeDesc {
                 (Value::IntArray(_), TypeDesc::Scalar(ScalarKind::Int)) => Ok(()),
                 (Value::Array(elems), _) => {
                     for (i, e) in elems.iter().enumerate() {
-                        item.check(e, &format!("{at}[{i}]"))?;
+                        item.check_at(e, &At::Elem(at, i))?;
                     }
                     Ok(())
                 }
                 _ => Err(mismatch("Array")),
             },
+        }
+    }
+}
+
+/// Where in an argument list a check stands: a path borrowed down the
+/// recursion and rendered only when a mismatch is reported, so a check
+/// that passes — every send — formats and allocates nothing.
+enum At<'a> {
+    Root(&'a str),
+    Param(usize, &'a str),
+    Field(&'a At<'a>, &'a str, usize),
+    Elem(&'a At<'a>, usize),
+}
+
+impl std::fmt::Display for At<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            At::Root(at) => f.write_str(at),
+            At::Param(i, name) => write!(f, "param {i} ({name})"),
+            At::Field(at, name, i) => write!(f, "{at}.{name}[{i}]"),
+            At::Elem(at, i) => write!(f, "{at}[{i}]"),
         }
     }
 }
@@ -236,7 +261,7 @@ impl OpDesc {
             });
         }
         for (i, (p, a)) in self.params.iter().zip(args).enumerate() {
-            p.desc.check(a, &format!("param {i} ({})", p.name))?;
+            p.desc.check_at(a, &At::Param(i, &p.name))?;
         }
         Ok(())
     }

@@ -24,10 +24,12 @@
 //! Ownership moves through the store by value: [`TemplateStore::checkout`]
 //! removes the best-matching template (its bytes leave the budget
 //! immediately — a checked-out template a cost gate later discards can
-//! never strand budget), the caller diffs and sends, then
-//! [`TemplateStore::admit`] returns it. One checkout is one lookup:
-//! `TemplateHits + TemplateMisses` reconciles exactly with the number of
-//! checkouts.
+//! never strand budget), [`TemplateStore::send`] (the one tiered send,
+//! [`crate::send`]) diffs and sends it, then [`TemplateStore::admit`]
+//! returns it. One checkout is one lookup: `TemplateHits + TemplateMisses`
+//! reconciles exactly with the number of checkouts. `send` is the only
+//! product caller of the pair; [`TemplateStore::peek`] is the read-only
+//! look for everything else.
 
 use crate::cache::{TemplateKey, TemplateSet};
 use crate::template::MessageTemplate;
@@ -330,23 +332,12 @@ impl TemplateStore {
         out
     }
 
-    /// Remove and return the most recently used template under `key`
-    /// without consulting `args` — the lease the manual fast path
-    /// (`Client::template_mut` / `prepare`) takes. Not a send lookup:
-    /// ticks neither hits nor misses.
-    pub fn lease_front(&self, key: &StoreKey) -> Option<MessageTemplate> {
-        let mut g = self.shards[key.shard()].map.lock().unwrap();
-        let set = g.get_mut(key)?;
-        if set.is_empty() {
-            return None;
-        }
-        let tpl = set.remove(0);
-        if set.is_empty() {
-            g.remove(key);
-        }
-        drop(g);
-        self.sub_resident(key.tenant, tpl.message_len() as u64);
-        Some(tpl)
+    /// Look at the most recently used template under `key` without taking
+    /// it out: `look` runs under the shard lock on a shared reference.
+    /// Not a send lookup — ticks neither hits nor misses, moves no budget.
+    pub fn peek<R>(&self, key: &StoreKey, look: impl FnOnce(&MessageTemplate) -> R) -> Option<R> {
+        let g = self.shards[key.shard()].map.lock().unwrap();
+        g.get(key)?.templates().first().map(look)
     }
 
     /// Store `template` as the MRU variant under `key`, keeping at most

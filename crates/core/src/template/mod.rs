@@ -16,48 +16,13 @@ use crate::config::EngineConfig;
 use crate::dut::DutTable;
 use crate::error::EngineError;
 use crate::plan::InjectedFault;
-use crate::schema::{OpDesc, TypeDesc};
+use crate::schema::{OpDesc, ParamDesc, TypeDesc};
 use crate::value::{Scalar, Value};
 use bsoap_chunks::{ChunkStore, Loc};
+pub use bsoap_obs::Tier as SendTier;
 use bsoap_obs::{Counter, Metrics, Recorder};
 use std::io::Write;
 use std::sync::Arc;
-
-/// Which of the paper's four matching tiers a send used (§3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SendTier {
-    /// First-time send: full serialization, template built.
-    FirstTime,
-    /// Message content match: nothing dirty, bytes resent verbatim.
-    ContentMatch,
-    /// Perfect structural match: only dirty values rewritten in place.
-    PerfectStructural,
-    /// Partial structural match: array sizes changed; template expanded or
-    /// contracted before patching.
-    PartialStructural,
-}
-
-impl SendTier {
-    /// Human-readable tier name (matches the paper's terminology).
-    pub fn name(self) -> &'static str {
-        match self {
-            SendTier::FirstTime => "first-time send",
-            SendTier::ContentMatch => "message content match",
-            SendTier::PerfectStructural => "perfect structural match",
-            SendTier::PartialStructural => "partial structural match",
-        }
-    }
-
-    /// The observability-layer tier id for this tier.
-    pub fn obs(self) -> bsoap_obs::Tier {
-        match self {
-            SendTier::FirstTime => bsoap_obs::Tier::FirstTime,
-            SendTier::ContentMatch => bsoap_obs::Tier::ContentMatch,
-            SendTier::PerfectStructural => bsoap_obs::Tier::PerfectStructural,
-            SendTier::PartialStructural => bsoap_obs::Tier::PartialStructural,
-        }
-    }
-}
 
 /// Outcome of one send.
 #[derive(Clone, Copy, Debug)]
@@ -299,10 +264,20 @@ impl MessageTemplate {
     ///
     /// Returns the tier the next [`flush`](Self::flush) will use.
     pub fn update_args(&mut self, args: &[Value]) -> Result<SendTier, EngineError> {
-        self.op.clone().check_args(args)?;
+        self.op.check_args(args)?;
+        // The walk mutates the template while it reads the parameter
+        // list: lend the list out for the walk instead of cloning it.
+        let params = std::mem::take(&mut self.op.params);
+        let walked = self.diff_params(&params, args);
+        self.op.params = params;
+        walked?;
+        Ok(self.pending_tier())
+    }
+
+    fn diff_params(&mut self, params: &[ParamDesc], args: &[Value]) -> Result<(), EngineError> {
         let mut array_cursor = 0usize;
         let mut leaf_cursor = 0usize;
-        for (pidx, (param, arg)) in self.op.params.clone().iter().zip(args).enumerate() {
+        for (pidx, (param, arg)) in params.iter().zip(args).enumerate() {
             match &param.desc {
                 TypeDesc::Array { .. } => {
                     self.update_array(array_cursor, arg)?;
@@ -316,7 +291,7 @@ impl MessageTemplate {
                 }
             }
         }
-        Ok(self.pending_tier())
+        Ok(())
     }
 
     /// The tier the next flush will take, given current dirty/structure

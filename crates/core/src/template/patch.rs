@@ -24,6 +24,7 @@ use crate::config::KernelPolicy;
 use crate::dut::DutEntry;
 use crate::error::EngineError;
 use crate::plan::{InjectedFault, OpKind, PlannedOp, SendPlan};
+use crate::send::count_serialized;
 use bsoap_obs::{Counter, Recorder, TraceKind};
 
 /// Counters for one flush. [`MessageTemplate::finish_flush`] is the single
@@ -84,15 +85,12 @@ impl MessageTemplate {
         self.stats.shifted_bytes += counters.shifted_bytes;
 
         let churn = self.store.take_counters();
-        let simd_hits = bsoap_kernels::take_simd_hits();
         if let Some(m) = &self.metrics {
-            m.add(Counter::send(tier.obs()), 1);
-            m.add(self.config.wire_format.send_counter(), 1);
-            m.add(Counter::SimdKernelHits, simd_hits);
+            // The bytes exist: this is where a differential send counts.
+            count_serialized(m, self.config.wire_format, tier, counters.values_written);
             m.add(Counter::ChunkGrows, churn.grows);
             m.add(Counter::ChunkMerges, churn.merges);
             m.add(Counter::ChunkMovedBytes, churn.moved_bytes);
-            m.add(Counter::ValuesWritten, counters.values_written as u64);
             m.add(Counter::Shifts, counters.shifts as u64);
             m.add(Counter::Steals, counters.steals as u64);
             m.add(Counter::Splits, counters.splits as u64);
@@ -100,7 +98,7 @@ impl MessageTemplate {
             m.add(Counter::DutFixups, counters.dut_fixups);
             m.add(Counter::CoalescedShiftPasses, counters.coalesced_passes);
             m.trace(TraceKind::SendSpan {
-                tier: tier.obs(),
+                tier,
                 dirty: dirty as u64,
                 values_written: counters.values_written as u64,
                 shifted_bytes: counters.shifted_bytes,

@@ -56,18 +56,19 @@ pub enum ServerCore {
     EventLoop,
 }
 
-/// The four send tiers of the paper's matching hierarchy, mirrored here so
-/// the observability layer stays a leaf crate (core depends on obs, not
-/// the other way around).
+/// Which of the paper's four matching tiers a send used (§3). Defined
+/// here so the observability layer stays a leaf crate (core depends on
+/// obs, not the other way around); `bsoap_core::SendTier` is this type.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Tier {
-    /// Full serialization from scratch.
+    /// First-time send: full serialization, template built.
     FirstTime,
-    /// Saved message resent byte-for-byte.
+    /// Message content match: nothing dirty, bytes resent verbatim.
     ContentMatch,
-    /// Same structure; changed values rewritten in place.
+    /// Perfect structural match: only dirty values rewritten in place.
     PerfectStructural,
-    /// Structure changed; template regions shifted/regrown.
+    /// Partial structural match: array sizes changed; template expanded or
+    /// contracted before patching.
     PartialStructural,
 }
 
@@ -79,6 +80,16 @@ impl Tier {
         Tier::PerfectStructural,
         Tier::PartialStructural,
     ];
+
+    /// Human-readable tier name (matches the paper's terminology).
+    pub fn name(self) -> &'static str {
+        match self {
+            Tier::FirstTime => "first-time send",
+            Tier::ContentMatch => "message content match",
+            Tier::PerfectStructural => "perfect structural match",
+            Tier::PartialStructural => "partial structural match",
+        }
+    }
 
     /// Stable snake_case label (Prometheus `tier` label value).
     pub fn label(self) -> &'static str {

@@ -1,11 +1,10 @@
 //! Operation registry and the per-message dispatch pipeline.
 
 use bsoap_core::{
-    Checkout, EngineConfig, MessageTemplate, OpDesc, SendTier, StoreKey, TemplateKey,
-    TemplateStore, Value, WireFormat,
+    EngineConfig, OpDesc, SendTier, StoreKey, TemplateKey, TemplateStore, Value, WireFormat,
 };
 use bsoap_deser::{DeserError, DiffOutcome, LaneDeserializer};
-use bsoap_obs::{Counter, Metrics, Recorder};
+use bsoap_obs::Metrics;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
@@ -268,81 +267,55 @@ impl Service {
             let (args, outcome) = deser.deserialize(body).map_err(HandlerError::BadRequest)?;
             ((op.handler)(args), outcome)
         };
-        {
-            let mut stats = self.stats.lock();
-            match outcome {
-                DiffOutcome::Identical => stats.requests_identical += 1,
-                DiffOutcome::Differential { .. } => stats.requests_differential += 1,
-                DiffOutcome::FullParse => stats.requests_full_parse += 1,
-            }
-        }
-        let result = match result {
-            Ok(values) => values,
-            Err(msg) => {
-                self.stats.lock().faults += 1;
-                return Err(HandlerError::Fault(msg));
-            }
-        };
 
-        // 2. Differential serialization of the response, on the same
-        //    lane the request arrived on.
-        let (bytes, tier) = self.respond(op, &result, format)?;
-        {
-            let mut stats = self.stats.lock();
-            stats.requests += 1;
-            match tier {
-                SendTier::FirstTime => stats.responses_first += 1,
-                SendTier::ContentMatch => stats.responses_content += 1,
-                SendTier::PerfectStructural => stats.responses_perfect += 1,
-                SendTier::PartialStructural => stats.responses_partial += 1,
-            }
-        }
-        Ok((bytes, format))
-    }
+        // 2. Differential serialization of the response on the lane the
+        //    request arrived on: the one tiered send, delivering into the
+        //    response buffer. A cross-core hit if another service sharing
+        //    the store serialized this response last. Cap 1: one response
+        //    shape per operation and lane, resized in place.
+        let mut bytes = Vec::new();
+        let sent = result.map_err(HandlerError::Fault).and_then(|values| {
+            let deliver = |slices: &[std::io::IoSlice<'_>]| {
+                bytes.reserve_exact(slices.iter().map(|s| s.len()).sum());
+                slices.iter().for_each(|s| bytes.extend_from_slice(s));
+                Ok(bytes.len())
+            };
+            self.store
+                .send(
+                    &op.response_keys[format.index()],
+                    &self.config,
+                    self.metrics.as_ref(),
+                    &op.response,
+                    &values,
+                    1,
+                    false,
+                    deliver,
+                )
+                .map_err(HandlerError::Response)
+        });
 
-    /// Response serialization: checkout the response template from the
-    /// store (a cross-core hit if another service sharing the store
-    /// serialized this response last), diff it, admit it back. Cap 1: one
-    /// response shape per operation and lane, resized in place.
-    fn respond(
-        &self,
-        op: &Operation,
-        result: &[Value],
-        format: WireFormat,
-    ) -> Result<(Vec<u8>, SendTier), HandlerError> {
-        let skey = &op.response_keys[format.index()];
-        let (tpl, tier) = match self.store.checkout(skey, result, 1) {
-            Checkout::Hit(mut tpl) => {
-                if let (Some(m), None) = (&self.metrics, tpl.metrics()) {
-                    tpl.set_metrics(Arc::clone(m));
-                }
-                match tpl.update_args(result) {
-                    Ok(_) => {
-                        let tier = tpl.flush().tier;
-                        (tpl, tier)
-                    }
-                    Err(e) => {
-                        // A rejected update leaves the template resident.
-                        self.store.admit(skey.clone(), tpl, 1);
-                        return Err(HandlerError::Response(e));
-                    }
+        // 3. One stats fold per request, once its outcome is known.
+        let mut stats = self.stats.lock();
+        match outcome {
+            DiffOutcome::Identical => stats.requests_identical += 1,
+            DiffOutcome::Differential { .. } => stats.requests_differential += 1,
+            DiffOutcome::FullParse => stats.requests_full_parse += 1,
+        }
+        match &sent {
+            Ok((report, _)) => {
+                stats.requests += 1;
+                match report.tier {
+                    SendTier::FirstTime => stats.responses_first += 1,
+                    SendTier::ContentMatch => stats.responses_content += 1,
+                    SendTier::PerfectStructural => stats.responses_perfect += 1,
+                    SendTier::PartialStructural => stats.responses_partial += 1,
                 }
             }
-            Checkout::MissEmpty | Checkout::MissVariant => {
-                let config = self.config.with_wire_format(format);
-                let mut tpl = MessageTemplate::build(config, &op.response, result)
-                    .map_err(HandlerError::Response)?;
-                if let Some(m) = &self.metrics {
-                    tpl.set_metrics(Arc::clone(m));
-                    m.add(Counter::send(bsoap_obs::Tier::FirstTime), 1);
-                    m.add(format.send_counter(), 1);
-                }
-                (tpl, SendTier::FirstTime)
-            }
-        };
-        let bytes = tpl.to_bytes();
-        self.store.admit(skey.clone(), tpl, 1);
-        Ok((bytes, tier))
+            Err(HandlerError::Fault(_)) => stats.faults += 1,
+            Err(_) => {}
+        }
+        drop(stats);
+        sent.map(|_| (bytes, format))
     }
 
     /// Render a minimal SOAP 1.1 fault envelope.
@@ -365,7 +338,7 @@ impl Service {
 mod tests {
     use super::*;
     use bsoap_convert::ScalarKind;
-    use bsoap_core::{ParamDesc, TypeDesc};
+    use bsoap_core::{MessageTemplate, ParamDesc, TypeDesc};
 
     fn echo_service() -> Service {
         let mut svc = Service::new("urn:echo", EngineConfig::paper_default());

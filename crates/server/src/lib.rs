@@ -10,11 +10,14 @@
 //!   [`DiffDeserializer`](bsoap_deser::DiffDeserializer) — per-operation
 //!   reference messages let repeat callers skip full parsing (§6's
 //!   differential deserialization);
-//! * **Responses** are serialized through per-operation
-//!   [`MessageTemplate`](bsoap_core::MessageTemplate)s — a response whose
-//!   values match the previous one (to *any* client) is a content match,
-//!   and a same-shape response patches only changed values. This is the
-//!   §3.4 "Google and Amazon.com" scenario: "the XML Schema used for the
+//! * **Responses** are sent by the very function a client call is —
+//!   [`TemplateStore::send`](bsoap_core::TemplateStore::send), handing the
+//!   bytes to the response buffer instead of a socket — over
+//!   per-operation, per-lane templates in the service's store: a response
+//!   whose values match the previous one (to *any* client) is a content
+//!   match, a same-shape response patches only changed values, and both
+//!   sides tick the same counters under the same rule. This is the §3.4
+//!   "Google and Amazon.com" scenario: "the XML Schema used for the
 //!   responses … is always the same; only the values change."
 //!
 //! [`Service`] holds operation handlers; [`HttpServer`] runs it over

@@ -45,11 +45,11 @@ use std::time::Duration;
 use bsoap::baseline::GSoapLike;
 use bsoap::convert::ScalarKind;
 use bsoap::deser::parse_binary_envelope;
-use bsoap::obs::{Clock, Counter, EngineStats, HistId, Metrics, Tier, TraceKind, VirtualClock};
+use bsoap::obs::{Clock, Counter, EngineStats, HistId, Metrics, TraceKind, VirtualClock};
 use bsoap::xml::strip_pad;
 use bsoap::{
     write_all_vectored, AttemptFailure, Client, EngineConfig, EngineError, FaultPolicy, OpDesc,
-    Resilience, SendTier, TypeDesc, Value, WidthPolicy, WireFormat,
+    Resilience, SendTier, StoreKey, TemplateKey, TypeDesc, Value, WidthPolicy, WireFormat,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -253,12 +253,12 @@ enum Outcome {
 }
 
 /// Extends the tier reference model (`tests/tier_state_machine.rs`) with
-/// failure semantics: a differential flush counts its tier and values
-/// even when the subsequent wire write fails (the flush completed and
-/// the template holds the new bytes), while `BytesSent` and the latency
-/// histograms record only sends that reached the wire. First-time and
-/// degraded sends count nothing on failure (they error before their
-/// counter sites).
+/// failure semantics, under the one accounting rule (DESIGN §3.5): a send
+/// counts its tier, lane and values when its bytes exist — whatever tier
+/// it is, whatever the wire then does — while `BytesSent`, the latency
+/// histograms and `DegradedSends` record only sends the transport took. A
+/// template that existed keeps the new values after a failed write; a
+/// fresh one is saved only once delivered.
 struct ChaosModel {
     /// Bit patterns of the template contents; `None` = no template.
     saved: Option<Vec<u64>>,
@@ -271,9 +271,7 @@ struct ChaosModel {
     /// Differential flushes (each emits one `SendSpan` trace).
     diff_flushes: u64,
     /// Sends landed on the negotiated lane's `SendsXml`/`SendsBinary`
-    /// counter. Diff-tier sends tick at flush time (before the wire
-    /// write, so a failed wire still counts); first-time and degraded
-    /// sends tick only after a successful send.
+    /// counter: every serialized send, delivered or not.
     format_sends: u64,
     deadlines: u64,
     degraded_sends: u64,
@@ -346,76 +344,47 @@ impl ChaosModel {
     /// must report.
     fn step(&mut self, xs: &[f64], outcome: &Outcome) -> Option<SendTier> {
         let bits: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
-        let first_time_leaves = bits.len() as u64 + 1;
+        // Degraded: stateless full serialization, nothing looked up or
+        // kept (demotion already evicted the template).
+        let stateless = self.degrade_after > 0 && self.degraded;
 
-        if self.degrade_after > 0 && self.degraded {
-            // Stateless full-serialization send; template stays evicted.
-            return match outcome {
-                Outcome::Success { wire } => {
-                    self.tiers[Tier::FirstTime.index()] += 1;
-                    self.hist[Tier::FirstTime.index()] += 1;
-                    self.values_written += first_time_leaves;
-                    self.bytes_sent += wire;
-                    self.degraded_sends += 1;
-                    self.format_sends += 1;
-                    self.on_success_health();
-                    Some(SendTier::FirstTime)
-                }
-                Outcome::Fail { deadline } => {
-                    self.on_fail(*deadline);
-                    None
-                }
-            };
-        }
-
-        match self.saved.take() {
-            None => match outcome {
-                Outcome::Success { wire } => {
-                    self.tiers[Tier::FirstTime.index()] += 1;
-                    self.hist[Tier::FirstTime.index()] += 1;
-                    self.values_written += first_time_leaves;
-                    self.bytes_sent += wire;
-                    self.saved = Some(bits);
-                    self.format_sends += 1;
-                    self.on_success_health();
-                    Some(SendTier::FirstTime)
-                }
-                Outcome::Fail { deadline } => {
-                    // Failed before the template was saved: no counters.
-                    self.on_fail(*deadline);
-                    None
-                }
-            },
+        // Serialization: what it costs is decided by what is saved, and
+        // it is counted before the wire is asked.
+        let (tier, written) = match &self.saved {
+            None => (SendTier::FirstTime, bits.len() as u64 + 1),
             Some(old) => {
-                // The flush runs before the wire write: tier, values,
-                // and plan count regardless of the wire outcome, and the
-                // template now holds the new bytes.
                 self.plans += 1;
                 self.diff_flushes += 1;
-                self.format_sends += 1;
                 let changed = old.iter().zip(&bits).filter(|(o, n)| *o != *n).count() as u64;
-                let (tier, written) = if old.len() != bits.len() {
+                if old.len() != bits.len() {
                     (SendTier::PartialStructural, changed + 1)
                 } else if changed > 0 {
                     (SendTier::PerfectStructural, changed)
                 } else {
                     (SendTier::ContentMatch, 0)
-                };
-                self.tiers[tier.obs().index()] += 1;
-                self.values_written += written;
-                self.saved = Some(bits);
-                match outcome {
-                    Outcome::Success { wire } => {
-                        self.hist[tier.obs().index()] += 1;
-                        self.bytes_sent += wire;
-                        self.on_success_health();
-                        Some(tier)
-                    }
-                    Outcome::Fail { deadline } => {
-                        self.on_fail(*deadline);
-                        None
-                    }
                 }
+            }
+        };
+        self.tiers[tier.index()] += 1;
+        self.values_written += written;
+        self.format_sends += 1;
+
+        // Delivery.
+        let delivered = matches!(outcome, Outcome::Success { .. });
+        if !stateless && (delivered || self.saved.is_some()) {
+            self.saved = Some(bits);
+        }
+        match outcome {
+            Outcome::Success { wire } => {
+                self.hist[tier.index()] += 1;
+                self.bytes_sent += wire;
+                self.degraded_sends += u64::from(stateless);
+                self.on_success_health();
+                Some(tier)
+            }
+            Outcome::Fail { deadline } => {
+                self.on_fail(*deadline);
+                None
             }
         }
     }
@@ -461,9 +430,9 @@ impl ChaosModel {
         prop_assert_eq!(snap.get(own), self.format_sends, "own-lane sends");
         prop_assert_eq!(snap.get(other), 0u64, "wrong-lane sends");
         // Latency observations exist only for sends that reached the
-        // wire — a failed differential send counts its tier but never
-        // observes a latency.
-        for t in Tier::ALL {
+        // wire — a failed send counts its tier but never observes a
+        // latency.
+        for t in SendTier::ALL {
             prop_assert_eq!(
                 snap.hist(HistId::send(t)).count(),
                 self.hist[t.index()],
@@ -674,11 +643,10 @@ fn run_schedule(
         // Whatever the outcome, a surviving template must be internally
         // consistent, and its existence must match the model (failures
         // before first save keep none; demotion evicts).
-        if let Some(tpl) = client.template_mut("ep", &op) {
-            tpl.assert_invariants();
-        }
+        let key = StoreKey::new(0, TemplateKey::for_format("ep", &op, format));
+        let store = client.template_store().expect("a call was made");
         prop_assert_eq!(
-            client.template_mut("ep", &op).is_some(),
+            store.peek(&key, |tpl| tpl.assert_invariants()).is_some(),
             model.saved.is_some(),
             "template presence at step {}",
             i

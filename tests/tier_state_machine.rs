@@ -8,10 +8,11 @@
 use std::sync::Arc;
 
 use bsoap::convert::ScalarKind;
-use bsoap::obs::{Counter, EngineStats, HistId, Metrics, Tier, VirtualClock};
+use bsoap::obs::{Counter, EngineStats, HistId, Metrics, VirtualClock};
 use bsoap::transport::SinkTransport;
 use bsoap::{
-    mio, Client, EngineConfig, OpDesc, SendTier, TypeDesc, Value, WidthPolicy, WireFormat,
+    mio, Client, EngineConfig, OpDesc, SendTier, StoreKey, TemplateKey, TypeDesc, Value,
+    WidthPolicy, WireFormat,
 };
 
 fn doubles_op() -> OpDesc {
@@ -260,17 +261,15 @@ fn evicting_forgets_the_template() {
 struct TierModel {
     /// The lane the modeled client sends on.
     format: WireFormat,
-    /// Sends expected on this lane's per-format counter. Differential
-    /// flushes count at flush time (even if the wire write then fails);
-    /// first-time and degraded builds count only after a successful
-    /// write.
+    /// Sends expected on this lane's per-format counter: every
+    /// serialized send, delivered or not.
     format_sends: u64,
     /// Bit patterns of the last-sent array; `None` = no template saved.
     saved: Option<Vec<u64>>,
     tiers: [u64; 4],
     /// Successful sends per tier — the latency histograms observe only
     /// sends that reached the wire, while the tier counters also include
-    /// differential flushes whose wire write then failed.
+    /// sends whose wire write then failed.
     hist: [u64; 4],
     values_written: u64,
     bytes_sent: u64,
@@ -306,9 +305,11 @@ impl TierModel {
         }
     }
 
-    /// Predict the tier and values written for sending `xs`, then fold
-    /// the prediction into the model's expected counter state.
-    fn step(&mut self, xs: &[f64]) -> (SendTier, u64) {
+    /// The serialization half of a call (DESIGN §3.5): predict the tier
+    /// and values written from what is saved and count them, as the engine
+    /// does the moment the bytes exist — before the wire is asked, for
+    /// every tier alike. Returns the prediction and the new bit patterns.
+    fn serialized(&mut self, xs: &[f64]) -> (SendTier, u64, Vec<u64>) {
         let bits: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
         if self.saved.is_some() {
             self.plans += 1;
@@ -330,54 +331,43 @@ impl TierModel {
                 }
             }
         };
-        self.saved = Some(bits);
-        self.tiers[tier.obs().index()] += 1;
-        self.hist[tier.obs().index()] += 1;
+        self.tiers[tier.index()] += 1;
         self.values_written += written;
         self.sends += 1;
         self.format_sends += 1;
+        (tier, written, bits)
+    }
+
+    /// Fold in a delivered send of `xs`; returns the predicted tier and
+    /// values written.
+    fn step(&mut self, xs: &[f64]) -> (SendTier, u64) {
+        let (tier, written, bits) = self.serialized(xs);
+        self.hist[tier.index()] += 1;
+        self.saved = Some(bits);
         (tier, written)
     }
 
-    /// Fold in a call whose wire write failed. A differential flush
-    /// completes before the transport write, so it still counts its tier,
-    /// values, and plan — but never a byte or a latency observation. A
-    /// first-time build (no saved template) errors before its counter
-    /// sites and records nothing.
+    /// Fold in a call whose wire write failed: serialized and counted,
+    /// but never a byte or a latency observation. A template that existed
+    /// keeps the new values (the flush applied them); a fresh one is not
+    /// saved.
     fn step_wire_failed(&mut self, xs: &[f64], deadline: bool) {
         if deadline {
             self.deadlines += 1;
         }
-        let bits: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
-        if let Some(old) = self.saved.take() {
-            self.plans += 1;
-            let changed = old.iter().zip(&bits).filter(|(o, n)| **o != **n).count() as u64;
-            let (tier, written) = if old.len() != bits.len() {
-                (SendTier::PartialStructural, changed + 1)
-            } else if changed > 0 {
-                (SendTier::PerfectStructural, changed)
-            } else {
-                (SendTier::ContentMatch, 0)
-            };
-            self.tiers[tier.obs().index()] += 1;
-            self.values_written += written;
-            self.sends += 1;
-            self.format_sends += 1;
-            // The flush already applied the new values.
+        let (_, _, bits) = self.serialized(xs);
+        if self.saved.is_some() {
             self.saved = Some(bits);
         }
     }
 
-    /// Fold in a successful degraded-mode send: counted as a first-time
-    /// send plus `DegradedSends`, template discarded immediately.
+    /// Fold in a delivered degraded-mode send: stateless (the demotion
+    /// evicted the template and nothing is kept), so it serializes as a
+    /// first-time send, plus `DegradedSends`.
     fn step_degraded(&mut self, xs: &[f64]) {
-        self.tiers[Tier::FirstTime.index()] += 1;
-        self.hist[Tier::FirstTime.index()] += 1;
-        self.values_written += xs.len() as u64 + 1;
-        self.sends += 1;
-        self.format_sends += 1;
+        let (tier, _, _) = self.serialized(xs);
+        self.hist[tier.index()] += 1;
         self.degraded_sends += 1;
-        self.saved = None;
     }
 
     fn evict(&mut self) {
@@ -432,7 +422,7 @@ impl TierModel {
         );
         // Exactly one latency observation per send that reached the
         // wire, in the histogram of the tier the send took.
-        for t in Tier::ALL {
+        for t in SendTier::ALL {
             assert_eq!(
                 snap.hist(HistId::send(t)).count(),
                 self.hist[t.index()],
@@ -777,8 +767,10 @@ fn degraded_ladder_walk_matches_reference_model() {
     model.evict();
     model.check(&metrics.snapshot());
     assert!(client.is_degraded("ep"), "two consecutive failures demote");
+    let key = StoreKey::new(0, TemplateKey::new("ep", &op));
+    let store = client.template_store().expect("calls were made");
     assert!(
-        client.template_mut("ep", &op).is_none(),
+        store.peek(&key, |_| ()).is_none(),
         "demotion evicts the template"
     );
 
@@ -792,7 +784,7 @@ fn degraded_ladder_walk_matches_reference_model() {
     // A bare OS-level timeout while degraded: with no deadline policy in
     // the path there is no budget to have spent — the error stays a
     // typed `Io(TimedOut)` (no `DeadlineExceeded` mapping without the
-    // marker) and nothing counts.
+    // marker) and no deadline expiry is counted.
     let err = client
         .call(
             "ep",
@@ -805,7 +797,7 @@ fn degraded_ladder_walk_matches_reference_model() {
         matches!(&err, EngineError::Io(e) if e.kind() == std::io::ErrorKind::TimedOut),
         "bare TimedOut must stay Io, got {err:?}"
     );
-    model.step_wire_failed(&dirty, false); // no template: nothing counts
+    model.step_wire_failed(&dirty, false); // serialized, not delivered
     model.check(&metrics.snapshot());
 
     // A genuine expiry (the marker error a transport-layer `Resilience`
