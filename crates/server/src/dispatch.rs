@@ -8,6 +8,7 @@ use bsoap_obs::Metrics;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -261,11 +262,17 @@ impl Service {
         // 1. Differential deserialization of the request. Each lane keeps
         //    its own retained reference message; the handler runs under
         //    the lane's lock because args borrow the deserializer's
-        //    state. Handlers are expected to be short.
+        //    state. Handlers are expected to be short. A handler that
+        //    panics is a fault like any other: uncaught, the unwind would
+        //    take the serving thread with it and the caller would never be
+        //    answered. The handler only reads `args`, so the reference the
+        //    finished deserialize left behind stands.
         let (result, outcome) = {
             let mut deser = op.deser[format.index()].lock();
             let (args, outcome) = deser.deserialize(body).map_err(HandlerError::BadRequest)?;
-            ((op.handler)(args), outcome)
+            let result = catch_unwind(AssertUnwindSafe(|| (op.handler)(args)))
+                .unwrap_or_else(|_| Err("handler panicked".to_owned()));
+            (result, outcome)
         };
 
         // 2. Differential serialization of the response on the lane the

@@ -44,6 +44,9 @@ impl HttpServer {
         let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
         let service = Arc::new(service);
         let handler_service = Arc::clone(&service);
+        // Where an action-less request goes. Operations are registered
+        // before the service is shared, so this is decided once.
+        let fallback = service.operation_names().into_iter().next();
         let mode = ServeMode::Http {
             handler: Arc::new(move |head, body| {
                 let bytes = match &body {
@@ -52,7 +55,7 @@ impl HttpServer {
                     // body cannot reach us; answer defensively anyway.
                     ReqBody::Streamed { .. } => &[],
                 };
-                respond_to(&handler_service, head, bytes)
+                respond_to(&handler_service, fallback.as_deref(), head, bytes)
             }),
         };
         let server = bsoap_transport::serve(
@@ -104,9 +107,15 @@ fn operation_from_action(action: &str) -> Option<&str> {
     unquoted.rsplit_once('#').map(|(_, op)| op)
 }
 
-/// One parsed request in, one response out: routing, fault mapping, the
-/// `/metrics` endpoint and the negotiation echo.
-fn respond_to(service: &Service, head: &RequestHead, body: &[u8]) -> Response {
+/// One parsed request in, one response out: routing (by `SOAPAction`,
+/// else to `fallback`), fault mapping, the `/metrics` endpoint and the
+/// negotiation echo.
+fn respond_to(
+    service: &Service,
+    fallback: Option<&str>,
+    head: &RequestHead,
+    body: &[u8],
+) -> Response {
     if head.method == "GET" && head.path == "/metrics" {
         return Response::metrics_scrape(service.metrics().map(|m| m.as_ref()));
     }
@@ -114,10 +123,9 @@ fn respond_to(service: &Service, head: &RequestHead, body: &[u8]) -> Response {
     let op_name = head
         .header("soapaction")
         .and_then(operation_from_action)
-        .map(str::to_owned)
-        .or_else(|| service.operation_names().first().cloned());
+        .or(fallback);
     let reply = match op_name {
-        Some(op) => service.dispatch_formatted(&op, body, req_format),
+        Some(op) => service.dispatch_formatted(op, body, req_format),
         None => Err(HandlerError::UnknownOperation("<none>".to_owned())),
     };
     // Faults always go out as XML fault envelopes, whatever lane the
@@ -184,7 +192,7 @@ mod tests {
     };
     use bsoap_obs::HistId;
     use bsoap_transport::http::{
-        post_gather_vectored, read_response, HttpVersion, PostScratch, RequestConfig,
+        post_gather_vectored, read_response_limited, HttpVersion, PostScratch, RequestConfig,
     };
     use bsoap_transport::negotiate::TOKEN_BINARY;
     use bsoap_transport::supported_cores;
@@ -240,6 +248,9 @@ mod tests {
 
     fn post(addr: std::net::SocketAddr, action: &str, body: &[u8]) -> (u16, Vec<u8>) {
         let mut c = TcpStream::connect(addr).unwrap();
+        // An unanswered request fails its test instead of hanging it.
+        c.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
         let cfg = RequestConfig {
             path: "/svc".into(),
             host: "localhost".into(),
@@ -249,7 +260,11 @@ mod tests {
         };
         let mut scratch = PostScratch::default();
         post_gather_vectored(&mut c, &cfg, &[IoSlice::new(body)], &mut scratch).unwrap();
-        read_response(&mut c).unwrap()
+        reply(&mut c)
+    }
+
+    fn reply(stream: &mut TcpStream) -> (u16, Vec<u8>) {
+        read_response_limited(stream, 1 << 16, 1 << 16).unwrap()
     }
 
     #[test]
@@ -393,6 +408,38 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_handler_costs_a_fault_not_a_thread() {
+        for &core in supported_cores() {
+            let mut svc = sum_service_on(core);
+            let boom = OpDesc::single("boom", "urn:sum", "v", TypeDesc::Scalar(ScalarKind::Int));
+            svc.register(boom.clone(), Vec::new(), |_| {
+                panic!("deliberate handler panic")
+            });
+            let server = HttpServer::spawn(svc).unwrap();
+            let body =
+                MessageTemplate::build(EngineConfig::paper_default(), &boom, &[Value::Int(1)])
+                    .unwrap()
+                    .to_bytes();
+            // One more than the serving threads: uncontained, each panic
+            // would take one down, answer nobody, and leave none for the
+            // well-formed request that follows.
+            let answers: Vec<_> = (0..=ServerOptions::default().workers)
+                .map(|_| post(server.addr(), "urn:sum#boom", &body))
+                .collect();
+            for (status, resp) in answers {
+                assert_eq!(status, 500, "core {core:?}");
+                let text = String::from_utf8(resp).unwrap();
+                assert!(text.contains("SOAP-ENV:Fault") && text.contains("handler panicked"));
+            }
+            let (status, _) = post(server.addr(), "urn:sum#sum", &request_bytes(&[1.0, 2.0]));
+            assert_eq!(status, 200, "core {core:?}");
+            let stats = server.stop();
+            assert_eq!(stats.faults, ServerOptions::default().workers as u64 + 1);
+            assert_eq!(stats.requests, 1, "core {core:?}");
+        }
+    }
+
+    #[test]
     fn concurrent_clients() {
         for &core in supported_cores() {
             let server = HttpServer::spawn(sum_service_on(core)).unwrap();
@@ -429,7 +476,7 @@ mod tests {
             let mut get = Vec::new();
             bsoap_transport::http::render_get_request(&mut get, "/metrics", "localhost");
             c.write_all(&get).unwrap();
-            let (status, text) = read_response(&mut c).unwrap();
+            let (status, text) = reply(&mut c);
             assert_eq!(status, 200, "core {core:?}");
             let text = String::from_utf8(text).unwrap();
             assert_eq!(
@@ -463,7 +510,7 @@ mod tests {
             let server = HttpServer::spawn(sum_service_on(core)).unwrap();
             let mut c = TcpStream::connect(server.addr()).unwrap();
             c.write_all(b"GARBAGE THAT IS NOT HTTP\r\n\r\n").unwrap();
-            let (status, _) = read_response(&mut c).unwrap();
+            let (status, _) = reply(&mut c);
             assert_eq!(status, 400, "core {core:?}");
             drop(c);
             server.stop();

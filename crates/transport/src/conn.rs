@@ -33,7 +33,7 @@
 
 use crate::http::{
     render_response_head_extra, BodyFraming, HttpError, ParseBuf, Parsed, RequestHead,
-    RequestParser, READ_SIZE,
+    RequestParser, DEFAULT_MAX_BODY, DEFAULT_MAX_HEAD, READ_SIZE,
 };
 use crate::timer::TimerKind;
 use bsoap_obs::{Counter, HistId, Metrics, Recorder, TraceKind};
@@ -229,8 +229,8 @@ pub struct ConnConfig {
 impl Default for ConnConfig {
     fn default() -> Self {
         ConnConfig {
-            max_head: 1 << 20,
-            max_body: 64 << 20,
+            max_head: DEFAULT_MAX_HEAD,
+            max_body: DEFAULT_MAX_BODY,
             read_timeout: None,
             request_timeout: None,
             idle_timeout: None,

@@ -733,7 +733,9 @@ impl LoopThread {
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use crate::http::{read_response, render_response, RequestConfig};
+    use crate::http::{
+        read_response_limited, render_response, RequestConfig, DEFAULT_MAX_BODY, DEFAULT_MAX_HEAD,
+    };
     use std::io::Write;
 
     fn handler_ack() -> crate::conn::Handler {
@@ -760,7 +762,11 @@ mod tests {
         cfg.render_head(&mut head, Some(body.len()));
         s.write_all(&head).unwrap();
         s.write_all(body).unwrap();
-        read_response(&mut s).unwrap()
+        reply(&mut s)
+    }
+
+    fn reply(stream: &mut TcpStream) -> (u16, Vec<u8>) {
+        read_response_limited(stream, DEFAULT_MAX_HEAD, DEFAULT_MAX_BODY).unwrap()
     }
 
     #[test]
@@ -783,7 +789,7 @@ mod tests {
                     cfg.render_head(&mut head, Some(body.len()));
                     s.write_all(&head).unwrap();
                     s.write_all(&body).unwrap();
-                    let (status, resp) = read_response(&mut s).unwrap();
+                    let (status, resp) = reply(&mut s);
                     assert_eq!(status, 200);
                     assert_eq!(resp, format!("len={}", body.len()).into_bytes());
                 }

@@ -304,6 +304,12 @@ pub const MAX_SIZE_LINE: usize = 256;
 /// line the decoder is waiting on.
 pub const MAX_TRAILERS: usize = MAX_SIZE_LINE;
 
+/// The head and body caps every holder of a connection starts from —
+/// `ConnConfig`, `ServerOptions` and `HttpPoolClient` state these and no
+/// other figure: 1 MiB of head, 64 MiB of body.
+pub(crate) const DEFAULT_MAX_HEAD: usize = 1 << 20;
+pub(crate) const DEFAULT_MAX_BODY: usize = 64 << 20;
+
 /// What one [`BodyDecoder::step`] found at the front of the window.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Decoded {
@@ -798,18 +804,14 @@ pub fn write_response_vectored(
     Ok(n)
 }
 
-/// Read one HTTP response off a stream; returns status and body.
+/// Read one HTTP response off a stream under head/body caps — a hostile
+/// or buggy server must not be able to balloon client RSS; returns status
+/// and body.
 ///
 /// EOF before *any* response byte maps to [`io::ErrorKind::UnexpectedEof`]
 /// rather than `InvalidData`: it is the signature of a stale keep-alive
 /// socket (the peer closed between requests), which pooled clients treat
 /// as retryable, unlike a genuinely malformed response.
-pub fn read_response(stream: &mut impl Read) -> io::Result<(u16, Vec<u8>)> {
-    read_response_limited(stream, usize::MAX, usize::MAX)
-}
-
-/// [`read_response`] with head/body caps: a hostile or buggy server must
-/// not be able to balloon client RSS.
 pub fn read_response_limited(
     stream: &mut impl Read,
     max_head: usize,
@@ -1229,7 +1231,7 @@ mod tests {
     fn response_round_trip() {
         let mut wire = Vec::new();
         render_response(&mut wire, 200, "OK", b"<ok/>");
-        let (status, body) = read_response(&mut &wire[..]).unwrap();
+        let (status, body) = read_response_limited(&mut &wire[..], 1 << 10, 5).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, b"<ok/>");
     }

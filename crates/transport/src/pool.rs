@@ -12,7 +12,7 @@
 
 use crate::client::ClientConn;
 use crate::fault::{AttemptFailure, FaultPolicy, Resilience};
-use crate::http::{HttpVersion, RequestConfig};
+use crate::http::{HttpVersion, RequestConfig, DEFAULT_MAX_BODY, DEFAULT_MAX_HEAD};
 use crate::stream::ChunkedBodyWriter;
 use bsoap_obs::{Clock, Counter, Deadline, HistId, Metrics, MonotonicClock, Recorder, TraceKind};
 use parking_lot::Mutex;
@@ -423,7 +423,7 @@ pub struct HttpPoolClient {
     resilience: Resilience,
     /// `(max_head, max_body)` caps applied to every response read — the
     /// client-side mirror of the server's `RequestReader::with_limits`
-    /// hardening. Defaults to uncapped (the seed behavior).
+    /// hardening. Defaults to the caps `ServerOptions::default()` states.
     resp_caps: (usize, usize),
 }
 
@@ -446,7 +446,7 @@ impl HttpPoolClient {
             pool: ConnectionPool::new(addr, pool_cfg),
             cfg,
             resilience: Resilience::new(policy),
-            resp_caps: (usize::MAX, usize::MAX),
+            resp_caps: (DEFAULT_MAX_HEAD, DEFAULT_MAX_BODY),
         }
     }
 

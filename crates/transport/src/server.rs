@@ -29,7 +29,7 @@
 use crate::accept::{serve_with_metrics, WorkerPool};
 use crate::conn::{drive_blocking, Conn, ConnConfig, Handler, ReqBody, Response, SinkFactory};
 use crate::event_loop::EventLoopServer;
-use crate::http::{RequestHead, READ_SIZE};
+use crate::http::{RequestHead, DEFAULT_MAX_BODY, DEFAULT_MAX_HEAD, READ_SIZE};
 use bsoap_obs::{Counter, Metrics, NullRecorder, Recorder};
 use parking_lot::Mutex;
 use std::io::{self, Read};
@@ -115,8 +115,8 @@ impl Default for ServerOptions {
             read_timeout: None,
             request_timeout: None,
             idle_timeout: None,
-            max_head_bytes: 1 << 20,
-            max_body_bytes: 64 << 20,
+            max_head_bytes: DEFAULT_MAX_HEAD,
+            max_body_bytes: DEFAULT_MAX_BODY,
         }
     }
 }
@@ -410,7 +410,9 @@ fn handle_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{post_gather_vectored, HttpVersion, PostScratch, RequestConfig};
+    use crate::http::{
+        post_gather_vectored, read_response_limited, HttpVersion, PostScratch, RequestConfig,
+    };
     use bsoap_obs::HistId;
     use std::io::{IoSlice, Write};
     use std::net::TcpStream;
@@ -420,6 +422,10 @@ mod tests {
             core,
             ..ServerOptions::default()
         }
+    }
+
+    fn reply(stream: &mut TcpStream) -> (u16, Vec<u8>) {
+        read_response_limited(stream, DEFAULT_MAX_HEAD, DEFAULT_MAX_BODY).unwrap()
     }
 
     #[test]
@@ -452,7 +458,7 @@ mod tests {
             let body = b"<m>7</m>".to_vec();
             let mut scratch = PostScratch::default();
             post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
-            let (status, resp) = crate::http::read_response(&mut c).unwrap();
+            let (status, resp) = reply(&mut c);
             assert_eq!(status, 200, "core {core:?}");
             assert_eq!(resp, b"<ack/>", "core {core:?}");
             drop(c);
@@ -473,7 +479,7 @@ mod tests {
             // Two keep-alive requests on one connection.
             for _ in 0..2 {
                 post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
-                let (status, resp) = crate::http::read_response(&mut c).unwrap();
+                let (status, resp) = reply(&mut c);
                 assert_eq!(status, 200, "core {core:?}");
                 assert_eq!(resp, b"<ack/>", "core {core:?}");
             }
@@ -538,7 +544,7 @@ mod tests {
                         let mut scratch = PostScratch::default();
                         post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch)
                             .unwrap();
-                        let (status, _) = crate::http::read_response(&mut c).unwrap();
+                        let (status, _) = reply(&mut c);
                         assert_eq!(status, 200);
                     })
                 })
@@ -568,14 +574,14 @@ mod tests {
             let mut scratch = PostScratch::default();
             for _ in 0..3 {
                 post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
-                let (status, _) = crate::http::read_response(&mut c).unwrap();
+                let (status, _) = reply(&mut c);
                 assert_eq!(status, 200, "core {core:?}");
             }
             // Scrape over the same keep-alive connection.
             let mut get = Vec::new();
             crate::http::render_get_request(&mut get, "/metrics", "localhost");
             c.write_all(&get).unwrap();
-            let (status, text) = crate::http::read_response(&mut c).unwrap();
+            let (status, text) = reply(&mut c);
             assert_eq!(status, 200, "core {core:?}");
             let text = String::from_utf8(text).unwrap();
             assert_eq!(
@@ -609,7 +615,7 @@ mod tests {
             let mut get = Vec::new();
             crate::http::render_get_request(&mut get, "/metrics", "localhost");
             c.write_all(&get).unwrap();
-            let (status, _) = crate::http::read_response(&mut c).unwrap();
+            let (status, _) = reply(&mut c);
             assert_eq!(status, 404, "core {core:?}");
             drop(c);
             server.stop();
@@ -628,7 +634,7 @@ mod tests {
             .unwrap();
             let mut c = TcpStream::connect(server.addr()).unwrap();
             c.write_all(b"THIS IS NOT HTTP AT ALL\r\n\r\n").unwrap();
-            let (status, body) = crate::http::read_response(&mut c).unwrap();
+            let (status, body) = reply(&mut c);
             assert_eq!(status, 400, "core {core:?}");
             assert!(
                 !body.is_empty(),
@@ -667,7 +673,7 @@ mod tests {
             req.extend_from_slice(&vec![b'x'; 4096]);
             req.extend_from_slice(b"\r\nContent-Length: 0\r\n\r\n");
             c.write_all(&req).unwrap();
-            let (status, _) = crate::http::read_response(&mut c).unwrap();
+            let (status, _) = reply(&mut c);
             assert_eq!(status, 400, "core {core:?}");
             drop(c);
             server.stop();
@@ -814,12 +820,12 @@ mod tests {
             let body = b"<m>1</m>".to_vec();
             let mut scratch = PostScratch::default();
             post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
-            let (status, _) = crate::http::read_response(&mut c).unwrap();
+            let (status, _) = reply(&mut c);
             assert_eq!(status, 200, "core {core:?}");
             // Idle past the per-request budget, then send a second request.
             std::thread::sleep(Duration::from_millis(160));
             post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
-            let (status, _) = crate::http::read_response(&mut c).unwrap();
+            let (status, _) = reply(&mut c);
             assert_eq!(status, 200, "core {core:?}");
             drop(c);
             let stats = server.stop();
@@ -877,7 +883,7 @@ mod tests {
             let body = b"<m>1</m>".to_vec();
             let mut scratch = PostScratch::default();
             post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
-            let (status, _) = crate::http::read_response(&mut c).unwrap();
+            let (status, _) = reply(&mut c);
             assert_eq!(status, 200, "core {core:?}");
             // Now idle: the reaper must close us within the timeout (plus
             // driver latency), counted as a reap — not a timeout/eviction.
@@ -950,7 +956,7 @@ mod tests {
                     ..RequestConfig::loopback(HttpVersion::Http11Chunked)
                 };
                 post_gather_vectored(&mut c, &cfg, &slices, &mut scratch).unwrap();
-                let (status, _) = crate::http::read_response(&mut c).unwrap();
+                let (status, _) = reply(&mut c);
                 assert_eq!(status, 200, "core {core:?}");
             }
             drop(c);

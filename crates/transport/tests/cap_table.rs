@@ -510,3 +510,46 @@ fn every_reply_bound_holds_through_every_holder_of_the_connection() {
         }
     }
 }
+
+/// The default row: a pool client nobody configured holds the reply caps
+/// `ServerOptions::default()` states (1 MiB of head, 64 MiB of body) and
+/// refuses past them with the typed error `ClientConn::read_reply` gives
+/// under the same figures. (A body *at* 64 MiB is not sent: the
+/// declared-length row above covers acceptance at the limit.)
+#[test]
+fn an_unconfigured_pool_client_holds_the_default_reply_bounds() {
+    let defaults = ServerOptions::default();
+    let (max_head, max_body) = (defaults.max_head_bytes, defaults.max_body_bytes);
+    let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
+    let rows = [
+        ("head at the limit", head_of(REPLY, max_head), None),
+        (
+            "head past it",
+            head_of(REPLY, max_head + 1),
+            Some(HttpError::TooLarge("response head")),
+        ),
+        (
+            "declared body past it",
+            with_length(REPLY, max_body + 1, &[]),
+            Some(HttpError::TooLarge("declared content-length")),
+        ),
+    ];
+    for (name, reply, refusal) in rows {
+        let want = refusal.map_or(Ok(()), Err);
+
+        let (addr, peer) = scripted_peer(reply.clone());
+        let client = HttpPoolClient::new(addr, cfg.clone(), PoolConfig::default());
+        let got = client.call(&[IoSlice::new(b"<q/>")]);
+        drop(client);
+        peer.join().unwrap();
+        assert_eq!(got.map(drop).map_err(typed), want, "pool client: {name}");
+
+        let (addr, peer) = scripted_peer(reply);
+        let mut conn = ClientConn::connect(addr, None).unwrap();
+        conn.post(&cfg, &[IoSlice::new(b"<q/>")]).unwrap();
+        let got = conn.read_reply(max_head, max_body);
+        drop(conn);
+        peer.join().unwrap();
+        assert_eq!(got.map(drop).map_err(typed), want, "ClientConn: {name}");
+    }
+}

@@ -4,8 +4,8 @@
 //! decoder's bounds themselves are attacked in `cap_table.rs`.
 
 use bsoap_transport::http::{
-    parse_request_head, post_gather_vectored, read_response, read_response_limited, HttpVersion,
-    PostScratch, RequestConfig,
+    parse_request_head, post_gather_vectored, read_response_limited, HttpVersion, PostScratch,
+    RequestConfig,
 };
 use bsoap_transport::stream::{read_head, ChunkedBodyReader, ChunkedBodyWriter};
 use proptest::prelude::*;
@@ -140,13 +140,13 @@ fn reader_survives_dribbled_reads_with_eintr() {
 
 #[test]
 fn response_size_line_split_across_reads() {
-    // read_response over a dribbling stream: the chunk-size line arrives
-    // one byte at a time and EINTR fires periodically.
+    // read_response_limited over a dribbling stream: the chunk-size line
+    // arrives one byte at a time and EINTR fires periodically.
     let resp =
         b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nb\r\nhello world\r\n0\r\n\r\n";
     for interrupt_every in [0usize, 2, 7] {
         let mut stream = DribbleReader::new(resp.to_vec(), interrupt_every);
-        let (status, body) = read_response(&mut stream).unwrap();
+        let (status, body) = read_response_limited(&mut stream, 1 << 16, 16).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, b"hello world".to_vec(), "ie={interrupt_every}");
     }

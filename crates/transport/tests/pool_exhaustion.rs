@@ -321,7 +321,7 @@ fn breaker_half_open_admits_exactly_one_probe() {
 #[test]
 fn overloaded_server_queues_every_client_on_both_cores() {
     use bsoap_transport::http::{
-        post_gather_vectored, read_response, HttpVersion, PostScratch, RequestConfig,
+        post_gather_vectored, read_response_limited, HttpVersion, PostScratch, RequestConfig,
     };
     use bsoap_transport::{supported_cores, ServerMode, ServerOptions, TestServer};
     use std::io::{IoSlice, Write};
@@ -359,7 +359,8 @@ fn overloaded_server_queues_every_client_on_both_cores() {
                             )
                             .unwrap();
                             s.flush().unwrap();
-                            let (status, _) = read_response(&mut s).unwrap();
+                            let (status, _) =
+                                read_response_limited(&mut s, 1 << 10, 1 << 10).unwrap();
                             assert_eq!(status, 200, "core {core:?} client {i} req {r}");
                         }
                     })
@@ -387,7 +388,7 @@ fn overloaded_server_queues_every_client_on_both_cores() {
 fn connection_sweep_scales_on_the_event_loop_only() {
     use bsoap_obs::{Counter, Metrics};
     use bsoap_transport::http::{
-        post_gather_vectored, read_response, HttpVersion, PostScratch, RequestConfig,
+        post_gather_vectored, read_response_limited, HttpVersion, PostScratch, RequestConfig,
     };
     use bsoap_transport::{supported_cores, ServerCore, ServerMode, ServerOptions, TestServer};
     use std::io::{IoSlice, Write};
@@ -461,10 +462,10 @@ fn connection_sweep_scales_on_the_event_loop_only() {
         // requests served has not moved.
         let first = &mut socks[answered[0]];
         first.set_nonblocking(false).unwrap();
-        let (status, _) = read_response(first).unwrap();
+        let (status, _) = read_response_limited(first, 1 << 10, 1 << 10).unwrap();
         assert_eq!(status, 200);
         first.write_all(&probe).unwrap();
-        let (status, _) = read_response(first).unwrap();
+        let (status, _) = read_response_limited(first, 1 << 10, 1 << 10).unwrap();
         assert_eq!(status, 200);
         assert_eq!(server.requests(), expected as u64 + 1, "core {core:?}");
 

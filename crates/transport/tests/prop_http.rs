@@ -204,7 +204,7 @@ proptest! {
             any::<usize>().prop_map(|at| Some((at, None))),
         ],
     ) {
-        use bsoap_transport::http::{parse_request_head, read_response, RequestHead};
+        use bsoap_transport::http::{parse_request_head, read_response_limited, RequestHead};
         use bsoap_transport::{read_head, ChunkedBodyReader, Conn, ConnAction, ConnConfig, ReqBody};
         use bsoap_obs::NullRecorder;
         use std::io::Read;
@@ -305,7 +305,7 @@ proptest! {
             if conn.state() == bsoap_transport::ConnState::Writing {
                 let mut refusal = Vec::new();
                 conn.on_writable(&mut refusal, &rec, &mut out);
-                let (status, text) = read_response(&mut &refusal[..]).unwrap();
+                let (status, text) = read_response_limited(&mut &refusal[..], 1 << 10, 1 << 10).unwrap();
                 prop_assert_eq!(status, 400);
                 break (want_head, Err(String::from_utf8(text).unwrap()));
             }

@@ -196,12 +196,16 @@ impl RpcClient {
     }
 
     /// Keep the engine's per-endpoint lane in lockstep with the
-    /// negotiator's verdict.
+    /// negotiator's verdict. It runs around every exchange and the
+    /// verdict moves a handful of times in a connection's life, so the
+    /// engine's map is written only when it did.
     fn sync_endpoint_format(&mut self) {
         let format =
             WireFormat::from_name(self.negotiator.body_token()).unwrap_or(WireFormat::SoapXml);
-        self.client
-            .set_endpoint_format(&self.service.endpoint, format);
+        let endpoint = &self.service.endpoint;
+        if self.client.endpoint_format(endpoint) != format {
+            self.client.set_endpoint_format(endpoint, format);
+        }
     }
 }
 

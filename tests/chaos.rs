@@ -22,37 +22,35 @@
 //!    after the schedule always succeeds with oracle-identical bytes.
 //! 3. **Exact observability** — tier counters, values written, bytes
 //!    sent, plan counts, deadline expiries, degraded sends, latency
-//!    histogram observation counts, and Degraded/DeadlineExceeded trace
-//!    events all reconcile against a reference model, after every single
-//!    call.
+//!    histogram observation counts, `ClientStats`, and
+//!    Degraded/DeadlineExceeded trace events all reconcile against the
+//!    executable spec (`common::spec`), after every single call.
 //!
 //! Everything runs on a [`VirtualClock`]: stalls "past the deadline"
 //! advance virtual time, so the whole suite performs zero real sleeps.
 //!
-//! Every schedule runs on both wire lanes (DESIGN §3.15). The XML lane
-//! proves fidelity against the gSOAP-style full-serialization oracle;
-//! the compact-binary lane — whose frames the pad-stripping oracle
-//! cannot read — proves it by *decoding* the captured wire with
-//! [`parse_binary_envelope`] and demanding bit-exact argument recovery.
-//! Fault taxonomy, typed errors, the degraded ladder, and the counter
-//! model are format-blind; only the fidelity oracle and the
-//! `SendsXml`/`SendsBinary` lane counters switch.
+//! Every schedule runs on both wire lanes (DESIGN §3.15). Fault taxonomy,
+//! typed errors, the degraded ladder and the counter model are
+//! format-blind; only how `assert_wire` reads the bytes (the compact
+//! frames are decoded, the pad-stripping gSOAP-style comparison being
+//! XML-only) and the `SendsXml`/`SendsBinary` lane counters switch.
+
+mod common;
 
 use std::io::{self, IoSlice, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bsoap::baseline::GSoapLike;
-use bsoap::convert::ScalarKind;
-use bsoap::deser::parse_binary_envelope;
-use bsoap::obs::{Clock, Counter, EngineStats, HistId, Metrics, TraceKind, VirtualClock};
-use bsoap::xml::strip_pad;
+use bsoap::obs::{Clock, Metrics, VirtualClock};
 use bsoap::{
-    write_all_vectored, AttemptFailure, Client, EngineConfig, EngineError, FaultPolicy, OpDesc,
-    Resilience, SendTier, StoreKey, TemplateKey, TypeDesc, Value, WidthPolicy, WireFormat,
+    write_all_vectored, AttemptFailure, Client, EngineConfig, EngineError, FaultPolicy, Resilience,
+    StoreKey, TemplateKey, WireFormat,
+};
+use common::spec::{
+    apply, assert_wire, doubles, doubles_op, fail, full_xml, small_f64, update_strategy, Delivery,
+    Spec, Update, Verdict,
 };
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 
 /// Per-call budget the resilience policy grants each send.
 const BUDGET: Duration = Duration::from_secs(5);
@@ -60,15 +58,6 @@ const BUDGET: Duration = Duration::from_secs(5);
 /// Virtual nanoseconds a stalled write burns before erroring — larger
 /// than [`BUDGET`], so a stall always spends the whole budget.
 const STALL_NS: u64 = 10_000_000_000;
-
-fn doubles_op() -> OpDesc {
-    OpDesc::single(
-        "send",
-        "urn:bench",
-        "arr",
-        TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-    )
-}
 
 // ---------------------------------------------------------------------
 // Fault injection: a Write shim with one scheduled fault per call.
@@ -241,240 +230,11 @@ impl Write for FaultyStream {
 }
 
 // ---------------------------------------------------------------------
-// Reference model: the four-tier hierarchy plus the fault-tolerance
-// counters (deadline expiries, degraded-mode ladder, failure-aware
-// counter attribution).
+// Schedule driver: the client and the executable spec (`common::spec`)
+// take every call together. What the *transport* saw — bytes taken, or
+// which fault fired — is what the spec is told; what the engine reported
+// must then be what the spec predicted.
 // ---------------------------------------------------------------------
-
-/// How one call ended on the wire.
-enum Outcome {
-    Success { wire: u64 },
-    Fail { deadline: bool },
-}
-
-/// Extends the tier reference model (`tests/tier_state_machine.rs`) with
-/// failure semantics, under the one accounting rule (DESIGN §3.5): a send
-/// counts its tier, lane and values when its bytes exist — whatever tier
-/// it is, whatever the wire then does — while `BytesSent`, the latency
-/// histograms and `DegradedSends` record only sends the transport took. A
-/// template that existed keeps the new values after a failed write; a
-/// fresh one is saved only once delivered.
-struct ChaosModel {
-    /// Bit patterns of the template contents; `None` = no template.
-    saved: Option<Vec<u64>>,
-    tiers: [u64; 4],
-    /// Successful sends per tier (= latency histogram observations).
-    hist: [u64; 4],
-    values_written: u64,
-    bytes_sent: u64,
-    plans: u64,
-    /// Differential flushes (each emits one `SendSpan` trace).
-    diff_flushes: u64,
-    /// Sends landed on the negotiated lane's `SendsXml`/`SendsBinary`
-    /// counter: every serialized send, delivered or not.
-    format_sends: u64,
-    deadlines: u64,
-    degraded_sends: u64,
-    demotions: u64,
-    recoveries: u64,
-    // Degraded-ladder state, mirroring the client's per-endpoint health.
-    degrade_after: u32,
-    recover_after: u32,
-    fails: u32,
-    degraded: bool,
-    degraded_successes: u32,
-}
-
-impl ChaosModel {
-    fn new(degrade_after: u32, recover_after: u32) -> Self {
-        ChaosModel {
-            saved: None,
-            tiers: [0; 4],
-            hist: [0; 4],
-            values_written: 0,
-            bytes_sent: 0,
-            plans: 0,
-            diff_flushes: 0,
-            format_sends: 0,
-            deadlines: 0,
-            degraded_sends: 0,
-            demotions: 0,
-            recoveries: 0,
-            degrade_after,
-            recover_after: recover_after.max(1),
-            fails: 0,
-            degraded: false,
-            degraded_successes: 0,
-        }
-    }
-
-    fn on_success_health(&mut self) {
-        if self.degrade_after == 0 {
-            return;
-        }
-        self.fails = 0;
-        if self.degraded {
-            self.degraded_successes += 1;
-            if self.degraded_successes >= self.recover_after {
-                self.degraded = false;
-                self.degraded_successes = 0;
-                self.recoveries += 1;
-            }
-        }
-    }
-
-    fn on_fail(&mut self, deadline: bool) {
-        if deadline {
-            self.deadlines += 1;
-        }
-        if self.degrade_after == 0 {
-            return;
-        }
-        self.fails += 1;
-        if !self.degraded && self.fails >= self.degrade_after {
-            // Demotion evicts the template: stateless mode keeps nothing.
-            self.degraded = true;
-            self.degraded_successes = 0;
-            self.demotions += 1;
-            self.saved = None;
-        }
-    }
-
-    /// Fold one call into the model; returns the tier a successful send
-    /// must report.
-    fn step(&mut self, xs: &[f64], outcome: &Outcome) -> Option<SendTier> {
-        let bits: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
-        // Degraded: stateless full serialization, nothing looked up or
-        // kept (demotion already evicted the template).
-        let stateless = self.degrade_after > 0 && self.degraded;
-
-        // Serialization: what it costs is decided by what is saved, and
-        // it is counted before the wire is asked.
-        let (tier, written) = match &self.saved {
-            None => (SendTier::FirstTime, bits.len() as u64 + 1),
-            Some(old) => {
-                self.plans += 1;
-                self.diff_flushes += 1;
-                let changed = old.iter().zip(&bits).filter(|(o, n)| *o != *n).count() as u64;
-                if old.len() != bits.len() {
-                    (SendTier::PartialStructural, changed + 1)
-                } else if changed > 0 {
-                    (SendTier::PerfectStructural, changed)
-                } else {
-                    (SendTier::ContentMatch, 0)
-                }
-            }
-        };
-        self.tiers[tier.index()] += 1;
-        self.values_written += written;
-        self.format_sends += 1;
-
-        // Delivery.
-        let delivered = matches!(outcome, Outcome::Success { .. });
-        if !stateless && (delivered || self.saved.is_some()) {
-            self.saved = Some(bits);
-        }
-        match outcome {
-            Outcome::Success { wire } => {
-                self.hist[tier.index()] += 1;
-                self.bytes_sent += wire;
-                self.degraded_sends += u64::from(stateless);
-                self.on_success_health();
-                Some(tier)
-            }
-            Outcome::Fail { deadline } => {
-                self.on_fail(*deadline);
-                None
-            }
-        }
-    }
-
-    /// Assert a registry snapshot agrees with the model exactly.
-    fn check(&self, snap: &EngineStats, format: WireFormat) -> Result<(), TestCaseError> {
-        prop_assert_eq!(snap.tier_counts(), self.tiers, "tier counters");
-        prop_assert_eq!(
-            snap.total_sends(),
-            self.tiers.iter().sum::<u64>(),
-            "total sends"
-        );
-        prop_assert_eq!(
-            snap.get(Counter::ValuesWritten),
-            self.values_written,
-            "values written"
-        );
-        prop_assert_eq!(snap.get(Counter::BytesSent), self.bytes_sent, "bytes sent");
-        prop_assert_eq!(snap.get(Counter::PlansComputed), self.plans, "plans");
-        prop_assert_eq!(snap.get(Counter::CostFallbacks), 0u64, "cost fallbacks");
-        prop_assert_eq!(
-            snap.get(Counter::DeadlinesExceeded),
-            self.deadlines,
-            "deadline expiries"
-        );
-        prop_assert_eq!(
-            snap.get(Counter::DegradedSends),
-            self.degraded_sends,
-            "degraded sends"
-        );
-        // Zero shift/steal/split work on both lanes — via Max-width
-        // stuffing on XML, and intrinsically on binary, whose
-        // fixed-width numeric slots can never outgrow their region.
-        prop_assert_eq!(snap.get(Counter::Shifts), 0u64);
-        prop_assert_eq!(snap.get(Counter::Steals), 0u64);
-        prop_assert_eq!(snap.get(Counter::Splits), 0u64);
-        // Every send lands on the negotiated lane's counter and never
-        // the other lane's.
-        let (own, other) = match format {
-            WireFormat::SoapXml => (Counter::SendsXml, Counter::SendsBinary),
-            WireFormat::CompactBinary => (Counter::SendsBinary, Counter::SendsXml),
-        };
-        prop_assert_eq!(snap.get(own), self.format_sends, "own-lane sends");
-        prop_assert_eq!(snap.get(other), 0u64, "wrong-lane sends");
-        // Latency observations exist only for sends that reached the
-        // wire — a failed send counts its tier but never observes a
-        // latency.
-        for t in SendTier::ALL {
-            prop_assert_eq!(
-                snap.hist(HistId::send(t)).count(),
-                self.hist[t.index()],
-                "latency observations for {:?}",
-                t
-            );
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Schedule driver.
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug)]
-enum Update {
-    Set(usize, f64),
-    Resize(usize),
-    Resend,
-}
-
-fn apply(xs: &mut Vec<f64>, u: &Update) {
-    match u {
-        Update::Set(i, v) => {
-            if !xs.is_empty() {
-                let i = i % xs.len();
-                xs[i] = *v;
-            }
-        }
-        Update::Resize(n) => {
-            let n = *n;
-            if n > xs.len() {
-                let start = xs.len();
-                xs.extend((start..n).map(|k| k as f64 * 0.5));
-            } else {
-                xs.truncate(n);
-            }
-        }
-        Update::Resend => {}
-    }
-}
 
 /// Run one fault schedule end to end, checking every property after
 /// every call. A final clean send is appended to every schedule: after
@@ -485,16 +245,16 @@ fn run_schedule(
     steps: &[(Update, Fault)],
     degrade_after: u32,
     format: WireFormat,
-) -> Result<(), TestCaseError> {
+) -> Verdict {
     let op = doubles_op();
     let clock = Arc::new(VirtualClock::new());
     let metrics = Arc::new(Metrics::with_clock(Arc::clone(&clock) as Arc<dyn Clock>));
-    let cfg = EngineConfig::paper_default()
-        .with_width(WidthPolicy::Max)
+    let cfg = EngineConfig::stuffed_max()
         .with_wire_format(format)
         .with_degraded(degrade_after, 2);
     let mut client = Client::new(cfg);
     client.set_metrics(Arc::clone(&metrics));
+    let mut spec = Spec::of(&cfg);
     // Sends go through the production resilience layer: it opens the
     // per-call deadline, classifies timeout kinds as expiry, counts and
     // traces `DeadlinesExceeded` (the client deliberately does not — one
@@ -513,199 +273,66 @@ fn run_schedule(
         r
     };
     let mut faulty = FaultyStream::new(Arc::clone(&clock));
-    let mut model = ChaosModel::new(degrade_after, 2);
-    let mut oracle = GSoapLike::new();
     let mut xs = init;
 
-    let mut all_steps: Vec<(Update, Fault)> = steps.to_vec();
-    all_steps.push((Update::Resend, Fault::Clean));
-    let last = all_steps.len() - 1;
-
-    for (i, (u, fault)) in all_steps.iter().enumerate() {
+    let clean = (Update::Resend, Fault::Clean);
+    for (i, (u, fault)) in steps.iter().chain([&clean]).enumerate() {
         apply(&mut xs, u);
         faulty.begin_call(*fault);
-        let args = [Value::DoubleArray(xs.clone())];
+        let args = doubles(&xs);
         let res = client.call_via("ep", &op, &args, |slices| {
             resilience
                 .run(|_, _| write_all_vectored(&mut faulty, slices).map_err(AttemptFailure::hard))
         });
 
-        if i == last {
-            prop_assert!(
-                res.is_ok(),
-                "clean send after the schedule must succeed, got {:?}",
-                res.as_ref().err()
-            );
-        }
-
-        let outcome = match &res {
-            Ok(report) => {
-                prop_assert!(
-                    !faulty.fired,
-                    "step {}: fault {:?} fired but the call succeeded",
-                    i,
-                    fault
-                );
-                prop_assert_eq!(
-                    report.bytes,
-                    faulty.wire.len(),
-                    "step {}: reported bytes vs wire bytes",
-                    i
-                );
-                let full = oracle.serialize(&op, &args).unwrap().to_vec();
-                match format {
-                    WireFormat::SoapXml => {
-                        prop_assert_eq!(
-                            strip_pad(&faulty.wire),
-                            strip_pad(&full),
-                            "step {}: wire bytes diverge from full serialization",
-                            i
-                        );
-                    }
-                    WireFormat::CompactBinary => {
-                        // The pad-stripping oracle can't read binary
-                        // frames; fidelity means the wire *decodes* back
-                        // to the arguments, bit-exactly.
-                        let decoded = parse_binary_envelope(&faulty.wire, &op).map_err(|e| {
-                            TestCaseError::Fail(format!(
-                                "step {i}: binary wire does not decode: {e}"
-                            ))
-                        })?;
-                        prop_assert_eq!(decoded.len(), 1, "step {}: param count", i);
-                        let Value::DoubleArray(ds) = &decoded[0] else {
-                            return Err(TestCaseError::Fail(format!(
-                                "step {i}: decoded param is not a double array"
-                            )));
-                        };
-                        let got: Vec<u64> = ds.iter().map(|x| x.to_bits()).collect();
-                        let want: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
-                        prop_assert_eq!(
-                            got,
-                            want,
-                            "step {}: decoded doubles diverge from the arguments",
-                            i
-                        );
-                        // The compact frame always undercuts the XML
-                        // envelope the same send would have cost.
-                        prop_assert!(
-                            faulty.wire.len() < full.len(),
-                            "step {}: binary frame ({}B) not smaller than XML ({}B)",
-                            i,
-                            faulty.wire.len(),
-                            full.len()
-                        );
-                    }
-                }
-                Outcome::Success {
-                    wire: report.bytes as u64,
-                }
-            }
-            Err(EngineError::DeadlineExceeded) => {
-                prop_assert!(faulty.fired, "step {}: phantom deadline error", i);
-                prop_assert!(
-                    is_timeout_fault(*fault),
-                    "step {}: DeadlineExceeded from a non-timeout fault {:?}",
-                    i,
-                    fault
-                );
-                Outcome::Fail { deadline: true }
-            }
-            Err(EngineError::Io(e)) => {
-                prop_assert!(faulty.fired, "step {}: phantom I/O error {:?}", i, e);
-                prop_assert!(
-                    !is_timeout_fault(*fault),
-                    "step {}: timeout fault under a bounded deadline must surface \
-                     as DeadlineExceeded, got Io({:?})",
-                    i,
-                    e.kind()
-                );
-                prop_assert_eq!(
-                    Some(e.kind()),
-                    injected_kind(*fault),
-                    "step {}: error kind vs injected fault {:?}",
-                    i,
-                    fault
-                );
-                Outcome::Fail { deadline: false }
-            }
-            Err(other) => {
-                return Err(TestCaseError::Fail(format!(
-                    "step {i}: untyped error escaped: {other:?}"
-                )));
-            }
+        // Under a bounded deadline every socket timeout is sized to the
+        // remaining budget, so a timeout fault that fires IS expiry.
+        let delivery = match (faulty.fired, is_timeout_fault(*fault)) {
+            (false, _) => Delivery::Sent(faulty.wire.len() as u64),
+            (true, true) => Delivery::Expired,
+            (true, false) => Delivery::Failed,
         };
-
-        let want_tier = model.step(&xs, &outcome);
-        if let Ok(report) = &res {
-            prop_assert_eq!(Some(report.tier), want_tier, "tier at step {}", i);
+        let predicted = spec.step("ep", &args, delivery);
+        match (&res, delivery) {
+            (Ok(report), Delivery::Sent(_)) => {
+                predicted.check(report)?;
+                prop_assert_eq!(report.bytes, faulty.wire.len(), "step {}: bytes", i);
+                assert_wire(format, &op, &args, &faulty.wire)?;
+                // The compact frame always undercuts the XML envelope
+                // the same send would have cost.
+                let xml = full_xml(&op, &args).len();
+                prop_assert!(!format.negotiated() || faulty.wire.len() < xml);
+            }
+            (Err(EngineError::DeadlineExceeded), Delivery::Expired) => {}
+            (Err(EngineError::Io(e)), Delivery::Failed) => {
+                prop_assert_eq!(Some(e.kind()), injected_kind(*fault), "step {}", i);
+            }
+            (other, _) => {
+                let saw = format!("{fault:?} → {delivery:?}, the call ended {other:?}");
+                return Err(fail(format!("step {i}: wrong or untyped outcome: {saw}")));
+            }
         }
 
         // Whatever the outcome, a surviving template must be internally
-        // consistent, and its existence must match the model (failures
+        // consistent, and its existence must match the spec (failures
         // before first save keep none; demotion evicts).
         let key = StoreKey::new(0, TemplateKey::for_format("ep", &op, format));
         let store = client.template_store().expect("a call was made");
-        prop_assert_eq!(
-            store.peek(&key, |tpl| tpl.assert_invariants()).is_some(),
-            model.saved.is_some(),
-            "template presence at step {}",
-            i
-        );
+        let resident = store.peek(&key, |tpl| tpl.assert_invariants()).is_some();
+        prop_assert_eq!(resident, spec.has_template("ep"), "template at step {}", i);
 
-        model.check(&metrics.snapshot(), format)?;
+        spec.check(&metrics.snapshot())?;
+        spec.check_client(&client.stats())?;
     }
 
-    // Trace-event reconciliation: deadline expiries, degraded-mode
-    // transitions, and one SendSpan per differential flush, with nothing
-    // evicted from the ring.
-    let (events, dropped) = metrics.trace_ring().snapshot();
-    prop_assert_eq!(dropped, 0u64, "trace ring overflowed");
-    let count =
-        |pred: &dyn Fn(&TraceKind) -> bool| events.iter().filter(|e| pred(&e.kind)).count() as u64;
-    prop_assert_eq!(
-        count(&|k| matches!(k, TraceKind::DeadlineExceeded)),
-        model.deadlines,
-        "DeadlineExceeded trace events"
-    );
-    prop_assert_eq!(
-        count(&|k| matches!(k, TraceKind::Degraded { on: true })),
-        model.demotions,
-        "demotion trace events"
-    );
-    prop_assert_eq!(
-        count(&|k| matches!(k, TraceKind::Degraded { on: false })),
-        model.recoveries,
-        "recovery trace events"
-    );
-    prop_assert_eq!(
-        count(&|k| matches!(k, TraceKind::SendSpan { .. })),
-        model.diff_flushes,
-        "SendSpan trace events"
-    );
-    Ok(())
+    // Deadline expiries, degraded-mode transitions, and one SendSpan per
+    // differential flush, with nothing evicted from the ring.
+    spec.check_traces(&metrics)
 }
 
 // ---------------------------------------------------------------------
 // Strategies.
 // ---------------------------------------------------------------------
-
-fn small_f64() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        any::<i32>().prop_map(|i| i as f64),
-        (any::<i32>(), 1i32..1000).prop_map(|(a, b)| a as f64 / b as f64),
-        any::<u64>()
-            .prop_map(f64::from_bits)
-            .prop_filter("finite", |x| x.is_finite()),
-    ]
-}
-
-fn update_strategy() -> impl Strategy<Value = Update> {
-    prop_oneof![
-        (0usize..64, small_f64()).prop_map(|(i, v)| Update::Set(i, v)),
-        (0usize..32).prop_map(Update::Resize),
-        Just(Update::Resend),
-    ]
-}
 
 fn err_kind_strategy() -> impl Strategy<Value = ErrKind> {
     prop_oneof![
@@ -746,7 +373,7 @@ proptest! {
     #[test]
     fn chaos_schedules_default_policy(
         init in prop::collection::vec(small_f64(), 0..12),
-        steps in prop::collection::vec((update_strategy(), fault_strategy()), 1..16),
+        steps in prop::collection::vec((update_strategy(32), fault_strategy()), 1..16),
         binary in any::<bool>(),
     ) {
         let format = if binary { WireFormat::CompactBinary } else { WireFormat::SoapXml };
@@ -763,7 +390,7 @@ proptest! {
     #[test]
     fn chaos_schedules_degraded_ladder(
         init in prop::collection::vec(small_f64(), 0..12),
-        steps in prop::collection::vec((update_strategy(), fault_strategy()), 1..16),
+        steps in prop::collection::vec((update_strategy(32), fault_strategy()), 1..16),
         degrade_after in 1u32..4,
         binary in any::<bool>(),
     ) {
@@ -827,7 +454,7 @@ fn chaos_smoke_fixed_schedule() {
 #[test]
 fn fragmented_chaos_sends_round_trip_on_both_cores() {
     use bsoap::transport::http::{
-        post_gather_vectored, read_response, HttpVersion, PostScratch, RequestConfig,
+        post_gather_vectored, read_response_limited, HttpVersion, PostScratch, RequestConfig,
     };
     use bsoap::transport::{supported_cores, ServerMode, ServerOptions, TestServer};
     use std::net::TcpStream;
@@ -871,11 +498,7 @@ fn fragmented_chaos_sends_round_trip_on_both_cores() {
         let mut read_half = stream.try_clone().unwrap();
         let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
         let op = doubles_op();
-        let mut client = Client::new(
-            EngineConfig::paper_default()
-                .with_width(WidthPolicy::Max)
-                .with_wire_format(format),
-        );
+        let mut client = Client::new(EngineConfig::stuffed_max().with_wire_format(format));
         let mut xs: Vec<f64> = (0..24).map(|i| i as f64 * 0.25).collect();
         let mut sent: Vec<Vec<f64>> = Vec::new();
 
@@ -902,11 +525,11 @@ fn fragmented_chaos_sends_round_trip_on_both_cores() {
             };
             let mut scratch = PostScratch::default();
             client
-                .call_via("http://svc", &op, &[Value::DoubleArray(xs.clone())], |s| {
+                .call_via("http://svc", &op, &doubles(&xs), |s| {
                     post_gather_vectored(&mut shim, &cfg, s, &mut scratch)
                 })
                 .unwrap();
-            let (status, _) = read_response(&mut read_half).unwrap();
+            let (status, _) = read_response_limited(&mut read_half, 1 << 16, 1 << 16).unwrap();
             assert_eq!(status, 200, "core {core:?}");
             sent.push(xs.clone());
         }
@@ -915,37 +538,11 @@ fn fragmented_chaos_sends_round_trip_on_both_cores() {
 
         let requests = server.stop_collecting();
         assert_eq!(requests.len(), sent.len(), "core {core:?}");
-        let mut oracle = GSoapLike::new();
+        // Binary frames carry arbitrary bytes (raw double bits), the
+        // harshest payload for fragmented reassembly.
         for (req, xs) in requests.iter().zip(&sent) {
-            match format {
-                WireFormat::SoapXml => {
-                    let full = oracle
-                        .serialize(&op, &[Value::DoubleArray(xs.clone())])
-                        .unwrap()
-                        .to_vec();
-                    assert_eq!(
-                        strip_pad(&req.body),
-                        strip_pad(&full),
-                        "core {core:?}: reassembled body diverges from full serialization"
-                    );
-                }
-                WireFormat::CompactBinary => {
-                    // Binary frames carry arbitrary bytes (raw double
-                    // bits), the harshest payload for fragmented
-                    // reassembly; fidelity is decode-exactness.
-                    let decoded = parse_binary_envelope(&req.body, &op)
-                        .unwrap_or_else(|e| panic!("core {core:?}: body does not decode: {e}"));
-                    let Value::DoubleArray(ds) = &decoded[0] else {
-                        panic!("core {core:?}: decoded param is not a double array");
-                    };
-                    let got: Vec<u64> = ds.iter().map(|x| x.to_bits()).collect();
-                    let want: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
-                    assert_eq!(
-                        got, want,
-                        "core {core:?}: reassembled binary body diverges from the arguments"
-                    );
-                }
-            }
+            assert_wire(format, &op, &doubles(xs), &req.body)
+                .unwrap_or_else(|e| panic!("core {core:?}: reassembled body: {e:?}"));
         }
     }
 }
@@ -1039,7 +636,8 @@ proptest! {
         }
         let input_len = bytes.len();
         let mut cursor = io::Cursor::new(bytes);
-        let res = bsoap::transport::http::read_response(&mut cursor);
+        // No caps: even so a forged length can only deliver bytes that exist.
+        let res = bsoap::transport::http::read_response_limited(&mut cursor, usize::MAX, usize::MAX);
         match (&mutation, style % 3) {
             // Untouched, length-framed responses must round-trip.
             (RespMutation::None, 0) | (RespMutation::None, 1) => {

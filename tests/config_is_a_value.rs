@@ -22,20 +22,5 @@ fn defaults_ignore_the_environment() {
 
 #[test]
 fn one_environment_reader_in_product_code() {
-    // Every `env::var*` call in product code (test modules included), as
-    // `path:line`.
-    let readers: Vec<String> = common::product_sources()
-        .iter()
-        .flat_map(|(path, text)| {
-            text.lines()
-                .enumerate()
-                .filter(|(_, line)| line.contains("env::var"))
-                .map(move |(i, _)| format!("{path}:{}", i + 1))
-        })
-        .collect();
-    assert_eq!(readers.len(), 1, "environment readers: {readers:?}");
-    assert!(
-        readers[0].contains("crates/kernels/src/lib.rs"),
-        "{readers:?}"
-    );
+    common::rules::enforce("config_is_a_value");
 }

@@ -6,35 +6,23 @@
 //! serialization would have shipped, then close the loop by parsing the
 //! collected wire bytes back into values.
 
-use bsoap::baseline::GSoapLike;
-use bsoap::convert::ScalarKind;
+mod common;
+
 use bsoap::deser::{parse_envelope, DiffDeserializer, DiffOutcome};
 use bsoap::transport::http::{HttpVersion, RequestConfig};
 use bsoap::transport::{
     supported_cores, ClientConn, ServerCore, ServerMode, ServerOptions, TestServer,
 };
-use bsoap::xml::strip_pad;
 use bsoap::{
     mio, Client, EngineConfig, OpDesc, SendTier, TypeDesc, Value, WidthPolicy, WireFormat,
 };
+use common::spec::{assert_wire, doubles_op, full_xml, lane_client};
 
-fn doubles_op() -> OpDesc {
-    OpDesc::single(
-        "send",
-        "urn:bench",
-        "arr",
-        TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-    )
-}
-
-/// Each end-to-end guarantee below is asserted on every core in
-/// `supported_cores()` from one test body, proving the event loop is a
-/// drop-in replacement for the worker pool.
-/// Tests that are about the transport, not the lane, take their client
-/// from here and run on both lanes.
-fn lane_client(format: WireFormat) -> Client {
-    Client::new(EngineConfig::paper_default().with_wire_format(format))
-}
+// Each end-to-end guarantee below is asserted on every core in
+// `supported_cores()` from one test body, proving the event loop is a
+// drop-in replacement for the worker pool. Tests that are about the
+// transport, not the lane, take their client from `lane_client` and run on
+// both lanes.
 
 fn opts_on(core: ServerCore) -> ServerOptions {
     ServerOptions {
@@ -56,23 +44,15 @@ fn raw_tcp_bytes_match_fresh_serialization() {
             let mut client = lane_client(format);
 
             let mut xs = vec![1.5, 2.5, 3.5];
-            let mut g = GSoapLike::new();
             for step in 0..5 {
                 xs[step % 3] += 1.0;
                 let r = client
                     .call("tcp://peer", &op, &[Value::DoubleArray(xs.clone())], &mut t)
                     .unwrap();
                 expected_total += r.bytes as u64;
-                // The differential message must parse to the same values a full
-                // serializer would produce.
-                let full = g
-                    .serialize(&op, &[Value::DoubleArray(xs.clone())])
-                    .unwrap()
-                    .to_vec();
-                assert_eq!(
-                    parse_envelope(&full, &op).unwrap(),
-                    vec![Value::DoubleArray(xs.clone())]
-                );
+                // The oracle's own message parses to the values it was given.
+                let args = vec![Value::DoubleArray(xs.clone())];
+                assert_eq!(parse_envelope(&full_xml(&op, &args), &op).unwrap(), args);
             }
         }
         let stats = server.stop();
@@ -230,14 +210,13 @@ fn overlay_wire_bytes_equal_template_bytes() {
     );
 
     // Whole-template path.
-    let tpl = bsoap::MessageTemplate::build(config, &op, &[value]).unwrap();
-    assert_eq!(
-        strip_pad(&overlay_out),
-        strip_pad(&tpl.to_bytes()),
-        "overlaid stream must be pad-equivalent to the stored template"
-    );
-    // And it parses back.
-    assert!(parse_envelope(&overlay_out, &op).is_ok());
+    // Overlaid stream and stored template alike are the one full
+    // serialization of the value (so pad-equivalent to each other), and
+    // parse back.
+    let args = [value];
+    let tpl = bsoap::MessageTemplate::build(config, &op, &args).unwrap();
+    assert_wire(WireFormat::SoapXml, &op, &args, &overlay_out).unwrap();
+    assert_wire(WireFormat::SoapXml, &op, &args, &tpl.to_bytes()).unwrap();
 }
 
 #[test]

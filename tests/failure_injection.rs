@@ -5,171 +5,80 @@
 //! executor panic, stale plan): each must leave the template bytes
 //! untouched.
 
-use bsoap::baseline::GSoapLike;
-use bsoap::convert::ScalarKind;
-use bsoap::xml::strip_pad;
+mod common;
+
 use bsoap::{
-    Client, EngineConfig, EngineError, InjectedFault, MessageTemplate, OpDesc, SendTier, StoreKey,
-    TemplateKey, TypeDesc, Value, WireFormat,
+    EngineConfig, EngineError, InjectedFault, MessageTemplate, SendTier, StoreKey, TemplateKey,
+    Value, WireFormat,
 };
-use std::io::{self, IoSlice, Write};
+use common::spec::{assert_wire, doubles, doubles_op, FailingSink};
+use common::Rig;
+use std::io::{self, ErrorKind, Write};
 
-/// Read-only look at the template `client` has saved for `("ep", op)` on
-/// `format`'s lane (`None` when nothing is saved): moves no counter.
-fn saved_template<R>(
-    client: &Client,
-    op: &OpDesc,
-    format: WireFormat,
-    look: impl FnOnce(&MessageTemplate) -> R,
-) -> Option<R> {
-    let key = StoreKey::new(0, TemplateKey::for_format("ep", op, format));
-    client.template_store()?.peek(&key, look)
+/// A rig on `format`'s lane: every call below is held to the spec — the
+/// tier a retry takes after a failure, the bytes it ships, the counters.
+fn lane_rig(format: WireFormat) -> Rig {
+    Rig::on_lane(doubles_op(), format)
 }
 
-fn doubles_op() -> OpDesc {
-    OpDesc::single(
-        "send",
-        "urn:bench",
-        "arr",
-        TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-    )
+/// A transport that resets after accepting `accept` bytes.
+fn resetting(accept: usize) -> FailingSink {
+    FailingSink::after(accept, ErrorKind::ConnectionReset)
 }
 
-/// Writer that fails after accepting `accept_bytes`, then recovers.
-struct FlakyWriter {
-    accept_bytes: usize,
-    taken: usize,
-    failures: usize,
-    out: Vec<u8>,
-}
-
-impl FlakyWriter {
-    fn new(accept_bytes: usize) -> Self {
-        FlakyWriter {
-            accept_bytes,
-            taken: 0,
-            failures: 0,
-            out: Vec::new(),
-        }
-    }
-}
-
-impl Write for FlakyWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.taken >= self.accept_bytes {
-            self.failures += 1;
-            return Err(io::Error::new(io::ErrorKind::ConnectionReset, "injected"));
-        }
-        let n = buf.len().min(self.accept_bytes - self.taken);
-        self.taken += n;
-        self.out.extend_from_slice(&buf[..n]);
-        Ok(n)
-    }
-    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        let total: usize = bufs.iter().map(|b| b.len()).sum();
-        let first = bufs.first().map(|b| b.len()).unwrap_or(0);
-        let _ = total;
-        self.write(bufs.first().map(|b| &b[..first]).unwrap_or(&[]))
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
+/// Read-only look at the template `rig` has saved for `"ep"` (`None` when
+/// nothing is saved): moves no counter.
+fn saved_template<R>(rig: &Rig, look: impl FnOnce(&MessageTemplate) -> R) -> Option<R> {
+    let key = TemplateKey::for_format("ep", &rig.op, rig.client.config().wire_format);
+    let store = rig.client.template_store()?;
+    store.peek(&StoreKey::new(0, key), look)
 }
 
 #[test]
 fn send_error_surfaces_and_template_survives() {
-    let op = doubles_op();
-    let mut client = Client::new(EngineConfig::paper_default());
-    let xs = vec![Value::DoubleArray(vec![1.5; 100])];
+    let mut rig = lane_rig(WireFormat::SoapXml);
+    let xs = doubles(&[1.5; 100]);
 
     // First send into a writer that dies mid-message.
-    let mut flaky = FlakyWriter::new(64);
-    let err = client.call("ep", &op, &xs, &mut flaky).unwrap_err();
-    assert!(
-        matches!(err, EngineError::Io(_)),
-        "I/O failure must surface: {err:?}"
-    );
-    assert!(flaky.failures > 0);
+    let mut flaky = resetting(64);
+    let err = rig.fail("ep", &xs, &mut flaky).unwrap();
+    assert!(matches!(err, EngineError::Io(_)), "must surface: {err:?}");
+    assert_eq!(flaky.out.len(), 64);
 
-    // The same call against a healthy sink: the engine is not poisoned.
-    let mut ok = Vec::new();
-    let r = client.call("ep", &op, &xs, &mut ok).unwrap();
-    // Template may or may not have been cached before the failure; either
-    // tier is sound, and the bytes must equal a fresh serialization.
-    assert!(matches!(
-        r.tier,
-        SendTier::FirstTime | SendTier::ContentMatch
-    ));
-    let mut g = GSoapLike::new();
-    let full = g.serialize(&op, &xs).unwrap().to_vec();
-    assert_eq!(strip_pad(&ok), strip_pad(&full));
+    // The same call against a healthy sink: the engine is not poisoned,
+    // and — a fresh template is saved only once delivered — builds again.
+    assert_eq!(rig.send("ep", &xs).unwrap().tier, SendTier::FirstTime);
 }
 
 #[test]
 fn failure_during_differential_send_keeps_bytes_consistent() {
-    let op = doubles_op();
-    let mut client = Client::new(EngineConfig::paper_default());
-    let mut ok = Vec::new();
+    let mut rig = lane_rig(WireFormat::SoapXml);
     let mut xs = vec![1.5; 50];
-    client
-        .call("ep", &op, &[Value::DoubleArray(xs.clone())], &mut ok)
-        .unwrap();
+    rig.send("ep", &doubles(&xs)).unwrap();
 
     // Dirty some values, then fail the send. The flush happened before the
     // transport error, so the in-memory template already holds the new
     // bytes — the retry must ship exactly those.
     xs[7] = 9.5;
     xs[31] = 2.5;
-    let mut flaky = FlakyWriter::new(16);
-    let err = client
-        .call("ep", &op, &[Value::DoubleArray(xs.clone())], &mut flaky)
-        .unwrap_err();
-    assert!(matches!(err, EngineError::Io(_)));
-
-    let mut out2 = Vec::new();
-    let r = client
-        .call("ep", &op, &[Value::DoubleArray(xs.clone())], &mut out2)
-        .unwrap();
-    assert_eq!(
-        r.tier,
-        SendTier::ContentMatch,
-        "values already flushed before the failure"
-    );
-    let mut g = GSoapLike::new();
-    let full = g
-        .serialize(&op, &[Value::DoubleArray(xs)])
-        .unwrap()
-        .to_vec();
-    assert_eq!(strip_pad(&out2), strip_pad(&full));
+    rig.fail("ep", &doubles(&xs), &mut resetting(16)).unwrap();
+    let retry = rig.send("ep", &doubles(&xs)).unwrap();
+    assert_eq!(retry.tier, SendTier::ContentMatch, "already flushed");
 }
 
 #[test]
 fn failure_during_resize_send_keeps_template_coherent() {
-    let op = doubles_op();
-    let mut client = Client::new(EngineConfig::paper_default());
-    let mut ok = Vec::new();
-    client
-        .call("ep", &op, &[Value::DoubleArray(vec![1.5; 10])], &mut ok)
-        .unwrap();
+    let mut rig = lane_rig(WireFormat::SoapXml);
+    rig.send("ep", &doubles(&[1.5; 10])).unwrap();
 
-    let grown = vec![Value::DoubleArray(
-        (0..200).map(|i| i as f64 + 0.5).collect(),
-    )];
-    let mut flaky = FlakyWriter::new(8);
-    assert!(client.call("ep", &op, &grown, &mut flaky).is_err());
+    let grown: Vec<f64> = (0..200).map(|i| i as f64 + 0.5).collect();
+    rig.fail("ep", &doubles(&grown), &mut resetting(8)).unwrap();
 
     // After the failed resize-send, the template must still satisfy its
     // invariants and serialize correctly.
-    saved_template(&client, &op, WireFormat::SoapXml, |tpl| {
-        tpl.assert_invariants()
-    })
-    .expect("template retained");
-    let mut out = Vec::new();
-    let r = client.call("ep", &op, &grown, &mut out).unwrap();
-    assert_eq!(r.tier, SendTier::ContentMatch);
-    let mut g = GSoapLike::new();
-    let full = g.serialize(&op, &grown).unwrap().to_vec();
-    assert_eq!(strip_pad(&out), strip_pad(&full));
+    saved_template(&rig, |tpl| tpl.assert_invariants()).expect("template retained");
+    let retry = rig.send("ep", &doubles(&grown)).unwrap();
+    assert_eq!(retry.tier, SendTier::ContentMatch);
 }
 
 #[test]
@@ -184,12 +93,8 @@ fn zero_byte_writer_reports_write_zero() {
         }
     }
     let op = doubles_op();
-    let mut tpl = MessageTemplate::build(
-        bsoap::EngineConfig::paper_default(),
-        &op,
-        &[Value::DoubleArray(vec![1.5])],
-    )
-    .unwrap();
+    let mut tpl =
+        MessageTemplate::build(EngineConfig::paper_default(), &op, &doubles(&[1.5])).unwrap();
     let err = tpl.send(&mut Stuck).unwrap_err();
     let EngineError::Io(io_err) = err else {
         panic!("expected Io error")
@@ -200,37 +105,27 @@ fn zero_byte_writer_reports_write_zero() {
 #[test]
 fn interleaved_failures_across_endpoints_stay_isolated() {
     for format in WireFormat::ALL {
-        let op = doubles_op();
-        let mut client = Client::new(EngineConfig::paper_default().with_wire_format(format));
-        let args_a = vec![Value::DoubleArray(vec![1.5; 20])];
-        let args_b = vec![Value::DoubleArray(vec![2.5; 30])];
-        let mut ok = Vec::new();
-        client.call("a", &op, &args_a, &mut ok).unwrap();
-        client.call("b", &op, &args_b, &mut ok).unwrap();
+        let mut rig = lane_rig(format);
+        let (args_a, args_b) = (doubles(&[1.5; 20]), doubles(&[2.5; 30]));
+        rig.send("a", &args_a).unwrap();
+        rig.send("b", &args_b).unwrap();
 
         // Endpoint B's transport fails; endpoint A is unaffected.
-        let mut flaky = FlakyWriter::new(4);
-        assert!(client.call("b", &op, &args_b, &mut flaky).is_err());
-        let r = client.call("a", &op, &args_a, &mut Vec::new()).unwrap();
-        assert_eq!(r.tier, SendTier::ContentMatch);
-        let r = client.call("b", &op, &args_b, &mut Vec::new()).unwrap();
-        assert_eq!(r.tier, SendTier::ContentMatch);
+        rig.fail("b", &args_b, &mut resetting(4)).unwrap();
+        assert_eq!(rig.send("a", &args_a).unwrap().tier, SendTier::ContentMatch);
+        assert_eq!(rig.send("b", &args_b).unwrap().tier, SendTier::ContentMatch);
     }
 }
 
 #[test]
 fn planner_error_leaves_template_bytes_untouched() {
     let op = doubles_op();
-    let mut tpl = MessageTemplate::build(
-        EngineConfig::paper_default(),
-        &op,
-        &[Value::DoubleArray(vec![1.5; 40])],
-    )
-    .unwrap();
+    let mut tpl =
+        MessageTemplate::build(EngineConfig::paper_default(), &op, &doubles(&[1.5; 40])).unwrap();
     let mut xs = vec![1.5; 40];
     xs[3] = 9.25;
     xs[21] = -7.125;
-    tpl.update_args(&[Value::DoubleArray(xs.clone())]).unwrap();
+    tpl.update_args(&doubles(&xs)).unwrap();
     let before = tpl.to_bytes();
 
     tpl.inject_fault(Some(InjectedFault::PlanError));
@@ -247,12 +142,7 @@ fn planner_error_leaves_template_bytes_untouched() {
     tpl.inject_fault(None);
     let r = tpl.flush();
     assert_eq!(r.values_written, 2);
-    let mut g = GSoapLike::new();
-    let full = g
-        .serialize(&op, &[Value::DoubleArray(xs)])
-        .unwrap()
-        .to_vec();
-    assert_eq!(strip_pad(&tpl.to_bytes()), strip_pad(&full));
+    assert_wire(WireFormat::SoapXml, &op, &doubles(&xs), &tpl.to_bytes()).unwrap();
 }
 
 #[test]
@@ -261,16 +151,12 @@ fn executor_panic_leaves_template_bytes_untouched() {
     // template: the injected panic fires at the execute seam, and the
     // pre-send bytes must survive the unwind intact.
     let op = doubles_op();
-    let mut tpl = MessageTemplate::build(
-        EngineConfig::paper_default(),
-        &op,
-        &[Value::DoubleArray(vec![1.5; 40])],
-    )
-    .unwrap();
+    let mut tpl =
+        MessageTemplate::build(EngineConfig::paper_default(), &op, &doubles(&[1.5; 40])).unwrap();
     let mut xs = vec![1.5; 40];
     xs[0] = 123.456;
     xs[39] = -0.0625;
-    tpl.update_args(&[Value::DoubleArray(xs.clone())]).unwrap();
+    tpl.update_args(&doubles(&xs)).unwrap();
     let before = tpl.to_bytes();
     let plan = tpl.plan().unwrap();
 
@@ -294,32 +180,23 @@ fn executor_panic_leaves_template_bytes_untouched() {
     tpl.inject_fault(None);
     let r = tpl.flush_planned(&plan).unwrap();
     assert_eq!(r.values_written, 2);
-    let mut g = GSoapLike::new();
-    let full = g
-        .serialize(&op, &[Value::DoubleArray(xs)])
-        .unwrap()
-        .to_vec();
-    assert_eq!(strip_pad(&tpl.to_bytes()), strip_pad(&full));
+    assert_wire(WireFormat::SoapXml, &op, &doubles(&xs), &tpl.to_bytes()).unwrap();
 }
 
 #[test]
 fn stale_plan_is_rejected_without_mutation() {
     let op = doubles_op();
-    let mut tpl = MessageTemplate::build(
-        EngineConfig::paper_default(),
-        &op,
-        &[Value::DoubleArray(vec![1.5; 20])],
-    )
-    .unwrap();
+    let mut tpl =
+        MessageTemplate::build(EngineConfig::paper_default(), &op, &doubles(&[1.5; 20])).unwrap();
     let mut xs = vec![1.5; 20];
     xs[5] = 2.25;
-    tpl.update_args(&[Value::DoubleArray(xs.clone())]).unwrap();
+    tpl.update_args(&doubles(&xs)).unwrap();
     let plan = tpl.plan().unwrap();
 
     // Mutate past the plan: more dirty values, then a resize.
     xs[6] = 3.25;
     xs.push(4.5);
-    tpl.update_args(&[Value::DoubleArray(xs.clone())]).unwrap();
+    tpl.update_args(&doubles(&xs)).unwrap();
     let before = tpl.to_bytes();
 
     let err = tpl.flush_planned(&plan).unwrap_err();
@@ -333,28 +210,25 @@ fn stale_plan_is_rejected_without_mutation() {
     // A fresh plan for the current state applies fine.
     let plan = tpl.plan().unwrap();
     tpl.flush_planned(&plan).unwrap();
-    let mut g = GSoapLike::new();
-    let full = g
-        .serialize(&op, &[Value::DoubleArray(xs)])
-        .unwrap()
-        .to_vec();
-    assert_eq!(strip_pad(&tpl.to_bytes()), strip_pad(&full));
+    assert_wire(WireFormat::SoapXml, &op, &doubles(&xs), &tpl.to_bytes()).unwrap();
 }
 
 #[test]
 fn arity_and_type_errors_leave_no_partial_template() {
     for format in WireFormat::ALL {
-        let op = doubles_op();
-        let mut client = Client::new(EngineConfig::paper_default().with_wire_format(format));
-        // Type error on the very first call: no template may be cached.
-        assert!(client
-            .call("ep", &op, &[Value::Int(1)], &mut Vec::new())
-            .is_err());
-        assert!(saved_template(&client, &op, format, |_| ()).is_none());
+        let mut rig = lane_rig(format);
+        // Type error on the very first call: no template may be cached,
+        // and nothing the spec tracks may have moved.
+        let refused = rig
+            .client
+            .call("ep", &rig.op, &[Value::Int(1)], &mut Vec::new());
+        assert!(refused.is_err());
+        assert!(saved_template(&rig, |_| ()).is_none());
+        rig.check().unwrap();
         // A valid call then builds normally.
-        let r = client
-            .call("ep", &op, &[Value::DoubleArray(vec![1.5])], &mut Vec::new())
-            .unwrap();
-        assert_eq!(r.tier, SendTier::FirstTime);
+        assert_eq!(
+            rig.send("ep", &doubles(&[1.5])).unwrap().tier,
+            SendTier::FirstTime
+        );
     }
 }

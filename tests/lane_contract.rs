@@ -1,7 +1,7 @@
 //! A wire lane is one module: what every lane owes its callers, checked
-//! as one table over `WireFormat::ALL`, and a source walk proving no layer
-//! outside the two lane modules (`bsoap-core`'s and `bsoap-deser`'s
-//! `lane.rs`) names a particular lane's machinery.
+//! as one table over `WireFormat::ALL`, and the `lane_contract` rows of the
+//! rule table: no layer outside the two lane modules (`bsoap-core`'s and
+//! `bsoap-deser`'s `lane.rs`) names a particular lane's machinery.
 
 use bsoap::convert::ScalarKind;
 use bsoap::deser::{decode, DiffOutcome, LaneDeserializer};
@@ -91,38 +91,5 @@ fn every_lane_keeps_the_contract() {
 
 #[test]
 fn a_lane_is_one_module() {
-    // The non-test part of every product file.
-    let sources: Vec<(String, String)> = common::product_sources()
-        .into_iter()
-        .map(|(path, text)| {
-            let product = text.split("#[cfg(test)]").next().unwrap().to_owned();
-            (path, product)
-        })
-        .collect();
-    // One variant's name stands for "code that knows which lane it is
-    // on"; the other three are the per-lane twins this layout replaced.
-    let needles = ["CompactBinary", "deser_bin", "is_binary(", "build_binary"];
-    let lane_modules = ["crates/core/src/lane.rs", "crates/deser/src/lane.rs"];
-    let strays: Vec<String> = sources
-        .iter()
-        .filter(|(path, _)| !lane_modules.iter().any(|m| path.ends_with(m)))
-        .flat_map(|(path, text)| {
-            needles
-                .iter()
-                .filter(|n| text.contains(**n))
-                .map(move |n| format!("{path}: {n}"))
-        })
-        .collect();
-    assert!(
-        strays.is_empty(),
-        "lane knowledge outside the lane modules: {strays:#?}"
-    );
-    for module in lane_modules {
-        assert!(
-            sources
-                .iter()
-                .any(|(path, text)| path.ends_with(module) && text.contains(needles[0])),
-            "{module} no longer decides the lane"
-        );
-    }
+    common::rules::enforce("lane_contract");
 }

@@ -6,25 +6,18 @@
 //! point on the server ever holds the envelope (ROADMAP item 2's
 //! server-side accept integration).
 
-use bsoap::convert::ScalarKind;
+mod common;
+
 use bsoap::deser::StreamingDeserializer;
 use bsoap::obs::{Counter, Metrics};
 use bsoap::transport::http::{HttpVersion, RequestConfig};
 use bsoap::transport::{
     BodySink, HttpPoolClient, PoolConfig, ServerCore, ServerMode, ServerOptions, TestServer,
 };
-use bsoap::{Client, EngineConfig, OpDesc, SendTier, TypeDesc, Value};
+use bsoap::{Client, EngineConfig, SendTier, Value};
+use common::spec::doubles_op;
 use std::io;
 use std::sync::{Arc, Mutex};
-
-fn doubles_op() -> OpDesc {
-    OpDesc::single(
-        "send",
-        "urn:bench",
-        "arr",
-        TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-    )
-}
 
 /// One fully streamed request as the server-side sink saw it.
 struct Received {

@@ -3,28 +3,21 @@
 //! buffers the envelope — `read_head` + `ChunkedBodyReader` +
 //! `StreamingDeserializer` — with metrics reconciled across the wire.
 
-use bsoap::convert::ScalarKind;
+mod common;
+
 use bsoap::deser::StreamingDeserializer;
 use bsoap::obs::{Counter, Gauge, Metrics};
 use bsoap::transport::http::{parse_request_head, HttpVersion, RequestConfig};
 use bsoap::transport::pool::PoolConfig;
 use bsoap::transport::stream::{read_head, ChunkedBodyReader};
 use bsoap::transport::HttpPoolClient;
-use bsoap::{Client, EngineConfig, OpDesc, OverlaySender, SendTier, TypeDesc, Value};
+use bsoap::{Client, EngineConfig, OpDesc, OverlaySender, SendTier, Value};
+use common::spec::doubles_op;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
-
-fn doubles_op() -> OpDesc {
-    OpDesc::single(
-        "send",
-        "urn:bench",
-        "arr",
-        TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-    )
-}
 
 /// One parsed request as seen by the streaming server.
 struct Received {

@@ -5,24 +5,27 @@
 //! binary lane — are driven in lockstep through randomized schedules of
 //! value updates, array resizes, string churn, injected transport
 //! faults (the degraded-mode ladder) and endpoint switches (§6 sharing).
-//! After every successful send the two wire images must decode to exactly the model arguments,
-//! the tier trajectories must agree exactly (tiers are decided by value
-//! dirtiness and structural change, which are format-independent), the
-//! binary lane must realize every numeric rewrite with *zero* shift
-//! work — the tier-3 shifting machinery collapses into plain tier-2
-//! overwrites because fixed-width binary numerics never grow — and at
-//! the end each lane's `ClientStats` must reconcile exactly against the
-//! reports it actually produced.
+//! Each lane is a [`Rig`]: every send is held to the executable spec
+//! (`common::spec`) — tier, values written, wire bytes ≡ the arguments,
+//! registry and `ClientStats` — so the two wire images decode to exactly
+//! the model arguments and, one spec rule deciding both, the tier
+//! trajectories agree exactly (tiers are decided by value dirtiness and
+//! structural change, which are format-independent). The spec also says
+//! the binary lane realizes every numeric rewrite with *zero* shift work:
+//! the tier-3 shifting machinery collapses into plain tier-2 overwrites
+//! because fixed-width binary numerics never grow.
+
+mod common;
 
 use bsoap::convert::ScalarKind;
-use bsoap::deser::{parse_binary_envelope, parse_envelope};
 use bsoap::{
-    mio, ChunkConfig, Client, ClientStats, EngineConfig, EngineError, OpDesc, ParamDesc,
-    SendReport, SendTier, TypeDesc, Value, WidthPolicy, WireFormat,
+    mio, ChunkConfig, EngineConfig, EngineError, OpDesc, ParamDesc, SendTier, TypeDesc, Value,
+    WidthPolicy, WireFormat,
 };
+use common::spec::{small_f64, FailingSink, Verdict};
+use common::Rig;
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
-use std::io;
+use std::io::ErrorKind;
 
 /// A mixed-shape operation: fixed-width scalars, a double array, a MIO
 /// struct array, and an unbounded string — every leaf family the two
@@ -95,27 +98,6 @@ enum Step {
     SwitchEndpoint,
 }
 
-impl Step {
-    /// Steps whose only effect is rewriting fixed-width numerics — the
-    /// binary lane must realize these with zero shifts/steals/splits.
-    fn numeric_only(&self) -> bool {
-        matches!(
-            self,
-            Step::Bump(_) | Step::SetDouble(..) | Step::SetMio(..) | Step::Repeat
-        )
-    }
-}
-
-fn small_f64() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        any::<i32>().prop_map(|i| i as f64),
-        (any::<i32>(), 1i32..1000).prop_map(|(a, b)| a as f64 / b as f64),
-        any::<u64>()
-            .prop_map(f64::from_bits)
-            .prop_filter("finite", |x| x.is_finite()),
-    ]
-}
-
 fn model_strategy() -> impl Strategy<Value = Model> {
     (
         any::<i32>(),
@@ -168,9 +150,9 @@ fn config_strategy() -> impl Strategy<Value = EngineConfig> {
     })
 }
 
-/// Apply `step` to the model; returns `false` for steps that do not
-/// change the model (Repeat/FailSend/SwitchEndpoint).
-fn apply(model: &mut Model, step: &Step) {
+/// Apply `step` to the model (Repeat/FailSend/SwitchEndpoint change
+/// nothing in it).
+fn apply_to(model: &mut Model, step: &Step) {
     match step {
         Step::Bump(d) => model.step = model.step.wrapping_add(*d),
         Step::SetDouble(i, v) => {
@@ -211,186 +193,57 @@ fn apply(model: &mut Model, step: &Step) {
     }
 }
 
-/// One call through a lane: captures the wire image, optionally injects
-/// a transport fault, and reports whether the endpoint was degraded
-/// going in.
-fn send_once(
-    client: &mut Client,
-    endpoint: &str,
-    op: &OpDesc,
-    args: &[Value],
-    fail: bool,
-) -> (Result<SendReport, EngineError>, Vec<u8>, bool) {
-    let was_degraded = client.is_degraded(endpoint);
-    let mut wire = Vec::new();
-    let out = client.call_via(endpoint, op, args, |slices| {
-        if fail {
-            return Err(io::Error::other("injected transport fault"));
-        }
-        let mut n = 0;
-        for s in slices {
-            wire.extend_from_slice(s);
-            n += s.len();
-        }
-        Ok(n)
-    });
-    (out, wire, was_degraded)
-}
-
-/// The tier trajectories the lane actually produced, accumulated the
-/// same way `ClientStats::record` does — the reconciliation oracle.
-#[derive(Default)]
-struct Observed {
-    first_time: u64,
-    content_match: u64,
-    perfect: u64,
-    partial: u64,
-    degraded: u64,
-    bytes: u64,
-}
-
-impl Observed {
-    fn absorb(&mut self, r: &SendReport, was_degraded: bool) {
-        match r.tier {
-            SendTier::FirstTime => self.first_time += 1,
-            SendTier::ContentMatch => self.content_match += 1,
-            SendTier::PerfectStructural => self.perfect += 1,
-            SendTier::PartialStructural => self.partial += 1,
-        }
-        if was_degraded {
-            self.degraded += 1;
-        }
-        self.bytes += r.bytes as u64;
-    }
-
-    fn reconcile(&self, stats: &ClientStats, lane: &str) -> Result<(), TestCaseError> {
-        prop_assert_eq!(stats.first_time, self.first_time, "{} first_time", lane);
-        prop_assert_eq!(
-            stats.content_match,
-            self.content_match,
-            "{} content_match",
-            lane
-        );
-        prop_assert_eq!(stats.perfect_structural, self.perfect, "{} perfect", lane);
-        prop_assert_eq!(stats.partial_structural, self.partial, "{} partial", lane);
-        prop_assert_eq!(stats.degraded_sends, self.degraded, "{} degraded", lane);
-        prop_assert_eq!(stats.bytes_sent, self.bytes, "{} bytes", lane);
-        Ok(())
-    }
-}
-
 const ENDPOINTS: [&str; 2] = ["http://mesh/a", "http://mesh/b"];
 
-fn run_schedule(
-    mut model: Model,
-    steps: &[Step],
-    config: EngineConfig,
-    sharing: bool,
-) -> Result<(), TestCaseError> {
-    let op = mesh_op();
-    let [mut xml, mut bin] = WireFormat::ALL.map(|f| Client::new(config.with_wire_format(f)));
-    xml.set_endpoint_sharing(sharing);
-    bin.set_endpoint_sharing(sharing);
+/// One rig per lane over the same operation and configuration.
+fn lanes(op: &OpDesc, config: EngineConfig, sharing: bool) -> [Rig; 2] {
+    WireFormat::ALL.map(|f| Rig::new(op.clone(), config.with_wire_format(f)).sharing(sharing))
+}
 
-    let mut xml_obs = Observed::default();
-    let mut bin_obs = Observed::default();
+fn run_schedule(mut model: Model, steps: &[Step], config: EngineConfig, sharing: bool) -> Verdict {
+    let [mut xml, mut bin] = lanes(&mesh_op(), config, sharing);
     let mut ep = 0usize;
 
     for step in steps {
         if matches!(step, Step::SwitchEndpoint) {
             ep = 1 - ep;
         }
-        apply(&mut model, step);
+        apply_to(&mut model, step);
         let args = model.args();
-        let fail = matches!(step, Step::FailSend);
 
-        let (xml_out, xml_wire, xml_deg) = send_once(&mut xml, ENDPOINTS[ep], &op, &args, fail);
-        let (bin_out, bin_wire, bin_deg) = send_once(&mut bin, ENDPOINTS[ep], &op, &args, fail);
-
-        if fail {
-            prop_assert!(
-                matches!(xml_out, Err(EngineError::Io(_))),
-                "xml lane swallowed the injected fault after {:?}",
-                step
-            );
-            prop_assert!(
-                matches!(bin_out, Err(EngineError::Io(_))),
-                "binary lane swallowed the injected fault after {:?}",
-                step
-            );
+        if matches!(step, Step::FailSend) {
+            // Both lanes surface the fault (and their ladders move).
+            for rig in [&mut xml, &mut bin] {
+                let mut sink = FailingSink::after(0, ErrorKind::Other);
+                let e = rig.fail(ENDPOINTS[ep], &args, &mut sink)?;
+                prop_assert!(matches!(e, EngineError::Io(_)), "{:?}", e);
+            }
             continue;
         }
-
-        let xml_r = xml_out.unwrap();
-        let bin_r = bin_out.unwrap();
-        // The degraded-mode ladders must track each other exactly.
-        prop_assert_eq!(xml_deg, bin_deg, "degradation diverged after {:?}", step);
-        xml_obs.absorb(&xml_r, xml_deg);
-        bin_obs.absorb(&bin_r, bin_deg);
-        if xml_deg {
-            prop_assert_eq!(xml_r.tier, SendTier::FirstTime);
-            prop_assert_eq!(bin_r.tier, SendTier::FirstTime);
-        }
-
-        // Equal meaning: both wire images decode to exactly the model.
-        let xml_vals = parse_envelope(&xml_wire, &op).unwrap();
-        let bin_vals = parse_binary_envelope(&bin_wire, &op).unwrap();
-        prop_assert_eq!(&xml_vals, &args, "xml decode drifted after {:?}", step);
-        prop_assert_eq!(&bin_vals, &args, "binary decode drifted after {:?}", step);
-        let (Value::DoubleArray(xa), Value::DoubleArray(ba)) = (&xml_vals[1], &bin_vals[1]) else {
-            panic!("xs variant");
-        };
-        for ((a, b), m) in xa.iter().zip(ba).zip(&model.xs) {
-            prop_assert_eq!(a.to_bits(), m.to_bits());
-            prop_assert_eq!(b.to_bits(), m.to_bits());
-        }
-
-        // Tier trajectories agree exactly: the tier is decided by value
-        // dirtiness and structural change, both format-independent. The
-        // tier-3 collapse shows up below as the *shift work* vanishing,
-        // not as a different label.
+        let xml_r = xml.send(ENDPOINTS[ep], &args)?;
+        let bin_r = bin.send(ENDPOINTS[ep], &args)?;
+        // The tier-3 collapse shows up as the *shift work* vanishing
+        // (the spec's `shift_free`), not as a different label.
         prop_assert_eq!(bin_r.tier, xml_r.tier, "tier divergence after {:?}", step);
-
-        // Numeric rewrites are same-length overwrites in the binary
-        // format: never a shift, steal, or split.
-        if step.numeric_only() {
-            prop_assert_eq!(bin_r.shifts, 0, "binary shift on numeric {:?}", step);
-            prop_assert_eq!(bin_r.steals, 0, "binary steal on numeric {:?}", step);
-            prop_assert_eq!(bin_r.splits, 0, "binary split on numeric {:?}", step);
-        }
-
         // The compact lane earns its name on every single message.
         prop_assert!(
-            bin_wire.len() < xml_wire.len(),
-            "binary image ({}B) not smaller than XML ({}B) after {:?}",
-            bin_wire.len(),
-            xml_wire.len(),
+            bin_r.bytes < xml_r.bytes,
+            "binary not smaller after {:?}",
             step
         );
     }
 
-    // Exact per-lane reconciliation: stats must equal the trajectories
-    // the lane actually reported — nothing double-counted, nothing lost.
-    let xs = xml.stats();
-    let bs = bin.stats();
-    xml_obs.reconcile(&xs, "xml")?;
-    bin_obs.reconcile(&bs, "bin")?;
-
-    // Cross-lane: every aggregate agrees except the Partial→Perfect
-    // redistribution the collapse rule allows.
-    prop_assert_eq!(xs.first_time, bs.first_time);
-    prop_assert_eq!(xs.content_match, bs.content_match);
+    // The two specs ran the same rule over the same calls: every
+    // aggregate agrees except the bytes.
+    let (xs, bs) = (xml.spec.n, bin.spec.n);
+    prop_assert_eq!((xs.tiers, xs.delivered), (bs.tiers, bs.delivered));
     prop_assert_eq!(xs.degraded_sends, bs.degraded_sends);
     prop_assert_eq!(xs.shared_clones, bs.shared_clones);
     prop_assert_eq!(
-        xs.perfect_structural + xs.partial_structural,
-        bs.perfect_structural + bs.partial_structural
+        xml.spec.is_degraded(ENDPOINTS[ep]),
+        bin.spec.is_degraded(ENDPOINTS[ep])
     );
-    prop_assert!(bs.perfect_structural >= xs.perfect_structural);
-    prop_assert_eq!(xs.calls(), bs.calls());
-    if xs.calls() > 0 {
-        prop_assert!(bs.bytes_sent < xs.bytes_sent);
-    }
+    prop_assert!(xs.delivered == [0; 4] || bs.bytes_sent < xs.bytes_sent);
     Ok(())
 }
 
@@ -423,52 +276,39 @@ fn numeric_width_growth_collapses_tier3_to_tier2() {
         TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
     );
     let config = EngineConfig::paper_default().with_width(WidthPolicy::Exact);
-    let [mut xml, mut bin] = WireFormat::ALL.map(|f| Client::new(config.with_wire_format(f)));
+    let [mut xml, mut bin] = lanes(&op, config, false);
 
     // Short decimal images first, long ones second: every element's
     // XML width grows; its binary width (8 bytes) cannot.
-    let first = vec![0.5_f64; 64];
-    let second: Vec<f64> = (0..64)
-        .map(|i| 0.123456789012345 + i as f64 * 1e-7)
-        .collect();
-
-    for c in [&mut xml, &mut bin] {
-        let r = c
-            .call_via("ep", &op, &[Value::DoubleArray(first.clone())], |s| {
-                Ok(s.iter().map(|x| x.len()).sum())
-            })
-            .unwrap();
-        assert_eq!(r.tier, SendTier::FirstTime);
+    let first = [Value::DoubleArray(vec![0.5_f64; 64])];
+    let second = [Value::DoubleArray(
+        (0..64)
+            .map(|i| 0.123456789012345 + i as f64 * 1e-7)
+            .collect(),
+    )];
+    for rig in [&mut xml, &mut bin] {
+        assert_eq!(rig.send("ep", &first).unwrap().tier, SendTier::FirstTime);
     }
-    let xml_r = xml
-        .call_via("ep", &op, &[Value::DoubleArray(second.clone())], |s| {
-            Ok(s.iter().map(|x| x.len()).sum())
-        })
-        .unwrap();
-    let bin_r = bin
-        .call_via("ep", &op, &[Value::DoubleArray(second.clone())], |s| {
-            Ok(s.iter().map(|x| x.len()).sum())
-        })
-        .unwrap();
+    let xml_r = xml.send("ep", &second).unwrap();
+    let bin_r = bin.send("ep", &second).unwrap();
 
     // Same tier label both sides — but the XML lane pays shift passes
     // for the wider decimal images while the binary lane overwrites
-    // 8-byte slots in place. That elimination of tier-3 *work* from a
-    // tier-2 send is the collapse the compact format buys.
+    // 8-byte slots in place (the rig held it to the spec's `shift_free`).
+    // That elimination of tier-3 *work* from a tier-2 send is the
+    // collapse the compact format buys.
     assert_eq!(xml_r.tier, SendTier::PerfectStructural);
     assert!(
         xml_r.shifts > 0,
         "exact-width XML lane must shift on width growth"
     );
+    assert!(xml.spec.n.shifted && !bin.spec.n.shifted);
     assert_eq!(
-        bin_r.tier,
-        SendTier::PerfectStructural,
+        (bin_r.tier, bin_r.values_written),
+        (SendTier::PerfectStructural, 64),
         "binary lane must absorb width growth in place"
     );
-    assert_eq!(bin_r.shifts, 0);
-    assert_eq!(bin_r.steals, 0);
-    assert_eq!(bin_r.splits, 0);
-    assert_eq!(bin_r.values_written, 64);
+    assert_eq!((bin_r.shifts, bin_r.steals, bin_r.splits), (0, 0, 0));
 }
 
 /// End-to-end leg of the differential suite: the same call schedule
@@ -605,9 +445,8 @@ fn cross_format_schedules_agree_end_to_end_on_both_cores() {
 /// the same calls in both lanes, and the stats agree exactly.
 #[test]
 fn degradation_ladder_is_format_blind() {
-    let op = mesh_op();
     let config = EngineConfig::paper_default().with_degraded(2, 1);
-    let [mut xml, mut bin] = WireFormat::ALL.map(|f| Client::new(config.with_wire_format(f)));
+    let [mut xml, mut bin] = lanes(&mesh_op(), config, false);
     let model = Model {
         step: 7,
         xs: vec![1.5, 2.5],
@@ -619,26 +458,23 @@ fn degradation_ladder_is_format_blind() {
     // ok, fail, fail → degraded; ok (degraded, recovers); ok (tiered again).
     let script = [false, true, true, false, false, false];
     for (i, &fail) in script.iter().enumerate() {
-        let (xml_out, _, xml_deg) = send_once(&mut xml, "ep", &op, &args, fail);
-        let (bin_out, _, bin_deg) = send_once(&mut bin, "ep", &op, &args, fail);
-        assert_eq!(xml_deg, bin_deg, "ladder diverged at call {i}");
-        assert_eq!(
-            xml_out.is_ok(),
-            bin_out.is_ok(),
-            "outcome diverged at call {i}"
-        );
+        for rig in [&mut xml, &mut bin] {
+            if fail {
+                let mut sink = FailingSink::after(0, ErrorKind::Other);
+                rig.fail("ep", &args, &mut sink).unwrap();
+            } else {
+                rig.send("ep", &args).unwrap();
+            }
+        }
+        let ladder = [&xml, &bin].map(|rig| rig.client.is_degraded("ep"));
+        assert_eq!(ladder, [i == 2; 2], "ladder at call {i}");
     }
-    assert!(!xml.is_degraded("ep"));
-    assert!(!bin.is_degraded("ep"));
 
-    let (xs, bs) = (xml.stats(), bin.stats());
-    assert_eq!(xs.degraded_sends, 1);
-    assert_eq!(bs.degraded_sends, 1);
     // call 0 FirstTime; call 3 degraded FirstTime (template was purged);
     // call 4 FirstTime (nothing retained while degraded); call 5 ContentMatch.
-    assert_eq!(xs.first_time, 3);
-    assert_eq!(bs.first_time, 3);
-    assert_eq!(xs.content_match, 1);
-    assert_eq!(bs.content_match, 1);
-    assert!(bs.bytes_sent < xs.bytes_sent);
+    for rig in [&xml, &bin] {
+        assert_eq!(rig.spec.n.delivered, [3, 1, 0, 0]);
+        assert_eq!(rig.spec.n.degraded_sends, 1);
+    }
+    assert!(bin.spec.n.bytes_sent < xml.spec.n.bytes_sent);
 }

@@ -2,41 +2,22 @@
 //!
 //! For any operation shape, any starting arguments, any sequence of
 //! updates (value changes *and* resizes), and any engine configuration:
-//! the differential client's wire bytes are pad-equivalent to a
-//! from-scratch full serialization of the same arguments, and parse back
-//! to exactly those arguments.
+//! the differential template's bytes are pad-equivalent to a from-scratch
+//! full serialization of the same arguments and parse back to exactly
+//! those arguments (`common::spec::assert_wire`), and every flush takes
+//! the tier and rewrites the leaves the executable spec predicts.
 
-use bsoap::baseline::GSoapLike;
-use bsoap::convert::ScalarKind;
-use bsoap::deser::parse_envelope;
-use bsoap::xml::strip_pad;
+mod common;
+
 use bsoap::{
-    mio, ChunkConfig, Client, EngineConfig, MessageTemplate, OpDesc, TypeDesc, Value, WidthPolicy,
+    mio, ChunkConfig, Client, EngineConfig, MessageTemplate, OpDesc, SendReport, SendTier,
+    TypeDesc, Value, WidthPolicy, WireFormat,
+};
+use common::spec::{
+    apply, assert_wire, doubles, doubles_op, small_f64, update_strategy, Delivery, Spec, Update,
+    Verdict,
 };
 use proptest::prelude::*;
-
-#[derive(Clone, Debug)]
-enum Update {
-    SetDouble(usize, f64),
-    Resize(usize),
-}
-
-fn small_f64() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        any::<i32>().prop_map(|i| i as f64),
-        (any::<i32>(), 1i32..1000).prop_map(|(a, b)| a as f64 / b as f64),
-        any::<u64>()
-            .prop_map(f64::from_bits)
-            .prop_filter("finite", |x| x.is_finite()),
-    ]
-}
-
-fn update_strategy() -> impl Strategy<Value = Update> {
-    prop_oneof![
-        (0usize..64, small_f64()).prop_map(|(i, v)| Update::SetDouble(i, v)),
-        (0usize..48).prop_map(Update::Resize),
-    ]
-}
 
 fn config_strategy() -> impl Strategy<Value = EngineConfig> {
     let chunk = prop_oneof![
@@ -65,23 +46,37 @@ fn config_strategy() -> impl Strategy<Value = EngineConfig> {
     })
 }
 
-fn apply(xs: &mut Vec<f64>, u: &Update) {
-    match u {
-        Update::SetDouble(i, v) => {
-            if !xs.is_empty() {
-                let i = i % xs.len();
-                xs[i] = *v;
-            }
-        }
-        Update::Resize(n) => {
-            let n = *n;
-            if n > xs.len() {
-                xs.extend((xs.len()..n).map(|k| k as f64 * 0.5));
-            } else {
-                xs.truncate(n);
-            }
-        }
+/// Every argument list a doubles schedule visits, the initial one first.
+fn doubles_schedule(mut xs: Vec<f64>, updates: &[Update]) -> Vec<Vec<Value>> {
+    let mut out = vec![doubles(&xs).to_vec()];
+    for u in updates {
+        apply(&mut xs, u);
+        out.push(doubles(&xs).to_vec());
     }
+    out
+}
+
+/// Build a template from the first argument list and walk it through the
+/// rest with `flush`: each flush is what the spec predicts, leaves the
+/// template coherent, and leaves bytes ≡ a full serialization.
+fn walk(
+    config: EngineConfig,
+    op: &OpDesc,
+    schedule: &[Vec<Value>],
+    flush: fn(&mut MessageTemplate) -> SendReport,
+) -> Verdict {
+    let mut tpl = MessageTemplate::build(config, op, &schedule[0]).unwrap();
+    let mut spec = Spec::of(&config);
+    spec.step("tpl", &schedule[0], Delivery::Sent(0));
+    for args in &schedule[1..] {
+        let pending = tpl.update_args(args).unwrap();
+        let report = flush(&mut tpl);
+        tpl.assert_invariants();
+        spec.step("tpl", args, Delivery::Sent(0)).check(&report)?;
+        prop_assert_eq!(report.tier, pending, "update_args vs flush");
+        assert_wire(WireFormat::SoapXml, op, args, &tpl.to_bytes())?;
+    }
+    Ok(())
 }
 
 proptest! {
@@ -90,43 +85,10 @@ proptest! {
     #[test]
     fn differential_equals_full_serialization(
         initial in prop::collection::vec(small_f64(), 0..40),
-        updates in prop::collection::vec(update_strategy(), 1..12),
+        updates in prop::collection::vec(update_strategy(48), 1..12),
         config in config_strategy(),
     ) {
-        let op = OpDesc::single(
-            "send", "urn:bench", "arr",
-            TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-        );
-        let mut xs = initial;
-        let mut tpl =
-            MessageTemplate::build(config, &op, &[Value::DoubleArray(xs.clone())]).unwrap();
-        let mut baseline = GSoapLike::new();
-
-        for u in &updates {
-            apply(&mut xs, u);
-            tpl.update_args(&[Value::DoubleArray(xs.clone())]).unwrap();
-            tpl.flush();
-            tpl.assert_invariants();
-
-            let differential = tpl.to_bytes();
-            let full = baseline
-                .serialize(&op, &[Value::DoubleArray(xs.clone())])
-                .unwrap()
-                .to_vec();
-            prop_assert_eq!(
-                strip_pad(&differential),
-                strip_pad(&full),
-                "differential bytes drifted from full serialization after {:?}",
-                u
-            );
-            // And the wire bytes parse back to the in-memory arguments.
-            let parsed = parse_envelope(&differential, &op).unwrap();
-            let Value::DoubleArray(back) = &parsed[0] else { panic!("variant") };
-            prop_assert_eq!(back.len(), xs.len());
-            for (a, b) in back.iter().zip(&xs) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
+        walk(config, &doubles_op(), &doubles_schedule(initial, &updates), MessageTemplate::flush)?;
     }
 
     #[test]
@@ -138,29 +100,19 @@ proptest! {
         config in config_strategy(),
     ) {
         let op = OpDesc::single("m", "urn:x", "a", TypeDesc::array_of(TypeDesc::mio()));
+        let args = |elems: &[(i32, i32, f64)]| {
+            vec![Value::Array(elems.iter().map(|&(x, y, v)| mio(x, y, v)).collect())]
+        };
         let mut elems = initial;
-        let mut tpl = MessageTemplate::build(
-            config,
-            &op,
-            &[Value::Array(elems.iter().map(|&(x, y, v)| mio(x, y, v)).collect())],
-        )
-        .unwrap();
-        let mut baseline = GSoapLike::new();
-
-        for (i, x, v) in &updates {
+        let mut schedule = vec![args(&elems)];
+        for (i, x, v) in updates {
             if !elems.is_empty() {
                 let i = i % elems.len();
-                elems[i].0 = *x;
-                elems[i].2 = *v;
+                (elems[i].0, elems[i].2) = (x, v);
             }
-            let value = Value::Array(elems.iter().map(|&(x, y, v)| mio(x, y, v)).collect());
-            tpl.update_args(std::slice::from_ref(&value)).unwrap();
-            tpl.flush();
-            tpl.assert_invariants();
-            let full = baseline.serialize(&op, std::slice::from_ref(&value)).unwrap().to_vec();
-            prop_assert_eq!(strip_pad(&tpl.to_bytes()), strip_pad(&full));
-            prop_assert_eq!(parse_envelope(&tpl.to_bytes(), &op).unwrap(), vec![value]);
+            schedule.push(args(&elems));
         }
+        walk(config, &op, &schedule, MessageTemplate::flush)?;
     }
 }
 
@@ -169,43 +121,20 @@ proptest! {
 
     /// Plan/execute split theorem: for any update sequence (dirty
     /// fractions, width growth, array resizes) and any engine
-    /// configuration, plan-then-apply leaves the template coherent and its
-    /// bytes pad-equivalent to a from-scratch full serialization, and they
-    /// parse back to the arguments.
+    /// configuration, plan-then-apply is the same walk.
     #[test]
     fn planned_flush_equals_full(
         initial in prop::collection::vec(small_f64(), 0..40),
-        updates in prop::collection::vec(update_strategy(), 1..10),
+        updates in prop::collection::vec(update_strategy(48), 1..10),
         config in config_strategy(),
     ) {
-        let op = OpDesc::single(
-            "send", "urn:bench", "arr",
-            TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-        );
-        let mut xs = initial;
-        let mut tpl =
-            MessageTemplate::build(config, &op, &[Value::DoubleArray(xs.clone())]).unwrap();
-        let mut baseline = GSoapLike::new();
-
-        for u in &updates {
-            apply(&mut xs, u);
-            let args = [Value::DoubleArray(xs.clone())];
-            let tier = tpl.update_args(&args).unwrap();
-            // Drive the public plan/execute seam explicitly rather than
-            // through flush(), so a stale or mis-costed plan shows up here.
+        // Drive the public plan/execute seam explicitly rather than
+        // through flush(), so a stale or mis-costed plan shows up here.
+        let planned = |tpl: &mut MessageTemplate| {
             let plan = tpl.plan().unwrap();
-            let report = tpl.flush_planned(&plan).unwrap();
-            tpl.assert_invariants();
-            prop_assert_eq!(report.tier, tier, "tier diverged after {:?}", u);
-            let full = baseline.serialize(&op, &args).unwrap().to_vec();
-            prop_assert_eq!(
-                strip_pad(&tpl.to_bytes()),
-                strip_pad(&full),
-                "planned executor bytes diverged from full serialization after {:?}",
-                u
-            );
-            prop_assert_eq!(parse_envelope(&tpl.to_bytes(), &op).unwrap(), args.to_vec());
-        }
+            tpl.flush_planned(&plan).unwrap()
+        };
+        walk(config, &doubles_op(), &doubles_schedule(initial, &updates), planned)?;
     }
 }
 
@@ -214,43 +143,23 @@ proptest! {
 
     /// The §5 cost gate may reroute any send to the FirstTime path, but it
     /// must never change the wire bytes: whatever `fallback_ratio` is in
-    /// force, the client's output stays pad-equivalent to a full
-    /// serialization and parses back to the arguments.
+    /// force (the spec prices only ratio 0, so no tier is predicted here),
+    /// the client's output stays ≡ a full serialization.
     #[test]
     fn cost_fallback_never_changes_wire_bytes(
         initial in prop::collection::vec(small_f64(), 0..32),
-        updates in prop::collection::vec(update_strategy(), 1..8),
+        updates in prop::collection::vec(update_strategy(48), 1..8),
         config in config_strategy(),
         ratio in prop_oneof![Just(0.0), Just(0.05), Just(0.5), Just(10.0)],
     ) {
-        let op = OpDesc::single(
-            "send", "urn:bench", "arr",
-            TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-        );
+        let op = doubles_op();
         let mut client = Client::new(
             config.with_cost_fallback(true).with_fallback_ratio(ratio));
-        let mut baseline = GSoapLike::new();
-        let mut xs = initial;
-        client
-            .call("ep", &op, &[Value::DoubleArray(xs.clone())], &mut Vec::new())
-            .unwrap();
-
-        for u in &updates {
-            apply(&mut xs, u);
-            let args = [Value::DoubleArray(xs.clone())];
+        for args in doubles_schedule(initial, &updates) {
             let mut wire = Vec::new();
             let report = client.call("ep", &op, &args, &mut wire).unwrap();
-            if report.fell_back {
-                prop_assert_eq!(report.tier, bsoap::SendTier::FirstTime);
-            }
-            let full = baseline.serialize(&op, &args).unwrap().to_vec();
-            prop_assert_eq!(strip_pad(&wire), strip_pad(&full));
-            let parsed = parse_envelope(&wire, &op).unwrap();
-            let Value::DoubleArray(back) = &parsed[0] else { panic!("variant") };
-            prop_assert_eq!(back.len(), xs.len());
-            for (a, b) in back.iter().zip(&xs) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
+            prop_assert!(!report.fell_back || report.tier == SendTier::FirstTime);
+            assert_wire(WireFormat::SoapXml, &op, &args, &wire)?;
         }
     }
 }

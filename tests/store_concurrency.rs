@@ -6,35 +6,28 @@
 //!    and per-tenant quotas hold, and the hit/miss counters reconcile
 //!    exactly with the number of lookups issued.
 //! 2. **Eviction transparency**: a client whose store budget holds about
-//!    two templates stays pad-equal to a full serialization on every call
-//!    of any schedule, within budget, and pays `FirstTime` exactly when
-//!    its template was evicted.
+//!    two templates stays, on every call of any schedule, what the
+//!    executable spec (`common::spec`) says — bytes ≡ a full
+//!    serialization, within budget — the spec being told of a budget
+//!    eviction, so the call pays `FirstTime` exactly when its template
+//!    was evicted.
 
-use bsoap::baseline::GSoapLike;
-use bsoap::convert::ScalarKind;
+mod common;
+
 use bsoap::obs::{Counter, EngineStats, Level, Metrics};
-use bsoap::xml::strip_pad;
 use bsoap::{
-    Client, EngineConfig, MessageTemplate, OpDesc, SendTier, StoreKey, TemplateKey, TemplateStore,
-    TypeDesc, Value, WireFormat,
+    EngineConfig, MessageTemplate, StoreKey, TemplateKey, TemplateStore, Value, WireFormat,
 };
+use common::spec::{apply, doubles, doubles_op, small_f64, update_strategy};
+use common::Rig;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-fn arr_op() -> OpDesc {
-    OpDesc::single(
-        "send",
-        "urn:store",
-        "arr",
-        TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-    )
-}
 
 fn arr_tpl(format: WireFormat, n: usize) -> MessageTemplate {
     MessageTemplate::build(
         EngineConfig::paper_default().with_wire_format(format),
-        &arr_op(),
-        &[Value::DoubleArray(vec![0.5; n])],
+        &doubles_op(),
+        &doubles(&vec![0.5; n]),
     )
     .unwrap()
 }
@@ -74,7 +67,7 @@ proptest! {
                         let tenant = ((t + step) as u64) % tenants;
                         let ep = format!("ep{}", (t * 7 + step * 3) % 3);
                         let skey =
-                            StoreKey::new(tenant, TemplateKey::new(&ep, &arr_op()));
+                            StoreKey::new(tenant, TemplateKey::new(&ep, &doubles_op()));
                         let n = 4 + (t * 13 + step * 5) % 48;
                         let args = [Value::DoubleArray(vec![0.5; n])];
                         lookups += 1;
@@ -134,74 +127,40 @@ proptest! {
     }
 }
 
-#[derive(Clone, Debug)]
-enum Step {
-    /// Set element `i % len` to `v`.
-    Set(usize, f64),
-    /// Resize the array to `n` elements.
-    Resize(usize),
-    /// Repeat the previous arguments verbatim (content-match bait).
-    Repeat,
-}
-
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (0usize..64, -1e6f64..1e6).prop_map(|(i, v)| Step::Set(i, v)),
-        (1usize..48).prop_map(Step::Resize),
-        Just(Step::Repeat),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A store budget of about two templates, schedules over 1–3
-    /// endpoints, so evictions happen mid-schedule: every call's wire
-    /// stays pad-equal to a full serialization, the byte accounting holds
-    /// after every call, and a call pays `FirstTime` exactly when no
-    /// template for its endpoint is resident.
+    /// endpoints, so evictions happen mid-schedule: every call is what the
+    /// spec says of the templates still resident, and the byte accounting
+    /// holds after every call.
     #[test]
     fn budgeted_store_matches_full_serialization(
-        initial in prop::collection::vec(-1e6f64..1e6, 1..32),
-        steps in prop::collection::vec(step_strategy(), 1..16),
+        initial in prop::collection::vec(small_f64(), 1..32),
+        steps in prop::collection::vec(update_strategy(48), 1..16),
         endpoints in 1usize..4,
     ) {
-        let op = arr_op();
         let config = EngineConfig::paper_default();
-        let budget = 2 * MessageTemplate::build(
-            config, &op, &[Value::DoubleArray(initial.clone())],
-        ).unwrap().message_len();
+        let mut rig = Rig::new(doubles_op(), config);
+        let budget = 2 * MessageTemplate::build(config, &rig.op, &doubles(&initial))
+            .unwrap()
+            .message_len();
         let store = TemplateStore::shared(budget, 0);
-        let mut client = Client::new(config);
-        client.set_template_store(Arc::clone(&store));
-        let mut baseline = GSoapLike::new();
+        rig.client.set_template_store(Arc::clone(&store));
 
         let mut xs = initial;
         for (i, step) in steps.iter().enumerate() {
-            match step {
-                Step::Set(i, v) => {
-                    let len = xs.len();
-                    xs[i % len] = *v;
-                }
-                Step::Resize(n) => xs.resize(*n, 0.25),
-                Step::Repeat => {}
-            }
+            apply(&mut xs, step);
             let endpoint = format!("http://svc/{}", i % endpoints);
-            let args = [Value::DoubleArray(xs.clone())];
-            let resident = store.contains(&StoreKey::new(0, TemplateKey::new(&endpoint, &op)));
-
-            let mut wire = Vec::new();
-            let report = client.call(&endpoint, &op, &args, &mut wire).unwrap();
-
-            let full = baseline.serialize(&op, &args).unwrap().to_vec();
-            prop_assert_eq!(
-                strip_pad(&wire), strip_pad(&full),
-                "wire bytes diverged at step {} ({:?})", i, step
-            );
-            prop_assert_eq!(
-                report.tier == SendTier::FirstTime, !resident,
-                "tier {:?} with template resident={} at step {}", report.tier, resident, i
-            );
+            // The budget evicts behind the client's back: tell the spec.
+            // (It never goes the other way: nothing is resident that the
+            // spec does not know was saved.)
+            let resident = store.contains(&StoreKey::new(0, TemplateKey::new(&endpoint, &rig.op)));
+            prop_assert!(rig.spec.has_template(&endpoint) || !resident);
+            if !resident {
+                rig.spec.evict(&endpoint);
+            }
+            rig.send(&endpoint, &doubles(&xs))?;
             prop_assert!(store.resident_bytes() <= budget as u64);
             prop_assert_eq!(store.resident_bytes(), store.recount_bytes());
         }
