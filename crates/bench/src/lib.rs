@@ -24,8 +24,9 @@
 //! benchmark/Cargo.toml -- --workload <name>`), not here; README
 //! "Benchmarks" maps each retired bin to the workload and metric that
 //! replaced it. What stays in this crate is what no workload isolates:
-//! the paper-figure reproduction, the `simd_kernels` kernel microbench
-//! and the criterion `convert` bench.
+//! the paper-figure reproduction and the `simd_kernels` kernel
+//! microbench (the conversion kernels are `convert.ns_per_value` there
+//! and `figures --fig 21` here).
 //!
 //! Send Time follows the paper's definition: the clock starts before
 //! message preparation and stops after the last write to the transport —

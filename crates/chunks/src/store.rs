@@ -122,8 +122,6 @@ pub struct StoreCounters {
     pub grows: u64,
     /// Chunk splits.
     pub splits: u64,
-    /// Empty chunks merged away after contraction.
-    pub merges: u64,
     /// Bytes physically moved by shifts and intra-chunk range moves.
     pub moved_bytes: u64,
 }
@@ -216,15 +214,6 @@ impl ChunkStore {
         Loc::new(idx, offset)
     }
 
-    /// Force subsequent appends to open a new chunk (used by the engine to
-    /// align structural boundaries, e.g. the start of an overlaid array).
-    pub fn break_chunk(&mut self) {
-        if self.chunks.last().is_some_and(|c| !c.is_empty()) {
-            self.chunks
-                .push(Chunk::with_capacity(self.config.initial_size));
-        }
-    }
-
     // ------------------------------------------------------------------
     // In-place access (perfect structural matches)
     // ------------------------------------------------------------------
@@ -234,13 +223,6 @@ impl ChunkStore {
         let chunk = &mut self.chunks[loc.chunk as usize];
         let start = loc.offset as usize;
         chunk.buf[start..start + bytes.len()].copy_from_slice(bytes);
-    }
-
-    /// Read `len` bytes at `loc`.
-    pub fn read_at(&self, loc: Loc, len: usize) -> &[u8] {
-        let chunk = &self.chunks[loc.chunk as usize];
-        let start = loc.offset as usize;
-        &chunk.buf[start..start + len]
     }
 
     // ------------------------------------------------------------------
@@ -416,24 +398,6 @@ impl ChunkStore {
         self.counters.moved_bytes += (end - start) as u64;
     }
 
-    /// Insert an empty chunk at position `at` with the given capacity
-    /// (array growth inserts fresh chunks between existing ones).
-    pub fn insert_empty_chunk(&mut self, at: usize, cap: usize) {
-        self.chunks.insert(at, Chunk::with_capacity(cap));
-    }
-
-    /// Append `bytes` to the end of chunk `idx`; returns the offset they
-    /// were written at. Panics if the chunk's capacity cannot hold them
-    /// (the caller sizes inserted chunks).
-    pub fn append_into(&mut self, idx: usize, bytes: &[u8]) -> usize {
-        let chunk = &mut self.chunks[idx];
-        assert!(chunk.spare() >= bytes.len(), "append_into without capacity");
-        let offset = chunk.len();
-        chunk.buf.extend_from_slice(bytes);
-        self.total_len += bytes.len();
-        offset
-    }
-
     /// Split chunk `idx` at byte `at`: the bytes `[at, len)` move to a new
     /// chunk inserted at `idx + 1`, created with the configured reserve.
     ///
@@ -463,13 +427,6 @@ impl ChunkStore {
         // Vec::splice keeps relative order of the inserted chunks.
         self.chunks.splice(at..at, other.chunks);
         n
-    }
-
-    /// Remove a chunk that has become empty (after contraction).
-    pub fn remove_empty_chunk(&mut self, idx: usize) {
-        assert!(self.chunks[idx].is_empty(), "removing non-empty chunk");
-        self.chunks.remove(idx);
-        self.counters.merges += 1;
     }
 
     // ------------------------------------------------------------------
@@ -592,11 +549,11 @@ mod tests {
     }
 
     #[test]
-    fn write_and_read_at() {
+    fn write_at_overwrites_in_place() {
         let mut store = ChunkStore::new(small_config());
         let loc = store.append_region(b"hello world");
         store.write_at(Loc { offset: 6, ..loc }, b"WORLD");
-        assert_eq!(store.read_at(loc, 11), b"hello WORLD");
+        assert_eq!(store.flatten(), b"hello WORLD");
     }
 
     #[test]
@@ -651,8 +608,7 @@ mod tests {
         store.split_chunk(0, 3);
         assert_eq!(store.chunk_count(), 2);
         assert!(store.chunk(1).is_empty());
-        store.remove_empty_chunk(1);
-        assert_eq!(store.chunk_count(), 1);
+        assert_eq!(store.flatten(), b"abc");
     }
 
     #[test]
@@ -681,19 +637,6 @@ mod tests {
         store.append_region(&[0u8; 60]);
         store.grow_unbounded(0, 500);
         assert!(store.chunk(0).spare() >= 500);
-    }
-
-    #[test]
-    fn insert_and_append_into() {
-        let mut store = ChunkStore::new(small_config());
-        store.append_region(b"head");
-        store.break_chunk();
-        store.append_region(b"tail");
-        store.insert_empty_chunk(1, 32);
-        let off = store.append_into(1, b"mid");
-        assert_eq!(off, 0);
-        assert_eq!(store.flatten(), b"headmidtail");
-        store.assert_consistent();
     }
 
     #[test]
@@ -845,19 +788,5 @@ mod tests {
         store.append_region(b"hello");
         store.chunk_buf_mut(0)[..5].copy_from_slice(b"HELLO");
         assert_eq!(store.flatten(), b"HELLO");
-    }
-
-    #[test]
-    fn break_chunk_opens_boundary() {
-        let mut store = ChunkStore::new(small_config());
-        store.append_region(b"head");
-        store.break_chunk();
-        let loc = store.append_region(b"tail");
-        assert_eq!(loc.chunk, 1);
-        // One break opens a fresh empty chunk; a second break on the
-        // already-empty tail is a no-op.
-        store.break_chunk();
-        store.break_chunk();
-        assert_eq!(store.chunk_count(), 3);
     }
 }

@@ -18,8 +18,6 @@ enum Op {
     Delete(usize, usize),
     /// Split the chunk owning a (wrapped) global position at that point.
     Split(usize),
-    /// Start a new chunk boundary.
-    Break,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -29,7 +27,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<u8>(), any::<usize>(), 1usize..20).prop_map(|(b, p, n)| Op::Insert(b, p, n)),
         (any::<usize>(), 1usize..20).prop_map(|(p, n)| Op::Delete(p, n)),
         any::<usize>().prop_map(Op::Split),
-        Just(Op::Break),
     ]
 }
 
@@ -105,20 +102,13 @@ proptest! {
                     if n == 0 { continue; }
                     store.delete_range(chunk, offset, n);
                     model.drain(pos..pos + n);
-                    if store.chunk(chunk).is_empty() {
-                        store.remove_empty_chunk(chunk);
-                    }
                 }
                 Op::Split(pos) => {
                     if model.is_empty() { continue; }
                     let pos = pos % model.len();
                     let (chunk, offset) = locate(&store, pos).unwrap();
                     store.split_chunk(chunk, offset);
-                    if store.chunk(chunk).is_empty() {
-                        store.remove_empty_chunk(chunk);
-                    }
                 }
-                Op::Break => store.break_chunk(),
             }
             store.assert_consistent();
             prop_assert_eq!(store.flatten(), model.clone());

@@ -52,11 +52,6 @@ impl BigUint {
         self.limbs.is_empty()
     }
 
-    /// Number of limbs currently in use (for capacity diagnostics).
-    pub fn limb_count(&self) -> usize {
-        self.limbs.len()
-    }
-
     fn trim(&mut self) {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();

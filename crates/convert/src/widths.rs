@@ -14,8 +14,6 @@
 
 /// Maximum serialized width of an `xsd:int` (`i32`): `-2147483648`.
 pub const INT_MAX_WIDTH: usize = 11;
-/// Minimum serialized width of an `xsd:int`: a single digit.
-pub const INT_MIN_WIDTH: usize = 1;
 /// Maximum serialized width of an `xsd:long` (`i64`): `-9223372036854775808`.
 pub const LONG_MAX_WIDTH: usize = 20;
 /// Maximum serialized width of an `xsd:double` produced by [`crate::dtoa`].
@@ -23,9 +21,6 @@ pub const LONG_MAX_WIDTH: usize = 20;
 /// Worst case is sign + 17 significant digits + decimal point + `E-` + a
 /// three-digit exponent, e.g. `-2.2250738585072011E-308`.
 pub const DOUBLE_MAX_WIDTH: usize = 24;
-/// Minimum serialized width of an `xsd:double`: a single digit (paper §4.3:
-/// "the smallest possible double (one character)").
-pub const DOUBLE_MIN_WIDTH: usize = 1;
 /// Maximum serialized width of an `xsd:boolean` (`false`).
 pub const BOOL_MAX_WIDTH: usize = 5;
 /// Maximum *value* width of a mesh interface object `[int, int, double]`

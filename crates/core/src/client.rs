@@ -2,13 +2,14 @@
 //!
 //! "When called upon to make an outcall, the client stub determines
 //! whether parts or all of the last copy of the same message type can be
-//! reused" (§3.1). [`Client::call`] is that stub, and it is thin: it names
-//! the template (tenant, endpoint, structure, lane), hands the call to the
+//! reused" (§3.1). [`Client::call`] is that stub, and it is thin: it finds
+//! the call site — one record per endpoint, one entry per operation, whose
+//! store keys were built on the site's first call — hands the call to the
 //! one tiered send ([`TemplateStore::send`], shared with the server's
-//! response path) and settles the outcome — `ClientStats`, `BytesSent`,
-//! the latency histogram and the degraded-mode ladder, all of which move
-//! only once the transport took the bytes ([`crate::send`] states the
-//! whole accounting rule).
+//! response path) on the lane it was given, and settles the outcome —
+//! `ClientStats`, `BytesSent`, the latency histogram and the degraded-mode
+//! ladder, all of which move only once the transport took the bytes
+//! ([`crate::send`] states the whole accounting rule).
 //!
 //! Two §6 ("Future Work") refinements are opt-in:
 //!
@@ -31,7 +32,7 @@ use crate::template::{SendReport, SendTier};
 use crate::value::Value;
 use bsoap_obs::{Counter, HistId, Metrics, Recorder, TraceKind};
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{IoSlice, Write};
 use std::sync::Arc;
 
 /// Cumulative client statistics across all templates.
@@ -61,27 +62,106 @@ impl ClientStats {
     pub fn calls(&self) -> u64 {
         self.first_time + self.content_match + self.perfect_structural + self.partial_structural
     }
+}
 
-    fn record(&mut self, tier: SendTier, bytes: usize) {
-        match tier {
-            SendTier::FirstTime => self.first_time += 1,
-            SendTier::ContentMatch => self.content_match += 1,
-            SendTier::PerfectStructural => self.perfect_structural += 1,
-            SendTier::PartialStructural => self.partial_structural += 1,
+/// What the client keeps per endpoint: the degraded-mode ladder and one
+/// [`Site`] per operation called there.
+#[derive(Debug, Default)]
+struct Endpoint {
+    /// Whether the endpoint is demoted to stateless full sends.
+    degraded: bool,
+    /// The run that would flip `degraded`: transport failures in a row
+    /// while healthy, successes so far while degraded.
+    streak: u32,
+    sites: Vec<Site>,
+}
+
+/// One call site — an operation on an endpoint, the paper's "client stub"
+/// (§3.1): what names its templates and holds its streamed window is
+/// fixed on the first call and reused by every later one.
+#[derive(Debug)]
+struct Site {
+    /// A later call finds the site by comparing descriptors, not by
+    /// rebuilding a signature.
+    op: OpDesc,
+    /// Store key of each lane, at [`WireFormat::index`].
+    keys: [StoreKey; WireFormat::ALL.len()],
+    /// The overlay sender: its window fragment is the overlaid region's
+    /// "saved copy", so keeping it across calls is what preserves DUT/tier
+    /// semantics between streamed sends.
+    overlay: Option<OverlaySender>,
+    /// Window bytes reserved against the store's budget for `overlay`.
+    reserved: u64,
+}
+
+impl Endpoint {
+    /// Index of the site for `op`, created on its first call.
+    fn site(&mut self, endpoint: &str, op: &OpDesc) -> usize {
+        let seen = self.sites.iter().position(|s| s.op == *op);
+        seen.unwrap_or_else(|| {
+            let key = |lane| StoreKey::new(0, TemplateKey::for_format(endpoint, op, lane));
+            self.sites.push(Site {
+                op: op.clone(),
+                keys: WireFormat::ALL.map(key),
+                overlay: None,
+                reserved: 0,
+            });
+            self.sites.len() - 1
+        })
+    }
+
+    /// Move the ladder by one call's outcome at `site`. Transport
+    /// failures — I/O and deadline expiry alike — drive it
+    /// (`DeadlinesExceeded` is counted and traced by the layer that
+    /// *detected* the expiry, the transport's `Resilience`); a semantic
+    /// error (schema/arity/plan) says nothing about the endpoint's health.
+    fn settle(
+        &mut self,
+        site: usize,
+        sent: &Result<(SendTier, usize), &EngineError>,
+        config: &EngineConfig,
+        store: &TemplateStore,
+        metrics: Option<&Arc<Metrics>>,
+    ) {
+        if config.degrade_after == 0 {
+            return;
         }
-        self.bytes_sent += bytes as u64;
+        let limit = match (sent, self.degraded) {
+            (Ok(_), true) => config.recover_after.max(1),
+            (Ok(_), false) => {
+                self.streak = 0;
+                return;
+            }
+            (Err(EngineError::Io(_) | EngineError::DeadlineExceeded), false) => {
+                config.degrade_after
+            }
+            (Err(_), _) => return,
+        };
+        self.streak += 1;
+        if self.streak < limit {
+            return;
+        }
+        self.degraded = !self.degraded;
+        self.streak = 0;
+        if self.degraded {
+            // Stateless mode retains nothing: a possibly
+            // poisoned-by-the-peer diff state must not linger.
+            self.sites[site].clean(store);
+        }
+        if let Some(m) = metrics {
+            m.trace(TraceKind::Degraded { on: self.degraded });
+        }
     }
 }
 
-/// Per-endpoint failure bookkeeping for the degraded-mode ladder.
-#[derive(Clone, Copy, Debug, Default)]
-struct EndpointHealth {
-    /// Transport failures since the last success.
-    consecutive_failures: u32,
-    /// Whether the endpoint is demoted to stateless full sends.
-    degraded: bool,
-    /// Successes accumulated while degraded (drives recovery).
-    degraded_successes: u32,
+impl Site {
+    /// Forget everything saved for the site — every lane's templates, the
+    /// overlay window and its reservation. Returns how many templates went.
+    fn clean(&mut self, store: &TemplateStore) -> usize {
+        self.overlay = None;
+        store.release(0, std::mem::take(&mut self.reserved));
+        self.keys.iter().map(|key| store.purge(key)).sum()
+    }
 }
 
 /// How [`Client::call_overlaid`] served a call.
@@ -102,24 +182,11 @@ pub struct Client {
     templates_per_key: usize,
     share_across_endpoints: bool,
     metrics: Option<Arc<Metrics>>,
-    health: HashMap<String, EndpointHealth>,
-    /// Cached overlay senders, keyed like templates: the window fragment
-    /// is the overlaid region's "saved copy", so keeping the sender across
-    /// calls is what preserves DUT/tier semantics between streamed sends.
-    overlays: HashMap<TemplateKey, OverlaySender>,
-    /// Template ownership: the store handle (injected via
-    /// [`Client::set_template_store`], or a private one created lazily
-    /// from the config's budget knobs).
-    store: Option<Arc<TemplateStore>>,
-    /// Tenant this client's templates are charged to in the shared store.
-    tenant: u64,
-    /// Overlay-window bytes currently reserved against the shared store's
-    /// budget, per key.
-    overlay_reserved: HashMap<TemplateKey, u64>,
-    /// Per-endpoint negotiated wire format overrides (set by the
-    /// transport's negotiation layer once a peer advertises the binary
-    /// lane). Endpoints not present use the config's `wire_format`.
-    endpoint_formats: HashMap<String, WireFormat>,
+    /// Owner of every saved template: a private store sized by the
+    /// config's budget knobs unless [`Client::set_template_store`] injects
+    /// a shared one. The client files under tenant `0`.
+    store: Arc<TemplateStore>,
+    endpoints: HashMap<String, Endpoint>,
 }
 
 impl Client {
@@ -131,12 +198,8 @@ impl Client {
             templates_per_key: 1,
             share_across_endpoints: false,
             metrics: None,
-            health: HashMap::new(),
-            overlays: HashMap::new(),
-            store: None,
-            tenant: 0,
-            overlay_reserved: HashMap::new(),
-            endpoint_formats: HashMap::new(),
+            store: TemplateStore::shared(config.store_budget_bytes, config.tenant_quota_bytes),
+            endpoints: HashMap::new(),
         }
     }
 
@@ -156,53 +219,19 @@ impl Client {
     }
 
     /// Route template ownership through `store` (shared across clients,
-    /// server cores, even processes' worth of tenants). Without an
-    /// injected store the client lazily creates a private one from the
-    /// config's budget knobs.
+    /// server cores, even processes' worth of tenants) instead of the
+    /// client's private one. Inject before the first call: what was
+    /// already saved or reserved stays with the store that took it.
     pub fn set_template_store(&mut self, store: Arc<TemplateStore>) {
         if let Some(m) = &self.metrics {
             store.set_metrics(Arc::clone(m));
         }
-        self.store = Some(store);
+        self.store = store;
     }
 
-    /// The template store, if one exists yet (injected or lazily built).
-    pub fn template_store(&self) -> Option<&Arc<TemplateStore>> {
-        self.store.as_ref()
-    }
-
-    /// Tenant this client's templates are charged to in the shared store
-    /// (default `0`).
-    pub fn set_tenant(&mut self, tenant: u64) {
-        self.tenant = tenant;
-    }
-
-    /// The shared-store handle, creating a private store from the
-    /// config's budget knobs on first use.
-    fn store_handle(&mut self) -> Arc<TemplateStore> {
-        if self.store.is_none() {
-            let store = TemplateStore::new(
-                self.config.store_budget_bytes,
-                self.config.tenant_quota_bytes,
-            );
-            if let Some(m) = &self.metrics {
-                store.set_metrics(Arc::clone(m));
-            }
-            self.store = Some(Arc::new(store));
-        }
-        Arc::clone(self.store.as_ref().expect("just created"))
-    }
-
-    /// Total templates saved for this client. With an injected store this
-    /// counts the whole store (other clients' templates included).
-    pub fn template_count(&self) -> usize {
-        self.store.as_ref().map_or(0, |s| s.template_count())
-    }
-
-    /// Distinct `(endpoint, structure)` keys with at least one saved
-    /// template.
-    pub fn cached_keys(&self) -> usize {
-        self.store.as_ref().map_or(0, |s| s.len())
+    /// The store that owns this client's templates.
+    pub fn template_store(&self) -> &Arc<TemplateStore> {
+        &self.store
     }
 
     /// Attach an observability registry. Every subsequent call records its
@@ -210,15 +239,8 @@ impl Client {
     /// a per-tier send-latency observation covering diff + flush +
     /// transport. Templates built from now on inherit the registry.
     pub fn set_metrics(&mut self, metrics: Arc<Metrics>) {
-        if let Some(store) = &self.store {
-            store.set_metrics(Arc::clone(&metrics));
-        }
+        self.store.set_metrics(Arc::clone(&metrics));
         self.metrics = Some(metrics);
-    }
-
-    /// The attached registry, if any.
-    pub fn metrics(&self) -> Option<&Arc<Metrics>> {
-        self.metrics.as_ref()
     }
 
     /// Keep up to `k` templates per `(endpoint, structure)` key (§6).
@@ -237,30 +259,6 @@ impl Client {
         self.share_across_endpoints = on;
     }
 
-    /// Pin the wire format used for `endpoint` — the hook the transport's
-    /// negotiation layer calls once the peer's `X-BSOAP-Accept` advert (or
-    /// its absence) settles the lane. Templates for the endpoint are keyed
-    /// by format, so switching lanes never patches bytes of the other lane;
-    /// templates already saved for the previous lane simply go cold.
-    pub fn set_endpoint_format(&mut self, endpoint: &str, format: WireFormat) {
-        self.endpoint_formats.insert(endpoint.to_owned(), format);
-    }
-
-    /// The wire format in force for `endpoint`: the negotiated override if
-    /// one was pinned, else the config's `wire_format`.
-    pub fn endpoint_format(&self, endpoint: &str) -> WireFormat {
-        self.endpoint_formats
-            .get(endpoint)
-            .copied()
-            .unwrap_or(self.config.wire_format)
-    }
-
-    /// Store key for `(endpoint, op)` under the endpoint's format.
-    fn key_for(&self, endpoint: &str, op: &OpDesc) -> StoreKey {
-        let format = self.endpoint_format(endpoint);
-        StoreKey::new(self.tenant, TemplateKey::for_format(endpoint, op, format))
-    }
-
     /// Invoke `op` on `endpoint` with `args`, sending the message to
     /// `sink`. Selects the cheapest of the four matching tiers.
     pub fn call(
@@ -271,8 +269,7 @@ impl Client {
         sink: &mut impl Write,
     ) -> Result<SendReport, EngineError> {
         self.call_via(endpoint, op, args, |slices| {
-            let mut w = sink;
-            write_all_vectored(&mut w, slices)
+            write_all_vectored(sink, slices)
         })
     }
 
@@ -280,24 +277,42 @@ impl Client {
     /// chunk gather list) to `send` — the hook for framed transports
     /// (e.g. an HTTP POST per message) that need to see whole-message
     /// boundaries rather than a byte stream.
-    pub fn call_via<F>(
+    pub fn call_via(
         &mut self,
         endpoint: &str,
         op: &OpDesc,
         args: &[Value],
-        send: F,
-    ) -> Result<SendReport, EngineError>
-    where
-        F: FnOnce(&[std::io::IoSlice<'_>]) -> std::io::Result<usize>,
-    {
+        send: impl FnOnce(&[IoSlice<'_>]) -> std::io::Result<usize>,
+    ) -> Result<SendReport, EngineError> {
+        self.call_on(self.config.wire_format, endpoint, op, args, send)
+    }
+
+    /// [`Client::call_via`] on an explicit wire `lane` — the entry of a
+    /// transport that negotiates: it holds the peer's verdict and passes
+    /// it with every call. Templates are filed per lane, so switching
+    /// never patches bytes of the other lane; what was saved for the
+    /// previous lane simply goes cold.
+    pub fn call_on(
+        &mut self,
+        lane: WireFormat,
+        endpoint: &str,
+        op: &OpDesc,
+        args: &[Value],
+        send: impl FnOnce(&[IoSlice<'_>]) -> std::io::Result<usize>,
+    ) -> Result<SendReport, EngineError> {
         let call_start = self.metrics.as_ref().map(|m| m.now_ns());
+        let ep = match self.endpoints.get_mut(endpoint) {
+            Some(ep) => ep,
+            None => self.endpoints.entry(endpoint.to_owned()).or_default(),
+        };
+        let site = ep.site(endpoint, op);
         // Degraded mode: stateless full serialization every call, no
         // template looked up or retained (`cap` 0). Counted as a
         // first-time send plus `DegradedSends`.
-        let degraded = self.is_degraded(endpoint);
+        let degraded = ep.degraded;
         let cap = if degraded { 0 } else { self.templates_per_key };
-        let out = self.store_handle().send(
-            &self.key_for(endpoint, op),
+        let out = self.store.send(
+            &ep.sites[site].keys[lane.index()],
             &self.config,
             self.metrics.as_ref(),
             op,
@@ -311,47 +326,43 @@ impl Client {
             report
         });
         let sent = out.as_ref().map(|r| (r.tier, r.bytes));
-        self.settle(endpoint, op, call_start, degraded, sent);
+        ep.settle(
+            site,
+            &sent,
+            &self.config,
+            &self.store,
+            self.metrics.as_ref(),
+        );
+        self.count_delivered(call_start, degraded, sent);
         out
     }
 
     /// The delivery half of the accounting rule ([`crate::send`]), shared
     /// by tiered and overlaid calls: `ClientStats`, `BytesSent` and the
     /// per-tier latency observation move only when the transport took the
-    /// bytes; a transport failure moves the degraded-mode ladder instead.
-    fn settle(
+    /// bytes (a transport failure moves the endpoint's ladder instead).
+    fn count_delivered(
         &mut self,
-        endpoint: &str,
-        op: &OpDesc,
         call_start: Option<u64>,
         degraded: bool,
         sent: Result<(SendTier, usize), &EngineError>,
     ) {
-        match sent {
-            Ok((tier, bytes)) => {
-                self.stats.record(tier, bytes);
-                self.stats.degraded_sends += u64::from(degraded);
-                if let Some(m) = &self.metrics {
-                    if degraded {
-                        m.add(Counter::DegradedSends, 1);
-                    }
-                    m.add(Counter::BytesSent, bytes as u64);
-                    let elapsed = m.now_ns().saturating_sub(call_start.unwrap_or(0));
-                    m.observe_ns(HistId::send(tier), elapsed);
-                }
-                self.note_send_success(endpoint);
+        let Ok((tier, bytes)) = sent else { return };
+        match tier {
+            SendTier::FirstTime => self.stats.first_time += 1,
+            SendTier::ContentMatch => self.stats.content_match += 1,
+            SendTier::PerfectStructural => self.stats.perfect_structural += 1,
+            SendTier::PartialStructural => self.stats.partial_structural += 1,
+        }
+        self.stats.bytes_sent += bytes as u64;
+        self.stats.degraded_sends += u64::from(degraded);
+        if let Some(m) = &self.metrics {
+            if degraded {
+                m.add(Counter::DegradedSends, 1);
             }
-            // Transport failures — I/O and deadline expiry alike — drive
-            // the degraded-mode ladder. `DeadlinesExceeded` is counted
-            // (and traced) by the layer that *detected* the expiry (the
-            // transport's `Resilience`); counting here too would read one
-            // expired call as two on a shared registry.
-            Err(EngineError::Io(_) | EngineError::DeadlineExceeded) => {
-                self.note_send_failure(endpoint, op);
-            }
-            // Semantic errors (schema/arity/plan) say nothing about the
-            // endpoint's health.
-            Err(_) => {}
+            m.add(Counter::BytesSent, bytes as u64);
+            let elapsed = m.now_ns().saturating_sub(call_start.unwrap_or(0));
+            m.observe_ns(HistId::send(tier), elapsed);
         }
     }
 
@@ -386,8 +397,7 @@ impl Client {
     ) -> Result<OverlaidOutcome, EngineError> {
         if self.overlay_engages(op, args) {
             let report = self.call_overlaid_via(endpoint, op, args, |slices| {
-                let mut w = &mut *sink;
-                write_all_vectored(&mut w, slices)
+                write_all_vectored(&mut *sink, slices)
             })?;
             Ok(OverlaidOutcome::Streamed(report))
         } else {
@@ -405,40 +415,38 @@ impl Client {
     /// the first streamed send builds the window fragment (tier
     /// `FirstTime`), subsequent sends re-serialize only values into it
     /// (tier `PerfectStructural`) — the same DUT semantics the buffered
-    /// tiers provide, scoped to the reused window.
-    pub fn call_overlaid_via<F>(
+    /// tiers provide, scoped to the reused window. The pipeline streams an
+    /// XML envelope around its window fragments and is not negotiated, so
+    /// an overlaid send is XML ([`OverlaySender::new`] pins it) whatever
+    /// lane the buffered tiers ride.
+    pub fn call_overlaid_via(
         &mut self,
         endpoint: &str,
         op: &OpDesc,
         args: &[Value],
-        portion: F,
-    ) -> Result<OverlayReport, EngineError>
-    where
-        F: FnMut(&[std::io::IoSlice<'_>]) -> std::io::Result<usize>,
-    {
+        portion: impl FnMut(&[IoSlice<'_>]) -> std::io::Result<usize>,
+    ) -> Result<OverlayReport, EngineError> {
         if args.len() != 1 {
             return Err(EngineError::StructureMismatch {
                 why: "overlay call takes exactly the array argument".into(),
             });
         }
         let call_start = self.metrics.as_ref().map(|m| m.now_ns());
-        // The chunk-overlay pipeline streams the XML envelope around
-        // window fragments; it is not format-negotiated, so overlaid
-        // sends always take the XML lane regardless of the endpoint's
-        // negotiated format (buffered tiers carry the binary lane).
-        let key = TemplateKey::new(endpoint, op);
-        if !self.overlays.contains_key(&key) {
-            let config = self.config.with_wire_format(WireFormat::SoapXml);
-            let sender = if config.window_elems == 0 {
-                OverlaySender::auto_window(config, op)?
-            } else {
-                OverlaySender::new(config, op, config.window_elems)?
-            };
-            self.overlays.insert(key.clone(), sender);
-        }
-        let sender = self.overlays.get_mut(&key).expect("just inserted");
-        if let (Some(m), None) = (self.metrics.clone(), sender.metrics()) {
-            sender.set_metrics(m);
+        let ep = match self.endpoints.get_mut(endpoint) {
+            Some(ep) => ep,
+            None => self.endpoints.entry(endpoint.to_owned()).or_default(),
+        };
+        let at = ep.site(endpoint, op);
+        let site = &mut ep.sites[at];
+        let sender = match &mut site.overlay {
+            Some(sender) => sender,
+            None => site.overlay.insert(match self.config.window_elems {
+                0 => OverlaySender::auto_window(self.config, op)?,
+                n => OverlaySender::new(self.config, op, n)?,
+            }),
+        };
+        if let (Some(m), None) = (&self.metrics, sender.metrics()) {
+            sender.set_metrics(Arc::clone(m));
         }
         let out = sender.send_portions(&args[0], portion);
         if let Ok(report) = &out {
@@ -446,97 +454,38 @@ impl Client {
             // (reserved, non-evictable — it is the overlaid region's
             // saved copy), reconciling as the peak moves.
             let window_now = report.window_bytes as u64;
-            let reserved = self.overlay_reserved.get(&key).copied().unwrap_or(0);
-            if window_now != reserved {
-                let store = self.store_handle();
-                if window_now > reserved {
-                    store.reserve(self.tenant, window_now - reserved);
-                } else {
-                    store.release(self.tenant, reserved - window_now);
-                }
-                self.overlay_reserved.insert(key, window_now);
+            if window_now > site.reserved {
+                self.store.reserve(0, window_now - site.reserved);
+            } else {
+                self.store.release(0, site.reserved - window_now);
             }
+            site.reserved = window_now;
         }
         let sent = out.as_ref().map(|r| (r.tier, r.bytes));
-        self.settle(endpoint, op, call_start, false, sent);
+        ep.settle(at, &sent, &self.config, &self.store, self.metrics.as_ref());
+        self.count_delivered(call_start, false, sent);
         out
     }
 
     /// Whether `endpoint` is currently demoted to stateless full sends.
     pub fn is_degraded(&self, endpoint: &str) -> bool {
-        self.config.degrade_after > 0
-            && self
-                .health
-                .get(endpoint)
-                .map(|h| h.degraded)
-                .unwrap_or(false)
+        self.endpoints.get(endpoint).is_some_and(|ep| ep.degraded)
     }
 
-    fn note_send_success(&mut self, endpoint: &str) {
-        if self.config.degrade_after == 0 {
-            return;
-        }
-        let recover_after = self.config.recover_after.max(1);
-        let h = self.health.entry(endpoint.to_owned()).or_default();
-        h.consecutive_failures = 0;
-        if h.degraded {
-            h.degraded_successes += 1;
-            if h.degraded_successes >= recover_after {
-                h.degraded = false;
-                h.degraded_successes = 0;
-                if let Some(m) = &self.metrics {
-                    m.trace(TraceKind::Degraded { on: false });
-                }
-            }
-        }
-    }
-
-    fn note_send_failure(&mut self, endpoint: &str, op: &OpDesc) {
-        if self.config.degrade_after == 0 {
-            return;
-        }
-        let threshold = self.config.degrade_after;
-        let h = self.health.entry(endpoint.to_owned()).or_default();
-        h.consecutive_failures += 1;
-        let demote = !h.degraded && h.consecutive_failures >= threshold;
-        if demote {
-            h.degraded = true;
-            h.degraded_successes = 0;
-            // Stateless mode retains nothing: drop the saved template (and
-            // any overlay window fragment) so a possibly
-            // poisoned-by-the-peer diff state can't linger.
-            let key = self.key_for(endpoint, op);
-            // Overlay senders always live on the XML lane (streamed sends
-            // are not negotiated), so their bookkeeping is keyed XML.
-            let xml_key = TemplateKey::new(endpoint, op);
-            if let Some(store) = &self.store {
-                store.purge(&key);
-                if let Some(bytes) = self.overlay_reserved.remove(&xml_key) {
-                    store.release(self.tenant, bytes);
-                }
-            }
-            self.overlays.remove(&xml_key);
-            if let Some(m) = &self.metrics {
-                m.trace(TraceKind::Degraded { on: true });
-            }
-        }
-    }
-
-    /// Drop the saved template(s) for `(endpoint, op)` (memory
-    /// reclamation).
+    /// Drop what this client saved for `(endpoint, op)` — its templates
+    /// on every lane and its overlay window (memory reclamation).
     pub fn evict(&mut self, endpoint: &str, op: &OpDesc) -> bool {
-        let key = self.key_for(endpoint, op);
-        self.store.as_ref().is_some_and(|s| s.purge(&key) > 0)
+        let ep = self.endpoints.get_mut(endpoint);
+        let site = ep.and_then(|ep| ep.sites.iter_mut().find(|s| s.op == *op));
+        site.is_some_and(|site| site.clean(&self.store) > 0)
     }
 }
 
 impl Drop for Client {
     fn drop(&mut self) {
-        // Return overlay-window reservations to a shared store's budget.
-        if let Some(store) = &self.store {
-            for (_, bytes) in self.overlay_reserved.drain() {
-                store.release(self.tenant, bytes);
-            }
-        }
+        // A shared store outlives the client; its budget must not keep
+        // paying for this client's overlay windows.
+        let sites = self.endpoints.values().flat_map(|ep| &ep.sites);
+        sites.for_each(|site| self.store.release(0, site.reserved));
     }
 }

@@ -66,8 +66,8 @@ pub enum GrowthPolicy {
 
 /// Who owns saved templates (§ DESIGN 3.14): always the sharded,
 /// byte-budgeted [`crate::store::TemplateStore`] keyed by
-/// `(tenant, endpoint, op)`. Clients without an injected store lazily
-/// create a private one.
+/// `(tenant, endpoint, op)`. A client owns a private one until a shared
+/// store is injected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StoreMode {
     /// The only ownership mode.

@@ -143,16 +143,6 @@ impl SendPlan {
     pub fn cost(&self) -> PlanCost {
         self.cost
     }
-
-    /// Number of leaf rewrites planned.
-    pub fn op_count(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether queued array resizes will run before the leaf patches.
-    pub fn has_deferred_resizes(&self) -> bool {
-        self.deferred_resizes
-    }
 }
 
 /// Failure-injection points for the atomicity tests: set via

@@ -134,11 +134,6 @@ impl MessageTemplate {
         &self.op
     }
 
-    /// The engine configuration in force.
-    pub fn engine_config(&self) -> EngineConfig {
-        self.config
-    }
-
     /// Number of DUT-tracked leaves (including internal array-length
     /// fields).
     pub fn leaf_count(&self) -> usize {

@@ -89,7 +89,6 @@ impl MessageTemplate {
             // The bytes exist: this is where a differential send counts.
             count_serialized(m, self.config.wire_format, tier, counters.values_written);
             m.add(Counter::ChunkGrows, churn.grows);
-            m.add(Counter::ChunkMerges, churn.merges);
             m.add(Counter::ChunkMovedBytes, churn.moved_bytes);
             m.add(Counter::Shifts, counters.shifts as u64);
             m.add(Counter::Steals, counters.steals as u64);

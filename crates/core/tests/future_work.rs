@@ -2,6 +2,7 @@
 //! cross-endpoint template sharing.
 
 use bsoap_convert::ScalarKind;
+use bsoap_core::sendv::write_all_vectored;
 use bsoap_core::{Client, EngineConfig, OpDesc, SendTier, TypeDesc, Value, WireFormat};
 use bsoap_deser::parse_binary_envelope;
 use std::io::sink;
@@ -78,7 +79,7 @@ fn multi_template_set_eliminates_resizes() {
                 SendTier::ContentMatch
             );
         }
-        assert_eq!(client.template_count(), 2);
+        assert_eq!(client.template_store().template_count(), 2);
     }
 }
 
@@ -97,7 +98,7 @@ fn multi_template_set_builds_variants_until_cap() {
                 SendTier::FirstTime
             );
         }
-        assert_eq!(client.template_count(), 3);
+        assert_eq!(client.template_store().template_count(), 3);
         // …and all three now serve content matches.
         for n in [1usize, 50, 2000] {
             assert_eq!(
@@ -109,7 +110,7 @@ fn multi_template_set_builds_variants_until_cap() {
         // nearest variant (n=1 → n=3) in place.
         let r = client.call("ep", &op, &xs(3), &mut out).unwrap();
         assert_eq!(r.tier, SendTier::PartialStructural);
-        assert_eq!(client.template_count(), 3);
+        assert_eq!(client.template_store().template_count(), 3);
     }
 }
 
@@ -126,7 +127,7 @@ fn multi_template_full_set_resizes_nearest() {
         client.call("ep", &op, &xs(1000), &mut out).unwrap();
         let r = client.call("ep", &op, &xs(12), &mut out).unwrap();
         assert_eq!(r.tier, SendTier::PartialStructural);
-        assert_eq!(client.template_count(), 2, "cap respected");
+        assert_eq!(client.template_store().template_count(), 2, "cap respected");
         // The resized variant (now n=12) serves n=12 directly.
         assert_eq!(
             client.call("ep", &op, &xs(12), &mut out).unwrap().tier,
@@ -212,18 +213,25 @@ fn endpoint_sharing_respects_structure() {
 
 #[test]
 fn endpoint_sharing_respects_wire_format() {
-    // Endpoint A speaks XML, endpoint B is pinned to the compact binary
+    // Endpoint A speaks XML, endpoint B is called on the compact binary
     // lane: A's saved bytes are the wrong lane for B, so B's first send is
     // a full binary serialization, never a clone of the XML sibling.
     let op = doubles_op();
     let mut client = Client::new(EngineConfig::paper_default());
     client.set_endpoint_sharing(true);
-    client.set_endpoint_format("http://b", WireFormat::CompactBinary);
     let args = xs(50);
 
     client.call("http://a", &op, &args, &mut sink()).unwrap();
     let mut wire_b = Vec::new();
-    let r = client.call("http://b", &op, &args, &mut wire_b).unwrap();
+    let r = client
+        .call_on(
+            WireFormat::CompactBinary,
+            "http://b",
+            &op,
+            &args,
+            |slices| write_all_vectored(&mut wire_b, slices),
+        )
+        .unwrap();
     assert_eq!(r.tier, SendTier::FirstTime, "no same-format sibling exists");
     assert_eq!(client.stats().shared_clones, 0);
     assert_eq!(

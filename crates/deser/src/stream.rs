@@ -109,11 +109,6 @@ impl StreamingDeserializer {
         self.declared
     }
 
-    /// Elements emitted so far.
-    pub fn items_seen(&self) -> usize {
-        self.seen
-    }
-
     /// Largest carry-buffer residency so far (the parse-memory bound).
     pub fn peak_carry_bytes(&self) -> usize {
         self.peak_carry

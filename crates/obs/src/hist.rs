@@ -135,15 +135,6 @@ impl HistSnapshot {
         self.sum
     }
 
-    /// Mean recorded value in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Number of recorded values ≤ `bound` ns. Conservative for the bucket
     /// straddling `bound` (counts it only if the whole bucket is ≤ bound),
     /// so the result is monotone in `bound` and reaches `count()` once

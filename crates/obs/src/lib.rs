@@ -173,8 +173,6 @@ metric_enum! {
         WritevPartials => "bsoap_writev_partials_total",
         /// Chunk allocations grown in place.
         ChunkGrows => "bsoap_chunk_grows_total",
-        /// Empty chunks merged away after contraction.
-        ChunkMerges => "bsoap_chunk_merges_total",
         /// Bytes moved by intra-chunk range moves (stealing).
         ChunkMovedBytes => "bsoap_chunk_moved_bytes_total",
         /// Pool connections dialed fresh.

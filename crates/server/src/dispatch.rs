@@ -48,7 +48,6 @@ impl std::error::Error for HandlerError {}
 pub type Handler = dyn Fn(&[Value]) -> Result<Vec<Value>, String> + Send + Sync;
 
 struct Operation {
-    request: OpDesc,
     response: OpDesc,
     handler: Box<Handler>,
     /// One request deserializer per lane, at [`WireFormat::index`]: each
@@ -191,7 +190,6 @@ impl Service {
             &request.namespace,
             response_params,
         );
-        let name = request.name.clone();
         let deser =
             WireFormat::ALL.map(|lane| Mutex::new(LaneDeserializer::new(lane, request.clone())));
         let response_keys = WireFormat::ALL.map(|format| {
@@ -199,9 +197,8 @@ impl Service {
             StoreKey::new(self.tenant, key)
         });
         self.ops.insert(
-            name,
+            request.name,
             Operation {
-                request,
                 response,
                 handler: Box::new(handler),
                 deser,
@@ -215,11 +212,6 @@ impl Service {
         let mut names: Vec<String> = self.ops.keys().cloned().collect();
         names.sort();
         names
-    }
-
-    /// The request descriptor of an operation.
-    pub fn request_desc(&self, op: &str) -> Option<OpDesc> {
-        self.ops.get(op).map(|o| o.request.clone())
     }
 
     /// The response descriptor of an operation.

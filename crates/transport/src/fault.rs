@@ -255,11 +255,6 @@ impl Resilience {
         &self.breaker
     }
 
-    /// The clock attempts are timed on.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
-    }
-
     /// Run `attempt` until success, retry exhaustion, deadline expiry, or
     /// breaker fail-fast. The closure receives the call's [`Deadline`]
     /// (derive socket/connect timeouts from it) and the attempt ordinal.

@@ -49,11 +49,6 @@ impl Interest {
         read: true,
         write: false,
     };
-    /// Write-only interest.
-    pub const WRITE: Interest = Interest {
-        read: false,
-        write: true,
-    };
     /// Neither direction — registration kept, no readiness reported
     /// (except errors/hangup, which epoll always delivers).
     pub const NONE: Interest = Interest {

@@ -468,16 +468,6 @@ impl HttpPoolClient {
         &self.resilience
     }
 
-    /// Replace the fault policy (breaker state resets).
-    pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
-        let clock = Arc::clone(self.resilience.clock());
-        let metrics = self.pool.metrics.clone();
-        self.resilience = Resilience::with_clock(policy, clock);
-        if let Some(m) = metrics {
-            self.resilience.set_metrics(m);
-        }
-    }
-
     /// Inject the clock that drives idle reaping, deadlines, backoff
     /// sleeps, and breaker cooldowns.
     pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {

@@ -3,40 +3,26 @@
 //! The paper's Send Time measurements stop "right after the final `send()`
 //! system call"; the server never parses. A loopback kernel socket still
 //! adds scheduler and syscall noise, so for deterministic benchmarking the
-//! sink accepts bytes at memory speed, counts them, and (optionally)
-//! touches every byte to model the copy into a socket buffer.
+//! sink accepts bytes at memory speed, counts them, and touches every
+//! byte to model the copy into a socket buffer.
 
 use std::io::{self, IoSlice, Write};
 
 /// Byte-counting discard sink.
 ///
-/// `touch_bytes` controls whether accepted bytes are read (checksummed).
-/// With it off, "sending" is O(chunks); with it on, it is O(bytes) — a
-/// stand-in for the kernel's copy into `SO_SNDBUF`, which the paper's
-/// numbers include. Benchmarks use `touch_bytes = true`.
-#[derive(Debug)]
+/// Every accepted byte is read (checksummed), so "sending" is O(bytes) —
+/// a stand-in for the kernel's copy into `SO_SNDBUF`, which the paper's
+/// numbers include.
+#[derive(Debug, Default)]
 pub struct SinkTransport {
     bytes: u64,
-    touch_bytes: bool,
     checksum: u64,
 }
 
 impl SinkTransport {
     /// Sink that models the socket-buffer copy (reads every byte).
     pub fn new() -> Self {
-        SinkTransport {
-            bytes: 0,
-            touch_bytes: true,
-            checksum: 0,
-        }
-    }
-
-    /// Sink that only counts (pure accounting; no per-byte work).
-    pub fn counting_only() -> Self {
-        SinkTransport {
-            touch_bytes: false,
-            ..Self::new()
-        }
+        Self::default()
     }
 
     /// Total bytes accepted.
@@ -51,23 +37,15 @@ impl SinkTransport {
     }
 
     fn absorb(&mut self, buf: &[u8]) {
-        if self.touch_bytes {
-            // 64-bit FNV-1a over the payload: one multiply + xor per byte,
-            // comparable to a copy loop's per-byte cost.
-            let mut h = self.checksum ^ 0xcbf2_9ce4_8422_2325;
-            for &b in buf {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-            self.checksum = h;
+        // 64-bit FNV-1a over the payload: one multiply + xor per byte,
+        // comparable to a copy loop's per-byte cost.
+        let mut h = self.checksum ^ 0xcbf2_9ce4_8422_2325;
+        for &b in buf {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1000_0000_01b3);
         }
+        self.checksum = h;
         self.bytes += buf.len() as u64;
-    }
-}
-
-impl Default for SinkTransport {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -195,14 +173,6 @@ mod tests {
         a.write_all(b"abc").unwrap();
         b.write_all(b"abd").unwrap();
         assert_ne!(a.checksum(), b.checksum());
-    }
-
-    #[test]
-    fn counting_only_skips_checksum() {
-        let mut s = SinkTransport::counting_only();
-        s.write_all(b"abc").unwrap();
-        assert_eq!(s.checksum(), 0);
-        assert_eq!(s.bytes_sent(), 3);
     }
 
     #[test]

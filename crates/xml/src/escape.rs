@@ -102,7 +102,7 @@ pub fn find_special_at(hay: &[u8], set: Charset, level: SimdLevel) -> Option<usi
 }
 
 /// Index of the first byte needing escaping under `set`, resolving the
-/// kernel from `policy` (the scanner template build and the writer share).
+/// kernel from `policy` (the scanner the template build escapes through).
 #[inline]
 pub fn find_special(hay: &[u8], set: Charset, policy: KernelPolicy) -> Option<usize> {
     find_special_at(hay, set, resolve(policy))

@@ -5,13 +5,12 @@
 //!
 //! * [`escape`] — text/attribute escaping and entity resolution,
 //! * [`name`] — qualified names and `NCName` validation,
-//! * [`writer`] — a streaming writer used by the baseline (gSOAP-like /
-//!   XSOAP-like) serializers and for envelope skeletons,
 //! * [`pull`] — a pull tokenizer producing events with *byte ranges* into
 //!   the original buffer. Ranges (not copies) are what make the
 //!   differential **de**serialization extension possible: the server can
 //!   memcmp a leaf's byte range against the previous message and skip
-//!   re-parsing entirely.
+//!   re-parsing entirely,
+//! * [`canon`] — the pad canonicalizer tests compare wire bytes through.
 //!
 //! Scope: the subset of XML 1.0 that SOAP 1.1 section-5 encoding uses —
 //! elements, attributes, character data, comments, XML declarations, and
@@ -25,7 +24,6 @@ pub mod canon;
 pub mod escape;
 pub mod name;
 pub mod pull;
-pub mod writer;
 
 pub use canon::{pad_equivalent, strip_pad};
 pub use escape::{
@@ -34,4 +32,3 @@ pub use escape::{
 };
 pub use name::{split_qname, validate_ncname, NameError};
 pub use pull::{Event, PullError, PullParser};
-pub use writer::XmlWriter;

@@ -48,7 +48,7 @@
 //! | Crate | Role |
 //! |-------|------|
 //! | [`convert`] | number ↔ ASCII conversion (the measured 90% bottleneck) |
-//! | [`xml`] | escaping, names, streaming writer, pull tokenizer |
+//! | [`xml`] | escaping, names, pull tokenizer, pad canonicalizer |
 //! | [`chunks`] | the chunked message buffer (§3.2) |
 //! | `core` (re-exported at the root) | templates, DUT table, four tiers, shifting/stuffing/stealing, chunk overlaying, client stub |
 //! | [`transport`] | Send-Time measurement rig, HTTP/1.0 + 1.1 framing, loopback servers |
@@ -87,7 +87,7 @@ pub use bsoap_core::value::mio;
 /// Number ↔ ASCII conversion substrate.
 pub use bsoap_convert as convert;
 
-/// XML substrate (escaping, names, writer, pull parser, canonicalizer).
+/// XML substrate (escaping, names, pull parser, canonicalizer).
 pub use bsoap_xml as xml;
 
 /// Chunked message buffers.

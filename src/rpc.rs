@@ -14,6 +14,7 @@ use crate::wsdl::ServiceDesc;
 use crate::{Client, EngineConfig, EngineError, OpDesc, ParamDesc, SendReport, Value, WireFormat};
 use std::fmt;
 use std::net::SocketAddr;
+use std::sync::Arc;
 
 /// RPC-level error.
 #[derive(Debug)]
@@ -44,22 +45,41 @@ impl fmt::Display for RpcError {
 
 impl std::error::Error for RpcError {}
 
-/// A connected RPC client for one service.
+/// One operation as this client speaks it, resolved on its first use.
+struct Binding {
+    name: String,
+    /// The `SOAPAction` header value.
+    soap_action: String,
+    /// The `{op}Response` descriptor (the WSDL subset in this stack
+    /// describes requests; responses follow the convention and are
+    /// declared explicitly). Undeclared: replies decode to no values.
+    response: Option<OpDesc>,
+}
+
+/// What one exchange brought back.
+struct Reply {
+    status: u16,
+    headers: Vec<(String, String)>,
+    body: Vec<u8>,
+    report: SendReport,
+}
+
+/// An RPC client for one service.
 pub struct RpcClient {
-    service: ServiceDesc,
+    service: Arc<ServiceDesc>,
+    bindings: Vec<Binding>,
     client: Client,
-    conn: ClientConn,
+    addr: SocketAddr,
+    /// `None` after a failed exchange: the next one dials `addr` again.
+    conn: Option<ClientConn>,
     /// The POST target; `soap_action` and `extra_headers` are rewritten
     /// per call (the operation's action, the negotiator's offer).
     request: RequestConfig,
-    /// Response descriptors supplied per operation (the WSDL subset in
-    /// this stack describes requests; responses follow the
-    /// `{op}Response` convention and are registered explicitly).
-    response_descs: Vec<OpDesc>,
-    /// Per-connection wire-format negotiation. Seeded from the config's
-    /// `wire_format`: an XML config never offers, a config asking for a
-    /// negotiated lane starts offering it and upgrades once the server
-    /// adverts back.
+    /// Per-connection wire-format negotiation, and the one holder of its
+    /// verdict: every exchange asks it for the lane and hands that to the
+    /// engine. Seeded from the config's `wire_format`: an XML config
+    /// never offers, a config asking for a negotiated lane starts offering
+    /// it and upgrades once the server adverts back.
     negotiator: Negotiator,
 }
 
@@ -85,14 +105,13 @@ impl RpcClient {
             version: HttpVersion::Http11Length,
             extra_headers: Vec::new(),
         };
-        // The engine's base lane stays XML; the negotiator upgrades the
-        // endpoint via `set_endpoint_format` once the server agrees.
         Ok(RpcClient {
-            service,
-            client: Client::new(config.with_wire_format(WireFormat::SoapXml)),
-            conn: ClientConn::connect(addr, None)?,
+            service: Arc::new(service),
+            bindings: Vec::new(),
+            client: Client::new(config),
+            addr,
+            conn: Some(ClientConn::connect(addr, None)?),
             request,
-            response_descs: Vec::new(),
             negotiator: Negotiator::new(config.wire_format.negotiated()),
         })
     }
@@ -102,12 +121,25 @@ impl RpcClient {
         self.negotiator.state()
     }
 
+    /// Index of `op`'s binding, made on first use.
+    fn bind(&mut self, op: &str) -> usize {
+        let bound = self.bindings.iter().position(|b| b.name == op);
+        bound.unwrap_or_else(|| {
+            self.bindings.push(Binding {
+                name: op.to_owned(),
+                soap_action: self.service.soap_action(op),
+                response: None,
+            });
+            self.bindings.len() - 1
+        })
+    }
+
     /// Declare the response parameters of `op` so [`RpcClient::call`] can
     /// parse replies (defaults to an empty response otherwise).
     pub fn declare_response(&mut self, op: &str, params: Vec<ParamDesc>) {
         let desc = OpDesc::new(&format!("{op}Response"), &self.service.namespace, params);
-        self.response_descs.retain(|d| d.name != desc.name);
-        self.response_descs.push(desc);
+        let at = self.bind(op);
+        self.bindings[at].response = Some(desc);
     }
 
     /// The differential client's statistics (tier histogram).
@@ -122,12 +154,11 @@ impl RpcClient {
 
     /// Invoke `op_name(args)` and parse the response.
     pub fn call(&mut self, op_name: &str, args: &[Value]) -> Result<Vec<Value>, RpcError> {
-        let op = self
-            .service
+        let service = Arc::clone(&self.service);
+        let op = service
             .operation(op_name)
-            .ok_or_else(|| RpcError::UnknownOperation(op_name.to_owned()))?
-            .clone();
-        self.call_op(&op, args).map(|(values, _)| values)
+            .ok_or_else(|| RpcError::UnknownOperation(op_name.to_owned()))?;
+        self.call_op(op, args).map(|(values, _)| values)
     }
 
     /// Invoke with the full send report (tier, bytes, patch counters).
@@ -136,55 +167,61 @@ impl RpcClient {
         op: &OpDesc,
         args: &[Value],
     ) -> Result<(Vec<Value>, SendReport), RpcError> {
-        let (status, headers, body, report) = self.exchange(op, args)?;
-        let (status, headers, body, report) = if status == 415 && self.negotiator.on_unsupported() {
+        let at = self.bind(&op.name);
+        let mut reply = self.exchange(at, op, args)?;
+        if reply.status == 415 && self.negotiator.on_unsupported() {
             // The server disabled the binary lane mid-keep-alive: the
             // negotiator is now settled on XML, so resend the same call
             // on the XML lane — exactly once, and no request is lost.
-            self.client
-                .set_endpoint_format(&self.service.endpoint, WireFormat::SoapXml);
-            self.exchange(op, args)?
-        } else {
-            (status, headers, body, report)
-        };
-        self.negotiator.observe_response(&headers);
-        self.sync_endpoint_format();
-        if status != 200 {
-            return Err(RpcError::Status(status, body));
+            reply = self.exchange(at, op, args)?;
         }
-        let resp_name = format!("{}Response", op.name);
+        self.negotiator.observe_response(&reply.headers);
+        if reply.status != 200 {
+            return Err(RpcError::Status(reply.status, reply.body));
+        }
         // The reply is decoded on the lane its own header names.
-        let token = headers
-            .iter()
-            .find(|(n, _)| n == HDR_FORMAT_LOWER)
-            .map(|(_, v)| v.as_str());
-        let lane = WireFormat::of_message(token, &body);
-        let values = match self.response_descs.iter().find(|d| d.name == resp_name) {
-            Some(desc) => crate::deser::decode(lane, &body, desc).map_err(RpcError::Response)?,
+        let token = reply.headers.iter().find(|(n, _)| n == HDR_FORMAT_LOWER);
+        let lane = WireFormat::of_message(token.map(|(_, v)| v.as_str()), &reply.body);
+        let values = match &self.bindings[at].response {
+            Some(desc) => {
+                crate::deser::decode(lane, &reply.body, desc).map_err(RpcError::Response)?
+            }
             None => Vec::new(),
         };
-        Ok((values, report))
+        Ok((values, reply.report))
     }
 
-    /// One request/response exchange on the lane the negotiator
-    /// currently prescribes.
-    #[allow(clippy::type_complexity)]
-    fn exchange(
-        &mut self,
-        op: &OpDesc,
-        args: &[Value],
-    ) -> Result<(u16, Vec<(String, String)>, Vec<u8>, SendReport), RpcError> {
+    /// One request/response exchange, through binding `at`, on the lane
+    /// the negotiator currently prescribes.
+    fn exchange(&mut self, at: usize, op: &OpDesc, args: &[Value]) -> Result<Reply, RpcError> {
+        let mut conn = match self.conn.take() {
+            Some(conn) => conn,
+            None => ClientConn::connect(self.addr, None).map_err(RpcError::Io)?,
+        };
         // Before the template is touched: a desynchronised stream cannot
         // carry this call, and that is no verdict on the endpoint's lane.
-        self.conn.in_step().map_err(RpcError::Io)?;
-        self.sync_endpoint_format();
-        self.request.soap_action = self.service.soap_action(&op.name);
-        self.request.extra_headers = self.negotiator.request_headers();
-        let (conn, request) = (&mut self.conn, &self.request);
-        let report = self
+        conn.in_step().map_err(RpcError::Io)?;
+        let request = &mut self.request;
+        request
+            .soap_action
+            .clone_from(&self.bindings[at].soap_action);
+        request.extra_headers = self.negotiator.request_headers();
+        let lane =
+            WireFormat::from_name(self.negotiator.body_token()).unwrap_or(WireFormat::SoapXml);
+        let endpoint = &self.service.endpoint;
+        let sent = self
             .client
-            .call_via(&self.service.endpoint, op, args, |s| conn.post(request, s))
-            .map_err(RpcError::Send)?;
+            .call_on(lane, endpoint, op, args, |s| conn.post(request, s));
+        let report = match sent {
+            Ok(report) => report,
+            Err(e) => {
+                // A semantic error never reached the hand-off.
+                if !matches!(e, EngineError::Io(_) | EngineError::DeadlineExceeded) {
+                    self.conn = Some(conn);
+                }
+                return Err(RpcError::Send(e));
+            }
+        };
         // A reply is wire input like any request: past the caps it is a
         // typed `TooLarge` (kind `InvalidData`), not a buffer that grows
         // for as long as the peer keeps streaming.
@@ -192,20 +229,17 @@ impl RpcClient {
         let (status, headers, body) = conn
             .read_reply(config.max_head_bytes, config.max_body_bytes)
             .map_err(RpcError::Io)?;
-        Ok((status, headers, body, report))
-    }
-
-    /// Keep the engine's per-endpoint lane in lockstep with the
-    /// negotiator's verdict. It runs around every exchange and the
-    /// verdict moves a handful of times in a connection's life, so the
-    /// engine's map is written only when it did.
-    fn sync_endpoint_format(&mut self) {
-        let format =
-            WireFormat::from_name(self.negotiator.body_token()).unwrap_or(WireFormat::SoapXml);
-        let endpoint = &self.service.endpoint;
-        if self.client.endpoint_format(endpoint) != format {
-            self.client.set_endpoint_format(endpoint, format);
-        }
+        // After a transport failure the stream's state is unknown, so the
+        // connection is not put back and the next call dials again.
+        // Nothing is resent — the tiered send already ran — and the
+        // negotiator keeps its verdict.
+        self.conn = Some(conn);
+        Ok(Reply {
+            status,
+            headers,
+            body,
+            report,
+        })
     }
 }
 
@@ -535,17 +569,64 @@ mod tests {
     }
 
     #[test]
+    fn an_io_error_costs_the_connection_not_the_client() {
+        use crate::transport::http::RequestReader;
+        use std::io::Write;
+        // A listener that takes two connections: the first answers one
+        // call and closes (an idle reap, seen from the client), the
+        // second answers until the client hangs up.
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (closed, first_closed) = std::sync::mpsc::channel();
+        let peer = std::thread::spawn(move || {
+            for calls in [1, usize::MAX] {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut requests = RequestReader::new(stream.try_clone().unwrap());
+                for _ in 0..calls {
+                    let Ok(Some(_)) = requests.next_request() else {
+                        break;
+                    };
+                    stream
+                        .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
+                        .unwrap();
+                }
+                drop((requests, stream));
+                closed.send(()).unwrap();
+            }
+        });
+        let (desc, _) = scale_service();
+        let mut rpc =
+            RpcClient::connect(desc.clone(), addr, EngineConfig::paper_default()).unwrap();
+        let op = &desc.operations[0];
+        let args = [Value::DoubleArray(vec![1.0])];
+        assert_eq!(rpc.call_op(op, &args).unwrap().1.tier, SendTier::FirstTime);
+        first_closed.recv().unwrap();
+        // The request leaves (the tiered send ran: a content match), the
+        // reply never comes.
+        assert!(matches!(rpc.call_op(op, &args), Err(RpcError::Io(_))));
+        // The next exchange dials again; the template outlived the socket.
+        let (values, report) = rpc.call_op(op, &args).unwrap();
+        assert_eq!((values, report.tier), (vec![], SendTier::ContentMatch));
+        assert_eq!(rpc.stats().content_match, 2);
+        drop(rpc);
+        peer.join().unwrap();
+    }
+
+    #[test]
     fn reply_buffer_is_per_connection() {
         let (desc, svc) = scale_service();
         let server = HttpServer::spawn(svc).unwrap();
         let mut rpc =
             RpcClient::connect(desc, server.addr(), EngineConfig::paper_default()).unwrap();
         let args = [Value::DoubleArray(vec![1.5, 2.5])];
-        assert_eq!(rpc.conn.reply_buf().capacity(), 0, "no reply, no buffer");
+        fn reply_buf(rpc: &RpcClient) -> &crate::transport::http::ParseBuf {
+            rpc.conn.as_ref().expect("connected").reply_buf()
+        }
+        assert_eq!(reply_buf(&rpc).capacity(), 0, "no reply, no buffer");
         rpc.call("scale", &args).unwrap();
         // A fully consumed window rewinds to the allocation's first byte.
         let buffer = |rpc: &RpcClient| {
-            let buf = rpc.conn.reply_buf();
+            let buf = reply_buf(rpc);
             assert!(buf.window().is_empty());
             (buf.window().as_ptr(), buf.capacity())
         };

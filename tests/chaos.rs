@@ -317,7 +317,7 @@ fn run_schedule(
         // consistent, and its existence must match the spec (failures
         // before first save keep none; demotion evicts).
         let key = StoreKey::new(0, TemplateKey::for_format("ep", &op, format));
-        let store = client.template_store().expect("a call was made");
+        let store = client.template_store();
         let resident = store.peek(&key, |tpl| tpl.assert_invariants()).is_some();
         prop_assert_eq!(resident, spec.has_template("ep"), "template at step {}", i);
 

@@ -64,6 +64,7 @@ const STORE: &str = "crates/core/src/store.rs";
 const CORE_LANE: &str = "crates/core/src/lane.rs";
 const DESER_LANE: &str = "crates/deser/src/lane.rs";
 const CLIENT: &str = "crates/transport/src/client.rs";
+const ENGINE_CLIENT: &str = "crates/core/src/client.rs";
 const KERNELS: &str = "crates/kernels/src/lib.rs";
 /// `transport`'s connection pool has a `checkout()` of its own: sockets,
 /// not templates.
@@ -125,6 +126,15 @@ const RULES: &[(&str, &[Rule])] = &[
             outside(EXCHANGE, "read_response_headers_limited("),
             inside(CLIENT, "post_gather_vectored(", SOMEWHERE),
             inside(CLIENT, "pub struct ClientConn", 1..=1),
+            // One home per client-side decision (PR 22): the lane is an
+            // argument (`Client::call_on`), held by `RpcClient`'s
+            // negotiator alone; the store is always there; template keys
+            // are built where a call site is first seen, nowhere per call.
+            gone("endpoint_formats"),
+            gone("fn sync_endpoint_format"),
+            gone("fn store_handle"),
+            gone("struct XmlWriter"),
+            inside(ENGINE_CLIENT, "TemplateKey::for_format(", 1..=2),
         ],
     ),
     // Configuration is a value (PR 15): one environment reader in product

@@ -373,7 +373,7 @@ fn two_endpoints_get_independent_templates() {
             )
             .unwrap();
         assert_eq!(r.tier, SendTier::FirstTime);
-        assert_eq!(client.cached_keys(), 2);
+        assert_eq!(client.template_store().len(), 2);
         // Back to endpoint A unchanged: content match survives interleaving.
         let r = client
             .call("http://a", &op, &[Value::DoubleArray(xs)], &mut sink_a)

@@ -30,7 +30,7 @@ fn resetting(accept: usize) -> FailingSink {
 /// nothing is saved): moves no counter.
 fn saved_template<R>(rig: &Rig, look: impl FnOnce(&MessageTemplate) -> R) -> Option<R> {
     let key = TemplateKey::for_format("ep", &rig.op, rig.client.config().wire_format);
-    let store = rig.client.template_store()?;
+    let store = rig.client.template_store();
     store.peek(&StoreKey::new(0, key), look)
 }
 
