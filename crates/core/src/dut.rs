@@ -74,10 +74,21 @@ impl DutEntry {
 }
 
 /// The per-template DUT table: entries in document (byte) order.
+///
+/// **The dirty-list invariant:** `dirty` holds the index of every entry
+/// whose dirty bit is set — ascending, no duplicates, nothing else. The
+/// bit answers "is leaf `i` dirty" in O(1); the list is what a send walks,
+/// so planning and patching cost in proportion to what changed, not to
+/// what the message holds. Every path that sets or clears a bit keeps the
+/// two in step ([`Self::assert_invariants`] checks it).
 #[derive(Clone, Debug, Default)]
 pub struct DutTable {
     entries: Vec<DutEntry>,
-    dirty_count: usize,
+    /// Indices of the dirty entries, ascending.
+    dirty: Vec<u32>,
+    /// Retained scratch of [`Self::set_doubles`] / [`Self::set_ints`]: the
+    /// run positions whose bits differ. Only ever grows.
+    hits: Vec<u32>,
 }
 
 impl DutTable {
@@ -85,7 +96,7 @@ impl DutTable {
     pub fn with_capacity(n: usize) -> Self {
         DutTable {
             entries: Vec::with_capacity(n),
-            dirty_count: 0,
+            ..DutTable::default()
         }
     }
 
@@ -105,7 +116,12 @@ impl DutTable {
     /// can be resent as is" (§3.1) — the content-match test is
     /// `dirty_count() == 0`.
     pub fn dirty_count(&self) -> usize {
-        self.dirty_count
+        self.dirty.len()
+    }
+
+    /// Indices of the dirty leaves, ascending — what a send walks.
+    pub fn dirty(&self) -> &[u32] {
+        &self.dirty
     }
 
     /// Borrow an entry.
@@ -146,44 +162,113 @@ impl DutTable {
             return entry.dirty;
         }
         entry.value = value;
-        if !entry.dirty {
-            entry.dirty = true;
-            self.dirty_count += 1;
-        }
+        self.mark_dirty(idx);
         true
     }
 
     /// Force-mark a leaf dirty without changing its value (benchmarks use
     /// this to induce a re-serialization of identical content).
+    ///
+    /// A diff walks the leaves in ascending order, so the index is almost
+    /// always appended; a setter that arrives out of order (or a diff over
+    /// leaves a failed send left dirty) is inserted in place.
+    #[inline]
     pub fn mark_dirty(&mut self, idx: usize) {
         let entry = &mut self.entries[idx];
-        if !entry.dirty {
-            entry.dirty = true;
-            self.dirty_count += 1;
+        if entry.dirty {
+            return;
+        }
+        entry.dirty = true;
+        let idx = idx as u32;
+        if self.dirty.last().is_none_or(|&last| last < idx) {
+            self.dirty.push(idx);
+        } else {
+            let at = self.dirty.partition_point(|&d| d < idx);
+            self.dirty.insert(at, idx);
         }
     }
 
-    /// Settle the aggregate count after `n` dirty bits were cleared
-    /// directly on entries obtained via [`Self::entries_mut_raw`] (the
-    /// executor's write phase does this).
-    pub(crate) fn note_bits_cleared(&mut self, n: usize) {
-        debug_assert!(n <= self.dirty_count);
-        self.dirty_count -= n;
+    /// [`Self::set_value`] over the run of `Double` leaves starting at
+    /// `base`, one per element of `xs`.
+    pub(crate) fn set_doubles(&mut self, base: usize, xs: &[f64]) {
+        self.set_run(base, xs, Scalar::Double, |old, x| match old {
+            Scalar::Double(o) => o.to_bits() != x.to_bits(),
+            _ => true,
+        });
     }
 
-    /// Splice new entries in at `at` (array growth) — entries must already
-    /// carry correct locations.
+    /// [`Self::set_value`] over the run of `Int` leaves starting at `base`.
+    pub(crate) fn set_ints(&mut self, base: usize, xs: &[i32]) {
+        self.set_run(base, xs, Scalar::Int, |old, x| match old {
+            Scalar::Int(o) => *o != x,
+            _ => true,
+        });
+    }
+
+    /// The run compare. Most of a resent array is unchanged, and which
+    /// elements changed is data the branch predictor cannot learn, so the
+    /// compare takes no branch on it: pass 1 writes every position into
+    /// the scratch and advances past it only when the bits differ; pass 2
+    /// does the per-leaf [`Self::set_value`] for those positions alone.
+    /// `differs` is [`Scalar::same_as`] negated, on the unboxed element.
+    fn set_run<T: Copy>(
+        &mut self,
+        base: usize,
+        xs: &[T],
+        wrap: impl Fn(T) -> Scalar,
+        differs: impl Fn(&Scalar, T) -> bool,
+    ) {
+        let mut hits = std::mem::take(&mut self.hits);
+        if hits.len() < xs.len() {
+            hits.resize(xs.len(), 0);
+        }
+        let mut n = 0;
+        for (i, (e, &x)) in self.entries[base..base + xs.len()]
+            .iter()
+            .zip(xs)
+            .enumerate()
+        {
+            hits[n] = i as u32;
+            n += differs(&e.value, x) as usize;
+        }
+        for &i in &hits[..n] {
+            // `set_value` past its compare, which pass 1 already made.
+            let idx = base + i as usize;
+            self.entries[idx].value = wrap(xs[i as usize]);
+            self.mark_dirty(idx);
+        }
+        self.hits = hits;
+    }
+
+    /// The executor's write phase cleared the bit of every dirty entry
+    /// (on entries obtained via [`Self::entries_mut_raw`]): forget the
+    /// list with them.
+    pub(crate) fn clear_dirty_list(&mut self) {
+        debug_assert!(self.dirty.iter().all(|&i| !self.entries[i as usize].dirty));
+        self.dirty.clear();
+    }
+
+    /// Splice new, clean entries in at `at` (array growth) — entries must
+    /// already carry correct locations. Dirty indices at or past `at`
+    /// move up with their entries.
     pub(crate) fn splice_in(&mut self, at: usize, new_entries: Vec<DutEntry>) {
+        debug_assert!(new_entries.iter().all(|e| !e.dirty));
+        let moved = self.dirty.partition_point(|&d| (d as usize) < at);
+        for d in &mut self.dirty[moved..] {
+            *d += new_entries.len() as u32;
+        }
         self.entries.splice(at..at, new_entries);
     }
 
-    /// Remove entries `range` (array contraction), fixing dirty accounting.
+    /// Remove entries `range` (array contraction): their dirty indices go
+    /// with them and the ones behind move down.
     pub(crate) fn remove_range(&mut self, range: std::ops::Range<usize>) {
-        let removed_dirty = self.entries[range.clone()]
-            .iter()
-            .filter(|e| e.dirty)
-            .count();
-        self.dirty_count -= removed_dirty;
+        let lo = self.dirty.partition_point(|&d| (d as usize) < range.start);
+        let hi = self.dirty.partition_point(|&d| (d as usize) < range.end);
+        self.dirty.drain(lo..hi);
+        for d in &mut self.dirty[lo..] {
+            *d -= range.len() as u32;
+        }
         self.entries.drain(range);
     }
 
@@ -193,9 +278,10 @@ impl DutTable {
     /// * `width ≥ ser_len` for every entry,
     /// * entries are in strictly increasing `(chunk, offset)` order,
     /// * regions do not overlap,
-    /// * `dirty_count` equals the number of set dirty bits.
+    /// * the dirty list is exactly the set dirty bits, ascending, no
+    ///   duplicates.
     pub fn assert_invariants(&self) {
-        let mut dirty = 0;
+        let mut dirty = Vec::new();
         let mut prev: Option<&DutEntry> = None;
         for (i, e) in self.entries.iter().enumerate() {
             assert!(
@@ -205,7 +291,7 @@ impl DutTable {
                 e.ser_len
             );
             if e.dirty {
-                dirty += 1;
+                dirty.push(i as u32);
             }
             if let Some(p) = prev {
                 assert!(
@@ -219,13 +305,15 @@ impl DutTable {
             }
             prev = Some(e);
         }
-        assert_eq!(dirty, self.dirty_count, "dirty_count accounting drifted");
+        assert_eq!(dirty, self.dirty, "dirty list drifted from the dirty bits");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn entry(offset: u32, ser_len: u32, width: u32) -> DutEntry {
         DutEntry {
@@ -264,7 +352,7 @@ mod tests {
         assert_eq!(t.dirty_count(), 1);
 
         t.entries_mut_raw()[0].dirty = false;
-        t.note_bits_cleared(1);
+        t.clear_dirty_list();
         assert_eq!(t.dirty_count(), 0);
         t.assert_invariants();
     }
@@ -297,6 +385,153 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.dirty_count(), 0);
         t.assert_invariants();
+    }
+
+    /// Clean leaves holding `values`, far enough apart to splice between.
+    fn table_of(values: &[Scalar]) -> DutTable {
+        let mut t = DutTable::with_capacity(values.len());
+        for (i, value) in values.iter().enumerate() {
+            t.push(DutEntry {
+                value: value.clone(),
+                ..entry(10_000 + i as u32 * 1_000, 1, 1)
+            });
+        }
+        t
+    }
+
+    fn table(n: usize) -> DutTable {
+        table_of(&vec![Scalar::Int(1); n])
+    }
+
+    #[test]
+    fn the_dirty_list_stays_ascending_whatever_the_setter_order() {
+        let mut t = table(6);
+        for idx in [4, 1, 5, 1, 0, 3] {
+            t.mark_dirty(idx);
+        }
+        assert_eq!(t.dirty(), [0, 1, 3, 4, 5]);
+        t.assert_invariants();
+    }
+
+    #[test]
+    fn resizes_rebase_the_dirty_list() {
+        let mut t = table(6);
+        for idx in [0, 2, 3, 5] {
+            t.mark_dirty(idx);
+        }
+        // Leaves 2 and 3 go; 5 becomes 3.
+        t.remove_range(2..4);
+        assert_eq!(t.dirty(), [0, 3]);
+        t.assert_invariants();
+        // Two clean leaves arrive at 1: 3 becomes 5.
+        t.splice_in(1, vec![entry(10_100, 1, 1), entry(10_200, 1, 1)]);
+        assert_eq!(t.dirty(), [0, 5]);
+        t.assert_invariants();
+    }
+
+    /// Doubles where "same" is subtle: NaNs of several payloads, both
+    /// zeros, and a few ordinary values so that most compares are equal.
+    fn tricky_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::NAN),
+            Just(f64::from_bits(0x7ff8_0000_0000_0001)),
+            Just(f64::from_bits(0xfff0_0000_dead_beef)),
+            Just(f64::INFINITY),
+            (0..4i32).prop_map(f64::from),
+        ]
+    }
+
+    /// One array's resize between two diffs, as the executor applies it.
+    #[derive(Clone, Debug)]
+    enum Resize {
+        None,
+        Remove { at: usize, len: usize },
+        Splice { at: usize, len: usize },
+    }
+
+    fn resize(t: &mut DutTable, how: &Resize, fill: &Scalar) {
+        match *how {
+            Resize::None => {}
+            Resize::Remove { at, len } => {
+                let at = at % t.len();
+                t.remove_range(at..(at + len).min(t.len()));
+            }
+            Resize::Splice { at, len } => {
+                let at = at % (t.len() + 1);
+                // Clean leaves, located just before the leaf they displace.
+                let first = 10_000 + at as u32 * 1_000 - 900;
+                let new = (0..len as u32).map(|k| DutEntry {
+                    value: fill.clone(),
+                    ..entry(first + k * 20, 1, 1)
+                });
+                t.splice_in(at, new.collect());
+            }
+        }
+    }
+
+    fn run_equals_loop<T: Copy>(
+        (old, new): (Vec<T>, Vec<T>),
+        (stale, how, from, len): (Vec<usize>, Resize, usize, usize),
+        wrap: fn(T) -> Scalar,
+        set_run: fn(&mut DutTable, usize, &[T]),
+    ) {
+        let old: Vec<Scalar> = old.into_iter().map(wrap).collect();
+        let mut run = table_of(&old);
+        // Leaves a failed send left dirty, then a resize the next one
+        // applied: whatever came before, both tables saw it.
+        for &idx in &stale {
+            run.mark_dirty(idx % old.len());
+        }
+        resize(&mut run, &how, &old[0]);
+        run.assert_invariants();
+        let mut each = run.clone();
+
+        let from = from % run.len();
+        let to = (from + len).min(run.len()).min(new.len());
+        let from = from.min(to);
+        set_run(&mut run, from, &new[from..to]);
+        for (i, &x) in new.iter().enumerate().take(to).skip(from) {
+            each.set_value(i, wrap(x));
+        }
+
+        run.assert_invariants();
+        assert_eq!(run.dirty(), each.dirty());
+        for (a, b) in run.entries().iter().zip(each.entries()) {
+            assert_eq!(a.dirty, b.dirty);
+            assert!(a.value.same_as(&b.value), "{:?} vs {:?}", a.value, b.value);
+        }
+    }
+
+    fn scenario() -> impl Strategy<Value = (Vec<usize>, Resize, usize, usize)> {
+        let how = prop_oneof![
+            Just(Resize::None),
+            (0..64usize, 1..8usize).prop_map(|(at, len)| Resize::Remove { at, len }),
+            (0..64usize, 1..8usize).prop_map(|(at, len)| Resize::Splice { at, len }),
+        ];
+        (vec(0..64usize, 0..6), how, 0..64usize, 0..80usize)
+    }
+
+    proptest! {
+        /// The run compare is the per-leaf `set_value` loop: same dirty
+        /// set, same values, same ascending list — over sub-ranges, over
+        /// leaves already dirty, and after a resize moved the leaves.
+        #[test]
+        fn a_run_compare_is_the_per_leaf_loop_on_doubles(
+            runs in (vec(tricky_f64(), 9..40), vec(tricky_f64(), 48)),
+            scenario in scenario(),
+        ) {
+            run_equals_loop(runs, scenario, Scalar::Double, DutTable::set_doubles);
+        }
+
+        #[test]
+        fn a_run_compare_is_the_per_leaf_loop_on_ints(
+            runs in (vec(-2..3i32, 9..40), vec(-2..3i32, 48)),
+            scenario in scenario(),
+        ) {
+            run_equals_loop(runs, scenario, Scalar::Int, DutTable::set_ints);
+        }
     }
 
     #[test]

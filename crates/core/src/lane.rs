@@ -138,9 +138,10 @@ impl WireFormat {
 
 // Leaves: encoding and the initial-width rule.
 impl WireFormat {
-    /// Serialize `value` into `out` (cleared first): the XML lexical form,
-    /// or one tagged bin1 record. Every template-internal serialization
-    /// site routes through here.
+    /// Append `value`'s serialization to `out`: the XML lexical form, or
+    /// one tagged bin1 record. Every template-internal serialization site
+    /// routes through here, and each appends to the buffer the bytes end
+    /// up in (the builder's region, the planner's blob).
     pub(crate) fn encode_leaf(
         self,
         value: &Scalar,
@@ -149,7 +150,7 @@ impl WireFormat {
         kernel: KernelPolicy,
     ) {
         match self {
-            WireFormat::SoapXml => value.serialize_into_kern(out, float, kernel),
+            WireFormat::SoapXml => value.append_lexical(out, float, kernel),
             WireFormat::CompactBinary => wire::write_leaf(out, value),
         }
     }

@@ -71,7 +71,6 @@ pub(crate) struct Builder {
     pub store: ChunkStore,
     pub dut: DutTable,
     pub arrays: Vec<ArrayInfo>,
-    pub(crate) scratch: Vec<u8>,
     pub(crate) region: Vec<u8>,
 }
 
@@ -82,7 +81,6 @@ impl Builder {
             store: ChunkStore::new(config.chunk),
             dut: DutTable::default(),
             arrays: Vec::new(),
-            scratch: Vec::with_capacity(64),
             region: Vec::with_capacity(128),
         }
     }
@@ -127,16 +125,15 @@ impl Builder {
     pub(crate) fn leaf(&mut self, value: Scalar, close: &[u8], width_floor: Option<usize>) {
         let kind = value.kind();
         let lane = self.config.wire_format;
+        self.region.clear();
         lane.encode_leaf(
             &value,
-            &mut self.scratch,
+            &mut self.region,
             self.config.float,
             self.config.kernel,
         );
-        let ser_len = self.scratch.len();
+        let ser_len = self.region.len();
         let width = lane.initial_width(self.config.width, kind, ser_len, width_floor);
-        self.region.clear();
-        self.region.extend_from_slice(&self.scratch);
         self.region.extend_from_slice(close);
         self.region.resize(width + close.len(), b' ');
         let loc = self.store.append_region(&self.region);

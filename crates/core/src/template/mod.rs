@@ -347,7 +347,11 @@ impl MessageTemplate {
     /// Update (and if needed resize) array parameter `array_idx` from a new
     /// value. Existing elements are diffed leaf-by-leaf; a length change
     /// triggers the partial-structural-match machinery.
-    pub fn update_array(&mut self, array_idx: usize, value: &Value) -> Result<(), EngineError> {
+    ///
+    /// Private: `value` must already have passed [`OpDesc::check_args`]
+    /// (as `update_args` sees to) — the unboxed runs below trust that a
+    /// `DoubleArray` meets `double` leaves at stride one.
+    fn update_array(&mut self, array_idx: usize, value: &Value) -> Result<(), EngineError> {
         let new_len = value.array_len().ok_or_else(|| EngineError::TypeMismatch {
             at: format!("array {array_idx}"),
             expected: "array value",
@@ -405,16 +409,8 @@ impl MessageTemplate {
         let base = self.arrays[array_idx].base_leaf;
         let lpe = self.arrays[array_idx].leaves_per_elem;
         match value {
-            Value::DoubleArray(v) => {
-                for (i, &x) in v.iter().enumerate().take(to).skip(from) {
-                    self.dut.set_value(base + i, Scalar::Double(x));
-                }
-            }
-            Value::IntArray(v) => {
-                for (i, &x) in v.iter().enumerate().take(to).skip(from) {
-                    self.dut.set_value(base + i, Scalar::Int(x));
-                }
-            }
+            Value::DoubleArray(v) => self.dut.set_doubles(base + from, &v[from..to]),
+            Value::IntArray(v) => self.dut.set_ints(base + from, &v[from..to]),
             Value::Array(elems) => {
                 let item_desc = self.arrays[array_idx].item_desc.clone();
                 for (i, elem) in elems.iter().enumerate().take(to).skip(from) {

@@ -322,7 +322,8 @@ impl MessageTemplate {
     }
 
     /// Phase 3: write every planned region `[value][suffix][pad]` from the
-    /// plan blob. Regions are disjoint and fully settled.
+    /// plan blob. Regions are disjoint and fully settled. The ops are the
+    /// dirty list, one each, so clearing their bits empties it.
     fn execute_writes(&mut self, ops: &[PlannedOp], blob: &[u8], counters: &mut PatchCounters) {
         counters.values_written += ops.len();
         let kernel = self.config.kernel;
@@ -337,7 +338,8 @@ impl MessageTemplate {
                 kernel,
             );
         }
-        dut.note_bits_cleared(ops.len());
+        debug_assert_eq!(ops.len(), dut.dirty_count());
+        dut.clear_dirty_list();
     }
 
     /// After splitting `chunk` at `split_at`: rehome entries and markers in

@@ -1,13 +1,14 @@
 //! The send planner: simulate a differential flush against the current
 //! template geometry without mutating it (see [`crate::plan`]).
 //!
-//! The simulation walks the dirty DUT entries in ascending order, exactly
-//! as the executor will apply them, and decides per leaf whether the new
-//! serialization overwrites, rewrites in width, steals neighbor padding, or
-//! shifts. One carried width override is all the state this needs: a steal
-//! at entry `i` only ever narrows entry `i+1`, and the neighbor is still
-//! pristine when the decision is made, so the simulated geometry matches
-//! what the executor sees live.
+//! The simulation walks the DUT's dirty list — the dirty entries in
+//! ascending order, exactly as the executor will apply them, and nothing
+//! else: planning costs in proportion to what changed — and decides per
+//! leaf whether the new serialization overwrites, rewrites in width, steals
+//! neighbor padding, or shifts. One carried width override is all the
+//! state this needs: a steal at entry `i` only ever narrows entry `i+1`,
+//! and the neighbor is still pristine when the decision is made, so the
+//! simulated geometry matches what the executor sees live.
 
 use super::{build, MessageTemplate};
 use crate::config::GrowthPolicy;
@@ -83,7 +84,17 @@ impl MessageTemplate {
         let growth = self.config.growth;
         let steal_on = self.config.steal;
         let entries = self.dut.entries();
-        let mut scratch: Vec<u8> = Vec::with_capacity(64);
+        let dirty = self.dut.dirty();
+        // One op per dirty leaf; the blob is sized by what those leaves
+        // hold now — exact on a fixed-width lane, and where a lexical form
+        // grew the one doubling is amortised over the whole plan.
+        plan.ops.reserve_exact(dirty.len());
+        plan.blob.reserve(
+            dirty
+                .iter()
+                .map(|&i| entries[i as usize].ser_len as usize)
+                .sum(),
+        );
         // A planned steal at entry i narrows entry i+1 before it is
         // considered; dropped unread if i+1 turns out clean.
         let mut next_override: Option<(usize, u32)> = None;
@@ -91,15 +102,14 @@ impl MessageTemplate {
         // `chunk_len − first_gap` bytes regardless of how many gaps open.
         let mut chunk_first_gap: Vec<(u32, u32)> = Vec::new();
 
-        for (i, e) in entries.iter().enumerate() {
-            if !e.dirty {
-                continue;
-            }
-            lane.encode_leaf(&e.value, &mut scratch, float, kernel);
-            let new_len = scratch.len() as u32;
+        for &i in dirty {
+            let i = i as usize;
+            let e = &entries[i];
+            debug_assert!(e.dirty);
             let lo = plan.blob.len() as u32;
-            plan.blob.extend_from_slice(&scratch);
+            lane.encode_leaf(&e.value, &mut plan.blob, float, kernel);
             let hi = plan.blob.len() as u32;
+            let new_len = hi - lo;
             let eff_width = match next_override.take() {
                 Some((j, w)) if j == i => w,
                 _ => e.width,

@@ -56,27 +56,26 @@ impl Scalar {
     ///
     /// Strings are XML-escaped here; numeric forms never need escaping.
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
-        self.serialize_into_with(out, FloatFormatter::Exact2004);
+        out.clear();
+        self.append_lexical(
+            out,
+            FloatFormatter::Exact2004,
+            bsoap_kernels::KernelPolicy::Scalar,
+        );
     }
 
-    /// Serialize this scalar's lexical form into `out` (cleared first),
-    /// converting doubles with the given kernel. Both kernels emit the same
-    /// bytes; only the conversion cost differs.
-    pub fn serialize_into_with(&self, out: &mut Vec<u8>, float: FloatFormatter) {
-        self.serialize_into_kern(out, float, bsoap_kernels::KernelPolicy::Scalar);
-    }
-
-    /// [`Self::serialize_into_with`] plus byte-kernel dispatch: integers go
+    /// Append this scalar's lexical form to `out`, converting doubles with
+    /// `float` (both kernels emit the same bytes; only the conversion cost
+    /// differs) and dispatching the byte kernels on `kernel`: integers go
     /// through the branchless stuffed-itoa kernel and strings through the
-    /// SIMD escape scanner when `kernel` resolves to a SIMD level. Output
-    /// is byte-identical across every policy (property-tested).
-    pub fn serialize_into_kern(
+    /// SIMD escape scanner when it resolves to a SIMD level. Output is
+    /// byte-identical across every policy (property-tested).
+    pub fn append_lexical(
         &self,
         out: &mut Vec<u8>,
         float: FloatFormatter,
         kernel: bsoap_kernels::KernelPolicy,
     ) {
-        out.clear();
         match self {
             Scalar::Int(v) => {
                 let mut buf = [0u8; 11];

@@ -57,14 +57,13 @@ pub const END: u8 = 0x0B;
 /// Decoders skip any run of these wherever a tag byte is expected.
 pub const PAD: u8 = b' ';
 
-/// Write `value` as one tagged record into `out` (cleared first):
-/// fixed-width little-endian for numerics,
+/// Append `value` to `out` as one tagged record: fixed-width
+/// little-endian for numerics,
 /// `[tag][u32 LE len][bytes]` for strings (unescaped).
 ///
 /// A numeric leaf's serialized length never varies with its value, so a
 /// differential rewrite is always an in-place overwrite.
 pub fn write_leaf(out: &mut Vec<u8>, value: &Scalar) {
-    out.clear();
     match value {
         Scalar::Int(v) => {
             out.push(TAG_INT);
@@ -125,21 +124,26 @@ mod tests {
 
     #[test]
     fn numeric_leaves_are_fixed_width() {
-        let mut out = Vec::new();
+        let record = |value: Scalar| {
+            let mut out = Vec::new();
+            write_leaf(&mut out, &value);
+            out
+        };
         for v in [0, 1, -1, i32::MIN, i32::MAX] {
-            write_leaf(&mut out, &Scalar::Int(v));
+            let out = record(Scalar::Int(v));
             assert_eq!(out.len(), 5, "int {v}");
             assert_eq!(out[0], TAG_INT);
         }
         for v in [0.0, -0.5, f64::NAN, f64::MAX] {
-            write_leaf(&mut out, &Scalar::Double(v));
-            assert_eq!(out.len(), 9, "double {v}");
+            assert_eq!(record(Scalar::Double(v)).len(), 9, "double {v}");
         }
-        write_leaf(&mut out, &Scalar::Long(i64::MIN));
-        assert_eq!(out.len(), 9);
-        write_leaf(&mut out, &Scalar::Bool(true));
+        assert_eq!(record(Scalar::Long(i64::MIN)).len(), 9);
+        // Records append: a plan's blob is many of them back to back.
+        let mut out = record(Scalar::Bool(true));
         assert_eq!(out, [TAG_BOOL, 1]);
-        write_leaf(&mut out, &Scalar::Str("a<b".into()));
+        write_leaf(&mut out, &Scalar::Bool(false));
+        assert_eq!(out, [TAG_BOOL, 1, TAG_BOOL, 0]);
+        let out = record(Scalar::Str("a<b".into()));
         // Strings are length-prefixed and NOT escaped on the binary lane.
         assert_eq!(out[0], TAG_STR);
         assert_eq!(out[1..5], 3u32.to_le_bytes());

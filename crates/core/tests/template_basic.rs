@@ -188,6 +188,63 @@ fn leaf_accessors_and_errors() {
 }
 
 #[test]
+fn setters_in_any_order_flush_like_update_args() {
+    // The diff marks leaves dirty in ascending order; an application
+    // calling setters need not. The dirty list keeps the executor's order
+    // either way, on both lanes.
+    let old: Vec<f64> = (0..12).map(|i| f64::from(i) + 0.5).collect();
+    let new: Vec<f64> = old.iter().map(|x| x * 1000.0 - 3.25).collect();
+    for lane in WireFormat::ALL {
+        let config = EngineConfig::paper_default().with_wire_format(lane);
+        let build = || {
+            MessageTemplate::build(config, &doubles_op(), &[Value::DoubleArray(old.clone())])
+                .unwrap()
+        };
+        let mut by_args = build();
+        by_args
+            .update_args(&[Value::DoubleArray(new.clone())])
+            .unwrap();
+        let mut by_setters = build();
+        for element in (0..new.len()).rev() {
+            let leaf = by_setters.array_leaf(0, element, 0);
+            by_setters.set_double(leaf, new[element]).unwrap();
+        }
+        by_setters.assert_invariants();
+        assert_eq!(by_setters.dut().dirty(), by_args.dut().dirty(), "{lane:?}");
+        by_args.flush();
+        by_setters.flush();
+        assert_eq!(by_setters.to_bytes(), by_args.to_bytes(), "{lane:?}");
+        by_setters.assert_invariants();
+    }
+}
+
+#[test]
+fn the_wrong_array_variant_is_a_type_error_that_touches_nothing() {
+    // `update_array` used to be public and skipped `check_args`: a
+    // `DoubleArray` handed to an `int[]` (or struct-array) parameter
+    // stored `Scalar::Double` into leaves of another kind. The only way
+    // in is `update_args` now, and it checks first.
+    let doubles = Value::DoubleArray(vec![9.5, 8.5, 7.5]);
+    for (op, args) in [
+        (ints_op(), Value::IntArray(vec![1, 2, 3])),
+        (mios_op(), mio_array(3)),
+    ] {
+        let mut tpl = MessageTemplate::build(EngineConfig::paper_default(), &op, &[args]).unwrap();
+        let before = tpl.to_bytes();
+        let err = tpl.update_args(std::slice::from_ref(&doubles)).unwrap_err();
+        assert!(
+            matches!(err, bsoap_core::EngineError::TypeMismatch { .. }),
+            "{err:?}"
+        );
+        assert_eq!(tpl.dirty_count(), 0);
+        assert_eq!(tpl.pending_tier(), SendTier::ContentMatch);
+        tpl.flush();
+        assert_eq!(tpl.to_bytes(), before);
+        tpl.assert_invariants();
+    }
+}
+
+#[test]
 fn multi_param_messages() {
     let op = OpDesc::new(
         "store",

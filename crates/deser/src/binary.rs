@@ -14,12 +14,13 @@
 //! typed [`DeserError`]; the decoder never panics and never reads past
 //! the buffer (fuzzed in `tests/binary_fuzz.rs`).
 
-use crate::diff::{common_prefix, DiffShell, Reference};
-use crate::envelope::{apply_leaf, LeafSlot};
+use crate::diff::{DiffShell, Reference};
+use crate::envelope::{apply_leaf, leaf_mut, LeafMut, LeafSlot};
 use crate::error::DeserError;
 use bsoap_convert::ScalarKind;
 use bsoap_core::wire;
 use bsoap_core::{OpDesc, TypeDesc, Value};
+use std::mem::discriminant;
 
 /// Parse a compact-binary envelope into the operation's argument values.
 pub fn parse_binary_envelope(bytes: &[u8], op: &OpDesc) -> Result<Vec<Value>, DeserError> {
@@ -71,13 +72,113 @@ fn decode(c: &mut Cursor<'_>, op: &OpDesc) -> Result<Vec<Value>, DeserError> {
 }
 
 /// One fixed-width scalar record the sender overwrites in place: its tag
-/// byte at `offset`, its payload behind it up to `end`.
+/// byte at `offset`, `width` bytes of payload behind it.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
-    offset: usize,
-    end: usize,
+    offset: u32,
+    width: u8,
     kind: ScalarKind,
     slot: LeafSlot,
+}
+
+impl Slot {
+    /// One past the payload.
+    fn end(&self) -> usize {
+        self.offset as usize + 1 + self.width as usize
+    }
+
+    /// Bits of an eight-byte load at the payload that are not payload.
+    /// `None` for a width no record has.
+    fn unused_bits(&self) -> Option<u32> {
+        matches!(self.width, 1..=8).then(|| 64 - 8 * u32::from(self.width))
+    }
+
+    /// This record's payload in `buf`, as one little-endian word. `None`
+    /// if `buf` ends before the payload does.
+    ///
+    /// Whatever the width, the load is the same eight bytes with the
+    /// unused ones shifted out: a struct array mixes widths slot by slot,
+    /// and a branch per width would be a branch on data. Only the last few
+    /// bytes of a message cannot be read that way.
+    fn word(&self, buf: &[u8]) -> Option<u64> {
+        let payload = buf.get(self.offset as usize + 1..)?;
+        let width = usize::from(self.width);
+        let unused = self.unused_bits()?;
+        Some(match payload.first_chunk() {
+            Some(wide) => u64::from_le_bytes(*wide) << unused >> unused,
+            None => {
+                let tail = payload.get(..width)?.iter().rev();
+                tail.fold(0, |word, &byte| word << 8 | u64::from(byte))
+            }
+        })
+    }
+
+    /// The value a payload word decodes to — [`read_record`] on a record
+    /// whose tag is known good. `None` where the full decode would report
+    /// an error: that error is its to word.
+    fn value(&self, word: u64) -> Option<Value> {
+        Some(match self.kind {
+            ScalarKind::Bool => Value::Bool(match word {
+                0 => false,
+                1 => true,
+                _ => return None,
+            }),
+            ScalarKind::Int => Value::Int(word as u32 as i32),
+            ScalarKind::Long => Value::Long(word as i64),
+            ScalarKind::Double => Value::Double(f64::from_bits(word)),
+            ScalarKind::Str => return None,
+        })
+    }
+}
+
+/// Whether every record of `run` — changed slots of one parameter — has a
+/// place of its kind in `args`; with `write`, put them there. An element
+/// of an unboxed array takes the payload as it is, with the array found
+/// once for the run; any other place must hold the variant the payload
+/// decodes to.
+fn land(run: &[Slot], bytes: &[u8], args: &mut [Value], op: &OpDesc, write: bool) -> bool {
+    fn elems<T>(
+        run: &[Slot],
+        bytes: &[u8],
+        elems: &mut [T],
+        kind: ScalarKind,
+        decode: impl Fn(u64) -> T,
+        write: bool,
+    ) -> bool {
+        run.iter().all(|s| {
+            let place = elems.get_mut(s.slot.leaf as usize);
+            match (s.word(bytes), place) {
+                (Some(word), Some(place)) if s.kind == kind => {
+                    if write {
+                        *place = decode(word);
+                    }
+                    true
+                }
+                _ => false,
+            }
+        })
+    }
+    match run
+        .first()
+        .and_then(|s| args.get_mut(s.slot.param as usize))
+    {
+        Some(Value::DoubleArray(v)) => {
+            elems(run, bytes, v, ScalarKind::Double, f64::from_bits, write)
+        }
+        Some(Value::IntArray(v)) => {
+            elems(run, bytes, v, ScalarKind::Int, |w| w as u32 as i32, write)
+        }
+        _ => run.iter().all(|s| {
+            let Some(value) = s.word(bytes).and_then(|word| s.value(word)) else {
+                return false;
+            };
+            if write {
+                return apply_leaf(args, op, s.slot, value).is_ok();
+            }
+            matches!(leaf_mut(args, op, s.slot), Some(LeafMut::Scalar(place))
+                if discriminant(place) == discriminant(&value))
+        }),
+    }
 }
 
 struct Cursor<'a> {
@@ -214,11 +315,11 @@ fn parse_leaf(c: &mut Cursor<'_>, kind: ScalarKind) -> Result<Value, DeserError>
     let (offset, slot) = (c.pos, c.next);
     let value = read_record(c, kind)?;
     c.next.leaf += 1;
-    let end = c.pos;
+    let width = c.pos - offset - 1;
     if let (Some(slots), false) = (&mut c.slots, kind == ScalarKind::Str) {
         slots.push(Slot {
-            offset,
-            end,
+            offset: offset as u32,
+            width: width as u8,
             kind,
             slot,
         });
@@ -281,63 +382,104 @@ fn read_record(c: &mut Cursor<'_>, kind: ScalarKind) -> Result<Value, DeserError
 pub struct BinaryReference {
     args: Vec<Value>,
     slots: Vec<Slot>,
+    /// Retained scratch of [`Reference::patch`]: the slots whose payload
+    /// changed. As long as `slots`.
+    changed: Vec<Slot>,
 }
 
 impl Reference for BinaryReference {
     fn decode(bytes: &[u8], op: &OpDesc) -> Result<Self, DeserError> {
-        let mut c = Cursor::new(bytes, Some(Vec::new()));
+        // Slot offsets are `u32`; a message they cannot address keeps no
+        // slot map, so every byte of it is framing.
+        let addressable = u32::try_from(bytes.len()).is_ok();
+        let mut c = Cursor::new(bytes, addressable.then(Vec::new));
         let args = decode(&mut c, op)?;
         let slots = c.slots.take().unwrap_or_default();
-        Ok(BinaryReference { args, slots })
+        let changed = slots.clone();
+        Ok(BinaryReference {
+            args,
+            slots,
+            changed,
+        })
     }
 
     fn args(&self) -> &[Value] {
         &self.args
     }
 
-    /// The leaf tier: same length and every byte outside the slots' payloads
-    /// equal, so only the records whose bytes differ are decoded. A string
-    /// that changed, or an array that changed length, rewrote framing —
-    /// full decode.
+    /// The leaf tier: one forward walk over the slot map, then the changed
+    /// records alone. Two rules make it sound (DESIGN §3.16):
+    ///
+    /// * **Every differing byte lies in a slot payload.** Same length, and
+    ///   the framing before each slot — the gap since the last payload and
+    ///   the slot's own tag — and after the last compare equal, so the
+    ///   full decode would walk the new message through the same states to
+    ///   the same slots. A string that changed, or an array that changed
+    ///   length, rewrote framing: full decode.
+    /// * **Nothing lands until every changed record is known to.** A
+    ///   payload the full decode would reject (a bool that is not 0 or 1)
+    ///   or a slot that does not name a place of its kind in the values
+    ///   asks for the full decode, before the first value moves.
+    ///
+    /// Which slots changed is data no branch predictor learns, so the walk
+    /// compares each payload as one word and collects the changed slots
+    /// without branching on the outcome.
     fn patch(
         &mut self,
         prev: &[u8],
         bytes: &[u8],
         op: &OpDesc,
     ) -> Result<Option<(usize, usize)>, DeserError> {
-        if prev.len() != bytes.len() {
+        let BinaryReference {
+            args,
+            slots,
+            changed,
+        } = self;
+        let Some(n) = changed_slots(slots, prev, bytes, changed) else {
+            return Ok(None);
+        };
+        let runs = || changed[..n].chunk_by(|a, b| a.slot.param == b.slot.param);
+        if !runs().all(|run| land(run, bytes, args, op, false)) {
             return Ok(None);
         }
-        let mut at = 0;
-        let mut slots = self.slots.iter().peekable();
-        let mut updates = Vec::new();
-        loop {
-            at += common_prefix(&prev[at..], &bytes[at..]);
-            if at == bytes.len() {
-                break;
-            }
-            // The differing byte must be payload of a slot; a tag byte or
-            // anything between slots is framing.
-            while slots.next_if(|s| s.end <= at).is_some() {}
-            let Some(s) = slots.next().filter(|s| s.offset < at) else {
-                return Ok(None);
-            };
-            let Some(record) = bytes.get(s.offset..s.end) else {
-                return Ok(None);
-            };
-            // A record the full decode would reject is its to report.
-            let Ok(value) = read_record(&mut Cursor::new(record, None), s.kind) else {
-                return Ok(None);
-            };
-            updates.push((s.slot, value));
-            at = s.end;
+        for run in runs() {
+            let landed = land(run, bytes, args, op, true);
+            debug_assert!(landed, "checked above");
         }
-        let reparsed = updates.len();
-        for (slot, value) in updates {
-            apply_leaf(&mut self.args, op, slot, value)?;
-        }
-        Ok(Some((reparsed, self.slots.len() - reparsed)))
+        Ok(Some((n, slots.len() - n)))
     }
+}
+
+/// The forward walk of [`BinaryReference::patch`]: write the slots whose
+/// payload differs between `prev` and `bytes` to the front of `changed`
+/// and return how many there are. `None` if any byte outside
+/// the payloads differs, or the map does not fit the messages.
+fn changed_slots(slots: &[Slot], prev: &[u8], bytes: &[u8], changed: &mut [Slot]) -> Option<usize> {
+    let len = bytes.len();
+    if prev.len() != len {
+        return None;
+    }
+    let (mut at, mut n) = (0, 0);
+    for s in slots {
+        let (tag, end) = (s.offset as usize, s.end());
+        if tag < at || end > len {
+            return None;
+        }
+        // One tag byte, nearly always: not worth a `memcmp` call.
+        let framing_same = if tag == at {
+            prev[tag] == bytes[tag]
+        } else {
+            prev[at..=tag] == bytes[at..=tag]
+        };
+        if !framing_same {
+            return None;
+        }
+        let differs = s.word(prev)? != s.word(bytes)?;
+        *changed.get_mut(n)? = *s;
+        n += usize::from(differs);
+        at = end;
+    }
+    (prev[at..] == bytes[at..]).then_some(n)
 }
 
 /// Differential deserializer for one operation's bin1 envelopes.
@@ -524,6 +666,66 @@ mod tests {
             DiffOutcome::FullParse
         );
         assert_eq!(send(args("cd", true, &[(9, 2, 0.5)])), differential(1, 3));
+    }
+
+    #[test]
+    fn a_slot_that_points_nowhere_moves_no_value() {
+        // `patch` used to land the changed records one by one, so a slot
+        // the values have no place for left the ones before it moved while
+        // the reference still claimed to describe `prev`. Nothing lands
+        // now until every changed record is known to.
+        let op = OpDesc::new(
+            "mix",
+            "urn:t",
+            vec![
+                bsoap_core::ParamDesc {
+                    name: "xs".into(),
+                    desc: TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
+                },
+                bsoap_core::ParamDesc {
+                    name: "cells".into(),
+                    desc: TypeDesc::array_of(TypeDesc::mio()),
+                },
+            ],
+        );
+        let args = |xs: [f64; 3], v: f64| {
+            vec![
+                Value::DoubleArray(xs.to_vec()),
+                Value::Array(vec![mio(1, 2, v)]),
+            ]
+        };
+        let mut tpl = MessageTemplate::build(bin_cfg(), &op, &args([1.5, 2.5, 3.5], 0.5)).unwrap();
+        let prev = tpl.to_bytes();
+        tpl.update_args(&args([9.5, 8.5, 7.5], 6.5)).unwrap();
+        tpl.flush();
+        let bytes = tpl.to_bytes();
+
+        let bits = |r: &BinaryReference| format!("{:?}", r.args);
+        let last = 3 + 3 - 1;
+        type Tamper = fn(&mut Slot);
+        let tampers: [Tamper; 5] = [
+            |s| s.slot.leaf = 1,          // a struct element that is not there
+            |s| s.slot.param = 2,         // a parameter that is not there
+            |s| s.kind = ScalarKind::Int, // a place of another kind
+            |s| s.offset = u32::MAX - 8,  // a record outside the message
+            |s| s.width = 0,              // a width no record has
+        ];
+        for (which, tamper) in tampers.into_iter().enumerate() {
+            let mut reference = BinaryReference::decode(&prev, &op).unwrap();
+            let before = bits(&reference);
+            tamper(&mut reference.slots[last]);
+            // Every slot before the tampered one changed too.
+            assert_eq!(
+                reference.patch(&prev, &bytes, &op).unwrap(),
+                None,
+                "{which}"
+            );
+            assert_eq!(bits(&reference), before, "tamper {which}");
+        }
+        // Untampered, the same pair is four leaves.
+        let mut reference = BinaryReference::decode(&prev, &op).unwrap();
+        assert_eq!(reference.patch(&prev, &bytes, &op).unwrap(), Some((4, 2)));
+        assert_eq!(reference.args, args([9.5, 8.5, 7.5], 6.5));
     }
 
     #[test]

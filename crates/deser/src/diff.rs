@@ -645,7 +645,7 @@ fn rescan_len(old: &[u8], rest: &[u8]) -> Option<(usize, usize)> {
 /// Length of the longest common prefix of `a` and `b`: whole blocks while
 /// they are equal, then a word at a time — the lowest set bit of the XOR
 /// of two little-endian words lies in their first differing byte.
-pub(crate) fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     const BLOCK: usize = 32;
     let blocks = a.chunks_exact(BLOCK).zip(b.chunks_exact(BLOCK));
     let mut at = BLOCK * blocks.take_while(|(x, y)| x == y).count();

@@ -575,53 +575,58 @@ pub(crate) fn parse_scalar(raw: &[u8], kind: ScalarKind, at: &str) -> Result<Val
     })
 }
 
-/// Write a re-parsed scalar into the argument list at `slot`, using the
-/// operation's type structure to find the target.
+/// Where one leaf's value lives in an argument list: an element of an
+/// unboxed array, or a scalar [`Value`] of its own.
+pub(crate) enum LeafMut<'a> {
+    /// An element of a [`Value::DoubleArray`].
+    Double(&'a mut f64),
+    /// An element of a [`Value::IntArray`].
+    Int(&'a mut i32),
+    /// A scalar parameter, struct field, or field of a struct element.
+    Scalar(&'a mut Value),
+}
+
+/// Find the place `slot` names, using the values' own shape first (an
+/// unboxed array needs nothing else) and the operation's type structure
+/// for the rest. `None` when the slot points outside the argument list.
+pub(crate) fn leaf_mut<'a>(
+    args: &'a mut [Value],
+    op: &OpDesc,
+    slot: LeafSlot,
+) -> Option<LeafMut<'a>> {
+    let pidx = slot.param as usize;
+    let mut n = slot.leaf as usize;
+    match args.get_mut(pidx)? {
+        Value::DoubleArray(v) => v.get_mut(n).map(LeafMut::Double),
+        Value::IntArray(v) => v.get_mut(n).map(LeafMut::Int),
+        Value::Array(elems) => {
+            let TypeDesc::Array { item } = &op.params.get(pidx)?.desc else {
+                return None;
+            };
+            let lpe = item.leaves_per_instance().max(1);
+            let elem = elems.get_mut(n / lpe)?;
+            n %= lpe;
+            nth_scalar_mut(elem, item, &mut n).map(LeafMut::Scalar)
+        }
+        plain => nth_scalar_mut(plain, &op.params.get(pidx)?.desc, &mut n).map(LeafMut::Scalar),
+    }
+}
+
+/// Write a re-parsed scalar into the argument list at `slot`.
 pub(crate) fn apply_leaf(
     args: &mut [Value],
     op: &OpDesc,
     slot: LeafSlot,
     value: Value,
 ) -> Result<(), DeserError> {
-    let pidx = slot.param as usize;
-    let desc = &op
-        .params
-        .get(pidx)
-        .ok_or_else(|| DeserError::shape("leaf slot param out of range"))?
-        .desc;
-    let target = &mut args[pidx];
-    match (desc, target) {
-        (TypeDesc::Array { item }, arr) => {
-            let lpe = item.leaves_per_instance().max(1);
-            let elem = slot.leaf as usize / lpe;
-            let field = slot.leaf as usize % lpe;
-            match arr {
-                Value::DoubleArray(v) => {
-                    let Value::Double(x) = value else {
-                        return Err(DeserError::shape("kind drift in leaf apply"));
-                    };
-                    *v.get_mut(elem)
-                        .ok_or_else(|| DeserError::shape("leaf slot element out of range"))? = x;
-                }
-                Value::IntArray(v) => {
-                    let Value::Int(x) = value else {
-                        return Err(DeserError::shape("kind drift in leaf apply"));
-                    };
-                    *v.get_mut(elem)
-                        .ok_or_else(|| DeserError::shape("leaf slot element out of range"))? = x;
-                }
-                Value::Array(elems) => {
-                    let e = elems
-                        .get_mut(elem)
-                        .ok_or_else(|| DeserError::shape("leaf slot element out of range"))?;
-                    set_nth_scalar(e, item, field, value)?;
-                }
-                _ => return Err(DeserError::shape("array value variant drift")),
-            }
-            Ok(())
-        }
-        (desc, target) => set_nth_scalar(target, desc, slot.leaf as usize, value),
+    match (leaf_mut(args, op, slot), value) {
+        (Some(LeafMut::Double(t)), Value::Double(x)) => *t = x,
+        (Some(LeafMut::Int(t)), Value::Int(x)) => *t = x,
+        (Some(LeafMut::Scalar(t)), value) => *t = value,
+        (Some(_), _) => return Err(DeserError::shape("kind drift in leaf apply")),
+        (None, _) => return Err(DeserError::shape("leaf slot out of range")),
     }
+    Ok(())
 }
 
 /// Rebuild one `desc`-shaped value from its scalar leaves in document
@@ -676,46 +681,26 @@ pub(crate) fn resize_array(
     Ok(())
 }
 
-/// Set the `n`th scalar leaf (document order) inside a non-array value.
-fn set_nth_scalar(
-    target: &mut Value,
+/// The `n`th scalar leaf (document order) inside a non-array value;
+/// `n` is counted down past the leaves that come before it.
+fn nth_scalar_mut<'a>(
+    target: &'a mut Value,
     desc: &TypeDesc,
-    n: usize,
-    value: Value,
-) -> Result<(), DeserError> {
-    fn walk(
-        target: &mut Value,
-        desc: &TypeDesc,
-        n: &mut usize,
-        value: &mut Option<Value>,
-    ) -> Result<bool, DeserError> {
-        match (desc, target) {
-            (TypeDesc::Scalar(_), t) => {
-                if *n == 0 {
-                    *t = value.take().expect("single take");
-                    Ok(true)
-                } else {
-                    *n -= 1;
-                    Ok(false)
-                }
+    n: &mut usize,
+) -> Option<&'a mut Value> {
+    match (desc, target) {
+        (TypeDesc::Scalar(_), t) => {
+            if *n == 0 {
+                return Some(t);
             }
-            (TypeDesc::Struct { fields, .. }, Value::Struct(vals)) => {
-                for ((_, fdesc), fval) in fields.iter().zip(vals) {
-                    if walk(fval, fdesc, n, value)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-            _ => Err(DeserError::shape("structure drift in leaf apply")),
+            *n -= 1;
+            None
         }
-    }
-    let mut n = n;
-    let mut v = Some(value);
-    if walk(target, desc, &mut n, &mut v)? {
-        Ok(())
-    } else {
-        Err(DeserError::shape("leaf index out of range in apply"))
+        (TypeDesc::Struct { fields, .. }, Value::Struct(vals)) => fields
+            .iter()
+            .zip(vals)
+            .find_map(|((_, fdesc), fval)| nth_scalar_mut(fval, fdesc, n)),
+        _ => None,
     }
 }
 

@@ -311,6 +311,12 @@ fn leaves(args: &[Value], out: &mut Vec<String>) {
     }
 }
 
+fn leaf_list(args: &[Value]) -> Vec<String> {
+    let mut out = Vec::new();
+    leaves(args, &mut out);
+    out
+}
+
 /// The rewritable regions of a template-built envelope, found without the
 /// deserializer's help: `(key, bytes)` in document order. A scalar's region
 /// runs from its open tag's `>` through its close tag and pad to the next
@@ -404,8 +410,283 @@ fn bin1_expectation(old: &[Value], new: &[Value]) -> DiffOutcome {
     }
 }
 
+/// A bin1 operation with a leaf of every kind, alone and inside struct
+/// arrays: every way a fixed-width record can sit between framing bytes.
+fn kinds_op() -> OpDesc {
+    let param = |name: &str, desc| ParamDesc {
+        name: name.into(),
+        desc,
+    };
+    let scalar = TypeDesc::Scalar;
+    let record = TypeDesc::Struct {
+        name: "rec".into(),
+        fields: vec![
+            ("on".into(), scalar(ScalarKind::Bool)),
+            ("n".into(), scalar(ScalarKind::Long)),
+            ("tag".into(), scalar(ScalarKind::Str)),
+            ("v".into(), scalar(ScalarKind::Double)),
+        ],
+    };
+    OpDesc::new(
+        "kinds",
+        "urn:bench",
+        vec![
+            param("id", scalar(ScalarKind::Int)),
+            param("big", scalar(ScalarKind::Long)),
+            param("on", scalar(ScalarKind::Bool)),
+            param("x", scalar(ScalarKind::Double)),
+            param("label", scalar(ScalarKind::Str)),
+            param("xs", TypeDesc::array_of(scalar(ScalarKind::Double))),
+            param("recs", TypeDesc::array_of(record)),
+            param("ns", TypeDesc::array_of(scalar(ScalarKind::Int))),
+            param("cells", TypeDesc::array_of(TypeDesc::mio())),
+        ],
+    )
+}
+
+/// A value of `desc`'s shape, every leaf made from the next salt — any bit
+/// pattern for the numbers, NaN payloads and -0.0 included — and every
+/// array as long as the next of `lens`.
+fn value_of(
+    desc: &TypeDesc,
+    salts: &mut impl Iterator<Item = u64>,
+    lens: &mut impl Iterator<Item = usize>,
+) -> Value {
+    let mut salt = || salts.next().unwrap();
+    match desc {
+        TypeDesc::Scalar(ScalarKind::Int) => Value::Int(salt() as i32),
+        TypeDesc::Scalar(ScalarKind::Long) => Value::Long(salt() as i64),
+        TypeDesc::Scalar(ScalarKind::Bool) => Value::Bool(salt() & 1 == 1),
+        TypeDesc::Scalar(ScalarKind::Double) => Value::Double(f64::from_bits(salt())),
+        TypeDesc::Scalar(ScalarKind::Str) => Value::Str(format!("{:03x}", salt() % 4096)),
+        TypeDesc::Struct { fields, .. } => {
+            let fields = fields.iter().map(|(_, f)| value_of(f, salts, lens));
+            Value::Struct(fields.collect())
+        }
+        TypeDesc::Array { item } => {
+            let elems = 0..lens.next().unwrap();
+            match item.as_ref() {
+                TypeDesc::Scalar(ScalarKind::Double) => {
+                    Value::DoubleArray(elems.map(|_| f64::from_bits(salt())).collect())
+                }
+                TypeDesc::Scalar(ScalarKind::Int) => {
+                    Value::IntArray(elems.map(|_| salt() as i32).collect())
+                }
+                item => Value::Array(elems.map(|_| value_of(item, salts, lens)).collect()),
+            }
+        }
+    }
+}
+
+/// `old` with the leaves `pick` names taken from `new` (same shape); a
+/// string is framing on bin1, so those move only when `strings` says so.
+fn rewritten(old: &Value, new: &Value, strings: bool, pick: &mut impl FnMut() -> bool) -> Value {
+    let mut both = |a: &[Value], b: &[Value]| -> Vec<Value> {
+        let pairs = a.iter().zip(b);
+        pairs.map(|(a, b)| rewritten(a, b, strings, pick)).collect()
+    };
+    match (old, new) {
+        (Value::Struct(a), Value::Struct(b)) => Value::Struct(both(a, b)),
+        (Value::Array(a), Value::Array(b)) => Value::Array(both(a, b)),
+        (Value::DoubleArray(a), Value::DoubleArray(b)) => {
+            let pairs = a.iter().zip(b);
+            Value::DoubleArray(pairs.map(|(a, b)| if pick() { *b } else { *a }).collect())
+        }
+        (Value::IntArray(a), Value::IntArray(b)) => {
+            let pairs = a.iter().zip(b);
+            Value::IntArray(pairs.map(|(a, b)| if pick() { *b } else { *a }).collect())
+        }
+        (Value::Str(_), _) if !strings => old.clone(),
+        (a, b) => if pick() { b } else { a }.clone(),
+    }
+}
+
+/// One record of a bin1 message, found in the sender's DUT without the
+/// decoder's help: `tag` byte, payload up to `end`.
+#[derive(Clone, Copy, Debug)]
+struct Record {
+    tag: usize,
+    end: usize,
+    kind: ScalarKind,
+}
+
+/// The records of `tpl`'s message (one chunk) that are slots — every
+/// fixed-width leaf but the arrays' element counts — and the strings.
+fn records(tpl: &MessageTemplate, op: &OpDesc, args: &[Value]) -> (Vec<Record>, Vec<Record>) {
+    assert_eq!(tpl.chunk_count(), 1);
+    let mut is_count = Vec::new();
+    for (param, arg) in op.params.iter().zip(args) {
+        let leaves = param.desc.leaves_per_instance();
+        match arg.array_len() {
+            Some(len) => {
+                is_count.push(true);
+                is_count.resize(is_count.len() + len * leaves, false);
+            }
+            None => is_count.resize(is_count.len() + leaves, false),
+        }
+    }
+    let entries = tpl.dut().entries();
+    assert_eq!(entries.len(), is_count.len());
+    let leaves = entries.iter().zip(is_count).filter(|(_, count)| !count);
+    leaves
+        .map(|(e, _)| Record {
+            tag: e.loc.offset as usize,
+            end: (e.loc.offset + e.ser_len) as usize,
+            kind: e.kind,
+        })
+        .partition(|r| r.kind != ScalarKind::Str)
+}
+
+/// A test-only copy of the hop loop `BinaryReference::patch` ran before it
+/// became one forward walk over the slot map: jump to each differing byte,
+/// insist it is payload of a slot, decode that record, go on behind it.
+fn hop_loop(prev: &[u8], bytes: &[u8], slots: &[Record]) -> Option<(usize, usize)> {
+    if prev.len() != bytes.len() {
+        return None;
+    }
+    let mut at = 0;
+    let mut slots_left = slots.iter().peekable();
+    let mut reparsed = 0;
+    loop {
+        let same = prev[at..]
+            .iter()
+            .zip(&bytes[at..])
+            .take_while(|(a, b)| a == b);
+        at += same.count();
+        if at == bytes.len() {
+            break;
+        }
+        while slots_left.next_if(|s| s.end <= at).is_some() {}
+        let s = slots_left.next().filter(|s| s.tag < at)?;
+        // The tag compared equal, so the one record the decoder can still
+        // reject is a bool that is neither 0 nor 1.
+        if s.kind == ScalarKind::Bool && bytes[s.tag + 1] > 1 {
+            return None;
+        }
+        reparsed += 1;
+        at = s.end;
+    }
+    Some((reparsed, slots.len() - reparsed))
+}
+
+/// Damage done to a message on the wire.
+#[derive(Clone, Copy, Debug)]
+enum Tamper {
+    None,
+    /// The tag byte of a slot.
+    Tag(usize),
+    /// A byte that belongs to no slot: prologue, markers, counts, strings.
+    Framing(usize),
+    /// A bool payload of 2.
+    BoolTwo(usize),
+    /// A byte of a string's text.
+    StrByte(usize),
+    /// The END marker.
+    End,
+}
+
+fn tamper(bytes: &mut [u8], how: Tamper, slots: &[Record], strings: &[Record]) {
+    let nth = |mut of: Vec<usize>, k: usize| (!of.is_empty()).then(|| of.swap_remove(k % of.len()));
+    let in_slot = |i: usize| slots.iter().any(|s| (s.tag..s.end).contains(&i));
+    let bools = slots.iter().filter(|s| s.kind == ScalarKind::Bool);
+    let at = match how {
+        Tamper::None => None,
+        Tamper::Tag(k) => nth(slots.iter().map(|s| s.tag).collect(), k),
+        Tamper::Framing(k) => nth((0..bytes.len()).filter(|&i| !in_slot(i)).collect(), k),
+        Tamper::BoolTwo(k) => nth(bools.map(|s| s.tag + 1).collect(), k),
+        Tamper::StrByte(k) => nth(strings.iter().flat_map(|s| s.tag + 5..s.end).collect(), k),
+        Tamper::End => Some(bytes.len() - 1),
+    };
+    match (how, at) {
+        (_, None) => {}
+        (Tamper::BoolTwo(_), Some(at)) => bytes[at] = 2,
+        (_, Some(at)) => bytes[at] ^= 0x41,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The bin1 slot walk, over operations with every kind of leaf and a
+    /// random subset of records rewritten per message, then one message
+    /// damaged on the wire: the values are always the one-shot decode's
+    /// (or both refuse, and the reference still describes the last good
+    /// message), and the outcome is a full parse exactly when the hop loop
+    /// the walk replaced would have asked for one — the same
+    /// `{reparsed, skipped}` otherwise.
+    #[test]
+    fn bin1_slot_walk_equals_the_hop_loop_and_the_oracle(
+        lens in prop::collection::vec(0usize..4, 4),
+        salts in prop::collection::vec(any::<u64>(), 16..48),
+        steps in prop::collection::vec(
+            (any::<u64>(), prop::collection::vec(0u8..4, 1..24), 0u8..5, 0u8..8),
+            1..5,
+        ),
+        damage in (0u8..10, 0usize..4096),
+    ) {
+        let op = kinds_op();
+        let config = EngineConfig::paper_default().with_wire_format(WireFormat::CompactBinary);
+        let values = |seed: u64| -> Vec<Value> {
+            let mut salts = salts.iter().map(|s| s.rotate_left(seed as u32) ^ seed).cycle();
+            let mut lens = lens.iter().copied();
+            let params = op.params.iter();
+            params.map(|p| value_of(&p.desc, &mut salts, &mut lens)).collect()
+        };
+        let mut args = values(0);
+        let mut tpl = MessageTemplate::build(config, &op, &args).unwrap();
+        let mut deser = LaneDeserializer::new(WireFormat::CompactBinary, op.clone());
+        let mut prev = tpl.to_bytes().to_vec();
+        prop_assert_eq!(deser.deserialize(&prev).unwrap().1, DiffOutcome::FullParse);
+        let (slots, strings) = records(&tpl, &op, &args);
+
+        let last = steps.len() - 1;
+        for (i, (seed, picks, density, strings_too)) in steps.into_iter().enumerate() {
+            let mut picks = picks.into_iter().cycle();
+            let mut pick = || picks.next().unwrap() < density;
+            let fresh = values(seed | 1);
+            let pairs = args.iter().zip(&fresh);
+            let next: Vec<Value> =
+                pairs.map(|(a, b)| rewritten(a, b, strings_too == 0, &mut pick)).collect();
+            tpl.update_args(&next).unwrap();
+            tpl.flush();
+            let mut bytes = tpl.to_bytes().to_vec();
+            // Same shape, so the records are where they were.
+            prop_assert_eq!(records(&tpl, &op, &next).0.len(), slots.len());
+            if i == last {
+                let how = match damage {
+                    (0, k) => Tamper::Tag(k),
+                    (1, k) => Tamper::Framing(k),
+                    (2, k) => Tamper::BoolTwo(k),
+                    (3, k) => Tamper::StrByte(k),
+                    (4, _) => Tamper::End,
+                    _ => Tamper::None,
+                };
+                tamper(&mut bytes, how, &slots, &strings);
+            }
+
+            let hopped = hop_loop(&prev, &bytes, &slots);
+            match (deser.deserialize(&bytes), decode(WireFormat::CompactBinary, &bytes, &op)) {
+                (Ok((got, outcome)), Ok(want)) => {
+                    prop_assert_eq!(leaf_list(got), leaf_list(&want), "{:?}", outcome);
+                    let expected = match hopped {
+                        _ if prev == bytes => DiffOutcome::Identical,
+                        Some((reparsed, skipped)) => DiffOutcome::Differential { reparsed, skipped },
+                        None => DiffOutcome::FullParse,
+                    };
+                    prop_assert_eq!(outcome, expected);
+                    prev = bytes;
+                    args = next;
+                }
+                (Err(_), Err(_)) => {
+                    prop_assert_eq!(hopped, None);
+                    let (got, outcome) = deser.deserialize(&prev).unwrap();
+                    prop_assert_eq!(outcome, DiffOutcome::Identical);
+                    prop_assert_eq!(leaf_list(got), leaf_list(&args));
+                }
+                (got, want) => prop_assert!(false, "walk {:?}, oracle {:?}", got, want),
+            }
+        }
+    }
 
     /// Differential ≡ oracle on both lanes, over schedules that rewrite at
     /// width, widen, narrow, append, truncate, empty and refill arrays:

@@ -94,6 +94,9 @@ const RULES: &[(&str, &[Rule])] = &[
             inside(SEND, "pub fn ", 1..=1),
             outside(&[SEND], "add(Counter::send("),
             inside(SEND, "add(Counter::send(", 1..=1),
+            // One way in to the diff (PR 23): the per-array step skipped
+            // `check_args`, so it is `update_args`'s private helper now.
+            gone("pub fn update_array("),
         ],
     ),
     // A wire lane is one module per crate (PR 17). One variant's name
