@@ -44,7 +44,8 @@ impl GSoapLike {
             match &param.desc {
                 TypeDesc::Array { item } => self.array(&param.name, item, arg)?,
                 desc => {
-                    self.plain(&param.name, desc, arg)?;
+                    let tags = element_tags(&param.name, desc);
+                    self.plain(&mut tags.iter(), &param.name, desc, arg)?;
                     self.buf.push(b'\n');
                 }
             }
@@ -103,25 +104,27 @@ impl GSoapLike {
         Ok(())
     }
 
-    fn plain(&mut self, name: &str, desc: &TypeDesc, value: &Value) -> Result<(), EngineError> {
+    /// One non-array value, its tags read off `tags` in document order.
+    fn plain<'t>(
+        &mut self,
+        tags: &mut impl Iterator<Item = &'t String>,
+        name: &str,
+        desc: &TypeDesc,
+        value: &Value,
+    ) -> Result<(), EngineError> {
         match (desc, value) {
             (TypeDesc::Scalar(kind), v) => {
-                self.buf
-                    .extend_from_slice(soap::scalar_open(name, kind.xsi_type()).as_bytes());
+                put_tag(&mut self.buf, tags);
                 self.scalar_text(v, *kind)?;
-                self.buf
-                    .extend_from_slice(soap::elem_close(name).as_bytes());
+                put_tag(&mut self.buf, tags);
                 Ok(())
             }
             (TypeDesc::Struct { fields, .. }, Value::Struct(vals)) => {
-                self.buf.extend_from_slice(
-                    format!("<{name} xsi:type=\"{}\">", desc.xsi_type()).as_bytes(),
-                );
+                put_tag(&mut self.buf, tags);
                 for ((fname, fdesc), fval) in fields.iter().zip(vals) {
-                    self.plain(fname, fdesc, fval)?;
+                    self.plain(tags, fname, fdesc, fval)?;
                 }
-                self.buf
-                    .extend_from_slice(soap::elem_close(name).as_bytes());
+                put_tag(&mut self.buf, tags);
                 Ok(())
             }
             (d, v) => Err(EngineError::TypeMismatch {
@@ -171,41 +174,17 @@ impl GSoapLike {
                     self.buf.extend_from_slice(close.as_bytes());
                 }
             }
+            (Value::Array(_), TypeDesc::Array { .. }) => {
+                return Err(EngineError::StructureMismatch {
+                    why: "nested arrays are not supported".into(),
+                })
+            }
             (Value::Array(elems), _) => {
+                // A generated stub carries its tags as static strings:
+                // format the item type's once, not once per element.
+                let tags = element_tags(soap::ITEM_NAME, item);
                 for elem in elems {
-                    match item {
-                        TypeDesc::Scalar(kind) => {
-                            self.buf.extend_from_slice(
-                                soap::scalar_open(soap::ITEM_NAME, kind.xsi_type()).as_bytes(),
-                            );
-                            self.scalar_text(elem, *kind)?;
-                            self.buf
-                                .extend_from_slice(soap::elem_close(soap::ITEM_NAME).as_bytes());
-                        }
-                        TypeDesc::Struct { fields, .. } => {
-                            let Value::Struct(vals) = elem else {
-                                return Err(EngineError::TypeMismatch {
-                                    at: "array item".to_owned(),
-                                    expected: "Struct",
-                                    found: elem.variant_name(),
-                                });
-                            };
-                            self.buf.extend_from_slice(
-                                format!("<{} xsi:type=\"{}\">", soap::ITEM_NAME, item.xsi_type())
-                                    .as_bytes(),
-                            );
-                            for ((fname, fdesc), fval) in fields.iter().zip(vals) {
-                                self.plain(fname, fdesc, fval)?;
-                            }
-                            self.buf
-                                .extend_from_slice(soap::elem_close(soap::ITEM_NAME).as_bytes());
-                        }
-                        TypeDesc::Array { .. } => {
-                            return Err(EngineError::StructureMismatch {
-                                why: "nested arrays are not supported".into(),
-                            })
-                        }
-                    }
+                    self.plain(&mut tags.iter(), soap::ITEM_NAME, item, elem)?;
                 }
             }
             (v, _) => {
@@ -221,6 +200,29 @@ impl GSoapLike {
         self.buf.push(b'\n');
         Ok(())
     }
+}
+
+/// Append the next of `tags`.
+fn put_tag<'t>(buf: &mut Vec<u8>, tags: &mut impl Iterator<Item = &'t String>) {
+    let tag = tags.next().expect("one open and one close per element");
+    buf.extend_from_slice(tag.as_bytes());
+}
+
+/// Every tag of one `desc` element named `name`, in document order: the
+/// open, the tags of a struct's fields, the close.
+fn element_tags(name: &str, desc: &TypeDesc) -> Vec<String> {
+    fn collect(name: &str, desc: &TypeDesc, out: &mut Vec<String>) {
+        out.push(soap::scalar_open(name, &desc.xsi_type()));
+        if let TypeDesc::Struct { fields, .. } = desc {
+            for (fname, fdesc) in fields {
+                collect(fname, fdesc, out);
+            }
+        }
+        out.push(soap::elem_close(name));
+    }
+    let mut tags = Vec::new();
+    collect(name, desc, &mut tags);
+    tags
 }
 
 #[cfg(test)]

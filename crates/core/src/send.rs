@@ -138,7 +138,13 @@ impl TemplateStore {
         // to see if a stored copy exists and saving a pointer to it after
         // it has been created" (§3).
         let lane = key.key.format;
-        let mut tpl = MessageTemplate::build(config.with_wire_format(lane), op, args)?;
+        // A fallback's `update_args` already checked `args` against `op`.
+        let build = if fell_back {
+            MessageTemplate::build_checked
+        } else {
+            MessageTemplate::build
+        };
+        let mut tpl = build(config.with_wire_format(lane), op, args)?;
         let values_written = tpl.leaf_count();
         if let Some(m) = metrics {
             count_serialized(m, lane, SendTier::FirstTime, values_written);

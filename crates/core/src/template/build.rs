@@ -1,67 +1,178 @@
 //! First-time send: full serialization and template construction.
 //!
 //! "Messages are completely serialized and saved during the first
-//! invocation of the SOAP call" (§1). The builder walks the argument
-//! values, appending tag runs and DUT-tracked field regions to the chunk
-//! store in document order.
+//! invocation of the SOAP call" (§1). The framing is compiled once per
+//! build into a [`FramePlan`]; the builder then runs its steps over the
+//! argument values, appending tag runs and DUT-tracked field regions to
+//! the chunk store in document order.
 
 use super::{ArrayInfo, MessageTemplate, TemplateStats};
 use crate::config::EngineConfig;
 use crate::dut::{DutEntry, DutTable};
 use crate::error::EngineError;
 use crate::lane::WireFormat;
-use crate::schema::{OpDesc, TypeDesc};
+use crate::schema::{OpDesc, ParamDesc, TypeDesc};
 use crate::soap::ITEM_NAME;
 use crate::value::{Scalar, Value};
 use bsoap_chunks::{ChunkStore, Loc};
 use bsoap_convert::{ScalarKind, INT_MAX_WIDTH};
+use std::ops::Range;
 
-/// Byte length of the fixed close run after an element's last leaf region:
-/// the close of every struct still open there (0 for scalar items — their
-/// close is the leaf suffix).
-fn elem_close_run(lane: WireFormat, name: &str, desc: &TypeDesc) -> usize {
-    match desc {
-        TypeDesc::Scalar(_) => 0,
-        TypeDesc::Struct { fields, .. } => {
-            let (fname, fdesc) = fields.last().expect("structs have fields");
-            elem_close_run(lane, fname, fdesc) + lane.struct_tags(name, desc).1.len()
+/// A range of a [`FramePlan`]'s byte arena.
+type Span = Range<usize>;
+
+/// One step of a [`FramePlan`].
+pub(crate) enum Step {
+    /// Fixed framing bytes: one chunk-store region, copied as is.
+    Raw(Span),
+    /// `(open, kind, close)`: one DUT-tracked leaf region
+    /// `[open][value][close][pad]`. The open tag rides in its leaf's
+    /// region: one append per leaf, and a chunk boundary never falls
+    /// between a tag and its value.
+    Leaf(Span, ScalarKind, Span),
+    /// The next value is a struct of this many fields; they feed the
+    /// steps that follow.
+    Enter(usize),
+    /// The next value is array parameter `param`: its DUT-tracked element
+    /// count (suffix `count_close`, then `sep`), then `item` once per
+    /// element.
+    Array {
+        param: usize,
+        count_close: Span,
+        sep: Span,
+        item: Vec<Step>,
+    },
+}
+
+/// The framing of one operation (or one array item type) on one lane,
+/// compiled before the first value is seen: every tag the lane hands out
+/// for the schema, asked for once and laid end to end in one byte arena,
+/// and the step list the builder runs per value. Framing is a property of
+/// `(lane, schema)`, so the per-value walk only copies it. Compiling is
+/// ~2 µs against a ≥ 90 µs build, so nothing is kept across builds.
+#[derive(Default)]
+pub(crate) struct FramePlan {
+    arena: Vec<u8>,
+    pub(super) steps: Vec<Step>,
+}
+
+impl FramePlan {
+    /// The whole envelope of `op`. Refuses the shapes templates do not
+    /// support: arrays are top-level parameters only, of scalars or of
+    /// structs of scalars/structs — the paper's workloads exactly (arrays
+    /// of ints, doubles, and MIOs).
+    fn op(lane: WireFormat, op: &OpDesc) -> Result<Self, EngineError> {
+        let mut plan = FramePlan::default();
+        lane.open_envelope(op, |region| plan.raw(region));
+        for (param, p) in op.params.iter().enumerate() {
+            match &p.desc {
+                TypeDesc::Array { item } if matches!(**item, TypeDesc::Array { .. }) => {
+                    return Err(EngineError::StructureMismatch {
+                        why: "arrays of arrays are not supported by templates".into(),
+                    })
+                }
+                TypeDesc::Array { item } => {
+                    let ((open, close), count_close) = lane.array_tags(&p.name, item);
+                    plan.raw(&open);
+                    let outer = std::mem::take(&mut plan.steps);
+                    plan.value(lane, ITEM_NAME, item)?;
+                    let item = std::mem::replace(&mut plan.steps, outer);
+                    let (count_close, sep) = (plan.span(count_close), plan.span(lane.separator()));
+                    plan.steps.push(Step::Array {
+                        param,
+                        count_close,
+                        sep,
+                        item,
+                    });
+                    plan.raw(&close);
+                }
+                desc => plan.value(lane, &p.name, desc)?,
+            }
+            plan.raw(lane.separator());
         }
-        TypeDesc::Array { .. } => unreachable!("validated: no nested arrays"),
+        lane.close_envelope(op, |region| plan.raw(region));
+        Ok(plan)
+    }
+
+    /// One element of an array of `item` — what a resize and an overlay
+    /// fragment serialize.
+    pub(crate) fn item(lane: WireFormat, item: &TypeDesc) -> Result<Self, EngineError> {
+        let mut plan = FramePlan::default();
+        plan.value(lane, ITEM_NAME, item)?;
+        Ok(plan)
+    }
+
+    fn span(&mut self, bytes: &[u8]) -> Span {
+        let at = self.arena.len();
+        self.arena.extend_from_slice(bytes);
+        at..self.arena.len()
+    }
+
+    /// One framing region; an empty one (bin1 has several) is no step.
+    fn raw(&mut self, bytes: &[u8]) {
+        if !bytes.is_empty() {
+            let span = self.span(bytes);
+            self.steps.push(Step::Raw(span));
+        }
+    }
+
+    /// The steps of one non-array value under element name `name`.
+    fn value(&mut self, lane: WireFormat, name: &str, desc: &TypeDesc) -> Result<(), EngineError> {
+        match desc {
+            TypeDesc::Scalar(kind) => {
+                let (open, close) = lane.scalar_tags(name, *kind);
+                let (open, close) = (self.span(&open), self.span(&close));
+                self.steps.push(Step::Leaf(open, *kind, close));
+            }
+            TypeDesc::Struct { fields, .. } => {
+                let (open, close) = lane.struct_tags(name, desc);
+                self.steps.push(Step::Enter(fields.len()));
+                self.raw(&open);
+                for (fname, fdesc) in fields {
+                    self.value(lane, fname, fdesc)?;
+                }
+                self.raw(&close);
+            }
+            TypeDesc::Array { .. } => {
+                return Err(EngineError::StructureMismatch {
+                    why: "arrays inside structs are not supported by templates".into(),
+                })
+            }
+        }
+        Ok(())
+    }
+
+    /// DUT leaves one pass over `steps` pushes for `args` (element steps
+    /// name no array, so `args` may be empty there).
+    fn leaves(steps: &[Step], args: &[Value]) -> usize {
+        let of = |step: &Step| match step {
+            Step::Leaf(..) => 1,
+            Step::Array { param, item, .. } => {
+                let len = args.get(*param).and_then(Value::array_len);
+                1 + Self::leaves(item, &[]) * len.unwrap_or(0)
+            }
+            Step::Raw(_) | Step::Enter(_) => 0,
+        };
+        steps.iter().map(of).sum()
     }
 }
 
-/// Reject template shapes the engine does not support: arrays are only
-/// allowed as top-level parameters, and array items are scalars or structs
-/// (of scalars/structs). This matches the paper's workloads exactly
-/// (arrays of ints, doubles, and MIOs).
-pub(crate) fn validate_param_type(desc: &TypeDesc, top_level: bool) -> Result<(), EngineError> {
-    match desc {
-        TypeDesc::Scalar(_) => Ok(()),
-        TypeDesc::Struct { fields, .. } => {
-            for (_, f) in fields {
-                if matches!(f, TypeDesc::Array { .. }) {
-                    return Err(EngineError::StructureMismatch {
-                        why: "arrays inside structs are not supported by templates".into(),
-                    });
-                }
-                validate_param_type(f, false)?;
-            }
-            Ok(())
+/// The value the next step consumes: the next field of the innermost
+/// struct being walked (an exhausted level pops), else the next of `top`.
+fn next_value<'v>(
+    top: &mut std::slice::Iter<'v, Value>,
+    open_structs: &mut Vec<std::slice::Iter<'v, Value>>,
+) -> Result<&'v Value, EngineError> {
+    loop {
+        let Some(fields) = open_structs.last_mut() else {
+            return top.next().ok_or_else(|| EngineError::StructureMismatch {
+                why: "fewer values than the schema declares".into(),
+            });
+        };
+        if let Some(v) = fields.next() {
+            return Ok(v);
         }
-        TypeDesc::Array { item } => {
-            if !top_level {
-                return Err(EngineError::StructureMismatch {
-                    why: "nested arrays are not supported by templates".into(),
-                });
-            }
-            match item.as_ref() {
-                TypeDesc::Scalar(_) => Ok(()),
-                TypeDesc::Struct { .. } => validate_param_type(item, false),
-                TypeDesc::Array { .. } => Err(EngineError::StructureMismatch {
-                    why: "arrays of arrays are not supported by templates".into(),
-                }),
-            }
-        }
+        open_structs.pop();
     }
 }
 
@@ -71,23 +182,24 @@ pub(crate) struct Builder {
     pub store: ChunkStore,
     pub dut: DutTable,
     pub arrays: Vec<ArrayInfo>,
-    pub(crate) region: Vec<u8>,
+    region: Vec<u8>,
 }
 
 impl Builder {
-    pub(crate) fn new(config: EngineConfig) -> Self {
+    /// A builder about to push `leaves` DUT entries and `arrays` arrays.
+    pub(crate) fn new(config: EngineConfig, leaves: usize, arrays: usize) -> Self {
         Builder {
             config,
             store: ChunkStore::new(config.chunk),
-            dut: DutTable::default(),
-            arrays: Vec::new(),
+            dut: DutTable::with_capacity(leaves),
+            arrays: Vec::with_capacity(arrays),
             region: Vec::with_capacity(128),
         }
     }
 
     /// Current append position (end of the last chunk). A `Loc` at a chunk
     /// boundary is byte-equivalent to `(next chunk, 0)`.
-    pub(crate) fn tell(&self) -> Loc {
+    fn tell(&self) -> Loc {
         if self.store.chunk_count() == 0 {
             Loc::new(0, 0)
         } else {
@@ -97,7 +209,7 @@ impl Builder {
     }
 
     /// The template holding everything appended so far.
-    pub(crate) fn finish(self, op: OpDesc, stats: TemplateStats) -> MessageTemplate {
+    fn finish(self, op: OpDesc, stats: TemplateStats) -> MessageTemplate {
         MessageTemplate {
             config: self.config,
             op,
@@ -112,31 +224,26 @@ impl Builder {
         }
     }
 
-    /// Append one framing region (an empty one appends nothing).
-    pub(crate) fn raw(&mut self, bytes: &[u8]) {
-        if !bytes.is_empty() {
-            self.store.append_region(bytes);
-        }
-    }
-
-    /// Append one DUT-tracked leaf region `[value][close][pad]`, as wide as
-    /// the lane's initial-width rule says (`width_floor` is the array
-    /// length field asking for room to grow in place).
-    pub(crate) fn leaf(&mut self, value: Scalar, close: &[u8], width_floor: Option<usize>) {
+    /// Append one DUT-tracked leaf region `[open][value][close][pad]`, as
+    /// wide as the lane's initial-width rule says (`width_floor` is the
+    /// array length field asking for room to grow in place).
+    fn leaf(&mut self, open: &[u8], value: Scalar, close: &[u8], width_floor: Option<usize>) {
         let kind = value.kind();
         let lane = self.config.wire_format;
         self.region.clear();
+        self.region.extend_from_slice(open);
         lane.encode_leaf(
             &value,
             &mut self.region,
             self.config.float,
             self.config.kernel,
         );
-        let ser_len = self.region.len();
+        let ser_len = self.region.len() - open.len();
         let width = lane.initial_width(self.config.width, kind, ser_len, width_floor);
         self.region.extend_from_slice(close);
-        self.region.resize(width + close.len(), b' ');
-        let loc = self.store.append_region(&self.region);
+        self.region.resize(open.len() + width + close.len(), b' ');
+        let mut loc = self.store.append_region(&self.region);
+        loc.offset += open.len() as u32;
         self.dut.push(DutEntry {
             kind,
             dirty: false,
@@ -148,124 +255,127 @@ impl Builder {
         });
     }
 
-    /// Serialize a non-array value under element name `name`.
-    pub(crate) fn plain_value(
+    /// Run `steps` `passes` times, feeding them `values` in order (a pass
+    /// consumes as many as `steps` names outside a struct). The one walk
+    /// of a build: it encodes, pads, copies and pushes DUT entries; every
+    /// tag it writes is a span of `plan`.
+    fn run(
         &mut self,
-        name: &str,
-        desc: &TypeDesc,
-        value: &Value,
+        plan: &FramePlan,
+        steps: &[Step],
+        params: &[ParamDesc],
+        values: &[Value],
+        passes: usize,
     ) -> Result<(), EngineError> {
-        let lane = self.config.wire_format;
-        match (desc, value) {
-            (TypeDesc::Scalar(kind), v) => {
-                let scalar = scalar_from_value(v, *kind)?;
-                let (open, close) = lane.scalar_tags(name, *kind);
-                self.raw(&open);
-                self.leaf(scalar, &close, None);
-                Ok(())
-            }
-            (TypeDesc::Struct { fields, .. }, Value::Struct(vals)) => {
-                let (open, close) = lane.struct_tags(name, desc);
-                self.raw(&open);
-                for ((fname, fdesc), fval) in fields.iter().zip(vals) {
-                    self.plain_value(fname, fdesc, fval)?;
+        let arena = &plan.arena[..];
+        let mut top = values.iter();
+        let mut open_structs = Vec::new();
+        for step in std::iter::repeat_n(steps, passes).flatten() {
+            match step {
+                Step::Raw(span) => {
+                    self.store.append_region(&arena[span.clone()]);
                 }
-                self.raw(&close);
-                Ok(())
-            }
-            (d, v) => Err(EngineError::TypeMismatch {
-                at: format!("element {name}"),
-                expected: match d {
-                    TypeDesc::Struct { .. } => "Struct",
-                    TypeDesc::Array { .. } => "Array",
-                    TypeDesc::Scalar(_) => "scalar",
+                Step::Leaf(open, kind, close) => {
+                    let v = next_value(&mut top, &mut open_structs)?;
+                    let scalar = scalar_from_value(v, *kind)?;
+                    self.leaf(&arena[open.clone()], scalar, &arena[close.clone()], None);
+                }
+                Step::Enter(fields) => match next_value(&mut top, &mut open_structs)? {
+                    Value::Struct(vals) if vals.len() == *fields => open_structs.push(vals.iter()),
+                    v => {
+                        return Err(EngineError::TypeMismatch {
+                            at: "struct element".to_owned(),
+                            expected: "Struct of the declared fields",
+                            found: v.variant_name(),
+                        })
+                    }
                 },
-                found: v.variant_name(),
-            }),
+                Step::Array {
+                    param,
+                    count_close,
+                    sep,
+                    item,
+                } => {
+                    let value = next_value(&mut top, &mut open_structs)?;
+                    let p = &params[*param];
+                    let len = value.array_len().ok_or_else(|| EngineError::TypeMismatch {
+                        at: format!("param {param} ({})", p.name),
+                        expected: "array value",
+                        found: value.variant_name(),
+                    })?;
+                    let TypeDesc::Array { item: item_desc } = &p.desc else {
+                        unreachable!("compiled from an array parameter")
+                    };
+                    let len_leaf = self.dut.len();
+                    // The length field asks for the full int width so a
+                    // resize rewrites it in place, never shifting the
+                    // array open.
+                    let count = Scalar::Int(len as i32);
+                    self.leaf(&[], count, &arena[count_close.clone()], Some(INT_MAX_WIDTH));
+                    if !sep.is_empty() {
+                        self.store.append_region(&arena[sep.clone()]);
+                    }
+                    let content_start = self.tell();
+                    let base_leaf = self.dut.len();
+                    self.elements(plan, item, value, 0, len)?;
+                    // The fixed close run after an element's last leaf
+                    // region: the close of every struct still open there
+                    // (0 for scalar items — their close is the leaf suffix).
+                    let closes = item.iter().rev().map_while(|s| match s {
+                        Step::Raw(span) => Some(span.len()),
+                        _ => None,
+                    });
+                    self.arrays.push(ArrayInfo {
+                        base_leaf,
+                        leaves_per_elem: FramePlan::leaves(item, &[]),
+                        len,
+                        len_leaf,
+                        item_desc: (**item_desc).clone(),
+                        content_start,
+                        content_end: self.tell(),
+                        elem_close_run: closes.sum::<usize>() as u32,
+                    });
+                }
+            }
         }
+        Ok(())
     }
 
-    /// A run of unboxed scalar elements under one hoisted tag pair.
-    fn scalar_run<T: Copy>(&mut self, kind: ScalarKind, xs: &[T], wrap: fn(T) -> Scalar) {
-        let (open, close) = self.config.wire_format.scalar_tags(ITEM_NAME, kind);
-        for &x in xs {
-            self.raw(&open);
-            self.leaf(wrap(x), &close, None);
-        }
-    }
-
-    /// Serialize the elements of an array value; used both at build time
-    /// and when growing an array (resize builds into a fresh `Builder`).
+    /// Serialize elements `[from, to)` of an array value, `steps` once per
+    /// element; used both at build time and when growing an array (resize
+    /// builds into a fresh `Builder`).
     pub(crate) fn elements(
         &mut self,
-        item_desc: &TypeDesc,
+        plan: &FramePlan,
+        steps: &[Step],
         value: &Value,
         from: usize,
         to: usize,
     ) -> Result<(), EngineError> {
-        match (value, item_desc) {
-            (Value::DoubleArray(v), TypeDesc::Scalar(ScalarKind::Double)) => {
-                self.scalar_run(ScalarKind::Double, &v[from..to], Scalar::Double);
+        // An unboxed array is a run of one leaf step.
+        let tags =
+            |open: &Span, close: &Span| (&plan.arena[open.clone()], &plan.arena[close.clone()]);
+        use ScalarKind::{Double, Int};
+        match (value, steps) {
+            (Value::DoubleArray(v), [Step::Leaf(open, Double, close)]) => {
+                let (open, close) = tags(open, close);
+                let xs = v[from..to].iter();
+                xs.for_each(|&x| self.leaf(open, Scalar::Double(x), close, None));
                 Ok(())
             }
-            (Value::IntArray(v), TypeDesc::Scalar(ScalarKind::Int)) => {
-                self.scalar_run(ScalarKind::Int, &v[from..to], Scalar::Int);
+            (Value::IntArray(v), [Step::Leaf(open, Int, close)]) => {
+                let (open, close) = tags(open, close);
+                let xs = v[from..to].iter();
+                xs.for_each(|&x| self.leaf(open, Scalar::Int(x), close, None));
                 Ok(())
             }
-            (Value::Array(elems), _) => {
-                for elem in &elems[from..to] {
-                    self.plain_value(ITEM_NAME, item_desc, elem)?;
-                }
-                Ok(())
-            }
+            (Value::Array(elems), _) => self.run(plan, steps, &[], &elems[from..to], to - from),
             (v, _) => Err(EngineError::TypeMismatch {
                 at: "array".to_owned(),
                 expected: "array value matching item type",
                 found: v.variant_name(),
             }),
         }
-    }
-
-    /// Serialize a full array parameter: open, the DUT-tracked element
-    /// count, elements, close. Registers the [`ArrayInfo`].
-    pub(crate) fn array_param(
-        &mut self,
-        pidx: usize,
-        name: &str,
-        item_desc: &TypeDesc,
-        value: &Value,
-    ) -> Result<(), EngineError> {
-        let len = value.array_len().ok_or_else(|| EngineError::TypeMismatch {
-            at: format!("param {pidx} ({name})"),
-            expected: "array value",
-            found: value.variant_name(),
-        })?;
-        let lane = self.config.wire_format;
-        let ((open, close), len_close) = lane.array_tags(name, item_desc);
-        self.raw(&open);
-        let len_leaf = self.dut.len();
-        // The length field asks for the full int width so a resize
-        // rewrites it in place, never shifting the array open.
-        self.leaf(Scalar::Int(len as i32), len_close, Some(INT_MAX_WIDTH));
-        self.raw(lane.separator());
-        let content_start = self.tell();
-        let base_leaf = self.dut.len();
-        self.elements(item_desc, value, 0, len)?;
-        let content_end = self.tell();
-        self.raw(&close);
-        self.raw(lane.separator());
-        self.arrays.push(ArrayInfo {
-            param: pidx,
-            base_leaf,
-            leaves_per_elem: item_desc.leaves_per_instance(),
-            len,
-            len_leaf,
-            item_desc: item_desc.clone(),
-            content_start,
-            content_end,
-            elem_close_run: elem_close_run(lane, ITEM_NAME, item_desc) as u32,
-        });
-        Ok(())
     }
 }
 
@@ -307,23 +417,25 @@ impl MessageTemplate {
         args: &[Value],
     ) -> Result<MessageTemplate, EngineError> {
         op.check_args(args)?;
-        for p in &op.params {
-            validate_param_type(&p.desc, true)?;
-        }
-        let lane = config.wire_format;
-        let mut b = Builder::new(config);
-        lane.open_envelope(op, |region| b.raw(region));
-        for (pidx, (param, arg)) in op.params.iter().zip(args).enumerate() {
-            match &param.desc {
-                TypeDesc::Array { item } => b.array_param(pidx, &param.name, item, arg)?,
-                desc => {
-                    b.plain_value(&param.name, desc, arg)?;
-                    b.raw(lane.separator());
-                }
-            }
-        }
-        lane.close_envelope(op, |region| b.raw(region));
+        Self::build_checked(config, op, args)
+    }
 
+    /// [`Self::build`] for `args` that already passed
+    /// [`OpDesc::check_args`] — the cost-gate fallback, whose
+    /// `update_args` just ran it.
+    pub(crate) fn build_checked(
+        config: EngineConfig,
+        op: &OpDesc,
+        args: &[Value],
+    ) -> Result<MessageTemplate, EngineError> {
+        let plan = FramePlan::op(config.wire_format, op)?;
+        let arrays = plan
+            .steps
+            .iter()
+            .filter(|s| matches!(s, Step::Array { .. }));
+        let leaves = FramePlan::leaves(&plan.steps, args);
+        let mut b = Builder::new(config, leaves, arrays.count());
+        b.run(&plan, &plan.steps, &op.params, args, 1)?;
         let stats = TemplateStats {
             first_time: 1,
             ..TemplateStats::default()
@@ -342,9 +454,54 @@ impl MessageTemplate {
         from: usize,
         to: usize,
     ) -> Result<MessageTemplate, EngineError> {
-        let mut b = Builder::new(config);
-        b.elements(item_desc, value, from, to)?;
+        let plan = FramePlan::item(config.wire_format, item_desc)?;
+        let leaves = FramePlan::leaves(&plan.steps, &[]);
+        let mut b = Builder::new(config, (to - from) * leaves, 0);
+        b.elements(&plan, &plan.steps, value, from, to)?;
         let op = OpDesc::new("__overlay_fragment", "", Vec::new());
         Ok(b.finish(op, TemplateStats::default()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::value::mio;
+
+    /// The walk behind the argument check refuses what the check refuses:
+    /// a wrong shape is a typed error, never a panic or a shortened struct.
+    #[test]
+    fn the_walk_refuses_wrong_shapes_by_itself() {
+        let param = |name: &str, desc| ParamDesc {
+            name: name.to_owned(),
+            desc,
+        };
+        let cells = param("cells", TypeDesc::array_of(TypeDesc::mio()));
+        let op = OpDesc::new("f", "urn:t", vec![param("cell", TypeDesc::mio()), cells]);
+        let short = Value::Struct(vec![Value::Int(1), Value::Int(2)]);
+        let long = Value::Struct(vec![Value::Int(1); 4]);
+        let wrong_kind = Value::Struct(vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
+        let cells = |cell: Value| Value::Array(vec![mio(1, 2, 0.5), cell]);
+        for bad in [
+            vec![short.clone(), cells(mio(1, 2, 0.5))],
+            vec![long, cells(mio(1, 2, 0.5))],
+            vec![wrong_kind.clone(), cells(mio(1, 2, 0.5))],
+            vec![mio(1, 2, 0.5), cells(short)],
+            vec![mio(1, 2, 0.5), cells(wrong_kind)],
+            vec![mio(1, 2, 0.5), cells(Value::Int(7))],
+            vec![mio(1, 2, 0.5), Value::Int(7)],
+            vec![mio(1, 2, 0.5), Value::DoubleArray(vec![0.5])],
+            vec![mio(1, 2, 0.5)],
+        ] {
+            for lane in WireFormat::ALL {
+                let config = EngineConfig::default().with_wire_format(lane);
+                let refused = MessageTemplate::build_checked(config, &op, &bad).unwrap_err();
+                let typed = matches!(
+                    refused,
+                    EngineError::TypeMismatch { .. } | EngineError::StructureMismatch { .. }
+                );
+                assert!(typed, "{bad:?}: {refused:?}");
+            }
+        }
     }
 }

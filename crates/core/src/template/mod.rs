@@ -70,9 +70,6 @@ pub struct TemplateStats {
 /// Per-array bookkeeping inside a template.
 #[derive(Clone, Debug)]
 pub(crate) struct ArrayInfo {
-    /// Parameter index this array corresponds to.
-    #[allow(dead_code)]
-    pub param: usize,
     /// DUT index of the first element leaf.
     pub base_leaf: usize,
     /// DUT leaves per element.

@@ -203,7 +203,7 @@ pub(crate) fn validate_elements(
     }
 }
 
-/// Mirror of `Builder::plain_value`'s checks.
+/// One element against its item type: what the builder's walk accepts.
 fn validate_element(desc: &TypeDesc, value: &Value) -> Result<(), EngineError> {
     match (desc, value) {
         (TypeDesc::Scalar(kind), v) => build::scalar_from_value(v, *kind).map(|_| ()),

@@ -6,7 +6,7 @@
 //! same byte position as `(c+1, 0)` — positions are document offsets, and
 //! chunk boundaries are transparent.
 
-use super::build::Builder;
+use super::build::{Builder, FramePlan};
 use super::MessageTemplate;
 use crate::error::EngineError;
 use crate::value::{Scalar, Value};
@@ -149,16 +149,15 @@ impl MessageTemplate {
         value: &Value,
         new_len: usize,
     ) -> Result<(), EngineError> {
-        let (base, lpe, old_len, item_desc) = {
-            let a = &self.arrays[array_idx];
-            (a.base_leaf, a.leaves_per_elem, a.len, a.item_desc.clone())
-        };
+        let a = &self.arrays[array_idx];
+        let (base, lpe, old_len) = (a.base_leaf, a.leaves_per_elem, a.len);
         let insert_leaf_at = base + old_len * lpe;
 
         // Serialize the new tail elements into a fresh mini-store with the
         // same chunking config.
-        let mut mini = Builder::new(self.config);
-        mini.elements(&item_desc, value, old_len, new_len)?;
+        let plan = FramePlan::item(self.config.wire_format, &a.item_desc)?;
+        let mut mini = Builder::new(self.config, (new_len - old_len) * lpe, 0);
+        mini.elements(&plan, &plan.steps, value, old_len, new_len)?;
         let tail_total = mini.store.total_len();
         let added_entries = mini.dut.len();
         debug_assert_eq!(added_entries, (new_len - old_len) * lpe);

@@ -3,9 +3,12 @@
 //! Retained scratch (the DUT's dirty list and run-compare hits, the bin1
 //! reference's changed-slot list) is what keeps it so; a per-call `Vec`
 //! sneaking back into either path fails here before it shows in a profile.
+//! And what a First-Time Send allocates: chunks for the bytes, nothing per
+//! element — its framing is compiled once per build (DESIGN §3.2), so a
+//! tag formatted per element fails here too.
 //!
-//! One test, so one thread: the counter is the calling thread's own, and
-//! nothing else in this binary allocates on it.
+//! The counter is the calling thread's own, and each test runs on one
+//! thread: nothing else in this binary allocates on it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,7 +16,7 @@ use std::cell::Cell;
 use bsoap::convert::ScalarKind;
 use bsoap::deser::{BinaryDiffDeserializer, DiffOutcome};
 use bsoap::{
-    EngineConfig, OpDesc, SendTier, StoreKey, TemplateKey, TemplateStore, TypeDesc, Value,
+    mio, EngineConfig, OpDesc, SendTier, StoreKey, TemplateKey, TemplateStore, TypeDesc, Value,
     WireFormat,
 };
 
@@ -112,5 +115,50 @@ fn a_warm_send_allocates_a_constant_few_and_a_warm_decode_nothing() {
     assert_eq!(
         measured, [measured[0]; 3],
         "allocations follow the dirty count"
+    );
+}
+
+#[test]
+fn a_first_time_send_allocates_for_its_bytes_not_per_element() {
+    let lane = WireFormat::SoapXml;
+    let op = OpDesc::single(
+        "sendMios",
+        "urn:mesh",
+        "mios",
+        TypeDesc::array_of(TypeDesc::mio()),
+    );
+    // The default (`Fast`) kernel: `Exact2004` allocates inside every
+    // double conversion, which is the kernel's business, not the walk's.
+    let config = EngineConfig::default();
+    let store = TemplateStore::unbounded();
+    let mut wire = Vec::with_capacity(256 * 1024);
+    // (allocations, chunks) of a First-Time Send of `cells` MIOs.
+    let mut first_time = |cells: usize| {
+        let cell = |i: usize| mio(i as i32 * 7919, -(i as i32), i as f64 * 0.37);
+        let args = [Value::Array((0..cells).map(cell).collect())];
+        let endpoint = format!("http://svc/{cells}");
+        let key = StoreKey::new(0, TemplateKey::for_format(&endpoint, &op, lane));
+        let (sent, allocations) = counted(|| {
+            store.send(&key, &config, None, &op, &args, 1, false, |slices| {
+                wire.clear();
+                slices.iter().for_each(|s| wire.extend_from_slice(s));
+                Ok(wire.len())
+            })
+        });
+        let (report, _) = sent.unwrap();
+        assert_eq!(report.tier, SendTier::FirstTime);
+        assert_eq!(report.values_written, 1 + 3 * cells);
+        let chunks = store.peek(&key, |t| t.chunk_count()).unwrap();
+        (allocations, chunks)
+    };
+    first_time(1); // lazy one-time set-up (kernel dispatch, tables)
+    let (small, small_chunks) = first_time(50);
+    let (large, large_chunks) = first_time(500);
+    assert!(large_chunks > small_chunks, "500 cells span several chunks");
+    // Before the frame plan: ~12 allocations per cell, 5 400 apart.
+    assert!(
+        large <= small + (large_chunks - small_chunks),
+        "50 cells: {small} allocations in {small_chunks} chunks, \
+         500 cells: {large} in {large_chunks}"
     );
 }

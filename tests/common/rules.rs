@@ -62,6 +62,7 @@ const fn inside(file: &'static str, needle: &'static str, times: RangeInclusive<
 const SEND: &str = "crates/core/src/send.rs";
 const STORE: &str = "crates/core/src/store.rs";
 const CORE_LANE: &str = "crates/core/src/lane.rs";
+const BUILD: &str = "crates/core/src/template/build.rs";
 const DESER_LANE: &str = "crates/deser/src/lane.rs";
 const CLIENT: &str = "crates/transport/src/client.rs";
 const ENGINE_CLIENT: &str = "crates/core/src/client.rs";
@@ -111,6 +112,10 @@ const RULES: &[(&str, &[Rule])] = &[
             outside(LANES, "build_binary"),
             inside(CORE_LANE, "CompactBinary", SOMEWHERE),
             inside(DESER_LANE, "CompactBinary", SOMEWHERE),
+            // Framing is compiled once per build (PR 24): the builder asks
+            // the lane for tags at the frame plan's three call sites (scalar,
+            // struct, array) and nowhere in the per-element walk.
+            inside(BUILD, "_tags(", 3..=3),
         ],
     ),
     // One client connection (PR 19): `http.rs` defines the POST writer and
