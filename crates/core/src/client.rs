@@ -24,8 +24,8 @@
 use crate::cache::TemplateKey;
 use crate::config::{EngineConfig, WireFormat};
 use crate::error::EngineError;
-use crate::overlay::{max_element_bytes, OverlayReport, OverlaySender};
-use crate::schema::{OpDesc, TypeDesc};
+use crate::overlay::{element_bytes, OverlayReport, OverlaySender};
+use crate::schema::OpDesc;
 use crate::sendv::write_all_vectored;
 use crate::store::{StoreKey, TemplateStore};
 use crate::template::{SendReport, SendTier};
@@ -34,6 +34,11 @@ use bsoap_obs::{Counter, HistId, Metrics, Recorder, TraceKind};
 use std::collections::HashMap;
 use std::io::{IoSlice, Write};
 use std::sync::Arc;
+
+/// Estimated serialized size from which [`Client::call_overlaid`] streams
+/// a single-array call through the overlay instead of a buffered send
+/// (below it, overlay framing costs more than it saves).
+const OVERLAY_THRESHOLD_BYTES: usize = 1 << 20;
 
 /// Cumulative client statistics across all templates.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -169,8 +174,8 @@ impl Site {
 pub enum OverlaidOutcome {
     /// Large enough to stream: served by the chunk-overlay pipeline.
     Streamed(OverlayReport),
-    /// Below [`EngineConfig::overlay_threshold_bytes`] (or not a
-    /// single-array call): served by the buffered tier machinery.
+    /// Below 1 MiB at worst-case widths (or not a single-array call):
+    /// served by the buffered tier machinery.
     Buffered(SendReport),
 }
 
@@ -367,27 +372,23 @@ impl Client {
     }
 
     /// Whether the overlay path would engage for this call: a
-    /// single-array operation whose worst-case serialized size meets
-    /// [`EngineConfig::overlay_threshold_bytes`].
+    /// single-array operation whose worst-case serialized size is 1 MiB or
+    /// more.
     pub fn overlay_engages(&self, op: &OpDesc, args: &[Value]) -> bool {
-        if op.params.len() != 1 || args.len() != 1 {
-            return false;
-        }
-        let TypeDesc::Array { item } = &op.params[0].desc else {
+        let (Ok((_, item)), [arg]) = (op.sole_array(), args) else {
             return false;
         };
-        let Some(n) = args[0].array_len() else {
+        let (Some(n), Ok(elem)) = (arg.array_len(), element_bytes(item)) else {
             return false;
         };
-        n.saturating_mul(max_element_bytes(item)) >= self.config.overlay_threshold_bytes
+        n.saturating_mul(elem) >= OVERLAY_THRESHOLD_BYTES
     }
 
     /// Invoke `op` streaming the array argument through the chunk-overlay
     /// pipeline (§3.3) when the call is large enough to benefit, falling
     /// through to the ordinary tiered [`Client::call`] otherwise. The
-    /// engagement decision is [`Client::overlay_engages`]; the knobs are
-    /// [`EngineConfig::overlay_threshold_bytes`] and
-    /// [`EngineConfig::window_elems`].
+    /// engagement decision is [`Client::overlay_engages`]; the window is
+    /// one chunk ([`OverlaySender::auto_window`]).
     pub fn call_overlaid(
         &mut self,
         endpoint: &str,
@@ -418,7 +419,9 @@ impl Client {
     /// tiers provide, scoped to the reused window. The pipeline streams an
     /// XML envelope around its window fragments and is not negotiated, so
     /// an overlaid send is XML ([`OverlaySender::new`] pins it) whatever
-    /// lane the buffered tiers ride.
+    /// lane the buffered tiers ride. A degraded endpoint streams
+    /// stateless, like the tiered path: a throwaway window, nothing
+    /// reserved, counted as a degraded first-time send.
     pub fn call_overlaid_via(
         &mut self,
         endpoint: &str,
@@ -426,30 +429,29 @@ impl Client {
         args: &[Value],
         portion: impl FnMut(&[IoSlice<'_>]) -> std::io::Result<usize>,
     ) -> Result<OverlayReport, EngineError> {
-        if args.len() != 1 {
-            return Err(EngineError::StructureMismatch {
-                why: "overlay call takes exactly the array argument".into(),
-            });
-        }
         let call_start = self.metrics.as_ref().map(|m| m.now_ns());
         let ep = match self.endpoints.get_mut(endpoint) {
             Some(ep) => ep,
             None => self.endpoints.entry(endpoint.to_owned()).or_default(),
         };
         let at = ep.site(endpoint, op);
+        let degraded = ep.degraded;
         let site = &mut ep.sites[at];
-        let sender = match &mut site.overlay {
+        let mut throwaway = None;
+        let kept = if degraded {
+            &mut throwaway
+        } else {
+            &mut site.overlay
+        };
+        let sender = match kept {
             Some(sender) => sender,
-            None => site.overlay.insert(match self.config.window_elems {
-                0 => OverlaySender::auto_window(self.config, op)?,
-                n => OverlaySender::new(self.config, op, n)?,
-            }),
+            None => kept.insert(OverlaySender::auto_window(self.config, op)?),
         };
         if let (Some(m), None) = (&self.metrics, sender.metrics()) {
             sender.set_metrics(Arc::clone(m));
         }
-        let out = sender.send_portions(&args[0], portion);
-        if let Ok(report) = &out {
+        let out = sender.stream(args, portion);
+        if let (Ok(report), false) = (&out, degraded) {
             // Charge the cached window fragment to the store's budget
             // (reserved, non-evictable — it is the overlaid region's
             // saved copy), reconciling as the peak moves.
@@ -463,7 +465,7 @@ impl Client {
         }
         let sent = out.as_ref().map(|r| (r.tier, r.bytes));
         ep.settle(at, &sent, &self.config, &self.store, self.metrics.as_ref());
-        self.count_delivered(call_start, false, sent);
+        self.count_delivered(call_start, degraded, sent);
         out
     }
 

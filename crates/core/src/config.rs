@@ -125,17 +125,6 @@ pub struct EngineConfig {
     /// `BSOAP_KERNEL=scalar` in the environment forces the scalar kernels
     /// process-wide (it can only narrow this knob, never widen it).
     pub kernel: KernelPolicy,
-    /// Chunk-overlay window size in array elements (§3.3): how many
-    /// elements the reused window fragment holds per streamed portion.
-    /// `0` (the default) derives a window that fills one chunk at
-    /// worst-case element widths ([`crate::OverlaySender::auto_window`]).
-    pub window_elems: usize,
-    /// Estimated serialized size above which [`crate::Client::call_overlaid`]
-    /// engages the streaming overlay path instead of a buffered send.
-    /// Below it a single-array call falls through to the ordinary tiered
-    /// template machinery (overlay framing costs more than it saves for
-    /// small arrays). `0` streams every eligible call.
-    pub overlay_threshold_bytes: usize,
     /// Hard global byte budget for the shared template store (resident
     /// template bytes plus reserved overlay-window bytes). Admitting past
     /// it evicts the cheapest-to-rebuild templates first. `0` = unlimited.
@@ -167,8 +156,6 @@ impl EngineConfig {
             max_head_bytes: 1 << 20,
             max_body_bytes: 64 << 20,
             kernel: KernelPolicy::Auto,
-            window_elems: 0,
-            overlay_threshold_bytes: 1 << 20,
             store_budget_bytes: 0,
             tenant_quota_bytes: 0,
             wire_format: WireFormat::SoapXml,
@@ -250,20 +237,6 @@ impl EngineConfig {
     pub fn with_http_caps(mut self, max_head_bytes: usize, max_body_bytes: usize) -> Self {
         self.max_head_bytes = max_head_bytes;
         self.max_body_bytes = max_body_bytes;
-        self
-    }
-
-    /// Builder-style overlay window size (elements per streamed portion;
-    /// `0` = auto-size to one chunk).
-    pub fn with_window_elems(mut self, elems: usize) -> Self {
-        self.window_elems = elems;
-        self
-    }
-
-    /// Builder-style overlay engagement threshold (estimated serialized
-    /// bytes; `0` streams every eligible call).
-    pub fn with_overlay_threshold(mut self, bytes: usize) -> Self {
-        self.overlay_threshold_bytes = bytes;
         self
     }
 

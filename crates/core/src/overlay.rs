@@ -7,17 +7,19 @@
 //! array is sent, and then the values of the next portion are serialized
 //! into the same chunk."
 //!
-//! The window's tags are written once (a window-sized template fragment);
-//! each portion re-serializes only the *values* — so overlay throughput
-//! matches the paper's "100% Value Re-serialization" series (Fig. 12)
-//! while memory stays bounded by one chunk instead of the whole message.
+//! Nothing here formats a tag. The envelope is a template of the operation
+//! built with the array empty (its length leaf rewritten per send); the
+//! window is a template fragment of the array's elements, built by the one
+//! builder and diffed by the one diff walk, so each portion re-serializes
+//! only the *values* — overlay throughput matches the paper's "100% Value
+//! Re-serialization" series (Fig. 12) while memory stays bounded by one
+//! chunk instead of the whole message.
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, WireFormat};
 use crate::error::EngineError;
 use crate::schema::{OpDesc, TypeDesc};
 use crate::send::count_serialized;
 use crate::sendv::write_all_vectored;
-use crate::soap;
 use crate::template::{MessageTemplate, SendTier};
 use crate::value::Value;
 use bsoap_obs::{Counter, Gauge, Metrics, Recorder};
@@ -49,17 +51,23 @@ pub struct OverlayReport {
 pub struct OverlaySender {
     config: EngineConfig,
     op: OpDesc,
-    param_name: String,
-    item_desc: TypeDesc,
+    item: TypeDesc,
     /// Elements per full window.
     window_elems: usize,
+    /// The envelope around the array: `op` built with the array empty.
+    frame: MessageTemplate,
     /// Cached full-window fragment (tags written once, reused send after
     /// send).
     window: Option<MessageTemplate>,
     /// Cached tail fragment and its element count.
     tail: Option<(usize, MessageTemplate)>,
-    prologue_scratch: Vec<u8>,
     metrics: Option<Arc<Metrics>>,
+}
+
+/// Worst-case serialized bytes of one element of an array of `item`, from
+/// the item's frame plan.
+pub(crate) fn element_bytes(item: &TypeDesc) -> Result<usize, EngineError> {
+    MessageTemplate::max_element_bytes(WireFormat::SoapXml, item)
 }
 
 impl OverlaySender {
@@ -75,32 +83,22 @@ impl OverlaySender {
         // region; the fixed-slot binary lane (§3.15) has no equivalent
         // streaming path yet, so overlaid sends always ride XML — even
         // when the caller's config prefers the binary lane.
-        let config = config.with_wire_format(crate::config::WireFormat::SoapXml);
-        if op.params.len() != 1 {
-            return Err(EngineError::StructureMismatch {
-                why: "overlay requires a single-parameter operation".into(),
-            });
-        }
-        let param = &op.params[0];
-        let TypeDesc::Array { item } = &param.desc else {
-            return Err(EngineError::StructureMismatch {
-                why: "overlay requires an array parameter".into(),
-            });
-        };
+        let config = config.with_wire_format(WireFormat::SoapXml);
+        let (_, item) = op.sole_array()?;
         if window_elems == 0 {
             return Err(EngineError::StructureMismatch {
                 why: "window must hold ≥ 1 element".into(),
             });
         }
+        let frame = MessageTemplate::build(config, op, &[Value::Array(Vec::new())])?;
         Ok(OverlaySender {
             config,
             op: op.clone(),
-            param_name: param.name.clone(),
-            item_desc: item.as_ref().clone(),
+            item: item.clone(),
             window_elems,
+            frame,
             window: None,
             tail: None,
-            prologue_scratch: Vec::with_capacity(512),
             metrics: None,
         })
     }
@@ -119,22 +117,13 @@ impl OverlaySender {
     }
 
     /// Create a sender whose window fills (but never exceeds) one chunk,
-    /// assuming worst-case element widths.
+    /// assuming worst-case element widths — a portion is "sent from the
+    /// same message chunk" (§3.3).
     pub fn auto_window(config: EngineConfig, op: &OpDesc) -> Result<Self, EngineError> {
-        let param = op
-            .params
-            .first()
-            .ok_or_else(|| EngineError::StructureMismatch {
-                why: "overlay requires a single-parameter operation".into(),
-            })?;
-        let TypeDesc::Array { item } = &param.desc else {
-            return Err(EngineError::StructureMismatch {
-                why: "overlay requires an array parameter".into(),
-            });
-        };
-        let elem = max_element_bytes(item);
-        let window = (config.chunk.fill_limit() / elem.max(1)).max(1);
-        Self::new(config, op, window)
+        let mut sender = Self::new(config, op, 1)?;
+        let elem = element_bytes(&sender.item)?;
+        sender.window_elems = (config.chunk.fill_limit() / elem.max(1)).max(1);
+        Ok(sender)
     }
 
     /// Elements per full window.
@@ -165,98 +154,64 @@ impl OverlaySender {
     pub fn send_portions(
         &mut self,
         value: &Value,
+        portion: impl FnMut(&[IoSlice<'_>]) -> std::io::Result<usize>,
+    ) -> Result<OverlayReport, EngineError> {
+        self.stream(std::slice::from_ref(value), portion)
+    }
+
+    /// [`Self::send_portions`] of an argument list: `args` is checked
+    /// against the operation — arity included — before a byte is
+    /// serialized, so a refused send leaves the window as it was.
+    pub(crate) fn stream(
+        &mut self,
+        args: &[Value],
         mut portion: impl FnMut(&[IoSlice<'_>]) -> std::io::Result<usize>,
     ) -> Result<OverlayReport, EngineError> {
-        let n = value.array_len().ok_or_else(|| EngineError::TypeMismatch {
-            at: "overlay send".into(),
-            expected: "array value",
-            found: value.variant_name(),
-        })?;
-        let mut bytes = 0usize;
-        let mut portions = 0usize;
+        let value = &self.op.check_args(args)?.values()[0];
+        let n = value.array_len().expect("check_args admitted an array");
         let mut values_written = 0usize;
+        let mut portions = 0usize;
+        let mut window_bytes = 0usize;
         // FirstTime iff any fragment had to be built this send; a fully
         // patched send is PerfectStructural for the whole overlaid region.
         let mut built = false;
 
-        // Prologue: everything up to and including the array open tag.
-        {
-            let p = &mut self.prologue_scratch;
-            p.clear();
-            p.extend_from_slice(soap::XML_DECL.as_bytes());
-            p.extend_from_slice(soap::envelope_open(&self.op.namespace).as_bytes());
-            p.extend_from_slice(soap::BODY_OPEN.as_bytes());
-            p.extend_from_slice(soap::op_open(&self.op.name).as_bytes());
-            let (prefix, suffix) =
-                soap::array_open_parts(&self.param_name, &self.item_desc.xsi_type());
-            p.extend_from_slice(prefix.as_bytes());
-            let count = bsoap_convert::format_u64(n as u64);
-            p.extend_from_slice(count.as_bytes());
-            p.extend_from_slice(suffix.as_bytes());
-            // The whole-template builder stuffs the length slot to the full
-            // int width so resizes rewrite in place; mirror it so overlaid
-            // bytes stay identical to the non-overlay serialization.
-            for _ in count.len()..bsoap_convert::INT_MAX_WIDTH {
-                p.push(b' ');
-            }
-            p.push(b'\n');
-        }
-        bytes += portion(&[IoSlice::new(&self.prologue_scratch)])?;
-
-        let mut window_bytes = 0usize;
+        let [prologue, epilogue] = self.frame.around_array(0, n);
+        let mut bytes = portion(&prologue)?;
         let mut base = 0usize;
         while base < n {
             let size = self.window_elems.min(n - base);
-            let fragment = if size == self.window_elems {
-                if let Some(t) = self.window.as_mut() {
-                    update_fragment(t, &self.item_desc, value, base, size)?;
-                } else {
-                    built = true;
-                    self.window = Some(MessageTemplate::build_fragment(
-                        self.config,
-                        &self.item_desc,
-                        value,
-                        base,
-                        base + size,
-                    )?);
-                }
-                self.window.as_mut().expect("present")
+            let range = base..base + size;
+            // The full window, or the tail: cached separately, rebuilt when
+            // the tail size changes between sends.
+            let cached = if size == self.window_elems {
+                self.window.as_mut()
             } else {
-                // Tail portion: cached separately; rebuilt when the tail
-                // size changes between sends.
-                let reusable = matches!(&self.tail, Some((cached, _)) if *cached == size);
-                if reusable {
-                    let (_, t) = self.tail.as_mut().expect("checked above");
-                    update_fragment(t, &self.item_desc, value, base, size)?;
-                } else {
-                    built = true;
-                    let t = MessageTemplate::build_fragment(
-                        self.config,
-                        &self.item_desc,
-                        value,
-                        base,
-                        base + size,
-                    )?;
-                    self.tail = Some((size, t));
-                }
-                &mut self.tail.as_mut().expect("present").1
+                let tail = self.tail.as_mut().filter(|(len, _)| *len == size);
+                tail.map(|(_, t)| t)
             };
-            let report = fragment.flush();
-            values_written += report.values_written;
-            let slices = fragment.io_slices();
-            bytes += portion(&slices)?;
+            let fragment = match cached {
+                Some(t) => {
+                    t.diff_elements(0, value, range);
+                    t
+                }
+                None => {
+                    built = true;
+                    let t = MessageTemplate::build_fragment(self.config, &self.item, value, range)?;
+                    if size == self.window_elems {
+                        self.window.insert(t)
+                    } else {
+                        &mut self.tail.insert((size, t)).1
+                    }
+                }
+            };
+            values_written += fragment.flush().values_written;
+            bytes += portion(&fragment.io_slices())?;
             window_bytes = window_bytes.max(fragment.message_len());
             portions += 1;
             base += size;
         }
-
-        // Epilogue: close the array, operation, body, envelope.
-        let mut epilogue = Vec::with_capacity(96);
-        epilogue.extend_from_slice(soap::elem_close(&self.param_name).as_bytes());
-        epilogue.push(b'\n');
-        epilogue.extend_from_slice(soap::op_close(&self.op.name).as_bytes());
-        epilogue.extend_from_slice(soap::CLOSES.as_bytes());
-        bytes += portion(&[IoSlice::new(&epilogue)])?;
+        bytes += portion(&epilogue)?;
 
         let report = OverlayReport {
             bytes,
@@ -286,64 +241,4 @@ impl OverlaySender {
         self.window = None;
         self.tail = None;
     }
-}
-
-/// Overwrite the fragment's leaves with elements `[base, base+size)` of
-/// `value` — the per-portion re-serialization step of §3.3.
-fn update_fragment(
-    t: &mut MessageTemplate,
-    item_desc: &TypeDesc,
-    value: &Value,
-    base: usize,
-    size: usize,
-) -> Result<(), EngineError> {
-    use crate::value::Scalar;
-    match value {
-        Value::DoubleArray(v) => {
-            for i in 0..size {
-                t.dut.set_value(i, Scalar::Double(v[base + i]));
-            }
-        }
-        Value::IntArray(v) => {
-            for i in 0..size {
-                t.dut.set_value(i, Scalar::Int(v[base + i]));
-            }
-        }
-        Value::Array(elems) => {
-            let lpe = item_desc.leaves_per_instance();
-            for i in 0..size {
-                let leaf = i * lpe;
-                t.diff_value_leaves(leaf, item_desc, &elems[base + i])?;
-            }
-        }
-        other => {
-            return Err(EngineError::TypeMismatch {
-                at: "overlay window".into(),
-                expected: "array value",
-                found: other.variant_name(),
-            })
-        }
-    }
-    Ok(())
-}
-
-/// Worst-case serialized bytes of one array element (open run + per-leaf
-/// max width + suffixes + close run) — used to size windows to a chunk.
-pub fn max_element_bytes(item_desc: &TypeDesc) -> usize {
-    fn leaf_max(desc: &TypeDesc, name: &str) -> usize {
-        match desc {
-            TypeDesc::Scalar(kind) => {
-                soap::scalar_open(name, kind.xsi_type()).len()
-                    + kind.max_width().unwrap_or(64)
-                    + soap::elem_close(name).len()
-            }
-            TypeDesc::Struct { fields, .. } => {
-                let open = format!("<{name} xsi:type=\"{}\">", desc.xsi_type()).len();
-                let close = soap::elem_close(name).len();
-                open + close + fields.iter().map(|(n, d)| leaf_max(d, n)).sum::<usize>()
-            }
-            TypeDesc::Array { .. } => 0,
-        }
-    }
-    leaf_max(item_desc, soap::ITEM_NAME)
 }

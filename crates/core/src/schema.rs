@@ -252,8 +252,11 @@ impl OpDesc {
         sig
     }
 
-    /// Validate an argument list against the declared parameters.
-    pub fn check_args(&self, args: &[Value]) -> Result<(), EngineError> {
+    /// Validate an argument list against the declared parameters — the
+    /// one place the engine decides whether a value fits its schema
+    /// (DESIGN §3.1). What it returns is the only way into the walks
+    /// below it, which trust it and check nothing again.
+    pub fn check_args<'a>(&self, args: &'a [Value]) -> Result<CheckedArgs<'a>, EngineError> {
         if args.len() != self.params.len() {
             return Err(EngineError::ArityMismatch {
                 expected: self.params.len(),
@@ -263,7 +266,43 @@ impl OpDesc {
         for (i, (p, a)) in self.params.iter().zip(args).enumerate() {
             p.desc.check_at(a, &At::Param(i, &p.name))?;
         }
-        Ok(())
+        Ok(checked::CheckedArgs(args))
+    }
+
+    /// The parameter and item type of an operation whose only parameter
+    /// is an array — the contract of the overlay sender and the
+    /// streaming deserializer.
+    pub fn sole_array(&self) -> Result<(&ParamDesc, &TypeDesc), EngineError> {
+        match self.params.as_slice() {
+            [param @ ParamDesc {
+                desc: TypeDesc::Array { item },
+                ..
+            }] => Ok((param, &**item)),
+            _ => Err(EngineError::StructureMismatch {
+                why: format!("{} does not take exactly one array parameter", self.name),
+            }),
+        }
+    }
+}
+
+pub(crate) use checked::CheckedArgs;
+
+mod checked {
+    use crate::value::Value;
+
+    /// An argument list [`OpDesc::check_args`](super::OpDesc::check_args)
+    /// accepted. Its field is private to this module, so `check_args` is
+    /// the only code that builds one, and a walk that takes one needs no
+    /// check of its own. (Declared `pub` in a private module: nameable
+    /// inside the crate only.)
+    #[derive(Clone, Copy, Debug)]
+    pub struct CheckedArgs<'a>(pub(super) &'a [Value]);
+
+    impl<'a> CheckedArgs<'a> {
+        /// The checked values.
+        pub(crate) fn values(self) -> &'a [Value] {
+            self.0
+        }
     }
 }
 
@@ -349,5 +388,27 @@ mod tests {
         assert!(op.check_args(&[Value::Int(1)]).is_ok());
         assert!(op.check_args(&[]).is_err());
         assert!(op.check_args(&[Value::Int(1), Value::Int(2)]).is_err());
+    }
+
+    #[test]
+    fn sole_array_is_the_one_array_parameter() {
+        let doubles = TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double));
+        let op = OpDesc::single("f", "urn:x", "xs", doubles.clone());
+        let (param, item) = op.sole_array().unwrap();
+        assert_eq!(
+            (param.name.as_str(), item),
+            ("xs", &TypeDesc::Scalar(ScalarKind::Double))
+        );
+        let scalar = OpDesc::single("f", "urn:x", "v", TypeDesc::Scalar(ScalarKind::Int));
+        let p = |name: &str| ParamDesc {
+            name: name.to_owned(),
+            desc: doubles.clone(),
+        };
+        let two = OpDesc::new("f", "urn:x", vec![p("a"), p("b")]);
+        let none = OpDesc::new("f", "urn:x", Vec::new());
+        for op in [scalar, two, none] {
+            let refused = op.sole_array().unwrap_err();
+            assert!(matches!(refused, EngineError::StructureMismatch { .. }));
+        }
     }
 }

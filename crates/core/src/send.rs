@@ -34,7 +34,7 @@
 use crate::config::EngineConfig;
 use crate::error::EngineError;
 use crate::lane::WireFormat;
-use crate::schema::OpDesc;
+use crate::schema::{CheckedArgs, OpDesc};
 use crate::store::{Checkout, StoreKey, TemplateStore};
 use crate::template::{MessageTemplate, SendReport, SendTier};
 use crate::value::Value;
@@ -87,8 +87,13 @@ impl TemplateStore {
     where
         F: FnOnce(&[IoSlice<'_>]) -> std::io::Result<usize>,
     {
-        let mut fell_back = false;
-        if cap > 0 {
+        // Set when the cost gate discarded a saved template: the arguments
+        // its diff already checked, which the rebuild below trusts.
+        let mut fell_back = None;
+        'saved: {
+            if cap == 0 {
+                break 'saved;
+            }
             let mut cloned = false;
             let saved = match self.checkout(key, args, cap) {
                 Checkout::Hit(tpl) => Some(tpl),
@@ -99,52 +104,54 @@ impl TemplateStore {
                 }
                 Checkout::MissEmpty | Checkout::MissVariant => None,
             };
-            if let Some(mut tpl) = saved {
-                if let (Some(m), None) = (metrics, tpl.metrics()) {
-                    // Template predates the registry: attach lazily.
-                    tpl.set_metrics(Arc::clone(m));
-                }
-                match patch(config, &mut tpl, args).transpose() {
-                    Some(patched) => {
-                        let sent = patched.and_then(|mut report| {
-                            report.bytes = send(&tpl.io_slices())?;
-                            Ok((report, cloned))
-                        });
-                        // A template that came out of the store goes back
-                        // whatever happened to the send; a clone is saved
-                        // only once delivered.
-                        if !cloned || sent.is_ok() {
-                            self.admit(key.clone(), tpl, cap);
-                        }
-                        return sent;
-                    }
-                    // Cost fallback: the checkout already returned the
-                    // template's bytes to the budget; the discard only
-                    // records the eviction (a clone was never resident).
-                    None => {
-                        if !cloned {
-                            self.note_discard(&tpl);
-                        }
-                        if let Some(m) = metrics {
-                            m.add(Counter::CostFallbacks, 1);
-                        }
-                        fell_back = true;
-                    }
-                }
+            let Some(mut tpl) = saved else {
+                break 'saved;
+            };
+            if let (Some(m), None) = (metrics, tpl.metrics()) {
+                // Template predates the registry: attach lazily.
+                tpl.set_metrics(Arc::clone(m));
             }
+            let sent = match patch(config, &mut tpl, args) {
+                Ok(Ok(mut report)) => {
+                    send(&tpl.io_slices())
+                        .map_err(EngineError::from)
+                        .map(|bytes| {
+                            report.bytes = bytes;
+                            (report, cloned)
+                        })
+                }
+                Err(e) => Err(e),
+                // Cost fallback: the checkout already returned the
+                // template's bytes to the budget; the discard only
+                // records the eviction (a clone was never resident).
+                Ok(Err(checked)) => {
+                    if !cloned {
+                        self.note_discard(&tpl);
+                    }
+                    if let Some(m) = metrics {
+                        m.add(Counter::CostFallbacks, 1);
+                    }
+                    fell_back = Some(checked);
+                    break 'saved;
+                }
+            };
+            // A template that came out of the store goes back whatever
+            // happened to the send; a clone is saved only once delivered.
+            if !cloned || sent.is_ok() {
+                self.admit(key.clone(), tpl, cap);
+            }
+            return sent;
         }
         // First-Time Send: nothing saved serves the call (or the cost gate
         // just discarded what was) — "the negligible overhead of checking
         // to see if a stored copy exists and saving a pointer to it after
         // it has been created" (§3).
         let lane = key.key.format;
-        // A fallback's `update_args` already checked `args` against `op`.
-        let build = if fell_back {
-            MessageTemplate::build_checked
-        } else {
-            MessageTemplate::build
+        let config = config.with_wire_format(lane);
+        let mut tpl = match fell_back {
+            Some(checked) => MessageTemplate::build_from(config, op, checked)?,
+            None => MessageTemplate::build(config, op, args)?,
         };
-        let mut tpl = build(config.with_wire_format(lane), op, args)?;
         let values_written = tpl.leaf_count();
         if let Some(m) = metrics {
             count_serialized(m, lane, SendTier::FirstTime, values_written);
@@ -161,27 +168,27 @@ impl TemplateStore {
             shifts: 0,
             steals: 0,
             splits: 0,
-            fell_back,
+            fell_back: fell_back.is_some(),
         };
         Ok((report, false))
     }
 }
 
 /// Diff a saved template against `args` and patch it: `update_args` →
-/// `plan` → optional §5 gate → `flush_planned`. `Ok(None)` means the
+/// `plan` → optional §5 gate → `flush_planned`. `Ok(Err(args))` means the
 /// break-even gate priced the patch above `fallback_ratio ×` the rebuild
-/// estimate before any byte moved.
-fn patch(
+/// estimate before any byte moved; `args` are what the diff checked.
+fn patch<'a>(
     config: &EngineConfig,
     tpl: &mut MessageTemplate,
-    args: &[Value],
-) -> Result<Option<SendReport>, EngineError> {
-    tpl.update_args(args)?;
+    args: &'a [Value],
+) -> Result<Result<SendReport, CheckedArgs<'a>>, EngineError> {
+    let (_, args) = tpl.update(args)?;
     let plan = tpl.plan()?;
     if config.cost_fallback
         && plan.cost().total() as f64 > config.fallback_ratio * tpl.rebuild_estimate() as f64
     {
-        return Ok(None);
+        return Ok(Err(args));
     }
-    tpl.flush_planned(&plan).map(Some)
+    tpl.flush_planned(&plan).map(Ok)
 }

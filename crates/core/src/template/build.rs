@@ -11,7 +11,7 @@ use crate::config::EngineConfig;
 use crate::dut::{DutEntry, DutTable};
 use crate::error::EngineError;
 use crate::lane::WireFormat;
-use crate::schema::{OpDesc, ParamDesc, TypeDesc};
+use crate::schema::{CheckedArgs, OpDesc, ParamDesc, TypeDesc};
 use crate::soap::ITEM_NAME;
 use crate::value::{Scalar, Value};
 use bsoap_chunks::{ChunkStore, Loc};
@@ -30,9 +30,8 @@ pub(crate) enum Step {
     /// region: one append per leaf, and a chunk boundary never falls
     /// between a tag and its value.
     Leaf(Span, ScalarKind, Span),
-    /// The next value is a struct of this many fields; they feed the
-    /// steps that follow.
-    Enter(usize),
+    /// The next value is a struct; its fields feed the steps that follow.
+    Enter,
     /// The next value is array parameter `param`: its DUT-tracked element
     /// count (suffix `count_close`, then `sep`), then `item` once per
     /// element.
@@ -126,7 +125,7 @@ impl FramePlan {
             }
             TypeDesc::Struct { fields, .. } => {
                 let (open, close) = lane.struct_tags(name, desc);
-                self.steps.push(Step::Enter(fields.len()));
+                self.steps.push(Step::Enter);
                 self.raw(&open);
                 for (fname, fdesc) in fields {
                     self.value(lane, fname, fdesc)?;
@@ -151,9 +150,22 @@ impl FramePlan {
                 let len = args.get(*param).and_then(Value::array_len);
                 1 + Self::leaves(item, &[]) * len.unwrap_or(0)
             }
-            Step::Raw(_) | Step::Enter(_) => 0,
+            Step::Raw(_) | Step::Enter => 0,
         };
         steps.iter().map(of).sum()
+    }
+
+    /// Worst-case bytes of one pass over an item plan: every leaf at its
+    /// kind's maximum width (64 for an unbounded string).
+    fn max_bytes(&self) -> usize {
+        let of = |step: &Step| match step {
+            Step::Raw(span) => span.len(),
+            Step::Leaf(open, kind, close) => {
+                open.len() + kind.max_width().unwrap_or(64) + close.len()
+            }
+            Step::Enter | Step::Array { .. } => 0,
+        };
+        self.steps.iter().map(of).sum()
     }
 }
 
@@ -162,15 +174,13 @@ impl FramePlan {
 fn next_value<'v>(
     top: &mut std::slice::Iter<'v, Value>,
     open_structs: &mut Vec<std::slice::Iter<'v, Value>>,
-) -> Result<&'v Value, EngineError> {
+) -> &'v Value {
     loop {
         let Some(fields) = open_structs.last_mut() else {
-            return top.next().ok_or_else(|| EngineError::StructureMismatch {
-                why: "fewer values than the schema declares".into(),
-            });
+            return top.next().expect("check_args counted the values");
         };
         if let Some(v) = fields.next() {
-            return Ok(v);
+            return v;
         }
         open_structs.pop();
     }
@@ -258,7 +268,8 @@ impl Builder {
     /// Run `steps` `passes` times, feeding them `values` in order (a pass
     /// consumes as many as `steps` names outside a struct). The one walk
     /// of a build: it encodes, pads, copies and pushes DUT entries; every
-    /// tag it writes is a span of `plan`.
+    /// tag it writes is a span of `plan`. `values` passed
+    /// [`OpDesc::check_args`], so each fits the step that takes it.
     fn run(
         &mut self,
         plan: &FramePlan,
@@ -266,7 +277,7 @@ impl Builder {
         params: &[ParamDesc],
         values: &[Value],
         passes: usize,
-    ) -> Result<(), EngineError> {
+    ) {
         let arena = &plan.arena[..];
         let mut top = values.iter();
         let mut open_structs = Vec::new();
@@ -275,20 +286,13 @@ impl Builder {
                 Step::Raw(span) => {
                     self.store.append_region(&arena[span.clone()]);
                 }
-                Step::Leaf(open, kind, close) => {
-                    let v = next_value(&mut top, &mut open_structs)?;
-                    let scalar = scalar_from_value(v, *kind)?;
+                Step::Leaf(open, _, close) => {
+                    let scalar = Scalar::of(next_value(&mut top, &mut open_structs));
                     self.leaf(&arena[open.clone()], scalar, &arena[close.clone()], None);
                 }
-                Step::Enter(fields) => match next_value(&mut top, &mut open_structs)? {
-                    Value::Struct(vals) if vals.len() == *fields => open_structs.push(vals.iter()),
-                    v => {
-                        return Err(EngineError::TypeMismatch {
-                            at: "struct element".to_owned(),
-                            expected: "Struct of the declared fields",
-                            found: v.variant_name(),
-                        })
-                    }
+                Step::Enter => match next_value(&mut top, &mut open_structs) {
+                    Value::Struct(vals) => open_structs.push(vals.iter()),
+                    v => unreachable!("check_args admitted {} as a struct", v.variant_name()),
                 },
                 Step::Array {
                     param,
@@ -296,13 +300,9 @@ impl Builder {
                     sep,
                     item,
                 } => {
-                    let value = next_value(&mut top, &mut open_structs)?;
+                    let value = next_value(&mut top, &mut open_structs);
                     let p = &params[*param];
-                    let len = value.array_len().ok_or_else(|| EngineError::TypeMismatch {
-                        at: format!("param {param} ({})", p.name),
-                        expected: "array value",
-                        found: value.variant_name(),
-                    })?;
+                    let len = value.array_len().expect("check_args admitted an array");
                     let TypeDesc::Array { item: item_desc } = &p.desc else {
                         unreachable!("compiled from an array parameter")
                     };
@@ -317,7 +317,7 @@ impl Builder {
                     }
                     let content_start = self.tell();
                     let base_leaf = self.dut.len();
-                    self.elements(plan, item, value, 0, len)?;
+                    self.elements(plan, item, value, 0, len);
                     // The fixed close run after an element's last leaf
                     // region: the close of every struct still open there
                     // (0 for scalar items — their close is the leaf suffix).
@@ -338,12 +338,12 @@ impl Builder {
                 }
             }
         }
-        Ok(())
     }
 
     /// Serialize elements `[from, to)` of an array value, `steps` once per
-    /// element; used both at build time and when growing an array (resize
-    /// builds into a fresh `Builder`).
+    /// element; used at build time, when growing an array (resize builds
+    /// into a fresh `Builder`) and for an overlay window. `value` passed
+    /// [`OpDesc::check_args`] against an array of the plan's item.
     pub(crate) fn elements(
         &mut self,
         plan: &FramePlan,
@@ -351,7 +351,7 @@ impl Builder {
         value: &Value,
         from: usize,
         to: usize,
-    ) -> Result<(), EngineError> {
+    ) {
         // An unboxed array is a run of one leaf step.
         let tags =
             |open: &Span, close: &Span| (&plan.arena[open.clone()], &plan.arena[close.clone()]);
@@ -361,48 +361,16 @@ impl Builder {
                 let (open, close) = tags(open, close);
                 let xs = v[from..to].iter();
                 xs.for_each(|&x| self.leaf(open, Scalar::Double(x), close, None));
-                Ok(())
             }
             (Value::IntArray(v), [Step::Leaf(open, Int, close)]) => {
                 let (open, close) = tags(open, close);
                 let xs = v[from..to].iter();
                 xs.for_each(|&x| self.leaf(open, Scalar::Int(x), close, None));
-                Ok(())
             }
             (Value::Array(elems), _) => self.run(plan, steps, &[], &elems[from..to], to - from),
-            (v, _) => Err(EngineError::TypeMismatch {
-                at: "array".to_owned(),
-                expected: "array value matching item type",
-                found: v.variant_name(),
-            }),
+            (v, _) => unreachable!("check_args admitted {} as this array", v.variant_name()),
         }
     }
-}
-
-/// Convert a `Value` scalar variant into a `Scalar`, checking the kind.
-pub(crate) fn scalar_from_value(v: &Value, kind: ScalarKind) -> Result<Scalar, EngineError> {
-    let scalar = match v {
-        Value::Int(x) => Scalar::Int(*x),
-        Value::Long(x) => Scalar::Long(*x),
-        Value::Double(x) => Scalar::Double(*x),
-        Value::Bool(x) => Scalar::Bool(*x),
-        Value::Str(x) => Scalar::Str(x.as_str().into()),
-        other => {
-            return Err(EngineError::TypeMismatch {
-                at: "scalar".to_owned(),
-                expected: "scalar value",
-                found: other.variant_name(),
-            })
-        }
-    };
-    if scalar.kind() != kind {
-        return Err(EngineError::TypeMismatch {
-            at: "scalar".to_owned(),
-            expected: kind.xsi_type(),
-            found: v.variant_name(),
-        });
-    }
-    Ok(scalar)
 }
 
 impl MessageTemplate {
@@ -416,18 +384,18 @@ impl MessageTemplate {
         op: &OpDesc,
         args: &[Value],
     ) -> Result<MessageTemplate, EngineError> {
-        op.check_args(args)?;
-        Self::build_checked(config, op, args)
+        let args = op.check_args(args)?;
+        Self::build_from(config, op, args)
     }
 
-    /// [`Self::build`] for `args` that already passed
-    /// [`OpDesc::check_args`] — the cost-gate fallback, whose
-    /// `update_args` just ran it.
-    pub(crate) fn build_checked(
+    /// [`Self::build`] past the argument check — also the cost-gate
+    /// fallback's, whose diff already made it.
+    pub(crate) fn build_from(
         config: EngineConfig,
         op: &OpDesc,
-        args: &[Value],
+        args: CheckedArgs<'_>,
     ) -> Result<MessageTemplate, EngineError> {
+        let args = args.values();
         let plan = FramePlan::op(config.wire_format, op)?;
         let arrays = plan
             .steps
@@ -435,7 +403,7 @@ impl MessageTemplate {
             .filter(|s| matches!(s, Step::Array { .. }));
         let leaves = FramePlan::leaves(&plan.steps, args);
         let mut b = Builder::new(config, leaves, arrays.count());
-        b.run(&plan, &plan.steps, &op.params, args, 1)?;
+        b.run(&plan, &plan.steps, &op.params, args, 1);
         let stats = TemplateStats {
             first_time: 1,
             ..TemplateStats::default()
@@ -446,20 +414,29 @@ impl MessageTemplate {
     /// Serialize elements `[from, to)` of an array value as a standalone
     /// fragment (no envelope, no array open/close) — the window object of
     /// chunk overlaying (§3.3). The fragment's DUT leaves are indexed from
-    /// zero in element order.
+    /// zero in element order. `value` passed [`OpDesc::check_args`].
     pub(crate) fn build_fragment(
         config: EngineConfig,
         item_desc: &TypeDesc,
         value: &Value,
-        from: usize,
-        to: usize,
+        range: Range<usize>,
     ) -> Result<MessageTemplate, EngineError> {
         let plan = FramePlan::item(config.wire_format, item_desc)?;
         let leaves = FramePlan::leaves(&plan.steps, &[]);
-        let mut b = Builder::new(config, (to - from) * leaves, 0);
-        b.elements(&plan, &plan.steps, value, from, to)?;
+        let mut b = Builder::new(config, range.len() * leaves, 0);
+        b.elements(&plan, &plan.steps, value, range.start, range.end);
         let op = OpDesc::new("__overlay_fragment", "", Vec::new());
         Ok(b.finish(op, TemplateStats::default()))
+    }
+
+    /// Worst-case serialized bytes of one element of an array of `item` on
+    /// `lane`, read off the item's frame plan — what sizes an overlay
+    /// window to one chunk.
+    pub(crate) fn max_element_bytes(
+        lane: WireFormat,
+        item: &TypeDesc,
+    ) -> Result<usize, EngineError> {
+        FramePlan::item(lane, item).map(|plan| plan.max_bytes())
     }
 }
 
@@ -468,10 +445,11 @@ mod tests {
     use super::*;
     use crate::value::mio;
 
-    /// The walk behind the argument check refuses what the check refuses:
-    /// a wrong shape is a typed error, never a panic or a shortened struct.
+    /// The walk trusts the argument check, so the check must refuse every
+    /// wrong shape the walk would stumble on: a build of one is exactly
+    /// `check_args`' typed error, never a panic or a shortened struct.
     #[test]
-    fn the_walk_refuses_wrong_shapes_by_itself() {
+    fn every_wrong_shape_is_refused_by_the_one_check() {
         let param = |name: &str, desc| ParamDesc {
             name: name.to_owned(),
             desc,
@@ -495,12 +473,9 @@ mod tests {
         ] {
             for lane in WireFormat::ALL {
                 let config = EngineConfig::default().with_wire_format(lane);
-                let refused = MessageTemplate::build_checked(config, &op, &bad).unwrap_err();
-                let typed = matches!(
-                    refused,
-                    EngineError::TypeMismatch { .. } | EngineError::StructureMismatch { .. }
-                );
-                assert!(typed, "{bad:?}: {refused:?}");
+                let refused = MessageTemplate::build(config, &op, &bad).unwrap_err();
+                let checked = op.check_args(&bad).unwrap_err();
+                assert_eq!(format!("{refused:?}"), format!("{checked:?}"), "{bad:?}");
             }
         }
     }

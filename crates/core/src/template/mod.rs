@@ -16,12 +16,14 @@ use crate::config::EngineConfig;
 use crate::dut::DutTable;
 use crate::error::EngineError;
 use crate::plan::InjectedFault;
-use crate::schema::{OpDesc, ParamDesc, TypeDesc};
+use crate::schema::{CheckedArgs, OpDesc, TypeDesc};
 use crate::value::{Scalar, Value};
 use bsoap_chunks::{ChunkStore, Loc};
 pub use bsoap_obs::Tier as SendTier;
 use bsoap_obs::{Counter, Metrics, Recorder};
-use std::io::Write;
+use std::cmp::Ordering;
+use std::io::{IoSlice, Write};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Outcome of one send.
@@ -252,38 +254,37 @@ impl MessageTemplate {
     }
 
     /// Diff a whole new argument list against the template, marking changed
-    /// leaves dirty and resizing arrays as needed. Does not send.
+    /// leaves dirty and queueing array resizes. Does not send.
     ///
     /// Returns the tier the next [`flush`](Self::flush) will use.
     pub fn update_args(&mut self, args: &[Value]) -> Result<SendTier, EngineError> {
-        self.op.check_args(args)?;
-        // The walk mutates the template while it reads the parameter
-        // list: lend the list out for the walk instead of cloning it.
-        let params = std::mem::take(&mut self.op.params);
-        let walked = self.diff_params(&params, args);
-        self.op.params = params;
-        walked?;
-        Ok(self.pending_tier())
+        self.update(args).map(|(tier, _)| tier)
     }
 
-    fn diff_params(&mut self, params: &[ParamDesc], args: &[Value]) -> Result<(), EngineError> {
-        let mut array_cursor = 0usize;
-        let mut leaf_cursor = 0usize;
-        for (pidx, (param, arg)) in params.iter().zip(args).enumerate() {
-            match &param.desc {
-                TypeDesc::Array { .. } => {
-                    self.update_array(array_cursor, arg)?;
-                    // Leaf cursor moves past len leaf + all element leaves.
-                    let a = &self.arrays[array_cursor];
-                    leaf_cursor = a.base_leaf + a.len * a.leaves_per_elem;
-                    array_cursor += 1;
+    /// [`Self::update_args`], handing back the checked arguments — what a
+    /// cost-gate fallback builds from without checking them again.
+    pub(crate) fn update<'a>(
+        &mut self,
+        args: &'a [Value],
+    ) -> Result<(SendTier, CheckedArgs<'a>), EngineError> {
+        let args = self.op.check_args(args)?;
+        let (mut array, mut leaf) = (0, 0);
+        for arg in args.values() {
+            // `check_args` matched every argument to its parameter, so an
+            // array value is an array parameter.
+            match arg.array_len() {
+                Some(len) => {
+                    self.update_array(array, arg, len);
+                    // Past the length leaf and every element the template
+                    // holds now (a resize waits for the flush).
+                    let a = &self.arrays[array];
+                    leaf = a.base_leaf + a.len * a.leaves_per_elem;
+                    array += 1;
                 }
-                desc => {
-                    leaf_cursor = self.update_plain(leaf_cursor, desc, arg, pidx)?;
-                }
+                None => leaf = self.diff_value(leaf, arg),
             }
         }
-        Ok(())
+        Ok((self.pending_tier(), args))
     }
 
     /// The tier the next flush will take, given current dirty/structure
@@ -298,80 +299,20 @@ impl MessageTemplate {
         }
     }
 
-    fn update_plain(
-        &mut self,
-        mut leaf: usize,
-        desc: &TypeDesc,
-        value: &Value,
-        pidx: usize,
-    ) -> Result<usize, EngineError> {
-        match (desc, value) {
-            (TypeDesc::Scalar(_), v) => {
-                let scalar = match v {
-                    Value::Int(x) => Scalar::Int(*x),
-                    Value::Long(x) => Scalar::Long(*x),
-                    Value::Double(x) => Scalar::Double(*x),
-                    Value::Bool(x) => Scalar::Bool(*x),
-                    Value::Str(x) => Scalar::Str(x.as_str().into()),
-                    other => {
-                        return Err(EngineError::TypeMismatch {
-                            at: format!("param {pidx}"),
-                            expected: "scalar",
-                            found: other.variant_name(),
-                        })
-                    }
-                };
-                self.set_scalar(leaf, scalar)?;
-                Ok(leaf + 1)
-            }
-            (TypeDesc::Struct { fields, .. }, Value::Struct(vals)) => {
-                for ((_, fdesc), fval) in fields.iter().zip(vals) {
-                    leaf = self.update_plain(leaf, fdesc, fval, pidx)?;
-                }
-                Ok(leaf)
-            }
-            (d, v) => Err(EngineError::TypeMismatch {
-                at: format!("param {pidx}"),
-                expected: match d {
-                    TypeDesc::Struct { .. } => "Struct",
-                    _ => "matching value",
-                },
-                found: v.variant_name(),
-            }),
-        }
-    }
-
-    /// Update (and if needed resize) array parameter `array_idx` from a new
-    /// value. Existing elements are diffed leaf-by-leaf; a length change
-    /// triggers the partial-structural-match machinery.
-    ///
-    /// Private: `value` must already have passed [`OpDesc::check_args`]
-    /// (as `update_args` sees to) — the unboxed runs below trust that a
-    /// `DoubleArray` meets `double` leaves at stride one.
-    fn update_array(&mut self, array_idx: usize, value: &Value) -> Result<(), EngineError> {
-        let new_len = value.array_len().ok_or_else(|| EngineError::TypeMismatch {
-            at: format!("array {array_idx}"),
-            expected: "array value",
-            found: value.variant_name(),
-        })?;
-        let old_len = self.arrays[array_idx].len;
-        let common = old_len.min(new_len);
-        // Diff the common prefix.
-        self.diff_elements(array_idx, value, 0, common)?;
-        if new_len != old_len {
-            // Validate the new tail now (so the flush-time resize cannot
-            // fail), then queue the value for the executor. `old_len` stays
-            // the template's length until the flush applies the resize.
-            if new_len > old_len {
-                let item_desc = self.arrays[array_idx].item_desc.clone();
-                planner::validate_elements(&item_desc, value, old_len, new_len)?;
-            }
+    /// Diff array parameter `array_idx` against `value`, `len` elements
+    /// long: the common prefix leaf by leaf; a length change is queued for
+    /// the executor (the partial-structural tier), which applies it at
+    /// flush time — until then the template keeps its length.
+    fn update_array(&mut self, array_idx: usize, value: &Value, len: usize) {
+        let a = &self.arrays[array_idx];
+        let old_len = a.len;
+        self.diff_elements(a.base_leaf, value, 0..old_len.min(len));
+        if len != old_len {
             self.queue_resize(array_idx, value.clone());
         } else {
             // Back to the template's length: any queued resize is moot.
             self.cancel_resize(array_idx);
         }
-        Ok(())
     }
 
     /// Queue (or replace) a resize for `array_idx`.
@@ -395,74 +336,33 @@ impl MessageTemplate {
         }
     }
 
-    /// Diff elements `[from, to)` of `value` against the template.
-    fn diff_elements(
-        &mut self,
-        array_idx: usize,
-        value: &Value,
-        from: usize,
-        to: usize,
-    ) -> Result<(), EngineError> {
-        let base = self.arrays[array_idx].base_leaf;
-        let lpe = self.arrays[array_idx].leaves_per_elem;
+    /// The one diff walk over an array: elements `range` of `value`
+    /// against the leaves from `leaf` on, marking the changed ones dirty.
+    /// Unboxed runs take the branch-free [`DutTable`] compare. Serves a
+    /// template's array and an overlay window alike; `value` passed
+    /// [`OpDesc::check_args`] against an array of this leaf run's item.
+    pub(crate) fn diff_elements(&mut self, leaf: usize, value: &Value, range: Range<usize>) {
         match value {
-            Value::DoubleArray(v) => self.dut.set_doubles(base + from, &v[from..to]),
-            Value::IntArray(v) => self.dut.set_ints(base + from, &v[from..to]),
+            Value::DoubleArray(v) => self.dut.set_doubles(leaf, &v[range]),
+            Value::IntArray(v) => self.dut.set_ints(leaf, &v[range]),
             Value::Array(elems) => {
-                let item_desc = self.arrays[array_idx].item_desc.clone();
-                for (i, elem) in elems.iter().enumerate().take(to).skip(from) {
-                    let mut leaf = base + i * lpe;
-                    leaf = self.diff_value_leaves(leaf, &item_desc, elem)?;
-                    debug_assert_eq!(leaf, base + (i + 1) * lpe);
-                }
+                elems[range]
+                    .iter()
+                    .fold(leaf, |at, e| self.diff_value(at, e));
             }
-            other => {
-                return Err(EngineError::TypeMismatch {
-                    at: format!("array {array_idx}"),
-                    expected: "array value",
-                    found: other.variant_name(),
-                })
-            }
+            v => unreachable!("check_args admitted {} as an array", v.variant_name()),
         }
-        Ok(())
     }
 
-    pub(crate) fn diff_value_leaves(
-        &mut self,
-        mut leaf: usize,
-        desc: &TypeDesc,
-        value: &Value,
-    ) -> Result<usize, EngineError> {
-        match (desc, value) {
-            (TypeDesc::Scalar(_), v) => {
-                let scalar = match v {
-                    Value::Int(x) => Scalar::Int(*x),
-                    Value::Long(x) => Scalar::Long(*x),
-                    Value::Double(x) => Scalar::Double(*x),
-                    Value::Bool(x) => Scalar::Bool(*x),
-                    Value::Str(x) => Scalar::Str(x.as_str().into()),
-                    other => {
-                        return Err(EngineError::TypeMismatch {
-                            at: "array element".to_owned(),
-                            expected: "scalar",
-                            found: other.variant_name(),
-                        })
-                    }
-                };
-                self.dut.set_value(leaf, scalar);
-                Ok(leaf + 1)
+    /// Diff one checked non-array value against the leaves from `leaf` on;
+    /// returns the leaf past it.
+    fn diff_value(&mut self, leaf: usize, value: &Value) -> usize {
+        match value {
+            Value::Struct(fields) => fields.iter().fold(leaf, |at, f| self.diff_value(at, f)),
+            v => {
+                self.dut.set_value(leaf, Scalar::of(v));
+                leaf + 1
             }
-            (TypeDesc::Struct { fields, .. }, Value::Struct(vals)) => {
-                for ((_, fdesc), fval) in fields.iter().zip(vals) {
-                    leaf = self.diff_value_leaves(leaf, fdesc, fval)?;
-                }
-                Ok(leaf)
-            }
-            (_, v) => Err(EngineError::TypeMismatch {
-                at: "array element".to_owned(),
-                expected: "struct",
-                found: v.variant_name(),
-            }),
         }
     }
 
@@ -528,6 +428,34 @@ impl MessageTemplate {
     /// Gather view of the current serialized message.
     pub fn io_slices(&self) -> Vec<std::io::IoSlice<'_>> {
         self.store.io_slices()
+    }
+
+    /// The gather lists before and after the elements of array
+    /// `array_idx`, its length leaf first set to `len` — for an overlay
+    /// frame (a build with that array empty), the envelope a streamed
+    /// array travels in. The length leaf is stuffed to the full int width,
+    /// so the rewrite never shifts a byte.
+    pub(crate) fn around_array(&mut self, array_idx: usize, len: usize) -> [Vec<IoSlice<'_>>; 2] {
+        let a = &self.arrays[array_idx];
+        debug_assert_eq!(a.len, 0, "a frame holds no element");
+        self.dut.set_value(a.len_leaf, Scalar::Int(len as i32));
+        self.flush();
+        let at = self.arrays[array_idx].content_start;
+        let mut halves = [Vec::new(), Vec::new()];
+        for (c, chunk) in self.store.chunks().enumerate() {
+            let cut = match (c as u32).cmp(&at.chunk) {
+                Ordering::Less => chunk.len(),
+                Ordering::Equal => at.offset as usize,
+                Ordering::Greater => 0,
+            };
+            let (before, after) = chunk.bytes().split_at(cut);
+            for (half, bytes) in halves.iter_mut().zip([before, after]) {
+                if !bytes.is_empty() {
+                    half.push(IoSlice::new(bytes));
+                }
+            }
+        }
+        halves
     }
 
     /// Verify all internal invariants (test support): DUT ordering and

@@ -10,13 +10,10 @@
 //! and the neighbor is still pristine when the decision is made, so the
 //! simulated geometry matches what the executor sees live.
 
-use super::{build, MessageTemplate};
+use super::MessageTemplate;
 use crate::config::GrowthPolicy;
 use crate::error::EngineError;
 use crate::plan::{InjectedFault, OpKind, PlanCost, PlanStamp, PlannedOp, SendPlan};
-use crate::schema::TypeDesc;
-use crate::value::Value;
-use bsoap_convert::ScalarKind;
 use bsoap_obs::{Counter, Recorder};
 
 impl MessageTemplate {
@@ -173,53 +170,5 @@ impl MessageTemplate {
     /// re-serialized. The §5 break-even gate compares a plan against this.
     pub fn rebuild_estimate(&self) -> u64 {
         self.store.total_len() as u64 + self.dut.len() as u64
-    }
-}
-
-/// Type-check elements `[from, to)` of an array value without serializing —
-/// the same acceptance set as `Builder::elements`, so a resize queued at
-/// `update_args` time cannot fail when the executor applies it at flush
-/// time.
-pub(crate) fn validate_elements(
-    item_desc: &TypeDesc,
-    value: &Value,
-    from: usize,
-    to: usize,
-) -> Result<(), EngineError> {
-    match (value, item_desc) {
-        (Value::DoubleArray(_), TypeDesc::Scalar(ScalarKind::Double)) => Ok(()),
-        (Value::IntArray(_), TypeDesc::Scalar(ScalarKind::Int)) => Ok(()),
-        (Value::Array(elems), _) => {
-            for elem in &elems[from..to] {
-                validate_element(item_desc, elem)?;
-            }
-            Ok(())
-        }
-        (v, _) => Err(EngineError::TypeMismatch {
-            at: "array".to_owned(),
-            expected: "array value matching item type",
-            found: v.variant_name(),
-        }),
-    }
-}
-
-/// One element against its item type: what the builder's walk accepts.
-fn validate_element(desc: &TypeDesc, value: &Value) -> Result<(), EngineError> {
-    match (desc, value) {
-        (TypeDesc::Scalar(kind), v) => build::scalar_from_value(v, *kind).map(|_| ()),
-        (TypeDesc::Struct { fields, .. }, Value::Struct(vals)) => {
-            for ((_, fdesc), fval) in fields.iter().zip(vals) {
-                validate_element(fdesc, fval)?;
-            }
-            Ok(())
-        }
-        (d, v) => Err(EngineError::TypeMismatch {
-            at: "array item".to_owned(),
-            expected: match d {
-                TypeDesc::Struct { .. } => "Struct",
-                _ => "scalar",
-            },
-            found: v.variant_name(),
-        }),
     }
 }

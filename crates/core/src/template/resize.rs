@@ -157,7 +157,7 @@ impl MessageTemplate {
         // same chunking config.
         let plan = FramePlan::item(self.config.wire_format, &a.item_desc)?;
         let mut mini = Builder::new(self.config, (new_len - old_len) * lpe, 0);
-        mini.elements(&plan, &plan.steps, value, old_len, new_len)?;
+        mini.elements(&plan, &plan.steps, value, old_len, new_len);
         let tail_total = mini.store.total_len();
         let added_entries = mini.dut.len();
         debug_assert_eq!(added_entries, (new_len - old_len) * lpe);

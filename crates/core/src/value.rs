@@ -42,6 +42,19 @@ impl Scalar {
         }
     }
 
+    /// The leaf `value` is. Only for values [`crate::OpDesc::check_args`]
+    /// admitted at a scalar position: the schema already said it is one.
+    pub(crate) fn of(value: &Value) -> Scalar {
+        match value {
+            Value::Int(x) => Scalar::Int(*x),
+            Value::Long(x) => Scalar::Long(*x),
+            Value::Double(x) => Scalar::Double(*x),
+            Value::Bool(x) => Scalar::Bool(*x),
+            Value::Str(x) => Scalar::Str(x.as_str().into()),
+            other => unreachable!("check_args admitted {} as a leaf", other.variant_name()),
+        }
+    }
+
     /// Bitwise/structural equality — `NaN == NaN`, `0.0 != -0.0` — so a
     /// rewrite of the same bits never dirties a leaf spuriously.
     pub fn same_as(&self, other: &Scalar) -> bool {

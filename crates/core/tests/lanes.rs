@@ -6,8 +6,8 @@ use bsoap_chunks::ChunkConfig;
 use bsoap_convert::{ScalarKind, INT_MAX_WIDTH};
 use bsoap_core::value::mio;
 use bsoap_core::{
-    soap, wire, EngineConfig, EngineError, MessageTemplate, OpDesc, ParamDesc, Scalar, SendTier,
-    TypeDesc, Value, WireFormat,
+    soap, wire, EngineConfig, EngineError, MessageTemplate, OpDesc, OverlaySender, ParamDesc,
+    Scalar, SendTier, TypeDesc, Value, WireFormat,
 };
 use proptest::prelude::*;
 
@@ -494,8 +494,8 @@ proptest! {
             prop_assert_eq!(t.to_bytes(), fresh.to_bytes());
 
             // A value of the wrong shape is the typed error the argument
-            // check gives, from a build and from a diff, and the diff
-            // leaves the template as it was.
+            // check gives, from a build, a diff and an overlaid send, and
+            // none of them changes what was saved.
             let mut bad = args.clone();
             let at = g.below(bad.len());
             bad[at] = match &bad[at] {
@@ -517,6 +517,20 @@ proptest! {
             let before = t.to_bytes();
             prop_assert_eq!(format!("{:?}", t.update_args(&bad).unwrap_err()), expected);
             prop_assert_eq!(t.to_bytes(), before);
+
+            // The overlay entry too, on an operation of that parameter
+            // alone, through a window the good value warmed: the error
+            // `check_args` gives, and not a byte on the wire.
+            let single = OpDesc::new("op", "urn:plan", vec![op.params[at].clone()]);
+            if single.sole_array().is_ok() {
+                let mut sender = OverlaySender::new(config, &single, 2).unwrap();
+                sender.send(&args[at], &mut Vec::new()).unwrap();
+                let expected = format!("{:?}", single.check_args(&bad[at..=at]).unwrap_err());
+                let mut wire = Vec::new();
+                let refused = sender.send(&bad[at], &mut wire).unwrap_err();
+                prop_assert_eq!(format!("{refused:?}"), expected);
+                prop_assert!(wire.is_empty());
+            }
         }
     }
 }

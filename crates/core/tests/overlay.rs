@@ -2,9 +2,14 @@
 //! stream equals the whole-template serialization.
 
 use bsoap_convert::ScalarKind;
-use bsoap_core::overlay::OverlaySender;
-use bsoap_core::{EngineConfig, MessageTemplate, OpDesc, TypeDesc, Value};
+use bsoap_core::config::ChunkConfig;
+use bsoap_core::overlay::{OverlayReport, OverlaySender};
+use bsoap_core::{
+    Client, EngineConfig, EngineError, MessageTemplate, OpDesc, SendTier, TypeDesc, Value,
+};
+use bsoap_obs::{Counter, Metrics};
 use bsoap_xml::strip_pad;
+use std::sync::Arc;
 
 fn doubles_op() -> OpDesc {
     OpDesc::single(
@@ -150,13 +155,21 @@ fn mio_overlay_round_trips() {
 fn auto_window_fills_one_chunk() {
     let op = mios_op();
     let config = EngineConfig::paper_default();
-    let sender = OverlaySender::auto_window(config, &op).unwrap();
-    let elem_max = bsoap_core::overlay::max_element_bytes(&TypeDesc::mio());
-    assert!(sender.window_elems() >= 1);
+    let mut sender = OverlaySender::auto_window(config, &op).unwrap();
+    let window = sender.window_elems();
+    assert!(window >= 1);
+    // Every leaf at its kind's widest form: one window of these is the
+    // worst case the window was sized for.
+    let widest = bsoap_core::value::mio(i32::MIN, i32::MIN, -f64::MIN_POSITIVE);
+    let value = Value::Array(vec![widest; window]);
+    let report = sender.send(&value, &mut Vec::new()).unwrap();
+    assert_eq!(report.portions, 1);
+    let (fill, elem) = (config.chunk.fill_limit(), report.window_bytes / window);
     assert!(
-        sender.window_elems() * elem_max <= config.chunk.fill_limit(),
+        report.window_bytes <= fill,
         "window must fit the chunk at worst-case widths"
     );
+    assert!(report.window_bytes + elem > fill, "and fill it");
 }
 
 #[test]
@@ -186,4 +199,145 @@ fn invalid_shapes_rejected() {
     // Wrong value kind at send time.
     let mut ok = OverlaySender::new(config, &doubles_op(), 8).unwrap();
     assert!(ok.send(&Value::Int(3), &mut Vec::new()).is_err());
+}
+
+/// One overlaid call through `client`; returns what it put on the wire.
+fn overlaid(
+    client: &mut Client,
+    op: &OpDesc,
+    value: &Value,
+) -> (Result<OverlayReport, EngineError>, Vec<u8>) {
+    let mut wire = Vec::new();
+    let out = client.call_overlaid_via("ep", op, std::slice::from_ref(value), |slices| {
+        slices.iter().for_each(|s| wire.extend_from_slice(s));
+        Ok(slices.iter().map(|s| s.len()).sum())
+    });
+    (out, wire)
+}
+
+#[test]
+fn a_warm_window_refuses_what_a_cold_one_refuses() {
+    let ints_op = OpDesc::single(
+        "sendI",
+        "urn:bench",
+        "arr",
+        TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Int)),
+    );
+    const N: usize = 41;
+    let mios = Value::Array(
+        (0..N as i32)
+            .map(|i| bsoap_core::value::mio(i, -i, 0.5))
+            .collect(),
+    );
+    let mut mixed = vec![Value::Str("<x>".into()), Value::Bool(true)];
+    mixed.extend((2..N).map(|i| Value::Double(i as f64)));
+    let cases = [
+        (
+            ints_op,
+            Value::IntArray((0..N as i32).collect()),
+            Value::DoubleArray(vec![1.5; N]),
+        ),
+        (doubles_op(), dvals(N), Value::Array(mixed)),
+        (mios_op(), mios, Value::IntArray((0..N as i32).collect())),
+    ];
+    // A small chunk: the elements take full windows and a tail.
+    let config = EngineConfig::paper_default().with_chunk(ChunkConfig {
+        initial_size: 1024,
+        split_threshold: 2048,
+        reserve: 64,
+    });
+    for (op, good, bad) in cases {
+        let expected = format!(
+            "{:?}",
+            op.check_args(std::slice::from_ref(&bad)).unwrap_err()
+        );
+        let window = OverlaySender::auto_window(config, &op)
+            .unwrap()
+            .window_elems();
+        assert!(
+            window < N && !N.is_multiple_of(window),
+            "{}: a window and a tail",
+            op.name
+        );
+        let mut client = Client::new(config);
+        let (first, _) = overlaid(&mut client, &op, &good);
+        assert_eq!(first.unwrap().tier, SendTier::FirstTime);
+        let (warm, sent) = overlaid(&mut client, &op, &good);
+        assert_eq!(warm.unwrap().tier, SendTier::PerfectStructural);
+        let reserved = client.template_store().resident_bytes();
+        let (refused, wire) = overlaid(&mut client, &op, &bad);
+        assert_eq!(
+            format!("{:?}", refused.unwrap_err()),
+            expected,
+            "{}: warm",
+            op.name
+        );
+        assert!(wire.is_empty(), "{}: nothing reached the wire", op.name);
+        assert_eq!(client.template_store().resident_bytes(), reserved);
+        let (next, resent) = overlaid(&mut client, &op, &good);
+        assert_eq!(
+            next.unwrap().tier,
+            SendTier::PerfectStructural,
+            "{}",
+            op.name
+        );
+        assert!(
+            resent == sent,
+            "{}: the window is as the good send left it",
+            op.name
+        );
+
+        let (cold, wire) = overlaid(&mut Client::new(config), &op, &bad);
+        assert_eq!(
+            format!("{:?}", cold.unwrap_err()),
+            expected,
+            "{}: cold",
+            op.name
+        );
+        assert!(wire.is_empty());
+    }
+}
+
+#[test]
+fn a_degraded_overlaid_send_is_stateless_and_counted() {
+    let op = doubles_op();
+    let config = EngineConfig::paper_default()
+        .with_chunk(ChunkConfig::k8())
+        .with_degraded(1, 3);
+    let mut client = Client::new(config);
+    let metrics = Metrics::shared();
+    client.set_metrics(Arc::clone(&metrics));
+    let value = dvals(400);
+    let store = Arc::clone(client.template_store());
+
+    let (first, wire) = overlaid(&mut client, &op, &value);
+    assert_eq!(first.unwrap().tier, SendTier::FirstTime);
+    assert!(store.resident_bytes() > 0, "the window is reserved");
+
+    // A transport failure demotes the endpoint and drops the window.
+    let cut = client.call_overlaid_via("ep", &op, std::slice::from_ref(&value), |_| {
+        Err(std::io::Error::other("wire cut"))
+    });
+    assert!(matches!(cut, Err(EngineError::Io(_))));
+    assert!(client.is_degraded("ep"));
+    assert_eq!(store.resident_bytes(), 0);
+
+    // Degraded: every send is a stateless first-time send, nothing is
+    // reserved, and each one counts as degraded.
+    for round in 1..=3u64 {
+        let (out, sent) = overlaid(&mut client, &op, &value);
+        assert_eq!(out.unwrap().tier, SendTier::FirstTime, "round {round}");
+        assert!(sent == wire, "round {round}: the same message");
+        assert_eq!(store.resident_bytes(), 0, "round {round}: nothing retained");
+        assert_eq!(client.stats().degraded_sends, round);
+        assert_eq!(metrics.snapshot().get(Counter::DegradedSends), round);
+    }
+    // Three successes promote it back: the window is kept again.
+    assert!(!client.is_degraded("ep"));
+    let (out, _) = overlaid(&mut client, &op, &value);
+    assert_eq!(out.unwrap().tier, SendTier::FirstTime);
+    let (out, _) = overlaid(&mut client, &op, &value);
+    assert_eq!(out.unwrap().tier, SendTier::PerfectStructural);
+    assert!(store.resident_bytes() > 0);
+    assert_eq!(client.stats().degraded_sends, 3);
 }

@@ -3,6 +3,7 @@
 //! put it in. One test, its own process — the tally is global.
 
 use bsoap_convert::ScalarKind;
+use bsoap_core::config::ChunkConfig;
 use bsoap_core::{Client, EngineConfig, MessageTemplate, OpDesc, TypeDesc, Value};
 use bsoap_kernels::{peek_simd_hits, record_simd_hits, take_simd_hits};
 use bsoap_obs::{Counter, Metrics};
@@ -30,7 +31,7 @@ fn only_a_metered_send_scoops_the_tally() {
     // reports what its fragment flushes produced: the same two sends
     // unmetered leave in the tally what the metered ones count.
     let overlaid = |metrics: Option<&Arc<Metrics>>| {
-        let mut client = Client::new(EngineConfig::paper_default().with_window_elems(64));
+        let mut client = Client::new(EngineConfig::paper_default().with_chunk(ChunkConfig::k8()));
         if let Some(m) = metrics {
             client.set_metrics(Arc::clone(m));
         }

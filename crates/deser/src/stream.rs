@@ -80,20 +80,12 @@ impl StreamingDeserializer {
     /// prologue, single item, or epilogue that does not complete within
     /// `max_carry` bytes fails instead of buffering further.
     pub fn with_max_carry(op: &OpDesc, max_carry: usize) -> Result<Self, DeserError> {
-        if op.params.len() != 1 {
-            return Err(DeserError::shape(
-                "streaming deserialization requires a single-parameter operation",
-            ));
-        }
-        let param = &op.params[0];
-        let TypeDesc::Array { item } = &param.desc else {
-            return Err(DeserError::shape(
-                "streaming deserialization requires an array parameter",
-            ));
-        };
+        let (param, item) = op
+            .sole_array()
+            .map_err(|e| DeserError::shape(format!("streaming deserialization: {e}")))?;
         Ok(StreamingDeserializer {
             param_name: param.name.clone(),
-            item_desc: item.as_ref().clone(),
+            item_desc: item.clone(),
             state: StreamState::Prologue,
             carry: Vec::with_capacity(4096),
             declared: 0,

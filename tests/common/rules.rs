@@ -11,6 +11,8 @@ enum Files {
     All,
     Only(&'static str),
     Except(&'static [&'static str]),
+    /// Every file below a directory (matched as a path fragment).
+    Under(&'static str),
 }
 
 /// Which part of those files: all of it, or what precedes the test module.
@@ -63,6 +65,7 @@ const SEND: &str = "crates/core/src/send.rs";
 const STORE: &str = "crates/core/src/store.rs";
 const CORE_LANE: &str = "crates/core/src/lane.rs";
 const BUILD: &str = "crates/core/src/template/build.rs";
+const OVERLAY: &str = "crates/core/src/overlay.rs";
 const DESER_LANE: &str = "crates/deser/src/lane.rs";
 const CLIENT: &str = "crates/transport/src/client.rs";
 const ENGINE_CLIENT: &str = "crates/core/src/client.rs";
@@ -116,6 +119,21 @@ const RULES: &[(&str, &[Rule])] = &[
             // the lane for tags at the frame plan's three call sites (scalar,
             // struct, array) and nowhere in the per-element walk.
             inside(BUILD, "_tags(", 3..=3),
+            // Ask the schema once (PR 25): `check_args` is the only value
+            // check, made at the three entries — a build, a diff
+            // (`update_args`) and an overlaid send — and the walks below
+            // trust what it returns. The overlay is framed by the frame
+            // plan (no tag of its own) and diffed by the one diff walk.
+            rule(
+                ".check_args(",
+                Files::Under("crates/core/src/"),
+                Part::Product,
+                3..=3,
+            ),
+            gone("fn validate_elements"),
+            gone("fn diff_value_leaves"),
+            gone("fn update_fragment"),
+            inside(OVERLAY, "soap::", NEVER),
         ],
     ),
     // One client connection (PR 19): `http.rs` defines the POST writer and
@@ -152,6 +170,11 @@ const RULES: &[(&str, &[Rule])] = &[
         &[
             rule("env::var", Files::Except(&[KERNELS]), Part::Whole, NEVER),
             rule("env::var", Files::Only(KERNELS), Part::Whole, 1..=1),
+            // Knobs no workload set (PR 25): the overlay window is one
+            // chunk, the streaming threshold a constant.
+            gone("pub window_elems:"),
+            gone("fn with_window_elems"),
+            gone("fn with_overlay_threshold"),
         ],
     ),
 ];
@@ -166,6 +189,7 @@ pub fn enforce(suite: &str) {
             Files::All => true,
             Files::Only(file) => path.ends_with(file),
             Files::Except(files) => !files.iter().any(|f| path.ends_with(f)),
+            Files::Under(dir) => path.contains(dir),
         };
         let hits: Vec<(&str, usize)> = sources
             .iter()

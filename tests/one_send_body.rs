@@ -13,7 +13,8 @@ use bsoap::convert::ScalarKind;
 use bsoap::obs::{Counter, Metrics};
 use bsoap::server::Service;
 use bsoap::{
-    Client, EngineConfig, MessageTemplate, OpDesc, ParamDesc, SendTier, TypeDesc, Value, WireFormat,
+    ChunkConfig, Client, EngineConfig, MessageTemplate, OpDesc, ParamDesc, SendTier, TypeDesc,
+    Value, WireFormat,
 };
 use common::spec::{assert_wire, Delivery, Spec};
 use common::Rig;
@@ -148,7 +149,7 @@ fn an_overlaid_send_counts_like_any_other() {
         TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
     );
     let metrics = Metrics::shared();
-    let mut client = Client::new(EngineConfig::paper_default().with_window_elems(64));
+    let mut client = Client::new(EngineConfig::paper_default().with_chunk(ChunkConfig::k8()));
     client.set_metrics(Arc::clone(&metrics));
     let value = Value::DoubleArray((0..320).map(|i| i as f64 * 0.5).collect());
     for (round, tier) in [SendTier::FirstTime, SendTier::PerfectStructural]

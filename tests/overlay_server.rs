@@ -14,7 +14,7 @@ use bsoap::transport::http::{HttpVersion, RequestConfig};
 use bsoap::transport::{
     BodySink, HttpPoolClient, PoolConfig, ServerCore, ServerMode, ServerOptions, TestServer,
 };
-use bsoap::{Client, EngineConfig, SendTier, Value};
+use bsoap::{ChunkConfig, Client, EngineConfig, OverlaySender, SendTier, Value};
 use common::spec::doubles_op;
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -110,9 +110,11 @@ fn overlaid_calls_stream_into_the_event_loop_server() {
     )
     .unwrap();
 
-    let config = EngineConfig::stuffed_max()
-        .with_window_elems(128)
-        .with_overlay_threshold(0); // always stream
+    // An 8 KiB chunk: a window of ~130 elements, ~150 portions a send.
+    let config = EngineConfig::stuffed_max().with_chunk(ChunkConfig::k8());
+    let window = OverlaySender::auto_window(config, &op)
+        .unwrap()
+        .window_elems();
     let mut client = Client::new(config);
     client.set_metrics(Arc::clone(&metrics));
     let pool = HttpPoolClient::new(
@@ -137,7 +139,7 @@ fn overlaid_calls_stream_into_the_event_loop_server() {
             .unwrap();
         assert_eq!(reply.status, 200, "round {round}");
         assert_eq!(report.tier, expect_tiers.remove(0), "round {round}");
-        assert_eq!(report.portions, n.div_ceil(128));
+        assert_eq!(report.portions, n.div_ceil(window));
 
         // The sink finished (and recorded) before the 200 was written.
         let got = results.lock().unwrap().pop().expect("sink never finished");
@@ -169,12 +171,12 @@ fn overlaid_calls_stream_into_the_event_loop_server() {
     drop(pool);
 
     // Metrics reconcile across the wire: two streamed sends, each in
-    // ceil(n/128) portions, served as exactly two requests.
+    // ceil(n/window) portions, served as exactly two requests.
     let snap = metrics.snapshot();
     assert_eq!(snap.get(Counter::ServerRequests), 2);
     assert_eq!(
         snap.get(Counter::OverlayPortions),
-        2 * (n as u64).div_ceil(128)
+        2 * n.div_ceil(window) as u64
     );
     assert!(snap.get(Counter::OverlayBytesStreamed) > 0);
     assert_eq!(snap.get(Counter::SendFirstTime), 1);

@@ -11,7 +11,7 @@ use bsoap::transport::http::{parse_request_head, HttpVersion, RequestConfig};
 use bsoap::transport::pool::PoolConfig;
 use bsoap::transport::stream::{read_head, ChunkedBodyReader};
 use bsoap::transport::HttpPoolClient;
-use bsoap::{Client, EngineConfig, OpDesc, OverlaySender, SendTier, Value};
+use bsoap::{ChunkConfig, Client, EngineConfig, OpDesc, OverlaySender, SendTier, Value};
 use common::spec::doubles_op;
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
@@ -103,9 +103,11 @@ fn overlaid_call_streams_end_to_end() {
     let op = doubles_op();
     let (addr, rx) = spawn_streaming_server(op.clone());
 
-    let config = EngineConfig::stuffed_max()
-        .with_window_elems(128)
-        .with_overlay_threshold(0); // always stream
+    // An 8 KiB chunk: a window of ~130 elements, ~150 portions a send.
+    let config = EngineConfig::stuffed_max().with_chunk(ChunkConfig::k8());
+    let window = OverlaySender::auto_window(config, &op)
+        .unwrap()
+        .window_elems();
     let mut client = Client::new(config);
     let metrics = Arc::new(Metrics::new());
     client.set_metrics(metrics.clone());
@@ -132,7 +134,7 @@ fn overlaid_call_streams_end_to_end() {
             .unwrap();
         assert_eq!(reply.status, 200);
         assert_eq!(report.tier, expect_tiers.remove(0), "round {round}");
-        assert_eq!(report.portions, n.div_ceil(128));
+        assert_eq!(report.portions, n.div_ceil(window));
 
         let got = rx.recv().unwrap();
         assert_eq!(got.declared, n);
@@ -161,7 +163,7 @@ fn overlaid_call_streams_end_to_end() {
     let snap = metrics.snapshot();
     assert_eq!(
         snap.get(Counter::OverlayPortions),
-        2 * (n as u64).div_ceil(128)
+        2 * n.div_ceil(window) as u64
     );
     assert!(snap.get(Counter::OverlayBytesStreamed) > 0);
     assert!(snap.gauge(Gauge::OverlayWindowPeakBytes) > 0);
@@ -176,8 +178,8 @@ fn overlaid_call_streams_end_to_end() {
 #[test]
 fn small_calls_fall_through_to_buffered_tiers() {
     let op = doubles_op();
-    // Threshold far above what three doubles serialize to.
-    let config = EngineConfig::paper_default().with_overlay_threshold(1 << 20);
+    // The 1 MiB threshold is far above what three doubles serialize to.
+    let config = EngineConfig::paper_default();
     let mut client = Client::new(config);
     let mut sink = Vec::new();
     let args = vec![Value::DoubleArray(vec![1.0, 2.0, 3.0])];
@@ -195,7 +197,7 @@ fn small_calls_fall_through_to_buffered_tiers() {
 #[test]
 fn large_calls_auto_engage() {
     let op = doubles_op();
-    let config = EngineConfig::stuffed_max(); // paper-default 1 MiB threshold
+    let config = EngineConfig::stuffed_max(); // the 1 MiB threshold
     let mut client = Client::new(config);
     let n = 200_000usize; // ~ 4.8 MB serialized at max double width
     let args = vec![Value::DoubleArray((0..n).map(|i| i as f64).collect())];
@@ -220,12 +222,12 @@ fn send_failure_demotes_overlay_window() {
     // dropped with the template so the next send rebuilds (FirstTime),
     // mirroring template-cache demotion.
     let op = doubles_op();
+    // An 8 KiB chunk: the 1 000 values take several portions.
     let config = EngineConfig::stuffed_max()
-        .with_window_elems(32)
-        .with_overlay_threshold(0)
+        .with_chunk(ChunkConfig::k8())
         .with_degraded(1, 1);
     let mut client = Client::new(config);
-    let value = Value::DoubleArray((0..320).map(|i| i as f64).collect());
+    let value = Value::DoubleArray((0..1_000).map(|i| i as f64).collect());
 
     let r = client
         .call_overlaid_via("http://svc", &op, std::slice::from_ref(&value), |slices| {
