@@ -1,27 +1,70 @@
-//! Minimal arbitrary-precision unsigned integer used by the exact `dtoa`
-//! digit generator.
+//! Fixed-capacity unsigned integer used by the exact `dtoa` digit
+//! generator.
 //!
 //! A finite `f64` decomposes as `m × 2^e` with `m < 2^53`. Its exact decimal
 //! expansion is obtained without division by observing that
 //!
-//! * for `e ≥ 0`, the value is the integer `m << e` (≤ ~309 digits),
+//! * for `e ≥ 0`, the value is the integer `m << e`,
 //! * for `e < 0`, `m × 2^e = (m × 5^|e|) × 10^e`, so the decimal *digits* of
 //!   the value are exactly the digits of the integer `m × 5^|e|` with the
-//!   decimal point shifted left by `|e|` places (`5^1074` is ~2,500 bits —
-//!   comfortably in range for a small limb vector).
+//!   decimal point shifted left by `|e|` places.
 //!
 //! The only operations required are therefore: construct from `u64`, multiply
 //! by a small constant, shift left by bits, and convert to decimal digits by
 //! repeated division by 10⁹. All are implemented here on a little-endian
-//! `u32`-limb vector.
+//! `u32`-limb array of fixed capacity, so a conversion never touches the
+//! heap — as a C `sprintf` never did.
+//!
+//! ## Capacity
+//!
+//! The largest integer the generator expands bounds both buffers:
+//!
+//! * `e < 0`: `|e| ≤ 1074` (the smallest subnormal is `2^-1074`), so the
+//!   integer is `m × 5^1074 < 2^53 × 2^(1074 · log₂5) < 2^2547`, using
+//!   `log₂5 < 2.32193`. That is [`MAX_BITS`] = 2 547 bits, [`LIMBS`] = 80.
+//! * `e ≥ 0`: `e ≤ 971` (`f64::MAX = (2^53 − 1) × 2^971`), so `m << e <
+//!   2^1024`: 32 limbs, well inside the same array.
+//!
+//! Its decimal length is at most `⌈2547 · log₁₀2⌉ = 767` digits
+//! ([`DIGITS`], using `log₁₀2 < 0.30103`); the largest subnormal's
+//! expansion, `(2^52 − 1) × 5^1074`, already has 767. Every write is a safe
+//! index into these arrays, so an input beyond the bound panics rather than
+//! writing past it.
 
-/// Arbitrary-precision unsigned integer with little-endian `u32` limbs.
+/// Subnormal scale: `2^-1074` is the smallest positive double.
+const MAX_NEG_EXP: u32 = 1074;
+/// Largest positive binary exponent: `f64::MAX = (2^53 − 1) × 2^971`.
+const MAX_POS_EXP: u32 = 971;
+/// Significand bits of a double, hidden bit included.
+const MANTISSA_BITS: u32 = 53;
+
+/// Bit bound of the largest expanded integer, `m × 5^1074`
+/// (`log₂5 < 232 193 / 100 000`, rounded up).
+const MAX_BITS: u32 = MANTISSA_BITS + (MAX_NEG_EXP * 232_193).div_ceil(100_000);
+/// Limb capacity of [`BigUint`].
+const LIMBS: usize = (MAX_BITS as usize).div_ceil(32);
+/// Decimal digit capacity of [`BigUint::into_decimal_digits`]
+/// (`log₁₀2 < 30 103 / 100 000`, rounded up).
+pub(crate) const DIGITS: usize = (MAX_BITS as usize * 30_103).div_ceil(100_000);
+/// Nine-digit groups in [`DIGITS`] digits.
+const GROUPS: usize = DIGITS.div_ceil(9);
+
+const _: () = {
+    assert!(MAX_BITS == 2547 && LIMBS == 80 && DIGITS == 767);
+    // `m << 971` fits as well.
+    assert!(MANTISSA_BITS + MAX_POS_EXP <= LIMBS as u32 * 32);
+};
+
+/// Unsigned integer with little-endian `u32` limbs and a fixed capacity of
+/// [`LIMBS`].
 ///
-/// The representation is normalized: the most significant limb is non-zero
-/// unless the value is zero (in which case `limbs` is empty).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BigUint {
-    limbs: Vec<u32>,
+/// The representation is normalized: `limbs[len - 1]` is non-zero unless
+/// the value is zero (in which case `len` is 0); limbs at and above `len`
+/// are unspecified.
+#[derive(Clone, Debug)]
+pub(crate) struct BigUint {
+    limbs: [u32; LIMBS],
+    len: usize,
 }
 
 /// Largest power of five that fits in a `u32`: 5¹³ = 1,220,703,125.
@@ -30,54 +73,47 @@ const POW5_13: u32 = 1_220_703_125;
 const POW10_9: u32 = 1_000_000_000;
 
 impl BigUint {
-    /// The value zero.
-    pub fn zero() -> Self {
-        BigUint { limbs: Vec::new() }
-    }
-
     /// Construct from a `u64`.
-    pub fn from_u64(v: u64) -> Self {
-        let mut limbs = Vec::with_capacity(2);
-        if v != 0 {
-            limbs.push(v as u32);
-            if v >> 32 != 0 {
-                limbs.push((v >> 32) as u32);
-            }
-        }
-        BigUint { limbs }
+    pub(crate) fn from_u64(v: u64) -> Self {
+        let mut limbs = [0u32; LIMBS];
+        limbs[0] = v as u32;
+        limbs[1] = (v >> 32) as u32;
+        let len = if v >> 32 != 0 { 2 } else { (v != 0) as usize };
+        BigUint { limbs, len }
     }
 
     /// True when the value is zero.
-    pub fn is_zero(&self) -> bool {
-        self.limbs.is_empty()
+    pub(crate) fn is_zero(&self) -> bool {
+        self.len == 0
     }
 
     fn trim(&mut self) {
-        while self.limbs.last() == Some(&0) {
-            self.limbs.pop();
+        while self.len > 0 && self.limbs[self.len - 1] == 0 {
+            self.len -= 1;
         }
     }
 
     /// In-place multiply by a small constant.
-    pub fn mul_small(&mut self, rhs: u32) {
+    pub(crate) fn mul_small(&mut self, rhs: u32) {
         if rhs == 0 {
-            self.limbs.clear();
+            self.len = 0;
             return;
         }
         let mut carry: u64 = 0;
-        for limb in self.limbs.iter_mut() {
+        for limb in &mut self.limbs[..self.len] {
             let prod = *limb as u64 * rhs as u64 + carry;
             *limb = prod as u32;
             carry = prod >> 32;
         }
-        while carry != 0 {
-            self.limbs.push(carry as u32);
-            carry >>= 32;
+        // `limb × rhs + carry < 2^64`, so the carry is one limb at most.
+        if carry != 0 {
+            self.limbs[self.len] = carry as u32;
+            self.len += 1;
         }
     }
 
     /// In-place multiply by `5^k`.
-    pub fn mul_pow5(&mut self, mut k: u32) {
+    pub(crate) fn mul_pow5(&mut self, mut k: u32) {
         while k >= 13 {
             self.mul_small(POW5_13);
             k -= 13;
@@ -88,34 +124,38 @@ impl BigUint {
     }
 
     /// In-place shift left by `k` bits (multiply by `2^k`).
-    pub fn shl_bits(&mut self, k: u32) {
+    pub(crate) fn shl_bits(&mut self, k: u32) {
         if self.is_zero() || k == 0 {
             return;
         }
         let limb_shift = (k / 32) as usize;
         let bit_shift = k % 32;
+        let n = self.len;
         if bit_shift == 0 {
-            let mut new = vec![0u32; limb_shift];
-            new.extend_from_slice(&self.limbs);
-            self.limbs = new;
-            return;
+            self.limbs.copy_within(..n, limb_shift);
+        } else {
+            // Top down, so every source limb is read before it is
+            // overwritten.
+            let spill = self.limbs[n - 1] >> (32 - bit_shift);
+            if spill != 0 {
+                self.limbs[n + limb_shift] = spill;
+            }
+            for i in (1..n).rev() {
+                self.limbs[i + limb_shift] =
+                    (self.limbs[i] << bit_shift) | (self.limbs[i - 1] >> (32 - bit_shift));
+            }
+            self.limbs[limb_shift] = self.limbs[0] << bit_shift;
+            self.len += (spill != 0) as usize;
         }
-        let n = self.limbs.len();
-        let mut new = vec![0u32; n + limb_shift + 1];
-        for (i, &limb) in self.limbs.iter().enumerate() {
-            let wide = (limb as u64) << bit_shift;
-            new[i + limb_shift] |= wide as u32;
-            new[i + limb_shift + 1] |= (wide >> 32) as u32;
-        }
-        self.limbs = new;
-        self.trim();
+        self.limbs[..limb_shift].fill(0);
+        self.len += limb_shift;
     }
 
     /// In-place divide by a small constant; returns the remainder.
-    pub fn divmod_small(&mut self, rhs: u32) -> u32 {
+    pub(crate) fn divmod_small(&mut self, rhs: u32) -> u32 {
         debug_assert!(rhs != 0);
         let mut rem: u64 = 0;
-        for limb in self.limbs.iter_mut().rev() {
+        for limb in self.limbs[..self.len].iter_mut().rev() {
             let cur = (rem << 32) | *limb as u64;
             *limb = (cur / rhs as u64) as u32;
             rem = cur % rhs as u64;
@@ -124,37 +164,32 @@ impl BigUint {
         rem as u32
     }
 
-    /// Convert to decimal ASCII digits, most significant first, with no
-    /// leading zeros. Returns an empty vector for zero.
-    pub fn to_decimal_digits(mut self) -> Vec<u8> {
-        if self.is_zero() {
-            return Vec::new();
-        }
+    /// Write the decimal ASCII digits into `out`, most significant first,
+    /// with no leading zeros; returns how many. Zero writes none.
+    pub(crate) fn into_decimal_digits(mut self, out: &mut [u8; DIGITS]) -> usize {
         // Extract nine digits per division by 10^9, least significant group
-        // first, then reverse.
-        let mut groups: Vec<u32> = Vec::with_capacity(self.limbs.len() * 2);
+        // first.
+        let mut groups = [0u32; GROUPS];
+        let mut count = 0;
         while !self.is_zero() {
-            groups.push(self.divmod_small(POW10_9));
+            groups[count] = self.divmod_small(POW10_9);
+            count += 1;
         }
-        let mut digits = Vec::with_capacity(groups.len() * 9);
+        let Some((&first, rest)) = groups[..count].split_last() else {
+            return 0;
+        };
         // The most significant group prints without zero padding.
-        let mut iter = groups.iter().rev();
-        if let Some(&first) = iter.next() {
-            let mut tmp = [0u8; 10];
-            let n = crate::itoa::write_u64(&mut tmp, first as u64);
-            digits.extend_from_slice(&tmp[..n]);
-        }
-        for &g in iter {
+        let mut len = crate::itoa::write_u64(out, first as u64);
+        for &g in rest.iter().rev() {
             // Remaining groups print as exactly nine zero-padded digits.
             let mut v = g;
-            let start = digits.len();
-            digits.resize(start + 9, b'0');
-            for slot in (0..9).rev() {
-                digits[start + slot] = b'0' + (v % 10) as u8;
+            for slot in out[len..len + 9].iter_mut().rev() {
+                *slot = b'0' + (v % 10) as u8;
                 v /= 10;
             }
+            len += 9;
         }
-        digits
+        len
     }
 }
 
@@ -163,14 +198,15 @@ mod tests {
     use super::*;
 
     fn digits_string(b: BigUint) -> String {
-        String::from_utf8(b.to_decimal_digits()).unwrap()
+        let mut out = [0u8; DIGITS];
+        let n = b.into_decimal_digits(&mut out);
+        String::from_utf8(out[..n].to_vec()).unwrap()
     }
 
     #[test]
     fn zero_round_trip() {
-        assert!(BigUint::zero().is_zero());
         assert!(BigUint::from_u64(0).is_zero());
-        assert!(BigUint::zero().to_decimal_digits().is_empty());
+        assert_eq!(digits_string(BigUint::from_u64(0)), "");
     }
 
     #[test]
@@ -218,7 +254,7 @@ mod tests {
 
     #[test]
     fn shl_zero_value_stays_zero() {
-        let mut b = BigUint::zero();
+        let mut b = BigUint::from_u64(0);
         b.shl_bits(100);
         assert!(b.is_zero());
     }
@@ -255,17 +291,49 @@ mod tests {
         assert_eq!(digits_string(b), "1234");
     }
 
+    /// The four extreme doubles, expanded the way `dtoa` expands them:
+    /// their exact digit and limb counts against the capacity.
     #[test]
-    fn subnormal_scale_capacity() {
-        // The largest scale dtoa ever needs: 5^1074 times a 53-bit mantissa.
+    fn the_extremes_fit_the_capacity() {
+        let cases = [
+            // 1 × 2^-1074: 5^1074 has 751 digits.
+            (5e-324, 751, 78),
+            // The largest subnormal, (2^52 − 1) × 2^-1074.
+            (f64::from_bits(0x000F_FFFF_FFFF_FFFF), 767, 80),
+            // 2^52 × 2^-1074.
+            (f64::MIN_POSITIVE, 767, 80),
+            // (2^53 − 1) × 2^971.
+            (f64::MAX, 309, 32),
+        ];
+        for (v, digits, limbs) in cases {
+            let (m, e) = crate::dtoa::decompose(v);
+            let mut b = BigUint::from_u64(m);
+            if e < 0 {
+                b.mul_pow5(e.unsigned_abs());
+            } else {
+                b.shl_bits(e as u32);
+            }
+            assert_eq!(b.len, limbs, "{v:e}");
+            assert_eq!(digits_string(b).len(), digits, "{v:e}");
+        }
+        // The bound itself: the largest mantissa at the subnormal scale.
         let mut b = BigUint::from_u64((1u64 << 53) - 1);
-        b.mul_pow5(1074);
-        let digits = b.to_decimal_digits();
-        // 5^1074 has 751 digits; times ~9e15 gives 766-767 digits.
-        assert!(
-            digits.len() >= 760 && digits.len() <= 770,
-            "{}",
-            digits.len()
-        );
+        b.mul_pow5(MAX_NEG_EXP);
+        assert!(b.len <= LIMBS);
+        assert_eq!(digits_string(b).len(), DIGITS);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_product_past_the_capacity_panics() {
+        let mut b = BigUint::from_u64(u64::MAX);
+        b.mul_pow5(MAX_NEG_EXP + 13);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of")]
+    fn a_shift_past_the_capacity_panics() {
+        let mut b = BigUint::from_u64(u64::MAX);
+        b.shl_bits(LIMBS as u32 * 32);
     }
 }

@@ -3,12 +3,13 @@
 //! ## Why a second kernel
 //!
 //! [`crate::dtoa`] deliberately reproduces the paper's 2004-era conversion
-//! cost model: an exact big-integer Dragon scheme, ~µs per double. That is
-//! the right default for figure reproduction, but the ROADMAP's north star
-//! is "as fast as the hardware allows". This module adds
-//! [`write_f64_fast`]: Loitsch's Grisu3 algorithm — pure 64/128-bit integer
-//! arithmetic against a precomputed table of normalized powers of ten, no
-//! heap allocation, no big-integer work on the hot path.
+//! cost model: an exact big-integer Dragon scheme with reparse-verified
+//! rounding, ~0.5–3 µs per double. That is the right default for figure
+//! reproduction, but the ROADMAP's north star is "as fast as the hardware
+//! allows". This module adds [`write_f64_fast`]: Loitsch's Grisu3
+//! algorithm — pure 64/128-bit integer arithmetic against a precomputed
+//! table of normalized powers of ten, no big-integer work on the hot path.
+//! Neither kernel allocates: the exact one works on stack buffers too.
 //!
 //! ## Algorithm
 //!
@@ -52,8 +53,10 @@ use std::sync::OnceLock;
 /// measured cost model; `Fast` is the hardware-speed Grisu3 kernel.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum FloatFormatter {
-    /// Exact Dragon-style big-integer conversion (~µs per double) — the
-    /// 2004-era `sprintf("%.17g")` cost model the paper's figures assume.
+    /// Exact Dragon-style big-integer conversion with reparse-verified
+    /// rounding, on stack buffers (~0.55 µs for a 15-digit value, ~3 µs
+    /// for a random bit pattern; no heap) — the 2004-era
+    /// `sprintf("%.17g")` cost model the paper's figures assume.
     Exact2004,
     /// Grisu3 table-driven conversion with exact fallback (~tens of ns).
     #[default]
@@ -73,8 +76,8 @@ impl FloatFormatter {
 }
 
 /// Write `v` in shortest round-trip `xsd:double` form; returns bytes
-/// written. Byte-identical to [`crate::dtoa::write_f64`], ~50× faster on
-/// typical inputs.
+/// written. Byte-identical to [`crate::dtoa::write_f64`]; ~8× faster on
+/// 15-digit values and ~24× on random bit patterns.
 ///
 /// `buf` must be at least [`dtoa::MAX_LEN`] (24) bytes.
 pub fn write_f64_fast(buf: &mut [u8], v: f64) -> usize {
@@ -88,8 +91,8 @@ pub fn write_f64_fast(buf: &mut [u8], v: f64) -> usize {
         Some((len, k)) => dtoa::format_parts(buf, neg, &digits[..len], k),
         None => {
             // Rare uncertain case (~0.5%): exact Dragon fallback.
-            let (digits, k) = dtoa::shortest_digits_abs(pos);
-            dtoa::format_parts(buf, neg, &digits, k)
+            let d = dtoa::shortest_digits_abs(pos);
+            dtoa::format_parts(buf, neg, d.digits(), d.k)
         }
     }
 }
@@ -99,8 +102,9 @@ pub fn write_f64_fast(buf: &mut [u8], v: f64) -> usize {
 pub fn format_f64_fast(v: f64) -> String {
     let mut buf = [0u8; dtoa::MAX_LEN];
     let n = write_f64_fast(&mut buf, v);
-    // The writer only emits ASCII.
-    unsafe { std::str::from_utf8_unchecked(&buf[..n]) }.to_owned()
+    std::str::from_utf8(&buf[..n])
+        .expect("the writer emits ASCII")
+        .to_owned()
 }
 
 // ---------------------------------------------------------------------

@@ -193,22 +193,27 @@ pub fn write_i64(buf: &mut [u8], v: i64) -> usize {
 pub fn format_i32(v: i32) -> String {
     let mut buf = [0u8; 11];
     let n = write_i32(&mut buf, v);
-    // The writer only emits ASCII.
-    unsafe { std::str::from_utf8_unchecked(&buf[..n]) }.to_owned()
+    std::str::from_utf8(&buf[..n])
+        .expect("the writer emits ASCII")
+        .to_owned()
 }
 
 /// Format an `i64` into a fresh `String`.
 pub fn format_i64(v: i64) -> String {
     let mut buf = [0u8; 20];
     let n = write_i64(&mut buf, v);
-    unsafe { std::str::from_utf8_unchecked(&buf[..n]) }.to_owned()
+    std::str::from_utf8(&buf[..n])
+        .expect("the writer emits ASCII")
+        .to_owned()
 }
 
 /// Format a `u64` into a fresh `String`.
 pub fn format_u64(v: u64) -> String {
     let mut buf = [0u8; 20];
     let n = write_u64(&mut buf, v);
-    unsafe { std::str::from_utf8_unchecked(&buf[..n]) }.to_owned()
+    std::str::from_utf8(&buf[..n])
+        .expect("the writer emits ASCII")
+        .to_owned()
 }
 
 /// The number of bytes [`write_i32`] would produce for `v`, without writing.

@@ -6,8 +6,10 @@
 //! is that substrate, built from scratch:
 //!
 //! * [`itoa`] — integer → ASCII with a two-digit lookup table,
-//! * [`dtoa`] — `f64` → shortest round-trip decimal using exact big-integer
-//!   digit generation (a Dragon-style algorithm; see module docs),
+//! * [`dtoa`] — `f64` → shortest round-trip decimal: the exact expansion of
+//!   every digit plus a reparse-verified search for the shortest rounding (a
+//!   Dragon-style algorithm, the pinned `Exact2004` cost model; see module
+//!   docs), on fixed stack buffers with no heap, as in a C `sprintf`,
 //! * [`grisu`] — the fast-path `f64` kernel: Grisu3 over a precomputed
 //!   power-of-ten table, byte-identical to [`dtoa`] with an exact fallback
 //!   on the rare uncertain cases; selected via [`FloatFormatter`],
@@ -24,12 +26,14 @@
 //! * `dtoa` output always re-parses to the exact same `f64` bit pattern
 //!   (property-tested over the full domain, including subnormals),
 //! * `dtoa` output never exceeds [`widths::DOUBLE_MAX_WIDTH`] (24) bytes,
+//! * a double conversion under either kernel allocates nothing
+//!   (`tests/alloc_budget.rs` in the workspace root counts it),
 //! * `itoa` output never exceeds [`widths::INT_MAX_WIDTH`] (11) bytes for
 //!   `i32` and [`widths::LONG_MAX_WIDTH`] (20) for `i64`.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod bignum;
+mod bignum;
 pub mod dtoa;
 pub mod grisu;
 pub mod itoa;
