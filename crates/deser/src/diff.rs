@@ -30,7 +30,8 @@
 //!      the last element it may **repeat the element's skeleton** — the
 //!      previous element's, byte for byte: each repeat is an appended
 //!      element, its leaves read by the same re-scan, until the closing
-//!      skeleton appears. An array with no element has no skeleton to
+//!      skeleton appears (the `ElementSkeleton` the streaming deserializer
+//!      reads by too). An array with no element has no skeleton to
 //!      repeat, so growing from zero is a full parse;
 //!    * at the end, every array touched must carry exactly the elements
 //!      its length field declares.
@@ -57,12 +58,15 @@
 //! instantiates it with the [`Reference`] it retains.
 
 use crate::envelope::{
-    apply_leaf, parse_array_len, parse_envelope_mapped, parse_scalar, resize_array,
-    value_from_leaves, ArrayRegion, LeafSlot, MappedMessage, Region, RegionKind,
+    apply_leaf, close_tag, leaf_width, padded_width, parse_array_len, parse_envelope_mapped,
+    parse_scalar, resize_array, text_end, value_from_leaves, ArrayRegion, ElementSkeleton,
+    MappedMessage, Region, RegionKind,
 };
 use crate::error::DeserError;
 use bsoap_convert::ScalarKind;
 use bsoap_core::{OpDesc, TypeDesc, Value};
+use std::cell::Cell;
+use std::mem::take;
 
 /// Which path a message took through the differential deserializer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -219,14 +223,22 @@ impl Reference for MappedMessage {
         bytes: &[u8],
         op: &OpDesc,
     ) -> Result<Option<(usize, usize)>, DeserError> {
-        let Some(staged) = Walk::new(self, prev, bytes, op).run()? else {
+        let Some(mut staged) = Walk::new(self, prev, bytes, op, STAGED.take()).run()? else {
             return Ok(None);
         };
-        let counts = (staged.reparsed, staged.skipped);
         // Committing cannot fail while the map describes `prev`; were it
         // ever to, the full parse rebuilds the whole reference.
-        Ok(self.commit(staged, op).ok().map(|()| counts))
+        let counts = self.commit(&mut staged, op).ok();
+        STAGED.set(staged);
+        Ok(counts)
     }
+}
+
+thread_local! {
+    /// The walk's staging lists, kept empty between walks so a warm walk
+    /// allocates nothing: one set per thread, so a service with many
+    /// operations keeps the largest, not the sum.
+    static STAGED: Cell<Staged> = Cell::new(Staged::default());
 }
 
 /// Everything one walk learned, held back until the whole message has
@@ -291,7 +303,14 @@ struct Walk<'a> {
 }
 
 impl<'a> Walk<'a> {
-    fn new(map: &'a MappedMessage, prev: &'a [u8], bytes: &'a [u8], op: &'a OpDesc) -> Self {
+    /// A walk staging into `staged`, which is empty.
+    fn new(
+        map: &'a MappedMessage,
+        prev: &'a [u8],
+        bytes: &'a [u8],
+        op: &'a OpDesc,
+        staged: Staged,
+    ) -> Self {
         Walk {
             map,
             prev,
@@ -299,7 +318,7 @@ impl<'a> Walk<'a> {
             op,
             old: 0,
             new: 0,
-            staged: Staged::default(),
+            staged,
         }
     }
 
@@ -443,38 +462,24 @@ impl<'a> Walk<'a> {
 
         // Past the last old element: further elements must repeat its
         // skeleton byte for byte. `last` is where that element's leaves
-        // sit in `prev`; its open skeleton follows the previous element's
-        // close, unless it is the only one.
+        // sit in `prev`; its open tags follow the previous element's close,
+        // unless it is the only one.
         let last = &self.map.regions[leaves.end - lpe..leaves.end];
         let span: usize = last.iter().map(|r| r.skeleton + r.width).sum();
-        let Some(mut at) = self.old.checked_sub(span) else {
+        let Some(at) = self.old.checked_sub(span) else {
             return Ok(None);
         };
         let prev = self.prev;
         let Some(close) = prev.get(self.old..self.old + a.elem_close) else {
             return Ok(None);
         };
-        // Per leaf of an element: the skeleton before it, its close tag and
-        // what it is.
-        let mut parts = Vec::with_capacity(lpe);
-        for (field, region) in last.iter().enumerate() {
-            let leaf = at + region.skeleton;
-            let (Some(mut skeleton), Some(leaf_close)) = (
-                prev.get(at..leaf),
-                prev.get(leaf..leaf + region.width)
-                    .and_then(|old| close_tag(old, 0)),
-            ) else {
-                return Ok(None);
-            };
-            if field == 0 && a.elems > 1 {
-                let Some(open_tags) = skeleton.strip_prefix(close) else {
-                    return Ok(None);
-                };
-                skeleton = open_tags;
-            }
-            parts.push((skeleton, leaf_close, region.kind));
-            at = leaf + region.width;
+        let skip = if a.elems > 1 { close.len() } else { 0 };
+        if prev.get(at..at + skip) != Some(&close[..skip]) {
+            return Ok(None);
         }
+        let Some(skeleton) = ElementSkeleton::learn(prev, (at, skip), last, close) else {
+            return Ok(None);
+        };
 
         let item = match &self.op.params.get(a.param as usize).map(|p| &p.desc) {
             Some(TypeDesc::Array { item }) => item,
@@ -486,44 +491,31 @@ impl<'a> Walk<'a> {
             elements: Vec::new(),
             regions: Vec::new(),
         };
+        let mut values = Vec::with_capacity(lpe);
         loop {
-            let element_at = self.new;
-            if !(self.take(close) && self.take(parts[0].0)) {
+            // Each element opens after the one before it closes.
+            let (element_at, first) = (self.new, resize.regions.len());
+            let shift = (lpe * (resize.elements.len() + 1)) as u32;
+            let read = if self.take(close) {
+                skeleton.read(&self.bytes[self.new..], |mut region, text| {
+                    if let RegionKind::Leaf { slot, kind } = &mut region.kind {
+                        values.push(parse_scalar(text, *kind, "leaf region")?);
+                        slot.leaf += shift;
+                    }
+                    resize.regions.push(region);
+                    Ok(())
+                })?
+            } else {
+                None
+            };
+            let Some(len) = read else {
+                resize.regions.truncate(first);
                 self.new = element_at;
                 break;
-            }
-            let mut values = Vec::with_capacity(lpe);
-            for (field, &(skeleton, leaf_close, kind)) in parts.iter().enumerate() {
-                let RegionKind::Leaf { slot, kind } = kind else {
-                    return Ok(None);
-                };
-                let before = self.new;
-                if field > 0 && !self.take(skeleton) {
-                    return Ok(None);
-                }
-                let start = if field == 0 { element_at } else { before };
-                let rest = &self.bytes[self.new..];
-                let Some(text) = rest.iter().position(|&b| b == b'<') else {
-                    return Ok(None);
-                };
-                let Some((width, value)) = read_leaf(rest, text, leaf_close, kind)? else {
-                    return Ok(None);
-                };
-                resize.regions.push(Region {
-                    skeleton: self.new - start,
-                    width,
-                    kind: RegionKind::Leaf {
-                        slot: LeafSlot {
-                            leaf: slot.leaf + (lpe * (resize.elements.len() + 1)) as u32,
-                            ..slot
-                        },
-                        kind,
-                    },
-                });
-                values.push(value);
-                self.new += width;
-            }
-            let Some(element) = value_from_leaves(item, &mut values.into_iter()) else {
+            };
+            resize.regions[first].skeleton += close.len();
+            self.new += len;
+            let Some(element) = value_from_leaves(item, &mut values.drain(..)) else {
                 return Ok(None);
             };
             resize.elements.push(element);
@@ -539,16 +531,18 @@ impl<'a> Walk<'a> {
 
 impl MappedMessage {
     /// Land a finished walk: the map and the values move on to the new
-    /// message together.
-    fn commit(&mut self, staged: Staged, op: &OpDesc) -> Result<(), DeserError> {
-        for (i, width, value) in staged.rewrites {
+    /// message together. Returns its `(reparsed, skipped)`; `staged` is
+    /// left empty, with its room, for the next walk.
+    fn commit(&mut self, staged: &mut Staged, op: &OpDesc) -> Result<(usize, usize), DeserError> {
+        staged.declared.clear();
+        for (i, width, value) in staged.rewrites.drain(..) {
             self.regions[i].width = width;
             if let (RegionKind::Leaf { slot, .. }, Some(value)) = (self.regions[i].kind, value) {
                 apply_leaf(&mut self.args, op, slot, value)?;
             }
         }
         // Last array first, so the region indices of earlier ones hold.
-        for resize in staged.resizes.into_iter().rev() {
+        for resize in staged.resizes.drain(..).rev() {
             let a = self.arrays[resize.array];
             let old = a.leaves();
             let kept = old.start + resize.keep * a.leaves_per_elem;
@@ -572,56 +566,23 @@ impl MappedMessage {
                 later.len_at = later.len_at + added - (old.end - kept);
             }
         }
-        Ok(())
+        Ok((take(&mut staged.reparsed), take(&mut staged.skipped)))
     }
 }
 
 /// Re-read one leaf region at the head of `rest`, `old` being its bytes in
-/// the previous message: see [`read_leaf`].
+/// the previous message: see [`leaf_width`].
 fn rescan_leaf(
     old: &[u8],
     rest: &[u8],
     kind: ScalarKind,
 ) -> Result<Option<(usize, Value)>, DeserError> {
-    let text = rest.iter().position(|&b| b == b'<');
-    match text.and_then(|text| Some((text, close_tag(old, text)?))) {
-        Some((text, close)) => read_leaf(rest, text, close, kind),
-        None => Ok(None),
-    }
-}
-
-/// The close tag in a leaf region's old bytes, `text</name>pad`. The oracle
-/// checked it against the open tag when the reference was parsed. The
-/// region holds one `<`; `guess` is where to look for it first — after a
-/// same-width rewrite it sits where the new one does.
-fn close_tag(old: &[u8], guess: usize) -> Option<&[u8]> {
-    let lt = match old.get(guess) {
-        Some(b'<') => guess,
-        _ => old.iter().position(|&b| b == b'<')?,
-    };
-    let tail = &old[lt..];
-    Some(&tail[..=tail.iter().position(|&b| b == b'>')?])
-}
-
-/// Read `text</name>pad<` at the head of `rest`, where `text` bytes come
-/// before the first `<` and `close` is the close tag to expect. Returns the
-/// region's width and value, `None` if the bytes do not have that form;
-/// the value's own lexical error is the one error the walk raises — the
-/// full parse meets the same text in the same place.
-fn read_leaf(
-    rest: &[u8],
-    text: usize,
-    close: &[u8],
-    kind: ScalarKind,
-) -> Result<Option<(usize, Value)>, DeserError> {
-    if !rest[text..].starts_with(close) {
-        return Ok(None);
-    }
-    let Some(width) = padded_width(rest, text + close.len()) else {
+    let Some(text) = text_end(rest) else {
         return Ok(None);
     };
-    let value = parse_scalar(&rest[..text], kind, "leaf region")?;
-    Ok(Some((width, value)))
+    let width = close_tag(old, text).and_then(|close| leaf_width(rest, text, close));
+    let read = |width| Ok((width, parse_scalar(&rest[..text], kind, "leaf region")?));
+    width.map(read).transpose()
 }
 
 /// Re-read one array length region at the head of `rest`: `N]">pad<`, with
@@ -659,16 +620,6 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     }
     let bytes = a[at..].iter().zip(&b[at..]);
     at + bytes.take_while(|(x, y)| x == y).count()
-}
-
-/// Width of a region whose content ends at `end`: through the whitespace
-/// pad, which must run up to a `<`.
-fn padded_width(rest: &[u8], end: usize) -> Option<usize> {
-    let pad = rest[end..]
-        .iter()
-        .take_while(|b| b.is_ascii_whitespace())
-        .count();
-    (rest.get(end + pad) == Some(&b'<')).then_some(end + pad)
 }
 
 #[cfg(test)]

@@ -119,6 +119,87 @@ impl MappedMessage {
     }
 }
 
+/// One array element as the oracle accepted it: each leaf's open tags
+/// (attributes included) and close tag, then what closes the element. The
+/// differential walk reads appended elements by it, the streaming
+/// deserializer every element after the first: framing by comparison with
+/// bytes the oracle accepted in the same parser state, leaves by the
+/// oracle's own grammar ([`leaf_width`], [`parse_scalar`]).
+#[derive(Clone, Debug)]
+pub(crate) struct ElementSkeleton {
+    /// Each leaf's open tags and close tag in document order, then what
+    /// closes the element after its last leaf's pad.
+    tags: Vec<u8>,
+    /// Per leaf: where its open tags and its close tag end in `tags`, and
+    /// what it is.
+    leaves: Vec<(usize, usize, RegionKind)>,
+}
+
+impl ElementSkeleton {
+    /// Learn the element whose leaf regions are `leaves`, the first one's
+    /// skeleton starting at `bytes[at]` — its first `skip` bytes close the
+    /// element before — and that `trailing` closes. `None` if the regions
+    /// do not lie in `bytes` or one holds no close tag.
+    pub(crate) fn learn(
+        bytes: &[u8],
+        (mut at, mut skip): (usize, usize),
+        leaves: &[Region],
+        trailing: &[u8],
+    ) -> Option<Self> {
+        let (mut tags, mut learned) = (Vec::new(), Vec::new());
+        for region in leaves {
+            let leaf = at + region.skeleton;
+            tags.extend_from_slice(bytes.get(at + skip..leaf)?);
+            let open_end = tags.len();
+            tags.extend_from_slice(close_tag(bytes.get(leaf..leaf + region.width)?, 0)?);
+            learned.push((open_end, tags.len(), region.kind));
+            (at, skip) = (leaf + region.width, 0);
+        }
+        tags.extend_from_slice(trailing);
+        Some(ElementSkeleton {
+            tags,
+            leaves: learned,
+        })
+    }
+
+    /// What closes the element after its last leaf's pad.
+    pub(crate) fn trailing(&self) -> &[u8] {
+        &self.tags[self.leaves.last().map_or(0, |l| l.1)..]
+    }
+
+    /// Read one element's leaves at the head of `rest`, handing each one's
+    /// region and raw text to `leaf`, which parses it. Returns the bytes
+    /// read, through the last leaf's pad; `None` at the first byte that
+    /// differs from the skeleton or lies past `rest`.
+    pub(crate) fn read<'r>(
+        &self,
+        rest: &'r [u8],
+        mut leaf: impl FnMut(Region, &'r [u8]) -> Result<(), DeserError>,
+    ) -> Result<Option<usize>, DeserError> {
+        let (mut at, mut from) = (0, 0);
+        for &(open_end, close_end, kind) in &self.leaves {
+            let (open, close) = (&self.tags[from..open_end], &self.tags[open_end..close_end]);
+            from = close_end;
+            let read = rest[at..].strip_prefix(open).and_then(|body| {
+                let text = text_end(body)?;
+                Some((&body[..text], leaf_width(body, text, close)?))
+            });
+            let Some((text, width)) = read else {
+                return Ok(None);
+            };
+            let skeleton = open.len();
+            let region = Region {
+                skeleton,
+                width,
+                kind,
+            };
+            leaf(region, text)?;
+            at += skeleton + width;
+        }
+        Ok(Some(at))
+    }
+}
+
 /// Parse an envelope into argument values (no mapping overhead).
 pub fn parse_envelope(bytes: &[u8], op: &OpDesc) -> Result<Vec<Value>, DeserError> {
     Ok(parse_inner(bytes, op, false)?.args)
@@ -469,6 +550,13 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
+    /// The skeleton of the one element a mapped parser has read from the
+    /// start of its input.
+    pub(crate) fn element_skeleton(&self) -> Option<ElementSkeleton> {
+        let input = self.cur.input();
+        ElementSkeleton::learn(input, (0, 0), &self.regions, &input[self.mapped_to..])
+    }
+
     pub(crate) fn array_len_attr(&self, tag: &StartTag) -> Result<usize, DeserError> {
         parse_array_len(&self.cur.input()[self.array_len_text(tag)?])
     }
@@ -555,16 +643,10 @@ pub(crate) fn parse_scalar(raw: &[u8], kind: ScalarKind, at: &str) -> Result<Val
         err,
     };
     Ok(match kind {
-        ScalarKind::Int => Value::Int(lex::parse_i32(lex::trim_xml_ws(raw)).map_err(lexical_err)?),
-        ScalarKind::Long => {
-            Value::Long(lex::parse_i64(lex::trim_xml_ws(raw)).map_err(lexical_err)?)
-        }
-        ScalarKind::Double => {
-            Value::Double(lex::parse_f64(lex::trim_xml_ws(raw)).map_err(lexical_err)?)
-        }
-        ScalarKind::Bool => {
-            Value::Bool(lex::parse_bool(lex::trim_xml_ws(raw)).map_err(lexical_err)?)
-        }
+        ScalarKind::Int => Value::Int(lex::parse_i32(raw).map_err(lexical_err)?),
+        ScalarKind::Long => Value::Long(lex::parse_i64(raw).map_err(lexical_err)?),
+        ScalarKind::Double => Value::Double(lex::parse_f64(raw).map_err(lexical_err)?),
+        ScalarKind::Bool => Value::Bool(lex::parse_bool(raw).map_err(lexical_err)?),
         ScalarKind::Str => {
             let unescaped = unescape(raw)?;
             Value::Str(
@@ -573,6 +655,62 @@ pub(crate) fn parse_scalar(raw: &[u8], kind: ScalarKind, at: &str) -> Result<Val
             )
         }
     })
+}
+
+/// The close tag in a leaf region's old bytes, `text</name>pad`. The oracle
+/// checked it against the open tag when the reference was parsed. The
+/// region holds one `<`; `guess` is where to look for it first — after a
+/// same-width rewrite it sits where the new one does.
+pub(crate) fn close_tag(old: &[u8], guess: usize) -> Option<&[u8]> {
+    let lt = match old.get(guess) {
+        Some(b'<') => guess,
+        _ => old.iter().position(|&b| b == b'<')?,
+    };
+    let tail = &old[lt..];
+    Some(&tail[..=tail.iter().position(|&b| b == b'>')?])
+}
+
+/// Where a leaf's text ends: the first `<` in `rest`. Eight bytes at a
+/// time, since every leaf re-read scans its text: in a word XOR `<<<<<<<<`
+/// a `<` is a zero byte, and the lowest byte the zero-byte test flags is
+/// the first zero.
+pub(crate) fn text_end(rest: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_le_bytes([0x80; 8]);
+    const LT: u64 = u64::from_le_bytes([b'<'; 8]);
+    let words = rest.chunks_exact(8);
+    let tail = words.remainder();
+    for (i, word) in words.enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("chunks of eight")) ^ LT;
+        let zeros = x.wrapping_sub(ONES) & !x & HIGH;
+        if zeros != 0 {
+            return Some(8 * i + (zeros.trailing_zeros() / 8) as usize);
+        }
+    }
+    let at = rest.len() - tail.len();
+    tail.iter().position(|&b| b == b'<').map(|p| at + p)
+}
+
+/// Width of the leaf region `text</name>pad<` at the head of `rest`, where
+/// `text` bytes come before the first `<` and `close` is the close tag to
+/// expect; `None` if the bytes do not have that form. The text is then
+/// the caller's to `parse_scalar`: its lexical error is the one error a
+/// re-read raises — the full parse meets the same text in the same place.
+pub(crate) fn leaf_width(rest: &[u8], text: usize, close: &[u8]) -> Option<usize> {
+    if !rest[text..].starts_with(close) {
+        return None;
+    }
+    padded_width(rest, text + close.len())
+}
+
+/// Width of a region whose content ends at `end`: through the whitespace
+/// pad, which must run up to a `<`.
+pub(crate) fn padded_width(rest: &[u8], end: usize) -> Option<usize> {
+    let pad = rest[end..]
+        .iter()
+        .take_while(|b| b.is_ascii_whitespace())
+        .count();
+    (rest.get(end + pad) == Some(&b'<')).then_some(end + pad)
 }
 
 /// Where one leaf's value lives in an argument list: an element of an
@@ -962,6 +1100,21 @@ mod tests {
             Value::Double(0.0)
         )
         .is_err());
+    }
+
+    #[test]
+    fn text_end_is_the_first_lt() {
+        // Fillers one bit or one step from `<`, and zero, must not match.
+        for fill in [b'<' | 0x80, b'<' + 1, b'<' - 1, 0] {
+            for len in 0..20 {
+                let mut rest = vec![fill; len];
+                assert_eq!(text_end(&rest), None);
+                for at in (0..len).rev() {
+                    rest[at] = b'<';
+                    assert_eq!(text_end(&rest), Some(at), "{fill:#x} {len} {at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,18 +6,34 @@
 //! consumes decoded body slices as a transport hands them over (e.g. from
 //! `bsoap-transport`'s `ChunkedBodyReader`), emits each array element the
 //! moment its closing tag arrives, and never materializes the envelope.
-//! The carry buffer holds only the bytes of whichever syntactic unit is
-//! currently split across slices (prologue, one `<item>`, or epilogue),
-//! and a hard cap turns a unit that never completes into a typed error
-//! instead of unbounded buffering.
+//! Complete units are read straight from the pushed slice; the carry holds
+//! only the unit split across a slice boundary (prologue, one `<item>`, or
+//! epilogue), and a cap on what it keeps turns a unit that never completes
+//! into a typed error instead of unbounded buffering.
+//!
+//! The oracle — the schema grammar [`parse_envelope`](crate::parse_envelope)
+//! runs — reads the first element, and the bytes it accepted become an
+//! `ElementSkeleton`: each leaf's open tags (attributes included) and close
+//! tag, then the element's trailing close. Every later element is read by
+//! it: framing compared byte for byte, each leaf's text scanned to its `<`
+//! and read by the oracle's leaf grammar (close tag, pad, `parse_scalar`).
+//! That is the differential walk's soundness rule (`diff.rs`): every
+//! accepted byte equals one the oracle accepted in the same parser state
+//! or is read by the oracle's leaf grammar, so the full parse reads the
+//! same values, and a leaf's lexical error is raised only where the full
+//! parse meets the same text. The depth scanner is the fallback: at the
+//! first byte that differs from the skeleton, that one unit is delimited by
+//! tag depth and read by a fresh oracle `Parser`, which decides — a value
+//! or a typed error. It relies on serialized text never containing a raw
+//! `<`, which this engine (and any conforming XML writer) escapes. It
+//! leaves a unit that only whitespace follows yet for the next slice, as
+//! the skeleton's pad rule does, so a slice boundary never sends the
+//! oracle an element the skeleton would read.
 //!
 //! Scope matches the overlay sender: operations with exactly one array
-//! parameter of scalar or flat-struct items. The depth scanner that
-//! delimits item units relies on serialized text never containing a raw
-//! `<` — guaranteed for output of this engine (and any conforming XML
-//! writer), which escapes `<` in character data.
+//! parameter of scalar or flat-struct items.
 
-use crate::envelope::Parser;
+use crate::envelope::{parse_scalar, value_from_leaves, ElementSkeleton, Parser, RegionKind};
 use crate::error::DeserError;
 use bsoap_core::{OpDesc, TypeDesc, Value};
 
@@ -67,6 +83,15 @@ pub struct StreamingDeserializer {
     peak_carry: usize,
     /// Tag names the prologue must contain (envelope, body, operation).
     op_tag: String,
+    /// `<param`: once it and the `>` after it have arrived, the prologue
+    /// is complete enough to parse.
+    probe: Vec<u8>,
+    /// `</ns1:op>`, the first close tag after the array's.
+    op_close: Vec<u8>,
+    /// The first element as the oracle read it; later ones are read by it.
+    skeleton: Option<ElementSkeleton>,
+    /// Leaf values of the struct element being read.
+    leaves: Vec<Value>,
 }
 
 impl StreamingDeserializer {
@@ -83,6 +108,7 @@ impl StreamingDeserializer {
         let (param, item) = op
             .sole_array()
             .map_err(|e| DeserError::shape(format!("streaming deserialization: {e}")))?;
+        let op_tag = format!("ns1:{}", op.name);
         Ok(StreamingDeserializer {
             param_name: param.name.clone(),
             item_desc: item.clone(),
@@ -92,7 +118,11 @@ impl StreamingDeserializer {
             seen: 0,
             max_carry: max_carry.max(64),
             peak_carry: 0,
-            op_tag: format!("ns1:{}", op.name),
+            probe: format!("<{}", param.name).into_bytes(),
+            op_close: format!("</{op_tag}>").into_bytes(),
+            op_tag,
+            skeleton: None,
+            leaves: Vec::new(),
         })
     }
 
@@ -108,72 +138,165 @@ impl StreamingDeserializer {
 
     /// Consume the next body slice, invoking `on_item` for every array
     /// element that completes within it.
+    ///
+    /// Complete units are read straight from `bytes`; only a unit split at
+    /// its end is kept, and the cap bounds that remainder, not the slice.
     pub fn push(
         &mut self,
         bytes: &[u8],
         mut on_item: impl FnMut(usize, Value) -> Result<(), DeserError>,
     ) -> Result<(), DeserError> {
-        if self.carry.len() + bytes.len() > self.max_carry {
+        let mut input = bytes;
+        // Finish the unit split at the last boundary: move the slice over
+        // in doubling steps until it completes, so only that unit is
+        // copied.
+        while !self.carry.is_empty() && !input.is_empty() {
+            let held = self.carry.len();
+            let step = input.len().min(held.max(64));
+            self.carry.extend_from_slice(&input[..step]);
+            let carry = std::mem::take(&mut self.carry);
+            let used = self.consume(&carry, &mut on_item);
+            self.carry = carry;
+            let used = used?;
+            if used >= held {
+                // What the carry holds past `used` is still in `input`.
+                input = &input[used - held..];
+                self.carry.clear();
+            } else {
+                self.carry.drain(..used);
+                input = &input[step..];
+            }
+        }
+        if self.carry.is_empty() {
+            let used = self.consume(input, &mut on_item)?;
+            self.carry.extend_from_slice(&input[used..]);
+        }
+        if self.carry.len() > self.max_carry {
             return Err(DeserError::shape(
                 "streaming carry buffer cap exceeded (unit never completes)",
             ));
         }
-        self.carry.extend_from_slice(bytes);
         self.peak_carry = self.peak_carry.max(self.carry.len());
+        Ok(())
+    }
+
+    /// Read every complete unit at the head of `buf`; returns the bytes
+    /// used. What is left is a unit still split, or the epilogue.
+    fn consume(
+        &mut self,
+        buf: &[u8],
+        on_item: &mut impl FnMut(usize, Value) -> Result<(), DeserError>,
+    ) -> Result<usize, DeserError> {
         let mut pos = 0usize;
         loop {
             match self.state {
                 StreamState::Prologue => {
-                    let Some(end) = self.try_prologue(pos)? else {
-                        break;
+                    let Some(end) = self.try_prologue(&buf[pos..])? else {
+                        return Ok(pos);
                     };
-                    pos = end;
+                    pos += end;
                     self.state = StreamState::Items;
                 }
                 StreamState::Items => {
-                    let rest = &self.carry[pos..];
-                    let start = match rest.iter().position(|&b| !b.is_ascii_whitespace()) {
-                        Some(p) => p,
-                        None => {
-                            // All whitespace: consumable, nothing to keep.
-                            pos = self.carry.len();
-                            break;
-                        }
+                    let rest = &buf[pos..];
+                    let Some(start) = rest.iter().position(|&b| !b.is_ascii_whitespace()) else {
+                        // All whitespace: consumable, nothing to keep.
+                        return Ok(buf.len());
                     };
+                    pos += start;
                     let unit = &rest[start..];
                     if looks_like_close(unit, self.param_name.as_bytes()) {
                         // `</param>`: the item run is over.
-                        pos += start + 2 + self.param_name.len() + 1;
+                        pos += 2 + self.param_name.len() + 1;
                         self.state = StreamState::Epilogue;
                         continue;
                     }
-                    match find_unit_end(unit)? {
-                        Some(len) => {
-                            let v = parse_item_unit(&unit[..len], &self.item_desc)?;
-                            on_item(self.seen, v)?;
-                            self.seen += 1;
-                            if self.declared != 0 && self.seen > self.declared {
-                                return Err(DeserError::shape(format!(
-                                    "array {} declares {} elements but streamed more",
-                                    self.param_name, self.declared
-                                )));
-                            }
-                            pos += start + len;
-                        }
-                        None => break,
+                    let Some((len, value)) = self.item(unit)? else {
+                        return Ok(pos);
+                    };
+                    on_item(self.seen, value)?;
+                    self.seen += 1;
+                    if self.declared != 0 && self.seen > self.declared {
+                        return Err(DeserError::shape(format!(
+                            "array {} declares {} elements but streamed more",
+                            self.param_name, self.declared
+                        )));
                     }
+                    pos += len;
                 }
-                StreamState::Epilogue => {
-                    // Keep accumulating (bounded by max_carry); validated
-                    // at finish.
-                    break;
-                }
+                // Kept (bounded by the cap) and validated at finish.
+                StreamState::Epilogue => return Ok(pos),
             }
         }
-        // Drop the consumed prefix; what remains is the partial unit (or,
-        // in the epilogue, the close tags awaiting `finish`).
-        self.carry.drain(..pos);
-        Ok(())
+    }
+
+    /// Read the element at the head of `unit`: by the skeleton when its
+    /// bytes follow it, else by the depth scan and the oracle. `None` while
+    /// the element, or the `<` after it, has not arrived.
+    fn item(&mut self, unit: &[u8]) -> Result<Option<(usize, Value)>, DeserError> {
+        if let Some(read) = self.by_skeleton(unit)? {
+            return Ok(Some(read));
+        }
+        let Some(len) = find_unit_end(unit)? else {
+            return Ok(None);
+        };
+        // A unit that only whitespace follows yet waits for the next tag,
+        // as the skeleton's pad rule makes a scalar element wait.
+        if unit[len..].iter().all(u8::is_ascii_whitespace) {
+            return Ok(None);
+        }
+        let mut p = Parser::new(&unit[..len], self.seen == 0);
+        let value = p.plain(0, &mut 0, "item", &self.item_desc)?;
+        p.expect_eof()?;
+        if self.seen == 0 {
+            self.skeleton = p.element_skeleton();
+        }
+        Ok(Some((len, value)))
+    }
+
+    /// Read the element at the head of `unit` by the first element's
+    /// skeleton; `None` at the first byte the skeleton does not account for
+    /// (or before one has been learned).
+    fn by_skeleton(&mut self, unit: &[u8]) -> Result<Option<(usize, Value)>, DeserError> {
+        let Some(skeleton) = &self.skeleton else {
+            return Ok(None);
+        };
+        let (read, value) = match &self.item_desc {
+            // A scalar element is its one leaf, and its text parses straight
+            // into the element's value: staged through `leaves` it costs a
+            // third more per element.
+            &TypeDesc::Scalar(kind) => {
+                let mut text = None;
+                let read = skeleton.read(unit, |_, leaf| {
+                    text = Some(leaf);
+                    Ok(())
+                })?;
+                let (Some(read), Some(text)) = (read, text) else {
+                    return Ok(None);
+                };
+                (read, parse_scalar(text, kind, "item")?)
+            }
+            desc => {
+                let leaves = &mut self.leaves;
+                leaves.clear();
+                let read = skeleton.read(unit, |region, text| {
+                    if let RegionKind::Leaf { kind, .. } = region.kind {
+                        leaves.push(parse_scalar(text, kind, "item")?);
+                    }
+                    Ok(())
+                })?;
+                let value = value_from_leaves(desc, &mut leaves.drain(..));
+                let (Some(read), Some(value)) = (read, value) else {
+                    return Ok(None);
+                };
+                (read, value)
+            }
+        };
+        let trailing = skeleton.trailing();
+        if !unit[read..].starts_with(trailing) {
+            return Ok(None);
+        }
+        Ok(Some((read + trailing.len(), value)))
     }
 
     /// Validate the epilogue and element count once the transport reports
@@ -186,11 +309,11 @@ impl StreamingDeserializer {
         // body, and envelope close tags (whitespace tolerated).
         let mut rest: &[u8] = &self.carry;
         for tag in [
-            format!("</{}>", self.op_tag),
-            "</SOAP-ENV:Body>".to_owned(),
-            "</SOAP-ENV:Envelope>".to_owned(),
+            &self.op_close[..],
+            b"</SOAP-ENV:Body>",
+            b"</SOAP-ENV:Envelope>",
         ] {
-            rest = expect_tag(rest, tag.as_bytes())?;
+            rest = expect_tag(rest, tag)?;
         }
         if !rest.iter().all(|b| b.is_ascii_whitespace()) {
             return Err(DeserError::shape("trailing content after envelope close"));
@@ -209,7 +332,7 @@ impl StreamingDeserializer {
     }
 
     /// Try to consume the prologue (everything through the array open
-    /// tag) starting at `pos`. Returns the end offset when complete.
+    /// tag) at the head of `buf`. Returns its length when complete.
     ///
     /// The substring probe only decides *when* enough bytes have arrived;
     /// what they must be is decided by the grammar [`parse_envelope`]
@@ -219,12 +342,8 @@ impl StreamingDeserializer {
     /// parser accepts a subset of the oracle's envelopes, never more.
     ///
     /// [`parse_envelope`]: crate::parse_envelope
-    fn try_prologue(&mut self, pos: usize) -> Result<Option<usize>, DeserError> {
-        let buf = &self.carry[pos..];
-        let mut probe = Vec::with_capacity(self.param_name.len() + 1);
-        probe.push(b'<');
-        probe.extend_from_slice(self.param_name.as_bytes());
-        let Some(open_at) = find(buf, &probe) else {
+    fn try_prologue(&mut self, buf: &[u8]) -> Result<Option<usize>, DeserError> {
+        let Some(open_at) = find(buf, &self.probe) else {
             return Ok(None);
         };
         let Some(gt) = buf[open_at..].iter().position(|&b| b == b'>') else {
@@ -245,7 +364,7 @@ impl StreamingDeserializer {
             )));
         }
         self.declared = p.array_len_attr(&tag)?;
-        Ok(Some(pos + tag.tag_end))
+        Ok(Some(tag.tag_end))
     }
 }
 
@@ -315,14 +434,6 @@ fn find_unit_end(buf: &[u8]) -> Result<Option<usize>, DeserError> {
         i = gt + 1;
     }
     Ok(None)
-}
-
-/// Parse one complete `<item>…</item>` unit into a [`Value`].
-fn parse_item_unit(bytes: &[u8], desc: &TypeDesc) -> Result<Value, DeserError> {
-    let mut p = Parser::new(bytes, false);
-    let v = p.plain(0, &mut 0, "item", desc)?;
-    p.expect_eof()?;
-    Ok(v)
 }
 
 fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {

@@ -1,6 +1,8 @@
 //! Streaming deserializer: incremental element emission from arbitrary
-//! byte fragmentation, bounded carry memory, and typed errors on
-//! declared-length mismatches and runaway units.
+//! byte fragmentation, bounded carry memory, typed errors on
+//! declared-length mismatches and runaway units, and — against the full
+//! parser as oracle — elements read by the learned skeleton or, at the
+//! first byte that differs from it, by the oracle's own grammar.
 
 use bsoap_convert::ScalarKind;
 use bsoap_core::value::mio;
@@ -26,6 +28,25 @@ fn mios_op() -> OpDesc {
         "arr",
         TypeDesc::array_of(TypeDesc::mio()),
     )
+}
+
+fn labels_op() -> OpDesc {
+    OpDesc::single(
+        "label",
+        "urn:bench",
+        "arr",
+        TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Str)),
+    )
+}
+
+/// An array value's elements, one `Value` each.
+fn elements(array: &Value) -> Vec<Value> {
+    match array {
+        Value::DoubleArray(xs) => xs.iter().map(|&x| Value::Double(x)).collect(),
+        Value::IntArray(xs) => xs.iter().map(|&x| Value::Int(x)).collect(),
+        Value::Array(items) => items.clone(),
+        other => panic!("not an array: {other:?}"),
+    }
 }
 
 fn message(config: EngineConfig, op: &OpDesc, value: &Value) -> Vec<u8> {
@@ -216,6 +237,35 @@ fn carry_cap_rejects_runaway_unit() {
 }
 
 #[test]
+fn a_slice_larger_than_the_cap_is_accepted() {
+    // The cap bounds the unit kept across a slice boundary, not the slice:
+    // a transport's 64 KiB slices pass a 256-byte cap untouched.
+    let op = doubles_op();
+    let vals: Vec<f64> = (0..5000).map(|i| i as f64 * 0.37 - 900.0).collect();
+    let bytes = message(
+        EngineConfig::paper_default(),
+        &op,
+        &Value::DoubleArray(vals.clone()),
+    );
+    let mut d = StreamingDeserializer::with_max_carry(&op, 256).unwrap();
+    let mut got = Vec::new();
+    for slice in bytes.chunks(64 * 1024) {
+        d.push(slice, |_, v| {
+            got.push(v);
+            Ok(())
+        })
+        .unwrap();
+    }
+    let summary = d.finish().unwrap();
+    assert_eq!(got, elements(&Value::DoubleArray(vals)));
+    assert!(
+        summary.peak_carry_bytes <= 256,
+        "peak carry {} counts more than what was kept",
+        summary.peak_carry_bytes
+    );
+}
+
+#[test]
 fn wrong_operation_tag_rejected() {
     let op = doubles_op();
     let other = OpDesc::single(
@@ -281,8 +331,9 @@ proptest! {
 }
 
 /// One corruption of a streamed envelope. The byte-level ones land
-/// anywhere; the last three aim at the prologue, where a parser that
-/// searches for tags instead of parsing them is fooled.
+/// anywhere; three aim at the prologue, where a parser that searches for
+/// tags instead of parsing them is fooled; the last three at the skeleton
+/// learned from the first element, where a reader that trusts it is.
 #[derive(Clone, Debug)]
 enum Mutation {
     Truncate(usize),
@@ -301,10 +352,33 @@ enum Mutation {
     CommentOutPrologue,
     /// `<arr …>` becomes `<arr …/>`.
     SelfCloseArrayTag,
+    /// A byte flipped inside the open tag of an element after the first
+    /// or, with `close`, inside its first close tag.
+    FlipLaterTag {
+        close: bool,
+        elem: usize,
+        at: usize,
+        xor: u8,
+    },
+    /// The first attribute of an element (or of its first field) removed.
+    DropAttribute(usize),
+    /// The first element's open tag gains an attribute the rest lack.
+    FirstElementDiffers,
 }
 
 fn array_open(bytes: &[u8]) -> Option<usize> {
     bytes.windows(4).position(|w| w == b"<arr")
+}
+
+/// Where each element's `<item` starts.
+fn item_opens(bytes: &[u8]) -> Vec<usize> {
+    let tag = |w: &[u8]| w.starts_with(b"<item") && matches!(w[5], b' ' | b'>' | b'/');
+    bytes
+        .windows(6)
+        .enumerate()
+        .filter(|(_, w)| tag(w))
+        .map(|(at, _)| at)
+        .collect()
 }
 
 fn mutate(bytes: &mut Vec<u8>, m: &Mutation) {
@@ -340,6 +414,42 @@ fn mutate(bytes: &mut Vec<u8>, m: &Mutation) {
                 }
             }
         }
+        Mutation::FlipLaterTag {
+            close,
+            elem,
+            at,
+            xor,
+        } => {
+            let opens = item_opens(bytes);
+            if opens.len() > 1 {
+                let element = opens[1 + elem % (opens.len() - 1)];
+                let tag: &[u8] = if close { b"</" } else { b"<" };
+                let start = bytes[element..].windows(tag.len()).position(|w| w == tag);
+                let start = element + start.unwrap_or(0);
+                if let Some(gt) = bytes[start..].iter().position(|&b| b == b'>') {
+                    bytes[start + at % (gt + 1)] ^= xor;
+                }
+            }
+        }
+        Mutation::DropAttribute(elem) => {
+            let opens = item_opens(bytes);
+            if !opens.is_empty() {
+                let start = opens[elem % opens.len()];
+                let attr = bytes[start..]
+                    .windows(11)
+                    .position(|w| w == b" xsi:type=\"");
+                if let Some(attr) = attr.map(|a| start + a) {
+                    if let Some(quote) = bytes[attr + 11..].iter().position(|&b| b == b'"') {
+                        bytes.drain(attr..attr + 11 + quote + 1);
+                    }
+                }
+            }
+        }
+        Mutation::FirstElementDiffers => {
+            if let Some(&at) = item_opens(bytes).first() {
+                bytes.splice(at + 5..at + 5, *b" id=\"first\"");
+            }
+        }
     }
 }
 
@@ -353,6 +463,67 @@ fn mutation_strategy() -> impl Strategy<Value = Mutation> {
             .prop_map(Mutation::ExtendArrayName),
         Just(Mutation::CommentOutPrologue),
         Just(Mutation::SelfCloseArrayTag),
+        (any::<bool>(), 0usize..64, 0usize..64, 1u8..=255).prop_map(|(close, elem, at, xor)| {
+            Mutation::FlipLaterTag {
+                close,
+                elem,
+                at,
+                xor,
+            }
+        }),
+        (0usize..64).prop_map(Mutation::DropAttribute),
+        Just(Mutation::FirstElementDiffers),
+    ]
+}
+
+/// The three item shapes the overlay sender streams: unboxed doubles, MIO
+/// structs, and strings carrying `cold_mix`'s six escapable characters
+/// (two each of `&`, `<` and `>`), so leaf text holds entity references.
+#[derive(Clone, Debug)]
+enum Items {
+    Doubles(Vec<f64>),
+    Mios(Vec<(i32, i32, f64)>),
+    Labels(Vec<String>),
+}
+
+impl Items {
+    fn op(&self) -> OpDesc {
+        match self {
+            Items::Doubles(_) => doubles_op(),
+            Items::Mios(_) => mios_op(),
+            Items::Labels(_) => labels_op(),
+        }
+    }
+
+    fn value(&self) -> Value {
+        match self {
+            Items::Doubles(xs) => Value::DoubleArray(xs.clone()),
+            Items::Mios(cells) => {
+                Value::Array(cells.iter().map(|&(x, y, v)| mio(x, y, v)).collect())
+            }
+            Items::Labels(labels) => Value::Array(labels.iter().cloned().map(Value::Str).collect()),
+        }
+    }
+}
+
+fn label_strategy() -> impl Strategy<Value = String> {
+    const ALNUM: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+    let base = prop::collection::vec(0usize..ALNUM.len(), 0..10);
+    (base, prop::collection::vec(0usize..16, 6)).prop_map(|(base, at)| {
+        let mut label: Vec<u8> = base.into_iter().map(|i| ALNUM[i]).collect();
+        for (special, at) in b"&&<<>>".iter().zip(at) {
+            label.insert(at % (label.len() + 1), *special);
+        }
+        String::from_utf8(label).expect("ASCII label")
+    })
+}
+
+fn items_strategy() -> impl Strategy<Value = Items> {
+    prop_oneof![
+        prop::collection::vec(-1e9f64..1e9, 0..24).prop_map(Items::Doubles),
+        prop::collection::vec((any::<i32>(), any::<i32>(), -1e9f64..1e9), 0..12)
+            .prop_map(Items::Mios),
+        prop::collection::vec(label_strategy(), 0..12).prop_map(Items::Labels),
     ]
 }
 
@@ -362,19 +533,21 @@ proptest! {
     /// Soundness against the oracle: whatever the streaming parser
     /// accepts, under any fragmentation, `parse_envelope` accepts with
     /// the same values — and what the overlay sender emits untouched is
-    /// always accepted.
+    /// always accepted, as the values sent. Mutations aimed at the learned
+    /// skeleton (a later open tag, a dropped attribute, a first element
+    /// unlike the rest) may cost the skeleton its match, never a value.
     #[test]
     fn streaming_accepts_only_what_the_full_parser_accepts(
-        vals in prop::collection::vec(-1e9f64..1e9, 0..24),
+        items in items_strategy(),
         window in 1usize..8,
         mutations in prop::collection::vec(mutation_strategy(), 0..3),
         cuts in prop::collection::vec(any::<u16>(), 0..16),
     ) {
-        let op = doubles_op();
+        let (op, value) = (items.op(), items.value());
         let mut bytes = Vec::new();
         OverlaySender::new(EngineConfig::paper_default(), &op, window)
             .unwrap()
-            .send(&Value::DoubleArray(vals.clone()), &mut bytes)
+            .send(&value, &mut bytes)
             .unwrap();
         for m in &mutations {
             mutate(&mut bytes, m);
@@ -387,16 +560,9 @@ proptest! {
         if mutations.is_empty() {
             prop_assert!(streamed.is_ok(), "overlay output rejected: {:?}", streamed.err());
         }
-        if let Ok((items, _)) = streamed {
-            let got: Vec<f64> = items
-                .iter()
-                .map(|v| match v {
-                    Value::Double(x) => *x,
-                    other => panic!("expected double, got {other:?}"),
-                })
-                .collect();
+        if let Ok((got, _)) = streamed {
             match bsoap_deser::parse_envelope(&bytes, &op) {
-                Ok(full) => prop_assert_eq!(&full[0], &Value::DoubleArray(got)),
+                Ok(full) => prop_assert_eq!(&elements(&full[0]), &got),
                 Err(e) => prop_assert!(
                     false,
                     "streaming accepted {:?}, which the full parser rejects: {}",
@@ -405,7 +571,7 @@ proptest! {
                 ),
             }
             if mutations.is_empty() {
-                prop_assert_eq!(&items.len(), &vals.len());
+                prop_assert_eq!(&got, &elements(&value));
             }
         }
     }

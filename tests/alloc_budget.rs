@@ -1,13 +1,16 @@
 //! What a warm send and a warm differential decode allocate: a constant
 //! few for the send on either lane, whatever the dirty count, and nothing
-//! for the bin1 decode. Retained scratch (the DUT's dirty list and
-//! run-compare hits, the bin1 reference's changed-slot list) is what keeps
-//! it so; a per-call `Vec` sneaking back into either path fails here before
-//! it shows in a profile. And what a First-Time Send allocates: chunks for
-//! the bytes, nothing per element — its framing is compiled once per build
-//! (DESIGN §3.2), so a tag formatted per element fails here too. Both run
-//! under the pinned `Exact2004` kernel, because a double conversion
-//! allocates nothing under either kernel — the last test counts that.
+//! for the decode on either lane. Retained scratch (the DUT's dirty list
+//! and run-compare hits, the bin1 reference's changed-slot list, the XML
+//! walk's staged rewrites) is what keeps it so; a per-call `Vec` sneaking
+//! back into either path fails here before it shows in a profile. What a
+//! First-Time Send allocates: chunks for the bytes, nothing per element —
+//! its framing is compiled once per build (DESIGN §3.2), so a tag formatted
+//! per element fails here too. What a streamed element allocates on the
+//! receiving side: nothing once the first one taught the skeleton, so an
+//! element sent back through the oracle's `Parser` fails here. The sends
+//! run under the pinned `Exact2004` kernel, because a double conversion
+//! allocates nothing under either kernel — a test of its own counts that.
 //!
 //! The counter is the calling thread's own, and each test runs on one
 //! thread: nothing else in this binary allocates on it.
@@ -19,10 +22,10 @@ use std::cell::Cell;
 mod corpus;
 
 use bsoap::convert::{FloatFormatter, ScalarKind};
-use bsoap::deser::{DiffOutcome, LaneDeserializer};
+use bsoap::deser::{DiffOutcome, LaneDeserializer, StreamingDeserializer};
 use bsoap::{
-    mio, EngineConfig, OpDesc, SendTier, StoreKey, TemplateKey, TemplateStore, TypeDesc, Value,
-    WireFormat,
+    mio, EngineConfig, OpDesc, OverlaySender, SendTier, StoreKey, TemplateKey, TemplateStore,
+    TypeDesc, Value, WireFormat,
 };
 
 thread_local! {
@@ -92,9 +95,7 @@ fn a_warm_send_allocates_a_constant_few_and_a_warm_decode_nothing() {
     }
 
     // The XML lane converts every dirty double with the pinned kernel and
-    // still allocates what bin1 does. Its differential decode is not held
-    // to nothing: the walk stages rewrites in per-call `Vec`s (2, 5 and 8
-    // allocations at 5, 50 and 500 changed leaves).
+    // still allocates what bin1 does.
     for lane in WireFormat::ALL {
         let config = EngineConfig::paper_default().with_wire_format(lane);
         let store = TemplateStore::unbounded();
@@ -125,9 +126,10 @@ fn a_warm_send_allocates_a_constant_few_and_a_warm_decode_nothing() {
             let reparsed = *dirty;
             assert_eq!(outcome, DiffOutcome::Differential { reparsed, skipped });
             if step >= 3 {
-                if lane == WireFormat::CompactBinary {
-                    assert_eq!(decode_allocations, 0, "decoding {dirty} changed leaves");
-                }
+                assert_eq!(
+                    decode_allocations, 0,
+                    "{lane:?}: decoding {dirty} changed leaves"
+                );
                 measured.push(send_allocations);
             }
         }
@@ -205,4 +207,48 @@ fn a_first_time_send_allocates_for_its_bytes_not_per_element() {
         "50 cells: {small} allocations in {small_chunks} chunks, \
          500 cells: {large} in {large_chunks}"
     );
+}
+
+/// The receiving side of `bulk_stream`: a 25 000-double body in a
+/// transport's 64 KiB slices. The first slice carries the prologue and the
+/// first element, which the oracle reads and the skeleton is learned from;
+/// every later slice, and `finish`, allocate nothing — no element goes
+/// back through the oracle's `Parser`, whose start tags carry an attribute
+/// `Vec`, and the carry holds only the element split at a boundary.
+#[test]
+fn a_streamed_element_allocates_nothing() {
+    const ELEMENTS: usize = 25_000;
+    let op = OpDesc::single(
+        "send",
+        "urn:bench",
+        "arr",
+        TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
+    );
+    let values: Vec<f64> = (0..ELEMENTS)
+        .map(|i| fixed_width(i % 9000, i % 32))
+        .collect();
+    let mut body = Vec::new();
+    OverlaySender::auto_window(EngineConfig::paper_default(), &op)
+        .unwrap()
+        .send(&Value::DoubleArray(values.clone()), &mut body)
+        .unwrap();
+    let mut deser = StreamingDeserializer::new(&op).unwrap();
+    let mut slices = body.chunks(64 * 1024);
+    let mut sum = 0.0;
+    let mut on_item = |_, v| {
+        if let Value::Double(x) = v {
+            sum += x;
+        }
+        Ok(())
+    };
+    deser.push(slices.next().unwrap(), &mut on_item).unwrap();
+    let (summary, allocations) = counted(|| {
+        for slice in slices {
+            deser.push(slice, &mut on_item)?;
+        }
+        deser.finish()
+    });
+    assert_eq!(summary.unwrap().items, ELEMENTS);
+    assert_eq!(sum, values.iter().sum::<f64>());
+    assert_eq!(allocations, 0, "streaming {ELEMENTS} elements");
 }
