@@ -4,8 +4,101 @@
 //! conversions being exact: a value written into a template and later
 //! parsed by a server must round-trip bit-for-bit.
 
-use bsoap_convert::{dtoa, grisu, itoa, parse};
+mod corpus;
+
+use bsoap_convert::{dtoa, grisu, itoa, parse, FloatFormatter};
+use proptest::collection;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+/// The `xsd:double` lexical space, restated by hand: XML whitespace around
+/// `INF`, `+INF`, `-INF`, `NaN`, or a sign, digits with at most one point
+/// and at least one digit, and an `e`/`E` exponent of at least one digit.
+/// Inside it, `str::parse` is the reference value: `None` outside it.
+fn reference_f64(raw: &[u8]) -> Option<f64> {
+    let text = std::str::from_utf8(raw)
+        .ok()?
+        .trim_matches([' ', '\t', '\r', '\n']);
+    if matches!(text, "INF" | "+INF" | "-INF" | "NaN") {
+        return text.parse().ok();
+    }
+    let unsigned = text.strip_prefix(['+', '-']).unwrap_or(text);
+    let (mantissa, exponent) = match unsigned.split_once(['e', 'E']) {
+        Some((m, e)) => (m, Some(e.strip_prefix(['+', '-']).unwrap_or(e))),
+        None => (unsigned, None),
+    };
+    let (int, frac) = mantissa.split_once('.').unwrap_or((mantissa, ""));
+    let digits = |s: &str| s.bytes().all(|b| b.is_ascii_digit());
+    let lexical = digits(int)
+        && digits(frac)
+        && int.len() + frac.len() > 0
+        && exponent.is_none_or(|e| !e.is_empty() && digits(e));
+    lexical.then(|| text.parse().expect("std reads the lexical space"))
+}
+
+/// `parse_f64` and the reference agree: the same bits, NaN for NaN, or
+/// both reject.
+fn same_as_reference(raw: &[u8]) -> Result<(), TestCaseError> {
+    let got = parse::parse_f64(raw).ok();
+    let want = reference_f64(raw);
+    let bits = |v: Option<f64>| {
+        v.map(|x| {
+            if x.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        })
+    };
+    prop_assert_eq!(bits(got), bits(want), "{:?}", String::from_utf8_lossy(raw));
+    Ok(())
+}
+
+/// Bytes that either parser might trip on, for one byte of a form.
+const STRAY: &[u8] = b"0.eE+- \tix_<\x80";
+
+/// A random lexical form near `xsd:double`'s: stuffing whitespace, no sign,
+/// `+` or `-`, leading zeros, up to 17 integer and 25 fraction digits (the
+/// exact path takes at most 19 digits) with or without a point, an `e`/`E`
+/// exponent with or without a sign (or its digits), and in one form of four
+/// one byte replaced by a [`STRAY`] one.
+fn double_form() -> impl Strategy<Value = Vec<u8>> {
+    (
+        (
+            0usize..3,
+            0usize..3,
+            0usize..4,
+            collection::vec(0u8..10, 0..18),
+        ),
+        (0usize..4, collection::vec(0u8..10, 0..26)),
+        (0usize..5, 0usize..3, collection::vec(0u8..10, 0..4)),
+        (0usize..3, 0usize..4, any::<usize>(), 0..STRAY.len()),
+    )
+        .prop_map(|(head, (point, frac), (exp, exp_sign, exp_digits), tail)| {
+            let ((lead, sign, zeros, int), (trail, mutate, at, stray)) = (head, tail);
+            let ws = |n: usize| (0..n).map(move |k| b" \t\r\n"[(at + k) % 4]);
+            let digit = |d: &u8| b'0' + d;
+            let mut form: Vec<u8> = ws(lead).collect();
+            form.extend_from_slice([&b""[..], b"+", b"-"][sign]);
+            form.extend(std::iter::repeat_n(b'0', zeros));
+            form.extend(int.iter().map(digit));
+            if point > 0 {
+                form.push(b'.');
+                form.extend(frac.iter().map(digit));
+            }
+            if exp >= 2 {
+                form.push(if exp == 3 { b'E' } else { b'e' });
+                form.extend_from_slice([&b""[..], b"+", b"-"][exp_sign]);
+                form.extend(exp_digits.iter().map(digit));
+            }
+            form.extend(ws(trail));
+            if mutate == 0 && !form.is_empty() {
+                let len = form.len();
+                form[at % len] = STRAY[stray];
+            }
+            form
+        })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
@@ -20,6 +113,13 @@ proptest! {
         prop_assert!(s.len() <= dtoa::MAX_LEN, "{} is {} bytes", s, s.len());
         let back: f64 = s.parse().unwrap();
         prop_assert_eq!(back.to_bits(), v.to_bits(), "{}", s);
+    }
+
+    /// The one-pass lexer is the old validate-then-std path: the same bits
+    /// on every form it accepts, a rejection on every form it rejected.
+    #[test]
+    fn parse_f64_equals_std_on_random_forms(form in double_form()) {
+        same_as_reference(&form)?;
     }
 
     /// Our own xsd:double parser agrees with the formatter.
@@ -141,6 +241,36 @@ proptest! {
     ) {
         let v = mantissa as f64 * 10f64.powi(exp) * if neg { -1.0 } else { 1.0 };
         prop_assert_eq!(grisu::format_f64_fast(v), dtoa::format_f64(v), "{:?}", v);
+    }
+}
+
+/// The schema's specials and the spellings only std accepts.
+#[test]
+fn parse_f64_equals_std_on_specials() {
+    for form in [
+        "INF", "+INF", "-INF", "NaN", " INF\t", "inf", "-inf", "Infinity", "infinity", "nan",
+        "NAN", "-NaN", "+NaN", "INF0", "0x10", "1_0", "-0", "+0.0e0", "-.0", ".e1", "5.", ".5",
+    ] {
+        same_as_reference(form.as_bytes()).unwrap();
+    }
+}
+
+/// Every double of the exact kernel's pin corpus, as both kernels print it,
+/// parses back to itself and to what std reads.
+#[test]
+fn parse_f64_equals_std_on_the_pin_corpus() {
+    let mut buf = [0u8; dtoa::MAX_LEN];
+    for v in corpus::corpus() {
+        for kernel in [FloatFormatter::Exact2004, FloatFormatter::Fast] {
+            let len = kernel.write_f64(&mut buf, v);
+            let text = &buf[..len];
+            same_as_reference(text).unwrap();
+            let back = parse::parse_f64(text).unwrap();
+            assert!(
+                back.to_bits() == v.to_bits() || (v.is_nan() && back.is_nan()),
+                "{v:e}"
+            );
+        }
     }
 }
 

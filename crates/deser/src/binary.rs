@@ -15,12 +15,11 @@
 //! the buffer (fuzzed in `tests/binary_fuzz.rs`).
 
 use crate::diff::{DiffShell, Reference};
-use crate::envelope::{apply_leaf, leaf_mut, LeafMut, LeafSlot};
+use crate::envelope::{LeafPaths, LeafSlot, Scalar};
 use crate::error::DeserError;
 use bsoap_convert::ScalarKind;
 use bsoap_core::wire;
 use bsoap_core::{OpDesc, TypeDesc, Value};
-use std::mem::discriminant;
 
 /// Parse a compact-binary envelope into the operation's argument values.
 pub fn parse_binary_envelope(bytes: &[u8], op: &OpDesc) -> Result<Vec<Value>, DeserError> {
@@ -116,16 +115,16 @@ impl Slot {
     /// The value a payload word decodes to — [`read_record`] on a record
     /// whose tag is known good. `None` where the full decode would report
     /// an error: that error is its to word.
-    fn value(&self, word: u64) -> Option<Value> {
+    fn value(&self, word: u64) -> Option<Scalar> {
         Some(match self.kind {
-            ScalarKind::Bool => Value::Bool(match word {
+            ScalarKind::Bool => Scalar::Bool(match word {
                 0 => false,
                 1 => true,
                 _ => return None,
             }),
-            ScalarKind::Int => Value::Int(word as u32 as i32),
-            ScalarKind::Long => Value::Long(word as i64),
-            ScalarKind::Double => Value::Double(f64::from_bits(word)),
+            ScalarKind::Int => Scalar::Int(word as u32 as i32),
+            ScalarKind::Long => Scalar::Long(word as i64),
+            ScalarKind::Double => Scalar::Double(f64::from_bits(word)),
             ScalarKind::Str => return None,
         })
     }
@@ -134,9 +133,9 @@ impl Slot {
 /// Whether every record of `run` — changed slots of one parameter — has a
 /// place of its kind in `args`; with `write`, put them there. An element
 /// of an unboxed array takes the payload as it is, with the array found
-/// once for the run; any other place must hold the variant the payload
-/// decodes to.
-fn land(run: &[Slot], bytes: &[u8], args: &mut [Value], op: &OpDesc, write: bool) -> bool {
+/// once for the run; any other place, found through `paths`, must hold the
+/// variant the payload decodes to.
+fn land(run: &[Slot], bytes: &[u8], args: &mut [Value], paths: &LeafPaths, write: bool) -> bool {
     fn elems<T>(
         run: &[Slot],
         bytes: &[u8],
@@ -169,14 +168,11 @@ fn land(run: &[Slot], bytes: &[u8], args: &mut [Value], op: &OpDesc, write: bool
             elems(run, bytes, v, ScalarKind::Int, |w| w as u32 as i32, write)
         }
         _ => run.iter().all(|s| {
-            let Some(value) = s.word(bytes).and_then(|word| s.value(word)) else {
-                return false;
-            };
-            if write {
-                return apply_leaf(args, op, s.slot, value).is_ok();
+            let value = s.word(bytes).and_then(|word| s.value(word));
+            match (paths.leaf_mut(args, s.slot), value) {
+                (Some(place), Some(value)) => place.store(value, write),
+                _ => false,
             }
-            matches!(leaf_mut(args, op, s.slot), Some(LeafMut::Scalar(place))
-                if discriminant(place) == discriminant(&value))
         }),
     }
 }
@@ -381,6 +377,7 @@ fn read_record(c: &mut Cursor<'_>, kind: ScalarKind) -> Result<Value, DeserError
 #[derive(Debug)]
 pub struct BinaryReference {
     args: Vec<Value>,
+    paths: LeafPaths,
     slots: Vec<Slot>,
     /// Retained scratch of [`Reference::patch`]: the slots whose payload
     /// changed. As long as `slots`.
@@ -398,6 +395,7 @@ impl Reference for BinaryReference {
         let changed = slots.clone();
         Ok(BinaryReference {
             args,
+            paths: LeafPaths::of(op),
             slots,
             changed,
         })
@@ -428,10 +426,11 @@ impl Reference for BinaryReference {
         &mut self,
         prev: &[u8],
         bytes: &[u8],
-        op: &OpDesc,
+        _op: &OpDesc,
     ) -> Result<Option<(usize, usize)>, DeserError> {
         let BinaryReference {
             args,
+            paths,
             slots,
             changed,
         } = self;
@@ -439,11 +438,11 @@ impl Reference for BinaryReference {
             return Ok(None);
         };
         let runs = || changed[..n].chunk_by(|a, b| a.slot.param == b.slot.param);
-        if !runs().all(|run| land(run, bytes, args, op, false)) {
+        if !runs().all(|run| land(run, bytes, args, paths, false)) {
             return Ok(None);
         }
         for run in runs() {
-            let landed = land(run, bytes, args, op, true);
+            let landed = land(run, bytes, args, paths, true);
             debug_assert!(landed, "checked above");
         }
         Ok(Some((n, slots.len() - n)))

@@ -58,12 +58,11 @@
 //! instantiates it with the [`Reference`] it retains.
 
 use crate::envelope::{
-    apply_leaf, close_tag, leaf_width, padded_width, parse_array_len, parse_envelope_mapped,
-    parse_scalar, resize_array, text_end, value_from_leaves, ArrayRegion, ElementSkeleton,
-    MappedMessage, Region, RegionKind,
+    close_tag, leaf_width, padded_width, parse_array_len, parse_envelope_mapped, parse_scalar,
+    resize_array, text_end, value_from_leaves, ArrayRegion, ElementSkeleton, MappedMessage, Region,
+    RegionKind, Scalar,
 };
 use crate::error::DeserError;
-use bsoap_convert::ScalarKind;
 use bsoap_core::{OpDesc, TypeDesc, Value};
 use std::cell::Cell;
 use std::mem::take;
@@ -227,9 +226,12 @@ impl Reference for MappedMessage {
             return Ok(None);
         };
         // Committing cannot fail while the map describes `prev`; were it
-        // ever to, the full parse rebuilds the whole reference.
-        let counts = self.commit(&mut staged, op).ok();
-        STAGED.set(staged);
+        // ever to, the full parse rebuilds the whole reference, and the
+        // half-drained lists are dropped.
+        let counts = self.commit(&mut staged);
+        if counts.is_some() {
+            STAGED.set(staged);
+        }
         Ok(counts)
     }
 }
@@ -245,9 +247,9 @@ thread_local! {
 /// walked so that a refusal or an error leaves the reference untouched.
 #[derive(Default)]
 struct Staged {
-    /// `(region, new width, value)` of every region whose bytes changed; a
-    /// length region has no value of its own.
-    rewrites: Vec<(usize, usize, Option<Value>)>,
+    /// `(region, new width, value)` of every region whose bytes changed, in
+    /// document order: 32 bytes each. A length region has no value.
+    rewrites: Vec<(u32, u32, Option<Scalar>)>,
     /// `(array, length)` wherever the new message declares another length.
     declared: Vec<(usize, usize)>,
     /// Arrays that ended early or ran long, in document order.
@@ -406,11 +408,14 @@ impl<'a> Walk<'a> {
                 return Ok(None);
             };
             let rest = &self.bytes[self.new..];
-            let (width, value) = match region.kind {
-                RegionKind::Leaf { kind, .. } => match rescan_leaf(old, rest, kind)? {
-                    Some((width, value)) => (width, Some(value)),
-                    None => return Ok(None),
-                },
+            let (width, scalar) = match region.kind {
+                RegionKind::Leaf { kind, .. } => {
+                    let Some((text, width)) = leaf_span(old, rest) else {
+                        return Ok(None);
+                    };
+                    let scalar = parse_scalar(&rest[..text], kind, "leaf region")?;
+                    (width, Some(scalar))
+                }
                 RegionKind::ArrayLen(array) => match rescan_len(old, rest) {
                     Some((width, declared)) => {
                         self.staged.declared.push((array, declared));
@@ -419,7 +424,10 @@ impl<'a> Walk<'a> {
                     None => return Ok(None),
                 },
             };
-            self.staged.rewrites.push((i, width, value));
+            let (Ok(at), Ok(new_width)) = (i.try_into(), width.try_into()) else {
+                return Ok(None);
+            };
+            self.staged.rewrites.push((at, new_width, scalar));
             self.staged.reparsed += 1;
             self.old += region.width;
             self.new += width;
@@ -499,7 +507,7 @@ impl<'a> Walk<'a> {
             let read = if self.take(close) {
                 skeleton.read(&self.bytes[self.new..], |mut region, text| {
                     if let RegionKind::Leaf { slot, kind } = &mut region.kind {
-                        values.push(parse_scalar(text, *kind, "leaf region")?);
+                        values.push(parse_scalar(text, *kind, "leaf region")?.into());
                         slot.leaf += shift;
                     }
                     resize.regions.push(region);
@@ -531,14 +539,19 @@ impl<'a> Walk<'a> {
 
 impl MappedMessage {
     /// Land a finished walk: the map and the values move on to the new
-    /// message together. Returns its `(reparsed, skipped)`; `staged` is
-    /// left empty, with its room, for the next walk.
-    fn commit(&mut self, staged: &mut Staged, op: &OpDesc) -> Result<(usize, usize), DeserError> {
+    /// message together, each leaf through the operation's `LeafPaths`.
+    /// Returns its `(reparsed, skipped)`; `staged` is left empty, with its
+    /// room, for the next walk. `None` if a value has no place of its kind.
+    fn commit(&mut self, staged: &mut Staged) -> Option<(usize, usize)> {
         staged.declared.clear();
-        for (i, width, value) in staged.rewrites.drain(..) {
-            self.regions[i].width = width;
-            if let (RegionKind::Leaf { slot, .. }, Some(value)) = (self.regions[i].kind, value) {
-                apply_leaf(&mut self.args, op, slot, value)?;
+        for (region, width, scalar) in staged.rewrites.drain(..) {
+            let region = &mut self.regions[region as usize];
+            region.width = width as usize;
+            if let (RegionKind::Leaf { slot, .. }, Some(scalar)) = (region.kind, scalar) {
+                let place = self.paths.leaf_mut(&mut self.args, slot)?;
+                if !place.store(scalar, true) {
+                    return None;
+                }
             }
         }
         // Last array first, so the region indices of earlier ones hold.
@@ -560,29 +573,23 @@ impl MappedMessage {
                 &mut self.args[a.param as usize],
                 resize.keep,
                 resize.elements,
-            )?;
+            )
+            .ok()?;
             self.arrays[resize.array].elems = elems;
             for later in &mut self.arrays[resize.array + 1..] {
                 later.len_at = later.len_at + added - (old.end - kept);
             }
         }
-        Ok((take(&mut staged.reparsed), take(&mut staged.skipped)))
+        Some((take(&mut staged.reparsed), take(&mut staged.skipped)))
     }
 }
 
-/// Re-read one leaf region at the head of `rest`, `old` being its bytes in
-/// the previous message: see [`leaf_width`].
-fn rescan_leaf(
-    old: &[u8],
-    rest: &[u8],
-    kind: ScalarKind,
-) -> Result<Option<(usize, Value)>, DeserError> {
-    let Some(text) = text_end(rest) else {
-        return Ok(None);
-    };
-    let width = close_tag(old, text).and_then(|close| leaf_width(rest, text, close));
-    let read = |width| Ok((width, parse_scalar(&rest[..text], kind, "leaf region")?));
-    width.map(read).transpose()
+/// The leaf region at the head of `rest`, `old` being its bytes in the
+/// previous message: where its text ends and how wide the region is (see
+/// [`leaf_width`]). The text is parsed only once the span is known.
+fn leaf_span(old: &[u8], rest: &[u8]) -> Option<(usize, usize)> {
+    let text = text_end(rest)?;
+    Some((text, leaf_width(rest, text, close_tag(old, text)?)?))
 }
 
 /// Re-read one array length region at the head of `rest`: `N]">pad<`, with
@@ -608,7 +615,8 @@ fn rescan_len(old: &[u8], rest: &[u8]) -> Option<(usize, usize)> {
 /// of two little-endian words lies in their first differing byte.
 fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     const BLOCK: usize = 32;
-    let blocks = a.chunks_exact(BLOCK).zip(b.chunks_exact(BLOCK));
+    let (xs, ys) = (a.as_chunks::<BLOCK>().0, b.as_chunks::<BLOCK>().0);
+    let blocks = xs.iter().zip(ys);
     let mut at = BLOCK * blocks.take_while(|(x, y)| x == y).count();
     for (x, y) in a[at..].chunks_exact(8).zip(b[at..].chunks_exact(8)) {
         let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("chunks of eight"));

@@ -101,6 +101,8 @@ pub struct MappedMessage {
     pub(crate) regions: Vec<Region>,
     /// Resizable arrays in document order.
     pub(crate) arrays: Vec<ArrayRegion>,
+    /// Where each leaf's value lives in `args`.
+    pub(crate) paths: LeafPaths,
 }
 
 impl MappedMessage {
@@ -295,6 +297,11 @@ fn parse_inner(bytes: &[u8], op: &OpDesc, mapped: bool) -> Result<MappedMessage,
         args,
         regions: p.regions,
         arrays: p.arrays,
+        paths: if mapped {
+            LeafPaths::of(op)
+        } else {
+            LeafPaths::default()
+        },
     })
 }
 
@@ -448,7 +455,7 @@ impl<'a> Parser<'a> {
             )))?,
         };
         let raw = &self.cur.input()[text_range.clone()];
-        let value = parse_scalar(raw, kind, name)?;
+        let value = parse_scalar(raw, kind, name)?.into();
         if self.mapped {
             let slot = LeafSlot {
                 param: pidx,
@@ -636,25 +643,53 @@ pub(crate) fn parse_array_len(text: &[u8]) -> Result<usize, DeserError> {
     usize::try_from(n).map_err(|_| DeserError::shape("arrayType length is negative"))
 }
 
+/// One scalar leaf's value: what a re-read stages, without a [`Value`]'s
+/// room for containers.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum Scalar {
+    Int(i32),
+    Long(i64),
+    Double(f64),
+    Bool(bool),
+    Str(String),
+}
+
+impl From<Scalar> for Value {
+    fn from(scalar: Scalar) -> Value {
+        match scalar {
+            Scalar::Int(x) => Value::Int(x),
+            Scalar::Long(x) => Value::Long(x),
+            Scalar::Double(x) => Value::Double(x),
+            Scalar::Bool(x) => Value::Bool(x),
+            Scalar::Str(x) => Value::Str(x),
+        }
+    }
+}
+
 /// Parse one scalar's raw text (entities unresolved) as `kind`.
-pub(crate) fn parse_scalar(raw: &[u8], kind: ScalarKind, at: &str) -> Result<Value, DeserError> {
-    let lexical_err = |err| DeserError::Lexical {
+pub(crate) fn parse_scalar(raw: &[u8], kind: ScalarKind, at: &str) -> Result<Scalar, DeserError> {
+    let parsed = match kind {
+        ScalarKind::Int => lex::parse_i32(raw).map(Scalar::Int),
+        ScalarKind::Long => lex::parse_i64(raw).map(Scalar::Long),
+        ScalarKind::Double => lex::parse_f64(raw).map(Scalar::Double),
+        ScalarKind::Bool => lex::parse_bool(raw).map(Scalar::Bool),
+        ScalarKind::Str => {
+            let unescaped = unescape(raw)?.into_owned();
+            return String::from_utf8(unescaped)
+                .map(Scalar::Str)
+                .map_err(|_| DeserError::shape(format!("non-UTF-8 string at {at}")));
+        }
+    };
+    parsed.map_err(|err| lexical(at, err))
+}
+
+/// A leaf's lexical error, built only when there is one.
+#[cold]
+fn lexical(at: &str, err: lex::ParseError) -> DeserError {
+    DeserError::Lexical {
         at: at.to_owned(),
         err,
-    };
-    Ok(match kind {
-        ScalarKind::Int => Value::Int(lex::parse_i32(raw).map_err(lexical_err)?),
-        ScalarKind::Long => Value::Long(lex::parse_i64(raw).map_err(lexical_err)?),
-        ScalarKind::Double => Value::Double(lex::parse_f64(raw).map_err(lexical_err)?),
-        ScalarKind::Bool => Value::Bool(lex::parse_bool(raw).map_err(lexical_err)?),
-        ScalarKind::Str => {
-            let unescaped = unescape(raw)?;
-            Value::Str(
-                String::from_utf8(unescaped.into_owned())
-                    .map_err(|_| DeserError::shape(format!("non-UTF-8 string at {at}")))?,
-            )
-        }
-    })
+    }
 }
 
 /// The close tag in a leaf region's old bytes, `text</name>pad`. The oracle
@@ -724,47 +759,80 @@ pub(crate) enum LeafMut<'a> {
     Scalar(&'a mut Value),
 }
 
-/// Find the place `slot` names, using the values' own shape first (an
-/// unboxed array needs nothing else) and the operation's type structure
-/// for the rest. `None` when the slot points outside the argument list.
-pub(crate) fn leaf_mut<'a>(
-    args: &'a mut [Value],
-    op: &OpDesc,
-    slot: LeafSlot,
-) -> Option<LeafMut<'a>> {
-    let pidx = slot.param as usize;
-    let mut n = slot.leaf as usize;
-    match args.get_mut(pidx)? {
-        Value::DoubleArray(v) => v.get_mut(n).map(LeafMut::Double),
-        Value::IntArray(v) => v.get_mut(n).map(LeafMut::Int),
-        Value::Array(elems) => {
-            let TypeDesc::Array { item } = &op.params.get(pidx)?.desc else {
-                return None;
-            };
-            let lpe = item.leaves_per_instance().max(1);
-            let elem = elems.get_mut(n / lpe)?;
-            n %= lpe;
-            nth_scalar_mut(elem, item, &mut n).map(LeafMut::Scalar)
+impl LeafMut<'_> {
+    /// Whether the place holds `scalar`'s kind; with `write`, put it there.
+    pub(crate) fn store(self, scalar: Scalar, write: bool) -> bool {
+        fn set<T>(place: &mut T, x: T, write: bool) -> bool {
+            if write {
+                *place = x;
+            }
+            true
         }
-        plain => nth_scalar_mut(plain, &op.params.get(pidx)?.desc, &mut n).map(LeafMut::Scalar),
+        match (self, scalar) {
+            (LeafMut::Double(t) | LeafMut::Scalar(Value::Double(t)), Scalar::Double(x)) => {
+                set(t, x, write)
+            }
+            (LeafMut::Int(t) | LeafMut::Scalar(Value::Int(t)), Scalar::Int(x)) => set(t, x, write),
+            (LeafMut::Scalar(Value::Long(t)), Scalar::Long(x)) => set(t, x, write),
+            (LeafMut::Scalar(Value::Bool(t)), Scalar::Bool(x)) => set(t, x, write),
+            (LeafMut::Scalar(Value::Str(t)), Scalar::Str(x)) => set(t, x, write),
+            _ => false,
+        }
     }
 }
 
-/// Write a re-parsed scalar into the argument list at `slot`.
-pub(crate) fn apply_leaf(
-    args: &mut [Value],
-    op: &OpDesc,
-    slot: LeafSlot,
-    value: Value,
-) -> Result<(), DeserError> {
-    match (leaf_mut(args, op, slot), value) {
-        (Some(LeafMut::Double(t)), Value::Double(x)) => *t = x,
-        (Some(LeafMut::Int(t)), Value::Int(x)) => *t = x,
-        (Some(LeafMut::Scalar(t)), value) => *t = value,
-        (Some(_), _) => return Err(DeserError::shape("kind drift in leaf apply")),
-        (None, _) => return Err(DeserError::shape("leaf slot out of range")),
+/// Where every leaf of an operation's arguments lives, worked out once per
+/// operation (DESIGN §3.16): slot `leaf` of a parameter whose instance —
+/// the value, or one array element — holds `per` leaves is leaf
+/// `leaf % per` of instance `leaf / per`, reached by its field path. Flat
+/// and nested structs take the one rule, and no leaf is searched for.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct LeafPaths {
+    /// Per parameter, per leaf of one instance: field indices, outermost
+    /// first.
+    params: Vec<Vec<Vec<u32>>>,
+}
+
+impl LeafPaths {
+    pub(crate) fn of(op: &OpDesc) -> Self {
+        fn paths(desc: &TypeDesc) -> Vec<Vec<u32>> {
+            let field = |(f, (_, desc)): (u32, &(String, TypeDesc))| {
+                paths(desc)
+                    .into_iter()
+                    .map(move |path| [vec![f], path].concat())
+            };
+            match desc {
+                TypeDesc::Scalar(_) => vec![Vec::new()],
+                TypeDesc::Struct { fields, .. } => (0..).zip(fields).flat_map(field).collect(),
+                TypeDesc::Array { item } => paths(item),
+            }
+        }
+        let params = op.params.iter().map(|p| paths(&p.desc)).collect();
+        LeafPaths { params }
     }
-    Ok(())
+
+    /// The place `slot` names in `args`; `None` outside them.
+    pub(crate) fn leaf_mut<'a>(
+        &self,
+        args: &'a mut [Value],
+        slot: LeafSlot,
+    ) -> Option<LeafMut<'a>> {
+        let paths = self.params.get(slot.param as usize)?;
+        let n = slot.leaf as usize;
+        let (mut place, leaf) = match args.get_mut(slot.param as usize)? {
+            Value::DoubleArray(v) => return v.get_mut(n).map(LeafMut::Double),
+            Value::IntArray(v) => return v.get_mut(n).map(LeafMut::Int),
+            Value::Array(elems) => (elems.get_mut(n.checked_div(paths.len())?)?, n % paths.len()),
+            plain => (plain, n),
+        };
+        for &f in paths.get(leaf)? {
+            let Value::Struct(fields) = place else {
+                return None;
+            };
+            place = fields.get_mut(f as usize)?;
+        }
+        Some(LeafMut::Scalar(place))
+    }
 }
 
 /// Rebuild one `desc`-shaped value from its scalar leaves in document
@@ -817,29 +885,6 @@ pub(crate) fn resize_array(
         _ => return Err(drift()),
     }
     Ok(())
-}
-
-/// The `n`th scalar leaf (document order) inside a non-array value;
-/// `n` is counted down past the leaves that come before it.
-fn nth_scalar_mut<'a>(
-    target: &'a mut Value,
-    desc: &TypeDesc,
-    n: &mut usize,
-) -> Option<&'a mut Value> {
-    match (desc, target) {
-        (TypeDesc::Scalar(_), t) => {
-            if *n == 0 {
-                return Some(t);
-            }
-            *n -= 1;
-            None
-        }
-        (TypeDesc::Struct { fields, .. }, Value::Struct(vals)) => fields
-            .iter()
-            .zip(vals)
-            .find_map(|((_, fdesc), fval)| nth_scalar_mut(fval, fdesc, n)),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -1052,7 +1097,14 @@ mod tests {
     }
 
     #[test]
-    fn apply_leaf_array_and_struct() {
+    fn leaf_paths_find_array_struct_and_nested_leaves() {
+        let nested = TypeDesc::Struct {
+            name: "outer".into(),
+            fields: vec![
+                ("tag".into(), TypeDesc::Scalar(ScalarKind::Str)),
+                ("cell".into(), TypeDesc::mio()),
+            ],
+        };
         let op = OpDesc::new(
             "mix",
             "urn:x",
@@ -1065,41 +1117,44 @@ mod tests {
                     name: "p".into(),
                     desc: TypeDesc::mio(),
                 },
+                ParamDesc {
+                    name: "n".into(),
+                    desc: TypeDesc::array_of(nested),
+                },
             ],
         );
-        let mut args = vec![Value::DoubleArray(vec![1.0, 2.0]), mio(1, 2, 3.0)];
-        apply_leaf(
-            &mut args,
-            &op,
-            LeafSlot { param: 0, leaf: 1 },
-            Value::Double(9.0),
-        )
-        .unwrap();
-        assert_eq!(args[0], Value::DoubleArray(vec![1.0, 9.0]));
-        apply_leaf(
-            &mut args,
-            &op,
-            LeafSlot { param: 1, leaf: 2 },
-            Value::Double(7.5),
-        )
-        .unwrap();
-        assert_eq!(args[1], mio(1, 2, 7.5));
-        apply_leaf(
-            &mut args,
-            &op,
-            LeafSlot { param: 1, leaf: 0 },
-            Value::Int(42),
-        )
-        .unwrap();
-        assert_eq!(args[1], mio(42, 2, 7.5));
-        // Out-of-range slot errors.
-        assert!(apply_leaf(
-            &mut args,
-            &op,
-            LeafSlot { param: 0, leaf: 5 },
-            Value::Double(0.0)
-        )
-        .is_err());
+        let outer = |tag: &str, cell| Value::Struct(vec![Value::Str(tag.into()), cell]);
+        let mut args = vec![
+            Value::DoubleArray(vec![1.0, 2.0]),
+            mio(1, 2, 3.0),
+            Value::Array(vec![outer("a", mio(1, 2, 0.5)), outer("b", mio(3, 4, 1.5))]),
+        ];
+        let paths = LeafPaths::of(&op);
+        let mut store = |param, leaf, scalar| {
+            let place = paths.leaf_mut(&mut args, LeafSlot { param, leaf });
+            place.is_some_and(|place| place.store(scalar, true))
+        };
+        assert!(store(0, 1, Scalar::Double(9.0)));
+        assert!(store(1, 2, Scalar::Double(7.5)));
+        assert!(store(1, 0, Scalar::Int(42)));
+        // Element 1's fourth leaf: `cell.v`, two fields down.
+        assert!(store(2, 7, Scalar::Double(-2.5)));
+        assert!(store(2, 4, Scalar::Str("c".into())));
+        // Out of range, or another kind: nothing lands.
+        assert!(!store(0, 5, Scalar::Double(0.0)));
+        assert!(!store(2, 8, Scalar::Int(0)));
+        assert!(!store(2, 1, Scalar::Double(0.0)));
+        assert_eq!(
+            args,
+            [
+                Value::DoubleArray(vec![1.0, 9.0]),
+                mio(42, 2, 7.5),
+                Value::Array(vec![
+                    outer("a", mio(1, 2, 0.5)),
+                    outer("c", mio(3, 4, -2.5))
+                ]),
+            ]
+        );
     }
 
     #[test]

@@ -274,14 +274,14 @@ impl StreamingDeserializer {
                 let (Some(read), Some(text)) = (read, text) else {
                     return Ok(None);
                 };
-                (read, parse_scalar(text, kind, "item")?)
+                (read, parse_scalar(text, kind, "item")?.into())
             }
             desc => {
                 let leaves = &mut self.leaves;
                 leaves.clear();
                 let read = skeleton.read(unit, |region, text| {
                     if let RegionKind::Leaf { kind, .. } = region.kind {
-                        leaves.push(parse_scalar(text, kind, "item")?);
+                        leaves.push(parse_scalar(text, kind, "item")?.into());
                     }
                     Ok(())
                 })?;

@@ -28,6 +28,32 @@ fn mios_op() -> OpDesc {
     )
 }
 
+/// An array whose elements hold a struct inside a struct: a commit finds
+/// `cell`'s leaves two fields down, by the same slot rule as `w`'s one.
+fn nested_op() -> OpDesc {
+    let outer = TypeDesc::Struct {
+        name: "outer".into(),
+        fields: vec![
+            ("tag".into(), TypeDesc::Scalar(ScalarKind::Str)),
+            ("cell".into(), TypeDesc::mio()),
+            ("w".into(), TypeDesc::Scalar(ScalarKind::Double)),
+        ],
+    };
+    OpDesc::single("sendN", "urn:bench", "outers", TypeDesc::array_of(outer))
+}
+
+/// `nested_op`'s argument carrying `xs`: each double drives every leaf of
+/// its element, so a rewrite changes a string, two ints of other widths
+/// and two doubles.
+fn nested_args(xs: &[f64]) -> Vec<Value> {
+    let outer = |(i, &x): (usize, &f64)| {
+        let tag = Value::Str(format!("t{}&", x.to_bits() % 97));
+        let cell = mio((x * 1e3) as i32, (i as i32).wrapping_sub(x as i32), -x);
+        Value::Struct(vec![tag, cell, Value::Double(x / 3.0)])
+    };
+    vec![Value::Array(xs.iter().enumerate().map(outer).collect())]
+}
+
 fn any_finite_f64() -> impl Strategy<Value = f64> {
     // Full bit-pattern coverage, filtered to XML-representable values
     // (xsd:double has no NaN/Inf lexical forms in our profile).
@@ -778,16 +804,20 @@ proptest! {
             1..8
         ),
         stuffed in any::<bool>(),
+        nested in any::<bool>(),
     ) {
-        let op = doubles_op();
+        let op = if nested { nested_op() } else { doubles_op() };
+        let args_of = |xs: &[f64]| match nested {
+            true => nested_args(xs),
+            false => vec![Value::DoubleArray(xs.to_vec())],
+        };
         let config = if stuffed {
             EngineConfig::stuffed_max()
         } else {
             EngineConfig::paper_default()
         };
         let mut current = initial.clone();
-        let mut tpl =
-            MessageTemplate::build(config, &op, &[Value::DoubleArray(current.clone())]).unwrap();
+        let mut tpl = MessageTemplate::build(config, &op, &args_of(&current)).unwrap();
         let mut diff = DiffDeserializer::new(op.clone());
         diff.deserialize(&tpl.to_bytes()).unwrap();
 
@@ -796,7 +826,7 @@ proptest! {
                 let idx = idx % current.len();
                 current[idx] = v;
             }
-            tpl.update_args(&[Value::DoubleArray(current.clone())]).unwrap();
+            tpl.update_args(&args_of(&current)).unwrap();
             tpl.flush();
             let bytes = tpl.to_bytes();
             let full = parse_envelope(&bytes, &op).unwrap();

@@ -8,7 +8,9 @@
 //! its framing is compiled once per build (DESIGN §3.2), so a tag formatted
 //! per element fails here too. What a streamed element allocates on the
 //! receiving side: nothing once the first one taught the skeleton, so an
-//! element sent back through the oracle's `Parser` fails here. The sends
+//! element sent back through the oracle's `Parser` fails here. A warm
+//! decode of struct elements — every leaf re-read, ints changing width —
+//! allocates the one re-read string and nothing per number. The sends
 //! run under the pinned `Exact2004` kernel, because a double conversion
 //! allocates nothing under either kernel — a test of its own counts that.
 //!
@@ -22,10 +24,10 @@ use std::cell::Cell;
 mod corpus;
 
 use bsoap::convert::{FloatFormatter, ScalarKind};
-use bsoap::deser::{DiffOutcome, LaneDeserializer, StreamingDeserializer};
+use bsoap::deser::{DiffDeserializer, DiffOutcome, LaneDeserializer, StreamingDeserializer};
 use bsoap::{
-    mio, EngineConfig, OpDesc, OverlaySender, SendTier, StoreKey, TemplateKey, TemplateStore,
-    TypeDesc, Value, WireFormat,
+    mio, EngineConfig, MessageTemplate, OpDesc, OverlaySender, ParamDesc, SendTier, StoreKey,
+    TemplateKey, TemplateStore, TypeDesc, Value, WireFormat,
 };
 
 thread_local! {
@@ -251,4 +253,60 @@ fn a_streamed_element_allocates_nothing() {
     assert_eq!(summary.unwrap().items, ELEMENTS);
     assert_eq!(sum, values.iter().sum::<f64>());
     assert_eq!(allocations, 0, "streaming {ELEMENTS} elements");
+}
+
+/// The receiving side of `cold_mix`: a label with escaped characters and
+/// 300 MIO cells, every leaf fresh in every message and the ints changing
+/// width. Each leaf is staged as a typed scalar and landed through the
+/// operation's leaf paths, so a warm decode allocates exactly the label's
+/// new `String` — nothing per number, nothing per struct element.
+#[test]
+fn a_warm_struct_decode_allocates_only_its_string() {
+    const CELLS: usize = 300;
+    let param = |name: &str, desc| ParamDesc {
+        name: name.into(),
+        desc,
+    };
+    let op = OpDesc::new(
+        "mix",
+        "urn:bench",
+        vec![
+            param("label", TypeDesc::Scalar(ScalarKind::Str)),
+            param("cells", TypeDesc::array_of(TypeDesc::mio())),
+        ],
+    );
+    // Generation `g` of cell `i`: ints of 1 to 7 digits, widths moving
+    // with `g`, and a double no neighbouring generation shares.
+    let message = |g: usize| {
+        let int = |i: usize, salt: usize| {
+            let digits = 1 + (i + g + salt) % 7;
+            ((i * 7919 + g * 104_729 + salt) % 10usize.pow(digits as u32)) as i32
+        };
+        let cell = |i| mio(int(i, 0), -int(i, 3), fixed_width(i, g));
+        let label = format!("label {g} & <{}>", "x".repeat(g));
+        let args = [
+            Value::Str(label),
+            Value::Array((0..CELLS).map(cell).collect()),
+        ];
+        let config = EngineConfig::paper_default();
+        MessageTemplate::build(config, &op, &args)
+            .unwrap()
+            .to_bytes()
+    };
+    let messages: Vec<Vec<u8>> = (0..4).map(message).collect();
+    let mut deser = DiffDeserializer::new(op.clone());
+    // Two warm-up rounds size the retained message and the staging lists.
+    for bytes in messages.iter().cycle().take(8) {
+        deser.deserialize(bytes).unwrap();
+    }
+    for bytes in &messages {
+        let (decoded, allocations) = counted(|| deser.deserialize(bytes).map(|(_, o)| o));
+        let reparsed = 1 + 3 * CELLS;
+        let outcome = DiffOutcome::Differential {
+            reparsed,
+            skipped: 0,
+        };
+        assert_eq!(decoded.unwrap(), outcome);
+        assert_eq!(allocations, 1, "re-reading {reparsed} leaves");
+    }
 }
