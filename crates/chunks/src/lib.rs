@@ -20,7 +20,7 @@
 //! (`bsoap-core`); this crate only guarantees the byte mechanics and keeps
 //! them property-tested against a flat reference buffer.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 mod store;
 

@@ -286,32 +286,6 @@ impl ChunkStore {
     /// churn counter records; the return value is that same figure so
     /// callers can account it per flush.
     pub fn open_gaps_right(&mut self, idx: usize, gaps: &[(usize, usize)]) -> u64 {
-        self.open_gaps_impl(idx, gaps, false)
-    }
-
-    /// [`Self::open_gaps_right`] with kernel-policy dispatch: when `policy`
-    /// resolves to a SIMD level, each coalesced segment is slid with at
-    /// most two overlapping wide load/store pairs (≤ 32 bytes) or a single
-    /// `memmove` (longer), instead of a length-dispatched `copy_within` per
-    /// segment. Byte-identical to the scalar pass — same `moved_bytes`
-    /// accounting, same gap contents — which the differential tests pin.
-    pub fn open_gaps_right_with(
-        &mut self,
-        idx: usize,
-        gaps: &[(usize, usize)],
-        policy: bsoap_kernels::KernelPolicy,
-    ) -> u64 {
-        if gaps.is_empty() {
-            return 0;
-        }
-        let wide = bsoap_kernels::resolve(policy).is_simd();
-        if wide {
-            bsoap_kernels::record_simd_hits(1);
-        }
-        self.open_gaps_impl(idx, gaps, wide)
-    }
-
-    fn open_gaps_impl(&mut self, idx: usize, gaps: &[(usize, usize)], wide: bool) -> u64 {
         if gaps.is_empty() {
             return 0;
         }
@@ -339,11 +313,7 @@ impl ChunkStore {
             } else {
                 old_len
             };
-            if wide {
-                move_bytes_right_wide(&mut chunk.buf, offset, seg_end, cum);
-            } else {
-                chunk.buf.copy_within(offset..seg_end, offset + cum);
-            }
+            chunk.buf.copy_within(offset..seg_end, offset + cum);
             cum -= delta;
         }
         debug_assert_eq!(cum, 0);
@@ -457,57 +427,6 @@ impl ChunkStore {
     pub fn assert_consistent(&self) {
         let sum: usize = self.chunks.iter().map(|c| c.len()).sum();
         assert_eq!(sum, self.total_len, "total_len accounting drifted");
-    }
-}
-
-/// Slide `buf[start..end]` right by `by` bytes with wide moves.
-///
-/// The destination overlaps the source whenever `by < end - start`, so the
-/// classic small-`memmove` technique applies: load the *entire* segment
-/// into registers first (two overlapping wide loads covering head and
-/// tail), then store — no source byte is read after any destination byte
-/// is written. Segments longer than 32 bytes fall through to `ptr::copy`
-/// (memmove), which is already vectorized; the kernel's win is skipping
-/// the length dispatch and call overhead for the short inter-gap segments
-/// a shift storm is made of. Byte-identical to
-/// `buf.copy_within(start..end, start + by)`.
-#[inline]
-fn move_bytes_right_wide(buf: &mut [u8], start: usize, end: usize, by: usize) {
-    let len = end - start;
-    if len == 0 || by == 0 {
-        return;
-    }
-    assert!(end + by <= buf.len(), "wide move out of bounds");
-    let p = buf.as_mut_ptr();
-    // SAFETY: `start + len + by <= buf.len()` was just asserted, so every
-    // load is inside `buf[start..end]` and every store inside
-    // `buf[start+by..end+by]`. Each branch performs all of its loads before
-    // its first store, which makes the overlap (`by < len`) harmless.
-    unsafe {
-        let src = p.add(start);
-        let dst = p.add(start + by);
-        if len <= 4 {
-            let mut tmp = [0u8; 4];
-            std::ptr::copy_nonoverlapping(src, tmp.as_mut_ptr(), len);
-            std::ptr::copy_nonoverlapping(tmp.as_ptr(), dst, len);
-        } else if len <= 8 {
-            let head = (src as *const u32).read_unaligned();
-            let tail = (src.add(len - 4) as *const u32).read_unaligned();
-            (dst as *mut u32).write_unaligned(head);
-            (dst.add(len - 4) as *mut u32).write_unaligned(tail);
-        } else if len <= 16 {
-            let head = (src as *const u64).read_unaligned();
-            let tail = (src.add(len - 8) as *const u64).read_unaligned();
-            (dst as *mut u64).write_unaligned(head);
-            (dst.add(len - 8) as *mut u64).write_unaligned(tail);
-        } else if len <= 32 {
-            let head = (src as *const u128).read_unaligned();
-            let tail = (src.add(len - 16) as *const u128).read_unaligned();
-            (dst as *mut u128).write_unaligned(head);
-            (dst.add(len - 16) as *mut u128).write_unaligned(tail);
-        } else {
-            std::ptr::copy(src, dst, len);
-        }
     }
 }
 
@@ -727,17 +646,14 @@ mod tests {
 
     #[test]
     fn open_gaps_right_empty_slice_is_free() {
-        // Satellite pin: an empty gap list must return 0 without touching
-        // the chunk bytes or any counter, under every kernel policy.
-        use bsoap_kernels::KernelPolicy;
+        // An empty gap list must return 0 without touching the chunk bytes
+        // or any counter.
         let mut store = ChunkStore::new(small_config());
         store.append_region(b"untouched");
         let bytes_before = store.flatten();
         let counters_before = store.counters();
         let len_before = store.total_len();
         assert_eq!(store.open_gaps_right(0, &[]), 0);
-        assert_eq!(store.open_gaps_right_with(0, &[], KernelPolicy::Scalar), 0);
-        assert_eq!(store.open_gaps_right_with(0, &[], KernelPolicy::Auto), 0);
         assert_eq!(store.flatten(), bytes_before);
         assert_eq!(store.counters(), counters_before);
         assert_eq!(store.total_len(), len_before);
@@ -745,10 +661,10 @@ mod tests {
     }
 
     #[test]
-    fn open_gaps_wide_is_byte_identical_to_scalar() {
-        // Every segment-length class of the wide mover (0, 1–4, 5–8, 9–16,
-        // 17–32, >32 bytes) plus gap deltas spanning the same classes.
-        use bsoap_kernels::KernelPolicy;
+    fn open_gaps_right_equals_sequential_shifts_for_every_segment_length() {
+        // Segments between gaps of 0, 1–4, 5–8, 9–16, 17–32 and > 32 bytes,
+        // gap deltas spanning the same range: the one pass leaves the same
+        // displaced bytes and moves `len − first gap` bytes.
         let payload: Vec<u8> = (0..200u8).collect();
         let gap_sets: &[&[(usize, usize)]] = &[
             &[(0, 1)],
@@ -761,24 +677,31 @@ mod tests {
         ];
         for gaps in gap_sets {
             let total: usize = gaps.iter().map(|&(_, d)| d).sum();
-            let mut scalar = ChunkStore::new(ChunkConfig::k8());
-            scalar.append_region(&payload);
-            assert!(scalar.try_grow(0, total));
-            let moved_s = scalar.open_gaps_right_with(0, gaps, KernelPolicy::Scalar);
+            let mut seq = ChunkStore::new(ChunkConfig::k8());
+            seq.append_region(&payload);
+            assert!(seq.try_grow(0, total));
+            let mut slid = 0;
+            for &(g, d) in gaps.iter() {
+                seq.shift_tail_right(0, g + slid, d);
+                slid += d;
+            }
 
-            let mut wide = ChunkStore::new(ChunkConfig::k8());
-            wide.append_region(&payload);
-            assert!(wide.try_grow(0, total));
-            let moved_w = wide.open_gaps_right_with(0, gaps, KernelPolicy::Auto);
+            let mut coal = ChunkStore::new(ChunkConfig::k8());
+            coal.append_region(&payload);
+            assert!(coal.try_grow(0, total));
+            let moved = coal.open_gaps_right(0, gaps);
 
-            assert_eq!(moved_s, moved_w, "moved accounting for {gaps:?}");
-            assert_eq!(
-                scalar.flatten(),
-                wide.flatten(),
-                "bytes diverged for {gaps:?}"
-            );
-            assert_eq!(scalar.counters(), wide.counters());
-            wide.assert_consistent();
+            let mut seq_bytes = seq.flatten();
+            let mut coal_bytes = coal.flatten();
+            let mut cum = 0;
+            for &(g, d) in gaps.iter() {
+                seq_bytes[g + cum..g + cum + d].fill(0);
+                coal_bytes[g + cum..g + cum + d].fill(0);
+                cum += d;
+            }
+            assert_eq!(seq_bytes, coal_bytes, "bytes diverged for {gaps:?}");
+            assert_eq!(moved, (payload.len() - gaps[0].0) as u64, "{gaps:?}");
+            coal.assert_consistent();
         }
     }
 

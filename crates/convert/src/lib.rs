@@ -5,7 +5,8 @@
 //! dominant cost of a SOAP call — "90% of end-to-end time" (§2). This crate
 //! is that substrate, built from scratch:
 //!
-//! * [`itoa`] — integer → ASCII with a two-digit lookup table,
+//! * [`itoa`] — integer → ASCII with a two-digit lookup table, written
+//!   back to front from a branch-free digit count,
 //! * [`dtoa`] — `f64` → shortest round-trip decimal: the exact expansion of
 //!   every digit plus a reparse-verified search for the shortest rounding (a
 //!   Dragon-style algorithm, the pinned `Exact2004` cost model; see module
@@ -31,7 +32,7 @@
 //! * `itoa` output never exceeds [`widths::INT_MAX_WIDTH`] (11) bytes for
 //!   `i32` and [`widths::LONG_MAX_WIDTH`] (20) for `i64`.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 mod bignum;
 pub mod dtoa;
@@ -43,13 +44,12 @@ pub mod widths;
 pub use dtoa::{format_f64, write_f64};
 pub use grisu::{format_f64_fast, write_f64_fast, FloatFormatter};
 pub use itoa::{
-    digit_count_u32, digit_count_u64, format_i32, format_i64, format_u64, write_i32,
-    write_i32_branchless, write_i32_with, write_i64, write_i64_branchless, write_i64_with,
-    write_u64, write_u64_branchless,
+    digit_count_u32, digit_count_u64, format_i32, format_i64, format_u64, write_i32, write_i64,
+    write_u64,
 };
 pub use widths::{
-    pad_spaces, pad_spaces_wide, pad_spaces_with, ScalarKind, BOOL_MAX_WIDTH, DOUBLE_MAX_WIDTH,
-    INT_MAX_WIDTH, LONG_MAX_WIDTH, MIO_MAX_WIDTH, MIO_MIN_WIDTH,
+    pad_spaces, ScalarKind, BOOL_MAX_WIDTH, DOUBLE_MAX_WIDTH, INT_MAX_WIDTH, LONG_MAX_WIDTH,
+    MIO_MAX_WIDTH, MIO_MIN_WIDTH,
 };
 
 /// Write a boolean in `xsd:boolean` lexical form (`true` / `false`).

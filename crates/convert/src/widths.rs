@@ -83,56 +83,6 @@ pub fn pad_spaces(buf: &mut [u8]) {
     buf.fill(b' ');
 }
 
-/// Wide-store space fill: pads a stuffed field in at most two overlapping
-/// unaligned stores for every width up to 32 bytes (every stuffed scalar —
-/// the widest field is a 24-byte double), instead of a length-dispatched
-/// `memset`. Byte-identical to [`pad_spaces`].
-///
-/// Uses plain `u64`/`u128` unaligned stores, which lower to `movups`-class
-/// instructions on x86_64 and stay portable elsewhere.
-#[inline]
-pub fn pad_spaces_wide(buf: &mut [u8]) {
-    const SP8: u64 = 0x2020_2020_2020_2020;
-    const SP16: u128 = (SP8 as u128) << 64 | SP8 as u128;
-    let len = buf.len();
-    if len < 8 {
-        buf.fill(b' ');
-        return;
-    }
-    let p = buf.as_mut_ptr();
-    // SAFETY: `len >= 8` here, so stores at offsets 0 and `len - 8` (and,
-    // in the ≥16 branches, `i + 16 <= len` and `len - 16`) are all fully
-    // inside `buf`. Overlap between the paired stores is harmless — both
-    // write the same byte pattern.
-    unsafe {
-        if len <= 16 {
-            (p as *mut u64).write_unaligned(SP8);
-            (p.add(len - 8) as *mut u64).write_unaligned(SP8);
-        } else {
-            let mut i = 0;
-            while i + 16 <= len {
-                (p.add(i) as *mut u128).write_unaligned(SP16);
-                i += 16;
-            }
-            (p.add(len - 16) as *mut u128).write_unaligned(SP16);
-        }
-    }
-}
-
-/// Policy-dispatched space fill: the wide-store kernel when `policy`
-/// resolves to a SIMD level, plain `memset` otherwise.
-#[inline]
-pub fn pad_spaces_with(buf: &mut [u8], policy: bsoap_kernels::KernelPolicy) {
-    if bsoap_kernels::resolve(policy).is_simd() {
-        if buf.len() >= 8 {
-            bsoap_kernels::record_simd_hits(1);
-        }
-        pad_spaces_wide(buf);
-    } else {
-        pad_spaces(buf);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,34 +115,5 @@ mod tests {
         let mut buf = [0u8; 7];
         pad_spaces(&mut buf);
         assert_eq!(&buf, b"       ");
-    }
-
-    #[test]
-    fn wide_pad_matches_scalar_for_every_stuffed_width() {
-        // 0..=64 covers every pad a stuffed field can need (max field is a
-        // 24-byte double; 64 exercises the loop + overlapping tail).
-        for len in 0..=64usize {
-            let mut scalar = vec![0xAAu8; len + 2];
-            let mut wide = vec![0xAAu8; len + 2];
-            pad_spaces(&mut scalar[1..1 + len]);
-            pad_spaces_wide(&mut wide[1..1 + len]);
-            assert_eq!(scalar, wide, "len {len}");
-            // Guard bytes untouched on both sides.
-            assert_eq!(wide[0], 0xAA);
-            assert_eq!(wide[len + 1], 0xAA);
-        }
-    }
-
-    #[test]
-    fn pad_dispatch_matches_under_both_policies() {
-        use bsoap_kernels::KernelPolicy;
-        for len in [0usize, 5, 8, 11, 16, 23, 24, 33] {
-            let mut a = vec![0u8; len];
-            let mut b = vec![0u8; len];
-            pad_spaces_with(&mut a, KernelPolicy::Scalar);
-            pad_spaces_with(&mut b, KernelPolicy::Auto);
-            assert_eq!(a, b, "len {len}");
-            assert!(a.iter().all(|&c| c == b' '));
-        }
     }
 }

@@ -173,7 +173,10 @@ proptest! {
     fn itoa_i32_matches_display(v in any::<i32>()) {
         prop_assert_eq!(itoa::format_i32(v), v.to_string());
         prop_assert!(itoa::format_i32(v).len() <= bsoap_convert::INT_MAX_WIDTH);
-        prop_assert_eq!(itoa::i32_width(v), v.to_string().len());
+        prop_assert_eq!(
+            (v < 0) as usize + itoa::digit_count_u64(v.unsigned_abs() as u64),
+            v.to_string().len()
+        );
     }
 
     #[test]

@@ -3,7 +3,6 @@
 pub use bsoap_chunks::ChunkConfig;
 pub use bsoap_convert::FloatFormatter;
 use bsoap_convert::ScalarKind;
-pub use bsoap_kernels::KernelPolicy;
 pub use bsoap_obs::ServerCore;
 
 pub use crate::lane::WireFormat;
@@ -118,13 +117,11 @@ pub struct EngineConfig {
     /// the same way on both sides: 400 for a request, a typed `TooLarge`
     /// I/O error for a response.
     pub max_body_bytes: usize,
-    /// Which byte-kernel implementations the engine's hot loops use
-    /// (escape scanning, stuffed integer encoding, coalesced gap
-    /// shifting): `Auto` dispatches on runtime CPU detection, `Scalar`
-    /// pins the portable oracle. Both produce byte-identical messages;
-    /// `BSOAP_KERNEL=scalar` in the environment forces the scalar kernels
-    /// process-wide (it can only narrow this knob, never widen it).
-    pub kernel: KernelPolicy,
+    /// Not a knob: every byte kernel has one implementation, so this has
+    /// one value and nothing reads it. Kept only for
+    /// `benchmark/src/staged.rs`, which passes it on.
+    #[doc(hidden)]
+    pub kernel: (),
     /// Hard global byte budget for the shared template store (resident
     /// template bytes plus reserved overlay-window bytes). Admitting past
     /// it evicts the cheapest-to-rebuild templates first. `0` = unlimited.
@@ -155,7 +152,7 @@ impl EngineConfig {
             recover_after: 2,
             max_head_bytes: 1 << 20,
             max_body_bytes: 64 << 20,
-            kernel: KernelPolicy::Auto,
+            kernel: (),
             store_budget_bytes: 0,
             tenant_quota_bytes: 0,
             wire_format: WireFormat::SoapXml,
@@ -203,12 +200,6 @@ impl EngineConfig {
     /// Builder-style server-core override.
     pub fn with_server_core(mut self, core: ServerCore) -> Self {
         self.server_core = core;
-        self
-    }
-
-    /// Builder-style byte-kernel policy override.
-    pub fn with_kernel(mut self, kernel: KernelPolicy) -> Self {
-        self.kernel = kernel;
         self
     }
 

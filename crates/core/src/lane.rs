@@ -17,7 +17,6 @@ use crate::schema::{OpDesc, TypeDesc};
 use crate::value::Scalar;
 use crate::{soap, wire};
 use bsoap_convert::{FloatFormatter, ScalarKind};
-use bsoap_kernels::KernelPolicy;
 use bsoap_obs::Counter;
 
 /// Which wire framing templates serialize into.
@@ -142,15 +141,9 @@ impl WireFormat {
     /// one tagged bin1 record. Every template-internal serialization site
     /// routes through here, and each appends to the buffer the bytes end
     /// up in (the builder's region, the planner's blob).
-    pub(crate) fn encode_leaf(
-        self,
-        value: &Scalar,
-        out: &mut Vec<u8>,
-        float: FloatFormatter,
-        kernel: KernelPolicy,
-    ) {
+    pub(crate) fn encode_leaf(self, value: &Scalar, out: &mut Vec<u8>, float: FloatFormatter) {
         match self {
-            WireFormat::SoapXml => value.append_lexical(out, float, kernel),
+            WireFormat::SoapXml => value.append_lexical(out, float),
             WireFormat::CompactBinary => wire::write_leaf(out, value),
         }
     }

@@ -52,8 +52,7 @@ pub mod wire;
 pub use cache::TemplateKey;
 pub use client::{Client, ClientStats, OverlaidOutcome};
 pub use config::{
-    EngineConfig, FloatFormatter, GrowthPolicy, KernelPolicy, ServerCore, StoreMode, WidthPolicy,
-    WireFormat,
+    EngineConfig, FloatFormatter, GrowthPolicy, ServerCore, StoreMode, WidthPolicy, WireFormat,
 };
 pub use dut::{DutEntry, DutTable};
 pub use error::EngineError;

@@ -227,7 +227,7 @@ impl OverlaySender {
         if let Some(m) = &self.metrics {
             // Every portion is serialized: the overlaid send counts like
             // any other (the fragments carry no registry, so their
-            // flushes left tier, values and SIMD hits for this fold).
+            // flushes left tier and values for this fold).
             count_serialized(m, self.config.wire_format, report.tier, values_written);
             m.add(Counter::OverlayPortions, report.portions as u64);
             m.add(Counter::OverlayBytesStreamed, report.bytes as u64);

@@ -16,8 +16,8 @@
 //!
 //! * **When the bytes exist** — the message is fully serialized in the
 //!   template, before anyone is asked to take it — the send ticks its tier
-//!   (`bsoap_sends_total{tier}`), its lane (`SendsXml`/`SendsBinary`),
-//!   `ValuesWritten` and `SimdKernelHits`. `count_serialized` is that
+//!   (`bsoap_sends_total{tier}`), its lane (`SendsXml`/`SendsBinary`) and
+//!   `ValuesWritten`. `count_serialized` is that
 //!   fold, for every tier, on both sides, and for an overlaid send. A send
 //!   whose transport then fails has still serialized, and has still
 //!   counted.
@@ -43,13 +43,12 @@ use std::io::IoSlice;
 use std::sync::Arc;
 
 /// The serialization half of the accounting rule (module docs): one send's
-/// tier, lane, values and SIMD kernel hits, ticked the moment its bytes
+/// tier, lane and values, ticked the moment its bytes
 /// exist. The only place a send tier is counted.
 pub(crate) fn count_serialized(m: &Metrics, lane: WireFormat, tier: SendTier, values: usize) {
     m.add(Counter::send(tier), 1);
     m.add(lane.send_counter(), 1);
     m.add(Counter::ValuesWritten, values as u64);
-    m.add(Counter::SimdKernelHits, bsoap_kernels::take_simd_hits());
 }
 
 impl TemplateStore {

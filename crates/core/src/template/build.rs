@@ -242,12 +242,7 @@ impl Builder {
         let lane = self.config.wire_format;
         self.region.clear();
         self.region.extend_from_slice(open);
-        lane.encode_leaf(
-            &value,
-            &mut self.region,
-            self.config.float,
-            self.config.kernel,
-        );
+        lane.encode_leaf(&value, &mut self.region, self.config.float);
         let ser_len = self.region.len() - open.len();
         let width = lane.initial_width(self.config.width, kind, ser_len, width_floor);
         self.region.extend_from_slice(close);

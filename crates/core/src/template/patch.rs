@@ -20,7 +20,6 @@
 //!    plan blob and touches only its own region's bytes.
 
 use super::{MessageTemplate, SendReport, SendTier};
-use crate::config::KernelPolicy;
 use crate::dut::DutEntry;
 use crate::error::EngineError;
 use crate::plan::{InjectedFault, OpKind, PlannedOp, SendPlan};
@@ -240,11 +239,7 @@ impl MessageTemplate {
                     .iter()
                     .map(|&(g, d)| (g as usize, d as usize))
                     .collect();
-                counters.shifted_bytes += self.store.open_gaps_right_with(
-                    chunk as usize,
-                    &gaps_bytes,
-                    self.config.kernel,
-                );
+                counters.shifted_bytes += self.store.open_gaps_right(chunk as usize, &gaps_bytes);
                 counters.shifts += rest.len();
                 counters.coalesced_passes += 1;
                 counters.dut_fixups += self.apply_multi_gap_fixups(first_entry, chunk, &gaps);
@@ -326,17 +321,10 @@ impl MessageTemplate {
     /// dirty list, one each, so clearing their bits empties it.
     fn execute_writes(&mut self, ops: &[PlannedOp], blob: &[u8], counters: &mut PatchCounters) {
         counters.values_written += ops.len();
-        let kernel = self.config.kernel;
         let MessageTemplate { store, dut, .. } = &mut *self;
         for op in ops {
             let e = &mut dut.entries_mut_raw()[op.entry];
-            apply_write(
-                store.chunk_buf_mut(e.loc.chunk as usize),
-                e,
-                op,
-                blob,
-                kernel,
-            );
+            apply_write(store.chunk_buf_mut(e.loc.chunk as usize), e, op, blob);
         }
         debug_assert_eq!(ops.len(), dut.dirty_count());
         dut.clear_dirty_list();
@@ -377,18 +365,12 @@ impl MessageTemplate {
 /// Apply one planned write to its entry and chunk buffer: commit the new
 /// width (room was made in phases 1–2), lay down `[value][suffix][pad]`
 /// from the plan blob, and settle the entry's bookkeeping.
-fn apply_write(
-    buf: &mut [u8],
-    e: &mut DutEntry,
-    op: &PlannedOp,
-    blob: &[u8],
-    kernel: KernelPolicy,
-) {
+fn apply_write(buf: &mut [u8], e: &mut DutEntry, op: &PlannedOp, blob: &[u8]) {
     if let Some(w) = op.kind.new_width() {
         e.width = w;
     }
     let bytes = &blob[op.lo as usize..op.hi as usize];
-    write_in_width_kern(buf, e, bytes, kernel);
+    write_in_width(buf, e, bytes);
     e.ser_len = op.hi - op.lo;
     e.dirty = false;
 }
@@ -399,10 +381,8 @@ fn apply_write(
 /// Produces the `[value][suffix][pad]` layout: the closing tag
 /// is slid from its old position (after `ser_len` bytes) to the new value
 /// end, then the remainder of the region is padded with spaces. The
-/// suffix move runs first because the regions may overlap; the trailing
-/// pad goes through the wide-store space fill when the policy resolves
-/// to a SIMD level.
-fn write_in_width_kern(buf: &mut [u8], e: &DutEntry, bytes: &[u8], kernel: KernelPolicy) {
+/// suffix move runs first because the regions may overlap.
+fn write_in_width(buf: &mut [u8], e: &DutEntry, bytes: &[u8]) {
     let off = e.loc.offset as usize;
     let old_ser = e.ser_len as usize;
     let sfx = e.suffix_len as usize;
@@ -416,5 +396,5 @@ fn write_in_width_kern(buf: &mut [u8], e: &DutEntry, bytes: &[u8], kernel: Kerne
     }
     buf.copy_within(off + old_ser..off + old_ser + sfx, off + new_len);
     buf[off..off + new_len].copy_from_slice(bytes);
-    bsoap_convert::pad_spaces_with(&mut buf[off + new_len + sfx..off + width + sfx], kernel);
+    bsoap_convert::pad_spaces(&mut buf[off + new_len + sfx..off + width + sfx]);
 }

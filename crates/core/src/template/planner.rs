@@ -76,7 +76,6 @@ impl MessageTemplate {
         }
 
         let float = self.config.float;
-        let kernel = self.config.kernel;
         let lane = self.config.wire_format;
         let growth = self.config.growth;
         let steal_on = self.config.steal;
@@ -104,7 +103,7 @@ impl MessageTemplate {
             let e = &entries[i];
             debug_assert!(e.dirty);
             let lo = plan.blob.len() as u32;
-            lane.encode_leaf(&e.value, &mut plan.blob, float, kernel);
+            lane.encode_leaf(&e.value, &mut plan.blob, float);
             let hi = plan.blob.len() as u32;
             let new_len = hi - lo;
             let eff_width = match next_override.take() {

@@ -70,34 +70,22 @@ impl Scalar {
     /// Strings are XML-escaped here; numeric forms never need escaping.
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
         out.clear();
-        self.append_lexical(
-            out,
-            FloatFormatter::Exact2004,
-            bsoap_kernels::KernelPolicy::Scalar,
-        );
+        self.append_lexical(out, FloatFormatter::Exact2004);
     }
 
     /// Append this scalar's lexical form to `out`, converting doubles with
     /// `float` (both kernels emit the same bytes; only the conversion cost
-    /// differs) and dispatching the byte kernels on `kernel`: integers go
-    /// through the branchless stuffed-itoa kernel and strings through the
-    /// SIMD escape scanner when it resolves to a SIMD level. Output is
-    /// byte-identical across every policy (property-tested).
-    pub fn append_lexical(
-        &self,
-        out: &mut Vec<u8>,
-        float: FloatFormatter,
-        kernel: bsoap_kernels::KernelPolicy,
-    ) {
+    /// differs).
+    pub fn append_lexical(&self, out: &mut Vec<u8>, float: FloatFormatter) {
         match self {
             Scalar::Int(v) => {
                 let mut buf = [0u8; 11];
-                let n = bsoap_convert::write_i32_with(&mut buf, *v, kernel);
+                let n = bsoap_convert::write_i32(&mut buf, *v);
                 out.extend_from_slice(&buf[..n]);
             }
             Scalar::Long(v) => {
                 let mut buf = [0u8; 20];
-                let n = bsoap_convert::write_i64_with(&mut buf, *v, kernel);
+                let n = bsoap_convert::write_i64(&mut buf, *v);
                 out.extend_from_slice(&buf[..n]);
             }
             Scalar::Double(v) => {
@@ -106,7 +94,7 @@ impl Scalar {
                 out.extend_from_slice(&buf[..n]);
             }
             Scalar::Bool(v) => out.extend_from_slice(bsoap_convert::format_bool(*v).as_bytes()),
-            Scalar::Str(s) => bsoap_xml::escape_text_into_with(out, s, kernel),
+            Scalar::Str(s) => bsoap_xml::escape_text_into(out, s),
         }
     }
 }

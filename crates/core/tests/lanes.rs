@@ -239,7 +239,7 @@ impl Reference {
     fn leaf(&mut self, value: Scalar, close: &[u8], floor: usize) {
         let (at, kind) = (self.bytes.len(), value.kind());
         if self.xml() {
-            value.append_lexical(&mut self.bytes, self.config.float, self.config.kernel);
+            value.append_lexical(&mut self.bytes, self.config.float);
         } else {
             wire::write_leaf(&mut self.bytes, &value);
         }

@@ -1,6 +1,6 @@
 //! Satellite proof: overlaid send output vs the non-overlay full
 //! serialization, for random window sizes (including tails that don't
-//! divide the array) across `KernelPolicy::{Scalar, Auto}`.
+//! divide the array).
 //!
 //! Two equivalence strengths, by width policy:
 //!
@@ -14,7 +14,7 @@
 
 use bsoap_convert::ScalarKind;
 use bsoap_core::overlay::OverlaySender;
-use bsoap_core::{EngineConfig, KernelPolicy, MessageTemplate, OpDesc, TypeDesc, Value};
+use bsoap_core::{EngineConfig, MessageTemplate, OpDesc, TypeDesc, Value};
 use bsoap_xml::strip_pad;
 use proptest::prelude::*;
 use std::io::IoSlice;
@@ -81,15 +81,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Stuffed (Max width): overlay output is byte-identical to the full
-    /// serialization for any window size, on both kernels.
+    /// serialization for any window size.
     #[test]
     fn stuffed_overlay_is_byte_identical(
         n in 0usize..600,
         window in 1usize..97,
-        simd in any::<bool>(),
     ) {
-        let kernel = if simd { KernelPolicy::Auto } else { KernelPolicy::Scalar };
-        let config = EngineConfig::stuffed_max().with_kernel(kernel);
+        let config = EngineConfig::stuffed_max();
         let op = doubles_op();
         let value = Value::DoubleArray((0..n).map(dval).collect());
         let (streamed, portions) = overlay_bytes(config, &op, window, &value);
@@ -99,15 +97,13 @@ proptest! {
     }
 
     /// Exact width: overlay output matches the full serialization once
-    /// stuffing pad is stripped, for any window size, on both kernels.
+    /// stuffing pad is stripped, for any window size.
     #[test]
     fn exact_overlay_is_strip_pad_identical(
         n in 0usize..600,
         window in 1usize..97,
-        simd in any::<bool>(),
     ) {
-        let kernel = if simd { KernelPolicy::Auto } else { KernelPolicy::Scalar };
-        let config = EngineConfig::paper_default().with_kernel(kernel);
+        let config = EngineConfig::paper_default();
         let op = doubles_op();
         let value = Value::DoubleArray((0..n).map(dval).collect());
         let (streamed, _) = overlay_bytes(config, &op, window, &value);
@@ -121,10 +117,8 @@ proptest! {
     fn stuffed_struct_overlay_is_byte_identical(
         n in 0usize..200,
         window in 1usize..41,
-        simd in any::<bool>(),
     ) {
-        let kernel = if simd { KernelPolicy::Auto } else { KernelPolicy::Scalar };
-        let config = EngineConfig::stuffed_max().with_kernel(kernel);
+        let config = EngineConfig::stuffed_max();
         let op = mios_op();
         let items: Vec<Value> = (0..n)
             .map(|i| bsoap_core::value::mio(i as i32, -(i as i32), dval(i)))
@@ -142,10 +136,8 @@ proptest! {
         n1 in 1usize..300,
         n2 in 1usize..300,
         window in 1usize..64,
-        simd in any::<bool>(),
     ) {
-        let kernel = if simd { KernelPolicy::Auto } else { KernelPolicy::Scalar };
-        let config = EngineConfig::stuffed_max().with_kernel(kernel);
+        let config = EngineConfig::stuffed_max();
         let op = doubles_op();
         let mut sender = OverlaySender::new(config, &op, window).unwrap();
         for (round, n) in [n1, n2].into_iter().enumerate() {

@@ -9,7 +9,8 @@ use bsoap_baseline::GSoapLike;
 use bsoap_chunks::ChunkConfig;
 use bsoap_convert::ScalarKind;
 use bsoap_core::{
-    EngineConfig, GrowthPolicy, KernelPolicy, MessageTemplate, OpDesc, TypeDesc, Value, WidthPolicy,
+    EngineConfig, GrowthPolicy, MessageTemplate, OpDesc, ParamDesc, TypeDesc, Value, WidthPolicy,
+    WireFormat,
 };
 use bsoap_obs::{Counter, Metrics};
 use bsoap_xml::strip_pad;
@@ -57,49 +58,43 @@ fn worst_case_expansion_all_values() {
             .serialize(&doubles_op(), &storm)
             .unwrap()
             .to_vec();
-        let mut per_kernel = Vec::new();
-        for kernel in [KernelPolicy::Scalar, KernelPolicy::Auto] {
-            let config = EngineConfig::paper_default()
-                .with_chunk(chunk)
-                .with_steal(false)
-                .with_kernel(kernel);
-            let min_vals = Value::DoubleArray(vec![1.0; n]); // "1": one char
-            let mut tpl = MessageTemplate::build(config, &doubles_op(), &[min_vals]).unwrap();
-            let metrics = Arc::new(Metrics::new());
-            tpl.set_metrics(Arc::clone(&metrics));
-            let before_len = tpl.message_len();
+        let config = EngineConfig::paper_default()
+            .with_chunk(chunk)
+            .with_steal(false);
+        let min_vals = Value::DoubleArray(vec![1.0; n]); // "1": one char
+        let mut tpl = MessageTemplate::build(config, &doubles_op(), &[min_vals]).unwrap();
+        let metrics = Arc::new(Metrics::new());
+        tpl.set_metrics(Arc::clone(&metrics));
+        let before_len = tpl.message_len();
 
-            tpl.update_args(&storm).unwrap();
-            let report = tpl.flush();
-            assert_eq!(report.values_written, n);
-            assert_eq!(report.shifts, n, "every value must shift");
-            assert_eq!(
-                report.splits > 0,
-                must_split,
-                "growth beyond the tight threshold, and only that, must split chunks"
-            );
-            assert_eq!(tpl.message_len(), before_len + n * 23);
-            tpl.assert_invariants();
+        tpl.update_args(&storm).unwrap();
+        let report = tpl.flush();
+        assert_eq!(report.values_written, n);
+        assert_eq!(report.shifts, n, "every value must shift");
+        assert_eq!(
+            report.splits > 0,
+            must_split,
+            "growth beyond the tight threshold, and only that, must split chunks"
+        );
+        assert_eq!(tpl.message_len(), before_len + n * 23);
+        tpl.assert_invariants();
 
-            // The shifting is coalesced: at most one chunk's bytes move per
-            // pass, however many fields grew inside it.
-            let snap = metrics.snapshot();
-            let passes = snap.get(Counter::CoalescedShiftPasses);
-            assert!(passes >= 1, "{kernel:?}: no coalesced pass");
-            assert!(
-                snap.get(Counter::ShiftedBytes) <= passes * chunk.split_threshold as u64,
-                "{kernel:?}: {} bytes moved in {passes} passes",
-                snap.get(Counter::ShiftedBytes)
-            );
+        // The shifting is coalesced: at most one chunk's bytes move per
+        // pass, however many fields grew inside it.
+        let snap = metrics.snapshot();
+        let passes = snap.get(Counter::CoalescedShiftPasses);
+        assert!(passes >= 1, "no coalesced pass");
+        assert!(
+            snap.get(Counter::ShiftedBytes) <= passes * chunk.split_threshold as u64,
+            "{} bytes moved in {passes} passes",
+            snap.get(Counter::ShiftedBytes)
+        );
 
-            // The patched message equals a fresh full serialization, the
-            // engine's own and the independent baseline's.
-            let fresh = MessageTemplate::build(config, &doubles_op(), &storm).unwrap();
-            assert_eq!(tpl.to_bytes(), fresh.to_bytes());
-            assert_eq!(strip_pad(&tpl.to_bytes()), strip_pad(&full), "{kernel:?}");
-            per_kernel.push((tpl.to_bytes(), snap.get(Counter::ShiftedBytes), passes));
-        }
-        assert_eq!(per_kernel[0], per_kernel[1], "byte kernels diverged");
+        // The patched message equals a fresh full serialization, the
+        // engine's own and the independent baseline's.
+        let fresh = MessageTemplate::build(config, &doubles_op(), &storm).unwrap();
+        assert_eq!(tpl.to_bytes(), fresh.to_bytes());
+        assert_eq!(strip_pad(&tpl.to_bytes()), strip_pad(&full));
     }
 }
 
@@ -367,6 +362,96 @@ fn intermediate_stuffing_absorbs_moderate_growth() {
     let r = tpl.flush();
     assert_eq!(r.shifts, 50);
     tpl.assert_invariants();
+}
+
+/// One op with an int array (growing values shift), a string and a
+/// double array (in-width rewrites pad).
+fn mixed_op() -> OpDesc {
+    OpDesc::new(
+        "bench",
+        "urn:kern",
+        vec![
+            ParamDesc {
+                name: "ints".into(),
+                desc: TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Int)),
+            },
+            ParamDesc {
+                name: "note".into(),
+                desc: TypeDesc::Scalar(ScalarKind::Str),
+            },
+            ParamDesc {
+                name: "vals".into(),
+                desc: TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
+            },
+        ],
+    )
+}
+
+fn mixed_args(ints: Vec<i32>, note: &str, vals: Vec<f64>) -> [Value; 3] {
+    [
+        Value::IntArray(ints),
+        Value::Str(note.into()),
+        Value::DoubleArray(vals),
+    ]
+}
+
+/// Worst-case expansion on both lanes: every int grows from 1 char to 11
+/// and the string grows, so the coalesced gap pass and the batched DUT
+/// fixup do real work (on bin1 only the string changes length).
+#[test]
+fn expansion_storm_shifts_and_keeps_invariants() {
+    let n = 120;
+    for format in WireFormat::ALL {
+        let config = EngineConfig::paper_default()
+            .with_chunk(small_chunks())
+            .with_wire_format(format);
+        let first = mixed_args(vec![1; n], "short", vec![1.0; 8]);
+        let mut tpl = MessageTemplate::build(config, &mixed_op(), &first).unwrap();
+        let metrics = Arc::new(Metrics::new());
+        tpl.set_metrics(Arc::clone(&metrics));
+        let storm = [
+            mixed_args(
+                vec![i32::MIN; n],
+                "a much longer string crossing blocks α",
+                vec![-2.2250738585072014e-308; 8],
+            ),
+            mixed_args(vec![7; n], "tiny\r", vec![2.5; 8]),
+        ];
+        for args in &storm {
+            tpl.update_args(args).unwrap();
+            tpl.flush();
+            tpl.assert_invariants();
+        }
+        let shifts = metrics.snapshot().get(Counter::Shifts);
+        assert!(shifts > 0, "{format:?}: expected shifts, got none");
+    }
+}
+
+/// A flush whose dirty values all fit their fields must not bump
+/// `CoalescedShiftPasses`: no gaps, no pass.
+#[test]
+fn no_gaps_means_no_coalesced_pass() {
+    for format in WireFormat::ALL {
+        let config = EngineConfig::paper_default()
+            .with_chunk(small_chunks())
+            .with_wire_format(format);
+        let first = mixed_args(vec![99999; 6], "steady", vec![1.5; 4]);
+        let mut tpl = MessageTemplate::build(config, &mixed_op(), &first).unwrap();
+        let metrics = Arc::new(Metrics::new());
+        tpl.set_metrics(Arc::clone(&metrics));
+        // Same digit counts → in-width overwrites only.
+        tpl.update_args(&mixed_args(vec![88888; 6], "stable", vec![2.5; 4]))
+            .unwrap();
+        let report = tpl.flush();
+        assert_eq!(report.shifts, 0, "{format:?}: no value should shift");
+        let snap = metrics.snapshot();
+        assert_eq!(
+            snap.get(Counter::CoalescedShiftPasses),
+            0,
+            "{format:?}: empty gap sets must not count a coalesced pass"
+        );
+        assert_eq!(snap.get(Counter::Shifts), 0);
+    }
 }
 
 // ---------------------------------------------------------------------

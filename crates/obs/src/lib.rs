@@ -201,12 +201,6 @@ metric_enum! {
         /// Coalesced right-to-left shift passes (one per chunk with
         /// planned width growth, regardless of how many fields grew).
         CoalescedShiftPasses => "bsoap_coalesced_shift_passes_total",
-        /// Byte-kernel calls that took a SIMD/branchless path (escape
-        /// scans, stuffed integer encodes, wide shift passes). Scooped
-        /// from the process-global `bsoap-kernels` tally once per flush,
-        /// so per-engine attribution is approximate but the process total
-        /// is exact.
-        SimdKernelHits => "bsoap_simd_kernel_hits_total",
         /// Send attempts re-issued by the retry policy (excludes the
         /// first attempt of each call).
         RetriesAttempted => "bsoap_retries_attempted_total",

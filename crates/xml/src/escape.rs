@@ -5,19 +5,10 @@
 //! the baseline serializers, but it must still be correct and allocation
 //! conscious: both escape directions work into caller-provided buffers.
 //!
-//! ## Kernel dispatch
-//!
-//! The escape scan is one of the engine's three byte kernels (DESIGN.md
-//! §3.11): [`find_special`] locates the next byte needing escaping 16 or
-//! 32 bytes per iteration (SSE2/AVX2 splat-compare + movemask) and the
-//! escape functions bulk-copy the clean run between specials. The scalar
-//! predicate [`Charset::contains`] is the oracle; the SIMD mask is built
-//! from exactly the same byte set, and property tests assert the two
-//! paths agree on every input, including UTF-8 sequences straddling the
-//! 16/32-byte block boundaries (multi-byte UTF-8 is ≥ `0x80`, so no
-//! continuation byte can collide with an ASCII special).
-
-use bsoap_kernels::{resolve, KernelPolicy, SimdLevel};
+//! The scan is one safe scalar loop (DESIGN.md §3.11): find the next byte
+//! [`Charset::contains`], bulk-copy the clean run before it, append its
+//! entity. Multi-byte UTF-8 is all `>= 0x80`, so no byte of a multi-byte
+//! character is ever mistaken for an ASCII special.
 
 /// Error from [`unescape`]: a malformed or unknown entity reference.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,8 +25,7 @@ impl std::fmt::Display for EscapeError {
 
 impl std::error::Error for EscapeError {}
 
-/// Which escape context a scan serves. Each variant is a fixed byte set;
-/// the scalar predicate here is the oracle the SIMD masks must match.
+/// Which escape context a scan serves. Each variant is a fixed byte set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Charset {
     /// Text content: `&`, `<`, `>`, `\r`.
@@ -50,15 +40,7 @@ pub enum Charset {
 }
 
 impl Charset {
-    /// The bytes this charset escapes (the SIMD compare constants).
-    pub fn specials(self) -> &'static [u8] {
-        match self {
-            Charset::Text => b"&<>\r",
-            Charset::Attr => b"&<\"\t\n\r",
-        }
-    }
-
-    /// Scalar predicate: does `b` need escaping in this context?
+    /// Does `b` need escaping in this context?
     #[inline]
     pub fn contains(self, b: u8) -> bool {
         match self {
@@ -82,151 +64,34 @@ impl Charset {
     }
 }
 
-/// Index of the first byte of `hay` needing escaping under `set`, with
-/// explicit kernel selection. `None` means the whole slice is clean.
-#[inline]
-pub fn find_special_at(hay: &[u8], set: Charset, level: SimdLevel) -> Option<usize> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level >= SimdLevel::Avx2 && hay.len() >= 32 {
-            // SAFETY: AVX2 presence was runtime-detected by `resolve`.
-            return unsafe { simd::find_special_avx2(hay, set) };
-        }
-        if level >= SimdLevel::Sse2 && hay.len() >= 16 {
-            // SAFETY: SSE2 is part of the x86_64 baseline.
-            return unsafe { simd::find_special_sse2(hay, set) };
-        }
-    }
-    let _ = level;
-    hay.iter().position(|&b| set.contains(b))
-}
-
-/// Index of the first byte needing escaping under `set`, resolving the
-/// kernel from `policy` (the scanner the template build escapes through).
-#[inline]
-pub fn find_special(hay: &[u8], set: Charset, policy: KernelPolicy) -> Option<usize> {
-    find_special_at(hay, set, resolve(policy))
-}
-
 /// Shared escape loop: scan for specials, bulk-copy clean runs.
-fn escape_into(out: &mut Vec<u8>, bytes: &[u8], set: Charset, policy: KernelPolicy) {
-    let level = resolve(policy);
-    if level.is_simd() && bytes.len() >= 16 {
-        bsoap_kernels::record_simd_hits(1);
-    }
+fn escape_into(out: &mut Vec<u8>, bytes: &[u8], set: Charset) {
     let mut pos = 0;
-    while pos < bytes.len() {
-        match find_special_at(&bytes[pos..], set, level) {
-            None => break,
-            Some(i) => {
-                out.extend_from_slice(&bytes[pos..pos + i]);
-                out.extend_from_slice(set.replacement(bytes[pos + i]));
-                pos += i + 1;
-            }
-        }
+    while let Some(i) = bytes[pos..].iter().position(|&b| set.contains(b)) {
+        out.extend_from_slice(&bytes[pos..pos + i]);
+        out.extend_from_slice(set.replacement(bytes[pos + i]));
+        pos += i + 1;
     }
     out.extend_from_slice(&bytes[pos..]);
 }
 
 /// Append `text` to `out`, escaping `&`, `<`, `>` and `\r`
-/// ([`Charset::Text`]), using the kernel the default policy resolves to.
+/// ([`Charset::Text`]).
 pub fn escape_text_into(out: &mut Vec<u8>, text: &str) {
-    escape_into(out, text.as_bytes(), Charset::Text, KernelPolicy::Auto);
+    escape_into(out, text.as_bytes(), Charset::Text);
 }
 
-/// [`escape_text_into`] with an explicit kernel policy (the engine
-/// threads its `EngineConfig::kernel` knob through here).
-pub fn escape_text_into_with(out: &mut Vec<u8>, text: &str, policy: KernelPolicy) {
-    escape_into(out, text.as_bytes(), Charset::Text, policy);
+/// [`escape_text_into`] under its old three-argument name, kept only for
+/// `benchmark/src/staged.rs` (which passes `EngineConfig::kernel`, a `()`).
+#[doc(hidden)]
+pub fn escape_text_into_with(out: &mut Vec<u8>, text: &str, _: ()) {
+    escape_text_into(out, text);
 }
 
 /// Append `value` to `out`, escaped for a double-quoted attribute
 /// ([`Charset::Attr`]).
 pub fn escape_attr_into(out: &mut Vec<u8>, value: &str) {
-    escape_into(out, value.as_bytes(), Charset::Attr, KernelPolicy::Auto);
-}
-
-/// [`escape_attr_into`] with an explicit kernel policy.
-pub fn escape_attr_into_with(out: &mut Vec<u8>, value: &str, policy: KernelPolicy) {
-    escape_into(out, value.as_bytes(), Charset::Attr, policy);
-}
-
-#[cfg(target_arch = "x86_64")]
-mod simd {
-    //! SSE2/AVX2 escape scanners.
-    //!
-    //! Safety argument (DESIGN.md §3.11): every load is an *unaligned*
-    //! vector load fully inside `hay` — the block loop stops while
-    //! `i + LANES <= hay.len()` and the remaining tail is scanned with the
-    //! scalar predicate, so no byte outside the slice is ever read. The
-    //! only unsafety is the intrinsics themselves, which require the
-    //! corresponding target feature: SSE2 is unconditionally present on
-    //! `x86_64`, AVX2 callers hold a runtime-detection proof.
-
-    use super::Charset;
-    use std::arch::x86_64::*;
-
-    /// 16-bytes-per-iteration scanner.
-    ///
-    /// # Safety
-    /// Requires SSE2 (always true on `x86_64`).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn find_special_sse2(hay: &[u8], set: Charset) -> Option<usize> {
-        // SAFETY: loads are unaligned and bounded by `i + 16 <= len`.
-        unsafe {
-            let specials = set.specials();
-            let ptr = hay.as_ptr();
-            let len = hay.len();
-            let mut i = 0;
-            while i + 16 <= len {
-                let block = _mm_loadu_si128(ptr.add(i) as *const __m128i);
-                let mut hits = _mm_setzero_si128();
-                for &s in specials {
-                    let needle = _mm_set1_epi8(s as i8);
-                    hits = _mm_or_si128(hits, _mm_cmpeq_epi8(block, needle));
-                }
-                let mask = _mm_movemask_epi8(hits) as u32;
-                if mask != 0 {
-                    return Some(i + mask.trailing_zeros() as usize);
-                }
-                i += 16;
-            }
-            hay[i..]
-                .iter()
-                .position(|&b| set.contains(b))
-                .map(|p| i + p)
-        }
-    }
-
-    /// 32-bytes-per-iteration scanner.
-    ///
-    /// # Safety
-    /// Requires AVX2 (runtime-detected by the caller).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn find_special_avx2(hay: &[u8], set: Charset) -> Option<usize> {
-        // SAFETY: loads are unaligned and bounded by `i + 32 <= len`; the
-        // sub-32-byte tail reuses the SSE2/scalar scanner.
-        unsafe {
-            let specials = set.specials();
-            let ptr = hay.as_ptr();
-            let len = hay.len();
-            let mut i = 0;
-            while i + 32 <= len {
-                let block = _mm256_loadu_si256(ptr.add(i) as *const __m256i);
-                let mut hits = _mm256_setzero_si256();
-                for &s in specials {
-                    let needle = _mm256_set1_epi8(s as i8);
-                    hits = _mm256_or_si256(hits, _mm256_cmpeq_epi8(block, needle));
-                }
-                let mask = _mm256_movemask_epi8(hits) as u32;
-                if mask != 0 {
-                    return Some(i + mask.trailing_zeros() as usize);
-                }
-                i += 32;
-            }
-            find_special_sse2(&hay[i..], set).map(|p| i + p)
-        }
-    }
+    escape_into(out, value.as_bytes(), Charset::Attr);
 }
 
 /// Resolve entity and character references in raw character data.
@@ -338,60 +203,27 @@ mod tests {
     }
 
     #[test]
-    fn simd_mask_matches_scalar_predicate() {
-        // Every possible byte value, in every position of a 48-byte block,
-        // for both charsets: the SIMD scanners and the scalar predicate
-        // must agree exactly (this is the satellite invariant).
+    fn every_byte_escapes_exactly_when_its_charset_says() {
+        // Every byte value, at the head, middle and tail of a clean run,
+        // for both charsets: escaped to its entity when the predicate
+        // holds, copied through otherwise.
         for set in [Charset::Text, Charset::Attr] {
-            for b in 0..=255u8 {
-                for pos in [0usize, 1, 14, 15, 16, 17, 30, 31, 32, 33, 47] {
+            for b in 0..0x80u8 {
+                for pos in [0usize, 1, 15, 16, 47] {
                     let mut hay = vec![b'a'; 48];
                     hay[pos] = b;
-                    let scalar = hay.iter().position(|&x| set.contains(x));
-                    for level in [SimdLevel::None, SimdLevel::Sse2, SimdLevel::Avx2] {
-                        #[cfg(not(target_arch = "x86_64"))]
-                        if level.is_simd() {
-                            continue;
-                        }
-                        #[cfg(target_arch = "x86_64")]
-                        if level == SimdLevel::Avx2
-                            && bsoap_kernels::detected_level() < SimdLevel::Avx2
-                        {
-                            continue;
-                        }
-                        assert_eq!(
-                            find_special_at(&hay, set, level),
-                            scalar,
-                            "byte {b:#04x} at {pos} in {set:?} under {level:?}"
-                        );
+                    let mut out = Vec::new();
+                    escape_into(&mut out, &hay, set);
+                    let mut want = hay[..pos].to_vec();
+                    if set.contains(b) {
+                        want.extend_from_slice(set.replacement(b));
+                    } else {
+                        want.push(b);
                     }
+                    want.extend_from_slice(&hay[pos + 1..]);
+                    assert_eq!(out, want, "byte {b:#04x} at {pos} in {set:?}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn scalar_and_simd_escapes_agree() {
-        let samples: &[&str] = &[
-            "",
-            "short",
-            "exactly sixteen!",
-            "a string long enough to cross several SIMD blocks without specials",
-            "specials <&> scattered \r through a long enough string to vectorize",
-            "trailing special at the very end of a long clean run ............&",
-            "héllo wörld — unicode straddling blocks: ααααααααααααααααααα<end>",
-        ];
-        for s in samples {
-            let mut scalar = Vec::new();
-            let mut simd = Vec::new();
-            escape_text_into_with(&mut scalar, s, KernelPolicy::Scalar);
-            escape_text_into_with(&mut simd, s, KernelPolicy::Auto);
-            assert_eq!(scalar, simd, "text kernels diverged on {s:?}");
-            let mut scalar = Vec::new();
-            let mut simd = Vec::new();
-            escape_attr_into_with(&mut scalar, s, KernelPolicy::Scalar);
-            escape_attr_into_with(&mut simd, s, KernelPolicy::Auto);
-            assert_eq!(scalar, simd, "attr kernels diverged on {s:?}");
         }
     }
 

@@ -18,7 +18,7 @@
 //! processing instructions and CDATA are intentionally rejected (SOAP
 //! forbids DTDs outright).
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod canon;
 pub mod escape;
@@ -27,8 +27,7 @@ pub mod pull;
 
 pub use canon::{pad_equivalent, strip_pad};
 pub use escape::{
-    escape_attr_into, escape_attr_into_with, escape_text_into, escape_text_into_with, find_special,
-    find_special_at, unescape, Charset, EscapeError,
+    escape_attr_into, escape_text_into, escape_text_into_with, unescape, Charset, EscapeError,
 };
 pub use name::{split_qname, validate_ncname, NameError};
 pub use pull::{Event, PullError, PullParser};

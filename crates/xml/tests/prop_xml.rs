@@ -2,10 +2,7 @@
 //! escaped document tokenizes back to the same structure, and the pad
 //! canonicalizer is idempotent and padding-insensitive.
 
-use bsoap_xml::{
-    escape_attr_into, escape_text_into, escape_text_into_with, strip_pad, unescape, Event,
-    PullParser,
-};
+use bsoap_xml::{escape_attr_into, escape_text_into, strip_pad, unescape, Event, PullParser};
 use proptest::prelude::*;
 
 /// `<name a="attr">text`, escaped by the product's own escapers — the
@@ -28,7 +25,7 @@ fn close(out: &mut Vec<u8>, name: &str) {
 
 fn text_strategy() -> impl Strategy<Value = String> {
     // Printable ASCII plus the characters escaping must handle, plus
-    // multi-byte UTF-8 so the SIMD scanner sees block-straddling sequences.
+    // multi-byte UTF-8 between them.
     proptest::collection::vec(
         prop_oneof![
             proptest::char::range(' ', '~'),
@@ -46,6 +43,40 @@ fn text_strategy() -> impl Strategy<Value = String> {
         0..80,
     )
     .prop_map(|cs| cs.into_iter().collect())
+}
+
+/// A run of 13–18 one-byte chars, then a 2/3/4-byte character or an
+/// escapable byte, then an arbitrary tail: multi-byte characters and
+/// specials land on every offset around 16, where a clean run ends.
+fn straddle_string() -> impl Strategy<Value = String> {
+    (
+        13usize..=18,
+        prop_oneof![
+            Just("α"),
+            Just("é"),
+            Just("😀"),
+            Just("&"),
+            Just("<"),
+            Just("\r"),
+        ],
+        proptest::collection::vec(
+            prop_oneof![
+                proptest::char::range(' ', '~'),
+                Just('α'),
+                Just('<'),
+                Just('&'),
+                Just('\r'),
+                Just('😀'),
+            ],
+            0..24,
+        ),
+    )
+        .prop_map(|(k, mid, tail)| {
+            let mut s = "x".repeat(k);
+            s.push_str(mid);
+            s.extend(tail);
+            s
+        })
 }
 
 fn name_strategy() -> impl Strategy<Value = String> {
@@ -117,15 +148,14 @@ proptest! {
     }
 
     #[test]
-    fn escape_kernels_agree(text in text_strategy()) {
-        // The SIMD scanner's "needs escape" mask must match the scalar
-        // predicate exactly — same escapes, same clean runs.
-        use bsoap_kernels::KernelPolicy;
-        let mut scalar = Vec::new();
-        let mut simd = Vec::new();
-        escape_text_into_with(&mut scalar, &text, KernelPolicy::Scalar);
-        escape_text_into_with(&mut simd, &text, KernelPolicy::Auto);
-        prop_assert_eq!(scalar, simd);
+    fn unescape_inverts_escape_across_utf8_straddles(text in straddle_string()) {
+        for escape in [escape_text_into, escape_attr_into] {
+            let mut escaped = Vec::new();
+            escape(&mut escaped, &text);
+            prop_assert!(std::str::from_utf8(&escaped).is_ok(), "escaping split a character");
+            let back = unescape(&escaped).unwrap();
+            prop_assert_eq!(back.as_ref(), text.as_bytes());
+        }
     }
 
     #[test]

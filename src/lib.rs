@@ -65,9 +65,9 @@ pub mod rpc;
 
 pub use bsoap_core::{
     soap, Checkout, Client, ClientStats, DutEntry, DutTable, EngineConfig, EngineError,
-    FloatFormatter, GrowthPolicy, InjectedFault, KernelPolicy, MessageTemplate, OpDesc,
-    OverlaidOutcome, ParamDesc, PlanCost, Scalar, SendPlan, SendReport, SendTier, StoreKey,
-    StoreMode, TemplateKey, TemplateStore, TypeDesc, Value, WidthPolicy, WireFormat,
+    FloatFormatter, GrowthPolicy, InjectedFault, MessageTemplate, OpDesc, OverlaidOutcome,
+    ParamDesc, PlanCost, Scalar, SendPlan, SendReport, SendTier, StoreKey, StoreMode, TemplateKey,
+    TemplateStore, TypeDesc, Value, WidthPolicy, WireFormat,
 };
 
 /// Fault-tolerance surface: retry/breaker policy, per-call deadlines,

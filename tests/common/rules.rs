@@ -69,7 +69,7 @@ const OVERLAY: &str = "crates/core/src/overlay.rs";
 const DESER_LANE: &str = "crates/deser/src/lane.rs";
 const CLIENT: &str = "crates/transport/src/client.rs";
 const ENGINE_CLIENT: &str = "crates/core/src/client.rs";
-const KERNELS: &str = "crates/kernels/src/lib.rs";
+const POLLER: &str = "crates/transport/src/poller.rs";
 /// `transport`'s connection pool has a `checkout()` of its own: sockets,
 /// not templates.
 const SEND_BODY: &[&str] = &[SEND, STORE, "crates/transport/src/pool.rs"];
@@ -163,13 +163,21 @@ const RULES: &[(&str, &[Rule])] = &[
             inside(ENGINE_CLIENT, "TemplateKey::for_format(", 1..=2),
         ],
     ),
-    // Configuration is a value (PR 15): one environment reader in product
-    // code, test modules included — `BSOAP_KERNEL=scalar` in the kernels.
+    // Configuration is a value: no environment reader in product
+    // code, test modules included. The last one, `BSOAP_KERNEL=scalar`,
+    // went with the SIMD byte kernels it chose between.
     (
         "config_is_a_value",
         &[
-            rule("env::var", Files::Except(&[KERNELS]), Part::Whole, NEVER),
-            rule("env::var", Files::Only(KERNELS), Part::Whole, 1..=1),
+            gone("env::var"),
+            gone("KernelPolicy"),
+            gone("fn resolve_with"),
+            gone("SimdKernelHits"),
+            gone("fn open_gaps_right_with"),
+            gone("fn pad_spaces_wide"),
+            // One safe kernel per byte loop: the epoll shim is the only
+            // product code that needs `unsafe`.
+            outside(&[POLLER], "unsafe "),
             // Knobs no workload set (PR 25): the overlay window is one
             // chunk, the streaming threshold a constant.
             gone("pub window_elems:"),

@@ -1,6 +1,6 @@
-//! Configuration is a value: which lane, core and kernels run is decided by
-//! what the caller builds, never by the process environment — with the one
-//! documented exception of `BSOAP_KERNEL=scalar` in `bsoap-kernels`.
+//! Configuration is a value: which lane and core run is decided by what the
+//! caller builds, never by the process environment. No product file reads
+//! an environment variable at all.
 
 use bsoap::transport::{ServerCore, ServerOptions};
 use bsoap::{EngineConfig, WireFormat};

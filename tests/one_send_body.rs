@@ -7,7 +7,7 @@
 
 mod common;
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bsoap::convert::ScalarKind;
 use bsoap::obs::{Counter, Metrics};
@@ -18,10 +18,6 @@ use bsoap::{
 };
 use common::spec::{assert_wire, Delivery, Spec};
 use common::Rig;
-
-/// The SIMD-hit tally is process-global and a metered send scoops it:
-/// the tests here that drive the engine take turns.
-static ENGINE: Mutex<()> = Mutex::new(());
 
 #[test]
 fn the_tiered_send_has_one_body() {
@@ -51,9 +47,8 @@ fn schedule_args(tag: &str, xs: &[f64]) -> Vec<Value> {
 
 #[test]
 fn sides_count_alike() {
-    let _turn = ENGINE.lock().unwrap_or_else(|e| e.into_inner());
     // first, repeat, one value changed, resized.
-    let tag = "a tag long enough for the <escape> scan & its kernel";
+    let tag = "a tag long enough for the <escape> scan & its entities";
     let schedule = [
         (schedule_args(tag, &[1.5, 2.5, 3.5]), SendTier::FirstTime),
         (schedule_args(tag, &[1.5, 2.5, 3.5]), SendTier::ContentMatch),
@@ -90,34 +85,15 @@ fn sides_count_alike() {
         // The client side sends that same response operation as a request.
         let mut client = Rig::new(response.clone(), config);
 
-        // Building the requests, and the oracle inside every rig send,
-        // run kernels nobody is counting; a throwaway metered send scoops
-        // that residue before each measured one.
-        let mut scratch = Client::new(config);
-        scratch.set_metrics(Metrics::shared());
-        let mut drain = || {
-            let args = &schedule[0].0;
-            scratch
-                .call("drain", &request, args, &mut Vec::new())
-                .unwrap();
-        };
-
-        let simd_hits = |m: &Metrics| m.snapshot().get(Counter::SimdKernelHits);
         for (step, ((args, tier), body)) in schedule.iter().zip(&requests).enumerate() {
             let at = format!("{} step {step}", lane.name());
 
             // The rig holds the client to its spec: tier, lane, values,
             // bytes, and the delivery half of the rule.
-            drain();
-            let before = simd_hits(&client.metrics);
             let report = client.send("ep", args).unwrap();
-            let client_hits = simd_hits(&client.metrics) - before;
             assert_eq!(report.tier, *tier, "{at}");
 
-            drain();
-            let before = simd_hits(&server_metrics);
             let (reply, reply_lane) = service.dispatch_formatted("echo", body, lane).unwrap();
-            let server_hits = simd_hits(&server_metrics) - before;
             assert_eq!(reply_lane, lane, "{at}");
 
             // The server's response is held to the same spec: the
@@ -132,16 +108,14 @@ fn sides_count_alike() {
                 .and_then(|()| assert_wire(lane, &response, args, &reply))
                 .unwrap_or_else(|e| panic!("{at}: {e:?}"));
 
-            // Same body: same bytes, same kernels.
+            // Same body: same bytes.
             assert_eq!(client.wire, reply, "{at}");
-            assert_eq!(client_hits, server_hits, "{at}: simd hits");
         }
     }
 }
 
 #[test]
 fn an_overlaid_send_counts_like_any_other() {
-    let _turn = ENGINE.lock().unwrap_or_else(|e| e.into_inner());
     let op = OpDesc::single(
         "stream",
         "urn:sides",
