@@ -405,6 +405,10 @@ impl Reference for BinaryReference {
         &self.args
     }
 
+    fn map_bytes(&self) -> usize {
+        (self.slots.capacity() + self.changed.capacity()) * size_of::<Slot>()
+    }
+
     /// The leaf tier: one forward walk over the slot map, then the changed
     /// records alone. Two rules make it sound (DESIGN §3.16):
     ///

@@ -13,7 +13,8 @@
 //!    in each message, whose distance is the running offset of every width
 //!    change so far:
 //!    * everything up to the first differing byte is unchanged, so the
-//!      regions that end before it are stepped over without a second look;
+//!      walk jumps over the regions that end before it by a search of
+//!      their end offsets, without a second look;
 //!    * a difference inside a **leaf region** `text</name>pad` re-scans it
 //!      to its close tag (text free of `<`, the old close tag, whitespace
 //!      up to the next `<`), re-parses the text, and moves the cursors by
@@ -50,17 +51,19 @@
 //!    previous message. The cursors only move forward, so the walk is
 //!    O(|prev| + |bytes|) on any input. On bin1 the tier is the same idea
 //!    without offsets: same length, only fixed-width slot payloads differ;
-//! 3. otherwise fall back to a full decode and adopt the new message as
-//!    the reference.
+//! 3. otherwise fall back to a full decode.
+//!
+//! Either way the message becomes the reference: copied if borrowed, by
+//! swap if owned ([`DiffShell::deserialize_owned`]), so a server copies none.
 //!
 //! [`DiffShell`] is that procedure — message counter, retained reference,
-//! identical short-circuit, adopt-on-success — written once; a lane
+//! identical short-circuit, keep-on-success — written once; a lane
 //! instantiates it with the [`Reference`] it retains.
 
 use crate::envelope::{
-    close_tag, leaf_width, padded_width, parse_array_len, parse_envelope_mapped, parse_scalar,
-    resize_array, text_end, value_from_leaves, ArrayRegion, ElementSkeleton, MappedMessage, Region,
-    RegionKind, Scalar,
+    close_tag, ends_of, leaf_width, padded_width, parse_array_len, parse_envelope_mapped,
+    parse_scalar, resize_array, text_end, value_from_leaves, ArrayRegion, ElementSkeleton,
+    MappedMessage, Region, RegionKind, Scalar,
 };
 use crate::error::DeserError;
 use bsoap_core::{OpDesc, TypeDesc, Value};
@@ -109,6 +112,10 @@ pub trait Reference: Sized {
     /// The decoded argument values.
     fn args(&self) -> &[Value];
 
+    /// Heap bytes of what the lane keeps to walk the next message by: its
+    /// region or slot map.
+    fn map_bytes(&self) -> usize;
+
     /// The lane's leaf tier: bring `self`, decoded from `prev`, up to
     /// `bytes` by re-decoding only the leaves that changed, returning
     /// `(reparsed, skipped)`; `None` asks for a full decode. An `Err`
@@ -154,16 +161,61 @@ impl<R: Reference> DiffShell<R> {
         self.stats
     }
 
-    /// Bytes retained as the reference message.
+    /// Heap bytes retained for the next message: the reference buffer's
+    /// capacity, slack included, and the lane's map of it — not yet the
+    /// decoded values, which a store of references has to budget.
     pub fn retained_bytes(&self) -> usize {
-        self.prev.as_ref().map_or(0, |(bytes, _)| bytes.len())
+        self.prev
+            .as_ref()
+            .map_or(0, |(kept, r)| kept.capacity() + r.map_bytes())
     }
 
     /// Deserialize `bytes`, taking the cheapest sound path. Returns the
     /// argument values and the path taken.
     pub fn deserialize(&mut self, bytes: &[u8]) -> Result<(&[Value], DiffOutcome), DeserError> {
-        self.stats.messages += 1;
         let outcome = self.advance(bytes)?;
+        Ok((self.keep(outcome, |kept| copy(kept, bytes)), outcome))
+    }
+
+    /// [`DiffShell::deserialize`] of a message the caller owns: one that
+    /// decodes is swapped in, `body` getting the old reference's buffer —
+    /// or copied, if its room exceeds both the reference's and an eighth
+    /// over its length, so a reader's slack never settles in a reference.
+    pub fn deserialize_owned(
+        &mut self,
+        body: &mut Vec<u8>,
+    ) -> Result<(&[Value], DiffOutcome), DeserError> {
+        let outcome = self.advance(body)?;
+        let keep = |kept: &mut Vec<u8>| {
+            if body.capacity() <= kept.capacity().max(body.len() + body.len() / 8) {
+                std::mem::swap(kept, body);
+            } else {
+                copy(kept, body);
+            }
+        };
+        Ok((self.keep(outcome, keep), outcome))
+    }
+
+    /// Move the reference on to `bytes`, but for the bytes themselves. On
+    /// `Err` it still describes the last message that decoded.
+    fn advance(&mut self, bytes: &[u8]) -> Result<DiffOutcome, DeserError> {
+        self.stats.messages += 1;
+        if let Some((prev, reference)) = &mut self.prev {
+            if prev.as_slice() == bytes {
+                return Ok(DiffOutcome::Identical);
+            }
+            if let Some((reparsed, skipped)) = reference.patch(prev, bytes, &self.op)? {
+                return Ok(DiffOutcome::Differential { reparsed, skipped });
+            }
+        }
+        let reference = R::decode(bytes, &self.op)?;
+        let kept = self.prev.take().map_or_else(Vec::new, |(prev, _)| prev);
+        self.prev = Some((kept, reference));
+        Ok(DiffOutcome::FullParse)
+    }
+
+    /// Count `outcome`; `retain` the bytes of a message that was not identical.
+    fn keep(&mut self, outcome: DiffOutcome, retain: impl FnOnce(&mut Vec<u8>)) -> &[Value] {
         match outcome {
             DiffOutcome::FullParse => self.stats.full_parses += 1,
             DiffOutcome::Identical => self.stats.identical += 1,
@@ -173,34 +225,18 @@ impl<R: Reference> DiffShell<R> {
                 self.stats.leaves_skipped += skipped as u64;
             }
         }
-        let (_, reference) = self.prev.as_ref().expect("set by advance");
-        Ok((reference.args(), outcome))
-    }
-
-    /// Move the reference on to `bytes`. On `Err` it still describes the
-    /// last message that decoded.
-    fn advance(&mut self, bytes: &[u8]) -> Result<DiffOutcome, DeserError> {
-        if let Some((prev, reference)) = &mut self.prev {
-            if prev.as_slice() == bytes {
-                return Ok(DiffOutcome::Identical);
-            }
-            if let Some((reparsed, skipped)) = reference.patch(prev, bytes, &self.op)? {
-                adopt(prev, bytes);
-                return Ok(DiffOutcome::Differential { reparsed, skipped });
-            }
+        let (kept, reference) = self.prev.as_mut().expect("set by advance");
+        if outcome != DiffOutcome::Identical {
+            retain(kept);
         }
-        let reference = R::decode(bytes, &self.op)?;
-        let mut kept = self.prev.take().map_or_else(Vec::new, |(prev, _)| prev);
-        adopt(&mut kept, bytes);
-        self.prev = Some((kept, reference));
-        Ok(DiffOutcome::FullParse)
+        reference.args()
     }
 }
 
 /// Copy `bytes` over the retained message, reusing its buffer and growing
 /// it to exactly what the message needs: a service retains one of these
 /// per operation, and a differential message may be longer than the last.
-fn adopt(kept: &mut Vec<u8>, bytes: &[u8]) {
+fn copy(kept: &mut Vec<u8>, bytes: &[u8]) {
     kept.clear();
     kept.reserve_exact(bytes.len());
     kept.extend_from_slice(bytes);
@@ -214,6 +250,12 @@ impl Reference for MappedMessage {
 
     fn args(&self) -> &[Value] {
         &self.args
+    }
+
+    fn map_bytes(&self) -> usize {
+        self.regions.capacity() * size_of::<Region>()
+            + self.arrays.capacity() * size_of::<ArrayRegion>()
+            + self.ends.capacity() * size_of::<usize>()
     }
 
     fn patch(
@@ -349,32 +391,26 @@ impl<'a> Walk<'a> {
         taken
     }
 
-    /// Step both cursors over the rest of an unchanged `region`.
-    fn skip(&mut self, region: &Region, len: usize) {
-        self.old += len;
-        self.new += len;
-        self.staged.skipped += usize::from(matches!(region.kind, RegionKind::Leaf { .. }));
-    }
-
     fn run(mut self) -> Result<Option<Staged>, DeserError> {
         let regions = &self.map.regions;
         let mut i = 0;
         loop {
-            // Up to the first differing byte nothing changed: step over
+            // Up to the first differing byte nothing changed: jump over
             // every region that ends before it. The byte after a region is
             // the `<` that closes it, so it has to agree as well.
             let Some(old_rest) = self.prev.get(self.old..) else {
                 return Ok(None);
             };
             let mut agree = common_prefix(old_rest, &self.bytes[self.new..]);
-            while let Some(region) = regions.get(i) {
-                let span = region.skeleton + region.width;
-                if span >= agree {
-                    break;
-                }
-                agree -= span;
-                self.skip(region, span);
-                i += 1;
+            let ends = &self.map.ends;
+            let j = reaching(ends, i, self.old + agree);
+            if j > i {
+                let stepped = ends[j - 1] - self.old;
+                agree -= stepped;
+                self.old += stepped;
+                self.new += stepped;
+                self.staged.skipped += self.map.leaves_between(i, j);
+                i = j;
             }
 
             // The difference lies in region `i` or in the skeleton before
@@ -399,7 +435,9 @@ impl<'a> Walk<'a> {
                 break;
             };
             if resized && self.same(region.width + 1) {
-                self.skip(region, region.width);
+                self.old += region.width;
+                self.new += region.width;
+                self.staged.skipped += usize::from(matches!(region.kind, RegionKind::Leaf { .. }));
                 i += 1;
                 continue;
             }
@@ -449,8 +487,7 @@ impl<'a> Walk<'a> {
             // Early close before the element that starts at region `i`:
             // drop the surplus and let the offset absorb the removed span.
             let keep = (*i - leaves.start) / lpe;
-            let dropped = &self.map.regions[*i..leaves.end];
-            self.old += dropped.iter().map(|r| r.skeleton + r.width).sum::<usize>();
+            self.old = self.map.ends[leaves.end - 1];
             *i = leaves.end;
             // With no element left, none is closed before the array is.
             let cut = if keep == 0 { a.elem_close } else { 0 };
@@ -473,10 +510,7 @@ impl<'a> Walk<'a> {
         // sit in `prev`; its open tags follow the previous element's close,
         // unless it is the only one.
         let last = &self.map.regions[leaves.end - lpe..leaves.end];
-        let span: usize = last.iter().map(|r| r.skeleton + r.width).sum();
-        let Some(at) = self.old.checked_sub(span) else {
-            return Ok(None);
-        };
+        let at = self.map.ends[leaves.end - lpe - 1];
         let prev = self.prev;
         let Some(close) = prev.get(self.old..self.old + a.elem_close) else {
             return Ok(None);
@@ -540,12 +574,19 @@ impl<'a> Walk<'a> {
 impl MappedMessage {
     /// Land a finished walk: the map and the values move on to the new
     /// message together, each leaf through the operation's `LeafPaths`.
+    /// The end offsets move from the first region whose width changed or
+    /// the first resize on; a walk that kept every width moves none.
     /// Returns its `(reparsed, skipped)`; `staged` is left empty, with its
     /// room, for the next walk. `None` if a value has no place of its kind.
     fn commit(&mut self, staged: &mut Staged) -> Option<(usize, usize)> {
         staged.declared.clear();
-        for (region, width, scalar) in staged.rewrites.drain(..) {
-            let region = &mut self.regions[region as usize];
+        let (mut moved, unmoved) = (self.regions.len(), self.regions.len());
+        for (at, width, scalar) in staged.rewrites.drain(..) {
+            let region = &mut self.regions[at as usize];
+            // Document order: past the first change, no branch on data.
+            if moved == unmoved && region.width != width as usize {
+                moved = at as usize;
+            }
             region.width = width as usize;
             if let (RegionKind::Leaf { slot, .. }, Some(scalar)) = (region.kind, scalar) {
                 let place = self.paths.leaf_mut(&mut self.args, slot)?;
@@ -579,9 +620,28 @@ impl MappedMessage {
             for later in &mut self.arrays[resize.array + 1..] {
                 later.len_at = later.len_at + added - (old.end - kept);
             }
+            moved = moved.min(kept);
         }
+        self.ends.truncate(moved);
+        let start = self.ends.last().copied().unwrap_or(0);
+        self.ends.extend(ends_of(&self.regions[moved..], start));
+        let sums = ends_of(&self.regions, 0);
+        debug_assert!(sums.eq(self.ends.iter().copied()), "ends left the map");
         Some((take(&mut staged.reparsed), take(&mut staged.skipped)))
     }
+}
+
+/// The first index at or after `from` whose end offset reaches `target`,
+/// `ends` ascending: four linear probes — where changes are dense the next
+/// is a region or two on — then a gallop, so a stretch of unchanged
+/// regions costs the logarithm of its length.
+fn reaching(ends: &[usize], from: usize, target: usize) -> usize {
+    let (mut lo, mut stride) = (from, 1);
+    while lo + stride <= ends.len() && ends[lo + stride - 1] < target {
+        lo += stride;
+        stride *= if lo - from < 4 { 1 } else { 2 };
+    }
+    lo + ends[lo..ends.len().min(lo + stride)].partition_point(|&end| end < target)
 }
 
 /// The leaf region at the head of `rest`, `old` being its bytes in the
@@ -861,6 +921,59 @@ mod tests {
         }
         let s = d.stats();
         assert_eq!((s.full_parses, s.differential), (1, 9));
+    }
+
+    #[test]
+    fn an_owned_body_is_kept_by_swap_without_its_slack() {
+        // One reader's body buffer rotated through 32 operations, as a
+        // connection serves them: a body that decodes becomes the
+        // reference by swap unless its room would outgrow what the
+        // reference held and an eighth over its length.
+        let op = |k: usize| {
+            let name = format!("op{k}");
+            OpDesc::single(&name, "urn:x", "cells", TypeDesc::array_of(TypeDesc::mio()))
+        };
+        let mut references: Vec<_> = (0..32).map(|k| DiffDeserializer::new(op(k))).collect();
+        let (mut body, mut swaps) = (Vec::new(), 0);
+        for round in 0..4usize {
+            for (k, d) in references.iter_mut().enumerate() {
+                let cells = 200 + (k * 131 + round * 57) % 401;
+                let cell =
+                    |i: usize| mio((i * round) as i32, -(k as i32), (i * round) as f64 / 8.0);
+                let args = [Value::Array((0..cells).map(cell).collect())];
+                let config = EngineConfig::paper_default();
+                let bytes = MessageTemplate::build(config, &op(k), &args)
+                    .unwrap()
+                    .to_bytes();
+                body.clear();
+                body.extend_from_slice(&bytes);
+                let before = d.prev.as_ref().map_or(0, |(kept, _)| kept.capacity());
+                let incoming = body.as_ptr();
+                let (got, _) = d.deserialize_owned(&mut body).unwrap();
+                assert_eq!(got, &args);
+                let (kept, _) = d.prev.as_ref().unwrap();
+                assert_eq!(kept, &bytes);
+                swaps += usize::from(kept.as_ptr() == incoming);
+                let (len, capacity) = (kept.len(), kept.capacity());
+                assert!(
+                    capacity <= (len + len / 8).max(before),
+                    "op {k}, round {round}: {capacity} bytes kept for {len}, {before} before"
+                );
+                assert!(d.retained_bytes() > capacity, "the map is counted too");
+            }
+        }
+        assert!(swaps > 32, "only {swaps} swaps");
+    }
+
+    #[test]
+    fn reaching_finds_the_first_end_at_or_past_the_target() {
+        let ends: Vec<usize> = (1..=40).map(|k| 3 * k + k % 4).collect();
+        for from in 0..=ends.len() {
+            for target in 0..=ends[ends.len() - 1] + 2 {
+                let expected = from + ends[from..].partition_point(|&e| e < target);
+                assert_eq!(reaching(&ends, from, target), expected, "{from} {target}");
+            }
+        }
     }
 
     #[test]

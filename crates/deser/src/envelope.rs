@@ -97,8 +97,11 @@ impl ArrayRegion {
 #[derive(Clone, Debug)]
 pub struct MappedMessage {
     pub(crate) args: Vec<Value>,
-    /// Regions in document order.
+    /// Regions in document order, parsed to fit: a reference keeps them.
     pub(crate) regions: Vec<Region>,
+    /// Where each region ends in the message (the prefix sums of skeletons
+    /// and widths): the walk finds the region a byte lies in by a search.
+    pub(crate) ends: Vec<usize>,
     /// Resizable arrays in document order.
     pub(crate) arrays: Vec<ArrayRegion>,
     /// Where each leaf's value lives in `args`.
@@ -113,12 +116,23 @@ impl MappedMessage {
 
     /// Every region with its absolute byte range, in document order.
     pub fn ranges(&self) -> impl Iterator<Item = (Range<usize>, RegionKind)> + '_ {
-        self.regions.iter().scan(0usize, |at, r| {
-            let start = *at + r.skeleton;
-            *at = start + r.width;
-            Some((start..*at, r.kind))
-        })
+        let ranges = self.regions.iter().zip(&self.ends);
+        ranges.map(|(r, &end)| (end - r.width..end, r.kind))
     }
+
+    /// Leaf regions among `from..to`: all but the arrays' length regions.
+    pub(crate) fn leaves_between(&self, from: usize, to: usize) -> usize {
+        let lengths = |i: usize| self.arrays.partition_point(|a| a.len_at < i);
+        (to - from) - (lengths(to) - lengths(from))
+    }
+}
+
+/// Where each of `regions` ends, the first starting at `at`.
+pub(crate) fn ends_of(regions: &[Region], mut at: usize) -> impl Iterator<Item = usize> + '_ {
+    regions.iter().map(move |r| {
+        at += r.skeleton + r.width;
+        at
+    })
 }
 
 /// One array element as the oracle accepted it: each leaf's open tags
@@ -293,8 +307,10 @@ fn parse_inner(bytes: &[u8], op: &OpDesc, mapped: bool) -> Result<MappedMessage,
     p.expect_end("SOAP-ENV:Body")?;
     p.expect_end("SOAP-ENV:Envelope")?;
     p.expect_eof()?;
+    p.regions.shrink_to_fit();
     Ok(MappedMessage {
         args,
+        ends: ends_of(&p.regions, 0).collect(),
         regions: p.regions,
         arrays: p.arrays,
         paths: if mapped {

@@ -43,4 +43,16 @@ impl LaneDeserializer {
             LaneDeserializer::Bin1(d) => d.deserialize(bytes),
         }
     }
+
+    /// [`LaneDeserializer::deserialize`] of a body the caller owns, kept by
+    /// [`DiffShell::deserialize_owned`](crate::DiffShell::deserialize_owned).
+    pub fn deserialize_owned(
+        &mut self,
+        body: &mut Vec<u8>,
+    ) -> Result<(&[Value], DiffOutcome), DeserError> {
+        match self {
+            LaneDeserializer::Xml(d) => d.deserialize_owned(body),
+            LaneDeserializer::Bin1(d) => d.deserialize_owned(body),
+        }
+    }
 }

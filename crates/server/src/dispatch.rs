@@ -243,6 +243,27 @@ impl Service {
         body: &[u8],
         format: WireFormat,
     ) -> Result<(Vec<u8>, WireFormat), HandlerError> {
+        self.dispatch_with(op_name, format, |deser| deser.deserialize(body))
+    }
+
+    /// [`Service::dispatch_formatted`] of a body the caller owns, which the
+    /// reference takes by swap: `body` comes back a spare buffer.
+    pub fn dispatch_owned(
+        &self,
+        op_name: &str,
+        body: &mut Vec<u8>,
+        format: WireFormat,
+    ) -> Result<(Vec<u8>, WireFormat), HandlerError> {
+        self.dispatch_with(op_name, format, |deser| deser.deserialize_owned(body))
+    }
+
+    /// The one dispatch body; `decode` hands the request to its deserializer.
+    fn dispatch_with(
+        &self,
+        op_name: &str,
+        format: WireFormat,
+        decode: impl FnOnce(&mut LaneDeserializer) -> Result<(&[Value], DiffOutcome), DeserError>,
+    ) -> Result<(Vec<u8>, WireFormat), HandlerError> {
         if format.negotiated() && !self.binary_enabled() {
             return Err(HandlerError::UnsupportedFormat(format));
         }
@@ -252,16 +273,17 @@ impl Service {
             .ok_or_else(|| HandlerError::UnknownOperation(op_name.to_owned()))?;
 
         // 1. Differential deserialization of the request. Each lane keeps
-        //    its own retained reference message; the handler runs under
-        //    the lane's lock because args borrow the deserializer's
-        //    state. Handlers are expected to be short. A handler that
-        //    panics is a fault like any other: uncaught, the unwind would
-        //    take the serving thread with it and the caller would never be
-        //    answered. The handler only reads `args`, so the reference the
-        //    finished deserialize left behind stands.
+        //    its own retained reference message, which the request becomes
+        //    once it decodes (by swap when the body is owned); the handler
+        //    runs under the lane's lock because args borrow the
+        //    deserializer's state. Handlers are expected to be short. A
+        //    handler that panics is a fault like any other: uncaught, the
+        //    unwind would take the serving thread with it and the caller
+        //    would never be answered. The handler only reads `args`, so
+        //    the reference the finished deserialize left behind stands.
         let (result, outcome) = {
             let mut deser = op.deser[format.index()].lock();
-            let (args, outcome) = deser.deserialize(body).map_err(HandlerError::BadRequest)?;
+            let (args, outcome) = decode(&mut deser).map_err(HandlerError::BadRequest)?;
             let result = catch_unwind(AssertUnwindSafe(|| (op.handler)(args)))
                 .unwrap_or_else(|_| Err("handler panicked".to_owned()));
             (result, outcome)

@@ -49,13 +49,18 @@ impl HttpServer {
         let fallback = service.operation_names().into_iter().next();
         let mode = ServeMode::Http {
             handler: Arc::new(move |head, body| {
-                let bytes = match &body {
-                    ReqBody::Full(b) => &b[..],
+                let mut bytes = match body {
+                    ReqBody::Full(b) => b,
                     // The host never installs a body sink, so a streamed
                     // body cannot reach us; answer defensively anyway.
-                    ReqBody::Streamed { .. } => &[],
+                    ReqBody::Streamed { .. } => Vec::new(),
                 };
-                respond_to(&handler_service, fallback.as_deref(), head, bytes)
+                let resp = respond_to(&handler_service, fallback.as_deref(), head, &mut bytes);
+                // Whatever buffer the reference traded for the body.
+                Response {
+                    spare: bytes,
+                    ..resp
+                }
             }),
         };
         let server = bsoap_transport::serve(
@@ -114,7 +119,7 @@ fn respond_to(
     service: &Service,
     fallback: Option<&str>,
     head: &RequestHead,
-    body: &[u8],
+    body: &mut Vec<u8>,
 ) -> Response {
     if head.method == "GET" && head.path == "/metrics" {
         return Response::metrics_scrape(service.metrics().map(|m| m.as_ref()));
@@ -125,7 +130,7 @@ fn respond_to(
         .and_then(operation_from_action)
         .or(fallback);
     let reply = match op_name {
-        Some(op) => service.dispatch_formatted(op, body, req_format),
+        Some(op) => service.dispatch_owned(op, body, req_format),
         None => Err(HandlerError::UnknownOperation("<none>".to_owned())),
     };
     // Faults always go out as XML fault envelopes, whatever lane the

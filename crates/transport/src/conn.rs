@@ -150,6 +150,9 @@ pub struct Response {
     /// `X-BSOAP-Accept` / `X-BSOAP-Format` back to the client. Empty for
     /// plain responses.
     pub extra_headers: Vec<(&'static str, String)>,
+    /// A buffer the handler is done with, e.g. the request body, which the
+    /// connection reads its next body into if larger than its own.
+    pub spare: Vec<u8>,
 }
 
 impl Response {
@@ -162,6 +165,7 @@ impl Response {
             body,
             measure: true,
             extra_headers: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -183,6 +187,7 @@ impl Response {
             body: text.into_bytes(),
             measure: false,
             extra_headers: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -251,6 +256,8 @@ pub struct Conn {
     parser: RequestParser,
     head: Option<RequestHead>,
     body: Vec<u8>,
+    /// The body's `Content-Length`, its buffer's cap; unbounded if chunked.
+    declared: usize,
     sink: Option<Box<dyn BodySink>>,
     body_seen: usize,
     /// Rendered HTTP head. The body is NOT copied in here: it stays in
@@ -288,6 +295,7 @@ impl Conn {
             buf: ParseBuf::default(),
             head: None,
             body: Vec::new(),
+            declared: usize::MAX,
             sink: None,
             body_seen: 0,
             write_buf: Vec::new(),
@@ -466,13 +474,15 @@ impl Conn {
                     self.sink = self.cfg.sink_factory.as_ref().and_then(|f| f(&head));
                     self.head = Some(head);
                     self.body_seen = 0;
+                    self.declared = usize::MAX;
                     match framing {
                         BodyFraming::Length(0) => {}
                         BodyFraming::Length(len) => {
                             if self.sink.is_none() {
+                                self.declared = len;
                                 // Clamped so a forged Content-Length cannot
                                 // force a huge up-front allocation.
-                                self.body.reserve(len.min(READ_SIZE));
+                                body_room(&mut self.body, len, len.min(READ_SIZE));
                             }
                             self.set_state(ConnState::ReadingBody, rec);
                         }
@@ -485,6 +495,7 @@ impl Conn {
                     let sunk = match self.sink.as_mut() {
                         Some(sink) => sink.on_slice(slice),
                         None => {
+                            body_room(&mut self.body, self.declared, slice.len());
                             self.body.extend_from_slice(slice);
                             Ok(())
                         }
@@ -535,9 +546,13 @@ impl Conn {
 
     /// The handler finished the request: render and start writing. The
     /// driver should attempt `on_writable` immediately after.
-    pub fn on_dispatch_done(&mut self, resp: Response, rec: &dyn Recorder) {
+    pub fn on_dispatch_done(&mut self, mut resp: Response, rec: &dyn Recorder) {
         if self.state != ConnState::Dispatching {
             return;
+        }
+        if resp.spare.capacity() > self.body.capacity() {
+            self.body = std::mem::take(&mut resp.spare);
+            self.body.clear();
         }
         self.render(resp);
         self.set_state(ConnState::Writing, rec);
@@ -703,6 +718,17 @@ impl Conn {
         if self.state == ConnState::Idle {
             self.close(CloseReason::Drained, rec, out);
         }
+    }
+}
+
+/// Room in `body` for `more` bytes, doubling but never past the `declared`
+/// length: an honest body fills its buffer exactly, so a reference can keep
+/// it as it is, and a forged length costs at most twice what arrived.
+fn body_room(body: &mut Vec<u8>, declared: usize, more: usize) {
+    let (len, room) = (body.len(), body.capacity());
+    if room - len < more {
+        let grown = (2 * room).min(declared).max(len + more);
+        body.reserve_exact(grown - len);
     }
 }
 

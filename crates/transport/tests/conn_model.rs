@@ -28,13 +28,21 @@
 //! trace-event sequence.
 //!
 //! 256 schedules, all seeds fixed, clocks frozen: failures replay exactly.
+//!
+//! Plain tests pin what a body is read into, on both legs: the spare buffer
+//! a handler returns carries the next body, cleared and in the same
+//! allocation; a body grows to exactly its declared length; and a forged
+//! `Content-Length` never reserves more than one read (a tracking
+//! allocator measures the largest allocation).
 
 use bsoap_obs::{Counter, EngineStats, HistId, Metrics, Recorder, TraceKind, VirtualClock};
-use bsoap_transport::http::{render_response_head_extra, HttpError, RequestHead};
+use bsoap_transport::http::{render_response_head_extra, HttpError, RequestHead, READ_SIZE};
 use bsoap_transport::{
     drive_blocking, BlockingIo, CloseReason, Conn, ConnAction, ConnConfig, ConnState, ReqBody,
     Response, TimerKind,
 };
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -1135,4 +1143,226 @@ fn scripted_keep_alive_lifecycle_matches_spec_trace() {
     assert_eq!(snap.get(Counter::ConnStateTransitions), 6);
     assert_eq!(snap.get(Counter::ServerBadRequests), 0);
     assert_eq!(snap.get(Counter::ServerTimeouts), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Body buffers: what a connection reads a body into, on both legs.
+// ---------------------------------------------------------------------------
+
+thread_local! {
+    /// The largest single allocation this thread asked for.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Tracking;
+
+// SAFETY: every call is forwarded unchanged to `System`; tracking touches a
+// const-initialised thread-local `Cell`, which neither allocates nor has a
+// destructor.
+unsafe impl GlobalAlloc for Tracking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST.with(|l| l.set(l.get().max(layout.size())));
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST.with(|l| l.set(l.get().max(new_size)));
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Tracking = Tracking;
+
+fn length_request(path: &str, body: &[u8]) -> Vec<u8> {
+    let head = format!(
+        "POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    [head.as_bytes(), body].concat()
+}
+
+/// The blocking leg's socket: each read returns the next scripted
+/// fragment, then EOF; every write is accepted whole.
+struct Fragments(VecDeque<Vec<u8>>);
+
+impl Read for Fragments {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let Some(frag) = self.0.pop_front() else {
+            return Ok(0);
+        };
+        buf[..frag.len()].copy_from_slice(&frag);
+        Ok(frag.len())
+    }
+}
+
+impl Write for Fragments {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl BlockingIo for Fragments {
+    fn set_read_timeout(&mut self, _: Option<Duration>) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// What a handler saw of one body: its bytes, the address they landed at
+/// and the capacity of their buffer.
+type Seen = (Vec<u8>, usize, usize);
+
+/// Serve `reads` on one connection, one read each, through the direct leg
+/// (`blocking == false`) or `drive_blocking`; `answer` sees each request's
+/// path and body and returns the response's spare buffer. Returns every
+/// body as dispatched.
+fn serve_bodies(
+    blocking: bool,
+    reads: &[Vec<u8>],
+    answer: impl Fn(&str, Vec<u8>) -> Vec<u8> + Send + Sync,
+) -> Vec<Seen> {
+    let seen = Mutex::new(Vec::new());
+    let handler = |head: &RequestHead, body: ReqBody| {
+        let ReqBody::Full(bytes) = body else {
+            panic!("no sink configured");
+        };
+        let at = bytes.as_ptr() as usize;
+        seen.lock()
+            .unwrap()
+            .push((bytes.clone(), at, bytes.capacity()));
+        Response {
+            spare: answer(&head.path, bytes),
+            ..Response::xml(200, "OK", b"<ok/>".to_vec())
+        }
+    };
+    let rec = Metrics::new();
+    let mut conn = Conn::new(1, ConnConfig::default());
+    if blocking {
+        let mut io = Fragments(reads.iter().cloned().collect());
+        let reason = drive_blocking(&mut conn, &mut io, &rec, &handler, &AtomicBool::new(false));
+        assert_eq!(reason, CloseReason::CleanEof);
+    } else {
+        let mut out = Vec::new();
+        conn.on_accept(&mut out);
+        for read in reads {
+            let mut io = OneShot {
+                eintr: false,
+                frag: Some(Frag::Bytes(read.clone())),
+            };
+            conn.on_readable(&mut io, &rec, &mut out);
+            for action in out.drain(..) {
+                if let ConnAction::Dispatch(head, body) = action {
+                    conn.on_dispatch_done(handler(&head, body), &rec);
+                }
+            }
+            let mut sunk = Vec::new();
+            let mut w = CapWriter {
+                cap: usize::MAX,
+                fail: false,
+                sunk: &mut sunk,
+            };
+            conn.on_writable(&mut w, &rec, &mut out);
+        }
+        assert_eq!(conn.state(), ConnState::Idle);
+    }
+    seen.into_inner().unwrap()
+}
+
+/// The buffer a handler hands back carries the connection's next body:
+/// cleared, so a shorter request after a longer one is exactly its own
+/// bytes, and in the very allocation returned, so a server that trades
+/// buffers with its references reads without allocating.
+#[test]
+fn a_returned_buffer_carries_the_next_body_exactly() {
+    let (long, short, third) = (vec![b'a'; 40], vec![b'b'; 5], vec![b'c'; 20]);
+    let requests = [
+        length_request("/long", &long),
+        length_request("/short", &short),
+        length_request("/third", &third),
+    ];
+    for blocking in [false, true] {
+        let returned = Mutex::new(0usize);
+        let bodies = serve_bodies(blocking, &requests, |path, body| match path {
+            // Back comes the body itself, still holding its 40 bytes.
+            "/long" => body,
+            // Back comes another allocation, larger and full of stale bytes.
+            "/short" => {
+                let spare = vec![b'z'; 1000];
+                *returned.lock().unwrap() = spare.as_ptr() as usize;
+                spare
+            }
+            _ => Vec::new(),
+        });
+        let leg = if blocking { "blocking" } else { "direct" };
+        let texts: Vec<&[u8]> = bodies.iter().map(|(b, ..)| &b[..]).collect();
+        assert_eq!(texts, [&long[..], &short, &third], "{leg}");
+        assert_eq!(
+            bodies[1].1, bodies[0].1,
+            "{leg}: the returned body was reused"
+        );
+        assert_eq!(
+            bodies[2].1,
+            *returned.lock().unwrap(),
+            "{leg}: the returned spare was reused"
+        );
+    }
+}
+
+/// A body past one read's worth grows to exactly its declared length, so
+/// a differential reference can keep its buffer as it is.
+#[test]
+fn an_honest_body_fills_its_buffer_exactly() {
+    let body: Vec<u8> = (0..150_000).map(|i| b'a' + (i % 26) as u8).collect();
+    let request = length_request("/big", &body);
+    let reads: Vec<Vec<u8>> = request.chunks(READ_SIZE / 2).map(<[u8]>::to_vec).collect();
+    for blocking in [false, true] {
+        let bodies = serve_bodies(blocking, &reads, |_, _| Vec::new());
+        assert_eq!(bodies.len(), 1);
+        let (bytes, _, capacity) = &bodies[0];
+        assert_eq!(bytes, &body, "blocking {blocking}");
+        assert_eq!(*capacity, body.len(), "blocking {blocking}");
+    }
+}
+
+/// A fresh connection reserves at most one read's worth for a body whatever
+/// its head declares: a forged `Content-Length` costs the bytes that
+/// arrive, not the bytes it claims.
+#[test]
+fn a_forged_content_length_reserves_at_most_a_read() {
+    let cfg = ConnConfig {
+        max_body: usize::MAX,
+        ..ConnConfig::default()
+    };
+    let forged = b"POST /f HTTP/1.1\r\nContent-Length: 1073741824\r\n\r\n0123456789".to_vec();
+    for blocking in [false, true] {
+        let rec = Metrics::new();
+        let mut conn = Conn::new(1, cfg.clone());
+        LARGEST.with(|l| l.set(0));
+        if blocking {
+            let mut io = Fragments(VecDeque::from([forged.clone()]));
+            let never = |_: &RequestHead, _: ReqBody| -> Response { panic!("not a whole request") };
+            let reason = drive_blocking(&mut conn, &mut io, &rec, &never, &AtomicBool::new(false));
+            assert_eq!(reason, CloseReason::BadRequest);
+        } else {
+            let mut out = Vec::new();
+            let mut io = OneShot {
+                eintr: false,
+                frag: Some(Frag::Bytes(forged.clone())),
+            };
+            conn.on_readable(&mut io, &rec, &mut out);
+            assert_eq!(conn.state(), ConnState::ReadingBody);
+        }
+        let largest = LARGEST.with(Cell::get);
+        assert!(
+            largest <= READ_SIZE,
+            "blocking {blocking}: a {largest}-byte allocation"
+        );
+    }
 }

@@ -10,7 +10,10 @@
 //! receiving side: nothing once the first one taught the skeleton, so an
 //! element sent back through the oracle's `Parser` fails here. A warm
 //! decode of struct elements — every leaf re-read, ints changing width —
-//! allocates the one re-read string and nothing per number. The sends
+//! allocates the one re-read string and nothing per number. A warm decode
+//! of a body the server owns allocates nothing either, and keeps the body
+//! by swap: a whole-message copy into the reference sneaking back fails
+//! the two-buffer alternation. The sends
 //! run under the pinned `Exact2004` kernel, because a double conversion
 //! allocates nothing under either kernel — a test of its own counts that.
 //!
@@ -308,5 +311,66 @@ fn a_warm_struct_decode_allocates_only_its_string() {
         };
         assert_eq!(decoded.unwrap(), outcome);
         assert_eq!(allocations, 1, "re-reading {reparsed} leaves");
+    }
+}
+
+/// The server's receive path on either lane: a warm differential decode of
+/// a body the reader owns allocates nothing and copies no message — the
+/// body becomes the reference by swap and the reader gets the old one's
+/// buffer back, so over ten calls the retained buffer alternates between
+/// exactly two allocations.
+#[test]
+fn a_warm_owned_decode_allocates_nothing_and_trades_two_buffers() {
+    const LEAVES: usize = 2_000;
+    let op = OpDesc::single(
+        "send",
+        "urn:bench",
+        "arr",
+        TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
+    );
+    for lane in WireFormat::ALL {
+        // Generation `g` rewrites every tenth leaf in place.
+        let config = EngineConfig::paper_default().with_wire_format(lane);
+        let mut values: Vec<f64> = (0..LEAVES).map(|i| fixed_width(i, 0)).collect();
+        let mut tpl =
+            MessageTemplate::build(config, &op, &[Value::DoubleArray(values.clone())]).unwrap();
+        let mut messages = vec![tpl.to_bytes()];
+        for g in 1..16 {
+            for i in (g % 10..LEAVES).step_by(10) {
+                values[i] = fixed_width(i, g);
+            }
+            tpl.update_args(&[Value::DoubleArray(values.clone())])
+                .unwrap();
+            tpl.flush();
+            messages.push(tpl.to_bytes());
+        }
+
+        let mut deser = LaneDeserializer::new(lane, op.clone());
+        let mut body = Vec::with_capacity(messages[0].len());
+        let mut kept = Vec::new();
+        for (step, message) in messages.iter().enumerate() {
+            body.clear();
+            body.extend_from_slice(message);
+            let incoming = body.as_ptr() as usize;
+            let (decoded, allocations) =
+                counted(|| deser.deserialize_owned(&mut body).map(|(_, o)| o));
+            let outcome = decoded.unwrap();
+            // A full parse, then five warm-up walks that size the scratch.
+            if step < 6 {
+                continue;
+            }
+            let changed = LEAVES / 10;
+            let expected = DiffOutcome::Differential {
+                reparsed: changed,
+                skipped: LEAVES - changed,
+            };
+            assert_eq!(outcome, expected, "{lane:?}");
+            assert_eq!(allocations, 0, "{lane:?}: an owned differential decode");
+            kept.push(incoming);
+        }
+        assert_eq!(kept.len(), 10);
+        assert_ne!(kept[0], kept[1], "{lane:?}: the body is kept by swap");
+        let alternating = kept.iter().enumerate().all(|(k, &at)| at == kept[k % 2]);
+        assert!(alternating, "{lane:?}: retained buffers {kept:x?}");
     }
 }
