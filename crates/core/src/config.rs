@@ -3,6 +3,7 @@
 pub use bsoap_chunks::ChunkConfig;
 pub use bsoap_convert::FloatFormatter;
 use bsoap_convert::ScalarKind;
+#[doc(hidden)]
 pub use bsoap_obs::ServerCore;
 
 pub use crate::lane::WireFormat;
@@ -89,8 +90,6 @@ pub struct EngineConfig {
     /// conversion cost model, [`FloatFormatter::Fast`] is the Grisu3
     /// fast path (see `bsoap-convert::grisu`).
     pub float: FloatFormatter,
-    /// Server side: which connection-handling core hosts connections.
-    pub server_core: ServerCore,
     /// Enable the §5 break-even gate: before patching a saved template the
     /// client compares the plan's estimated cost against a from-scratch
     /// rebuild estimate and falls back to the FirstTime path when patching
@@ -145,7 +144,6 @@ impl EngineConfig {
             growth: GrowthPolicy::Exact,
             steal: true,
             float: FloatFormatter::Exact2004,
-            server_core: ServerCore::WorkerPool,
             cost_fallback: false,
             fallback_ratio: 1.0,
             degrade_after: 0,
@@ -197,9 +195,10 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style server-core override.
-    pub fn with_server_core(mut self, core: ServerCore) -> Self {
-        self.server_core = core;
+    /// Selects nothing: there is one server core. Kept for callers that
+    /// still name one.
+    #[doc(hidden)]
+    pub fn with_server_core(self, _core: ServerCore) -> Self {
         self
     }
 
@@ -329,14 +328,6 @@ mod tests {
         let c = d.with_cost_fallback(true).with_fallback_ratio(0.5);
         assert!(c.cost_fallback);
         assert_eq!(c.fallback_ratio, 0.5);
-    }
-
-    #[test]
-    fn server_core_knob() {
-        let d = EngineConfig::paper_default();
-        assert_eq!(d.server_core, ServerCore::WorkerPool);
-        let c = d.with_server_core(ServerCore::EventLoop);
-        assert_eq!(c.server_core, ServerCore::EventLoop);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`ShardedCounter`] spreads increments across cache-line-padded atomic
 //! shards so concurrent flush workers and server threads never contend on
 //! one line; reads sum the shards. [`MaxGauge`] keeps a running maximum
-//! (peak queue depth, max in-flight portions).
+//! (peak open connections, largest overlay window).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

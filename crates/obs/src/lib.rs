@@ -41,18 +41,15 @@ pub use trace::{BreakerState, TraceEvent, TraceKind, TraceRing};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Which connection-handling core a server runs (DESIGN.md §3.13). It
-/// lives in this leaf crate so `EngineConfig::server_core` (`bsoap-core`)
-/// and `ServerOptions::core` (`bsoap-transport`), which do not see each
-/// other, are one type rather than two mirrored ones.
+/// Selects nothing: there is one server core, the event loop (DESIGN.md
+/// §3.13). Kept, hidden, for callers that still name a core through
+/// `EngineConfig::with_server_core` or `ServerOptions::core`.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ServerCore {
-    /// One blocking worker thread drives each connection end to end on
-    /// the bounded accept pool.
+    /// Serves on the event loop, like every value.
     WorkerPool,
-    /// Epoll loops multiplex every connection as a sans-io state machine
-    /// and hand complete requests to a small dispatch pool. Falls back to
-    /// [`ServerCore::WorkerPool`] on platforms without epoll.
+    /// Serves on the event loop.
     EventLoop,
 }
 
@@ -185,7 +182,7 @@ metric_enum! {
         PoolExpired => "bsoap_pool_expired_total",
         /// Calls retried once on a stale pooled connection.
         PoolRetries => "bsoap_pool_retries_total",
-        /// Connections accepted by the worker-pool server.
+        /// Connections accepted by the server.
         ServerConnections => "bsoap_server_connections_total",
         /// Requests served.
         ServerRequests => "bsoap_server_requests_total",
@@ -262,8 +259,6 @@ impl Counter {
 metric_enum! {
     /// Peak-value gauges.
     Gauge {
-        /// Deepest the server accept queue ever got.
-        QueueDepthPeak => "bsoap_queue_depth_peak",
         /// Largest window fragment (template bytes) the overlay sender
         /// ever held — the sender's memory bound, flat in array size.
         OverlayWindowPeakBytes => "bsoap_overlay_window_peak_bytes",
@@ -610,12 +605,12 @@ mod tests {
         let m = Metrics::new();
         m.add(Counter::send(Tier::ContentMatch), 3);
         m.add(Counter::Shifts, 7);
-        m.gauge(Gauge::QueueDepthPeak, 5);
+        m.gauge(Gauge::ConnectionsOpenPeak, 5);
         m.observe_ns(HistId::ServerRequest, 1_500);
         let s = m.snapshot();
         assert_eq!(s.tier_sends(Tier::ContentMatch), 3);
         assert_eq!(s.get(Counter::Shifts), 7);
-        assert_eq!(s.gauge(Gauge::QueueDepthPeak), 5);
+        assert_eq!(s.gauge(Gauge::ConnectionsOpenPeak), 5);
         assert_eq!(s.hist(HistId::ServerRequest).count(), 1);
         assert_eq!(s.total_sends(), 3);
     }

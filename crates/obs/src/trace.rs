@@ -2,8 +2,8 @@
 //!
 //! Every interesting moment on the hot path can drop a [`TraceEvent`] into
 //! the ring: per-send spans (tier chosen, dirty count, bytes shifted,
-//! chunks split/merged, DUT fix-ups), pool checkouts/reconnects, queue
-//! depth samples. The ring is bounded — when full, the oldest event is
+//! chunks split/merged, DUT fix-ups), pool checkouts/reconnects, server
+//! accepts and evictions. The ring is bounded — when full, the oldest event is
 //! evicted and a drop counter ticks, so tracing can never grow memory
 //! under load.
 
@@ -44,12 +44,6 @@ pub enum TraceKind {
     },
     /// The pool replaced a stale connection after a failed attempt.
     PoolReconnect,
-    /// Queue depth observed when a connection was enqueued on the
-    /// worker-pool server.
-    QueueDepth {
-        /// Connections waiting (including the one just queued).
-        depth: u64,
-    },
     /// One server request handled.
     Request {
         /// Response bytes written.

@@ -94,9 +94,9 @@ pub struct Service {
     metrics: Option<Arc<Metrics>>,
     /// Owner of every response template, keyed by `(tenant, namespace,
     /// response op, lane)`: a private unbudgeted store unless
-    /// [`Service::set_template_store`] injects a shared one, so multiple
-    /// server cores — worker-pool and event-loop alike — reuse one
-    /// another's serialized responses under one byte budget.
+    /// [`Service::set_template_store`] injects a shared one, so several
+    /// servers reuse one another's serialized responses under one byte
+    /// budget.
     store: Arc<TemplateStore>,
     tenant: u64,
     /// Whether this service accepts (and adverts) the negotiated lanes.

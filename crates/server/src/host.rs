@@ -7,9 +7,9 @@
 //! [`bsoap_transport::serve`], which owns everything about connections:
 //! framing, caps, 400s, timeouts, keep-alive, drain. `server_options`
 //! is the one place the service's `EngineConfig` becomes transport
-//! [`ServerOptions`]: which core (`EngineConfig::server_core`) drives the
-//! connections and the two HTTP caps; the rest are the transport's
-//! defaults.
+//! [`ServerOptions`]: the two HTTP caps; the rest are the transport's
+//! defaults. The handler runs on the event-loop thread that read the
+//! request.
 
 use crate::dispatch::{HandlerError, Service, ServiceStats};
 use bsoap_core::{EngineConfig, WireFormat};
@@ -30,7 +30,6 @@ pub struct HttpServer {
 /// The transport options a service's engine configuration asks for.
 fn server_options(cfg: &EngineConfig) -> ServerOptions {
     ServerOptions {
-        core: cfg.server_core,
         max_head_bytes: cfg.max_head_bytes,
         max_body_bytes: cfg.max_body_bytes,
         ..ServerOptions::default()
@@ -38,8 +37,7 @@ fn server_options(cfg: &EngineConfig) -> ServerOptions {
 }
 
 impl HttpServer {
-    /// Bind an ephemeral loopback port and serve `service` on the core
-    /// selected by `service.config().server_core`.
+    /// Bind an ephemeral loopback port and serve `service`.
     pub fn spawn(service: Service) -> io::Result<Self> {
         let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
         let service = Arc::new(service);
@@ -192,23 +190,17 @@ fn respond_to(
 mod tests {
     use super::*;
     use bsoap_convert::ScalarKind;
-    use bsoap_core::{
-        EngineConfig, MessageTemplate, OpDesc, ParamDesc, ServerCore, TypeDesc, Value,
-    };
+    use bsoap_core::{EngineConfig, MessageTemplate, OpDesc, ParamDesc, TypeDesc, Value};
     use bsoap_obs::HistId;
     use bsoap_transport::http::{
         post_gather_vectored, read_response_limited, HttpVersion, PostScratch, RequestConfig,
     };
     use bsoap_transport::negotiate::TOKEN_BINARY;
-    use bsoap_transport::supported_cores;
     use std::io::{IoSlice, Write};
     use std::net::TcpStream;
 
-    fn sum_service_on(core: ServerCore) -> Service {
-        let mut svc = Service::new(
-            "urn:sum",
-            EngineConfig::paper_default().with_server_core(core),
-        );
+    fn sum_service() -> Service {
+        let mut svc = Service::new("urn:sum", EngineConfig::paper_default());
         let op = OpDesc::single(
             "sum",
             "urn:sum",
@@ -274,85 +266,61 @@ mod tests {
 
     #[test]
     fn end_to_end_sum() {
-        for &core in supported_cores() {
-            let server = HttpServer::spawn(sum_service_on(core)).unwrap();
-            let (status, resp) = post(
-                server.addr(),
-                "urn:sum#sum",
-                &request_bytes(&[1.5, 2.5, 3.0]),
-            );
-            assert_eq!(status, 200, "core {core:?}");
-            let resp_op = OpDesc::new(
-                "sumResponse",
-                "urn:sum",
-                vec![ParamDesc {
-                    name: "total".into(),
-                    desc: TypeDesc::Scalar(ScalarKind::Double),
-                }],
-            );
-            let parsed = bsoap_deser::parse_envelope(&resp, &resp_op).unwrap();
-            assert_eq!(parsed, vec![Value::Double(7.0)], "core {core:?}");
-            let stats = server.stop();
-            assert_eq!(stats.requests, 1, "core {core:?}");
-        }
+        let server = HttpServer::spawn(sum_service()).unwrap();
+        let (status, resp) = post(
+            server.addr(),
+            "urn:sum#sum",
+            &request_bytes(&[1.5, 2.5, 3.0]),
+        );
+        assert_eq!(status, 200);
+        let resp_op = OpDesc::new(
+            "sumResponse",
+            "urn:sum",
+            vec![ParamDesc {
+                name: "total".into(),
+                desc: TypeDesc::Scalar(ScalarKind::Double),
+            }],
+        );
+        let parsed = bsoap_deser::parse_envelope(&resp, &resp_op).unwrap();
+        assert_eq!(parsed, vec![Value::Double(7.0)]);
+        let stats = server.stop();
+        assert_eq!(stats.requests, 1);
     }
 
     #[test]
     fn repeat_queries_hit_content_match_responses() {
-        for &core in supported_cores() {
-            let server = HttpServer::spawn(sum_service_on(core)).unwrap();
-            let body = request_bytes(&[4.0, 4.0]);
-            for _ in 0..3 {
-                let (status, _) = post(server.addr(), "urn:sum#sum", &body);
-                assert_eq!(status, 200, "core {core:?}");
-            }
-            let stats = server.stop();
-            assert_eq!(stats.responses_first, 1, "core {core:?}");
-            assert_eq!(stats.responses_content, 2, "core {core:?}");
-            assert_eq!(stats.requests_identical, 2, "core {core:?}");
+        let server = HttpServer::spawn(sum_service()).unwrap();
+        let body = request_bytes(&[4.0, 4.0]);
+        for _ in 0..3 {
+            let (status, _) = post(server.addr(), "urn:sum#sum", &body);
+            assert_eq!(status, 200);
         }
+        let stats = server.stop();
+        assert_eq!(stats.responses_first, 1);
+        assert_eq!(stats.responses_content, 2);
+        assert_eq!(stats.requests_identical, 2);
     }
 
     #[test]
     fn unknown_action_is_404() {
-        for &core in supported_cores() {
-            let server = HttpServer::spawn(sum_service_on(core)).unwrap();
-            let (status, body) = post(server.addr(), "urn:sum#ghost", &request_bytes(&[1.0]));
-            assert_eq!(status, 404, "core {core:?}");
-            assert!(String::from_utf8(body).unwrap().contains("SOAP-ENV:Fault"));
-            server.stop();
-        }
+        let server = HttpServer::spawn(sum_service()).unwrap();
+        let (status, body) = post(server.addr(), "urn:sum#ghost", &request_bytes(&[1.0]));
+        assert_eq!(status, 404);
+        assert!(String::from_utf8(body).unwrap().contains("SOAP-ENV:Fault"));
+        server.stop();
     }
 
     #[test]
     fn malformed_body_is_400() {
-        for &core in supported_cores() {
-            let server = HttpServer::spawn(sum_service_on(core)).unwrap();
-            let (status, _) = post(server.addr(), "urn:sum#sum", b"junk");
-            assert_eq!(status, 400, "core {core:?}");
-            server.stop();
-        }
+        let server = HttpServer::spawn(sum_service()).unwrap();
+        let (status, _) = post(server.addr(), "urn:sum#sum", b"junk");
+        assert_eq!(status, 400);
+        server.stop();
     }
 
     #[test]
-    fn both_cores_answer_byte_identical_responses() {
-        let body = request_bytes(&[2.0, 3.5, 4.5]);
-        let mut replies = Vec::new();
-        for &core in supported_cores() {
-            let server = HttpServer::spawn(sum_service_on(core)).unwrap();
-            replies.push(post(server.addr(), "urn:sum#sum", &body));
-            server.stop();
-        }
-        assert!(
-            replies.windows(2).all(|w| w[0] == w[1]),
-            "the cores must be byte-for-byte indistinguishable"
-        );
-    }
-
-    #[test]
-    fn shared_store_carries_templates_across_server_cores() {
-        // One TemplateStore injected into two hosts — a worker-pool core
-        // and (where available) an event-loop core. The first server pays
+    fn shared_store_carries_templates_across_servers() {
+        // One TemplateStore injected into two hosts. The first server pays
         // the first-time serialization; the second server's very first
         // response to the same query checks the shared store and goes out
         // as a content match. Without the store each host would
@@ -361,7 +329,7 @@ mod tests {
         let store = TemplateStore::shared(0, 0);
         let body = request_bytes(&[8.0, 0.5]);
 
-        let mut first = sum_service_on(ServerCore::WorkerPool);
+        let mut first = sum_service();
         first.set_template_store(Arc::clone(&store), 7);
         let server_a = HttpServer::spawn(first).unwrap();
         let (status, reply_a) = post(server_a.addr(), "urn:sum#sum", &body);
@@ -370,7 +338,7 @@ mod tests {
         assert_eq!(stats_a.responses_first, 1);
         assert_eq!(store.len(), 1, "response template resident after stop");
 
-        let mut second = sum_service_on(*supported_cores().last().unwrap());
+        let mut second = sum_service();
         second.set_template_store(Arc::clone(&store), 7);
         let server_b = HttpServer::spawn(second).unwrap();
         let (status, reply_b) = post(server_b.addr(), "urn:sum#sum", &body);
@@ -378,7 +346,7 @@ mod tests {
         let stats_b = server_b.stop();
         assert_eq!(
             stats_b.responses_first, 0,
-            "second core must reuse the stored template"
+            "second server must reuse the stored template"
         );
         assert_eq!(stats_b.responses_content, 1);
         assert_eq!(reply_a, reply_b, "stored reuse must be byte-identical");
@@ -387,174 +355,154 @@ mod tests {
 
     #[test]
     fn handler_fault_is_500_fault_envelope() {
-        for &core in supported_cores() {
-            let mut svc = Service::new(
-                "urn:f",
-                EngineConfig::paper_default().with_server_core(core),
-            );
-            let op = OpDesc::single("f", "urn:f", "v", TypeDesc::Scalar(ScalarKind::Int));
-            svc.register(
-                op.clone(),
-                vec![ParamDesc {
-                    name: "r".into(),
-                    desc: TypeDesc::Scalar(ScalarKind::Int),
-                }],
-                |_| Err("deliberate".into()),
-            );
-            let server = HttpServer::spawn(svc).unwrap();
-            let body = MessageTemplate::build(EngineConfig::paper_default(), &op, &[Value::Int(1)])
-                .unwrap()
-                .to_bytes();
-            let (status, resp) = post(server.addr(), "urn:f#f", &body);
-            assert_eq!(status, 500, "core {core:?}");
-            assert!(String::from_utf8(resp).unwrap().contains("deliberate"));
-            server.stop();
-        }
+        let mut svc = Service::new("urn:f", EngineConfig::paper_default());
+        let op = OpDesc::single("f", "urn:f", "v", TypeDesc::Scalar(ScalarKind::Int));
+        svc.register(
+            op.clone(),
+            vec![ParamDesc {
+                name: "r".into(),
+                desc: TypeDesc::Scalar(ScalarKind::Int),
+            }],
+            |_| Err("deliberate".into()),
+        );
+        let server = HttpServer::spawn(svc).unwrap();
+        let body = MessageTemplate::build(EngineConfig::paper_default(), &op, &[Value::Int(1)])
+            .unwrap()
+            .to_bytes();
+        let (status, resp) = post(server.addr(), "urn:f#f", &body);
+        assert_eq!(status, 500);
+        assert!(String::from_utf8(resp).unwrap().contains("deliberate"));
+        server.stop();
     }
 
     #[test]
     fn a_panicking_handler_costs_a_fault_not_a_thread() {
-        for &core in supported_cores() {
-            let mut svc = sum_service_on(core);
-            let boom = OpDesc::single("boom", "urn:sum", "v", TypeDesc::Scalar(ScalarKind::Int));
-            svc.register(boom.clone(), Vec::new(), |_| {
-                panic!("deliberate handler panic")
-            });
-            let server = HttpServer::spawn(svc).unwrap();
-            let body =
-                MessageTemplate::build(EngineConfig::paper_default(), &boom, &[Value::Int(1)])
-                    .unwrap()
-                    .to_bytes();
-            // One more than the serving threads: uncontained, each panic
-            // would take one down, answer nobody, and leave none for the
-            // well-formed request that follows.
-            let answers: Vec<_> = (0..=ServerOptions::default().workers)
-                .map(|_| post(server.addr(), "urn:sum#boom", &body))
-                .collect();
-            for (status, resp) in answers {
-                assert_eq!(status, 500, "core {core:?}");
-                let text = String::from_utf8(resp).unwrap();
-                assert!(text.contains("SOAP-ENV:Fault") && text.contains("handler panicked"));
-            }
-            let (status, _) = post(server.addr(), "urn:sum#sum", &request_bytes(&[1.0, 2.0]));
-            assert_eq!(status, 200, "core {core:?}");
-            let stats = server.stop();
-            assert_eq!(stats.faults, ServerOptions::default().workers as u64 + 1);
-            assert_eq!(stats.requests, 1, "core {core:?}");
+        let mut svc = sum_service();
+        let boom = OpDesc::single("boom", "urn:sum", "v", TypeDesc::Scalar(ScalarKind::Int));
+        svc.register(boom.clone(), Vec::new(), |_| {
+            panic!("deliberate handler panic")
+        });
+        let server = HttpServer::spawn(svc).unwrap();
+        let body = MessageTemplate::build(EngineConfig::paper_default(), &boom, &[Value::Int(1)])
+            .unwrap()
+            .to_bytes();
+        // One more than the serving threads: uncontained, each panic
+        // would take one down, answer nobody, and leave none for the
+        // well-formed request that follows.
+        let answers: Vec<_> = (0..=ServerOptions::default().event_loop_threads)
+            .map(|_| post(server.addr(), "urn:sum#boom", &body))
+            .collect();
+        for (status, resp) in answers {
+            assert_eq!(status, 500);
+            let text = String::from_utf8(resp).unwrap();
+            assert!(text.contains("SOAP-ENV:Fault") && text.contains("handler panicked"));
         }
+        let (status, _) = post(server.addr(), "urn:sum#sum", &request_bytes(&[1.0, 2.0]));
+        assert_eq!(status, 200);
+        let stats = server.stop();
+        assert_eq!(
+            stats.faults,
+            ServerOptions::default().event_loop_threads as u64 + 1
+        );
+        assert_eq!(stats.requests, 1);
     }
 
     #[test]
     fn concurrent_clients() {
-        for &core in supported_cores() {
-            let server = HttpServer::spawn(sum_service_on(core)).unwrap();
-            let addr = server.addr();
-            let handles: Vec<_> = (0..4)
-                .map(|i| {
-                    std::thread::spawn(move || {
-                        let body = request_bytes(&[i as f64, 1.0]);
-                        let (status, _) = post(addr, "urn:sum#sum", &body);
-                        assert_eq!(status, 200);
-                    })
+        let server = HttpServer::spawn(sum_service()).unwrap();
+        let addr = server.addr();
+        let handles: Vec<_> = (0..4)
+            .map(|i| {
+                std::thread::spawn(move || {
+                    let body = request_bytes(&[i as f64, 1.0]);
+                    let (status, _) = post(addr, "urn:sum#sum", &body);
+                    assert_eq!(status, 200);
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            let stats = server.stop();
-            assert_eq!(stats.requests, 4, "core {core:?}");
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
+        let stats = server.stop();
+        assert_eq!(stats.requests, 4);
     }
 
     #[test]
     fn metrics_endpoint_mirrors_response_tiers() {
-        for &core in supported_cores() {
-            let metrics = Metrics::shared();
-            let server =
-                HttpServer::spawn_with_metrics(sum_service_on(core), Arc::clone(&metrics)).unwrap();
-            // first-time, content-match, perfect-structural response tiers.
-            for xs in [&[1.0, 2.0][..], &[1.0, 2.0], &[9.0, 2.0]] {
-                let (status, _) = post(server.addr(), "urn:sum#sum", &request_bytes(xs));
-                assert_eq!(status, 200, "core {core:?}");
-            }
-            let mut c = TcpStream::connect(server.addr()).unwrap();
-            let mut get = Vec::new();
-            bsoap_transport::http::render_get_request(&mut get, "/metrics", "localhost");
-            c.write_all(&get).unwrap();
-            let (status, text) = reply(&mut c);
-            assert_eq!(status, 200, "core {core:?}");
-            let text = String::from_utf8(text).unwrap();
-            assert_eq!(
-                bsoap_obs::parse_value(&text, "bsoap_server_requests_total"),
-                Some(3.0),
-                "core {core:?}"
-            );
-            drop(c);
-            let stats = server.stop();
-            let snap = metrics.snapshot();
-            use bsoap_obs::Tier;
-            assert_eq!(snap.tier_sends(Tier::FirstTime), stats.responses_first);
-            assert_eq!(snap.tier_sends(Tier::ContentMatch), stats.responses_content);
-            assert_eq!(
-                snap.tier_sends(Tier::PerfectStructural),
-                stats.responses_perfect
-            );
-            assert_eq!(
-                snap.tier_sends(Tier::PartialStructural),
-                stats.responses_partial
-            );
-            assert_eq!(snap.total_sends(), stats.requests);
-            assert_eq!(snap.get(Counter::ServerRequests), stats.requests);
-            assert_eq!(snap.hist(HistId::ServerRequest).count(), stats.requests);
+        let metrics = Metrics::shared();
+        let server = HttpServer::spawn_with_metrics(sum_service(), Arc::clone(&metrics)).unwrap();
+        // first-time, content-match, perfect-structural response tiers.
+        for xs in [&[1.0, 2.0][..], &[1.0, 2.0], &[9.0, 2.0]] {
+            let (status, _) = post(server.addr(), "urn:sum#sum", &request_bytes(xs));
+            assert_eq!(status, 200);
         }
+        let mut c = TcpStream::connect(server.addr()).unwrap();
+        let mut get = Vec::new();
+        bsoap_transport::http::render_get_request(&mut get, "/metrics", "localhost");
+        c.write_all(&get).unwrap();
+        let (status, text) = reply(&mut c);
+        assert_eq!(status, 200);
+        let text = String::from_utf8(text).unwrap();
+        assert_eq!(
+            bsoap_obs::parse_value(&text, "bsoap_server_requests_total"),
+            Some(3.0)
+        );
+        drop(c);
+        let stats = server.stop();
+        let snap = metrics.snapshot();
+        use bsoap_obs::Tier;
+        assert_eq!(snap.tier_sends(Tier::FirstTime), stats.responses_first);
+        assert_eq!(snap.tier_sends(Tier::ContentMatch), stats.responses_content);
+        assert_eq!(
+            snap.tier_sends(Tier::PerfectStructural),
+            stats.responses_perfect
+        );
+        assert_eq!(
+            snap.tier_sends(Tier::PartialStructural),
+            stats.responses_partial
+        );
+        assert_eq!(snap.total_sends(), stats.requests);
+        assert_eq!(snap.get(Counter::ServerRequests), stats.requests);
+        assert_eq!(snap.hist(HistId::ServerRequest).count(), stats.requests);
     }
 
     #[test]
     fn non_http_garbage_draws_400_not_hang() {
-        for &core in supported_cores() {
-            let server = HttpServer::spawn(sum_service_on(core)).unwrap();
-            let mut c = TcpStream::connect(server.addr()).unwrap();
-            c.write_all(b"GARBAGE THAT IS NOT HTTP\r\n\r\n").unwrap();
-            let (status, _) = reply(&mut c);
-            assert_eq!(status, 400, "core {core:?}");
-            drop(c);
-            server.stop();
-        }
+        let server = HttpServer::spawn(sum_service()).unwrap();
+        let mut c = TcpStream::connect(server.addr()).unwrap();
+        c.write_all(b"GARBAGE THAT IS NOT HTTP\r\n\r\n").unwrap();
+        let (status, _) = reply(&mut c);
+        assert_eq!(status, 400);
+        drop(c);
+        server.stop();
     }
 
     #[test]
     fn oversized_body_draws_400_under_cap() {
-        for &core in supported_cores() {
-            let cfg = EngineConfig::paper_default()
-                .with_http_caps(1 << 20, 64)
-                .with_server_core(core);
-            let mut svc = Service::new("urn:sum", cfg);
-            let op = OpDesc::single(
-                "sum",
-                "urn:sum",
-                "xs",
-                TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-            );
-            svc.register(
-                op,
-                vec![ParamDesc {
-                    name: "total".into(),
-                    desc: TypeDesc::Scalar(ScalarKind::Double),
-                }],
-                |_| Ok(vec![Value::Double(0.0)]),
-            );
-            let server = HttpServer::spawn(svc).unwrap();
-            let (status, _) = post(
-                server.addr(),
-                "urn:sum#sum",
-                &request_bytes(&[1.0, 2.0, 3.0, 4.0]),
-            );
-            assert_eq!(
-                status, 400,
-                "core {core:?}: body larger than the 64-byte cap is refused"
-            );
-            server.stop();
-        }
+        let cfg = EngineConfig::paper_default().with_http_caps(1 << 20, 64);
+        let mut svc = Service::new("urn:sum", cfg);
+        let op = OpDesc::single(
+            "sum",
+            "urn:sum",
+            "xs",
+            TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
+        );
+        svc.register(
+            op,
+            vec![ParamDesc {
+                name: "total".into(),
+                desc: TypeDesc::Scalar(ScalarKind::Double),
+            }],
+            |_| Ok(vec![Value::Double(0.0)]),
+        );
+        let server = HttpServer::spawn(svc).unwrap();
+        let (status, _) = post(
+            server.addr(),
+            "urn:sum#sum",
+            &request_bytes(&[1.0, 2.0, 3.0, 4.0]),
+        );
+        assert_eq!(status, 400, "body larger than the 64-byte cap is refused");
+        server.stop();
     }
 
     fn binary_request_bytes(xs: &[f64]) -> Vec<u8> {
@@ -591,84 +539,75 @@ mod tests {
     #[test]
     fn binary_round_trip_echoes_negotiation_headers() {
         use bsoap_transport::negotiate::{HDR_ACCEPT_LOWER, HDR_FORMAT_LOWER};
-        for &core in supported_cores() {
-            let server = HttpServer::spawn(sum_service_on(core)).unwrap();
-            let (status, headers, resp) = post_with_headers(
-                server.addr(),
-                "urn:sum#sum",
-                &binary_request_bytes(&[1.5, 2.5, 3.0]),
-                vec![
-                    (HDR_FORMAT.into(), TOKEN_BINARY.into()),
-                    (HDR_ACCEPT.into(), TOKEN_BINARY.into()),
-                ],
-            );
-            assert_eq!(status, 200, "core {core:?}");
-            assert_eq!(header(&headers, HDR_FORMAT_LOWER), Some("bin1"));
-            assert_eq!(header(&headers, HDR_ACCEPT_LOWER), Some("bin1"));
-            assert_eq!(
-                header(&headers, "content-type"),
-                Some("application/x-bsoap-binary"),
-                "core {core:?}"
-            );
-            let resp_op = OpDesc::new(
-                "sumResponse",
-                "urn:sum",
-                vec![ParamDesc {
-                    name: "total".into(),
-                    desc: TypeDesc::Scalar(ScalarKind::Double),
-                }],
-            );
-            let parsed = bsoap_deser::parse_binary_envelope(&resp, &resp_op).unwrap();
-            assert_eq!(parsed, vec![Value::Double(7.0)], "core {core:?}");
-            server.stop();
-        }
+        let server = HttpServer::spawn(sum_service()).unwrap();
+        let (status, headers, resp) = post_with_headers(
+            server.addr(),
+            "urn:sum#sum",
+            &binary_request_bytes(&[1.5, 2.5, 3.0]),
+            vec![
+                (HDR_FORMAT.into(), TOKEN_BINARY.into()),
+                (HDR_ACCEPT.into(), TOKEN_BINARY.into()),
+            ],
+        );
+        assert_eq!(status, 200);
+        assert_eq!(header(&headers, HDR_FORMAT_LOWER), Some("bin1"));
+        assert_eq!(header(&headers, HDR_ACCEPT_LOWER), Some("bin1"));
+        assert_eq!(
+            header(&headers, "content-type"),
+            Some("application/x-bsoap-binary")
+        );
+        let resp_op = OpDesc::new(
+            "sumResponse",
+            "urn:sum",
+            vec![ParamDesc {
+                name: "total".into(),
+                desc: TypeDesc::Scalar(ScalarKind::Double),
+            }],
+        );
+        let parsed = bsoap_deser::parse_binary_envelope(&resp, &resp_op).unwrap();
+        assert_eq!(parsed, vec![Value::Double(7.0)]);
+        server.stop();
     }
 
     #[test]
     fn headerless_binary_body_is_sniffed() {
         // A peer that frames binary bodies but never sends X-BSOAP-Format:
         // the 4-byte magic carries the lane decision.
-        for &core in supported_cores() {
-            let server = HttpServer::spawn(sum_service_on(core)).unwrap();
-            let (status, headers, _) = post_with_headers(
-                server.addr(),
-                "urn:sum#sum",
-                &binary_request_bytes(&[4.0, 0.5]),
-                Vec::new(),
-            );
-            assert_eq!(status, 200, "core {core:?}");
-            assert_eq!(
-                header(&headers, bsoap_transport::negotiate::HDR_FORMAT_LOWER),
-                Some("bin1"),
-                "core {core:?}"
-            );
-            server.stop();
-        }
+        let server = HttpServer::spawn(sum_service()).unwrap();
+        let (status, headers, _) = post_with_headers(
+            server.addr(),
+            "urn:sum#sum",
+            &binary_request_bytes(&[4.0, 0.5]),
+            Vec::new(),
+        );
+        assert_eq!(status, 200);
+        assert_eq!(
+            header(&headers, bsoap_transport::negotiate::HDR_FORMAT_LOWER),
+            Some("bin1")
+        );
+        server.stop();
     }
 
     #[test]
     fn xml_responses_advertise_the_binary_lane() {
-        for &core in supported_cores() {
-            let server = HttpServer::spawn(sum_service_on(core)).unwrap();
-            let (status, headers, _) = post_with_headers(
-                server.addr(),
-                "urn:sum#sum",
-                &request_bytes(&[1.0]),
-                Vec::new(),
-            );
-            assert_eq!(status, 200, "core {core:?}");
-            assert_eq!(
-                header(&headers, bsoap_transport::negotiate::HDR_ACCEPT_LOWER),
-                Some("bin1"),
-                "core {core:?}: enabled lane must advertise on XML traffic"
-            );
-            assert_eq!(
-                header(&headers, bsoap_transport::negotiate::HDR_FORMAT_LOWER),
-                Some("xml"),
-                "core {core:?}"
-            );
-            server.stop();
-        }
+        let server = HttpServer::spawn(sum_service()).unwrap();
+        let (status, headers, _) = post_with_headers(
+            server.addr(),
+            "urn:sum#sum",
+            &request_bytes(&[1.0]),
+            Vec::new(),
+        );
+        assert_eq!(status, 200);
+        assert_eq!(
+            header(&headers, bsoap_transport::negotiate::HDR_ACCEPT_LOWER),
+            Some("bin1"),
+            "enabled lane must advertise on XML traffic"
+        );
+        assert_eq!(
+            header(&headers, bsoap_transport::negotiate::HDR_FORMAT_LOWER),
+            Some("xml")
+        );
+        server.stop();
     }
 
     #[test]
@@ -676,52 +615,47 @@ mod tests {
         // A peer declaring a format we don't know (future rev, typo):
         // the body reads as XML — same behavior as an old server that
         // never heard of the header — so nothing is lost.
-        for &core in supported_cores() {
-            let server = HttpServer::spawn(sum_service_on(core)).unwrap();
-            let (status, headers, _) = post_with_headers(
-                server.addr(),
-                "urn:sum#sum",
-                &request_bytes(&[2.0, 2.0]),
-                vec![(HDR_FORMAT.into(), "bin9".into())],
-            );
-            assert_eq!(status, 200, "core {core:?}");
-            assert_eq!(
-                header(&headers, bsoap_transport::negotiate::HDR_FORMAT_LOWER),
-                Some("xml"),
-                "core {core:?}"
-            );
-            server.stop();
-        }
+        let server = HttpServer::spawn(sum_service()).unwrap();
+        let (status, headers, _) = post_with_headers(
+            server.addr(),
+            "urn:sum#sum",
+            &request_bytes(&[2.0, 2.0]),
+            vec![(HDR_FORMAT.into(), "bin9".into())],
+        );
+        assert_eq!(status, 200);
+        assert_eq!(
+            header(&headers, bsoap_transport::negotiate::HDR_FORMAT_LOWER),
+            Some("xml")
+        );
+        server.stop();
     }
 
     #[test]
     fn disabled_binary_lane_draws_415_without_advert() {
-        for &core in supported_cores() {
-            let svc = sum_service_on(core);
-            svc.set_binary_enabled(false);
-            let server = HttpServer::spawn(svc).unwrap();
-            let (status, headers, body) = post_with_headers(
-                server.addr(),
-                "urn:sum#sum",
-                &binary_request_bytes(&[1.0]),
-                vec![(HDR_FORMAT.into(), TOKEN_BINARY.into())],
-            );
-            assert_eq!(status, 415, "core {core:?}");
-            assert!(
-                header(&headers, bsoap_transport::negotiate::HDR_ACCEPT_LOWER).is_none(),
-                "core {core:?}: a disabled lane must not advertise"
-            );
-            assert!(String::from_utf8(body).unwrap().contains("SOAP-ENV:Fault"));
-            // XML still flows on the same server.
-            let (status, _, _) = post_with_headers(
-                server.addr(),
-                "urn:sum#sum",
-                &request_bytes(&[1.0]),
-                Vec::new(),
-            );
-            assert_eq!(status, 200, "core {core:?}");
-            server.stop();
-        }
+        let svc = sum_service();
+        svc.set_binary_enabled(false);
+        let server = HttpServer::spawn(svc).unwrap();
+        let (status, headers, body) = post_with_headers(
+            server.addr(),
+            "urn:sum#sum",
+            &binary_request_bytes(&[1.0]),
+            vec![(HDR_FORMAT.into(), TOKEN_BINARY.into())],
+        );
+        assert_eq!(status, 415);
+        assert!(
+            header(&headers, bsoap_transport::negotiate::HDR_ACCEPT_LOWER).is_none(),
+            "a disabled lane must not advertise"
+        );
+        assert!(String::from_utf8(body).unwrap().contains("SOAP-ENV:Fault"));
+        // XML still flows on the same server.
+        let (status, _, _) = post_with_headers(
+            server.addr(),
+            "urn:sum#sum",
+            &request_bytes(&[1.0]),
+            Vec::new(),
+        );
+        assert_eq!(status, 200);
+        server.stop();
     }
 
     #[test]

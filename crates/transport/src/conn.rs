@@ -17,10 +17,9 @@
 //! randomized schedules with scripted I/O and asserts the exact
 //! transition trace and metrics snapshot.
 //!
-//! Two drivers exist: the epoll loop ([`crate::event_loop`]), which
-//! multiplexes many machines per thread on a timer wheel, and
-//! [`drive_blocking`] below, which runs one machine on one worker-pool
-//! thread with the nearest armed deadline as its socket read timeout.
+//! One driver runs it: the epoll loop ([`crate::event_loop`]), which
+//! multiplexes many machines per thread on a timer wheel and runs the
+//! handler inline on `Dispatch`.
 //!
 //! Timeouts:
 //! * `read_timeout` → [`TimerKind::ReadStall`], slid forward on every
@@ -38,9 +37,8 @@ use crate::http::{
 use crate::timer::TimerKind;
 use bsoap_obs::{Counter, HistId, Metrics, Recorder, TraceKind};
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Lifecycle states of one connection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,6 +75,8 @@ pub enum CloseReason {
     WriteFailed,
     /// Graceful drain finished this connection's in-flight request.
     Drained,
+    /// The handler panicked; a 500 was written first.
+    HandlerPanicked,
     /// Unexpected I/O error on the read side.
     Error,
 }
@@ -87,8 +87,7 @@ pub enum ConnAction {
     /// Run the handler on a complete request, then report back through
     /// [`Conn::on_dispatch_done`].
     Dispatch(RequestHead, ReqBody),
-    /// Change readiness interest for this connection's socket (a blocking
-    /// driver has nothing to change and ignores it).
+    /// Change readiness interest for this connection's socket.
     Interest {
         /// Want readability.
         read: bool,
@@ -376,11 +375,9 @@ impl Conn {
         out.push(ConnAction::Close(reason));
     }
 
-    /// The socket is (or, for a blocking driver, may become) readable:
-    /// perform exactly one `read` and parse as far as the bytes allow.
-    /// Returns `true` when that read found nothing — `WouldBlock`, or a
-    /// blocking socket's read timeout — so a blocking driver knows its
-    /// deadline passed; a driver that needs more bytes calls again.
+    /// The socket is readable: perform exactly one `read` and parse as far
+    /// as the bytes allow. Returns `true` when that read found nothing
+    /// (`WouldBlock`); a driver that wants more bytes calls again.
     pub fn on_readable(
         &mut self,
         io: &mut impl Read,
@@ -402,14 +399,7 @@ impl Conn {
                     }
                 }
             }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                return true
-            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
             Err(_) => self.close(CloseReason::Error, rec, out),
         }
         false
@@ -555,6 +545,21 @@ impl Conn {
             self.body.clear();
         }
         self.render(resp);
+        self.set_state(ConnState::Writing, rec);
+    }
+
+    /// The handler unwound instead of answering: write a 500, then close,
+    /// since what the handler left behind is unknown. The driver should
+    /// attempt `on_writable` immediately after.
+    pub fn on_dispatch_panicked(&mut self, rec: &dyn Recorder) {
+        if self.state != ConnState::Dispatching {
+            return;
+        }
+        self.render(Response {
+            measure: false,
+            ..Response::xml(500, "Internal Server Error", b"handler panicked".to_vec())
+        });
+        self.close_after_write = Some(CloseReason::HandlerPanicked);
         self.set_state(ConnState::Writing, rec);
     }
 
@@ -729,99 +734,6 @@ fn body_room(body: &mut Vec<u8>, declared: usize, more: usize) {
     if room - len < more {
         let grown = (2 * room).min(declared).max(len + more);
         body.reserve_exact(grown - len);
-    }
-}
-
-/// The socket a blocking driver runs on: a byte stream whose reads can be
-/// given a timeout (`None` = wait forever). `TcpStream` in production; the
-/// model suite scripts one.
-pub trait BlockingIo: Read + Write {
-    /// Bound how long the next reads may block.
-    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-impl BlockingIo for std::net::TcpStream {
-    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        std::net::TcpStream::set_read_timeout(self, timeout)
-    }
-}
-
-/// The blocking driver: run `conn` on `io` until the machine closes, and
-/// return why. One thread, one connection — the worker-pool core.
-///
-/// Each step blocks in one `read` whose socket timeout is the nearest
-/// deadline the machine has armed; a read that times out fires that timer.
-/// A complete request runs `handler` inline and its response is drained
-/// before the next read.
-///
-/// `draining` is polled after each read and before each write, never
-/// before a read: bytes a client has already sent are always served, and
-/// the connection then closes as soon as it is idle. (A connection
-/// blocked in an idle read cannot see the flag; it ends on client EOF,
-/// a timer, or the pool's forced shutdown at the drain deadline.)
-pub fn drive_blocking(
-    conn: &mut Conn,
-    io: &mut impl BlockingIo,
-    rec: &dyn Recorder,
-    handler: &(dyn Fn(&RequestHead, ReqBody) -> Response + Send + Sync),
-    draining: &AtomicBool,
-) -> CloseReason {
-    // Deadline per timer kind, indexed by its position in `TimerKind::ALL`
-    // (declaration order, so `kind as usize`).
-    let mut deadlines = [None::<Instant>; TimerKind::ALL.len()];
-    // What the socket's read timeout is currently set to; re-set only on
-    // change, so a server with no timeouts configured never pays for it.
-    let mut socket_timeout = None;
-    let mut drain_seen = false;
-    let mut out = Vec::new();
-    conn.on_accept(&mut out);
-    loop {
-        for action in out.drain(..) {
-            match action {
-                ConnAction::Arm(kind, after) => {
-                    deadlines[kind as usize] = Some(Instant::now() + after)
-                }
-                ConnAction::Cancel(kind) => deadlines[kind as usize] = None,
-                ConnAction::Dispatch(head, body) => {
-                    let resp = handler(&head, body);
-                    conn.on_dispatch_done(resp, rec);
-                }
-                ConnAction::Interest { .. } => {}
-                ConnAction::Close(reason) => return reason,
-            }
-        }
-        let writing = conn.state() == ConnState::Writing;
-        let mut timer_due = None;
-        if !writing {
-            let nearest = TimerKind::ALL
-                .iter()
-                .filter_map(|&kind| deadlines[kind as usize].map(|at| (at, kind)))
-                .min();
-            let timeout = nearest.map(|(at, _)| at.saturating_duration_since(Instant::now()));
-            // A zero timeout means "already due" (and the socket API
-            // rejects it): fire without reading.
-            let timed_out = timeout == Some(Duration::ZERO) || {
-                if timeout != socket_timeout {
-                    if io.set_read_timeout(timeout).is_err() {
-                        return CloseReason::Error;
-                    }
-                    socket_timeout = timeout;
-                }
-                conn.on_readable(io, rec, &mut out)
-            };
-            timer_due = nearest.filter(|_| timed_out).map(|(_, kind)| kind);
-        }
-        if !drain_seen && draining.load(Ordering::Acquire) {
-            drain_seen = true;
-            conn.set_draining(rec, &mut out);
-        }
-        if writing {
-            conn.on_writable(io, rec, &mut out);
-        } else if let Some(kind) = timer_due {
-            // (Stale if draining just closed the machine; it ignores that.)
-            deadlines[kind as usize] = None;
-            conn.on_timer(kind, rec, &mut out);
-        }
     }
 }
 
@@ -1186,132 +1098,5 @@ mod tests {
         assert!(out
             .iter()
             .any(|a| matches!(a, ConnAction::Dispatch(_, ReqBody::Streamed { bytes: 5 }))));
-    }
-
-    /// A blocking socket stand-in for [`drive_blocking`]: every read hands
-    /// out as much of `wire` as the caller has room for (then EOF), every
-    /// write is accepted whole, and each kind of call is counted.
-    struct CountingIo {
-        wire: Vec<u8>,
-        pos: usize,
-        reads: usize,
-        plain_writes: usize,
-        gather_writes: usize,
-        timeouts_set: usize,
-        sent: Vec<u8>,
-    }
-
-    impl Read for CountingIo {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.reads += 1;
-            let n = buf.len().min(self.wire.len() - self.pos);
-            buf[..n].copy_from_slice(&self.wire[self.pos..self.pos + n]);
-            self.pos += n;
-            Ok(n)
-        }
-    }
-
-    impl Write for CountingIo {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.plain_writes += 1;
-            self.sent.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-            self.gather_writes += 1;
-            for b in bufs {
-                self.sent.extend_from_slice(b);
-            }
-            Ok(bufs.iter().map(|b| b.len()).sum())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    impl BlockingIo for CountingIo {
-        fn set_read_timeout(&mut self, _: Option<Duration>) -> io::Result<()> {
-            self.timeouts_set += 1;
-            Ok(())
-        }
-    }
-
-    /// The worker-pool path costs what the blocking reader it replaced
-    /// cost: one `read` for a 5.8 KB request, two for a 103 KB one, one
-    /// gather write per response, and no socket-option call when no
-    /// timeout is configured.
-    #[test]
-    fn blocking_driver_syscalls_per_request() {
-        for (body_len, reads_for_request) in [(5_800usize, 1usize), (103_000, 2)] {
-            let mut wire =
-                format!("POST /svc HTTP/1.1\r\nHost: l\r\nContent-Length: {body_len}\r\n\r\n")
-                    .into_bytes();
-            wire.extend(std::iter::repeat_n(b'v', body_len));
-            let mut io = CountingIo {
-                wire,
-                pos: 0,
-                reads: 0,
-                plain_writes: 0,
-                gather_writes: 0,
-                timeouts_set: 0,
-                sent: Vec::new(),
-            };
-            let mut conn = Conn::new(1, ConnConfig::default());
-            let reason = drive_blocking(
-                &mut conn,
-                &mut io,
-                &NullRecorder,
-                &|_head, body| Response::xml(200, "OK", format!("{}", body.len()).into_bytes()),
-                &AtomicBool::new(false),
-            );
-            assert_eq!(reason, CloseReason::CleanEof);
-            // The last read is the one that finds EOF.
-            assert_eq!(io.reads, reads_for_request + 1, "{body_len}-byte body");
-            assert_eq!((io.gather_writes, io.plain_writes), (1, 0));
-            assert_eq!(io.timeouts_set, 0);
-            assert!(io.sent.ends_with(body_len.to_string().as_bytes()));
-        }
-    }
-
-    /// A timed-out read fires the nearest armed deadline: here the idle
-    /// reaper, because it is shorter than the stall timer.
-    #[test]
-    fn blocking_driver_fires_the_nearest_timer_on_read_timeout() {
-        struct TimesOut;
-        impl Read for TimesOut {
-            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
-                Err(io::ErrorKind::WouldBlock.into())
-            }
-        }
-        impl Write for TimesOut {
-            fn write(&mut self, b: &[u8]) -> io::Result<usize> {
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        impl BlockingIo for TimesOut {
-            fn set_read_timeout(&mut self, t: Option<Duration>) -> io::Result<()> {
-                assert!(t.is_some_and(|t| t <= Duration::from_secs(60)));
-                Ok(())
-            }
-        }
-        let rec = Metrics::new();
-        let cfg = ConnConfig {
-            read_timeout: Some(Duration::from_secs(3600)),
-            idle_timeout: Some(Duration::from_secs(60)),
-            ..ConnConfig::default()
-        };
-        let mut conn = Conn::new(1, cfg);
-        let reason = drive_blocking(
-            &mut conn,
-            &mut TimesOut,
-            &rec,
-            &|_, _| unreachable!("no request arrives"),
-            &AtomicBool::new(false),
-        );
-        assert_eq!(reason, CloseReason::IdleReaped);
-        assert_eq!(rec.snapshot().get(Counter::ServerIdleReaped), 1);
     }
 }

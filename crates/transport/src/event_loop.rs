@@ -1,34 +1,46 @@
-//! Readiness-driven server core: nonblocking listener + epoll loops
-//! driving per-connection [`Conn`] machines + a small dispatch pool.
+//! The server core: a nonblocking listener and epoll loops, each driving
+//! its connections' [`Conn`] machines and running the handler inline.
 //!
 //! Topology: `loops` threads each own a [`Poller`], a [`TimerWheel`], and
 //! a map of connections. Loop 0 additionally owns the listener and
 //! round-robins accepted sockets across loops (cross-loop handoff via an
-//! injection queue plus an eventfd wake). Complete requests are pushed
-//! onto one shared bounded-pending dispatch queue feeding `dispatchers`
-//! CPU workers that run the handler — overload therefore stays
-//! queued-not-refused exactly like the worker-pool core, but idle
-//! keep-alive connections cost a map entry instead of a pinned thread.
+//! injection queue plus an eventfd wake). A complete request runs the
+//! handler on the loop thread that read it, and the response is written
+//! straight after: no hand-off, no wake, and the readiness-interest
+//! changes of one step collapse into one `epoll_ctl`, so a keep-alive
+//! request makes none. The price is that a slow handler delays the other
+//! connections on its loop (DESIGN §3.13). A handler that panics costs
+//! its connection a 500 and a close, never the loop.
 //!
-//! All protocol logic lives in [`Conn`] (sans-io); this module is one of
-//! its two drivers and only moves bytes, timers, and queue entries. Timer deadlines read the metrics
-//! clock, so a `VirtualClock` drives eviction in tests; `epoll_wait` is
-//! capped at 50 ms real time so virtual-clock advances are observed
-//! promptly.
+//! A readable event reads on while its connection is mid-request and the
+//! last read returned bytes, up to `READS_PER_EVENT` (16) reads, so a
+//! request larger than one read does not wait for another `epoll_wait`.
+//!
+//! All protocol logic lives in [`Conn`] (sans-io); this module only moves
+//! bytes, timers and handler calls. Timer deadlines read the metrics
+//! clock, so a `VirtualClock` drives eviction in tests (a server without a
+//! registry reads a [`MonotonicClock`]); `epoll_wait` is capped at 50 ms
+//! real time so virtual-clock advances are observed promptly.
 //!
 //! Graceful drain (`stop`): stop accepting, close idle connections,
 //! finish in-flight requests, then force-close whatever remains at the
-//! drain deadline — the worker-pool contract on readiness.
+//! drain deadline.
+//!
+//! Linux only: elsewhere the poller fails with `Unsupported`, and so does
+//! starting a server.
 
-use crate::conn::{Conn, ConnAction, ConnConfig, ReqBody, Response};
+use crate::conn::{Conn, ConnAction, ConnConfig, ConnState, ReqBody};
 use crate::http::RequestHead;
-use crate::poller::{Interest, PollEvent, Poller, WakeFd};
+use crate::poller::{Interest, PollEvent, Poller, WakeFd, MAX_EVENTS_PER_WAIT};
 use crate::server::{ServeMode, ServerOptions};
 use crate::timer::{TimerKind, TimerWheel};
-use bsoap_obs::{Counter, Gauge, Metrics, Recorder, TraceKind};
-use std::collections::{HashMap, VecDeque};
+use bsoap_obs::{
+    Clock, Counter, Gauge, Metrics, MonotonicClock, NullRecorder, Recorder, TraceKind,
+};
+use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
@@ -40,6 +52,10 @@ const TOKEN_LISTEN: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
 /// First connection token.
 const TOKEN_CONN_BASE: u64 = 2;
+/// Most reads one readable event makes on a connection that is
+/// mid-request: a large body is read through without a trip back to
+/// `epoll_wait`, and a flooding peer still yields to the loop's others.
+const READS_PER_EVENT: usize = 16;
 
 fn relock<'a, T>(
     r: Result<MutexGuard<'a, T>, std::sync::PoisonError<MutexGuard<'a, T>>>,
@@ -47,69 +63,10 @@ fn relock<'a, T>(
     r.unwrap_or_else(|p| p.into_inner())
 }
 
-/// One pending request for the dispatch pool.
-struct Job {
-    loop_idx: usize,
-    token: u64,
-    head: RequestHead,
-    body: ReqBody,
-}
-
-#[derive(Default)]
-struct DqState {
-    jobs: VecDeque<Job>,
-    closed: bool,
-    peak: usize,
-}
-
-/// Bounded-pending dispatch queue (bounded by `max_connections`: each
-/// connection holds at most one in-flight request).
-#[derive(Default)]
-struct DispatchQueue {
-    state: Mutex<DqState>,
-    ready: Condvar,
-}
-
-impl DispatchQueue {
-    /// Returns the depth including the new job.
-    fn push(&self, job: Job) -> usize {
-        let mut st = relock(self.state.lock());
-        st.jobs.push_back(job);
-        let depth = st.jobs.len();
-        st.peak = st.peak.max(depth);
-        self.ready.notify_one();
-        depth
-    }
-
-    fn pop(&self) -> Option<Job> {
-        let mut st = relock(self.state.lock());
-        loop {
-            if let Some(job) = st.jobs.pop_front() {
-                return Some(job);
-            }
-            if st.closed {
-                return None;
-            }
-            st = relock(self.ready.wait(st));
-        }
-    }
-
-    fn close(&self) {
-        relock(self.state.lock()).closed = true;
-        self.ready.notify_all();
-    }
-
-    fn peak(&self) -> usize {
-        relock(self.state.lock()).peak
-    }
-}
-
 /// Cross-thread mailbox of one loop.
 struct LoopShared {
     /// Sockets accepted by loop 0, destined for this loop.
     injected: Mutex<Vec<(u64, TcpStream)>>,
-    /// Finished responses routed back from the dispatch pool.
-    completions: Mutex<Vec<(u64, Response)>>,
     wake: WakeFd,
 }
 
@@ -124,7 +81,8 @@ struct Shared {
     next_loop: AtomicUsize,
     max_connections: usize,
     rec: Arc<dyn Recorder>,
-    dispatch: DispatchQueue,
+    /// What timer deadlines are read on: the registry's clock, if any.
+    clock: Arc<dyn Clock>,
     loops: Vec<LoopShared>,
     live_loops: Mutex<usize>,
     drained: Condvar,
@@ -138,46 +96,40 @@ impl Shared {
     }
 }
 
-/// Handle to a running event-loop server.
-pub struct EventLoopServer {
+/// A running server. Dropping it stops the server (with the configured
+/// drain deadline).
+pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     loop_threads: Vec<JoinHandle<()>>,
-    dispatch_threads: Vec<JoinHandle<()>>,
     drain_deadline: Duration,
     stopped: bool,
 }
 
-impl EventLoopServer {
-    /// Start `opts.event_loop_threads` loops and (for [`ServeMode::Http`])
-    /// `opts.workers` dispatch workers; every connection runs a [`Conn`]
-    /// configured by `conn`. Fails with `Unsupported` where epoll is
-    /// unavailable.
-    pub fn serve(
+impl Server {
+    /// Start `opts.event_loop_threads` loops; every connection runs a
+    /// [`Conn`] configured by `conn`. Fails with `Unsupported` where epoll
+    /// is unavailable.
+    pub(crate) fn start(
         listener: TcpListener,
         opts: &ServerOptions,
         conn: ConnConfig,
         metrics: Option<Arc<Metrics>>,
         mode: ServeMode,
-    ) -> io::Result<EventLoopServer> {
+    ) -> io::Result<Server> {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let nloops = opts.event_loop_threads.max(1);
-        // The timer wheel runs on the recorder's clock, so even a server
-        // without a registry needs one that tells time: a switched-off
-        // `Metrics` records nothing but still reads the monotonic clock.
-        let rec: Arc<dyn Recorder> = metrics.unwrap_or_else(|| {
-            let off = Metrics::new();
-            off.set_enabled(false);
-            Arc::new(off)
-        });
+        let (rec, clock): (Arc<dyn Recorder>, Arc<dyn Clock>) = match metrics {
+            Some(m) => (m.clone(), m.clock().clone()),
+            None => (Arc::new(NullRecorder), Arc::new(MonotonicClock::new())),
+        };
 
         let mut loops = Vec::with_capacity(nloops);
         let mut pollers = Vec::with_capacity(nloops);
         for _ in 0..nloops {
             loops.push(LoopShared {
                 injected: Mutex::new(Vec::new()),
-                completions: Mutex::new(Vec::new()),
                 wake: WakeFd::new()?,
             });
             pollers.push(Poller::new()?);
@@ -194,7 +146,7 @@ impl EventLoopServer {
             next_loop: AtomicUsize::new(0),
             max_connections: opts.max_connections.max(1),
             rec,
-            dispatch: DispatchQueue::default(),
+            clock,
             loops,
             live_loops: Mutex::new(nloops),
             drained: Condvar::new(),
@@ -204,15 +156,24 @@ impl EventLoopServer {
         let mut listener_slot = Some(listener);
         for (idx, poller) in pollers.into_iter().enumerate() {
             let shared = shared.clone();
-            let mode = mode.clone();
-            let conn_cfg = conn.clone();
             let listener = if idx == 0 { listener_slot.take() } else { None };
+            // Built here, not on its thread: a loop that never gets a
+            // connection then never allocates, so it claims no malloc
+            // arena of its own (an idle second loop that did cost
+            // `echo_small` ~0.2 MiB of peak RSS).
+            let mut lt = LoopThread::new(
+                idx,
+                shared.clone(),
+                poller,
+                listener,
+                mode.clone(),
+                conn.clone(),
+            );
             loop_threads.push(
                 thread::Builder::new()
                     .name(format!("bsoap-el-{idx}"))
                     .spawn(move || {
-                        LoopThread::new(idx, shared.clone(), poller, listener, mode, conn_cfg)
-                            .run();
+                        lt.run();
                         let mut live = relock(shared.live_loops.lock());
                         *live -= 1;
                         shared.drained.notify_all();
@@ -220,42 +181,21 @@ impl EventLoopServer {
             );
         }
 
-        let mut dispatch_threads = Vec::new();
-        if let ServeMode::Http { handler } = &mode {
-            for i in 0..opts.workers.max(1) {
-                let shared = shared.clone();
-                let handler = handler.clone();
-                dispatch_threads.push(
-                    thread::Builder::new()
-                        .name(format!("bsoap-eld-{i}"))
-                        .spawn(move || {
-                            while let Some(job) = shared.dispatch.pop() {
-                                let resp = handler(&job.head, job.body);
-                                relock(shared.loops[job.loop_idx].completions.lock())
-                                    .push((job.token, resp));
-                                shared.loops[job.loop_idx].wake.wake();
-                            }
-                        })?,
-                );
-            }
-        }
-
-        Ok(EventLoopServer {
+        Ok(Server {
             addr,
             shared,
             loop_threads,
-            dispatch_threads,
             drain_deadline: opts.drain_deadline,
             stopped: false,
         })
     }
 
-    /// Bound address.
+    /// The address clients should connect to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Total connections accepted.
+    /// Connections accepted so far.
     pub fn connections(&self) -> u64 {
         self.shared.accepted.load(Ordering::Relaxed)
     }
@@ -265,13 +205,9 @@ impl EventLoopServer {
         self.shared.conn_count.load(Ordering::Relaxed)
     }
 
-    /// Deepest the pending-dispatch queue ever got.
-    pub fn peak_queue_depth(&self) -> usize {
-        self.shared.dispatch.peak()
-    }
-
-    /// Graceful drain: finish in-flight requests, close idle, force the
-    /// rest at the drain deadline.
+    /// Stop accepting, drain in-flight requests (bounded by the drain
+    /// deadline), close idle connections, force the rest at the deadline,
+    /// join every thread. Idempotent.
     pub fn stop(&mut self) {
         if self.stopped {
             return;
@@ -303,14 +239,10 @@ impl EventLoopServer {
         for t in self.loop_threads.drain(..) {
             let _ = t.join();
         }
-        self.shared.dispatch.close();
-        for t in self.dispatch_threads.drain(..) {
-            let _ = t.join();
-        }
     }
 }
 
-impl Drop for EventLoopServer {
+impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
     }
@@ -339,8 +271,16 @@ struct LoopThread {
     conns: HashMap<u64, Entry>,
     wheel: TimerWheel,
     stop_seen: bool,
-    /// Reused action list: filled by one `Conn` call, drained by `apply`.
+    /// Reused action list: filled by `Conn` calls, drained by `apply`.
     actions: Vec<ConnAction>,
+    /// `apply`'s second list, the batch it is carrying out while the
+    /// handler it runs fills `actions` anew.
+    batch: Vec<ConnAction>,
+    /// What one `epoll_wait` reported; allocated by `new`, so on the
+    /// spawning thread.
+    events: Vec<PollEvent>,
+    /// Where Discard connections' bytes are read to, and dropped.
+    discard_buf: Vec<u8>,
 }
 
 impl LoopThread {
@@ -364,11 +304,14 @@ impl LoopThread {
             wheel: TimerWheel::new(),
             stop_seen: false,
             actions: Vec::new(),
+            batch: Vec::new(),
+            events: Vec::with_capacity(MAX_EVENTS_PER_WAIT),
+            discard_buf: Vec::new(),
         }
     }
 
-    fn rec(&self) -> &dyn Recorder {
-        &*self.shared.rec
+    fn now_ns(&self) -> u64 {
+        self.shared.clock.now_ns()
     }
 
     fn run(&mut self) {
@@ -394,7 +337,7 @@ impl LoopThread {
             self.listener_registered = true;
         }
 
-        let mut events: Vec<PollEvent> = Vec::new();
+        let mut events = std::mem::take(&mut self.events);
         let mut expired: Vec<(u64, TimerKind)> = Vec::new();
         loop {
             // Re-admit accepts if the cap freed up.
@@ -421,7 +364,6 @@ impl LoopThread {
             }
 
             self.take_injected();
-            self.take_completions();
             self.fire_timers(&mut expired);
 
             if self.shared.stop.load(Ordering::SeqCst) && !self.stop_seen {
@@ -447,7 +389,7 @@ impl LoopThread {
     fn wait_timeout(&self) -> Duration {
         let mut t = Duration::from_millis(50);
         if let Some(d) = self.wheel.next_deadline_ns() {
-            let now = self.rec().now_ns();
+            let now = self.now_ns();
             t = t.min(Duration::from_nanos(d.saturating_sub(now)));
         }
         t
@@ -558,11 +500,14 @@ impl LoopThread {
         match self.conns.get_mut(&token) {
             None => {}
             Some(Entry::Discard { sock }) => {
-                let mut scratch = [0u8; 16 * 1024];
+                // On the heap: a stack array here would sit (probed, so
+                // resident) under every handler this loop runs too.
+                let scratch = &mut self.discard_buf;
+                scratch.resize(16 * 1024, 0);
                 let mut close = false;
                 let mut counted: u64 = 0;
                 loop {
-                    match sock.read(&mut scratch) {
+                    match sock.read(scratch) {
                         Ok(0) => {
                             close = true;
                             break;
@@ -588,9 +533,21 @@ impl LoopThread {
             Some(Entry::Http { conn, sock, .. }) => {
                 let rec = &*self.shared.rec;
                 if ev.readable || ev.hangup {
-                    // One read per readiness event: level-triggered epoll
-                    // reports the socket again while bytes remain.
-                    conn.on_readable(sock, rec, &mut self.actions);
+                    // Read on while a request is part-read and bytes keep
+                    // coming; level-triggered epoll reports whatever is
+                    // left after the cap.
+                    for _ in 0..READS_PER_EVENT {
+                        let starved = conn.on_readable(sock, rec, &mut self.actions);
+                        let mid_request = matches!(
+                            conn.state(),
+                            ConnState::ReadingHead
+                                | ConnState::ReadingBody
+                                | ConnState::ReadingChunked
+                        );
+                        if starved || !mid_request {
+                            break;
+                        }
+                    }
                 }
                 if (ev.writable || ev.hangup) && !conn.is_closing() {
                     conn.on_writable(sock, rec, &mut self.actions);
@@ -605,27 +562,8 @@ impl LoopThread {
         }
     }
 
-    fn take_completions(&mut self) {
-        let staged: Vec<(u64, Response)> = {
-            let mut c = relock(self.shared.loops[self.idx].completions.lock());
-            std::mem::take(&mut *c)
-        };
-        for (token, resp) in staged {
-            let Some(Entry::Http { conn, sock, .. }) = self.conns.get_mut(&token) else {
-                continue;
-            };
-            let rec = &*self.shared.rec;
-            conn.on_dispatch_done(resp, rec);
-            // Optimistic write: usually completes without an EPOLLOUT
-            // round trip.
-            conn.on_writable(sock, rec, &mut self.actions);
-            self.apply(token);
-        }
-    }
-
     fn fire_timers(&mut self, expired: &mut Vec<(u64, TimerKind)>) {
-        let now = self.rec().now_ns();
-        self.wheel.pop_expired(now, expired);
+        self.wheel.pop_expired(self.now_ns(), expired);
         for &(token, kind) in expired.iter() {
             let Some(Entry::Http { conn, .. }) = self.conns.get_mut(&token) else {
                 continue;
@@ -635,43 +573,58 @@ impl LoopThread {
         }
     }
 
-    /// Carry out (and clear) the actions the last `Conn` call left in
-    /// `self.actions`.
+    /// Carry out (and clear) the actions the last `Conn` calls left in
+    /// `self.actions`, and those each dispatch adds. Interest changes
+    /// collapse: only the last one counts, and it costs an `epoll_ctl` only
+    /// if it differs from the registered interest.
     fn apply(&mut self, token: u64) {
-        let mut actions = std::mem::take(&mut self.actions);
-        for action in actions.drain(..) {
-            match action {
-                ConnAction::Arm(kind, after) => {
-                    let now_ns = self.rec().now_ns();
-                    self.wheel
-                        .arm(token, kind, now_ns.saturating_add(after.as_nanos() as u64));
-                }
-                ConnAction::Cancel(kind) => self.wheel.cancel(token, kind),
-                ConnAction::Interest { read, write } => {
-                    if let Some(Entry::Http { sock, interest, .. }) = self.conns.get_mut(&token) {
-                        let want = Interest { read, write };
-                        if *interest != want && self.poller.modify(sock, token, want).is_ok() {
-                            *interest = want;
-                        }
+        let mut batch = std::mem::take(&mut self.batch);
+        let mut want = None;
+        while !self.actions.is_empty() {
+            std::mem::swap(&mut batch, &mut self.actions);
+            for action in batch.drain(..) {
+                match action {
+                    ConnAction::Arm(kind, after) => {
+                        let at = self.now_ns().saturating_add(after.as_nanos() as u64);
+                        self.wheel.arm(token, kind, at);
+                    }
+                    ConnAction::Cancel(kind) => self.wheel.cancel(token, kind),
+                    ConnAction::Interest { read, write } => want = Some(Interest { read, write }),
+                    ConnAction::Dispatch(head, body) => self.dispatch(token, head, body),
+                    ConnAction::Close(_) => {
+                        self.teardown(token);
+                        self.actions.clear();
+                        break;
                     }
                 }
-                ConnAction::Dispatch(head, body) => {
-                    let depth = self.shared.dispatch.push(Job {
-                        loop_idx: self.idx,
-                        token,
-                        head,
-                        body,
-                    });
-                    let rec = self.rec();
-                    rec.gauge(Gauge::QueueDepthPeak, depth as u64);
-                    rec.trace(TraceKind::QueueDepth {
-                        depth: depth as u64,
-                    });
-                }
-                ConnAction::Close(_reason) => self.teardown(token),
             }
         }
-        self.actions = actions;
+        self.batch = batch;
+        if let (Some(want), Some(Entry::Http { sock, interest, .. })) =
+            (want, self.conns.get_mut(&token))
+        {
+            if *interest != want && self.poller.modify(sock, token, want).is_ok() {
+                *interest = want;
+            }
+        }
+    }
+
+    /// Run the handler on the request `token` just completed, on this
+    /// thread, and start writing the answer.
+    fn dispatch(&mut self, token: u64, head: RequestHead, body: ReqBody) {
+        let (ServeMode::Http { handler }, Some(Entry::Http { conn, sock, .. })) =
+            (&self.mode, self.conns.get_mut(&token))
+        else {
+            return;
+        };
+        let rec = &*self.shared.rec;
+        match catch_unwind(AssertUnwindSafe(|| handler(&head, body))) {
+            Ok(resp) => conn.on_dispatch_done(resp, rec),
+            Err(_) => conn.on_dispatch_panicked(rec),
+        }
+        // Optimistic write: usually completes without an EPOLLOUT round
+        // trip.
+        conn.on_writable(sock, rec, &mut self.actions);
     }
 
     fn teardown(&mut self, token: u64) {
@@ -699,7 +652,7 @@ impl LoopThread {
             .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
         {
-            self.rec().trace(TraceKind::Drain {
+            self.shared.rec.trace(TraceKind::Drain {
                 in_flight: self.shared.conn_count.load(Ordering::Relaxed),
             });
         }
@@ -717,9 +670,9 @@ impl LoopThread {
         }
     }
 
-    /// Start draining one HTTP connection. Like the blocking driver, read
-    /// first: bytes the peer already sent are a request in flight, not an
-    /// idle connection to hang up on.
+    /// Start draining one HTTP connection. Read first: bytes the peer
+    /// already sent are a request in flight, not an idle connection to
+    /// hang up on.
     fn drain_conn(&mut self, token: u64) {
         if let Some(Entry::Http { conn, sock, .. }) = self.conns.get_mut(&token) {
             let rec = &*self.shared.rec;
@@ -733,6 +686,7 @@ impl LoopThread {
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
+    use crate::conn::Response;
     use crate::http::{
         read_response_limited, render_response, RequestConfig, DEFAULT_MAX_BODY, DEFAULT_MAX_HEAD,
     };
@@ -745,24 +699,29 @@ mod tests {
     fn opts() -> ServerOptions {
         ServerOptions {
             event_loop_threads: 2,
-            workers: 2,
             ..ServerOptions::default()
         }
     }
 
-    fn serve(opts: &ServerOptions, mode: ServeMode) -> EventLoopServer {
+    fn serve(opts: &ServerOptions, mode: ServeMode) -> Server {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        EventLoopServer::serve(listener, opts, ConnConfig::default(), None, mode).unwrap()
+        Server::start(listener, opts, ConnConfig::default(), None, mode).unwrap()
     }
 
     fn post(addr: SocketAddr, body: &[u8]) -> (u16, Vec<u8>) {
-        let mut s = TcpStream::connect(addr).unwrap();
+        post_on(&mut TcpStream::connect(addr).unwrap(), body)
+    }
+
+    /// One request on `s`; an answer that never comes fails the test after
+    /// five seconds instead of hanging it.
+    fn post_on(s: &mut TcpStream, body: &[u8]) -> (u16, Vec<u8>) {
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let cfg = RequestConfig::loopback(crate::http::HttpVersion::Http11Length);
         let mut head = Vec::new();
         cfg.render_head(&mut head, Some(body.len()));
         s.write_all(&head).unwrap();
         s.write_all(body).unwrap();
-        reply(&mut s)
+        reply(s)
     }
 
     fn reply(stream: &mut TcpStream) -> (u16, Vec<u8>) {
@@ -877,6 +836,73 @@ mod tests {
         let (status, body) = t.join().unwrap();
         assert_eq!((status, body.as_slice()), (200, b"len=6".as_slice()));
         drop(held);
+        server.stop();
+    }
+
+    /// A handler that panics costs its own connection a 500 and a close;
+    /// the loop it ran on goes on serving its other connections.
+    #[test]
+    fn a_panicking_handler_costs_its_connection_not_the_loop() {
+        let mut server = serve(
+            &ServerOptions {
+                event_loop_threads: 1,
+                ..ServerOptions::default()
+            },
+            ServeMode::Http {
+                handler: Arc::new(|_head, body| {
+                    assert!(body != ReqBody::Full(b"boom".to_vec()), "deliberate panic");
+                    Response::xml(200, "OK", b"fine".to_vec())
+                }),
+            },
+        );
+        let mut other = TcpStream::connect(server.addr()).unwrap();
+        let mut doomed = TcpStream::connect(server.addr()).unwrap();
+        let (status, body) = post_on(&mut doomed, b"boom");
+        assert_eq!(
+            (status, body.as_slice()),
+            (500, b"handler panicked".as_slice())
+        );
+        let mut probe = [0u8; 1];
+        assert_eq!(doomed.read(&mut probe).unwrap(), 0, "closed after the 500");
+        for _ in 0..2 {
+            let (status, body) = post_on(&mut other, b"calm");
+            assert_eq!((status, body.as_slice()), (200, b"fine".as_slice()));
+        }
+        server.stop();
+    }
+
+    /// The inline trade: a handler blocks only its own loop. Accepts go
+    /// round-robin, so the second connection lives on the other loop and is
+    /// answered while the first connection's handler waits.
+    #[test]
+    fn a_slow_handler_delays_only_its_own_loop() {
+        use std::sync::{mpsc, Barrier};
+        let release = Arc::new(Barrier::new(2));
+        let (entered, in_handler) = mpsc::sync_channel(1);
+        let gate = Arc::clone(&release);
+        let mut server = serve(
+            &ServerOptions {
+                event_loop_threads: 2,
+                ..ServerOptions::default()
+            },
+            ServeMode::Http {
+                handler: Arc::new(move |_head, body| {
+                    if body == ReqBody::Full(b"wait".to_vec()) {
+                        entered.send(()).unwrap();
+                        gate.wait();
+                    }
+                    Response::xml(200, "OK", b"done".to_vec())
+                }),
+            },
+        );
+        let mut first = TcpStream::connect(server.addr()).unwrap();
+        let mut second = TcpStream::connect(server.addr()).unwrap();
+        let blocked = thread::spawn(move || post_on(&mut first, b"wait"));
+        in_handler.recv_timeout(Duration::from_secs(5)).unwrap();
+        let (status, _) = post_on(&mut second, b"go");
+        assert_eq!(status, 200, "the other loop answers meanwhile");
+        release.wait();
+        assert_eq!(blocked.join().unwrap().0, 200);
         server.stop();
     }
 }

@@ -26,27 +26,21 @@
 //!   reaping, and transparent reconnect-and-retry on stale sockets.
 //! * [`conn`] — the one server-side request path: [`conn::Conn`], an
 //!   explicit sans-io state machine per connection (parse, dispatch,
-//!   respond, timeouts, caps, drain), and [`conn::drive_blocking`], the
-//!   driver that runs it on one blocking thread.
-//! * [`server`] — [`server::serve`], the one entry point that picks a
-//!   core ([`server::ServerCore`]) to drive those machines, and the
-//!   loopback [`server::TestServer`] built on it: the paper's discard
-//!   server plus a collecting server that hands complete request bodies
-//!   to tests.
-//! * [`accept`] — the worker-pool core's threads: blocking accepts
-//!   feeding a bounded pool ([`accept::serve_with_metrics`]), with
-//!   graceful drain on shutdown.
-//! * [`event_loop`] / [`timer`] / [`poller`] — the readiness core: epoll
-//!   loops ([`event_loop::EventLoopServer`]) multiplexing many `Conn`s
-//!   over a few threads, with timer-wheel deadlines
-//!   ([`timer::TimerWheel`]) in place of per-thread socket timeouts.
+//!   respond, timeouts, caps, drain).
+//! * [`server`] — [`server::serve`], the one entry point that starts the
+//!   server core on a listener, and the loopback [`server::TestServer`]
+//!   built on it: the paper's discard server plus a collecting server
+//!   that hands complete request bodies to tests.
+//! * [`event_loop`] / [`timer`] / [`poller`] — the one server core: epoll
+//!   loops ([`event_loop::Server`]) multiplexing many `Conn`s over a few
+//!   threads and running the handler inline, with timer-wheel deadlines
+//!   ([`timer::TimerWheel`]). Linux only.
 //!
 //! The seam between the serialization engine and the wire is a closure:
 //! one SOAP message (as a gather list of chunk slices) in, bytes-on-the-wire
 //! count out — `|s| conn.post(&cfg, s)` for HTTP, [`write_gather`] onto a
 //! `TcpStream` for the paper's raw measurement path.
 
-pub mod accept;
 pub mod client;
 pub mod conn;
 pub mod event_loop;
@@ -60,20 +54,19 @@ pub mod sink;
 pub mod stream;
 pub mod timer;
 
-pub use accept::{serve_with_metrics, WorkerPool};
 pub use client::ClientConn;
 pub use conn::{
-    drive_blocking, BlockingIo, BodySink, CloseReason, Conn, ConnAction, ConnConfig, ConnState,
-    Handler, ReqBody, Response, SinkFactory,
+    BodySink, CloseReason, Conn, ConnAction, ConnConfig, ConnState, Handler, ReqBody, Response,
+    SinkFactory,
 };
-pub use event_loop::EventLoopServer;
 pub use fault::{AttemptFailure, CircuitBreaker, FaultPolicy, Resilience};
 pub use http::{render_get_request, HttpError, HttpVersion, PostScratch, RequestConfig};
 pub use negotiate::{NegotiationState, Negotiator};
 pub use pool::{ConnectionPool, HttpPoolClient, HttpReply, PoolConfig, PoolStats, PooledConn};
+#[doc(hidden)]
+pub use server::ServerCore;
 pub use server::{
-    serve, supported_cores, CollectedRequest, ServeMode, Server, ServerCore, ServerMode,
-    ServerOptions, ServerStats, TestServer,
+    serve, CollectedRequest, ServeMode, Server, ServerMode, ServerOptions, ServerStats, TestServer,
 };
 pub use sink::{ProvenanceSink, SinkTransport};
 pub use stream::{read_head, ChunkedBodyReader, ChunkedBodyWriter};

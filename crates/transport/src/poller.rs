@@ -13,8 +13,8 @@
 //! `conn.rs`) instead of relying on edge semantics.
 //!
 //! On non-Linux targets every constructor returns
-//! [`std::io::ErrorKind::Unsupported`] and [`supported`] reports `false`; the
-//! server falls back to the worker-pool core.
+//! [`std::io::ErrorKind::Unsupported`] and [`supported`] reports `false`:
+//! starting a server there fails the same way.
 
 /// Whether the readiness poller works on this target.
 pub fn supported() -> bool {
@@ -345,7 +345,7 @@ mod imp {
 }
 
 /// Most events one `epoll_wait` call can report.
-const MAX_EVENTS_PER_WAIT: usize = 256;
+pub(crate) const MAX_EVENTS_PER_WAIT: usize = 256;
 
 pub use imp::{Poller, WakeFd};
 

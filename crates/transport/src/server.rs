@@ -2,20 +2,14 @@
 //! and measurements built on it.
 //!
 //! [`serve`] starts a server on a bound listener: it derives the
-//! per-connection [`ConnConfig`] from [`ServerOptions`], picks a core, and
-//! returns one [`Server`] handle. A core is a *driver* of the
-//! [`Conn`] state machine — every protocol rule (caps,
-//! 400s, evictions, idle reaping, body sinks, server counters) is `Conn`'s
-//! and therefore identical on both:
-//!
-//! * [`ServerCore::WorkerPool`] — the bounded pool from [`crate::accept`]:
-//!   blocking accepts, a fixed worker count ([`ServerOptions::workers`]),
-//!   queueing (not refusal) beyond it, graceful drain on stop; each worker
-//!   runs one connection through [`drive_blocking`].
-//! * [`ServerCore::EventLoop`] — [`crate::event_loop`]: a few epoll loop
-//!   threads multiplex every connection, so thousands of idle keep-alive
-//!   clients cost map entries instead of pinned threads. Linux only; other
-//!   platforms get the worker pool.
+//! per-connection [`ConnConfig`] from [`ServerOptions`] and returns one
+//! [`Server`] handle. The server is the epoll core of [`crate::event_loop`]:
+//! a few loop threads multiplex every connection as a [`Conn`](crate::conn::Conn) state
+//! machine and run the handler inline on the thread that read the request,
+//! so thousands of idle keep-alive clients cost map entries instead of
+//! pinned threads. Every protocol rule (caps, 400s, evictions, idle
+//! reaping, body sinks, server counters) is `Conn`'s. Linux only: elsewhere
+//! [`serve`] fails with `Unsupported`.
 //!
 //! [`TestServer`] reproduces the paper's measurement endpoint — "a dummy
 //! SOAP server … \[that\] does not deserialize or parse the incoming SOAP
@@ -26,13 +20,12 @@
 //! accumulating memory. It is a [`Handler`] closure (`handle_one`) handed
 //! to [`serve`].
 
-use crate::accept::{serve_with_metrics, WorkerPool};
-use crate::conn::{drive_blocking, Conn, ConnConfig, Handler, ReqBody, Response, SinkFactory};
-use crate::event_loop::EventLoopServer;
-use crate::http::{RequestHead, DEFAULT_MAX_BODY, DEFAULT_MAX_HEAD, READ_SIZE};
-use bsoap_obs::{Counter, Metrics, NullRecorder, Recorder};
+use crate::conn::{ConnConfig, Handler, ReqBody, Response, SinkFactory};
+pub use crate::event_loop::Server;
+use crate::http::{RequestHead, DEFAULT_MAX_BODY, DEFAULT_MAX_HEAD};
+use bsoap_obs::{Counter, Metrics, Recorder};
 use parking_lot::Mutex;
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,41 +43,31 @@ pub enum ServerMode {
     Ack,
 }
 
+#[doc(hidden)]
 pub use bsoap_obs::ServerCore;
-
-/// The cores this platform can drive — what "on every core" means to a
-/// test or a bench: the event loop needs [`crate::poller::supported`].
-pub fn supported_cores() -> &'static [ServerCore] {
-    if crate::poller::supported() {
-        &[ServerCore::WorkerPool, ServerCore::EventLoop]
-    } else {
-        &[ServerCore::WorkerPool]
-    }
-}
 
 /// Server tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerOptions {
-    /// Which core serves connections.
+    /// Selects nothing: there is one server core. Kept for callers that
+    /// still name one.
+    #[doc(hidden)]
     pub core: ServerCore,
-    /// Worker threads: each drives one connection on the worker pool; on
-    /// the event-loop core they are the dispatch pool running the handler.
-    pub workers: usize,
-    /// Event-loop threads (event-loop core only).
+    /// Event-loop threads; accepted connections go round-robin between
+    /// them, and each runs the handler for its own connections.
     pub event_loop_threads: usize,
-    /// Accept cap (event-loop core only): beyond this many open
-    /// connections, new ones wait in the listen backlog — queued, not
-    /// refused. The worker pool bounds concurrency by `workers` instead.
+    /// Accept cap: beyond this many open connections, new ones wait in the
+    /// listen backlog — queued, not refused.
     pub max_connections: usize,
     /// Graceful-drain deadline on stop.
     pub drain_deadline: Duration,
-    /// Per-*read* socket timeout (Collect/Ack modes): bounds how long any
-    /// single read may stall before the connection is evicted and counted
-    /// under [`Counter::ServerTimeouts`]. On its own this does not bound
-    /// a whole request — a peer dribbling one byte per interval just
-    /// under this timeout keeps every read succeeding; pair it with
-    /// [`ServerOptions::request_timeout`] for that. `None` (the seed
-    /// default) lets each read wait forever.
+    /// Per-*read* stall timeout (Collect/Ack modes): a connection that
+    /// makes no read progress for this long is evicted and counted under
+    /// [`Counter::ServerTimeouts`]. On its own this does not bound a
+    /// whole request — a peer dribbling one byte per interval just under
+    /// this timeout keeps sliding it; pair it with
+    /// [`ServerOptions::request_timeout`] for that. `None` (the default)
+    /// lets a connection wait forever.
     pub read_timeout: Option<Duration>,
     /// Per-*request* time budget (Collect/Ack modes): opened at the first
     /// byte of a request head, it caps head + body read time in total, so
@@ -107,8 +90,7 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
-            core: ServerCore::WorkerPool,
-            workers: 4,
+            core: ServerCore::EventLoop,
             event_loop_threads: 2,
             max_connections: 8192,
             drain_deadline: Duration::from_secs(2),
@@ -131,9 +113,6 @@ pub struct ServerStats {
     pub connections: u64,
     /// Complete requests parsed (Collect/Ack modes only).
     pub requests: u64,
-    /// High-water mark of connections (worker pool) or requests (event
-    /// loop) queued awaiting a worker.
-    pub peak_queue_depth: usize,
 }
 
 /// One collected request (Collect mode).
@@ -161,20 +140,10 @@ pub enum ServeMode {
     },
 }
 
-enum Running {
-    Pool(WorkerPool),
-    Loop(EventLoopServer),
-}
-
-/// A running server on whichever core [`serve`] picked. Dropping it stops
-/// the server (with the configured drain deadline).
-pub struct Server(Running);
-
 /// Serve `listener`: the one entry point behind [`TestServer`] and
-/// `bsoap-server`'s host. Picks the core (`opts.core`, falling back to the
-/// worker pool where epoll is unavailable), maps `opts` onto the
-/// per-connection [`ConnConfig`] once, and starts it. `sinks`, when given,
-/// chooses per request whether the body streams into a
+/// `bsoap-server`'s host. Maps `opts` onto the per-connection
+/// [`ConnConfig`] once and starts the loops. `sinks`, when given, chooses
+/// per request whether the body streams into a
 /// [`BodySink`](crate::conn::BodySink) instead of being buffered.
 pub fn serve(
     listener: TcpListener,
@@ -191,73 +160,7 @@ pub fn serve(
         idle_timeout: opts.idle_timeout,
         sink_factory: sinks,
     };
-    if opts.core == ServerCore::EventLoop && crate::poller::supported() {
-        let server = EventLoopServer::serve(listener, opts, conn_cfg, metrics, mode)?;
-        return Ok(Server(Running::Loop(server)));
-    }
-    let rec: Arc<dyn Recorder> = match &metrics {
-        Some(m) => m.clone(),
-        None => Arc::new(NullRecorder),
-    };
-    let next_id = AtomicU64::new(0);
-    let pool = serve_with_metrics(
-        listener,
-        opts.workers,
-        opts.drain_deadline,
-        metrics,
-        move |mut stream, stop| match &mode {
-            ServeMode::Http { handler } => {
-                let id = next_id.fetch_add(1, Ordering::Relaxed);
-                let mut conn = Conn::new(id, conn_cfg.clone());
-                drive_blocking(&mut conn, &mut stream, &*rec, &**handler, stop);
-            }
-            ServeMode::Discard { on_bytes } => {
-                // On the heap: a stack array here would sit (probed, so
-                // resident) in every HTTP worker's frame too.
-                let mut buf = vec![0u8; READ_SIZE];
-                while let Ok(n @ 1..) = stream.read(&mut buf) {
-                    on_bytes(n as u64);
-                }
-            }
-        },
-    )?;
-    Ok(Server(Running::Pool(pool)))
-}
-
-impl Server {
-    /// The address clients should connect to.
-    pub fn addr(&self) -> SocketAddr {
-        match &self.0 {
-            Running::Pool(p) => p.addr(),
-            Running::Loop(l) => l.addr(),
-        }
-    }
-
-    /// Connections accepted so far.
-    pub fn connections(&self) -> u64 {
-        match &self.0 {
-            Running::Pool(p) => p.connections(),
-            Running::Loop(l) => l.connections(),
-        }
-    }
-
-    /// High-water mark of connections (worker pool) or requests (event
-    /// loop) queued awaiting a worker.
-    pub fn peak_queue_depth(&self) -> usize {
-        match &self.0 {
-            Running::Pool(p) => p.peak_queue_depth(),
-            Running::Loop(l) => l.peak_queue_depth(),
-        }
-    }
-
-    /// Stop accepting, drain in-flight requests (bounded by the drain
-    /// deadline), join every thread. Idempotent.
-    pub fn stop(&mut self) {
-        match &mut self.0 {
-            Running::Pool(p) => p.stop(),
-            Running::Loop(l) => l.stop(),
-        }
-    }
+    Server::start(listener, opts, conn_cfg, metrics, mode)
 }
 
 struct Shared {
@@ -266,7 +169,7 @@ struct Shared {
     collected: Mutex<Vec<CollectedRequest>>,
 }
 
-/// A loopback server running on either core (see [`ServerCore`]).
+/// A loopback server.
 pub struct TestServer {
     shared: Arc<Shared>,
     server: Server,
@@ -365,7 +268,6 @@ impl TestServer {
             bytes_received: self.shared.bytes.load(Ordering::Relaxed),
             connections: self.server.connections(),
             requests: self.shared.requests.load(Ordering::Relaxed),
-            peak_queue_depth: self.server.peak_queue_depth(),
         }
     }
 
@@ -414,15 +316,8 @@ mod tests {
         post_gather_vectored, read_response_limited, HttpVersion, PostScratch, RequestConfig,
     };
     use bsoap_obs::HistId;
-    use std::io::{IoSlice, Write};
+    use std::io::{IoSlice, Read, Write};
     use std::net::TcpStream;
-
-    fn opts_on(core: ServerCore) -> ServerOptions {
-        ServerOptions {
-            core,
-            ..ServerOptions::default()
-        }
-    }
 
     fn reply(stream: &mut TcpStream) -> (u16, Vec<u8>) {
         read_response_limited(stream, DEFAULT_MAX_HEAD, DEFAULT_MAX_BODY).unwrap()
@@ -430,323 +325,278 @@ mod tests {
 
     #[test]
     fn discard_server_counts_bytes() {
-        for &core in supported_cores() {
-            let server = TestServer::spawn_with(ServerMode::Discard, opts_on(core)).unwrap();
-            let mut c = TcpStream::connect(server.addr()).unwrap();
-            c.write_all(b"0123456789abcdef").unwrap();
-            c.shutdown(std::net::Shutdown::Write).unwrap();
-            drop(c);
-            // Drain happens on another thread; spin briefly for the count.
-            for _ in 0..2000 {
-                if server.bytes_received() == 16 {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
+        let server = TestServer::spawn_with(ServerMode::Discard, ServerOptions::default()).unwrap();
+        let mut c = TcpStream::connect(server.addr()).unwrap();
+        c.write_all(b"0123456789abcdef").unwrap();
+        c.shutdown(std::net::Shutdown::Write).unwrap();
+        drop(c);
+        // Drain happens on another thread; spin briefly for the count.
+        for _ in 0..2000 {
+            if server.bytes_received() == 16 {
+                break;
             }
-            let stats = server.stop();
-            assert_eq!(stats.bytes_received, 16, "core {core:?}");
-            assert_eq!(stats.connections, 1, "core {core:?}");
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
+        let stats = server.stop();
+        assert_eq!(stats.bytes_received, 16);
+        assert_eq!(stats.connections, 1);
     }
 
     #[test]
     fn collect_server_parses_and_acks() {
-        for &core in supported_cores() {
-            let server = TestServer::spawn_with(ServerMode::Collect, opts_on(core)).unwrap();
-            let mut c = TcpStream::connect(server.addr()).unwrap();
-            let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
-            let body = b"<m>7</m>".to_vec();
-            let mut scratch = PostScratch::default();
-            post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
-            let (status, resp) = reply(&mut c);
-            assert_eq!(status, 200, "core {core:?}");
-            assert_eq!(resp, b"<ack/>", "core {core:?}");
-            drop(c);
-            let reqs = server.stop_collecting();
-            assert_eq!(reqs.len(), 1, "core {core:?}");
-            assert_eq!(reqs[0].body, body, "core {core:?}");
-        }
+        let server = TestServer::spawn_with(ServerMode::Collect, ServerOptions::default()).unwrap();
+        let mut c = TcpStream::connect(server.addr()).unwrap();
+        let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
+        let body = b"<m>7</m>".to_vec();
+        let mut scratch = PostScratch::default();
+        post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
+        let (status, resp) = reply(&mut c);
+        assert_eq!(status, 200);
+        assert_eq!(resp, b"<ack/>");
+        drop(c);
+        let reqs = server.stop_collecting();
+        assert_eq!(reqs.len(), 1);
+        assert_eq!(reqs[0].body, body);
     }
 
     #[test]
     fn ack_server_counts_but_does_not_store() {
-        for &core in supported_cores() {
-            let server = TestServer::spawn_with(ServerMode::Ack, opts_on(core)).unwrap();
-            let mut c = TcpStream::connect(server.addr()).unwrap();
-            let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
-            let body = b"<m>9</m>".to_vec();
-            let mut scratch = PostScratch::default();
-            // Two keep-alive requests on one connection.
-            for _ in 0..2 {
-                post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
-                let (status, resp) = reply(&mut c);
-                assert_eq!(status, 200, "core {core:?}");
-                assert_eq!(resp, b"<ack/>", "core {core:?}");
-            }
-            drop(c);
-            let stats = server.stop();
-            assert_eq!(stats.requests, 2, "core {core:?}");
-            assert_eq!(
-                stats.connections, 1,
-                "keep-alive reused one connection (core {core:?})"
-            );
-            assert_eq!(stats.bytes_received, 2 * body.len() as u64, "core {core:?}");
+        let server = TestServer::spawn_with(ServerMode::Ack, ServerOptions::default()).unwrap();
+        let mut c = TcpStream::connect(server.addr()).unwrap();
+        let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
+        let body = b"<m>9</m>".to_vec();
+        let mut scratch = PostScratch::default();
+        // Two keep-alive requests on one connection.
+        for _ in 0..2 {
+            post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
+            let (status, resp) = reply(&mut c);
+            assert_eq!(status, 200);
+            assert_eq!(resp, b"<ack/>");
         }
+        drop(c);
+        let stats = server.stop();
+        assert_eq!(stats.requests, 2);
+        assert_eq!(stats.connections, 1, "keep-alive reused one connection");
+        assert_eq!(stats.bytes_received, 2 * body.len() as u64);
     }
 
     #[test]
     fn multiple_connections() {
-        for &core in supported_cores() {
-            let server = TestServer::spawn_with(ServerMode::Discard, opts_on(core)).unwrap();
-            let mut handles = Vec::new();
-            for i in 0..4 {
-                let addr = server.addr();
-                handles.push(std::thread::spawn(move || {
-                    let mut c = TcpStream::connect(addr).unwrap();
-                    c.write_all(&vec![b'a'; (i + 1) * 100]).unwrap();
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            for _ in 0..2000 {
-                if server.bytes_received() == 1000 {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            let stats = server.stop();
-            assert_eq!(stats.bytes_received, 1000, "core {core:?}");
-            assert_eq!(stats.connections, 4, "core {core:?}");
+        let server = TestServer::spawn_with(ServerMode::Discard, ServerOptions::default()).unwrap();
+        let mut handles = Vec::new();
+        for i in 0..4 {
+            let addr = server.addr();
+            handles.push(std::thread::spawn(move || {
+                let mut c = TcpStream::connect(addr).unwrap();
+                c.write_all(&vec![b'a'; (i + 1) * 100]).unwrap();
+            }));
         }
+        for h in handles {
+            h.join().unwrap();
+        }
+        for _ in 0..2000 {
+            if server.bytes_received() == 1000 {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let stats = server.stop();
+        assert_eq!(stats.bytes_received, 1000);
+        assert_eq!(stats.connections, 4);
     }
 
     #[test]
-    fn connections_beyond_workers_queue_and_complete() {
-        // 1 worker (1 dispatcher on the event loop), 3 concurrent HTTP
-        // clients: all requests must be answered (queued, not refused).
-        for &core in supported_cores() {
-            let server = TestServer::spawn_with(
-                ServerMode::Ack,
-                ServerOptions {
-                    workers: 1,
-                    ..opts_on(core)
-                },
-            )
-            .unwrap();
-            let addr = server.addr();
-            let handles: Vec<_> = (0..3)
-                .map(|_| {
-                    std::thread::spawn(move || {
-                        let mut c = TcpStream::connect(addr).unwrap();
-                        let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
-                        let body = b"<q/>".to_vec();
-                        let mut scratch = PostScratch::default();
-                        post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch)
-                            .unwrap();
-                        let (status, _) = reply(&mut c);
-                        assert_eq!(status, 200);
-                    })
+    fn concurrent_connections_on_one_loop_all_complete() {
+        // One loop thread, 3 concurrent HTTP clients: all requests must
+        // be answered.
+        let server = TestServer::spawn_with(
+            ServerMode::Ack,
+            ServerOptions {
+                event_loop_threads: 1,
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        let addr = server.addr();
+        let handles: Vec<_> = (0..3)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    let mut c = TcpStream::connect(addr).unwrap();
+                    let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
+                    let body = b"<q/>".to_vec();
+                    let mut scratch = PostScratch::default();
+                    post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch)
+                        .unwrap();
+                    let (status, _) = reply(&mut c);
+                    assert_eq!(status, 200);
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            let stats = server.stop();
-            assert_eq!(stats.requests, 3, "core {core:?}");
-            assert_eq!(stats.connections, 3, "core {core:?}");
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
+        let stats = server.stop();
+        assert_eq!(stats.requests, 3);
+        assert_eq!(stats.connections, 3);
     }
 
     #[test]
     fn metrics_endpoint_reports_server_counters() {
-        for &core in supported_cores() {
-            let metrics = Metrics::shared();
-            let server = TestServer::spawn_with_metrics(
-                ServerMode::Ack,
-                opts_on(core),
-                Arc::clone(&metrics),
-            )
-            .unwrap();
-            let mut c = TcpStream::connect(server.addr()).unwrap();
-            let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
-            let body = b"<m>1</m>".to_vec();
-            let mut scratch = PostScratch::default();
-            for _ in 0..3 {
-                post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
-                let (status, _) = reply(&mut c);
-                assert_eq!(status, 200, "core {core:?}");
-            }
-            // Scrape over the same keep-alive connection.
-            let mut get = Vec::new();
-            crate::http::render_get_request(&mut get, "/metrics", "localhost");
-            c.write_all(&get).unwrap();
-            let (status, text) = reply(&mut c);
-            assert_eq!(status, 200, "core {core:?}");
-            let text = String::from_utf8(text).unwrap();
-            assert_eq!(
-                bsoap_obs::parse_value(&text, "bsoap_server_requests_total"),
-                Some(3.0),
-                "core {core:?}"
-            );
-            assert_eq!(
-                bsoap_obs::parse_value(&text, "bsoap_metrics_scrapes_total"),
-                Some(1.0),
-                "core {core:?}"
-            );
-            drop(c);
-            let stats = server.stop();
-            assert_eq!(
-                stats.requests, 3,
-                "the scrape is not counted as a request (core {core:?})"
-            );
-            let snap = metrics.snapshot();
-            assert_eq!(snap.get(Counter::ServerRequests), 3, "core {core:?}");
-            assert_eq!(snap.get(Counter::ServerConnections), 1, "core {core:?}");
-            assert_eq!(snap.hist(HistId::ServerRequest).count(), 3, "core {core:?}");
+        let metrics = Metrics::shared();
+        let server = TestServer::spawn_with_metrics(
+            ServerMode::Ack,
+            ServerOptions::default(),
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let mut c = TcpStream::connect(server.addr()).unwrap();
+        let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
+        let body = b"<m>1</m>".to_vec();
+        let mut scratch = PostScratch::default();
+        for _ in 0..3 {
+            post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
+            let (status, _) = reply(&mut c);
+            assert_eq!(status, 200);
         }
+        // Scrape over the same keep-alive connection.
+        let mut get = Vec::new();
+        crate::http::render_get_request(&mut get, "/metrics", "localhost");
+        c.write_all(&get).unwrap();
+        let (status, text) = reply(&mut c);
+        assert_eq!(status, 200);
+        let text = String::from_utf8(text).unwrap();
+        assert_eq!(
+            bsoap_obs::parse_value(&text, "bsoap_server_requests_total"),
+            Some(3.0)
+        );
+        assert_eq!(
+            bsoap_obs::parse_value(&text, "bsoap_metrics_scrapes_total"),
+            Some(1.0)
+        );
+        drop(c);
+        let stats = server.stop();
+        assert_eq!(stats.requests, 3, "the scrape is not counted as a request");
+        let snap = metrics.snapshot();
+        assert_eq!(snap.get(Counter::ServerRequests), 3);
+        assert_eq!(snap.get(Counter::ServerConnections), 1);
+        assert_eq!(snap.hist(HistId::ServerRequest).count(), 3);
     }
 
     #[test]
     fn metrics_scrape_without_registry_is_404() {
-        for &core in supported_cores() {
-            let server = TestServer::spawn_with(ServerMode::Ack, opts_on(core)).unwrap();
-            let mut c = TcpStream::connect(server.addr()).unwrap();
-            let mut get = Vec::new();
-            crate::http::render_get_request(&mut get, "/metrics", "localhost");
-            c.write_all(&get).unwrap();
-            let (status, _) = reply(&mut c);
-            assert_eq!(status, 404, "core {core:?}");
-            drop(c);
-            server.stop();
-        }
+        let server = TestServer::spawn_with(ServerMode::Ack, ServerOptions::default()).unwrap();
+        let mut c = TcpStream::connect(server.addr()).unwrap();
+        let mut get = Vec::new();
+        crate::http::render_get_request(&mut get, "/metrics", "localhost");
+        c.write_all(&get).unwrap();
+        let (status, _) = reply(&mut c);
+        assert_eq!(status, 404);
+        drop(c);
+        server.stop();
     }
 
     #[test]
     fn malformed_request_draws_400_then_close() {
-        for &core in supported_cores() {
-            let metrics = Metrics::shared();
-            let server = TestServer::spawn_with_metrics(
-                ServerMode::Ack,
-                opts_on(core),
-                Arc::clone(&metrics),
-            )
-            .unwrap();
-            let mut c = TcpStream::connect(server.addr()).unwrap();
-            c.write_all(b"THIS IS NOT HTTP AT ALL\r\n\r\n").unwrap();
-            let (status, body) = reply(&mut c);
-            assert_eq!(status, 400, "core {core:?}");
-            assert!(
-                !body.is_empty(),
-                "400 body explains the rejection (core {core:?})"
-            );
-            // Connection is closed after the 400.
-            let mut probe = [0u8; 1];
-            assert_eq!(c.read(&mut probe).unwrap(), 0, "core {core:?}");
-            drop(c);
-            let stats = server.stop();
-            assert_eq!(stats.requests, 0, "core {core:?}");
-            assert_eq!(
-                metrics.snapshot().get(Counter::ServerBadRequests),
-                1,
-                "core {core:?}"
-            );
-        }
+        let metrics = Metrics::shared();
+        let server = TestServer::spawn_with_metrics(
+            ServerMode::Ack,
+            ServerOptions::default(),
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let mut c = TcpStream::connect(server.addr()).unwrap();
+        c.write_all(b"THIS IS NOT HTTP AT ALL\r\n\r\n").unwrap();
+        let (status, body) = reply(&mut c);
+        assert_eq!(status, 400);
+        assert!(!body.is_empty(), "400 body explains the rejection");
+        // Connection is closed after the 400.
+        let mut probe = [0u8; 1];
+        assert_eq!(c.read(&mut probe).unwrap(), 0);
+        drop(c);
+        let stats = server.stop();
+        assert_eq!(stats.requests, 0);
+        assert_eq!(metrics.snapshot().get(Counter::ServerBadRequests), 1);
     }
 
     #[test]
     fn oversized_head_draws_400() {
-        for &core in supported_cores() {
-            let metrics = Metrics::shared();
-            let server = TestServer::spawn_with_metrics(
-                ServerMode::Ack,
-                ServerOptions {
-                    max_head_bytes: 1024,
-                    ..opts_on(core)
-                },
-                Arc::clone(&metrics),
-            )
-            .unwrap();
-            let mut c = TcpStream::connect(server.addr()).unwrap();
-            let mut req = Vec::new();
-            req.extend_from_slice(b"POST / HTTP/1.1\r\nX-Pad: ");
-            req.extend_from_slice(&vec![b'x'; 4096]);
-            req.extend_from_slice(b"\r\nContent-Length: 0\r\n\r\n");
-            c.write_all(&req).unwrap();
-            let (status, _) = reply(&mut c);
-            assert_eq!(status, 400, "core {core:?}");
-            drop(c);
-            server.stop();
-            assert_eq!(
-                metrics.snapshot().get(Counter::ServerBadRequests),
-                1,
-                "core {core:?}"
-            );
-        }
+        let metrics = Metrics::shared();
+        let server = TestServer::spawn_with_metrics(
+            ServerMode::Ack,
+            ServerOptions {
+                max_head_bytes: 1024,
+                ..ServerOptions::default()
+            },
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let mut c = TcpStream::connect(server.addr()).unwrap();
+        let mut req = Vec::new();
+        req.extend_from_slice(b"POST / HTTP/1.1\r\nX-Pad: ");
+        req.extend_from_slice(&vec![b'x'; 4096]);
+        req.extend_from_slice(b"\r\nContent-Length: 0\r\n\r\n");
+        c.write_all(&req).unwrap();
+        let (status, _) = reply(&mut c);
+        assert_eq!(status, 400);
+        drop(c);
+        server.stop();
+        assert_eq!(metrics.snapshot().get(Counter::ServerBadRequests), 1);
     }
 
     #[test]
     fn slow_loris_connection_is_evicted() {
-        for &core in supported_cores() {
-            let metrics = Metrics::shared();
-            let server = TestServer::spawn_with_metrics(
-                ServerMode::Ack,
-                ServerOptions {
-                    read_timeout: Some(Duration::from_millis(40)),
-                    ..opts_on(core)
-                },
-                Arc::clone(&metrics),
-            )
-            .unwrap();
-            let mut c = TcpStream::connect(server.addr()).unwrap();
-            // Half a request head, then silence: the server must evict
-            // rather than pin a worker (or a map entry) forever.
-            c.write_all(b"POST / HTTP/1.1\r\nHost: lo").unwrap();
-            let mut probe = [0u8; 64];
-            // FIN reads zero bytes; RST errors. Either means evicted.
-            if let Ok(n) = c.read(&mut probe) {
-                assert_eq!(n, 0, "server closed on us (core {core:?})");
-            }
-            drop(c);
-            server.stop();
-            assert_eq!(
-                metrics.snapshot().get(Counter::ServerTimeouts),
-                1,
-                "core {core:?}"
-            );
+        let metrics = Metrics::shared();
+        let server = TestServer::spawn_with_metrics(
+            ServerMode::Ack,
+            ServerOptions {
+                read_timeout: Some(Duration::from_millis(40)),
+                ..ServerOptions::default()
+            },
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let mut c = TcpStream::connect(server.addr()).unwrap();
+        // Half a request head, then silence: the server must evict
+        // rather than pin a worker (or a map entry) forever.
+        c.write_all(b"POST / HTTP/1.1\r\nHost: lo").unwrap();
+        let mut probe = [0u8; 64];
+        // FIN reads zero bytes; RST errors. Either means evicted.
+        if let Ok(n) = c.read(&mut probe) {
+            assert_eq!(n, 0, "server closed on us");
         }
+        drop(c);
+        server.stop();
+        assert_eq!(metrics.snapshot().get(Counter::ServerTimeouts), 1);
     }
 
     #[test]
     fn timeouts_fire_without_a_metrics_registry() {
         // The deadline rules are the machine's, not the registry's: a
         // server spawned without metrics still evicts a stalled peer.
-        for &core in supported_cores() {
-            let server = TestServer::spawn_with(
-                ServerMode::Ack,
-                ServerOptions {
-                    read_timeout: Some(Duration::from_millis(40)),
-                    ..opts_on(core)
-                },
-            )
-            .unwrap();
-            let mut c = TcpStream::connect(server.addr()).unwrap();
-            c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            c.write_all(b"POST / HTTP/1.1\r\nHost: lo").unwrap();
-            let mut probe = [0u8; 64];
-            match c.read(&mut probe) {
-                Ok(n) => assert_eq!(n, 0, "server closed on us (core {core:?})"),
-                Err(e) => assert!(
-                    !matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ),
-                    "never evicted (core {core:?})"
+        let server = TestServer::spawn_with(
+            ServerMode::Ack,
+            ServerOptions {
+                read_timeout: Some(Duration::from_millis(40)),
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        let mut c = TcpStream::connect(server.addr()).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        c.write_all(b"POST / HTTP/1.1\r\nHost: lo").unwrap();
+        let mut probe = [0u8; 64];
+        match c.read(&mut probe) {
+            Ok(n) => assert_eq!(n, 0, "server closed on us"),
+            Err(e) => assert!(
+                !matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ),
-            }
-            drop(c);
-            server.stop();
+                "never evicted"
+            ),
         }
+        drop(c);
+        server.stop();
     }
 
     #[test]
@@ -755,50 +605,44 @@ mod tests {
         // keeps every individual read succeeding — the per-read timeout
         // alone never fires (on the event loop, every byte slides the
         // stall timer). The per-request budget must evict it anyway.
-        for &core in supported_cores() {
-            let metrics = Metrics::shared();
-            let server = TestServer::spawn_with_metrics(
-                ServerMode::Ack,
-                ServerOptions {
-                    read_timeout: Some(Duration::from_millis(200)),
-                    request_timeout: Some(Duration::from_millis(120)),
-                    ..opts_on(core)
-                },
-                Arc::clone(&metrics),
-            )
-            .unwrap();
-            let mut c = TcpStream::connect(server.addr()).unwrap();
-            let head: &[u8] = b"POST / HTTP/1.1\r\nHost: l";
-            for chunk in head.chunks(1).take(12) {
-                // Ignore write errors: once evicted the dribble may hit RST.
-                let _ = c.write_all(chunk);
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            // ~300ms of dribbling against a 120ms request budget: the
-            // server must have evicted the connection and counted it.
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while metrics.snapshot().get(Counter::ServerTimeouts) == 0 {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "server never evicted the dribbler (core {core:?})"
-                );
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            // The read half confirms the close: a clean FIN reads zero
-            // bytes, and an error (RST) also means closed.
-            let mut probe = [0u8; 8];
-            if let Ok(n) = c.read(&mut probe) {
-                assert_eq!(n, 0, "server must not answer a dribbler (core {core:?})");
-            }
-            drop(c);
-            let stats = server.stop();
-            assert_eq!(stats.requests, 0, "core {core:?}");
-            assert_eq!(
-                metrics.snapshot().get(Counter::ServerTimeouts),
-                1,
-                "core {core:?}"
-            );
+        let metrics = Metrics::shared();
+        let server = TestServer::spawn_with_metrics(
+            ServerMode::Ack,
+            ServerOptions {
+                read_timeout: Some(Duration::from_millis(200)),
+                request_timeout: Some(Duration::from_millis(120)),
+                ..ServerOptions::default()
+            },
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let mut c = TcpStream::connect(server.addr()).unwrap();
+        let head: &[u8] = b"POST / HTTP/1.1\r\nHost: l";
+        for chunk in head.chunks(1).take(12) {
+            // Ignore write errors: once evicted the dribble may hit RST.
+            let _ = c.write_all(chunk);
+            std::thread::sleep(Duration::from_millis(25));
         }
+        // ~300ms of dribbling against a 120ms request budget: the
+        // server must have evicted the connection and counted it.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while metrics.snapshot().get(Counter::ServerTimeouts) == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "server never evicted the dribbler"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // The read half confirms the close: a clean FIN reads zero
+        // bytes, and an error (RST) also means closed.
+        let mut probe = [0u8; 8];
+        if let Ok(n) = c.read(&mut probe) {
+            assert_eq!(n, 0, "server must not answer a dribbler");
+        }
+        drop(c);
+        let stats = server.stop();
+        assert_eq!(stats.requests, 0);
+        assert_eq!(metrics.snapshot().get(Counter::ServerTimeouts), 1);
     }
 
     #[test]
@@ -806,56 +650,47 @@ mod tests {
         // The budget opens at the first byte of a request: a client that
         // idles between two requests longer than `request_timeout` must
         // still be served (only reads *within* a request are budgeted).
-        for &core in supported_cores() {
-            let server = TestServer::spawn_with(
-                ServerMode::Ack,
-                ServerOptions {
-                    request_timeout: Some(Duration::from_millis(80)),
-                    ..opts_on(core)
-                },
-            )
-            .unwrap();
-            let mut c = TcpStream::connect(server.addr()).unwrap();
-            let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
-            let body = b"<m>1</m>".to_vec();
-            let mut scratch = PostScratch::default();
-            post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
-            let (status, _) = reply(&mut c);
-            assert_eq!(status, 200, "core {core:?}");
-            // Idle past the per-request budget, then send a second request.
-            std::thread::sleep(Duration::from_millis(160));
-            post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
-            let (status, _) = reply(&mut c);
-            assert_eq!(status, 200, "core {core:?}");
-            drop(c);
-            let stats = server.stop();
-            assert_eq!(stats.requests, 2, "core {core:?}");
-            assert_eq!(
-                stats.connections, 1,
-                "keep-alive survived the idle gap (core {core:?})"
-            );
-        }
+        let server = TestServer::spawn_with(
+            ServerMode::Ack,
+            ServerOptions {
+                request_timeout: Some(Duration::from_millis(80)),
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        let mut c = TcpStream::connect(server.addr()).unwrap();
+        let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
+        let body = b"<m>1</m>".to_vec();
+        let mut scratch = PostScratch::default();
+        post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
+        let (status, _) = reply(&mut c);
+        assert_eq!(status, 200);
+        // Idle past the per-request budget, then send a second request.
+        std::thread::sleep(Duration::from_millis(160));
+        post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
+        let (status, _) = reply(&mut c);
+        assert_eq!(status, 200);
+        drop(c);
+        let stats = server.stop();
+        assert_eq!(stats.requests, 2);
+        assert_eq!(stats.connections, 1, "keep-alive survived the idle gap");
     }
 
     #[test]
     fn stop_without_traffic() {
-        for &core in supported_cores() {
-            let server = TestServer::spawn_with(ServerMode::Discard, opts_on(core)).unwrap();
-            let stats = server.stop();
-            assert_eq!(stats.bytes_received, 0, "core {core:?}");
-        }
+        let server = TestServer::spawn_with(ServerMode::Discard, ServerOptions::default()).unwrap();
+        let stats = server.stop();
+        assert_eq!(stats.bytes_received, 0);
     }
 
     #[test]
     fn drop_shuts_down_cleanly() {
-        for &core in supported_cores() {
-            let server = TestServer::spawn_with(ServerMode::Collect, opts_on(core)).unwrap();
-            let addr = server.addr();
-            drop(server);
-            // Port should be released promptly; a new bind may or may not
-            // get the same port, but connecting must not hang.
-            let _ = TcpStream::connect(addr);
-        }
+        let server = TestServer::spawn_with(ServerMode::Collect, ServerOptions::default()).unwrap();
+        let addr = server.addr();
+        drop(server);
+        // Port should be released promptly; a new bind may or may not
+        // get the same port, but connecting must not hang.
+        let _ = TcpStream::connect(addr);
     }
 
     /// A keep-alive connection with no request in flight is closed by the
@@ -864,63 +699,59 @@ mod tests {
     /// request budget.
     #[test]
     fn idle_keep_alive_connection_is_reaped() {
-        for &core in supported_cores() {
-            let metrics = Metrics::shared();
-            let server = TestServer::spawn_with_metrics(
-                ServerMode::Ack,
-                ServerOptions {
-                    idle_timeout: Some(Duration::from_millis(60)),
-                    request_timeout: Some(Duration::from_secs(30)),
-                    ..opts_on(core)
-                },
-                Arc::clone(&metrics),
-            )
-            .unwrap();
-            let mut c = TcpStream::connect(server.addr()).unwrap();
-            // Serve one request so the connection re-enters Idle (proving
-            // the reaper re-arms after a request, not just at accept).
-            let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
-            let body = b"<m>1</m>".to_vec();
-            let mut scratch = PostScratch::default();
-            post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
-            let (status, _) = reply(&mut c);
-            assert_eq!(status, 200, "core {core:?}");
-            // Now idle: the reaper must close us within the timeout (plus
-            // driver latency), counted as a reap — not a timeout/eviction.
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while metrics.snapshot().get(Counter::ServerIdleReaped) == 0 {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "idle connection never reaped (core {core:?})"
-                );
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            let mut probe = [0u8; 8];
-            if let Ok(n) = c.read(&mut probe) {
-                assert_eq!(n, 0, "reaped connection is closed (core {core:?})");
-            }
-            drop(c);
-            let stats = server.stop();
-            assert_eq!(stats.requests, 1, "core {core:?}");
-            let snap = metrics.snapshot();
-            assert_eq!(snap.get(Counter::ServerIdleReaped), 1, "core {core:?}");
-            assert_eq!(
-                snap.get(Counter::ServerTimeouts),
-                0,
-                "a reap is not an eviction (core {core:?})"
+        let metrics = Metrics::shared();
+        let server = TestServer::spawn_with_metrics(
+            ServerMode::Ack,
+            ServerOptions {
+                idle_timeout: Some(Duration::from_millis(60)),
+                request_timeout: Some(Duration::from_secs(30)),
+                ..ServerOptions::default()
+            },
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let mut c = TcpStream::connect(server.addr()).unwrap();
+        // Serve one request so the connection re-enters Idle (proving
+        // the reaper re-arms after a request, not just at accept).
+        let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
+        let body = b"<m>1</m>".to_vec();
+        let mut scratch = PostScratch::default();
+        post_gather_vectored(&mut c, &cfg, &[IoSlice::new(&body)], &mut scratch).unwrap();
+        let (status, _) = reply(&mut c);
+        assert_eq!(status, 200);
+        // Now idle: the reaper must close us within the timeout (plus
+        // driver latency), counted as a reap — not a timeout/eviction.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while metrics.snapshot().get(Counter::ServerIdleReaped) == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "idle connection never reaped"
             );
-            if core == ServerCore::EventLoop {
-                // The loop also publishes how many connections it held.
-                assert!(snap.gauge(bsoap_obs::Gauge::ConnectionsOpenPeak) >= 1);
-            }
+            std::thread::sleep(Duration::from_millis(5));
         }
+        let mut probe = [0u8; 8];
+        if let Ok(n) = c.read(&mut probe) {
+            assert_eq!(n, 0, "reaped connection is closed");
+        }
+        drop(c);
+        let stats = server.stop();
+        assert_eq!(stats.requests, 1);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.get(Counter::ServerIdleReaped), 1);
+        assert_eq!(
+            snap.get(Counter::ServerTimeouts),
+            0,
+            "a reap is not an eviction"
+        );
+        // The loop also publishes how many connections it held.
+        assert!(snap.gauge(bsoap_obs::Gauge::ConnectionsOpenPeak) >= 1);
     }
 
     /// A request the sink factory claims streams its decoded body through
     /// the sink as it arrives and reaches the handler as a byte count; one
     /// it declines is buffered as usual.
     #[test]
-    fn claimed_bodies_stream_into_the_sink_on_every_core() {
+    fn claimed_bodies_stream_into_the_sink() {
         use crate::conn::BodySink;
         struct Tally(Arc<Mutex<(usize, bool)>>);
         impl BodySink for Tally {
@@ -933,49 +764,45 @@ mod tests {
                 Ok(())
             }
         }
-        for &core in supported_cores() {
-            let tally = Arc::new(Mutex::new((0usize, false)));
-            let sink_tally = Arc::clone(&tally);
-            let server = TestServer::spawn_streaming(
-                ServerMode::Collect,
-                opts_on(core),
-                None,
-                Arc::new(move |head: &RequestHead| {
-                    (head.path == "/stream")
-                        .then(|| Box::new(Tally(Arc::clone(&sink_tally))) as Box<dyn BodySink>)
-                }),
-            )
-            .unwrap();
-            let mut c = TcpStream::connect(server.addr()).unwrap();
-            let mut scratch = PostScratch::default();
-            let parts = [vec![b'x'; 70_000], vec![b'y'; 30_000]];
-            let slices: Vec<IoSlice<'_>> = parts.iter().map(|p| IoSlice::new(p)).collect();
-            for path in ["/stream", "/buffered"] {
-                let cfg = RequestConfig {
-                    path: path.to_owned(),
-                    ..RequestConfig::loopback(HttpVersion::Http11Chunked)
-                };
-                post_gather_vectored(&mut c, &cfg, &slices, &mut scratch).unwrap();
-                let (status, _) = reply(&mut c);
-                assert_eq!(status, 200, "core {core:?}");
-            }
-            drop(c);
-            assert_eq!(server.bytes_received(), 200_000, "core {core:?}");
-            let collected = server.stop_collecting();
-            assert_eq!(*tally.lock(), (100_000, true), "core {core:?}");
-            // Only the buffered request has a body to collect.
-            assert_eq!(collected.len(), 1, "core {core:?}");
-            assert_eq!(collected[0].head.path, "/buffered", "core {core:?}");
-            assert_eq!(collected[0].body.len(), 100_000, "core {core:?}");
+        let tally = Arc::new(Mutex::new((0usize, false)));
+        let sink_tally = Arc::clone(&tally);
+        let server = TestServer::spawn_streaming(
+            ServerMode::Collect,
+            ServerOptions::default(),
+            None,
+            Arc::new(move |head: &RequestHead| {
+                (head.path == "/stream")
+                    .then(|| Box::new(Tally(Arc::clone(&sink_tally))) as Box<dyn BodySink>)
+            }),
+        )
+        .unwrap();
+        let mut c = TcpStream::connect(server.addr()).unwrap();
+        let mut scratch = PostScratch::default();
+        let parts = [vec![b'x'; 70_000], vec![b'y'; 30_000]];
+        let slices: Vec<IoSlice<'_>> = parts.iter().map(|p| IoSlice::new(p)).collect();
+        for path in ["/stream", "/buffered"] {
+            let cfg = RequestConfig {
+                path: path.to_owned(),
+                ..RequestConfig::loopback(HttpVersion::Http11Chunked)
+            };
+            post_gather_vectored(&mut c, &cfg, &slices, &mut scratch).unwrap();
+            let (status, _) = reply(&mut c);
+            assert_eq!(status, 200);
         }
+        drop(c);
+        assert_eq!(server.bytes_received(), 200_000);
+        let collected = server.stop_collecting();
+        assert_eq!(*tally.lock(), (100_000, true));
+        // Only the buffered request has a body to collect.
+        assert_eq!(collected.len(), 1);
+        assert_eq!(collected[0].head.path, "/buffered");
+        assert_eq!(collected[0].body.len(), 100_000);
     }
 
-    /// The event loop's timer wheel reads the metrics clock (the blocking
-    /// driver's deadlines are its socket timeouts, so real time): with a
-    /// frozen `VirtualClock` an idle connection outlives its
-    /// `idle_timeout` in real time, and is reaped only once the virtual
-    /// clock advances past the deadline.
-    #[cfg(target_os = "linux")]
+    /// The timer wheel reads the metrics clock: with a frozen
+    /// `VirtualClock` an idle connection outlives its `idle_timeout` in
+    /// real time, and is reaped only once the virtual clock advances past
+    /// the deadline.
     #[test]
     fn frozen_virtual_clock_defers_the_idle_reaper() {
         use bsoap_obs::VirtualClock;
@@ -985,7 +812,7 @@ mod tests {
             ServerMode::Ack,
             ServerOptions {
                 idle_timeout: Some(Duration::from_millis(50)),
-                ..opts_on(ServerCore::EventLoop)
+                ..ServerOptions::default()
             },
             Arc::clone(&metrics),
         )

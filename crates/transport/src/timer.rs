@@ -17,8 +17,7 @@ use std::collections::{BTreeMap, HashMap};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TimerKind {
     /// No read progress for `read_timeout` (slow-loris eviction; also
-    /// covers the between-requests gap, mirroring the worker pool's
-    /// socket read timeout).
+    /// covers the between-requests gap).
     ReadStall,
     /// Whole-request budget (`request_timeout`), armed at the first byte
     /// of a request head and canceled when the request completes.

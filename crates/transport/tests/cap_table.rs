@@ -8,10 +8,9 @@
 //! * the sans-io [`RequestParser`] (and so the [`BodyDecoder`]) directly,
 //! * the blocking [`RequestReader`],
 //! * [`ChunkedBodyReader`], for rows whose bound is inside a chunked body,
-//! * a [`TestServer`] on every core this platform has — where the refusal
-//!   must be a `400` whose body is that error's text, one
-//!   `ServerBadRequests` tick, then a closed connection, byte-identical
-//!   across cores.
+//! * a [`TestServer`] — where the refusal must be a `400` whose body is
+//!   that error's text, one `ServerBadRequests` tick, then a closed
+//!   connection.
 //!
 //! All consumers must agree on the variant *and* the message: the bound is
 //! stated once, so it cannot hold on one path and not on another.
@@ -28,8 +27,8 @@ use bsoap_transport::http::{
     MAX_TRAILERS,
 };
 use bsoap_transport::{
-    supported_cores, ChunkedBodyReader, ClientConn, HttpPoolClient, PoolConfig, ServerMode,
-    ServerOptions, TestServer,
+    ChunkedBodyReader, ClientConn, HttpPoolClient, PoolConfig, ServerMode, ServerOptions,
+    TestServer,
 };
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -314,57 +313,47 @@ fn exchange(server: &TestServer, wire: &[u8], flood: usize, tail: &[u8]) -> Vec<
 }
 
 #[test]
-fn every_bound_holds_on_every_server_core() {
+fn every_bound_holds_on_the_server() {
     for row in rows() {
-        let mut refusals = Vec::new();
-        for &core in supported_cores() {
-            let metrics = Metrics::shared();
-            let server = TestServer::spawn_with_metrics(
-                ServerMode::Collect,
-                ServerOptions {
-                    core,
-                    max_head_bytes: MAX_HEAD,
-                    max_body_bytes: MAX_BODY,
-                    ..ServerOptions::default()
-                },
-                Arc::clone(&metrics),
-            )
-            .unwrap();
-            let what = format!("{core:?}: {}", row.name);
+        let metrics = Metrics::shared();
+        let server = TestServer::spawn_with_metrics(
+            ServerMode::Collect,
+            ServerOptions {
+                max_head_bytes: MAX_HEAD,
+                max_body_bytes: MAX_BODY,
+                ..ServerOptions::default()
+            },
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let what = row.name;
 
-            let answer = exchange(&server, &row.ok, 0, b"");
-            assert!(
-                answer.starts_with(b"HTTP/1.1 200 OK\r\n"),
-                "{what} at the limit"
-            );
-
-            let tail = format!("\r\n\r\n{}", io::Error::from(row.err.clone()));
-            let answer = exchange(&server, &row.bad, row.flood, tail.as_bytes());
-            assert!(
-                answer.starts_with(b"HTTP/1.1 400 Bad Request\r\n")
-                    && answer.ends_with(tail.as_bytes()),
-                "{what} past it: {:?}",
-                String::from_utf8_lossy(&answer)
-            );
-            refusals.push(answer);
-
-            let collected = server.stop_collecting();
-            assert_eq!(
-                collected.len(),
-                1,
-                "{what}: only the at-limit request is served"
-            );
-            assert_eq!(collected[0].body, row.ok_body, "{what}");
-            assert_eq!(
-                metrics.snapshot().get(Counter::ServerBadRequests),
-                1,
-                "{what}"
-            );
-        }
+        let answer = exchange(&server, &row.ok, 0, b"");
         assert!(
-            refusals.windows(2).all(|w| w[0] == w[1]),
-            "{}: cores answered different bytes",
-            row.name
+            answer.starts_with(b"HTTP/1.1 200 OK\r\n"),
+            "{what} at the limit"
+        );
+
+        let tail = format!("\r\n\r\n{}", io::Error::from(row.err.clone()));
+        let answer = exchange(&server, &row.bad, row.flood, tail.as_bytes());
+        assert!(
+            answer.starts_with(b"HTTP/1.1 400 Bad Request\r\n")
+                && answer.ends_with(tail.as_bytes()),
+            "{what} past it: {:?}",
+            String::from_utf8_lossy(&answer)
+        );
+
+        let collected = server.stop_collecting();
+        assert_eq!(
+            collected.len(),
+            1,
+            "{what}: only the at-limit request is served"
+        );
+        assert_eq!(collected[0].body, row.ok_body, "{what}");
+        assert_eq!(
+            metrics.snapshot().get(Counter::ServerBadRequests),
+            1,
+            "{what}"
         );
     }
 }

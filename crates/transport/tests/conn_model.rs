@@ -1,6 +1,6 @@
 //! Model-checked connection-lifecycle suite for the one server-side
-//! request path: the [`bsoap_transport::Conn`] state machine, under both
-//! of its drivers' input styles.
+//! request path: the [`bsoap_transport::Conn`] state machine, driven the
+//! way the event loop drives it.
 //!
 //! `ConnModel` is an independent re-statement of the lifecycle spec
 //! (DESIGN §3.13): it predicts every state transition, timer arm/cancel,
@@ -9,43 +9,31 @@
 //! each request itself, so the model knows exactly where every head and
 //! body boundary falls on the wire. A seeded LCG draws one randomized
 //! event schedule per seed — fragmented reads, EINTR, partial writes,
-//! timer firings, EOF, graceful drain — and runs it twice:
-//!
-//! * **Direct leg** (how the event loop drives the machine): one `read`
-//!   per `on_readable` call with scripted, syscall-free I/O; the harness
-//!   plays the timer wheel and, after every single event, asserts that
-//!   state, transition trace, armed timers, requested interest and every
-//!   dispatched request's path and body equal the model's.
-//! * **Blocking leg** (the worker-pool core): the same schedule replayed
-//!   through [`bsoap_transport::drive_blocking`] over a scripted socket
-//!   whose reads return the schedule's fragments and time out where the
-//!   schedule fires a timer, whose writes accept what the schedule's
-//!   partial writes accepted, and whose drain flag rises where the
-//!   schedule drains.
-//!
-//! Both legs must end with the model's transition trace, close reason,
-//! dispatched requests, response bytes, [`EngineStats`] snapshot and
+//! timer firings, EOF, graceful drain — and feeds it to the machine one
+//! `read` per `on_readable` call with scripted, syscall-free I/O; the
+//! harness plays the timer wheel and, after every single event, asserts
+//! that state, transition trace, armed timers, requested interest and
+//! every dispatched request's path and body equal the model's. The run
+//! must end with the model's close reason, [`EngineStats`] snapshot and
 //! trace-event sequence.
 //!
 //! 256 schedules, all seeds fixed, clocks frozen: failures replay exactly.
 //!
-//! Plain tests pin what a body is read into, on both legs: the spare buffer
-//! a handler returns carries the next body, cleared and in the same
-//! allocation; a body grows to exactly its declared length; and a forged
+//! Plain tests pin what a body is read into: the spare buffer a handler
+//! returns carries the next body, cleared and in the same allocation; a
+//! body grows to exactly its declared length; and a forged
 //! `Content-Length` never reserves more than one read (a tracking
 //! allocator measures the largest allocation).
 
 use bsoap_obs::{Counter, EngineStats, HistId, Metrics, Recorder, TraceKind, VirtualClock};
 use bsoap_transport::http::{render_response_head_extra, HttpError, RequestHead, READ_SIZE};
 use bsoap_transport::{
-    drive_blocking, BlockingIo, CloseReason, Conn, ConnAction, ConnConfig, ConnState, ReqBody,
-    Response, TimerKind,
+    CloseReason, Conn, ConnAction, ConnConfig, ConnState, ReqBody, Response, TimerKind,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -173,7 +161,7 @@ fn gen_requests(rng: &mut Lcg) -> (Vec<u8>, Vec<ReqSpec>) {
 }
 
 // ---------------------------------------------------------------------------
-// The schedule, and scripted I/O for each leg.
+// The schedule, and its scripted I/O.
 // ---------------------------------------------------------------------------
 
 #[derive(Clone, Debug)]
@@ -182,8 +170,7 @@ enum Frag {
     Eof,
 }
 
-/// One step of a schedule, as drawn by the direct leg and replayed by the
-/// blocking leg.
+/// One step of a schedule.
 #[derive(Clone, Debug)]
 enum Ev {
     /// One successful `read` (preceded by an `Interrupted` one if `eintr`).
@@ -200,7 +187,7 @@ enum Ev {
     Drain,
 }
 
-/// Direct-leg reader: optional EINTR noise, then one fragment — exactly
+/// Scripted reader: optional EINTR noise, then one fragment — exactly
 /// one `on_readable` call's worth of input.
 struct OneShot {
     eintr: bool,
@@ -225,7 +212,7 @@ impl Read for OneShot {
     }
 }
 
-/// Direct-leg writer accepting `cap` bytes this event, then `WouldBlock`
+/// Scripted writer accepting `cap` bytes this event, then `WouldBlock`
 /// (never `Ok(0)`), or failing outright.
 struct CapWriter<'a> {
     cap: usize,
@@ -247,113 +234,6 @@ impl Write for CapWriter<'_> {
         Ok(n)
     }
     fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Blocking-leg script: the recorded schedule, consumed by the scripted
-/// socket's reads and writes and by the handler.
-struct Script {
-    events: VecDeque<Ev>,
-    /// Bytes the current `Writable` event may still accept.
-    write_cap: Option<usize>,
-    draining: Arc<AtomicBool>,
-    sunk: Vec<u8>,
-    dispatched: Vec<(String, Vec<u8>)>,
-}
-
-impl Script {
-    /// A `Drain` takes effect as soon as the event before it has run.
-    fn absorb_drains(&mut self) {
-        while matches!(self.events.front(), Some(Ev::Drain)) {
-            self.events.pop_front();
-            self.draining.store(true, Ordering::Release);
-        }
-    }
-
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.write_cap = None;
-        let res = match self.events.pop_front() {
-            Some(Ev::Feed { frag, eintr: true }) => {
-                self.events.push_front(Ev::Feed { frag, eintr: false });
-                return Err(io::ErrorKind::Interrupted.into());
-            }
-            Some(Ev::Feed {
-                frag: Frag::Bytes(b),
-                ..
-            }) => {
-                assert!(b.len() <= buf.len(), "fragment exceeds the read buffer");
-                buf[..b.len()].copy_from_slice(&b);
-                Ok(b.len())
-            }
-            Some(Ev::Feed {
-                frag: Frag::Eof, ..
-            }) => Ok(0),
-            Some(Ev::Timer(_)) => Err(io::ErrorKind::TimedOut.into()),
-            // The direct leg ended here by closing an idle connection on
-            // drain; nothing more ever arrives.
-            None if self.draining.load(Ordering::Acquire) => Err(io::ErrorKind::WouldBlock.into()),
-            other => panic!("driver read, schedule has {other:?}"),
-        };
-        self.absorb_drains();
-        res
-    }
-
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.write_cap.is_none() {
-            let ev = self.events.pop_front();
-            self.absorb_drains();
-            match ev {
-                Some(Ev::Writable(cap)) => self.write_cap = Some(cap),
-                Some(Ev::WriteError) => return Err(io::ErrorKind::BrokenPipe.into()),
-                other => panic!("driver wrote, schedule has {other:?}"),
-            }
-        }
-        let cap = self.write_cap.expect("set above");
-        if cap == 0 {
-            self.write_cap = None;
-            return Err(io::ErrorKind::WouldBlock.into());
-        }
-        let n = buf.len().min(cap);
-        self.write_cap = Some(cap - n);
-        self.sunk.extend_from_slice(&buf[..n]);
-        Ok(n)
-    }
-
-    fn handle(&mut self, head: &RequestHead, body: ReqBody) -> Response {
-        self.write_cap = None;
-        let Some(Ev::DispatchDone(len)) = self.events.pop_front() else {
-            panic!("driver dispatched off schedule");
-        };
-        let ReqBody::Full(bytes) = body else {
-            panic!("no sink configured");
-        };
-        self.dispatched.push((head.path.clone(), bytes));
-        self.absorb_drains();
-        Response::xml(200, "OK", vec![b'x'; len])
-    }
-}
-
-/// The blocking leg's socket.
-struct ScriptedIo(Arc<Mutex<Script>>);
-
-impl Read for ScriptedIo {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.0.lock().unwrap().read(buf)
-    }
-}
-
-impl Write for ScriptedIo {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.lock().unwrap().write(buf)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl BlockingIo for ScriptedIo {
-    fn set_read_timeout(&mut self, _: Option<Duration>) -> io::Result<()> {
         Ok(())
     }
 }
@@ -803,11 +683,11 @@ fn frozen_metrics() -> Metrics {
     Metrics::with_clock(Arc::new(VirtualClock::new()))
 }
 
-fn assert_same_observations(seed: u64, leg: &str, real: &Metrics, model: &Metrics) {
+fn assert_same_observations(seed: u64, real: &Metrics, model: &Metrics) {
     assert_eq!(
         EngineStats::snapshot(real),
         EngineStats::snapshot(model),
-        "seed {seed}, {leg} leg: metrics snapshots diverged"
+        "seed {seed}: metrics snapshots diverged"
     );
     let kinds = |m: &Metrics| -> Vec<TraceKind> {
         let (events, _) = m.trace_ring().snapshot();
@@ -816,18 +696,17 @@ fn assert_same_observations(seed: u64, leg: &str, real: &Metrics, model: &Metric
     assert_eq!(
         kinds(real),
         kinds(model),
-        "seed {seed}, {leg} leg: trace sequences diverged"
+        "seed {seed}: trace sequences diverged"
     );
 }
 
-/// Run one randomized schedule through both legs; returns the terminal
+/// Run one randomized schedule; returns the terminal
 /// fate plus whether any request made it all the way to a fully written
 /// response.
 fn run_schedule(seed: u64) -> (Fate, bool) {
     let mut rng = Lcg::new(seed);
     // Three deadlines an hour apart, in a random order, each present or
-    // not: which timer is nearest varies by schedule, and no run is slow
-    // enough to blur the order for the blocking leg's real clock.
+    // not: which timer is nearest varies by schedule.
     let mut hours = [1u64, 2, 3];
     for i in (1..hours.len()).rev() {
         hours.swap(i, rng.below(i + 1));
@@ -866,7 +745,7 @@ fn run_schedule(seed: u64) -> (Fate, bool) {
     frags.push(Frag::Eof);
     frags.reverse(); // pop from the back
 
-    // ---- Direct leg: draw the schedule, checking parity at every step.
+    // Draw the schedule, checking parity at every step.
     let real_metrics = frozen_metrics();
     let model_metrics = frozen_metrics();
     let mut conn = Conn::new(7, cfg.clone());
@@ -877,7 +756,6 @@ fn run_schedule(seed: u64) -> (Fate, bool) {
         dispatched: Vec::new(),
         closed: None,
     };
-    let mut schedule: Vec<Ev> = Vec::new();
     let mut sunk = Vec::new();
 
     let mut out = Vec::new();
@@ -938,7 +816,6 @@ fn run_schedule(seed: u64) -> (Fate, bool) {
             Choice::WriteError => Ev::WriteError,
             Choice::Drain => Ev::Drain,
         };
-        schedule.push(ev.clone());
         let f = match ev {
             Ev::Feed { frag, eintr } => {
                 let mut io = OneShot {
@@ -1005,51 +882,8 @@ fn run_schedule(seed: u64) -> (Fate, bool) {
     }
     assert!(model.closed, "seed {seed}: schedule never closed");
     assert_eq!(h.closed, fate.reason(), "seed {seed}: close reason");
-    assert_same_observations(seed, "direct", &real_metrics, &model_metrics);
+    assert_same_observations(seed, &real_metrics, &model_metrics);
 
-    // ---- Blocking leg: the same schedule through `drive_blocking`.
-    let draining = Arc::new(AtomicBool::new(false));
-    let mut script = Script {
-        events: schedule.into(),
-        write_cap: None,
-        draining: draining.clone(),
-        sunk: Vec::new(),
-        dispatched: Vec::new(),
-    };
-    script.absorb_drains();
-    let script = Arc::new(Mutex::new(script));
-    let blocking_metrics = frozen_metrics();
-    let mut conn = Conn::new(7, cfg);
-    let handler_script = script.clone();
-    let reason = drive_blocking(
-        &mut conn,
-        &mut ScriptedIo(script.clone()),
-        &blocking_metrics,
-        &move |head: &RequestHead, body: ReqBody| handler_script.lock().unwrap().handle(head, body),
-        &draining,
-    );
-    let script = script.lock().unwrap();
-    assert!(
-        script.events.is_empty(),
-        "seed {seed}: blocking leg left {:?} unplayed",
-        script.events
-    );
-    assert_eq!(
-        Some(reason),
-        fate.reason(),
-        "seed {seed}: blocking close reason"
-    );
-    assert_eq!(
-        conn.transitions(),
-        model.transitions,
-        "seed {seed}: blocking leg's transition trace diverged"
-    );
-    assert_eq!(script.dispatched, model.dispatched, "seed {seed}");
-    assert_eq!(
-        script.sunk, sunk,
-        "seed {seed}: the legs wrote different bytes"
-    );
-    assert_same_observations(seed, "blocking", &blocking_metrics, &model_metrics);
     (fate, any_completed)
 }
 
@@ -1186,45 +1020,14 @@ fn length_request(path: &str, body: &[u8]) -> Vec<u8> {
     [head.as_bytes(), body].concat()
 }
 
-/// The blocking leg's socket: each read returns the next scripted
-/// fragment, then EOF; every write is accepted whole.
-struct Fragments(VecDeque<Vec<u8>>);
-
-impl Read for Fragments {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let Some(frag) = self.0.pop_front() else {
-            return Ok(0);
-        };
-        buf[..frag.len()].copy_from_slice(&frag);
-        Ok(frag.len())
-    }
-}
-
-impl Write for Fragments {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl BlockingIo for Fragments {
-    fn set_read_timeout(&mut self, _: Option<Duration>) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 /// What a handler saw of one body: its bytes, the address they landed at
 /// and the capacity of their buffer.
 type Seen = (Vec<u8>, usize, usize);
 
-/// Serve `reads` on one connection, one read each, through the direct leg
-/// (`blocking == false`) or `drive_blocking`; `answer` sees each request's
+/// Serve `reads` on one connection, one read each; `answer` sees each request's
 /// path and body and returns the response's spare buffer. Returns every
 /// body as dispatched.
 fn serve_bodies(
-    blocking: bool,
     reads: &[Vec<u8>],
     answer: impl Fn(&str, Vec<u8>) -> Vec<u8> + Send + Sync,
 ) -> Vec<Seen> {
@@ -1244,34 +1047,28 @@ fn serve_bodies(
     };
     let rec = Metrics::new();
     let mut conn = Conn::new(1, ConnConfig::default());
-    if blocking {
-        let mut io = Fragments(reads.iter().cloned().collect());
-        let reason = drive_blocking(&mut conn, &mut io, &rec, &handler, &AtomicBool::new(false));
-        assert_eq!(reason, CloseReason::CleanEof);
-    } else {
-        let mut out = Vec::new();
-        conn.on_accept(&mut out);
-        for read in reads {
-            let mut io = OneShot {
-                eintr: false,
-                frag: Some(Frag::Bytes(read.clone())),
-            };
-            conn.on_readable(&mut io, &rec, &mut out);
-            for action in out.drain(..) {
-                if let ConnAction::Dispatch(head, body) = action {
-                    conn.on_dispatch_done(handler(&head, body), &rec);
-                }
+    let mut out = Vec::new();
+    conn.on_accept(&mut out);
+    for read in reads {
+        let mut io = OneShot {
+            eintr: false,
+            frag: Some(Frag::Bytes(read.clone())),
+        };
+        conn.on_readable(&mut io, &rec, &mut out);
+        for action in out.drain(..) {
+            if let ConnAction::Dispatch(head, body) = action {
+                conn.on_dispatch_done(handler(&head, body), &rec);
             }
-            let mut sunk = Vec::new();
-            let mut w = CapWriter {
-                cap: usize::MAX,
-                fail: false,
-                sunk: &mut sunk,
-            };
-            conn.on_writable(&mut w, &rec, &mut out);
         }
-        assert_eq!(conn.state(), ConnState::Idle);
+        let mut sunk = Vec::new();
+        let mut w = CapWriter {
+            cap: usize::MAX,
+            fail: false,
+            sunk: &mut sunk,
+        };
+        conn.on_writable(&mut w, &rec, &mut out);
     }
+    assert_eq!(conn.state(), ConnState::Idle);
     seen.into_inner().unwrap()
 }
 
@@ -1287,32 +1084,26 @@ fn a_returned_buffer_carries_the_next_body_exactly() {
         length_request("/short", &short),
         length_request("/third", &third),
     ];
-    for blocking in [false, true] {
-        let returned = Mutex::new(0usize);
-        let bodies = serve_bodies(blocking, &requests, |path, body| match path {
-            // Back comes the body itself, still holding its 40 bytes.
-            "/long" => body,
-            // Back comes another allocation, larger and full of stale bytes.
-            "/short" => {
-                let spare = vec![b'z'; 1000];
-                *returned.lock().unwrap() = spare.as_ptr() as usize;
-                spare
-            }
-            _ => Vec::new(),
-        });
-        let leg = if blocking { "blocking" } else { "direct" };
-        let texts: Vec<&[u8]> = bodies.iter().map(|(b, ..)| &b[..]).collect();
-        assert_eq!(texts, [&long[..], &short, &third], "{leg}");
-        assert_eq!(
-            bodies[1].1, bodies[0].1,
-            "{leg}: the returned body was reused"
-        );
-        assert_eq!(
-            bodies[2].1,
-            *returned.lock().unwrap(),
-            "{leg}: the returned spare was reused"
-        );
-    }
+    let returned = Mutex::new(0usize);
+    let bodies = serve_bodies(&requests, |path, body| match path {
+        // Back comes the body itself, still holding its 40 bytes.
+        "/long" => body,
+        // Back comes another allocation, larger and full of stale bytes.
+        "/short" => {
+            let spare = vec![b'z'; 1000];
+            *returned.lock().unwrap() = spare.as_ptr() as usize;
+            spare
+        }
+        _ => Vec::new(),
+    });
+    let texts: Vec<&[u8]> = bodies.iter().map(|(b, ..)| &b[..]).collect();
+    assert_eq!(texts, [&long[..], &short, &third]);
+    assert_eq!(bodies[1].1, bodies[0].1, "the returned body was reused");
+    assert_eq!(
+        bodies[2].1,
+        *returned.lock().unwrap(),
+        "the returned spare was reused"
+    );
 }
 
 /// A body past one read's worth grows to exactly its declared length, so
@@ -1322,13 +1113,11 @@ fn an_honest_body_fills_its_buffer_exactly() {
     let body: Vec<u8> = (0..150_000).map(|i| b'a' + (i % 26) as u8).collect();
     let request = length_request("/big", &body);
     let reads: Vec<Vec<u8>> = request.chunks(READ_SIZE / 2).map(<[u8]>::to_vec).collect();
-    for blocking in [false, true] {
-        let bodies = serve_bodies(blocking, &reads, |_, _| Vec::new());
-        assert_eq!(bodies.len(), 1);
-        let (bytes, _, capacity) = &bodies[0];
-        assert_eq!(bytes, &body, "blocking {blocking}");
-        assert_eq!(*capacity, body.len(), "blocking {blocking}");
-    }
+    let bodies = serve_bodies(&reads, |_, _| Vec::new());
+    assert_eq!(bodies.len(), 1);
+    let (bytes, _, capacity) = &bodies[0];
+    assert_eq!(bytes, &body);
+    assert_eq!(*capacity, body.len());
 }
 
 /// A fresh connection reserves at most one read's worth for a body whatever
@@ -1341,28 +1130,16 @@ fn a_forged_content_length_reserves_at_most_a_read() {
         ..ConnConfig::default()
     };
     let forged = b"POST /f HTTP/1.1\r\nContent-Length: 1073741824\r\n\r\n0123456789".to_vec();
-    for blocking in [false, true] {
-        let rec = Metrics::new();
-        let mut conn = Conn::new(1, cfg.clone());
-        LARGEST.with(|l| l.set(0));
-        if blocking {
-            let mut io = Fragments(VecDeque::from([forged.clone()]));
-            let never = |_: &RequestHead, _: ReqBody| -> Response { panic!("not a whole request") };
-            let reason = drive_blocking(&mut conn, &mut io, &rec, &never, &AtomicBool::new(false));
-            assert_eq!(reason, CloseReason::BadRequest);
-        } else {
-            let mut out = Vec::new();
-            let mut io = OneShot {
-                eintr: false,
-                frag: Some(Frag::Bytes(forged.clone())),
-            };
-            conn.on_readable(&mut io, &rec, &mut out);
-            assert_eq!(conn.state(), ConnState::ReadingBody);
-        }
-        let largest = LARGEST.with(Cell::get);
-        assert!(
-            largest <= READ_SIZE,
-            "blocking {blocking}: a {largest}-byte allocation"
-        );
-    }
+    let rec = Metrics::new();
+    let mut conn = Conn::new(1, cfg);
+    LARGEST.with(|l| l.set(0));
+    let mut out = Vec::new();
+    let mut io = OneShot {
+        eintr: false,
+        frag: Some(Frag::Bytes(forged)),
+    };
+    conn.on_readable(&mut io, &rec, &mut out);
+    assert_eq!(conn.state(), ConnState::ReadingBody);
+    let largest = LARGEST.with(Cell::get);
+    assert!(largest <= READ_SIZE, "a {largest}-byte allocation");
 }

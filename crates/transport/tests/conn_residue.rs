@@ -1,17 +1,18 @@
 //! A served request leaves nothing behind: 100 000 keep-alive requests
-//! through one [`Conn`] on the blocking driver, with the process's live
-//! heap bytes and the machine's retained transition trace both measured
-//! after the first thousand and again at the end. Neither may have grown.
+//! through one [`Conn`], driven as the event loop drives it (`on_readable`,
+//! then the handler and `on_dispatch_done`, then `on_writable`), with the
+//! process's live heap bytes and the machine's retained transition trace
+//! both measured after the first thousand and again at the end. Neither
+//! may have grown.
 //!
 //! (Its own test binary because it installs a counting global allocator.)
 
 use bsoap_obs::NullRecorder;
 use bsoap_transport::conn::TRANSITION_WINDOW;
-use bsoap_transport::{drive_blocking, BlockingIo, CloseReason, Conn, ConnConfig, Response};
+use bsoap_transport::{CloseReason, Conn, ConnAction, ConnConfig, Response};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicIsize, Ordering};
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 
@@ -72,12 +73,6 @@ impl Write for Replay {
     }
 }
 
-impl BlockingIo for Replay {
-    fn set_read_timeout(&mut self, _: Option<Duration>) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 #[test]
 fn a_served_request_leaves_no_residue() {
     let mut io = Replay {
@@ -86,16 +81,26 @@ fn a_served_request_leaves_no_residue() {
         live_at_eof: 0,
     };
     let mut conn = Conn::new(1, ConnConfig::default());
-    let reason = drive_blocking(
-        &mut conn,
-        &mut io,
-        &NullRecorder,
-        // The body is the one allocation handed off; dropping it here ends
-        // its life with the request's.
-        &|_head, body| Response::xml(200, "OK", body.len().to_string().into_bytes()),
-        &AtomicBool::new(false),
-    );
-    assert_eq!(reason, CloseReason::CleanEof);
+    let mut out = Vec::new();
+    conn.on_accept(&mut out);
+    let mut closed = None;
+    while closed.is_none() {
+        conn.on_readable(&mut io, &NullRecorder, &mut out);
+        for action in out.drain(..) {
+            match action {
+                // The body is the one allocation handed off; dropping it
+                // here ends its life with the request's.
+                ConnAction::Dispatch(_head, body) => conn.on_dispatch_done(
+                    Response::xml(200, "OK", body.len().to_string().into_bytes()),
+                    &NullRecorder,
+                ),
+                ConnAction::Close(reason) => closed = Some(reason),
+                ConnAction::Interest { .. } | ConnAction::Arm(..) | ConnAction::Cancel(_) => {}
+            }
+        }
+        conn.on_writable(&mut io, &NullRecorder, &mut out);
+    }
+    assert_eq!(closed, Some(CloseReason::CleanEof));
     assert_eq!(io.served, REQUESTS);
     assert!(
         conn.transitions().len() <= TRANSITION_WINDOW,

@@ -313,88 +313,79 @@ fn breaker_half_open_admits_exactly_one_probe() {
     assert_eq!(breaker.state(), BreakerState::Closed);
 }
 
-/// The queued-not-refused guarantee holds on the *server* side too, on
-/// both cores: more concurrent keep-alive clients than the core has
-/// capacity for (worker pool: `workers` threads; event loop:
-/// `max_connections` accepts) all get every request served — over-cap
+/// The queued-not-refused guarantee holds on the *server* side too: more
+/// concurrent keep-alive clients than the server accepts at once
+/// (`max_connections`) all get every request served — over-cap
 /// connections wait in the listen backlog, none is refused or dropped.
 #[test]
-fn overloaded_server_queues_every_client_on_both_cores() {
+fn overloaded_server_queues_every_client() {
     use bsoap_transport::http::{
         post_gather_vectored, read_response_limited, HttpVersion, PostScratch, RequestConfig,
     };
-    use bsoap_transport::{supported_cores, ServerMode, ServerOptions, TestServer};
+    use bsoap_transport::{ServerMode, ServerOptions, TestServer};
     use std::io::{IoSlice, Write};
 
-    for &core in supported_cores() {
-        let server = TestServer::spawn_with(
-            ServerMode::Ack,
-            ServerOptions {
-                core,
-                workers: 2,
-                event_loop_threads: 1,
-                max_connections: 4,
-                ..ServerOptions::default()
-            },
-        )
-        .unwrap();
-        let addr = server.addr();
-        let clients = 12;
-        let reqs_per_conn = 3;
+    let server = TestServer::spawn_with(
+        ServerMode::Ack,
+        ServerOptions {
+            event_loop_threads: 1,
+            max_connections: 4,
+            ..ServerOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let clients = 12;
+    let reqs_per_conn = 3;
 
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|i| {
-                    scope.spawn(move || {
-                        let mut s = TcpStream::connect(addr).unwrap();
-                        let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
-                        for r in 0..reqs_per_conn {
-                            let body = format!("<m>client {i} req {r}</m>");
-                            let mut scratch = PostScratch::default();
-                            post_gather_vectored(
-                                &mut s,
-                                &cfg,
-                                &[IoSlice::new(body.as_bytes())],
-                                &mut scratch,
-                            )
-                            .unwrap();
-                            s.flush().unwrap();
-                            let (status, _) =
-                                read_response_limited(&mut s, 1 << 10, 1 << 10).unwrap();
-                            assert_eq!(status, 200, "core {core:?} client {i} req {r}");
-                        }
-                    })
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|i| {
+                scope.spawn(move || {
+                    let mut s = TcpStream::connect(addr).unwrap();
+                    let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
+                    for r in 0..reqs_per_conn {
+                        let body = format!("<m>client {i} req {r}</m>");
+                        let mut scratch = PostScratch::default();
+                        post_gather_vectored(
+                            &mut s,
+                            &cfg,
+                            &[IoSlice::new(body.as_bytes())],
+                            &mut scratch,
+                        )
+                        .unwrap();
+                        s.flush().unwrap();
+                        let (status, _) = read_response_limited(&mut s, 1 << 10, 1 << 10).unwrap();
+                        assert_eq!(status, 200, "client {i} req {r}");
+                    }
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-        });
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+    });
 
-        let stats = server.stop();
-        assert_eq!(
-            stats.requests as usize,
-            clients * reqs_per_conn,
-            "core {core:?}: every queued request must be served"
-        );
-    }
+    let stats = server.stop();
+    assert_eq!(
+        stats.requests as usize,
+        clients * reqs_per_conn,
+        "every queued request must be served"
+    );
 }
 
-/// What "queued" means for held keep-alive connections differs by core:
-/// the worker pool pins a thread to each live connection, so of N held
-/// open with a request on each exactly `workers` are answered while the
-/// rest wait their turn; the event loop answers on all N.
+/// Held keep-alive connections cost the server no thread each: of N held
+/// open with a request on each, every one is answered, on one loop thread.
 #[test]
 fn connection_sweep_scales_on_the_event_loop_only() {
     use bsoap_obs::{Counter, Metrics};
     use bsoap_transport::http::{
         post_gather_vectored, read_response_limited, HttpVersion, PostScratch, RequestConfig,
     };
-    use bsoap_transport::{supported_cores, ServerCore, ServerMode, ServerOptions, TestServer};
+    use bsoap_transport::{ServerMode, ServerOptions, TestServer};
     use std::io::{IoSlice, Write};
 
     const CONNS: usize = 12;
-    const WORKERS: usize = 3;
     let mut probe = Vec::new();
     post_gather_vectored(
         &mut probe,
@@ -404,74 +395,61 @@ fn connection_sweep_scales_on_the_event_loop_only() {
     )
     .unwrap();
 
-    for &core in supported_cores() {
-        let metrics = Metrics::shared();
-        let server = TestServer::spawn_with_metrics(
-            ServerMode::Ack,
-            ServerOptions {
-                core,
-                workers: WORKERS,
-                event_loop_threads: 1,
-                max_connections: 2 * CONNS,
-                ..ServerOptions::default()
-            },
-            Arc::clone(&metrics),
-        )
-        .unwrap();
-        let mut socks: Vec<TcpStream> = (0..CONNS)
-            .map(|_| TcpStream::connect(server.addr()).unwrap())
-            .collect();
-        for s in &mut socks {
-            s.write_all(&probe).unwrap();
-        }
-
-        let expected = match core {
-            ServerCore::WorkerPool => WORKERS,
-            ServerCore::EventLoop => CONNS,
-        };
-        // Every connection is accepted before the count is read, so none
-        // still in the listen backlog can be mistaken for "queued".
-        spin_until(
-            Duration::from_secs(20),
-            "all accepted, all due answered",
-            || {
-                metrics.snapshot().get(Counter::ServerConnections) == CONNS as u64
-                    && server.requests() == expected as u64
-            },
-        );
-
-        // Exactly `expected` connections carry a reply; on the worker
-        // pool the others have nothing to read.
-        for s in &socks {
-            s.set_nonblocking(true).unwrap();
-        }
-        let mut answered = Vec::new();
-        spin_until(Duration::from_secs(20), "replies readable", || {
-            for (i, s) in socks.iter().enumerate() {
-                let mut byte = [0u8; 1];
-                if !answered.contains(&i) && matches!(s.peek(&mut byte), Ok(1)) {
-                    answered.push(i);
-                }
-            }
-            answered.len() >= expected
-        });
-        assert_eq!(answered.len(), expected, "core {core:?}");
-
-        // The answered connections still own their server thread: a second
-        // request on one is served at once, while the count of first
-        // requests served has not moved.
-        let first = &mut socks[answered[0]];
-        first.set_nonblocking(false).unwrap();
-        let (status, _) = read_response_limited(first, 1 << 10, 1 << 10).unwrap();
-        assert_eq!(status, 200);
-        first.write_all(&probe).unwrap();
-        let (status, _) = read_response_limited(first, 1 << 10, 1 << 10).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(server.requests(), expected as u64 + 1, "core {core:?}");
-
-        drop(socks);
-        server.stop();
+    let metrics = Metrics::shared();
+    let server = TestServer::spawn_with_metrics(
+        ServerMode::Ack,
+        ServerOptions {
+            event_loop_threads: 1,
+            max_connections: 2 * CONNS,
+            ..ServerOptions::default()
+        },
+        Arc::clone(&metrics),
+    )
+    .unwrap();
+    let mut socks: Vec<TcpStream> = (0..CONNS)
+        .map(|_| TcpStream::connect(server.addr()).unwrap())
+        .collect();
+    for s in &mut socks {
+        s.write_all(&probe).unwrap();
     }
+
+    spin_until(
+        Duration::from_secs(20),
+        "all accepted, all answered",
+        || {
+            metrics.snapshot().get(Counter::ServerConnections) == CONNS as u64
+                && server.requests() == CONNS as u64
+        },
+    );
+
+    // Every connection carries a reply.
+    for s in &socks {
+        s.set_nonblocking(true).unwrap();
+    }
+    let mut answered = Vec::new();
+    spin_until(Duration::from_secs(20), "replies readable", || {
+        for (i, s) in socks.iter().enumerate() {
+            let mut byte = [0u8; 1];
+            if !answered.contains(&i) && matches!(s.peek(&mut byte), Ok(1)) {
+                answered.push(i);
+            }
+        }
+        answered.len() >= CONNS
+    });
+    assert_eq!(answered.len(), CONNS);
+
+    // And each stays served: a second request on one is answered at once.
+    let first = &mut socks[answered[0]];
+    first.set_nonblocking(false).unwrap();
+    let (status, _) = read_response_limited(first, 1 << 10, 1 << 10).unwrap();
+    assert_eq!(status, 200);
+    first.write_all(&probe).unwrap();
+    let (status, _) = read_response_limited(first, 1 << 10, 1 << 10).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(server.requests(), CONNS as u64 + 1);
+
+    drop(socks);
+    server.stop();
 }
 
 /// Scripted checkout/checkin/reap sequence with exact `PoolStats` at the

@@ -256,10 +256,6 @@ mod tests {
     }
 
     fn scale_service() -> (ServiceDesc, Service) {
-        scale_service_on(bsoap_core::ServerCore::WorkerPool)
-    }
-
-    fn scale_service_on(core: bsoap_core::ServerCore) -> (ServiceDesc, Service) {
         let op = OpDesc::single(
             "scale",
             "urn:vec",
@@ -272,10 +268,7 @@ mod tests {
             endpoint: "http://svc/vec".into(),
             operations: vec![op.clone()],
         };
-        let mut svc = Service::new(
-            "urn:vec",
-            EngineConfig::paper_default().with_server_core(core),
-        );
+        let mut svc = Service::new("urn:vec", EngineConfig::paper_default());
         svc.register(
             op,
             vec![ParamDesc {
@@ -336,60 +329,46 @@ mod tests {
     #[test]
     fn negotiated_binary_upgrade_round_trip() {
         use crate::transport::NegotiationState;
-        for &core in crate::transport::supported_cores() {
-            let (desc, svc) = scale_service_on(core);
-            let server = HttpServer::spawn(svc).unwrap();
-            let mut rpc = RpcClient::connect(
-                desc,
-                server.addr(),
-                EngineConfig::paper_default().with_wire_format(WireFormat::CompactBinary),
-            )
+        let (desc, svc) = scale_service();
+        let server = HttpServer::spawn(svc).unwrap();
+        let mut rpc = RpcClient::connect(
+            desc,
+            server.addr(),
+            EngineConfig::paper_default().with_wire_format(WireFormat::CompactBinary),
+        )
+        .unwrap();
+        rpc.declare_response(
+            "scale",
+            vec![ParamDesc {
+                name: "ys".into(),
+                desc: TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
+            }],
+        );
+        assert_eq!(rpc.negotiation_state(), NegotiationState::Undecided);
+
+        // Call 1 goes out as XML with the offer; the server's advert
+        // upgrades the endpoint.
+        let got = rpc
+            .call("scale", &[Value::DoubleArray(vec![1.5, 2.5])])
             .unwrap();
-            rpc.declare_response(
-                "scale",
-                vec![ParamDesc {
-                    name: "ys".into(),
-                    desc: TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-                }],
-            );
-            assert_eq!(rpc.negotiation_state(), NegotiationState::Undecided);
+        assert_eq!(got, vec![Value::DoubleArray(vec![3.0, 5.0])]);
+        assert_eq!(rpc.negotiation_state(), NegotiationState::Binary);
 
-            // Call 1 goes out as XML with the offer; the server's advert
-            // upgrades the endpoint.
-            let got = rpc
-                .call("scale", &[Value::DoubleArray(vec![1.5, 2.5])])
-                .unwrap();
-            assert_eq!(
-                got,
-                vec![Value::DoubleArray(vec![3.0, 5.0])],
-                "core {core:?}"
-            );
-            assert_eq!(rpc.negotiation_state(), NegotiationState::Binary);
-
-            // Call 2 is the binary lane's first-time build; call 3
-            // content-matches against the binary template. Values
-            // survive both hops.
-            let op = rpc.service().operation("scale").unwrap().clone();
-            let (got, report) = rpc
-                .call_op(&op, &[Value::DoubleArray(vec![4.0, 0.5])])
-                .unwrap();
-            assert_eq!(
-                got,
-                vec![Value::DoubleArray(vec![8.0, 1.0])],
-                "core {core:?}"
-            );
-            assert_eq!(report.tier, SendTier::FirstTime, "core {core:?}");
-            let (got, report) = rpc
-                .call_op(&op, &[Value::DoubleArray(vec![4.0, 0.5])])
-                .unwrap();
-            assert_eq!(
-                got,
-                vec![Value::DoubleArray(vec![8.0, 1.0])],
-                "core {core:?}"
-            );
-            assert_eq!(report.tier, SendTier::ContentMatch, "core {core:?}");
-            server.stop();
-        }
+        // Call 2 is the binary lane's first-time build; call 3
+        // content-matches against the binary template. Values
+        // survive both hops.
+        let op = rpc.service().operation("scale").unwrap().clone();
+        let (got, report) = rpc
+            .call_op(&op, &[Value::DoubleArray(vec![4.0, 0.5])])
+            .unwrap();
+        assert_eq!(got, vec![Value::DoubleArray(vec![8.0, 1.0])]);
+        assert_eq!(report.tier, SendTier::FirstTime);
+        let (got, report) = rpc
+            .call_op(&op, &[Value::DoubleArray(vec![4.0, 0.5])])
+            .unwrap();
+        assert_eq!(got, vec![Value::DoubleArray(vec![8.0, 1.0])]);
+        assert_eq!(report.tier, SendTier::ContentMatch);
+        server.stop();
     }
 
     #[test]
@@ -409,52 +388,46 @@ mod tests {
     #[test]
     fn mid_keepalive_downgrade_loses_no_request() {
         use crate::transport::NegotiationState;
-        for &core in crate::transport::supported_cores() {
-            let (desc, svc) = scale_service_on(core);
-            let server = HttpServer::spawn(svc).unwrap();
-            let mut rpc = RpcClient::connect(
-                desc,
-                server.addr(),
-                EngineConfig::paper_default().with_wire_format(WireFormat::CompactBinary),
-            )
+        let (desc, svc) = scale_service();
+        let server = HttpServer::spawn(svc).unwrap();
+        let mut rpc = RpcClient::connect(
+            desc,
+            server.addr(),
+            EngineConfig::paper_default().with_wire_format(WireFormat::CompactBinary),
+        )
+        .unwrap();
+        rpc.declare_response(
+            "scale",
+            vec![ParamDesc {
+                name: "ys".into(),
+                desc: TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
+            }],
+        );
+        // Upgrade, then send one binary call so the lane is live.
+        rpc.call("scale", &[Value::DoubleArray(vec![1.0])]).unwrap();
+        rpc.call("scale", &[Value::DoubleArray(vec![2.0])]).unwrap();
+        assert_eq!(rpc.negotiation_state(), NegotiationState::Binary);
+
+        // The server turns the lane off mid-keep-alive. The next
+        // binary body draws a 415; the client must downgrade and
+        // transparently resend the SAME request as XML — the caller
+        // just sees values.
+        server.service().set_binary_enabled(false);
+        let got = rpc
+            .call("scale", &[Value::DoubleArray(vec![5.0, 6.0])])
             .unwrap();
-            rpc.declare_response(
-                "scale",
-                vec![ParamDesc {
-                    name: "ys".into(),
-                    desc: TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-                }],
-            );
-            // Upgrade, then send one binary call so the lane is live.
-            rpc.call("scale", &[Value::DoubleArray(vec![1.0])]).unwrap();
-            rpc.call("scale", &[Value::DoubleArray(vec![2.0])]).unwrap();
-            assert_eq!(rpc.negotiation_state(), NegotiationState::Binary);
+        assert_eq!(got, vec![Value::DoubleArray(vec![10.0, 12.0])]);
+        assert_eq!(rpc.negotiation_state(), NegotiationState::Xml);
 
-            // The server turns the lane off mid-keep-alive. The next
-            // binary body draws a 415; the client must downgrade and
-            // transparently resend the SAME request as XML — the caller
-            // just sees values.
-            server.service().set_binary_enabled(false);
-            let got = rpc
-                .call("scale", &[Value::DoubleArray(vec![5.0, 6.0])])
-                .unwrap();
-            assert_eq!(
-                got,
-                vec![Value::DoubleArray(vec![10.0, 12.0])],
-                "core {core:?}"
-            );
-            assert_eq!(rpc.negotiation_state(), NegotiationState::Xml);
-
-            // Settled: later calls stay on XML and keep answering.
-            let got = rpc.call("scale", &[Value::DoubleArray(vec![7.0])]).unwrap();
-            assert_eq!(got, vec![Value::DoubleArray(vec![14.0])], "core {core:?}");
-            assert_eq!(rpc.negotiation_state(), NegotiationState::Xml);
-            let stats = server.stop();
-            assert_eq!(
-                stats.requests, 4,
-                "core {core:?}: four successful dispatches (the bounced binary body is not one)"
-            );
-        }
+        // Settled: later calls stay on XML and keep answering.
+        let got = rpc.call("scale", &[Value::DoubleArray(vec![7.0])]).unwrap();
+        assert_eq!(got, vec![Value::DoubleArray(vec![14.0])]);
+        assert_eq!(rpc.negotiation_state(), NegotiationState::Xml);
+        let stats = server.stop();
+        assert_eq!(
+            stats.requests, 4,
+            "four successful dispatches (the bounced binary body is not one)"
+        );
     }
 
     #[test]

@@ -445,18 +445,18 @@ fn chaos_smoke_fixed_schedule() {
 
 // ---------------------------------------------------------------------
 // Server-backed chaos: the same fault taxonomy the write shim injects
-// (partial writes, EINTR storms) driven over *real* sockets against both
-// server cores. Every dribbled, interrupted send must reassemble
-// byte-perfectly on the server — on the worker pool's blocking reader
-// and on the event loop's incremental per-connection state machine alike.
+// (partial writes, EINTR storms) driven over *real* sockets against the
+// server, on both lanes. Every dribbled, interrupted send must reassemble
+// byte-perfectly in the event loop's incremental per-connection state
+// machine.
 // ---------------------------------------------------------------------
 
 #[test]
-fn fragmented_chaos_sends_round_trip_on_both_cores() {
+fn fragmented_chaos_sends_round_trip_on_both_lanes() {
     use bsoap::transport::http::{
         post_gather_vectored, read_response_limited, HttpVersion, PostScratch, RequestConfig,
     };
-    use bsoap::transport::{supported_cores, ServerMode, ServerOptions, TestServer};
+    use bsoap::transport::{ServerMode, ServerOptions, TestServer};
     use std::net::TcpStream;
 
     /// Write shim over a real socket: at most `cap` bytes per call, with
@@ -482,18 +482,8 @@ fn fragmented_chaos_sends_round_trip_on_both_cores() {
         }
     }
 
-    for (&core, format) in supported_cores()
-        .iter()
-        .flat_map(|c| WireFormat::ALL.map(move |f| (c, f)))
-    {
-        let server = TestServer::spawn_with(
-            ServerMode::Collect,
-            ServerOptions {
-                core,
-                ..ServerOptions::default()
-            },
-        )
-        .unwrap();
+    for format in WireFormat::ALL {
+        let server = TestServer::spawn_with(ServerMode::Collect, ServerOptions::default()).unwrap();
         let stream = TcpStream::connect(server.addr()).unwrap();
         let mut read_half = stream.try_clone().unwrap();
         let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
@@ -530,19 +520,19 @@ fn fragmented_chaos_sends_round_trip_on_both_cores() {
                 })
                 .unwrap();
             let (status, _) = read_response_limited(&mut read_half, 1 << 16, 1 << 16).unwrap();
-            assert_eq!(status, 200, "core {core:?}");
+            assert_eq!(status, 200, "{format:?}");
             sent.push(xs.clone());
         }
         drop(stream);
         drop(read_half);
 
         let requests = server.stop_collecting();
-        assert_eq!(requests.len(), sent.len(), "core {core:?}");
+        assert_eq!(requests.len(), sent.len(), "{format:?}");
         // Binary frames carry arbitrary bytes (raw double bits), the
         // harshest payload for fragmented reassembly.
         for (req, xs) in requests.iter().zip(&sent) {
             assert_wire(format, &op, &doubles(xs), &req.body)
-                .unwrap_or_else(|e| panic!("core {core:?}: reassembled body: {e:?}"));
+                .unwrap_or_else(|e| panic!("{format:?}: reassembled body: {e:?}"));
         }
     }
 }

@@ -1,8 +1,7 @@
-//! Configuration is a value: which lane and core run is decided by what the
-//! caller builds, never by the process environment. No product file reads
-//! an environment variable at all.
+//! Configuration is a value: which lane runs is decided by what the caller
+//! builds, never by the process environment. No product file reads an
+//! environment variable at all.
 
-use bsoap::transport::{ServerCore, ServerOptions};
 use bsoap::{EngineConfig, WireFormat};
 
 mod common;
@@ -16,8 +15,6 @@ fn defaults_ignore_the_environment() {
     }
     let config = EngineConfig::paper_default();
     assert_eq!(config.wire_format, WireFormat::SoapXml);
-    assert_eq!(config.server_core, bsoap_core::ServerCore::WorkerPool);
-    assert_eq!(ServerOptions::default().core, ServerCore::WorkerPool);
 }
 
 #[test]

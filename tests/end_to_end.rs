@@ -10,98 +10,82 @@ mod common;
 
 use bsoap::deser::{parse_envelope, DiffDeserializer, DiffOutcome};
 use bsoap::transport::http::{HttpVersion, RequestConfig};
-use bsoap::transport::{
-    supported_cores, ClientConn, ServerCore, ServerMode, ServerOptions, TestServer,
-};
+use bsoap::transport::{ClientConn, ServerMode, ServerOptions, TestServer};
 use bsoap::{
     mio, Client, EngineConfig, OpDesc, SendTier, TypeDesc, Value, WidthPolicy, WireFormat,
 };
-use common::spec::{assert_wire, doubles_op, full_xml, lane_client};
+use common::spec::{assert_wire, doubles, doubles_op, full_xml, lane_client};
 
-// Each end-to-end guarantee below is asserted on every core in
-// `supported_cores()` from one test body, proving the event loop is a
-// drop-in replacement for the worker pool. Tests that are about the
-// transport, not the lane, take their client from `lane_client` and run on
-// both lanes.
-
-fn opts_on(core: ServerCore) -> ServerOptions {
-    ServerOptions {
-        core,
-        ..ServerOptions::default()
-    }
-}
+// Tests that are about the transport, not the lane, take their client from
+// `lane_client` and run on both lanes.
 
 #[test]
 fn raw_tcp_bytes_match_fresh_serialization() {
-    for &core in supported_cores() {
-        let server = TestServer::spawn_with(ServerMode::Discard, opts_on(core)).unwrap();
-        let mut expected_total = 0u64;
-        // One connection per lane into the same byte-counting server.
-        for format in WireFormat::ALL {
-            let mut t = std::net::TcpStream::connect(server.addr()).unwrap();
-            t.set_nodelay(true).unwrap();
-            let op = doubles_op();
-            let mut client = lane_client(format);
+    let server = TestServer::spawn_with(ServerMode::Discard, ServerOptions::default()).unwrap();
+    let mut expected_total = 0u64;
+    // One connection per lane into the same byte-counting server.
+    for format in WireFormat::ALL {
+        let mut t = std::net::TcpStream::connect(server.addr()).unwrap();
+        t.set_nodelay(true).unwrap();
+        let op = doubles_op();
+        let mut client = lane_client(format);
 
-            let mut xs = vec![1.5, 2.5, 3.5];
-            for step in 0..5 {
-                xs[step % 3] += 1.0;
-                let r = client
-                    .call("tcp://peer", &op, &[Value::DoubleArray(xs.clone())], &mut t)
-                    .unwrap();
-                expected_total += r.bytes as u64;
-                // The oracle's own message parses to the values it was given.
-                let args = vec![Value::DoubleArray(xs.clone())];
-                assert_eq!(parse_envelope(&full_xml(&op, &args), &op).unwrap(), args);
-            }
+        let mut xs = vec![1.5, 2.5, 3.5];
+        for step in 0..5 {
+            xs[step % 3] += 1.0;
+            let r = client
+                .call("tcp://peer", &op, &[Value::DoubleArray(xs.clone())], &mut t)
+                .unwrap();
+            expected_total += r.bytes as u64;
+            // The oracle's own message parses to the values it was given.
+            let args = vec![Value::DoubleArray(xs.clone())];
+            assert_eq!(parse_envelope(&full_xml(&op, &args), &op).unwrap(), args);
         }
-        let stats = server.stop();
-        assert_eq!(stats.bytes_received, expected_total, "core {core:?}");
     }
+    let stats = server.stop();
+    assert_eq!(stats.bytes_received, expected_total);
 }
 
 #[test]
 fn http_collect_round_trip_all_tiers() {
-    for &core in supported_cores() {
-        let server = TestServer::spawn_with(ServerMode::Collect, opts_on(core)).unwrap();
-        let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
-        let mut t = ClientConn::connect(server.addr(), None).unwrap();
-        let op = doubles_op();
-        let mut client = Client::new(EngineConfig::paper_default());
+    let server = TestServer::spawn_with(ServerMode::Collect, ServerOptions::default()).unwrap();
+    let cfg = RequestConfig::loopback(HttpVersion::Http11Length);
+    let mut t = ClientConn::connect(server.addr(), None).unwrap();
+    let op = doubles_op();
+    let mut client = Client::new(EngineConfig::paper_default());
 
-        let sequences: Vec<Vec<f64>> = vec![
-            vec![1.5, 2.5, 3.5],      // first-time
-            vec![1.5, 2.5, 3.5],      // content match
-            vec![9.5, 2.5, 3.5],      // perfect structural
-            vec![9.5, 2.5, 3.5, 4.5], // partial structural (grow)
-            vec![9.5, 2.5],           // partial structural (shrink)
-        ];
-        let expected_tiers = [
-            SendTier::FirstTime,
-            SendTier::ContentMatch,
-            SendTier::PerfectStructural,
-            SendTier::PartialStructural,
-            SendTier::PartialStructural,
-        ];
-        for (xs, want) in sequences.iter().zip(expected_tiers) {
-            let r = client
-                .call_via("http://svc", &op, &[Value::DoubleArray(xs.clone())], |s| {
-                    t.post(&cfg, s)
-                })
-                .unwrap();
-            assert_eq!(r.tier, want, "core {core:?}");
-            let (status, _, _) = t.read_reply(usize::MAX, usize::MAX).unwrap();
-            assert_eq!(status, 200, "core {core:?}");
-        }
-        drop(t);
+    let sequences: Vec<Vec<f64>> = vec![
+        vec![1.5, 2.5, 3.5],      // first-time
+        vec![1.5, 2.5, 3.5],      // content match
+        vec![9.5, 2.5, 3.5],      // perfect structural
+        vec![9.5, 2.5, 3.5, 4.5], // partial structural (grow)
+        vec![9.5, 2.5],           // partial structural (shrink)
+    ];
+    let expected_tiers = [
+        SendTier::FirstTime,
+        SendTier::ContentMatch,
+        SendTier::PerfectStructural,
+        SendTier::PartialStructural,
+        SendTier::PartialStructural,
+    ];
+    for (xs, want) in sequences.iter().zip(expected_tiers) {
+        let r = client
+            .call_via("http://svc", &op, &[Value::DoubleArray(xs.clone())], |s| {
+                t.post(&cfg, s)
+            })
+            .unwrap();
+        assert_eq!(r.tier, want);
+        let (status, _, _) = t.read_reply(usize::MAX, usize::MAX).unwrap();
+        assert_eq!(status, 200);
+    }
+    drop(t);
 
-        let requests = server.stop_collecting();
-        assert_eq!(requests.len(), sequences.len(), "core {core:?}");
-        for (req, xs) in requests.iter().zip(&sequences) {
-            assert_eq!(req.head.method, "POST");
-            let args = parse_envelope(&req.body, &op).unwrap();
-            assert_eq!(args, vec![Value::DoubleArray(xs.clone())], "core {core:?}");
-        }
+    let requests = server.stop_collecting();
+    assert_eq!(requests.len(), sequences.len());
+    for (req, xs) in requests.iter().zip(&sequences) {
+        assert_eq!(req.head.method, "POST");
+        let args = parse_envelope(&req.body, &op).unwrap();
+        assert_eq!(args, vec![Value::DoubleArray(xs.clone())]);
     }
 }
 
@@ -109,84 +93,80 @@ fn http_collect_round_trip_all_tiers() {
 fn chunked_http_streams_multi_chunk_templates() {
     // Small chunks force a multi-chunk template; HTTP/1.1 chunked framing
     // maps each template chunk onto a wire chunk.
-    for &core in supported_cores() {
-        let server = TestServer::spawn_with(ServerMode::Collect, opts_on(core)).unwrap();
-        let cfg = RequestConfig::loopback(HttpVersion::Http11Chunked);
-        let mut t = ClientConn::connect(server.addr(), None).unwrap();
-        let config = EngineConfig::paper_default().with_chunk(bsoap::ChunkConfig {
-            initial_size: 1024,
-            split_threshold: 2048,
-            reserve: 64,
-        });
-        let op = doubles_op();
-        let mut client = Client::new(config);
+    let server = TestServer::spawn_with(ServerMode::Collect, ServerOptions::default()).unwrap();
+    let cfg = RequestConfig::loopback(HttpVersion::Http11Chunked);
+    let mut t = ClientConn::connect(server.addr(), None).unwrap();
+    let config = EngineConfig::paper_default().with_chunk(bsoap::ChunkConfig {
+        initial_size: 1024,
+        split_threshold: 2048,
+        reserve: 64,
+    });
+    let op = doubles_op();
+    let mut client = Client::new(config);
 
-        let xs: Vec<f64> = (0..2000).map(|i| i as f64 + 0.5).collect();
-        client
-            .call_via("http://svc", &op, &[Value::DoubleArray(xs.clone())], |s| {
-                assert!(
-                    s.len() > 1,
-                    "template should be multi-chunk, got {} slices",
-                    s.len()
-                );
-                t.post(&cfg, s)
-            })
-            .unwrap();
-        let (status, _, _) = t.read_reply(usize::MAX, usize::MAX).unwrap();
-        assert_eq!(status, 200, "core {core:?}");
-        drop(t);
+    let xs: Vec<f64> = (0..2000).map(|i| i as f64 + 0.5).collect();
+    client
+        .call_via("http://svc", &op, &[Value::DoubleArray(xs.clone())], |s| {
+            assert!(
+                s.len() > 1,
+                "template should be multi-chunk, got {} slices",
+                s.len()
+            );
+            t.post(&cfg, s)
+        })
+        .unwrap();
+    let (status, _, _) = t.read_reply(usize::MAX, usize::MAX).unwrap();
+    assert_eq!(status, 200);
+    drop(t);
 
-        let requests = server.stop_collecting();
-        assert_eq!(requests.len(), 1, "core {core:?}");
-        let args = parse_envelope(&requests[0].body, &op).unwrap();
-        assert_eq!(args, vec![Value::DoubleArray(xs)], "core {core:?}");
-    }
+    let requests = server.stop_collecting();
+    assert_eq!(requests.len(), 1);
+    let args = parse_envelope(&requests[0].body, &op).unwrap();
+    assert_eq!(args, vec![Value::DoubleArray(xs)]);
 }
 
 #[test]
 fn client_server_differential_deserialization_pipeline() {
     // The full paper pipeline: differential client on one end,
     // differential deserializer on the other.
-    for &core in supported_cores() {
-        let server = TestServer::spawn_with(ServerMode::Collect, opts_on(core)).unwrap();
-        let cfg = RequestConfig::loopback(HttpVersion::Http10);
-        let mut t = ClientConn::connect(server.addr(), None).unwrap();
-        let op = OpDesc::single("m", "urn:x", "a", TypeDesc::array_of(TypeDesc::mio()));
-        let mut client = Client::new(EngineConfig::paper_default().with_width(WidthPolicy::Max));
+    let server = TestServer::spawn_with(ServerMode::Collect, ServerOptions::default()).unwrap();
+    let cfg = RequestConfig::loopback(HttpVersion::Http10);
+    let mut t = ClientConn::connect(server.addr(), None).unwrap();
+    let op = OpDesc::single("m", "urn:x", "a", TypeDesc::array_of(TypeDesc::mio()));
+    let mut client = Client::new(EngineConfig::paper_default().with_width(WidthPolicy::Max));
 
-        let mut elems: Vec<(i32, i32, f64)> = (0..50).map(|i| (i, -i, i as f64 * 0.5)).collect();
-        let as_value =
-            |e: &[(i32, i32, f64)]| Value::Array(e.iter().map(|&(x, y, v)| mio(x, y, v)).collect());
-        for step in 0..6 {
-            if step > 0 {
-                elems[step * 7 % 50].2 += 1.0;
-            }
-            client
-                .call_via("http://svc", &op, &[as_value(&elems)], |s| t.post(&cfg, s))
-                .unwrap();
-            let (status, _, _) = t.read_reply(usize::MAX, usize::MAX).unwrap();
-            assert_eq!(status, 200, "core {core:?}");
+    let mut elems: Vec<(i32, i32, f64)> = (0..50).map(|i| (i, -i, i as f64 * 0.5)).collect();
+    let as_value =
+        |e: &[(i32, i32, f64)]| Value::Array(e.iter().map(|&(x, y, v)| mio(x, y, v)).collect());
+    for step in 0..6 {
+        if step > 0 {
+            elems[step * 7 % 50].2 += 1.0;
         }
-        drop(t);
-
-        let requests = server.stop_collecting();
-        let mut deser = DiffDeserializer::new(op);
-        let mut outcomes = Vec::new();
-        for req in &requests {
-            let (_, outcome) = deser.deserialize(&req.body).unwrap();
-            outcomes.push(outcome);
-        }
-        assert_eq!(outcomes[0], DiffOutcome::FullParse, "core {core:?}");
-        for o in &outcomes[1..] {
-            assert!(
-                matches!(o, DiffOutcome::Differential { reparsed: 1, .. }),
-                "core {core:?}: expected 1-leaf differential parse, got {o:?}"
-            );
-        }
-        // Final values agree with the client's final state.
-        let (args, _) = deser.deserialize(&requests.last().unwrap().body).unwrap();
-        assert_eq!(args, &[as_value(&elems)][..], "core {core:?}");
+        client
+            .call_via("http://svc", &op, &[as_value(&elems)], |s| t.post(&cfg, s))
+            .unwrap();
+        let (status, _, _) = t.read_reply(usize::MAX, usize::MAX).unwrap();
+        assert_eq!(status, 200);
     }
+    drop(t);
+
+    let requests = server.stop_collecting();
+    let mut deser = DiffDeserializer::new(op);
+    let mut outcomes = Vec::new();
+    for req in &requests {
+        let (_, outcome) = deser.deserialize(&req.body).unwrap();
+        outcomes.push(outcome);
+    }
+    assert_eq!(outcomes[0], DiffOutcome::FullParse);
+    for o in &outcomes[1..] {
+        assert!(
+            matches!(o, DiffOutcome::Differential { reparsed: 1, .. }),
+            "expected 1-leaf differential parse, got {o:?}"
+        );
+    }
+    // Final values agree with the client's final state.
+    let (args, _) = deser.deserialize(&requests.last().unwrap().body).unwrap();
+    assert_eq!(args, &[as_value(&elems)][..]);
 }
 
 #[test]
@@ -222,7 +202,7 @@ fn overlay_wire_bytes_equal_template_bytes() {
 #[test]
 fn pooled_keep_alive_scrape_reports_tier_counters_mid_load() {
     // One observability registry shared by the differential client, the
-    // connection pool, and the worker-pool server. Mid-load, `GET
+    // connection pool, and the server. Mid-load, `GET
     // /metrics` is scraped over the same pooled keep-alive connection the
     // POSTs ride on, and the per-tier send counters must sum to exactly
     // the requests served so far.
@@ -230,119 +210,112 @@ fn pooled_keep_alive_scrape_reports_tier_counters_mid_load() {
     use bsoap::transport::{HttpPoolClient, PoolConfig, RequestConfig};
     use std::sync::Arc;
 
-    for &core in supported_cores() {
-        for format in WireFormat::ALL {
-            let metrics = Metrics::shared();
-            let server = bsoap::transport::TestServer::spawn_with_metrics(
-                ServerMode::Ack,
-                opts_on(core),
-                Arc::clone(&metrics),
-            )
-            .unwrap();
-            let mut pool = HttpPoolClient::new(
-                server.addr(),
-                RequestConfig::loopback(HttpVersion::Http11Length),
-                PoolConfig::default(),
-            );
-            pool.set_metrics(Arc::clone(&metrics));
+    for format in WireFormat::ALL {
+        let metrics = Metrics::shared();
+        let server = bsoap::transport::TestServer::spawn_with_metrics(
+            ServerMode::Ack,
+            ServerOptions::default(),
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let mut pool = HttpPoolClient::new(
+            server.addr(),
+            RequestConfig::loopback(HttpVersion::Http11Length),
+            PoolConfig::default(),
+        );
+        pool.set_metrics(Arc::clone(&metrics));
 
-            let op = doubles_op();
-            let mut client = lane_client(format);
-            client.set_metrics(Arc::clone(&metrics));
-            let endpoint = format!("http://{}/service", server.addr());
+        let op = doubles_op();
+        let mut client = lane_client(format);
+        client.set_metrics(Arc::clone(&metrics));
+        let endpoint = format!("http://{}/service", server.addr());
 
-            let tier_sum = |text: &str| -> u64 {
-                Tier::ALL
-                    .iter()
-                    .map(|t| {
-                        parse_value(
-                            text,
-                            &format!("bsoap_sends_total{{tier=\"{}\"}}", t.label()),
-                        )
-                        .unwrap_or_else(|| panic!("missing tier series {}", t.label()))
-                            as u64
-                    })
-                    .sum()
-            };
-            let scrape = |pool: &HttpPoolClient| -> String {
-                let reply = pool.get("/metrics").unwrap();
-                assert_eq!(reply.status, 200);
-                String::from_utf8(reply.body).unwrap()
-            };
+        let tier_sum = |text: &str| -> u64 {
+            Tier::ALL
+                .iter()
+                .map(|t| {
+                    parse_value(
+                        text,
+                        &format!("bsoap_sends_total{{tier=\"{}\"}}", t.label()),
+                    )
+                    .unwrap_or_else(|| panic!("missing tier series {}", t.label()))
+                        as u64
+                })
+                .sum()
+        };
+        let scrape = |pool: &HttpPoolClient| -> String {
+            let reply = pool.get("/metrics").unwrap();
+            assert_eq!(reply.status, 200);
+            String::from_utf8(reply.body).unwrap()
+        };
 
-            let total = 24usize;
-            let mut xs: Vec<f64> = (0..64).map(|i| i as f64 * 0.5).collect();
-            for i in 0..total {
-                if i > 0 {
-                    xs[(i * 7) % 64] += 1.0; // a few dirty values per call
-                }
-                client
-                    .call_via(&endpoint, &op, &[Value::DoubleArray(xs.clone())], |s| {
-                        let reply = pool.call(s)?;
-                        assert_eq!(reply.status, 200);
-                        Ok(reply.wire_bytes)
-                    })
-                    .unwrap();
-
-                if i + 1 == total / 2 {
-                    // Mid-load scrape over the live keep-alive connection.
-                    let text = scrape(&pool);
-                    let served =
-                        parse_value(&text, "bsoap_server_requests_total").unwrap() as usize;
-                    assert_eq!(
-                        served,
-                        i + 1,
-                        "server_requests mid-load, {core:?} {format:?}"
-                    );
-                    assert_eq!(
-                        tier_sum(&text) as usize,
-                        i + 1,
-                        "tier sum mid-load, {core:?} {format:?}"
-                    );
-                }
+        let total = 24usize;
+        let mut xs: Vec<f64> = (0..64).map(|i| i as f64 * 0.5).collect();
+        for i in 0..total {
+            if i > 0 {
+                xs[(i * 7) % 64] += 1.0; // a few dirty values per call
             }
+            client
+                .call_via(&endpoint, &op, &[Value::DoubleArray(xs.clone())], |s| {
+                    let reply = pool.call(s)?;
+                    assert_eq!(reply.status, 200);
+                    Ok(reply.wire_bytes)
+                })
+                .unwrap();
 
-            let text = scrape(&pool);
-            assert_eq!(
-                parse_value(&text, "bsoap_server_requests_total").unwrap() as usize,
-                total,
-                "scrapes must not count as served requests ({core:?} {format:?})"
-            );
-            assert_eq!(
-                tier_sum(&text) as usize,
-                total,
-                "tier sum after load, {core:?} {format:?}"
-            );
-            assert_eq!(
-                parse_value(&text, "bsoap_metrics_scrapes_total").unwrap() as usize,
-                2,
-                "{core:?} {format:?}"
-            );
-            assert!(
-                text.lines()
-                    .any(|l| l.starts_with("bsoap_send_latency_seconds_bucket")),
-                "send-latency histogram missing from the scrape ({core:?} {format:?})"
-            );
-
-            let snap = metrics.snapshot();
-            assert_eq!(snap.total_sends() as usize, total);
-            assert_eq!(snap.tier_sends(Tier::FirstTime), 1);
-            assert_eq!(
-                snap.get(Counter::ServerRequests) as usize,
-                total,
-                "{core:?} {format:?}"
-            );
-            assert!(
-                snap.get(Counter::PoolReused) > 0,
-                "keep-alive reuse never happened ({core:?} {format:?})"
-            );
-
-            // Close the idle keep-alive connections so the stop below
-            // does not sit out its drain deadline waiting on them.
-            drop(pool);
-            let stats = server.stop();
-            assert_eq!(stats.requests as usize, total, "{core:?} {format:?}");
+            if i + 1 == total / 2 {
+                // Mid-load scrape over the live keep-alive connection.
+                let text = scrape(&pool);
+                let served = parse_value(&text, "bsoap_server_requests_total").unwrap() as usize;
+                assert_eq!(served, i + 1, "server_requests mid-load, {format:?}");
+                assert_eq!(
+                    tier_sum(&text) as usize,
+                    i + 1,
+                    "tier sum mid-load, {format:?}"
+                );
+            }
         }
+
+        let text = scrape(&pool);
+        assert_eq!(
+            parse_value(&text, "bsoap_server_requests_total").unwrap() as usize,
+            total,
+            "scrapes must not count as served requests ({format:?})"
+        );
+        assert_eq!(
+            tier_sum(&text) as usize,
+            total,
+            "tier sum after load, {format:?}"
+        );
+        assert_eq!(
+            parse_value(&text, "bsoap_metrics_scrapes_total").unwrap() as usize,
+            2,
+            "{format:?}"
+        );
+        assert!(
+            text.lines()
+                .any(|l| l.starts_with("bsoap_send_latency_seconds_bucket")),
+            "send-latency histogram missing from the scrape ({format:?})"
+        );
+
+        let snap = metrics.snapshot();
+        assert_eq!(snap.total_sends() as usize, total);
+        assert_eq!(snap.tier_sends(Tier::FirstTime), 1);
+        assert_eq!(
+            snap.get(Counter::ServerRequests) as usize,
+            total,
+            "{format:?}"
+        );
+        assert!(
+            snap.get(Counter::PoolReused) > 0,
+            "keep-alive reuse never happened ({format:?})"
+        );
+
+        // Close the idle keep-alive connections so the stop below
+        // does not sit out its drain deadline waiting on them.
+        drop(pool);
+        let stats = server.stop();
+        assert_eq!(stats.requests as usize, total, "{format:?}");
     }
 }
 
@@ -380,4 +353,56 @@ fn two_endpoints_get_independent_templates() {
             .unwrap();
         assert_eq!(r.tier, SendTier::ContentMatch);
     }
+}
+
+/// A default `HttpServer` answers every client that holds its keep-alive
+/// connection open, however many there are: a held connection costs the
+/// server no thread of its own. `RpcClient` has no deadline, so a call the
+/// server never answers would hang; each reply is awaited with a bound.
+#[test]
+fn every_held_keep_alive_client_is_answered() {
+    use bsoap::rpc::RpcClient;
+    use bsoap::server::{HttpServer, Service};
+    use bsoap::wsdl::ServiceDesc;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const CLIENTS: usize = 8;
+    let op = doubles_op();
+    let mut svc = Service::new(&op.namespace, EngineConfig::paper_default());
+    svc.register(op.clone(), Vec::new(), |_| Ok(Vec::new()));
+    let desc = ServiceDesc {
+        name: "Held".into(),
+        namespace: op.namespace.clone(),
+        endpoint: "http://svc/held".into(),
+        operations: vec![op.clone()],
+    };
+    let server = HttpServer::spawn(svc).unwrap();
+    let addr = server.addr();
+    let (answered, replies) = mpsc::channel();
+    // Joined only once every reply arrived: a call that hangs fails the
+    // bounded wait below instead.
+    let calls = std::thread::spawn(move || {
+        let mut clients: Vec<RpcClient> = (0..CLIENTS)
+            .map(|_| RpcClient::connect(desc.clone(), addr, EngineConfig::paper_default()).unwrap())
+            .collect();
+        for round in 0..2 {
+            for (i, client) in clients.iter_mut().enumerate() {
+                client.call(&op.name, &doubles(&[i as f64])).unwrap();
+                answered.send((round, i)).unwrap();
+            }
+        }
+    });
+    for round in 0..2 {
+        for i in 0..CLIENTS {
+            assert_eq!(
+                replies.recv_timeout(Duration::from_secs(5)),
+                Ok((round, i)),
+                "call {round} of client {i} (of {CLIENTS} holding connections)"
+            );
+        }
+    }
+    calls.join().unwrap();
+    let stats = server.stop();
+    assert_eq!(stats.requests, 2 * CLIENTS as u64);
 }

@@ -12,7 +12,7 @@ use bsoap::deser::StreamingDeserializer;
 use bsoap::obs::{Counter, Metrics};
 use bsoap::transport::http::{HttpVersion, RequestConfig};
 use bsoap::transport::{
-    BodySink, HttpPoolClient, PoolConfig, ServerCore, ServerMode, ServerOptions, TestServer,
+    BodySink, HttpPoolClient, PoolConfig, ServerMode, ServerOptions, TestServer,
 };
 use bsoap::{ChunkConfig, Client, EngineConfig, OverlaySender, SendTier, Value};
 use common::spec::doubles_op;
@@ -78,9 +78,6 @@ impl BodySink for DeserSink {
 
 #[test]
 fn overlaid_calls_stream_into_the_event_loop_server() {
-    if !bsoap::transport::poller::supported() {
-        return; // no epoll on this platform; the event-loop core is unavailable
-    }
     let op = doubles_op();
     let metrics = Metrics::shared();
     let results: Arc<Mutex<Vec<Received>>> = Arc::new(Mutex::new(Vec::new()));
@@ -89,10 +86,7 @@ fn overlaid_calls_stream_into_the_event_loop_server() {
     let factory_results = Arc::clone(&results);
     let server = TestServer::spawn_streaming(
         ServerMode::Ack,
-        ServerOptions {
-            core: ServerCore::EventLoop,
-            ..ServerOptions::default()
-        },
+        ServerOptions::default(),
         Some(Arc::clone(&metrics)),
         Arc::new(move |head| {
             // Stream POST bodies; anything else (e.g. /metrics) buffers.
@@ -191,17 +185,11 @@ fn overlaid_calls_stream_into_the_event_loop_server() {
 /// dispatch path on the event-loop core.
 #[test]
 fn non_streamed_requests_still_buffer_on_the_streaming_server() {
-    if !bsoap::transport::poller::supported() {
-        return;
-    }
     let op = doubles_op();
     let results: Arc<Mutex<Vec<Received>>> = Arc::new(Mutex::new(Vec::new()));
     let server = TestServer::spawn_streaming(
         ServerMode::Collect,
-        ServerOptions {
-            core: ServerCore::EventLoop,
-            ..ServerOptions::default()
-        },
+        ServerOptions::default(),
         None,
         Arc::new(move |_head| None), // decline every request: buffer all
     )

@@ -313,132 +313,117 @@ fn numeric_width_growth_collapses_tier3_to_tier2() {
 
 /// End-to-end leg of the differential suite: the same call schedule
 /// through a negotiated-binary RPC client and an XML-pinned one, against
-/// live HTTP servers on *both* server cores, must produce identical
-/// decoded responses — and the binary client must actually settle on
-/// the binary lane.
+/// a live HTTP server, must produce identical decoded responses — and the
+/// binary client must actually settle on the binary lane.
 #[test]
-fn cross_format_schedules_agree_end_to_end_on_both_cores() {
+fn cross_format_schedules_agree_end_to_end() {
     use bsoap::rpc::RpcClient;
     use bsoap::server::{HttpServer, Service};
     use bsoap::transport::NegotiationState;
     use bsoap::wsdl::ServiceDesc;
 
-    for &core in bsoap::transport::supported_cores() {
-        let op = OpDesc::single(
+    let op = OpDesc::single(
+        "scale",
+        "urn:vec",
+        "xs",
+        TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
+    );
+    let desc = ServiceDesc {
+        name: "Vec".into(),
+        namespace: "urn:vec".into(),
+        endpoint: "http://svc/vec".into(),
+        operations: vec![op.clone()],
+    };
+    let mut svc = Service::new("urn:vec", EngineConfig::paper_default());
+    svc.register(
+        op,
+        vec![ParamDesc {
+            name: "ys".into(),
+            desc: TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
+        }],
+        |args| {
+            let Value::DoubleArray(v) = &args[0] else {
+                return Err("type".into());
+            };
+            Ok(vec![Value::DoubleArray(
+                v.iter().map(|x| x * 2.0).collect(),
+            )])
+        },
+    );
+    let server = HttpServer::spawn(svc).unwrap();
+
+    let [mut xml_rpc, mut bin_rpc] = WireFormat::ALL.map(|f| {
+        let config = EngineConfig::paper_default().with_wire_format(f);
+        RpcClient::connect(desc.clone(), server.addr(), config).unwrap()
+    });
+    for rpc in [&mut bin_rpc, &mut xml_rpc] {
+        rpc.declare_response(
             "scale",
-            "urn:vec",
-            "xs",
-            TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-        );
-        let desc = ServiceDesc {
-            name: "Vec".into(),
-            namespace: "urn:vec".into(),
-            endpoint: "http://svc/vec".into(),
-            operations: vec![op.clone()],
-        };
-        let mut svc = Service::new(
-            "urn:vec",
-            EngineConfig::paper_default().with_server_core(core),
-        );
-        svc.register(
-            op,
             vec![ParamDesc {
                 name: "ys".into(),
                 desc: TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
             }],
-            |args| {
-                let Value::DoubleArray(v) = &args[0] else {
-                    return Err("type".into());
-                };
-                Ok(vec![Value::DoubleArray(
-                    v.iter().map(|x| x * 2.0).collect(),
-                )])
-            },
         );
-        let server = HttpServer::spawn(svc).unwrap();
-
-        let [mut xml_rpc, mut bin_rpc] = WireFormat::ALL.map(|f| {
-            let config = EngineConfig::paper_default().with_wire_format(f);
-            RpcClient::connect(desc.clone(), server.addr(), config).unwrap()
-        });
-        for rpc in [&mut bin_rpc, &mut xml_rpc] {
-            rpc.declare_response(
-                "scale",
-                vec![ParamDesc {
-                    name: "ys".into(),
-                    desc: TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
-                }],
-            );
-        }
-
-        // A schedule with content matches, in-place rewrites, and a
-        // resize — the same one on both lanes.
-        let schedule: Vec<Vec<f64>> = vec![
-            vec![0.5; 8],
-            vec![0.5; 8],
-            {
-                let mut v = vec![0.5; 8];
-                v[3] = 0.123456789;
-                v
-            },
-            vec![1.25; 13],
-        ];
-        for (i, xs) in schedule.iter().enumerate() {
-            let (bin_vals, bin_r) = bin_rpc
-                .call_op(
-                    &bin_rpc.service().operations[0].clone(),
-                    &[Value::DoubleArray(xs.clone())],
-                )
-                .unwrap();
-            let (xml_vals, xml_r) = xml_rpc
-                .call_op(
-                    &xml_rpc.service().operations[0].clone(),
-                    &[Value::DoubleArray(xs.clone())],
-                )
-                .unwrap();
-            assert_eq!(
-                bin_vals, xml_vals,
-                "core {core:?}: responses diverged at call {i}"
-            );
-            let Value::DoubleArray(ys) = &bin_vals[0] else {
-                panic!("variant")
-            };
-            assert_eq!(ys.len(), xs.len());
-            for (y, x) in ys.iter().zip(xs) {
-                assert_eq!(y.to_bits(), (x * 2.0).to_bits());
-            }
-            // Call 0 rides XML in both clients (the offer is still out).
-            // Call 1 is where the negotiated client switches lanes, so it
-            // rebuilds FirstTime on the binary lane while the XML client
-            // content-matches; from call 2 on the trajectories realign.
-            let expect_xml = [
-                SendTier::FirstTime,
-                SendTier::ContentMatch,
-                SendTier::PerfectStructural,
-                SendTier::PartialStructural,
-            ];
-            let expect_bin = [
-                SendTier::FirstTime,
-                SendTier::FirstTime,
-                SendTier::PerfectStructural,
-                SendTier::PartialStructural,
-            ];
-            assert_eq!(
-                xml_r.tier, expect_xml[i],
-                "core {core:?}: xml tier at call {i}"
-            );
-            assert_eq!(
-                bin_r.tier, expect_bin[i],
-                "core {core:?}: bin tier at call {i}"
-            );
-        }
-        assert_eq!(bin_rpc.negotiation_state(), NegotiationState::Binary);
-        assert_eq!(xml_rpc.negotiation_state(), NegotiationState::Xml);
-        // Request lane settled binary after call 1, so the last three
-        // requests rode the compact lane end to end.
-        assert!(bin_rpc.stats().bytes_sent < xml_rpc.stats().bytes_sent);
-        server.stop();
     }
+
+    // A schedule with content matches, in-place rewrites, and a
+    // resize — the same one on both lanes.
+    let schedule: Vec<Vec<f64>> = vec![
+        vec![0.5; 8],
+        vec![0.5; 8],
+        {
+            let mut v = vec![0.5; 8];
+            v[3] = 0.123456789;
+            v
+        },
+        vec![1.25; 13],
+    ];
+    for (i, xs) in schedule.iter().enumerate() {
+        let (bin_vals, bin_r) = bin_rpc
+            .call_op(
+                &bin_rpc.service().operations[0].clone(),
+                &[Value::DoubleArray(xs.clone())],
+            )
+            .unwrap();
+        let (xml_vals, xml_r) = xml_rpc
+            .call_op(
+                &xml_rpc.service().operations[0].clone(),
+                &[Value::DoubleArray(xs.clone())],
+            )
+            .unwrap();
+        assert_eq!(bin_vals, xml_vals, "responses diverged at call {i}");
+        let Value::DoubleArray(ys) = &bin_vals[0] else {
+            panic!("variant")
+        };
+        assert_eq!(ys.len(), xs.len());
+        for (y, x) in ys.iter().zip(xs) {
+            assert_eq!(y.to_bits(), (x * 2.0).to_bits());
+        }
+        // Call 0 rides XML in both clients (the offer is still out).
+        // Call 1 is where the negotiated client switches lanes, so it
+        // rebuilds FirstTime on the binary lane while the XML client
+        // content-matches; from call 2 on the trajectories realign.
+        let expect_xml = [
+            SendTier::FirstTime,
+            SendTier::ContentMatch,
+            SendTier::PerfectStructural,
+            SendTier::PartialStructural,
+        ];
+        let expect_bin = [
+            SendTier::FirstTime,
+            SendTier::FirstTime,
+            SendTier::PerfectStructural,
+            SendTier::PartialStructural,
+        ];
+        assert_eq!(xml_r.tier, expect_xml[i], "xml tier at call {i}");
+        assert_eq!(bin_r.tier, expect_bin[i], "bin tier at call {i}");
+    }
+    assert_eq!(bin_rpc.negotiation_state(), NegotiationState::Binary);
+    assert_eq!(xml_rpc.negotiation_state(), NegotiationState::Xml);
+    // Request lane settled binary after call 1, so the last three
+    // requests rode the compact lane end to end.
+    assert!(bin_rpc.stats().bytes_sent < xml_rpc.stats().bytes_sent);
+    server.stop();
 }
 
 /// Deterministic degradation twin-run: the ladder trips and recovers at
