@@ -214,6 +214,16 @@ impl ChunkStore {
         Loc::new(idx, offset)
     }
 
+    /// Give back the last chunk's room beyond the reserve (§3.2: "the space
+    /// that is initially left empty at the end of a chunk"), so a small
+    /// built message holds no whole chunk; [`Self::try_grow`] grows it.
+    pub fn trim_last(&mut self) {
+        let reserve = self.config.reserve;
+        if let Some(last) = self.chunks.last_mut() {
+            last.buf.shrink_to(last.buf.len() + reserve);
+        }
+    }
+
     // ------------------------------------------------------------------
     // In-place access (perfect structural matches)
     // ------------------------------------------------------------------
@@ -454,6 +464,23 @@ mod tests {
         assert_eq!(c, Loc::new(1, 30), "third region fits in chunk 1");
         assert_eq!(store.chunk_count(), 2);
         assert_eq!(store.total_len(), 80);
+        store.assert_consistent();
+    }
+
+    #[test]
+    fn trim_last_keeps_the_reserve_of_the_last_chunk_only() {
+        let mut store = ChunkStore::new(small_config());
+        store.append_region(&[b'a'; 50]);
+        store.append_region(&[b'b'; 10]);
+        assert_eq!(store.chunk(1).capacity(), 64);
+        store.trim_last();
+        assert_eq!(store.chunk(0).capacity(), 64, "a full chunk keeps its room");
+        assert_eq!(store.chunk(1).capacity(), 10 + 8);
+        // A shift past the reserve grows the chunk on demand.
+        assert!(store.try_grow(1, 20));
+        store.shift_tail_right(1, 0, 20);
+        assert_eq!(store.flatten()[70..], [b'b'; 10]);
+        assert!(store.chunk(1).capacity() >= 30);
         store.assert_consistent();
     }
 

@@ -399,6 +399,7 @@ impl MessageTemplate {
         let leaves = FramePlan::leaves(&plan.steps, args);
         let mut b = Builder::new(config, leaves, arrays.count());
         b.run(&plan, &plan.steps, &op.params, args, 1);
+        b.store.trim_last();
         let stats = TemplateStats {
             first_time: 1,
             ..TemplateStats::default()

@@ -149,6 +149,11 @@ impl MessageTemplate {
         self.store.chunk_count()
     }
 
+    /// Bytes the chunks have room for: the message and each chunk's spare.
+    pub fn chunk_capacity(&self) -> usize {
+        self.store.chunks().map(|c| c.capacity()).sum()
+    }
+
     /// Dirty-leaf count — zero means the next send is a content match.
     pub fn dirty_count(&self) -> usize {
         self.dut.dirty_count()

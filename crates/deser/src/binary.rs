@@ -377,7 +377,6 @@ fn read_record(c: &mut Cursor<'_>, kind: ScalarKind) -> Result<Value, DeserError
 #[derive(Debug)]
 pub struct BinaryReference {
     args: Vec<Value>,
-    paths: LeafPaths,
     slots: Vec<Slot>,
     /// Retained scratch of [`Reference::patch`]: the slots whose payload
     /// changed. As long as `slots`.
@@ -395,7 +394,6 @@ impl Reference for BinaryReference {
         let changed = slots.clone();
         Ok(BinaryReference {
             args,
-            paths: LeafPaths::of(op),
             slots,
             changed,
         })
@@ -431,10 +429,10 @@ impl Reference for BinaryReference {
         prev: &[u8],
         bytes: &[u8],
         _op: &OpDesc,
+        paths: &LeafPaths,
     ) -> Result<Option<(usize, usize)>, DeserError> {
         let BinaryReference {
             args,
-            paths,
             slots,
             changed,
         } = self;
@@ -713,13 +711,14 @@ mod tests {
             |s| s.offset = u32::MAX - 8,  // a record outside the message
             |s| s.width = 0,              // a width no record has
         ];
+        let paths = LeafPaths::of(&op);
         for (which, tamper) in tampers.into_iter().enumerate() {
             let mut reference = BinaryReference::decode(&prev, &op).unwrap();
             let before = bits(&reference);
             tamper(&mut reference.slots[last]);
             // Every slot before the tampered one changed too.
             assert_eq!(
-                reference.patch(&prev, &bytes, &op).unwrap(),
+                reference.patch(&prev, &bytes, &op, &paths).unwrap(),
                 None,
                 "{which}"
             );
@@ -727,7 +726,8 @@ mod tests {
         }
         // Untampered, the same pair is four leaves.
         let mut reference = BinaryReference::decode(&prev, &op).unwrap();
-        assert_eq!(reference.patch(&prev, &bytes, &op).unwrap(), Some((4, 2)));
+        let patched = reference.patch(&prev, &bytes, &op, &paths).unwrap();
+        assert_eq!(patched, Some((4, 2)));
         assert_eq!(reference.args, args([9.5, 8.5, 7.5], 6.5));
     }
 

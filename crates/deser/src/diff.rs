@@ -61,14 +61,15 @@
 //! instantiates it with the [`Reference`] it retains.
 
 use crate::envelope::{
-    close_tag, ends_of, leaf_width, padded_width, parse_array_len, parse_envelope_mapped,
-    parse_scalar, resize_array, text_end, value_from_leaves, ArrayRegion, ElementSkeleton,
-    MappedMessage, Region, RegionKind, Scalar,
+    close_tag, leaf_width, padded_width, parse_array_len, parse_envelope_mapped, parse_scalar,
+    resize_array, text_end, value_bytes, value_from_leaves, ArrayRegion, ElementSkeleton,
+    LeafPaths, LeafSlot, MappedMessage, RegionKind, Scalar, Span,
 };
 use crate::error::DeserError;
 use bsoap_core::{OpDesc, TypeDesc, Value};
 use std::cell::Cell;
 use std::mem::take;
+use std::ops::Range;
 
 /// Which path a message took through the differential deserializer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,15 +118,16 @@ pub trait Reference: Sized {
     fn map_bytes(&self) -> usize;
 
     /// The lane's leaf tier: bring `self`, decoded from `prev`, up to
-    /// `bytes` by re-decoding only the leaves that changed, returning
-    /// `(reparsed, skipped)`; `None` asks for a full decode. An `Err`
-    /// must leave `self` describing `prev`. A lane without a leaf tier
-    /// keeps this default.
+    /// `bytes` by re-decoding only the leaves that changed, each landed
+    /// through `paths`, the operation's; returns `(reparsed, skipped)`.
+    /// `None` asks for a full decode. An `Err` must leave `self`
+    /// describing `prev`. A lane without a leaf tier keeps this default.
     fn patch(
         &mut self,
         _prev: &[u8],
         _bytes: &[u8],
         _op: &OpDesc,
+        _paths: &LeafPaths,
     ) -> Result<Option<(usize, usize)>, DeserError> {
         Ok(None)
     }
@@ -136,6 +138,8 @@ pub trait Reference: Sized {
 #[derive(Debug)]
 pub struct DiffShell<R> {
     op: OpDesc,
+    /// Where each leaf of `op` lives and what it holds.
+    paths: LeafPaths,
     /// The last message that decoded, and what the lane kept of it. A
     /// message that fails to decode never replaces it.
     prev: Option<(Vec<u8>, R)>,
@@ -150,6 +154,7 @@ impl<R: Reference> DiffShell<R> {
     /// Deserializer expecting messages for `op`.
     pub fn new(op: OpDesc) -> Self {
         DiffShell {
+            paths: LeafPaths::of(&op),
             op,
             prev: None,
             stats: DeserStats::default(),
@@ -161,13 +166,14 @@ impl<R: Reference> DiffShell<R> {
         self.stats
     }
 
-    /// Heap bytes retained for the next message: the reference buffer's
-    /// capacity, slack included, and the lane's map of it — not yet the
-    /// decoded values, which a store of references has to budget.
+    /// Heap bytes the reference holds: the kept buffer's capacity, slack
+    /// included, the lane's map of it and the decoded values — what a store
+    /// of references has to budget.
     pub fn retained_bytes(&self) -> usize {
-        self.prev
-            .as_ref()
-            .map_or(0, |(kept, r)| kept.capacity() + r.map_bytes())
+        let held = |(kept, r): &(Vec<u8>, R)| {
+            kept.capacity() + r.map_bytes() + size_of_val(r.args()) + value_bytes(r.args())
+        };
+        self.prev.as_ref().map_or(0, held)
     }
 
     /// Deserialize `bytes`, taking the cheapest sound path. Returns the
@@ -204,7 +210,8 @@ impl<R: Reference> DiffShell<R> {
             if prev.as_slice() == bytes {
                 return Ok(DiffOutcome::Identical);
             }
-            if let Some((reparsed, skipped)) = reference.patch(prev, bytes, &self.op)? {
+            let patched = reference.patch(prev, bytes, &self.op, &self.paths)?;
+            if let Some((reparsed, skipped)) = patched {
                 return Ok(DiffOutcome::Differential { reparsed, skipped });
             }
         }
@@ -253,9 +260,9 @@ impl Reference for MappedMessage {
     }
 
     fn map_bytes(&self) -> usize {
-        self.regions.capacity() * size_of::<Region>()
+        self.spans.capacity() * size_of::<Span>()
             + self.arrays.capacity() * size_of::<ArrayRegion>()
-            + self.ends.capacity() * size_of::<usize>()
+            + self.params.capacity() * size_of::<u32>()
     }
 
     fn patch(
@@ -263,14 +270,20 @@ impl Reference for MappedMessage {
         prev: &[u8],
         bytes: &[u8],
         op: &OpDesc,
+        paths: &LeafPaths,
     ) -> Result<Option<(usize, usize)>, DeserError> {
-        let Some(mut staged) = Walk::new(self, prev, bytes, op, STAGED.take()).run()? else {
+        // The map of a message it cannot address is a full parse's to make.
+        if Span::new(0, bytes.len()).is_none() {
+            return Ok(None);
+        }
+        let walk = Walk::new(self, paths, prev, bytes, op, STAGED.take());
+        let Some(mut staged) = walk.run()? else {
             return Ok(None);
         };
         // Committing cannot fail while the map describes `prev`; were it
         // ever to, the full parse rebuilds the whole reference, and the
         // half-drained lists are dropped.
-        let counts = self.commit(&mut staged);
+        let counts = self.commit(&mut staged, paths);
         if counts.is_some() {
             STAGED.set(staged);
         }
@@ -289,9 +302,8 @@ thread_local! {
 /// walked so that a refusal or an error leaves the reference untouched.
 #[derive(Default)]
 struct Staged {
-    /// `(region, new width, value)` of every region whose bytes changed, in
-    /// document order: 32 bytes each. A length region has no value.
-    rewrites: Vec<(u32, u32, Option<Scalar>)>,
+    /// Every region whose bytes changed, in document order.
+    rewrites: Vec<Rewrite>,
     /// `(array, length)` wherever the new message declares another length.
     declared: Vec<(usize, usize)>,
     /// Arrays that ended early or ran long, in document order.
@@ -300,14 +312,21 @@ struct Staged {
     skipped: usize,
 }
 
+/// One region re-read: its index, new width and, for a leaf, its value
+/// and where that lands.
+type Rewrite = (u32, u32, Option<(LeafSlot, Scalar)>);
+
 /// One array's new tail.
 struct Resize {
     array: usize,
-    /// Old elements kept.
+    /// Old elements kept, and the old regions of the ones dropped.
     keep: usize,
-    /// Appended elements and their leaves' regions.
+    gone: Range<usize>,
+    /// Appended elements and their leaves' spans in the new message.
     elements: Vec<Value>,
-    regions: Vec<Region>,
+    spans: Vec<Span>,
+    /// The walk's `new - old` past the array: how far later regions move.
+    shift: isize,
 }
 
 impl Staged {
@@ -338,6 +357,7 @@ impl Staged {
 /// it cannot prove. Both cursors only move forward.
 struct Walk<'a> {
     map: &'a MappedMessage,
+    paths: &'a LeafPaths,
     prev: &'a [u8],
     bytes: &'a [u8],
     op: &'a OpDesc,
@@ -350,6 +370,7 @@ impl<'a> Walk<'a> {
     /// A walk staging into `staged`, which is empty.
     fn new(
         map: &'a MappedMessage,
+        paths: &'a LeafPaths,
         prev: &'a [u8],
         bytes: &'a [u8],
         op: &'a OpDesc,
@@ -357,6 +378,7 @@ impl<'a> Walk<'a> {
     ) -> Self {
         Walk {
             map,
+            paths,
             prev,
             bytes,
             op,
@@ -369,8 +391,8 @@ impl<'a> Walk<'a> {
     /// Skeleton bytes before region `i`; past the last region, the rest of
     /// the old message.
     fn skeleton(&self, i: usize) -> usize {
-        match self.map.regions.get(i) {
-            Some(region) => region.skeleton,
+        match self.map.spans.get(i) {
+            Some(span) => span.start() - i.checked_sub(1).map_or(0, |k| self.map.spans[k].end()),
             None => self.prev.len().saturating_sub(self.old),
         }
     }
@@ -392,7 +414,7 @@ impl<'a> Walk<'a> {
     }
 
     fn run(mut self) -> Result<Option<Staged>, DeserError> {
-        let regions = &self.map.regions;
+        let spans = &self.map.spans;
         let mut i = 0;
         loop {
             // Up to the first differing byte nothing changed: jump over
@@ -402,10 +424,9 @@ impl<'a> Walk<'a> {
                 return Ok(None);
             };
             let mut agree = common_prefix(old_rest, &self.bytes[self.new..]);
-            let ends = &self.map.ends;
-            let j = reaching(ends, i, self.old + agree);
+            let j = reaching(spans, i, self.old + agree);
             if j > i {
-                let stepped = ends[j - 1] - self.old;
+                let stepped = spans[j - 1].end() - self.old;
                 agree -= stepped;
                 self.old += stepped;
                 self.new += stepped;
@@ -431,28 +452,29 @@ impl<'a> Walk<'a> {
             }
             self.old += skeleton;
             self.new += skeleton;
-            let Some(region) = regions.get(i) else {
+            let Some(span) = spans.get(i) else {
                 break;
             };
-            if resized && self.same(region.width + 1) {
-                self.old += region.width;
-                self.new += region.width;
-                self.staged.skipped += usize::from(matches!(region.kind, RegionKind::Leaf { .. }));
+            let width = span.end() - span.start();
+            if resized && self.same(width + 1) {
+                self.old += width;
+                self.new += width;
+                self.staged.skipped += self.map.leaves_between(i, i + 1);
                 i += 1;
                 continue;
             }
 
-            let Some(old) = self.prev.get(self.old..self.old + region.width) else {
+            let Some(old) = self.prev.get(self.old..self.old + width) else {
                 return Ok(None);
             };
             let rest = &self.bytes[self.new..];
-            let (width, scalar) = match region.kind {
-                RegionKind::Leaf { kind, .. } => {
+            let (new_width, scalar) = match self.map.kind(i, self.paths) {
+                RegionKind::Leaf { slot, kind } => {
                     let Some((text, width)) = leaf_span(old, rest) else {
                         return Ok(None);
                     };
                     let scalar = parse_scalar(&rest[..text], kind, "leaf region")?;
-                    (width, Some(scalar))
+                    (width, Some((slot, scalar)))
                 }
                 RegionKind::ArrayLen(array) => match rescan_len(old, rest) {
                     Some((width, declared)) => {
@@ -462,13 +484,13 @@ impl<'a> Walk<'a> {
                     None => return Ok(None),
                 },
             };
-            let (Ok(at), Ok(new_width)) = (i.try_into(), width.try_into()) else {
+            let (Ok(at), Ok(to)) = (i.try_into(), new_width.try_into()) else {
                 return Ok(None);
             };
-            self.staged.rewrites.push((at, new_width, scalar));
+            self.staged.rewrites.push((at, to, scalar));
             self.staged.reparsed += 1;
-            self.old += region.width;
-            self.new += width;
+            self.old += width;
+            self.new += new_width;
             i += 1;
         }
         let walked = self.new == self.bytes.len() && self.staged.lengths_agree(&self.map.arrays);
@@ -481,13 +503,14 @@ impl<'a> Walk<'a> {
     /// skeleton, whose length is returned. `None` if neither can be shown.
     fn resize(&mut self, array: usize, i: &mut usize) -> Result<Option<usize>, DeserError> {
         let a = &self.map.arrays[array];
+        let spans = &self.map.spans;
         let lpe = a.leaves_per_elem;
         let leaves = a.leaves();
         if leaves.contains(i) && (*i - leaves.start).is_multiple_of(lpe) {
             // Early close before the element that starts at region `i`:
             // drop the surplus and let the offset absorb the removed span.
             let keep = (*i - leaves.start) / lpe;
-            self.old = self.map.ends[leaves.end - 1];
+            self.old = spans[leaves.end - 1].end();
             *i = leaves.end;
             // With no element left, none is closed before the array is.
             let cut = if keep == 0 { a.elem_close } else { 0 };
@@ -496,8 +519,10 @@ impl<'a> Walk<'a> {
             self.staged.resizes.push(Resize {
                 array,
                 keep,
+                gone: leaves.start + keep * lpe..leaves.end,
                 elements: Vec::new(),
-                regions: Vec::new(),
+                spans: Vec::new(),
+                shift: self.new as isize - self.old as isize,
             });
             return Ok(closing);
         }
@@ -509,8 +534,8 @@ impl<'a> Walk<'a> {
         // skeleton byte for byte. `last` is where that element's leaves
         // sit in `prev`; its open tags follow the previous element's close,
         // unless it is the only one.
-        let last = &self.map.regions[leaves.end - lpe..leaves.end];
-        let at = self.map.ends[leaves.end - lpe - 1];
+        let last = spans[leaves.end - lpe..leaves.end].iter().copied();
+        let at = spans[leaves.end - lpe - 1].end();
         let prev = self.prev;
         let Some(close) = prev.get(self.old..self.old + a.elem_close) else {
             return Ok(None);
@@ -519,6 +544,7 @@ impl<'a> Walk<'a> {
         if prev.get(at..at + skip) != Some(&close[..skip]) {
             return Ok(None);
         }
+        let last = last.zip(self.paths.kinds(a.param));
         let Some(skeleton) = ElementSkeleton::learn(prev, (at, skip), last, close) else {
             return Ok(None);
         };
@@ -530,32 +556,33 @@ impl<'a> Walk<'a> {
         let mut resize = Resize {
             array,
             keep: a.elems,
+            gone: leaves.end..leaves.end,
             elements: Vec::new(),
-            regions: Vec::new(),
+            spans: Vec::new(),
+            shift: 0,
         };
         let mut values = Vec::with_capacity(lpe);
         loop {
             // Each element opens after the one before it closes.
-            let (element_at, first) = (self.new, resize.regions.len());
-            let shift = (lpe * (resize.elements.len() + 1)) as u32;
+            let (element_at, first) = (self.new, resize.spans.len());
             let read = if self.take(close) {
-                skeleton.read(&self.bytes[self.new..], |mut region, text| {
-                    if let RegionKind::Leaf { slot, kind } = &mut region.kind {
-                        values.push(parse_scalar(text, *kind, "leaf region")?.into());
-                        slot.leaf += shift;
-                    }
-                    resize.regions.push(region);
+                let at = self.new;
+                skeleton.read(&self.bytes[at..], |range, kind, text| {
+                    values.push(parse_scalar(text, kind, "leaf region")?.into());
+                    let span = Span::new(at + range.start, at + range.end);
+                    resize
+                        .spans
+                        .push(span.expect("`patch` maps only what `u32` addresses"));
                     Ok(())
                 })?
             } else {
                 None
             };
             let Some(len) = read else {
-                resize.regions.truncate(first);
+                resize.spans.truncate(first);
                 self.new = element_at;
                 break;
             };
-            resize.regions[first].skeleton += close.len();
             self.new += len;
             let Some(element) = value_from_leaves(item, &mut values.drain(..)) else {
                 return Ok(None);
@@ -566,6 +593,7 @@ impl<'a> Walk<'a> {
         if resize.elements.is_empty() {
             return Ok(None);
         }
+        resize.shift = self.new as isize - self.old as isize;
         self.staged.resizes.push(resize);
         Ok(Some(self.skeleton(*i)))
     }
@@ -573,43 +601,47 @@ impl<'a> Walk<'a> {
 
 impl MappedMessage {
     /// Land a finished walk: the map and the values move on to the new
-    /// message together, each leaf through the operation's `LeafPaths`.
-    /// The end offsets move from the first region whose width changed or
-    /// the first resize on; a walk that kept every width moves none.
-    /// Returns its `(reparsed, skipped)`; `staged` is left empty, with its
-    /// room, for the next walk. `None` if a value has no place of its kind.
-    fn commit(&mut self, staged: &mut Staged) -> Option<(usize, usize)> {
+    /// message together, each leaf through the operation's `paths`. A
+    /// region moves by the running offset the walk had when it passed it:
+    /// a walk that kept every width moves none. Returns its `(reparsed,
+    /// skipped)`; `staged` is left empty, with its room, for the next walk.
+    /// `None` if a value has no place of its kind.
+    fn commit(&mut self, staged: &mut Staged, paths: &LeafPaths) -> Option<(usize, usize)> {
         staged.declared.clear();
-        let (mut moved, unmoved) = (self.regions.len(), self.regions.len());
+        let mut resizes = staged.resizes.iter().map(|r| (&r.gone, r.shift)).peekable();
+        // Regions before `placed` lie where the new message has them; the
+        // ones after move by `shift`.
+        let (mut placed, mut shift) = (0, 0);
         for (at, width, scalar) in staged.rewrites.drain(..) {
-            let region = &mut self.regions[at as usize];
-            // Document order: past the first change, no branch on data.
-            if moved == unmoved && region.width != width as usize {
-                moved = at as usize;
+            let i = at as usize;
+            while let Some((gone, after)) = resizes.next_if(|(gone, _)| gone.start <= i) {
+                move_spans(&mut self.spans[placed..gone.start], shift);
+                (placed, shift) = (gone.end, after);
             }
-            region.width = width as usize;
-            if let (RegionKind::Leaf { slot, .. }, Some(scalar)) = (region.kind, scalar) {
-                let place = self.paths.leaf_mut(&mut self.args, slot)?;
+            move_spans(&mut self.spans[placed..=i], shift);
+            let span = &mut self.spans[i];
+            shift += width as isize - (span.end - span.start) as isize;
+            span.end = span.start + width;
+            placed = i + 1;
+            if let Some((slot, scalar)) = scalar {
+                let place = paths.leaf_mut(&mut self.args, slot)?;
                 if !place.store(scalar, true) {
                     return None;
                 }
             }
         }
+        for (gone, after) in resizes {
+            move_spans(&mut self.spans[placed..gone.start], shift);
+            (placed, shift) = (gone.end, after);
+        }
+        move_spans(&mut self.spans[placed..], shift);
         // Last array first, so the region indices of earlier ones hold.
         for resize in staged.resizes.drain(..).rev() {
             let a = self.arrays[resize.array];
-            let old = a.leaves();
-            let kept = old.start + resize.keep * a.leaves_per_elem;
-            if resize.keep == 0 {
-                // The closing skeleton no longer starts with an element's
-                // close.
-                if let Some(next) = self.regions.get_mut(old.end) {
-                    next.skeleton -= a.elem_close;
-                }
-            }
             let elems = resize.keep + resize.elements.len();
-            let added = resize.regions.len();
-            self.regions.splice(kept..old.end, resize.regions);
+            let (added, removed) = (resize.spans.len(), resize.gone.len());
+            let moved = |at: usize| at + added - removed;
+            self.spans.splice(resize.gone, resize.spans);
             resize_array(
                 &mut self.args[a.param as usize],
                 resize.keep,
@@ -618,30 +650,37 @@ impl MappedMessage {
             .ok()?;
             self.arrays[resize.array].elems = elems;
             for later in &mut self.arrays[resize.array + 1..] {
-                later.len_at = later.len_at + added - (old.end - kept);
+                later.len_at = moved(later.len_at);
             }
-            moved = moved.min(kept);
+            for first in &mut self.params[a.param as usize + 1..] {
+                *first = moved(*first as usize) as u32;
+            }
         }
-        self.ends.truncate(moved);
-        let start = self.ends.last().copied().unwrap_or(0);
-        self.ends.extend(ends_of(&self.regions[moved..], start));
-        let sums = ends_of(&self.regions, 0);
-        debug_assert!(sums.eq(self.ends.iter().copied()), "ends left the map");
+        debug_assert!(self.spans.windows(2).all(|w| w[0].end <= w[1].start));
         Some((take(&mut staged.reparsed), take(&mut staged.skipped)))
     }
 }
 
-/// The first index at or after `from` whose end offset reaches `target`,
-/// `ends` ascending: four linear probes — where changes are dense the next
-/// is a region or two on — then a gallop, so a stretch of unchanged
-/// regions costs the logarithm of its length.
-fn reaching(ends: &[usize], from: usize, target: usize) -> usize {
+/// Move `spans` by `shift` bytes.
+fn move_spans(spans: &mut [Span], shift: isize) {
+    let by = |at: u32| (at as isize + shift) as u32;
+    for span in spans.iter_mut().take_while(|_| shift != 0) {
+        (span.start, span.end) = (by(span.start), by(span.end));
+    }
+}
+
+/// The first index at or after `from` whose region ends at or past
+/// `target`, `spans` ascending: four linear probes — where changes are
+/// dense the next is a region or two on — then a gallop, so a stretch of
+/// unchanged regions costs the logarithm of its length.
+fn reaching(spans: &[Span], from: usize, target: usize) -> usize {
     let (mut lo, mut stride) = (from, 1);
-    while lo + stride <= ends.len() && ends[lo + stride - 1] < target {
+    while lo + stride <= spans.len() && spans[lo + stride - 1].end() < target {
         lo += stride;
         stride *= if lo - from < 4 { 1 } else { 2 };
     }
-    lo + ends[lo..ends.len().min(lo + stride)].partition_point(|&end| end < target)
+    let ahead = &spans[lo..spans.len().min(lo + stride)];
+    lo + ahead.partition_point(|span| span.end() < target)
 }
 
 /// The leaf region at the head of `rest`, `old` being its bytes in the
@@ -706,6 +745,24 @@ mod tests {
             "arr",
             TypeDesc::array_of(TypeDesc::Scalar(ScalarKind::Double)),
         )
+    }
+
+    /// The map a walk left behind is the one a full parse of the message
+    /// it kept records.
+    fn assert_mapped_afresh(d: &DiffDeserializer) {
+        type Parts = (Vec<Span>, Vec<(usize, usize, Option<usize>)>, Vec<u32>);
+        let (kept, map) = d.prev.as_ref().unwrap();
+        let fresh = parse_envelope_mapped(kept, &d.op).unwrap();
+        // An empty array's `elem_close` means nothing.
+        let array = |a: &ArrayRegion| (a.elems > 0).then_some(a.elem_close);
+        let arrays = |m: &MappedMessage| {
+            m.arrays
+                .iter()
+                .map(|a| (a.len_at, a.elems, array(a)))
+                .collect()
+        };
+        let parts = |m: &MappedMessage| -> Parts { (m.spans.clone(), arrays(m), m.params.clone()) };
+        assert_eq!(parts(map), parts(&fresh));
     }
 
     #[test]
@@ -877,6 +934,7 @@ mod tests {
             tpl.flush();
             let (got, o) = d.deserialize(&tpl.to_bytes()).unwrap();
             assert_eq!(got, &[args]);
+            assert_mapped_afresh(&d);
             o
         };
         let differential = |reparsed, skipped| DiffOutcome::Differential { reparsed, skipped };
@@ -906,6 +964,7 @@ mod tests {
             tpl.flush();
             let (got, o) = d.deserialize(&tpl.to_bytes()).unwrap();
             assert_eq!(got, &args);
+            assert_mapped_afresh(&d);
             o
         };
         let differential = |reparsed, skipped| DiffOutcome::Differential { reparsed, skipped };
@@ -966,12 +1025,88 @@ mod tests {
     }
 
     #[test]
+    fn a_region_past_u32_offsets_is_not_mapped_and_the_next_message_parses_in_full() {
+        // A region ending past `u32::MAX` has no span: a message that long
+        // keeps no map (`Parser::new` asks for the span of the whole
+        // input), and a walk towards one is refused up front.
+        let past = u32::MAX as usize + 1;
+        let last = Span {
+            start: 7,
+            end: u32::MAX,
+        };
+        assert_eq!(Span::new(7, past - 1), Some(last));
+        assert_eq!(Span::new(7, past), None);
+        assert_eq!(Span::new(past, past + 1), None);
+
+        // A reference without a map walks nothing: the next change is a
+        // full parse, which maps its message again.
+        let op = doubles_op();
+        let config = EngineConfig::paper_default();
+        let mut tpl =
+            MessageTemplate::build(config, &op, &[Value::DoubleArray(vec![1.5, 2.5])]).unwrap();
+        let mut d = DiffDeserializer::new(op);
+        d.deserialize(&tpl.to_bytes()).unwrap();
+        let (_, map) = d.prev.as_mut().unwrap();
+        (map.spans, map.arrays, map.params) = Default::default();
+        let mut send = |xs: Vec<f64>| {
+            let args = [Value::DoubleArray(xs)];
+            tpl.update_args(&args).unwrap();
+            tpl.flush();
+            let (got, o) = d.deserialize(&tpl.to_bytes()).unwrap();
+            assert_eq!(got, &args);
+            o
+        };
+        assert_eq!(send(vec![9.5, 2.5]), DiffOutcome::FullParse);
+        let differential = DiffOutcome::Differential {
+            reparsed: 1,
+            skipped: 1,
+        };
+        assert_eq!(send(vec![9.5, 7.5]), differential);
+    }
+
+    #[test]
+    fn a_region_costs_at_most_ten_bytes_of_map() {
+        // `cold_mix`'s shape: a label and an array of MIO cells.
+        let param = |name: &str, desc| bsoap_core::ParamDesc {
+            name: name.into(),
+            desc,
+        };
+        let op = OpDesc::new(
+            "put",
+            "urn:x",
+            vec![
+                param("label", TypeDesc::Scalar(ScalarKind::Str)),
+                param("cells", TypeDesc::array_of(TypeDesc::mio())),
+            ],
+        );
+        let cells = (0..200).map(|i| mio(i, -i, f64::from(i) / 8.0)).collect();
+        let args = [Value::Str("a & b".into()), Value::Array(cells)];
+        let bytes = MessageTemplate::build(EngineConfig::paper_default(), &op, &args)
+            .unwrap()
+            .to_bytes();
+        let mut d = DiffDeserializer::new(op);
+        d.deserialize(&bytes).unwrap();
+        let (_, map) = d.prev.as_ref().unwrap();
+        let regions = map.spans.len();
+        assert_eq!(regions, 1 + 1 + 3 * 200, "label, length, cells");
+        let bytes = map.map_bytes();
+        assert!(
+            bytes <= 10 * regions,
+            "{bytes} map bytes for {regions} regions"
+        );
+    }
+
+    #[test]
     fn reaching_finds_the_first_end_at_or_past_the_target() {
         let ends: Vec<usize> = (1..=40).map(|k| 3 * k + k % 4).collect();
+        let spans: Vec<Span> = ends
+            .iter()
+            .map(|&end| Span::new(end - 2, end).unwrap())
+            .collect();
         for from in 0..=ends.len() {
             for target in 0..=ends[ends.len() - 1] + 2 {
                 let expected = from + ends[from..].partition_point(|&e| e < target);
-                assert_eq!(reaching(&ends, from, target), expected, "{from} {target}");
+                assert_eq!(reaching(&spans, from, target), expected, "{from} {target}");
             }
         }
     }

@@ -6,9 +6,10 @@
 //! rewrites between two messages of one shape — which is the structure the
 //! differential deserializer (§6) walks.
 //!
-//! The map is relative: each [`Region`] stores the length of the skeleton
-//! before it and its own width, so a region that widens moves nothing in
-//! the map behind it. Two kinds of region exist:
+//! The map holds each region's start and end offset as two `u32`s, 8 bytes
+//! a region (a message of 4 GiB or more is not mapped). What a region
+//! holds follows from its index, the array table, each parameter's first
+//! leaf and the operation's [`LeafPaths`]. Two kinds of region exist:
 //!
 //! * a **leaf region** runs from the end of a scalar's open tag to the
 //!   first `<` of whatever follows its close tag: `text</name>pad`. A close
@@ -37,7 +38,7 @@ pub struct LeafSlot {
     pub leaf: u32,
 }
 
-/// What a [`Region`] holds.
+/// What a region holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RegionKind {
     /// `text</name>pad` of a scalar leaf.
@@ -52,17 +53,28 @@ pub enum RegionKind {
     ArrayLen(usize),
 }
 
-/// One rewritable span of a parsed message, located by widths: it starts
-/// `skeleton` bytes after the previous region ends.
+/// Where one region lies in its message, as `u32` offsets: a message they
+/// cannot address is not mapped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Region {
-    /// Skeleton bytes between the previous region (or the message start)
-    /// and this one.
-    pub skeleton: usize,
-    /// Bytes of the region itself.
-    pub width: usize,
-    /// What the bytes are.
-    pub kind: RegionKind,
+pub(crate) struct Span {
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+}
+
+impl Span {
+    /// `start..end`; `None` past `u32::MAX`.
+    pub(crate) fn new(start: usize, end: usize) -> Option<Span> {
+        let (start, end) = (start.try_into().ok()?, end.try_into().ok()?);
+        Some(Span { start, end })
+    }
+
+    pub(crate) fn start(self) -> usize {
+        self.start as usize
+    }
+
+    pub(crate) fn end(self) -> usize {
+        self.end as usize
+    }
 }
 
 /// One array whose length the map can follow: its open tag ends in the
@@ -92,20 +104,16 @@ impl ArrayRegion {
 }
 
 /// A fully parsed message plus its region map. The map describes exactly
-/// the bytes it was built from: skeleton lengths and region widths sum to
-/// the message length less its closing skeleton.
+/// the bytes it was built from.
 #[derive(Clone, Debug)]
 pub struct MappedMessage {
     pub(crate) args: Vec<Value>,
     /// Regions in document order, parsed to fit: a reference keeps them.
-    pub(crate) regions: Vec<Region>,
-    /// Where each region ends in the message (the prefix sums of skeletons
-    /// and widths): the walk finds the region a byte lies in by a search.
-    pub(crate) ends: Vec<usize>,
+    pub(crate) spans: Vec<Span>,
     /// Resizable arrays in document order.
     pub(crate) arrays: Vec<ArrayRegion>,
-    /// Where each leaf's value lives in `args`.
-    pub(crate) paths: LeafPaths,
+    /// Per parameter, the index of its first leaf region.
+    pub(crate) params: Vec<u32>,
 }
 
 impl MappedMessage {
@@ -114,10 +122,31 @@ impl MappedMessage {
         &self.args
     }
 
-    /// Every region with its absolute byte range, in document order.
-    pub fn ranges(&self) -> impl Iterator<Item = (Range<usize>, RegionKind)> + '_ {
-        let ranges = self.regions.iter().zip(&self.ends);
-        ranges.map(|(r, &end)| (end - r.width..end, r.kind))
+    /// Every region with its absolute byte range, in document order;
+    /// `paths` are the operation's.
+    pub fn ranges<'a>(
+        &'a self,
+        paths: &'a LeafPaths,
+    ) -> impl Iterator<Item = (Range<usize>, RegionKind)> + 'a {
+        let spans = self.spans.iter().enumerate();
+        spans.map(|(i, s)| (s.start()..s.end(), self.kind(i, paths)))
+    }
+
+    /// What region `i` holds: an array's length field, or a leaf of the
+    /// last parameter whose leaves start at or before it.
+    pub(crate) fn kind(&self, i: usize, paths: &LeafPaths) -> RegionKind {
+        // Few parameters and fewer arrays: scans beat searches.
+        if let Some(array) = self.arrays.iter().position(|a| a.len_at == i) {
+            return RegionKind::ArrayLen(array);
+        }
+        let param = self.params.iter().rposition(|&first| first as usize <= i);
+        let param = param.expect("a leaf region lies in a parameter");
+        let slot = LeafSlot {
+            param: param as u32,
+            leaf: (i - self.params[param] as usize) as u32,
+        };
+        let kind = paths.kind(slot);
+        RegionKind::Leaf { slot, kind }
     }
 
     /// Leaf regions among `from..to`: all but the arrays' length regions.
@@ -125,14 +154,6 @@ impl MappedMessage {
         let lengths = |i: usize| self.arrays.partition_point(|a| a.len_at < i);
         (to - from) - (lengths(to) - lengths(from))
     }
-}
-
-/// Where each of `regions` ends, the first starting at `at`.
-pub(crate) fn ends_of(regions: &[Region], mut at: usize) -> impl Iterator<Item = usize> + '_ {
-    regions.iter().map(move |r| {
-        at += r.skeleton + r.width;
-        at
-    })
 }
 
 /// One array element as the oracle accepted it: each leaf's open tags
@@ -147,8 +168,8 @@ pub(crate) struct ElementSkeleton {
     /// closes the element after its last leaf's pad.
     tags: Vec<u8>,
     /// Per leaf: where its open tags and its close tag end in `tags`, and
-    /// what it is.
-    leaves: Vec<(usize, usize, RegionKind)>,
+    /// its kind.
+    leaves: Vec<(usize, usize, ScalarKind)>,
 }
 
 impl ElementSkeleton {
@@ -159,17 +180,16 @@ impl ElementSkeleton {
     pub(crate) fn learn(
         bytes: &[u8],
         (mut at, mut skip): (usize, usize),
-        leaves: &[Region],
+        leaves: impl IntoIterator<Item = (Span, ScalarKind)>,
         trailing: &[u8],
     ) -> Option<Self> {
         let (mut tags, mut learned) = (Vec::new(), Vec::new());
-        for region in leaves {
-            let leaf = at + region.skeleton;
-            tags.extend_from_slice(bytes.get(at + skip..leaf)?);
+        for (span, kind) in leaves {
+            tags.extend_from_slice(bytes.get(at + skip..span.start())?);
             let open_end = tags.len();
-            tags.extend_from_slice(close_tag(bytes.get(leaf..leaf + region.width)?, 0)?);
-            learned.push((open_end, tags.len(), region.kind));
-            (at, skip) = (leaf + region.width, 0);
+            tags.extend_from_slice(close_tag(bytes.get(span.start()..span.end())?, 0)?);
+            learned.push((open_end, tags.len(), kind));
+            (at, skip) = (span.end(), 0);
         }
         tags.extend_from_slice(trailing);
         Some(ElementSkeleton {
@@ -184,13 +204,13 @@ impl ElementSkeleton {
     }
 
     /// Read one element's leaves at the head of `rest`, handing each one's
-    /// region and raw text to `leaf`, which parses it. Returns the bytes
-    /// read, through the last leaf's pad; `None` at the first byte that
-    /// differs from the skeleton or lies past `rest`.
+    /// region in `rest`, kind and raw text to `leaf`, which parses it.
+    /// Returns the bytes read, through the last leaf's pad; `None` at the
+    /// first byte that differs from the skeleton or lies past `rest`.
     pub(crate) fn read<'r>(
         &self,
         rest: &'r [u8],
-        mut leaf: impl FnMut(Region, &'r [u8]) -> Result<(), DeserError>,
+        mut leaf: impl FnMut(Range<usize>, ScalarKind, &'r [u8]) -> Result<(), DeserError>,
     ) -> Result<Option<usize>, DeserError> {
         let (mut at, mut from) = (0, 0);
         for &(open_end, close_end, kind) in &self.leaves {
@@ -203,14 +223,9 @@ impl ElementSkeleton {
             let Some((text, width)) = read else {
                 return Ok(None);
             };
-            let skeleton = open.len();
-            let region = Region {
-                skeleton,
-                width,
-                kind,
-            };
-            leaf(region, text)?;
-            at += skeleton + width;
+            let start = at + open.len();
+            leaf(start..start + width, kind, text)?;
+            at = start + width;
         }
         Ok(Some(at))
     }
@@ -282,9 +297,12 @@ impl<'a> Cursor<'a> {
 /// item unit as they complete.
 pub(crate) struct Parser<'a> {
     cur: Cursor<'a>,
+    /// Whether to record the region map: asked for, and every offset of
+    /// the input fits a [`Span`].
     mapped: bool,
-    regions: Vec<Region>,
+    spans: Vec<Span>,
     arrays: Vec<ArrayRegion>,
+    params: Vec<u32>,
     /// Where the last recorded region ended.
     mapped_to: usize,
 }
@@ -307,17 +325,13 @@ fn parse_inner(bytes: &[u8], op: &OpDesc, mapped: bool) -> Result<MappedMessage,
     p.expect_end("SOAP-ENV:Body")?;
     p.expect_end("SOAP-ENV:Envelope")?;
     p.expect_eof()?;
-    p.regions.shrink_to_fit();
+    p.spans.shrink_to_fit();
+    p.arrays.shrink_to_fit();
     Ok(MappedMessage {
         args,
-        ends: ends_of(&p.regions, 0).collect(),
-        regions: p.regions,
+        spans: p.spans,
         arrays: p.arrays,
-        paths: if mapped {
-            LeafPaths::of(op)
-        } else {
-            LeafPaths::default()
-        },
+        params: p.params,
     })
 }
 
@@ -325,26 +339,23 @@ impl<'a> Parser<'a> {
     pub(crate) fn new(bytes: &'a [u8], mapped: bool) -> Self {
         Parser {
             cur: Cursor::new(bytes),
-            mapped,
-            regions: Vec::new(),
+            mapped: mapped && Span::new(0, bytes.len()).is_some(),
+            spans: Vec::new(),
             arrays: Vec::new(),
+            params: Vec::new(),
             mapped_to: 0,
         }
     }
 
     /// Record the region that starts at `start` and runs through `tail_end`
     /// and the whitespace after it, up to the next `<`.
-    fn record(&mut self, start: usize, tail_end: usize, kind: RegionKind) {
+    fn record(&mut self, start: usize, tail_end: usize) {
         let input = self.cur.input();
         let mut end = tail_end.min(input.len());
         while end < input.len() && input[end] != b'<' && input[end].is_ascii_whitespace() {
             end += 1;
         }
-        self.regions.push(Region {
-            skeleton: start - self.mapped_to,
-            width: end - start,
-            kind,
-        });
+        self.spans.extend(Span::new(start, end));
         self.mapped_to = end;
     }
 
@@ -405,30 +416,31 @@ impl<'a> Parser<'a> {
         match desc {
             TypeDesc::Array { item } => self.array(pidx, name, item),
             _ => {
-                let mut leaf_counter = 0u32;
-                self.plain(pidx, &mut leaf_counter, name, desc)
+                self.first_leaf();
+                self.plain(name, desc)
             }
         }
     }
 
+    /// The parameter about to be read has its first leaf region next.
+    fn first_leaf(&mut self) {
+        if self.mapped {
+            self.params.push(self.spans.len() as u32);
+        }
+    }
+
     /// Parse a scalar or struct element named `name`.
-    pub(crate) fn plain(
-        &mut self,
-        pidx: u32,
-        leaf_counter: &mut u32,
-        name: &str,
-        desc: &TypeDesc,
-    ) -> Result<Value, DeserError> {
+    pub(crate) fn plain(&mut self, name: &str, desc: &TypeDesc) -> Result<Value, DeserError> {
         match desc {
             TypeDesc::Scalar(kind) => {
                 let tag = self.expect_start(name)?;
-                self.scalar_body(pidx, leaf_counter, name, *kind, tag.tag_end)
+                self.scalar_body(name, *kind, tag.tag_end)
             }
             TypeDesc::Struct { fields, .. } => {
                 self.expect_start(name)?;
                 let mut vals = Vec::with_capacity(fields.len());
                 for (fname, fdesc) in fields {
-                    vals.push(self.plain(pidx, leaf_counter, fname, fdesc)?);
+                    vals.push(self.plain(fname, fdesc)?);
                 }
                 self.expect_end(name)?;
                 Ok(Value::Struct(vals))
@@ -441,8 +453,6 @@ impl<'a> Parser<'a> {
     /// been consumed; records the leaf region in mapped mode.
     fn scalar_body(
         &mut self,
-        pidx: u32,
-        leaf_counter: &mut u32,
         name: &str,
         kind: ScalarKind,
         open_end: usize,
@@ -473,13 +483,8 @@ impl<'a> Parser<'a> {
         let raw = &self.cur.input()[text_range.clone()];
         let value = parse_scalar(raw, kind, name)?.into();
         if self.mapped {
-            let slot = LeafSlot {
-                param: pidx,
-                leaf: *leaf_counter,
-            };
-            self.record(open_end, close_end, RegionKind::Leaf { slot, kind });
+            self.record(open_end, close_end);
         }
-        *leaf_counter += 1;
         Ok(value)
     }
 
@@ -496,18 +501,17 @@ impl<'a> Parser<'a> {
         let array =
             (self.mapped && len_text.end + 3 == tag.tag_end && leaves_per_elem > 0).then(|| {
                 let array = self.arrays.len();
-                self.record(len_text.start, tag.tag_end, RegionKind::ArrayLen(array));
+                self.record(len_text.start, tag.tag_end);
                 self.arrays.push(ArrayRegion {
                     param: pidx,
-                    len_at: self.regions.len() - 1,
+                    len_at: self.spans.len() - 1,
                     leaves_per_elem,
                     elems: declared,
                     elem_close: 0,
                 });
                 array
             });
-
-        let mut leaf_counter = 0u32;
+        self.first_leaf();
         // Reserve for what the message can carry, not what it claims: no
         // element is shorter than `<item/>`.
         let mut out = ArrayAccum::new(item, declared.min(self.cur.input().len() / 7));
@@ -522,19 +526,12 @@ impl<'a> Parser<'a> {
                     }
                     match item {
                         TypeDesc::Scalar(kind) => {
-                            let v = self.scalar_body(
-                                pidx,
-                                &mut leaf_counter,
-                                "item",
-                                *kind,
-                                range.end,
-                            )?;
-                            out.push(v)?;
+                            out.push(self.scalar_body("item", *kind, range.end)?)?;
                         }
                         TypeDesc::Struct { fields, .. } => {
                             let mut vals = Vec::with_capacity(fields.len());
                             for (fname, fdesc) in fields {
-                                vals.push(self.plain(pidx, &mut leaf_counter, fname, fdesc)?);
+                                vals.push(self.plain(fname, fdesc)?);
                             }
                             self.expect_end("item")?;
                             out.push(Value::Struct(vals))?;
@@ -574,10 +571,12 @@ impl<'a> Parser<'a> {
     }
 
     /// The skeleton of the one element a mapped parser has read from the
-    /// start of its input.
-    pub(crate) fn element_skeleton(&self) -> Option<ElementSkeleton> {
+    /// start of its input, whose leaves are `item`'s.
+    pub(crate) fn element_skeleton(&self, item: &TypeDesc) -> Option<ElementSkeleton> {
         let input = self.cur.input();
-        ElementSkeleton::learn(input, (0, 0), &self.regions, &input[self.mapped_to..])
+        let kinds = leaves(item).into_iter().map(|(kind, _)| kind);
+        let leaves = self.spans.iter().copied().zip(kinds);
+        ElementSkeleton::learn(input, (0, 0), leaves, &input[self.mapped_to..])
     }
 
     pub(crate) fn array_len_attr(&self, tag: &StartTag) -> Result<usize, DeserError> {
@@ -797,34 +796,49 @@ impl LeafMut<'_> {
     }
 }
 
-/// Where every leaf of an operation's arguments lives, worked out once per
-/// operation (DESIGN §3.16): slot `leaf` of a parameter whose instance —
-/// the value, or one array element — holds `per` leaves is leaf
-/// `leaf % per` of instance `leaf / per`, reached by its field path. Flat
-/// and nested structs take the one rule, and no leaf is searched for.
+/// Where every leaf of an operation's arguments lives and what it holds,
+/// worked out once per operation (DESIGN §3.16): slot `leaf` of a
+/// parameter whose instance — the value, or one array element — holds
+/// `per` leaves is leaf `leaf % per` of instance `leaf / per`, reached by
+/// its field path. Flat and nested structs take the one rule, and no leaf
+/// is searched for.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct LeafPaths {
-    /// Per parameter, per leaf of one instance: field indices, outermost
-    /// first.
-    params: Vec<Vec<Vec<u32>>>,
+pub struct LeafPaths {
+    /// Per parameter, per leaf of one instance: its kind and field
+    /// indices, outermost first.
+    params: Vec<Vec<(ScalarKind, Vec<u32>)>>,
+}
+
+/// Each leaf of one `desc`-shaped instance in document order: its kind and
+/// field path.
+pub(crate) fn leaves(desc: &TypeDesc) -> Vec<(ScalarKind, Vec<u32>)> {
+    let field = |(f, (_, desc)): (u32, &(String, TypeDesc))| {
+        let leaves = leaves(desc).into_iter();
+        leaves.map(move |(kind, path)| (kind, [vec![f], path].concat()))
+    };
+    match desc {
+        TypeDesc::Scalar(kind) => vec![(*kind, Vec::new())],
+        TypeDesc::Struct { fields, .. } => (0..).zip(fields).flat_map(field).collect(),
+        TypeDesc::Array { item } => leaves(item),
+    }
 }
 
 impl LeafPaths {
-    pub(crate) fn of(op: &OpDesc) -> Self {
-        fn paths(desc: &TypeDesc) -> Vec<Vec<u32>> {
-            let field = |(f, (_, desc)): (u32, &(String, TypeDesc))| {
-                paths(desc)
-                    .into_iter()
-                    .map(move |path| [vec![f], path].concat())
-            };
-            match desc {
-                TypeDesc::Scalar(_) => vec![Vec::new()],
-                TypeDesc::Struct { fields, .. } => (0..).zip(fields).flat_map(field).collect(),
-                TypeDesc::Array { item } => paths(item),
-            }
-        }
-        let params = op.params.iter().map(|p| paths(&p.desc)).collect();
+    /// The table of `op`'s parameters.
+    pub fn of(op: &OpDesc) -> Self {
+        let params = op.params.iter().map(|p| leaves(&p.desc)).collect();
         LeafPaths { params }
+    }
+
+    /// The kind of the leaf `slot` names, which lies in the operation.
+    pub(crate) fn kind(&self, slot: LeafSlot) -> ScalarKind {
+        let leaves = &self.params[slot.param as usize];
+        leaves[slot.leaf as usize % leaves.len()].0
+    }
+
+    /// The kinds of one instance's leaves of parameter `param`.
+    pub(crate) fn kinds(&self, param: u32) -> impl Iterator<Item = ScalarKind> + '_ {
+        self.params[param as usize].iter().map(|leaf| leaf.0)
     }
 
     /// The place `slot` names in `args`; `None` outside them.
@@ -841,7 +855,7 @@ impl LeafPaths {
             Value::Array(elems) => (elems.get_mut(n.checked_div(paths.len())?)?, n % paths.len()),
             plain => (plain, n),
         };
-        for &f in paths.get(leaf)? {
+        for &f in &paths.get(leaf)?.1 {
             let Value::Struct(fields) = place else {
                 return None;
             };
@@ -866,6 +880,21 @@ pub(crate) fn value_from_leaves(
             .map(Value::Struct),
         TypeDesc::Array { .. } => None,
     }
+}
+
+/// Heap bytes below `values`: every `Vec` and `String` they own, at its
+/// capacity.
+pub(crate) fn value_bytes(values: &[Value]) -> usize {
+    let value = |v: &Value| match v {
+        Value::Str(s) => s.capacity(),
+        Value::Struct(vs) | Value::Array(vs) => {
+            vs.capacity() * size_of::<Value>() + value_bytes(vs)
+        }
+        Value::DoubleArray(xs) => xs.capacity() * size_of::<f64>(),
+        Value::IntArray(xs) => xs.capacity() * size_of::<i32>(),
+        Value::Int(_) | Value::Long(_) | Value::Double(_) | Value::Bool(_) => 0,
+    };
+    values.iter().map(value).sum()
 }
 
 /// Cut the array `target` back to `keep` elements, then append `elements`.
@@ -1050,7 +1079,8 @@ mod tests {
         let mapped = parse_envelope_mapped(&bytes, &op).unwrap();
         assert_eq!(mapped.args, args);
         let text = |range: Range<usize>| std::str::from_utf8(&bytes[range]).unwrap();
-        let mut ranges = mapped.ranges();
+        let paths = LeafPaths::of(&op);
+        let mut ranges = mapped.ranges(&paths);
         // The array's length field comes first: `N]">` and its pad.
         let (range, kind) = ranges.next().unwrap();
         assert_eq!(kind, RegionKind::ArrayLen(0));
@@ -1070,7 +1100,7 @@ mod tests {
             };
             assert_eq!(kind, leaf);
         }
-        assert_eq!(mapped.regions.len(), 4);
+        assert_eq!(mapped.spans.len(), 4);
         assert_eq!(
             mapped.arrays,
             [ArrayRegion {
@@ -1094,7 +1124,7 @@ mod tests {
         let mapped = parse_envelope_mapped(bytes.as_bytes(), &op).unwrap();
         assert_eq!(mapped.args, [Value::DoubleArray(vec![1.5])]);
         assert!(mapped.arrays.is_empty());
-        assert_eq!(mapped.regions.len(), 1);
+        assert_eq!(mapped.spans.len(), 1);
     }
 
     #[test]
@@ -1103,10 +1133,11 @@ mod tests {
         let args = vec![Value::Array(vec![mio(1, 2, 3.5), mio(4, 5, 6.5)])];
         let bytes = build_bytes(&op, &args);
         let mapped = parse_envelope_mapped(&bytes, &op).unwrap();
-        assert_eq!(mapped.regions.len(), 7);
+        assert_eq!(mapped.spans.len(), 7);
         let slot = LeafSlot { param: 0, leaf: 5 };
         let kind = ScalarKind::Double;
-        assert_eq!(mapped.regions[6].kind, RegionKind::Leaf { slot, kind });
+        let paths = LeafPaths::of(&op);
+        assert_eq!(mapped.kind(6, &paths), RegionKind::Leaf { slot, kind });
         // Struct elements close with `</item>` before the array does.
         assert_eq!(mapped.arrays[0].elem_close, "</item>".len());
         assert_eq!(mapped.arrays[0].leaves(), 1..7);

@@ -52,7 +52,7 @@ pub mod stream;
 
 pub use binary::{parse_binary_envelope, BinaryDiffDeserializer};
 pub use diff::{DeserStats, DiffDeserializer, DiffOutcome, DiffShell, Reference};
-pub use envelope::{parse_envelope, parse_envelope_mapped, MappedMessage, Region, RegionKind};
+pub use envelope::{parse_envelope, parse_envelope_mapped, MappedMessage, RegionKind};
 pub use error::DeserError;
 pub use lane::{decode, LaneDeserializer};
 pub use stream::{StreamSummary, StreamingDeserializer};

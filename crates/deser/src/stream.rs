@@ -33,7 +33,7 @@
 //! Scope matches the overlay sender: operations with exactly one array
 //! parameter of scalar or flat-struct items.
 
-use crate::envelope::{parse_scalar, value_from_leaves, ElementSkeleton, Parser, RegionKind};
+use crate::envelope::{parse_scalar, value_from_leaves, ElementSkeleton, Parser};
 use crate::error::DeserError;
 use bsoap_core::{OpDesc, TypeDesc, Value};
 
@@ -246,10 +246,10 @@ impl StreamingDeserializer {
             return Ok(None);
         }
         let mut p = Parser::new(&unit[..len], self.seen == 0);
-        let value = p.plain(0, &mut 0, "item", &self.item_desc)?;
+        let value = p.plain("item", &self.item_desc)?;
         p.expect_eof()?;
         if self.seen == 0 {
-            self.skeleton = p.element_skeleton();
+            self.skeleton = p.element_skeleton(&self.item_desc);
         }
         Ok(Some((len, value)))
     }
@@ -267,7 +267,7 @@ impl StreamingDeserializer {
             // third more per element.
             &TypeDesc::Scalar(kind) => {
                 let mut text = None;
-                let read = skeleton.read(unit, |_, leaf| {
+                let read = skeleton.read(unit, |_, _, leaf| {
                     text = Some(leaf);
                     Ok(())
                 })?;
@@ -279,10 +279,8 @@ impl StreamingDeserializer {
             desc => {
                 let leaves = &mut self.leaves;
                 leaves.clear();
-                let read = skeleton.read(unit, |region, text| {
-                    if let RegionKind::Leaf { kind, .. } = region.kind {
-                        leaves.push(parse_scalar(text, kind, "item")?.into());
-                    }
+                let read = skeleton.read(unit, |_, kind, text| {
+                    leaves.push(parse_scalar(text, kind, "item")?.into());
                     Ok(())
                 })?;
                 let value = value_from_leaves(desc, &mut leaves.drain(..));

@@ -124,7 +124,7 @@ fn main() {
         100.0 * s.leaves_skipped as f64 / (s.leaves_reparsed + s.leaves_skipped).max(1) as f64
     );
     println!(
-        "        reference retained: {} bytes (message buffer + region map)",
+        "        reference retained: {} bytes (message, region map, values, leaf table)",
         deser.retained_bytes()
     );
 }

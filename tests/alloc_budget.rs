@@ -17,7 +17,13 @@
 //! run under the pinned `Exact2004` kernel, because a double conversion
 //! allocates nothing under either kernel — a test of its own counts that.
 //!
-//! The counter is the calling thread's own, and each test runs on one
+//! What the server keeps: the same counter also tracks live bytes, so a
+//! reference's `retained_bytes` is pinned to what the allocator holds for
+//! it, 32 `cold_mix`-shaped operations through a `Service` hold a bounded
+//! number of bytes per cell, and a built template holds its message and
+//! the chunk reserve, not a whole idle chunk.
+//!
+//! The counters are the calling thread's own, and each test runs on one
 //! thread: nothing else in this binary allocates on it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -28,6 +34,7 @@ mod corpus;
 
 use bsoap::convert::{FloatFormatter, ScalarKind};
 use bsoap::deser::{DiffDeserializer, DiffOutcome, LaneDeserializer, StreamingDeserializer};
+use bsoap::server::Service;
 use bsoap::{
     mio, EngineConfig, MessageTemplate, OpDesc, OverlaySender, ParamDesc, SendTier, StoreKey,
     TemplateKey, TemplateStore, TypeDesc, Value, WireFormat,
@@ -35,25 +42,34 @@ use bsoap::{
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Add `bytes` to this thread's live count.
+fn live_add(bytes: isize) {
+    LIVE.with(|n| n.set(n.get() + bytes));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`; counting touches
-// a const-initialised thread-local `Cell`, which neither allocates nor has
+// const-initialised thread-local `Cell`s, which neither allocate nor have
 // a destructor.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        live_add(layout.size() as isize);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live_add(-(layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        live_add(new_size as isize - layout.size() as isize);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -66,6 +82,18 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// `f`'s result and the bytes this thread allocated running it that are
+/// still live when it returns — what the result holds.
+fn held<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    let held = LIVE.with(Cell::get) - before;
+    (
+        out,
+        usize::try_from(held).expect("freed more than it allocated"),
+    )
 }
 
 /// Leaf `i`'s value in `generation`: four integer digits and an odd
@@ -373,4 +401,152 @@ fn a_warm_owned_decode_allocates_nothing_and_trades_two_buffers() {
         let alternating = kept.iter().enumerate().all(|(k, &at)| at == kept[k % 2]);
         assert!(alternating, "{lane:?}: retained buffers {kept:x?}");
     }
+}
+
+/// `cold_mix`'s request operation `k` (`benchmark/src/spec.rs`): a label
+/// and `cells` MIO cells.
+fn mix_op(k: usize) -> OpDesc {
+    let param = |name: &str, desc| ParamDesc {
+        name: name.into(),
+        desc,
+    };
+    OpDesc::new(
+        &format!("put{k:02}"),
+        "urn:bench",
+        vec![
+            param("label", TypeDesc::Scalar(ScalarKind::Str)),
+            param("cells", TypeDesc::array_of(TypeDesc::mio())),
+        ],
+    )
+}
+
+/// A `cold_mix`-shaped request: a 48-character label with escaped
+/// characters and `cells` cells of fresh values.
+fn mix_message(op: &OpDesc, cells: usize, salt: usize) -> Vec<u8> {
+    let cell = |i: usize| {
+        let x = ((i * 7919 + salt * 104_729) % 1_000_000) as i32;
+        mio(x, -x / 3, fixed_width(i % 9000, salt % 32))
+    };
+    let label = format!("{:<48}", format!("label {salt} & <{cells}>"));
+    let args = [
+        Value::Str(label),
+        Value::Array((0..cells).map(cell).collect()),
+    ];
+    MessageTemplate::build(EngineConfig::paper_default(), op, &args)
+        .unwrap()
+        .to_bytes()
+}
+
+/// `retained_bytes` is the true size of a reference: the kept message, the
+/// region map and the decoded values — to the byte what the allocator
+/// holds for it once a `cold_mix`-shaped message decoded.
+#[test]
+fn retained_bytes_are_what_a_reference_holds() {
+    let op = mix_op(0);
+    let bytes = mix_message(&op, 300, 1);
+    // One-time set-up outside the count.
+    DiffDeserializer::new(op.clone())
+        .deserialize(&bytes)
+        .unwrap();
+    let mut deser = DiffDeserializer::new(op);
+    let (outcome, live) = held(|| deser.deserialize(&bytes).unwrap().1);
+    assert_eq!(outcome, DiffOutcome::FullParse);
+    assert_eq!(deser.retained_bytes(), live);
+}
+
+/// A service's state after one request on each of `cold_mix`'s 32
+/// operations: per cell, the kept request (~150 bytes), its decoded values
+/// (128) and its region map (3 regions of 8 bytes), plus the operations'
+/// tables and response templates, which a one-leaf reply keeps small —
+/// 315 bytes a cell in all. Spans of two `usize`s (24 bytes more a cell),
+/// the old map of `usize` regions and end offsets (96 more) or a response
+/// template holding a whole 32 KiB chunk (88 more) fails it.
+#[test]
+fn a_service_holds_at_most_330_bytes_a_cell_of_cold_mix() {
+    const OPS: usize = 32;
+    let cells = |k: usize| 200 + k * 400 / (OPS - 1);
+    let ops: Vec<OpDesc> = (0..OPS).map(mix_op).collect();
+    let messages: Vec<Vec<u8>> = (0..OPS)
+        .map(|k| mix_message(&ops[k], cells(k), k))
+        .collect();
+    let response = || {
+        let param = |name: &str, kind| ParamDesc {
+            name: name.into(),
+            desc: TypeDesc::Scalar(kind),
+        };
+        vec![
+            param("check", ScalarKind::Long),
+            param("total", ScalarKind::Double),
+        ]
+    };
+    let handler = |args: &[Value]| match args {
+        [Value::Str(label), Value::Array(cells)] => Ok(vec![
+            Value::Long(label.len() as i64),
+            Value::Double(cells.len() as f64),
+        ]),
+        _ => Err("put takes a label and a cell array".to_owned()),
+    };
+    let serve = |ops: &[OpDesc]| {
+        let mut service = Service::new("urn:bench", EngineConfig::paper_default());
+        for op in ops {
+            service.register(op.clone(), response(), handler);
+        }
+        for (op, message) in ops.iter().zip(&messages) {
+            let mut body = message.clone();
+            let sent = service.dispatch_owned(&op.name, &mut body, WireFormat::SoapXml);
+            sent.unwrap();
+        }
+        service
+    };
+    // One-time set-up outside the count.
+    drop(serve(&ops[..1]));
+    let (service, live) = held(|| serve(&ops));
+    assert_eq!(service.stats().requests_full_parse, OPS as u64);
+    let total: usize = (0..OPS).map(cells).sum();
+    let per_cell = live / total;
+    assert!(
+        per_cell <= 330,
+        "{live} bytes held for {total} cells: {per_cell} a cell"
+    );
+}
+
+/// A First-Time Send of a one-scalar reply keeps its message and the chunk
+/// reserve: the last chunk gives back what the build did not fill, where
+/// it used to hold a whole 32 KiB `initial_size` chunk. Beside the chunk,
+/// the template holds its one DUT entry and its operation.
+#[test]
+fn a_built_template_keeps_its_message_and_the_reserve() {
+    let op = OpDesc::single(
+        "sumResponse",
+        "urn:bench",
+        "total",
+        TypeDesc::Scalar(ScalarKind::Double),
+    );
+    let config = EngineConfig::paper_default();
+    let reserve = config.chunk.reserve;
+    MessageTemplate::build(config, &op, &[Value::Double(0.5)]).unwrap(); // lazy one-time set-up
+    let (built, live) =
+        held(|| MessageTemplate::build(config, &op, &[Value::Double(1.25)]).unwrap());
+    let message = built.message_len();
+    assert_eq!(built.chunk_capacity(), message + reserve);
+    assert!(
+        live <= message + reserve + 512,
+        "{live} bytes held for a {message}-byte message"
+    );
+
+    // The served path builds the same way.
+    let store = TemplateStore::unbounded();
+    let key = StoreKey::new(
+        0,
+        TemplateKey::for_format("http://svc", &op, WireFormat::SoapXml),
+    );
+    let args = [Value::Double(2.5)];
+    let (report, _) = store
+        .send(&key, &config, None, &op, &args, 1, false, |slices| {
+            Ok(slices.iter().map(|s| s.len()).sum())
+        })
+        .unwrap();
+    assert_eq!(report.tier, SendTier::FirstTime);
+    let room = store.peek(&key, |t| t.chunk_capacity() - t.message_len());
+    assert_eq!(room, Some(reserve));
 }
