@@ -119,7 +119,7 @@ fn respond_to(
     head: &RequestHead,
     body: &mut Vec<u8>,
 ) -> Response {
-    if head.method == "GET" && head.path == "/metrics" {
+    if head.method == "GET" && head.path() == "/metrics" {
         return Response::metrics_scrape(service.metrics().map(|m| m.as_ref()));
     }
     let req_format = WireFormat::of_message(head.header(HDR_FORMAT_LOWER), body);

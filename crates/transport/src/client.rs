@@ -4,10 +4,11 @@
 //! open: the stream (`TCP_NODELAY`, so template chunks are not batched by
 //! Nagle; the paper's `SO_SNDBUF`/`SO_RCVBUF` = 32768 are not exposed by
 //! std, a substitution DESIGN.md notes), the [`PostScratch`] requests are
-//! rendered into and the [`ParseBuf`] replies are read through. It does
-//! two things — write one request, read one reply under caps — and is what
-//! `RpcClient` holds and what [`ConnectionPool`](crate::pool::ConnectionPool)
-//! idles and hands out.
+//! rendered into, the [`ParseBuf`] replies are read through and the
+//! [`RequestParser`] that reads them, holding the last reply's [`Head`].
+//! It does two things — write one request, read one reply under caps —
+//! and is what `RpcClient` holds and what
+//! [`ConnectionPool`](crate::pool::ConnectionPool) idles and hands out.
 //!
 //! The reply buffer stays with the socket because a `read` may pull bytes
 //! past the reply it was issued for. Those bytes are either the next reply
@@ -16,8 +17,8 @@
 //! refuses to build on.
 
 use crate::http::{
-    post_gather_vectored, read_reply, render_get_request, ParseBuf, PostScratch, RequestConfig,
-    ResponseParts,
+    post_gather_vectored, render_get_request, Head, ParseBuf, PostScratch, RequestConfig,
+    RequestParser,
 };
 use crate::stream::ChunkedBodyWriter;
 use bsoap_obs::Deadline;
@@ -25,12 +26,14 @@ use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-/// One client connection: a stream, its request scratch, its reply buffer.
+/// One client connection: a stream, its request scratch, its reply buffer
+/// and the reply parser holding the last reply's head.
 #[derive(Debug)]
 pub struct ClientConn<S = TcpStream> {
     stream: S,
     scratch: PostScratch,
     reply: ParseBuf,
+    parser: RequestParser,
 }
 
 impl ClientConn {
@@ -52,6 +55,7 @@ impl<S: Read + Write> ClientConn<S> {
             stream,
             scratch: PostScratch::default(),
             reply: ParseBuf::default(),
+            parser: RequestParser::replies(),
         }
     }
 
@@ -115,13 +119,19 @@ impl<S: Read + Write> ClientConn<S> {
         Ok(head.len())
     }
 
-    /// Read one reply: status, headers (names lowercased) and body. A head
-    /// past `max_head` or a body (length-framed or chunk-accumulated) past
-    /// `max_body` is a typed [`HttpError::TooLarge`](crate::http::HttpError);
-    /// EOF before any reply byte is `UnexpectedEof` (a stale keep-alive
-    /// socket, which pooled callers retry).
-    pub fn read_reply(&mut self, max_head: usize, max_body: usize) -> io::Result<ResponseParts> {
-        read_reply(&mut self.stream, &mut self.reply, max_head, max_body)
+    /// Read one reply: status, head (held here until the next reply) and
+    /// body. A head past `max_head` or a body (length-framed or
+    /// chunk-accumulated) past `max_body` is a typed
+    /// [`HttpError::TooLarge`](crate::http::HttpError); EOF before any reply
+    /// byte is `UnexpectedEof` (a stale keep-alive socket, which pooled
+    /// callers retry).
+    pub fn read_reply(
+        &mut self,
+        max_head: usize,
+        max_body: usize,
+    ) -> io::Result<(u16, &Head, Vec<u8>)> {
+        self.parser
+            .read_reply(&mut self.stream, &mut self.reply, max_head, max_body)
     }
 }
 
@@ -180,9 +190,12 @@ mod tests {
         let (status, _, body) = conn.read_reply(usize::MAX, usize::MAX).unwrap();
         assert_eq!((status, body.as_slice()), (200, &b"first"[..]));
         assert_eq!(conn.reply_buf().window(), SECOND, "over-read stays");
-        let (status, headers, body) = conn.read_reply(usize::MAX, usize::MAX).unwrap();
+        let (status, head, body) = conn.read_reply(usize::MAX, usize::MAX).unwrap();
         assert_eq!((status, body.as_slice()), (500, &b"second"[..]));
-        assert_eq!(headers[0], ("transfer-encoding".into(), "chunked".into()));
+        assert_eq!(
+            head.headers().next(),
+            Some(("Transfer-Encoding", "chunked"))
+        );
         assert_eq!(conn.stream().reads, 1, "the second reply cost no read");
         assert!(conn.reply_buf().window().is_empty());
         // Nothing is left, so the next request is in step.
@@ -236,7 +249,7 @@ mod tests {
             ("GET", b""),
         ] {
             let (head, got) = requests.next_request().unwrap().expect("request");
-            assert_eq!((head.method.as_str(), got.as_slice()), (method, body));
+            assert_eq!((head.method, got.as_slice()), (method, body));
         }
         assert!(requests.next_request().unwrap().is_none());
         // A peer that hung up between requests is a stale socket, not bad data.

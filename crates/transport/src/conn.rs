@@ -32,7 +32,7 @@
 
 use crate::http::{
     render_response_head_extra, BodyFraming, HttpError, ParseBuf, Parsed, RequestHead,
-    RequestParser, DEFAULT_MAX_BODY, DEFAULT_MAX_HEAD, READ_SIZE,
+    RequestParser, DEFAULT_MAX_BODY, DEFAULT_MAX_HEAD, READ_SIZE, TEXT_XML,
 };
 use crate::timer::TimerKind;
 use bsoap_obs::{Counter, HistId, Metrics, Recorder, TraceKind};
@@ -160,7 +160,7 @@ impl Response {
         Response {
             status,
             reason,
-            content_type: "text/xml; charset=utf-8",
+            content_type: TEXT_XML,
             body,
             measure: true,
             extra_headers: Vec::new(),
@@ -460,7 +460,8 @@ impl Conn {
                     self.buf.consume(n);
                     break;
                 }
-                Parsed::Head(head, framing) => {
+                Parsed::Head(framing) => {
+                    let head = self.parser.take_request_head();
                     self.sink = self.cfg.sink_factory.as_ref().and_then(|f| f(&head));
                     self.head = Some(head);
                     self.body_seen = 0;
@@ -795,7 +796,7 @@ mod tests {
         let dispatched = out
             .iter()
             .find_map(|a| match a {
-                ConnAction::Dispatch(h, b) => Some((h.path.clone(), b.len())),
+                ConnAction::Dispatch(h, b) => Some((h.path().to_owned(), b.len())),
                 _ => None,
             })
             .expect("dispatched");

@@ -12,11 +12,11 @@
 //!   serialization + buffer-walk cost, which is what the paper's
 //!   client-side measurements isolate.
 //! * [`http`] — HTTP/1.0 (`Content-Length`) and HTTP/1.1
-//!   (`Transfer-Encoding: chunked`) request framing and header parsing,
-//!   plus the one place the receive-side grammar and its caps live: the
-//!   sans-io [`http::BodyDecoder`] and [`http::RequestParser`]. HTTP 1.1
-//!   chunking is what makes chunk overlaying stream-as-you-serialize
-//!   (§3.3).
+//!   (`Transfer-Encoding: chunked`) request framing, plus the one place
+//!   the receive-side grammar and its caps live: the one head parser
+//!   ([`http::Head::parse`], for requests and replies alike), the sans-io
+//!   [`http::BodyDecoder`] and [`http::RequestParser`]. HTTP 1.1 chunking
+//!   is what makes chunk overlaying stream-as-you-serialize (§3.3).
 //! * [`client`] — [`client::ClientConn`], the one client side of an
 //!   exchange: a `TCP_NODELAY` keep-alive socket, its request scratch and
 //!   its reply buffer; writes one request, reads one reply under caps.

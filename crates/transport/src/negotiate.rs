@@ -28,11 +28,14 @@
 //! their wire tokens (strings) here; `bsoap::rpc` maps tokens to
 //! `WireFormat` at the boundary.
 
+use crate::http::Head;
+
 /// Request/response header carrying the sender's capability advert.
 pub const HDR_ACCEPT: &str = "X-BSOAP-Accept";
 /// Request/response header declaring the body's actual wire format.
 pub const HDR_FORMAT: &str = "X-BSOAP-Format";
-/// Lowercased [`HDR_ACCEPT`], as parsed heads normalize names.
+/// Lowercased [`HDR_ACCEPT`] (a [`Head`] compares names
+/// case-insensitively; owned header lists lower-case them).
 pub const HDR_ACCEPT_LOWER: &str = "x-bsoap-accept";
 /// Lowercased [`HDR_FORMAT`].
 pub const HDR_FORMAT_LOWER: &str = "x-bsoap-format";
@@ -64,7 +67,7 @@ pub enum NegotiationState {
 /// Per-endpoint negotiation state machine (client side).
 ///
 /// Drive it with [`Negotiator::request_headers`] before each send,
-/// [`Negotiator::observe_response`] on each reply, and
+/// [`Negotiator::observe`] on each reply, and
 /// [`Negotiator::on_unsupported`] when a send draws HTTP 415.
 #[derive(Clone, Debug)]
 pub struct Negotiator {
@@ -111,25 +114,34 @@ impl Negotiator {
         h
     }
 
-    /// Feed the response headers (lowercased names, as
-    /// [`crate::http::read_response_headers_limited`] returns them) of a
-    /// completed exchange. Only an *undecided* endpoint moves: a server
-    /// advert upgrades to binary, its absence settles XML. Once settled
-    /// (either way), later responses don't flip the lane — only
+    /// Feed a completed exchange's reply head. Only an *undecided*
+    /// endpoint moves: a server advert (an `X-BSOAP-Accept` naming the
+    /// binary lane) upgrades to binary, its absence settles XML. Once
+    /// settled (either way), later responses don't flip the lane — only
     /// [`Negotiator::on_unsupported`] forces a downgrade.
+    pub fn observe(&mut self, reply: &Head) {
+        let mut headers = reply.headers();
+        self.settle(
+            headers.any(|(n, v)| n.eq_ignore_ascii_case(HDR_ACCEPT) && advertises_binary(v)),
+        );
+    }
+
+    /// [`Negotiator::observe`] over owned `(lower-cased name, value)`
+    /// header pairs.
+    #[doc(hidden)]
     pub fn observe_response(&mut self, headers: &[(String, String)]) {
-        if self.state != NegotiationState::Undecided {
-            return;
+        let mut headers = headers.iter();
+        self.settle(headers.any(|(n, v)| n == HDR_ACCEPT_LOWER && advertises_binary(v)));
+    }
+
+    fn settle(&mut self, advert: bool) {
+        if self.state == NegotiationState::Undecided {
+            self.state = if advert {
+                NegotiationState::Binary
+            } else {
+                NegotiationState::Xml
+            };
         }
-        let advert = headers
-            .iter()
-            .filter(|(n, _)| n == HDR_ACCEPT_LOWER)
-            .any(|(_, v)| advertises_binary(v));
-        self.state = if advert {
-            NegotiationState::Binary
-        } else {
-            NegotiationState::Xml
-        };
     }
 
     /// The server answered 415 Unsupported Media Type: downgrade to XML,

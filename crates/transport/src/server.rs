@@ -290,7 +290,7 @@ fn handle_one(
     store: bool,
     metrics: Option<&Metrics>,
 ) -> Response {
-    if head.method == "GET" && head.path == "/metrics" {
+    if head.method == "GET" && head.path() == "/metrics" {
         return Response::metrics_scrape(metrics);
     }
     shared.bytes.fetch_add(body.len() as u64, Ordering::Relaxed);
@@ -771,7 +771,7 @@ mod tests {
             ServerOptions::default(),
             None,
             Arc::new(move |head: &RequestHead| {
-                (head.path == "/stream")
+                (head.path() == "/stream")
                     .then(|| Box::new(Tally(Arc::clone(&sink_tally))) as Box<dyn BodySink>)
             }),
         )
@@ -795,7 +795,7 @@ mod tests {
         assert_eq!(*tally.lock(), (100_000, true));
         // Only the buffered request has a body to collect.
         assert_eq!(collected.len(), 1);
-        assert_eq!(collected[0].head.path, "/buffered");
+        assert_eq!(collected[0].head.path(), "/buffered");
         assert_eq!(collected[0].body.len(), 100_000);
     }
 

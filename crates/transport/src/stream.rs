@@ -26,8 +26,8 @@
 //! bytes move.
 
 use crate::http::{
-    capped_head_end, render_chunk_size, BodyDecoder, Decoded, HttpError, RequestConfig,
-    MAX_SIZE_LINE,
+    capped_head_end, render_chunk_size, BodyDecoder, BodyFraming, Decoded, HttpError,
+    RequestConfig, MAX_SIZE_LINE,
 };
 use bsoap_obs::Deadline;
 use std::io::{self, IoSlice, Read, Write};
@@ -185,7 +185,8 @@ impl<R: Read> ChunkedBodyReader<R> {
             end: leftover.len(),
             buf,
             start: 0,
-            decoder: BodyDecoder::chunked(max_body),
+            decoder: BodyDecoder::new(BodyFraming::Chunked, max_body)
+                .expect("a chunked body declares no length to refuse"),
         }
     }
 

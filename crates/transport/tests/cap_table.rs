@@ -20,6 +20,10 @@
 //! holder of the one client connection — [`ClientConn`] itself,
 //! [`HttpPoolClient::call`] and `RpcClient::call` — against a scripted
 //! peer.
+//!
+//! Both tables end in the same [`framing_rows`]: one head grammar and one
+//! framing rule read requests and replies alike, so a head the server
+//! refuses is refused by the client too, with the same typed error.
 
 use bsoap_obs::{Counter, Metrics};
 use bsoap_transport::http::{
@@ -83,8 +87,102 @@ fn trailers_of(len: usize) -> Vec<u8> {
     chunked(format!("5\r\nhello\r\n0\r\n{line}\r\n").as_bytes())
 }
 
+/// A message opening on `start` with these header lines, then `body`.
+fn framed(start: &str, headers: &str, body: &[u8]) -> Vec<u8> {
+    [format!("{start}\r\n{headers}\r\n").as_bytes(), body].concat()
+}
+
+const SAME_LENGTHS: &str = "Content-Length: 5\r\ncontent-length: 5\r\n";
+const OTHER_LENGTHS: &str = "Content-Length: 6\r\nContent-Length: 5\r\n";
+const CHUNKED_TWICE: &str = "Transfer-Encoding: chunked\r\ntransfer-encoding: Chunked\r\n";
+const CHUNKED_GZIP: &str = "Transfer-Encoding: chunked\r\nTransfer-Encoding: gzip\r\n";
+
+/// `(name, at the rule, one byte past it, the refusal)` for the head
+/// grammar and framing rule the one head parser applies on both sides. A
+/// request's table adds the bodiless methods: only a head with no framing
+/// header at all is read as an empty body, so their broken framing is
+/// refused as a POST's is.
+fn framing_rows(start: &str) -> Vec<(&'static str, Vec<u8>, Vec<u8>, HttpError)> {
+    let chunks = b"5\r\nhello\r\n0\r\n\r\n";
+    let conflict = HttpError::BadFraming("conflicting content-length");
+    let unsupported = HttpError::BadFraming("unsupported transfer-encoding");
+    let mut rows = vec![
+        (
+            "Content-Length values that differ",
+            framed(start, SAME_LENGTHS, b"hello"),
+            framed(start, OTHER_LENGTHS, b"hello"),
+            conflict.clone(),
+        ),
+        (
+            "a chunked coding followed by another",
+            framed(start, CHUNKED_TWICE, chunks),
+            framed(start, CHUNKED_GZIP, chunks),
+            unsupported.clone(),
+        ),
+        (
+            "a header line without a colon",
+            framed(start, "X-A: b\r\nContent-Length: 5\r\n", b"hello"),
+            framed(start, "X-A b\r\nContent-Length: 5\r\n", b"hello"),
+            HttpError::BadHead("header missing colon"),
+        ),
+        (
+            "only CRLF ends a header line",
+            framed(start, "X-A: b\r\nContent-Length: 5\r\n", b"hello"),
+            framed(start, "X-A: b\nContent-Length: 5\r\n", b"hello"),
+            HttpError::BadFraming("neither content-length nor chunked"),
+        ),
+    ];
+    if start == REQUEST {
+        let (get, head) = ("GET /s HTTP/1.1", "HEAD /s HTTP/1.1");
+        let bodiless = [
+            (
+                "a GET's Content-Length values that differ",
+                get,
+                SAME_LENGTHS,
+                OTHER_LENGTHS,
+            ),
+            (
+                "a HEAD's Content-Length values that differ",
+                head,
+                SAME_LENGTHS,
+                OTHER_LENGTHS,
+            ),
+            (
+                "a GET's chunked coding followed by another",
+                get,
+                CHUNKED_TWICE,
+                CHUNKED_GZIP,
+            ),
+            (
+                "a HEAD's chunked coding followed by another",
+                head,
+                CHUNKED_TWICE,
+                CHUNKED_GZIP,
+            ),
+        ];
+        for (name, start, ok, bad) in bodiless {
+            let (body, err): (&[u8], _) = match ok {
+                SAME_LENGTHS => (b"hello", conflict.clone()),
+                _ => (chunks, unsupported.clone()),
+            };
+            rows.push((name, framed(start, ok, body), framed(start, bad, body), err));
+        }
+    }
+    rows
+}
+
 fn rows() -> Vec<Row> {
     let full = vec![b'b'; MAX_BODY];
+    let framing = framing_rows(REQUEST)
+        .into_iter()
+        .map(|(name, ok, bad, err)| Row {
+            name,
+            ok,
+            ok_body: b"hello".to_vec(),
+            bad,
+            err,
+            flood: 0,
+        });
     let row = |name, ok: Vec<u8>, ok_body: &[u8], bad: Vec<u8>, err| Row {
         name,
         ok,
@@ -197,6 +295,9 @@ fn rows() -> Vec<Row> {
             HttpError::BadChunk("EOF inside chunked body"),
         ),
     ]
+    .into_iter()
+    .chain(framing)
+    .collect()
 }
 
 fn typed(e: io::Error) -> HttpError {
@@ -374,6 +475,15 @@ fn reply_chunked(body: &str) -> Vec<u8> {
 
 fn reply_rows() -> Vec<ReplyRow> {
     let full = vec![b'b'; MAX_BODY];
+    let framing = framing_rows(REPLY)
+        .into_iter()
+        .map(|(name, ok, bad, err)| ReplyRow {
+            name,
+            ok,
+            ok_body: b"hello".to_vec(),
+            bad,
+            err,
+        });
     vec![
         ReplyRow {
             name: "max_head",
@@ -400,6 +510,9 @@ fn reply_rows() -> Vec<ReplyRow> {
             err: HttpError::TooLarge("chunked body"),
         },
     ]
+    .into_iter()
+    .chain(framing)
+    .collect()
 }
 
 /// A peer that accepts one connection and answers each request on it with
@@ -536,9 +649,9 @@ fn an_unconfigured_pool_client_holds_the_default_reply_bounds() {
         let (addr, peer) = scripted_peer(reply);
         let mut conn = ClientConn::connect(addr, None).unwrap();
         conn.post(&cfg, &[IoSlice::new(b"<q/>")]).unwrap();
-        let got = conn.read_reply(max_head, max_body);
+        let got = conn.read_reply(max_head, max_body).map(drop);
         drop(conn);
         peer.join().unwrap();
-        assert_eq!(got.map(drop).map_err(typed), want, "ClientConn: {name}");
+        assert_eq!(got.map_err(typed), want, "ClientConn: {name}");
     }
 }

@@ -637,7 +637,7 @@ impl Harness {
                         ReqBody::Full(b) => b,
                         ReqBody::Streamed { .. } => panic!("no sink configured"),
                     };
-                    self.dispatched.push((head.path, bytes));
+                    self.dispatched.push((head.path().to_owned(), bytes));
                 }
                 ConnAction::Close(reason) => {
                     // Driver teardown cancels everything for this conn.
@@ -1041,7 +1041,7 @@ fn serve_bodies(
             .unwrap()
             .push((bytes.clone(), at, bytes.capacity()));
         Response {
-            spare: answer(&head.path, bytes),
+            spare: answer(head.path(), bytes),
             ..Response::xml(200, "OK", b"<ok/>".to_vec())
         }
     };

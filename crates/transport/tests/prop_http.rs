@@ -108,7 +108,7 @@ proptest! {
         let mut reader = RequestReader::new(&wire[..]);
         let (head, got) = reader.next_request().unwrap().expect("one request");
         prop_assert_eq!(got, body);
-        prop_assert_eq!(head.method.as_str(), "POST");
+        prop_assert_eq!(head.method, "POST");
         prop_assert!(reader.next_request().unwrap().is_none());
     }
 
@@ -328,5 +328,288 @@ proptest! {
         // Truncation yields Ok(None), Ok(Some) only when the cut landed
         // beyond the full request, or a clean error — never a panic.
         let _ = reader.next_request();
+    }
+}
+
+/// The two head grammars the one head parser replaced, kept verbatim in
+/// behaviour as its oracle: the request path's `parse_request_head` +
+/// `RequestHead::body_framing`, and the reply path's status-line and header
+/// scan. Each yields the start line (a reply's: its status code), every
+/// header as `(lower-cased name, value)`, and the framing — or `None` for
+/// a refusal.
+mod oracle {
+    use bsoap_transport::http::BodyFraming;
+
+    pub type Outcome = (Vec<String>, Vec<(String, String)>, BodyFraming);
+    pub type Grammar = fn(&[u8]) -> Option<Outcome>;
+
+    pub fn request(bytes: &[u8]) -> Option<Outcome> {
+        let text = std::str::from_utf8(bytes).ok()?;
+        let mut lines = text.split("\r\n");
+        let mut parts = lines.next()?.split(' ');
+        let (method, path, version) = (parts.next()?, parts.next()?, parts.next()?);
+        if parts.next().is_some() {
+            return None;
+        }
+        let mut headers = Vec::new();
+        for line in lines.filter(|l| !l.is_empty()) {
+            let (name, value) = line.split_once(':')?;
+            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
+        }
+        let header = |name: &str| headers.iter().find(|(n, _)| n == name).map(|(_, v)| v);
+        let framing = match (header("transfer-encoding"), header("content-length")) {
+            (Some(te), _) => te
+                .eq_ignore_ascii_case("chunked")
+                .then_some(BodyFraming::Chunked),
+            (None, Some(cl)) => cl.trim().parse().ok().map(BodyFraming::Length),
+            (None, None) => None,
+        };
+        let framing = match framing {
+            Some(framing) => framing,
+            None if matches!(method, "GET" | "HEAD" | "DELETE") => BodyFraming::Length(0),
+            None => return None,
+        };
+        let start = [method, path, version].map(str::to_owned).to_vec();
+        Some((start, headers, framing))
+    }
+
+    pub fn reply(bytes: &[u8]) -> Option<Outcome> {
+        let text = std::str::from_utf8(bytes).ok()?;
+        let status: u16 = text.split(' ').nth(1)?.parse().ok()?;
+        let (mut chunked, mut length) = (false, None);
+        let mut headers = Vec::new();
+        for line in text.lines().skip(1) {
+            let Some((name, value)) = line.split_once(':') else {
+                continue;
+            };
+            let (name, value) = (name.trim(), value.trim());
+            if name.eq_ignore_ascii_case("transfer-encoding") {
+                if !value.eq_ignore_ascii_case("chunked") {
+                    return None;
+                }
+                chunked = true;
+            } else if name.eq_ignore_ascii_case("content-length") {
+                length = Some(value.parse().ok()?);
+            }
+            headers.push((name.to_ascii_lowercase(), value.to_owned()));
+        }
+        let framing = if chunked {
+            BodyFraming::Chunked
+        } else {
+            BodyFraming::Length(length?)
+        };
+        Some((vec![status.to_string()], headers, framing))
+    }
+}
+
+/// What the one head parser makes of `bytes`, in the oracle's terms.
+fn one_parser(bytes: &[u8], opens: bsoap_transport::http::StartLine) -> Option<oracle::Outcome> {
+    use bsoap_transport::http::{Head, StartLine};
+    let mut head = Head::default();
+    let framing = head.parse(bytes, opens).ok()?;
+    let start = match opens {
+        StartLine::Request => head.start_line().map(str::to_owned).to_vec(),
+        StartLine::Status => vec![head.status().to_string()],
+    };
+    let headers = head.headers();
+    let headers = headers.map(|(n, v)| (n.to_ascii_lowercase(), v.to_owned()));
+    Some((start, headers.collect(), framing))
+}
+
+/// What the one head parser must make of a head that shows a difference.
+type Expect = fn(&Option<oracle::Outcome>) -> bool;
+
+/// The deliberate differences between the one head parser and the grammars
+/// it replaced, each on the side (and, for requests, the methods) where it
+/// is meant, with what the parser must then do; a head on which the two
+/// disagree must show one of them. The first three are the framing-rule
+/// fix; the last three follow from one rule on both sides.
+fn deliberate_difference(bytes: &[u8], reply: bool) -> Option<(&'static str, Expect)> {
+    let refused: Expect = |got| got.is_none();
+    let text = String::from_utf8_lossy(bytes);
+    let mut lines = text.split("\r\n");
+    let method = lines.next().unwrap_or_default().split(' ').next();
+    let fields: Vec<(String, &str)> = lines
+        .filter_map(|line| line.split_once(':'))
+        .map(|(name, value)| (name.trim().to_ascii_lowercase(), value.trim()))
+        .collect();
+    let values = |name: &str| {
+        let named = fields.iter().filter(move |(n, _)| n == name);
+        named.map(|(_, v)| *v).collect::<Vec<&str>>()
+    };
+    let (lengths, codings) = (values("content-length"), values("transfer-encoding"));
+    let chunked = |v: &&str| v.eq_ignore_ascii_case("chunked");
+    let numeric = |v: &&str| v.parse::<usize>().is_ok();
+    let bare_lf = bytes
+        .iter()
+        .enumerate()
+        .any(|(i, &b)| b == b'\n' && (i == 0 || bytes[i - 1] != b'\r'));
+    let colonless = text
+        .split("\r\n")
+        .skip(1)
+        .any(|l| !l.is_empty() && !l.contains(':'));
+    let bodiless = !reply && matches!(method, Some("GET" | "HEAD" | "DELETE"));
+    if codings.is_empty() && lengths.iter().any(|v| *v != lengths[0]) {
+        // The request path kept the first value, the reply path the last.
+        Some(("Content-Length values that differ are refused", refused))
+    } else if reply && colonless {
+        // The reply path skipped such a line.
+        Some(("a reply's header line without a colon is refused", refused))
+    } else if reply && bare_lf {
+        // The reply path split lines on `lines()`.
+        Some(("only CRLF ends a reply's line", |_| true))
+    } else if !reply && codings.first().is_some_and(chunked) && !codings.iter().all(chunked) {
+        // The request path read the first coding only.
+        Some((
+            "a request's later Transfer-Encoding must say chunked too",
+            refused,
+        ))
+    } else if reply && codings.iter().any(chunked) && !lengths.iter().all(numeric) {
+        // The reply path parsed every length, even beside chunked.
+        let chunked: Expect =
+            |got| matches!(got, Some((.., bsoap_transport::http::BodyFraming::Chunked)));
+        Some(("a chunked reply's Content-Length is not read", chunked))
+    } else if bodiless && (!lengths.iter().all(numeric) || !codings.iter().all(chunked)) {
+        // The request path read any framing error of these as no body.
+        Some((
+            "a bodiless request's broken framing header is refused",
+            refused,
+        ))
+    } else {
+        None
+    }
+}
+
+/// Flip the ASCII case of the letters `mask` picks.
+fn recase(s: &str, mask: u64) -> String {
+    s.chars()
+        .enumerate()
+        .map(|(i, c)| match mask >> (i % 64) & 1 {
+            1 if c.is_ascii_lowercase() => c.to_ascii_uppercase(),
+            1 => c.to_ascii_lowercase(),
+            _ => c,
+        })
+        .collect()
+}
+
+/// A well-formed head: a request or status line, random headers in random
+/// case with random whitespace around their values, and among them a
+/// `Content-Length`, a chunked `Transfer-Encoding` or both, each possibly
+/// repeated (identically).
+fn head_strategy() -> impl Strategy<Value = (Vec<u8>, bool)> {
+    let start = prop_oneof![
+        (
+            prop_oneof![
+                Just("POST"),
+                Just("GET"),
+                Just("PUT"),
+                Just("DELETE"),
+                Just("HEAD")
+            ],
+            "/[a-z0-9/._-]{0,12}",
+            prop_oneof![Just("HTTP/1.1"), Just("HTTP/1.0")],
+        )
+            .prop_map(|(m, p, v)| (format!("{m} {p} {v}"), false)),
+        (
+            100u16..600,
+            prop_oneof![
+                Just("OK"),
+                Just("Not Found"),
+                Just("Unsupported Media Type"),
+                Just("")
+            ],
+        )
+            .prop_map(|(code, reason)| (format!("HTTP/1.1 {code} {reason}"), true)),
+    ];
+    let pad = || prop_oneof![Just(""), Just(" "), Just("  "), Just("\t"), Just(" \t ")];
+    let header = ("X-[a-zA-Z0-9-]{1,10}", pad(), "[ -~]{0,16}", pad())
+        .prop_map(|(name, lead, value, trail)| format!("{name}:{lead}{}{trail}", value.trim()));
+    let length = prop_oneof![(0usize..100_000).prop_map(Some), Just(None)];
+    let framing = (length, any::<bool>());
+    let shuffle = (any::<bool>(), any::<usize>(), any::<u64>(), pad());
+    (
+        start,
+        proptest::collection::vec(header, 0..6),
+        framing,
+        shuffle,
+    )
+        .prop_map(
+            |((start, reply), mut headers, (length, chunked), (twice, at, mask, pad))| {
+                let mut framing = Vec::new();
+                if let Some(n) = length {
+                    framing.push(format!("{}:{pad}{n}", recase("content-length", mask)));
+                }
+                if chunked || length.is_none() {
+                    framing.push(format!(
+                        "{}: {}",
+                        recase("transfer-encoding", mask),
+                        recase("chunked", !mask)
+                    ));
+                }
+                for (i, line) in framing.into_iter().enumerate() {
+                    headers.insert((at >> (8 * i)) % (headers.len() + 1), line.clone());
+                    if twice {
+                        headers.insert(((at / 7) >> (8 * i)) % (headers.len() + 1), line);
+                    }
+                }
+                let mut head = format!("{start}\r\n");
+                for line in headers {
+                    head.push_str(&line);
+                    head.push_str("\r\n");
+                }
+                head.push_str("\r\n");
+                (head.into_bytes(), reply)
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one head parser reads every well-formed head exactly as the
+    /// grammar it replaced did — start line, every header, framing — and
+    /// every single-byte mutation of it (substitution or deletion) is
+    /// refused or parsed the same, except where one of the deliberate
+    /// differences shows.
+    #[test]
+    fn the_one_head_parser_agrees_with_the_two_it_replaced(
+        case in head_strategy(),
+    ) {
+        use bsoap_transport::http::StartLine;
+        let (head, reply) = case;
+        let (opens, oracle): (_, oracle::Grammar) = if reply {
+            (StartLine::Status, oracle::reply)
+        } else {
+            (StartLine::Request, oracle::request)
+        };
+        let want = oracle(&head);
+        prop_assert!(want.is_some(), "a well-formed head: {:?}", String::from_utf8_lossy(&head));
+        prop_assert_eq!(one_parser(&head, opens), want);
+        let bytes = [b' ', b'\t', b':', b'\r', b'\n', b'a', b'Z', b'0', b'7', b'-', 0, 0x80];
+        let mut mutants = Vec::new();
+        for at in 0..head.len() {
+            for &b in &bytes {
+                let mut m = head.clone();
+                m[at] = b;
+                mutants.push(m);
+            }
+            let mut m = head.clone();
+            m.remove(at);
+            mutants.push(m);
+        }
+        for mutant in mutants {
+            let (got, want) = (one_parser(&mutant, opens), oracle(&mutant));
+            if got != want {
+                let why = deliberate_difference(&mutant, reply);
+                prop_assert!(
+                    why.is_some_and(|(_, expect)| expect(&got)),
+                    "{:?}: {:?} where the oracle gave {:?} ({:?})",
+                    String::from_utf8_lossy(&mutant),
+                    got,
+                    want,
+                    why.map(|(name, _)| name)
+                );
+            }
+        }
     }
 }

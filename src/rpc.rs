@@ -8,7 +8,7 @@
 
 use crate::deser::DeserError;
 use crate::transport::http::{HttpVersion, RequestConfig};
-use crate::transport::negotiate::{Negotiator, HDR_FORMAT_LOWER};
+use crate::transport::negotiate::{NegotiationState, Negotiator, HDR_FORMAT};
 use crate::transport::ClientConn;
 use crate::wsdl::ServiceDesc;
 use crate::{Client, EngineConfig, EngineError, OpDesc, ParamDesc, SendReport, Value, WireFormat};
@@ -59,7 +59,8 @@ struct Binding {
 /// What one exchange brought back.
 struct Reply {
     status: u16,
-    headers: Vec<(String, String)>,
+    /// The lane the reply's body is on.
+    lane: WireFormat,
     body: Vec<u8>,
     report: SendReport,
 }
@@ -72,9 +73,12 @@ pub struct RpcClient {
     addr: SocketAddr,
     /// `None` after a failed exchange: the next one dials `addr` again.
     conn: Option<ClientConn>,
-    /// The POST target; `soap_action` and `extra_headers` are rewritten
-    /// per call (the operation's action, the negotiator's offer).
+    /// The POST target; `soap_action` is rewritten per call (the
+    /// operation's action), `extra_headers` (the negotiator's offer)
+    /// whenever the negotiation state moved since they were rendered.
     request: RequestConfig,
+    /// The negotiation state `request.extra_headers` were rendered for.
+    offered: Option<NegotiationState>,
     /// Per-connection wire-format negotiation, and the one holder of its
     /// verdict: every exchange asks it for the lane and hands that to the
     /// engine. Seeded from the config's `wire_format`: an XML config
@@ -112,6 +116,7 @@ impl RpcClient {
             addr,
             conn: Some(ClientConn::connect(addr, None)?),
             request,
+            offered: None,
             negotiator: Negotiator::new(config.wire_format.negotiated()),
         })
     }
@@ -175,16 +180,12 @@ impl RpcClient {
             // on the XML lane — exactly once, and no request is lost.
             reply = self.exchange(at, op, args)?;
         }
-        self.negotiator.observe_response(&reply.headers);
         if reply.status != 200 {
             return Err(RpcError::Status(reply.status, reply.body));
         }
-        // The reply is decoded on the lane its own header names.
-        let token = reply.headers.iter().find(|(n, _)| n == HDR_FORMAT_LOWER);
-        let lane = WireFormat::of_message(token.map(|(_, v)| v.as_str()), &reply.body);
         let values = match &self.bindings[at].response {
             Some(desc) => {
-                crate::deser::decode(lane, &reply.body, desc).map_err(RpcError::Response)?
+                crate::deser::decode(reply.lane, &reply.body, desc).map_err(RpcError::Response)?
             }
             None => Vec::new(),
         };
@@ -205,7 +206,11 @@ impl RpcClient {
         request
             .soap_action
             .clone_from(&self.bindings[at].soap_action);
-        request.extra_headers = self.negotiator.request_headers();
+        let state = self.negotiator.state();
+        if self.offered != Some(state) {
+            request.extra_headers = self.negotiator.request_headers();
+            self.offered = Some(state);
+        }
         let lane =
             WireFormat::from_name(self.negotiator.body_token()).unwrap_or(WireFormat::SoapXml);
         let endpoint = &self.service.endpoint;
@@ -226,9 +231,16 @@ impl RpcClient {
         // typed `TooLarge` (kind `InvalidData`), not a buffer that grows
         // for as long as the peer keeps streaming.
         let config = self.client.config();
-        let (status, headers, body) = conn
+        let (status, head, body) = conn
             .read_reply(config.max_head_bytes, config.max_body_bytes)
             .map_err(RpcError::Io)?;
+        // A 415 is judged by `on_unsupported` (in `call_op`), never as the
+        // endpoint's advert.
+        if status != 415 {
+            self.negotiator.observe(head);
+        }
+        // The reply is decoded on the lane its own header names.
+        let lane = WireFormat::of_message(head.header(HDR_FORMAT), &body);
         // After a transport failure the stream's state is unknown, so the
         // connection is not put back and the next call dials again.
         // Nothing is resent — the tiered send already ran — and the
@@ -236,7 +248,7 @@ impl RpcClient {
         self.conn = Some(conn);
         Ok(Reply {
             status,
-            headers,
+            lane,
             body,
             report,
         })

@@ -550,3 +550,171 @@ fn a_built_template_keeps_its_message_and_the_reserve() {
     let room = store.peek(&key, |t| t.chunk_capacity() - t.message_len());
     assert_eq!(room, Some(reserve));
 }
+
+/// A peer that answers each `read` with its next whole message, the last
+/// one for ever.
+struct Answering(Vec<Vec<u8>>, usize);
+
+impl std::io::Read for Answering {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let message = &self.0[self.1.min(self.0.len() - 1)];
+        self.1 += 1;
+        buf[..message.len()].copy_from_slice(message);
+        Ok(message.len())
+    }
+}
+
+impl std::io::Write for Answering {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The HTTP half of a warm round trip allocates per message, not per
+/// header: the server reads and parses a request into the two buffers of
+/// the head it dispatches (its text and its header spans) however many
+/// headers it carries, renders the response head into its kept buffer,
+/// and the client reads a reply into the body it returns, its head parsed
+/// into the connection's kept one.
+#[test]
+fn a_warm_http_exchange_allocates_per_message_not_per_header() {
+    use bsoap::obs::NullRecorder;
+    use bsoap::transport::http::{render_response_head_extra, HttpVersion, RequestConfig};
+    use bsoap::transport::negotiate::{Negotiator, HDR_ACCEPT, HDR_FORMAT, TOKEN_BINARY};
+    use bsoap::transport::{ClientConn, Conn, ConnAction, ConnConfig, ReqBody, Response};
+    let body = vec![b'x'; 1_500];
+    // `RpcClient`'s warm XML POST: Host, Content-Type, SOAPAction, the
+    // negotiator's two and Content-Length, then `pad` more headers.
+    let post = |pad: usize| {
+        let mut cfg = RequestConfig {
+            path: "/".into(),
+            host: "127.0.0.1".into(),
+            soap_action: "urn:bench#echo".into(),
+            version: HttpVersion::Http11Length,
+            extra_headers: Negotiator::new(true).request_headers(),
+        };
+        let padding = (0..pad).map(|i| (format!("X-Pad-{i}"), "p".repeat(i + 1)));
+        cfg.extra_headers.extend(padding);
+        let mut wire = Vec::new();
+        cfg.render_head(&mut wire, Some(body.len()));
+        assert_eq!(wire.split(|&b| b == b'\n').count(), 1 + 6 + pad + 2);
+        [wire, body.clone()].concat()
+    };
+    let echo = [
+        (HDR_FORMAT, "xml".to_owned()),
+        (HDR_ACCEPT, TOKEN_BINARY.to_owned()),
+    ];
+    let rec = NullRecorder;
+    // Server: (read + parse, response render) allocations of a warm call.
+    let serve = |request: Vec<u8>| {
+        let mut conn = Conn::new(1, ConnConfig::default());
+        let mut socket = Answering(vec![request], 0);
+        let (mut out, mut sent) = (Vec::with_capacity(16), Vec::new());
+        for _ in 0..4 {
+            out.clear();
+            let (_, read) = counted(|| conn.on_readable(&mut socket, &rec, &mut out));
+            let got = out.drain(..).find_map(|action| match action {
+                ConnAction::Dispatch(head, ReqBody::Full(got)) => Some((head, got)),
+                _ => None,
+            });
+            let (head, got) = got.expect("a whole request dispatches");
+            assert_eq!(head.method, "POST");
+            assert_eq!(head.header("x-bsoap-format"), Some("xml"));
+            assert_eq!(got, body);
+            let response = Response {
+                spare: got,
+                extra_headers: echo.to_vec(),
+                ..Response::xml(200, "OK", b"<ok/>".to_vec())
+            };
+            let (_, rendered) = counted(|| {
+                conn.on_dispatch_done(response, &rec);
+                conn.on_writable(&mut socket, &rec, &mut out);
+            });
+            sent.push((read, rendered));
+        }
+        sent[3]
+    };
+    let (read, rendered) = serve(post(0));
+    assert!(read <= 2, "the server's read + parse: {read} allocations");
+    assert_eq!(rendered, 0, "the response head renders in place");
+    let (padded, _) = serve(post(16));
+    assert_eq!(padded, read, "sixteen more headers cost no allocation");
+
+    // Client: the host's 4-header reply.
+    let mut reply = Vec::new();
+    let ct = "text/xml; charset=utf-8";
+    render_response_head_extra(&mut reply, 200, "OK", ct, 5, &echo);
+    reply.extend_from_slice(b"<ok/>");
+    let mut conn = ClientConn::over(Answering(vec![reply], 0));
+    for call in 0..4 {
+        let (got, allocations) =
+            counted(|| conn.read_reply(1 << 20, 1 << 20).map(|(s, _, b)| (s, b)));
+        assert_eq!(got.unwrap(), (200, b"<ok/>".to_vec()));
+        if call > 0 {
+            assert!(
+                allocations <= 2,
+                "a warm reply read: {allocations} allocations"
+            );
+        }
+    }
+}
+
+/// Neither end of an HTTP connection keeps a long head past the exchange
+/// that needed it: the server moves each request's head out to the handler
+/// (its connection keeps none), and a client's next reply releases what a
+/// long one grew. A 48 KiB head of 12 288 short lines is 48 KiB of text
+/// and 192 KiB of header spans.
+#[test]
+fn an_http_connection_keeps_no_long_head_past_its_exchange() {
+    use bsoap::obs::NullRecorder;
+    use bsoap::transport::http::render_response;
+    use bsoap::transport::{ClientConn, Conn, ConnAction, ConnConfig, ReqBody, Response};
+    let long = "a:\r\n".repeat(12 * 1024);
+    let message = |start: &str, pad: &str| {
+        format!("{start}\r\n{pad}Content-Length: 4\r\n\r\n<x/>").into_bytes()
+    };
+    let rec = NullRecorder;
+    let mut conn = Conn::new(1, ConnConfig::default());
+    let request = message("POST / HTTP/1.1", "");
+    let long_request = message("POST / HTTP/1.1", &long);
+    let mut socket = Answering(vec![request, long_request], 0);
+    let mut serve = |socket: &mut Answering| {
+        let mut out = Vec::new();
+        conn.on_readable(socket, &rec, &mut out);
+        let body = out.into_iter().find_map(|action| match action {
+            ConnAction::Dispatch(_, ReqBody::Full(body)) => Some(body),
+            _ => None,
+        });
+        let response = Response {
+            spare: body.expect("a whole request dispatches"),
+            ..Response::xml(200, "OK", b"<ok/>".to_vec())
+        };
+        conn.on_dispatch_done(response, &rec);
+        conn.on_writable(socket, &rec, &mut Vec::new());
+    };
+    serve(&mut socket);
+    let ((), kept) = held(|| serve(&mut socket));
+    assert!(
+        kept <= 1024,
+        "the server kept {kept} bytes past the exchange"
+    );
+
+    let mut reply = Vec::new();
+    render_response(&mut reply, 200, "OK", b"<x/>");
+    let long_reply = message("HTTP/1.1 200 OK", &long);
+    let mut client = ClientConn::over(Answering(vec![reply.clone(), long_reply, reply], 0));
+    let mut call = || drop(client.read_reply(1 << 20, 1 << 20).unwrap());
+    call();
+    let ((), kept) = held(|| {
+        call();
+        call();
+    });
+    assert!(
+        kept <= 1024,
+        "the client kept {kept} bytes past the exchange"
+    );
+}

@@ -68,13 +68,14 @@ const BUILD: &str = "crates/core/src/template/build.rs";
 const OVERLAY: &str = "crates/core/src/overlay.rs";
 const DESER_LANE: &str = "crates/deser/src/lane.rs";
 const CLIENT: &str = "crates/transport/src/client.rs";
+const HTTP: &str = "crates/transport/src/http.rs";
 const ENGINE_CLIENT: &str = "crates/core/src/client.rs";
 const POLLER: &str = "crates/transport/src/poller.rs";
 /// `transport`'s connection pool has a `checkout()` of its own: sockets,
 /// not templates.
 const SEND_BODY: &[&str] = &[SEND, STORE, "crates/transport/src/pool.rs"];
 const LANES: &[&str] = &[CORE_LANE, DESER_LANE];
-const EXCHANGE: &[&str] = &["crates/transport/src/http.rs", CLIENT];
+const EXCHANGE: &[&str] = &[HTTP, CLIENT];
 
 /// Suite name, then its rows.
 const RULES: &[(&str, &[Rule])] = &[
@@ -152,6 +153,19 @@ const RULES: &[(&str, &[Rule])] = &[
             outside(EXCHANGE, "read_response_headers_limited("),
             inside(CLIENT, "post_gather_vectored(", SOMEWHERE),
             inside(CLIENT, "pub struct ClientConn", 1..=1),
+            // One head parser for requests and replies: one header
+            // line split, names compared in place (the one lower-casing is
+            // the owned-pairs shim's), numbers rendered without `format!`,
+            // one reply reader.
+            inside(HTTP, "split_once(':')", 1..=1),
+            rule(
+                "to_ascii_lowercase",
+                Files::Under("crates/transport/src/"),
+                Part::Product,
+                0..=1,
+            ),
+            inside(HTTP, "format!(", NEVER),
+            inside(HTTP, "fn read_reply", 0..=1),
             // One home per client-side decision (PR 22): the lane is an
             // argument (`Client::call_on`), held by `RpcClient`'s
             // negotiator alone; the store is always there; template keys
