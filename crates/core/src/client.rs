@@ -21,13 +21,12 @@
 //!   endpoint clone a same-structure template saved for another service
 //!   and merely diff it, amortizing serialization across services.
 
-use crate::cache::TemplateKey;
 use crate::config::{EngineConfig, WireFormat};
 use crate::error::EngineError;
 use crate::overlay::{element_bytes, OverlayReport, OverlaySender};
 use crate::schema::OpDesc;
 use crate::sendv::write_all_vectored;
-use crate::store::{StoreKey, TemplateStore};
+use crate::store::{StoreKey, TemplateKey, TemplateStore};
 use crate::template::{SendReport, SendTier};
 use crate::value::Value;
 use bsoap_obs::{Counter, HistId, Metrics, Recorder, TraceKind};

@@ -32,7 +32,6 @@
 //! [`Client`] gives the automatic four-tier behavior over a [`TemplateStore`];
 //! [`MessageTemplate`] is the manual, zero-re-walk API for hot loops.
 
-pub mod cache;
 pub mod client;
 pub mod config;
 pub mod dut;
@@ -49,7 +48,6 @@ pub mod template;
 pub mod value;
 pub mod wire;
 
-pub use cache::TemplateKey;
 pub use client::{Client, ClientStats, OverlaidOutcome};
 pub use config::{
     EngineConfig, FloatFormatter, GrowthPolicy, ServerCore, StoreMode, WidthPolicy, WireFormat,
@@ -59,6 +57,6 @@ pub use error::EngineError;
 pub use overlay::{OverlayReport, OverlaySender};
 pub use plan::{InjectedFault, OpKind, PlanCost, PlannedOp, SendPlan};
 pub use schema::{OpDesc, ParamDesc, TypeDesc};
-pub use store::{Checkout, StoreKey, TemplateStore};
+pub use store::{Checkout, StoreKey, TemplateKey, TemplateStore};
 pub use template::{MessageTemplate, SendReport, SendTier};
 pub use value::{Scalar, Value};

@@ -1,14 +1,16 @@
-//! The shared template store: sharded, byte-budgeted, multi-tenant
-//! template ownership (§ DESIGN 3.14).
+//! The shared template store: one lock over one map, byte-budgeted and
+//! multi-tenant template ownership (§ DESIGN 3.14).
 //!
-//! The paper keeps saved templates inside each client stub; a server
-//! fleet wants the inverse — one concurrently-accessed store whose
-//! resident bytes are bounded no matter how many tenants show up.
-//! [`TemplateStore`] is that store:
+//! The paper keeps saved templates inside each client stub and notes that
+//! a server sending similar responses can reuse them the same way (§3,
+//! §6). [`TemplateStore`] is where both sides keep them, with resident
+//! bytes bounded no matter how many tenants show up:
 //!
-//! * **Sharded.** Keys hash onto cache-line-padded mutex shards (the same
-//!   padding idiom `bsoap-obs` uses for its counters), so concurrent
-//!   clients rarely contend on one lock.
+//! * **One lock.** One mutex guards the key → variants map, the
+//!   per-tenant byte ledger and the resident and reserved totals. A store
+//!   is touched by one client thread or by the server's few event-loop
+//!   threads, so admission inserts and evicts under that one lock, and
+//!   the budget and quotas hold at every instant.
 //! * **Budgeted.** A hard global byte budget caps resident template bytes
 //!   (plus reserved overlay-window bytes). Admission past the budget
 //!   evicts until the store fits again.
@@ -20,31 +22,68 @@
 //! * **Tenant-isolated.** Per-tenant byte quotas stop one hot tenant from
 //!   evicting everyone else: a tenant over quota only ever evicts its own
 //!   templates.
+//! * **Variants.** "It also may be useful to store multiple different
+//!   message templates for the same remote service" (§6): a key keeps up
+//!   to `cap` templates, most recently used first, and a checkout serves
+//!   the one whose array geometry is cheapest to resize to the outgoing
+//!   arguments, so workloads that alternate between a few message shapes
+//!   never pay for resizing.
 //!
 //! Ownership moves through the store by value: [`TemplateStore::checkout`]
 //! removes the best-matching template (its bytes leave the budget
 //! immediately — a checked-out template a cost gate later discards can
 //! never strand budget), [`TemplateStore::send`] (the one tiered send,
 //! [`crate::send`]) diffs and sends it, then [`TemplateStore::admit`]
-//! returns it. One checkout is one lookup: `TemplateHits + TemplateMisses`
-//! reconciles exactly with the number of checkouts. `send` is the only
-//! product caller of the pair; [`TemplateStore::peek`] is the read-only
-//! look for everything else.
+//! returns it. The key's emptied slot stays in the map, so the admit that
+//! follows a hit allocates nothing. One checkout is one lookup:
+//! `TemplateHits + TemplateMisses` reconciles exactly with the number of
+//! checkouts. `send` is the only product caller of the pair;
+//! [`TemplateStore::peek`] is the read-only look for everything else.
 
-use crate::cache::{TemplateKey, TemplateSet};
+use crate::config::WireFormat;
+use crate::schema::OpDesc;
 use crate::template::MessageTemplate;
 use crate::value::Value;
 use bsoap_obs::{Counter, Level, Metrics, Recorder};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Number of map shards. Power of two, same scale as the obs counter
-/// sharding: enough that a worker pool of the sizes this engine runs
-/// rarely collides on one lock.
-const SHARDS: usize = 16;
+/// Template key: endpoint plus structural signature plus wire format.
+///
+/// The format is part of the identity because an XML template and a
+/// binary template of the same call share nothing byte-wise — a client
+/// that negotiates the binary lane for one endpoint must never patch an
+/// XML template saved for another lane.
+///
+/// The strings are shared (`Arc<str>`), so a key built once — a server
+/// operation's response key, say — re-enters the store on every
+/// [`TemplateStore::admit`] by reference count, not by copy.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct TemplateKey {
+    /// Endpoint identity (URL or logical service name).
+    pub endpoint: Arc<str>,
+    /// Structural signature from [`OpDesc::signature`].
+    pub signature: Arc<str>,
+    /// Wire format the saved bytes are encoded in.
+    pub format: WireFormat,
+}
+
+impl TemplateKey {
+    /// Build the key for an operation on an endpoint (XML lane).
+    pub fn new(endpoint: &str, op: &OpDesc) -> Self {
+        Self::for_format(endpoint, op, WireFormat::SoapXml)
+    }
+
+    /// Build the key for an operation on an endpoint in a specific wire
+    /// format.
+    pub fn for_format(endpoint: &str, op: &OpDesc, format: WireFormat) -> Self {
+        TemplateKey {
+            endpoint: endpoint.into(),
+            signature: op.signature().into(),
+            format,
+        }
+    }
+}
 
 /// Store key: tenant plus the template key. Tenant `0` is the
 /// single-tenant default, so a lone client pays nothing for the extra
@@ -62,21 +101,6 @@ impl StoreKey {
     pub fn new(tenant: u64, key: TemplateKey) -> Self {
         StoreKey { tenant, key }
     }
-
-    fn shard(&self) -> usize {
-        let mut h = DefaultHasher::new();
-        self.hash(&mut h);
-        (h.finish() as usize) % SHARDS
-    }
-}
-
-/// One mutex-guarded shard on its own cache line(s), so shard locks and
-/// their map headers never share a line (the `bsoap-obs` counter idiom
-/// applied to locks).
-#[repr(align(64))]
-#[derive(Default)]
-struct Shard {
-    map: Mutex<HashMap<StoreKey, TemplateSet>>,
 }
 
 /// What a [`TemplateStore::checkout`] found.
@@ -107,20 +131,89 @@ impl Checkout {
     }
 }
 
-/// Sharded, byte-budgeted, multi-tenant template store.
+/// Everything the store's lock guards.
+#[derive(Default)]
+struct Ledger {
+    /// Key → up to `cap` variants, most recently used first. A checkout
+    /// leaves the key's emptied slot for the admit that follows it; purge
+    /// and eviction remove empty slots, and a miss never creates one.
+    map: HashMap<StoreKey, Vec<MessageTemplate>>,
+    /// Tenant → resident bytes. Entries are removed when they hit zero
+    /// so the map stays bounded by *live* tenants.
+    tenant_bytes: HashMap<u64, u64>,
+    /// Resident bytes: templates + overlay reservations.
+    resident: u64,
+    /// Reserved (non-template, non-evictable) bytes within `resident`.
+    reserved: u64,
+}
+
+impl Ledger {
+    fn tenant(&self, tenant: u64) -> u64 {
+        self.tenant_bytes.get(&tenant).copied().unwrap_or(0)
+    }
+
+    fn charge(&mut self, tenant: u64, bytes: u64) {
+        self.resident += bytes;
+        *self.tenant_bytes.entry(tenant).or_insert(0) += bytes;
+    }
+
+    fn credit(&mut self, tenant: u64, bytes: u64) {
+        self.resident -= bytes;
+        if let Some(v) = self.tenant_bytes.get_mut(&tenant) {
+            *v = v.saturating_sub(bytes);
+            if *v == 0 {
+                self.tenant_bytes.remove(&tenant);
+            }
+        }
+    }
+
+    /// Evict cheapest-to-rebuild templates into `victims` until the
+    /// watched byte count (one tenant's, or the global total) is back
+    /// under `limit`.
+    fn evict_until(&mut self, tenant: Option<u64>, limit: u64, victims: &mut Vec<MessageTemplate>) {
+        loop {
+            let current = match tenant {
+                Some(t) => self.tenant(t),
+                None => self.resident,
+            };
+            if current <= limit {
+                return;
+            }
+            let mut cheapest: Option<(u64, &StoreKey, usize)> = None;
+            for (k, set) in &self.map {
+                if tenant.is_some_and(|t| k.tenant != t) {
+                    continue;
+                }
+                for (i, tpl) in set.iter().enumerate() {
+                    let score = tpl.rebuild_estimate();
+                    if cheapest.is_none_or(|(s, _, _)| score < s) {
+                        cheapest = Some((score, k, i));
+                    }
+                }
+            }
+            // Nothing evictable: reservations alone exceed the limit.
+            let Some((_, key, idx)) = cheapest else {
+                return;
+            };
+            let key = key.clone();
+            let set = self.map.get_mut(&key).expect("the victim's key is mapped");
+            let tpl = set.remove(idx);
+            if set.is_empty() {
+                self.map.remove(&key);
+            }
+            self.credit(key.tenant, tpl.message_len() as u64);
+            victims.push(tpl);
+        }
+    }
+}
+
+/// Byte-budgeted, multi-tenant template store behind one lock.
 ///
 /// Construction pins the budget and quota; `0` means unlimited for both.
 /// All methods take `&self` — wrap in an [`Arc`] to share across clients,
-/// server cores, or threads.
+/// server loops, or threads.
 pub struct TemplateStore {
-    shards: [Shard; SHARDS],
-    /// Tenant → resident bytes, sharded by tenant id. Entries are removed
-    /// when they hit zero so the map stays bounded by *live* tenants.
-    tenant_bytes: [Mutex<HashMap<u64, u64>>; SHARDS],
-    /// Global resident bytes: templates + overlay reservations.
-    resident: AtomicU64,
-    /// Reserved (non-template, non-evictable) bytes within `resident`.
-    reserved: AtomicU64,
+    ledger: Mutex<Ledger>,
     /// Hard global byte budget (`0` = unlimited).
     budget: u64,
     /// Per-tenant byte quota (`0` = unlimited).
@@ -131,10 +224,9 @@ pub struct TemplateStore {
 impl std::fmt::Debug for TemplateStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TemplateStore")
-            .field("resident_bytes", &self.resident_bytes())
             .field("budget", &self.budget)
             .field("tenant_quota", &self.tenant_quota)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -143,10 +235,7 @@ impl TemplateStore {
     /// unlimited for either).
     pub fn new(budget_bytes: usize, tenant_quota_bytes: usize) -> Self {
         TemplateStore {
-            shards: std::array::from_fn(|_| Shard::default()),
-            tenant_bytes: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            resident: AtomicU64::new(0),
-            reserved: AtomicU64::new(0),
+            ledger: Mutex::default(),
             budget: budget_bytes as u64,
             tenant_quota: tenant_quota_bytes as u64,
             metrics: OnceLock::new(),
@@ -184,25 +273,27 @@ impl TemplateStore {
         self.tenant_quota
     }
 
+    fn lock(&self) -> MutexGuard<'_, Ledger> {
+        self.ledger.lock().unwrap()
+    }
+
     /// Resident bytes right now: stored templates plus reservations.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident.load(Ordering::Relaxed)
+        self.lock().resident
     }
 
     /// Bytes currently resident for one tenant.
     pub fn tenant_resident_bytes(&self, tenant: u64) -> u64 {
-        let g = self.tenant_bytes[(tenant as usize) % SHARDS]
-            .lock()
-            .unwrap();
-        g.get(&tenant).copied().unwrap_or(0)
+        self.lock().tenant(tenant)
     }
 
     /// Number of keys with at least one stored template.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.map.lock().unwrap().len())
-            .sum()
+        self.lock()
+            .map
+            .values()
+            .filter(|set| !set.is_empty())
+            .count()
     }
 
     /// True when nothing is stored.
@@ -212,75 +303,44 @@ impl TemplateStore {
 
     /// Total templates across all keys.
     pub fn template_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.map
-                    .lock()
-                    .unwrap()
-                    .values()
-                    .map(TemplateSet::len)
-                    .sum::<usize>()
-            })
-            .sum()
+        self.lock().map.values().map(Vec::len).sum()
     }
 
     /// Whether any template is stored under `key`.
     pub fn contains(&self, key: &StoreKey) -> bool {
-        let g = self.shards[key.shard()].map.lock().unwrap();
-        g.get(key).is_some_and(|s| !s.is_empty())
+        self.lock().map.get(key).is_some_and(|set| !set.is_empty())
     }
 
-    /// Walk every shard and re-sum template bytes + reservations — the
-    /// audit the concurrency tests reconcile [`TemplateStore::resident_bytes`]
-    /// against at quiescence.
+    /// Re-sum template bytes + reservations — the audit the tests
+    /// reconcile [`TemplateStore::resident_bytes`] against.
     pub fn recount_bytes(&self) -> u64 {
-        let stored: u64 = self
-            .shards
-            .iter()
-            .map(|s| {
-                s.map
-                    .lock()
-                    .unwrap()
-                    .values()
-                    .map(|set| set.total_bytes() as u64)
-                    .sum::<u64>()
-            })
+        let g = self.lock();
+        let stored: u64 = g
+            .map
+            .values()
+            .flatten()
+            .map(|t| t.message_len() as u64)
             .sum();
-        stored + self.reserved.load(Ordering::Relaxed)
+        stored + g.reserved
     }
 
-    fn add_resident(&self, tenant: u64, bytes: u64) {
-        self.resident.fetch_add(bytes, Ordering::Relaxed);
-        let mut g = self.tenant_bytes[(tenant as usize) % SHARDS]
-            .lock()
-            .unwrap();
-        *g.entry(tenant).or_insert(0) += bytes;
-        drop(g);
-        self.sync_gauge();
-    }
-
-    fn sub_resident(&self, tenant: u64, bytes: u64) {
-        self.resident.fetch_sub(bytes, Ordering::Relaxed);
-        let mut g = self.tenant_bytes[(tenant as usize) % SHARDS]
-            .lock()
-            .unwrap();
-        if let Some(v) = g.get_mut(&tenant) {
-            *v = v.saturating_sub(bytes);
-            if *v == 0 {
-                g.remove(&tenant);
-            }
+    /// Enforce the tenant quota and the global budget after `tenant`'s
+    /// bytes grew, then publish the resident level. Runs under the lock.
+    fn settle(&self, g: &mut Ledger, tenant: u64, victims: &mut Vec<MessageTemplate>) {
+        if self.tenant_quota > 0 {
+            g.evict_until(Some(tenant), self.tenant_quota, victims);
         }
-        drop(g);
-        self.sync_gauge();
+        if self.budget > 0 {
+            g.evict_until(None, self.budget, victims);
+        }
+        self.publish(g);
     }
 
-    fn sync_gauge(&self) {
+    /// Mirror the resident bytes into the level gauge. Runs under the
+    /// lock, so the last value published is the ledger's.
+    fn publish(&self, g: &Ledger) {
         if let Some(m) = self.metrics.get() {
-            m.level_set(
-                Level::TemplateBytesResident,
-                self.resident.load(Ordering::Relaxed),
-            );
+            m.level_set(Level::TemplateBytesResident, g.resident);
         }
     }
 
@@ -302,42 +362,34 @@ impl TemplateStore {
     /// demotion) can never strand budget — only [`TemplateStore::admit`]
     /// re-charges it.
     pub fn checkout(&self, key: &StoreKey, args: &[Value], cap: usize) -> Checkout {
-        let mut g = self.shards[key.shard()].map.lock().unwrap();
-        let out = match g.get_mut(key) {
+        let mut g = self.lock();
+        let found = g.map.get_mut(key).and_then(|set| {
+            let (idx, dist) = best_match(set, args)?;
+            Some((dist == 0 || set.len() >= cap.max(1)).then(|| set.remove(idx)))
+        });
+        let out = match found {
             None => Checkout::MissEmpty,
-            Some(set) if set.is_empty() => Checkout::MissEmpty,
-            Some(set) => match set.best_match(args) {
-                None => Checkout::MissEmpty,
-                Some((idx, dist)) => {
-                    if dist == 0 || set.len() >= cap.max(1) {
-                        let tpl = set.remove(idx);
-                        if set.is_empty() {
-                            g.remove(key);
-                        }
-                        Checkout::Hit(tpl)
-                    } else {
-                        Checkout::MissVariant
-                    }
-                }
-            },
+            Some(None) => Checkout::MissVariant,
+            Some(Some(tpl)) => {
+                g.credit(key.tenant, tpl.message_len() as u64);
+                self.publish(&g);
+                Checkout::Hit(tpl)
+            }
         };
         drop(g);
-        match &out {
-            Checkout::Hit(tpl) => {
-                self.sub_resident(key.tenant, tpl.message_len() as u64);
-                self.tick(Counter::TemplateHits, 1);
-            }
-            _ => self.tick(Counter::TemplateMisses, 1),
-        }
+        let counter = match out {
+            Checkout::Hit(_) => Counter::TemplateHits,
+            _ => Counter::TemplateMisses,
+        };
+        self.tick(counter, 1);
         out
     }
 
     /// Look at the most recently used template under `key` without taking
-    /// it out: `look` runs under the shard lock on a shared reference.
+    /// it out: `look` runs under the store lock on a shared reference.
     /// Not a send lookup — ticks neither hits nor misses, moves no budget.
     pub fn peek<R>(&self, key: &StoreKey, look: impl FnOnce(&MessageTemplate) -> R) -> Option<R> {
-        let g = self.shards[key.shard()].map.lock().unwrap();
-        g.get(key)?.templates().first().map(look)
+        self.lock().map.get(key)?.first().map(look)
     }
 
     /// Store `template` as the MRU variant under `key`, keeping at most
@@ -347,22 +399,15 @@ impl TemplateStore {
     pub fn admit(&self, key: StoreKey, template: MessageTemplate, cap: usize) -> u64 {
         let tenant = key.tenant;
         let bytes = template.message_len() as u64;
-        let mut evicted = 0u64;
-        let dropped = {
-            let mut g = self.shards[key.shard()].map.lock().unwrap();
-            g.entry(key).or_default().insert_evicting(template, cap)
-        };
-        for tpl in &dropped {
-            self.sub_resident(tenant, tpl.message_len() as u64);
-            evicted += 1;
-        }
-        self.add_resident(tenant, bytes);
-        if self.tenant_quota > 0 {
-            evicted += self.evict_until(Some(tenant), self.tenant_quota);
-        }
-        if self.budget > 0 {
-            evicted += self.evict_until(None, self.budget);
-        }
+        let mut victims = Vec::new();
+        let mut g = self.lock();
+        insert_variant(g.map.entry(key).or_default(), template, cap, &mut victims);
+        let dropped = victims.iter().map(|t| t.message_len() as u64).sum();
+        g.charge(tenant, bytes);
+        g.credit(tenant, dropped);
+        self.settle(&mut g, tenant, &mut victims);
+        drop(g);
+        let evicted = victims.len() as u64;
         self.tick(Counter::TemplateEvictions, evicted);
         evicted
     }
@@ -376,18 +421,16 @@ impl TemplateStore {
     /// Drop every template under `key` (degraded-mode demotion, manual
     /// eviction). Returns how many templates were removed.
     pub fn purge(&self, key: &StoreKey) -> usize {
-        let mut g = self.shards[key.shard()].map.lock().unwrap();
-        let Some(set) = g.remove(key) else {
+        let mut g = self.lock();
+        let Some(set) = g.map.remove(key) else {
             return 0;
         };
+        let bytes = set.iter().map(|t| t.message_len() as u64).sum();
+        g.credit(key.tenant, bytes);
+        self.publish(&g);
         drop(g);
-        let n = set.len();
-        let bytes = set.total_bytes() as u64;
-        if bytes > 0 || n > 0 {
-            self.sub_resident(key.tenant, bytes);
-        }
-        self.tick(Counter::TemplateEvictions, n as u64);
-        n
+        self.tick(Counter::TemplateEvictions, set.len() as u64);
+        set.len()
     }
 
     /// Clone a same-structure, same-format template saved for a
@@ -396,21 +439,14 @@ impl TemplateStore {
     /// across isolation domains, format-scoped so one lane's bytes never
     /// reach the other lane.
     pub fn find_shareable(&self, key: &StoreKey) -> Option<MessageTemplate> {
-        for shard in &self.shards {
-            let g = shard.map.lock().unwrap();
-            let found = g.iter().find_map(|(k, set)| {
-                (k.tenant == key.tenant
-                    && k.key.signature == key.key.signature
-                    && k.key.format == key.key.format
-                    && k.key.endpoint != key.key.endpoint)
-                    .then(|| set.templates().first().cloned())
-                    .flatten()
-            });
-            if found.is_some() {
-                return found;
-            }
-        }
-        None
+        self.lock().map.iter().find_map(|(k, set)| {
+            (k.tenant == key.tenant
+                && k.key.signature == key.key.signature
+                && k.key.format == key.key.format
+                && k.key.endpoint != key.key.endpoint)
+                .then(|| set.first().cloned())
+                .flatten()
+        })
     }
 
     /// Reserve non-evictable bytes against the budget (overlay window
@@ -421,16 +457,13 @@ impl TemplateStore {
         if bytes == 0 {
             return;
         }
-        self.reserved.fetch_add(bytes, Ordering::Relaxed);
-        self.add_resident(tenant, bytes);
-        let mut evicted = 0u64;
-        if self.tenant_quota > 0 {
-            evicted += self.evict_until(Some(tenant), self.tenant_quota);
-        }
-        if self.budget > 0 {
-            evicted += self.evict_until(None, self.budget);
-        }
-        self.tick(Counter::TemplateEvictions, evicted);
+        let mut victims = Vec::new();
+        let mut g = self.lock();
+        g.reserved += bytes;
+        g.charge(tenant, bytes);
+        self.settle(&mut g, tenant, &mut victims);
+        drop(g);
+        self.tick(Counter::TemplateEvictions, victims.len() as u64);
     }
 
     /// Return bytes previously taken with [`TemplateStore::reserve`].
@@ -438,75 +471,87 @@ impl TemplateStore {
         if bytes == 0 {
             return;
         }
-        self.reserved.fetch_sub(bytes, Ordering::Relaxed);
-        self.sub_resident(tenant, bytes);
+        let mut g = self.lock();
+        g.reserved -= bytes;
+        g.credit(tenant, bytes);
+        self.publish(&g);
     }
+}
 
-    /// Evict cheapest-to-rebuild templates until the watched byte count
-    /// (one tenant's, or the global total) is back under `limit`.
-    /// Locks one shard at a time — never two — so concurrent admits
-    /// cannot deadlock; the limit is enforced at every admission
-    /// boundary, with transient overshoot bounded by in-flight admits.
-    fn evict_until(&self, tenant: Option<u64>, limit: u64) -> u64 {
-        let mut evicted = 0u64;
-        loop {
-            let current = match tenant {
-                Some(t) => self.tenant_resident_bytes(t),
-                None => self.resident.load(Ordering::Relaxed),
-            };
-            if current <= limit {
-                break;
+/// Insert `template` as `set`'s MRU variant and move what `cap` pushes
+/// out (LRU last) into `victims`.
+fn insert_variant(
+    set: &mut Vec<MessageTemplate>,
+    template: MessageTemplate,
+    cap: usize,
+    victims: &mut Vec<MessageTemplate>,
+) {
+    set.insert(0, template);
+    if set.len() > cap.max(1) {
+        victims.extend(set.drain(cap.max(1)..));
+    }
+}
+
+/// Index and distance of the best-matching template for `args`: the
+/// candidate with the cheapest estimated resize plan (geometry distance
+/// breaks ties). The returned distance is the geometric one — callers
+/// use `dist == 0` as the "no resize needed" signal.
+fn best_match(set: &[MessageTemplate], args: &[Value]) -> Option<(usize, usize)> {
+    set.iter()
+        .enumerate()
+        .map(|(i, t)| (i, resize_cost(t, args), distance(t, args)))
+        .min_by_key(|&(_, cost, dist)| (cost, dist))
+        .map(|(i, _, dist)| (i, dist))
+}
+
+/// Sum of array-length distances between a template and the outgoing
+/// arguments — 0 means every array already has the right length (no
+/// resize needed).
+fn distance(tpl: &MessageTemplate, args: &[Value]) -> usize {
+    let mut dist = 0usize;
+    let mut array_idx = 0usize;
+    for arg in args {
+        if let Some(n) = arg.array_len() {
+            if array_idx < tpl.array_count() {
+                dist += tpl.array_len(array_idx).abs_diff(n);
             }
-            // Scan for the globally cheapest victim by rebuild estimate.
-            let mut victim: Option<(u64, usize, StoreKey)> = None;
-            for (i, shard) in self.shards.iter().enumerate() {
-                let g = shard.map.lock().unwrap();
-                for (k, set) in g.iter() {
-                    if tenant.is_some_and(|t| k.tenant != t) {
-                        continue;
-                    }
-                    for tpl in set.templates() {
-                        let score = tpl.rebuild_estimate();
-                        if victim.as_ref().is_none_or(|(s, _, _)| score < *s) {
-                            victim = Some((score, i, k.clone()));
-                        }
-                    }
+            array_idx += 1;
+        }
+    }
+    dist
+}
+
+/// Estimated cost of resizing a template to serve `args`, in the
+/// planner's currency: growing prices the new elements' bytes plus one
+/// re-serialization per added element leaf; shrinking only pays
+/// bookkeeping per removed element. So a slightly-smaller template (cheap
+/// shrink) beats a much-smaller one (expensive grow) even when the
+/// latter's length distance is lower.
+fn resize_cost(tpl: &MessageTemplate, args: &[Value]) -> u64 {
+    let mut cost = 0u64;
+    let mut array_idx = 0usize;
+    for arg in args {
+        if let Some(n) = arg.array_len() {
+            if array_idx < tpl.array_count() {
+                let old = tpl.array_len(array_idx);
+                if n > old {
+                    let elem_bytes = tpl.array_elem_bytes(array_idx) as u64;
+                    cost += (n - old) as u64 * (elem_bytes + 1);
+                } else {
+                    cost += (old - n) as u64;
                 }
             }
-            let Some((_, shard_idx, key)) = victim else {
-                // Nothing evictable (reservations alone exceed the limit).
-                break;
-            };
-            let mut g = self.shards[shard_idx].map.lock().unwrap();
-            let Some(set) = g.get_mut(&key) else {
-                continue; // raced with a concurrent purge; rescan
-            };
-            let Some(idx) = set
-                .templates()
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, t)| t.rebuild_estimate())
-                .map(|(i, _)| i)
-            else {
-                continue;
-            };
-            let tpl = set.remove(idx);
-            if set.is_empty() {
-                g.remove(&key);
-            }
-            drop(g);
-            self.sub_resident(key.tenant, tpl.message_len() as u64);
-            evicted += 1;
+            array_idx += 1;
         }
-        evicted
     }
+    cost
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::schema::{OpDesc, TypeDesc};
+    use crate::schema::TypeDesc;
     use bsoap_convert::ScalarKind;
     use bsoap_obs::EngineStats;
 
@@ -530,6 +575,84 @@ mod tests {
 
     fn skey(tenant: u64, endpoint: &str) -> StoreKey {
         StoreKey::new(tenant, TemplateKey::new(endpoint, &arr_op()))
+    }
+
+    #[test]
+    fn keys_distinguish_endpoint_and_structure() {
+        let op = |name| OpDesc::single(name, "urn:t", "v", TypeDesc::Scalar(ScalarKind::Int));
+        let k1 = TemplateKey::new("http://a/svc", &op("f"));
+        let k2 = TemplateKey::new("http://b/svc", &op("f"));
+        let k3 = TemplateKey::new("http://a/svc", &op("g"));
+        assert_ne!(k1, k2);
+        assert_ne!(k1, k3);
+        assert_eq!(k1, TemplateKey::new("http://a/svc", &op("f")));
+        // The wire format is part of the identity: a binary template can
+        // never be served where XML bytes are expected.
+        let k4 = TemplateKey::for_format("http://a/svc", &op("f"), WireFormat::CompactBinary);
+        assert_ne!(k1, k4);
+        assert_eq!(k1.format, WireFormat::SoapXml);
+    }
+
+    #[test]
+    fn set_keeps_mru_order_and_cap() {
+        let (mut set, mut victims) = (Vec::new(), Vec::new());
+        insert_variant(&mut set, arr_tpl(1), 2, &mut victims);
+        insert_variant(&mut set, arr_tpl(5), 2, &mut victims);
+        assert!(victims.is_empty());
+        assert_eq!(set.len(), 2);
+        insert_variant(&mut set, arr_tpl(9), 2, &mut victims); // evicts the n=1 template
+        assert_eq!(victims.len(), 1);
+        assert_eq!(victims[0].array_len(0), 1);
+        assert_eq!(set.len(), 2);
+        let lens: Vec<usize> = set.iter().map(|t| t.array_len(0)).collect();
+        assert_eq!(lens, vec![9, 5]);
+    }
+
+    #[test]
+    fn best_match_prefers_matching_lengths() {
+        let mut set = Vec::new();
+        for n in [10, 100, 1000] {
+            insert_variant(&mut set, arr_tpl(n), 3, &mut Vec::new());
+        }
+        let (idx, dist) = best_match(&set, &[Value::DoubleArray(vec![0.5; 100])]).unwrap();
+        assert_eq!(dist, 0);
+        assert_eq!(set[idx].array_len(0), 100);
+        let (idx, dist) = best_match(&set, &[Value::DoubleArray(vec![0.5; 90])]).unwrap();
+        assert_eq!(dist, 10);
+        assert_eq!(set[idx].array_len(0), 100);
+    }
+
+    #[test]
+    fn a_hit_keeps_its_slot_and_a_miss_makes_none() {
+        let store = TemplateStore::unbounded();
+        let args = [Value::DoubleArray(vec![0.5; 4])];
+        assert!(store.checkout(&skey(0, "ep"), &args, 1).hit().is_none());
+        assert_eq!(
+            store.ledger.lock().unwrap().map.len(),
+            0,
+            "a miss adds no slot"
+        );
+        store.admit(skey(0, "ep"), arr_tpl(4), 1);
+        let tpl = store.checkout(&skey(0, "ep"), &args, 1).hit().unwrap();
+        assert_eq!(
+            store.ledger.lock().unwrap().map.len(),
+            1,
+            "the emptied slot stays"
+        );
+        assert!(store.is_empty());
+        assert!(!store.contains(&skey(0, "ep")));
+        assert_eq!(store.template_count(), 0);
+        assert!(store.find_shareable(&skey(0, "other")).is_none());
+        assert!(store.checkout(&skey(0, "ep"), &args, 1).hit().is_none());
+        store.admit(skey(0, "ep"), tpl, 1);
+        assert_eq!(store.len(), 1);
+        store.checkout(&skey(0, "ep"), &args, 1).hit().unwrap();
+        assert_eq!(store.purge(&skey(0, "ep")), 0);
+        assert_eq!(
+            store.ledger.lock().unwrap().map.len(),
+            0,
+            "purge drops the slot"
+        );
     }
 
     #[test]

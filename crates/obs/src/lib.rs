@@ -5,7 +5,8 @@
 //! shifting and chunk management do* (HPDC 2004 §3–§4); this crate makes
 //! those quantities visible on live traffic:
 //!
-//! * [`ShardedCounter`] — lock-free, cache-line-padded monotone counters;
+//! * [`Counter`]s — monotone counters, one relaxed atomic each, beside the
+//!   [`MaxGauge`] and [`LevelGauge`] gauges;
 //! * [`Histogram`] — fixed-bucket log-linear latency histograms (~3%
 //!   relative error, wait-free recording, no allocation after construction);
 //! * [`TraceRing`] — a bounded ring of per-send span events;
@@ -32,13 +33,13 @@ mod prom;
 mod trace;
 
 pub use clock::{Clock, MonotonicClock, VirtualClock};
-pub use counters::{LevelGauge, MaxGauge, ShardedCounter};
+pub use counters::{LevelGauge, MaxGauge};
 pub use deadline::{Backoff, Deadline, DeadlineExpired};
 pub use hist::{bucket_upper_ns, max_trackable_ns, HistSnapshot, Histogram, BUCKETS};
 pub use prom::parse_value;
 pub use trace::{BreakerState, TraceEvent, TraceKind, TraceRing};
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Selects nothing: there is one server core, the event loop (DESIGN.md
@@ -334,7 +335,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 pub struct Metrics {
     enabled: AtomicBool,
     clock: Arc<dyn Clock>,
-    counters: [ShardedCounter; Counter::COUNT],
+    counters: [AtomicU64; Counter::COUNT],
     gauges: [MaxGauge; Gauge::COUNT],
     levels: [LevelGauge; Level::COUNT],
     hists: [Histogram; HistId::COUNT],
@@ -358,7 +359,7 @@ impl Metrics {
         Metrics {
             enabled: AtomicBool::new(true),
             clock,
-            counters: std::array::from_fn(|_| ShardedCounter::new()),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: std::array::from_fn(|_| MaxGauge::new()),
             levels: std::array::from_fn(|_| LevelGauge::new()),
             hists: std::array::from_fn(|_| Histogram::new()),
@@ -391,7 +392,7 @@ impl Metrics {
     pub fn snapshot(&self) -> EngineStats {
         let (_, trace_dropped) = self.trace.snapshot();
         EngineStats {
-            counters: std::array::from_fn(|i| self.counters[i].get()),
+            counters: std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed)),
             gauges: std::array::from_fn(|i| self.gauges[i].get()),
             levels: std::array::from_fn(|i| self.levels[i].get()),
             hists: self.hists.iter().map(|h| h.snapshot()).collect(),
@@ -427,7 +428,7 @@ impl Recorder for Metrics {
     #[inline]
     fn add(&self, c: Counter, delta: u64) {
         if self.is_enabled() {
-            self.counters[c.index()].add(delta);
+            self.counters[c.index()].fetch_add(delta, Ordering::Relaxed);
         }
     }
 
@@ -598,6 +599,25 @@ mod tests {
         m.set_enabled(false);
         m.level_set(Level::TemplateBytesResident, 9);
         assert_eq!(m.level_get(Level::TemplateBytesResident), 128);
+    }
+
+    #[test]
+    fn counter_sums_across_threads() {
+        let m = Metrics::shared();
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let m = Arc::clone(&m);
+                std::thread::spawn(move || {
+                    for _ in 0..10_000 {
+                        m.add(Counter::Shifts, 1);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(m.snapshot().get(Counter::Shifts), 80_000);
     }
 
     #[test]

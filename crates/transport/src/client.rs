@@ -92,9 +92,9 @@ impl<S: Read + Write> ClientConn<S> {
         post_gather_vectored(&mut self.stream, cfg, body, &mut self.scratch)
     }
 
-    /// Write one chunked POST whose body `produce` streams portion by
-    /// portion (`cfg.version` must be chunked). Returns request bytes
-    /// written and `produce`'s own result.
+    /// Write one chunked `HTTP/1.1` POST whose body `produce` streams
+    /// portion by portion, whatever `cfg.version` says. Returns request
+    /// bytes written and `produce`'s own result.
     pub fn post_streamed<T>(
         &mut self,
         cfg: &RequestConfig,

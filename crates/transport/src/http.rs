@@ -74,14 +74,21 @@ impl RequestConfig {
     }
 
     /// Render the request head (request line + headers + blank line) into
-    /// `out` (cleared first). `content_len` must be `Some` for
-    /// length-framed versions and is ignored for chunked framing.
+    /// `out` (cleared first). `content_len` frames a length-framed
+    /// version and is ignored for chunked framing; a head rendered with no
+    /// length is a chunked `HTTP/1.1` head whatever `version` says (a
+    /// streamed body cannot promise its length up front).
     pub fn render_head(&self, out: &mut Vec<u8>, content_len: Option<usize>) {
+        let length = content_len.filter(|_| !self.version.is_chunked());
+        let version = match length {
+            Some(_) => self.version,
+            None => HttpVersion::Http11Chunked,
+        };
         out.clear();
         out.extend_from_slice(b"POST ");
         out.extend_from_slice(self.path.as_bytes());
         out.push(b' ');
-        out.extend_from_slice(self.version.token().as_bytes());
+        out.extend_from_slice(version.token().as_bytes());
         out.extend_from_slice(b"\r\nHost: ");
         out.extend_from_slice(self.host.as_bytes());
         out.extend_from_slice(b"\r\nContent-Type: text/xml; charset=utf-8\r\nSOAPAction: \"");
@@ -90,18 +97,15 @@ impl RequestConfig {
         for (name, value) in &self.extra_headers {
             push_header(out, name, value);
         }
-        match (self.version, content_len) {
-            (HttpVersion::Http11Chunked, _) => {
-                out.extend_from_slice(b"Transfer-Encoding: chunked\r\n");
-            }
-            (_, Some(n)) => {
+        match length {
+            Some(n) => {
                 out.extend_from_slice(b"Content-Length: ");
                 push_decimal(out, n);
                 out.extend_from_slice(b"\r\n");
             }
-            (_, None) => panic!("length-framed request without content length"),
+            None => out.extend_from_slice(b"Transfer-Encoding: chunked\r\n"),
         }
-        if self.version == HttpVersion::Http10 {
+        if version == HttpVersion::Http10 {
             // 1.0 defaults to close; ask for reuse like gSOAP's keep-alive.
             out.extend_from_slice(b"Connection: keep-alive\r\n");
         }
@@ -1240,6 +1244,18 @@ mod tests {
         assert_eq!(head.method, "PATCH");
         let head = parse_request_head(request("PROPFIND").as_bytes()).unwrap();
         assert_eq!((head.method, head.path()), ("", "/"));
+    }
+
+    #[test]
+    fn a_head_without_a_length_is_chunked_http11_whatever_the_version() {
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        RequestConfig::loopback(HttpVersion::Http11Chunked).render_head(&mut want, None);
+        assert!(want.starts_with(b"POST /service HTTP/1.1\r\n"));
+        assert!(want.ends_with(b"\"\r\nTransfer-Encoding: chunked\r\n\r\n"));
+        for version in [HttpVersion::Http10, HttpVersion::Http11Length] {
+            RequestConfig::loopback(version).render_head(&mut got, None);
+            assert_eq!(got, want, "{version:?}");
+        }
     }
 
     /// Numbers render in place, through the workspace's decimal writer and

@@ -12,7 +12,7 @@
 
 use crate::client::ClientConn;
 use crate::fault::{AttemptFailure, FaultPolicy, Resilience};
-use crate::http::{HttpVersion, RequestConfig, DEFAULT_MAX_BODY, DEFAULT_MAX_HEAD};
+use crate::http::{RequestConfig, DEFAULT_MAX_BODY, DEFAULT_MAX_HEAD};
 use crate::stream::ChunkedBodyWriter;
 use bsoap_obs::{Clock, Counter, Deadline, HistId, Metrics, MonotonicClock, Recorder, TraceKind};
 use parking_lot::Mutex;
@@ -506,9 +506,9 @@ impl HttpPoolClient {
     /// writer carries the attempt's [`Deadline`], and on a retry
     /// `produce` is invoked again from the top (portions
     /// already written to a dead socket were never seen by the server, so
-    /// re-streaming from scratch is the correct replay). Framing is
-    /// forced to chunked regardless of the client's configured version —
-    /// a streamed body cannot promise a `Content-Length` up front.
+    /// re-streaming from scratch is the correct replay). The head is
+    /// chunked `HTTP/1.1` whatever the client's configured version — a
+    /// streamed body cannot promise a `Content-Length` up front.
     ///
     /// Returns the reply plus `produce`'s own result (e.g. an
     /// `OverlayReport`) from the successful attempt.
@@ -516,9 +516,7 @@ impl HttpPoolClient {
         &self,
         mut produce: impl FnMut(&mut ChunkedBodyWriter<'_, TcpStream>) -> io::Result<T>,
     ) -> io::Result<(HttpReply, T)> {
-        let mut cfg = self.cfg.clone();
-        cfg.version = HttpVersion::Http11Chunked;
-        self.exchange(|conn, deadline| conn.post_streamed(&cfg, Some(deadline), &mut produce))
+        self.exchange(|conn, deadline| conn.post_streamed(&self.cfg, Some(deadline), &mut produce))
     }
 
     /// Issue a bodiless keep-alive `GET` for `path` over a pooled

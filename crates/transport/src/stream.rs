@@ -60,24 +60,15 @@ pub struct ChunkedBodyWriter<'a, W: Write> {
 }
 
 impl<'a, W: Write> ChunkedBodyWriter<'a, W> {
-    /// Write the chunked request head for `cfg` and return a body writer.
-    ///
-    /// `cfg.version` must be [`HttpVersion::Http11Chunked`]
-    /// (streaming cannot promise a Content-Length up front).
-    ///
-    /// [`HttpVersion::Http11Chunked`]: crate::http::HttpVersion::Http11Chunked
+    /// Write the chunked `HTTP/1.1` request head for `cfg` and return a
+    /// body writer. The head is chunked whatever `cfg.version` says: a
+    /// streamed body cannot promise a `Content-Length` up front.
     pub fn start(
         stream: &'a mut W,
         cfg: &RequestConfig,
         head_scratch: &mut Vec<u8>,
         deadline: Option<&'a Deadline>,
     ) -> io::Result<Self> {
-        if !cfg.version.is_chunked() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "streamed body requires chunked framing",
-            ));
-        }
         if let Some(d) = deadline {
             d.check()?;
         }

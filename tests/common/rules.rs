@@ -102,6 +102,14 @@ const RULES: &[(&str, &[Rule])] = &[
             // One way in to the diff (PR 23): the per-array step skipped
             // `check_args`, so it is `update_args`'s private helper now.
             gone("pub fn update_array("),
+            // One store lock and one atomic a counter: the shards were
+            // sized for a worker pool that is gone. Sharding comes back
+            // only with a row that measures contention on the lock.
+            inside(STORE, "Mutex<", 1..=1),
+            inside(STORE, "Atomic", NEVER),
+            gone("SHARDS"),
+            gone("ShardedCounter"),
+            gone("pub mod cache"),
         ],
     ),
     // A wire lane is one module per crate (PR 17). One variant's name

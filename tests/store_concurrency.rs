@@ -4,7 +4,9 @@
 //!    [`TemplateStore`] never corrupt the byte accounting — at quiescence
 //!    the resident gauge equals a from-scratch recount, the global budget
 //!    and per-tenant quotas hold, and the hit/miss counters reconcile
-//!    exactly with the number of lookups issued.
+//!    exactly with the number of lookups issued. The budget and quotas
+//!    hold at every instant too: an observer thread samples them while
+//!    the workers run.
 //! 2. **Eviction transparency**: a client whose store budget holds about
 //!    two templates stays, on every call of any schedule, what the
 //!    executable spec (`common::spec`) says — bytes ≡ a full
@@ -21,6 +23,7 @@ use bsoap::{
 use common::spec::{apply, doubles, doubles_op, small_f64, update_strategy};
 use common::Rig;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn arr_tpl(format: WireFormat, n: usize) -> MessageTemplate {
@@ -56,6 +59,29 @@ proptest! {
         let metrics = Metrics::shared();
         store.set_metrics(Arc::clone(&metrics));
 
+        // No reservation is taken, so every sample — not only the last —
+        // must sit within the budget and every tenant's quota.
+        let done = Arc::new(AtomicBool::new(false));
+        let observer = {
+            let (store, done) = (Arc::clone(&store), Arc::clone(&done));
+            std::thread::spawn(move || {
+                while !done.load(Ordering::Relaxed) {
+                    let resident = store.resident_bytes();
+                    if budget > 0 && resident > budget as u64 {
+                        return Some(format!("resident {resident} exceeds budget {budget}"));
+                    }
+                    for tenant in 0..tenants {
+                        let held = store.tenant_resident_bytes(tenant);
+                        if quota > 0 && held > quota as u64 {
+                            return Some(format!(
+                                "tenant {tenant} resident {held} exceeds quota {quota}"
+                            ));
+                        }
+                    }
+                }
+                None
+            })
+        };
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let store = Arc::clone(&store);
@@ -93,6 +119,9 @@ proptest! {
             })
             .collect();
         let total_lookups: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        done.store(true, Ordering::Relaxed);
+        let overshoot = observer.join().unwrap();
+        prop_assert!(overshoot.is_none(), "mid-run: {}", overshoot.unwrap_or_default());
 
         // Byte accounting: gauge == recount, budget and quotas hold.
         prop_assert_eq!(store.recount_bytes(), store.resident_bytes());
